@@ -388,11 +388,8 @@ func recordEngineBench(bench string, rows int, engine string, elapsed time.Durat
 // acceptance pipeline — equijoin ⋈ᵀ (hash join vs pair loop), rdupᵀ and
 // coalᵀ (hash value-partitioning vs global quadratic scans) — over datagen
 // relations at n ∈ {1k, 10k, 100k, 1M} probe rows against a 256-row build
-// side. The exec-novec leg runs the same tuple-at-a-time operators with
-// the columnar batch pipeline disabled, so exec vs exec-novec at each
-// scale is the measured value of vectorization. The reference evaluator
-// sits out the 1M leg (its pair-loop join is quadratic there). The ns/op
-// ratio between the reference and exec sub-benchmarks at each scale is the
+// side. The reference evaluator sits out the 1M leg (its pair-loop join is
+// quadratic there). The ns/op ratio between the reference and exec sub-benchmarks at each scale is the
 // speedup trajectory; the exec engines' results are additionally asserted
 // list-identical to the reference's at the smallest scale (the
 // differential suite covers the rest).
@@ -430,10 +427,9 @@ func BenchmarkEngines(b *testing.B) {
 		}{
 			{"reference", eval.New(src), plan},
 			{"exec", exec.New(src), plan},
-			{"exec-novec", exec.NewWith(src, exec.Options{NoColumnar: true}), plan},
 			{"exec-merge", exec.New(srcM), planM},
-			{"exec-par8", exec.NewWith(src, exec.Options{Parallelism: 8}), plan},
-			{"exec-mem16M", exec.NewWith(src, exec.Options{MemoryBudget: 16 << 20}), plan},
+			{"exec-par8", exec.NewWith(src, exec.Config{Parallelism: 8}), plan},
+			{"exec-mem16M", exec.NewWith(src, exec.Config{MemoryBudget: 16 << 20}), plan},
 		}
 		if n == 1000 {
 			want, err := engines[0].eng.Eval(plan)
@@ -485,12 +481,11 @@ func BenchmarkEngines(b *testing.B) {
 // BenchmarkColumnar isolates the columnar batch pipeline on its target
 // shape — scan → filter → equijoin ⋈ᵀ → rdupᵀ → coalᵀ, every operator of
 // which has a vectorized variant — at 100k and 1M probe rows. Unlike
-// BenchmarkEngines (unfiltered inputs, arbitrary plans) this is the
-// vectorization acceptance measurement: exec runs batch-at-a-time with
-// selection vectors end to end, exec-novec runs the identical tuple
-// operators, and the gap is the step-change the columnar refactor buys.
-// Parity and non-vacuity (the columnar leg must actually compile vector
-// operators) are asserted at the smaller scale.
+// BenchmarkEngines (unfiltered inputs, arbitrary plans) this is the batch
+// pipeline's own measurement: exec runs batch-at-a-time with selection
+// vectors end to end. Parity with the reference evaluator and non-vacuity
+// (the legs must actually compile vector operators) are asserted at the
+// smaller scale.
 func BenchmarkColumnar(b *testing.B) {
 	for _, n := range []int{100000, 1000000} {
 		l := datagen.Temporal(datagen.TemporalSpec{
@@ -529,12 +524,12 @@ func BenchmarkColumnar(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			want, err := exec.NewWith(src, exec.Options{NoColumnar: true}).Eval(plan)
+			want, err := eval.New(src).Eval(plan)
 			if err != nil {
 				b.Fatal(err)
 			}
 			if !got.EqualAsList(want) {
-				b.Fatal("columnar and tuple engines disagree on the benchmark plan")
+				b.Fatal("exec and reference disagree on the benchmark plan")
 			}
 			if st := vec.Stats(); st.VectorOps == 0 || st.VectorBatches == 0 {
 				b.Fatalf("vacuous columnar benchmark: VectorOps=%d VectorBatches=%d", st.VectorOps, st.VectorBatches)
@@ -545,12 +540,12 @@ func BenchmarkColumnar(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			wantM, err := exec.NewWith(srcM, exec.Options{NoColumnar: true}).Eval(planM)
+			wantM, err := eval.New(srcM).Eval(planM)
 			if err != nil {
 				b.Fatal(err)
 			}
 			if !gotM.EqualAsList(wantM) {
-				b.Fatal("merge columnar and tuple engines disagree on the sorted benchmark plan")
+				b.Fatal("exec and reference disagree on the sorted benchmark plan")
 			}
 			if st := mrg.Stats(); st.MergeJoins == 0 || st.VectorOps == 0 {
 				b.Fatalf("vacuous merge leg: MergeJoins=%d VectorOps=%d", st.MergeJoins, st.VectorOps)
@@ -558,15 +553,14 @@ func BenchmarkColumnar(b *testing.B) {
 		}
 		for _, e := range []struct {
 			name string
-			opts exec.Options
+			opts exec.Config
 			src  eval.MapSource
 			plan algebra.Node
 		}{
-			{"exec", exec.Options{}, src, plan},
-			{"exec-novec", exec.Options{NoColumnar: true}, src, plan},
-			{"exec-merge", exec.Options{}, srcM, planM},
-			{"exec-par8", exec.Options{Parallelism: 8}, src, plan},
-			{"exec-mem16M", exec.Options{MemoryBudget: 16 << 20}, src, plan},
+			{"exec", exec.Config{}, src, plan},
+			{"exec-merge", exec.Config{}, srcM, planM},
+			{"exec-par8", exec.Config{Parallelism: 8}, src, plan},
+			{"exec-mem16M", exec.Config{MemoryBudget: 16 << 20}, src, plan},
 		} {
 			b.Run(fmt.Sprintf("n=%d/%s", n, e.name), func(b *testing.B) {
 				var rows int
@@ -619,7 +613,7 @@ func BenchmarkMergeVsHash(b *testing.B) {
 			eng  eval.Engine
 		}{
 			{"reference", eval.New(src)},
-			{"exec-hash", exec.NewWith(src, exec.Options{NoMerge: true, NoSortElision: true})},
+			{"exec-hash", exec.NewWith(src, exec.Config{NoMerge: true, NoSortElision: true})},
 			{"exec-merge", exec.New(src)},
 		}
 		want, err := engines[0].eng.Eval(plan)
@@ -678,7 +672,7 @@ func BenchmarkParallel(b *testing.B) {
 				b.Fatal(err)
 			}
 			for _, w := range workers {
-				got, err := exec.NewWith(src, exec.Options{Parallelism: w}).Eval(plan)
+				got, err := exec.NewWith(src, exec.Config{Parallelism: w}).Eval(plan)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -692,7 +686,7 @@ func BenchmarkParallel(b *testing.B) {
 			if w > 1 {
 				name = fmt.Sprintf("exec-par%d", w)
 			}
-			opts := exec.Options{Parallelism: w}
+			opts := exec.Config{Parallelism: w}
 			b.Run(fmt.Sprintf("n=%d/%s", n, name), func(b *testing.B) {
 				var rows int
 				m0 := snapMem()
@@ -729,7 +723,7 @@ func BenchmarkSpill(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			eng := exec.NewWith(src, exec.Options{MemoryBudget: budget})
+			eng := exec.NewWith(src, exec.Config{MemoryBudget: budget})
 			got, err := eng.Eval(plan)
 			if err != nil {
 				b.Fatal(err)
@@ -748,7 +742,7 @@ func BenchmarkSpill(b *testing.B) {
 			{"exec", 0},
 			{"exec-mem16M", budget},
 		} {
-			opts := exec.Options{MemoryBudget: e.budget}
+			opts := exec.Config{MemoryBudget: e.budget}
 			b.Run(fmt.Sprintf("n=%d/%s", n, e.name), func(b *testing.B) {
 				var rows int
 				m0 := snapMem()
@@ -893,7 +887,7 @@ func BenchmarkSharded(b *testing.B) {
 				addrs[i] = srv.Addr()
 			}
 			c, err := coord.New(context.Background(), coord.Config{
-				Catalog: db, Addrs: addrs, Spec: exec.Spec(), Seed: 1,
+				Catalog: db, Addrs: addrs, Spec: exec.NewSpec(exec.Config{}), Seed: 1,
 				QueryTimeout: 10 * time.Minute,
 			})
 			if err != nil {
@@ -907,13 +901,13 @@ func BenchmarkSharded(b *testing.B) {
 				b.Fatal(err)
 			}
 			if n == 1 {
-				oracle := core.New(db, core.WithEngine(exec.Spec()), core.WithDBMSSeed(1),
-					core.WithCostParams(core.ShardedCostParams(exec.Spec(), n)))
+				oracle := core.New(db, core.WithEngine(exec.NewSpec(exec.Config{})), core.WithDBMSSeed(1),
+					core.WithCostParams(core.ShardedCostParams(exec.NewSpec(exec.Config{}), n)))
 				prep, err := oracle.Prepare(paperSQL)
 				if err != nil {
 					b.Fatal(err)
 				}
-				want, _, err := oracle.ExecutePlan(prep.Plan, exec.Spec())
+				want, _, err := oracle.ExecutePlan(prep.Plan, exec.NewSpec(exec.Config{}))
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -65,7 +65,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.Spec.Name == "" {
-		c.Spec = exec.Spec()
+		c.Spec = exec.NewSpec(exec.Config{})
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -138,8 +138,11 @@ type Coordinator struct {
 	connMu  []sync.Mutex // per-shard: guards clients[i]
 	clients []*server.Client
 
+	// cache is the server's LRU plan cache, holding each statement's plan
+	// together with its shard split.
+	cache *server.PlanCache[*cacheEntry]
+
 	mu    sync.Mutex
-	cache map[string]*cacheEntry
 	stats Stats
 }
 
@@ -164,7 +167,7 @@ func New(ctx context.Context, cfg Config) (*Coordinator, error) {
 		fp:      cfg.Catalog.Fingerprint(),
 		connMu:  make([]sync.Mutex, len(cfg.Addrs)),
 		clients: make([]*server.Client, len(cfg.Addrs)),
-		cache:   make(map[string]*cacheEntry),
+		cache:   server.NewPlanCache[*cacheEntry](cfg.CacheSize),
 		stats:   Stats{Fragments: make(map[string]int)},
 	}
 	for i, addr := range cfg.Addrs {
@@ -204,6 +207,7 @@ func (c *Coordinator) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := c.stats
+	out.CacheHits = int(c.cache.Stats().Hits)
 	out.Fragments = make(map[string]int, len(c.stats.Fragments))
 	for k, v := range c.stats.Fragments {
 		out.Fragments[k] = v
@@ -214,10 +218,7 @@ func (c *Coordinator) Stats() Stats {
 // prepare returns the cached (plan, split) for sql, planning on a miss.
 func (c *Coordinator) prepare(sql string) (*cacheEntry, bool, error) {
 	key := server.PlanKey(c.fp, c.cfg.Spec.Name, sql)
-	c.mu.Lock()
-	ent, ok := c.cache[key]
-	c.mu.Unlock()
-	if ok {
+	if ent, ok := c.cache.Get(key); ok {
 		return ent, true, nil
 	}
 	prep, err := c.opt.Prepare(sql)
@@ -228,14 +229,9 @@ func (c *Coordinator) prepare(sql string) (*cacheEntry, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	ent = &cacheEntry{prep: prep, split: split}
+	ent := &cacheEntry{prep: prep, split: split}
+	c.cache.Put(key, ent)
 	c.mu.Lock()
-	if c.cfg.CacheSize > 0 {
-		if len(c.cache) >= c.cfg.CacheSize {
-			c.cache = make(map[string]*cacheEntry) // crude but bounded
-		}
-		c.cache[key] = ent
-	}
 	for _, f := range split.Fragments {
 		c.stats.Fragments[f.Kind.String()]++
 	}
@@ -290,9 +286,6 @@ func (c *Coordinator) Query(ctx context.Context, sql string) (*relation.Relation
 	}
 	c.mu.Lock()
 	c.stats.Queries++
-	if hit {
-		c.stats.CacheHits++
-	}
 	c.stats.ShardCalls += len(ent.split.Fragments) * len(c.clients)
 	c.mu.Unlock()
 

@@ -79,14 +79,14 @@ func TestCoordinatorDifferential(t *testing.T) {
 					// — Prepare with the scale-out cost model — so both
 					// execute the same physical plan; the bit-identity
 					// contract is per plan.
-					oracle := core.New(db.cat, core.WithEngine(exec.Spec()), core.WithDBMSSeed(1),
-						core.WithCostParams(core.ShardedCostParams(exec.Spec(), n)))
+					oracle := core.New(db.cat, core.WithEngine(exec.NewSpec(exec.Config{})), core.WithDBMSSeed(1),
+						core.WithCostParams(core.ShardedCostParams(exec.NewSpec(exec.Config{}), n)))
 					single := func(sql string) *relation.Relation {
 						prep, err := oracle.Prepare(sql)
 						if err != nil {
 							t.Fatalf("%s: prepare: %v", sql, err)
 						}
-						want, _, err := oracle.ExecutePlan(prep.Plan, exec.Spec())
+						want, _, err := oracle.ExecutePlan(prep.Plan, exec.NewSpec(exec.Config{}))
 						if err != nil {
 							t.Fatalf("%s: single-node: %v", sql, err)
 						}
@@ -94,7 +94,7 @@ func TestCoordinatorDifferential(t *testing.T) {
 					}
 					addrs := startShards(t, db.cat, n, mode)
 					c, err := coord.New(context.Background(), coord.Config{
-						Catalog: db.cat, Addrs: addrs, Mode: mode, Spec: exec.Spec(), Seed: 1,
+						Catalog: db.cat, Addrs: addrs, Mode: mode, Spec: exec.NewSpec(exec.Config{}), Seed: 1,
 					})
 					if err != nil {
 						t.Fatal(err)
@@ -152,7 +152,7 @@ func TestCoordinatorAutoMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	oracle := core.New(cat, core.WithEngine(exec.Spec()), core.WithDBMSSeed(1))
+	oracle := core.New(cat, core.WithEngine(exec.NewSpec(exec.Config{})), core.WithDBMSSeed(1))
 	want, _, _, err := oracle.Run(paperSQL)
 	if err != nil {
 		t.Fatal(err)
@@ -166,6 +166,38 @@ func TestCoordinatorAutoMode(t *testing.T) {
 	}
 	if _, _, err := c.Query(context.Background(), "SET engine exec"); err == nil {
 		t.Fatal("SET must be rejected by the coordinator")
+	}
+}
+
+// TestCoordinatorCacheIsLRU pins the coordinator's plan cache to the
+// server's eviction policy: at capacity the least recently used statement
+// falls out, so a statement re-issued between two new ones stays cached.
+func TestCoordinatorCacheIsLRU(t *testing.T) {
+	cat := catalog.Paper()
+	addrs := startShards(t, cat, 2, shard.Auto)
+	c, err := coord.New(context.Background(), coord.Config{Catalog: cat, Addrs: addrs, CacheSize: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i, step := range []struct {
+		sql string
+		hit bool
+	}{
+		{queries[0], false},
+		{queries[1], false},
+		{queries[0], true},
+		{queries[3], false}, // at capacity: evicts queries[1], not queries[0]
+		{queries[0], true},
+		{queries[1], false},
+	} {
+		_, meta, err := c.Query(context.Background(), step.sql)
+		if err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		if meta.CacheHit != step.hit {
+			t.Fatalf("step %d (%s): cache hit = %v, want %v", i, step.sql, meta.CacheHit, step.hit)
+		}
 	}
 }
 

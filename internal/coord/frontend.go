@@ -165,15 +165,8 @@ func (f *Frontend) statsReply() *server.StatsReply {
 	f.mu.Lock()
 	conns := len(f.conns)
 	f.mu.Unlock()
-	f.c.mu.Lock()
-	entries := len(f.c.cache)
-	f.c.mu.Unlock()
 	return &server.StatsReply{
-		Cache: server.CacheStats{
-			Hits:    int64(st.CacheHits),
-			Misses:  int64(st.Queries - st.CacheHits),
-			Entries: entries,
-		},
+		Cache:         f.c.cache.Stats(),
 		Conns:         conns,
 		Fingerprint:   f.c.fp,
 		UptimeSeconds: time.Since(f.start).Seconds(),

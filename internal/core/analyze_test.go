@@ -15,12 +15,12 @@ import (
 // actual annotations on stratum nodes, and the (dbms) marker on nodes
 // that executed inside the DBMS black box.
 func TestExplainAnalyzePaperQuery(t *testing.T) {
-	opt := core.New(catalog.Paper(), core.WithEngine(exec.Spec()))
+	opt := core.New(catalog.Paper(), core.WithEngine(exec.NewSpec(exec.Config{})))
 	prep, err := opt.Prepare(engineTestSQL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	an, err := opt.ExplainAnalyze(prep, exec.Spec())
+	an, err := opt.ExplainAnalyze(prep, exec.NewSpec(exec.Config{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestExplainAnalyzePaperQuery(t *testing.T) {
 // materialized it.
 func TestExplainAnalyzeParity(t *testing.T) {
 	c := catalog.Paper()
-	opt := core.New(c, core.WithEngine(exec.Spec()))
+	opt := core.New(c, core.WithEngine(exec.NewSpec(exec.Config{})))
 	prep, err := opt.Prepare(engineTestSQL)
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +119,7 @@ func TestExplainAnalyzeParity(t *testing.T) {
 // TestPreparedEstimates pins that Prepare retains the cost model's
 // per-node estimates keyed by plan path, including the root.
 func TestPreparedEstimates(t *testing.T) {
-	opt := core.New(catalog.Paper(), core.WithEngine(exec.Spec()))
+	opt := core.New(catalog.Paper(), core.WithEngine(exec.NewSpec(exec.Config{})))
 	prep, err := opt.Prepare(engineTestSQL)
 	if err != nil {
 		t.Fatal(err)

@@ -78,24 +78,10 @@ func EngineFor(name string, cfg exec.Config) (eval.EngineSpec, error) {
 		if cfg.Parallelism < 1 {
 			cfg.Parallelism = runtime.GOMAXPROCS(0)
 		}
-		if cfg.Parallelism == 1 && cfg.MemoryBudget <= 0 {
-			// Keep the historical "exec-par1" name for the degenerate
-			// width so single-core experiment traces stay distinguishable
-			// from plain "exec" runs.
-			return exec.ParallelSpec(1), nil
-		}
 		return exec.NewSpec(cfg), nil
 	default:
 		return eval.EngineSpec{}, fmt.Errorf("core: unknown engine %q (want \"reference\", \"exec\" or \"parallel\")", name)
 	}
-}
-
-// EngineSpecWith resolves an engine name with positional worker-count and
-// memory-budget arguments.
-//
-// Deprecated: use EngineFor, which takes the knobs as an exec.Config.
-func EngineSpecWith(name string, parallelism int, memBudget int64) (eval.EngineSpec, error) {
-	return EngineFor(name, exec.Config{Parallelism: parallelism, MemoryBudget: memBudget})
 }
 
 // ParseBytes parses a human-friendly byte count for the CLIs' -mem flags:
@@ -152,9 +138,6 @@ func WithEngine(spec eval.EngineSpec) Option {
 		// spilling against the engine's memory budget.
 		p.Parallelism = spec.Parallelism
 		p.MemoryBudget = spec.MemoryBudget
-		// A columnar engine's exchanges and spills move batch views, not
-		// copied tuples; price them with the vectorized discounts.
-		p.Vectorized = spec.Vectorized
 		o.model = cost.New(o.cat, p)
 	}
 }
@@ -171,14 +154,13 @@ func WithMaxPlans(n int) Option {
 
 // ShardedCostParams is the calibration for a coordinator planning over N
 // shards: the engine spec's shapes (streaming, order-aware, parallel,
-// budgeted, vectorized) plus the scale-out pricing — DBMS-site work
-// divides across the shards, shipped tuples pay the wire-and-merge hop.
+// budgeted) plus the scale-out pricing — DBMS-site work divides across the
+// shards, shipped tuples pay the wire-and-merge hop.
 func ShardedCostParams(spec eval.EngineSpec, shards int) cost.Params {
 	p := cost.ParamsFor(spec.Streaming)
 	p.OrderBlind = !spec.OrderAware
 	p.Parallelism = spec.Parallelism
 	p.MemoryBudget = spec.MemoryBudget
-	p.Vectorized = spec.Vectorized
 	p.Shards = shards
 	return p
 }

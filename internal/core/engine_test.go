@@ -5,6 +5,7 @@ import (
 
 	"tqp/internal/catalog"
 	"tqp/internal/core"
+	"tqp/internal/datagen"
 	"tqp/internal/exec"
 	"tqp/internal/relation"
 )
@@ -79,10 +80,36 @@ func TestEngineSpecRejectsUnknown(t *testing.T) {
 	if err != nil || spec.MemoryBudget != 64<<10 {
 		t.Fatalf("budgeted spec must carry its budget, got %d, %v", spec.MemoryBudget, err)
 	}
-	// The deprecated positional wrapper must resolve identically.
-	old, err := core.EngineSpecWith("exec", 2, 16<<20)
-	if err != nil || old.Name != "exec-par2-mem16M" {
-		t.Fatalf("EngineSpecWith wrapper: got %q, %v", old.Name, err)
+	// One naming scheme: the degenerate parallel width is plain "exec".
+	spec, err = core.EngineFor("parallel", exec.Config{Parallelism: 1})
+	if err != nil || spec.Name != "exec" {
+		t.Fatalf("'parallel' at width 1 must be the sequential engine, got %q, %v", spec.Name, err)
+	}
+}
+
+// TestPaperPlanFingerprints pins the plan the optimizer chooses for the
+// paper statement on tqplan's 2000-employee synthetic database, per engine
+// spec. The values were recorded while eval.EngineSpec still carried a
+// separate columnar flag next to Streaming: folding the two must change no
+// plan, with or without the parallel and spill shapes the flag discounted.
+func TestPaperPlanFingerprints(t *testing.T) {
+	db := datagen.EmployeeDB(datagen.EmployeeSpec{Employees: 2000, SpellsPerEmp: 3, AssignmentsPerEmp: 4, Seed: 42})
+	for _, tc := range []struct {
+		cfg  exec.Config
+		want string
+	}{
+		{exec.Config{}, "629fc942666c1c11"},
+		{exec.Config{Parallelism: 4}, "629fc942666c1c11"},
+		{exec.Config{MemoryBudget: 512 << 10}, "e57f876bff357ed4"},
+	} {
+		spec := exec.NewSpec(tc.cfg)
+		prep, err := core.New(db, core.WithEngine(spec)).Prepare(engineTestSQL)
+		if err != nil {
+			t.Fatalf("%s: Prepare: %v", spec.Name, err)
+		}
+		if prep.Fingerprint != tc.want {
+			t.Errorf("%s: plan fingerprint %s, want %s", spec.Name, prep.Fingerprint, tc.want)
+		}
 	}
 }
 

@@ -125,7 +125,7 @@ func TestSplitDifferential(t *testing.T) {
 		name string
 		cat  *catalog.Catalog
 	}{{"paper", paper}, {"synth", synthDB}} {
-		spec := exec.Spec()
+		spec := exec.NewSpec(exec.Config{})
 		o := core.New(tc.cat, core.WithEngine(spec), core.WithDBMSSeed(1))
 		for _, sql := range splitQueries {
 			prep, err := o.Prepare(sql)
@@ -221,7 +221,7 @@ func shardedRun(t *testing.T, cat *catalog.Catalog, plan algebra.Node, mode shar
 			t.Fatal(err)
 		}
 	}
-	got, _, err := stratum.NewWithEngine(synth, 1, exec.Spec()).Execute(split.Remainder)
+	got, _, err := stratum.NewWithEngine(synth, 1, exec.NewSpec(exec.Config{})).Execute(split.Remainder)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,15 +62,20 @@ type Params struct {
 	// Streaming declares that the stratum runs the exec engine: products
 	// and joins cost build+probe+output instead of pairwise work, and the
 	// temporal grouping operators drop their scan factors (see OpUnits).
+	// The exec engine is columnar: its exchanges route row positions over
+	// shared column planes instead of copying tuples, and its budgeted
+	// operators encode spill blocks straight off the planes, so the
+	// per-tuple exchange/gather and spill prices of the batch-compiled
+	// operators scale by VecExchangeFactor and VecSpillFactor.
 	Streaming bool
 	// OrderBlind disables delivered-order reasoning: every operator is
 	// priced as if its inputs were unordered, exactly the PR 1 model. Used
 	// for ablation (E12) and the tqplan order-aware/order-blind comparison.
 	OrderBlind bool
 	// Parallelism is the worker count of the morsel-parallel exec engine
-	// (exec.ParallelSpec); 0 or 1 prices sequential execution. With W > 1
-	// every partitionable operator's own work divides by W while each input
-	// tuple pays ExchangeTuple and each output tuple GatherTuple — the
+	// (exec.Config.Parallelism); 0 or 1 prices sequential execution. With
+	// W > 1 every partitionable operator's own work divides by W while each
+	// input tuple pays ExchangeTuple and each output tuple GatherTuple — the
 	// Amdahl shape of partition + work + deterministic merge.
 	Parallelism int
 	// ExchangeTuple is the per-tuple cost of routing a tuple through a
@@ -96,18 +101,12 @@ type Params struct {
 	// TupleBytes estimates the resident bytes of one tuple, converting
 	// cardinality estimates into working-set bytes for the spill decision.
 	TupleBytes float64
-	// Vectorized declares that the engine runs the columnar batch pipeline
-	// (eval.EngineSpec.Vectorized): exchanges route row positions over
-	// shared column planes instead of copying tuples, and budgeted
-	// operators encode spill blocks straight off the planes. The per-tuple
-	// exchange/gather and spill prices scale by the factors below.
-	Vectorized bool
 	// VecExchangeFactor scales ExchangeTuple and GatherTuple for a
-	// vectorized engine: the scatter is a hash over column planes plus one
+	// Streaming engine: the scatter is a hash over column planes plus one
 	// appended row index, and the gather merges ascending selection
 	// vectors — no tuple copy on either side.
 	VecExchangeFactor float64
-	// VecSpillFactor scales SpillWrite and SpillRead for a vectorized
+	// VecSpillFactor scales SpillWrite and SpillRead for a Streaming
 	// engine: the block codec reads cells off the planes on the way out and
 	// decodes block-at-a-time into batches on the way back, skipping the
 	// per-tuple materialization of the boxed path.
@@ -159,7 +158,7 @@ func DefaultParams() Params {
 }
 
 // partitionedOp reports that the exec engine fans op out through a parallel
-// exchange when Options.Parallelism > 1 (see exec/parallel.go); streaming
+// exchange when Config.Parallelism > 1 (see exec/parallel.go); streaming
 // tuple-at-a-time operators (σ, π, ⊔) and transfers stay sequential.
 func partitionedOp(op algebra.Op) bool {
 	switch op {
@@ -190,7 +189,7 @@ func vecBatchOp(op algebra.Op) bool {
 // parallel engine: the per-partition work is the sequential work divided
 // across the workers, every input tuple pays the exchange routing, and
 // every output tuple one gather-merge step.
-// A vectorized engine's exchange scatters batch views (a hash plus a row
+// The exec engine's exchange scatters batch views (a hash plus a row
 // index per tuple, no copy), so the routing and gather prices of the
 // batch-compiled operators scale by VecExchangeFactor.
 func (p Params) parallelShape(op algebra.Op, own, inRows, outRows float64) float64 {
@@ -198,7 +197,7 @@ func (p Params) parallelShape(op algebra.Op, own, inRows, outRows float64) float
 		return own
 	}
 	ex, ga := p.ExchangeTuple, p.GatherTuple
-	if p.Vectorized && vecBatchOp(op) {
+	if p.Streaming && vecBatchOp(op) {
 		ex *= p.VecExchangeFactor
 		ga *= p.VecExchangeFactor
 	}
@@ -219,7 +218,7 @@ func (p Params) memShare() float64 {
 // materialized state — inRows tuples at TupleBytes each — exceeds the
 // per-worker budget share: one spill write and one read per input tuple
 // (recursive re-partitioning passes are rare and left unpriced).
-// A vectorized engine encodes spill blocks straight off the column planes
+// The exec engine encodes spill blocks straight off the column planes
 // and re-reads them block-at-a-time into batches, so the per-tuple spill
 // prices of the batch-compiled operators scale by VecSpillFactor.
 func (p Params) spillShape(op algebra.Op, own, inRows float64) float64 {
@@ -227,7 +226,7 @@ func (p Params) spillShape(op algebra.Op, own, inRows float64) float64 {
 		return own
 	}
 	wr, rd := p.SpillWrite, p.SpillRead
-	if p.Vectorized && vecBatchOp(op) {
+	if p.Streaming && vecBatchOp(op) {
 		wr *= p.VecSpillFactor
 		rd *= p.VecSpillFactor
 	}

@@ -170,21 +170,26 @@ func TestReferenceParamsIgnoreParallelism(t *testing.T) {
 	}
 }
 
-// TestVectorizedDiscount pins the columnar calibration: a parallel (and
+// TestBatchDiscount pins the columnar calibration: a parallel (and
 // budgeted) plan whose operators the engine batch-compiles — the hash
-// family — prices cheaper for a vectorized engine, while operators the
+// family — prices cheaper under the batch discount factors than at the
+// boxed per-tuple prices (the factors set to 1), while operators the
 // engine runs tuple-at-a-time on those paths (the sort, the temporal
 // group family) keep the boxed prices exactly. The discount is a factor,
 // never an exemption, and never reaches shapes the engine cannot
 // vectorize — a sort-family discount once steered the optimizer onto
 // plans whose layered execution lost the DBMS's order determinism.
-func TestVectorizedDiscount(t *testing.T) {
+func TestBatchDiscount(t *testing.T) {
 	c := datagen.EmployeeDB(datagen.EmployeeSpec{Employees: 400, SpellsPerEmp: 3, AssignmentsPerEmp: 4, Seed: 1})
 	costWith := func(plan algebra.Node, vec bool, par int, budget int64) float64 {
 		p := cost.ParamsFor(true)
 		p.Parallelism = par
 		p.MemoryBudget = budget
-		p.Vectorized = vec
+		if !vec {
+			// The boxed prices: what a tuple-copying exchange and spill
+			// would pay, for comparison against the calibrated discount.
+			p.VecExchangeFactor, p.VecSpillFactor = 1, 1
+		}
 		got, err := cost.New(c, p).Cost(plan)
 		if err != nil {
 			t.Fatal(err)
@@ -205,15 +210,15 @@ func TestVectorizedDiscount(t *testing.T) {
 		t.Errorf("vectorized spill must price below the boxed one: vec=%.0f boxed=%.0f", vecSpill, boxedSpill)
 	}
 	// The paper's optimized plan partitions only sorts and temporal group
-	// operators — shapes the engine exchanges tuple-wise — so the flag must
-	// not move its price; a blanket discount here once steered the server
+	// operators — shapes the engine exchanges tuple-wise — so the factors
+	// must not move its price; a blanket discount here once steered the server
 	// onto a plan whose layered execution lost the DBMS's order guarantee.
 	plan := catalog.PaperOptimizedPlan(c)
 	if bp, vp := costWith(plan, false, 4, 0), costWith(plan, true, 4, 0); bp != vp {
-		t.Errorf("temporal-family plan must ignore the vectorized flag: boxed=%.0f vec=%.0f", bp, vp)
+		t.Errorf("temporal-family plan must ignore the batch discount: boxed=%.0f vec=%.0f", bp, vp)
 	}
 	// A stratum sort spills and exchanges tuple-wise — no batch variant on
-	// either path — so the vectorized flag must not move its price at all.
+	// either path — so the discount factors must not move its price at all.
 	srt := algebra.NewSort(relation.OrderSpec{relation.Key("EmpName")},
 		algebra.NewTransferS(catalog.PaperProjection(c.MustNode("EMPLOYEE"))))
 	for _, cfg := range []struct {
@@ -223,7 +228,7 @@ func TestVectorizedDiscount(t *testing.T) {
 	}{{"budgeted", 1, 64 << 10}, {"parallel", 4, 0}} {
 		bs, vs := costWith(srt, false, cfg.par, cfg.budget), costWith(srt, true, cfg.par, cfg.budget)
 		if bs != vs {
-			t.Errorf("%s sort must ignore the vectorized flag: boxed=%.0f vec=%.0f", cfg.name, bs, vs)
+			t.Errorf("%s sort must ignore the batch discount: boxed=%.0f vec=%.0f", cfg.name, bs, vs)
 		}
 	}
 	// The discount scales the charges; it must not erase them. A no-charge

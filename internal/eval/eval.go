@@ -56,9 +56,13 @@ type EngineSpec struct {
 	Name string
 	// New constructs an engine over a source.
 	New Factory
-	// Streaming reports that the engine uses hash/one-pass physical
-	// operators, changing the stratum's cost shapes from pairwise and
-	// log-factor formulas to linear ones.
+	// Streaming reports that the engine is package exec's: hash/one-pass
+	// physical operators, changing the stratum's cost shapes from pairwise
+	// and log-factor formulas to linear ones, over columnar batches —
+	// parallel exchanges scatter batch views over shared column planes and
+	// budgeted operators write spill partitions as columnar blocks, which
+	// the cost model prices with cost.Params VecExchangeFactor and
+	// VecSpillFactor.
 	Streaming bool
 	// OrderAware reports that the engine compiles the order-exploiting
 	// physical variants (merge operators, sort elision) when its inputs'
@@ -66,23 +70,16 @@ type EngineSpec struct {
 	// those variants only for engines that actually compile them.
 	OrderAware bool
 	// Parallelism is the worker count of a morsel-parallel engine (exec's
-	// ParallelSpec); 0 or 1 means sequential execution. The cost model uses
-	// it to price partitioned operators as per-partition work plus exchange
-	// and gather charges.
+	// Config.Parallelism); 0 or 1 means sequential execution. The cost model
+	// uses it to price partitioned operators as per-partition work plus
+	// exchange and gather charges.
 	Parallelism int
 	// MemoryBudget is the working-set byte bound of a memory-bounded engine
-	// (exec's BudgetedSpec); 0 means unlimited. The cost model uses it to
-	// price grace-hash spilling (SpillWrite/SpillRead per tuple) on
+	// (exec's Config.MemoryBudget); 0 means unlimited. The cost model uses
+	// it to price grace-hash spilling (SpillWrite/SpillRead per tuple) on
 	// operators whose estimated state exceeds the per-worker budget share,
 	// so the optimizer can trade sorts against spilling hash operators.
 	MemoryBudget int64
-	// Vectorized reports that the engine runs the columnar batch pipeline:
-	// parallel exchanges scatter batch views over shared column planes
-	// instead of copying tuples, and budgeted operators write spill
-	// partitions as columnar blocks without materializing rows. The cost
-	// model scales its per-tuple exchange and spill prices down accordingly
-	// (cost.Params VecExchangeFactor/VecSpillFactor).
-	Vectorized bool
 }
 
 // Instantiate constructs a fresh engine over src from the spec — the

@@ -7,10 +7,11 @@ import (
 )
 
 // Config is the one engine-configuration surface: every knob of the exec
-// engine in a single struct, consumed by NewSpec. It replaces the
-// constructor sprawl of Spec/HashOnlySpec/ParallelSpec/BudgetedSpec/SpecWith
-// — those remain as thin deprecated wrappers for one release. The zero
-// value is the fully-enabled sequential engine ("exec").
+// engine in a single struct, consumed by NewSpec (for planning and the
+// stratum) and NewWith (for a bare engine). The zero value is the
+// fully-enabled sequential engine ("exec"). No field selects between two
+// implementations of one algorithm: Parallelism and MemoryBudget size the
+// run, NoMerge and NoSortElision restrict which algorithms may compile.
 type Config struct {
 	// Parallelism is the number of workers a partitionable operator may fan
 	// out to (see parallel.go): join/product, rdup, \, ∪, the temporal
@@ -40,57 +41,23 @@ type Config struct {
 	// NoSortElision forces every sort node to physically sort, even when
 	// its input already delivers the requested order.
 	NoSortElision bool
-	// NoColumnar disables the vectorized columnar variants (see vec.go):
-	// every operator that would compile batch-at-a-time falls back to its
-	// tuple-at-a-time implementation. The flag exists for differential
-	// testing and for measuring vectorization in isolation; columnar
-	// execution is also implicitly off under NoMerge/NoSortElision (the
-	// hash-only differential baseline).
-	NoColumnar bool
 }
 
-// SpecOption adjusts a Config functionally — the composable form of the
-// same knobs, for call sites that build a spec from a base configuration.
-type SpecOption func(*Config)
-
-// WithParallelism sets the worker fan-out width.
-func WithParallelism(n int) SpecOption { return func(c *Config) { c.Parallelism = n } }
-
-// WithMemoryBudget bounds the blocking operators' working sets to b bytes.
-func WithMemoryBudget(b int64) SpecOption { return func(c *Config) { c.MemoryBudget = b } }
-
-// WithSpillDir roots the budgeted engine's spill files at dir.
-func WithSpillDir(dir string) SpecOption { return func(c *Config) { c.SpillDir = dir } }
-
-// WithHashOnly restricts the engine to PR 1's hash variants (no merge
-// operators, no sort elision) — the differential baseline.
-func WithHashOnly() SpecOption {
-	return func(c *Config) { c.NoMerge, c.NoSortElision = true, true }
-}
-
-// WithoutColumnar disables the vectorized columnar variants.
-func WithoutColumnar() SpecOption { return func(c *Config) { c.NoColumnar = true } }
-
-// NewSpec derives an immutable engine spec from a Config (optionally
-// adjusted by functional options), named consistently across the whole
-// surface: "exec", "exec-hash", "exec-novec", "exec-par4", "exec-par4-mem16M",
-// …. It is the general constructor: a session's engine settings plus the
-// admission controller's resource shares (and the server's spill directory)
-// become one spec, instantiated per query via eval.EngineSpec.Instantiate.
+// NewSpec derives an immutable engine spec from a Config, named
+// consistently across the whole surface: "exec", "exec-hash", "exec-par4",
+// "exec-par4-mem16M", …. It is the one constructor: a session's engine
+// settings plus the admission controller's resource shares (and the
+// server's spill directory) become one spec, instantiated per query via
+// eval.EngineSpec.Instantiate.
 // The restriction flags (NoMerge, NoSortElision) are reflected in OrderAware
 // so the cost model never prices variants the engine won't compile.
-func NewSpec(cfg Config, opts ...SpecOption) eval.EngineSpec {
-	for _, opt := range opts {
-		opt(&cfg)
-	}
+func NewSpec(cfg Config) eval.EngineSpec {
 	if cfg.Parallelism < 1 {
 		cfg.Parallelism = 1
 	}
 	name := "exec"
 	if cfg.NoMerge || cfg.NoSortElision {
 		name = "exec-hash"
-	} else if cfg.NoColumnar {
-		name += "-novec"
 	}
 	if cfg.Parallelism > 1 {
 		name += fmt.Sprintf("-par%d", cfg.Parallelism)
@@ -100,11 +67,10 @@ func NewSpec(cfg Config, opts ...SpecOption) eval.EngineSpec {
 	}
 	return eval.EngineSpec{
 		Name:         name,
-		New:          func(src eval.Source) eval.Engine { return NewWith(src, Options(cfg)) },
+		New:          func(src eval.Source) eval.Engine { return NewWith(src, cfg) },
 		Streaming:    true,
 		OrderAware:   !cfg.NoMerge && !cfg.NoSortElision,
 		Parallelism:  cfg.Parallelism,
 		MemoryBudget: cfg.MemoryBudget,
-		Vectorized:   !cfg.NoColumnar && !cfg.NoMerge && !cfg.NoSortElision,
 	}
 }

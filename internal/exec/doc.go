@@ -1,29 +1,53 @@
 // Package exec implements the streaming, hash- and merge-based execution
-// engine: a Volcano-style pull-iterator evaluator over algebra plans whose
-// physical operators beat the reference evaluator (package eval)
-// asymptotically while producing bit-identical result lists.
+// engine: a pull-iterator evaluator over algebra plans whose physical
+// operators beat the reference evaluator (package eval) asymptotically
+// while producing bit-identical result lists.
 //
 // # Two engines, one semantics
 //
-// The reference evaluator is the executable specification — every operator
+// There are two engines: the reference evaluator and this one. The
+// reference evaluator is the executable specification — every operator
 // materializes its input and joins or deduplicates with nested loops, making
 // it easy to audit against the paper's definitions but quadratic nearly
-// everywhere. This package is the performance engine the ROADMAP's "fast as
-// the hardware allows" goal calls for. Both implement eval.Engine and both
-// produce the same result *list* for every plan, not merely an equivalent
-// multiset. That strong contract is deliberate: the list algebra is
-// order-sensitive (coalescing on a permuted input can produce a genuinely
-// different multiset), so the only safe division of labour is for physical
-// operators to change *how* a result is computed, never *which list* comes
-// out. Differential tests (differential_test.go, order_test.go) drive
-// hundreds of random conventional and temporal plans through the reference,
-// the hash-only engine and the full merge engine and assert exact list
-// equality plus identical Table 1 order annotations.
+// everywhere. This package is the performance engine. Both implement
+// eval.Engine and both produce the same result *list* for every plan, not
+// merely an equivalent multiset. That strong contract is deliberate: the
+// list algebra is order-sensitive (coalescing on a permuted input can
+// produce a genuinely different multiset), so the only safe division of
+// labour is for physical operators to change *how* a result is computed,
+// never *which list* comes out. The reference evaluator is the sole oracle:
+// differential tests (differential_test.go, order_test.go, spill_test.go)
+// drive hundreds of random conventional and temporal plans through it and
+// through this engine hash-only, full, parallel and budgeted, and assert
+// exact list equality plus identical Table 1 order annotations.
+//
+// Inside this package each algorithm is implemented once. An operator may
+// have several algorithms — hash, merge, parallel exchange, grace spill —
+// chosen from what the build step can observe (delivered orders, and the
+// Config's Parallelism and MemoryBudget); it never has two implementations
+// of the same algorithm with a switch between them.
+//
+// # Batches and tuples
+//
+// The currency between operators is the columnar batch (vec.go): typed
+// column planes plus a selection vector. σ, π, rdup (hash, sorted, parallel,
+// budgeted), the merge \ and ∪, the keyed joins (hash, merge, parallel,
+// resident-build grace), the in-memory sort, and the hash paths of rdupᵀ,
+// coalᵀ, 𝒢 and 𝒢ᵀ exist only batch-at-a-time (vecops.go, vecmerge.go,
+// vecparallel.go, vecgrace.go). The remaining operators exist only
+// tuple-at-a-time: \ᵀ, ∪ᵀ, ⊔, the hash \ and ∪, the keyless products, the
+// streaming group-at-a-time family (groupIter), the spilling external sort
+// (mergeSortIter), the tuple exchanges of parallel.go and the grace family
+// of grace.go. Every compiled stage exposes both views — source.vecInput()
+// adapts a tuple-only stage into batches, and a batch stage's tuple
+// iterator is the reverse adapter — so either kind of operator composes
+// over either kind of child and the adapters are the only place the two
+// meet.
 //
 // # The delivered-order contract
 //
 // Every compiled pipeline stage (the internal source struct) carries,
-// besides its iterator and schema, the order its stream delivers — derived
+// besides its iterators and schema, the order its stream delivers — derived
 // at build time with the same Table 1 propagation rules the reference
 // evaluator applies at run time (and that props.State.Order derives
 // statically; the golden matrix in order_golden_test.go pins all three to
@@ -34,12 +58,12 @@
 //   - Sort elision. sort_A over an input delivering an order A is a prefix
 //     of is a physical no-op (a stable sort cannot move any tuple); the
 //     build step returns the input stage unchanged, stronger order
-//     included. Options.NoSortElision disables this for differential
-//     testing, and the elided/performed property test asserts bit-equal
-//     outputs either way.
+//     included. Config.NoSortElision disables this for differential
+//     testing and the order experiment, and the elided/performed property
+//     test asserts bit-equal outputs either way.
 //
 //   - Merge operators. With key-covering aligned orders on both inputs,
-//     joins merge instead of hashing (mergeJoinIter: a monotone pointer
+//     joins merge instead of hashing (vecMergeJoinIter: a monotone pointer
 //     over the materialized sorted right side, emitting the hash join's
 //     exact left-major pair order); \ and ∪ run two-pointer merges over a
 //     shared total order; rdup degenerates to an adjacent comparison.
@@ -50,40 +74,49 @@
 //     algorithm the hash path uses, emit, repeat — bounded state, no hash
 //     table, no global materialization.
 //
-// When no order helps, the PR 1 hash variants run unchanged: hash join on
-// extracted equi-keys with a block-nested-loop fallback, hash multiplicity
-// counters for \ and ∪, hash-partitioned group-local temporal operators
-// (skipping the hash table when materialized input order proves groups
-// contiguous), and pipelined hash aggregation. An explicit external merge
-// sort (mergeSortIter: bounded stable-sorted runs, heap-merged with a
-// run-index tie-break that reproduces the global stable sort) replaces the
-// monolithic materialize-and-sort. The engine deliberately does NOT "sort
-// first and merge" when an input is unsorted: coalescing is not confluent
-// under reordering, so a sort-based coalᵀ would change the result multiset,
-// not just its order. Options.NoMerge restricts the engine to the hash
-// variants (the exec-hash spec), and Stats counts which variants compiled.
+// When no order helps, the hash variants run: hash join on extracted
+// equi-keys with a block-nested-loop fallback for keyless products, hash
+// multiplicity counters for \ and ∪, hash-partitioned group-local temporal
+// operators (skipping the hash table when the input order proves groups
+// contiguous), and pipelined hash aggregation. The engine deliberately
+// does NOT "sort first and merge" when an input is unsorted: coalescing is
+// not confluent under reordering, so a sort-based coalᵀ would change the
+// result multiset, not just its order. Config.NoMerge restricts the engine
+// to the hash algorithms (the exec-hash spec) — an algorithm restriction
+// only, the operators stay batch-at-a-time — and Stats counts which
+// variants compiled.
 //
 // Two further layers compose onto the same operator bodies without
 // changing any result list: the morsel-parallel exchange (parallel.go,
-// Options.Parallelism) partitions an operator's materialized inputs across
-// a worker pool and reassembles them through a deterministic sequence-key
-// gather, and the memory-bounded mode (grace.go, Options.MemoryBudget)
-// grace-hash partitions a blocking operator's too-big state to temp files
-// (package spill) and replays the partitions through that same gather —
-// budgeted plans run the identical per-partition algorithms, spilled or
-// not, sequential or parallel.
+// vecparallel.go; Config.Parallelism) partitions an operator's
+// materialized inputs across a worker pool and reassembles them through a
+// deterministic sequence-key gather, and the memory-bounded mode
+// (grace.go, vecgrace.go; Config.MemoryBudget) grace-hash partitions a
+// blocking operator's too-big state to temp files (package spill) and
+// replays the partitions through that same gather.
 //
 // # Adding a physical operator
 //
-// Add a case to (*Engine).build returning a source (iterator + schema +
-// Table 1 order annotation). Derive the order with the helpers exported
-// from package eval (OrderAfterProject, OrderAfterProduct, OrderQualifyTime,
-// OrderAfterGroup) so the engines cannot drift. If the operator has an
-// order-exploiting variant, put its applicability test in package physical's
-// Decide so the engine, the cost model, and the stratum meter make the same
-// choice, and extend the differential fuzz generator (internal/testutil)
-// with shapes that trigger it. The cost model's order-conditional formulas
-// (cost.Params MergeTuple/SortVerifyFactor/MergeUnitsFactor and the
-// Params.OpUnitsOrdered meter) should be recalibrated when a variant's
-// asymptotic shape changes.
+// One implementation per algorithm: a batch variant replaces the tuple one
+// in the same change, together with whatever selected between them. Do
+// not add an option, a build-time switch or a fallback that keeps the old
+// path reachable — internal/eval is the reference, and bit-identity to it
+// is what licenses the deletion. Two algorithms for one operator may
+// coexist only when the build step chooses between them from something it
+// observes (a delivered order, the configured width or budget), never from
+// a flag whose only job is to pick an implementation.
+//
+// Add a case to (*Engine).build returning a source (batch or tuple
+// iterator + schema + Table 1 order annotation), reading inputs through
+// source.vecInput() for a batch operator. Derive the order with the
+// helpers exported from package eval (OrderAfterProject, OrderAfterProduct,
+// OrderQualifyTime, OrderAfterGroup) so the engines cannot drift. If the
+// operator has an order-exploiting algorithm, put its applicability test
+// in package physical's Decide so the engine, the cost model, and the
+// stratum meter make the same choice, and extend the differential fuzz
+// generator (internal/testutil) with shapes that trigger it. The cost
+// model's order-conditional formulas (cost.Params
+// MergeTuple/SortVerifyFactor/MergeUnitsFactor and the Params.OpUnitsOrdered
+// meter) should be recalibrated when an algorithm's asymptotic shape
+// changes.
 package exec

@@ -12,12 +12,6 @@ import (
 	"tqp/internal/spill"
 )
 
-// Options is the historical name for the engine knob struct.
-//
-// Deprecated: use Config. Options is an alias kept for one release so
-// existing NewWith call sites keep compiling.
-type Options = Config
-
 // Stats counts the physical variants the engine's most recent Eval
 // compiled and ran — the run-time record that the order-exploiting,
 // parallel and spilling paths actually fired. Eval resets the counters on
@@ -44,15 +38,15 @@ type Stats struct {
 
 // Engine is the streaming hash- and merge-based engine. It implements
 // eval.Engine and produces the same result list as the reference evaluator
-// for every plan; when an input's delivered order allows it (and Options
-// permit), it compiles the cheaper merge/sort-based variant of an operator.
+// for every plan; when an input's delivered order allows it (and the Config
+// permits), it compiles the cheaper merge/sort-based variant of an operator.
 type Engine struct {
 	src   eval.Source
-	opts  Options
+	opts  Config
 	stats Stats
 
 	// Per-run memory-bounded execution state, set up by Eval when
-	// Options.MemoryBudget > 0 and torn down when the run ends.
+	// Config.MemoryBudget > 0 and torn down when the run ends.
 	mem      *arbiter
 	spillMgr *spill.Manager
 
@@ -66,17 +60,6 @@ type Engine struct {
 
 // SetProbe installs (or, with nil, removes) the per-run sample callback.
 func (e *Engine) SetProbe(fn func(obs.RunSample)) { e.probe = fn }
-
-// columnar reports whether the engine may compile the vectorized columnar
-// variants. Hash-only mode (NoMerge/NoSortElision) keeps its tuple pipeline
-// untouched — it is PR 1's differential baseline — but the parallel and
-// budgeted engines are columnar-capable: their exchanges scatter batch
-// views over shared column planes and their grace operators spill columnar
-// blocks, falling back to tuple adapters only where no batch variant
-// exists.
-func (e *Engine) columnar() bool {
-	return !e.opts.NoColumnar && !e.opts.NoMerge && !e.opts.NoSortElision
-}
 
 // batchOf returns r's columnar image, converting on first use. The image
 // caches on the relation itself (see Relation.ColumnarImage), so the
@@ -100,8 +83,8 @@ func (e *Engine) batchOf(r *relation.Relation) *batch {
 // New returns an engine over src with every physical variant enabled.
 func New(src eval.Source) *Engine { return &Engine{src: src} }
 
-// NewWith returns an engine over src restricted by opts.
-func NewWith(src eval.Source, opts Options) *Engine {
+// NewWith returns an engine over src configured by opts.
+func NewWith(src eval.Source, opts Config) *Engine {
 	return &Engine{src: src, opts: opts}
 }
 
@@ -119,57 +102,6 @@ func (e *Engine) Close() error {
 		return mgr.Cleanup()
 	}
 	return nil
-}
-
-// Spec returns the fully-enabled sequential engine's spec.
-//
-// Deprecated: use NewSpec(Config{}).
-func Spec() eval.EngineSpec {
-	return eval.EngineSpec{
-		Name:       "exec",
-		New:        func(src eval.Source) eval.Engine { return New(src) },
-		Streaming:  true,
-		OrderAware: true,
-		Vectorized: true,
-	}
-}
-
-// HashOnlySpec returns the engine restricted to PR 1's hash variants.
-//
-// Deprecated: use NewSpec(Config{}, WithHashOnly()).
-func HashOnlySpec() eval.EngineSpec {
-	return NewSpec(Config{}, WithHashOnly())
-}
-
-// ParallelSpec returns the morsel-parallel engine.
-//
-// Deprecated: use NewSpec(Config{Parallelism: n}). Note NewSpec names the
-// sequential degenerate "exec" where ParallelSpec named it "exec-par1";
-// this wrapper keeps the old name for parallelism-1 experiment traces.
-func ParallelSpec(n int) eval.EngineSpec {
-	if n < 1 {
-		n = 1
-	}
-	s := NewSpec(Config{Parallelism: n})
-	if n == 1 {
-		s.Name = "exec-par1"
-	}
-	return s
-}
-
-// BudgetedSpec returns the memory-bounded engine.
-//
-// Deprecated: use NewSpec(Config{Parallelism: workers, MemoryBudget: budget}).
-func BudgetedSpec(workers int, budget int64) eval.EngineSpec {
-	return NewSpec(Config{Parallelism: workers, MemoryBudget: budget})
-}
-
-// SpecWith returns the engine spec for an arbitrary Options value.
-//
-// Deprecated: use NewSpec, which takes the same struct under its new name
-// (Config) plus functional options.
-func SpecWith(opts Options) eval.EngineSpec {
-	return NewSpec(opts)
 }
 
 // memString renders a byte count compactly for engine names ("64K", "16M",
@@ -241,9 +173,11 @@ type source struct {
 	schema *schema.Schema
 	order  relation.OrderSpec
 
-	// vec is the stage's columnar view, set when the stage compiled
-	// batch-at-a-time (see vec.go). A columnar parent pulls vec directly;
-	// a tuple-at-a-time parent pulls it, which for such a stage is the
+	// vec is the stage's own batch stream, nil for a stage whose operator
+	// exists tuple-at-a-time only. Batch operators never read the field
+	// directly: vecInput() returns vec, or the tuple iterator behind the
+	// tuple→batch adapter, so every stage has a batch view. A tuple-only
+	// parent pulls the tuple iterator, which for a batch stage is the
 	// batch→tuple adapter over the same stream. Exactly one of the two
 	// views is ever consumed.
 	vec vecIterator

@@ -1,4 +1,4 @@
-// Memory-bounded execution (Options.MemoryBudget > 0): a per-run byte
+// Memory-bounded execution (Config.MemoryBudget > 0): a per-run byte
 // arbiter plus grace-hash recursive partitioning that lets every blocking
 // hash operator scale past memory, exactly as the paper presents its
 // partitioning algorithms.
@@ -9,7 +9,7 @@
 // original list positions — into hash partitions on disk (package spill),
 // so every key group lands wholly in one partition in list order. The
 // partitions are then processed one at a time (or workers at a time when
-// composed with Options.Parallelism, each worker bounded by budget/W) with
+// composed with Config.Parallelism, each worker bounded by budget/W) with
 // the same per-partition algorithms the parallel exchange uses, and the
 // tagged outputs merge back through the same deterministic sequence-key
 // gather. A partition that still exceeds the share re-partitions
@@ -536,18 +536,6 @@ func (e *Engine) graceRun2From(ls, rs *graceSide, lidx, ridx []int, emit func(ls
 // partition's sequence-tagged rows and returns outputs non-decreasing in
 // sequence key.
 
-// rdupPartition keeps the first occurrence of each full-tuple group.
-func rdupPartition(part []prow, idx []int) []tagged {
-	groups := newHashGroups(idx, len(part))
-	var res []tagged
-	for _, pr := range part {
-		if _, fresh := groups.groupOf(pr.t); fresh {
-			res = append(res, tagged{seq: pr.orig, t: pr.t})
-		}
-	}
-	return res
-}
-
 // budgetedPartition is the core of \ and ∪: fund rows build per-key
 // multiplicity budgets, scan rows stream against them with budget hits
 // cancelling, and survivors carry their scan position plus offset.
@@ -761,56 +749,13 @@ func residentSource(side *graceSide, sch *schema.Schema) *source {
 // hybrid hash join. The build (right) side drains against half the operator
 // share first; while it stays resident the probe side is a stream between
 // operators — not operator state — so it is never drained, and the ordinary
-// hash join runs against the resident build rows, columnar when the engine
-// is columnar. Only when the build side itself overflows do both sides
-// grace-partition on the join keys, each bucket building on its right rows
-// and probing its left rows in sequence order, the pairs gathering into the
-// reference's left-major sequence.
+// batch hash join runs against the resident build rows. Only when the build
+// side itself overflows do both sides grace-partition on the join keys, each
+// bucket building on its right rows and probing its left rows in sequence
+// order, the pairs gathering into the reference's left-major sequence.
 func (e *Engine) graceJoinSource(l, r *source, j *pairJoiner, order relation.OrderSpec) *source {
-	if e.columnar() {
-		e.stats.VectorOps++
-		compute := func() ([]*batch, error) {
-			rs, err := e.drainGrace(r, j.ridx, e.opShare()/2)
-			if err != nil {
-				l.it.close()
-				return nil, err
-			}
-			if !rs.spilled {
-				defer e.releaseResident(rs)
-				v := &vecJoinIter{
-					e: e, left: l.vecInput(), right: residentSource(rs, r.schema),
-					out: j.out, lw: j.lw, rw: j.rw,
-					lidx: j.lidx, ridx: j.ridx, residual: j.residual,
-					temporal: j.temporal, lt1: j.lt1, lt2: j.lt2,
-				}
-				var out []*batch
-				for {
-					b, err := v.nextBatch()
-					if err != nil {
-						v.close()
-						return nil, err
-					}
-					if b == nil {
-						break
-					}
-					out = append(out, b)
-				}
-				if err := v.close(); err != nil {
-					return nil, err
-				}
-				return out, nil
-			}
-			ts, err := e.graceJoinSpilled(l, rs, j)
-			if err != nil {
-				return nil, err
-			}
-			out := tupleBatches(j.out, ts)
-			e.stats.VectorBatches += len(out)
-			return out, nil
-		}
-		return vecSource(&lazyBatchesIter{compute: compute}, j.out, order)
-	}
-	return lazySource(j.out, order, func() ([]relation.Tuple, error) {
+	e.stats.VectorOps++
+	compute := func() ([]*batch, error) {
 		rs, err := e.drainGrace(r, j.ridx, e.opShare()/2)
 		if err != nil {
 			l.it.close()
@@ -818,30 +763,38 @@ func (e *Engine) graceJoinSource(l, r *source, j *pairJoiner, order relation.Ord
 		}
 		if !rs.spilled {
 			defer e.releaseResident(rs)
-			it := &productIter{
-				left: l.it, right: residentSource(rs, r.schema),
-				out: j.out, lw: j.lw, rw: j.rw, lidx: j.lidx, ridx: j.ridx,
-				residual: j.residual, temporal: j.temporal, lt1: j.lt1, lt2: j.lt2,
+			v := &vecJoinIter{
+				e: e, left: l.vecInput(), right: residentSource(rs, r.schema),
+				out: j.out, lw: j.lw, rw: j.rw,
+				lidx: j.lidx, ridx: j.ridx, residual: j.residual,
+				temporal: j.temporal, lt1: j.lt1, lt2: j.lt2,
 			}
-			var out []relation.Tuple
+			var out []*batch
 			for {
-				t, err := it.next()
+				b, err := v.nextBatch()
 				if err != nil {
-					it.close()
+					v.close()
 					return nil, err
 				}
-				if t == nil {
+				if b == nil {
 					break
 				}
-				out = append(out, t)
+				out = append(out, b)
 			}
-			if err := it.close(); err != nil {
+			if err := v.close(); err != nil {
 				return nil, err
 			}
 			return out, nil
 		}
-		return e.graceJoinSpilled(l, rs, j)
-	})
+		ts, err := e.graceJoinSpilled(l, rs, j)
+		if err != nil {
+			return nil, err
+		}
+		out := tupleBatches(j.out, ts)
+		e.stats.VectorBatches += len(out)
+		return out, nil
+	}
+	return vecSource(&lazyBatchesIter{compute: compute}, j.out, order)
 }
 
 // graceJoinSpilled is the hybrid's overflow path: with the build side

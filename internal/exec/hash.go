@@ -84,36 +84,3 @@ func groupsContiguous(ord relation.OrderSpec, s *schema.Schema, idx []int) bool 
 	}
 	return physical.GroupsContiguous(ord, s, idx)
 }
-
-// groupRows partitions row indices by equality on idx, preserving
-// first-occurrence group order and list order within each group. With
-// contiguous=true (the caller proved equal rows adjacent via the input's
-// OrderSpec) it runs hash-free in one comparison pass.
-func groupRows(rows []relation.Tuple, idx []int, contiguous bool) [][]int {
-	if len(rows) == 0 {
-		return nil
-	}
-	if contiguous {
-		var out [][]int
-		cur := []int{0}
-		for i := 1; i < len(rows); i++ {
-			if rows[i].EqualOn(idx, rows[i-1]) {
-				cur = append(cur, i)
-				continue
-			}
-			out = append(out, cur)
-			cur = []int{i}
-		}
-		return append(out, cur)
-	}
-	groups := newHashGroups(idx, len(rows))
-	var out [][]int
-	for i, t := range rows {
-		gid, fresh := groups.groupOf(t)
-		if fresh {
-			out = append(out, nil)
-		}
-		out[gid] = append(out[gid], i)
-	}
-	return out
-}

@@ -12,19 +12,16 @@ import (
 	"tqp/internal/value"
 )
 
-// productIter evaluates × and ×ᵀ (optionally with a fused join predicate) in
-// the reference's left-major, right-list order. With equality keys it is a
-// hash join: the right side is built into a collision-safe table and each
-// left tuple visits only its key's candidates. Without keys it is a block
-// nested loop over the materialized right side that reuses a scratch tuple,
-// allocating only for emitted pairs.
+// productIter evaluates the keyless × and ×ᵀ (optionally with a fused
+// residual predicate) in the reference's left-major, right-list order: a
+// block nested loop over the materialized right side that reuses a scratch
+// tuple, allocating only for emitted pairs. Keyed products compile to the
+// batch hash and merge joins (vecops.go, vecmerge.go).
 type productIter struct {
 	left     iterator
 	right    *source
 	out      *schema.Schema
 	lw, rw   int
-	lidx     []int // probe columns in the combined schema (left positions)
-	ridx     []int // build columns in the right schema
 	residual expr.Pred
 	temporal bool
 	lt1, lt2 int // left period positions (temporal)
@@ -32,12 +29,9 @@ type productIter struct {
 	built   bool
 	rows    []relation.Tuple
 	periods []period.Period
-	table   *hashGroups
-	members [][]int
 
 	cur  relation.Tuple
 	curP period.Period
-	cand []int
 	ci   int
 	buf  relation.Tuple
 }
@@ -51,47 +45,22 @@ func (p *productIter) build() error {
 	if p.temporal {
 		p.periods = r.Periods()
 	}
-	if len(p.lidx) > 0 {
-		p.table = newHashGroups(p.ridx, len(p.rows))
-		for i, t := range p.rows {
-			gid, fresh := p.table.groupOf(t)
-			if fresh {
-				p.members = append(p.members, nil)
-			}
-			p.members[gid] = append(p.members[gid], i)
-		}
-	} else {
-		p.cand = identityIdx(len(p.rows))
-	}
 	p.built = true
 	return nil
 }
 
-// advance pulls the next probe tuple and positions the candidate cursor.
+// advance pulls the next left tuple and rewinds the right-side cursor.
 func (p *productIter) advance() error {
-	for {
-		t, err := p.left.next()
-		if err != nil {
-			return err
-		}
-		if t == nil {
-			p.cur = nil
-			return nil
-		}
-		p.cur = t
-		if p.temporal {
-			p.curP = t.PeriodAt(p.lt1, p.lt2)
-		}
-		p.ci = 0
-		if p.table == nil {
-			return nil // nested loop: all right rows are candidates
-		}
-		if gid := p.table.lookup(t, p.lidx); gid >= 0 {
-			p.cand = p.members[gid]
-			return nil
-		}
-		// No hash match: try the next left tuple.
+	t, err := p.left.next()
+	if err != nil {
+		return err
 	}
+	p.cur = t
+	if t != nil && p.temporal {
+		p.curP = t.PeriodAt(p.lt1, p.lt2)
+	}
+	p.ci = 0
+	return nil
 }
 
 func (p *productIter) next() (relation.Tuple, error) {
@@ -108,8 +77,8 @@ func (p *productIter) next() (relation.Tuple, error) {
 		width += 2
 	}
 	for p.cur != nil {
-		for p.ci < len(p.cand) {
-			ri := p.cand[p.ci]
+		for p.ci < len(p.rows) {
+			ri := p.ci
 			p.ci++
 			var iv period.Period
 			if p.temporal {
@@ -148,142 +117,6 @@ func (p *productIter) next() (relation.Tuple, error) {
 }
 
 func (p *productIter) close() error { return p.left.close() }
-
-// mergeJoinIter evaluates an equi-key join over inputs both delivered in a
-// key-covering order: the right side is materialized once (as the hash join
-// does to build its table) and a single pointer advances monotonically as
-// the sorted left side streams through, each left tuple pairing with its
-// contiguous right key group in right-list order. The output is the exact
-// left-major pair sequence of the hash join — only the lookup machinery
-// differs — at zero hashing cost.
-type mergeJoinIter struct {
-	left     iterator
-	right    *source
-	out      *schema.Schema
-	lw, rw   int
-	keys     physical.JoinKeys
-	residual expr.Pred
-	temporal bool
-	lt1, lt2 int
-
-	built   bool
-	rows    []relation.Tuple
-	periods []period.Period
-	ri      int // start of the current (or next) right key group
-	gEnd    int // end of the current right key group
-
-	cur  relation.Tuple
-	curP period.Period
-	ci   int
-	buf  relation.Tuple
-}
-
-func (m *mergeJoinIter) build() error {
-	r, err := drain(m.right)
-	if err != nil {
-		return err
-	}
-	m.rows = r.Tuples()
-	if m.temporal {
-		m.periods = r.Periods()
-	}
-	m.built = true
-	return nil
-}
-
-// advance pulls the next left tuple and aligns the right group pointer.
-func (m *mergeJoinIter) advance() error {
-	for {
-		t, err := m.left.next()
-		if err != nil {
-			return err
-		}
-		if t == nil {
-			m.cur = nil
-			return nil
-		}
-		// Left tuples arrive in key order, so the right pointer never moves
-		// backwards; a left key equal to the previous one reuses the group.
-		cmp := -1 // right side exhausted: no match for any further left key
-		for m.ri < len(m.rows) {
-			cmp = m.keys.Compare(t, m.rows[m.ri])
-			if cmp <= 0 {
-				break
-			}
-			m.ri++
-		}
-		if cmp == 0 {
-			if m.gEnd <= m.ri {
-				m.gEnd = m.ri + 1
-				for m.gEnd < len(m.rows) && m.keys.Compare(t, m.rows[m.gEnd]) == 0 {
-					m.gEnd++
-				}
-			}
-			m.cur = t
-			if m.temporal {
-				m.curP = t.PeriodAt(m.lt1, m.lt2)
-			}
-			m.ci = m.ri
-			return nil
-		}
-		// No right group for this key: try the next left tuple.
-	}
-}
-
-func (m *mergeJoinIter) next() (relation.Tuple, error) {
-	if !m.built {
-		if err := m.build(); err != nil {
-			return nil, err
-		}
-		if err := m.advance(); err != nil {
-			return nil, err
-		}
-	}
-	width := m.lw + m.rw
-	if m.temporal {
-		width += 2
-	}
-	for m.cur != nil {
-		for m.ci < m.gEnd {
-			ri := m.ci
-			m.ci++
-			var iv period.Period
-			if m.temporal {
-				iv = m.curP.Intersect(m.periods[ri])
-				if iv.Empty() {
-					continue
-				}
-			}
-			if m.buf == nil {
-				m.buf = make(relation.Tuple, width)
-			}
-			copy(m.buf, m.cur)
-			copy(m.buf[m.lw:], m.rows[ri])
-			if m.temporal {
-				m.buf[m.lw+m.rw] = value.Time(iv.Start)
-				m.buf[m.lw+m.rw+1] = value.Time(iv.End)
-			}
-			if m.residual != nil {
-				ok, err := m.residual.Holds(m.out, m.buf)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					continue
-				}
-			}
-			t := m.buf
-			m.buf = nil
-			return t, nil
-		}
-		if err := m.advance(); err != nil {
-			return nil, err
-		}
-	}
-	return nil, nil
-}
-
-func (m *mergeJoinIter) close() error { return m.left.close() }
 
 // pairJoiner carries the physical parameters of one × / ×ᵀ compilation —
 // schemas, key columns, residual predicate, time positions — shared by the
@@ -586,70 +419,45 @@ func (e *Engine) buildProduct(n algebra.Node, pred expr.Pred, temporal bool) (*s
 		schema: outSchema,
 		order:  eval.OrderAfterProduct(outOrder, r.schema, outSchema),
 	}
+	keyed := len(lidx) > 0
 	if e.budgeted() {
 		j := newPairJoiner(l, r, outSchema, lidx, ridx, residual, temporal)
-		if len(lidx) > 0 {
+		if keyed {
 			return e.graceJoinSource(l, r, j, src.order), nil
 		}
 		return e.graceProductSource(l, r, j, src.order), nil
 	}
 	if e.parallel() {
-		if e.columnar() && len(lidx) > 0 && l.vec != nil {
+		if keyed {
 			return e.vecParallelJoinSource(l, r, outSchema, lidx, ridx, residual, temporal, src.order), nil
 		}
-		src.it = e.parallelProductIter(l, r, outSchema, lidx, ridx, residual, temporal)
+		src.it = e.parallelProductIter(l, r, outSchema, residual, temporal)
 		return src, nil
 	}
-	if !e.opts.NoMerge && len(lidx) > 0 {
+	var lt1, lt2 int
+	if temporal {
+		lt1, lt2 = l.schema.TimeIndices()
+	}
+	if !keyed {
+		src.it = &productIter{
+			left: l.it, right: r, out: outSchema, lw: lw, rw: rw,
+			residual: residual, temporal: temporal, lt1: lt1, lt2: lt2,
+		}
+		return src, nil
+	}
+	e.stats.VectorOps++
+	if !e.opts.NoMerge {
 		if keys, ok := physical.MergeJoinKeys(leftOrder, r.order, l.schema, r.schema, lidx, ridx); ok {
 			e.stats.MergeJoins++
-			if e.columnar() && l.vec != nil {
-				e.stats.VectorOps++
-				v := &vecMergeJoinIter{
-					e: e, left: l.vec, right: r, out: outSchema, lw: lw, rw: rw,
-					cmp: compileVecJoinCmp(l.schema, r.schema, keys), residual: residual, temporal: temporal,
-				}
-				if temporal {
-					v.lt1, v.lt2 = l.schema.TimeIndices()
-				}
-				return vecSource(v, outSchema, src.order), nil
-			}
-			it := &mergeJoinIter{
-				left: l.it, right: r, out: outSchema, lw: lw, rw: rw,
-				keys: keys, residual: residual, temporal: temporal,
-			}
-			if temporal {
-				it.lt1, it.lt2 = l.schema.TimeIndices()
-			}
-			src.it = it
-			return src, nil
+			return vecSource(&vecMergeJoinIter{
+				e: e, left: l.vecInput(), right: r, out: outSchema, lw: lw, rw: rw,
+				cmp: compileVecJoinCmp(l.schema, r.schema, keys), residual: residual,
+				temporal: temporal, lt1: lt1, lt2: lt2,
+			}, outSchema, src.order), nil
 		}
 	}
-	if e.columnar() && len(lidx) > 0 && l.vec != nil {
-		e.stats.VectorOps++
-		v := &vecJoinIter{
-			e: e, left: l.vec, right: r, out: outSchema, lw: lw, rw: rw,
-			lidx: lidx, ridx: ridx, residual: residual, temporal: temporal,
-		}
-		if temporal {
-			v.lt1, v.lt2 = l.schema.TimeIndices()
-		}
-		return vecSource(v, outSchema, src.order), nil
-	}
-	it := &productIter{
-		left:     l.it,
-		right:    r,
-		out:      outSchema,
-		lw:       lw,
-		rw:       rw,
-		lidx:     lidx,
-		ridx:     ridx,
-		residual: residual,
-		temporal: temporal,
-	}
-	if temporal {
-		it.lt1, it.lt2 = l.schema.TimeIndices()
-	}
-	src.it = it
-	return src, nil
+	return vecSource(&vecJoinIter{
+		e: e, left: l.vecInput(), right: r, out: outSchema, lw: lw, rw: rw,
+		lidx: lidx, ridx: ridx, residual: residual, temporal: temporal, lt1: lt1, lt2: lt2,
+	}, outSchema, src.order), nil
 }

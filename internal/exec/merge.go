@@ -1,155 +1,6 @@
 package exec
 
-import (
-	"tqp/internal/relation"
-	"tqp/internal/schema"
-)
-
-// dedupSortedIter streams rdup over an input whose delivered order covers
-// every attribute: equal tuples are contiguous, so the first of each run
-// survives and a single adjacent comparison replaces the hash set.
-type dedupSortedIter struct {
-	in   iterator
-	prev relation.Tuple
-}
-
-func (d *dedupSortedIter) next() (relation.Tuple, error) {
-	for {
-		t, err := d.in.next()
-		if err != nil || t == nil {
-			return nil, err
-		}
-		if d.prev != nil && t.Equal(d.prev) {
-			continue
-		}
-		d.prev = t
-		return t, nil
-	}
-}
-
-func (d *dedupSortedIter) close() error { return d.in.close() }
-
-// mergeDiffIter implements the multiset difference \ when both inputs
-// deliver one shared total order: the sorted right side is materialized and
-// a single pointer sweeps it alongside the streaming left side, each right
-// key group's multiplicity absorbing that many left occurrences. Semantics
-// and output list are exactly the hash diff's — the earliest left
-// occurrences are the ones cancelled, and equal tuples are
-// indistinguishable — without a hash table.
-type mergeDiffIter struct {
-	left   iterator
-	right  *source
-	schema *schema.Schema
-	spec   relation.OrderSpec
-
-	built    bool
-	rows     []relation.Tuple
-	ri       int // start of the current right group
-	gEnd     int // end of the current right group
-	consumed int // left occurrences the current group has absorbed
-}
-
-func (m *mergeDiffIter) next() (relation.Tuple, error) {
-	if !m.built {
-		r, err := drain(m.right)
-		if err != nil {
-			return nil, err
-		}
-		m.rows = r.Tuples()
-		m.built = true
-	}
-	for {
-		t, err := m.left.next()
-		if err != nil || t == nil {
-			return nil, err
-		}
-		cmp := 1 // right side exhausted: every remaining left tuple survives
-		for m.ri < len(m.rows) {
-			cmp = relation.CompareOn(m.schema, m.spec, m.rows[m.ri], t)
-			if cmp >= 0 {
-				break
-			}
-			m.ri++
-			m.gEnd = m.ri
-			m.consumed = 0
-		}
-		if cmp == 0 {
-			for m.gEnd < len(m.rows) && relation.CompareOn(m.schema, m.spec, m.rows[m.gEnd], t) == 0 {
-				m.gEnd++
-			}
-			if m.consumed < m.gEnd-m.ri {
-				m.consumed++
-				continue
-			}
-		}
-		return t, nil
-	}
-}
-
-func (m *mergeDiffIter) close() error { return m.left.close() }
-
-// mergeUnionIter implements the max-multiplicity union ∪ when both inputs
-// deliver one shared total order: the left list is emitted in full (as the
-// hash union does), then the right side streams against a pointer into the
-// sorted left list, each left group's multiplicity cancelling that many
-// right occurrences.
-type mergeUnionIter struct {
-	left   *source
-	right  iterator
-	schema *schema.Schema
-	spec   relation.OrderSpec
-
-	built    bool
-	lts      []relation.Tuple
-	li       int // emission cursor over the left list
-	gi       int // start of the current left group (right-side phase)
-	gEnd     int
-	consumed int
-}
-
-func (m *mergeUnionIter) next() (relation.Tuple, error) {
-	if !m.built {
-		l, err := drain(m.left)
-		if err != nil {
-			return nil, err
-		}
-		m.lts = l.Tuples()
-		m.built = true
-	}
-	if m.li < len(m.lts) {
-		t := m.lts[m.li]
-		m.li++
-		return t, nil
-	}
-	for {
-		t, err := m.right.next()
-		if err != nil || t == nil {
-			return nil, err
-		}
-		cmp := 1 // left side exhausted: every remaining right tuple survives
-		for m.gi < len(m.lts) {
-			cmp = relation.CompareOn(m.schema, m.spec, m.lts[m.gi], t)
-			if cmp >= 0 {
-				break
-			}
-			m.gi++
-			m.gEnd = m.gi
-			m.consumed = 0
-		}
-		if cmp == 0 {
-			for m.gEnd < len(m.lts) && relation.CompareOn(m.schema, m.spec, m.lts[m.gEnd], t) == 0 {
-				m.gEnd++
-			}
-			if m.consumed < m.gEnd-m.gi {
-				m.consumed++
-				continue
-			}
-		}
-		return t, nil
-	}
-}
-
-func (m *mergeUnionIter) close() error { return m.right.close() }
+import "tqp/internal/relation"
 
 // groupIter runs a grouping operator group-at-a-time over an input whose
 // delivered order keeps groups contiguous: tuples are pulled until the

@@ -66,12 +66,11 @@ func TestDifferentialMixedKindColumn(t *testing.T) {
 	}
 	engines := []struct {
 		name string
-		opts exec.Options
+		opts exec.Config
 	}{
-		{"exec", exec.Options{}},
-		{"exec-novec", exec.Options{NoColumnar: true}},
-		{"exec-par3", exec.Options{Parallelism: 3}},
-		{"exec-mem", exec.Options{MemoryBudget: 1 << 10}},
+		{"exec", exec.Config{}},
+		{"exec-par3", exec.Config{Parallelism: 3}},
+		{"exec-mem", exec.Config{MemoryBudget: 1 << 10}},
 	}
 	for _, plan := range plans {
 		want, err := eval.New(src).Eval(plan)
@@ -133,12 +132,11 @@ func TestDifferentialFloatBoundaries(t *testing.T) {
 	}
 	engines := []struct {
 		name string
-		opts exec.Options
+		opts exec.Config
 	}{
-		{"exec", exec.Options{}},
-		{"exec-novec", exec.Options{NoColumnar: true}},
-		{"exec-par3", exec.Options{Parallelism: 3}},
-		{"exec-mem", exec.Options{MemoryBudget: 1 << 10}},
+		{"exec", exec.Config{}},
+		{"exec-par3", exec.Config{Parallelism: 3}},
+		{"exec-mem", exec.Config{MemoryBudget: 1 << 10}},
 	}
 	for _, plan := range plans {
 		want, err := eval.New(src).Eval(plan)

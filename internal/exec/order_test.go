@@ -27,7 +27,7 @@ func TestDifferentialThreeWay(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		c, bases := testutil.TemporalCatalog(seed)
 		ref := eval.New(c)
-		hash := exec.NewWith(c, exec.Options{NoMerge: true, NoSortElision: true})
+		hash := exec.NewWith(c, exec.Config{NoMerge: true, NoSortElision: true})
 		merge := exec.New(c)
 
 		for trial := 0; trial < 8; trial++ {
@@ -82,7 +82,7 @@ func TestSortElisionSafe(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		c, bases := testutil.TemporalCatalog(seed)
 		withElision := exec.New(c)
-		withoutElision := exec.NewWith(c, exec.Options{NoSortElision: true})
+		withoutElision := exec.NewWith(c, exec.Config{NoSortElision: true})
 
 		for trial := 0; trial < 8; trial++ {
 			plan := testutil.RandomPlan(rng, bases, 2+rng.Intn(2))
@@ -116,11 +116,12 @@ func TestSortElisionSafe(t *testing.T) {
 	}
 }
 
-// TestExternalMergeSortSpansRuns pins the external merge sort across run
-// boundaries: an input larger than one run (sortRunSize = 4096) must come
-// out exactly as the reference's stable sort, including the relative order
-// of equal keys that land in different runs — the heap's run-index
-// tie-break is what this test guards.
+// TestExternalMergeSortSpansRuns pins the sequential sort's stability on an
+// input larger than one run (sortRunSize = 4096): it must come out exactly
+// as the reference's stable sort, including the relative order of equal
+// keys. (The run-merging sorts — parallel index runs, budgeted spilled
+// runs — are pinned by TestParallelSortStable and
+// TestBudgetedSortSpillStability.)
 func TestExternalMergeSortSpansRuns(t *testing.T) {
 	r := datagen.Temporal(datagen.TemporalSpec{
 		Rows: 10000, Values: 40, DupFrac: 0.3, AdjFrac: 0.2, TimeRange: 300, MaxPeriod: 15, Seed: 42,

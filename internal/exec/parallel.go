@@ -1,4 +1,4 @@
-// Morsel-driven parallel execution (Options.Parallelism > 1): a bounded
+// Morsel-driven parallel execution (Config.Parallelism > 1): a bounded
 // worker pool plus exchange operators that partition an operator's
 // materialized inputs, run the per-partition work concurrently, and gather
 // the partition outputs through a deterministic merge — so every parallel
@@ -24,10 +24,10 @@
 //     independently ordered and the gather is concatenation in segment
 //     order.
 //
-// Sorting fans out run generation — the bounded stable runs of the external
-// merge sort are sorted concurrently as morsels — and gathers through the
-// same run-index tie-breaking heap the sequential sort uses, which is
-// exactly the global stable sort.
+// Sorting fans out run generation — the fixed-size index runs of the batch
+// sort (vecSortSource) are sorted concurrently as morsels — and gathers
+// through a k-way merge whose run-index tie-break is exactly the global
+// stable sort.
 //
 // Scheduling is morsel-driven: workers claim task indices (input chunks,
 // partitions, runs, segments) from a shared counter. The scan and
@@ -41,8 +41,6 @@
 package exec
 
 import (
-	"container/heap"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -328,73 +326,16 @@ func mergeTaggedInto(parts [][]tagged, emit func(tagged)) {
 	}
 }
 
-// parallelSortSource compiles sort_A with parallel run generation: the
-// drained input splits into the external sort's consecutive bounded runs,
-// workers stable-sort the runs concurrently, and the gather is the
-// sequential operator's own run-index tie-breaking heap — the merged
-// stream is exactly the stable sort of the whole input.
-func (e *Engine) parallelSortSource(in *source, spec relation.OrderSpec, order relation.OrderSpec) *source {
+// parallelProductIter evaluates the keyless × / ×ᵀ (optionally with a fused
+// residual predicate) under a parallel exchange: there is no key to
+// partition on, so the build side is shared read-only and the probe side
+// chunks positionally against it. Every emitted pair is tagged with its
+// probe tuple's global position, so the gather restores the reference's
+// left-major pair sequence exactly. (Keyed joins fan out through the batch
+// exchange, vecParallelJoinSource.)
+func (e *Engine) parallelProductIter(l, r *source, out *schema.Schema, residual expr.Pred, temporal bool) iterator {
 	workers := e.exchange()
-	return lazySource(in.schema, order, func() ([]relation.Tuple, error) {
-		r, err := drain(in)
-		if err != nil {
-			return nil, err
-		}
-		// drain materialized a fresh tuple slice, so the runs sort in place.
-		rows := r.Tuples()
-		nRuns := (len(rows) + sortRunSize - 1) / sortRunSize
-		runs := make([][]relation.Tuple, nRuns)
-		if err := runTasks(workers, nRuns, func(i int) error {
-			lo, hi := i*sortRunSize, (i+1)*sortRunSize
-			if hi > len(rows) {
-				hi = len(rows)
-			}
-			run := rows[lo:hi:hi]
-			sort.SliceStable(run, func(a, b int) bool {
-				return relation.CompareOn(in.schema, spec, run[a], run[b]) < 0
-			})
-			runs[i] = run
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		h := runHeap{schema: in.schema, spec: spec}
-		for i, run := range runs {
-			h.cursors = append(h.cursors, &runCursor{run: run, idx: i})
-		}
-		heap.Init(&h)
-		out := make([]relation.Tuple, 0, len(rows))
-		for h.Len() > 0 {
-			c := h.cursors[0]
-			out = append(out, c.run[c.pos])
-			c.pos++
-			if c.pos >= len(c.run) {
-				heap.Pop(&h)
-			} else {
-				heap.Fix(&h, 0)
-			}
-		}
-		return out, nil
-	})
-}
-
-// broadcastLimit is the build-side size at or below which a keyed parallel
-// join shares one read-only hash table across the workers (the probe side
-// splits into positional chunks); larger build sides hash-partition on the
-// equi-keys so the build work parallelizes too. Keyless products always
-// broadcast — there is nothing to partition on.
-const broadcastLimit = 2048
-
-// parallelProductIter evaluates × / ×ᵀ (optionally with a fused join
-// predicate) under a parallel exchange. With equi-keys over a large build
-// side, both sides route by the shared key hash and each worker hash-joins
-// its partition; with a small (or absent) key table the probe side chunks
-// positionally against the shared build side. Every emitted pair is tagged
-// with its probe tuple's global position, so the gather restores the
-// reference's left-major pair sequence exactly.
-func (e *Engine) parallelProductIter(l, r *source, out *schema.Schema, lidx, ridx []int, residual expr.Pred, temporal bool) iterator {
-	workers := e.exchange()
-	j := newPairJoiner(l, r, out, lidx, ridx, residual, temporal)
+	j := newPairJoiner(l, r, out, nil, nil, residual, temporal)
 	return &lazyIter{compute: func() ([]relation.Tuple, error) {
 		lr, err := drain(l)
 		if err != nil {
@@ -404,111 +345,22 @@ func (e *Engine) parallelProductIter(l, r *source, out *schema.Schema, lidx, rid
 		if err != nil {
 			return nil, err
 		}
-		if len(lidx) == 0 || rr.Len() <= broadcastLimit {
-			// Broadcast: one shared build side, probed read-only; the probe
-			// side splits into positional chunks.
-			brows := rr.Tuples()
-			rps := j.periodsOf(brows)
-			var table *hashGroups
-			var members [][]int
-			if len(lidx) > 0 {
-				table = newHashGroups(ridx, len(brows))
-				for bi, t := range brows {
-					gid, fresh := table.groupOf(t)
-					if fresh {
-						members = append(members, nil)
-					}
-					members[gid] = append(members[gid], bi)
-				}
-			}
-			chunks := chunkRanges(lr.Len(), workers)
-			outParts := make([][]tagged, len(chunks))
-			if err := runTasks(workers, len(chunks), func(c int) error {
-				res, err := j.joinChunk(lr.Tuples()[chunks[c][0]:chunks[c][1]], chunks[c][0], nil, brows, rps, table, members)
-				if err != nil {
-					return err
-				}
-				outParts[c] = res
-				return nil
-			}); err != nil {
-				return nil, err
-			}
-			return mergeTagged(outParts), nil
-		}
-
-		// Partitioned: both sides route by the shared key hash; each worker
-		// builds and probes its own partition.
-		lparts := hashPartition(workers, lr.Tuples(), lidx, workers)
-		rparts := hashPartition(workers, rr.Tuples(), ridx, workers)
-		outParts := make([][]tagged, len(lparts))
-		if err := runTasks(workers, len(lparts), func(pt int) error {
-			res, err := j.joinPartition(lparts[pt], rparts[pt])
+		brows := rr.Tuples()
+		rps := j.periodsOf(brows)
+		chunks := chunkRanges(lr.Len(), workers)
+		outParts := make([][]tagged, len(chunks))
+		if err := runTasks(workers, len(chunks), func(c int) error {
+			res, err := j.joinChunk(lr.Tuples()[chunks[c][0]:chunks[c][1]], chunks[c][0], nil, brows, rps, nil, nil)
 			if err != nil {
 				return err
 			}
-			outParts[pt] = res
+			outParts[c] = res
 			return nil
 		}); err != nil {
 			return nil, err
 		}
 		return mergeTagged(outParts), nil
 	}}
-}
-
-// parallelBudgetedIter is the shared shape of \ and ∪ under a full-tuple
-// hash exchange: equal tuples land in one partition in list order on both
-// sides, one side funds per-key multiplicity budgets, the other streams
-// against them with budget hits cancelling, and the survivors merge back
-// into their side's list order. For \ (budgetLeft=false) the right side
-// funds and the filtered left survivors are the result; for ∪
-// (budgetLeft=true) the left side funds and the filtered right survivors
-// append behind the whole left list.
-func (e *Engine) parallelBudgetedIter(l, r *source, budgetLeft bool) iterator {
-	workers := e.exchange()
-	idx := identityIdx(l.schema.Len())
-	return &lazyIter{compute: func() ([]relation.Tuple, error) {
-		lr, err := drain(l)
-		if err != nil {
-			return nil, err
-		}
-		rr, err := drain(r)
-		if err != nil {
-			return nil, err
-		}
-		lparts := hashPartition(workers, lr.Tuples(), idx, workers)
-		rparts := hashPartition(workers, rr.Tuples(), idx, workers)
-		fundParts, scanParts := rparts, lparts
-		if budgetLeft {
-			fundParts, scanParts = lparts, rparts
-		}
-		outParts := make([][]tagged, workers)
-		if err := runTasks(workers, workers, func(pt int) error {
-			outParts[pt] = budgetedPartition(fundParts[pt], scanParts[pt], idx, 0)
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		merged := mergeTagged(outParts)
-		if !budgetLeft {
-			return merged, nil
-		}
-		out := make([]relation.Tuple, 0, lr.Len()+len(merged))
-		out = append(out, lr.Tuples()...)
-		return append(out, merged...), nil
-	}}
-}
-
-// parallelDiffIter runs \: the earliest left occurrences absorb the right
-// multiplicities, survivors in left list order.
-func (e *Engine) parallelDiffIter(l, r *source) iterator {
-	return e.parallelBudgetedIter(l, r, false)
-}
-
-// parallelUnionIter runs the max-multiplicity ∪: the left list passes
-// through whole, right tuples exceeding the left multiplicities follow in
-// right list order.
-func (e *Engine) parallelUnionIter(l, r *source) iterator {
-	return e.parallelBudgetedIter(l, r, true)
 }
 
 // parallelValueGroupSource runs a value-equivalence group transform
@@ -518,7 +370,8 @@ func (e *Engine) parallelUnionIter(l, r *source) iterator {
 // and concatenate. Otherwise tuples route by value hash, each worker
 // transforms its partition's groups over globally-positioned rows, and the
 // gather re-interleaves the fragments into original list order — exactly
-// the sequential mergeByOrig, computed across partitions.
+// the sequential operator's stable merge by original position, computed
+// across partitions.
 func (e *Engine) parallelValueGroupSource(in *source, vidx []int, order relation.OrderSpec, transform func([]row, int, int) []row) *source {
 	workers := e.exchange()
 	t1, t2 := in.schema.TimeIndices()

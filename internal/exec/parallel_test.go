@@ -38,9 +38,9 @@ func TestDifferentialFourWay(t *testing.T) {
 						name string
 						e    *exec.Engine
 					}{
-						{"exec-hash", exec.NewWith(c, exec.Options{NoMerge: true, NoSortElision: true})},
+						{"exec-hash", exec.NewWith(c, exec.Config{NoMerge: true, NoSortElision: true})},
 						{"exec-merge", exec.New(c)},
-						{"exec-parallel", exec.NewWith(c, exec.Options{Parallelism: par})},
+						{"exec-parallel", exec.NewWith(c, exec.Config{Parallelism: par})},
 					} {
 						got, err := eng.e.Eval(plan)
 						if (errRef == nil) != (err == nil) {
@@ -102,7 +102,7 @@ func TestParallelPipelineLarge(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, par := range []int{2, 8} {
-		eng := exec.NewWith(src, exec.Options{Parallelism: par})
+		eng := exec.NewWith(src, exec.Config{Parallelism: par})
 		got, err := eng.Eval(plan)
 		if err != nil {
 			t.Fatal(err)
@@ -137,7 +137,7 @@ func TestParallelSortStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := exec.NewWith(src, exec.Options{Parallelism: 4}).Eval(plan)
+	got, err := exec.NewWith(src, exec.Config{Parallelism: 4}).Eval(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestParallelRangeExchange(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := exec.NewWith(src, exec.Options{Parallelism: 6}).Eval(plan)
+		got, err := exec.NewWith(src, exec.Config{Parallelism: 6}).Eval(plan)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,27 +9,27 @@ import (
 	"tqp/internal/spill"
 )
 
-// sortRunSize bounds the tuples sorted per run of the external merge sort.
-// In-memory the bound only caps per-run sort working sets; under a memory
-// budget the same run machinery cuts runs by bytes and spills them to temp
-// files instead (budget-driven run cutting).
+// sortRunSize bounds the rows sorted per run: the index runs the in-memory
+// batch sort fans out across the worker pool (vecSortSource), and the tuple
+// runs of the budgeted external merge sort, which additionally cuts runs by
+// bytes and spills them to temp files.
 const sortRunSize = 4096
 
-// mergeSortIter is the explicit external-merge sort operator: the input is
-// consumed into consecutive bounded runs, each stable-sorted in place, and
-// the runs are merged through a min-heap whose tie-break — run index, then
-// position within the run — makes the merged sequence exactly the stable
-// sort of the whole input. Emission streams tuple-at-a-time from the heap,
-// so downstream operators start before the full output materializes.
+// mergeSortIter is the budgeted engine's external merge sort (the
+// unbudgeted sort is vecSortSource): the input is consumed into consecutive
+// bounded runs, each stable-sorted in place, and the runs are merged
+// through a min-heap whose tie-break — run index, then position within the
+// run — makes the merged sequence exactly the stable sort of the whole
+// input. Emission streams tuple-at-a-time from the heap, so downstream
+// operators start before the full output materializes.
 //
-// With the engine budgeted (Options.MemoryBudget > 0), run cutting is
-// byte-driven: while the accumulated input fits the operator's share, runs
-// stay in memory exactly as in the unbudgeted shape; past the share, every
-// resident run flushes to a spill file and further runs cut at half the
-// share, sort, and spill. The merge heap then streams from the files. Run
-// boundaries are pure bookkeeping — any consecutive partition into stable-
-// sorted runs merges to the identical global stable sort — so budgeted and
-// unbudgeted sorts agree bit-for-bit.
+// Run cutting is byte-driven: while the accumulated input fits the
+// operator's share, runs stay in memory; past the share, every resident run
+// flushes to a spill file and further runs cut at half the share, sort, and
+// spill. The merge heap then streams from the files. Run boundaries are
+// pure bookkeeping — any consecutive partition into stable-sorted runs
+// merges to the identical global stable sort — so the budgeted sort agrees
+// with the in-memory one bit-for-bit.
 type mergeSortIter struct {
 	eng    *Engine
 	in     *source
@@ -138,11 +138,7 @@ func (h *runHeap) Pop() any {
 }
 
 func (m *mergeSortIter) build() error {
-	budgeted := m.eng != nil && m.eng.budgeted()
-	var share int64
-	if budgeted {
-		share = m.eng.opShare()
-	}
+	share := m.eng.opShare()
 
 	var cursors []*runCursor
 	var residentBytes int64
@@ -185,9 +181,7 @@ func (m *mergeSortIter) build() error {
 		} else {
 			c.run = r
 			residentBytes += runBytes
-			if m.eng != nil && m.eng.mem != nil {
-				m.eng.mem.grow(runBytes)
-			}
+			m.eng.mem.grow(runBytes)
 		}
 		cursors = append(cursors, c)
 		run = make([]relation.Tuple, 0, sortRunSize)
@@ -208,9 +202,7 @@ func (m *mergeSortIter) build() error {
 			c.file = f
 			c.run = nil
 		}
-		if m.eng.mem != nil {
-			m.eng.mem.release(residentBytes)
-		}
+		m.eng.mem.release(residentBytes)
 		residentBytes = 0
 		return nil
 	}
@@ -232,17 +224,15 @@ func (m *mergeSortIter) build() error {
 			break
 		}
 		run = append(run, t)
-		if budgeted {
-			runBytes += spill.TupleMemSize(t)
-			if !spilling && residentBytes+runBytes > share {
-				if err := startSpilling(); err != nil {
-					return fail(err)
-				}
+		runBytes += spill.TupleMemSize(t)
+		if !spilling && residentBytes+runBytes > share {
+			if err := startSpilling(); err != nil {
+				return fail(err)
 			}
-			if spilling && runBytes > share/2 {
-				if err := flush(); err != nil {
-					return fail(err)
-				}
+		}
+		if spilling && runBytes > share/2 {
+			if err := flush(); err != nil {
+				return fail(err)
 			}
 		}
 		if len(run) == sortRunSize {
@@ -311,7 +301,7 @@ func (m *mergeSortIter) close() error {
 		c.close()
 	}
 	m.h.cursors = nil
-	if m.eng != nil && m.eng.mem != nil && m.resident > 0 {
+	if m.resident > 0 {
 		m.eng.mem.release(m.resident)
 		m.resident = 0
 	}

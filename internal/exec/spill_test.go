@@ -57,39 +57,38 @@ func recordFuzzFailure(t *testing.T, format string, args ...any) {
 }
 
 // TestDifferentialFiveWay is the memory-bounded engine's correctness
-// anchor: reference vs hash-only vs columnar vs tuple-at-a-time vs parallel
-// vs budgeted-spill at budgets {64KB, 1MB, unlimited}, all bit-identical on
-// random plans. The default engine compiles the vectorized columnar
-// variants (vec.go); the exec-novec leg pins the tuple pipeline those
-// variants replaced, so the two sides of every batch↔tuple adapter
-// boundary are compared on the same plans. Two sweeps run: tiny catalogs
-// for plan-shape coverage, and sized catalogs (hundreds of rows) so the
-// small budget genuinely forces the grace-hash spill paths — vacuity
-// guards assert Stats.SpilledOps > 0 there and Stats.VectorOps > 0 on the
-// columnar leg. The parallel budgeted leg exercises the per-worker budget
-// shares.
+// anchor: reference vs hash-only vs full vs parallel vs budgeted-spill at
+// budgets {64KB, 1MB, unlimited}, all bit-identical on random plans. Every
+// leg compiles the batch operators (vec.go) — the hash-only leg their hash
+// variants only — with the operators that exist tuple-at-a-time only
+// (\ᵀ, ∪ᵀ, ⊔, keyless ×, the exchange and grace families) behind the
+// batch↔tuple adapters, so the random plans cross that boundary in both
+// directions. Two sweeps run: tiny catalogs for plan-shape coverage, and
+// sized catalogs (hundreds of rows) so the small budget genuinely forces
+// the grace-hash spill paths — vacuity guards assert Stats.SpilledOps > 0
+// there and Stats.VectorOps > 0 on every leg. The parallel budgeted leg
+// exercises the per-worker budget shares.
 func TestDifferentialFiveWay(t *testing.T) {
 	small := smallBudget()
 	type leg struct {
 		name string
-		opts exec.Options
+		opts exec.Config
 	}
 	legs := []leg{
-		{"exec-hash", exec.Options{NoMerge: true, NoSortElision: true}},
-		{"exec-merge", exec.Options{}},
-		{"exec-novec", exec.Options{NoColumnar: true}},
-		{"exec-par3", exec.Options{Parallelism: 3}},
-		{"spill-small", exec.Options{MemoryBudget: small}},
-		{"spill-1M", exec.Options{MemoryBudget: 1 << 20}},
+		{"exec-hash", exec.Config{NoMerge: true, NoSortElision: true}},
+		{"exec-merge", exec.Config{}},
+		{"exec-par3", exec.Config{Parallelism: 3}},
+		{"spill-small", exec.Config{MemoryBudget: small}},
+		{"spill-1M", exec.Config{MemoryBudget: 1 << 20}},
 		// An effectively unlimited budget keeps the grace code paths
 		// compiled but never spilling — the in-memory grace shape.
-		{"spill-unlimited", exec.Options{MemoryBudget: 1 << 40}},
-		{"spill-small-par3", exec.Options{MemoryBudget: small, Parallelism: 3}},
+		{"spill-unlimited", exec.Config{MemoryBudget: 1 << 40}},
+		{"spill-small-par3", exec.Config{MemoryBudget: small, Parallelism: 3}},
 	}
 
 	spillDir := t.TempDir()
 	plans, spilledSmall, vectorOps, vectorBatches := 0, 0, 0, 0
-	vectorOpsPar, vectorOpsSpill := 0, 0
+	vectorOpsHash, vectorOpsPar, vectorOpsSpill := 0, 0, 0
 	sweep := func(seedLo, seedHi int64, rowsA, rowsB, trials int) {
 		for seed := seedLo; seed < seedHi; seed++ {
 			rng := rand.New(rand.NewSource(seed))
@@ -133,9 +132,10 @@ func TestDifferentialFiveWay(t *testing.T) {
 						vectorOpsPar += st.VectorOps
 					case "spill-small", "spill-1M", "spill-unlimited", "spill-small-par3":
 						vectorOpsSpill += st.VectorOps
-					case "exec-novec", "exec-hash":
-						if st.VectorOps != 0 {
-							t.Fatalf("seed %d leg %s: columnar operators compiled with columnar execution disabled", seed, lg.name)
+					case "exec-hash":
+						vectorOpsHash += st.VectorOps
+						if st.MergeOps+st.MergeJoins+st.SortsElided != 0 {
+							t.Fatalf("seed %d leg %s: order-exploiting variants compiled under NoMerge/NoSortElision: %+v", seed, lg.name, st)
 						}
 					}
 				}
@@ -159,11 +159,12 @@ func TestDifferentialFiveWay(t *testing.T) {
 		t.Fatalf("vacuous run: the columnar leg compiled %d vectorized operators and flowed %d batches across %d plans",
 			vectorOps, vectorBatches, plans)
 	}
-	// The parallel and budgeted engines are columnar-capable now; either
-	// counter at zero means a newly-columnar path regressed to tuples.
-	if vectorOpsPar == 0 || vectorOpsSpill == 0 {
-		t.Fatalf("vacuous run: parallel leg compiled %d vectorized operators, budgeted legs %d",
-			vectorOpsPar, vectorOpsSpill)
+	// NoMerge/NoSortElision restrict algorithm choice only: the hash-only
+	// leg runs the batch hash variants, as the parallel and budgeted legs
+	// run their batch exchanges and spills.
+	if vectorOpsHash == 0 || vectorOpsPar == 0 || vectorOpsSpill == 0 {
+		t.Fatalf("vacuous run: hash-only leg compiled %d vectorized operators, parallel leg %d, budgeted legs %d",
+			vectorOpsHash, vectorOpsPar, vectorOpsSpill)
 	}
 	// The shared spill directory must be empty again: every Eval removes
 	// its run directory on completion.
@@ -196,7 +197,7 @@ func TestSpillFileLifecycle(t *testing.T) {
 	src := eval.MapSource{"R": r}
 	plan := algebra.NewCoal(algebra.NewTRdup(algebra.NewRel("R", r.Schema(), algebra.BaseInfo{})))
 
-	eng := exec.NewWith(src, exec.Options{MemoryBudget: 32 << 10, SpillDir: dir})
+	eng := exec.NewWith(src, exec.Config{MemoryBudget: 32 << 10, SpillDir: dir})
 	out, err := eng.Eval(plan)
 	if err != nil {
 		t.Fatal(err)
@@ -259,7 +260,7 @@ func TestSpillLifecycleMidQueryError(t *testing.T) {
 	pred := expr.Compare(expr.Lt, div, expr.Literal(value.Int(1<<30)))
 	plan := algebra.NewTRdup(algebra.NewSelect(pred, algebra.NewRel("R", r.Schema(), algebra.BaseInfo{})))
 
-	eng := exec.NewWith(src, exec.Options{MemoryBudget: 16 << 10, SpillDir: dir})
+	eng := exec.NewWith(src, exec.Config{MemoryBudget: 16 << 10, SpillDir: dir})
 	if _, err := eng.Eval(plan); err == nil {
 		t.Fatal("expected the division by zero to surface")
 	}
@@ -289,7 +290,7 @@ func TestStatsResetPerRun(t *testing.T) {
 	spilling := algebra.NewTRdup(base)
 	trivial := algebra.NewSelect(expr.TruePred{}, base)
 
-	eng := exec.NewWith(src, exec.Options{MemoryBudget: 16 << 10, SpillDir: t.TempDir()})
+	eng := exec.NewWith(src, exec.Config{MemoryBudget: 16 << 10, SpillDir: t.TempDir()})
 	if _, err := eng.Eval(spilling); err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +338,7 @@ func TestBudgetedSortSpillStability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := exec.NewWith(src, exec.Options{MemoryBudget: 64 << 10, SpillDir: t.TempDir()})
+	eng := exec.NewWith(src, exec.Config{MemoryBudget: 64 << 10, SpillDir: t.TempDir()})
 	got, err := eng.Eval(plan)
 	if err != nil {
 		t.Fatal(err)
@@ -365,7 +366,7 @@ func TestKeylessProductSpill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := exec.NewWith(src, exec.Options{MemoryBudget: 16 << 10, SpillDir: t.TempDir()})
+	eng := exec.NewWith(src, exec.Config{MemoryBudget: 16 << 10, SpillDir: t.TempDir()})
 	got, err := eng.Eval(plan)
 	if err != nil {
 		t.Fatal(err)
@@ -390,7 +391,7 @@ func TestBudgetPrefersStreamingMerge(t *testing.T) {
 	}
 	src := eval.MapSource{"R": r}
 	plan := algebra.NewCoal(algebra.NewRel("R", r.Schema(), algebra.BaseInfo{Order: byValue}))
-	eng := exec.NewWith(src, exec.Options{MemoryBudget: 16 << 10, SpillDir: t.TempDir()})
+	eng := exec.NewWith(src, exec.Config{MemoryBudget: 16 << 10, SpillDir: t.TempDir()})
 	got, err := eng.Eval(plan)
 	if err != nil {
 		t.Fatal(err)
@@ -430,7 +431,7 @@ func TestMillionRowPipelineUnderBudget(t *testing.T) {
 	src := eval.MapSource{"R": r}
 	plan := algebra.NewCoal(algebra.NewTRdup(algebra.NewRel("R", r.Schema(), algebra.BaseInfo{})))
 
-	eng := exec.NewWith(src, exec.Options{MemoryBudget: budget, SpillDir: t.TempDir()})
+	eng := exec.NewWith(src, exec.Config{MemoryBudget: budget, SpillDir: t.TempDir()})
 	got, err := eng.Eval(plan)
 	if err != nil {
 		t.Fatal(err)

@@ -5,10 +5,8 @@ import (
 
 	"tqp/internal/algebra"
 	"tqp/internal/eval"
-	"tqp/internal/expr"
 	"tqp/internal/physical"
 	"tqp/internal/relation"
-	"tqp/internal/schema"
 )
 
 // scanSource is the optional richer resolution interface a source may
@@ -42,43 +40,19 @@ func (e *Engine) buildRel(n *algebra.Rel) (*source, error) {
 	if !n.Info.Order.Empty() {
 		order = n.Info.Order
 	}
-	src := &source{it: &sliceIter{ts: r.Tuples()}, schema: r.Schema(), order: order}
-	if e.columnar() {
-		// The columnar view converts lazily on the first batch pull (and is
-		// cached per relation), so a plan whose parents stay tuple-at-a-time
-		// pays nothing for it.
-		src.vec = &onceBatchIter{compute: func() (*batch, error) { return e.batchOf(r), nil }}
-	}
-	return src, nil
+	// The batch view converts lazily on the first batch pull (and is cached
+	// per relation), so a scan consumed by a tuple-only parent pays nothing
+	// for it.
+	return &source{
+		it:     &sliceIter{ts: r.Tuples()},
+		vec:    &onceBatchIter{compute: func() (*batch, error) { return e.batchOf(r), nil }},
+		schema: r.Schema(),
+		order:  order,
+	}, nil
 }
 
-// selectIter streams tuples satisfying the predicate.
-type selectIter struct {
-	in     iterator
-	p      expr.Pred
-	schema *schema.Schema
-}
-
-func (s *selectIter) next() (relation.Tuple, error) {
-	for {
-		t, err := s.in.next()
-		if err != nil || t == nil {
-			return nil, err
-		}
-		ok, err := s.p.Holds(s.schema, t)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			return t, nil
-		}
-	}
-}
-
-func (s *selectIter) close() error { return s.in.close() }
-
-// buildSelect compiles σ_P: a streaming filter that retains order,
-// duplicates and coalescing.
+// buildSelect compiles σ_P: a batch-at-a-time filter emitting selection
+// views, retaining order, duplicates and coalescing.
 func (e *Engine) buildSelect(n *algebra.Select) (*source, error) {
 	in, err := e.build(n.Children()[0])
 	if err != nil {
@@ -87,42 +61,10 @@ func (e *Engine) buildSelect(n *algebra.Select) (*source, error) {
 	if _, err := n.Schema(); err != nil {
 		return nil, err
 	}
-	if e.columnar() && in.vec != nil {
-		e.stats.VectorOps++
-		v := &vecFilterIter{e: e, in: in.vec, p: n.P, schema: in.schema, fast: compileVecPred(n.P, in.schema)}
-		return vecSource(v, in.schema, in.order), nil
-	}
-	return &source{
-		it:     &selectIter{in: in.it, p: n.P, schema: in.schema},
-		schema: in.schema,
-		order:  in.order,
-	}, nil
+	e.stats.VectorOps++
+	v := &vecFilterIter{e: e, in: in.vecInput(), p: n.P, schema: in.schema, fast: compileVecPred(n.P, in.schema)}
+	return vecSource(v, in.schema, in.order), nil
 }
-
-// projectIter streams the generalized projection π.
-type projectIter struct {
-	in       iterator
-	items    []algebra.ProjItem
-	inSchema *schema.Schema
-}
-
-func (p *projectIter) next() (relation.Tuple, error) {
-	t, err := p.in.next()
-	if err != nil || t == nil {
-		return nil, err
-	}
-	nt := make(relation.Tuple, len(p.items))
-	for i, it := range p.items {
-		v, err := it.Expr.Eval(p.inSchema, t)
-		if err != nil {
-			return nil, err
-		}
-		nt[i] = v
-	}
-	return nt, nil
-}
-
-func (p *projectIter) close() error { return p.in.close() }
 
 // buildProject compiles π with the Prefix(Order(r), ProjPairs) order rule.
 func (e *Engine) buildProject(n *algebra.Project) (*source, error) {
@@ -135,30 +77,23 @@ func (e *Engine) buildProject(n *algebra.Project) (*source, error) {
 		return nil, err
 	}
 	order := eval.OrderAfterProject(in.order, n)
-	if e.columnar() && in.vec != nil {
-		e.stats.VectorOps++
-		items := make([]projVecItem, len(n.Items))
-		for i, it := range n.Items {
-			items[i].eval = it.Expr
-		}
-		gather := compileProjItems(items, in.schema)
-		v := &vecProjectIter{e: e, in: in.vec, items: items, gather: gather, inSchema: in.schema, outSchema: outSchema}
-		return vecSource(v, outSchema, order), nil
+	e.stats.VectorOps++
+	items := make([]projVecItem, len(n.Items))
+	for i, it := range n.Items {
+		items[i].eval = it.Expr
 	}
-	return &source{
-		it:     &projectIter{in: in.it, items: n.Items, inSchema: in.schema},
-		schema: outSchema,
-		order:  order,
-	}, nil
+	gather := compileProjItems(items, in.schema)
+	v := &vecProjectIter{e: e, in: in.vecInput(), items: items, gather: gather, inSchema: in.schema, outSchema: outSchema}
+	return vecSource(v, outSchema, order), nil
 }
 
 // buildSort compiles sort_A. When the input already delivers an order A is
 // a prefix of, the sort is a physical no-op (a stable sort cannot move any
 // tuple) and compilation elides it outright, passing the input stage —
-// and its stronger order — through. Otherwise an explicit external merge
-// sort runs: bounded stable-sorted runs merged through a heap whose
-// run-index tie-break reproduces the global stable sort, streaming tuples
-// as the merge proceeds.
+// and its stronger order — through. Otherwise the input sorts as a stable
+// permutation of row indices over its column planes (index runs sorted
+// across the worker pool under Parallelism); only the budgeted engine runs
+// the explicit external merge sort, whose runs cut by bytes and spill.
 func (e *Engine) buildSort(n *algebra.Sort) (*source, error) {
 	in, err := e.build(n.Children()[0])
 	if err != nil {
@@ -178,17 +113,9 @@ func (e *Engine) buildSort(n *algebra.Sort) (*source, error) {
 		order = in.order
 	}
 	e.stats.MergeSorts++
-	if e.columnar() && in.vec != nil && !e.budgeted() {
-		// Stable permutation of row indices over the unmoved planes; sorts
-		// its runs across the worker pool under Parallelism. The budgeted
-		// engine keeps the run-spilling external sort below.
+	if !e.budgeted() {
 		return e.vecSortSource(in, n.Spec, order), nil
 	}
-	if e.parallel() && !e.budgeted() {
-		return e.parallelSortSource(in, n.Spec, order), nil
-	}
-	// Under a budget the run machinery cuts runs by bytes and spills them;
-	// unbudgeted it keeps the fixed in-memory run size (see sort.go).
 	return &source{
 		it:     &mergeSortIter{eng: e, in: in, spec: n.Spec, schema: in.schema},
 		schema: in.schema,
@@ -238,29 +165,6 @@ func (e *Engine) buildUnionAll(n algebra.Node) (*source, error) {
 	return &source{it: &concatIter{cur: l.it, rest: r.it}, schema: l.schema}, nil
 }
 
-// rdupIter streams the first occurrence of each tuple through a hash set.
-type rdupIter struct {
-	in   iterator
-	seen *hashGroups
-}
-
-func (r *rdupIter) next() (relation.Tuple, error) {
-	for {
-		t, err := r.in.next()
-		if err != nil || t == nil {
-			return nil, err
-		}
-		if r.seen.idx == nil {
-			r.seen.idx = identityIdx(len(t))
-		}
-		if _, fresh := r.seen.groupOf(t); fresh {
-			return t, nil
-		}
-	}
-}
-
-func (r *rdupIter) close() error { return r.in.close() }
-
 // buildRdup compiles rdup: streaming duplicate elimination. The first
 // occurrence survives, so the argument's order is retained (time attributes
 // qualified — the result is a snapshot relation). An input delivered in an
@@ -275,53 +179,26 @@ func (e *Engine) buildRdup(n algebra.Node) (*source, error) {
 	if err != nil {
 		return nil, err
 	}
-	src := &source{
-		schema: outSchema,
-		order:  eval.OrderQualifyTime(in.order, outSchema),
-	}
-	if e.parallel() && !e.budgeted() {
-		if e.columnar() && in.vec != nil {
-			// Columnar exchange: scatter row positions by plane hash, merge
-			// ascending survivors into one selection view.
-			return e.vecParallelRdupSource(in, outSchema, src.order), nil
-		}
-		// rdup is grouping on every attribute with the group's first
-		// occurrence surviving; the parallel group exchange merges survivors
-		// back into first-occurrence order.
-		return e.parallelGroupAggSource(in, identityIdx(in.schema.Len()), outSchema, src.order,
-			func(group []relation.Tuple) ([]relation.Tuple, error) { return group[:1], nil }), nil
-	}
-	if !e.opts.NoMerge && physical.GroupsContiguous(in.order, in.schema, identityIdx(in.schema.Len())) {
-		if e.columnar() && in.vec != nil {
-			// The columnar adjacent-compare dedup carries one (batch, row)
-			// reference of state — as memory-bounded as the tuple variant.
-			e.stats.MergeOps++
-			e.stats.VectorOps++
-			return vecSource(&vecDedupSortedIter{e: e, in: in.vec}, outSchema, src.order), nil
-		}
-		// The adjacent-compare variant holds one tuple of state — already
-		// memory-bounded, so the budgeted engine prefers it too.
+	order := eval.OrderQualifyTime(in.order, outSchema)
+	switch {
+	case e.parallel() && !e.budgeted():
+		// Scatter row positions by plane hash, merge ascending survivors
+		// into one selection view.
+		return e.vecParallelRdupSource(in, outSchema, order), nil
+	case !e.opts.NoMerge && physical.GroupsContiguous(in.order, in.schema, identityIdx(in.schema.Len())):
+		// The adjacent-compare dedup carries one (batch, row) reference of
+		// state — already memory-bounded, so the budgeted engine prefers it
+		// too.
 		e.stats.MergeOps++
-		src.it = &dedupSortedIter{in: in.it}
-		return src, nil
-	}
-	if e.budgeted() {
-		if e.columnar() && in.vec != nil {
-			// Budgeted columnar rdup: batches spill as columnar blocks and
-			// partitions re-read as batches (vecgrace.go).
-			return e.vecGraceRdupSource(in, outSchema, src.order), nil
-		}
-		idx := identityIdx(in.schema.Len())
-		return e.graceGroupSource(in, idx, outSchema, src.order, func(part []prow) ([]tagged, error) {
-			return rdupPartition(part, idx), nil
-		}), nil
-	}
-	if e.columnar() && in.vec != nil {
 		e.stats.VectorOps++
-		return vecSource(&vecRdupIter{e: e, in: in.vec}, outSchema, src.order), nil
+		return vecSource(&vecDedupSortedIter{e: e, in: in.vecInput()}, outSchema, order), nil
+	case e.budgeted():
+		// Batches spill as columnar blocks and partitions re-read as batches
+		// (vecgrace.go).
+		return e.vecGraceRdupSource(in, outSchema, order), nil
 	}
-	src.it = &rdupIter{in: in.it, seen: newHashGroups(nil, 0)}
-	return src, nil
+	e.stats.VectorOps++
+	return vecSource(&vecRdupIter{e: e, in: in.vecInput()}, outSchema, order), nil
 }
 
 // diffIter implements the multiset difference \: the right side is drained
@@ -385,40 +262,28 @@ func (e *Engine) buildDiff(n algebra.Node) (*source, error) {
 	if err != nil {
 		return nil, err
 	}
-	src := &source{
-		schema: outSchema,
-		order:  eval.OrderQualifyTime(l.order, outSchema),
-	}
+	order := eval.OrderQualifyTime(l.order, outSchema)
 	if e.budgeted() {
 		// Both the hash and the merge variant materialize the right side;
 		// under a budget the grace exchange bounds it instead.
-		return e.graceDiffSource(l, r, outSchema, src.order), nil
+		return e.graceDiffSource(l, r, outSchema, order), nil
 	}
 	if e.parallel() {
-		if e.columnar() && (l.vec != nil || r.vec != nil) {
-			s := e.vecParallelBudgetedSource(l, r, false)
-			s.schema = outSchema
-			s.order = src.order
-			return s, nil
-		}
-		src.it = e.parallelDiffIter(l, r)
-		return src, nil
+		s := e.vecParallelBudgetedSource(l, r, false)
+		s.schema = outSchema
+		s.order = order
+		return s, nil
 	}
 	if !e.opts.NoMerge {
 		if spec, ok := physical.AlignedTotalOrder(l.order, r.order, l.schema); ok {
 			e.stats.MergeOps++
-			if e.columnar() && l.vec != nil {
-				e.stats.VectorOps++
-				m := &vecMergeDiffIter{e: e, left: l.vec, right: r,
-					cmp: compileVecCmp(l.schema, spec)}
-				return vecSource(m, outSchema, src.order), nil
-			}
-			src.it = &mergeDiffIter{left: l.it, right: r, schema: l.schema, spec: spec}
-			return src, nil
+			e.stats.VectorOps++
+			m := &vecMergeDiffIter{e: e, left: l.vecInput(), right: r,
+				cmp: compileVecCmp(l.schema, spec)}
+			return vecSource(m, outSchema, order), nil
 		}
 	}
-	src.it = &diffIter{left: l.it, right: r, groups: newHashGroups(nil, 0)}
-	return src, nil
+	return &source{it: &diffIter{left: l.it, right: r, groups: newHashGroups(nil, 0)}, schema: outSchema, order: order}, nil
 }
 
 // unionIter implements the max-multiplicity union ∪: all of the left list,
@@ -486,32 +351,22 @@ func (e *Engine) buildUnion(n algebra.Node) (*source, error) {
 	if _, err := n.Schema(); err != nil {
 		return nil, err
 	}
-	src := &source{schema: l.schema}
 	if e.budgeted() {
 		return e.graceUnionSource(l, r, l.schema), nil
 	}
 	if e.parallel() {
-		if e.columnar() && (l.vec != nil || r.vec != nil) {
-			return e.vecParallelBudgetedSource(l, r, true), nil
-		}
-		src.it = e.parallelUnionIter(l, r)
-		return src, nil
+		return e.vecParallelBudgetedSource(l, r, true), nil
 	}
 	if !e.opts.NoMerge {
 		if spec, ok := physical.AlignedTotalOrder(l.order, r.order, l.schema); ok {
 			e.stats.MergeOps++
-			if e.columnar() && r.vec != nil {
-				e.stats.VectorOps++
-				m := &vecMergeUnionIter{e: e, left: l, right: r.vec,
-					cmp: compileVecCmp(l.schema, spec)}
-				return vecSource(m, l.schema, nil), nil
-			}
-			src.it = &mergeUnionIter{left: l, right: r.it, schema: l.schema, spec: spec}
-			return src, nil
+			e.stats.VectorOps++
+			m := &vecMergeUnionIter{e: e, left: l, right: r.vecInput(),
+				cmp: compileVecCmp(l.schema, spec)}
+			return vecSource(m, l.schema, nil), nil
 		}
 	}
-	src.it = &unionIter{left: l, right: r.it, groups: newHashGroups(nil, 0)}
-	return src, nil
+	return &source{it: &unionIter{left: l, right: r.it, groups: newHashGroups(nil, 0)}, schema: l.schema}, nil
 }
 
 // buildAggregate compiles 𝒢. Over an input whose delivered order keeps
@@ -574,43 +429,5 @@ func (e *Engine) buildAggregate(n *algebra.Aggregate) (*source, error) {
 			return groupAggPartition(part, gidx, emit)
 		}), nil
 	}
-	if e.columnar() && in.vec != nil {
-		return e.vecAggregateSource(in, gidx, outSchema, order, n.Aggs), nil
-	}
-	return lazySource(outSchema, order, func() ([]relation.Tuple, error) {
-		groups := newHashGroups(gidx, 0)
-		var accs [][]*expr.Accumulator
-		for {
-			t, err := in.it.next()
-			if err != nil {
-				return nil, err
-			}
-			if t == nil {
-				break
-			}
-			gid, fresh := groups.groupOf(t)
-			if fresh {
-				accs = append(accs, eval.NewAccumulators(n.Aggs, in.schema))
-			}
-			if err := eval.FoldAggregates(accs[gid], n.Aggs, in.schema, t); err != nil {
-				return nil, err
-			}
-		}
-		if err := in.it.close(); err != nil {
-			return nil, err
-		}
-		out := make([]relation.Tuple, 0, groups.size())
-		for gid := 0; gid < groups.size(); gid++ {
-			nt := make(relation.Tuple, 0, outSchema.Len())
-			rep := groups.reps[gid]
-			for _, gi := range gidx {
-				nt = append(nt, rep[gi])
-			}
-			for _, acc := range accs[gid] {
-				nt = append(nt, acc.Result())
-			}
-			out = append(out, nt)
-		}
-		return out, nil
-	}), nil
+	return e.vecAggregateSource(in, gidx, outSchema, order, n.Aggs), nil
 }

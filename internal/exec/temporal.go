@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"sort"
-
 	"tqp/internal/algebra"
 	"tqp/internal/eval"
 	"tqp/internal/period"
@@ -18,46 +16,6 @@ type row struct {
 	orig int
 	t    relation.Tuple
 	p    period.Period
-}
-
-// groupRowsOf partitions a temporal relation's tuples into value-equivalence
-// groups of position-tagged rows, exploiting a contiguity-proving OrderSpec
-// to skip the hash table.
-func groupRowsOf(r *relation.Relation) [][]row {
-	vidx := valueIdx(r.Schema())
-	contiguous := groupsContiguous(r.Order(), r.Schema(), vidx)
-	idxGroups := groupRows(r.Tuples(), vidx, contiguous)
-	t1, t2 := r.Schema().TimeIndices()
-	out := make([][]row, len(idxGroups))
-	for g, members := range idxGroups {
-		rows := make([]row, len(members))
-		for x, i := range members {
-			rows[x] = row{orig: i, t: r.At(i), p: r.At(i).PeriodAt(t1, t2)}
-		}
-		out[g] = rows
-	}
-	return out
-}
-
-// mergeByOrig re-interleaves per-group result rows into original list order.
-// Each original position belongs to exactly one group and every group is
-// already ascending on orig, so a stable sort restores the global order with
-// fragments kept in their in-place sequence.
-func mergeByOrig(groups [][]row) []relation.Tuple {
-	n := 0
-	for _, g := range groups {
-		n += len(g)
-	}
-	all := make([]row, 0, n)
-	for _, g := range groups {
-		all = append(all, g...)
-	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].orig < all[j].orig })
-	out := make([]relation.Tuple, len(all))
-	for i, rw := range all {
-		out[i] = rw.t
-	}
-	return out
 }
 
 // rdupTGroup runs the paper's iterative head/subtract algorithm on one
@@ -115,8 +73,8 @@ func groupEmitter(t1, t2 int, transform func([]row, int, int) []row) func([]rela
 // relative order, so the group-local runs compose into exactly the
 // reference's global result at O(Σ g²) instead of O(n²). An input whose
 // delivered order keeps value groups contiguous streams group-at-a-time
-// with no hash table and no global materialization; otherwise the input is
-// materialized and hash-partitioned.
+// with no hash table and no global materialization; otherwise the input
+// drains into one batch and hash-partitions off the column planes.
 func (e *Engine) buildTRdup(n algebra.Node) (*source, error) {
 	in, err := e.build(n.Children()[0])
 	if err != nil {
@@ -141,20 +99,7 @@ func (e *Engine) buildTRdup(n algebra.Node) (*source, error) {
 			return valueGroupPartition(part, vidx, t1, t2, rdupTGroup), nil
 		}), nil
 	}
-	if e.columnar() && in.vec != nil {
-		return e.vecValueGroupSource(in, vidx, order, rdupTSpans), nil
-	}
-	return lazySource(in.schema, order, func() ([]relation.Tuple, error) {
-		r, err := drain(in)
-		if err != nil {
-			return nil, err
-		}
-		groups := groupRowsOf(r)
-		for g, rows := range groups {
-			groups[g] = rdupTGroup(rows, t1, t2)
-		}
-		return mergeByOrig(groups), nil
-	}), nil
+	return e.vecValueGroupSource(in, vidx, order, rdupTSpans), nil
 }
 
 // sortedDisjoint reports that a group's periods are non-empty, sorted by
@@ -228,20 +173,7 @@ func (e *Engine) buildCoal(n algebra.Node) (*source, error) {
 			return valueGroupPartition(part, vidx, t1, t2, coalTGroup), nil
 		}), nil
 	}
-	if e.columnar() && in.vec != nil {
-		return e.vecValueGroupSource(in, vidx, order, coalTSpans), nil
-	}
-	return lazySource(in.schema, order, func() ([]relation.Tuple, error) {
-		r, err := drain(in)
-		if err != nil {
-			return nil, err
-		}
-		groups := groupRowsOf(r)
-		for g, rows := range groups {
-			groups[g] = coalTGroup(rows, t1, t2)
-		}
-		return mergeByOrig(groups), nil
-	}), nil
+	return e.vecValueGroupSource(in, vidx, order, coalTSpans), nil
 }
 
 // coalesceOnePass merges a sorted, non-overlapping group in a single sweep.
@@ -626,28 +558,5 @@ func (e *Engine) buildTAggregate(n *algebra.Aggregate) (*source, error) {
 			return groupAggPartition(part, gidx, groupOut)
 		}), nil
 	}
-	if e.columnar() && in.vec != nil {
-		return e.vecGroupEmitSource(in, gidx, outSchema, order, groupOut), nil
-	}
-	return lazySource(outSchema, order, func() ([]relation.Tuple, error) {
-		r, err := drain(in)
-		if err != nil {
-			return nil, err
-		}
-		contiguous := groupsContiguous(r.Order(), r.Schema(), gidx)
-		groups := groupRows(r.Tuples(), gidx, contiguous)
-		var out []relation.Tuple
-		for _, members := range groups {
-			group := make([]relation.Tuple, len(members))
-			for x, i := range members {
-				group[x] = r.At(i)
-			}
-			res, err := groupOut(group)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, res...)
-		}
-		return out, nil
-	}), nil
+	return e.vecGroupEmitSource(in, gidx, outSchema, order, groupOut), nil
 }

@@ -414,8 +414,10 @@ func (a *tupleBatchIter) nextBatch() (*batch, error) {
 
 func (a *tupleBatchIter) close() error { return a.in.close() }
 
-// vecInput returns s's columnar view: the stage's own batch stream when it
-// compiled columnar, otherwise its tuple iterator behind an adapter.
+// vecInput returns s's batch view, the only way a batch operator reads an
+// input: the stage's own batch stream when it has one, otherwise its tuple
+// iterator behind the adapter — so every stage can feed a batch operator,
+// and a batch operator never needs a tuple twin for tuple-only children.
 func (s *source) vecInput() vecIterator {
 	if s.vec != nil {
 		return s.vec
@@ -529,8 +531,8 @@ func drainVec(s *source) (*relation.Relation, error) {
 }
 
 // vecGroups assigns dense group ids to batch rows equal on a key-column
-// set: the columnar counterpart of hashGroups, hashing straight off the
-// column storage. Ids are allocated in first-occurrence order and
+// set: the batch counterpart of hashGroups (which serves the tuple-only
+// operators), hashing straight off the column storage. Ids are allocated in first-occurrence order and
 // representatives are (batch, row) references, so no tuple is ever
 // materialized. The referenced batches stay alive as long as the table.
 type vecGroups struct {
@@ -605,10 +607,9 @@ func (g *vecGroups) lookup(b *batch, i int, probeIdx []int) int {
 func (g *vecGroups) size() int { return len(g.repB) }
 
 // vecGroupRows partitions a compacted batch's rows by equality on idx,
-// preserving first-occurrence group order and row order within each group;
-// the columnar counterpart of groupRows. contiguous=true (equal rows proved
-// adjacent by the input's OrderSpec) runs hash-free; an empty idx is one
-// global group.
+// preserving first-occurrence group order and row order within each group.
+// contiguous=true (equal rows proved adjacent by the input's OrderSpec) runs
+// hash-free; an empty idx is one global group.
 func vecGroupRows(b *batch, idx []int, contiguous bool) [][]int {
 	if b.n == 0 {
 		return nil

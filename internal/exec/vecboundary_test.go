@@ -7,6 +7,7 @@ import (
 
 	"tqp/internal/algebra"
 	"tqp/internal/eval"
+	"tqp/internal/expr"
 	"tqp/internal/period"
 	"tqp/internal/relation"
 	"tqp/internal/schema"
@@ -39,25 +40,54 @@ func boundaryRelation(n int, seed int64) (*relation.Relation, *schema.Schema) {
 // TestVecBatchBoundarySizes drives every batch-compiled operator family —
 // sort, sorted dedup, merge diff/union, hash dedup, temporal dedup — at
 // the batch-arithmetic edge cases: empty input, a single row, and sizes
-// straddling the vecBatchRows boundary. Each engine configuration
-// (sequential columnar, parallel exchange, grace-spilling budget, and
-// both combined) must match the reference evaluator exactly, and the
-// columnar counters must show the batch paths actually ran.
+// straddling the vecBatchRows boundary. The second half of the plan list
+// is the tuple→batch adapter boundary: σ, π, sort and rdup directly over
+// each operator that exists tuple-at-a-time only (\ᵀ, ∪ᵀ, ⊔, keyless ×),
+// the child built to deliver exactly n rows so the adapter's batch cut
+// lands on the same edges. Each engine configuration (sequential, parallel
+// exchange, grace-spilling budget, and both combined) must match the
+// reference evaluator exactly — list and Table 1 order annotation — and
+// the counters must show the batch paths actually ran.
 func TestVecBatchBoundarySizes(t *testing.T) {
-	sizes := []int{0, 1, 2, vecBatchRows - 1, vecBatchRows, vecBatchRows + 1, 2*vecBatchRows + 3}
+	sizes := []int{0, 1, 2, vecBatchRows - 1, vecBatchRows, vecBatchRows + 1, 2*vecBatchRows + 1, 2*vecBatchRows + 3}
 	engines := []struct {
 		name string
-		opts Options
+		opts Config
 	}{
-		{"exec", Options{}},
-		{"exec-par3", Options{Parallelism: 3}},
-		{"exec-mem", Options{MemoryBudget: 1 << 12}},
-		{"exec-par2-mem", Options{Parallelism: 2, MemoryBudget: 1 << 13}},
+		{"exec", Config{}},
+		{"exec-par3", Config{Parallelism: 3}},
+		{"exec-mem", Config{MemoryBudget: 1 << 12}},
+		{"exec-par2-mem", Config{Parallelism: 2, MemoryBudget: 1 << 13}},
 	}
+	one := schema.MustNew(schema.Attr("K", value.KindInt))
 	for _, n := range sizes {
 		r, s := boundaryRelation(n, int64(n)*37+1)
-		src := eval.MapSource{"B": r}
-		base := algebra.NewRel("B", s, algebra.BaseInfo{})
+		// Slices of B that recombine to exactly n rows under ⊔ and ∪ᵀ, and
+		// a right side on fresh names so \ᵀ and ∪ᵀ do their grouping work
+		// without changing the row count.
+		ts := r.Tuples()
+		fresh, _ := boundaryRelation(64, int64(n)*37+2)
+		var other []relation.Tuple
+		for _, t := range fresh.Tuples() {
+			t = append(relation.Tuple(nil), t...)
+			t[0] = value.String_("z" + t[0].AsString())
+			other = append(other, t)
+		}
+		most, last := ts, []relation.Tuple(nil)
+		if n > 0 {
+			most, last = ts[:n-1], []relation.Tuple{append(relation.Tuple{value.String_("y")}, ts[n-1][1:]...)}
+		}
+		src := eval.MapSource{
+			"B":     r,
+			"Lo":    relation.FromTuplesTrusted(s, ts[:n/2]),
+			"Hi":    relation.FromTuplesTrusted(s, ts[n/2:]),
+			"Most":  relation.FromTuplesTrusted(s, most),
+			"Last":  relation.FromTuplesTrusted(s, last),
+			"Other": relation.FromTuplesTrusted(s, other),
+			"One":   relation.FromTuplesTrusted(one, []relation.Tuple{{value.Int(7)}}),
+		}
+		rel := func(name string) algebra.Node { return algebra.NewRel(name, s, algebra.BaseInfo{}) }
+		base := rel("B")
 		byAll := relation.OrderSpec{
 			relation.Key("Name"), relation.Key("Grp"), relation.Key(schema.T1), relation.Key(schema.T2),
 		}
@@ -69,6 +99,23 @@ func TestVecBatchBoundarySizes(t *testing.T) {
 			algebra.NewRdup(base),
 			algebra.NewTRdup(base),
 		}
+		for _, child := range []algebra.Node{
+			algebra.NewTDiff(base, rel("Other")),
+			algebra.NewTUnion(rel("Most"), rel("Last")),
+			algebra.NewUnionAll(rel("Lo"), rel("Hi")),
+			algebra.NewProduct(base, algebra.NewRel("One", one, algebra.BaseInfo{})),
+		} {
+			if got, err := eval.New(src).Eval(child); err != nil || got.Len() != n {
+				t.Fatalf("n=%d: tuple-only child %s delivers %d rows (%v), want %d", n, algebra.Canonical(child), got.Len(), err, n)
+			}
+			plans = append(plans,
+				algebra.NewSelect(expr.Compare(expr.Lt, expr.Column("Grp"), expr.Literal(value.Int(3))), child),
+				algebra.NewProject([]algebra.ProjItem{algebra.ColItem("Grp"), algebra.ColItem("Name")}, child),
+				algebra.NewSort(relation.OrderSpec{relation.KeyDesc("Grp"), relation.Key("Name")}, child),
+				algebra.NewRdup(child),
+			)
+		}
+		spilled := 0
 		for pi, plan := range plans {
 			want, err := eval.New(src).Eval(plan)
 			if err != nil {
@@ -88,20 +135,27 @@ func TestVecBatchBoundarySizes(t *testing.T) {
 					t.Fatalf("n=%d plan %d %s: result differs\ngot:\n%s\nwant:\n%s",
 						n, pi, eng.name, got, want)
 				}
-				// Vacuity guard on the sequential columnar engine for the
-				// plans with batch-compiled roots (TRdup has no batch
-				// variant): VectorOps fires even on empty input — operators
-				// count at compile time — and batches flow once there are
-				// rows to carry.
-				if eng.name == "exec" && pi < 5 {
+				if !got.Order().Equal(want.Order()) {
+					t.Fatalf("n=%d plan %d %s: order annotation %s, reference %s",
+						n, pi, eng.name, got.Order(), want.Order())
+				}
+				// Vacuity guard on the sequential engine, whose root operator
+				// is a batch one in every plan: VectorOps fires even on empty
+				// input — operators count at compile time — and batches flow
+				// once there are rows to carry.
+				if eng.name == "exec" {
 					if st.VectorOps == 0 {
-						t.Fatalf("n=%d plan %d: VectorOps == 0 — columnar path did not compile", n, pi)
+						t.Fatalf("n=%d plan %d: VectorOps == 0 — batch path did not compile", n, pi)
 					}
-					if n > 0 && st.VectorBatches == 0 {
+					if want.Len() > 0 && st.VectorBatches == 0 {
 						t.Fatalf("n=%d plan %d: VectorBatches == 0 on %d rows", n, pi, n)
 					}
 				}
+				spilled += st.SpilledOps
 			}
+		}
+		if n >= vecBatchRows-1 && spilled == 0 {
+			t.Fatalf("n=%d: the budgeted legs never spilled", n)
 		}
 	}
 }

@@ -225,15 +225,14 @@ func (e *Engine) vecRdupLeaf(ps partSource, sch *schema.Schema, idx []int) ([]ta
 // processGraceVecRdup is processGrace1 with a columnar leaf: partitions
 // still too big repartition through the shared (format-identical) streaming
 // splitter, and partitions that fit decode into batches for the group
-// table instead of materializing a prow list.
+// table instead of materializing a prow list. Every non-empty partition
+// here is file-backed: drainGraceVec writes files, and repartitioning a
+// file yields files.
 func (e *Engine) processGraceVecRdup(ps partSource, sch *schema.Schema, idx []int, lvl int) ([]tagged, error) {
 	if ps.count == 0 {
 		return nil, nil
 	}
 	if ps.bytes <= e.opShare() || lvl > maxSpillLevel || ps.count <= 1 {
-		if ps.file == nil {
-			return rdupPartition(ps.rows, idx), nil
-		}
 		e.mem.grow(ps.bytes)
 		out, err := e.vecRdupLeaf(ps, sch, idx)
 		e.mem.release(ps.bytes)

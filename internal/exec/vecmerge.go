@@ -1,11 +1,9 @@
-// Columnar variants of the merge operator family (merge.go, sort.go):
-// order-spec comparison compiled against column planes, adjacent-compare
-// dedup, the two-pointer merge diff/union sweeps, and sort as a stable
-// permutation of row indices emitted as one selection view. Every operator
-// here is bit-identical to its tuple counterpart — the compare, equality
-// and hash kernels are the exact typed specializations of the canonical
-// value semantics — so the differential suites compare the two pipelines
-// on the same plans.
+// The batch merge operator family: order-spec comparison compiled against
+// column planes, adjacent-compare dedup, the two-pointer merge diff/union
+// sweeps, the merge join, and sort as a stable permutation of row indices
+// emitted as one selection view. The compare, equality and hash kernels are
+// the exact typed specializations of the canonical value semantics, so
+// every operator here reproduces the reference evaluator's list.
 package exec
 
 import (
@@ -132,11 +130,13 @@ func (d *vecDedupSortedIter) nextBatch() (*batch, error) {
 
 func (d *vecDedupSortedIter) close() error { return d.in.close() }
 
-// vecMergeDiffIter is mergeDiffIter over batches: the sorted right side
-// drains into one compacted batch, a single pointer sweeps it alongside
-// the streaming left batches, and each left batch's survivors emit as a
-// selection view. The sweep state persists across batches because the left
-// stream is globally ordered.
+// vecMergeDiffIter implements the multiset difference \ when both inputs
+// deliver one shared total order: the sorted right side drains into one
+// compacted batch, a single pointer sweeps it alongside the streaming left
+// batches — each right key group's multiplicity absorbing that many of the
+// earliest left occurrences, exactly the hash diff's list — and each left
+// batch's survivors emit as a selection view. The sweep state persists
+// across batches because the left stream is globally ordered.
 type vecMergeDiffIter struct {
 	e     *Engine
 	left  vecIterator
@@ -202,9 +202,12 @@ func (m *vecMergeDiffIter) nextBatch() (*batch, error) {
 
 func (m *vecMergeDiffIter) close() error { return m.left.close() }
 
-// vecMergeUnionIter is mergeUnionIter over batches: the left side drains
-// into one compacted batch and emits in full, then the right batches stream
-// against a pointer into it, survivors emitting as selection views.
+// vecMergeUnionIter implements the max-multiplicity union ∪ when both
+// inputs deliver one shared total order: the left side drains into one
+// compacted batch and emits in full (as the hash union does), then the
+// right batches stream against a pointer into it, each left group's
+// multiplicity cancelling that many right occurrences, survivors emitting
+// as selection views.
 type vecMergeUnionIter struct {
 	e     *Engine
 	left  *source
@@ -283,8 +286,7 @@ func (m *vecMergeUnionIter) close() error { return m.right.close() }
 // sorts under the compiled comparator, and the result is a single selection
 // view over the unmoved column planes. Under Parallelism the permutation
 // sorts as fixed-size index runs across the worker pool and gathers through
-// a k-way merge whose run-index tie-break reproduces the global stable sort
-// — the columnar form of parallelSortSource's run heap.
+// a k-way merge whose run-index tie-break reproduces the global stable sort.
 func (e *Engine) vecSortSource(in *source, spec relation.OrderSpec, order relation.OrderSpec) *source {
 	workers := 1
 	if e.parallel() {
@@ -293,7 +295,7 @@ func (e *Engine) vecSortSource(in *source, spec relation.OrderSpec, order relati
 	e.stats.VectorOps++
 	sch := in.schema
 	compute := func() (*batch, error) {
-		b, err := vecDrainOne(in.vec, sch)
+		b, err := vecDrainOne(in.vecInput(), sch)
 		if err != nil {
 			return nil, err
 		}
@@ -448,12 +450,13 @@ func compileVecJoinCmp(ls, rs *schema.Schema, keys physical.JoinKeys) vecCmp {
 	}
 }
 
-// vecMergeJoinIter is mergeJoinIter over batches: the sorted right side
-// drains into one compacted batch, a single group pointer advances
-// monotonically as the sorted left batches stream through, and output rows
-// assemble column-wise — each probe row pairing with its contiguous right
-// key group in right-list order, the tuple merge join's exact left-major
-// sequence at zero hashing cost.
+// vecMergeJoinIter evaluates an equi-key join over inputs both delivered in
+// a key-covering order: the sorted right side drains into one compacted
+// batch (as the hash join does to build its table), a single group pointer
+// advances monotonically as the sorted left batches stream through, and
+// output rows assemble column-wise — each probe row pairing with its
+// contiguous right key group in right-list order, the hash join's exact
+// left-major sequence at zero hashing cost.
 type vecMergeJoinIter struct {
 	e        *Engine
 	left     vecIterator

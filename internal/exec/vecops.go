@@ -11,15 +11,14 @@ import (
 	"tqp/internal/value"
 )
 
-// This file holds the batch-at-a-time operator variants. Each mirrors the
-// semantics of the hash fallback it replaces exactly — first-occurrence
-// group order, left-major/right-list join order, group-local temporal
-// transforms re-interleaved by original position — so the columnar engine
-// stays bit-identical to the tuple engine; only the storage layout and the
-// per-row constant factors change. The builders install a columnar variant
-// only when the stage's input itself compiled columnar (regions grow
-// outward from scans) and e.columnar() holds, so the merge, parallel and
-// grace variants keep their existing precedence untouched.
+// This file holds the batch-at-a-time hash operators: σ, π, rdup, the keyed
+// hash join, and the hash paths of rdupᵀ/coalᵀ/𝒢/𝒢ᵀ. Each is the engine's
+// only implementation of its algorithm and reproduces the reference's list
+// exactly — first-occurrence group order, left-major/right-list join order,
+// group-local temporal transforms re-interleaved by original position. Every
+// input is read through source.vecInput(), so a child that exists
+// tuple-at-a-time only feeds these operators through the tuple→batch
+// adapter.
 
 // onceBatchIter defers a batch-producing computation to the first pull and
 // emits its result as a single batch; the columnar counterpart of lazyIter.
@@ -447,9 +446,8 @@ func (r *vecRdupIter) close() error { return r.in.close() }
 // vecJoinIter is the columnar equi-key × / ×ᵀ: the build side drains into
 // one batch plus a columnar hash table, then probe batches stream through,
 // each probe row pairing with its key group in right-list order. Output
-// rows are assembled column-wise — the hash fallback's per-pair tuple
-// allocation disappears — and the emission order is exactly productIter's
-// left-major sequence.
+// rows are assembled column-wise — no per-pair tuple allocation — and the
+// emission order is the reference's left-major sequence.
 type vecJoinIter struct {
 	e        *Engine
 	left     vecIterator
@@ -609,8 +607,7 @@ func (j *vecJoinIter) nextBatch() (*batch, error) {
 }
 
 // residualHolds evaluates the fused residual predicate on the would-be
-// output row, assembled into a reused scratch tuple exactly as the hash
-// join assembles its buffer.
+// output row, assembled into a reused scratch tuple.
 func (j *vecJoinIter) residualHolds(ri int, iv period.Period) (bool, error) {
 	if j.scratch == nil {
 		width := j.lw + j.rw
@@ -736,13 +733,12 @@ func coalesceOnePassSpans(ss []vspan) []vspan {
 // the span-level transform group-locally, stable-merge the surviving spans
 // back into original list order, and gather the result column-wise — value
 // columns copied straight from the input batch, period columns written from
-// the spans. This is the hash fallback's drain → group → transform →
-// mergeByOrig pipeline with the per-row tuple work removed.
+// the spans.
 func (e *Engine) vecValueGroupSource(in *source, vidx []int, order relation.OrderSpec, transform func([]vspan) []vspan) *source {
 	e.stats.VectorOps++
 	t1, t2 := in.schema.TimeIndices()
 	compute := func() (*batch, error) {
-		b, err := vecDrainOne(in.vec, in.schema)
+		b, err := vecDrainOne(in.vecInput(), in.schema)
 		if err != nil {
 			return nil, err
 		}
@@ -756,8 +752,9 @@ func (e *Engine) vecValueGroupSource(in *source, vidx []int, order relation.Orde
 			}
 			all = append(all, transform(ss)...)
 		}
-		// src doubles as the original list position, so the stable sort is
-		// exactly mergeByOrig: fragments of one row keep their order.
+		// src doubles as the original list position, so the stable sort
+		// re-interleaves the groups into list order with the fragments of
+		// one row kept in sequence.
 		sort.SliceStable(all, func(x, y int) bool { return all[x].src < all[y].src })
 		out := newBatch(in.schema, len(all))
 		for _, c := range vidx {
@@ -784,13 +781,14 @@ func (e *Engine) vecValueGroupSource(in *source, vidx []int, order relation.Orde
 func (e *Engine) vecAggregateSource(in *source, gidx []int, outSchema *schema.Schema, order relation.OrderSpec, aggs []expr.Aggregate) *source {
 	e.stats.VectorOps++
 	return lazySource(outSchema, order, func() ([]relation.Tuple, error) {
+		v := in.vecInput()
 		groups := newVecGroups(gidx, 0)
 		var accs [][]*expr.Accumulator
 		scratch := make(relation.Tuple, in.schema.Len())
 		for {
-			b, err := in.vec.nextBatch()
+			b, err := v.nextBatch()
 			if err != nil {
-				in.vec.close()
+				v.close()
 				return nil, err
 			}
 			if b == nil {
@@ -810,7 +808,7 @@ func (e *Engine) vecAggregateSource(in *source, gidx []int, outSchema *schema.Sc
 				}
 			}
 		}
-		if err := in.vec.close(); err != nil {
+		if err := v.close(); err != nil {
 			return nil, err
 		}
 		out := make([]relation.Tuple, 0, groups.size())
@@ -835,7 +833,7 @@ func (e *Engine) vecAggregateSource(in *source, gidx []int, outSchema *schema.Sc
 func (e *Engine) vecGroupEmitSource(in *source, gidx []int, outSchema *schema.Schema, order relation.OrderSpec, groupOut func([]relation.Tuple) ([]relation.Tuple, error)) *source {
 	e.stats.VectorOps++
 	return lazySource(outSchema, order, func() ([]relation.Tuple, error) {
-		b, err := vecDrainOne(in.vec, in.schema)
+		b, err := vecDrainOne(in.vecInput(), in.schema)
 		if err != nil {
 			return nil, err
 		}

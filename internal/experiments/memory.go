@@ -41,7 +41,7 @@ func E14MemoryBounded() Report {
 			plan := testutil.RandomPlan(rng, bases, 2+rng.Intn(2))
 			want, errRef := ref.Eval(plan)
 			for _, par := range []int{1, 3} {
-				eng := exec.NewWith(c, exec.Options{MemoryBudget: 32 << 10, Parallelism: par})
+				eng := exec.NewWith(c, exec.Config{MemoryBudget: 32 << 10, Parallelism: par})
 				got, errB := eng.Eval(plan)
 				if (errRef == nil) != (errB == nil) {
 					mismatches++
@@ -91,7 +91,7 @@ func E14MemoryBounded() Report {
 		var want *relation.Relation
 		spilledAtSmall := 0
 		for _, bg := range budgets {
-			eng := exec.NewWith(src, exec.Options{MemoryBudget: bg.budget})
+			eng := exec.NewWith(src, exec.Config{MemoryBudget: bg.budget})
 			var got *relation.Relation
 			best := time.Duration(0)
 			var st exec.Stats

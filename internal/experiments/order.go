@@ -91,7 +91,7 @@ func E12OrderAware() Report {
 		plan algebra.Node
 	}{{"pipeline", pipe}, {"join", join}} {
 		want, dRef, err1 := timedEval(eval.New(c), pl.plan)
-		hashEng := exec.NewWith(c, exec.Options{NoMerge: true, NoSortElision: true})
+		hashEng := exec.NewWith(c, exec.Config{NoMerge: true, NoSortElision: true})
 		gotHash, dHash, err2 := timedEval(hashEng, pl.plan)
 		mergeEng := exec.New(c)
 		gotMerge, dMerge, err3 := timedEval(mergeEng, pl.plan)

@@ -40,7 +40,7 @@ func E13ParallelScaling() Report {
 		for trial := 0; trial < 6; trial++ {
 			plan := testutil.RandomPlan(rng, bases, 2+rng.Intn(2))
 			want, errRef := ref.Eval(plan)
-			par := exec.NewWith(c, exec.Options{Parallelism: 3})
+			par := exec.NewWith(c, exec.Config{Parallelism: 3})
 			got, errPar := par.Eval(plan)
 			if (errRef == nil) != (errPar == nil) {
 				mismatches++
@@ -80,7 +80,7 @@ func E13ParallelScaling() Report {
 		var base float64
 		var want *relation.Relation
 		for _, workers := range []int{1, 2, 4, 8} {
-			eng := exec.NewWith(src, exec.Options{Parallelism: workers})
+			eng := exec.NewWith(src, exec.Config{Parallelism: workers})
 			got, d, err := timedEvalN(eng, plan, 3)
 			if err != nil {
 				b.pass = false

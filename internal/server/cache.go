@@ -3,8 +3,6 @@ package server
 import (
 	"container/list"
 	"sync"
-
-	"tqp/internal/core"
 )
 
 // CacheStats is a point-in-time snapshot of the plan cache's counters.
@@ -20,14 +18,15 @@ type CacheStats struct {
 	Capacity int `json:"capacity"`
 }
 
-// planCache is the shared statement→physical-plan cache: an LRU over
+// PlanCache is the shared statement→physical-plan cache: an LRU over
 // prepared plans keyed by PlanKey (normalized statement text, catalog
-// fingerprint, engine spec name). Cached core.Prepared values are immutable
-// and safe to execute from any number of queries concurrently, so a hit
-// skips parsing and beam enumeration outright. A capacity of zero disables
-// caching — every lookup misses — which the throughput benchmark uses as
-// its cold-cache leg.
-type planCache struct {
+// fingerprint, engine spec name). The server caches *core.Prepared, the
+// coordinator the prepared plan with its shard split; either way the cached
+// values are immutable and safe to execute from any number of queries
+// concurrently, so a hit skips parsing and beam enumeration outright. A
+// capacity of zero disables caching — every lookup misses — which the
+// throughput benchmark uses as its cold-cache leg.
+type PlanCache[V any] struct {
 	mu        sync.Mutex
 	capacity  int
 	ll        *list.List // front = most recently used
@@ -38,18 +37,18 @@ type planCache struct {
 }
 
 // cacheEntry is one LRU element.
-type cacheEntry struct {
-	key  string
-	prep *core.Prepared
+type cacheEntry[V any] struct {
+	key string
+	val V
 }
 
-// newPlanCache returns a cache bounded to capacity entries; capacity <= 0
+// NewPlanCache returns a cache bounded to capacity entries; capacity <= 0
 // disables caching.
-func newPlanCache(capacity int) *planCache {
+func NewPlanCache[V any](capacity int) *PlanCache[V] {
 	if capacity < 0 {
 		capacity = 0
 	}
-	return &planCache{
+	return &PlanCache[V]{
 		capacity: capacity,
 		ll:       list.New(),
 		byKey:    make(map[string]*list.Element),
@@ -66,47 +65,47 @@ func PlanKey(fingerprint, engine, sql string) string {
 	return fingerprint + "\x1f" + engine + "\x1f" + NormalizeSQL(sql)
 }
 
-// get returns the cached preparation for key, promoting it to most
-// recently used; nil on a miss.
-func (c *planCache) get(key string) *core.Prepared {
+// Get returns the cached value for key, promoting it to most recently
+// used; ok is false on a miss.
+func (c *PlanCache[V]) Get(key string) (val V, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byKey[key]
 	if !ok {
 		c.misses++
-		return nil
+		return val, false
 	}
 	c.hits++
 	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).prep
+	return el.Value.(*cacheEntry[V]).val, true
 }
 
-// put stores a preparation under key, evicting from the LRU tail past
-// capacity. Concurrent misses on one key may both plan and both put; the
-// second put simply refreshes the entry — duplicate planning work, never a
-// wrong result.
-func (c *planCache) put(key string, prep *core.Prepared) {
+// Put stores val under key, evicting from the LRU tail past capacity.
+// Concurrent misses on one key may both plan and both put; the second put
+// simply refreshes the entry — duplicate planning work, never a wrong
+// result.
+func (c *PlanCache[V]) Put(key string, val V) {
 	if c.capacity == 0 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[key]; ok {
-		el.Value.(*cacheEntry).prep = prep
+		el.Value.(*cacheEntry[V]).val = val
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.byKey[key] = c.ll.PushFront(&cacheEntry{key: key, prep: prep})
+	c.byKey[key] = c.ll.PushFront(&cacheEntry[V]{key: key, val: val})
 	for c.ll.Len() > c.capacity {
 		tail := c.ll.Back()
 		c.ll.Remove(tail)
-		delete(c.byKey, tail.Value.(*cacheEntry).key)
+		delete(c.byKey, tail.Value.(*cacheEntry[V]).key)
 		c.evictions++
 	}
 }
 
-// stats snapshots the counters.
-func (c *planCache) stats() CacheStats {
+// Stats snapshots the counters.
+func (c *PlanCache[V]) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheStats{

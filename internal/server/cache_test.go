@@ -13,24 +13,26 @@ func prep(sql string) *core.Prepared { return &core.Prepared{SQL: sql} }
 // TestPlanCacheLRU pins the eviction discipline: least recently *used*
 // falls out first, gets refresh recency, overwrites are not evictions.
 func TestPlanCacheLRU(t *testing.T) {
-	c := newPlanCache(2)
-	c.put("a", prep("a"))
-	c.put("b", prep("b"))
-	if c.get("a") == nil { // a is now most recent
+	c := NewPlanCache[*core.Prepared](2)
+	c.Put("a", prep("a"))
+	c.Put("b", prep("b"))
+	if _, ok := c.Get("a"); !ok { // a is now most recent
 		t.Fatal("a must hit")
 	}
-	c.put("c", prep("c")) // evicts b, the least recently used
-	if c.get("b") != nil {
+	c.Put("c", prep("c")) // evicts b, the least recently used
+	if _, ok := c.Get("b"); ok {
 		t.Fatal("b must have been evicted")
 	}
-	if c.get("a") == nil || c.get("c") == nil {
+	_, okA := c.Get("a")
+	_, okC := c.Get("c")
+	if !okA || !okC {
 		t.Fatal("a and c must survive")
 	}
-	c.put("a", prep("a2")) // overwrite: no eviction
-	if got := c.get("a"); got == nil || got.SQL != "a2" {
+	c.Put("a", prep("a2")) // overwrite: no eviction
+	if got, ok := c.Get("a"); !ok || got.SQL != "a2" {
 		t.Fatal("overwrite must refresh the entry")
 	}
-	st := c.stats()
+	st := c.Stats()
 	if st.Evictions != 1 || st.Entries != 2 || st.Capacity != 2 {
 		t.Fatalf("stats: %+v", st)
 	}
@@ -44,12 +46,12 @@ func TestPlanCacheLRU(t *testing.T) {
 // TestPlanCacheDisabled pins the cold-cache mode: capacity 0 never stores,
 // every lookup misses.
 func TestPlanCacheDisabled(t *testing.T) {
-	c := newPlanCache(0)
-	c.put("a", prep("a"))
-	if c.get("a") != nil {
+	c := NewPlanCache[*core.Prepared](0)
+	c.Put("a", prep("a"))
+	if _, ok := c.Get("a"); ok {
 		t.Fatal("disabled cache must miss")
 	}
-	st := c.stats()
+	st := c.Stats()
 	if st.Hits != 0 || st.Misses != 1 || st.Entries != 0 {
 		t.Fatalf("stats: %+v", st)
 	}
@@ -59,7 +61,7 @@ func TestPlanCacheDisabled(t *testing.T) {
 // under -race this is the data-race guard for the serving path's hottest
 // shared structure.
 func TestPlanCacheConcurrent(t *testing.T) {
-	c := newPlanCache(8)
+	c := NewPlanCache[*core.Prepared](8)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -67,14 +69,14 @@ func TestPlanCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				key := fmt.Sprintf("k%d", (g+i)%12)
-				if c.get(key) == nil {
-					c.put(key, prep(key))
+				if _, ok := c.Get(key); !ok {
+					c.Put(key, prep(key))
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	st := c.stats()
+	st := c.Stats()
 	if st.Entries > 8 {
 		t.Fatalf("capacity breached: %+v", st)
 	}

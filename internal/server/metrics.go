@@ -47,16 +47,16 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 		return float64(len(s.conns))
 	})
 	reg.CounterFunc("tqp_plan_cache_hits_total", "Plan cache hits.", func() float64 {
-		return float64(s.cache.stats().Hits)
+		return float64(s.cache.Stats().Hits)
 	})
 	reg.CounterFunc("tqp_plan_cache_misses_total", "Plan cache misses.", func() float64 {
-		return float64(s.cache.stats().Misses)
+		return float64(s.cache.Stats().Misses)
 	})
 	reg.CounterFunc("tqp_plan_cache_evictions_total", "Plan cache evictions.", func() float64 {
-		return float64(s.cache.stats().Evictions)
+		return float64(s.cache.Stats().Evictions)
 	})
 	reg.GaugeFunc("tqp_plan_cache_entries", "Plans currently cached.", func() float64 {
-		return float64(s.cache.stats().Entries)
+		return float64(s.cache.Stats().Entries)
 	})
 	reg.GaugeFunc("tqp_admission_active", "Queries currently executing.", func() float64 {
 		return float64(s.adm.stats().Active)

@@ -133,7 +133,7 @@ type Server struct {
 	cfg     Config
 	ln      net.Listener
 	fp      string
-	cache   *planCache
+	cache   *PlanCache[*core.Prepared]
 	adm     *admission
 	start   time.Time
 	metrics *serverMetrics // never nil; backed by Config.Metrics or a private registry
@@ -178,7 +178,7 @@ func Start(cfg Config) (*Server, error) {
 		cfg:   cfg,
 		ln:    ln,
 		fp:    cfg.Catalog.Fingerprint(),
-		cache: newPlanCache(cfg.CacheSize),
+		cache: NewPlanCache[*core.Prepared](cfg.CacheSize),
 		adm:   adm,
 		start: time.Now(),
 		qlog:  cfg.QueryLog,
@@ -204,7 +204,7 @@ func Start(cfg Config) (*Server, error) {
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // CacheStats snapshots the plan cache counters.
-func (s *Server) CacheStats() CacheStats { return s.cache.stats() }
+func (s *Server) CacheStats() CacheStats { return s.cache.Stats() }
 
 // AdmissionStats snapshots the admission controller counters.
 func (s *Server) AdmissionStats() AdmissionStats { return s.adm.stats() }
@@ -381,7 +381,7 @@ func (s *Server) statsReply() *StatsReply {
 	lat := s.metrics.latency.Snapshot()
 	qw := s.metrics.queueWait.Snapshot()
 	return &StatsReply{
-		Cache:         s.cache.stats(),
+		Cache:         s.cache.Stats(),
 		Admission:     s.adm.stats(),
 		Conns:         conns,
 		Fingerprint:   s.fp,
@@ -515,10 +515,9 @@ func (s *Server) runQuery(sql string, sess *session, w io.Writer) error {
 	}
 
 	key := PlanKey(s.fp, spec.Name, sql)
-	prep = s.cache.get(key)
-	hit = prep != nil
+	prep, hit = s.cache.Get(key)
 	opt := s.optimizerFor(spec)
-	if prep == nil {
+	if !hit {
 		planStart := time.Now()
 		var err error
 		prep, err = opt.Prepare(sql)
@@ -534,7 +533,7 @@ func (s *Server) runQuery(sql string, sess *session, w io.Writer) error {
 			finish(code)
 			return s.replyError(w, code, err)
 		}
-		s.cache.put(key, prep)
+		s.cache.Put(key, prep)
 	}
 
 	var result *relation.Relation

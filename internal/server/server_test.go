@@ -604,7 +604,7 @@ func TestServerSpillLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := exec.NewWith(cat, exec.Options{MemoryBudget: 32 << 10, SpillDir: spill})
+	eng := exec.NewWith(cat, exec.Config{MemoryBudget: 32 << 10, SpillDir: spill})
 	want, err := eng.Eval(prep.Plan)
 	if err != nil {
 		t.Fatal(err)

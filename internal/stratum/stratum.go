@@ -112,7 +112,7 @@ func New(cat *catalog.Catalog, seed int64) *Executor {
 }
 
 // NewWithEngine returns an executor whose stratum-assigned subplans run on
-// the given physical engine (eval.Reference() or exec.Spec()); the metering
+// the given physical engine (eval.Reference() or exec.NewSpec(exec.Config{})); the metering
 // and the cost calibration follow the engine's operator shapes. The DBMS
 // simulation is unaffected — it models a conventional engine either way.
 func NewWithEngine(cat *catalog.Catalog, seed int64, spec eval.EngineSpec) *Executor {
@@ -121,14 +121,13 @@ func NewWithEngine(cat *catalog.Catalog, seed int64, spec eval.EngineSpec) *Exec
 	}
 	params := cost.ParamsFor(spec.Streaming)
 	// Price the order-exploiting variants only for engines that compile
-	// them (e.g. not for exec.HashOnlySpec()), partitioned operators with
+	// them (e.g. not for a NoMerge spec), partitioned operators with
 	// the engine's parallel fan-out width, and spilling against the
 	// engine's memory budget — so the meter mirrors what the budgeted
 	// engine actually pays.
 	params.OrderBlind = !spec.OrderAware
 	params.Parallelism = spec.Parallelism
 	params.MemoryBudget = spec.MemoryBudget
-	params.Vectorized = spec.Vectorized
 	src := &countingSource{cat: cat}
 	return &Executor{
 		cat:    cat,

@@ -193,11 +193,6 @@ var (
 	// ResolveEngineFor resolves an engine name against an EngineConfig
 	// (worker count, memory budget, spill directory, variant restrictions).
 	ResolveEngineFor = core.EngineFor
-	// ResolveEngineWith resolves an engine name with positional worker
-	// count and memory budget.
-	//
-	// Deprecated: use ResolveEngineFor with an EngineConfig.
-	ResolveEngineWith = core.EngineSpecWith
 )
 
 // EngineConfig is the unified engine-configuration surface (exec.Config):
