@@ -14,9 +14,10 @@ import (
 // run, NoMerge and NoSortElision restrict which algorithms may compile.
 type Config struct {
 	// Parallelism is the number of workers a partitionable operator may fan
-	// out to (see parallel.go): join/product, rdup, \, ∪, the temporal
-	// value-group family and aggregation hash- or range-partition their
-	// inputs, sort parallelizes run generation, and a deterministic gather
+	// out to: the exchange driver (grace.go) hash- or range-partitions the
+	// input of every keyed blocking operator (rdup, \, ∪, the temporal
+	// value-group family, aggregation), join and product split their probe
+	// side, sort parallelizes run generation, and a deterministic gather
 	// keeps every result list bit-identical to the sequential engine's.
 	// 0 or 1 compiles the sequential pipeline.
 	Parallelism int

@@ -22,27 +22,41 @@
 // exact list equality plus identical Table 1 order annotations.
 //
 // Inside this package each algorithm is implemented once. An operator may
-// have several algorithms — hash, merge, parallel exchange, grace spill —
-// chosen from what the build step can observe (delivered orders, and the
-// Config's Parallelism and MemoryBudget); it never has two implementations
-// of the same algorithm with a switch between them.
+// have several algorithms — hash, merge, streaming group-at-a-time — chosen
+// from what the build step can observe (delivered orders, and the Config's
+// Parallelism and MemoryBudget); it never has two implementations of the
+// same algorithm with a switch between them, and it is never written once
+// per *route*: how a keyed blocking operator's input is held (resident,
+// partitioned across workers, spilled to disk) is the exchange driver's
+// business, not the operator's.
 //
 // # Batches and tuples
 //
-// The currency between operators is the columnar batch (vec.go): typed
-// column planes plus a selection vector. σ, π, rdup (hash, sorted, parallel,
-// budgeted), the merge \ and ∪, the keyed joins (hash, merge, parallel,
-// resident-build grace), the in-memory sort, and the hash paths of rdupᵀ,
-// coalᵀ, 𝒢 and 𝒢ᵀ exist only batch-at-a-time (vecops.go, vecmerge.go,
-// vecparallel.go, vecgrace.go). The remaining operators exist only
-// tuple-at-a-time: \ᵀ, ∪ᵀ, ⊔, the hash \ and ∪, the keyless products, the
-// streaming group-at-a-time family (groupIter), the spilling external sort
-// (mergeSortIter), the tuple exchanges of parallel.go and the grace family
-// of grace.go. Every compiled stage exposes both views — source.vecInput()
-// adapts a tuple-only stage into batches, and a batch stage's tuple
-// iterator is the reverse adapter — so either kind of operator composes
-// over either kind of child and the adapters are the only place the two
-// meet.
+// The currency between operators, and inside the exchange driver, is the
+// columnar batch (vec.go): typed column planes plus a selection vector. σ,
+// π, the in-memory sort, the keyed joins (hash, merge, parallel, budgeted
+// hybrid), the merge \ and ∪, the pipelined and adjacent-compare rdup and
+// the pipelined 𝒢 are batch iterators (vecops.go, vecmerge.go). Every keyed
+// blocking operator — rdup, \, ∪, rdupᵀ, coalᵀ, \ᵀ, ∪ᵀ, 𝒢, 𝒢ᵀ and the
+// spilled keyed join — is one partition body over rows of a batch, run by
+// the exchange driver (grace.go): resident and whole (the sequential
+// engine), W-way on the worker pool, or spilled with recursion, its outputs
+// gathered by sequence key straight into output batches. The temporal
+// bodies read and write only (source row, period) spans — the kernels
+// rdupTSpans, coalTSpans, tdiffGroupFragments and tunionExtraPeriods, each
+// written once — and never touch a value column.
+//
+// What remains tuple-at-a-time only: ⊔ (concatIter), the keyless products
+// (productIter, its parallel exchange and its spilled nested loop), the
+// streaming group-at-a-time family (groupIter, whose rdupᵀ/coalᵀ emitters
+// call the same span kernels) and the spilling external sort
+// (mergeSortIter). Every compiled stage exposes both views —
+// source.vecInput() adapts a tuple-only stage into batches, and a batch
+// stage's tuple iterator is the reverse adapter — so either kind of
+// operator composes over either kind of child and the adapters are the
+// only place the two meet. At the plan root a batch that still knows the
+// tuples it was converted from (a scan's) hands them back instead of
+// rebuilding them.
 //
 // # The delivered-order contract
 //
@@ -76,24 +90,20 @@
 //
 // When no order helps, the hash variants run: hash join on extracted
 // equi-keys with a block-nested-loop fallback for keyless products, hash
-// multiplicity counters for \ and ∪, hash-partitioned group-local temporal
-// operators (skipping the hash table when the input order proves groups
-// contiguous), and pipelined hash aggregation. The engine deliberately
-// does NOT "sort first and merge" when an input is unsorted: coalescing is
-// not confluent under reordering, so a sort-based coalᵀ would change the
-// result multiset, not just its order. Config.NoMerge restricts the engine
-// to the hash algorithms (the exec-hash spec) — an algorithm restriction
-// only, the operators stay batch-at-a-time — and Stats counts which
-// variants compiled.
+// multiplicity counters for \ and ∪, hash-grouped temporal operators
+// (skipping the hash table when the input order proves groups contiguous),
+// and pipelined hash aggregation. The engine deliberately does NOT "sort
+// first and merge" when an input is unsorted: coalescing is not confluent
+// under reordering, so a sort-based coalᵀ would change the result multiset,
+// not just its order. Config.NoMerge restricts the engine to the hash
+// algorithms (the exec-hash spec) — an algorithm restriction only, the
+// operators stay batch-at-a-time — and Stats counts which variants
+// compiled.
 //
-// Two further layers compose onto the same operator bodies without
-// changing any result list: the morsel-parallel exchange (parallel.go,
-// vecparallel.go; Config.Parallelism) partitions an operator's
-// materialized inputs across a worker pool and reassembles them through a
-// deterministic sequence-key gather, and the memory-bounded mode
-// (grace.go, vecgrace.go; Config.MemoryBudget) grace-hash partitions a
-// blocking operator's too-big state to temp files (package spill) and
-// replays the partitions through that same gather.
+// Config.Parallelism and Config.MemoryBudget never change a result list:
+// they only move the exchange driver between its routes (and size the
+// parallel join, product and sort), and every route reassembles its
+// partitions through the one deterministic sequence-key gather.
 //
 // # Adding a physical operator
 //
@@ -106,16 +116,30 @@
 // observes (a delivered order, the configured width or budget), never from
 // a flag whose only job is to pick an implementation.
 //
-// Add a case to (*Engine).build returning a source (batch or tuple
-// iterator + schema + Table 1 order annotation), reading inputs through
-// source.vecInput() for a batch operator. Derive the order with the
-// helpers exported from package eval (OrderAfterProject, OrderAfterProduct,
-// OrderQualifyTime, OrderAfterGroup) so the engines cannot drift. If the
-// operator has an order-exploiting algorithm, put its applicability test
-// in package physical's Decide so the engine, the cost model, and the
-// stratum meter make the same choice, and extend the differential fuzz
-// generator (internal/testutil) with shapes that trigger it. The cost
-// model's order-conditional formulas (cost.Params
+// Adding a keyed blocking operator means writing one partition body and
+// naming its key columns — never a parallelX or graceX source. The body
+// (a partBody, see valueGroupBody or tdiffBody) is a pure function over one
+// partition: rows of a batch in arrival order plus their sequence keys. It
+// emits rows — of the partition's batch or of one it builds — under
+// non-decreasing sequence keys, replacing periods through emitted.per
+// rather than copying value columns. The build function fills a keyedOp
+// (inputs, key columns per side, whether the delivered order keeps key
+// groups contiguous, output schema and Table 1 order) and returns
+// Engine.keyedSource(op); residency, the worker pool, spilling, recursion,
+// accounting, stats and the gather are the driver's. Rows equal on the key
+// must be all the body needs to see together: that is what lets the driver
+// split the input anywhere between key groups.
+//
+// Any other operator adds a case to (*Engine).build returning a source
+// (batch iterator + schema + Table 1 order annotation), reading inputs
+// through source.vecInput(). Derive the order with the helpers exported
+// from package eval (OrderAfterProject, OrderAfterProduct, OrderQualifyTime,
+// OrderAfterGroup) so the engines cannot drift. If the operator has an
+// order-exploiting algorithm, put its applicability test in package
+// physical's Decide so the engine, the cost model, and the stratum meter
+// make the same choice, and extend the differential fuzz generator
+// (internal/testutil) with shapes that trigger it. The cost model's
+// order-conditional formulas (cost.Params
 // MergeTuple/SortVerifyFactor/MergeUnitsFactor and the Params.OpUnitsOrdered
 // meter) should be recalibrated when an algorithm's asymptotic shape
 // changes.

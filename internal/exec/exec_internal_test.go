@@ -118,31 +118,24 @@ func TestGroupsContiguousDuplicateKeys(t *testing.T) {
 // sorted, non-overlapping groups.
 func TestCoalesceOnePassMatchesIterative(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	s := schema.MustNew(
-		schema.Attr("Name", value.KindString),
-		schema.Attr(schema.T1, value.KindTime),
-		schema.Attr(schema.T2, value.KindTime))
-	t1, t2 := s.TimeIndices()
 	for trial := 0; trial < 2000; trial++ {
-		var rows []row
+		var ss []vspan
 		cur := period.Chronon(rng.Intn(3))
 		for i := 0; i < rng.Intn(8); i++ {
 			if rng.Intn(2) == 0 {
 				cur += period.Chronon(1 + rng.Intn(3)) // gap
 			}
 			end := cur + period.Chronon(1+rng.Intn(3))
-			p := period.New(cur, end)
-			tp := relation.NewTuple(value.String_("a"), value.Time(p.Start), value.Time(p.End))
-			rows = append(rows, row{orig: i, t: tp, p: p})
+			ss = append(ss, vspan{src: i, p: period.New(cur, end)})
 			cur = end
 		}
-		if !sortedDisjoint(rows) {
+		if !spansSortedDisjoint(ss) {
 			t.Fatalf("generator must produce sorted disjoint groups")
 		}
-		fast := coalesceOnePass(append([]row(nil), rows...), t1, t2)
+		fast := coalesceOnePassSpans(append([]vspan(nil), ss...))
 
 		// The reference algorithm, group-locally.
-		slow := append([]row(nil), rows...)
+		slow := append([]vspan(nil), ss...)
 		for i := 0; i < len(slow); {
 			merged := false
 			for j := i + 1; j < len(slow); j++ {
@@ -151,7 +144,6 @@ func TestCoalesceOnePassMatchesIterative(t *testing.T) {
 				}
 				u, _ := slow[i].p.Union(slow[j].p)
 				slow[i].p = u
-				slow[i].t = slow[i].t.WithPeriodAt(t1, t2, u)
 				slow = append(slow[:j], slow[j+1:]...)
 				merged = true
 				break
@@ -161,12 +153,11 @@ func TestCoalesceOnePassMatchesIterative(t *testing.T) {
 			}
 		}
 		if len(fast) != len(slow) {
-			t.Fatalf("one-pass produced %d rows, iterative %d", len(fast), len(slow))
+			t.Fatalf("one-pass produced %d spans, iterative %d", len(fast), len(slow))
 		}
 		for i := range fast {
-			if !fast[i].t.Equal(slow[i].t) || fast[i].orig != slow[i].orig {
-				t.Fatalf("row %d: one-pass %s (orig %d) vs iterative %s (orig %d)",
-					i, fast[i].t, fast[i].orig, slow[i].t, slow[i].orig)
+			if fast[i] != slow[i] {
+				t.Fatalf("span %d: one-pass %v vs iterative %v", i, fast[i], slow[i])
 			}
 		}
 	}
@@ -175,26 +166,26 @@ func TestCoalesceOnePassMatchesIterative(t *testing.T) {
 // TestSortedDisjoint pins the fast-path guard.
 func TestSortedDisjoint(t *testing.T) {
 	p := func(a, b int) period.Period { return period.New(period.Chronon(a), period.Chronon(b)) }
-	mk := func(ps ...period.Period) []row {
-		rows := make([]row, len(ps))
+	mk := func(ps ...period.Period) []vspan {
+		ss := make([]vspan, len(ps))
 		for i, pp := range ps {
-			rows[i] = row{orig: i, p: pp}
+			ss[i] = vspan{src: i, p: pp}
 		}
-		return rows
+		return ss
 	}
-	if !sortedDisjoint(mk(p(1, 2), p(2, 3), p(5, 7))) {
+	if !spansSortedDisjoint(mk(p(1, 2), p(2, 3), p(5, 7))) {
 		t.Error("adjacent+gapped sorted periods must qualify")
 	}
-	if sortedDisjoint(mk(p(1, 3), p(2, 4))) {
+	if spansSortedDisjoint(mk(p(1, 3), p(2, 4))) {
 		t.Error("overlap must disqualify")
 	}
-	if sortedDisjoint(mk(p(3, 4), p(1, 2))) {
+	if spansSortedDisjoint(mk(p(3, 4), p(1, 2))) {
 		t.Error("unsorted must disqualify")
 	}
-	if sortedDisjoint(mk(p(2, 2))) {
+	if spansSortedDisjoint(mk(p(2, 2))) {
 		t.Error("empty period must disqualify")
 	}
-	if !sortedDisjoint(nil) {
+	if !spansSortedDisjoint(nil) {
 		t.Error("the empty group qualifies vacuously")
 	}
 }

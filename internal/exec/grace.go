@@ -1,51 +1,64 @@
-// Memory-bounded execution (Config.MemoryBudget > 0): a per-run byte
-// arbiter plus grace-hash recursive partitioning that lets every blocking
-// hash operator scale past memory, exactly as the paper presents its
-// partitioning algorithms.
+// The exchange driver: every keyed blocking operator — rdup, \, ∪, rdupᵀ,
+// coalᵀ, \ᵀ, ∪ᵀ, 𝒢, 𝒢ᵀ and the spilled keyed join — is one partition body
+// (a pure function over rows of a batch, written next to its kernel) plus
+// the key columns that decide which rows must meet in one partition. The
+// driver drains the operator's inputs and picks the route from what it can
+// observe (graceRunFrom):
 //
-// The shape mirrors the parallel exchange of parallel.go, traded from
-// space-parallelism to time: an operator whose materialized state would
-// exceed its budget share routes its input rows — tagged with their
-// original list positions — into hash partitions on disk (package spill),
-// so every key group lands wholly in one partition in list order. The
-// partitions are then processed one at a time (or workers at a time when
-// composed with Config.Parallelism, each worker bounded by budget/W) with
-// the same per-partition algorithms the parallel exchange uses, and the
-// tagged outputs merge back through the same deterministic sequence-key
-// gather. A partition that still exceeds the share re-partitions
-// recursively on fresh bits of the canonical key hash; the recursion is
-// depth-capped, so a pathological single-key skew degrades to in-memory
-// processing rather than looping.
+//   - resident: the whole input is one partition and the body runs once.
+//     The sequential engine is simply this width-1 case.
 //
-// Because the gather is the parallel exchange's — and that gather is
-// proven bit-identical to the sequential engine by the differential suite —
-// a budgeted plan produces the reference evaluator's exact result list at
-// every budget, spilling or not.
+//   - W-way (Config.Parallelism > 1, no budget): the resident batch splits
+//     into W partitions on the worker pool — contiguous whole-group ranges
+//     when the delivered order proves the key groups contiguous
+//     (physical.GroupsContiguous), otherwise by the canonical hash of the
+//     key columns read off the column planes — so every key group lands
+//     wholly in one partition in list order.
+//
+//   - spilled (Config.MemoryBudget > 0 and the accounted input exceeds the
+//     operator's share): the drain switches to writing fan-out hash
+//     partitions to temp files (package spill) as columnar blocks; the
+//     partitions are then processed one at a time (workers at a time under
+//     Parallelism, each bounded by budget/W), and a partition that still
+//     exceeds the share re-partitions recursively on fresh bits of the key
+//     hash. The recursion is depth-capped, so a single-key skew degrades to
+//     in-memory processing rather than looping.
+//
+// On every route a partition is rows of a batch plus their sequence keys
+// (original list positions), a body emits rows under non-decreasing
+// sequence keys, and one gather merges the partitions' outputs by
+// (sequence key, partition index) straight into output batches. Rows
+// sharing a key never span partitions, so the merged list is the reference
+// evaluator's exact result at every width and budget.
+//
+// Scheduling is morsel-driven: workers claim task indices (partitions,
+// sort runs, probe ranges) from a shared counter (runTasks). One task per
+// partition means a heavily skewed key serializes on its hot partition —
+// the price of keeping each key group whole. Pull-based evaluation
+// materializes one operator at a time, so a plan's exchanges run their
+// pools in sequence, not stacked.
 //
 // What the budget bounds is the working set of the blocking operators:
-// hash tables, materialized build sides, value-group partitions, sort
-// runs. Streams between operators and the query's result are outputs, not
+// hash tables, materialized build sides, key-group partitions, sort runs.
+// Streams between operators and the query's result are outputs, not
 // operator state, and are exempt — the standard work_mem contract. Two
 // shapes keep unbounded state by construction and are documented rather
-// than bounded: a GROUP-BY-less temporal aggregate (one global group whose
-// constant intervals need every row) and the fixed floor of the spill
-// writers' buffers (fanout × 16KB) under budgets smaller than that.
+// than bounded: an operator with no key columns (a GROUP-BY-less aggregate,
+// a temporal relation of periods alone — one global group with nothing to
+// partition on) and the fixed floor of the spill writers' buffers
+// (fanout × 16KB) under budgets smaller than that.
 package exec
 
 import (
-	"sort"
+	"math"
 	"sync/atomic"
 
+	"tqp/internal/period"
 	"tqp/internal/relation"
 	"tqp/internal/schema"
 	"tqp/internal/spill"
+	"tqp/internal/value"
 )
-
-// sortRowsByOrig stable-sorts transformed rows back into original list
-// order; fragments of one row keep their in-place sequence.
-func sortRowsByOrig(rows []row) {
-	sort.SliceStable(rows, func(i, j int) bool { return rows[i].orig < rows[j].orig })
-}
 
 // spillFanout is the grace-hash fan-out: each partitioning pass splits a
 // too-big input into this many hash partitions.
@@ -60,6 +73,10 @@ const maxSpillLevel = 6
 // minShare floors the per-operator budget share so degenerate budgets
 // (budget ≪ fanout × writer buffers) still terminate promptly.
 const minShare = 4 << 10
+
+// noShare is the drain share of an input that is never spilled: no budget
+// is configured, or the operator has no key to partition on.
+const noShare = math.MaxInt64
 
 // arbiter tracks the accounted working-set bytes of one engine run. The
 // spill decisions themselves are deterministic — each operator compares its
@@ -113,34 +130,155 @@ func spillBucket(h uint64, lvl int) int {
 	return int((h >> (3 * uint(lvl))) & (spillFanout - 1))
 }
 
+// batchRowMemSize is spill.TupleMemSize for a batch row, computed off the
+// column planes without building the tuple — the accounting currency of the
+// arbiter and of the leaf/recurse decisions.
+func batchRowMemSize(b *batch, i int) int64 {
+	n := spill.RowMemSize(len(b.cols))
+	for c := range b.cols {
+		col := &b.cols[c]
+		switch col.kind {
+		case value.KindString:
+			n += int64(len(col.strs[i]))
+		case value.KindInvalid:
+			if v := col.vals[i]; v.Kind() == value.KindString {
+				n += int64(len(v.AsString()))
+			}
+		}
+	}
+	return n
+}
+
+// rowHash is the canonical hash of row i's idx columns, bit-identical to
+// Tuple.HashOn — what routes a row to its partition on every route.
+func rowHash(b *batch, i int, idx []int) uint64 {
+	h := value.HashSeed()
+	for _, c := range idx {
+		h = b.cols[c].hashInto(i, h)
+	}
+	return h
+}
+
+// part is one partition of a keyed operator's input, the currency of the
+// driver: physical rows of a compacted batch in arrival order, plus their
+// sequence keys — the rows' original list positions, which drive the
+// deterministic gather.
+type part struct {
+	b    *batch
+	rows []int
+	seqs []int // by physical row of b; nil = the row index itself
+}
+
+func (p part) seq(i int) int {
+	if p.seqs == nil {
+		return i
+	}
+	return p.seqs[i]
+}
+
+// wholeBatch presents every row of a compacted batch as one partition.
+func wholeBatch(b *batch) part {
+	if b == nil {
+		return part{}
+	}
+	return part{b: b, rows: identityIdx(b.n)}
+}
+
+// afterLeft offsets the sequence keys of a two-sided operator's right-side
+// output (∪, ∪ᵀ) so it gathers behind the whole left list.
+const afterLeft = math.MaxInt / 2
+
+// emitted is one stretch of a partition body's output: rows of a batch —
+// the partition's own, or one the body built — whose sequence keys are
+// non-decreasing in emission order. per, when set, replaces the period of
+// each row (the temporal bodies emit (source row, period) spans and never
+// touch the value columns); off shifts the sequence keys.
+type emitted struct {
+	part
+	off int
+	per []period.Period // by position in rows
+}
+
+func (m *emitted) seq(k int) int { return m.off + m.part.seq(m.rows[k]) }
+
+// partBody is one keyed blocking operator's partition body: a pure
+// in-memory function over one partition (pair — rp is empty for a one-sided
+// operator). It runs concurrently on the worker pool, so it touches no
+// engine state.
+type partBody func(lp, rp part) ([]emitted, error)
+
+// keyedOp describes one keyed blocking operator to the driver: its inputs,
+// the key columns whose equal rows must meet in one partition (left and
+// right agree on equal keys by canonical hashing), and its partition body.
+type keyedOp struct {
+	l, r       *source // r is nil for a one-sided operator
+	lidx, ridx []int
+	contiguous bool // l's delivered order keeps key groups adjacent
+	out        *schema.Schema
+	order      relation.OrderSpec
+	body       partBody
+}
+
+// keyedSource compiles a keyed blocking operator: everything happens on
+// first pull, in the driver.
+func (e *Engine) keyedSource(op *keyedOp) *source {
+	e.stats.VectorOps++
+	return vecSource(&lazyBatchesIter{compute: func() ([]*batch, error) { return e.graceRun(op) }}, op.out, op.order)
+}
+
 // partSource is one grace partition's rows: resident or on disk. bytes and
 // count drive the recursion decision without touching the data.
 type partSource struct {
-	rows  []prow
+	part
 	file  *spill.File
 	bytes int64
 	count int
 }
 
-// graceSide is a fully drained operator input: resident when it fit its
-// share, otherwise fanned out into level-0 hash partitions on disk.
-type graceSide struct {
-	rows    []prow
+// vecGraceSide is a fully drained operator input: one compacted resident
+// batch when it fit its share, otherwise level-0 hash partitions written as
+// columnar blocks.
+type vecGraceSide struct {
+	b       *batch
 	bytes   int64
 	count   int
 	spilled bool
 	parts   []partSource
 }
 
-// drainGrace consumes a source into memory until share is exceeded, then
-// switches to spilling: the buffered rows flush into fan-out partitions by
-// the level-0 hash of idx, and the rest of the stream routes directly.
-// Rows are tagged with their arrival positions; partitioning preserves
-// arrival order within each partition, so key groups land whole and in
-// list order — the invariant every per-partition algorithm relies on.
-func (e *Engine) drainGrace(in *source, idx []int, share int64) (*graceSide, error) {
-	side := &graceSide{}
+// vecPending buffers one spill bucket's routed rows as (batch, row)
+// references until a block's worth accumulates; the flush hands the block
+// codec an accessor over the planes.
+type vecPending struct {
+	seqs  []int
+	bs    []*batch
+	rows  []int
+	bytes int64
+}
+
+// drainGraceVec is the one drain: it consumes an input into memory until
+// share is exceeded, then switches to spilling — everything buffered fans
+// out to columnar block writers by the level-0 hash of idx and the rest of
+// the stream routes directly, no tuple materialized on the way to disk.
+// Rows are tagged with their arrival positions and routing preserves
+// arrival order within each bucket, so key groups land whole and in list
+// order — the invariant every partition body relies on. Each buffered row
+// grows the arbiter by its accounted bytes; an input drained without a
+// share is neither accounted nor spilled.
+func (e *Engine) drainGraceVec(in *source, idx []int, share int64) (*vecGraceSide, error) {
+	if share == noShare {
+		b, err := vecDrainOne(in.vecInput(), in.schema)
+		if err != nil {
+			return nil, err
+		}
+		return &vecGraceSide{b: b, count: b.n}, nil
+	}
+	side := &vecGraceSide{}
+	v := in.vecInput()
+	arity := in.schema.Len()
+	var resident []*batch
 	var writers []*spill.Writer
+	var pend []vecPending
 	abort := func() {
 		for _, w := range writers {
 			if w != nil {
@@ -148,97 +286,156 @@ func (e *Engine) drainGrace(in *source, idx []int, share int64) (*graceSide, err
 			}
 		}
 	}
-	write := func(pr prow) error {
-		return writers[spillBucket(pr.t.HashOn(idx), 0)].Append(pr.orig, pr.t)
+	flushBucket := func(bk int) error {
+		p := &pend[bk]
+		if len(p.seqs) == 0 {
+			return nil
+		}
+		err := writers[bk].AppendBlockCols(p.seqs, arity, p.bytes, func(row, col int) value.Value {
+			return p.bs[row].cols[col].at(p.rows[row])
+		})
+		p.seqs, p.bs, p.rows, p.bytes = p.seqs[:0], p.bs[:0], p.rows[:0], 0
+		return err
+	}
+	route := func(b *batch, i, seq int, m int64) error {
+		bk := spillBucket(rowHash(b, i, idx), 0)
+		p := &pend[bk]
+		p.seqs = append(p.seqs, seq)
+		p.bs = append(p.bs, b)
+		p.rows = append(p.rows, i)
+		p.bytes += m
+		if len(p.seqs) >= spill.BlockRows {
+			return flushBucket(bk)
+		}
+		return nil
+	}
+	fail := func(err error) (*vecGraceSide, error) {
+		abort()
+		v.close()
+		return nil, err
 	}
 	for {
-		t, err := in.it.next()
+		b, err := v.nextBatch()
 		if err != nil {
-			abort()
-			in.it.close()
-			return nil, err
+			return fail(err)
 		}
-		if t == nil {
+		if b == nil {
 			break
 		}
-		pr := prow{orig: side.count, t: t}
-		side.count++
-		side.bytes += spill.TupleMemSize(t)
+		n, k := b.rows(), 0
 		if !side.spilled {
-			side.rows = append(side.rows, pr)
-			e.mem.grow(spill.TupleMemSize(t))
-			if side.bytes > share {
-				// Switch to spilling: everything buffered so far fans out,
-				// and the resident bytes return to the arbiter.
-				side.spilled = true
-				writers = make([]*spill.Writer, spillFanout)
-				for b := range writers {
-					if writers[b], err = e.spillMgr.Create(); err != nil {
-						abort()
-						in.it.close()
-						return nil, err
-					}
-				}
-				for _, br := range side.rows {
-					if err := write(br); err != nil {
-						abort()
-						in.it.close()
-						return nil, err
-					}
-				}
-				e.mem.release(side.bytes)
-				side.rows = nil
+			// Account row by row, so the switch happens at the row that
+			// crosses the share and the peak overshoots by one row at most.
+			var bb int64
+			for k < n && side.bytes+bb <= share {
+				bb += batchRowMemSize(b, b.rowIndex(k))
+				k++
 			}
-			continue
+			side.bytes += bb
+			side.count += k
+			e.mem.grow(bb)
+			resident = append(resident, b.rangeView(0, k))
+			if side.bytes <= share {
+				continue
+			}
+			// Switch to spilling: everything buffered so far fans out, and
+			// the resident bytes return to the arbiter.
+			side.spilled = true
+			writers = make([]*spill.Writer, spillFanout)
+			pend = make([]vecPending, spillFanout)
+			for bk := range writers {
+				if writers[bk], err = e.spillMgr.Create(); err != nil {
+					return fail(err)
+				}
+			}
+			seq := 0
+			for _, rb := range resident {
+				for x := 0; x < rb.rows(); x++ {
+					i := rb.rowIndex(x)
+					if err := route(rb, i, seq, batchRowMemSize(rb, i)); err != nil {
+						return fail(err)
+					}
+					seq++
+				}
+			}
+			e.mem.release(side.bytes)
+			resident = nil
 		}
-		if err := write(pr); err != nil {
-			abort()
-			in.it.close()
-			return nil, err
+		for ; k < n; k++ {
+			i := b.rowIndex(k)
+			m := batchRowMemSize(b, i)
+			side.bytes += m
+			if err := route(b, i, side.count, m); err != nil {
+				return fail(err)
+			}
+			side.count++
 		}
 	}
-	if err := in.it.close(); err != nil {
+	if err := v.close(); err != nil {
 		abort()
 		return nil, err
 	}
 	if !side.spilled {
+		side.b = concatBatches(in.schema, resident, side.count).compact()
 		return side, nil
 	}
-	side.parts = make([]partSource, spillFanout)
-	for b, w := range writers {
-		f, err := w.Finish()
-		if err != nil {
+	for bk := range writers {
+		if err := flushBucket(bk); err != nil {
 			abort()
 			return nil, err
 		}
-		writers[b] = nil
+	}
+	parts, err := finishParts(writers)
+	if err != nil {
+		return nil, err
+	}
+	side.parts = parts
+	return side, nil
+}
+
+// finishParts closes a fan-out's writers into partitions, dropping the
+// empty files; on failure every file still open is aborted.
+func finishParts(writers []*spill.Writer) ([]partSource, error) {
+	parts := make([]partSource, len(writers))
+	for bk, w := range writers {
+		f, err := w.Finish()
+		writers[bk] = nil
+		if err != nil {
+			for _, rest := range writers {
+				if rest != nil {
+					rest.Abort()
+				}
+			}
+			return nil, err
+		}
 		if f.Count() == 0 {
 			f.Remove()
 			continue
 		}
-		side.parts[b] = partSource{file: f, bytes: f.MemBytes(), count: f.Count()}
+		parts[bk] = partSource{file: f, bytes: f.MemBytes(), count: f.Count()}
 	}
-	return side, nil
+	return parts, nil
 }
 
 // releaseResident returns a side's resident bytes to the arbiter once its
 // rows are no longer the operator's working set.
-func (e *Engine) releaseResident(side *graceSide) {
-	if !side.spilled {
+func (e *Engine) releaseResident(side *vecGraceSide) {
+	if !side.spilled && side.bytes > 0 {
 		e.mem.release(side.bytes)
 	}
 }
 
-// splitResident partitions resident rows into fan-out buckets at the given
-// level, preserving order. No disk is involved: the rows are already
-// resident and the buckets alias them.
-func splitResident(rows []prow, idx []int, lvl int) []partSource {
+// splitPart partitions resident rows into fan-out buckets at the given
+// level, preserving order. No disk is involved: the buckets are row lists
+// over the same batch.
+func splitPart(p part, idx []int, lvl int) []partSource {
 	parts := make([]partSource, spillFanout)
-	for _, pr := range rows {
-		b := spillBucket(pr.t.HashOn(idx), lvl)
-		parts[b].rows = append(parts[b].rows, pr)
-		parts[b].bytes += spill.TupleMemSize(pr.t)
-		parts[b].count++
+	for _, i := range p.rows {
+		ps := &parts[spillBucket(rowHash(p.b, i, idx), lvl)]
+		ps.b, ps.seqs = p.b, p.seqs
+		ps.rows = append(ps.rows, i)
+		ps.bytes += batchRowMemSize(p.b, i)
+		ps.count++
 	}
 	return parts
 }
@@ -248,7 +445,7 @@ func splitResident(rows []prow, idx []int, lvl int) []partSource {
 // materializing, and the source file is removed as soon as it is consumed.
 func (e *Engine) repartition(ps partSource, idx []int, lvl int) ([]partSource, error) {
 	if ps.file == nil {
-		return splitResident(ps.rows, idx, lvl), nil
+		return splitPart(ps.part, idx, lvl), nil
 	}
 	writers := make([]*spill.Writer, spillFanout)
 	abort := func() {
@@ -291,110 +488,68 @@ func (e *Engine) repartition(ps partSource, idx []int, lvl int) ([]partSource, e
 		return nil, err
 	}
 	ps.file.Remove()
-	parts := make([]partSource, spillFanout)
-	for b, w := range writers {
-		f, err := w.Finish()
-		if err != nil {
-			abort()
-			return nil, err
-		}
-		writers[b] = nil
-		if f.Count() == 0 {
-			f.Remove()
-			continue
-		}
-		parts[b] = partSource{file: f, bytes: f.MemBytes(), count: f.Count()}
-	}
-	return parts, nil
+	return finishParts(writers)
 }
 
-// loadPart materializes one partition, growing the arbiter by its bytes
-// (the caller releases after processing) and removing the backing file.
-func (e *Engine) loadPart(ps partSource) ([]prow, error) {
+// loadPart is the one loader: it materializes a partition as rows of a
+// batch. A spilled partition decodes block-at-a-time into column planes,
+// its file order being arrival order within the bucket; the arbiter grows
+// by its bytes (the caller releases after the body ran) and the backing
+// file is removed.
+func (e *Engine) loadPart(ps partSource, sch *schema.Schema) (part, error) {
 	if ps.file == nil {
-		return ps.rows, nil
+		return ps.part, nil
 	}
 	r, err := ps.file.Open()
 	if err != nil {
-		return nil, err
+		return part{}, err
 	}
-	rows := make([]prow, 0, ps.count)
+	b := newBatch(sch, ps.count)
+	seqs := make([]int, 0, ps.count)
 	for {
-		seq, t, ok, err := r.Next()
+		bs, ok, err := r.NextBlockCols(len(b.cols), func(_, col int, v value.Value) { b.cols[col].append(v) })
 		if err != nil {
 			r.Close()
-			return nil, err
+			return part{}, err
 		}
 		if !ok {
 			break
 		}
-		rows = append(rows, prow{orig: seq, t: t})
+		seqs = append(seqs, bs...)
 	}
+	b.n = len(seqs)
 	if err := r.Close(); err != nil {
-		return nil, err
+		return part{}, err
 	}
 	ps.file.Remove()
 	e.mem.grow(ps.bytes)
-	return rows, nil
+	return part{b: b, rows: identityIdx(b.n), seqs: seqs}, nil
 }
 
-// graceEmit1 and graceEmit2 are the per-partition operator bodies: pure
-// in-memory functions over sequence-tagged rows whose outputs are
-// non-decreasing in sequence key — the contract mergeTagged gathers by.
-type (
-	graceEmit1 func(part []prow) ([]tagged, error)
-	graceEmit2 func(lp, rp []prow) ([]tagged, error)
-)
-
-// processGrace1 runs emit over one partition, re-partitioning while the
-// partition exceeds the share and can still split.
-func (e *Engine) processGrace1(ps partSource, idx []int, lvl int, emit graceEmit1) ([]tagged, error) {
-	if ps.count == 0 {
-		return nil, nil
-	}
-	if ps.bytes <= e.opShare() || lvl > maxSpillLevel || ps.count <= 1 {
-		rows, err := e.loadPart(ps)
-		if err != nil {
-			return nil, err
-		}
-		out, err := emit(rows)
-		if ps.file != nil {
-			e.mem.release(ps.bytes)
-		}
-		return out, err
-	}
-	subs, err := e.repartition(ps, idx, lvl)
-	if err != nil {
-		return nil, err
-	}
-	outs := make([][]tagged, spillFanout)
-	for b := range subs {
-		if outs[b], err = e.processGrace1(subs[b], idx, lvl+1, emit); err != nil {
-			return nil, err
-		}
-	}
-	return mergeTaggedSorted(outs), nil
-}
-
-// processGrace2 is processGrace1 for a two-sided operator: the pair of
-// partitions holding one bucket's left and right rows processes together,
-// splitting together while their combined size exceeds the share. Left and
-// right hash on their own key columns (lidx/ridx), which agree on equal
-// keys by canonical hashing — the same pairing the parallel exchange uses.
-func (e *Engine) processGrace2(lp, rp partSource, lidx, ridx []int, lvl int, emit graceEmit2) ([]tagged, error) {
+// processGrace runs the body over one partition (pair), re-partitioning
+// while it exceeds the share and can still split. Both sides of a pair
+// split together, each hashing its own key columns. A leaf's output is
+// copied out of the loaded partition at once, so what stays resident until
+// the gather is the operator's output, never its input.
+func (e *Engine) processGrace(op *keyedOp, lp, rp partSource, lvl int) ([]emitted, error) {
 	if lp.count == 0 && rp.count == 0 {
 		return nil, nil
 	}
 	if lp.bytes+rp.bytes <= e.opShare() || lvl > maxSpillLevel || lp.count+rp.count <= 1 {
-		lrows, err := e.loadPart(lp)
+		l, err := e.loadPart(lp, op.l.schema)
 		if err != nil {
 			return nil, err
 		}
-		rrows, err := e.loadPart(rp)
-		if err != nil {
-			return nil, err
+		var r part
+		if op.r != nil {
+			if r, err = e.loadPart(rp, op.r.schema); err != nil {
+				return nil, err
+			}
 		}
-		out, err := emit(lrows, rrows)
+		out, err := op.body(l, r)
+		for k := range out {
+			out[k] = detach(op.out, out[k])
+		}
 		if lp.file != nil {
 			e.mem.release(lp.bytes)
 		}
@@ -403,41 +558,23 @@ func (e *Engine) processGrace2(lp, rp partSource, lidx, ridx []int, lvl int, emi
 		}
 		return out, err
 	}
-	lsubs, err := e.repartition(lp, lidx, lvl)
+	lsubs, err := e.repartition(lp, op.lidx, lvl)
 	if err != nil {
 		return nil, err
 	}
-	rsubs, err := e.repartition(rp, ridx, lvl)
+	rsubs, err := e.repartition(rp, op.ridx, lvl)
 	if err != nil {
 		return nil, err
 	}
-	outs := make([][]tagged, spillFanout)
+	var outs []emitted
 	for b := range lsubs {
-		if outs[b], err = e.processGrace2(lsubs[b], rsubs[b], lidx, ridx, lvl+1, emit); err != nil {
+		res, err := e.processGrace(op, lsubs[b], rsubs[b], lvl+1)
+		if err != nil {
 			return nil, err
 		}
+		outs = append(outs, res...)
 	}
-	return mergeTaggedSorted(outs), nil
-}
-
-// mergeTaggedSorted is mergeTagged keeping the gather keys: the recursive
-// grace merge needs its intermediate results to stay tagged, because a
-// bucket's merged output becomes one input stream of the level above.
-// Ties on seq break by partition index, and equal-seq tuples never span
-// partitions; the heap loop itself is shared (mergeTaggedInto).
-func mergeTaggedSorted(parts [][]tagged) []tagged {
-	out := make([]tagged, 0, taggedTotal(parts))
-	mergeTaggedInto(parts, func(tg tagged) { out = append(out, tg) })
-	return out
-}
-
-// untag strips the gather keys off a merged output.
-func untag(ts []tagged) []relation.Tuple {
-	out := make([]relation.Tuple, len(ts))
-	for i, t := range ts {
-		out[i] = t.t
-	}
-	return out
+	return outs, nil
 }
 
 // graceNoteSpill records that one operator actually spilled, and — when the
@@ -450,299 +587,316 @@ func (e *Engine) graceNoteSpill() {
 	}
 }
 
-// graceRun1 drives a one-sided grace operator end to end: drain (spilling
-// past the share), process partitions (concurrently under Parallelism),
-// gather by sequence key.
-func (e *Engine) graceRun1(in *source, idx []int, emit graceEmit1) ([]relation.Tuple, error) {
-	side, err := e.drainGrace(in, idx, e.opShare())
+// graceRun drives a keyed blocking operator end to end: drain the inputs
+// (spilling past the share — the whole share for a one-sided operator,
+// half each for a two-sided one), then run the route graceRunFrom picks.
+func (e *Engine) graceRun(op *keyedOp) ([]*batch, error) {
+	share := int64(noShare)
+	if e.budgeted() && len(op.lidx) > 0 {
+		share = e.opShare()
+		if op.r != nil {
+			share /= 2
+		}
+	}
+	ls, err := e.drainGraceVec(op.l, op.lidx, share)
 	if err != nil {
+		if op.r != nil {
+			op.r.it.close()
+		}
 		return nil, err
 	}
-	if !side.spilled {
-		out, err := emit(side.rows)
-		e.releaseResident(side)
-		if err != nil {
+	rs := &vecGraceSide{}
+	if op.r != nil {
+		if rs, err = e.drainGraceVec(op.r, op.ridx, share); err != nil {
 			return nil, err
 		}
-		return untag(out), nil
 	}
-	e.graceNoteSpill()
-	outs := make([][]tagged, spillFanout)
-	if err := runTasks(e.workers(), spillFanout, func(b int) error {
-		res, err := e.processGrace1(side.parts[b], idx, 1, emit)
-		outs[b] = res
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	return untag(mergeTaggedSorted(outs)), nil
+	return e.graceRunFrom(op, ls, rs)
 }
 
-// graceRun2 drives a two-sided grace operator: both sides drain against
-// half the share; if either spilled, both sides partition (a resident side
-// splits in memory) and the bucket pairs process together.
-func (e *Engine) graceRun2(l, r *source, lidx, ridx []int, emit func(ls, rs *graceSide) graceEmit2) ([]relation.Tuple, error) {
-	ls, err := e.drainGrace(l, lidx, e.opShare()/2)
-	if err != nil {
-		r.it.close()
-		return nil, err
-	}
-	rs, err := e.drainGrace(r, ridx, e.opShare()/2)
-	if err != nil {
-		return nil, err
-	}
-	return e.graceRun2From(ls, rs, lidx, ridx, emit)
-}
-
-// graceRun2From is graceRun2 after the drains, for callers that drain the
-// sides themselves (the hybrid join drains its build side first and only
-// drains the probe side when the build overflowed).
-func (e *Engine) graceRun2From(ls, rs *graceSide, lidx, ridx []int, emit func(ls, rs *graceSide) graceEmit2) ([]relation.Tuple, error) {
-	em := emit(ls, rs)
-	if !ls.spilled && !rs.spilled {
-		out, err := em(ls.rows, rs.rows)
-		e.releaseResident(ls)
-		e.releaseResident(rs)
-		if err != nil {
-			return nil, err
+// graceRunFrom is graceRun after the drains (the hybrid join drains its
+// sides itself) and the one place the route is chosen: spilled fan-out
+// partitions with recursion when either side overflowed its share (a
+// resident side splits in memory to pair up), W partitions on the worker
+// pool under plain parallelism, otherwise the whole input as one partition.
+func (e *Engine) graceRunFrom(op *keyedOp, ls, rs *vecGraceSide) ([]*batch, error) {
+	defer e.releaseResident(ls)
+	defer e.releaseResident(rs)
+	var outs [][]emitted
+	var err error
+	switch {
+	case ls.spilled || rs.spilled:
+		e.graceNoteSpill()
+		lparts, rparts := ls.parts, rs.parts
+		if !ls.spilled {
+			lparts = splitPart(wholeBatch(ls.b), op.lidx, 0)
 		}
-		return untag(out), nil
+		if !rs.spilled {
+			rparts = splitPart(wholeBatch(rs.b), op.ridx, 0)
+		}
+		outs = make([][]emitted, spillFanout)
+		err = runTasks(e.workers(), spillFanout, func(b int) error {
+			res, err := e.processGrace(op, lparts[b], rparts[b], 1)
+			outs[b] = res
+			return err
+		})
+	case e.parallel() && !e.budgeted() && len(op.lidx) > 0:
+		w := e.exchange()
+		var lparts, rparts []part
+		if op.r == nil && op.contiguous && !e.opts.NoMerge {
+			lparts = rangeParts(ls.b, op.lidx, w)
+			rparts = make([]part, len(lparts))
+		} else {
+			lparts = hashParts(ls.b, op.lidx, w)
+			rparts = hashParts(rs.b, op.ridx, w)
+		}
+		outs = make([][]emitted, len(lparts))
+		err = runTasks(w, len(lparts), func(p int) error {
+			res, err := op.body(lparts[p], rparts[p])
+			outs[p] = res
+			return err
+		})
+	default:
+		outs = make([][]emitted, 1)
+		outs[0], err = op.body(wholeBatch(ls.b), wholeBatch(rs.b))
 	}
-	e.graceNoteSpill()
-	lparts, rparts := ls.parts, rs.parts
-	if !ls.spilled {
-		lparts = splitResident(ls.rows, lidx, 0)
-	}
-	if !rs.spilled {
-		rparts = splitResident(rs.rows, ridx, 0)
-	}
-	outs := make([][]tagged, spillFanout)
-	if err := runTasks(e.workers(), spillFanout, func(b int) error {
-		res, err := e.processGrace2(lparts[b], rparts[b], lidx, ridx, 1, em)
-		outs[b] = res
-		return err
-	}); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	e.releaseResident(ls)
-	e.releaseResident(rs)
-	return untag(mergeTaggedSorted(outs)), nil
+	var ems []emitted
+	for _, o := range outs {
+		ems = append(ems, o...)
+	}
+	bs := gather(op.out, ems)
+	e.stats.VectorBatches += len(bs)
+	return bs, nil
 }
 
-// ---- shared per-partition operator bodies -------------------------------
-//
-// These are the in-memory partition algorithms shared by the parallel
-// exchange (parallel.go) and the grace spill paths: each takes one
-// partition's sequence-tagged rows and returns outputs non-decreasing in
-// sequence key.
+// seg names a run of output rows of a gather: positions [lo, hi) of
+// stretch m, consecutive in the output.
+type seg struct{ m, lo, hi int }
 
-// budgetedPartition is the core of \ and ∪: fund rows build per-key
-// multiplicity budgets, scan rows stream against them with budget hits
-// cancelling, and survivors carry their scan position plus offset.
-func budgetedPartition(fund, scan []prow, idx []int, offset int) []tagged {
-	groups := newHashGroups(idx, len(fund))
-	var budget []int
-	for _, pr := range fund {
-		gid, fresh := groups.groupOf(pr.t)
-		if fresh {
-			budget = append(budget, 0)
-		}
-		budget[gid]++
+// copyRows builds a fresh batch from the rows segs lists, column-wise:
+// value columns straight from the source planes and — when a stretch
+// replaces periods — the period columns written from the periods.
+func copyRows(out *schema.Schema, ems []emitted, segs []seg, replaced bool) *batch {
+	total := 0
+	for _, sg := range segs {
+		total += sg.hi - sg.lo
 	}
-	var res []tagged
-	for _, pr := range scan {
-		if gid := groups.lookup(pr.t, idx); gid >= 0 && budget[gid] > 0 {
-			budget[gid]--
+	b := newBatch(out, total)
+	t1, t2 := -1, -1
+	if replaced {
+		t1, t2 = out.TimeIndices()
+	}
+	for c := range b.cols {
+		if c == t1 || c == t2 {
 			continue
 		}
-		res = append(res, tagged{seq: offset + pr.orig, t: pr.t})
-	}
-	return res
-}
-
-// passThrough emits a partition's rows unchanged under their own sequence
-// keys — the left side of ∪ and ∪ᵀ, which passes through whole.
-func passThrough(part []prow) []tagged {
-	res := make([]tagged, len(part))
-	for i, pr := range part {
-		res[i] = tagged{seq: pr.orig, t: pr.t}
-	}
-	return res
-}
-
-// groupAggPartition runs a grouping operator over one partition: one output
-// batch per group, tagged with the group's first-occurrence position.
-func groupAggPartition(part []prow, gidx []int, emit func([]relation.Tuple) ([]relation.Tuple, error)) ([]tagged, error) {
-	groups := newHashGroups(gidx, len(part))
-	var first []int
-	var tuples [][]relation.Tuple
-	for _, pr := range part {
-		gid, fresh := groups.groupOf(pr.t)
-		if fresh {
-			first = append(first, pr.orig)
-			tuples = append(tuples, nil)
-		}
-		tuples[gid] = append(tuples[gid], pr.t)
-	}
-	var res []tagged
-	for g := range tuples {
-		out, err := emit(tuples[g])
-		if err != nil {
-			return nil, err
-		}
-		for _, t := range out {
-			res = append(res, tagged{seq: first[g], t: t})
-		}
-	}
-	return res, nil
-}
-
-// valueGroupPartition runs a value-equivalence group transform (rdupᵀ's
-// head/subtract elimination, coalᵀ's adjacency merge) over one partition,
-// re-interleaving the fragments into original list order.
-func valueGroupPartition(part []prow, vidx []int, t1, t2 int, transform func([]row, int, int) []row) []tagged {
-	groups := newHashGroups(vidx, len(part))
-	var members [][]row
-	for _, pr := range part {
-		gid, fresh := groups.groupOf(pr.t)
-		if fresh {
-			members = append(members, nil)
-		}
-		members[gid] = append(members[gid], row{orig: pr.orig, t: pr.t, p: pr.t.PeriodAt(t1, t2)})
-	}
-	var all []row
-	for g := range members {
-		all = append(all, transform(members[g], t1, t2)...)
-	}
-	sortRowsByOrig(all)
-	res := make([]tagged, len(all))
-	for i, rw := range all {
-		res[i] = tagged{seq: rw.orig, t: rw.t}
-	}
-	return res
-}
-
-// tdiffPartition runs \ᵀ over one partition pair: per value group, the
-// elementary-interval subtraction, surviving fragments in left list order.
-func tdiffPartition(lp, rp []prow, vidx []int, t1, t2 int) []tagged {
-	leftMembers, rightMembers, _ := valueMembership(lp, rp, vidx)
-	frag := make([][]relation.Tuple, len(lp))
-	for gid, lIdx := range leftMembers {
-		if len(lIdx) == 0 {
-			continue
-		}
-		lps := memberPeriods(lp, lIdx, t1, t2)
-		rps := memberPeriods(rp, rightMembers[gid], t1, t2)
-		for x, fs := range tdiffGroupFragments(lps, rps) {
-			k := lIdx[x]
-			for _, p := range fs {
-				frag[k] = append(frag[k], lp[k].t.WithPeriodAt(t1, t2, p))
+		col := &b.cols[c]
+		for _, sg := range segs {
+			src := &ems[sg.m].b.cols[c]
+			for _, i := range ems[sg.m].rows[sg.lo:sg.hi] {
+				col.appendFrom(src, i)
 			}
 		}
 	}
-	var res []tagged
-	for k, pr := range lp {
-		for _, t := range frag[k] {
-			res = append(res, tagged{seq: pr.orig, t: t})
-		}
-	}
-	return res
-}
-
-// tunionPartition computes ∪ᵀ's right-excess contribution for one
-// partition pair: per value group in first-right-occurrence order, the
-// excess-layer periods, tagged with the group's first right position plus
-// offset (so they gather behind a whole left list when offset is the left
-// cardinality).
-func tunionPartition(lp, rp []prow, vidx []int, t1, t2, offset int) []tagged {
-	leftMembers, rightMembers, rOrder := valueMembership(lp, rp, vidx)
-	var res []tagged
-	for _, gid := range rOrder {
-		lps := memberPeriods(lp, leftMembers[gid], t1, t2)
-		rps := memberPeriods(rp, rightMembers[gid], t1, t2)
-		rep := rp[rightMembers[gid][0]]
-		for _, p := range tunionExtraPeriods(lps, rps) {
-			res = append(res, tagged{seq: offset + rep.orig, t: rep.t.WithPeriodAt(t1, t2, p)})
-		}
-	}
-	return res
-}
-
-// ---- budgeted operator sources ------------------------------------------
-
-// graceGroupSource compiles a one-sided keyed blocking operator (rdup, the
-// temporal value-group family, aggregation) in memory-bounded mode.
-func (e *Engine) graceGroupSource(in *source, idx []int, outSchema *schema.Schema, order relation.OrderSpec, emit graceEmit1) *source {
-	return lazySource(outSchema, order, func() ([]relation.Tuple, error) {
-		return e.graceRun1(in, idx, emit)
-	})
-}
-
-// graceDiffSource compiles \ in memory-bounded mode: both sides partition
-// on the full tuple, the right side funds per-key budgets, left survivors
-// gather in left list order.
-func (e *Engine) graceDiffSource(l, r *source, outSchema *schema.Schema, order relation.OrderSpec) *source {
-	idx := identityIdx(l.schema.Len())
-	return lazySource(outSchema, order, func() ([]relation.Tuple, error) {
-		return e.graceRun2(l, r, idx, idx, func(_, _ *graceSide) graceEmit2 {
-			return func(lp, rp []prow) ([]tagged, error) {
-				return budgetedPartition(rp, lp, idx, 0), nil
+	if replaced {
+		for _, sg := range segs {
+			m := &ems[sg.m]
+			for k := sg.lo; k < sg.hi; k++ {
+				p := m.b.periodAt(t1, t2, m.rows[k])
+				if m.per != nil {
+					p = m.per[k]
+				}
+				b.cols[t1].append(value.Time(p.Start))
+				b.cols[t2].append(value.Time(p.End))
 			}
+		}
+	}
+	b.n = total
+	if !replaced {
+		b.tuples = sourceTuples(ems, segs, total)
+	}
+	return b
+}
+
+// sourceTuples lists the tuples behind the rows segs lists, when every
+// source batch still knows its rows' tuples; nil otherwise.
+func sourceTuples(ems []emitted, segs []seg, total int) []relation.Tuple {
+	for _, sg := range segs {
+		if ems[sg.m].b.tuples == nil {
+			return nil
+		}
+	}
+	ts := make([]relation.Tuple, 0, total)
+	for _, sg := range segs {
+		for _, i := range ems[sg.m].rows[sg.lo:sg.hi] {
+			ts = append(ts, ems[sg.m].b.tuples[i])
+		}
+	}
+	return ts
+}
+
+// gather is the deterministic ordered gather of every route: the
+// partitions' outputs merge by (sequence key, partition index) into output
+// batches. Outputs that do not interleave — a single partition, the range
+// exchange's segments, ∪'s left list ahead of its right survivors — pass as
+// one batch per source, a selection view over its planes where no period is
+// replaced; interleaved outputs of many sources copy row by row into one
+// batch.
+func gather(out *schema.Schema, ems []emitted) []*batch {
+	live, temporal := 0, false
+	for k := range ems {
+		if len(ems[k].rows) > 0 {
+			live++
+			temporal = temporal || ems[k].per != nil
+		}
+	}
+	// segs lists the merged output; runs counts its maximal stretches
+	// reading one source batch.
+	var segs []seg
+	runs := 0
+	mergeBySeq(len(ems),
+		func(m int) int { return len(ems[m].rows) },
+		func(m, k int) int { return ems[m].seq(k) },
+		func(m, lo, hi int) {
+			if last := len(segs) - 1; last >= 0 && segs[last].m == m && segs[last].hi == lo {
+				segs[last].hi = hi
+				return
+			}
+			if len(segs) == 0 || ems[segs[len(segs)-1].m].b != ems[m].b {
+				runs++
+			}
+			segs = append(segs, seg{m, lo, hi})
 		})
-	})
-}
-
-// graceUnionSource compiles the max-multiplicity ∪ in memory-bounded mode:
-// the left list passes through whole (its rows gather back into list order
-// by sequence key), right tuples exceeding the left multiplicities follow.
-func (e *Engine) graceUnionSource(l, r *source, outSchema *schema.Schema) *source {
-	idx := identityIdx(l.schema.Len())
-	return lazySource(outSchema, nil, func() ([]relation.Tuple, error) {
-		return e.graceRun2(l, r, idx, idx, func(ls, _ *graceSide) graceEmit2 {
-			offset := ls.count
-			return func(lp, rp []prow) ([]tagged, error) {
-				return append(passThrough(lp), budgetedPartition(lp, rp, idx, offset)...), nil
-			}
-		})
-	})
-}
-
-// graceTDiffSource compiles \ᵀ in memory-bounded mode.
-func (e *Engine) graceTDiffSource(l, r *source, order relation.OrderSpec) *source {
-	vidx := valueIdx(l.schema)
-	t1, t2 := l.schema.TimeIndices()
-	return lazySource(l.schema, order, func() ([]relation.Tuple, error) {
-		return e.graceRun2(l, r, vidx, vidx, func(_, _ *graceSide) graceEmit2 {
-			return func(lp, rp []prow) ([]tagged, error) {
-				return tdiffPartition(lp, rp, vidx, t1, t2), nil
-			}
-		})
-	})
-}
-
-// graceTUnionSource compiles ∪ᵀ in memory-bounded mode.
-func (e *Engine) graceTUnionSource(l, r *source) *source {
-	vidx := valueIdx(l.schema)
-	t1, t2 := l.schema.TimeIndices()
-	return lazySource(l.schema, nil, func() ([]relation.Tuple, error) {
-		return e.graceRun2(l, r, vidx, vidx, func(ls, _ *graceSide) graceEmit2 {
-			offset := ls.count
-			return func(lp, rp []prow) ([]tagged, error) {
-				return append(passThrough(lp), tunionPartition(lp, rp, vidx, t1, t2, offset)...), nil
-			}
-		})
-	})
-}
-
-// residentSource wraps a drained-but-resident grace side as an ordinary
-// build-side source, the rows in their arrival order.
-func residentSource(side *graceSide, sch *schema.Schema) *source {
-	brows := make([]relation.Tuple, len(side.rows))
-	for i, pr := range side.rows {
-		brows[i] = pr.t
+	if runs > live {
+		return []*batch{copyRows(out, ems, segs, temporal)}
 	}
-	rel := relation.FromTuplesTrusted(sch, brows)
-	return &source{it: &sliceIter{ts: rel.Tuples(), owned: true}, schema: sch}
+	// Few runs: the outputs do not interleave, and each run becomes a batch
+	// of its own.
+	var bs []*batch
+	for lo := 0; lo < len(segs); {
+		src, replaced := ems[segs[lo].m].b, false
+		hi := lo
+		for ; hi < len(segs) && ems[segs[hi].m].b == src; hi++ {
+			replaced = replaced || ems[segs[hi].m].per != nil
+		}
+		if replaced {
+			bs = append(bs, copyRows(out, ems, segs[lo:hi], true))
+		} else {
+			// One segment's rows serve as the selection as they are; the
+			// capacity clamp makes the first further append copy instead of
+			// writing into the stretch's own slice.
+			rows := ems[segs[lo].m].rows[segs[lo].lo:segs[lo].hi:segs[lo].hi]
+			for _, sg := range segs[lo+1 : hi] {
+				rows = append(rows, ems[sg.m].rows[sg.lo:sg.hi]...)
+			}
+			bs = append(bs, selView(src, rows))
+		}
+		lo = hi
+	}
+	return bs
+}
+
+// selView presents the given physical rows of a compacted batch: the batch
+// itself when they are all of its rows in order, else a selection view.
+func selView(b *batch, rows []int) *batch {
+	if len(rows) == b.n {
+		whole := true
+		for k, i := range rows {
+			if i != k {
+				whole = false
+				break
+			}
+		}
+		if whole {
+			return b
+		}
+	}
+	return b.withSel(rows)
+}
+
+// detach copies a spilled leaf's output stretch out of its loaded
+// partition, so the partition's planes can be collected. A stretch at least
+// half the size of the batch it reads — a body-built batch, a pass-through,
+// an operator that keeps most of its input — pins no more than it is worth
+// and is kept as it is.
+func detach(out *schema.Schema, m emitted) emitted {
+	if len(m.rows) == 0 || len(m.rows)*2 >= m.b.n {
+		return m
+	}
+	seqs := make([]int, len(m.rows))
+	for k := range seqs {
+		seqs[k] = m.seq(k)
+	}
+	b := copyRows(out, []emitted{m}, []seg{{0, 0, len(m.rows)}}, m.per != nil)
+	return emitted{part: part{b: b, rows: identityIdx(b.n), seqs: seqs}}
+}
+
+// mergeBySeq is the one k-way merge loop behind every gather: stream p's
+// items are non-decreasing in seq, and the merge pops the smallest
+// (seq, stream index) head from a binary min-heap — O(N·log k) — emitting
+// the items as ranges [lo, hi) of their stream; once a single stream is
+// left its whole remainder is one range. Items sharing a seq — one probe
+// tuple's join matches, one row's fragments — always live in a single
+// stream, so they keep their stream-local emission order. The heap is a
+// hand-rolled cursor heap (h holds stream indices, pos the heads): this
+// runs once per output row of every exchange, where the interface dispatch
+// of container/heap is measurable.
+func mergeBySeq(streams int, size func(p int) int, seq func(p, i int) int, emit func(p, lo, hi int)) {
+	pos := make([]int, streams)
+	less := func(a, b int) bool {
+		sa, sb := seq(a, pos[a]), seq(b, pos[b])
+		if sa != sb {
+			return sa < sb
+		}
+		return a < b
+	}
+	var h []int
+	siftDown := func(i int) {
+		for {
+			c := 2*i + 1
+			if c >= len(h) {
+				return
+			}
+			if c+1 < len(h) && less(h[c+1], h[c]) {
+				c++
+			}
+			if !less(h[c], h[i]) {
+				return
+			}
+			h[i], h[c] = h[c], h[i]
+			i = c
+		}
+	}
+	for p := 0; p < streams; p++ {
+		if size(p) > 0 {
+			h = append(h, p)
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(i)
+	}
+	for len(h) > 1 {
+		p := h[0]
+		emit(p, pos[p], pos[p]+1)
+		pos[p]++
+		if pos[p] >= size(p) {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		siftDown(0)
+	}
+	if len(h) == 1 {
+		emit(h[0], pos[h[0]], size(h[0]))
+	}
+}
+
+// batchSource wraps a resident batch as an ordinary pipeline stage — the
+// build side a budgeted join or product drained and found to fit.
+func batchSource(b *batch, sch *schema.Schema) *source {
+	return vecSource(&rangeBatchIter{b: b, hi: b.rows()}, sch, nil)
 }
 
 // graceJoinSource compiles an equi-keyed × / ×ᵀ in memory-bounded mode as a
@@ -750,25 +904,22 @@ func residentSource(side *graceSide, sch *schema.Schema) *source {
 // share first; while it stays resident the probe side is a stream between
 // operators — not operator state — so it is never drained, and the ordinary
 // batch hash join runs against the resident build rows. Only when the build
-// side itself overflows do both sides grace-partition on the join keys, each
-// bucket building on its right rows and probing its left rows in sequence
-// order, the pairs gathering into the reference's left-major sequence.
+// side itself overflows does the probe side drain too, and the driver's
+// spilled route pairs the buckets: each runs the same join kernel over its
+// right and left rows, the pairs gathering by probe sequence key into the
+// reference's left-major order.
 func (e *Engine) graceJoinSource(l, r *source, j *pairJoiner, order relation.OrderSpec) *source {
 	e.stats.VectorOps++
 	compute := func() ([]*batch, error) {
-		rs, err := e.drainGrace(r, j.ridx, e.opShare()/2)
+		rs, err := e.drainGraceVec(r, j.ridx, e.opShare()/2)
 		if err != nil {
 			l.it.close()
 			return nil, err
 		}
 		if !rs.spilled {
 			defer e.releaseResident(rs)
-			v := &vecJoinIter{
-				e: e, left: l.vecInput(), right: residentSource(rs, r.schema),
-				out: j.out, lw: j.lw, rw: j.rw,
-				lidx: j.lidx, ridx: j.ridx, residual: j.residual,
-				temporal: j.temporal, lt1: j.lt1, lt2: j.lt2,
-			}
+			v := j.joinIter(l.vecInput(), batchSource(rs.b, r.schema))
+			v.e = e
 			var out []*batch
 			for {
 				b, err := v.nextBatch()
@@ -786,26 +937,11 @@ func (e *Engine) graceJoinSource(l, r *source, j *pairJoiner, order relation.Ord
 			}
 			return out, nil
 		}
-		ts, err := e.graceJoinSpilled(l, rs, j)
+		ls, err := e.drainGraceVec(l, j.lidx, e.opShare()/2)
 		if err != nil {
 			return nil, err
 		}
-		out := tupleBatches(j.out, ts)
-		e.stats.VectorBatches += len(out)
-		return out, nil
+		return e.graceRunFrom(&keyedOp{l: l, r: r, lidx: j.lidx, ridx: j.ridx, out: j.out, body: j.joinPart}, ls, rs)
 	}
 	return vecSource(&lazyBatchesIter{compute: compute}, j.out, order)
-}
-
-// graceJoinSpilled is the hybrid's overflow path: with the build side
-// already partitioned to disk the probe side drains against its half-share
-// too, and the two-sided grace recursion pairs the buckets.
-func (e *Engine) graceJoinSpilled(l *source, rs *graceSide, j *pairJoiner) ([]relation.Tuple, error) {
-	ls, err := e.drainGrace(l, j.lidx, e.opShare()/2)
-	if err != nil {
-		return nil, err
-	}
-	return e.graceRun2From(ls, rs, j.lidx, j.ridx, func(_, _ *graceSide) graceEmit2 {
-		return j.joinPartition
-	})
 }

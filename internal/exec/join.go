@@ -120,8 +120,8 @@ func (p *productIter) close() error { return p.left.close() }
 
 // pairJoiner carries the physical parameters of one × / ×ᵀ compilation —
 // schemas, key columns, residual predicate, time positions — shared by the
-// parallel exchange (parallel.go) and the grace spill paths (grace.go), so
-// the pair-emission semantics exist exactly once.
+// parallel keyless product (parallel.go), the spilled nested loop and the
+// budgeted hybrid join (grace.go).
 type pairJoiner struct {
 	out        *schema.Schema
 	lw, rw     int
@@ -188,75 +188,68 @@ func (j *pairJoiner) pairOne(lt relation.Tuple, curP period.Period, bt relation.
 	return nt, nil
 }
 
-// joinChunk joins probe tuples (with their global positions) against one
-// build-side row set, appending tagged pairs in probe order. table/members,
-// when non-nil, restrict each probe tuple to its key group; rps carries the
-// precomputed build periods.
-func (j *pairJoiner) joinChunk(probe []relation.Tuple, origBase int, origs []int, brows []relation.Tuple, rps []period.Period, table *hashGroups, members [][]int) ([]tagged, error) {
+// joinChunk joins a chunk of probe tuples (origBase is the first one's global
+// position) against the whole build side, appending tagged pairs in probe
+// order; rps carries the precomputed build periods.
+func (j *pairJoiner) joinChunk(probe []relation.Tuple, origBase int, brows []relation.Tuple, rps []period.Period) ([]tagged, error) {
 	var res []tagged
 	for pi, lt := range probe {
-		orig := origBase + pi
-		if origs != nil {
-			orig = origs[pi]
-		}
-		n := len(brows)
-		var group []int
-		if table != nil {
-			gid := table.lookup(lt, j.lidx)
-			if gid < 0 {
-				continue
-			}
-			group = members[gid]
-			n = len(group)
-		}
 		var curP period.Period
 		if j.temporal {
 			curP = lt.PeriodAt(j.lt1, j.lt2)
 		}
-		for k := 0; k < n; k++ {
-			bi := k
-			if group != nil {
-				bi = group[k]
-			}
+		for bi, bt := range brows {
 			var bp period.Period
 			if j.temporal {
 				bp = rps[bi]
 			}
-			nt, err := j.pairOne(lt, curP, brows[bi], bp)
+			nt, err := j.pairOne(lt, curP, bt, bp)
 			if err != nil {
 				return nil, err
 			}
 			if nt != nil {
-				res = append(res, tagged{seq: orig, t: nt})
+				res = append(res, tagged{seq: origBase + pi, t: nt})
 			}
 		}
 	}
 	return res, nil
 }
 
-// joinPartition is the grace-bucket body: build a table over the bucket's
-// right rows, probe its left rows in sequence order.
-func (j *pairJoiner) joinPartition(lp, rp []prow) ([]tagged, error) {
-	brows := make([]relation.Tuple, len(rp))
-	for i, pr := range rp {
-		brows[i] = pr.t
+// joinIter instantiates the batch hash join kernel for these parameters.
+func (j *pairJoiner) joinIter(left vecIterator, right *source) *vecJoinIter {
+	return &vecJoinIter{
+		left: left, right: right, out: j.out, lw: j.lw, rw: j.rw,
+		lidx: j.lidx, ridx: j.ridx, residual: j.residual,
+		temporal: j.temporal, lt1: j.lt1, lt2: j.lt2,
 	}
-	table := newHashGroups(j.ridx, len(brows))
-	var members [][]int
-	for i, t := range brows {
-		gid, fresh := table.groupOf(t)
-		if fresh {
-			members = append(members, nil)
+}
+
+// joinPart is the spilled keyed join's partition body: the batch hash join
+// kernel builds on the bucket's right rows and probes its left rows in
+// sequence order, every output batch carrying its probe rows' sequence keys
+// to the gather.
+func (j *pairJoiner) joinPart(lp, rp part) ([]emitted, error) {
+	if len(lp.rows) == 0 || len(rp.rows) == 0 {
+		return nil, nil
+	}
+	probe := selView(lp.b, lp.rows)
+	v := j.joinIter(&rangeBatchIter{b: probe, hi: probe.rows()}, batchSource(selView(rp.b, rp.rows), rp.b.schema))
+	v.trackProbes = true
+	var out []emitted
+	for {
+		b, err := v.nextBatch()
+		if err != nil {
+			return nil, err
 		}
-		members[gid] = append(members[gid], i)
+		if b == nil {
+			return out, nil
+		}
+		seqs := make([]int, b.n)
+		for x, i := range v.probes {
+			seqs[x] = lp.seq(i)
+		}
+		out = append(out, emitted{part: part{b: b, rows: identityIdx(b.n), seqs: seqs}})
 	}
-	probe := make([]relation.Tuple, len(lp))
-	origs := make([]int, len(lp))
-	for i, pr := range lp {
-		probe[i] = pr.t
-		origs[i] = pr.orig
-	}
-	return j.joinChunk(probe, 0, origs, brows, j.periodsOf(brows), table, members)
 }
 
 // spillLoopIter is the memory-bounded keyless product: the build side, too
@@ -339,7 +332,7 @@ func (s *spillLoopIter) close() error {
 // probe side streams against it.
 func (e *Engine) graceProductSource(l, r *source, j *pairJoiner, order relation.OrderSpec) *source {
 	return lazySource(j.out, order, func() ([]relation.Tuple, error) {
-		side, err := e.drainGrace(r, nil, e.opShare())
+		side, err := e.drainGraceVec(r, nil, e.opShare())
 		if err != nil {
 			l.it.close()
 			return nil, err
@@ -349,13 +342,8 @@ func (e *Engine) graceProductSource(l, r *source, j *pairJoiner, order relation.
 		defer e.releaseResident(side)
 		var it iterator
 		if !side.spilled {
-			brows := make([]relation.Tuple, len(side.rows))
-			for i, pr := range side.rows {
-				brows[i] = pr.t
-			}
-			rel := relation.FromTuplesTrusted(r.schema, brows)
 			it = &productIter{
-				left: l.it, right: &source{it: &sliceIter{ts: rel.Tuples(), owned: true}, schema: r.schema},
+				left: l.it, right: batchSource(side.b, r.schema),
 				out: j.out, lw: j.lw, rw: j.rw, residual: j.residual,
 				temporal: j.temporal, lt1: j.lt1, lt2: j.lt2,
 			}
@@ -396,8 +384,9 @@ func (e *Engine) graceProductSource(l, r *source, j *pairJoiner, order relation.
 // join idioms dispatch here with their predicate. With equality keys and
 // both inputs delivered in a key-covering order the merge join is chosen;
 // with keys alone, the hash join; otherwise the block nested loop. In
-// memory-bounded mode the keyed variants grace-hash partition both sides
-// and the keyless product spills its build side (grace.go).
+// memory-bounded mode the keyed variant is the hybrid hash join of grace.go
+// (both sides grace-hash partition only when the build side overflows) and
+// the keyless product spills its build side.
 func (e *Engine) buildProduct(n algebra.Node, pred expr.Pred, temporal bool) (*source, error) {
 	l, r, err := e.buildBoth(n)
 	if err != nil {

@@ -60,9 +60,11 @@ func recordFuzzFailure(t *testing.T, format string, args ...any) {
 // anchor: reference vs hash-only vs full vs parallel vs budgeted-spill at
 // budgets {64KB, 1MB, unlimited}, all bit-identical on random plans. Every
 // leg compiles the batch operators (vec.go) — the hash-only leg their hash
-// variants only — with the operators that exist tuple-at-a-time only
-// (\ᵀ, ∪ᵀ, ⊔, keyless ×, the exchange and grace families) behind the
-// batch↔tuple adapters, so the random plans cross that boundary in both
+// variants only — and runs the keyed blocking operators through the
+// exchange driver's routes (resident, W-way, spilled), with the operators
+// that exist tuple-at-a-time only (⊔, keyless ×, the streaming group
+// family, the spilling sort) behind the batch↔tuple adapters, so the
+// random plans cross that boundary in both
 // directions. Two sweeps run: tiny catalogs for plan-shape coverage, and
 // sized catalogs (hundreds of rows) so the small budget genuinely forces
 // the grace-hash spill paths — vacuity guards assert Stats.SpilledOps > 0

@@ -165,6 +165,16 @@ func (e *Engine) buildUnionAll(n algebra.Node) (*source, error) {
 	return &source{it: &concatIter{cur: l.it, rest: r.it}, schema: l.schema}, nil
 }
 
+// streams reports that a one-sided grouping operator runs its bounded
+// group-at-a-time algorithm (groupIter, the adjacent-compare dedup) ahead of
+// the exchange driver: the delivered order keeps its groups contiguous and
+// merge variants are allowed. One group of state is already memory-bounded,
+// so the budgeted engine prefers it over partitioning; under plain
+// parallelism the driver's range exchange over the same contiguity wins.
+func (e *Engine) streams(in *source, idx []int) bool {
+	return !e.opts.NoMerge && !(e.parallel() && !e.budgeted()) && physical.GroupsContiguous(in.order, in.schema, idx)
+}
+
 // buildRdup compiles rdup: streaming duplicate elimination. The first
 // occurrence survives, so the argument's order is retained (time attributes
 // qualified — the result is a snapshot relation). An input delivered in an
@@ -180,73 +190,38 @@ func (e *Engine) buildRdup(n algebra.Node) (*source, error) {
 		return nil, err
 	}
 	order := eval.OrderQualifyTime(in.order, outSchema)
-	switch {
-	case e.parallel() && !e.budgeted():
-		// Scatter row positions by plane hash, merge ascending survivors
-		// into one selection view.
-		return e.vecParallelRdupSource(in, outSchema, order), nil
-	case !e.opts.NoMerge && physical.GroupsContiguous(in.order, in.schema, identityIdx(in.schema.Len())):
+	idx := identityIdx(in.schema.Len())
+	if e.streams(in, idx) {
 		// The adjacent-compare dedup carries one (batch, row) reference of
-		// state — already memory-bounded, so the budgeted engine prefers it
-		// too.
+		// state.
 		e.stats.MergeOps++
 		e.stats.VectorOps++
 		return vecSource(&vecDedupSortedIter{e: e, in: in.vecInput()}, outSchema, order), nil
-	case e.budgeted():
-		// Batches spill as columnar blocks and partitions re-read as batches
-		// (vecgrace.go).
-		return e.vecGraceRdupSource(in, outSchema, order), nil
 	}
-	e.stats.VectorOps++
-	return vecSource(&vecRdupIter{e: e, in: in.vecInput()}, outSchema, order), nil
+	if !e.parallel() && !e.budgeted() {
+		// The pipelined hash set never drains its input — a different
+		// algorithm from the driver's partition body, kept for the
+		// sequential engine.
+		e.stats.VectorOps++
+		return vecSource(&vecRdupIter{e: e, in: in.vecInput()}, outSchema, order), nil
+	}
+	return e.keyedSource(&keyedOp{
+		l: in, lidx: idx, contiguous: groupsContiguous(in.order, in.schema, idx),
+		out: outSchema, order: order, body: rdupBody(idx),
+	}), nil
 }
 
-// diffIter implements the multiset difference \: the right side is drained
-// into hash multiplicity counters on first pull, then the left side streams
-// through, each tuple consuming one counter or surviving.
-type diffIter struct {
-	left   iterator
-	right  *source
-	groups *hashGroups
-	budget []int
-	built  bool
-}
-
-func (d *diffIter) next() (relation.Tuple, error) {
-	if !d.built {
-		r, err := drain(d.right)
-		if err != nil {
-			return nil, err
-		}
-		for _, t := range r.Tuples() {
-			if d.groups.idx == nil {
-				d.groups.idx = identityIdx(len(t))
-			}
-			gid, fresh := d.groups.groupOf(t)
-			if fresh {
-				d.budget = append(d.budget, 0)
-			}
-			d.budget[gid]++
-		}
-		d.built = true
+// alignedMerge reports the shared total order under which \ and ∪ run
+// their two-pointer merge instead of the exchange driver. The merge
+// materializes one whole side, so it is the sequential engine's variant
+// only: under a budget or a worker pool the driver partitions that side
+// instead.
+func (e *Engine) alignedMerge(l, r *source) (relation.OrderSpec, bool) {
+	if e.opts.NoMerge || e.budgeted() || e.parallel() {
+		return nil, false
 	}
-	for {
-		t, err := d.left.next()
-		if err != nil || t == nil {
-			return nil, err
-		}
-		if d.groups.idx == nil {
-			d.groups.idx = identityIdx(len(t))
-		}
-		if gid := d.groups.lookup(t, d.groups.idx); gid >= 0 && d.budget[gid] > 0 {
-			d.budget[gid]--
-			continue
-		}
-		return t, nil
-	}
+	return physical.AlignedTotalOrder(l.order, r.order, l.schema)
 }
-
-func (d *diffIter) close() error { return d.left.close() }
 
 // buildDiff compiles the multiset difference \: the earliest left
 // occurrences absorb the subtraction, retaining the left order and the late
@@ -263,82 +238,16 @@ func (e *Engine) buildDiff(n algebra.Node) (*source, error) {
 		return nil, err
 	}
 	order := eval.OrderQualifyTime(l.order, outSchema)
-	if e.budgeted() {
-		// Both the hash and the merge variant materialize the right side;
-		// under a budget the grace exchange bounds it instead.
-		return e.graceDiffSource(l, r, outSchema, order), nil
+	if spec, ok := e.alignedMerge(l, r); ok {
+		e.stats.MergeOps++
+		e.stats.VectorOps++
+		m := &vecMergeDiffIter{e: e, left: l.vecInput(), right: r,
+			cmp: compileVecCmp(l.schema, spec)}
+		return vecSource(m, outSchema, order), nil
 	}
-	if e.parallel() {
-		s := e.vecParallelBudgetedSource(l, r, false)
-		s.schema = outSchema
-		s.order = order
-		return s, nil
-	}
-	if !e.opts.NoMerge {
-		if spec, ok := physical.AlignedTotalOrder(l.order, r.order, l.schema); ok {
-			e.stats.MergeOps++
-			e.stats.VectorOps++
-			m := &vecMergeDiffIter{e: e, left: l.vecInput(), right: r,
-				cmp: compileVecCmp(l.schema, spec)}
-			return vecSource(m, outSchema, order), nil
-		}
-	}
-	return &source{it: &diffIter{left: l.it, right: r, groups: newHashGroups(nil, 0)}, schema: outSchema, order: order}, nil
+	idx := identityIdx(l.schema.Len())
+	return e.keyedSource(&keyedOp{l: l, r: r, lidx: idx, ridx: idx, out: outSchema, order: order, body: diffBody(idx)}), nil
 }
-
-// unionIter implements the max-multiplicity union ∪: all of the left list,
-// followed by the right tuples exceeding the left's multiplicity counters.
-type unionIter struct {
-	left   *source
-	right  iterator
-	groups *hashGroups
-	budget []int
-	lts    []relation.Tuple
-	li     int
-	built  bool
-}
-
-func (u *unionIter) next() (relation.Tuple, error) {
-	if !u.built {
-		l, err := drain(u.left)
-		if err != nil {
-			return nil, err
-		}
-		u.lts = l.Tuples()
-		for _, t := range u.lts {
-			if u.groups.idx == nil {
-				u.groups.idx = identityIdx(len(t))
-			}
-			gid, fresh := u.groups.groupOf(t)
-			if fresh {
-				u.budget = append(u.budget, 0)
-			}
-			u.budget[gid]++
-		}
-		u.built = true
-	}
-	if u.li < len(u.lts) {
-		t := u.lts[u.li]
-		u.li++
-		return t, nil
-	}
-	for {
-		t, err := u.right.next()
-		if err != nil || t == nil {
-			return nil, err
-		}
-		if u.groups.idx == nil {
-			u.groups.idx = identityIdx(len(t))
-		}
-		if gid := u.groups.lookup(t, u.groups.idx); gid >= 0 && u.budget[gid] > 0 {
-			u.budget[gid]--
-			continue
-		}
-		return t, nil
-	}
-}
-
-func (u *unionIter) close() error { return u.right.close() }
 
 // buildUnion compiles the multiset union ∪ of Albert [1]: each tuple occurs
 // max(n1, n2) times; unordered result. When both inputs deliver one shared
@@ -351,22 +260,15 @@ func (e *Engine) buildUnion(n algebra.Node) (*source, error) {
 	if _, err := n.Schema(); err != nil {
 		return nil, err
 	}
-	if e.budgeted() {
-		return e.graceUnionSource(l, r, l.schema), nil
+	if spec, ok := e.alignedMerge(l, r); ok {
+		e.stats.MergeOps++
+		e.stats.VectorOps++
+		m := &vecMergeUnionIter{e: e, left: l, right: r.vecInput(),
+			cmp: compileVecCmp(l.schema, spec)}
+		return vecSource(m, l.schema, nil), nil
 	}
-	if e.parallel() {
-		return e.vecParallelBudgetedSource(l, r, true), nil
-	}
-	if !e.opts.NoMerge {
-		if spec, ok := physical.AlignedTotalOrder(l.order, r.order, l.schema); ok {
-			e.stats.MergeOps++
-			e.stats.VectorOps++
-			m := &vecMergeUnionIter{e: e, left: l, right: r.vecInput(),
-				cmp: compileVecCmp(l.schema, spec)}
-			return vecSource(m, l.schema, nil), nil
-		}
-	}
-	return &source{it: &unionIter{left: l, right: r.it, groups: newHashGroups(nil, 0)}, schema: l.schema}, nil
+	idx := identityIdx(l.schema.Len())
+	return e.keyedSource(&keyedOp{l: l, r: r, lidx: idx, ridx: idx, out: l.schema, body: unionBody(idx)}), nil
 }
 
 // buildAggregate compiles 𝒢. Over an input whose delivered order keeps
@@ -407,12 +309,7 @@ func (e *Engine) buildAggregate(n *algebra.Aggregate) (*source, error) {
 		}
 		return []relation.Tuple{nt}, nil
 	}
-	if e.parallel() && !e.budgeted() && len(gidx) > 0 {
-		return e.parallelGroupAggSource(in, gidx, outSchema, order, emit), nil
-	}
-	if len(gidx) > 0 && !e.opts.NoMerge && physical.GroupsContiguous(in.order, in.schema, gidx) {
-		// Group-at-a-time streaming holds one group of state — bounded, so
-		// the budgeted engine prefers it over partitioning.
+	if e.streams(in, gidx) {
 		e.stats.MergeOps++
 		return &source{
 			it:     &groupIter{in: in.it, idx: gidx, emit: emit},
@@ -420,14 +317,15 @@ func (e *Engine) buildAggregate(n *algebra.Aggregate) (*source, error) {
 			order:  order,
 		}, nil
 	}
-	if e.budgeted() && len(gidx) > 0 {
-		// Grace aggregation: partition rows by the grouping columns, one
-		// group's rows land whole in one partition. A GROUP-BY-less
-		// aggregate folds one global set of accumulators below — state
-		// bounded by construction, nothing to spill.
-		return e.graceGroupSource(in, gidx, outSchema, order, func(part []prow) ([]tagged, error) {
-			return groupAggPartition(part, gidx, emit)
-		}), nil
+	if len(gidx) == 0 || (!e.parallel() && !e.budgeted()) {
+		// Pipelined hash aggregation never drains its input; a GROUP-BY-less
+		// aggregate folds one global set of accumulators — state bounded by
+		// construction, nothing to partition.
+		return e.vecAggregateSource(in, gidx, outSchema, order, n.Aggs), nil
 	}
-	return e.vecAggregateSource(in, gidx, outSchema, order, n.Aggs), nil
+	contiguous := groupsContiguous(in.order, in.schema, gidx)
+	return e.keyedSource(&keyedOp{
+		l: in, lidx: gidx, contiguous: contiguous, out: outSchema, order: order,
+		body: groupEmitBody(gidx, contiguous, outSchema, emit),
+	}), nil
 }

@@ -4,78 +4,18 @@ import (
 	"tqp/internal/algebra"
 	"tqp/internal/eval"
 	"tqp/internal/period"
-	"tqp/internal/physical"
 	"tqp/internal/relation"
 	"tqp/internal/value"
 )
 
-// row is one tuple of a value-equivalence group during temporal grouping,
-// tagged with its original list position so fragments re-interleave into the
-// reference's output order.
-type row struct {
-	orig int
-	t    relation.Tuple
-	p    period.Period
-}
-
-// rdupTGroup runs the paper's iterative head/subtract algorithm on one
-// value-equivalence group, in place of the group's list order. A group
-// whose periods arrive sorted and non-overlapping is recognized in a linear
-// pre-scan and returned outright.
-func rdupTGroup(rows []row, t1, t2 int) []row {
-	if sortedDisjoint(rows) {
-		return rows // no overlaps exist: nothing to eliminate
-	}
-	for i := 0; i < len(rows); i++ {
-		head := rows[i]
-		for {
-			j := -1
-			for x := i + 1; x < len(rows); x++ {
-				if rows[x].p.Overlaps(head.p) {
-					j = x
-					break
-				}
-			}
-			if j < 0 {
-				break
-			}
-			frags := rows[j].p.Subtract(head.p)
-			repl := make([]row, 0, 2)
-			for _, f := range frags {
-				repl = append(repl, row{orig: rows[j].orig, t: rows[j].t.WithPeriodAt(t1, t2, f), p: f})
-			}
-			rows = append(rows[:j], append(repl, rows[j+1:]...)...)
-		}
-	}
-	return rows
-}
-
-// groupEmitter adapts a group-local row transform into a groupIter emit
-// function for the streaming contiguous-groups path.
-func groupEmitter(t1, t2 int, transform func([]row, int, int) []row) func([]relation.Tuple) ([]relation.Tuple, error) {
-	return func(group []relation.Tuple) ([]relation.Tuple, error) {
-		rows := make([]row, len(group))
-		for i, t := range group {
-			rows[i] = row{orig: i, t: t, p: t.PeriodAt(t1, t2)}
-		}
-		rows = transform(rows, t1, t2)
-		out := make([]relation.Tuple, len(rows))
-		for i, rw := range rows {
-			out[i] = rw.t
-		}
-		return out, nil
-	}
-}
-
-// buildTRdup compiles rdupᵀ: partition by value-equivalence, then run the
-// paper's iterative head/subtract algorithm group-locally. Rows of
-// different groups never interact and in-place replacement preserves their
-// relative order, so the group-local runs compose into exactly the
-// reference's global result at O(Σ g²) instead of O(n²). An input whose
-// delivered order keeps value groups contiguous streams group-at-a-time
-// with no hash table and no global materialization; otherwise the input
-// drains into one batch and hash-partitions off the column planes.
-func (e *Engine) buildTRdup(n algebra.Node) (*source, error) {
+// buildValueGroup compiles rdupᵀ / coalᵀ — a span transform applied to each
+// value-equivalence group. An input whose delivered order keeps value groups
+// contiguous streams group-at-a-time with no hash table and no global
+// materialization; otherwise the exchange driver partitions by value
+// equivalence. (The engine never sorts first — coalescing is not confluent
+// under reordering, so that would change the result multiset, not just its
+// order.)
+func (e *Engine) buildValueGroup(n algebra.Node, transform func([]vspan) []vspan) (*source, error) {
 	in, err := e.build(n.Children()[0])
 	if err != nil {
 		return nil, err
@@ -85,133 +25,123 @@ func (e *Engine) buildTRdup(n algebra.Node) (*source, error) {
 	}
 	order := in.order.TimeFreePrefix()
 	t1, t2 := in.schema.TimeIndices()
-	vidx := physical.ValueIdx(in.schema)
-	if e.parallel() && !e.budgeted() {
-		return e.parallelValueGroupSource(in, vidx, order, rdupTGroup), nil
-	}
-	if !e.opts.NoMerge && physical.GroupsContiguous(in.order, in.schema, vidx) {
+	vidx := valueIdx(in.schema)
+	if e.streams(in, vidx) {
 		e.stats.MergeOps++
-		emit := groupEmitter(t1, t2, func(rows []row, t1, t2 int) []row { return rdupTGroup(rows, t1, t2) })
-		return &source{it: &groupIter{in: in.it, idx: vidx, emit: emit}, schema: in.schema, order: order}, nil
+		return &source{it: &groupIter{in: in.it, idx: vidx, emit: spanEmitter(t1, t2, transform)}, schema: in.schema, order: order}, nil
 	}
-	if e.budgeted() {
-		return e.graceGroupSource(in, vidx, in.schema, order, func(part []prow) ([]tagged, error) {
-			return valueGroupPartition(part, vidx, t1, t2, rdupTGroup), nil
-		}), nil
-	}
-	return e.vecValueGroupSource(in, vidx, order, rdupTSpans), nil
+	contiguous := groupsContiguous(in.order, in.schema, vidx)
+	return e.keyedSource(&keyedOp{
+		l: in, lidx: vidx, contiguous: contiguous, out: in.schema, order: order,
+		body: valueGroupBody(vidx, t1, t2, contiguous, transform),
+	}), nil
 }
 
-// sortedDisjoint reports that a group's periods are non-empty, sorted by
-// start, and pairwise non-overlapping — the shape left behind by a prior
-// rdupᵀ or a sort, under which overlap-driven work is provably absent.
-func sortedDisjoint(rows []row) bool {
-	for i, rw := range rows {
-		if rw.p.Empty() {
-			return false
-		}
-		if i > 0 && rw.p.Start < rows[i-1].p.End {
-			return false
-		}
-	}
-	return true
+// buildTRdup compiles rdupᵀ: the paper's iterative head/subtract algorithm,
+// group-locally (rdupTSpans).
+func (e *Engine) buildTRdup(n algebra.Node) (*source, error) {
+	return e.buildValueGroup(n, rdupTSpans)
 }
 
-// coalTGroup coalesces one value-equivalence group. A group whose periods
-// are sorted and non-overlapping merges in one pass; otherwise the
-// reference's iterative merge runs group-locally.
-func coalTGroup(rows []row, t1, t2 int) []row {
-	if sortedDisjoint(rows) {
-		return coalesceOnePass(rows, t1, t2)
+// buildCoal compiles coalᵀ: group-local adjacency merging (coalTSpans).
+func (e *Engine) buildCoal(n algebra.Node) (*source, error) {
+	return e.buildValueGroup(n, coalTSpans)
+}
+
+// pairGroups groups one partition pair's rows into a shared
+// value-equivalence id space — the common scaffolding of the two-sided
+// temporal bodies. lm/rm hold positions into lp.rows/rp.rows per group;
+// rOrder lists the group ids in first-right-occurrence order (∪ᵀ's emission
+// order; \ᵀ ignores it).
+func pairGroups(lp, rp part, vidx []int) (lm, rm [][]int, rOrder []int) {
+	groups := newVecGroups(vidx, len(lp.rows)+len(rp.rows))
+	grow := func(fresh bool) {
+		if fresh {
+			lm = append(lm, nil)
+			rm = append(rm, nil)
+		}
 	}
-	for i := 0; i < len(rows); {
-		merged := false
-		for j := i + 1; j < len(rows); j++ {
-			if !rows[i].p.Adjacent(rows[j].p) {
+	for k, i := range lp.rows {
+		gid, fresh := groups.groupOf(lp.b, i)
+		grow(fresh)
+		lm[gid] = append(lm[gid], k)
+	}
+	for k, i := range rp.rows {
+		gid, fresh := groups.groupOf(rp.b, i)
+		grow(fresh)
+		if len(rm[gid]) == 0 {
+			rOrder = append(rOrder, gid)
+		}
+		rm[gid] = append(rm[gid], k)
+	}
+	return lm, rm, rOrder
+}
+
+// periodsAt collects the periods of the partition rows at positions ks.
+func periodsAt(p part, ks []int, t1, t2 int) []period.Period {
+	ps := make([]period.Period, len(ks))
+	for x, k := range ks {
+		ps[x] = p.b.periodAt(t1, t2, p.rows[k])
+	}
+	return ps
+}
+
+// tdiffBody is the partition body of \ᵀ: per value group the
+// elementary-interval subtraction (tdiffGroupFragments), the surviving
+// fragments of each left row re-emitted in left list order.
+func tdiffBody(vidx []int, t1, t2 int) partBody {
+	return func(lp, rp part) ([]emitted, error) {
+		lm, rm, _ := pairGroups(lp, rp, vidx)
+		frag := make([][]period.Period, len(lp.rows))
+		total := 0
+		for gid, ks := range lm {
+			if len(ks) == 0 {
 				continue
 			}
-			u, _ := rows[i].p.Union(rows[j].p)
-			rows[i].p = u
-			rows[i].t = rows[i].t.WithPeriodAt(t1, t2, u)
-			rows = append(rows[:j], rows[j+1:]...)
-			merged = true
-			break
+			fs := tdiffGroupFragments(periodsAt(lp, ks, t1, t2), periodsAt(rp, rm[gid], t1, t2))
+			for x, k := range ks {
+				frag[k] = fs[x]
+				total += len(fs[x])
+			}
 		}
-		if !merged {
-			i++
+		rows, per := make([]int, 0, total), make([]period.Period, 0, total)
+		for k, i := range lp.rows {
+			for _, p := range frag[k] {
+				rows, per = append(rows, i), append(per, p)
+			}
 		}
+		return []emitted{{part: part{b: lp.b, rows: rows, seqs: lp.seqs}, per: per}}, nil
 	}
-	return rows
 }
 
-// buildCoal compiles coalᵀ: group-local adjacency merging (the engine never
-// sorts first — coalescing is not confluent under reordering, so that would
-// change the result multiset, not just its order). An input whose delivered
-// order keeps value groups contiguous streams group-at-a-time; otherwise
-// the input is materialized and hash-partitioned.
-func (e *Engine) buildCoal(n algebra.Node) (*source, error) {
-	in, err := e.build(n.Children()[0])
-	if err != nil {
-		return nil, err
-	}
-	if _, err := n.Schema(); err != nil {
-		return nil, err
-	}
-	order := in.order.TimeFreePrefix()
-	t1, t2 := in.schema.TimeIndices()
-	vidx := physical.ValueIdx(in.schema)
-	if e.parallel() && !e.budgeted() {
-		return e.parallelValueGroupSource(in, vidx, order, coalTGroup), nil
-	}
-	if !e.opts.NoMerge && physical.GroupsContiguous(in.order, in.schema, vidx) {
-		e.stats.MergeOps++
-		emit := groupEmitter(t1, t2, coalTGroup)
-		return &source{it: &groupIter{in: in.it, idx: vidx, emit: emit}, schema: in.schema, order: order}, nil
-	}
-	if e.budgeted() {
-		return e.graceGroupSource(in, vidx, in.schema, order, func(part []prow) ([]tagged, error) {
-			return valueGroupPartition(part, vidx, t1, t2, coalTGroup), nil
-		}), nil
-	}
-	return e.vecValueGroupSource(in, vidx, order, coalTSpans), nil
-}
-
-// coalesceOnePass merges a sorted, non-overlapping group in a single sweep.
-// Under sortedDisjoint the first later adjacent row is always the immediate
-// successor and merging preserves the invariant, so this reproduces the
-// iterative algorithm exactly.
-func coalesceOnePass(rows []row, t1, t2 int) []row {
-	if len(rows) == 0 {
-		return rows
-	}
-	out := rows[:0:0]
-	cur := rows[0]
-	dirty := false
-	for _, rw := range rows[1:] {
-		if cur.p.End == rw.p.Start {
-			cur.p.End = rw.p.End
-			dirty = true
-			continue
+// tunionBody is the partition body of ∪ᵀ: the left rows pass through whole;
+// behind the whole left list follow, per right value group in
+// first-right-occurrence order, the excess-layer periods
+// (tunionExtraPeriods) on the group's first right row.
+func tunionBody(vidx []int, t1, t2 int) partBody {
+	return func(lp, rp part) ([]emitted, error) {
+		lm, rm, rOrder := pairGroups(lp, rp, vidx)
+		var rows []int
+		var per []period.Period
+		for _, gid := range rOrder {
+			rep := rp.rows[rm[gid][0]]
+			for _, p := range tunionExtraPeriods(periodsAt(lp, lm[gid], t1, t2), periodsAt(rp, rm[gid], t1, t2)) {
+				rows, per = append(rows, rep), append(per, p)
+			}
 		}
-		if dirty {
-			cur.t = cur.t.WithPeriodAt(t1, t2, cur.p)
-		}
-		out = append(out, cur)
-		cur = rw
-		dirty = false
+		return []emitted{
+			{part: lp},
+			{part: part{b: rp.b, rows: rows, seqs: rp.seqs}, off: afterLeft, per: per},
+		}, nil
 	}
-	if dirty {
-		cur.t = cur.t.WithPeriodAt(t1, t2, cur.p)
-	}
-	return append(out, cur)
 }
 
 // buildTDiff compiles the temporal difference \ᵀ with exact per-snapshot
-// semantics: both sides hash-partition by value equivalence, each left
-// group's timeline decomposes into elementary intervals where the matching
-// right group's multiplicity forms a budget, and surviving fragments of each
-// left tuple re-emit in left list order — the reference's algorithm with
-// tuple hashes in place of string keys.
+// semantics: both sides partition by value equivalence, each left group's
+// timeline decomposes into elementary intervals where the matching right
+// group's multiplicity forms a budget, and surviving fragments of each left
+// tuple re-emit in left list order — the reference's algorithm with row
+// hashes in place of string keys.
 func (e *Engine) buildTDiff(n algebra.Node) (*source, error) {
 	l, r, err := e.buildBoth(n)
 	if err != nil {
@@ -220,70 +150,11 @@ func (e *Engine) buildTDiff(n algebra.Node) (*source, error) {
 	if _, err := n.Schema(); err != nil {
 		return nil, err
 	}
-	order := l.order.TimeFreePrefix()
-	if e.budgeted() {
-		return e.graceTDiffSource(l, r, order), nil
-	}
-	if e.parallel() {
-		return e.parallelTDiffSource(l, r, order), nil
-	}
-	return lazySource(l.schema, order, func() ([]relation.Tuple, error) {
-		lr, err := drain(l)
-		if err != nil {
-			return nil, err
-		}
-		rr, err := drain(r)
-		if err != nil {
-			return nil, err
-		}
-		t1, t2 := lr.Schema().TimeIndices()
-		vidx := valueIdx(lr.Schema())
-
-		// One shared id space over both sides' value-equivalence keys.
-		groups := newHashGroups(vidx, lr.Len()+rr.Len())
-		var leftMembers, rightMembers [][]int
-		grow := func(fresh bool) {
-			if fresh {
-				leftMembers = append(leftMembers, nil)
-				rightMembers = append(rightMembers, nil)
-			}
-		}
-		for i, t := range lr.Tuples() {
-			gid, fresh := groups.groupOf(t)
-			grow(fresh)
-			leftMembers[gid] = append(leftMembers[gid], i)
-		}
-		for j, t := range rr.Tuples() {
-			gid, fresh := groups.groupOf(t)
-			grow(fresh)
-			rightMembers[gid] = append(rightMembers[gid], j)
-		}
-
-		frag := make([][]period.Period, lr.Len())
-		for gid, leftIdx := range leftMembers {
-			if len(leftIdx) == 0 {
-				continue
-			}
-			lps := make([]period.Period, len(leftIdx))
-			for k, i := range leftIdx {
-				lps[k] = lr.PeriodOf(i)
-			}
-			rps := make([]period.Period, len(rightMembers[gid]))
-			for k, j := range rightMembers[gid] {
-				rps[k] = rr.PeriodOf(j)
-			}
-			for k, fs := range tdiffGroupFragments(lps, rps) {
-				frag[leftIdx[k]] = fs
-			}
-		}
-
-		var out []relation.Tuple
-		for i, t := range lr.Tuples() {
-			for _, p := range frag[i] {
-				out = append(out, t.WithPeriodAt(t1, t2, p))
-			}
-		}
-		return out, nil
+	vidx := valueIdx(l.schema)
+	t1, t2 := l.schema.TimeIndices()
+	return e.keyedSource(&keyedOp{
+		l: l, r: r, lidx: vidx, ridx: vidx, out: l.schema, order: l.order.TimeFreePrefix(),
+		body: tdiffBody(vidx, t1, t2),
 	}), nil
 }
 
@@ -298,64 +169,11 @@ func (e *Engine) buildTUnion(n algebra.Node) (*source, error) {
 	if _, err := n.Schema(); err != nil {
 		return nil, err
 	}
-	if e.budgeted() {
-		return e.graceTUnionSource(l, r), nil
-	}
-	if e.parallel() {
-		return e.parallelTUnionSource(l, r), nil
-	}
-	return lazySource(l.schema, nil, func() ([]relation.Tuple, error) {
-		lr, err := drain(l)
-		if err != nil {
-			return nil, err
-		}
-		rr, err := drain(r)
-		if err != nil {
-			return nil, err
-		}
-		t1, t2 := lr.Schema().TimeIndices()
-		vidx := valueIdx(lr.Schema())
-
-		groups := newHashGroups(vidx, lr.Len()+rr.Len())
-		var leftMembers, rightMembers [][]int
-		grow := func(fresh bool) {
-			if fresh {
-				leftMembers = append(leftMembers, nil)
-				rightMembers = append(rightMembers, nil)
-			}
-		}
-		for i, t := range lr.Tuples() {
-			gid, fresh := groups.groupOf(t)
-			grow(fresh)
-			leftMembers[gid] = append(leftMembers[gid], i)
-		}
-		var rOrder []int // right groups in first right occurrence order
-		for j, t := range rr.Tuples() {
-			gid, fresh := groups.groupOf(t)
-			grow(fresh)
-			if len(rightMembers[gid]) == 0 {
-				rOrder = append(rOrder, gid)
-			}
-			rightMembers[gid] = append(rightMembers[gid], j)
-		}
-
-		out := make([]relation.Tuple, 0, lr.Len())
-		out = append(out, lr.Tuples()...)
-		for _, gid := range rOrder {
-			lps := make([]period.Period, len(leftMembers[gid]))
-			for k, i := range leftMembers[gid] {
-				lps[k] = lr.PeriodOf(i)
-			}
-			rps := make([]period.Period, len(rightMembers[gid]))
-			for k, j := range rightMembers[gid] {
-				rps[k] = rr.PeriodOf(j)
-			}
-			rep := rr.At(rightMembers[gid][0])
-			for _, p := range tunionExtraPeriods(lps, rps) {
-				out = append(out, rep.WithPeriodAt(t1, t2, p))
-			}
-		}
-		return out, nil
+	vidx := valueIdx(l.schema)
+	t1, t2 := l.schema.TimeIndices()
+	return e.keyedSource(&keyedOp{
+		l: l, r: r, lidx: vidx, ridx: vidx, out: l.schema,
+		body: tunionBody(vidx, t1, t2),
 	}), nil
 }
 
@@ -490,7 +308,8 @@ func tunionExtraPeriods(lpsIn, rpsIn []period.Period) []period.Period {
 // exactly the reference's constant-interval evaluation. An input whose
 // delivered order keeps grouping columns contiguous streams group-at-a-time
 // (each group's constant intervals are computed and emitted the moment the
-// group ends); otherwise the input materializes and hash-partitions.
+// group ends); otherwise the exchange driver runs the per-group emitter over
+// its partitions.
 func (e *Engine) buildTAggregate(n *algebra.Aggregate) (*source, error) {
 	in, err := e.build(n.Children()[0])
 	if err != nil {
@@ -539,10 +358,7 @@ func (e *Engine) buildTAggregate(n *algebra.Aggregate) (*source, error) {
 		}
 		return out, nil
 	}
-	if e.parallel() && !e.budgeted() && len(gidx) > 0 {
-		return e.parallelGroupAggSource(in, gidx, outSchema, order, groupOut), nil
-	}
-	if !e.opts.NoMerge && physical.GroupsContiguous(in.order, in.schema, gidx) {
+	if e.streams(in, gidx) {
 		e.stats.MergeOps++
 		return &source{
 			it:     &groupIter{in: in.it, idx: gidx, emit: groupOut},
@@ -550,13 +366,11 @@ func (e *Engine) buildTAggregate(n *algebra.Aggregate) (*source, error) {
 			order:  order,
 		}, nil
 	}
-	if e.budgeted() && len(gidx) > 0 {
-		// A GROUP-BY-less 𝒢ᵀ is one global group whose constant intervals
-		// need every row at once — nothing to partition on; it stays on the
-		// materializing path below (documented bound exemption).
-		return e.graceGroupSource(in, gidx, outSchema, order, func(part []prow) ([]tagged, error) {
-			return groupAggPartition(part, gidx, groupOut)
-		}), nil
-	}
-	return e.vecGroupEmitSource(in, gidx, outSchema, order, groupOut), nil
+	// A GROUP-BY-less 𝒢ᵀ is one global group whose constant intervals need
+	// every row at once: with no key the driver never partitions it.
+	contiguous := groupsContiguous(in.order, in.schema, gidx)
+	return e.keyedSource(&keyedOp{
+		l: in, lidx: gidx, contiguous: contiguous, out: outSchema, order: order,
+		body: groupEmitBody(gidx, contiguous, outSchema, groupOut),
+	}), nil
 }

@@ -207,6 +207,11 @@ type batch struct {
 	cols   []colvec
 	n      int   // physical rows in the columns
 	sel    []int // selected physical row indices, nil = all rows
+
+	// tuples, when set, holds the physical rows as the tuples the batch was
+	// converted from (a scan's relation): materializing such a row hands out
+	// the original immutable tuple instead of rebuilding it from the planes.
+	tuples []relation.Tuple
 }
 
 // newBatch returns an empty batch for s with per-column room for capHint.
@@ -236,6 +241,9 @@ func (b *batch) rowIndex(k int) int {
 
 // tupleAt materializes the physical row i as a tuple.
 func (b *batch) tupleAt(i int) relation.Tuple {
+	if b.tuples != nil {
+		return b.tuples[i]
+	}
 	t := make(relation.Tuple, len(b.cols))
 	for c := range b.cols {
 		t[c] = b.cols[c].at(i)
@@ -288,6 +296,12 @@ func (b *batch) compact() *batch {
 		}
 	}
 	out.n = len(b.sel)
+	if b.tuples != nil {
+		out.tuples = make([]relation.Tuple, len(b.sel))
+		for k, i := range b.sel {
+			out.tuples[k] = b.tuples[i]
+		}
+	}
 	return out
 }
 
@@ -329,6 +343,9 @@ func (b *batch) rangeView(lo, hi int) *batch {
 	for c := range b.cols {
 		nb.cols[c] = b.cols[c].slice(lo, hi)
 	}
+	if b.tuples != nil {
+		nb.tuples = b.tuples[lo:hi]
+	}
 	return nb
 }
 
@@ -342,6 +359,7 @@ func batchOfTuples(s *schema.Schema, ts []relation.Tuple) *batch {
 		}
 	}
 	b.n = len(ts)
+	b.tuples = ts
 	return b
 }
 
@@ -467,8 +485,15 @@ func vecDrainOneView(v vecIterator, sch *schema.Schema) (*batch, error) {
 	if err := v.close(); err != nil {
 		return nil, err
 	}
+	return concatBatches(sch, parts, total), nil
+}
+
+// concatBatches presents a batch list as one batch of total rows: a lone
+// batch as it is (selection view included), otherwise a dense copy in
+// presented order.
+func concatBatches(sch *schema.Schema, parts []*batch, total int) *batch {
 	if len(parts) == 1 {
-		return parts[0], nil
+		return parts[0]
 	}
 	out := newBatch(sch, total)
 	for c := range out.cols {
@@ -485,27 +510,16 @@ func vecDrainOneView(v vecIterator, sch *schema.Schema) (*batch, error) {
 		}
 	}
 	out.n = total
-	return out, nil
-}
-
-// tupleBatches packs a materialized tuple list into vecBatchRows-sized
-// batches — the re-batching step when a grace overflow path hands its
-// gathered tuples back to a columnar parent.
-func tupleBatches(sch *schema.Schema, ts []relation.Tuple) []*batch {
-	var out []*batch
-	for lo := 0; lo < len(ts); lo += vecBatchRows {
-		hi := lo + vecBatchRows
-		if hi > len(ts) {
-			hi = len(ts)
-		}
-		out = append(out, batchOfTuples(sch, ts[lo:hi]))
-	}
 	return out
 }
 
-// drainVec materializes a columnar stage into a relation.
+// drainVec materializes a columnar stage into a relation. A batch that
+// still knows the tuples it was converted from hands those over; any other
+// batch's tuples are cut from one backing array (as a decoded spill block's
+// are), so the boundary costs one allocation per batch, not one per row.
 func drainVec(s *source) (*relation.Relation, error) {
 	var ts []relation.Tuple
+	arity := s.schema.Len()
 	for {
 		b, err := s.vec.nextBatch()
 		if err != nil {
@@ -515,11 +529,21 @@ func drainVec(s *source) (*relation.Relation, error) {
 		if b == nil {
 			break
 		}
+		n := b.rows()
 		if ts == nil {
-			ts = make([]relation.Tuple, 0, b.rows())
+			ts = make([]relation.Tuple, 0, n)
 		}
-		for k := 0; k < b.rows(); k++ {
-			ts = append(ts, b.tupleAt(b.rowIndex(k)))
+		if b.tuples != nil {
+			for k := 0; k < n; k++ {
+				ts = append(ts, b.tuples[b.rowIndex(k)])
+			}
+			continue
+		}
+		vals := make([]value.Value, n*arity)
+		for k := 0; k < n; k++ {
+			t := relation.Tuple(vals[k*arity : (k+1)*arity : (k+1)*arity])
+			b.fillTuple(t, b.rowIndex(k))
+			ts = append(ts, t)
 		}
 	}
 	if err := s.vec.close(); err != nil {
@@ -531,10 +555,13 @@ func drainVec(s *source) (*relation.Relation, error) {
 }
 
 // vecGroups assigns dense group ids to batch rows equal on a key-column
-// set: the batch counterpart of hashGroups (which serves the tuple-only
-// operators), hashing straight off the column storage. Ids are allocated in first-occurrence order and
-// representatives are (batch, row) references, so no tuple is ever
-// materialized. The referenced batches stay alive as long as the table.
+// set, hashing straight off the column storage. Collisions chain on the
+// canonical row hash and every candidate is confirmed with value equality,
+// so distinct keys never share a group. Ids are allocated in
+// first-occurrence order — the iteration order the reference evaluator's
+// string-keyed maps expose — and representatives are (batch, row)
+// references, so no tuple is ever materialized. The referenced batches stay
+// alive as long as the table.
 type vecGroups struct {
 	idx     []int
 	buckets map[uint64][]int
@@ -546,18 +573,10 @@ func newVecGroups(idx []int, sizeHint int) *vecGroups {
 	return &vecGroups{idx: idx, buckets: make(map[uint64][]int, sizeHint)}
 }
 
-func (g *vecGroups) hashAt(b *batch, i int) uint64 {
-	h := value.HashSeed()
-	for _, c := range g.idx {
-		h = b.cols[c].hashInto(i, h)
-	}
-	return h
-}
-
 // groupOf returns row i's group id, allocating a fresh one (fresh=true) for
 // the first row with a given key.
 func (g *vecGroups) groupOf(b *batch, i int) (id int, fresh bool) {
-	h := g.hashAt(b, i)
+	h := rowHash(b, i, g.idx)
 	for _, gid := range g.buckets[h] {
 		if g.equalRep(gid, b, i) {
 			return gid, false
@@ -583,11 +602,7 @@ func (g *vecGroups) equalRep(gid int, b *batch, i int) bool {
 // lookup finds the group whose key equals row i restricted to probeIdx —
 // position k of probeIdx pairs with position k of the table's key — or -1.
 func (g *vecGroups) lookup(b *batch, i int, probeIdx []int) int {
-	h := value.HashSeed()
-	for _, c := range probeIdx {
-		h = b.cols[c].hashInto(i, h)
-	}
-	for _, gid := range g.buckets[h] {
+	for _, gid := range g.buckets[rowHash(b, i, probeIdx)] {
 		rb, ri := g.repB[gid], g.repRow[gid]
 		match := true
 		for k, pc := range probeIdx {
@@ -606,49 +621,45 @@ func (g *vecGroups) lookup(b *batch, i int, probeIdx []int) int {
 // size returns the number of distinct groups seen.
 func (g *vecGroups) size() int { return len(g.repB) }
 
-// vecGroupRows partitions a compacted batch's rows by equality on idx,
-// preserving first-occurrence group order and row order within each group.
-// contiguous=true (equal rows proved adjacent by the input's OrderSpec) runs
-// hash-free; an empty idx is one global group.
-func vecGroupRows(b *batch, idx []int, contiguous bool) [][]int {
-	if b.n == 0 {
+// keysEqual reports that rows i and j of b are equal on the idx columns.
+func keysEqual(b *batch, i, j int, idx []int) bool {
+	for _, c := range idx {
+		if !b.cols[c].equalAt(i, &b.cols[c], j) {
+			return false
+		}
+	}
+	return true
+}
+
+// groupRows partitions a partition's rows by equality on idx, preserving
+// first-occurrence group order and row order within each group; the groups
+// hold positions into p.rows. contiguous=true (equal rows proved adjacent by
+// the input's OrderSpec — which any order-preserving subset holding whole
+// groups inherits) runs hash-free; an empty idx is one global group.
+func groupRows(p part, idx []int, contiguous bool) [][]int {
+	if len(p.rows) == 0 {
 		return nil
 	}
-	if len(idx) == 0 {
-		all := make([]int, b.n)
-		for i := range all {
-			all[i] = i
-		}
-		return [][]int{all}
-	}
-	if contiguous {
+	if len(idx) == 0 || contiguous {
+		pos := identityIdx(len(p.rows))
 		var out [][]int
-		cur := []int{0}
-		for i := 1; i < b.n; i++ {
-			same := true
-			for _, c := range idx {
-				if !b.cols[c].equalAt(i, &b.cols[c], i-1) {
-					same = false
-					break
-				}
+		lo := 0
+		for k := 1; k < len(pos) && len(idx) > 0; k++ {
+			if !keysEqual(p.b, p.rows[k], p.rows[k-1], idx) {
+				out = append(out, pos[lo:k])
+				lo = k
 			}
-			if same {
-				cur = append(cur, i)
-				continue
-			}
-			out = append(out, cur)
-			cur = []int{i}
 		}
-		return append(out, cur)
+		return append(out, pos[lo:])
 	}
-	groups := newVecGroups(idx, b.n)
+	groups := newVecGroups(idx, len(p.rows))
 	var out [][]int
-	for i := 0; i < b.n; i++ {
-		gid, fresh := groups.groupOf(b, i)
+	for k, i := range p.rows {
+		gid, fresh := groups.groupOf(p.b, i)
 		if fresh {
 			out = append(out, nil)
 		}
-		out[gid] = append(out[gid], i)
+		out[gid] = append(out[gid], k)
 	}
 	return out
 }

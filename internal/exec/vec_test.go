@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"tqp/internal/algebra"
+	"tqp/internal/eval"
 	"tqp/internal/expr"
 	"tqp/internal/period"
 	"tqp/internal/relation"
@@ -197,10 +199,12 @@ func (s *stubVecIter) nextBatch() (*batch, error) {
 
 func (s *stubVecIter) close() error { return nil }
 
-// TestVecGroupsMatchesHashGroups drives random kind-mixed tuples through
-// the columnar and the tuple hash-grouping side by side: identical group
-// ids in identical order, and identical cross-schema lookups.
-func TestVecGroupsMatchesHashGroups(t *testing.T) {
+// TestVecGroupsMatchesReference drives random kind-mixed tuples through the
+// columnar group table and checks it against the definition it implements:
+// group ids are dense in first-occurrence order, two rows share an id
+// exactly when their tuples are EqualOn the key, and lookups find the group
+// of the equal row or nothing.
+func TestVecGroupsMatchesReference(t *testing.T) {
 	s := schema.MustNew(
 		schema.Attr("A", value.KindInt),
 		schema.Attr("B", value.KindString),
@@ -216,75 +220,167 @@ func TestVecGroupsMatchesHashGroups(t *testing.T) {
 	}
 	idx := []int{0, 1, 2}
 	b := batchOfTuples(s, tuples)
-	hg := newHashGroups(idx, 0)
 	vg := newVecGroups(idx, 0)
+	var reps []relation.Tuple // reference: first occurrence of each key
 	for i, tu := range tuples {
-		hid, hfresh := hg.groupOf(tu)
-		vid, vfresh := vg.groupOf(b, i)
-		if hid != vid || hfresh != vfresh {
-			t.Fatalf("row %d: hashGroups (%d,%v) ≠ vecGroups (%d,%v)", i, hid, hfresh, vid, vfresh)
+		want, wantFresh := len(reps), true
+		for gid, rep := range reps {
+			if rep.EqualOn(idx, tu) {
+				want, wantFresh = gid, false
+				break
+			}
+		}
+		if wantFresh {
+			reps = append(reps, tu)
+		}
+		if vid, vfresh := vg.groupOf(b, i); vid != want || vfresh != wantFresh {
+			t.Fatalf("row %d: vecGroups (%d,%v), reference (%d,%v)", i, vid, vfresh, want, wantFresh)
 		}
 	}
+	if vg.size() != len(reps) {
+		t.Fatalf("vecGroups holds %d groups, reference %d", vg.size(), len(reps))
+	}
 	for i, tu := range tuples {
-		if hg.lookup(tu, idx) != vg.lookup(b, i, idx) {
-			t.Fatalf("row %d: lookup disagrees", i)
+		gid := vg.lookup(b, i, idx)
+		if gid < 0 || !reps[gid].EqualOn(idx, tu) {
+			t.Fatalf("row %d: lookup found group %d", i, gid)
 		}
+	}
+	absent := batchOfTuples(s, []relation.Tuple{{value.Int(99), value.String_("a"), value.Float(0)}})
+	if gid := vg.lookup(absent, 0, idx); gid != -1 {
+		t.Fatalf("lookup of an absent key found group %d", gid)
 	}
 }
 
-// TestSpanAlgorithmsMatchRowAlgorithms is the property test tying the
-// span-level temporal algorithms to the row-level ones they mirror: on
-// random period multisets (overlaps, duplicates, empties, NOW markers)
-// rdupTSpans/coalTSpans must produce exactly the fragment sequence of
-// rdupTGroup/coalTGroup.
-func TestSpanAlgorithmsMatchRowAlgorithms(t *testing.T) {
+// spanKernelsAgainstReference checks the four temporal span kernels on one
+// value-equivalence group against the reference evaluator: lps and rps
+// become one-group relations (a single constant value column), and
+// rdupTSpans, coalTSpans, tdiffGroupFragments and tunionExtraPeriods must
+// reproduce the period lists of internal/eval's rdupᵀ, coalᵀ, \ᵀ and ∪ᵀ on
+// them exactly, fragment order included.
+func spanKernelsAgainstReference(t *testing.T, lps, rps []period.Period) {
+	t.Helper()
 	s := schema.MustNew(
 		schema.Attr("V", value.KindInt),
 		schema.Attr(schema.T1, value.KindTime),
 		schema.Attr(schema.T2, value.KindTime))
 	t1, t2 := s.TimeIndices()
-	for seed := int64(0); seed < 200; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(8)
-		rows := make([]row, n)
-		for i := 0; i < n; i++ {
-			start := period.Chronon(rng.Intn(10))
-			end := start + period.Chronon(rng.Intn(8))
-			if rng.Intn(10) == 0 {
-				end = period.NowMarker // NOW-relative period
-			}
-			p := period.Period{Start: start, End: end}
-			tu := relation.Tuple{value.Int(1), value.Time(p.Start), value.Time(p.End)}
-			rows[i] = row{orig: i, t: tu, p: p}
+	group := func(ps []period.Period) *relation.Relation {
+		ts := make([]relation.Tuple, len(ps))
+		for i, p := range ps {
+			ts[i] = relation.Tuple{value.Int(1), value.Time(p.Start), value.Time(p.End)}
 		}
-		spans := make([]vspan, n)
-		for i, rw := range rows {
-			spans[i] = vspan{src: i, p: rw.p}
-		}
-		check := func(name string, gotSpans []vspan, wantRows []row) {
-			if len(gotSpans) != len(wantRows) {
-				t.Fatalf("seed %d %s: %d spans vs %d rows", seed, name, len(gotSpans), len(wantRows))
-			}
-			for k := range gotSpans {
-				if gotSpans[k].p != wantRows[k].p {
-					t.Fatalf("seed %d %s: fragment %d period %v ≠ %v", seed, name, k, gotSpans[k].p, wantRows[k].p)
-				}
-				if gotSpans[k].src != wantRows[k].orig {
-					t.Fatalf("seed %d %s: fragment %d source %d ≠ orig %d", seed, name, k, gotSpans[k].src, wantRows[k].orig)
-				}
-				wantP := wantRows[k].t.PeriodAt(t1, t2)
-				if gotSpans[k].p != wantP {
-					t.Fatalf("seed %d %s: fragment %d span period %v ≠ tuple period %v", seed, name, k, gotSpans[k].p, wantP)
-				}
-			}
-		}
-		rCopy := append([]row(nil), rows...)
-		sCopy := append([]vspan(nil), spans...)
-		check("rdupT", rdupTSpans(sCopy), rdupTGroup(rCopy, t1, t2))
-		rCopy = append([]row(nil), rows...)
-		sCopy = append([]vspan(nil), spans...)
-		check("coalT", coalTSpans(sCopy), coalTGroup(rCopy, t1, t2))
+		return relation.FromTuplesTrusted(s, ts)
 	}
+	src := eval.MapSource{"L": group(lps), "R": group(rps)}
+	l := algebra.NewRel("L", s, algebra.BaseInfo{})
+	r := algebra.NewRel("R", s, algebra.BaseInfo{})
+	reference := func(n algebra.Node) []period.Period {
+		out, err := eval.New(src).Eval(n)
+		if err != nil {
+			t.Fatalf("reference %s: %v", algebra.Canonical(n), err)
+		}
+		ps := make([]period.Period, out.Len())
+		for i := range ps {
+			ps[i] = out.At(i).PeriodAt(t1, t2)
+		}
+		return ps
+	}
+	check := func(name string, got, want []period.Period) {
+		if len(got) != len(want) {
+			t.Fatalf("%s on L=%v R=%v: %d periods %v, reference %d %v", name, lps, rps, len(got), got, len(want), want)
+		}
+		for k := range got {
+			if got[k] != want[k] {
+				t.Fatalf("%s on L=%v R=%v: period %d is %v, reference %v", name, lps, rps, k, got[k], want[k])
+			}
+		}
+	}
+	spans := func() []vspan {
+		ss := make([]vspan, len(lps))
+		for i, p := range lps {
+			ss[i] = vspan{src: i, p: p}
+		}
+		return ss
+	}
+	periods := func(ss []vspan) []period.Period {
+		ps := make([]period.Period, len(ss))
+		for i, sp := range ss {
+			ps[i] = sp.p
+		}
+		return ps
+	}
+	check("rdupTSpans", periods(rdupTSpans(spans())), reference(algebra.NewTRdup(l)))
+	check("coalTSpans", periods(coalTSpans(spans())), reference(algebra.NewCoal(l)))
+	var diff []period.Period
+	for _, fs := range tdiffGroupFragments(lps, rps) {
+		diff = append(diff, fs...)
+	}
+	check("tdiffGroupFragments", diff, reference(algebra.NewTDiff(l, r)))
+	check("tunionExtraPeriods", tunionExtraPeriods(lps, rps), reference(algebra.NewTUnion(l, r))[len(lps):])
+}
+
+// TestSpanKernelsMatchReference is the property test tying the span kernels
+// to the reference evaluator on random single-group period lists: empty,
+// touching, nested, identical, sorted-disjoint and NOW-relative periods all
+// occur.
+func TestSpanKernelsMatchReference(t *testing.T) {
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		gen := func(n int) []period.Period {
+			ps := make([]period.Period, n)
+			cur := period.Chronon(rng.Intn(4))
+			for i := range ps {
+				start := period.Chronon(rng.Intn(10))
+				if seed%3 == 0 {
+					// Sorted-disjoint shape: the kernels' one-pass fast paths.
+					start = cur + period.Chronon(rng.Intn(2))
+				}
+				end := start + period.Chronon(rng.Intn(8))
+				if rng.Intn(10) == 0 {
+					end = period.NowMarker
+				}
+				ps[i] = period.Period{Start: start, End: end}
+				if end != period.NowMarker {
+					cur = end
+				}
+			}
+			return ps
+		}
+		spanKernelsAgainstReference(t, gen(rng.Intn(9)), gen(rng.Intn(6)))
+	}
+}
+
+// FuzzSpanKernels is the same property under native fuzzing: the bytes
+// decode to two period lists (one header byte splits them, then a
+// start/length byte pair per period; length 0 is an empty period).
+func FuzzSpanKernels(f *testing.F) {
+	f.Add([]byte{})                             // empty group
+	f.Add([]byte{2, 1, 2, 3, 2})                // touching [1,3) [3,5)
+	f.Add([]byte{2, 0, 9, 2, 3, 1, 4})          // nested, right inside
+	f.Add([]byte{3, 4, 2, 4, 2, 4, 2, 4, 2})    // identical on both sides
+	f.Add([]byte{3, 0, 2, 3, 2, 7, 1, 1, 0})    // sorted-disjoint, empty right period
+	f.Add([]byte{1, 5, 0, 5, 3})                // empty left period
+	f.Add([]byte{4, 0, 6, 2, 6, 1, 1, 3, 3, 2}) // overlapping chain
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 33 {
+			data = data[:33] // the kernels are O(g²) per group by design
+		}
+		var lps, rps []period.Period
+		if len(data) > 0 {
+			nl := int(data[0])
+			for k := 1; k+1 < len(data); k += 2 {
+				start := period.Chronon(data[k] % 32)
+				p := period.Period{Start: start, End: start + period.Chronon(data[k+1]%16)}
+				if len(lps) < nl {
+					lps = append(lps, p)
+				} else {
+					rps = append(rps, p)
+				}
+			}
+		}
+		spanKernelsAgainstReference(t, lps, rps)
+	})
 }
 
 // TestVecPredCompiler checks the columnar predicate fast path against

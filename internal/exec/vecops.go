@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"sort"
-
 	"tqp/internal/eval"
 	"tqp/internal/expr"
 	"tqp/internal/period"
@@ -11,14 +9,15 @@ import (
 	"tqp/internal/value"
 )
 
-// This file holds the batch-at-a-time hash operators: σ, π, rdup, the keyed
-// hash join, and the hash paths of rdupᵀ/coalᵀ/𝒢/𝒢ᵀ. Each is the engine's
-// only implementation of its algorithm and reproduces the reference's list
-// exactly — first-occurrence group order, left-major/right-list join order,
-// group-local temporal transforms re-interleaved by original position. Every
-// input is read through source.vecInput(), so a child that exists
-// tuple-at-a-time only feeds these operators through the tuple→batch
-// adapter.
+// This file holds the batch-at-a-time hash operators: σ, π, the pipelined
+// rdup and 𝒢, the keyed hash join, and the partition bodies the exchange
+// driver (grace.go) runs for rdup, \, ∪, rdupᵀ, coalᵀ, 𝒢 and 𝒢ᵀ. Each is the
+// engine's only implementation of its algorithm and reproduces the
+// reference's list exactly — first-occurrence group order,
+// left-major/right-list join order, group-local temporal transforms
+// re-interleaved by original position. Every input is read through
+// source.vecInput(), so a child that exists tuple-at-a-time only feeds these
+// operators through the tuple→batch adapter.
 
 // onceBatchIter defers a batch-producing computation to the first pull and
 // emits its result as a single batch; the columnar counterpart of lazyIter.
@@ -475,6 +474,12 @@ type vecJoinIter struct {
 	curP     period.Period
 	live     bool // a probe row with candidates is parked on the cursor
 	scratch  relation.Tuple
+
+	// trackProbes makes nextBatch record, in probes, the physical probe row
+	// behind each row of the batch it returns — the spilled join's link from
+	// output rows back to their probe sequence keys.
+	trackProbes bool
+	probes      []int
 }
 
 func (j *vecJoinIter) buildSide() error {
@@ -554,6 +559,7 @@ func (j *vecJoinIter) nextBatch() (*batch, error) {
 		return nil, nil
 	}
 	out := newBatch(j.out, vecBatchRows)
+	j.probes = j.probes[:0]
 	for j.live {
 		for j.ci < len(j.cand) {
 			ri := j.cand[j.ci]
@@ -585,6 +591,9 @@ func (j *vecJoinIter) nextBatch() (*batch, error) {
 				out.cols[j.lw+j.rw+1].append(value.Time(iv.End))
 			}
 			out.n++
+			if j.trackProbes {
+				j.probes = append(j.probes, j.curProbe)
+			}
 		}
 		if out.n >= vecBatchRows {
 			break
@@ -598,8 +607,9 @@ func (j *vecJoinIter) nextBatch() (*batch, error) {
 	if out.n == 0 {
 		return nil, nil
 	}
-	// Worker copies in the parallel join run with e == nil: the spawner
-	// owns the batch counter, so concurrent workers never race on stats.
+	// Worker copies in the parallel join and the spilled join's partition
+	// bodies run with e == nil: the spawner owns the batch counter, so
+	// concurrent workers never race on stats.
 	if j.e != nil {
 		j.e.stats.VectorBatches++
 	}
@@ -631,17 +641,21 @@ func (j *vecJoinIter) residualHolds(ri int, iv period.Period) (bool, error) {
 
 func (j *vecJoinIter) close() error { return j.left.close() }
 
-// vspan is one period fragment of a value-equivalence group during columnar
-// temporal grouping: the physical row its values come from (which is also
-// its original list position — the merge key) plus its current period. The
-// value columns are never touched until the final gather, so the temporal
-// algorithms below run on 24-byte structs instead of tuples.
+// vspan is one period fragment of a value-equivalence group during temporal
+// grouping: the row its values come from (its position in the partition —
+// rows keep arrival order there, so it is also the merge key) plus its
+// current period.
+// The temporal operators are defined per value-equivalent group on the
+// periods alone — the value columns are only carried — so the kernels below
+// run on 24-byte structs and never touch a value column.
 type vspan struct {
 	src int
 	p   period.Period
 }
 
-// spansSortedDisjoint mirrors sortedDisjoint on spans.
+// spansSortedDisjoint reports that a group's periods are non-empty, sorted
+// by start, and pairwise non-overlapping — the shape left behind by a prior
+// rdupᵀ or a sort, under which overlap-driven work is provably absent.
 func spansSortedDisjoint(ss []vspan) bool {
 	for i, s := range ss {
 		if s.p.Empty() {
@@ -654,12 +668,13 @@ func spansSortedDisjoint(ss []vspan) bool {
 	return true
 }
 
-// rdupTSpans mirrors rdupTGroup: the paper's iterative head/subtract
-// algorithm on one value-equivalence group, reading and writing only
-// periods. Fragments inherit their source row.
+// rdupTSpans runs the paper's iterative head/subtract algorithm on one
+// value-equivalence group, in place of the group's list order; fragments
+// inherit their source row. A group whose periods arrive sorted and
+// non-overlapping is recognized in a linear pre-scan and returned outright.
 func rdupTSpans(ss []vspan) []vspan {
 	if spansSortedDisjoint(ss) {
-		return ss
+		return ss // no overlaps exist: nothing to eliminate
 	}
 	for i := 0; i < len(ss); i++ {
 		head := ss[i]
@@ -685,8 +700,10 @@ func rdupTSpans(ss []vspan) []vspan {
 	return ss
 }
 
-// coalTSpans mirrors coalTGroup: group-local adjacency merging, the merged
-// span keeping the earlier row's values.
+// coalTSpans coalesces one value-equivalence group, the merged span keeping
+// the earlier row's values. A group whose periods are sorted and
+// non-overlapping merges in one pass; otherwise the reference's iterative
+// merge runs group-locally.
 func coalTSpans(ss []vspan) []vspan {
 	if spansSortedDisjoint(ss) {
 		return coalesceOnePassSpans(ss)
@@ -710,7 +727,10 @@ func coalTSpans(ss []vspan) []vspan {
 	return ss
 }
 
-// coalesceOnePassSpans mirrors coalesceOnePass on spans.
+// coalesceOnePassSpans merges a sorted, non-overlapping group in a single
+// sweep. Under spansSortedDisjoint the first later adjacent span is always
+// the immediate successor and merging preserves the invariant, so this
+// reproduces the iterative algorithm exactly.
 func coalesceOnePassSpans(ss []vspan) []vspan {
 	if len(ss) == 0 {
 		return ss
@@ -728,50 +748,160 @@ func coalesceOnePassSpans(ss []vspan) []vspan {
 	return append(out, cur)
 }
 
-// vecValueGroupSource compiles the columnar rdupᵀ / coalᵀ: drain the input
-// into one batch, partition rows by value equivalence off the columns, run
-// the span-level transform group-locally, stable-merge the surviving spans
-// back into original list order, and gather the result column-wise — value
-// columns copied straight from the input batch, period columns written from
-// the spans.
-func (e *Engine) vecValueGroupSource(in *source, vidx []int, order relation.OrderSpec, transform func([]vspan) []vspan) *source {
-	e.stats.VectorOps++
-	t1, t2 := in.schema.TimeIndices()
-	compute := func() (*batch, error) {
-		b, err := vecDrainOne(in.vecInput(), in.schema)
-		if err != nil {
-			return nil, err
-		}
-		contiguous := groupsContiguous(in.order, in.schema, vidx)
-		groups := vecGroupRows(b, vidx, contiguous)
+// valueGroupBody is the partition body of rdupᵀ / coalᵀ: partition the rows
+// by value equivalence off the columns, run the span-level transform
+// group-locally, and stable-merge the surviving spans back into list order.
+// Rows of different groups never interact and in-place replacement
+// preserves their relative order, so the group-local runs compose into
+// exactly the reference's global result at O(Σ g²) instead of O(n²).
+func valueGroupBody(vidx []int, t1, t2 int, contiguous bool, transform func([]vspan) []vspan) partBody {
+	return func(p, _ part) ([]emitted, error) {
 		var all []vspan
-		for _, members := range groups {
+		for _, members := range groupRows(p, vidx, contiguous) {
 			ss := make([]vspan, len(members))
-			for k, i := range members {
-				ss[k] = vspan{src: i, p: b.periodAt(t1, t2, i)}
+			for x, k := range members {
+				ss[x] = vspan{src: k, p: p.b.periodAt(t1, t2, p.rows[k])}
 			}
 			all = append(all, transform(ss)...)
 		}
-		// src doubles as the original list position, so the stable sort
-		// re-interleaves the groups into list order with the fragments of
-		// one row kept in sequence.
-		sort.SliceStable(all, func(x, y int) bool { return all[x].src < all[y].src })
-		out := newBatch(in.schema, len(all))
-		for _, c := range vidx {
-			col := &out.cols[c]
-			for _, s := range all {
-				col.appendFrom(&b.cols[c], s.src)
+		// The spans of one row sit in one group, in sequence; placing every
+		// span by its row's position (a counting sort) re-interleaves the
+		// groups into list order with the fragments of a row kept together.
+		at := make([]int, len(p.rows)+1)
+		for _, s := range all {
+			at[s.src+1]++
+		}
+		for k := 1; k < len(at); k++ {
+			at[k] += at[k-1]
+		}
+		rows, per := make([]int, len(all)), make([]period.Period, len(all))
+		for _, s := range all {
+			rows[at[s.src]], per[at[s.src]] = p.rows[s.src], s.p
+			at[s.src]++
+		}
+		return []emitted{{part: part{b: p.b, rows: rows, seqs: p.seqs}, per: per}}, nil
+	}
+}
+
+// spanEmitter adapts a span transform into a groupIter emit function for
+// the streaming contiguous-groups path: one group's tuples in, the
+// surviving fragments out, a tuple rebuilt only where its period changed.
+func spanEmitter(t1, t2 int, transform func([]vspan) []vspan) func([]relation.Tuple) ([]relation.Tuple, error) {
+	return func(group []relation.Tuple) ([]relation.Tuple, error) {
+		ss := make([]vspan, len(group))
+		for i, t := range group {
+			ss[i] = vspan{src: i, p: t.PeriodAt(t1, t2)}
+		}
+		ss = transform(ss)
+		out := make([]relation.Tuple, len(ss))
+		for i, s := range ss {
+			out[i] = group[s.src]
+			if out[i].PeriodAt(t1, t2) != s.p {
+				out[i] = out[i].WithPeriodAt(t1, t2, s.p)
 			}
 		}
-		for _, s := range all {
-			out.cols[t1].append(value.Time(s.p.Start))
-			out.cols[t2].append(value.Time(s.p.End))
-		}
-		out.n = len(all)
-		e.stats.VectorBatches++
 		return out, nil
 	}
-	return vecSource(&onceBatchIter{compute: compute}, in.schema, order)
+}
+
+// rdupBody is the partition body of rdup: the first occurrence of each row
+// survives, found with the columnar group table.
+func rdupBody(idx []int) partBody {
+	return func(p, _ part) ([]emitted, error) {
+		groups := newVecGroups(idx, len(p.rows))
+		sel := make([]int, 0, len(p.rows))
+		for _, i := range p.rows {
+			if _, fresh := groups.groupOf(p.b, i); fresh {
+				sel = append(sel, i)
+			}
+		}
+		return []emitted{{part: part{b: p.b, rows: sel, seqs: p.seqs}}}, nil
+	}
+}
+
+// cancelMultiplicity is the core of \ and ∪: fund rows build per-key
+// multiplicity budgets, scan rows stream against them with budget hits
+// cancelling, and the surviving scan rows are returned in order.
+func cancelMultiplicity(fund, scan part, idx []int) []int {
+	groups := newVecGroups(idx, len(fund.rows))
+	var budget []int
+	for _, i := range fund.rows {
+		gid, fresh := groups.groupOf(fund.b, i)
+		if fresh {
+			budget = append(budget, 0)
+		}
+		budget[gid]++
+	}
+	sel := make([]int, 0, len(scan.rows))
+	for _, i := range scan.rows {
+		if gid := groups.lookup(scan.b, i, idx); gid >= 0 && budget[gid] > 0 {
+			budget[gid]--
+			continue
+		}
+		sel = append(sel, i)
+	}
+	return sel
+}
+
+// diffBody is the partition body of \: the right rows fund the budgets, the
+// earliest left occurrences absorb the subtraction, left survivors keep
+// their list order.
+func diffBody(idx []int) partBody {
+	return func(lp, rp part) ([]emitted, error) {
+		return []emitted{{part: part{b: lp.b, rows: cancelMultiplicity(rp, lp, idx), seqs: lp.seqs}}}, nil
+	}
+}
+
+// unionBody is the partition body of the max-multiplicity ∪: the left rows
+// pass through whole, the right rows exceeding the left multiplicities
+// follow behind the whole left list.
+func unionBody(idx []int) partBody {
+	return func(lp, rp part) ([]emitted, error) {
+		return []emitted{
+			{part: lp},
+			{part: part{b: rp.b, rows: cancelMultiplicity(lp, rp, idx), seqs: rp.seqs}, off: afterLeft},
+		}, nil
+	}
+}
+
+// groupEmitBody is the partition body of the grouping operators whose
+// output is computed per group (𝒢, 𝒢ᵀ): partition the rows by the grouping
+// columns, hand each group — materialized once — to the per-group emitter
+// the streaming path shares, and tag its output with the group's
+// first-occurrence position.
+func groupEmitBody(gidx []int, contiguous bool, out *schema.Schema, groupOut func([]relation.Tuple) ([]relation.Tuple, error)) partBody {
+	return func(p, _ part) ([]emitted, error) {
+		if len(p.rows) == 0 {
+			return nil, nil
+		}
+		arity := len(p.b.cols)
+		var results []relation.Tuple
+		var seqs []int
+		for _, members := range groupRows(p, gidx, contiguous) {
+			group := make([]relation.Tuple, len(members))
+			if p.b.tuples != nil {
+				for x, k := range members {
+					group[x] = p.b.tuples[p.rows[k]]
+				}
+			} else {
+				vals := make([]value.Value, len(members)*arity)
+				for x, k := range members {
+					group[x] = vals[x*arity : (x+1)*arity : (x+1)*arity]
+					p.b.fillTuple(group[x], p.rows[k])
+				}
+			}
+			res, err := groupOut(group)
+			if err != nil {
+				return nil, err
+			}
+			results = append(results, res...)
+			for range res {
+				seqs = append(seqs, p.seq(p.rows[members[0]]))
+			}
+		}
+		ob := batchOfTuples(out, results)
+		return []emitted{{part: part{b: ob, rows: identityIdx(ob.n), seqs: seqs}}}, nil
+	}
 }
 
 // vecAggregateSource compiles the columnar 𝒢 hash path: batches stream
@@ -822,35 +952,6 @@ func (e *Engine) vecAggregateSource(in *source, gidx []int, outSchema *schema.Sc
 				nt = append(nt, acc.Result())
 			}
 			out = append(out, nt)
-		}
-		return out, nil
-	})
-}
-
-// vecGroupEmitSource compiles the columnar 𝒢ᵀ hash path: drain into one
-// batch, partition by grouping columns off the columns, then hand each
-// group — materialized once — to the shared per-group emitter.
-func (e *Engine) vecGroupEmitSource(in *source, gidx []int, outSchema *schema.Schema, order relation.OrderSpec, groupOut func([]relation.Tuple) ([]relation.Tuple, error)) *source {
-	e.stats.VectorOps++
-	return lazySource(outSchema, order, func() ([]relation.Tuple, error) {
-		b, err := vecDrainOne(in.vecInput(), in.schema)
-		if err != nil {
-			return nil, err
-		}
-		e.stats.VectorBatches++
-		contiguous := groupsContiguous(in.order, in.schema, gidx)
-		groups := vecGroupRows(b, gidx, contiguous)
-		var out []relation.Tuple
-		for _, members := range groups {
-			group := make([]relation.Tuple, len(members))
-			for x, i := range members {
-				group[x] = b.tupleAt(i)
-			}
-			res, err := groupOut(group)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, res...)
 		}
 		return out, nil
 	})

@@ -588,6 +588,13 @@ func (s *Server) runQuery(sql string, sess *session, w io.Writer) error {
 // server's answer to a query. Exported so the coordinator's frontend
 // streams its gathered results with the exact same encoding.
 func StreamResult(w io.Writer, result *relation.Relation, batchRows int, done *Done) error {
+	return streamResult(w, result, nil, batchRows, done)
+}
+
+// streamResult is the one place the frame layout of a result is decided.
+// seqs, when non-nil, carries the rows' sequence keys (a pushed-down
+// fragment's answer), cut per rows frame alongside the rows.
+func streamResult(w io.Writer, result *relation.Relation, seqs []int, batchRows int, done *Done) error {
 	if batchRows <= 0 {
 		batchRows = 256
 	}
@@ -613,6 +620,9 @@ func StreamResult(w io.Writer, result *relation.Relation, batchRows int, done *D
 			frame.Rows = encodeRows(tuples, from, to)
 		} else {
 			frame.ColRows = encodeCols(tuples, from, to)
+		}
+		if seqs != nil {
+			frame.Seqs = seqs[from:to]
 		}
 		if err := WriteFrame(w, frame); err != nil {
 			return err
@@ -684,34 +694,7 @@ func (s *Server) runPartial(plan *WirePlan, w io.Writer) error {
 		return writeError(w, CodeExec, err)
 	}
 	release()
-
-	if err := WriteFrame(w, &Response{
-		Kind:  KindSchema,
-		Cols:  colsOf(result.Schema()),
-		Order: orderOf(result.Order()),
-	}); err != nil {
-		return err
-	}
-	tuples := result.Tuples()
-	for from := 0; from < len(tuples); from += s.cfg.BatchRows {
-		to := from + s.cfg.BatchRows
-		if to > len(tuples) {
-			to = len(tuples)
-		}
-		frame := &Response{Kind: KindRows}
-		if result.Schema().Len() == 0 {
-			frame.Rows = encodeRows(tuples, from, to)
-		} else {
-			frame.ColRows = encodeCols(tuples, from, to)
-		}
-		if seqs != nil {
-			frame.Seqs = seqs[from:to]
-		}
-		if err := WriteFrame(w, frame); err != nil {
-			return err
-		}
-	}
-	return WriteFrame(w, &Response{Kind: KindDone, Done: &Done{Tuples: result.Len()}})
+	return streamResult(w, result, seqs, s.cfg.BatchRows, &Done{Tuples: result.Len()})
 }
 
 // optimizerFor returns the planning optimizer calibrated to the spec,

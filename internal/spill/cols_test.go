@@ -31,9 +31,9 @@ func colSample(n int) ([]int, [][]value.Value) {
 }
 
 // TestAppendBlockColsRoundTrip pins the columnar writer against both
-// readers: tuple-at-a-time Next (the repartition path) and NextBlock (the
-// columnar leaf path) must decode identical seqs and values, across block
-// boundaries and with heterogeneous columns.
+// readers: tuple-at-a-time Next (the repartition path) and NextBlockCols
+// (the partition loader's block→planes path) must decode identical seqs and
+// values, across block boundaries and with heterogeneous columns.
 func TestAppendBlockColsRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, BlockRows - 1, BlockRows, BlockRows + 1, 2*BlockRows + 7} {
 		m := NewManager(t.TempDir())
@@ -64,18 +64,24 @@ func TestAppendBlockColsRoundTrip(t *testing.T) {
 			got := 0
 			for {
 				if block {
-					bseqs, brows, ok, err := r.NextBlock()
+					cols := make([][]value.Value, 3)
+					bseqs, ok, err := r.NextBlockCols(3, func(_, col int, v value.Value) {
+						cols[col] = append(cols[col], v)
+					})
 					if err != nil {
 						t.Fatal(err)
 					}
 					if !ok {
 						break
 					}
-					if len(bseqs) != len(brows) || len(brows) == 0 {
-						t.Fatalf("n=%d: block of %d seqs / %d rows", n, len(bseqs), len(brows))
+					if len(bseqs) == 0 {
+						t.Fatalf("n=%d: empty block", n)
 					}
-					for i := range brows {
-						checkColRow(t, n, got, bseqs[i], brows[i], seqs, rows)
+					for i := range bseqs {
+						if len(cols[0]) != len(bseqs) || len(cols[1]) != len(bseqs) || len(cols[2]) != len(bseqs) {
+							t.Fatalf("n=%d: block of %d seqs has columns of %d/%d/%d cells", n, len(bseqs), len(cols[0]), len(cols[1]), len(cols[2]))
+						}
+						checkColRow(t, n, got, bseqs[i], relation.Tuple{cols[0][i], cols[1][i], cols[2][i]}, seqs, rows)
 						got++
 					}
 				} else {
@@ -116,8 +122,10 @@ func checkColRow(t *testing.T, n, i, seq int, tp relation.Tuple, seqs []int, row
 
 // TestInterleavedAppendAndBlockCols checks that row appends and columnar
 // block appends compose on one file — including an arity change between
-// the two regions, which the per-block arity header must carry — and that
-// both readers see the concatenation in order.
+// the two regions, which the per-block arity header must carry — that the
+// tuple reader sees the concatenation in order, and that the fixed-arity
+// block→planes reader refuses the foreign-arity block instead of
+// mis-filing its cells.
 func TestInterleavedAppendAndBlockCols(t *testing.T) {
 	m := NewManager(t.TempDir())
 	defer m.Cleanup()
@@ -161,15 +169,15 @@ func TestInterleavedAppendAndBlockCols(t *testing.T) {
 	var gotSeqs []int
 	var gotRows []relation.Tuple
 	for {
-		bseqs, brows, ok, err := r.NextBlock()
+		seq, tp, ok, err := r.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ok {
 			break
 		}
-		gotSeqs = append(gotSeqs, bseqs...)
-		gotRows = append(gotRows, brows...)
+		gotSeqs = append(gotSeqs, seq)
+		gotRows = append(gotRows, tp)
 	}
 	if len(gotRows) != wantN {
 		t.Fatalf("decoded %d rows, want %d", len(gotRows), wantN)
@@ -185,5 +193,13 @@ func TestInterleavedAppendAndBlockCols(t *testing.T) {
 	last := len(gotRows) - 1
 	if gotSeqs[last] != 999 || !gotRows[last].Equal(tail) {
 		t.Fatalf("tail row: seq=%d tuple=%s", gotSeqs[last], gotRows[last])
+	}
+	cr, err := f.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cr.Close()
+	if _, _, err := cr.NextBlockCols(3, func(int, int, value.Value) {}); err == nil {
+		t.Fatal("NextBlockCols(3) accepted the 2-column head block")
 	}
 }

@@ -199,9 +199,12 @@ func (w *Writer) AppendBlockCols(seqs []int, arity int, memBytes int64, cell fun
 		if hi > len(seqs) {
 			hi = len(seqs)
 		}
-		w.buf = encodeBlockCols(w.buf[:0], seqs[lo:hi], arity, func(row, col int) value.Value {
-			return cell(lo+row, col)
-		})
+		block := cell
+		if lo > 0 {
+			lo := lo
+			block = func(row, col int) value.Value { return cell(lo+row, col) }
+		}
+		w.buf = encodeBlockCols(w.buf[:0], seqs[lo:hi], arity, block)
 		if _, err := w.bw.Write(w.buf); err != nil {
 			return fmt.Errorf("spill: writing %s: %w", w.f.Name(), err)
 		}
@@ -323,30 +326,33 @@ func (r *Reader) Next() (seq int, t relation.Tuple, ok bool, err error) {
 	return seq, t, true, nil
 }
 
-// NextBlock returns the not-yet-consumed rows of the current block —
-// decoding a fresh block when the current one is spent — as parallel
-// seq/tuple slices, the batch pipeline's read path. ok=false with a nil
-// error marks the end of the file. The seqs slice is valid only until the
-// next NextBlock or Next call (it recycles the reader's scratch); the
-// tuples are freshly allocated per block and may be retained.
-func (r *Reader) NextBlock() (seqs []int, rows []relation.Tuple, ok bool, err error) {
-	if r.blkPos == len(r.blkRows) {
-		if r.remaining == 0 {
-			return nil, nil, false, nil
-		}
-		r.blkSeqs, r.blkRows, r.buf, err = decodeBlock(r.br, r.blkSeqs[:0], r.buf)
-		if err != nil {
-			return nil, nil, false, fmt.Errorf("spill: reading %s: %w", r.f.Name(), err)
-		}
-		if len(r.blkRows) > r.remaining {
-			return nil, nil, false, fmt.Errorf("spill: reading %s: block holds %d tuples, only %d expected", r.f.Name(), len(r.blkRows), r.remaining)
-		}
-		r.blkPos = 0
+// NextBlockCols decodes the next block straight into the caller's column
+// storage — the batch pipeline's read path, which never materializes a
+// tuple: put receives the block's cells (block-local row, column) column by
+// column, each column's in row order, and the rows' sequence keys are
+// returned. ok=false with a nil error marks the end of the file. The block
+// must hold arity-column rows, and the seqs slice is valid only until the
+// next call (it recycles the reader's scratch). A reader is driven through
+// either Next or NextBlockCols, not both.
+func (r *Reader) NextBlockCols(arity int, put func(row, col int, v value.Value)) (seqs []int, ok bool, err error) {
+	if r.remaining == 0 {
+		return nil, false, nil
 	}
-	seqs, rows = r.blkSeqs[r.blkPos:], r.blkRows[r.blkPos:]
-	r.blkPos = len(r.blkRows)
-	r.remaining -= len(rows)
-	return seqs, rows, true, nil
+	begin := func(_, a int) error {
+		if a != arity {
+			return fmt.Errorf("block holds %d-column rows, want %d", a, arity)
+		}
+		return nil
+	}
+	r.blkSeqs, r.buf, err = decodeBlockInto(r.br, r.blkSeqs[:0], r.buf, begin, put)
+	if err == nil && len(r.blkSeqs) > r.remaining {
+		err = fmt.Errorf("block holds %d tuples, only %d expected", len(r.blkSeqs), r.remaining)
+	}
+	if err != nil {
+		return nil, false, fmt.Errorf("spill: reading %s: %w", r.f.Name(), err)
+	}
+	r.remaining -= len(r.blkSeqs)
+	return r.blkSeqs, true, nil
 }
 
 // Close releases the file handle.
@@ -439,20 +445,22 @@ func encodeBlockCols(dst []byte, seqs []int, arity int, cell func(row, col int) 
 		payload = binary.AppendUvarint(payload, uint64(s))
 	}
 	for j := 0; j < arity; j++ {
+		// Encode the column as homogeneous in one pass over the accessor,
+		// and fall back to the per-cell kinds only if a cell disagrees.
+		mark := len(payload)
 		k := cell(0, j).Kind()
 		homog := k != value.KindInvalid
-		for i := 1; homog && i < nrows; i++ {
-			if cell(i, j).Kind() != k {
+		payload = append(payload, byte(k))
+		for i := 0; homog && i < nrows; i++ {
+			v := cell(i, j)
+			if v.Kind() != k {
 				homog = false
+				break
 			}
+			payload = appendCell(payload, v)
 		}
-		if homog {
-			payload = append(payload, byte(k))
-			for i := 0; i < nrows; i++ {
-				payload = appendCell(payload, cell(i, j))
-			}
-		} else {
-			payload = append(payload, kindHetero)
+		if !homog {
+			payload = append(payload[:mark], kindHetero)
 			for i := 0; i < nrows; i++ {
 				v := cell(i, j)
 				payload = append(payload, byte(v.Kind()))
@@ -465,31 +473,54 @@ func encodeBlockCols(dst []byte, seqs []int, arity int, cell func(row, col int) 
 	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, castagnoli))
 }
 
-// decodeBlock reads one columnar block, verifying length and checksum.
-// seqs and buf are scratch recycled across calls; the returned tuples are
-// freshly allocated (callers retain them past the next block) and share
-// one backing array per block.
+// decodeBlock reads one columnar block into tuples. seqs and buf are scratch
+// recycled across calls; the returned tuples are freshly allocated (callers
+// retain them past the next block) and share one backing array per block.
 func decodeBlock(br *bufio.Reader, seqs []int, buf []byte) ([]int, []relation.Tuple, []byte, error) {
+	var vals []value.Value
+	var rows []relation.Tuple
+	arity := 0
+	begin := func(nrows, a int) error {
+		arity = a
+		vals = make([]value.Value, nrows*arity)
+		rows = make([]relation.Tuple, nrows)
+		for i := range rows {
+			rows[i] = relation.Tuple(vals[i*arity : (i+1)*arity : (i+1)*arity])
+		}
+		return nil
+	}
+	seqs, buf, err := decodeBlockInto(br, seqs, buf, begin, func(i, j int, v value.Value) { vals[i*arity+j] = v })
+	if err != nil {
+		return seqs, nil, buf, err
+	}
+	return seqs, rows, buf, nil
+}
+
+// decodeBlockInto reads one columnar block, verifying length and checksum,
+// and hands its cells to put column by column (each column's in row order)
+// once begin has accepted the block's shape. seqs and buf are scratch
+// recycled across calls.
+func decodeBlockInto(br *bufio.Reader, seqs []int, buf []byte, begin func(nrows, arity int) error, put func(row, col int, v value.Value)) ([]int, []byte, error) {
 	n, err := binary.ReadUvarint(br)
 	if err != nil {
-		return seqs, nil, buf, fmt.Errorf("block header: %w", err)
+		return seqs, buf, fmt.Errorf("block header: %w", err)
 	}
 	if n > maxBlockSize {
-		return seqs, nil, buf, fmt.Errorf("block of %d bytes exceeds the %d-byte bound (corrupt header)", n, maxBlockSize)
+		return seqs, buf, fmt.Errorf("block of %d bytes exceeds the %d-byte bound (corrupt header)", n, maxBlockSize)
 	}
 	if cap(buf) < int(n) {
 		buf = make([]byte, n)
 	}
 	payload := buf[:n]
 	if _, err := io.ReadFull(br, payload); err != nil {
-		return seqs, nil, buf, fmt.Errorf("block payload: %w", err)
+		return seqs, buf, fmt.Errorf("block payload: %w", err)
 	}
 	var sum [4]byte
 	if _, err := io.ReadFull(br, sum[:]); err != nil {
-		return seqs, nil, buf, fmt.Errorf("block checksum: %w", err)
+		return seqs, buf, fmt.Errorf("block checksum: %w", err)
 	}
 	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(sum[:]) {
-		return seqs, nil, buf, fmt.Errorf("block checksum mismatch (corrupt spill file)")
+		return seqs, buf, fmt.Errorf("block checksum mismatch (corrupt spill file)")
 	}
 
 	pos := 0
@@ -555,11 +586,11 @@ func decodeBlock(br *bufio.Reader, seqs []int, buf []byte) ([]int, []relation.Tu
 
 	nrows64, err := readUvarint()
 	if err != nil {
-		return seqs, nil, buf, err
+		return seqs, buf, err
 	}
 	arity64, err := readUvarint()
 	if err != nil {
-		return seqs, nil, buf, err
+		return seqs, buf, err
 	}
 	nrows, arity := int(nrows64), int(arity64)
 	// Sanity bounds before allocating: every seq takes ≥1 byte, and every
@@ -567,56 +598,54 @@ func decodeBlock(br *bufio.Reader, seqs []int, buf []byte) ([]int, []relation.Tu
 	// minimum), so a corrupt header cannot claim more cells than the
 	// payload could hold.
 	if nrows == 0 || nrows64 > n || arity64 > n {
-		return seqs, nil, buf, fmt.Errorf("block claims %d rows × %d columns in %d bytes", nrows64, arity64, n)
+		return seqs, buf, fmt.Errorf("block claims %d rows × %d columns in %d bytes", nrows64, arity64, n)
 	}
 	if arity > 0 && uint64(arity)*(nrows64+1) > n {
-		return seqs, nil, buf, fmt.Errorf("block claims %d×%d cells in %d bytes", nrows64, arity64, n)
+		return seqs, buf, fmt.Errorf("block claims %d×%d cells in %d bytes", nrows64, arity64, n)
 	}
 	for i := 0; i < nrows; i++ {
 		s, err := readUvarint()
 		if err != nil {
-			return seqs, nil, buf, err
+			return seqs, buf, err
 		}
 		seqs = append(seqs, int(s))
 	}
-	vals := make([]value.Value, nrows*arity)
-	rows := make([]relation.Tuple, nrows)
-	for i := range rows {
-		rows[i] = relation.Tuple(vals[i*arity : (i+1)*arity : (i+1)*arity])
+	if err := begin(nrows, arity); err != nil {
+		return seqs, buf, err
 	}
 	for j := 0; j < arity; j++ {
 		if pos >= len(payload) {
-			return seqs, nil, buf, fmt.Errorf("block truncated at column %d", j)
+			return seqs, buf, fmt.Errorf("block truncated at column %d", j)
 		}
 		kind := value.Kind(payload[pos])
 		pos++
 		if kind == kindHetero {
 			for i := 0; i < nrows; i++ {
 				if pos >= len(payload) {
-					return seqs, nil, buf, fmt.Errorf("block truncated at column %d row %d", j, i)
+					return seqs, buf, fmt.Errorf("block truncated at column %d row %d", j, i)
 				}
 				ck := value.Kind(payload[pos])
 				pos++
 				v, err := readCell(ck)
 				if err != nil {
-					return seqs, nil, buf, err
+					return seqs, buf, err
 				}
-				vals[i*arity+j] = v
+				put(i, j, v)
 			}
 			continue
 		}
 		for i := 0; i < nrows; i++ {
 			v, err := readCell(kind)
 			if err != nil {
-				return seqs, nil, buf, err
+				return seqs, buf, err
 			}
-			vals[i*arity+j] = v
+			put(i, j, v)
 		}
 	}
 	if pos != len(payload) {
-		return seqs, nil, buf, fmt.Errorf("block has %d trailing bytes", len(payload)-pos)
+		return seqs, buf, fmt.Errorf("block has %d trailing bytes", len(payload)-pos)
 	}
-	return seqs, rows, buf, nil
+	return seqs, buf, nil
 }
 
 // maxBlockSize bounds a single block; a corrupt length prefix must not
