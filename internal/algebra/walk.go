@@ -3,6 +3,8 @@ package algebra
 import (
 	"fmt"
 	"strings"
+
+	"tqp/internal/relation"
 )
 
 // Path addresses a node within a tree as the sequence of child indices from
@@ -164,4 +166,45 @@ func render(b *strings.Builder, n Node, path Path, indent string, annotate func(
 	for i, c := range n.Children() {
 		render(b, c, path.Child(i), indent+"  ", annotate)
 	}
+}
+
+// BindLeaves cuts one region out of a tree: every subtree whose root
+// satisfies cut is replaced by a base-relation leaf over the relation bind
+// returns for it — visited left to right — and the nodes above are rebuilt
+// over the new leaves. bind receives the cut node and its path, which is
+// also the leaf's path in the result. A leaf is named "@" plus its path and
+// carries the relation's schema and order, so delivered orders derive
+// through the region as they would have from the subtree; the returned map
+// resolves the names.
+func BindLeaves(root Node, cut func(Node) bool, bind func(n Node, path Path) (*relation.Relation, error)) (Node, map[string]*relation.Relation, error) {
+	bound := make(map[string]*relation.Relation)
+	var rebuild func(n Node, path Path) (Node, error)
+	rebuild = func(n Node, path Path) (Node, error) {
+		if cut(n) {
+			r, err := bind(n, path)
+			if err != nil {
+				return nil, err
+			}
+			name := "@" + path.String()
+			bound[name] = r
+			return NewRel(name, r.Schema(), BaseInfo{Order: r.Order()}), nil
+		}
+		ch := n.Children()
+		if len(ch) == 0 {
+			return n, nil
+		}
+		rebuilt := make([]Node, len(ch))
+		for i, c := range ch {
+			var err error
+			if rebuilt[i], err = rebuild(c, path.Child(i)); err != nil {
+				return nil, err
+			}
+		}
+		return n.WithChildren(rebuilt...), nil
+	}
+	out, err := rebuild(root, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	return out, bound, nil
 }

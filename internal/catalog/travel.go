@@ -112,9 +112,8 @@ func (c *Catalog) TravelNode(name string, tr *Travel) (*algebra.Rel, error) {
 // segments to prune) and (len(segments), 0) for an unrestricted scan of a
 // disk-backed relation.
 func (c *Catalog) ResolveScan(name string) (*relation.Relation, int, int, error) {
-	// Exact entries win: internal rebind names (@stratumN, @dbmsN) and any
-	// literal name that merely looks like a travel suffix must resolve to
-	// themselves, never be reinterpreted.
+	// Exact entries win: a literal name that merely looks like a travel
+	// suffix must resolve to itself, never be reinterpreted.
 	if e, ok := c.entries[name]; ok {
 		c.countScan(len(e.segs), 0)
 		return e.Rel, len(e.segs), 0, nil

@@ -301,9 +301,9 @@ func (o *Optimizer) OptimizeBeam(initial algebra.Node, rt equiv.ResultType, orde
 // (wrapped in its EnforceOrder sort, so the ORDER BY contract is physical),
 // the result type, and the planning provenance the server reports with
 // results. A Prepared is immutable after Prepare returns; plan trees are
-// never mutated by execution (the stratum executor rebinds children into
-// fresh nodes), so one Prepared may be executed from any number of
-// goroutines concurrently.
+// never mutated by execution (the stratum executor rebuilds each region
+// over its bound transfer results as fresh nodes), so one Prepared may be
+// executed from any number of goroutines concurrently.
 type Prepared struct {
 	// SQL is the statement text as planned.
 	SQL string
@@ -388,9 +388,6 @@ func (o *Optimizer) Prepare(sql string) (*Prepared, error) {
 // A fresh executor is built per call, so concurrent ExecutePlan calls on
 // one Optimizer never share mutable state.
 func (o *Optimizer) ExecutePlan(plan algebra.Node, spec eval.EngineSpec) (*relation.Relation, *stratum.Trace, error) {
-	if err := stratum.ValidateSites(plan); err != nil {
-		return nil, nil, err
-	}
 	return stratum.NewWithEngine(o.cat, o.seed, spec).Execute(plan)
 }
 
@@ -418,9 +415,6 @@ func EnforceOrder(plan algebra.Node, orderBy relation.OrderSpec) algebra.Node {
 // Execute runs a plan through the layered stratum/DBMS executor on the
 // optimizer's physical engine (see WithEngine).
 func (o *Optimizer) Execute(plan algebra.Node) (*relation.Relation, *stratum.Trace, error) {
-	if err := stratum.ValidateSites(plan); err != nil {
-		return nil, nil, err
-	}
 	return stratum.NewWithEngine(o.cat, o.seed, o.engine).Execute(plan)
 }
 
@@ -493,17 +487,17 @@ type Analysis struct {
 // ExplainAnalyze executes a prepared plan with per-node instrumentation on
 // the given engine spec and renders the physical tree with estimated
 // versus actual rows and the misestimate ratio per node. Actuals exist for
-// every node the stratum executor evaluates — stratum operators and TS
-// transfers (whose actual is the transferred row count, timed over the
-// whole DBMS region below) — while nodes inside a DBMS region render
-// estimates only: the simulated DBMS rewrites its subplan before running
-// it, so per-node actuals below a TS do not exist in the layered
-// architecture. Instrumentation only observes; the result is bit-identical
-// to an unanalyzed ExecutePlan of the same plan and spec.
+// every stratum operator and TS transfer (whose actual is the transferred
+// row count, timed over the whole DBMS region below) — while nodes inside a
+// DBMS region render estimates only: the simulated DBMS rewrites its
+// subplan before running it, so per-node actuals below a TS do not exist
+// in the layered architecture. A stratum region runs as one pipeline and
+// the engine counts from inside it, so an operator's time= is the time
+// spent in its own pulls (its inputs' subtracted), not the time to
+// materialize it, and spilled= is its own spilling. Instrumentation only
+// observes; the result is bit-identical to an unanalyzed ExecutePlan of the
+// same plan and spec.
 func (o *Optimizer) ExplainAnalyze(prep *Prepared, spec eval.EngineSpec) (*Analysis, error) {
-	if err := stratum.ValidateSites(prep.Plan); err != nil {
-		return nil, err
-	}
 	x := stratum.NewWithEngine(o.cat, o.seed, spec)
 	probe := obs.NewPlanProbe()
 	x.SetProbe(probe.Observe)

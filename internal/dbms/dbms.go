@@ -91,35 +91,40 @@ func (e *Engine) Execute(subplan algebra.Node) (*Result, error) {
 	return &Result{Rel: out, SQL: sql, Rewritten: optimized}, nil
 }
 
-// eval evaluates a DBMS subplan, dispatching TD subtrees to the stratum.
+// eval evaluates a DBMS subplan on the reference evaluator: the TD subtrees
+// run in the stratum first, left to right, and their results are bound as
+// leaves of the subplan beside its base relations.
 func (e *Engine) eval(n algebra.Node) (*relation.Relation, error) {
-	if n.Op() == algebra.OpTransferD {
+	cut := func(n algebra.Node) bool {
+		return n.Op() == algebra.OpTransferD || n.Op() == algebra.OpTransferS
+	}
+	bound, leaves, err := algebra.BindLeaves(n, cut, func(n algebra.Node, _ algebra.Path) (*relation.Relation, error) {
+		if n.Op() == algebra.OpTransferS {
+			return nil, fmt.Errorf("dbms: nested TS inside a DBMS subplan")
+		}
 		if e.stratum == nil {
 			return nil, fmt.Errorf("dbms: TD encountered but no stratum callback installed")
 		}
 		return e.stratum(n.Children()[0])
+	})
+	if err != nil {
+		return nil, err
 	}
-	if n.Op() == algebra.OpTransferS {
-		return nil, fmt.Errorf("dbms: nested TS inside a DBMS subplan")
+	return eval.New(boundSource{leaves: leaves, base: e.src}).Eval(bound)
+}
+
+// boundSource resolves a subplan's bound TD results ahead of the base
+// relations.
+type boundSource struct {
+	leaves eval.MapSource
+	base   eval.Source
+}
+
+func (s boundSource) Resolve(name string) (*relation.Relation, error) {
+	if r, ok := s.leaves[name]; ok {
+		return r, nil
 	}
-	ch := n.Children()
-	if len(ch) == 0 {
-		return eval.New(e.src).Eval(n)
-	}
-	// Materialize children (handling TD recursively), then evaluate this
-	// operation over them.
-	src := make(eval.MapSource)
-	newCh := make([]algebra.Node, len(ch))
-	for i, c := range ch {
-		r, err := e.eval(c)
-		if err != nil {
-			return nil, err
-		}
-		name := fmt.Sprintf("@dbms%d", i)
-		src[name] = r
-		newCh[i] = algebra.NewRel(name, r.Schema(), algebra.BaseInfo{Order: r.Order()})
-	}
-	return eval.New(src).Eval(n.WithChildren(newCh...))
+	return s.base.Resolve(name)
 }
 
 // rewrite applies the DBMS's own ≡L rewriter to a fixpoint (bounded).

@@ -11,9 +11,11 @@ package eval
 
 import (
 	"fmt"
+	"time"
 
 	"tqp/internal/algebra"
 	"tqp/internal/expr"
+	"tqp/internal/obs"
 	"tqp/internal/relation"
 )
 
@@ -44,9 +46,22 @@ type Engine interface {
 	Eval(n algebra.Node) (*relation.Relation, error)
 }
 
+// NodeObserver is the optional interface of an engine that reports per-node
+// actuals: after ObserveNodes, an Eval that succeeds has called fn once for
+// every node of the tree it was handed, on the evaluating goroutine, in no
+// particular order. Rows and Batches are always set. Wall, SpilledBytes and
+// SpilledOps cover the node's whole subtree (its own share is that less its
+// children's); a pipelining engine must read a clock around every pull to
+// attribute them, so it fills them only when timed is set. The run's
+// PeakBytes, and its spill totals even untimed, arrive on the root.
+type NodeObserver interface {
+	ObserveNodes(timed bool, fn func(n algebra.Node, s obs.RunSample))
+}
+
 // Factory constructs an engine over a tuple source. The stratum executor
-// materializes intermediate results per node and re-binds them as base
-// relations, so it needs a factory rather than a single engine instance.
+// binds the transferred relations of each region between transfers as base
+// relations of that region's own source, so it needs a factory rather than
+// a single engine instance.
 type Factory func(src Source) Engine
 
 // EngineSpec names a physical engine and carries what the executor and the
@@ -83,9 +98,10 @@ type EngineSpec struct {
 }
 
 // Instantiate constructs a fresh engine over src from the spec — the
-// per-query instantiation path: holders share one immutable EngineSpec (the
+// per-region instantiation path: holders share one immutable EngineSpec (the
 // server's sessions, the stratum executor) and build a private engine per
-// evaluation, so no engine state is ever shared across concurrent queries.
+// region evaluated, so no engine state is ever shared across concurrent
+// queries.
 // A zero spec (nil New) instantiates the reference evaluator.
 func (s EngineSpec) Instantiate(src Source) Engine {
 	if s.New == nil {
@@ -105,15 +121,35 @@ func Reference() EngineSpec {
 
 // Evaluator evaluates operator trees against a Source.
 type Evaluator struct {
-	src Source
+	src     Source
+	observe func(n algebra.Node, s obs.RunSample)
 }
 
 // New returns an evaluator over src.
 func New(src Source) *Evaluator { return &Evaluator{src: src} }
 
+// ObserveNodes implements NodeObserver: a sample is the length of the node's
+// materialized result and the wall time of its Eval call, timed or not.
+func (e *Evaluator) ObserveNodes(_ bool, fn func(n algebra.Node, s obs.RunSample)) {
+	e.observe = fn
+}
+
 // Eval evaluates the tree rooted at n and returns its result relation. The
 // result's Order() reflects the order guarantee of Table 1.
 func (e *Evaluator) Eval(n algebra.Node) (*relation.Relation, error) {
+	if e.observe == nil {
+		return e.evalNode(n)
+	}
+	start := time.Now()
+	r, err := e.evalNode(n)
+	if err == nil {
+		e.observe(n, obs.RunSample{Rows: int64(r.Len()), Wall: time.Since(start)})
+	}
+	return r, err
+}
+
+// evalNode dispatches one node; the operators recurse through Eval.
+func (e *Evaluator) evalNode(n algebra.Node) (*relation.Relation, error) {
 	switch node := n.(type) {
 	case *algebra.Rel:
 		return e.evalRel(node)

@@ -46,17 +46,26 @@
 // rdupTSpans, coalTSpans, tdiffGroupFragments and tunionExtraPeriods, each
 // written once — and never touch a value column.
 //
-// What remains tuple-at-a-time only: ⊔ (concatIter), the keyless products
-// (productIter, its parallel exchange and its spilled nested loop), the
-// streaming group-at-a-time family (groupIter, whose rdupᵀ/coalᵀ emitters
-// call the same span kernels) and the spilling external sort
-// (mergeSortIter). Every compiled stage exposes both views —
+// ⊔ concatenates its inputs' batch streams; the budgeted external sort
+// (mergeSortIter) cuts its runs from batches, sorts them as row-index
+// permutations, spills them as columnar blocks and merges into batches.
+//
+// What remains tuple-at-a-time only: the keyless products (productIter, its
+// parallel exchange and its spilled nested loop) and the streaming
+// group-at-a-time family (groupIter, whose rdupᵀ/coalᵀ emitters call the
+// same span kernels). Every compiled stage exposes both views —
 // source.vecInput() adapts a tuple-only stage into batches, and a batch
-// stage's tuple iterator is the reverse adapter — so either kind of
-// operator composes over either kind of child and the adapters are the
-// only place the two meet. At the plan root a batch that still knows the
-// tuples it was converted from (a scan's) hands them back instead of
-// rebuilding them.
+// stage's tuple iterator is the reverse adapter, cutting a batch's tuples
+// from one backing array — so either kind of operator composes over either
+// kind of child and the adapters are the only place the two meet. The
+// statement path hands the engine whole regions between transfers (package
+// stratum), so tuples exist at a region's leaves and at its root, and a
+// batch never remembers the tuples it came from.
+//
+// Under an observer (eval.NodeObserver — the stratum executor installs one
+// for every region) build wraps each plan node's source in a pass-through
+// stage (engine.go) that counts the rows and batches crossing it; a run
+// nobody observes compiles none.
 //
 // # The delivered-order contract
 //

@@ -50,16 +50,18 @@ type Engine struct {
 	mem      *arbiter
 	spillMgr *spill.Manager
 
-	// probe, when set, receives one RunSample at the end of each successful
-	// Eval. EXPLAIN ANALYZE installs it through the stratum executor, which
-	// evaluates layered plans node-by-node on fresh engine instances — so
-	// each sample is one plan node's actuals. When nil (every normal query)
-	// the instrumentation is a single branch on the Eval exit path.
-	probe func(obs.RunSample)
+	// observe, when set, receives every plan node's sample after a
+	// successful Eval (eval.NodeObserver), from the run's stages — listed in
+	// build order, the root last; timed makes them bracket every pull.
+	observe func(algebra.Node, obs.RunSample)
+	timed   bool
+	stages  []*stage
 }
 
-// SetProbe installs (or, with nil, removes) the per-run sample callback.
-func (e *Engine) SetProbe(fn func(obs.RunSample)) { e.probe = fn }
+// ObserveNodes implements eval.NodeObserver.
+func (e *Engine) ObserveNodes(timed bool, fn func(algebra.Node, obs.RunSample)) {
+	e.observe, e.timed = fn, timed
+}
 
 // batchOf returns r's columnar image, converting on first use. The image
 // caches on the relation itself (see Relation.ColumnarImage), so the
@@ -125,33 +127,30 @@ func memString(b int64) string {
 // budget the run's spill files live in a fresh temp directory that is
 // removed before Eval returns, on the success and error paths alike.
 func (e *Engine) Eval(n algebra.Node) (*relation.Relation, error) {
-	if e.probe == nil {
-		return e.eval(n)
-	}
-	start := time.Now()
 	r, err := e.eval(n)
-	if err != nil {
-		return nil, err
+	if err != nil || e.observe == nil {
+		return r, err
 	}
-	e.probe(obs.RunSample{
-		Rows:         int64(r.Len()),
-		Batches:      int64(e.stats.VectorBatches),
-		Wall:         time.Since(start),
-		SpilledBytes: e.stats.SpilledBytes,
-		SpilledOps:   int64(e.stats.SpilledOps),
-		PeakBytes:    e.stats.PeakBytes,
-	})
+	// The root's subtree is the whole run: its spill counts are the run's
+	// totals, known here even when no stage was timed.
+	root := e.stages[len(e.stages)-1]
+	root.SpilledBytes, root.SpilledOps = e.stats.SpilledBytes, int64(e.stats.SpilledOps)
+	root.PeakBytes = e.stats.PeakBytes
+	for _, st := range e.stages {
+		e.observe(st.node, st.RunSample)
+	}
 	return r, nil
 }
 
-// eval is Eval's uninstrumented body.
+// eval is Eval's body up to the result.
 func (e *Engine) eval(n algebra.Node) (*relation.Relation, error) {
 	e.stats = Stats{}
+	e.stages = e.stages[:0]
 	if e.opts.MemoryBudget > 0 {
 		e.mem = &arbiter{}
 		e.spillMgr = spill.NewManager(e.opts.SpillDir)
 		defer func() {
-			e.stats.SpilledBytes = e.spillMgr.BytesWritten()
+			e.stats.SpilledBytes = e.spilledBytes()
 			e.stats.PeakBytes = e.mem.peakBytes()
 			e.Close()
 			e.mem = nil
@@ -183,6 +182,86 @@ type source struct {
 	vec vecIterator
 }
 
+// stage is the pass-through an observed run puts around every plan node's
+// source: both views of the node's stream run through it, counting the rows
+// and batches the node produced. A timed observer also brackets every pull
+// with a reading of the clock and of the run's spill counters, which makes
+// Wall, SpilledBytes and SpilledOps subtree totals (children are pulled
+// inside the node's own pulls and nowhere else). Only the node's one
+// consumer pulls a stage, on the goroutine driving the pipeline; worker
+// pools run below the operators. A run nobody observes compiles no stages.
+type stage struct {
+	obs.RunSample
+	e    *Engine
+	node algebra.Node
+	in   *source // the node's own source
+	out  source  // what the parent sees: in's views routed through the stage
+}
+
+// pull runs one pull of the wrapped source; a timed run adds the pull's
+// wall time and the movement of the run's spill counters to the sample.
+func (st *stage) pull(f func()) {
+	e := st.e
+	if !e.timed {
+		f()
+		return
+	}
+	start, ops, bytes := time.Now(), e.stats.SpilledOps, e.spilledBytes()
+	f()
+	st.Wall += time.Since(start)
+	st.SpilledOps += int64(e.stats.SpilledOps - ops)
+	st.SpilledBytes += e.spilledBytes() - bytes
+}
+
+// spilledBytes reads the run's spill-bytes counter; zero without a budget.
+func (e *Engine) spilledBytes() int64 {
+	if e.spillMgr == nil {
+		return 0
+	}
+	return e.spillMgr.BytesWritten()
+}
+
+func (st *stage) next() (t relation.Tuple, err error) {
+	st.pull(func() { t, err = st.in.it.next() })
+	if t != nil {
+		st.Rows++
+	}
+	return t, err
+}
+
+func (st *stage) nextBatch() (b *batch, err error) {
+	st.pull(func() { b, err = st.in.vec.nextBatch() })
+	if b != nil {
+		st.Rows += int64(b.rows())
+		st.Batches++
+	}
+	return b, err
+}
+
+// close closes the wrapped source: its batch stream when it has one (the
+// tuple view is then an adapter over it, or a scan's and inert).
+func (st *stage) close() error {
+	if st.in.vec != nil {
+		return st.in.vec.close()
+	}
+	return st.in.it.close()
+}
+
+// observed wraps a compiled node in its stage. A batch operator's tuple view
+// is the batch→tuple adapter: re-pointed at the stage, it counts batches too.
+func (e *Engine) observed(n algebra.Node, in *source) *source {
+	st := &stage{e: e, node: n, in: in}
+	st.out = source{it: st, schema: in.schema, order: in.order}
+	if in.vec != nil {
+		st.out.vec = st
+		if a, ok := in.it.(*batchTupleIter); ok {
+			a.in, st.out.it = st, a
+		}
+	}
+	e.stages = append(e.stages, st)
+	return &st.out
+}
+
 // iterator is the pull interface of the engine. next returns (nil, nil) when
 // the stream is exhausted.
 type iterator interface {
@@ -190,32 +269,10 @@ type iterator interface {
 	close() error
 }
 
-// bulkIter is an iterator that can surrender its remaining tuples at once,
-// letting drain skip the per-tuple Append loop (and its slice-growth
-// churn) for stages that are already materialized.
-type bulkIter interface {
-	rest() ([]relation.Tuple, error)
-}
-
 // drain materializes a source into a relation and closes it. A columnar
 // stage drains batch-at-a-time straight from its vec view, skipping the
-// tuple adapter; a stage that can hand over its tuples outright (a scan,
-// a lazy materialization) stays on the cheaper bulk path — for those the
-// vec view is a convert-on-demand alternative that was never pulled.
+// tuple adapter.
 func drain(s *source) (*relation.Relation, error) {
-	if b, ok := s.it.(bulkIter); ok {
-		ts, err := b.rest()
-		if err != nil {
-			s.it.close()
-			return nil, err
-		}
-		if err := s.it.close(); err != nil {
-			return nil, err
-		}
-		out := relation.FromTuplesTrusted(s.schema, ts)
-		out.SetOrder(s.order)
-		return out, nil
-	}
 	if s.vec != nil {
 		return drainVec(s)
 	}
@@ -238,8 +295,18 @@ func drain(s *source) (*relation.Relation, error) {
 	return out, nil
 }
 
-// build compiles a logical node into a physical pipeline stage.
+// build compiles a logical node into a physical pipeline stage, wrapped in
+// its counting stage when the run is observed.
 func (e *Engine) build(n algebra.Node) (*source, error) {
+	s, err := e.compile(n)
+	if err != nil || e.observe == nil {
+		return s, err
+	}
+	return e.observed(n, s), nil
+}
+
+// compile picks the node's operator; operators build their inputs via build.
+func (e *Engine) compile(n algebra.Node) (*source, error) {
 	switch node := n.(type) {
 	case *algebra.Rel:
 		return e.buildRel(node)
@@ -308,14 +375,10 @@ func (e *Engine) buildBoth(n algebra.Node) (l, r *source, err error) {
 	return l, r, nil
 }
 
-// sliceIter iterates over a pre-computed tuple list. owned marks a list the
-// iterator may hand over outright in the bulk drain path; an un-owned list
-// (a base relation's tuples) is copied on handover so the relinquished
-// relation can be freely permuted.
+// sliceIter iterates over a pre-computed tuple list.
 type sliceIter struct {
-	ts    []relation.Tuple
-	i     int
-	owned bool
+	ts []relation.Tuple
+	i  int
 }
 
 func (s *sliceIter) next() (relation.Tuple, error) {
@@ -327,20 +390,10 @@ func (s *sliceIter) next() (relation.Tuple, error) {
 	return t, nil
 }
 
-func (s *sliceIter) rest() ([]relation.Tuple, error) {
-	ts := s.ts[s.i:]
-	s.i = len(s.ts)
-	if !s.owned {
-		ts = append([]relation.Tuple(nil), ts...)
-	}
-	return ts, nil
-}
-
 func (s *sliceIter) close() error { return nil }
 
-// lazyIter defers a materializing computation (sort, grouping) to the first
-// pull, keeping the pipeline demand-driven end to end. The computed list is
-// owned: a bulk drain takes it without copying.
+// lazyIter defers a materializing computation (grouping, the keyless
+// products) to the first pull, keeping the pipeline demand-driven end to end.
 type lazyIter struct {
 	compute func() ([]relation.Tuple, error)
 	inner   sliceIter
@@ -355,7 +408,7 @@ func (l *lazyIter) force() error {
 	if err != nil {
 		return err
 	}
-	l.inner = sliceIter{ts: ts, owned: true}
+	l.inner = sliceIter{ts: ts}
 	l.done = true
 	return nil
 }
@@ -365,13 +418,6 @@ func (l *lazyIter) next() (relation.Tuple, error) {
 		return nil, err
 	}
 	return l.inner.next()
-}
-
-func (l *lazyIter) rest() ([]relation.Tuple, error) {
-	if err := l.force(); err != nil {
-		return nil, err
-	}
-	return l.inner.rest()
 }
 
 func (l *lazyIter) close() error { return nil }

@@ -715,27 +715,7 @@ func copyRows(out *schema.Schema, ems []emitted, segs []seg, replaced bool) *bat
 		}
 	}
 	b.n = total
-	if !replaced {
-		b.tuples = sourceTuples(ems, segs, total)
-	}
 	return b
-}
-
-// sourceTuples lists the tuples behind the rows segs lists, when every
-// source batch still knows its rows' tuples; nil otherwise.
-func sourceTuples(ems []emitted, segs []seg, total int) []relation.Tuple {
-	for _, sg := range segs {
-		if ems[sg.m].b.tuples == nil {
-			return nil
-		}
-	}
-	ts := make([]relation.Tuple, 0, total)
-	for _, sg := range segs {
-		for _, i := range ems[sg.m].rows[sg.lo:sg.hi] {
-			ts = append(ts, ems[sg.m].b.tuples[i])
-		}
-	}
-	return ts
 }
 
 // gather is the deterministic ordered gather of every route: the

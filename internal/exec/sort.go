@@ -4,70 +4,91 @@ import (
 	"container/heap"
 	"sort"
 
-	"tqp/internal/relation"
 	"tqp/internal/schema"
 	"tqp/internal/spill"
+	"tqp/internal/value"
 )
 
 // sortRunSize bounds the rows sorted per run: the index runs the in-memory
-// batch sort fans out across the worker pool (vecSortSource), and the tuple
-// runs of the budgeted external merge sort, which additionally cuts runs by
+// batch sort fans out across the worker pool (vecSortSource), and the runs
+// of the budgeted external merge sort, which additionally cuts runs by
 // bytes and spills them to temp files.
 const sortRunSize = 4096
 
 // mergeSortIter is the budgeted engine's external merge sort (the
-// unbudgeted sort is vecSortSource): the input is consumed into consecutive
-// bounded runs, each stable-sorted in place, and the runs are merged
+// unbudgeted sort is vecSortSource): the input batches are consumed into
+// consecutive bounded runs — rows copied onto a run's own column planes and
+// stable-sorted as a permutation of row indices — and the runs are merged
 // through a min-heap whose tie-break — run index, then position within the
 // run — makes the merged sequence exactly the stable sort of the whole
-// input. Emission streams tuple-at-a-time from the heap, so downstream
+// input. Emission streams batch-at-a-time from the heap, so downstream
 // operators start before the full output materializes.
 //
 // Run cutting is byte-driven: while the accumulated input fits the
 // operator's share, runs stay in memory; past the share, every resident run
 // flushes to a spill file and further runs cut at half the share, sort, and
-// spill. The merge heap then streams from the files. Run boundaries are
-// pure bookkeeping — any consecutive partition into stable-sorted runs
-// merges to the identical global stable sort — so the budgeted sort agrees
-// with the in-memory one bit-for-bit.
+// spill as columnar blocks in sorted order. The merge heap then streams from
+// the files, a block at a time. Run boundaries are pure bookkeeping — any
+// consecutive partition into stable-sorted runs merges to the identical
+// global stable sort — so the budgeted sort agrees with the in-memory one
+// bit-for-bit.
 type mergeSortIter struct {
 	eng    *Engine
-	in     *source
-	spec   relation.OrderSpec
+	in     vecIterator
 	schema *schema.Schema
+	cmp    vecCmp
 
 	built    bool
 	h        runHeap
 	resident int64 // accounted bytes of in-memory runs, released on close
 }
 
-// runCursor is one run's merge position: a resident run indexed by pos, or
-// a spilled run streamed through a reader with a one-tuple head.
+// runCursor is one run's merge position: row perm[pos] of a resident run's
+// batch, or row pos of the block a spilled run's reader decoded last.
 type runCursor struct {
-	run []relation.Tuple
-	idx int // run index: the stability tie-break
-	pos int
+	idx   int // run index: the stability tie-break
+	b     *batch
+	perm  []int // resident runs: the sorted order of b's rows
+	pos   int
+	bytes int64 // the run's accounted bytes
 
 	file *spill.File
 	r    *spill.Reader
-	head relation.Tuple
 }
 
-// top returns the cursor's current tuple.
-func (c *runCursor) top() relation.Tuple {
-	if c.r != nil {
-		return c.head
+// row is the physical row of b the cursor is on.
+func (c *runCursor) row() int {
+	if c.perm != nil {
+		return c.perm[c.pos]
 	}
-	return c.run[c.pos]
+	return c.pos
 }
 
-// advance moves past the current tuple; ok=false reports run exhaustion.
-func (c *runCursor) advance() (ok bool, err error) {
+// advance moves past the current row; ok=false reports run exhaustion.
+func (c *runCursor) advance(sch *schema.Schema) (ok bool, err error) {
+	c.pos++
 	if c.r == nil {
-		c.pos++
-		return c.pos < len(c.run), nil
+		return c.pos < len(c.perm), nil
 	}
-	_, t, ok, err := c.r.Next()
+	if c.pos < c.b.n {
+		return true, nil
+	}
+	return c.nextBlock(sch)
+}
+
+// nextBlock decodes a spilled run's next block over the planes of the last
+// one — the merge has copied every row of it out by now; at the end of the
+// file the cursor closes itself.
+func (c *runCursor) nextBlock(sch *schema.Schema) (ok bool, err error) {
+	if c.b == nil {
+		c.b = newBatch(sch, spill.BlockRows)
+	}
+	b := c.b
+	for i := range b.cols {
+		col := &b.cols[i]
+		col.ints, col.floats, col.strs, col.vals = col.ints[:0], col.floats[:0], col.strs[:0], col.vals[:0]
+	}
+	seqs, ok, err := c.r.NextBlockCols(len(b.cols), func(_, col int, v value.Value) { b.cols[col].append(v) })
 	if err != nil {
 		return false, err
 	}
@@ -75,30 +96,20 @@ func (c *runCursor) advance() (ok bool, err error) {
 		c.close()
 		return false, nil
 	}
-	c.head = t
+	b.n, c.pos = len(seqs), 0
 	return true, nil
 }
 
-// open readies a spilled cursor's reader and first head.
-func (c *runCursor) open() error {
+// open readies a spilled cursor's reader and first block; ok=false reports
+// an empty run.
+func (c *runCursor) open(sch *schema.Schema) (ok bool, err error) {
 	if c.file == nil {
-		return nil
+		return true, nil
 	}
-	r, err := c.file.Open()
-	if err != nil {
-		return err
+	if c.r, err = c.file.Open(); err != nil {
+		return false, err
 	}
-	_, t, ok, err := r.Next()
-	if err != nil || !ok {
-		r.Close()
-		if err == nil {
-			c.file.Remove()
-			c.file = nil
-		}
-		return err
-	}
-	c.r, c.head = r, t
-	return nil
+	return c.nextBlock(sch)
 }
 
 // close releases a spilled cursor's reader and file.
@@ -115,15 +126,13 @@ func (c *runCursor) close() {
 
 type runHeap struct {
 	cursors []*runCursor
-	schema  *schema.Schema
-	spec    relation.OrderSpec
+	cmp     vecCmp
 }
 
 func (h *runHeap) Len() int { return len(h.cursors) }
 func (h *runHeap) Less(i, j int) bool {
 	a, b := h.cursors[i], h.cursors[j]
-	c := relation.CompareOn(h.schema, h.spec, a.top(), b.top())
-	if c != 0 {
+	if c := h.cmp(a.b, a.row(), b.b, b.row()); c != 0 {
 		return c < 0
 	}
 	return a.idx < b.idx
@@ -137,54 +146,69 @@ func (h *runHeap) Pop() any {
 	return c
 }
 
+// pop hands the merge's next row to take and moves its cursor on; a cursor at
+// its run's end leaves the heap.
+func (h *runHeap) pop(sch *schema.Schema, take func(b *batch, row int)) error {
+	c := h.cursors[0]
+	take(c.b, c.row())
+	ok, err := c.advance(sch)
+	if err != nil {
+		return err
+	}
+	if ok {
+		heap.Fix(h, 0)
+	} else {
+		heap.Pop(h)
+	}
+	return nil
+}
+
 func (m *mergeSortIter) build() error {
 	share := m.eng.opShare()
+	arity := m.schema.Len()
 
 	var cursors []*runCursor
 	var residentBytes int64
 	spilling := false
 
-	run := make([]relation.Tuple, 0, sortRunSize)
+	run := newBatch(m.schema, sortRunSize)
 	var runBytes int64
 
-	sortRun := func(r []relation.Tuple) {
-		sort.SliceStable(r, func(i, j int) bool {
-			return relation.CompareOn(m.schema, m.spec, r[i], r[j]) < 0
-		})
-	}
-	spillRun := func(r []relation.Tuple) (*spill.File, error) {
+	spillRun := func(c *runCursor) error {
 		w, err := m.eng.spillMgr.Create()
 		if err != nil {
-			return nil, err
+			return err
 		}
-		for _, t := range r {
-			if err := w.Append(0, t); err != nil {
-				w.Abort()
-				return nil, err
-			}
+		// The sort needs no sequence keys: the run's file order is its order.
+		err = w.AppendBlockCols(make([]int, len(c.perm)), arity, c.bytes, func(row, col int) value.Value {
+			return c.b.cols[col].at(c.perm[row])
+		})
+		if err != nil {
+			w.Abort()
+			return err
 		}
-		return w.Finish()
+		c.file, err = w.Finish()
+		c.b, c.perm = nil, nil
+		return err
 	}
 	flush := func() error {
-		if len(run) == 0 {
+		if run.n == 0 {
 			return nil
 		}
-		r := run
-		sortRun(r)
-		c := &runCursor{idx: len(cursors)}
+		c := &runCursor{idx: len(cursors), b: run, perm: identityIdx(run.n), bytes: runBytes}
+		sort.SliceStable(c.perm, func(i, j int) bool {
+			return m.cmp(c.b, c.perm[i], c.b, c.perm[j]) < 0
+		})
+		cursors = append(cursors, c)
 		if spilling {
-			f, err := spillRun(r)
-			if err != nil {
+			if err := spillRun(c); err != nil {
 				return err
 			}
-			c.file = f
 		} else {
-			c.run = r
 			residentBytes += runBytes
 			m.eng.mem.grow(runBytes)
 		}
-		cursors = append(cursors, c)
-		run = make([]relation.Tuple, 0, sortRunSize)
+		run = newBatch(m.schema, sortRunSize)
 		runBytes = 0
 		return nil
 	}
@@ -195,12 +219,9 @@ func (m *mergeSortIter) build() error {
 		spilling = true
 		m.eng.stats.SpilledOps++
 		for _, c := range cursors {
-			f, err := spillRun(c.run)
-			if err != nil {
+			if err := spillRun(c); err != nil {
 				return err
 			}
-			c.file = f
-			c.run = nil
 		}
 		m.eng.mem.release(residentBytes)
 		residentBytes = 0
@@ -211,61 +232,50 @@ func (m *mergeSortIter) build() error {
 		for _, c := range cursors {
 			c.close()
 		}
-		m.in.it.close()
 		return err
 	}
 
 	for {
-		t, err := m.in.it.next()
+		b, err := m.in.nextBatch()
+		if err != nil {
+			m.in.close()
+			return fail(err)
+		}
+		if b == nil {
+			break
+		}
+		for k, n := 0, b.rows(); k < n; k++ {
+			i := b.rowIndex(k)
+			run.appendRow(b, i)
+			runBytes += batchRowMemSize(b, i)
+			if !spilling && residentBytes+runBytes > share {
+				err = startSpilling()
+			}
+			if err == nil && (spilling && runBytes > share/2 || run.n == sortRunSize) {
+				err = flush()
+			}
+			if err != nil {
+				m.in.close()
+				return fail(err)
+			}
+		}
+	}
+	if err := m.in.close(); err != nil {
+		return fail(err)
+	}
+	if err := flush(); err != nil {
+		return fail(err)
+	}
+
+	m.h = runHeap{cmp: m.cmp}
+	for _, c := range cursors {
+		ok, err := c.open(m.schema)
 		if err != nil {
 			return fail(err)
 		}
-		if t == nil {
-			break
+		if ok {
+			m.h.cursors = append(m.h.cursors, c)
 		}
-		run = append(run, t)
-		runBytes += spill.TupleMemSize(t)
-		if !spilling && residentBytes+runBytes > share {
-			if err := startSpilling(); err != nil {
-				return fail(err)
-			}
-		}
-		if spilling && runBytes > share/2 {
-			if err := flush(); err != nil {
-				return fail(err)
-			}
-		}
-		if len(run) == sortRunSize {
-			if err := flush(); err != nil {
-				return fail(err)
-			}
-		}
-	}
-	if err := m.in.it.close(); err != nil {
-		for _, c := range cursors {
-			c.close()
-		}
-		return err
-	}
-	if err := flush(); err != nil {
-		for _, c := range cursors {
-			c.close()
-		}
-		return err
-	}
-
-	m.h = runHeap{schema: m.schema, spec: m.spec}
-	for _, c := range cursors {
-		if err := c.open(); err != nil {
-			for _, cc := range cursors {
-				cc.close()
-			}
-			return err
-		}
-		if c.file == nil && c.r == nil && c.run == nil {
-			continue // empty spilled run
-		}
-		m.h.cursors = append(m.h.cursors, c)
 	}
 	heap.Init(&m.h)
 	m.resident = residentBytes
@@ -273,7 +283,7 @@ func (m *mergeSortIter) build() error {
 	return nil
 }
 
-func (m *mergeSortIter) next() (relation.Tuple, error) {
+func (m *mergeSortIter) nextBatch() (*batch, error) {
 	if !m.built {
 		if err := m.build(); err != nil {
 			return nil, err
@@ -282,18 +292,15 @@ func (m *mergeSortIter) next() (relation.Tuple, error) {
 	if m.h.Len() == 0 {
 		return nil, nil
 	}
-	c := m.h.cursors[0]
-	t := c.top()
-	ok, err := c.advance()
-	if err != nil {
-		return nil, err
+	out := newBatch(m.schema, vecBatchRows)
+	take := out.appendRow
+	for m.h.Len() > 0 && out.n < vecBatchRows {
+		if err := m.h.pop(m.schema, take); err != nil {
+			return nil, err
+		}
 	}
-	if !ok {
-		heap.Pop(&m.h)
-	} else {
-		heap.Fix(&m.h, 0)
-	}
-	return t, nil
+	m.eng.stats.VectorBatches++
+	return out, nil
 }
 
 func (m *mergeSortIter) close() error {

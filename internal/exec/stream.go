@@ -116,34 +116,34 @@ func (e *Engine) buildSort(n *algebra.Sort) (*source, error) {
 	if !e.budgeted() {
 		return e.vecSortSource(in, n.Spec, order), nil
 	}
-	return &source{
-		it:     &mergeSortIter{eng: e, in: in, spec: n.Spec, schema: in.schema},
-		schema: in.schema,
-		order:  order,
-	}, nil
+	e.stats.VectorOps++
+	m := &mergeSortIter{eng: e, in: in.vecInput(), schema: in.schema, cmp: compileVecCmp(in.schema, n.Spec)}
+	return vecSource(m, in.schema, order), nil
 }
 
-// concatIter streams the left iterator, then the right.
-type concatIter struct {
-	cur, rest iterator
+// vecConcatIter is ⊔: the left batch stream, then the right. The schemas are
+// equal, so the right batches pass as they are.
+type vecConcatIter struct {
+	cur, rest vecIterator
 }
 
-func (c *concatIter) next() (relation.Tuple, error) {
-	t, err := c.cur.next()
-	if err != nil || t != nil {
-		return t, err
+func (c *vecConcatIter) nextBatch() (*batch, error) {
+	for {
+		b, err := c.cur.nextBatch()
+		if err != nil || b != nil {
+			return b, err
+		}
+		if c.rest == nil {
+			return nil, nil
+		}
+		if err := c.cur.close(); err != nil {
+			return nil, err
+		}
+		c.cur, c.rest = c.rest, nil
 	}
-	if c.rest == nil {
-		return nil, nil
-	}
-	if err := c.cur.close(); err != nil {
-		return nil, err
-	}
-	c.cur, c.rest = c.rest, nil
-	return c.next()
 }
 
-func (c *concatIter) close() error {
+func (c *vecConcatIter) close() error {
 	err := c.cur.close()
 	if c.rest != nil {
 		if err2 := c.rest.close(); err == nil {
@@ -162,7 +162,7 @@ func (e *Engine) buildUnionAll(n algebra.Node) (*source, error) {
 	if _, err := n.Schema(); err != nil {
 		return nil, err
 	}
-	return &source{it: &concatIter{cur: l.it, rest: r.it}, schema: l.schema}, nil
+	return vecSource(&vecConcatIter{cur: l.vecInput(), rest: r.vecInput()}, l.schema, nil), nil
 }
 
 // streams reports that a one-sided grouping operator runs its bounded
@@ -241,8 +241,7 @@ func (e *Engine) buildDiff(n algebra.Node) (*source, error) {
 	if spec, ok := e.alignedMerge(l, r); ok {
 		e.stats.MergeOps++
 		e.stats.VectorOps++
-		m := &vecMergeDiffIter{e: e, left: l.vecInput(), right: r,
-			cmp: compileVecCmp(l.schema, spec)}
+		m := &vecMergeCancelIter{e: e, stream: l.vecInput(), sorted: r, cmp: compileVecCmp(l.schema, spec)}
 		return vecSource(m, outSchema, order), nil
 	}
 	idx := identityIdx(l.schema.Len())
@@ -263,8 +262,7 @@ func (e *Engine) buildUnion(n algebra.Node) (*source, error) {
 	if spec, ok := e.alignedMerge(l, r); ok {
 		e.stats.MergeOps++
 		e.stats.VectorOps++
-		m := &vecMergeUnionIter{e: e, left: l, right: r.vecInput(),
-			cmp: compileVecCmp(l.schema, spec)}
+		m := &vecMergeCancelIter{e: e, stream: r.vecInput(), sorted: l, emitSorted: true, cmp: compileVecCmp(l.schema, spec)}
 		return vecSource(m, l.schema, nil), nil
 	}
 	idx := identityIdx(l.schema.Len())

@@ -207,11 +207,6 @@ type batch struct {
 	cols   []colvec
 	n      int   // physical rows in the columns
 	sel    []int // selected physical row indices, nil = all rows
-
-	// tuples, when set, holds the physical rows as the tuples the batch was
-	// converted from (a scan's relation): materializing such a row hands out
-	// the original immutable tuple instead of rebuilding it from the planes.
-	tuples []relation.Tuple
 }
 
 // newBatch returns an empty batch for s with per-column room for capHint.
@@ -239,16 +234,18 @@ func (b *batch) rowIndex(k int) int {
 	return k
 }
 
-// tupleAt materializes the physical row i as a tuple.
-func (b *batch) tupleAt(i int) relation.Tuple {
-	if b.tuples != nil {
-		return b.tuples[i]
+// appendTuples materializes the presented rows as tuples appended to ts.
+// The tuples are cut from one backing array (as a decoded spill block's
+// are), so a batch costs one allocation, not one per row.
+func (b *batch) appendTuples(ts []relation.Tuple) []relation.Tuple {
+	n, arity := b.rows(), len(b.cols)
+	vals := make([]value.Value, n*arity)
+	for k := 0; k < n; k++ {
+		t := relation.Tuple(vals[k*arity : (k+1)*arity : (k+1)*arity])
+		b.fillTuple(t, b.rowIndex(k))
+		ts = append(ts, t)
 	}
-	t := make(relation.Tuple, len(b.cols))
-	for c := range b.cols {
-		t[c] = b.cols[c].at(i)
-	}
-	return t
+	return ts
 }
 
 // fillTuple writes the physical row i into a caller-owned scratch tuple.
@@ -296,12 +293,6 @@ func (b *batch) compact() *batch {
 		}
 	}
 	out.n = len(b.sel)
-	if b.tuples != nil {
-		out.tuples = make([]relation.Tuple, len(b.sel))
-		for k, i := range b.sel {
-			out.tuples[k] = b.tuples[i]
-		}
-	}
 	return out
 }
 
@@ -343,9 +334,6 @@ func (b *batch) rangeView(lo, hi int) *batch {
 	for c := range b.cols {
 		nb.cols[c] = b.cols[c].slice(lo, hi)
 	}
-	if b.tuples != nil {
-		nb.tuples = b.tuples[lo:hi]
-	}
 	return nb
 }
 
@@ -359,7 +347,6 @@ func batchOfTuples(s *schema.Schema, ts []relation.Tuple) *batch {
 		}
 	}
 	b.n = len(ts)
-	b.tuples = ts
 	return b
 }
 
@@ -372,20 +359,16 @@ type vecIterator interface {
 }
 
 // batchTupleIter adapts a columnar stage for a tuple-at-a-time parent — the
-// downstream half of the batch↔tuple adapter boundary.
+// downstream half of the batch↔tuple adapter boundary. Each batch is
+// materialized whole when it arrives.
 type batchTupleIter struct {
 	in  vecIterator
-	cur *batch
+	cur []relation.Tuple
 	k   int
 }
 
 func (a *batchTupleIter) next() (relation.Tuple, error) {
-	for {
-		if a.cur != nil && a.k < a.cur.rows() {
-			i := a.cur.rowIndex(a.k)
-			a.k++
-			return a.cur.tupleAt(i), nil
-		}
+	for a.k >= len(a.cur) {
 		b, err := a.in.nextBatch()
 		if err != nil {
 			return nil, err
@@ -393,8 +376,10 @@ func (a *batchTupleIter) next() (relation.Tuple, error) {
 		if b == nil {
 			return nil, nil
 		}
-		a.cur, a.k = b, 0
+		a.cur, a.k = b.appendTuples(a.cur[:0]), 0
 	}
+	a.k++
+	return a.cur[a.k-1], nil
 }
 
 func (a *batchTupleIter) close() error { return a.in.close() }
@@ -513,13 +498,9 @@ func concatBatches(sch *schema.Schema, parts []*batch, total int) *batch {
 	return out
 }
 
-// drainVec materializes a columnar stage into a relation. A batch that
-// still knows the tuples it was converted from hands those over; any other
-// batch's tuples are cut from one backing array (as a decoded spill block's
-// are), so the boundary costs one allocation per batch, not one per row.
+// drainVec materializes a columnar stage into a relation.
 func drainVec(s *source) (*relation.Relation, error) {
 	var ts []relation.Tuple
-	arity := s.schema.Len()
 	for {
 		b, err := s.vec.nextBatch()
 		if err != nil {
@@ -529,22 +510,10 @@ func drainVec(s *source) (*relation.Relation, error) {
 		if b == nil {
 			break
 		}
-		n := b.rows()
 		if ts == nil {
-			ts = make([]relation.Tuple, 0, n)
+			ts = make([]relation.Tuple, 0, b.rows())
 		}
-		if b.tuples != nil {
-			for k := 0; k < n; k++ {
-				ts = append(ts, b.tuples[b.rowIndex(k)])
-			}
-			continue
-		}
-		vals := make([]value.Value, n*arity)
-		for k := 0; k < n; k++ {
-			t := relation.Tuple(vals[k*arity : (k+1)*arity : (k+1)*arity])
-			b.fillTuple(t, b.rowIndex(k))
-			ts = append(ts, t)
-		}
+		ts = b.appendTuples(ts)
 	}
 	if err := s.vec.close(); err != nil {
 		return nil, err

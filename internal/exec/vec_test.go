@@ -114,7 +114,7 @@ func TestBatchSelectionCompact(t *testing.T) {
 		if got := v.rowIndex(k); got != phys {
 			t.Fatalf("view rowIndex(%d) = %d, want %d", k, got, phys)
 		}
-		if !v.tupleAt(v.rowIndex(k)).Equal(tuples[phys]) {
+		if !rowOf(v, v.rowIndex(k)).Equal(tuples[phys]) {
 			t.Fatalf("view row %d differs from source tuple %d", k, phys)
 		}
 	}
@@ -123,7 +123,7 @@ func TestBatchSelectionCompact(t *testing.T) {
 		t.Fatalf("compacted batch n=%d sel=%v, want 3/nil", c.n, c.sel)
 	}
 	for k, phys := range []int{4, 1, 3} {
-		if !c.tupleAt(k).Equal(tuples[phys]) {
+		if !rowOf(c, k).Equal(tuples[phys]) {
 			t.Fatalf("compacted row %d differs from source tuple %d", k, phys)
 		}
 	}
@@ -132,7 +132,7 @@ func TestBatchSelectionCompact(t *testing.T) {
 		t.Fatal("selection view mutated its base batch")
 	}
 	for i, tu := range tuples {
-		if !b.tupleAt(i).Equal(tu) {
+		if !rowOf(b, i).Equal(tu) {
 			t.Fatalf("base batch row %d changed", i)
 		}
 	}
@@ -431,4 +431,11 @@ func TestVecPredCompiler(t *testing.T) {
 			}
 		}
 	}
+}
+
+// rowOf materializes the physical row i of b.
+func rowOf(b *batch, i int) relation.Tuple {
+	t := make(relation.Tuple, len(b.cols))
+	b.fillTuple(t, i)
+	return t
 }

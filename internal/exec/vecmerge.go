@@ -7,6 +7,7 @@
 package exec
 
 import (
+	"container/heap"
 	"sort"
 
 	"tqp/internal/expr"
@@ -29,54 +30,15 @@ func intPlaneKind(k value.Kind) bool {
 }
 
 // compileVecCmp compiles an order spec against a schema into a columnar
-// comparator: per key, a typed plane compare when both columns hold the
-// schema kind unboxed, the generic value compare otherwise (floats always —
-// their NaN and cross-kind ordering is the generic path's). The result is
-// CompareOn restricted to the spec, computed without constructing tuples.
+// comparator — CompareOn restricted to the spec, computed without
+// constructing tuples: the join comparator with both sides on one schema.
 func compileVecCmp(s *schema.Schema, spec relation.OrderSpec) vecCmp {
-	type key struct {
-		col  int
-		kind value.Kind
-		desc bool
-	}
-	keys := make([]key, len(spec))
-	for i, k := range spec {
+	var keys physical.JoinKeys
+	for _, k := range spec {
 		c := s.Index(k.Attr)
-		keys[i] = key{col: c, kind: s.At(c).Kind, desc: k.Dir == relation.Desc}
+		keys.L, keys.R, keys.Dirs = append(keys.L, c), append(keys.R, c), append(keys.Dirs, k.Dir)
 	}
-	return func(a *batch, ai int, b *batch, bi int) int {
-		for _, k := range keys {
-			ca, cb := &a.cols[k.col], &b.cols[k.col]
-			var c int
-			switch {
-			case intPlaneKind(k.kind) && ca.kind == k.kind && cb.kind == k.kind:
-				va, vb := ca.ints[ai], cb.ints[bi]
-				switch {
-				case va < vb:
-					c = -1
-				case va > vb:
-					c = 1
-				}
-			case k.kind == value.KindString && ca.kind == value.KindString && cb.kind == value.KindString:
-				va, vb := ca.strs[ai], cb.strs[bi]
-				switch {
-				case va < vb:
-					c = -1
-				case va > vb:
-					c = 1
-				}
-			default:
-				c = ca.at(ai).Compare(cb.at(bi))
-			}
-			if k.desc {
-				c = -c
-			}
-			if c != 0 {
-				return c
-			}
-		}
-		return 0
-	}
+	return compileVecJoinCmp(s, s, keys)
 }
 
 // rowsEqual reports full-row equality between two batch rows (physical
@@ -130,116 +92,43 @@ func (d *vecDedupSortedIter) nextBatch() (*batch, error) {
 
 func (d *vecDedupSortedIter) close() error { return d.in.close() }
 
-// vecMergeDiffIter implements the multiset difference \ when both inputs
-// deliver one shared total order: the sorted right side drains into one
-// compacted batch, a single pointer sweeps it alongside the streaming left
-// batches — each right key group's multiplicity absorbing that many of the
-// earliest left occurrences, exactly the hash diff's list — and each left
-// batch's survivors emit as a selection view. The sweep state persists
-// across batches because the left stream is globally ordered.
-type vecMergeDiffIter struct {
-	e     *Engine
-	left  vecIterator
-	right *source
-	cmp   vecCmp
+// vecMergeCancelIter implements \ and the max-multiplicity ∪ when both
+// inputs deliver one shared total order: one side drains into a compacted
+// batch and the other streams past a pointer into it, each key group of the
+// drained side cancelling that many of the earliest equal stream rows —
+// exactly the hash operators' lists — with each stream batch's survivors
+// emitted as a selection view. \ drains the right side and streams the left;
+// ∪ drains the left, emits it in full (as the hash union does), then streams
+// the right. The sweep state persists across batches because the stream is
+// globally ordered.
+type vecMergeCancelIter struct {
+	e          *Engine
+	stream     vecIterator
+	sorted     *source
+	emitSorted bool   // ∪: the drained side is output, ahead of the stream
+	cmp        vecCmp // drained row against stream row
 
 	built    bool
-	rb       *batch
-	ri       int // start of the current right group
-	gEnd     int // end of the current right group
-	consumed int // left occurrences the current group has absorbed
+	sb       *batch
+	gi       int // start of the current drained group
+	gEnd     int // end of the current drained group
+	consumed int // stream occurrences the current group has cancelled
 }
 
-func (m *vecMergeDiffIter) nextBatch() (*batch, error) {
+func (m *vecMergeCancelIter) nextBatch() (*batch, error) {
 	if !m.built {
-		rb, err := vecDrainOne(m.right.vecInput(), m.right.schema)
+		sb, err := vecDrainOne(m.sorted.vecInput(), m.sorted.schema)
 		if err != nil {
 			return nil, err
 		}
-		m.rb = rb
-		m.built = true
-	}
-	for {
-		b, err := m.left.nextBatch()
-		if err != nil || b == nil {
-			return nil, err
-		}
-		n := b.rows()
-		sel := make([]int, 0, n)
-		for k := 0; k < n; k++ {
-			i := b.rowIndex(k)
-			cmp := 1 // right side exhausted: every remaining left row survives
-			for m.ri < m.rb.n {
-				cmp = m.cmp(m.rb, m.ri, b, i)
-				if cmp >= 0 {
-					break
-				}
-				m.ri++
-				m.gEnd = m.ri
-				m.consumed = 0
-			}
-			if cmp == 0 {
-				for m.gEnd < m.rb.n && m.cmp(m.rb, m.gEnd, b, i) == 0 {
-					m.gEnd++
-				}
-				if m.consumed < m.gEnd-m.ri {
-					m.consumed++
-					continue
-				}
-			}
-			sel = append(sel, i)
-		}
-		if len(sel) == 0 {
-			continue
-		}
-		m.e.stats.VectorBatches++
-		if b.sel == nil && len(sel) == n {
-			return b, nil
-		}
-		return b.withSel(sel), nil
-	}
-}
-
-func (m *vecMergeDiffIter) close() error { return m.left.close() }
-
-// vecMergeUnionIter implements the max-multiplicity union ∪ when both
-// inputs deliver one shared total order: the left side drains into one
-// compacted batch and emits in full (as the hash union does), then the
-// right batches stream against a pointer into it, each left group's
-// multiplicity cancelling that many right occurrences, survivors emitting
-// as selection views.
-type vecMergeUnionIter struct {
-	e     *Engine
-	left  *source
-	right vecIterator
-	cmp   vecCmp
-
-	built    bool
-	emitted  bool
-	lb       *batch
-	gi       int // start of the current left group (right-side phase)
-	gEnd     int
-	consumed int
-}
-
-func (m *vecMergeUnionIter) nextBatch() (*batch, error) {
-	if !m.built {
-		lb, err := vecDrainOne(m.left.vecInput(), m.left.schema)
-		if err != nil {
-			return nil, err
-		}
-		m.lb = lb
-		m.built = true
-	}
-	if !m.emitted {
-		m.emitted = true
-		if m.lb.n > 0 {
+		m.sb, m.built = sb, true
+		if m.emitSorted && sb.n > 0 {
 			m.e.stats.VectorBatches++
-			return m.lb, nil
+			return sb, nil
 		}
 	}
 	for {
-		b, err := m.right.nextBatch()
+		b, err := m.stream.nextBatch()
 		if err != nil || b == nil {
 			return nil, err
 		}
@@ -247,9 +136,9 @@ func (m *vecMergeUnionIter) nextBatch() (*batch, error) {
 		sel := make([]int, 0, n)
 		for k := 0; k < n; k++ {
 			i := b.rowIndex(k)
-			cmp := 1 // left side exhausted: every remaining right row survives
-			for m.gi < m.lb.n {
-				cmp = m.cmp(m.lb, m.gi, b, i)
+			cmp := 1 // drained side exhausted: every remaining stream row survives
+			for m.gi < m.sb.n {
+				cmp = m.cmp(m.sb, m.gi, b, i)
 				if cmp >= 0 {
 					break
 				}
@@ -258,7 +147,7 @@ func (m *vecMergeUnionIter) nextBatch() (*batch, error) {
 				m.consumed = 0
 			}
 			if cmp == 0 {
-				for m.gEnd < m.lb.n && m.cmp(m.lb, m.gEnd, b, i) == 0 {
+				for m.gEnd < m.sb.n && m.cmp(m.sb, m.gEnd, b, i) == 0 {
 					m.gEnd++
 				}
 				if m.consumed < m.gEnd-m.gi {
@@ -279,7 +168,7 @@ func (m *vecMergeUnionIter) nextBatch() (*batch, error) {
 	}
 }
 
-func (m *vecMergeUnionIter) close() error { return m.right.close() }
+func (m *vecMergeCancelIter) close() error { return m.stream.close() }
 
 // vecSortSource sorts a columnar input without materializing tuples: the
 // input drains into one compacted batch, a row-index permutation stable-
@@ -329,68 +218,26 @@ func (e *Engine) vecSortSource(in *source, spec relation.OrderSpec, order relati
 			return nil, err
 		}
 		e.stats.VectorBatches++
-		return b.withSel(mergeSortedRuns(b, idx, nRuns, cmp)), nil
+		return b.withSel(mergeSortedRuns(b, idx, cmp)), nil
 	}
 	return vecSource(&onceBatchIter{compute: compute}, sch, order)
 }
 
 // mergeSortedRuns k-way merges the sorted index runs idx[r*sortRunSize :
-// (r+1)*sortRunSize) into one sorted permutation, breaking comparator ties
-// by run index — runs partition the input in order, so the tie-break is
-// exactly the stable sort's arrival order.
-func mergeSortedRuns(b *batch, idx []int, nRuns int, cmp vecCmp) []int {
-	type cursor struct {
-		run []int
-		pos int
-		r   int
+// (r+1)*sortRunSize) into one sorted permutation through the external sort's
+// run heap, whose run-index tie-break — runs partition the input in order —
+// is exactly the stable sort's arrival order.
+func mergeSortedRuns(b *batch, idx []int, cmp vecCmp) []int {
+	h := runHeap{cmp: cmp}
+	for lo := 0; lo < len(idx); lo += sortRunSize {
+		hi := min(lo+sortRunSize, len(idx))
+		h.cursors = append(h.cursors, &runCursor{idx: len(h.cursors), b: b, perm: idx[lo:hi]})
 	}
-	h := make([]*cursor, 0, nRuns)
-	for r := 0; r < nRuns; r++ {
-		lo, hi := r*sortRunSize, (r+1)*sortRunSize
-		if hi > len(idx) {
-			hi = len(idx)
-		}
-		if lo < hi {
-			h = append(h, &cursor{run: idx[lo:hi], r: r})
-		}
-	}
-	less := func(a, c *cursor) bool {
-		d := cmp(b, a.run[a.pos], b, c.run[c.pos])
-		if d != 0 {
-			return d < 0
-		}
-		return a.r < c.r
-	}
-	down := func(i int) {
-		for {
-			l, r := 2*i+1, 2*i+2
-			m := i
-			if l < len(h) && less(h[l], h[m]) {
-				m = l
-			}
-			if r < len(h) && less(h[r], h[m]) {
-				m = r
-			}
-			if m == i {
-				return
-			}
-			h[i], h[m] = h[m], h[i]
-			i = m
-		}
-	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		down(i)
-	}
+	heap.Init(&h)
 	out := make([]int, 0, len(idx))
-	for len(h) > 0 {
-		c := h[0]
-		out = append(out, c.run[c.pos])
-		c.pos++
-		if c.pos >= len(c.run) {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
-		}
-		down(0)
+	take := func(_ *batch, row int) { out = append(out, row) }
+	for h.Len() > 0 {
+		_ = h.pop(nil, take) // resident runs read no file: pop cannot fail
 	}
 	return out
 }

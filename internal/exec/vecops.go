@@ -879,16 +879,10 @@ func groupEmitBody(gidx []int, contiguous bool, out *schema.Schema, groupOut fun
 		var seqs []int
 		for _, members := range groupRows(p, gidx, contiguous) {
 			group := make([]relation.Tuple, len(members))
-			if p.b.tuples != nil {
-				for x, k := range members {
-					group[x] = p.b.tuples[p.rows[k]]
-				}
-			} else {
-				vals := make([]value.Value, len(members)*arity)
-				for x, k := range members {
-					group[x] = vals[x*arity : (x+1)*arity : (x+1)*arity]
-					p.b.fillTuple(group[x], p.rows[k])
-				}
+			vals := make([]value.Value, len(members)*arity)
+			for x, k := range members {
+				group[x] = vals[x*arity : (x+1)*arity : (x+1)*arity]
+				p.b.fillTuple(group[x], p.rows[k])
 			}
 			res, err := groupOut(group)
 			if err != nil {

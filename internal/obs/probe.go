@@ -5,24 +5,28 @@ import (
 	"time"
 )
 
-// RunSample is one engine evaluation's worth of actuals. The exec engines
-// surface it through SetProbe at the end of each Eval; the stratum
-// executor evaluates layered plans node-by-node on fresh engine
-// instances, so under EXPLAIN ANALYZE each sample maps one-to-one onto a
-// plan node.
+// RunSample is one plan node's worth of actuals. The stratum executor runs
+// each region between transfers as one engine evaluation, and the engine
+// reports a sample per node of the region from inside its pipeline
+// (eval.NodeObserver); the executor hands them to EXPLAIN ANALYZE keyed by
+// plan path, with the additive fields reduced to the node's own share. A
+// node that streams has no materialization time of its own: Wall is the time
+// spent in its pulls, less its children's. PeakBytes is not additive — it is
+// the region's, and is reported on the region's root node only.
 type RunSample struct {
-	Rows         int64         // tuples in the evaluation's result
-	Batches      int64         // columnar batches produced (0 on tuple paths)
-	Wall         time.Duration // wall time of the evaluation
+	Rows         int64         // tuples the node produced
+	Batches      int64         // columnar batches it produced (0 for a tuple-only operator)
+	Wall         time.Duration // wall time spent in the node
 	SpilledBytes int64         // bytes written to spill files
 	SpilledOps   int64         // operators that spilled
-	PeakBytes    int64         // peak tracked memory
+	PeakBytes    int64         // peak tracked memory of the node's region (root only)
 }
 
 // NodeStats accumulates samples for one plan node, keyed by the node's
 // algebra path (the stable plan-node ID). Evals and Merge exist because a
 // node can be evaluated more than once (retries, shard fan-out); for the
-// single-process EXPLAIN ANALYZE path Evals is 1.
+// single-process EXPLAIN ANALYZE path Evals is 1. PeakBytes is set on
+// region roots only (see RunSample).
 type NodeStats struct {
 	RunSample
 	Evals int64

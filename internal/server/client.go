@@ -75,8 +75,9 @@ func (c *Client) begin(ctx context.Context) (end func(), err error) {
 	} else {
 		c.conn.SetDeadline(time.Time{})
 	}
-	stop := make(chan struct{})
+	stop, exited := make(chan struct{}), make(chan struct{})
 	go func() {
+		defer close(exited)
 		select {
 		case <-ctx.Done():
 			// Unblock any in-flight read/write; finish translates the
@@ -86,7 +87,11 @@ func (c *Client) begin(ctx context.Context) (end func(), err error) {
 		}
 	}()
 	return func() {
+		// A caller that cancels ctx as the call returns makes both cases
+		// ready; the deadline is cleared only once the watcher can no
+		// longer set it, or the next request would inherit "now".
 		close(stop)
+		<-exited
 		c.conn.SetDeadline(time.Time{})
 	}, nil
 }

@@ -719,3 +719,28 @@ func TestServerQueueHandover(t *testing.T) {
 		t.Fatalf("admission stats: %+v", st)
 	}
 }
+
+// TestClientContextCancelledAsCallReturns issues sequential queries on one
+// connection, each under its own context cancelled the moment the call
+// returns (the WithTimeout + defer cancel() idiom). The call's deadline
+// watcher must never outlive the call and re-arm the connection's deadline:
+// every query succeeds and the connection stays usable.
+func TestClientContextCancelledAsCallReturns(t *testing.T) {
+	srv := startServer(t, Config{Catalog: catalog.Paper(), MaxConcurrent: 2, Workers: 2})
+	cl, err := Dial(context.Background(), srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	query := func() error {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		_, _, err := cl.Query(ctx, "SELECT EmpName FROM EMPLOYEE")
+		return err
+	}
+	for i := 0; i < 2000; i++ {
+		if err := query(); err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+	}
+}

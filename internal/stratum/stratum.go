@@ -2,10 +2,13 @@
 // (Section 2.1): a plan's operations above any TS transfer run in the
 // stratum (the temporal layer), everything below a TS is shipped to the
 // simulated conventional DBMS, and TD transfers send intermediate stratum
-// results back down. The executor validates the division of labour,
-// collects the SQL shipped to the DBMS, counts transferred tuples, and
-// meters simulated cost units per site so experiments can report
-// deterministic measurements alongside wall-clock times.
+// results back down. The transfers are the only places a list has to exist:
+// each maximal stratum region between them runs as one evaluation on a
+// fresh engine, over the transferred relations bound as its leaves. The
+// executor validates the division of labour, collects the SQL shipped to
+// the DBMS, counts transferred tuples, and meters simulated cost units per
+// site — from the per-node row counts the engine reports — so experiments
+// can report deterministic measurements alongside wall-clock times.
 package stratum
 
 import (
@@ -46,8 +49,8 @@ type Trace struct {
 	SegmentsScanned int
 	SegmentsSkipped int
 	// SpilledBytes and SpilledOps accumulate the budgeted engine's
-	// grace-hash spilling across this run's node evaluations; PeakBytes is
-	// the largest single evaluation's tracked working set. All zero for
+	// grace-hash spilling across this run's region evaluations; PeakBytes
+	// is the largest single region's tracked working set. All zero for
 	// unbudgeted engines.
 	SpilledBytes int64
 	SpilledOps   int64
@@ -66,22 +69,17 @@ type Executor struct {
 	phys   eval.EngineSpec
 
 	// probe, when set, receives per-node actuals keyed by the node's
-	// algebra path in the executed plan — the EXPLAIN ANALYZE hook. The
-	// executor evaluates stratum nodes one at a time over materialized
-	// children, so rows and wall time fall out of the normal execution; an
-	// engine that itself supports probing (exec's SetProbe) additionally
-	// contributes batch, spill and peak-memory counts. Nodes inside a DBMS
-	// region are not observable: the simulated DBMS rewrites its subplan
-	// before executing, so only the TS transfer above it gets an actual
-	// (the transferred row count).
+	// algebra path in the executed plan — the EXPLAIN ANALYZE hook. A region
+	// runs as one pipeline, so the actuals come from inside the engine
+	// (eval.NodeObserver): every node's rows and batches, and — asked for
+	// only when a probe is installed — its wall time and spill counts, which
+	// the executor reduces from subtree totals to the node's own share. A
+	// pipelined node's time is therefore the time spent in its own pulls,
+	// not the time to materialize it. The region's peak memory is reported
+	// on the region's root. Nodes inside a DBMS region are not observable:
+	// the simulated DBMS rewrites its subplan before executing, so only the
+	// TS transfer above it gets an actual (the transferred row count).
 	probe func(path string, s obs.RunSample)
-}
-
-// engineProbe is the structural hook an instantiated engine may offer
-// (exec.Engine does); asserting it here keeps stratum free of an exec
-// dependency while the reference evaluator simply doesn't match.
-type engineProbe interface {
-	SetProbe(func(obs.RunSample))
 }
 
 // SetProbe installs (or, with nil, removes) the per-node sample callback
@@ -138,15 +136,19 @@ func NewWithEngine(cat *catalog.Catalog, seed int64, spec eval.EngineSpec) *Exec
 	}
 }
 
-// Execute runs the plan and returns its result with a trace.
+// Execute runs the plan, once its division of labour validates, and returns
+// its result with a trace.
 func (x *Executor) Execute(plan algebra.Node) (*relation.Relation, *Trace, error) {
+	if err := ValidateSites(plan); err != nil {
+		return nil, nil, err
+	}
 	tr := &Trace{Engine: x.phys.Name}
 	x.src.scanned, x.src.skipped = 0, 0
 	x.engine.SetStratumCallback(func(n algebra.Node) (*relation.Relation, error) {
 		// A TD re-entry runs inside a DBMS region whose subplan the DBMS
 		// may have rewritten; its nodes have no stable path in the original
 		// plan, so the re-entrant region executes unprobed.
-		r, err := x.exec(n, nil, false, tr)
+		r, err := x.exec(n, nil, nil, tr)
 		if err != nil {
 			return nil, err
 		}
@@ -154,7 +156,7 @@ func (x *Executor) Execute(plan algebra.Node) (*relation.Relation, *Trace, error
 		tr.TransferUnits += float64(r.Len()) * x.params.TransferTuple
 		return r, nil
 	})
-	r, err := x.exec(plan, nil, true, tr)
+	r, err := x.exec(plan, nil, x.probe, tr)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -196,83 +198,91 @@ func validateSites(n algebra.Node, inStratum bool) error {
 	}
 }
 
-func (x *Executor) exec(n algebra.Node, path algebra.Path, probed bool, tr *Trace) (*relation.Relation, error) {
-	switch n.Op() {
-	case algebra.OpRel:
-		return nil, fmt.Errorf("stratum: base relation %s accessed in the stratum; wrap it in TS", n.Label())
-	case algebra.OpTransferS:
+// exec runs the stratum region rooted at root — the operations down to the
+// next TS transfers — as one evaluation on a fresh engine (the spec is
+// shared and immutable, engine state never is, which is what lets the
+// server run many executors over one catalog concurrently). The TS subtrees
+// run on the DBMS first, left to right, and their results are the region's
+// leaves; a region that is a bare TS is the DBMS result as it stands. path
+// is root's path in the executed plan; probe is nil for an unprobed region.
+func (x *Executor) exec(root algebra.Node, path algebra.Path, probe func(string, obs.RunSample), tr *Trace) (*relation.Relation, error) {
+	isTS := func(n algebra.Node) bool { return n.Op() == algebra.OpTransferS }
+	transfer := func(ts algebra.Node, p algebra.Path) (*relation.Relation, error) {
+		sub := ts.Children()[0]
 		start := time.Now()
-		res, err := x.engine.Execute(n.Children()[0])
+		res, err := x.engine.Execute(sub)
 		if err != nil {
 			return nil, err
 		}
 		tr.SQL = append(tr.SQL, res.SQL)
 		tr.TuplesTransferred += res.Rel.Len()
 		tr.TransferUnits += float64(res.Rel.Len()) * x.params.TransferTuple
-		x.meterDBMS(n.Children()[0], res.Rel.Len(), tr)
-		if probed && x.probe != nil {
+		x.meterDBMS(sub, res.Rel.Len(), tr)
+		if probe != nil {
 			// The TS node's actual is the transferred row count; its wall
 			// time covers the whole DBMS region below it.
-			x.probe(path.String(), obs.RunSample{Rows: int64(res.Rel.Len()), Wall: time.Since(start)})
+			probe(append(path.Clone(), p...).String(), obs.RunSample{Rows: int64(res.Rel.Len()), Wall: time.Since(start)})
 		}
 		return res.Rel, nil
-	case algebra.OpTransferD:
-		return nil, fmt.Errorf("stratum: TD outside a DBMS region")
 	}
-
-	ch := n.Children()
-	src := make(eval.MapSource)
-	newCh := make([]algebra.Node, len(ch))
-	childOrders := make([]relation.OrderSpec, len(ch))
-	inRows := 0
-	for i, c := range ch {
-		r, err := x.exec(c, path.Child(i), probed, tr)
-		if err != nil {
-			return nil, err
-		}
-		inRows += r.Len()
-		name := fmt.Sprintf("@stratum%d", i)
-		src[name] = r
-		childOrders[i] = r.Order()
-		newCh[i] = algebra.NewRel(name, r.Schema(), algebra.BaseInfo{Order: r.Order()})
+	if isTS(root) {
+		return transfer(root, nil)
 	}
-	rebound := n.WithChildren(newCh...)
-	// A fresh engine instance per node evaluation (EngineSpec.Instantiate):
-	// the spec is shared and immutable, engine state never is — this is what
-	// lets the server run many executors over one catalog concurrently.
-	eng := x.phys.Instantiate(src)
-	// The engine's own sample contributes the counters only it can see
-	// (batches, spill, peak memory) — for the trace's spill accounting
-	// always, and for the per-node probe when one is installed. Rows and
-	// wall are measured here at the stratum level, which also covers
-	// engines without a probe hook (the reference evaluator). The cost is
-	// one callback per plan node, not per tuple.
-	var sample obs.RunSample
-	if ep, ok := eng.(engineProbe); ok {
-		ep.SetProbe(func(s obs.RunSample) { sample = s })
-	}
-	start := time.Now()
-	out, err := eng.Eval(rebound)
+	bound, leaves, err := algebra.BindLeaves(root, isTS, transfer)
 	if err != nil {
 		return nil, err
 	}
-	tr.SpilledBytes += sample.SpilledBytes
-	tr.SpilledOps += sample.SpilledOps
-	if sample.PeakBytes > tr.PeakBytes {
-		tr.PeakBytes = sample.PeakBytes
+	eng := x.phys.Instantiate(eval.MapSource(leaves))
+	// The engine's per-node samples feed the cost meter (row counts) and the
+	// trace's spill accounting always, and the probe when there is one.
+	samples := make(map[algebra.Node]obs.RunSample)
+	if o, ok := eng.(eval.NodeObserver); ok {
+		o.ObserveNodes(probe != nil, func(n algebra.Node, s obs.RunSample) { samples[n] = s })
 	}
-	if probed && x.probe != nil {
-		sample.Rows = int64(out.Len())
-		sample.Wall = time.Since(start)
-		x.probe(path.String(), sample)
+	out, err := eng.Eval(bound)
+	if err != nil {
+		return nil, err
 	}
-	// Meter with the physical variant the engine actually compiled: the
-	// decision procedure is shared (package physical), driven here by the
-	// delivered orders of the materialized child results, and gated on the
-	// engine actually compiling order-exploiting variants.
-	ordered := x.params.Streaming && !x.params.OrderBlind &&
-		physical.Decide(rebound, childOrders).Ordered()
-	tr.StratumUnits += x.params.OpUnitsForNode(rebound, inRows, x.params.StratumTuple, 1, x.params.Streaming, ordered)
+	total := samples[bound]
+	tr.SpilledBytes += total.SpilledBytes
+	tr.SpilledOps += total.SpilledOps
+	if total.PeakBytes > tr.PeakBytes {
+		tr.PeakBytes = total.PeakBytes
+	}
+
+	// Meter the region node by node, in post-order: every operator is priced
+	// on its children's actual rows with the physical variant the engine
+	// compiled — the shared decision procedure (package physical) over the
+	// orders the bound leaves deliver, for engines that compile
+	// order-exploiting variants at all. The probe gets each node's own share
+	// of the subtree totals; paths in the bound region are the plan's.
+	var dec map[algebra.Node]physical.Decision
+	if x.params.Streaming && !x.params.OrderBlind {
+		if dec, err = physical.Annotate(bound); err != nil {
+			return nil, err
+		}
+	}
+	var meter func(n algebra.Node, path algebra.Path)
+	meter = func(n algebra.Node, path algebra.Path) {
+		if n.Op() == algebra.OpRel {
+			return // a bound TS: metered and probed at the transfer
+		}
+		own := samples[n]
+		inRows := 0
+		for i, c := range n.Children() {
+			meter(c, path.Child(i))
+			below := samples[c]
+			inRows += int(below.Rows)
+			own.Wall -= below.Wall
+			own.SpilledBytes -= below.SpilledBytes
+			own.SpilledOps -= below.SpilledOps
+		}
+		tr.StratumUnits += x.params.OpUnitsForNode(n, inRows, x.params.StratumTuple, 1, x.params.Streaming, dec[n].Ordered())
+		if probe != nil {
+			probe(path.String(), own)
+		}
+	}
+	meter(bound, path)
 	return out, nil
 }
 
