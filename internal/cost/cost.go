@@ -158,8 +158,8 @@ func DefaultParams() Params {
 }
 
 // partitionedOp reports that the exec engine fans op out through a parallel
-// exchange when Config.Parallelism > 1 (see exec/parallel.go); streaming
-// tuple-at-a-time operators (σ, π, ⊔) and transfers stay sequential.
+// exchange when Config.Parallelism > 1 (see exec/parallel.go); the
+// pipelined operators (σ, π, ⊔) and transfers stay sequential.
 func partitionedOp(op algebra.Op) bool {
 	switch op {
 	case algebra.OpSort, algebra.OpProduct, algebra.OpTProduct, algebra.OpJoin, algebra.OpTJoin,
@@ -170,13 +170,14 @@ func partitionedOp(op algebra.Op) bool {
 	return false
 }
 
-// vecBatchOp reports the operators the columnar engine carries as batch
-// pipelines through its parallel exchanges and grace spills: the hash
-// family — dedup, the diff/union budgets, and the keyed joins. The sort,
-// the temporal group family and the keyless products run tuple-at-a-time
-// on those paths, so they keep the boxed exchange and spill prices; the
-// discount must not make the optimizer prefer shapes the engine cannot
-// actually vectorize.
+// vecBatchOp reports the operators whose parallel exchanges and grace
+// spills are priced with the batch discount: the hash family — dedup, the
+// diff/union budgets, and the keyed joins. The sort, the temporal group
+// family and the keyless products keep the boxed exchange and spill prices
+// they were calibrated with (the engine runs them on batches too, but a
+// sort-family discount once steered the optimizer onto plans whose layered
+// execution lost the DBMS's order determinism, and the plan fingerprints
+// are pinned to this calibration).
 func vecBatchOp(op algebra.Op) bool {
 	switch op {
 	case algebra.OpRdup, algebra.OpDiff, algebra.OpUnion, algebra.OpJoin, algebra.OpTJoin:

@@ -173,12 +173,11 @@ func TestReferenceParamsIgnoreParallelism(t *testing.T) {
 // TestBatchDiscount pins the columnar calibration: a parallel (and
 // budgeted) plan whose operators the engine batch-compiles — the hash
 // family — prices cheaper under the batch discount factors than at the
-// boxed per-tuple prices (the factors set to 1), while operators the
-// engine runs tuple-at-a-time on those paths (the sort, the temporal
-// group family) keep the boxed prices exactly. The discount is a factor,
-// never an exemption, and never reaches shapes the engine cannot
-// vectorize — a sort-family discount once steered the optimizer onto
-// plans whose layered execution lost the DBMS's order determinism.
+// boxed per-tuple prices (the factors set to 1), while the operators
+// outside the discount (the sort, the temporal group family) keep the
+// boxed prices exactly. The discount is a factor, never an exemption — a
+// sort-family discount once steered the optimizer onto plans whose
+// layered execution lost the DBMS's order determinism.
 func TestBatchDiscount(t *testing.T) {
 	c := datagen.EmployeeDB(datagen.EmployeeSpec{Employees: 400, SpellsPerEmp: 3, AssignmentsPerEmp: 4, Seed: 1})
 	costWith := func(plan algebra.Node, vec bool, par int, budget int64) float64 {

@@ -1,7 +1,7 @@
 // Package exec implements the streaming, hash- and merge-based execution
-// engine: a pull-iterator evaluator over algebra plans whose physical
-// operators beat the reference evaluator (package eval) asymptotically
-// while producing bit-identical result lists.
+// engine: a pull evaluator over algebra plans, batch-at-a-time throughout,
+// whose physical operators beat the reference evaluator (package eval)
+// asymptotically while producing bit-identical result lists.
 //
 // # Two engines, one semantics
 //
@@ -30,37 +30,54 @@
 // partitioned across workers, spilled to disk) is the exchange driver's
 // business, not the operator's.
 //
-// # Batches and tuples
+// # One pull interface
 //
-// The currency between operators, and inside the exchange driver, is the
-// columnar batch (vec.go): typed column planes plus a selection vector. σ,
-// π, the in-memory sort, the keyed joins (hash, merge, parallel, budgeted
-// hybrid), the merge \ and ∪, the pipelined and adjacent-compare rdup and
-// the pipelined 𝒢 are batch iterators (vecops.go, vecmerge.go). Every keyed
-// blocking operator — rdup, \, ∪, rdupᵀ, coalᵀ, \ᵀ, ∪ᵀ, 𝒢, 𝒢ᵀ and the
-// spilled keyed join — is one partition body over rows of a batch, run by
-// the exchange driver (grace.go): resident and whole (the sequential
-// engine), W-way on the worker pool, or spilled with recursion, its outputs
-// gathered by sequence key straight into output batches. The temporal
-// bodies read and write only (source row, period) spans — the kernels
-// rdupTSpans, coalTSpans, tdiffGroupFragments and tunionExtraPeriods, each
-// written once — and never touch a value column.
+// Every operator is a vecIterator (vec.go): nextBatch hands the parent a
+// columnar batch — typed column planes plus a selection vector — and that
+// is the only currency between operators, inside the exchange driver and on
+// the way to and from disk. Tuple lists exist in two places: batchOf converts
+// a base relation to its cached columnar image at a leaf, and drainVec
+// materializes the root's batches into the result relation. The statement
+// path hands the engine whole regions between transfers (package stratum),
+// so that is once per region, and a batch never remembers the tuples it
+// came from. (An expression that is evaluated on a tuple — a residual join
+// predicate, an aggregate's argument — gets one reusable scratch row.)
 //
-// ⊔ concatenates its inputs' batch streams; the budgeted external sort
-// (mergeSortIter) cuts its runs from batches, sorts them as row-index
-// permutations, spills them as columnar blocks and merges into batches.
+//	operator            algorithms (file)
+//	scan                the relation's columnar image, one batch (stream.go)
+//	σ, π                selection views, zero-copy column gather (vecops.go)
+//	sort                row-index permutation, W-way index runs; external
+//	                    merge sort under a budget (vecmerge.go, sort.go)
+//	⊔                   stream concatenation (stream.go)
+//	×, ×ᵀ, ⋈, ⋈ᵀ        one hash join kernel over the predicate's equality
+//	                    keys — none for a keyless product, whose build side is
+//	                    the one group of the empty key — probe ranges on the
+//	                    worker pool, hybrid grace join under a budget with a
+//	                    block nested loop when there is no key to partition
+//	                    on; merge join over aligned orders (vecops.go,
+//	                    join.go, parallel.go, vecmerge.go)
+//	rdup                pipelined hash set, adjacent compare, partition body
+//	\, ∪                two-pointer merge over a shared total order, else
+//	                    partition bodies
+//	rdupᵀ, coalᵀ, 𝒢, 𝒢ᵀ  one partition body each, run by the exchange driver
+//	                    or — groups contiguous — by the streaming group stage
+//	                    (merge.go); 𝒢 also pipelined hash aggregation
+//	\ᵀ, ∪ᵀ              partition bodies (temporal.go)
 //
-// What remains tuple-at-a-time only: the keyless products (productIter, its
-// parallel exchange and its spilled nested loop) and the streaming
-// group-at-a-time family (groupIter, whose rdupᵀ/coalᵀ emitters call the
-// same span kernels). Every compiled stage exposes both views —
-// source.vecInput() adapts a tuple-only stage into batches, and a batch
-// stage's tuple iterator is the reverse adapter, cutting a batch's tuples
-// from one backing array — so either kind of operator composes over either
-// kind of child and the adapters are the only place the two meet. The
-// statement path hands the engine whole regions between transfers (package
-// stratum), so tuples exist at a region's leaves and at its root, and a
-// batch never remembers the tuples it came from.
+// Every keyed blocking operator — rdup, \, ∪, rdupᵀ, coalᵀ, \ᵀ, ∪ᵀ, 𝒢, 𝒢ᵀ and
+// the spilled keyed join — is one partition body over rows of a batch, run by
+// the exchange driver (grace.go): resident and whole (the sequential engine),
+// W-way on the worker pool, or spilled with recursion, its outputs gathered
+// by sequence key straight into output batches. The temporal bodies read and
+// write only (source row, period) spans — the kernels rdupTSpans,
+// coalTSpans, tdiffGroupFragments and tunionExtraPeriods, each written once —
+// and never touch a value column; the per-group emitters of 𝒢 and 𝒢ᵀ read
+// rows of the partition through one scratch tuple (eval.FoldAggregates takes
+// a tuple) and write output planes.
+//
+// RunFragment (partial.go), the shard side of distributed execution, is not
+// a second implementation of σ, π and sort: it compiles its chain onto this
+// engine, the rows' global sequence keys riding along as a column.
 //
 // Under an observer (eval.NodeObserver — the stratum executor installs one
 // for every region) build wraps each plan node's source in a pass-through
@@ -70,7 +87,7 @@
 // # The delivered-order contract
 //
 // Every compiled pipeline stage (the internal source struct) carries,
-// besides its iterators and schema, the order its stream delivers — derived
+// besides its batch stream and schema, the order its stream delivers — derived
 // at build time with the same Table 1 propagation rules the reference
 // evaluator applies at run time (and that props.State.Order derives
 // statically; the golden matrix in order_golden_test.go pins all three to
@@ -93,13 +110,15 @@
 //
 //   - Streaming grouping. rdupᵀ, coalᵀ, 𝒢 and 𝒢ᵀ over inputs whose
 //     delivered order keeps their groups contiguous run group-at-a-time
-//     (groupIter): pull one group, transform it with the same group-local
-//     algorithm the hash path uses, emit, repeat — bounded state, no hash
-//     table, no global materialization.
+//     (groupCutIter): cut the batch stream at group boundaries, run the
+//     operator's partition body over each slice of whole groups, emit,
+//     repeat — state bounded by one group, no hash table, no global
+//     materialization. Contiguity is a property of the delivered order, not
+//     a separate operator.
 //
 // When no order helps, the hash variants run: hash join on extracted
-// equi-keys with a block-nested-loop fallback for keyless products, hash
-// multiplicity counters for \ and ∪, hash-grouped temporal operators
+// equi-keys (on the empty key for a keyless product), hash multiplicity
+// counters for \ and ∪, hash-grouped temporal operators
 // (skipping the hash table when the input order proves groups contiguous),
 // and pipelined hash aggregation. The engine deliberately does NOT "sort
 // first and merge" when an input is unsorted: coalescing is not confluent
@@ -111,14 +130,14 @@
 //
 // Config.Parallelism and Config.MemoryBudget never change a result list:
 // they only move the exchange driver between its routes (and size the
-// parallel join, product and sort), and every route reassembles its
+// parallel join and sort), and every route reassembles its
 // partitions through the one deterministic sequence-key gather.
 //
 // # Adding a physical operator
 //
-// One implementation per algorithm: a batch variant replaces the tuple one
-// in the same change, together with whatever selected between them. Do
-// not add an option, a build-time switch or a fallback that keeps the old
+// One implementation per algorithm, one pull interface: an operator is a
+// vecIterator, and a new variant replaces the old one in the same change,
+// together with whatever selected between them. Do not add an option, a build-time switch or a fallback that keeps the old
 // path reachable — internal/eval is the reference, and bit-identity to it
 // is what licenses the deletion. Two algorithms for one operator may
 // coexist only when the build step chooses between them from something it
@@ -139,9 +158,9 @@
 // must be all the body needs to see together: that is what lets the driver
 // split the input anywhere between key groups.
 //
-// Any other operator adds a case to (*Engine).build returning a source
-// (batch iterator + schema + Table 1 order annotation), reading inputs
-// through source.vecInput(). Derive the order with the helpers exported
+// Any other operator adds a case to (*Engine).compile returning a source
+// (batch iterator + schema + Table 1 order annotation) that pulls its
+// inputs' source.vec. Derive the order with the helpers exported
 // from package eval (OrderAfterProject, OrderAfterProduct, OrderQualifyTime,
 // OrderAfterGroup) so the engines cannot drift. If the operator has an
 // order-exploiting algorithm, put its applicability test in package

@@ -29,8 +29,8 @@ type Stats struct {
 	SpilledBytes int64 // encoded bytes written to spill files this run
 	PeakBytes    int64 // peak accounted working-set bytes this run
 
-	VectorOps     int // operators compiled batch-at-a-time over columnar input
-	VectorBatches int // columnar batches emitted by those operators this run
+	VectorOps     int // operators compiled this run; every operator is a batch operator
+	VectorBatches int // columnar batches those operators emitted this run
 
 	SegmentsScanned int // store segments read by base scans this run
 	SegmentsSkipped int // store segments pruned by the period index this run
@@ -44,6 +44,10 @@ type Engine struct {
 	src   eval.Source
 	opts  Config
 	stats Stats
+
+	// leaf, when set, is what a Rel of the plan compiles to instead of a
+	// resolution through src: RunFragment's shard slice, already columnar.
+	leaf *source
 
 	// Per-run memory-bounded execution state, set up by Eval when
 	// Config.MemoryBudget > 0 and torn down when the run ends.
@@ -121,7 +125,7 @@ func memString(b int64) string {
 	}
 }
 
-// Eval evaluates the tree rooted at n by building its iterator pipeline and
+// Eval evaluates the tree rooted at n by building its batch pipeline and
 // draining the root. The result's Order() carries the Table 1 guarantee.
 // Stats are reset on entry and describe this run alone. Under a memory
 // budget the run's spill files live in a fresh temp directory that is
@@ -160,31 +164,23 @@ func (e *Engine) eval(n algebra.Node) (*relation.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	return drain(s)
+	return drainVec(s)
 }
 
-// source is one built pipeline stage: an iterator plus the static knowledge
-// the parent stages and the root need — the output schema and the Table 1
-// order annotation (derived at build time with the same rules the reference
-// evaluator applies at run time).
+// source is one built pipeline stage: its batch stream plus the static
+// knowledge the parent stages and the root need — the output schema and the
+// Table 1 order annotation (derived at build time with the same rules the
+// reference evaluator applies at run time). The stream has exactly one
+// consumer: the parent operator, or drainVec at the root.
 type source struct {
-	it     iterator
+	vec    vecIterator
 	schema *schema.Schema
 	order  relation.OrderSpec
-
-	// vec is the stage's own batch stream, nil for a stage whose operator
-	// exists tuple-at-a-time only. Batch operators never read the field
-	// directly: vecInput() returns vec, or the tuple iterator behind the
-	// tuple→batch adapter, so every stage has a batch view. A tuple-only
-	// parent pulls the tuple iterator, which for a batch stage is the
-	// batch→tuple adapter over the same stream. Exactly one of the two
-	// views is ever consumed.
-	vec vecIterator
 }
 
 // stage is the pass-through an observed run puts around every plan node's
-// source: both views of the node's stream run through it, counting the rows
-// and batches the node produced. A timed observer also brackets every pull
+// source: the node's batch stream runs through it, counting the rows and
+// batches the node produced. A timed observer also brackets every pull
 // with a reading of the clock and of the run's spill counters, which makes
 // Wall, SpilledBytes and SpilledOps subtree totals (children are pulled
 // inside the node's own pulls and nowhere else). Only the node's one
@@ -195,22 +191,7 @@ type stage struct {
 	e    *Engine
 	node algebra.Node
 	in   *source // the node's own source
-	out  source  // what the parent sees: in's views routed through the stage
-}
-
-// pull runs one pull of the wrapped source; a timed run adds the pull's
-// wall time and the movement of the run's spill counters to the sample.
-func (st *stage) pull(f func()) {
-	e := st.e
-	if !e.timed {
-		f()
-		return
-	}
-	start, ops, bytes := time.Now(), e.stats.SpilledOps, e.spilledBytes()
-	f()
-	st.Wall += time.Since(start)
-	st.SpilledOps += int64(e.stats.SpilledOps - ops)
-	st.SpilledBytes += e.spilledBytes() - bytes
+	out  source  // what the parent sees: in's stream routed through the stage
 }
 
 // spilledBytes reads the run's spill-bytes counter; zero without a budget.
@@ -221,16 +202,22 @@ func (e *Engine) spilledBytes() int64 {
 	return e.spillMgr.BytesWritten()
 }
 
-func (st *stage) next() (t relation.Tuple, err error) {
-	st.pull(func() { t, err = st.in.it.next() })
-	if t != nil {
-		st.Rows++
+// nextBatch runs one pull of the wrapped source; a timed run adds the pull's
+// wall time and the movement of the run's spill counters to the sample.
+func (st *stage) nextBatch() (*batch, error) {
+	e := st.e
+	var start time.Time
+	var ops int
+	var bytes int64
+	if e.timed {
+		start, ops, bytes = time.Now(), e.stats.SpilledOps, e.spilledBytes()
 	}
-	return t, err
-}
-
-func (st *stage) nextBatch() (b *batch, err error) {
-	st.pull(func() { b, err = st.in.vec.nextBatch() })
+	b, err := st.in.vec.nextBatch()
+	if e.timed {
+		st.Wall += time.Since(start)
+		st.SpilledOps += int64(e.stats.SpilledOps - ops)
+		st.SpilledBytes += e.spilledBytes() - bytes
+	}
 	if b != nil {
 		st.Rows += int64(b.rows())
 		st.Batches++
@@ -238,61 +225,14 @@ func (st *stage) nextBatch() (b *batch, err error) {
 	return b, err
 }
 
-// close closes the wrapped source: its batch stream when it has one (the
-// tuple view is then an adapter over it, or a scan's and inert).
-func (st *stage) close() error {
-	if st.in.vec != nil {
-		return st.in.vec.close()
-	}
-	return st.in.it.close()
-}
+func (st *stage) close() error { return st.in.vec.close() }
 
-// observed wraps a compiled node in its stage. A batch operator's tuple view
-// is the batch→tuple adapter: re-pointed at the stage, it counts batches too.
+// observed wraps a compiled node in its stage.
 func (e *Engine) observed(n algebra.Node, in *source) *source {
 	st := &stage{e: e, node: n, in: in}
-	st.out = source{it: st, schema: in.schema, order: in.order}
-	if in.vec != nil {
-		st.out.vec = st
-		if a, ok := in.it.(*batchTupleIter); ok {
-			a.in, st.out.it = st, a
-		}
-	}
+	st.out = source{vec: st, schema: in.schema, order: in.order}
 	e.stages = append(e.stages, st)
 	return &st.out
-}
-
-// iterator is the pull interface of the engine. next returns (nil, nil) when
-// the stream is exhausted.
-type iterator interface {
-	next() (relation.Tuple, error)
-	close() error
-}
-
-// drain materializes a source into a relation and closes it. A columnar
-// stage drains batch-at-a-time straight from its vec view, skipping the
-// tuple adapter.
-func drain(s *source) (*relation.Relation, error) {
-	if s.vec != nil {
-		return drainVec(s)
-	}
-	out := relation.New(s.schema)
-	for {
-		t, err := s.it.next()
-		if err != nil {
-			s.it.close()
-			return nil, err
-		}
-		if t == nil {
-			break
-		}
-		out.Append(t)
-	}
-	if err := s.it.close(); err != nil {
-		return nil, err
-	}
-	out.SetOrder(s.order)
-	return out, nil
 }
 
 // build compiles a logical node into a physical pipeline stage, wrapped in
@@ -309,6 +249,9 @@ func (e *Engine) build(n algebra.Node) (*source, error) {
 func (e *Engine) compile(n algebra.Node) (*source, error) {
 	switch node := n.(type) {
 	case *algebra.Rel:
+		if e.leaf != nil {
+			return e.leaf, nil
+		}
 		return e.buildRel(node)
 	case *algebra.Select:
 		return e.buildSelect(node)
@@ -373,56 +316,4 @@ func (e *Engine) buildBoth(n algebra.Node) (l, r *source, err error) {
 		return nil, nil, err
 	}
 	return l, r, nil
-}
-
-// sliceIter iterates over a pre-computed tuple list.
-type sliceIter struct {
-	ts []relation.Tuple
-	i  int
-}
-
-func (s *sliceIter) next() (relation.Tuple, error) {
-	if s.i >= len(s.ts) {
-		return nil, nil
-	}
-	t := s.ts[s.i]
-	s.i++
-	return t, nil
-}
-
-func (s *sliceIter) close() error { return nil }
-
-// lazyIter defers a materializing computation (grouping, the keyless
-// products) to the first pull, keeping the pipeline demand-driven end to end.
-type lazyIter struct {
-	compute func() ([]relation.Tuple, error)
-	inner   sliceIter
-	done    bool
-}
-
-func (l *lazyIter) force() error {
-	if l.done {
-		return nil
-	}
-	ts, err := l.compute()
-	if err != nil {
-		return err
-	}
-	l.inner = sliceIter{ts: ts}
-	l.done = true
-	return nil
-}
-
-func (l *lazyIter) next() (relation.Tuple, error) {
-	if err := l.force(); err != nil {
-		return nil, err
-	}
-	return l.inner.next()
-}
-
-func (l *lazyIter) close() error { return nil }
-
-// lazySource wraps a materializing computation as a pipeline stage.
-func lazySource(sch *schema.Schema, order relation.OrderSpec, compute func() ([]relation.Tuple, error)) *source {
-	return &source{it: &lazyIter{compute: compute}, schema: sch, order: order}
 }

@@ -267,14 +267,14 @@ type vecPending struct {
 // share is neither accounted nor spilled.
 func (e *Engine) drainGraceVec(in *source, idx []int, share int64) (*vecGraceSide, error) {
 	if share == noShare {
-		b, err := vecDrainOne(in.vecInput(), in.schema)
+		b, err := vecDrainOne(in.vec, in.schema)
 		if err != nil {
 			return nil, err
 		}
 		return &vecGraceSide{b: b, count: b.n}, nil
 	}
 	side := &vecGraceSide{}
-	v := in.vecInput()
+	v := in.vec
 	arity := in.schema.Len()
 	var resident []*batch
 	var writers []*spill.Writer
@@ -601,7 +601,7 @@ func (e *Engine) graceRun(op *keyedOp) ([]*batch, error) {
 	ls, err := e.drainGraceVec(op.l, op.lidx, share)
 	if err != nil {
 		if op.r != nil {
-			op.r.it.close()
+			op.r.vec.close()
 		}
 		return nil, err
 	}
@@ -614,8 +614,8 @@ func (e *Engine) graceRun(op *keyedOp) ([]*batch, error) {
 	return e.graceRunFrom(op, ls, rs)
 }
 
-// graceRunFrom is graceRun after the drains (the hybrid join drains its
-// sides itself) and the one place the route is chosen: spilled fan-out
+// graceRunFrom is graceRun after the drains (the hybrid join, graceJoinIter,
+// drains its sides itself) and the one place the route is chosen: spilled fan-out
 // partitions with recursion when either side overflowed its share (a
 // resident side splits in memory to pair up), W partitions on the worker
 // pool under plain parallelism, otherwise the whole input as one partition.
@@ -874,54 +874,7 @@ func mergeBySeq(streams int, size func(p int) int, seq func(p, i int) int, emit 
 }
 
 // batchSource wraps a resident batch as an ordinary pipeline stage — the
-// build side a budgeted join or product drained and found to fit.
+// build side a budgeted join drained and found to fit, or one partition's.
 func batchSource(b *batch, sch *schema.Schema) *source {
 	return vecSource(&rangeBatchIter{b: b, hi: b.rows()}, sch, nil)
-}
-
-// graceJoinSource compiles an equi-keyed × / ×ᵀ in memory-bounded mode as a
-// hybrid hash join. The build (right) side drains against half the operator
-// share first; while it stays resident the probe side is a stream between
-// operators — not operator state — so it is never drained, and the ordinary
-// batch hash join runs against the resident build rows. Only when the build
-// side itself overflows does the probe side drain too, and the driver's
-// spilled route pairs the buckets: each runs the same join kernel over its
-// right and left rows, the pairs gathering by probe sequence key into the
-// reference's left-major order.
-func (e *Engine) graceJoinSource(l, r *source, j *pairJoiner, order relation.OrderSpec) *source {
-	e.stats.VectorOps++
-	compute := func() ([]*batch, error) {
-		rs, err := e.drainGraceVec(r, j.ridx, e.opShare()/2)
-		if err != nil {
-			l.it.close()
-			return nil, err
-		}
-		if !rs.spilled {
-			defer e.releaseResident(rs)
-			v := j.joinIter(l.vecInput(), batchSource(rs.b, r.schema))
-			v.e = e
-			var out []*batch
-			for {
-				b, err := v.nextBatch()
-				if err != nil {
-					v.close()
-					return nil, err
-				}
-				if b == nil {
-					break
-				}
-				out = append(out, b)
-			}
-			if err := v.close(); err != nil {
-				return nil, err
-			}
-			return out, nil
-		}
-		ls, err := e.drainGraceVec(l, j.lidx, e.opShare()/2)
-		if err != nil {
-			return nil, err
-		}
-		return e.graceRunFrom(&keyedOp{l: l, r: r, lidx: j.lidx, ridx: j.ridx, out: j.out, body: j.joinPart}, ls, rs)
-	}
-	return vecSource(&lazyBatchesIter{compute: compute}, j.out, order)
 }

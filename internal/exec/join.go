@@ -4,124 +4,17 @@ import (
 	"tqp/internal/algebra"
 	"tqp/internal/eval"
 	"tqp/internal/expr"
-	"tqp/internal/period"
 	"tqp/internal/physical"
-	"tqp/internal/relation"
 	"tqp/internal/schema"
 	"tqp/internal/spill"
-	"tqp/internal/value"
 )
 
-// productIter evaluates the keyless × and ×ᵀ (optionally with a fused
-// residual predicate) in the reference's left-major, right-list order: a
-// block nested loop over the materialized right side that reuses a scratch
-// tuple, allocating only for emitted pairs. Keyed products compile to the
-// batch hash and merge joins (vecops.go, vecmerge.go).
-type productIter struct {
-	left     iterator
-	right    *source
-	out      *schema.Schema
-	lw, rw   int
-	residual expr.Pred
-	temporal bool
-	lt1, lt2 int // left period positions (temporal)
-
-	built   bool
-	rows    []relation.Tuple
-	periods []period.Period
-
-	cur  relation.Tuple
-	curP period.Period
-	ci   int
-	buf  relation.Tuple
-}
-
-func (p *productIter) build() error {
-	r, err := drain(p.right)
-	if err != nil {
-		return err
-	}
-	p.rows = r.Tuples()
-	if p.temporal {
-		p.periods = r.Periods()
-	}
-	p.built = true
-	return nil
-}
-
-// advance pulls the next left tuple and rewinds the right-side cursor.
-func (p *productIter) advance() error {
-	t, err := p.left.next()
-	if err != nil {
-		return err
-	}
-	p.cur = t
-	if t != nil && p.temporal {
-		p.curP = t.PeriodAt(p.lt1, p.lt2)
-	}
-	p.ci = 0
-	return nil
-}
-
-func (p *productIter) next() (relation.Tuple, error) {
-	if !p.built {
-		if err := p.build(); err != nil {
-			return nil, err
-		}
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-	}
-	width := p.lw + p.rw
-	if p.temporal {
-		width += 2
-	}
-	for p.cur != nil {
-		for p.ci < len(p.rows) {
-			ri := p.ci
-			p.ci++
-			var iv period.Period
-			if p.temporal {
-				iv = p.curP.Intersect(p.periods[ri])
-				if iv.Empty() {
-					continue
-				}
-			}
-			if p.buf == nil {
-				p.buf = make(relation.Tuple, width)
-			}
-			copy(p.buf, p.cur)
-			copy(p.buf[p.lw:], p.rows[ri])
-			if p.temporal {
-				p.buf[p.lw+p.rw] = value.Time(iv.Start)
-				p.buf[p.lw+p.rw+1] = value.Time(iv.End)
-			}
-			if p.residual != nil {
-				ok, err := p.residual.Holds(p.out, p.buf)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					continue
-				}
-			}
-			t := p.buf
-			p.buf = nil
-			return t, nil
-		}
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-	}
-	return nil, nil
-}
-
-func (p *productIter) close() error { return p.left.close() }
-
 // pairJoiner carries the physical parameters of one × / ×ᵀ compilation —
-// schemas, key columns, residual predicate, time positions — shared by the
-// parallel keyless product (parallel.go), the spilled nested loop and the
-// budgeted hybrid join (grace.go).
+// schemas, key columns, residual predicate, time positions — shared by every
+// route of the join: sequential, parallel, budgeted hybrid and its spilled
+// fallbacks. A keyless product is the same join with no key columns: every
+// build row sits in the one group of the empty key, and the kernel emits the
+// reference's left-major, right-list order.
 type pairJoiner struct {
 	out        *schema.Schema
 	lw, rw     int
@@ -129,8 +22,6 @@ type pairJoiner struct {
 	residual   expr.Pred
 	temporal   bool
 	lt1, lt2   int
-	rt1, rt2   int
-	width      int
 }
 
 func newPairJoiner(l, r *source, out *schema.Schema, lidx, ridx []int, residual expr.Pred, temporal bool) *pairJoiner {
@@ -138,81 +29,10 @@ func newPairJoiner(l, r *source, out *schema.Schema, lidx, ridx []int, residual 
 		out: out, lw: l.schema.Len(), rw: r.schema.Len(),
 		lidx: lidx, ridx: ridx, residual: residual, temporal: temporal,
 	}
-	j.width = j.lw + j.rw
 	if temporal {
-		j.width += 2
 		j.lt1, j.lt2 = l.schema.TimeIndices()
-		j.rt1, j.rt2 = r.schema.TimeIndices()
 	}
 	return j
-}
-
-// periodsOf precomputes the build side's periods (nil when conventional).
-func (j *pairJoiner) periodsOf(rows []relation.Tuple) []period.Period {
-	if !j.temporal {
-		return nil
-	}
-	ps := make([]period.Period, len(rows))
-	for i, t := range rows {
-		ps[i] = t.PeriodAt(j.rt1, j.rt2)
-	}
-	return ps
-}
-
-// pairOne emits the (probe, build) pair into a fresh tuple, or nil when the
-// temporal intersection is empty or the residual rejects it.
-func (j *pairJoiner) pairOne(lt relation.Tuple, curP period.Period, bt relation.Tuple, bp period.Period) (relation.Tuple, error) {
-	var iv period.Period
-	if j.temporal {
-		iv = curP.Intersect(bp)
-		if iv.Empty() {
-			return nil, nil
-		}
-	}
-	nt := make(relation.Tuple, j.width)
-	copy(nt, lt)
-	copy(nt[j.lw:], bt)
-	if j.temporal {
-		nt[j.lw+j.rw] = value.Time(iv.Start)
-		nt[j.lw+j.rw+1] = value.Time(iv.End)
-	}
-	if j.residual != nil {
-		ok, err := j.residual.Holds(j.out, nt)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return nil, nil
-		}
-	}
-	return nt, nil
-}
-
-// joinChunk joins a chunk of probe tuples (origBase is the first one's global
-// position) against the whole build side, appending tagged pairs in probe
-// order; rps carries the precomputed build periods.
-func (j *pairJoiner) joinChunk(probe []relation.Tuple, origBase int, brows []relation.Tuple, rps []period.Period) ([]tagged, error) {
-	var res []tagged
-	for pi, lt := range probe {
-		var curP period.Period
-		if j.temporal {
-			curP = lt.PeriodAt(j.lt1, j.lt2)
-		}
-		for bi, bt := range brows {
-			var bp period.Period
-			if j.temporal {
-				bp = rps[bi]
-			}
-			nt, err := j.pairOne(lt, curP, bt, bp)
-			if err != nil {
-				return nil, err
-			}
-			if nt != nil {
-				res = append(res, tagged{seq: origBase + pi, t: nt})
-			}
-		}
-	}
-	return res, nil
 }
 
 // joinIter instantiates the batch hash join kernel for these parameters.
@@ -224,10 +44,10 @@ func (j *pairJoiner) joinIter(left vecIterator, right *source) *vecJoinIter {
 	}
 }
 
-// joinPart is the spilled keyed join's partition body: the batch hash join
-// kernel builds on the bucket's right rows and probes its left rows in
-// sequence order, every output batch carrying its probe rows' sequence keys
-// to the gather.
+// joinPart is the spilled join's partition body: the batch hash join kernel
+// builds on the partition's right rows and probes its left rows in sequence
+// order, every output batch carrying its probe rows' sequence keys to the
+// gather.
 func (j *pairJoiner) joinPart(lp, rp part) ([]emitted, error) {
 	if len(lp.rows) == 0 || len(rp.rows) == 0 {
 		return nil, nil
@@ -252,141 +72,187 @@ func (j *pairJoiner) joinPart(lp, rp part) ([]emitted, error) {
 	}
 }
 
-// spillLoopIter is the memory-bounded keyless product: the build side, too
-// big for its share, lives in one spill file and is re-scanned per probe
-// tuple — the tuple-at-a-time nested loop with the inner relation on disk.
-// There is no key to grace-partition on, so this is the bounded fallback;
-// its output order is trivially the reference's left-major sequence. One
-// reader stays open across the whole probe side, rewound per probe tuple,
-// so the repeated scans reuse the file handle and buffer.
-type spillLoopIter struct {
-	left iterator
-	j    *pairJoiner
+// graceJoinIter is × / ×ᵀ in memory-bounded mode, a hybrid hash join. The
+// build (right) side drains against half the operator share on first pull;
+// while it stays resident the probe side is a stream between operators — not
+// operator state — so it is never drained, and the ordinary batch hash join
+// streams against the resident build rows. When the build side overflows, a
+// keyed join drains the probe side too and the driver's spilled route pairs
+// the buckets, each running the same kernel (joinPart); with no key to
+// partition on, the probe side streams against the one spilled build file
+// (blockJoinIter).
+type graceJoinIter struct {
+	e     *Engine
+	l, r  *source
+	j     *pairJoiner
+	inner vecIterator   // the route chosen on first pull
+	build *vecGraceSide // resident build side, its bytes returned when the stream ends
+}
 
+func (g *graceJoinIter) start() error {
+	e, j := g.e, g.j
+	rs, err := e.drainGraceVec(g.r, j.ridx, e.opShare()/2)
+	if err != nil {
+		return err
+	}
+	switch {
+	case !rs.spilled:
+		g.build = rs
+		v := j.joinIter(g.l.vec, batchSource(rs.b, g.r.schema))
+		v.e = e
+		g.inner = v
+	case len(j.ridx) > 0:
+		g.inner = &lazyBatchesIter{compute: func() ([]*batch, error) {
+			ls, err := e.drainGraceVec(g.l, j.lidx, e.opShare()/2)
+			if err != nil {
+				return nil, err
+			}
+			return e.graceRunFrom(&keyedOp{l: g.l, r: g.r, lidx: j.lidx, ridx: j.ridx, out: j.out, body: j.joinPart}, ls, rs)
+		}}
+	default:
+		// With no keys every drained row landed in the single bucket of the
+		// empty-key hash, in list order — the one file the block loop scans.
+		e.stats.SpilledOps++
+		var file *spill.File
+		for _, ps := range rs.parts {
+			if ps.file != nil {
+				file = ps.file
+			}
+		}
+		g.inner = &blockJoinIter{e: e, left: g.l.vec, j: j, file: file, blk: newBatch(g.r.schema, spill.BlockRows)}
+	}
+	return nil
+}
+
+func (g *graceJoinIter) nextBatch() (*batch, error) {
+	if g.inner == nil {
+		if err := g.start(); err != nil {
+			return nil, err
+		}
+	}
+	b, err := g.inner.nextBatch()
+	if b == nil {
+		g.release()
+	}
+	return b, err
+}
+
+// release returns the resident build side's bytes to the arbiter.
+func (g *graceJoinIter) release() {
+	if g.build != nil {
+		g.e.releaseResident(g.build)
+		g.build = nil
+	}
+}
+
+func (g *graceJoinIter) close() error {
+	g.release()
+	if g.inner == nil {
+		return g.l.vec.close()
+	}
+	return g.inner.close()
+}
+
+// blockJoinIter is the memory-bounded join with no key to partition on — the
+// keyless × / ×ᵀ, or a θ-join whose predicate is all residual — once its
+// build side has overflowed into one spill file: a block nested loop. Each
+// probe batch, cut to vecBatchRows, meets the file's blocks one at a time —
+// a block decodes over the planes of the last and joins through the
+// partition body of the spilled keyed join — so the file is scanned once per
+// probe batch and the resident state is one block. A block's output is
+// ordered by probe row, and the driver's gather merges the blocks' outputs
+// by probe position into the reference's left-major, right-list order; the
+// output of one probe batch is handed on before the next is read.
+type blockJoinIter struct {
+	e    *Engine
+	left vecIterator
+	j    *pairJoiner
 	file *spill.File
 	r    *spill.Reader
+	blk  *batch // the decoded build block
 
-	cur  relation.Tuple
-	curP period.Period
+	pb  *batch   // current probe batch
+	pk  int      // next presented row of pb
+	out []*batch // the gathered output of the last probe range, not yet emitted
 }
 
-func (s *spillLoopIter) next() (relation.Tuple, error) {
+func (it *blockJoinIter) nextBatch() (*batch, error) {
 	for {
-		if s.cur == nil {
-			t, err := s.left.next()
-			if err != nil {
-				return nil, err
-			}
-			if t == nil {
-				return nil, nil
-			}
-			s.cur = t
-			if s.j.temporal {
-				s.curP = t.PeriodAt(s.j.lt1, s.j.lt2)
-			}
-			if s.r == nil {
-				r, err := s.file.Open()
-				if err != nil {
-					return nil, err
-				}
-				s.r = r
-			} else if err := s.r.Rewind(); err != nil {
-				return nil, err
-			}
+		if len(it.out) > 0 {
+			b := it.out[0]
+			it.out = it.out[1:]
+			it.e.stats.VectorBatches++
+			return b, nil
 		}
-		for {
-			_, bt, ok, err := s.r.Next()
-			if err != nil {
+		if it.pb == nil || it.pk >= it.pb.rows() {
+			b, err := it.left.nextBatch()
+			if err != nil || b == nil {
 				return nil, err
 			}
-			if !ok {
-				s.cur = nil
-				break
-			}
-			var bp period.Period
-			if s.j.temporal {
-				bp = bt.PeriodAt(s.j.rt1, s.j.rt2)
-			}
-			nt, err := s.j.pairOne(s.cur, s.curP, bt, bp)
-			if err != nil {
-				return nil, err
-			}
-			if nt != nil {
-				return nt, nil
-			}
+			it.pb, it.pk = b, 0
 		}
-	}
-}
-
-func (s *spillLoopIter) close() error {
-	if s.r != nil {
-		s.r.Close()
-		s.r = nil
-	}
-	return s.left.close()
-}
-
-// graceProductSource compiles the keyless × / ×ᵀ in memory-bounded mode:
-// the build side drains against the share; if it fits, the ordinary block
-// nested loop runs, otherwise the build side spills to one file and the
-// probe side streams against it.
-func (e *Engine) graceProductSource(l, r *source, j *pairJoiner, order relation.OrderSpec) *source {
-	return lazySource(j.out, order, func() ([]relation.Tuple, error) {
-		side, err := e.drainGraceVec(r, nil, e.opShare())
+		hi := min(it.pk+vecBatchRows, it.pb.rows())
+		// Compacted, a probe row's index is its sequence key.
+		probe := wholeBatch(it.pb.rangeView(it.pk, hi).compact())
+		it.pk = hi
+		ems, err := it.joinBlocks(probe)
 		if err != nil {
-			l.it.close()
 			return nil, err
 		}
-		// The resident build side is this operator's working set; its
-		// accounting returns to the arbiter when the loop finishes.
-		defer e.releaseResident(side)
-		var it iterator
-		if !side.spilled {
-			it = &productIter{
-				left: l.it, right: batchSource(side.b, r.schema),
-				out: j.out, lw: j.lw, rw: j.rw, residual: j.residual,
-				temporal: j.temporal, lt1: j.lt1, lt2: j.lt2,
-			}
-		} else {
-			// With no keys every drained row landed in the single bucket of
-			// the empty-key hash, in list order — exactly the one file the
-			// nested loop needs.
-			var f *spill.File
-			for _, ps := range side.parts {
-				if ps.file != nil {
-					f = ps.file
-					break
-				}
-			}
-			e.graceNoteSpill()
-			it = &spillLoopIter{left: l.it, j: j, file: f}
+		it.out = gather(it.j.out, ems)
+	}
+}
+
+// joinBlocks scans the build file once, joining every block with the probe
+// rows; only the decoded block is working set, accounted at the file's
+// average row size.
+func (it *blockJoinIter) joinBlocks(probe part) ([]emitted, error) {
+	var err error
+	if it.r == nil {
+		it.r, err = it.file.Open()
+	} else {
+		err = it.r.Rewind()
+	}
+	if err != nil {
+		return nil, err
+	}
+	var ems []emitted
+	for {
+		ok, err := decodeBlock(it.r, it.blk)
+		if err != nil || !ok {
+			return ems, err
 		}
-		var out []relation.Tuple
-		for {
-			t, err := it.next()
-			if err != nil {
-				it.close()
-				return nil, err
-			}
-			if t == nil {
-				break
-			}
-			out = append(out, t)
-		}
-		if err := it.close(); err != nil {
+		m := it.file.MemBytes() * int64(it.blk.n) / int64(it.file.Count())
+		it.e.mem.grow(m)
+		res, err := it.j.joinPart(probe, wholeBatch(it.blk))
+		it.e.mem.release(m)
+		if err != nil {
 			return nil, err
 		}
-		return out, nil
-	})
+		ems = append(ems, res...)
+	}
+}
+
+func (it *blockJoinIter) close() error {
+	if it.r != nil {
+		it.r.Close()
+		it.r = nil
+	}
+	if it.file != nil {
+		it.file.Remove()
+		it.file = nil
+	}
+	return it.left.close()
 }
 
 // buildProduct compiles × / ×ᵀ with an optional fused join predicate; the
-// join idioms dispatch here with their predicate. With equality keys and
-// both inputs delivered in a key-covering order the merge join is chosen;
-// with keys alone, the hash join; otherwise the block nested loop. In
-// memory-bounded mode the keyed variant is the hybrid hash join of grace.go
-// (both sides grace-hash partition only when the build side overflows) and
-// the keyless product spills its build side.
+// join idioms dispatch here with their predicate. Every shape is one join
+// kernel over the predicate's equality keys — none for a keyless product —
+// with the rest of the predicate as its residual. With keys and both inputs
+// delivered in a key-covering order the merge join is chosen; otherwise the
+// hash join, whose probe side splits across the worker pool under
+// Parallelism and which becomes the hybrid join of graceJoinIter under a
+// budget.
 func (e *Engine) buildProduct(n algebra.Node, pred expr.Pred, temporal bool) (*source, error) {
 	l, r, err := e.buildBoth(n)
 	if err != nil {
@@ -396,57 +262,32 @@ func (e *Engine) buildProduct(n algebra.Node, pred expr.Pred, temporal bool) (*s
 	if err != nil {
 		return nil, err
 	}
-	lw, rw := l.schema.Len(), r.schema.Len()
-	lidx, ridx, residual := physical.EquiKeys(pred, outSchema, lw, rw)
-	leftOrder := l.order
-	outOrder := leftOrder
+	lidx, ridx, residual := physical.EquiKeys(pred, outSchema, l.schema.Len(), r.schema.Len())
+	outOrder := l.order
 	if temporal {
 		// Table 1: the order of ×ᵀ is the left order's time-free prefix.
-		outOrder = leftOrder.TimeFreePrefix()
+		outOrder = l.order.TimeFreePrefix()
 	}
-	src := &source{
-		schema: outSchema,
-		order:  eval.OrderAfterProduct(outOrder, r.schema, outSchema),
-	}
-	keyed := len(lidx) > 0
+	order := eval.OrderAfterProduct(outOrder, r.schema, outSchema)
+	j := newPairJoiner(l, r, outSchema, lidx, ridx, residual, temporal)
+	e.stats.VectorOps++
 	if e.budgeted() {
-		j := newPairJoiner(l, r, outSchema, lidx, ridx, residual, temporal)
-		if keyed {
-			return e.graceJoinSource(l, r, j, src.order), nil
-		}
-		return e.graceProductSource(l, r, j, src.order), nil
+		return vecSource(&graceJoinIter{e: e, l: l, r: r, j: j}, outSchema, order), nil
 	}
 	if e.parallel() {
-		if keyed {
-			return e.vecParallelJoinSource(l, r, outSchema, lidx, ridx, residual, temporal, src.order), nil
-		}
-		src.it = e.parallelProductIter(l, r, outSchema, residual, temporal)
-		return src, nil
+		return e.vecParallelJoinSource(l, r, j, order), nil
 	}
-	var lt1, lt2 int
-	if temporal {
-		lt1, lt2 = l.schema.TimeIndices()
-	}
-	if !keyed {
-		src.it = &productIter{
-			left: l.it, right: r, out: outSchema, lw: lw, rw: rw,
-			residual: residual, temporal: temporal, lt1: lt1, lt2: lt2,
-		}
-		return src, nil
-	}
-	e.stats.VectorOps++
-	if !e.opts.NoMerge {
-		if keys, ok := physical.MergeJoinKeys(leftOrder, r.order, l.schema, r.schema, lidx, ridx); ok {
+	if len(lidx) > 0 && !e.opts.NoMerge {
+		if keys, ok := physical.MergeJoinKeys(l.order, r.order, l.schema, r.schema, lidx, ridx); ok {
 			e.stats.MergeJoins++
 			return vecSource(&vecMergeJoinIter{
-				e: e, left: l.vecInput(), right: r, out: outSchema, lw: lw, rw: rw,
+				e: e, left: l.vec, right: r, out: outSchema, lw: j.lw, rw: j.rw,
 				cmp: compileVecJoinCmp(l.schema, r.schema, keys), residual: residual,
-				temporal: temporal, lt1: lt1, lt2: lt2,
-			}, outSchema, src.order), nil
+				temporal: temporal, lt1: j.lt1, lt2: j.lt2,
+			}, outSchema, order), nil
 		}
 	}
-	return vecSource(&vecJoinIter{
-		e: e, left: l.vecInput(), right: r, out: outSchema, lw: lw, rw: rw,
-		lidx: lidx, ridx: ridx, residual: residual, temporal: temporal, lt1: lt1, lt2: lt2,
-	}, outSchema, src.order), nil
+	v := j.joinIter(l.vec, r)
+	v.e = e
+	return vecSource(v, outSchema, order), nil
 }

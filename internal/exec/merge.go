@@ -1,69 +1,100 @@
 package exec
 
-import "tqp/internal/relation"
+import (
+	"tqp/internal/relation"
+	"tqp/internal/schema"
+)
 
-// groupIter runs a grouping operator group-at-a-time over an input whose
-// delivered order keeps groups contiguous: tuples are pulled until the
-// grouping columns change, the group is transformed as a unit, and its
-// output tuples stream out before the next group is read. Because groups
-// are contiguous and the transforms preserve within-group list order, the
-// concatenated group outputs equal the materializing hash variant's
-// re-interleaved result exactly.
-type groupIter struct {
-	in      iterator
-	idx     []int // grouping columns (equality defines a group boundary)
-	emit    func(group []relation.Tuple) ([]relation.Tuple, error)
-	pending relation.Tuple // first tuple of the next group, already pulled
-	out     []relation.Tuple
-	oi      int
-	done    bool
+// groupCutIter runs a one-sided grouping operator over an input whose
+// delivered order keeps its groups contiguous: it cuts the batch stream at
+// group boundaries and runs the operator's partition body — the one the
+// exchange driver runs, told the groups are contiguous — over each slice of
+// whole groups, handing the slice's output on before reading further. Only
+// the batches spanning the unfinished last group are held, so the state is
+// bounded by one group plus one input batch: no hash table, no global
+// materialization. Groups never span slices and the bodies keep list order,
+// so the concatenated slice outputs are the driver's gathered result exactly.
+type groupCutIter struct {
+	e    *Engine
+	in   vecIterator
+	sch  *schema.Schema // input schema
+	out  *schema.Schema
+	idx  []int // grouping columns (equality defines a group boundary)
+	body partBody
+
+	held []*batch // rows of the unfinished last group, all equal on idx
+	emit []*batch // the last slice's output, not yet handed on
+	done bool
 }
 
-func (g *groupIter) next() (relation.Tuple, error) {
+// groupSource compiles a grouping operator in its streaming form.
+func (e *Engine) groupSource(in *source, idx []int, out *schema.Schema, order relation.OrderSpec, body partBody) *source {
+	e.stats.MergeOps++
+	e.stats.VectorOps++
+	return vecSource(&groupCutIter{e: e, in: in.vec, sch: in.schema, out: out, idx: idx, body: body}, out, order)
+}
+
+// continues reports that b's first row belongs to the held group.
+func (g *groupCutIter) continues(b *batch) bool {
+	last := g.held[len(g.held)-1]
+	return keysEqual(last, last.rowIndex(last.rows()-1), b, b.rowIndex(0), g.idx)
+}
+
+func (g *groupCutIter) nextBatch() (*batch, error) {
 	for {
-		if g.oi < len(g.out) {
-			t := g.out[g.oi]
-			g.oi++
-			return t, nil
+		if len(g.emit) > 0 {
+			b := g.emit[0]
+			g.emit = g.emit[1:]
+			g.e.stats.VectorBatches++
+			return b, nil
 		}
 		if g.done {
 			return nil, nil
 		}
-		first := g.pending
-		g.pending = nil
-		if first == nil {
-			t, err := g.in.next()
-			if err != nil {
-				return nil, err
-			}
-			if t == nil {
-				g.done = true
-				return nil, nil
-			}
-			first = t
-		}
-		group := []relation.Tuple{first}
-		for {
-			t, err := g.in.next()
-			if err != nil {
-				return nil, err
-			}
-			if t == nil {
-				g.done = true
-				break
-			}
-			if !t.EqualOn(g.idx, first) {
-				g.pending = t
-				break
-			}
-			group = append(group, t)
-		}
-		out, err := g.emit(group)
+		b, err := g.in.nextBatch()
 		if err != nil {
 			return nil, err
 		}
-		g.out, g.oi = out, 0
+		whole := g.held // the slice of whole groups this pull completes
+		if b == nil {
+			g.done, g.held = true, nil
+		} else {
+			// k is where b's last group starts; the rows before it finish
+			// every group begun so far.
+			n := b.rows()
+			k := n - 1
+			for k > 0 && keysEqual(b, b.rowIndex(k), b, b.rowIndex(k-1), g.idx) {
+				k--
+			}
+			if k == 0 && len(g.held) > 0 && g.continues(b) {
+				g.held = append(g.held, b)
+				continue
+			}
+			if k > 0 {
+				whole = append(whole, b.rangeView(0, k))
+			}
+			g.held = []*batch{b.rangeView(k, n)}
+		}
+		total := 0
+		for _, w := range whole {
+			total += w.rows()
+		}
+		if total == 0 {
+			continue
+		}
+		// One partition: its sequence keys never meet another's in the
+		// gather, so a selection view serves as it is.
+		s := concatBatches(g.sch, whole, total)
+		p := part{b: s, rows: s.sel}
+		if s.sel == nil {
+			p = wholeBatch(s)
+		}
+		ems, err := g.body(p, part{})
+		if err != nil {
+			return nil, err
+		}
+		g.emit = gather(g.out, ems)
 	}
 }
 
-func (g *groupIter) close() error { return g.in.close() }
+func (g *groupCutIter) close() error { return g.in.close() }

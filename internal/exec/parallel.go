@@ -1,16 +1,14 @@
 // The parallel pieces shared by the exchange driver (grace.go) and the
 // operators that fan out on their own: the bounded worker pool, the two
-// partition functions of the W-way route, the keyless product's positional
-// exchange and the keyed join's probe-range exchange.
+// partition functions of the W-way route and the join's probe-range
+// exchange.
 package exec
 
 import (
 	"sync"
 	"sync/atomic"
 
-	"tqp/internal/expr"
 	"tqp/internal/relation"
-	"tqp/internal/schema"
 )
 
 // parallel reports that the engine compiles partitioned operators.
@@ -73,24 +71,6 @@ func runTasks(workers, tasks int, fn func(task int) error) error {
 	return nil
 }
 
-// chunkRanges splits n positions into at most p consecutive ranges — the
-// positional exchange of the keyless and broadcast paths.
-func chunkRanges(n, p int) [][2]int {
-	if p < 1 {
-		p = 1
-	}
-	target := (n + p - 1) / p
-	var out [][2]int
-	for lo := 0; lo < n; lo += target {
-		hi := lo + target
-		if hi > n {
-			hi = n
-		}
-		out = append(out, [2]int{lo, hi})
-	}
-	return out
-}
-
 // hashParts scatters a compacted batch's rows into p partitions by the
 // canonical hash of the key columns, preserving row order within each
 // partition — the hash exchange: every key group lands wholly in one
@@ -129,76 +109,13 @@ func rangeParts(b *batch, idx []int, p int) []part {
 		if hi > b.n {
 			hi = b.n
 		}
-		for hi < b.n && keysEqual(b, hi, hi-1, idx) {
+		for hi < b.n && keysEqual(b, hi, b, hi-1, idx) {
 			hi++
 		}
 		parts = append(parts, part{b: b, rows: all[lo:hi:hi]})
 		lo = hi
 	}
 	return parts
-}
-
-// tagged is one output tuple of the parallel keyless product with its
-// deterministic gather key: the probe tuple's global position.
-type tagged struct {
-	seq int
-	t   relation.Tuple
-}
-
-// mergeTagged gathers the product's per-chunk outputs into the reference's
-// left-major sequence (mergeBySeq).
-func mergeTagged(parts [][]tagged) []relation.Tuple {
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	out := make([]relation.Tuple, 0, total)
-	mergeBySeq(len(parts),
-		func(p int) int { return len(parts[p]) },
-		func(p, i int) int { return parts[p][i].seq },
-		func(p, lo, hi int) {
-			for _, tg := range parts[p][lo:hi] {
-				out = append(out, tg.t)
-			}
-		})
-	return out
-}
-
-// parallelProductIter evaluates the keyless × / ×ᵀ (optionally with a fused
-// residual predicate) under a parallel exchange: there is no key to
-// partition on, so the build side is shared read-only and the probe side
-// chunks positionally against it. Every emitted pair is tagged with its
-// probe tuple's global position, so the gather restores the reference's
-// left-major pair sequence exactly. (Keyed joins fan out through
-// vecParallelJoinSource.)
-func (e *Engine) parallelProductIter(l, r *source, out *schema.Schema, residual expr.Pred, temporal bool) iterator {
-	workers := e.exchange()
-	j := newPairJoiner(l, r, out, nil, nil, residual, temporal)
-	return &lazyIter{compute: func() ([]relation.Tuple, error) {
-		lr, err := drain(l)
-		if err != nil {
-			return nil, err
-		}
-		rr, err := drain(r)
-		if err != nil {
-			return nil, err
-		}
-		brows := rr.Tuples()
-		rps := j.periodsOf(brows)
-		chunks := chunkRanges(lr.Len(), workers)
-		outParts := make([][]tagged, len(chunks))
-		if err := runTasks(workers, len(chunks), func(c int) error {
-			res, err := j.joinChunk(lr.Tuples()[chunks[c][0]:chunks[c][1]], chunks[c][0], brows, rps)
-			if err != nil {
-				return err
-			}
-			outParts[c] = res
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		return mergeTagged(outParts), nil
-	}}
 }
 
 // lazyBatchesIter computes a fixed batch list on first pull and emits the
@@ -250,30 +167,23 @@ func (it *rangeBatchIter) nextBatch() (*batch, error) {
 
 func (it *rangeBatchIter) close() error { return nil }
 
-// vecParallelJoinSource is the columnar parallel equi-key × / ×ᵀ: the build
-// side drains once into the shared columnar hash table, the probe side
-// drains into one compacted batch whose physical rows split into contiguous
-// worker ranges, each worker streams its range through its own probe cursor
-// over the shared read-only table, and the workers' output batches
-// concatenate in range order — which is exactly the sequential join's
-// left-major emission order, so no tag gather is needed.
-func (e *Engine) vecParallelJoinSource(l, r *source, out *schema.Schema, lidx, ridx []int, residual expr.Pred, temporal bool, order relation.OrderSpec) *source {
+// vecParallelJoinSource is the parallel × / ×ᵀ: the build side drains once
+// into the shared columnar hash table (one group under the empty key of a
+// keyless product), the probe side drains into one batch whose presented
+// rows split into contiguous worker ranges, each worker streams its range
+// through its own probe cursor over the shared read-only table, and the
+// workers' output batches concatenate in range order — which is exactly the
+// sequential join's left-major emission order, so no tag gather is needed.
+func (e *Engine) vecParallelJoinSource(l, r *source, j *pairJoiner, order relation.OrderSpec) *source {
 	workers := e.exchange()
-	e.stats.VectorOps++
-	tmpl := &vecJoinIter{
-		right: r, out: out, lw: l.schema.Len(), rw: r.schema.Len(),
-		lidx: lidx, ridx: ridx, residual: residual, temporal: temporal,
-	}
-	if temporal {
-		tmpl.lt1, tmpl.lt2 = l.schema.TimeIndices()
-	}
+	tmpl := j.joinIter(nil, r)
 	compute := func() ([]*batch, error) {
 		// The view drain: a filtered scan arrives as one selection view and
 		// splits by presented rows — compacting 50% of a million-row batch
 		// before the scatter would cost more than the exchange saves.
-		pb, err := vecDrainOneView(l.vecInput(), l.schema)
+		pb, err := vecDrainOneView(l.vec, l.schema)
 		if err != nil {
-			r.it.close()
+			r.vec.close()
 			return nil, err
 		}
 		if err := tmpl.buildSide(); err != nil {
@@ -311,5 +221,5 @@ func (e *Engine) vecParallelJoinSource(l, r *source, out *schema.Schema, lidx, r
 		e.stats.VectorBatches += len(bs)
 		return bs, nil
 	}
-	return vecSource(&lazyBatchesIter{compute: compute}, out, order)
+	return vecSource(&lazyBatchesIter{compute: compute}, j.out, order)
 }

@@ -2,30 +2,30 @@ package exec
 
 import (
 	"fmt"
-	"sort"
 
 	"tqp/internal/algebra"
-	"tqp/internal/eval"
 	"tqp/internal/expr"
 	"tqp/internal/relation"
 	"tqp/internal/schema"
+	"tqp/internal/value"
 )
 
-// This file is the shard side of distributed execution: a tiny interpreter
-// for pushed-down plan fragments, plus the merge kernels the coordinator
+// This file is the shard side of distributed execution: pushed-down plan
+// fragments compiled onto the engine, plus the merge kernels the coordinator
 // uses to reassemble per-shard results into exactly the list a single-node
 // run would produce.
 //
 // A fragment is a chain over one base relation: zero or more selections
 // and projections, optionally a sort, optionally one group operation
 // (temporal coalescing, temporal duplicate elimination, or a conventional
-// aggregate) on top of the sort. Each shard runs the chain over its slice of the relation while
-// threading the rows' global sequence keys — their positions in the
-// unsharded stored order — so the coordinator can merge deterministically:
-// by sequence key alone for unsorted chains, by (sort keys, sequence key)
-// for sorted ones. Group operations consume provenance (their outputs are
-// groups, not stored rows), so grouped fragments return nil sequence keys
-// and are merged block-wise on the grouping prefix instead.
+// aggregate) on top of the sort. Each shard runs the chain over its slice of
+// the relation with the rows' global sequence keys — their positions in the
+// unsharded stored order — riding along as one more column, so the
+// coordinator can merge deterministically: by sequence key alone for unsorted
+// chains, by (sort keys, sequence key) for sorted ones. Group operations
+// consume provenance (their outputs are groups, not stored rows), so grouped
+// fragments return nil sequence keys and are merged block-wise on the
+// grouping prefix instead.
 
 // FragmentOp enumerates the steps a pushed-down fragment may contain.
 type FragmentOp uint8
@@ -84,121 +84,110 @@ type FragmentStep struct {
 	Aggs    []expr.Aggregate   // FragAggr
 }
 
+// seqAttr names the column the sequence keys travel in. It is appended to the
+// shard slice, carried by every σ, π and sort of the chain as data — a filter
+// drops keys with their rows, a stable sort permutes them with their rows —
+// and projected away below a group tail and off the result.
+const seqAttr = "@seq"
+
 // RunFragment executes a fragment chain over one shard's slice of a base
-// relation. seqs carries the slice rows' global sequence keys (nil means
-// the identity — an unsharded run). It returns the result plus the output
-// rows' sequence keys; a grouped fragment (coalT/rdupT/aggr tail) returns
-// nil keys because its rows are derived groups, not stored tuples.
+// relation: the chain compiles to a plan over the slice and runs on the
+// sequential engine. seqs carries the slice rows' global sequence keys (nil
+// means the identity — an unsharded run). It returns the result plus the
+// output rows' sequence keys; a grouped fragment (coalT/rdupT/aggr tail)
+// returns nil keys because its rows are derived groups, not stored tuples.
 func RunFragment(rel *relation.Relation, seqs []int, steps []FragmentStep) (*relation.Relation, []int, error) {
-	sch := rel.Schema()
 	n := rel.Len()
 	if seqs == nil {
-		seqs = make([]int, n)
-		for i := range seqs {
-			seqs[i] = i
-		}
+		seqs = identityIdx(n)
 	} else if len(seqs) != n {
 		return nil, nil, fmt.Errorf("exec: %d sequence keys for a %d-row shard slice", len(seqs), n)
-	} else {
-		seqs = append([]int(nil), seqs...)
 	}
-	cur := make([]relation.Tuple, n)
-	for i := range cur {
-		cur[i] = rel.At(i)
+	if len(steps) == 0 {
+		return rel, seqs, nil
 	}
-	order := rel.Order()
+	w := rel.Schema().Len()
+	sch, err := schema.New(append(rel.Schema().Attributes(), schema.Attr(seqAttr, value.KindInt))...)
+	if err != nil {
+		return nil, nil, fmt.Errorf("exec: fragment: %w", err)
+	}
+	// The leaf is the slice's cached columnar image with the keys as one
+	// more plane: repeated fragments over a shard's relation convert it once.
+	eng := &Engine{}
+	image := eng.batchOf(rel)
+	keys := colvec{kind: value.KindInt, ints: make([]int64, n)}
+	for i, s := range seqs {
+		keys.ints[i] = int64(s)
+	}
+	slice := &batch{schema: sch, cols: append(image.cols[:w:w], keys), n: n}
+	eng.leaf = vecSource(&rangeBatchIter{b: slice, hi: n}, sch, rel.Order())
 
-	for si, st := range steps {
+	var plan algebra.Node = algebra.NewRel("@frag", sch, algebra.BaseInfo{})
+	var tail *FragmentStep
+	for si := range steps {
+		st := &steps[si]
 		switch st.Op {
 		case FragSelect:
 			if st.Pred == nil {
 				return nil, nil, fmt.Errorf("exec: fragment step %d: select without a predicate", si)
 			}
-			kept := cur[:0]
-			keptSeqs := seqs[:0]
-			for i, t := range cur {
-				ok, err := st.Pred.Holds(sch, t)
-				if err != nil {
-					return nil, nil, err
-				}
-				if ok {
-					kept = append(kept, t)
-					keptSeqs = append(keptSeqs, seqs[i])
-				}
-			}
-			cur, seqs = kept, keptSeqs
-
+			plan = algebra.NewSelect(st.Pred, plan)
 		case FragProject:
 			if len(st.Items) == 0 {
 				return nil, nil, fmt.Errorf("exec: fragment step %d: projection without items", si)
 			}
-			node := algebra.NewProject(st.Items, algebra.NewRel("@frag", sch, algebra.BaseInfo{}))
-			outSch, err := node.Schema()
-			if err != nil {
-				return nil, nil, fmt.Errorf("exec: fragment step %d: %w", si, err)
-			}
-			nt := make([]relation.Tuple, len(cur))
-			for i, t := range cur {
-				row := make(relation.Tuple, len(st.Items))
-				for j, it := range st.Items {
-					v, err := it.Expr.Eval(sch, t)
-					if err != nil {
-						return nil, nil, err
-					}
-					row[j] = v
-				}
-				nt[i] = row
-			}
-			cur, sch, order = nt, outSch, eval.OrderAfterProject(order, node)
-
+			plan = algebra.NewProject(append(st.Items[:len(st.Items):len(st.Items)], algebra.ColItem(seqAttr)), plan)
 		case FragSort:
 			if len(st.Keys) == 0 {
 				return nil, nil, fmt.Errorf("exec: fragment step %d: sort without keys", si)
 			}
-			idx := make([]int, len(cur))
-			for i := range idx {
-				idx[i] = i
-			}
-			keys := st.Keys
-			sort.SliceStable(idx, func(a, b int) bool {
-				return relation.CompareOn(sch, keys, cur[idx[a]], cur[idx[b]]) < 0
-			})
-			nt := make([]relation.Tuple, len(cur))
-			ns := make([]int, len(cur))
-			for i, j := range idx {
-				nt[i], ns[i] = cur[j], seqs[j]
-			}
-			cur, seqs, order = nt, ns, keys
-
+			plan = algebra.NewSort(st.Keys, plan)
 		case FragCoalT, FragRdupT, FragAggr:
 			if si != len(steps)-1 {
 				return nil, nil, fmt.Errorf("exec: fragment step %d: %s must be the final step", si, st.Op)
 			}
-			in := relation.FromTuplesTrusted(sch, cur)
-			in.SetOrder(order)
-			leaf := algebra.NewRel("@frag", sch, algebra.BaseInfo{Order: order})
-			var node algebra.Node
-			switch st.Op {
-			case FragCoalT:
-				node = algebra.NewCoal(leaf)
-			case FragRdupT:
-				node = algebra.NewTRdup(leaf)
-			default:
-				node = algebra.NewAggregate(st.GroupBy, st.Aggs, leaf)
-			}
-			out, err := New(eval.MapSource{"@frag": in}).Eval(node)
-			if err != nil {
-				return nil, nil, fmt.Errorf("exec: fragment %s: %w", st.Op, err)
-			}
-			return out, nil, nil
-
+			tail = st
 		default:
 			return nil, nil, fmt.Errorf("exec: fragment step %d: unknown op %d", si, uint8(st.Op))
 		}
 	}
-	out := relation.FromTuplesTrusted(sch, cur)
-	out.SetOrder(order)
-	return out, seqs, nil
+	cur, err := plan.Schema()
+	if err != nil {
+		return nil, nil, fmt.Errorf("exec: fragment: %w", err)
+	}
+	w = cur.Len() - 1
+	keyless := algebra.NewProjectCols(plan, cur.Names()[:w]...)
+	if tail != nil {
+		var node algebra.Node
+		switch tail.Op {
+		case FragCoalT:
+			node = algebra.NewCoal(keyless)
+		case FragRdupT:
+			node = algebra.NewTRdup(keyless)
+		default:
+			node = algebra.NewAggregate(tail.GroupBy, tail.Aggs, keyless)
+		}
+		out, err := eng.Eval(node)
+		if err != nil {
+			return nil, nil, fmt.Errorf("exec: fragment %s: %w", tail.Op, err)
+		}
+		return out, nil, nil
+	}
+	outSch, err := keyless.Schema()
+	if err != nil {
+		return nil, nil, fmt.Errorf("exec: fragment: %w", err)
+	}
+	keyed, err := eng.Eval(plan)
+	if err != nil {
+		return nil, nil, fmt.Errorf("exec: fragment: %w", err)
+	}
+	outRows, outSeqs := keyed.Tuples(), make([]int, keyed.Len())
+	for i, t := range outRows {
+		outRows[i], outSeqs[i] = t[:w:w], int(t[w].AsInt())
+	}
+	out := relation.FromTuplesTrusted(outSch, outRows)
+	out.SetOrder(keyed.Order())
+	return out, outSeqs, nil
 }
 
 // TaggedRows pairs one shard's fragment output with its sequence keys,

@@ -76,6 +76,18 @@ func (c *runCursor) advance(sch *schema.Schema) (ok bool, err error) {
 	return c.nextBlock(sch)
 }
 
+// decodeBlock decodes r's next block over b's planes, replacing the block
+// decoded before; ok=false marks the end of the file.
+func decodeBlock(r *spill.Reader, b *batch) (ok bool, err error) {
+	for i := range b.cols {
+		col := &b.cols[i]
+		col.ints, col.floats, col.strs, col.vals = col.ints[:0], col.floats[:0], col.strs[:0], col.vals[:0]
+	}
+	seqs, ok, err := r.NextBlockCols(len(b.cols), func(_, col int, v value.Value) { b.cols[col].append(v) })
+	b.n = len(seqs)
+	return ok, err
+}
+
 // nextBlock decodes a spilled run's next block over the planes of the last
 // one — the merge has copied every row of it out by now; at the end of the
 // file the cursor closes itself.
@@ -83,12 +95,7 @@ func (c *runCursor) nextBlock(sch *schema.Schema) (ok bool, err error) {
 	if c.b == nil {
 		c.b = newBatch(sch, spill.BlockRows)
 	}
-	b := c.b
-	for i := range b.cols {
-		col := &b.cols[i]
-		col.ints, col.floats, col.strs, col.vals = col.ints[:0], col.floats[:0], col.strs[:0], col.vals[:0]
-	}
-	seqs, ok, err := c.r.NextBlockCols(len(b.cols), func(_, col int, v value.Value) { b.cols[col].append(v) })
+	ok, err = decodeBlock(c.r, c.b)
 	if err != nil {
 		return false, err
 	}
@@ -96,7 +103,7 @@ func (c *runCursor) nextBlock(sch *schema.Schema) (ok bool, err error) {
 		c.close()
 		return false, nil
 	}
-	b.n, c.pos = len(seqs), 0
+	c.pos = 0
 	return true, nil
 }
 

@@ -61,11 +61,9 @@ func recordFuzzFailure(t *testing.T, format string, args ...any) {
 // budgets {64KB, 1MB, unlimited}, all bit-identical on random plans. Every
 // leg compiles the batch operators (vec.go) — the hash-only leg their hash
 // variants only — and runs the keyed blocking operators through the
-// exchange driver's routes (resident, W-way, spilled), with the operators
-// that exist tuple-at-a-time only (⊔, keyless ×, the streaming group
-// family, the spilling sort) behind the batch↔tuple adapters, so the
-// random plans cross that boundary in both
-// directions. Two sweeps run: tiny catalogs for plan-shape coverage, and
+// exchange driver's routes (resident, W-way, spilled), the keyless products
+// through the join's, and the streaming group family wherever a delivered
+// order keeps groups contiguous. Two sweeps run: tiny catalogs for plan-shape coverage, and
 // sized catalogs (hundreds of rows) so the small budget genuinely forces
 // the grace-hash spill paths — vacuity guards assert Stats.SpilledOps > 0
 // there and Stats.VectorOps > 0 on every leg. The parallel budgeted leg
@@ -354,30 +352,120 @@ func TestBudgetedSortSpillStability(t *testing.T) {
 	}
 }
 
-// TestKeylessProductSpill pins the no-key fallback: a product with no
-// equi-keys cannot grace-partition, so its build side spills to one file
-// and re-scans per probe tuple — output order identical to the reference.
+// TestKeylessProductSpill pins the join with no key on every route: ×, ×ᵀ
+// and a θ-join whose predicate is all residual have nothing to hash or
+// grace-partition on, so sequentially and under Parallelism they run the
+// hash join kernel over the one group of the empty key, and under a budget
+// the build side spills to one file that each probe batch scans block by
+// block. The probe side straddles the batch cut (2·vecBatchRows+3 rows) and
+// the build side spans more than one spill block, so the spilled route's
+// gather really interleaves blocks. Every configuration must reproduce the
+// reference's left-major list and its Table 1 order annotation.
 func TestKeylessProductSpill(t *testing.T) {
-	l := sizedTemporal(300, 31)
-	r := sizedTemporal(300, 32)
-	src := eval.MapSource{"L": l, "R": r}
-	plan := algebra.NewProduct(
-		algebra.NewRel("L", l.Schema(), algebra.BaseInfo{}),
-		algebra.NewRel("R", r.Schema(), algebra.BaseInfo{}))
-	want, err := eval.New(src).Eval(plan)
-	if err != nil {
+	byValue := relation.OrderSpec{relation.Key("Name"), relation.Key("Grp")}
+	l := sizedTemporal(2*exec.VecBatchRows+3, 31)
+	if err := l.SortStable(byValue); err != nil {
 		t.Fatal(err)
 	}
-	eng := exec.NewWith(src, exec.Config{MemoryBudget: 16 << 10, SpillDir: t.TempDir()})
+	r := sizedTemporal(300, 32) // spill blocks hold 256 rows
+	src := eval.MapSource{"L": l, "R": r}
+	left := algebra.NewRel("L", l.Schema(), algebra.BaseInfo{Order: byValue})
+	right := algebra.NewRel("R", r.Schema(), algebra.BaseInfo{})
+	// The conventional shapes pair every probe row with every build row, so
+	// they run over the grouping column alone: 600k two-column pairs.
+	grp := func(n algebra.Node) algebra.Node { return algebra.NewProjectCols(n, "Grp") }
+	plans := []struct {
+		name string
+		node algebra.Node
+	}{
+		{"product", algebra.NewProduct(grp(left), grp(right))},
+		{"tproduct", algebra.NewTProduct(left, right)},
+		{"theta-join", algebra.NewJoin(expr.Compare(expr.Lt, expr.Column("1.Grp"), expr.Column("2.Grp")), grp(left), grp(right))},
+	}
+	configs := []exec.Config{
+		{},
+		{Parallelism: 3},
+		{MemoryBudget: 16 << 10},
+		{MemoryBudget: 16 << 10, Parallelism: 3},
+	}
+	for _, p := range plans {
+		want, err := eval.New(src).Eval(p.node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Len() == 0 {
+			t.Fatalf("%s: vacuous plan, the reference result is empty", p.name)
+		}
+		for _, cfg := range configs {
+			cfg.SpillDir = t.TempDir()
+			eng := exec.NewWith(src, cfg)
+			got, err := eng.Eval(p.node)
+			if err != nil {
+				t.Fatalf("%s %+v: %v", p.name, cfg, err)
+			}
+			st := eng.Stats()
+			if st.VectorOps == 0 {
+				t.Fatalf("%s %+v: the join did not compile batch-at-a-time: %+v", p.name, cfg, st)
+			}
+			if (st.SpilledOps > 0) != (cfg.MemoryBudget > 0) {
+				t.Fatalf("%s %+v: the build side must spill exactly under the budget: %+v", p.name, cfg, st)
+			}
+			if cfg.MemoryBudget == 0 && (st.ParallelOps > 0) != (cfg.Parallelism > 1) {
+				t.Fatalf("%s %+v: the probe side must fan out exactly under Parallelism: %+v", p.name, cfg, st)
+			}
+			if !got.EqualAsList(want) {
+				t.Fatalf("%s %+v: result differs from the reference (%d vs %d rows)", p.name, cfg, got.Len(), want.Len())
+			}
+			if !got.Order().Equal(want.Order()) {
+				t.Fatalf("%s %+v: order %s ≠ reference %s", p.name, cfg, got.Order(), want.Order())
+			}
+		}
+	}
+}
+
+// TestKeylessProductSpillStreams pins the memory contract of the spilled
+// keyless product: a 2,000 × 2,000 ×ᵀ whose build side overflows a 64 KiB
+// budget, pulled through a selective σ, hands its output on batch by batch —
+// the accounted peak is the drained build side and then one decoded block,
+// never the product — and leaves the spill directory empty.
+func TestKeylessProductSpillStreams(t *testing.T) {
+	const budget = 64 << 10
+	dir := t.TempDir()
+	l, r := sizedTemporal(2000, 34), sizedTemporal(2000, 35)
+	src := eval.MapSource{"L": l, "R": r}
+	plan := algebra.NewSelect(
+		expr.Compare(expr.Eq, expr.Column("1.Grp"), expr.Column("2.Grp")),
+		algebra.NewTProduct(
+			algebra.NewRel("L", l.Schema(), algebra.BaseInfo{}),
+			algebra.NewRel("R", r.Schema(), algebra.BaseInfo{})))
+	eng := exec.NewWith(src, exec.Config{MemoryBudget: budget, SpillDir: dir})
 	got, err := eng.Eval(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.Stats().SpilledOps == 0 {
-		t.Fatalf("expected the keyless product's build side to spill, stats %+v", eng.Stats())
+	st := eng.Stats()
+	if st.SpilledOps == 0 || st.SpilledBytes == 0 {
+		t.Fatalf("expected the keyless product's build side to spill, stats %+v", st)
 	}
-	if !got.EqualAsList(want) {
-		t.Fatal("spilled keyless product differs from the reference")
+	if st.PeakBytes > budget+1<<10 {
+		t.Fatalf("accounted peak %d exceeds the %d budget beyond drain overshoot", st.PeakBytes, budget)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 0 {
+		t.Fatalf("spill directory not empty after Close: %v", entries)
+	}
+	want, err := exec.New(src).Eval(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() == 0 || !got.EqualAsList(want) {
+		t.Fatalf("spilled keyless ×ᵀ under σ differs from the unbudgeted engine (%d vs %d rows)", got.Len(), want.Len())
 	}
 }
 

@@ -40,15 +40,9 @@ func (e *Engine) buildRel(n *algebra.Rel) (*source, error) {
 	if !n.Info.Order.Empty() {
 		order = n.Info.Order
 	}
-	// The batch view converts lazily on the first batch pull (and is cached
-	// per relation), so a scan consumed by a tuple-only parent pays nothing
-	// for it.
-	return &source{
-		it:     &sliceIter{ts: r.Tuples()},
-		vec:    &onceBatchIter{compute: func() (*batch, error) { return e.batchOf(r), nil }},
-		schema: r.Schema(),
-		order:  order,
-	}, nil
+	// The columnar image converts lazily on the first pull (and is cached per
+	// relation); a scan travels as that one batch.
+	return vecSource(&onceBatchIter{compute: func() (*batch, error) { return e.batchOf(r), nil }}, r.Schema(), order), nil
 }
 
 // buildSelect compiles σ_P: a batch-at-a-time filter emitting selection
@@ -62,7 +56,7 @@ func (e *Engine) buildSelect(n *algebra.Select) (*source, error) {
 		return nil, err
 	}
 	e.stats.VectorOps++
-	v := &vecFilterIter{e: e, in: in.vecInput(), p: n.P, schema: in.schema, fast: compileVecPred(n.P, in.schema)}
+	v := &vecFilterIter{e: e, in: in.vec, p: n.P, schema: in.schema, fast: compileVecPred(n.P, in.schema)}
 	return vecSource(v, in.schema, in.order), nil
 }
 
@@ -83,7 +77,7 @@ func (e *Engine) buildProject(n *algebra.Project) (*source, error) {
 		items[i].eval = it.Expr
 	}
 	gather := compileProjItems(items, in.schema)
-	v := &vecProjectIter{e: e, in: in.vecInput(), items: items, gather: gather, inSchema: in.schema, outSchema: outSchema}
+	v := &vecProjectIter{e: e, in: in.vec, items: items, gather: gather, inSchema: in.schema, outSchema: outSchema}
 	return vecSource(v, outSchema, order), nil
 }
 
@@ -117,7 +111,7 @@ func (e *Engine) buildSort(n *algebra.Sort) (*source, error) {
 		return e.vecSortSource(in, n.Spec, order), nil
 	}
 	e.stats.VectorOps++
-	m := &mergeSortIter{eng: e, in: in.vecInput(), schema: in.schema, cmp: compileVecCmp(in.schema, n.Spec)}
+	m := &mergeSortIter{eng: e, in: in.vec, schema: in.schema, cmp: compileVecCmp(in.schema, n.Spec)}
 	return vecSource(m, in.schema, order), nil
 }
 
@@ -162,11 +156,11 @@ func (e *Engine) buildUnionAll(n algebra.Node) (*source, error) {
 	if _, err := n.Schema(); err != nil {
 		return nil, err
 	}
-	return vecSource(&vecConcatIter{cur: l.vecInput(), rest: r.vecInput()}, l.schema, nil), nil
+	return vecSource(&vecConcatIter{cur: l.vec, rest: r.vec}, l.schema, nil), nil
 }
 
 // streams reports that a one-sided grouping operator runs its bounded
-// group-at-a-time algorithm (groupIter, the adjacent-compare dedup) ahead of
+// group-at-a-time algorithm (groupCutIter, the adjacent-compare dedup) ahead of
 // the exchange driver: the delivered order keeps its groups contiguous and
 // merge variants are allowed. One group of state is already memory-bounded,
 // so the budgeted engine prefers it over partitioning; under plain
@@ -196,14 +190,14 @@ func (e *Engine) buildRdup(n algebra.Node) (*source, error) {
 		// state.
 		e.stats.MergeOps++
 		e.stats.VectorOps++
-		return vecSource(&vecDedupSortedIter{e: e, in: in.vecInput()}, outSchema, order), nil
+		return vecSource(&vecDedupSortedIter{e: e, in: in.vec}, outSchema, order), nil
 	}
 	if !e.parallel() && !e.budgeted() {
 		// The pipelined hash set never drains its input — a different
 		// algorithm from the driver's partition body, kept for the
 		// sequential engine.
 		e.stats.VectorOps++
-		return vecSource(&vecRdupIter{e: e, in: in.vecInput()}, outSchema, order), nil
+		return vecSource(&vecRdupIter{e: e, in: in.vec}, outSchema, order), nil
 	}
 	return e.keyedSource(&keyedOp{
 		l: in, lidx: idx, contiguous: groupsContiguous(in.order, in.schema, idx),
@@ -241,7 +235,7 @@ func (e *Engine) buildDiff(n algebra.Node) (*source, error) {
 	if spec, ok := e.alignedMerge(l, r); ok {
 		e.stats.MergeOps++
 		e.stats.VectorOps++
-		m := &vecMergeCancelIter{e: e, stream: l.vecInput(), sorted: r, cmp: compileVecCmp(l.schema, spec)}
+		m := &vecMergeCancelIter{e: e, stream: l.vec, sorted: r, cmp: compileVecCmp(l.schema, spec)}
 		return vecSource(m, outSchema, order), nil
 	}
 	idx := identityIdx(l.schema.Len())
@@ -262,7 +256,7 @@ func (e *Engine) buildUnion(n algebra.Node) (*source, error) {
 	if spec, ok := e.alignedMerge(l, r); ok {
 		e.stats.MergeOps++
 		e.stats.VectorOps++
-		m := &vecMergeCancelIter{e: e, stream: r.vecInput(), sorted: l, emitSorted: true, cmp: compileVecCmp(l.schema, spec)}
+		m := &vecMergeCancelIter{e: e, stream: r.vec, sorted: l, emitSorted: true, cmp: compileVecCmp(l.schema, spec)}
 		return vecSource(m, l.schema, nil), nil
 	}
 	idx := identityIdx(l.schema.Len())
@@ -270,13 +264,13 @@ func (e *Engine) buildUnion(n algebra.Node) (*source, error) {
 }
 
 // buildAggregate compiles 𝒢. Over an input whose delivered order keeps
-// grouping columns contiguous, the operator runs group-at-a-time: each
-// group's accumulators fold as its tuples arrive and the group's result
-// tuple is emitted the moment the group ends — a true pipeline with
-// bounded state. Otherwise the input streams into per-group accumulators
-// held in a first-occurrence-ordered hash table and one tuple per group is
-// emitted once the input is exhausted; the group orders coincide because
-// contiguous groups appear in first-occurrence order.
+// grouping columns contiguous, the operator runs group-at-a-time
+// (groupCutIter): a group's result row is emitted with the slice of the
+// stream that ends the group — a pipeline with bounded state. Otherwise the
+// input streams into per-group accumulators held in a
+// first-occurrence-ordered hash table and one row per group is emitted once
+// the input is exhausted; the group orders coincide because contiguous
+// groups appear in first-occurrence order.
 func (e *Engine) buildAggregate(n *algebra.Aggregate) (*source, error) {
 	in, err := e.build(n.Children()[0])
 	if err != nil {
@@ -291,39 +285,28 @@ func (e *Engine) buildAggregate(n *algebra.Aggregate) (*source, error) {
 		gidx[i] = in.schema.Index(g)
 	}
 	order := eval.OrderAfterGroup(in.order, n.GroupBy)
-	emit := func(group []relation.Tuple) ([]relation.Tuple, error) {
-		accs := eval.NewAccumulators(n.Aggs, in.schema)
-		for _, t := range group {
-			if err := eval.FoldAggregates(accs, n.Aggs, in.schema, t); err != nil {
-				return nil, err
-			}
-		}
-		nt := make(relation.Tuple, 0, outSchema.Len())
-		for _, gi := range gidx {
-			nt = append(nt, group[0][gi])
-		}
-		for _, acc := range accs {
-			nt = append(nt, acc.Result())
-		}
-		return []relation.Tuple{nt}, nil
-	}
-	if e.streams(in, gidx) {
-		e.stats.MergeOps++
-		return &source{
-			it:     &groupIter{in: in.it, idx: gidx, emit: emit},
-			schema: outSchema,
-			order:  order,
-		}, nil
-	}
-	if len(gidx) == 0 || (!e.parallel() && !e.budgeted()) {
+	streams := e.streams(in, gidx)
+	if !streams && (len(gidx) == 0 || (!e.parallel() && !e.budgeted())) {
 		// Pipelined hash aggregation never drains its input; a GROUP-BY-less
 		// aggregate folds one global set of accumulators — state bounded by
 		// construction, nothing to partition.
 		return e.vecAggregateSource(in, gidx, outSchema, order, n.Aggs), nil
 	}
+	emit := func(p part, members []int, scratch relation.Tuple, ob *batch) error {
+		accs := eval.NewAccumulators(n.Aggs, in.schema)
+		for _, k := range members {
+			p.b.fillTuple(scratch, p.rows[k])
+			if err := eval.FoldAggregates(accs, n.Aggs, in.schema, scratch); err != nil {
+				return err
+			}
+		}
+		appendGroupRow(ob, p.b, p.rows[members[0]], gidx, accs)
+		return nil
+	}
 	contiguous := groupsContiguous(in.order, in.schema, gidx)
-	return e.keyedSource(&keyedOp{
-		l: in, lidx: gidx, contiguous: contiguous, out: outSchema, order: order,
-		body: groupEmitBody(gidx, contiguous, outSchema, emit),
-	}), nil
+	body := groupEmitBody(gidx, contiguous, outSchema, emit)
+	if streams {
+		return e.groupSource(in, gidx, outSchema, order, body), nil
+	}
+	return e.keyedSource(&keyedOp{l: in, lidx: gidx, contiguous: contiguous, out: outSchema, order: order, body: body}), nil
 }

@@ -26,15 +26,12 @@ func (e *Engine) buildValueGroup(n algebra.Node, transform func([]vspan) []vspan
 	order := in.order.TimeFreePrefix()
 	t1, t2 := in.schema.TimeIndices()
 	vidx := valueIdx(in.schema)
-	if e.streams(in, vidx) {
-		e.stats.MergeOps++
-		return &source{it: &groupIter{in: in.it, idx: vidx, emit: spanEmitter(t1, t2, transform)}, schema: in.schema, order: order}, nil
-	}
 	contiguous := groupsContiguous(in.order, in.schema, vidx)
-	return e.keyedSource(&keyedOp{
-		l: in, lidx: vidx, contiguous: contiguous, out: in.schema, order: order,
-		body: valueGroupBody(vidx, t1, t2, contiguous, transform),
-	}), nil
+	body := valueGroupBody(vidx, t1, t2, contiguous, transform)
+	if e.streams(in, vidx) {
+		return e.groupSource(in, vidx, in.schema, order, body), nil
+	}
+	return e.keyedSource(&keyedOp{l: in, lidx: vidx, contiguous: contiguous, out: in.schema, order: order, body: body}), nil
 }
 
 // buildTRdup compiles rdupᵀ: the paper's iterative head/subtract algorithm,
@@ -307,9 +304,8 @@ func tunionExtraPeriods(lpsIn, rpsIn []period.Period) []period.Period {
 // per group one result tuple per elementary interval with live tuples,
 // exactly the reference's constant-interval evaluation. An input whose
 // delivered order keeps grouping columns contiguous streams group-at-a-time
-// (each group's constant intervals are computed and emitted the moment the
-// group ends); otherwise the exchange driver runs the per-group emitter over
-// its partitions.
+// (groupCutIter); otherwise the exchange driver runs the same body over its
+// partitions.
 func (e *Engine) buildTAggregate(n *algebra.Aggregate) (*source, error) {
 	in, err := e.build(n.Children()[0])
 	if err != nil {
@@ -325,52 +321,37 @@ func (e *Engine) buildTAggregate(n *algebra.Aggregate) (*source, error) {
 	}
 	order := eval.OrderAfterGroup(in.order, n.GroupBy)
 	t1, t2 := in.schema.TimeIndices()
-	groupOut := func(group []relation.Tuple) ([]relation.Tuple, error) {
-		ps := make([]period.Period, len(group))
-		for x, t := range group {
-			ps[x] = t.PeriodAt(t1, t2)
-		}
-		var out []relation.Tuple
+	emit := func(p part, members []int, scratch relation.Tuple, ob *batch) error {
+		ps := periodsAt(p, members, t1, t2)
 		for _, iv := range period.ElementaryIntervals(ps) {
 			accs := eval.NewAccumulators(n.Aggs, in.schema)
 			live := 0
-			for x, t := range group {
+			for x, k := range members {
 				if !ps[x].ContainsPeriod(iv) {
 					continue
 				}
 				live++
-				if err := eval.FoldAggregates(accs, n.Aggs, in.schema, t); err != nil {
-					return nil, err
+				p.b.fillTuple(scratch, p.rows[k])
+				if err := eval.FoldAggregates(accs, n.Aggs, in.schema, scratch); err != nil {
+					return err
 				}
 			}
 			if live == 0 {
 				continue
 			}
-			nt := make(relation.Tuple, 0, outSchema.Len())
-			for _, gi := range gidx {
-				nt = append(nt, group[0][gi])
-			}
-			for _, acc := range accs {
-				nt = append(nt, acc.Result())
-			}
-			nt = append(nt, value.Time(iv.Start), value.Time(iv.End))
-			out = append(out, nt)
+			appendGroupRow(ob, p.b, p.rows[members[0]], gidx, accs)
+			w := len(ob.cols)
+			ob.cols[w-2].append(value.Time(iv.Start))
+			ob.cols[w-1].append(value.Time(iv.End))
 		}
-		return out, nil
-	}
-	if e.streams(in, gidx) {
-		e.stats.MergeOps++
-		return &source{
-			it:     &groupIter{in: in.it, idx: gidx, emit: groupOut},
-			schema: outSchema,
-			order:  order,
-		}, nil
+		return nil
 	}
 	// A GROUP-BY-less 𝒢ᵀ is one global group whose constant intervals need
 	// every row at once: with no key the driver never partitions it.
 	contiguous := groupsContiguous(in.order, in.schema, gidx)
-	return e.keyedSource(&keyedOp{
-		l: in, lidx: gidx, contiguous: contiguous, out: outSchema, order: order,
-		body: groupEmitBody(gidx, contiguous, outSchema, groupOut),
-	}), nil
+	body := groupEmitBody(gidx, contiguous, outSchema, emit)
+	if e.streams(in, gidx) {
+		return e.groupSource(in, gidx, outSchema, order, body), nil
+	}
+	return e.keyedSource(&keyedOp{l: in, lidx: gidx, contiguous: contiguous, out: outSchema, order: order, body: body}), nil
 }

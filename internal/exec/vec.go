@@ -255,14 +255,6 @@ func (b *batch) fillTuple(t relation.Tuple, i int) {
 	}
 }
 
-// appendTuple appends t as a new physical row.
-func (b *batch) appendTuple(t relation.Tuple) {
-	for c := range b.cols {
-		b.cols[c].append(t[c])
-	}
-	b.n++
-}
-
 // appendRow appends src's physical row i as a new physical row.
 func (b *batch) appendRow(src *batch, i int) {
 	for c := range b.cols {
@@ -350,90 +342,17 @@ func batchOfTuples(s *schema.Schema, ts []relation.Tuple) *batch {
 	return b
 }
 
-// vecIterator is the pull interface of the columnar pipeline. nextBatch
-// returns (nil, nil) when the stream is exhausted; emitted batches are
+// vecIterator is the one pull interface of the engine. nextBatch returns
+// (nil, nil) when the stream is exhausted; emitted batches are
 // immutable and may be views sharing column storage with earlier batches.
 type vecIterator interface {
 	nextBatch() (*batch, error)
 	close() error
 }
 
-// batchTupleIter adapts a columnar stage for a tuple-at-a-time parent — the
-// downstream half of the batch↔tuple adapter boundary. Each batch is
-// materialized whole when it arrives.
-type batchTupleIter struct {
-	in  vecIterator
-	cur []relation.Tuple
-	k   int
-}
-
-func (a *batchTupleIter) next() (relation.Tuple, error) {
-	for a.k >= len(a.cur) {
-		b, err := a.in.nextBatch()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			return nil, nil
-		}
-		a.cur, a.k = b.appendTuples(a.cur[:0]), 0
-	}
-	a.k++
-	return a.cur[a.k-1], nil
-}
-
-func (a *batchTupleIter) close() error { return a.in.close() }
-
-// tupleBatchIter adapts a tuple stage for a columnar parent — the upstream
-// half of the adapter boundary. Tuples are packed into fresh batches of
-// vecBatchRows.
-type tupleBatchIter struct {
-	in     iterator
-	schema *schema.Schema
-	done   bool
-}
-
-func (a *tupleBatchIter) nextBatch() (*batch, error) {
-	if a.done {
-		return nil, nil
-	}
-	b := newBatch(a.schema, vecBatchRows)
-	for b.n < vecBatchRows {
-		t, err := a.in.next()
-		if err != nil {
-			return nil, err
-		}
-		if t == nil {
-			a.done = true
-			break
-		}
-		b.appendTuple(t)
-	}
-	if b.n == 0 {
-		return nil, nil
-	}
-	return b, nil
-}
-
-func (a *tupleBatchIter) close() error { return a.in.close() }
-
-// vecInput returns s's batch view, the only way a batch operator reads an
-// input: the stage's own batch stream when it has one, otherwise its tuple
-// iterator behind the adapter — so every stage can feed a batch operator,
-// and a batch operator never needs a tuple twin for tuple-only children.
-func (s *source) vecInput() vecIterator {
-	if s.vec != nil {
-		return s.vec
-	}
-	return &tupleBatchIter{in: s.it, schema: s.schema}
-}
-
-// vecSource wraps a columnar iterator as a pipeline stage. The tuple view
-// (source.it) is the adapter, so a tuple-at-a-time parent can consume the
-// stage without knowing it is columnar; exactly one of the two views is
-// ever pulled.
+// vecSource wraps a batch iterator as a pipeline stage.
 func vecSource(v vecIterator, sch *schema.Schema, order relation.OrderSpec) *source {
-	return &source{it: &batchTupleIter{in: v}, vec: v, schema: sch, order: order}
+	return &source{vec: v, schema: sch, order: order}
 }
 
 // vecDrainOne drains a columnar stream into a single compacted batch (the
@@ -498,7 +417,8 @@ func concatBatches(sch *schema.Schema, parts []*batch, total int) *batch {
 	return out
 }
 
-// drainVec materializes a columnar stage into a relation.
+// drainVec materializes the root stage into the result relation — besides
+// batchOf at the leaves, the only place the engine holds tuples.
 func drainVec(s *source) (*relation.Relation, error) {
 	var ts []relation.Tuple
 	for {
@@ -539,6 +459,9 @@ type vecGroups struct {
 }
 
 func newVecGroups(idx []int, sizeHint int) *vecGroups {
+	if len(idx) == 0 {
+		sizeHint = 1 // the empty key has one group, whatever the row count
+	}
 	return &vecGroups{idx: idx, buckets: make(map[uint64][]int, sizeHint)}
 }
 
@@ -559,13 +482,7 @@ func (g *vecGroups) groupOf(b *batch, i int) (id int, fresh bool) {
 }
 
 func (g *vecGroups) equalRep(gid int, b *batch, i int) bool {
-	rb, ri := g.repB[gid], g.repRow[gid]
-	for _, c := range g.idx {
-		if !rb.cols[c].equalAt(ri, &b.cols[c], i) {
-			return false
-		}
-	}
-	return true
+	return keysEqual(g.repB[gid], g.repRow[gid], b, i, g.idx)
 }
 
 // lookup finds the group whose key equals row i restricted to probeIdx —
@@ -590,10 +507,11 @@ func (g *vecGroups) lookup(b *batch, i int, probeIdx []int) int {
 // size returns the number of distinct groups seen.
 func (g *vecGroups) size() int { return len(g.repB) }
 
-// keysEqual reports that rows i and j of b are equal on the idx columns.
-func keysEqual(b *batch, i, j int, idx []int) bool {
+// keysEqual reports that row i of a and row j of b (physical indices, one
+// schema) are equal on the idx columns.
+func keysEqual(a *batch, i int, b *batch, j int, idx []int) bool {
 	for _, c := range idx {
-		if !b.cols[c].equalAt(i, &b.cols[c], j) {
+		if !a.cols[c].equalAt(i, &b.cols[c], j) {
 			return false
 		}
 	}
@@ -614,7 +532,7 @@ func groupRows(p part, idx []int, contiguous bool) [][]int {
 		var out [][]int
 		lo := 0
 		for k := 1; k < len(pos) && len(idx) > 0; k++ {
-			if !keysEqual(p.b, p.rows[k], p.rows[k-1], idx) {
+			if !keysEqual(p.b, p.rows[k], p.b, p.rows[k-1], idx) {
 				out = append(out, pos[lo:k])
 				lo = k
 			}

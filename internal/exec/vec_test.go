@@ -152,11 +152,11 @@ func TestBatchSelectionCompact(t *testing.T) {
 func TestVecDrainOne(t *testing.T) {
 	s := schema.MustNew(schema.Attr("K", value.KindInt))
 	mk := func(vals ...int64) *batch {
-		b := newBatch(s, len(vals))
-		for _, v := range vals {
-			b.appendTuple(relation.Tuple{value.Int(v)})
+		ts := make([]relation.Tuple, len(vals))
+		for i, v := range vals {
+			ts[i] = relation.Tuple{value.Int(v)}
 		}
-		return b
+		return batchOfTuples(s, ts)
 	}
 	b1 := mk(1, 2, 3).withSel([]int{2, 0})
 	b2 := mk(4, 5)

@@ -42,10 +42,9 @@ func boundaryRelation(n int, seed int64) (*relation.Relation, *schema.Schema) {
 // sort, sorted dedup, merge diff/union, hash dedup, temporal dedup — at
 // the batch-arithmetic edge cases: empty input, a single row, and sizes
 // straddling the vecBatchRows boundary. The second part of the plan list
-// is the tuple→batch adapter boundary: σ, π, sort and rdup directly over
-// ⊔ and the keyless × (which exist tuple-at-a-time only) and over \ᵀ and
-// ∪ᵀ, the child built to deliver exactly n rows so the batch cut lands on
-// the same edges. The third part is route equivalence: each of the nine
+// stacks σ, π, sort and rdup directly over ⊔, the keyless ×, \ᵀ and ∪ᵀ,
+// the child built to deliver exactly n rows so the batch cut lands on the
+// same edges. The third part is route equivalence: each of the nine
 // keyed blocking operators the exchange driver runs (\, ∪, \ᵀ, ∪ᵀ, rdupᵀ,
 // coalᵀ, 𝒢ᵀ, rdup, 𝒢) as the plan root — plus an empty right side for the
 // two-sided ones, and a temporal relation of periods alone (no value
@@ -136,7 +135,7 @@ func TestVecBatchBoundarySizes(t *testing.T) {
 			algebra.NewProduct(base, algebra.NewRel("One", one, algebra.BaseInfo{})),
 		} {
 			if got, err := eval.New(src).Eval(child); err != nil || got.Len() != n {
-				t.Fatalf("n=%d: tuple-only child %s delivers %d rows (%v), want %d", n, algebra.Canonical(child), got.Len(), err, n)
+				t.Fatalf("n=%d: child %s delivers %d rows (%v), want %d", n, algebra.Canonical(child), got.Len(), err, n)
 			}
 			plans = append(plans,
 				rootPlan{node: algebra.NewSelect(expr.Compare(expr.Lt, expr.Column("Grp"), expr.Literal(value.Int(3))), child)},
@@ -327,7 +326,7 @@ func TestVecHashPartitionGather(t *testing.T) {
 			// property every partition body's correctness rests on.
 			for i := 0; i < n; i++ {
 				for j := i + 1; j < n; j++ {
-					if keysEqual(b, i, j, []int{0, 1}) && seen[i] != seen[j] {
+					if keysEqual(b, i, b, j, []int{0, 1}) && seen[i] != seen[j] {
 						t.Fatalf("n=%d p=%d: equal keys split across partitions %d/%d", n, p, seen[i], seen[j])
 					}
 				}

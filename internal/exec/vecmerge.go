@@ -117,7 +117,7 @@ type vecMergeCancelIter struct {
 
 func (m *vecMergeCancelIter) nextBatch() (*batch, error) {
 	if !m.built {
-		sb, err := vecDrainOne(m.sorted.vecInput(), m.sorted.schema)
+		sb, err := vecDrainOne(m.sorted.vec, m.sorted.schema)
 		if err != nil {
 			return nil, err
 		}
@@ -184,7 +184,7 @@ func (e *Engine) vecSortSource(in *source, spec relation.OrderSpec, order relati
 	e.stats.VectorOps++
 	sch := in.schema
 	compute := func() (*batch, error) {
-		b, err := vecDrainOne(in.vecInput(), sch)
+		b, err := vecDrainOne(in.vec, sch)
 		if err != nil {
 			return nil, err
 		}
@@ -330,7 +330,7 @@ type vecMergeJoinIter struct {
 }
 
 func (m *vecMergeJoinIter) buildSide() error {
-	rb, err := vecDrainOne(m.right.vecInput(), m.right.schema)
+	rb, err := vecDrainOne(m.right.vec, m.right.schema)
 	if err != nil {
 		return err
 	}

@@ -10,17 +10,15 @@ import (
 )
 
 // This file holds the batch-at-a-time hash operators: σ, π, the pipelined
-// rdup and 𝒢, the keyed hash join, and the partition bodies the exchange
+// rdup and 𝒢, the hash join, and the partition bodies the exchange
 // driver (grace.go) runs for rdup, \, ∪, rdupᵀ, coalᵀ, 𝒢 and 𝒢ᵀ. Each is the
 // engine's only implementation of its algorithm and reproduces the
 // reference's list exactly — first-occurrence group order,
 // left-major/right-list join order, group-local temporal transforms
-// re-interleaved by original position. Every input is read through
-// source.vecInput(), so a child that exists tuple-at-a-time only feeds these
-// operators through the tuple→batch adapter.
+// re-interleaved by original position.
 
 // onceBatchIter defers a batch-producing computation to the first pull and
-// emits its result as a single batch; the columnar counterpart of lazyIter.
+// emits its result as a single batch.
 type onceBatchIter struct {
 	compute func() (*batch, error)
 	done    bool
@@ -442,11 +440,13 @@ func (r *vecRdupIter) nextBatch() (*batch, error) {
 
 func (r *vecRdupIter) close() error { return r.in.close() }
 
-// vecJoinIter is the columnar equi-key × / ×ᵀ: the build side drains into
-// one batch plus a columnar hash table, then probe batches stream through,
-// each probe row pairing with its key group in right-list order. Output
-// rows are assembled column-wise — no per-pair tuple allocation — and the
-// emission order is the reference's left-major sequence.
+// vecJoinIter is the hash × / ×ᵀ: the build side drains into one batch plus
+// a columnar hash table on the equality keys — with none, the keyless
+// product, the whole build side is the one group of the empty key — then
+// probe batches stream through, each probe row pairing with its key group
+// in right-list order. Output rows are assembled column-wise — no per-pair
+// tuple allocation — and the emission order is the reference's left-major
+// sequence.
 type vecJoinIter struct {
 	e        *Engine
 	left     vecIterator
@@ -483,7 +483,7 @@ type vecJoinIter struct {
 }
 
 func (j *vecJoinIter) buildSide() error {
-	b, err := vecDrainOne(j.right.vecInput(), j.right.schema)
+	b, err := vecDrainOne(j.right.vec, j.right.schema)
 	if err != nil {
 		return err
 	}
@@ -783,27 +783,6 @@ func valueGroupBody(vidx []int, t1, t2 int, contiguous bool, transform func([]vs
 	}
 }
 
-// spanEmitter adapts a span transform into a groupIter emit function for
-// the streaming contiguous-groups path: one group's tuples in, the
-// surviving fragments out, a tuple rebuilt only where its period changed.
-func spanEmitter(t1, t2 int, transform func([]vspan) []vspan) func([]relation.Tuple) ([]relation.Tuple, error) {
-	return func(group []relation.Tuple) ([]relation.Tuple, error) {
-		ss := make([]vspan, len(group))
-		for i, t := range group {
-			ss[i] = vspan{src: i, p: t.PeriodAt(t1, t2)}
-		}
-		ss = transform(ss)
-		out := make([]relation.Tuple, len(ss))
-		for i, s := range ss {
-			out[i] = group[s.src]
-			if out[i].PeriodAt(t1, t2) != s.p {
-				out[i] = out[i].WithPeriodAt(t1, t2, s.p)
-			}
-		}
-		return out, nil
-	}
-}
-
 // rdupBody is the partition body of rdup: the first occurrence of each row
 // survives, found with the columnar group table.
 func rdupBody(idx []int) partBody {
@@ -864,89 +843,90 @@ func unionBody(idx []int) partBody {
 	}
 }
 
+// groupEmit writes one group's result rows onto ob's planes: members are the
+// group's positions in p.rows, in list order, and scratch is a reusable input
+// row for eval.FoldAggregates.
+type groupEmit func(p part, members []int, scratch relation.Tuple, ob *batch) error
+
+// appendGroupRow writes the leading columns of one 𝒢 / 𝒢ᵀ result row — the
+// grouping columns, read off row i of b, then the accumulators' results —
+// and counts the row; 𝒢ᵀ appends the row's period itself.
+func appendGroupRow(ob, b *batch, i int, gidx []int, accs []*expr.Accumulator) {
+	for c, gi := range gidx {
+		ob.cols[c].appendFrom(&b.cols[gi], i)
+	}
+	for x, acc := range accs {
+		ob.cols[len(gidx)+x].append(acc.Result())
+	}
+	ob.n++
+}
+
 // groupEmitBody is the partition body of the grouping operators whose
 // output is computed per group (𝒢, 𝒢ᵀ): partition the rows by the grouping
-// columns, hand each group — materialized once — to the per-group emitter
-// the streaming path shares, and tag its output with the group's
-// first-occurrence position.
-func groupEmitBody(gidx []int, contiguous bool, out *schema.Schema, groupOut func([]relation.Tuple) ([]relation.Tuple, error)) partBody {
+// columns, let the per-group emitter write each group's result rows onto the
+// output planes, and tag them with the group's first-occurrence position.
+func groupEmitBody(gidx []int, contiguous bool, out *schema.Schema, emit groupEmit) partBody {
 	return func(p, _ part) ([]emitted, error) {
 		if len(p.rows) == 0 {
 			return nil, nil
 		}
-		arity := len(p.b.cols)
-		var results []relation.Tuple
+		ob := newBatch(out, 0)
+		scratch := make(relation.Tuple, len(p.b.cols))
 		var seqs []int
 		for _, members := range groupRows(p, gidx, contiguous) {
-			group := make([]relation.Tuple, len(members))
-			vals := make([]value.Value, len(members)*arity)
-			for x, k := range members {
-				group[x] = vals[x*arity : (x+1)*arity : (x+1)*arity]
-				p.b.fillTuple(group[x], p.rows[k])
-			}
-			res, err := groupOut(group)
-			if err != nil {
+			if err := emit(p, members, scratch, ob); err != nil {
 				return nil, err
 			}
-			results = append(results, res...)
-			for range res {
+			for len(seqs) < ob.n {
 				seqs = append(seqs, p.seq(p.rows[members[0]]))
 			}
 		}
-		ob := batchOfTuples(out, results)
 		return []emitted{{part: part{b: ob, rows: identityIdx(ob.n), seqs: seqs}}}, nil
 	}
 }
 
-// vecAggregateSource compiles the columnar 𝒢 hash path: batches stream
-// into per-group accumulators keyed off the columns, grouping keys are
-// read back from the group representatives' column positions, and one
-// tuple per group emits in first-occurrence order.
+// vecAggregateSource compiles the pipelined hash 𝒢: batches stream into
+// per-group accumulators keyed off the columns, and once the input is
+// exhausted one row per group — grouping keys read back from the group
+// representatives' column positions — emits in first-occurrence order.
 func (e *Engine) vecAggregateSource(in *source, gidx []int, outSchema *schema.Schema, order relation.OrderSpec, aggs []expr.Aggregate) *source {
 	e.stats.VectorOps++
-	return lazySource(outSchema, order, func() ([]relation.Tuple, error) {
-		v := in.vecInput()
+	return vecSource(&onceBatchIter{compute: func() (*batch, error) {
 		groups := newVecGroups(gidx, 0)
 		var accs [][]*expr.Accumulator
 		scratch := make(relation.Tuple, in.schema.Len())
-		for {
-			b, err := v.nextBatch()
-			if err != nil {
-				v.close()
-				return nil, err
-			}
-			if b == nil {
-				break
-			}
-			e.stats.VectorBatches++
-			n := b.rows()
-			for k := 0; k < n; k++ {
-				i := b.rowIndex(k)
-				gid, fresh := groups.groupOf(b, i)
-				if fresh {
-					accs = append(accs, eval.NewAccumulators(aggs, in.schema))
+		fold := func() error {
+			for {
+				b, err := in.vec.nextBatch()
+				if err != nil || b == nil {
+					return err
 				}
-				b.fillTuple(scratch, i)
-				if err := eval.FoldAggregates(accs[gid], aggs, in.schema, scratch); err != nil {
-					return nil, err
+				e.stats.VectorBatches++
+				n := b.rows()
+				for k := 0; k < n; k++ {
+					i := b.rowIndex(k)
+					gid, fresh := groups.groupOf(b, i)
+					if fresh {
+						accs = append(accs, eval.NewAccumulators(aggs, in.schema))
+					}
+					b.fillTuple(scratch, i)
+					if err := eval.FoldAggregates(accs[gid], aggs, in.schema, scratch); err != nil {
+						return err
+					}
 				}
 			}
 		}
-		if err := v.close(); err != nil {
+		if err := fold(); err != nil {
+			in.vec.close()
 			return nil, err
 		}
-		out := make([]relation.Tuple, 0, groups.size())
-		for gid := 0; gid < groups.size(); gid++ {
-			nt := make(relation.Tuple, 0, outSchema.Len())
-			rb, ri := groups.repB[gid], groups.repRow[gid]
-			for _, gi := range gidx {
-				nt = append(nt, rb.cols[gi].at(ri))
-			}
-			for _, acc := range accs[gid] {
-				nt = append(nt, acc.Result())
-			}
-			out = append(out, nt)
+		if err := in.vec.close(); err != nil {
+			return nil, err
 		}
-		return out, nil
-	})
+		ob := newBatch(outSchema, groups.size())
+		for gid := range accs {
+			appendGroupRow(ob, groups.repB[gid], groups.repRow[gid], gidx, accs[gid])
+		}
+		return ob, nil
+	}}, outSchema, order)
 }

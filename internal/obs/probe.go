@@ -15,7 +15,7 @@ import (
 // the region's, and is reported on the region's root node only.
 type RunSample struct {
 	Rows         int64         // tuples the node produced
-	Batches      int64         // columnar batches it produced (0 for a tuple-only operator)
+	Batches      int64         // columnar batches it produced
 	Wall         time.Duration // wall time spent in the node
 	SpilledBytes int64         // bytes written to spill files
 	SpilledOps   int64         // operators that spilled

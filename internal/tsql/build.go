@@ -10,6 +10,7 @@ import (
 	"tqp/internal/period"
 	"tqp/internal/relation"
 	"tqp/internal/schema"
+	"tqp/internal/value"
 )
 
 // Query is a parsed statement.
@@ -141,7 +142,11 @@ func buildSelect(sel *selectAST, cat *catalog.Catalog, vt bool) (algebra.Node, e
 		}
 	}
 	if sel.where != nil {
-		plan = algebra.NewSelect(sel.where, plan)
+		sch, err := plan.Schema()
+		if err != nil {
+			return nil, fmt.Errorf("tsql: %w", err)
+		}
+		plan = algebra.NewSelect(chrononLiterals(sel.where, sch), plan)
 	}
 
 	var aggs []expr.Aggregate
@@ -205,6 +210,39 @@ func buildSelect(sel *selectAST, cat *catalog.Catalog, vt bool) (algebra.Node, e
 		}
 	}
 	return plan, nil
+}
+
+// chrononLiterals retypes the integer literals a WHERE clause compares with
+// time-kinded attributes of the FROM schema as chronons. The grammar has no
+// chronon literal, and values of different kinds compare by domain rank, so
+// without this "T1 >= 5" would hold for every row and "T1 = 2" for none.
+func chrononLiterals(p expr.Pred, s *schema.Schema) expr.Pred {
+	switch q := p.(type) {
+	case expr.Not:
+		return expr.Neg(chrononLiterals(q.P, s))
+	case expr.And:
+		return expr.Conj(chrononLiterals(q.L, s), chrononLiterals(q.R, s))
+	case expr.Or:
+		return expr.Disj(chrononLiterals(q.L, s), chrononLiterals(q.R, s))
+	case expr.Cmp:
+		q.L, q.R = chrononAgainst(q.L, q.R, s), chrononAgainst(q.R, q.L, s)
+		return q
+	}
+	return p
+}
+
+// chrononAgainst returns e as a chronon literal when it is an integer
+// literal and other is a time-kinded attribute of s, else e itself.
+func chrononAgainst(e, other expr.Expr, s *schema.Schema) expr.Expr {
+	lit, isLit := e.(expr.Lit)
+	col, isCol := other.(expr.Col)
+	if !isLit || !isCol || lit.Val.Kind() != value.KindInt {
+		return e
+	}
+	if k, err := s.KindOf(col.Name); err != nil || k != value.KindTime {
+		return e
+	}
+	return expr.Literal(value.Time(period.Chronon(lit.Val.AsInt())))
 }
 
 // ensurePeriod appends the reserved time attributes to a sequenced

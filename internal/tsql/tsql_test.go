@@ -8,6 +8,8 @@ import (
 	"tqp/internal/catalog"
 	"tqp/internal/equiv"
 	"tqp/internal/eval"
+	"tqp/internal/exec"
+	"tqp/internal/period"
 	"tqp/internal/relation"
 	"tqp/internal/tsql"
 )
@@ -190,6 +192,61 @@ func TestPlanErrors(t *testing.T) {
 		_, err = q.Plan(c)
 		if err == nil || !strings.Contains(err.Error(), cse.errPart) {
 			t.Errorf("%s: error %v, want mention of %q", cse.sql, err, cse.errPart)
+		}
+	}
+}
+
+// TestTimeAttributeAgainstIntegerLiteral is the regression for predicates
+// that compare a time attribute with an integer literal: the literal is a
+// chronon, on either side of the comparison. Values of different kinds
+// compare by domain rank, so before the fix "T1 >= 5" kept every row and
+// "T1 = 2" none — on every engine alike, which no differential could see.
+// The expected counts come from Figure 1's rows, read off the catalog in
+// plain Go.
+func TestTimeAttributeAgainstIntegerLiteral(t *testing.T) {
+	c := catalog.Paper()
+	cases := []struct {
+		rel, where string
+		keep       func(t1 period.Chronon) bool
+	}{
+		{"EMPLOYEE", "T1 >= 5", func(t1 period.Chronon) bool { return t1 >= 5 }}, // 2 of 5 rows
+		{"EMPLOYEE", "T1 = 2", func(t1 period.Chronon) bool { return t1 == 2 }},  // 2 of 5
+		{"PROJECT", "T1 = 2", func(t1 period.Chronon) bool { return t1 == 2 }},   // 1 of 8
+		{"EMPLOYEE", "5 <= T1", func(t1 period.Chronon) bool { return 5 <= t1 }}, // the literal on the left
+		{"PROJECT", "NOT (T1 <> 9 AND 3 < T1) OR T1 = 5", func(t1 period.Chronon) bool { return !(t1 != 9 && 3 < t1) || t1 == 5 }},
+	}
+	for _, tc := range cases {
+		sql := "SELECT * FROM " + tc.rel + " WHERE " + tc.where
+		r, err := c.Resolve(tc.rel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t1, _ := r.Schema().TimeIndices()
+		want := 0
+		for _, tu := range r.Tuples() {
+			if tc.keep(tu[t1].AsTime()) {
+				want++
+			}
+		}
+		if want == 0 || want == r.Len() {
+			t.Fatalf("%s: vacuous case, the oracle keeps %d of %d rows", sql, want, r.Len())
+		}
+		q, err := tsql.Parse(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		plan, err := q.Plan(c)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		for name, eng := range map[string]eval.Engine{"reference": eval.New(c), "exec": exec.New(c)} {
+			got, err := eng.Eval(plan)
+			if err != nil {
+				t.Fatalf("%s on %s: %v", sql, name, err)
+			}
+			if got.Len() != want {
+				t.Errorf("%s on %s: %d rows, want %d\n%s", sql, name, got.Len(), want, got)
+			}
 		}
 	}
 }
