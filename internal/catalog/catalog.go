@@ -17,12 +17,12 @@ import (
 	"tqp/internal/value"
 )
 
-// Stats summarizes a base relation for cardinality estimation.
+// Stats keeps what the cost model reads of a base relation: the cardinality
+// n(r), and the period summary ScanEstimate prices travel scans with. Each
+// field merges batch by batch (extend), so an append never rescans.
 type Stats struct {
 	// Card is the tuple count.
 	Card int
-	// DistinctFrac estimates the fraction of distinct tuples.
-	DistinctFrac float64
 	// AvgPeriod is the mean period duration of a temporal relation.
 	AvgPeriod float64
 	// MinT and MaxT bound the non-empty periods of a temporal relation
@@ -30,6 +30,32 @@ type Stats struct {
 	// time-travel scans. Both are 0 for snapshot relations and for
 	// temporal relations with no non-empty periods.
 	MinT, MaxT period.Chronon
+
+	// dur sums the durations behind AvgPeriod, so an extended Stats is
+	// bit-identical to one built in a single pass.
+	dur int64
+}
+
+// extend returns the statistics with rows of a relation over s folded in.
+func (st Stats) extend(s *schema.Schema, rows []relation.Tuple) Stats {
+	st.Card += len(rows)
+	if !s.Temporal() || st.Card == 0 {
+		return st
+	}
+	t1, t2 := s.TimeIndices()
+	for _, t := range rows {
+		p := t.PeriodAt(t1, t2)
+		if p.Empty() {
+			continue
+		}
+		st.dur += p.Duration()
+		if st.MinT == st.MaxT { // the first non-empty period: Start < End
+			st.MinT, st.MaxT = p.Start, p.End
+		}
+		st.MinT, st.MaxT = min(st.MinT, p.Start), max(st.MaxT, p.End)
+	}
+	st.AvgPeriod = float64(st.dur) / float64(st.Card)
+	return st
 }
 
 // Entry is one catalog relation.
@@ -76,24 +102,24 @@ func (c *Catalog) Add(name string, r *relation.Relation, info algebra.BaseInfo) 
 	}
 	r = r.Clone()
 	r.SetOrder(info.Order)
-	c.entries[name] = &Entry{Name: name, Rel: r, Info: info, Stats: computeStats(r)}
+	c.entries[name] = &Entry{Name: name, Rel: r, Info: info, Stats: Stats{}.extend(r.Schema(), r.Tuples())}
 	return nil
 }
 
 // AddTrusted registers a relation whose Info the caller vouches for,
-// skipping Add's instance verification, the defensive clone, and the O(n)
-// statistics pass. It exists for execution-only catalogs built from data
-// that already passed Add once — shard slices of a verified relation, or a
-// coordinator's gathered intermediate results — where re-verification per
-// shard would turn setup into an O(shards·n) scan. The relation must not
-// be mutated after registration. Stats are the trivial estimate; these
-// catalogs execute plans, they don't cost them.
+// skipping Add's instance verification and defensive clone. It exists for
+// execution-only catalogs built from data that already passed Add once —
+// shard slices of a verified relation, or a coordinator's gathered
+// intermediate results — where re-verification per shard would turn setup
+// into an O(shards·n) scan. The relation must not be mutated after
+// registration. Stats hold Card only; these catalogs execute plans, they
+// don't cost them.
 func (c *Catalog) AddTrusted(name string, r *relation.Relation, info algebra.BaseInfo) error {
 	if _, dup := c.entries[name]; dup {
 		return fmt.Errorf("catalog: relation %q already exists", name)
 	}
 	r.SetOrder(info.Order)
-	c.entries[name] = &Entry{Name: name, Rel: r, Info: info, Stats: Stats{Card: r.Len(), DistinctFrac: 1}}
+	c.entries[name] = &Entry{Name: name, Rel: r, Info: info, Stats: Stats{Card: r.Len()}}
 	return nil
 }
 
@@ -121,36 +147,6 @@ func verifyInfo(name string, r *relation.Relation, info algebra.BaseInfo) error 
 		return fmt.Errorf("catalog: %q declared sorted by %s but is not", name, info.Order)
 	}
 	return nil
-}
-
-func computeStats(r *relation.Relation) Stats {
-	s := Stats{Card: r.Len(), DistinctFrac: 1}
-	if r.Len() > 0 {
-		distinct := make(map[string]bool, r.Len())
-		for _, t := range r.Tuples() {
-			distinct[t.Key()] = true
-		}
-		s.DistinctFrac = float64(len(distinct)) / float64(r.Len())
-	}
-	if r.Temporal() && r.Len() > 0 {
-		var total int64
-		first := true
-		for _, p := range r.Periods() {
-			total += p.Duration()
-			if p.Empty() {
-				continue
-			}
-			if first || p.Start < s.MinT {
-				s.MinT = p.Start
-			}
-			if first || p.End > s.MaxT {
-				s.MaxT = p.End
-			}
-			first = false
-		}
-		s.AvgPeriod = float64(total) / float64(r.Len())
-	}
-	return s
 }
 
 // Resolve implements eval.Source. Scan names carrying a time-travel suffix
@@ -190,20 +186,19 @@ func (c *Catalog) MustNode(name string) *algebra.Rel {
 }
 
 // Fingerprint returns a stable hash of the catalog's planning-relevant
-// state: relation names, schemas, base-info flags, declared orders and
-// statistics. Two catalogs with equal fingerprints yield identical plans
-// for any statement, so the fingerprint keys cached physical plans (the
-// server's plan cache) — a catalog swap or a statistics change invalidates
-// every entry keyed under the old fingerprint. Instance tuples are not
+// state: relation names, schemas, base-info flags, declared orders, the
+// exported Stats and segment counts. Equal fingerprints yield identical
+// plans for any statement, so the fingerprint keys cached physical plans
+// (the server's plan cache) — a catalog swap or a statistics change
+// invalidates every entry keyed under the old one. Instance tuples are not
 // hashed; they don't influence planning, only Stats does.
 func (c *Catalog) Fingerprint() string {
 	h := fnv.New64a()
 	for _, name := range c.Names() {
 		e := c.entries[name]
-		fmt.Fprintf(h, "%s|%s|%v|%v|%v|%s|%d|%.9g|%.9g|%d|%d|%d;",
+		fmt.Fprintf(h, "%s|%s|%v|%v|%v|%s|%d|%.9g|%d|%d|%d;",
 			name, e.Rel.Schema(), e.Info.Distinct, e.Info.SnapshotDistinct,
-			e.Info.Coalesced, e.Info.Order, e.Stats.Card,
-			e.Stats.DistinctFrac, e.Stats.AvgPeriod,
+			e.Info.Coalesced, e.Info.Order, e.Stats.Card, e.Stats.AvgPeriod,
 			e.Stats.MinT, e.Stats.MaxT, len(e.segs))
 	}
 	if c.st != nil {

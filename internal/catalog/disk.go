@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"fmt"
+	"slices"
 
 	"tqp/internal/algebra"
 	"tqp/internal/relation"
@@ -48,7 +49,7 @@ func (c *Catalog) loadEntry(name string) error {
 	if err != nil {
 		return err
 	}
-	c.entries[name] = &Entry{Name: name, Rel: r, Info: info, Stats: computeStats(r), segs: segs}
+	c.entries[name] = &Entry{Name: name, Rel: r, Info: info, Stats: Stats{}.extend(r.Schema(), r.Tuples()), segs: segs}
 	return nil
 }
 
@@ -89,13 +90,12 @@ func (c *Catalog) AppendTuples(name string, rows []relation.Tuple) error {
 		return nil
 	}
 	sch := e.Rel.Schema()
-	combined := e.Rel.Clone()
 	for _, t := range rows {
 		if err := t.CheckAgainst(sch); err != nil {
 			return fmt.Errorf("catalog: append to %q: %w", name, err)
 		}
-		combined.Append(t)
 	}
+	combined := relation.FromTuplesTrusted(sch, slices.Concat(e.Rel.Tuples(), rows))
 	if err := verifyInfo(name, combined, e.Info); err != nil {
 		return err
 	}
@@ -111,7 +111,7 @@ func (c *Catalog) AppendTuples(name string, rows []relation.Tuple) error {
 	}
 	combined.SetOrder(e.Info.Order)
 	e.Rel = combined
-	e.Stats = computeStats(combined)
+	e.Stats = e.Stats.extend(sch, rows)
 	return nil
 }
 

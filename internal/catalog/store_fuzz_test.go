@@ -54,7 +54,9 @@ type travelQuery struct {
 // compaction, and again after closing and reopening the directory (the
 // restart leg). Append rejections must also agree: an info violation the
 // in-memory catalog refuses must be refused by the disk catalog too, or
-// the two diverge silently.
+// the two diverge silently. On every leg, the in-memory one included, each
+// entry's Stats, extended append by append, must equal exactly the Stats a
+// fresh catalog computes over the same tuples.
 func TestStoreDifferentialFuzz(t *testing.T) {
 	seeds := 6 * storeFuzzScale()
 	for seed := int64(0); seed < seeds; seed++ {
@@ -113,8 +115,24 @@ func TestStoreDifferentialFuzz(t *testing.T) {
 				queries = append(queries, travelQuery{name: name, scan: catalog.ScanName(name, &tr)})
 			}
 
+			checkLegStats := func(leg string, d *catalog.Catalog) {
+				t.Helper()
+				for _, name := range names {
+					e, err := d.Entry(name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := freshStats(t, e.Rel); e.Stats != want {
+						recordStoreFuzzFailure(t, "seed=%d leg=%s rel=%s: Stats %+v, a fresh pass gives %+v",
+							seed, leg, name, e.Stats, want)
+					}
+				}
+			}
+			checkLegStats("mem", mem)
+
 			compare := func(leg string, d *catalog.Catalog) {
 				t.Helper()
+				checkLegStats(leg, d)
 				for _, q := range queries {
 					want, _, _, memErr := mem.ResolveScan(q.scan)
 					got, _, _, diskErr := d.ResolveScan(q.scan)

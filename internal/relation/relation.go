@@ -268,13 +268,24 @@ func (r *Relation) SortedBy(o OrderSpec) bool {
 // HasDuplicates reports whether the list contains two equal tuples (regular
 // duplicates).
 func (r *Relation) HasDuplicates() bool {
-	seen := make(map[string]bool, len(r.tuples))
-	for _, t := range r.tuples {
-		k := t.Key()
-		if seen[k] {
-			return true
+	return r.anyPair(Tuple.Hash, func(i, j int) bool { return r.tuples[i].Equal(r.tuples[j]) })
+}
+
+// anyPair reports whether two rows i < j satisfy match(i, j), trying only
+// pairs with equal hashes — match must imply them. Rows are chained per hash
+// through one index slice, so the pass allocates a map and a slice, never a
+// key per row.
+func (r *Relation) anyPair(hash func(Tuple) uint64, match func(i, j int) bool) bool {
+	head := make(map[uint64]int, len(r.tuples)) // hash → latest row + 1
+	prev := make([]int, len(r.tuples))          // row → previous row with its hash + 1
+	for j, t := range r.tuples {
+		h := hash(t)
+		for i := head[h]; i > 0; i = prev[i-1] {
+			if match(i-1, j) {
+				return true
+			}
 		}
-		seen[k] = true
+		prev[j], head[h] = head[h], j+1
 	}
 	return false
 }
@@ -292,6 +303,16 @@ func (r *Relation) valueIdx() []int {
 	return idx
 }
 
+// valuePair reports whether two value-equivalent tuples of a temporal
+// relation have periods related by rel (Overlaps or Adjacent, both false
+// on an empty period).
+func (r *Relation) valuePair(rel func(p, q period.Period) bool) bool {
+	idx := r.valueIdx()
+	return r.anyPair(func(t Tuple) uint64 { return t.HashOn(idx) }, func(i, j int) bool {
+		return rel(r.PeriodOf(i), r.PeriodOf(j)) && r.tuples[i].EqualOn(idx, r.tuples[j])
+	})
+}
+
 // HasSnapshotDuplicates reports whether any snapshot of a temporal relation
 // contains duplicate tuples — i.e., whether two value-equivalent tuples have
 // overlapping periods. For snapshot relations it coincides with
@@ -300,22 +321,7 @@ func (r *Relation) HasSnapshotDuplicates() bool {
 	if !r.Temporal() {
 		return r.HasDuplicates()
 	}
-	idx := r.valueIdx()
-	groups := make(map[string][]period.Period)
-	for i, t := range r.tuples {
-		k := t.KeyOn(idx)
-		p := r.PeriodOf(i)
-		if p.Empty() {
-			continue
-		}
-		for _, q := range groups[k] {
-			if p.Overlaps(q) {
-				return true
-			}
-		}
-		groups[k] = append(groups[k], p)
-	}
-	return false
+	return r.valuePair(period.Period.Overlaps)
 }
 
 // IsCoalesced reports whether the relation contains no pair of
@@ -325,25 +331,7 @@ func (r *Relation) HasSnapshotDuplicates() bool {
 // duplicates is not considered uncoalesced by that criterion, so we check
 // adjacency only. Coalescing is undefined for snapshot relations.
 func (r *Relation) IsCoalesced() bool {
-	if !r.Temporal() {
-		return false
-	}
-	idx := r.valueIdx()
-	groups := make(map[string][]period.Period)
-	for i, t := range r.tuples {
-		k := t.KeyOn(idx)
-		p := r.PeriodOf(i)
-		if p.Empty() {
-			continue
-		}
-		for _, q := range groups[k] {
-			if p.Adjacent(q) {
-				return false
-			}
-		}
-		groups[k] = append(groups[k], p)
-	}
-	return true
+	return r.Temporal() && !r.valuePair(period.Period.Adjacent)
 }
 
 // Snapshot returns the snapshot of a temporal relation at instant t: the
