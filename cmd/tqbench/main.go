@@ -1,6 +1,6 @@
 // Command tqbench regenerates every table and figure of the paper and
-// prints each experiment's artifact with its verification status; see
-// EXPERIMENTS.md for the paper-vs-measured record.
+// prints each experiment's artifact with its verification status (E1–E10;
+// see internal/experiments for what each reproduces).
 //
 // Usage:
 //
@@ -18,14 +18,15 @@
 // "16M", "1G" or plain bytes). All engines agree list-exactly at every
 // budget, so the artifacts must come out identical either way — running
 // with -engine exec (or parallel, or a -mem budget) doubles as an
-// end-to-end differential check (E11 pins the engines head-to-head, E13
-// the parallel scaling curve, E14 the throughput-vs-budget curve).
+// end-to-end differential check. Exit status is 1 if an experiment fails
+// and 2 on a bad flag, including a -run id no experiment has.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"tqp/internal/core"
 	"tqp/internal/exec"
@@ -33,7 +34,7 @@ import (
 )
 
 func main() {
-	run := flag.String("run", "", "run only the experiment with this id (E1..E14)")
+	run := flag.String("run", "", "run only the experiment with this id (E1..E10)")
 	engine := flag.String("engine", "reference", "physical engine: 'reference', 'exec' or 'parallel'")
 	parallel := flag.Int("parallel", 0, "worker count for the morsel-parallel engine (with -engine exec|parallel)")
 	mem := flag.String("mem", "", "memory budget for the exec engine's blocking operators, e.g. 64K, 16MB, 1GB (0 or empty = unlimited)")
@@ -51,11 +52,14 @@ func main() {
 		os.Exit(2)
 	}
 
-	failed := 0
+	failed, matched := 0, 0
+	var ids []string
 	for _, r := range experiments.AllWith(spec) {
+		ids = append(ids, r.ID)
 		if *run != "" && r.ID != *run {
 			continue
 		}
+		matched++
 		status := "PASS"
 		if !r.Pass {
 			status = "FAIL"
@@ -66,6 +70,10 @@ func main() {
 			fmt.Print(r.Body)
 			fmt.Println()
 		}
+	}
+	if matched == 0 {
+		fmt.Fprintf(os.Stderr, "tqbench: -run: no experiment %q; valid ids: %s\n", *run, strings.Join(ids, " "))
+		os.Exit(2)
 	}
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "tqbench: %d experiment(s) failed\n", failed)

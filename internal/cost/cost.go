@@ -70,7 +70,8 @@ type Params struct {
 	Streaming bool
 	// OrderBlind disables delivered-order reasoning: every operator is
 	// priced as if its inputs were unordered, exactly the PR 1 model. Used
-	// for ablation (E12) and the tqplan order-aware/order-blind comparison.
+	// for the tqplan order-aware/order-blind comparison and by
+	// TestOrderAwareBelowBlind, which pins aware strictly below blind.
 	OrderBlind bool
 	// Parallelism is the worker count of the morsel-parallel exec engine
 	// (exec.Config.Parallelism); 0 or 1 prices sequential execution. With

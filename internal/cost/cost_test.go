@@ -7,7 +7,9 @@ import (
 	"tqp/internal/catalog"
 	"tqp/internal/cost"
 	"tqp/internal/datagen"
+	"tqp/internal/expr"
 	"tqp/internal/relation"
+	"tqp/internal/testutil"
 )
 
 func TestOptimizedPlanCheaper(t *testing.T) {
@@ -115,6 +117,36 @@ func TestEstimatesScaleWithData(t *testing.T) {
 	}
 	if cl <= cs {
 		t.Errorf("cost should grow with the database: %.1f vs %.1f", cl, cs)
+	}
+}
+
+// TestOrderAwareBelowBlind: over bases sorted and declared on ⟨Name, Grp⟩,
+// the delivered order derives bottom-up through rdupᵀ, coalᵀ and ⋈ᵀ, so the
+// order-aware model prices the group-at-a-time temporal operators, the merge
+// join and the elided top sorts strictly below the order-blind model, which
+// hashes and sorts as if every input were unordered.
+func TestOrderAwareBelowBlind(t *testing.T) {
+	c := testutil.SortedCatalog(1200)
+	pipe := algebra.NewSort(relation.OrderSpec{relation.Key("Name")},
+		algebra.NewCoal(algebra.NewTRdup(c.MustNode("L"))))
+	join := algebra.NewSort(relation.OrderSpec{relation.Key("1.Name")},
+		algebra.NewTJoin(expr.Compare(expr.Eq, expr.Column("1.Name"), expr.Column("2.Name")),
+			c.MustNode("L"), c.MustNode("R")))
+	blindParams := cost.ParamsFor(true)
+	blindParams.OrderBlind = true
+	aware, blind := cost.New(c, cost.ParamsFor(true)), cost.New(c, blindParams)
+	for name, plan := range map[string]algebra.Node{"pipeline": pipe, "join": join} {
+		ca, err := aware.Cost(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cb, err := blind.Cost(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !(ca < cb) {
+			t.Errorf("%s: order-aware cost %.0f must be strictly below order-blind %.0f", name, ca, cb)
+		}
 	}
 }
 

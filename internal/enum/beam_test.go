@@ -8,6 +8,10 @@ import (
 	"tqp/internal/cost"
 	"tqp/internal/enum"
 	"tqp/internal/equiv"
+	"tqp/internal/eval"
+	"tqp/internal/exec"
+	"tqp/internal/relation"
+	"tqp/internal/testutil"
 )
 
 // TestBeamMatchesExhaustiveBest: on the paper query the beam search must
@@ -69,6 +73,54 @@ func TestBeamPlansAreCorrect(t *testing.T) {
 	}
 	if beam.GuardRejections["S2"] == 0 {
 		t.Error("the guard must still gate the beam search")
+	}
+}
+
+// TestBeamFindsSortFreePlan: scored by the order-aware model over bases
+// sorted and declared on ⟨Name, Grp⟩, the beam must discover from
+// sort_Name(coalᵀ(rdupᵀ(L))) a best plan with no sort node (order
+// propagation proves the sort redundant and S1 removes it), strictly
+// cheaper than the initial plan, whose list under the exec engine equals
+// the reference's list of the initial plan.
+func TestBeamFindsSortFreePlan(t *testing.T) {
+	c := testutil.SortedCatalog(1200)
+	initial := algebra.NewSort(relation.OrderSpec{relation.Key("Name")},
+		algebra.NewCoal(algebra.NewTRdup(c.MustNode("L"))))
+	model := cost.New(c, cost.ParamsFor(true))
+	res, err := enum.Beam(initial, enum.BeamConfig{
+		Config: enum.Config{ResultType: equiv.ResultList},
+		Score:  model.Cost,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	best, bestCost, err := model.Best(res.Plans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	algebra.Walk(best, func(n algebra.Node, _ algebra.Path) bool {
+		if n.Op() == algebra.OpSort {
+			t.Errorf("best plan %s keeps a sort node", algebra.Canonical(best))
+		}
+		return true
+	})
+	initialCost, err := model.Cost(initial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !(bestCost < initialCost) {
+		t.Errorf("best plan cost %.0f is not strictly below the initial plan's %.0f", bestCost, initialCost)
+	}
+	want, err := eval.New(c).Eval(initial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := exec.New(c).Eval(best)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.EqualAsList(want) {
+		t.Errorf("best plan %s under exec differs from the initial plan's reference list", algebra.Canonical(best))
 	}
 }
 

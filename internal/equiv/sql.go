@@ -47,7 +47,7 @@ func (rt ResultType) Guard() Type {
 // For the list case the paper uses ≡L,A — agreement of the projections onto
 // the ORDER BY list A; we additionally require multiset equality so that a
 // "correct" plan cannot change the result's content off the A attributes
-// (the paper's Definition 5.1 leaves that implicit; see DESIGN.md).
+// (the paper's Definition 5.1 leaves that implicit; TestCheckSQL pins it).
 func CheckSQL(rt ResultType, orderBy relation.OrderSpec, a, b *relation.Relation) (bool, error) {
 	switch rt {
 	case ResultList:

@@ -86,7 +86,7 @@ func valueGroups(r *relation.Relation) (keys []string, groups map[string][]int) 
 //
 // The paper's Table 1 bounds the cardinality by 2·n(r1), which holds for
 // the pairwise recursion it sketches; exact per-snapshot semantics against
-// a fragmented right argument can produce more fragments (see DESIGN.md) —
+// a fragmented right argument can produce more fragments —
 // the cost model uses the paper's bound as an estimate only.
 func (e *Evaluator) evalTDiff(n algebra.Node) (*relation.Relation, error) {
 	l, r, err := e.evalBoth(n)

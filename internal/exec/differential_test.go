@@ -5,9 +5,11 @@ import (
 	"testing"
 
 	"tqp/internal/algebra"
+	"tqp/internal/datagen"
 	"tqp/internal/eval"
 	"tqp/internal/exec"
 	"tqp/internal/expr"
+	"tqp/internal/obs"
 	"tqp/internal/relation"
 	"tqp/internal/schema"
 	"tqp/internal/testutil"
@@ -134,6 +136,49 @@ func TestDifferentialHugeIntKeys(t *testing.T) {
 	}
 	if !got.EqualAsList(want) {
 		t.Fatal("engines disagree on huge int keys")
+	}
+}
+
+// TestUnobservedEvalCompilesNoStage is the exact count behind "pay for what
+// you use": on the acceptance pipeline coalᵀ(rdupᵀ(L ⋈ᵀ R)) an Eval nobody
+// observes compiles no counting stage, an observed one exactly one stage per
+// plan node, and both produce the same list — sequential, parallel and under
+// a spilling budget.
+func TestUnobservedEvalCompilesNoStage(t *testing.T) {
+	l := datagen.Temporal(datagen.TemporalSpec{Rows: 1000, Values: 250, TimeRange: 400, MaxPeriod: 20, Seed: 11})
+	r := datagen.Temporal(datagen.TemporalSpec{Rows: 256, Values: 250, TimeRange: 400, MaxPeriod: 20, Seed: 12})
+	src := eval.MapSource{"L": l, "R": r}
+	plan := algebra.NewCoal(algebra.NewTRdup(algebra.NewTJoin(
+		expr.Compare(expr.Eq, expr.Column("1.Grp"), expr.Column("2.Grp")),
+		algebra.NewRel("L", l.Schema(), algebra.BaseInfo{}),
+		algebra.NewRel("R", r.Schema(), algebra.BaseInfo{}))))
+	nodes := 0
+	algebra.Walk(plan, func(algebra.Node, algebra.Path) bool { nodes++; return true })
+
+	for _, cfg := range []exec.Config{{}, {Parallelism: 3}, {MemoryBudget: 64 << 10}} {
+		e := exec.NewWith(src, cfg)
+		want, err := e.Eval(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := exec.StageCount(e); n != 0 {
+			t.Errorf("%+v: unobserved Eval compiled %d stages, want 0", cfg, n)
+		}
+		if st := e.Stats(); cfg.Parallelism > 1 && st.ParallelOps == 0 || cfg.MemoryBudget > 0 && st.SpilledOps == 0 {
+			t.Errorf("%+v: the configured route never ran: %+v", cfg, st)
+		}
+		samples := 0
+		e.ObserveNodes(false, func(algebra.Node, obs.RunSample) { samples++ })
+		got, err := e.Eval(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := exec.StageCount(e); n != nodes || samples != nodes {
+			t.Errorf("%+v: observed Eval compiled %d stages and reported %d samples, want %d each", cfg, n, samples, nodes)
+		}
+		if !got.EqualAsList(want) {
+			t.Errorf("%+v: observed and unobserved results differ", cfg)
+		}
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 // experiment must pass and carry a non-trivial body.
 func TestAllExperimentsPass(t *testing.T) {
 	reports := experiments.All()
-	if len(reports) != 14 {
-		t.Fatalf("expected 14 experiments, got %d", len(reports))
+	if len(reports) != 10 {
+		t.Fatalf("expected 10 experiments, got %d", len(reports))
 	}
 	seen := map[string]bool{}
 	for _, r := range reports {

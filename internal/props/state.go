@@ -23,8 +23,9 @@
 //
 // The full tech report [20] with the authors' formal property definitions
 // is unavailable; the propagation rules here are re-derived and chosen to
-// be sound (conservative) — see DESIGN.md — and they reproduce the paper's
-// worked example (Figures 2 and 6) exactly.
+// be sound (conservative) — TestStateSoundness checks every static claim
+// against evaluated results — and they reproduce the paper's worked example
+// (Figures 2 and 6) exactly.
 package props
 
 import (

@@ -69,7 +69,7 @@ func Infer(root algebra.Node, rt equiv.ResultType, st States) (PropsMap, error) 
 }
 
 // propagate assigns τ to n and derives each child's τ per the operation's
-// semantics; see DESIGN.md for the derivations.
+// semantics; each case below states its derivation.
 func propagate(n algebra.Node, tau equiv.Type, st States, pm PropsMap) {
 	if old, ok := pm[n]; ok {
 		// A node reachable twice (shared subtree) keeps the strongest

@@ -94,8 +94,8 @@ func (o OrderSpec) Prefix(keep []string) OrderSpec {
 // nor T2. Table 1 writes the order of period-modifying operations (×ᵀ, \ᵀ,
 // rdupᵀ, coalᵀ) as "Order(r) \ TimePairs"; removing interior time attributes
 // is not sound for a list invariant, so we take the largest time-free
-// prefix, which is (see DESIGN.md) and agrees with every example in the
-// paper.
+// prefix, which is — a list sorted on an order is sorted on each of its
+// prefixes — and agrees with every example in the paper.
 func (o OrderSpec) TimeFreePrefix() OrderSpec {
 	var out OrderSpec
 	for _, k := range o {

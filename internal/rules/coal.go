@@ -120,8 +120,9 @@ func CoalRules() []Rule {
 			// what was already merged, so in the presence of snapshot
 			// duplicates the two sides can differ even as multisets. Both
 			// sides are ≡SM to r1 ⊔ r2 by rule C2, so ≡SM always holds —
-			// that is the level we claim and property-test. See DESIGN.md
-			// ("deviations") and EXPERIMENTS.md E6 for a counterexample.
+			// that is the level we claim and TestRuleEquivalences
+			// property-tests; README lists it under Deviations from the
+			// paper.
 			Name: "C5",
 			Type: equiv.SnapshotMultiset,
 			Doc:  "coalT(coalT(r1) ⊔ coalT(r2)) ≡SM coalT(r1 ⊔ r2)",
@@ -215,7 +216,8 @@ func CoalRules() []Rule {
 			// at its earliest fragment's position, which can reorder the
 			// pairs the temporal product emits relative to coalescing its
 			// result, so only the multiset level survives; the contents
-			// (and hence ≡M) are exact. See DESIGN.md ("deviations").
+			// (and hence ≡M) are exact; TestRuleEquivalences checks ≡M, and
+			// README lists it under Deviations from the paper.
 			Name: "C9",
 			Type: equiv.Multiset,
 			Doc:  "coalT(πA(r1 ×T r2)) ≡M πA(coalT(r1) ×T coalT(r2)), A = Σ \\ {1.T1,1.T2,2.T1,2.T2}, if r1, r2 have no duplicates in snapshots",

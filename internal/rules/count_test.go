@@ -6,11 +6,11 @@ import (
 	"tqp/internal/rules"
 )
 
-// TestCatalogSize pins the rule-catalog size so EXPERIMENTS.md's counts stay
-// honest; update both when adding rules.
+// TestCatalogSize pins the rule-catalog size that E6 reports per
+// equivalence type; update it when adding rules.
 func TestCatalogSize(t *testing.T) {
 	if got := len(rules.All()); got != 66 {
-		t.Errorf("rule catalog has %d rules; EXPERIMENTS.md says 66 — update both", got)
+		t.Errorf("rule catalog has %d rules, want 66 — update this test when adding rules", got)
 	}
 	names := map[string]bool{}
 	for _, r := range rules.All() {

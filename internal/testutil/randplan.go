@@ -61,6 +61,29 @@ func TemporalCatalogSized(seed int64, rowsA, rowsB int) (*catalog.Catalog, []alg
 	return c, []algebra.Node{c.MustNode("A"), c.MustNode("B")}
 }
 
+// SortedCatalog builds a catalog of two datagen.Temporal relations, L (rows
+// wide) and R (256 rows), physically sorted on ⟨Name, Grp⟩ with that order
+// declared in BaseInfo (Add verifies the declaration against the data): the
+// precondition for every order-exploiting physical variant and for the
+// order-aware cost model to price one.
+func SortedCatalog(rows int) *catalog.Catalog {
+	byNameGrp := relation.OrderSpec{relation.Key("Name"), relation.Key("Grp")}
+	c := catalog.New()
+	for i, spec := range []datagen.TemporalSpec{
+		{Rows: rows, Values: rows / 4, DupFrac: 0.2, AdjFrac: 0.3, TimeRange: 300, MaxPeriod: 15, Seed: 21},
+		{Rows: 256, Values: rows / 4, DupFrac: 0.1, AdjFrac: 0.3, TimeRange: 300, MaxPeriod: 15, Seed: 22},
+	} {
+		r := datagen.Temporal(spec)
+		if err := r.SortStable(byNameGrp); err != nil {
+			panic(fmt.Sprintf("testutil: %v", err))
+		}
+		if err := c.Add([]string{"L", "R"}[i], r, algebra.BaseInfo{Order: byNameGrp}); err != nil {
+			panic(fmt.Sprintf("testutil: %v", err))
+		}
+	}
+	return c
+}
+
 // TemporalCore builds a random type-correct, schema-preserving temporal plan
 // of bounded depth over the given bases (which must share one temporal
 // schema with attributes Name and Grp, like datagen.Temporal's). The shape

@@ -10,6 +10,9 @@ import (
 	"tqp"
 )
 
+const paperSQL = `VALIDTIME SELECT DISTINCT COALESCED EmpName FROM EMPLOYEE
+EXCEPT SELECT EmpName FROM PROJECT ORDER BY EmpName ASC`
+
 // TestPersistenceSurvivesReopen seeds a disk catalog from the paper
 // catalog, runs the running example, reopens the directory cold (no seed),
 // and re-runs: names, fingerprints and the query result must all come back

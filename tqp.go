@@ -58,8 +58,8 @@
 // internal/server and cmd/tqserver (tqshell -connect is the matching
 // client).
 //
-// See the examples directory for runnable programs and EXPERIMENTS.md for
-// the paper-artifact reproduction index.
+// See the examples directory for runnable programs and internal/experiments
+// (run by cmd/tqbench) for the reproduction of each paper artifact.
 package tqp
 
 import (
