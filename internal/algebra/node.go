@@ -3,6 +3,7 @@ package algebra
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"tqp/internal/expr"
 	"tqp/internal/relation"
@@ -10,22 +11,47 @@ import (
 	"tqp/internal/value"
 )
 
-// Node is an immutable operator-tree node.
+// Node is an immutable operator-tree node. A node computes its schema and
+// canonical key once, on first use, and is safe for concurrent use: plans
+// are shared by concurrent queries.
 type Node interface {
 	// Op returns the operator kind.
 	Op() Op
-	// Children returns the child nodes (not a copy; do not mutate).
+	// Children returns the node's own child slice, built with the node: it
+	// is not a copy, so callers must never write into it (rebuild through
+	// WithChildren instead).
 	Children() []Node
-	// WithChildren returns a copy of the node with the given children.
+	// WithChildren returns a copy of the node with the given children; it
+	// copies them out of ch, which it does not keep.
 	WithChildren(ch ...Node) Node
 	// Schema derives the node's output schema, validating this node's own
-	// parameters against the children's schemas.
+	// parameters against the children's schemas. The first call derives it;
+	// later calls return the same schema and error.
 	Schema() (*schema.Schema, error)
 	// Label renders the operator with its parameters but without children,
 	// e.g. "project{EmpName,T1,T2}".
 	Label() string
 	// Equal reports structural equality of whole subtrees.
 	Equal(other Node) bool
+	// derived returns what the node computes once; being unexported, it
+	// also keeps every Node implementation inside this package.
+	derived() *derived
+}
+
+// derived holds a node's lazily computed values, each computed at most once
+// even when several goroutines ask for it at the same time.
+type derived struct {
+	schemaOnce sync.Once
+	schema     *schema.Schema
+	schemaErr  error
+	keyOnce    sync.Once
+	key        string
+}
+
+// schemaOf returns the schema build derives, calling build on first use only.
+func (d *derived) schemaOf(build func() (*schema.Schema, error)) (*schema.Schema, error) {
+	d.schemaOnce.Do(func() { d.schema, d.schemaErr = build() })
+	return d.schema, d.schemaErr
 }
 
 // BaseInfo carries the catalog's knowledge about a base relation, used by
@@ -43,6 +69,7 @@ type Rel struct {
 	Name string
 	Sch  *schema.Schema
 	Info BaseInfo
+	d    derived
 }
 
 // NewRel returns a base-relation leaf.
@@ -55,6 +82,8 @@ func (n *Rel) Op() Op { return OpRel }
 
 // Children implements Node.
 func (n *Rel) Children() []Node { return nil }
+
+func (n *Rel) derived() *derived { return &n.d }
 
 // WithChildren implements Node.
 func (n *Rel) WithChildren(ch ...Node) Node {
@@ -85,28 +114,33 @@ func (n *Rel) Equal(other Node) bool {
 // coalescing... (coalescing is retained: removing whole tuples cannot create
 // adjacency violations).
 type Select struct {
-	P     expr.Pred
-	child Node
+	P    expr.Pred
+	kids [1]Node
+	d    derived
 }
 
 // NewSelect returns σ_P(child).
-func NewSelect(p expr.Pred, child Node) *Select { return &Select{P: p, child: child} }
+func NewSelect(p expr.Pred, child Node) *Select { return &Select{P: p, kids: [1]Node{child}} }
 
 // Op implements Node.
 func (n *Select) Op() Op { return OpSelect }
 
 // Children implements Node.
-func (n *Select) Children() []Node { return []Node{n.child} }
+func (n *Select) Children() []Node { return n.kids[:] }
+
+func (n *Select) derived() *derived { return &n.d }
 
 // WithChildren implements Node.
 func (n *Select) WithChildren(ch ...Node) Node {
 	mustArity(OpSelect, len(ch))
-	return &Select{P: n.P, child: ch[0]}
+	return NewSelect(n.P, ch[0])
 }
 
 // Schema implements Node.
-func (n *Select) Schema() (*schema.Schema, error) {
-	s, err := n.child.Schema()
+func (n *Select) Schema() (*schema.Schema, error) { return n.d.schemaOf(n.deriveSchema) }
+
+func (n *Select) deriveSchema() (*schema.Schema, error) {
+	s, err := n.kids[0].Schema()
 	if err != nil {
 		return nil, err
 	}
@@ -124,7 +158,7 @@ func (n *Select) Label() string { return "select{" + n.P.String() + "}" }
 // Equal implements Node.
 func (n *Select) Equal(other Node) bool {
 	o, ok := other.(*Select)
-	return ok && n.P.EqualPred(o.P) && n.child.Equal(o.child)
+	return ok && n.P.EqualPred(o.P) && n.kids[0].Equal(o.kids[0])
 }
 
 // ProjItem is one output column of a projection: an expression and its
@@ -151,12 +185,13 @@ func (p ProjItem) String() string {
 // and it destroys coalescing.
 type Project struct {
 	Items []ProjItem
-	child Node
+	kids  [1]Node
+	d     derived
 }
 
 // NewProject returns π_items(child).
 func NewProject(items []ProjItem, child Node) *Project {
-	return &Project{Items: items, child: child}
+	return &Project{Items: items, kids: [1]Node{child}}
 }
 
 // NewProjectCols returns a projection onto the named attributes.
@@ -172,17 +207,21 @@ func NewProjectCols(child Node, names ...string) *Project {
 func (n *Project) Op() Op { return OpProject }
 
 // Children implements Node.
-func (n *Project) Children() []Node { return []Node{n.child} }
+func (n *Project) Children() []Node { return n.kids[:] }
+
+func (n *Project) derived() *derived { return &n.d }
 
 // WithChildren implements Node.
 func (n *Project) WithChildren(ch ...Node) Node {
 	mustArity(OpProject, len(ch))
-	return &Project{Items: n.Items, child: ch[0]}
+	return NewProject(n.Items, ch[0])
 }
 
 // Schema implements Node.
-func (n *Project) Schema() (*schema.Schema, error) {
-	s, err := n.child.Schema()
+func (n *Project) Schema() (*schema.Schema, error) { return n.d.schemaOf(n.deriveSchema) }
+
+func (n *Project) deriveSchema() (*schema.Schema, error) {
+	s, err := n.kids[0].Schema()
 	if err != nil {
 		return nil, err
 	}
@@ -241,35 +280,40 @@ func (n *Project) Equal(other Node) bool {
 			return false
 		}
 	}
-	return n.child.Equal(o.child)
+	return n.kids[0].Equal(o.kids[0])
 }
 
 // binary is the shared shape of parameter-free binary operators.
 type binary struct {
-	op    Op
-	left  Node
-	right Node
+	op   Op
+	kids [2]Node
+	d    derived
 }
 
-func (n *binary) Op() Op           { return n.op }
-func (n *binary) Children() []Node { return []Node{n.left, n.right} }
+func newBinary(op Op, l, r Node) Node { return &binary{op: op, kids: [2]Node{l, r}} }
+
+func (n *binary) Op() Op            { return n.op }
+func (n *binary) Children() []Node  { return n.kids[:] }
+func (n *binary) derived() *derived { return &n.d }
 func (n *binary) WithChildren(ch ...Node) Node {
 	mustArity(n.op, len(ch))
-	return &binary{op: n.op, left: ch[0], right: ch[1]}
+	return newBinary(n.op, ch[0], ch[1])
 }
 func (n *binary) Label() string { return n.op.String() }
 func (n *binary) Equal(other Node) bool {
 	o, ok := other.(*binary)
-	return ok && o.op == n.op && n.left.Equal(o.left) && n.right.Equal(o.right)
+	return ok && o.op == n.op && n.kids[0].Equal(o.kids[0]) && n.kids[1].Equal(o.kids[1])
 }
 
 // Schema implements Node for each parameter-free binary operator.
-func (n *binary) Schema() (*schema.Schema, error) {
-	ls, err := n.left.Schema()
+func (n *binary) Schema() (*schema.Schema, error) { return n.d.schemaOf(n.deriveSchema) }
+
+func (n *binary) deriveSchema() (*schema.Schema, error) {
+	ls, err := n.kids[0].Schema()
 	if err != nil {
 		return nil, err
 	}
-	rs, err := n.right.Schema()
+	rs, err := n.kids[1].Schema()
 	if err != nil {
 		return nil, err
 	}
@@ -327,25 +371,25 @@ func (n *binary) Schema() (*schema.Schema, error) {
 }
 
 // NewUnionAll returns l ⊔ r (concatenation).
-func NewUnionAll(l, r Node) Node { return &binary{op: OpUnionAll, left: l, right: r} }
+func NewUnionAll(l, r Node) Node { return newBinary(OpUnionAll, l, r) }
 
 // NewUnion returns the multiset union l ∪ r (max multiplicity).
-func NewUnion(l, r Node) Node { return &binary{op: OpUnion, left: l, right: r} }
+func NewUnion(l, r Node) Node { return newBinary(OpUnion, l, r) }
 
 // NewTUnion returns the temporal union l ∪ᵀ r.
-func NewTUnion(l, r Node) Node { return &binary{op: OpTUnion, left: l, right: r} }
+func NewTUnion(l, r Node) Node { return newBinary(OpTUnion, l, r) }
 
 // NewProduct returns the conventional Cartesian product l × r.
-func NewProduct(l, r Node) Node { return &binary{op: OpProduct, left: l, right: r} }
+func NewProduct(l, r Node) Node { return newBinary(OpProduct, l, r) }
 
 // NewTProduct returns the temporal Cartesian product l ×ᵀ r.
-func NewTProduct(l, r Node) Node { return &binary{op: OpTProduct, left: l, right: r} }
+func NewTProduct(l, r Node) Node { return newBinary(OpTProduct, l, r) }
 
 // NewDiff returns the multiset difference l \ r.
-func NewDiff(l, r Node) Node { return &binary{op: OpDiff, left: l, right: r} }
+func NewDiff(l, r Node) Node { return newBinary(OpDiff, l, r) }
 
 // NewTDiff returns the temporal difference l \ᵀ r.
-func NewTDiff(l, r Node) Node { return &binary{op: OpTDiff, left: l, right: r} }
+func NewTDiff(l, r Node) Node { return newBinary(OpTDiff, l, r) }
 
 func mustArity(op Op, n int) {
 	if op.Arity() != n {

@@ -17,19 +17,20 @@ import (
 type Aggregate struct {
 	GroupBy  []string
 	Aggs     []expr.Aggregate
-	child    Node
+	kids     [1]Node
 	temporal bool // true for the temporal counterpart 𝒢ᵀ
+	d        derived
 }
 
 // NewAggregate returns 𝒢_{groupBy;aggs}(child).
 func NewAggregate(groupBy []string, aggs []expr.Aggregate, child Node) *Aggregate {
-	return &Aggregate{GroupBy: groupBy, Aggs: aggs, child: child}
+	return &Aggregate{GroupBy: groupBy, Aggs: aggs, kids: [1]Node{child}}
 }
 
 // NewTAggregate returns the temporal aggregation 𝒢ᵀ_{groupBy;aggs}(child);
 // groupBy must not include the time attributes.
 func NewTAggregate(groupBy []string, aggs []expr.Aggregate, child Node) *Aggregate {
-	return &Aggregate{GroupBy: groupBy, Aggs: aggs, child: child, temporal: true}
+	return &Aggregate{GroupBy: groupBy, Aggs: aggs, kids: [1]Node{child}, temporal: true}
 }
 
 // Op implements Node.
@@ -41,17 +42,21 @@ func (n *Aggregate) Op() Op {
 }
 
 // Children implements Node.
-func (n *Aggregate) Children() []Node { return []Node{n.child} }
+func (n *Aggregate) Children() []Node { return n.kids[:] }
+
+func (n *Aggregate) derived() *derived { return &n.d }
 
 // WithChildren implements Node.
 func (n *Aggregate) WithChildren(ch ...Node) Node {
 	mustArity(n.Op(), len(ch))
-	return &Aggregate{GroupBy: n.GroupBy, Aggs: n.Aggs, child: ch[0], temporal: n.temporal}
+	return &Aggregate{GroupBy: n.GroupBy, Aggs: n.Aggs, kids: [1]Node{ch[0]}, temporal: n.temporal}
 }
 
 // Schema implements Node.
-func (n *Aggregate) Schema() (*schema.Schema, error) {
-	s, err := n.child.Schema()
+func (n *Aggregate) Schema() (*schema.Schema, error) { return n.d.schemaOf(n.deriveSchema) }
+
+func (n *Aggregate) deriveSchema() (*schema.Schema, error) {
+	s, err := n.kids[0].Schema()
 	if err != nil {
 		return nil, err
 	}
@@ -120,31 +125,37 @@ func (n *Aggregate) Equal(other Node) bool {
 			return false
 		}
 	}
-	return n.child.Equal(o.child)
+	return n.kids[0].Equal(o.kids[0])
 }
 
 // unary is the shared shape of parameter-free unary operators: rdup, rdupᵀ,
 // coalᵀ, TS, TD.
 type unary struct {
-	op    Op
-	child Node
+	op   Op
+	kids [1]Node
+	d    derived
 }
 
-func (n *unary) Op() Op           { return n.op }
-func (n *unary) Children() []Node { return []Node{n.child} }
+func newUnary(op Op, child Node) Node { return &unary{op: op, kids: [1]Node{child}} }
+
+func (n *unary) Op() Op            { return n.op }
+func (n *unary) Children() []Node  { return n.kids[:] }
+func (n *unary) derived() *derived { return &n.d }
 func (n *unary) WithChildren(ch ...Node) Node {
 	mustArity(n.op, len(ch))
-	return &unary{op: n.op, child: ch[0]}
+	return newUnary(n.op, ch[0])
 }
 func (n *unary) Label() string { return n.op.String() }
 func (n *unary) Equal(other Node) bool {
 	o, ok := other.(*unary)
-	return ok && o.op == n.op && n.child.Equal(o.child)
+	return ok && o.op == n.op && n.kids[0].Equal(o.kids[0])
 }
 
 // Schema implements Node for each parameter-free unary operator.
-func (n *unary) Schema() (*schema.Schema, error) {
-	s, err := n.child.Schema()
+func (n *unary) Schema() (*schema.Schema, error) { return n.d.schemaOf(n.deriveSchema) }
+
+func (n *unary) deriveSchema() (*schema.Schema, error) {
+	s, err := n.kids[0].Schema()
 	if err != nil {
 		return nil, err
 	}
@@ -167,48 +178,55 @@ func (n *unary) Schema() (*schema.Schema, error) {
 }
 
 // NewRdup returns rdup(child), regular duplicate elimination.
-func NewRdup(child Node) Node { return &unary{op: OpRdup, child: child} }
+func NewRdup(child Node) Node { return newUnary(OpRdup, child) }
 
 // NewTRdup returns rdupᵀ(child), temporal duplicate elimination.
-func NewTRdup(child Node) Node { return &unary{op: OpTRdup, child: child} }
+func NewTRdup(child Node) Node { return newUnary(OpTRdup, child) }
 
 // NewCoal returns coalᵀ(child), coalescing.
-func NewCoal(child Node) Node { return &unary{op: OpCoal, child: child} }
+func NewCoal(child Node) Node { return newUnary(OpCoal, child) }
 
 // NewTransferS returns TS(child): transfer the child's result from the DBMS
 // to the stratum. Everything strictly below a TS executes in the DBMS.
-func NewTransferS(child Node) Node { return &unary{op: OpTransferS, child: child} }
+func NewTransferS(child Node) Node { return newUnary(OpTransferS, child) }
 
 // NewTransferD returns TD(child): transfer the child's result from the
 // stratum to the DBMS.
-func NewTransferD(child Node) Node { return &unary{op: OpTransferD, child: child} }
+func NewTransferD(child Node) Node { return newUnary(OpTransferD, child) }
 
 // Sort is the sorting operation sort_A. Per Table 1 it retains duplicates
 // and coalescing; its result order is A — or Order(r) in the special case
 // where A is a prefix of Order(r).
 type Sort struct {
-	Spec  relation.OrderSpec
-	child Node
+	Spec relation.OrderSpec
+	kids [1]Node
+	d    derived
 }
 
 // NewSort returns sort_spec(child).
-func NewSort(spec relation.OrderSpec, child Node) *Sort { return &Sort{Spec: spec, child: child} }
+func NewSort(spec relation.OrderSpec, child Node) *Sort {
+	return &Sort{Spec: spec, kids: [1]Node{child}}
+}
 
 // Op implements Node.
 func (n *Sort) Op() Op { return OpSort }
 
 // Children implements Node.
-func (n *Sort) Children() []Node { return []Node{n.child} }
+func (n *Sort) Children() []Node { return n.kids[:] }
+
+func (n *Sort) derived() *derived { return &n.d }
 
 // WithChildren implements Node.
 func (n *Sort) WithChildren(ch ...Node) Node {
 	mustArity(OpSort, len(ch))
-	return &Sort{Spec: n.Spec, child: ch[0]}
+	return NewSort(n.Spec, ch[0])
 }
 
 // Schema implements Node.
-func (n *Sort) Schema() (*schema.Schema, error) {
-	s, err := n.child.Schema()
+func (n *Sort) Schema() (*schema.Schema, error) { return n.d.schemaOf(n.deriveSchema) }
+
+func (n *Sort) deriveSchema() (*schema.Schema, error) {
+	s, err := n.kids[0].Schema()
 	if err != nil {
 		return nil, err
 	}
@@ -220,17 +238,24 @@ func (n *Sort) Schema() (*schema.Schema, error) {
 
 // Label implements Node.
 func (n *Sort) Label() string {
-	keys := make([]string, len(n.Spec))
+	var b strings.Builder
+	b.WriteString("sort{")
 	for i, k := range n.Spec {
-		keys[i] = k.String()
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(k.Attr)
+		b.WriteByte(' ')
+		b.WriteString(k.Dir.String())
 	}
-	return "sort{" + strings.Join(keys, ",") + "}"
+	b.WriteByte('}')
+	return b.String()
 }
 
 // Equal implements Node.
 func (n *Sort) Equal(other Node) bool {
 	o, ok := other.(*Sort)
-	return ok && n.Spec.Equal(o.Spec) && n.child.Equal(o.child)
+	return ok && n.Spec.Equal(o.Spec) && n.kids[0].Equal(o.kids[0])
 }
 
 // Join is the join idiom: σ_P(l × r) — and TJoin its temporal counterpart
@@ -239,17 +264,17 @@ func (n *Sort) Equal(other Node) bool {
 // a join back to its defining combination.
 type Join struct {
 	P        expr.Pred
-	left     Node
-	right    Node
+	kids     [2]Node
 	temporal bool
+	d        derived
 }
 
 // NewJoin returns the conventional join idiom l ⋈_P r.
-func NewJoin(p expr.Pred, l, r Node) *Join { return &Join{P: p, left: l, right: r} }
+func NewJoin(p expr.Pred, l, r Node) *Join { return &Join{P: p, kids: [2]Node{l, r}} }
 
 // NewTJoin returns the temporal join idiom l ⋈ᵀ_P r.
 func NewTJoin(p expr.Pred, l, r Node) *Join {
-	return &Join{P: p, left: l, right: r, temporal: true}
+	return &Join{P: p, kids: [2]Node{l, r}, temporal: true}
 }
 
 // Op implements Node.
@@ -261,25 +286,27 @@ func (n *Join) Op() Op {
 }
 
 // Children implements Node.
-func (n *Join) Children() []Node { return []Node{n.left, n.right} }
+func (n *Join) Children() []Node { return n.kids[:] }
+
+func (n *Join) derived() *derived { return &n.d }
 
 // WithChildren implements Node.
 func (n *Join) WithChildren(ch ...Node) Node {
 	mustArity(n.Op(), len(ch))
-	return &Join{P: n.P, left: ch[0], right: ch[1], temporal: n.temporal}
+	return &Join{P: n.P, kids: [2]Node{ch[0], ch[1]}, temporal: n.temporal}
 }
 
 // Schema implements Node.
 func (n *Join) Schema() (*schema.Schema, error) {
-	return n.Expand().Schema()
+	return n.d.schemaOf(func() (*schema.Schema, error) { return n.Expand().Schema() })
 }
 
 // Expand returns the defining combination σ_P(l × r) or σ_P(l ×ᵀ r).
 func (n *Join) Expand() Node {
 	if n.temporal {
-		return NewSelect(n.P, NewTProduct(n.left, n.right))
+		return NewSelect(n.P, NewTProduct(n.kids[0], n.kids[1]))
 	}
-	return NewSelect(n.P, NewProduct(n.left, n.right))
+	return NewSelect(n.P, NewProduct(n.kids[0], n.kids[1]))
 }
 
 // Label implements Node.
@@ -289,5 +316,5 @@ func (n *Join) Label() string { return n.Op().String() + "{" + n.P.String() + "}
 func (n *Join) Equal(other Node) bool {
 	o, ok := other.(*Join)
 	return ok && o.temporal == n.temporal && n.P.EqualPred(o.P) &&
-		n.left.Equal(o.left) && n.right.Equal(o.right)
+		n.kids[0].Equal(o.kids[0]) && n.kids[1].Equal(o.kids[1])
 }

@@ -52,6 +52,12 @@ func NodeAt(root Node, path Path) (Node, error) {
 // ReplaceAt returns a new tree in which the node addressed by path is
 // replaced by repl. Untouched subtrees are shared with the original.
 func ReplaceAt(root Node, path Path, repl Node) (Node, error) {
+	// WithChildren copies its arguments, so one scratch slice serves every
+	// level of the rebuilt spine.
+	return replaceAt(root, path, repl, make([]Node, 0, 2))
+}
+
+func replaceAt(root Node, path Path, repl Node, scratch []Node) (Node, error) {
 	if len(path) == 0 {
 		return repl, nil
 	}
@@ -60,12 +66,11 @@ func ReplaceAt(root Node, path Path, repl Node) (Node, error) {
 	if i < 0 || i >= len(ch) {
 		return nil, fmt.Errorf("algebra: path %s invalid under %s", path, root.Label())
 	}
-	newChild, err := ReplaceAt(ch[i], path[1:], repl)
+	newChild, err := replaceAt(ch[i], path[1:], repl, scratch)
 	if err != nil {
 		return nil, err
 	}
-	newCh := make([]Node, len(ch))
-	copy(newCh, ch)
+	newCh := append(scratch[:0], ch...)
 	newCh[i] = newChild
 	return root.WithChildren(newCh...), nil
 }
@@ -120,27 +125,35 @@ func Validate(root Node) error {
 
 // Canonical renders the whole tree as a single-line canonical string; two
 // trees are structurally equal exactly when their canonical strings match.
-// The enumeration algorithm uses it to deduplicate generated plans.
+// The enumeration algorithm uses it to deduplicate generated plans. Each
+// node builds its string once, from its label and its children's strings,
+// so a plan that shares subtrees with another renders only its new nodes.
 func Canonical(n Node) string {
-	var b strings.Builder
-	writeCanonical(&b, n)
-	return b.String()
-}
-
-func writeCanonical(b *strings.Builder, n Node) {
-	b.WriteString(n.Label())
 	ch := n.Children()
 	if len(ch) == 0 {
-		return
+		return n.Label()
 	}
-	b.WriteByte('(')
-	for i, c := range ch {
-		if i > 0 {
-			b.WriteByte(',')
+	d := n.derived()
+	d.keyOnce.Do(func() {
+		label := n.Label()
+		size := len(label) + len(ch) + 1
+		for _, c := range ch {
+			size += len(Canonical(c))
 		}
-		writeCanonical(b, c)
-	}
-	b.WriteByte(')')
+		var b strings.Builder
+		b.Grow(size)
+		b.WriteString(label)
+		b.WriteByte('(')
+		for i, c := range ch {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			b.WriteString(Canonical(c))
+		}
+		b.WriteByte(')')
+		d.key = b.String()
+	})
+	return d.key
 }
 
 // Render prints the tree in the indented style of Figures 2 and 6, one

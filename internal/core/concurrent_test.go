@@ -10,13 +10,16 @@ package core_test
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
+	"tqp/internal/algebra"
 	"tqp/internal/catalog"
 	"tqp/internal/core"
 	"tqp/internal/exec"
 	"tqp/internal/relation"
+	"tqp/internal/schema"
 )
 
 // auditStatements covers the pipeline breadth-first: conventional and
@@ -178,5 +181,66 @@ func TestOptimizerConcurrentRunAndExplain(t *testing.T) {
 	close(errc)
 	for err := range errc {
 		t.Fatal(err)
+	}
+}
+
+// TestSharedPlanConcurrentDerivation: a node derives its schema and
+// canonical key on first use and hands out its own child slice. On a fresh
+// plan nothing has derived anything for yet, 8 goroutines call Schema,
+// Canonical and Children on every node while the plan executes; all must
+// see one schema and one key per node, and the execution must return the
+// list a sequential run of another copy of the plan returns.
+func TestSharedPlanConcurrentDerivation(t *testing.T) {
+	cat := catalog.Paper()
+	spec := exec.NewSpec(exec.Config{Parallelism: 2})
+	opt := core.New(cat, core.WithDBMSSeed(1))
+	want, _, err := opt.ExecutePlan(catalog.PaperOptimizedPlan(cat), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := catalog.PaperOptimizedPlan(cat)
+
+	type derived struct {
+		schema *schema.Schema
+		key    string
+	}
+	const goroutines = 8
+	seen := make([]map[algebra.Node]derived, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			seen[g] = make(map[algebra.Node]derived)
+			var walk func(n algebra.Node)
+			walk = func(n algebra.Node) {
+				s, err := n.Schema()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				seen[g][n] = derived{s, algebra.Canonical(n)}
+				for _, c := range n.Children() {
+					walk(c)
+				}
+			}
+			walk(plan)
+		}(g)
+	}
+	got, _, err := opt.ExecutePlan(plan, spec)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.EqualAsList(want) {
+		t.Error("execution beside concurrent derivation differs from a sequential run")
+	}
+	for g := 1; g < goroutines; g++ {
+		if !reflect.DeepEqual(seen[g], seen[0]) {
+			t.Errorf("goroutine %d derived a different schema or key than goroutine 0", g)
+		}
+	}
+	if want := algebra.Canonical(catalog.PaperOptimizedPlan(cat)); seen[0][plan].key != want {
+		t.Errorf("concurrently derived key %s, want %s", seen[0][plan].key, want)
 	}
 }

@@ -241,24 +241,14 @@ func (o *Optimizer) Optimize(initial algebra.Node, rt equiv.ResultType, orderBy 
 	if err != nil {
 		return nil, err
 	}
-	best, bestCost, err := o.model.Best(res.Plans)
-	if err != nil {
-		return nil, err
+	score, states := o.model.Scorer(), props.NewMemo()
+	res.Scores = make([]float64, len(res.Plans))
+	for i, p := range res.Plans {
+		if res.Scores[i], err = score(p, states); err != nil {
+			return nil, err
+		}
 	}
-	initialCost, err := o.model.Cost(initial)
-	if err != nil {
-		return nil, err
-	}
-	return &Plans{
-		Initial:     initial,
-		All:         res.Plans,
-		Best:        best,
-		BestCost:    bestCost,
-		InitialCost: initialCost,
-		ResultType:  rt,
-		OrderBy:     orderBy,
-		Enumeration: res,
-	}, nil
+	return cheapest(initial, rt, orderBy, res)
 }
 
 // OptimizeBeam is the heuristic alternative to Optimize for plans whose
@@ -268,27 +258,34 @@ func (o *Optimizer) Optimize(initial algebra.Node, rt equiv.ResultType, orderBy 
 func (o *Optimizer) OptimizeBeam(initial algebra.Node, rt equiv.ResultType, orderBy relation.OrderSpec) (*Plans, error) {
 	cfg := enum.BeamConfig{
 		Config: o.config,
-		Score:  o.model.Cost,
+		Score:  o.model.Scorer(),
 	}
 	cfg.ResultType = rt
 	res, err := enum.Beam(initial, cfg)
 	if err != nil {
 		return nil, err
 	}
-	best, bestCost, err := o.model.Best(res.Plans)
-	if err != nil {
-		return nil, err
+	return cheapest(initial, rt, orderBy, res)
+}
+
+// cheapest picks the best plan from the scores recorded beside res.Plans:
+// the first plan whose score is strictly lower than every earlier one's.
+func cheapest(initial algebra.Node, rt equiv.ResultType, orderBy relation.OrderSpec, res *enum.Result) (*Plans, error) {
+	best, bestCost := -1, math.Inf(1)
+	for i, c := range res.Scores {
+		if c < bestCost {
+			best, bestCost = i, c
+		}
 	}
-	initialCost, err := o.model.Cost(initial)
-	if err != nil {
-		return nil, err
+	if best < 0 {
+		return nil, fmt.Errorf("core: no plan has a finite cost")
 	}
 	return &Plans{
 		Initial:     initial,
 		All:         res.Plans,
-		Best:        best,
+		Best:        res.Plans[best],
 		BestCost:    bestCost,
-		InitialCost: initialCost,
+		InitialCost: res.Scores[0],
 		ResultType:  rt,
 		OrderBy:     orderBy,
 		Enumeration: res,

@@ -7,8 +7,11 @@ import (
 	"tqp/internal/algebra"
 	"tqp/internal/catalog"
 	"tqp/internal/core"
+	"tqp/internal/datagen"
 	"tqp/internal/equiv"
+	"tqp/internal/exec"
 	"tqp/internal/relation"
+	"tqp/internal/testutil"
 )
 
 const paperSQL = `VALIDTIME SELECT DISTINCT COALESCED EmpName FROM EMPLOYEE
@@ -128,4 +131,28 @@ func TestDBMSSeedIndependence(t *testing.T) {
 			t.Errorf("seed %d: wrong result:\n%s", seed, got)
 		}
 	}
+}
+
+// TestPrepareAllocsBounded: preparing a plan.cold statement at 100
+// employees — parse, plan, the 187-plan beam search, costing — stays within
+// 30,000 allocations, because the beam derives each subtree's schema, key,
+// state, cost and rule matches once per search.
+func TestPrepareAllocsBounded(t *testing.T) {
+	db := datagen.EmployeeDB(datagen.EmployeeSpec{Employees: 100, SpellsPerEmp: 3, AssignmentsPerEmp: 4, Seed: 1})
+	opt := core.New(db, core.WithEngine(exec.NewSpec(exec.Config{})), core.WithDBMSSeed(1))
+	sql := testutil.ColdStatements(1, 1)[0]
+	var prep *core.Prepared
+	allocs := testing.AllocsPerRun(5, func() {
+		var err error
+		if prep, err = opt.Prepare(sql); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if prep.PlanCount != 187 {
+		t.Fatalf("the beam found %d plans, want 187", prep.PlanCount)
+	}
+	if allocs > 30000 {
+		t.Errorf("Prepare allocates %.0f times per statement, want ≤ 30000", allocs)
+	}
+	t.Logf("Prepare: %.0f allocations", allocs)
 }

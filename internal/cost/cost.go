@@ -10,7 +10,6 @@
 package cost
 
 import (
-	"fmt"
 	"math"
 
 	"tqp/internal/algebra"
@@ -206,25 +205,17 @@ func (p Params) parallelShape(op algebra.Op, own, inRows, outRows float64) float
 	return own/float64(p.Parallelism) + inRows*ex + outRows*ga
 }
 
-// memShare is the per-worker budget share the engine compares operator
-// state against (exec's opShare, estimate-side).
-func (p Params) memShare() float64 {
-	w := p.Parallelism
-	if w < 1 {
-		w = 1
-	}
-	return float64(p.MemoryBudget) / float64(w)
-}
-
 // spillShape adds the grace-hash spill charge when an operator's estimated
 // materialized state — inRows tuples at TupleBytes each — exceeds the
-// per-worker budget share: one spill write and one read per input tuple
+// per-worker budget share the engine compares operator state against
+// (exec's opShare): one spill write and one read per input tuple
 // (recursive re-partitioning passes are rare and left unpriced).
 // The exec engine encodes spill blocks straight off the column planes
 // and re-reads them block-at-a-time into batches, so the per-tuple spill
 // prices of the batch-compiled operators scale by VecSpillFactor.
 func (p Params) spillShape(op algebra.Op, own, inRows float64) float64 {
-	if p.MemoryBudget <= 0 || inRows*p.TupleBytes <= p.memShare() {
+	share := float64(p.MemoryBudget) / float64(max(p.Parallelism, 1))
+	if p.MemoryBudget <= 0 || inRows*p.TupleBytes <= share {
 		return own
 	}
 	wr, rd := p.SpillWrite, p.SpillRead
@@ -260,28 +251,29 @@ func ParamsFor(streaming bool) Params {
 	return p
 }
 
-// OpUnits assigns simulated work units to one operation over the given
-// input cardinality; the stratum executor meters actual executions with it.
+// OpUnits assigns simulated work units to operation n over the given input
+// cardinality; the stratum executor meters actual executions with it.
 // streaming selects the exec engine's hash/one-pass shapes — linear
 // products, joins and temporal grouping operators — over the reference
-// evaluator's pairwise and scan-heavy ones.
-func OpUnits(op algebra.Op, rows int, tupleCost, penalty float64, streaming bool) float64 {
-	return DefaultParams().OpUnitsOrdered(op, rows, tupleCost, penalty, streaming, false)
-}
-
-// OpUnitsOrdered is OpUnits with delivered-order awareness: ordered reports
-// that the streaming engine compiled the order-exploiting variant at this
-// node (an elided sort, a merge join, or a contiguous-group merge pass), so
-// the metered work drops accordingly — an elided sort is a verify pass
+// evaluator's pairwise and scan-heavy ones. ordered reports that the
+// streaming engine compiled the order-exploiting variant at this node (an
+// elided sort, a merge join, or a contiguous-group merge pass), so the
+// metered work drops accordingly — an elided sort is a verify pass
 // (SortVerifyFactor), a merge pass scales the hash variant's per-tuple work
 // by MergeUnitsFactor. The factors come from the calibration so model and
 // meter recalibrate together. The reference evaluator (streaming=false) has
 // no such variants, so ordered is ignored. With Parallelism > 1 the
 // partitioned operators additionally take the parallel shape (per-partition
 // work plus exchange and gather, with the input cardinality standing in for
-// the output's, which the meter does not know).
-func (p Params) OpUnitsOrdered(op algebra.Op, rows int, tupleCost, penalty float64, streaming, ordered bool) float64 {
+// the output's, which the meter does not know) — except a GROUP-BY-less
+// aggregate, one global group the engine leaves on its sequential path
+// (mirroring the estimator's parallelApplies).
+func (p Params) OpUnits(n algebra.Node, rows int, tupleCost, penalty float64, streaming, ordered bool) float64 {
+	op := n.Op()
 	units := p.opUnitsSequential(op, rows, tupleCost, penalty, streaming, ordered)
+	if agg, ok := n.(*algebra.Aggregate); ok && len(agg.GroupBy) == 0 {
+		return units
+	}
 	// An ordered sort is an elided sort — a compiled-away no-op with no
 	// exchange to meter and no state to spill. Ordered grouping operators
 	// keep both shapes: they still fan out (range exchange) and, budgeted,
@@ -293,18 +285,6 @@ func (p Params) OpUnitsOrdered(op algebra.Op, rows int, tupleCost, penalty float
 		}
 	}
 	return units
-}
-
-// OpUnitsForNode is OpUnitsOrdered with the node in hand — the stratum
-// meter's entry point. The node exposes the one exchange guard the
-// operator kind alone cannot: a GROUP-BY-less aggregate is one global
-// group the engine leaves on its sequential path, so no parallel shape
-// applies (mirroring the estimator's parallelApplies).
-func (p Params) OpUnitsForNode(n algebra.Node, rows int, tupleCost, penalty float64, streaming, ordered bool) float64 {
-	if agg, ok := n.(*algebra.Aggregate); ok && len(agg.GroupBy) == 0 {
-		return p.opUnitsSequential(n.Op(), rows, tupleCost, penalty, streaming, ordered)
-	}
-	return p.OpUnitsOrdered(n.Op(), rows, tupleCost, penalty, streaming, ordered)
 }
 
 func (p Params) opUnitsSequential(op algebra.Op, rows int, tupleCost, penalty float64, streaming, ordered bool) float64 {
@@ -372,66 +352,65 @@ func New(cat *catalog.Catalog, params Params) *Model {
 // Plan estimates every node of the plan; the root's Estimate carries the
 // total plan cost.
 func (m *Model) Plan(plan algebra.Node) (Estimates, error) {
-	st, err := props.InferStates(plan)
+	states := props.NewMemo()
+	memo := make(map[props.Sited]Estimate)
+	if _, err := m.node(plan, props.Stratum, states, memo); err != nil {
+		return nil, err
+	}
+	st, err := states.States(plan)
 	if err != nil {
 		return nil, err
 	}
-	es := make(Estimates)
-	if _, err := m.node(plan, st, es); err != nil {
-		return nil, err
+	es := make(Estimates, len(st))
+	for n, s := range st {
+		es[n] = memo[props.Sited{Node: n, Site: s.Site}]
 	}
 	return es, nil
 }
 
 // Cost returns the total estimated cost of the plan.
 func (m *Model) Cost(plan algebra.Node) (float64, error) {
-	es, err := m.Plan(plan)
-	if err != nil {
-		return 0, err
-	}
-	return es[plan].Cost, nil
+	return m.Scorer()(plan, props.NewMemo())
 }
 
-// Best returns the cheapest plan of the given set and its cost.
-func (m *Model) Best(plans []algebra.Node) (algebra.Node, float64, error) {
-	if len(plans) == 0 {
-		return nil, 0, fmt.Errorf("cost: no plans")
+// Scorer returns a cost function for the plans of one optimization, which
+// derive their states through the optimization's states memo. An estimate,
+// like a state, is a pure function of the node's subtree and site, so the
+// scorer memoizes each (subtree, site) estimate: a plan rewritten along one
+// path is priced along that path only, at exactly the cost Cost reports.
+func (m *Model) Scorer() func(plan algebra.Node, states *props.Memo) (float64, error) {
+	memo := make(map[props.Sited]Estimate)
+	return func(plan algebra.Node, states *props.Memo) (float64, error) {
+		e, err := m.node(plan, props.Stratum, states, memo)
+		return e.Cost, err
 	}
-	var best algebra.Node
-	bestCost := math.Inf(1)
-	for _, p := range plans {
-		c, err := m.Cost(p)
-		if err != nil {
-			return nil, 0, err
-		}
-		if c < bestCost {
-			best, bestCost = p, c
-		}
-	}
-	return best, bestCost, nil
 }
 
-func (m *Model) node(n algebra.Node, st props.States, es Estimates) (Estimate, error) {
-	if e, ok := es[n]; ok {
+func (m *Model) node(n algebra.Node, site props.Site, states *props.Memo, memo map[props.Sited]Estimate) (Estimate, error) {
+	if e, ok := memo[props.Sited{Node: n, Site: site}]; ok {
 		return e, nil
 	}
+	if _, err := states.State(n, site); err != nil {
+		return Estimate{}, err
+	}
 	ch := n.Children()
-	ce := make([]Estimate, len(ch))
-	orders := make([]relation.OrderSpec, len(ch))
+	var ceBuf [2]Estimate
+	var orderBuf [2]relation.OrderSpec
+	ce, orders := ceBuf[:len(ch)], orderBuf[:len(ch)]
 	for i, c := range ch {
-		e, err := m.node(c, st, es)
+		cs := props.ChildSite(site, n.Op())
+		e, err := m.node(c, cs, states, memo)
 		if err != nil {
 			return Estimate{}, err
 		}
-		ce[i] = e
-		orders[i] = st[c].Order
+		s, _ := states.State(c, cs) // derived without error by m.node
+		ce[i], orders[i] = e, s.Order
 	}
-	site := st[n].Site
 	e := m.estimate(n, site, ce, orders)
 	for _, c := range ce {
 		e.Cost += c.Cost
 	}
-	es[n] = e
+	memo[props.Sited{Node: n, Site: site}] = e
 	return e, nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"tqp/internal/cost"
 	"tqp/internal/datagen"
 	"tqp/internal/expr"
+	"tqp/internal/props"
 	"tqp/internal/relation"
 	"tqp/internal/testutil"
 )
@@ -92,15 +93,15 @@ func TestBestSelection(t *testing.T) {
 		catalog.PaperIntermediatePlan(c),
 		catalog.PaperOptimizedPlan(c),
 	}
-	best, bc, err := m.Best(plans)
-	if err != nil {
-		t.Fatal(err)
+	costs := make([]float64, len(plans))
+	for i, p := range plans {
+		var err error
+		if costs[i], err = m.Cost(p); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if !best.Equal(plans[2]) {
-		t.Errorf("expected the Figure 6(b) plan to win, got %s (%.1f)", algebra.Canonical(best), bc)
-	}
-	if _, _, err := m.Best(nil); err == nil {
-		t.Error("Best over no plans must fail")
+	if !(costs[2] < costs[0] && costs[2] < costs[1]) {
+		t.Errorf("expected the Figure 6(b) plan to win, costs %v", costs)
 	}
 }
 
@@ -267,5 +268,41 @@ func TestBatchDiscount(t *testing.T) {
 	seq := costWith(dedup, true, 1, 0)
 	if vec <= seq/4 {
 		t.Errorf("vectorized 4-way cost %.0f must stay above the exchange floor (seq/4 = %.0f)", vec, seq/4)
+	}
+}
+
+// TestScorerKeysSite: one subtree can run in the stratum in one plan and in
+// the DBMS, under a TS, in another. Its state and its estimate differ
+// between the sites — the DBMS guarantees no order but a sort's, and pays
+// the temporal penalty — so the memos key both by (subtree, site): scoring
+// the two plans through one memo must give each plan its fresh cost.
+func TestScorerKeysSite(t *testing.T) {
+	c := testutil.SortedCatalog(64)
+	m := cost.New(c, cost.ParamsFor(true))
+	shared := algebra.NewCoal(c.MustNode("L"))
+	score, states := m.Scorer(), props.NewMemo()
+	for _, plan := range []algebra.Node{shared, algebra.NewTransferS(shared)} {
+		got, err := score(plan, states)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := m.Cost(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%s: memoized cost %v, fresh %v", algebra.Canonical(plan), got, want)
+		}
+	}
+	inStratum, err := states.State(shared, props.Stratum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inDBMS, err := states.State(shared, props.DBMS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inStratum.Order.Empty() || !inDBMS.Order.Empty() || inDBMS.Site != props.DBMS {
+		t.Errorf("stratum state %+v, DBMS state %+v", inStratum, inDBMS)
 	}
 }

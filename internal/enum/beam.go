@@ -6,34 +6,32 @@ import (
 
 	"tqp/internal/algebra"
 	"tqp/internal/props"
-	"tqp/internal/rules"
 )
 
 // BeamConfig controls the cost-guided beam search — the "heuristics ...
 // necessary to achieve an efficient and effective optimizer" of the paper's
 // future-work section. Instead of closing the plan space like Enumerate,
-// each round expands the current beam by one guarded rewrite step and keeps
-// the Width cheapest distinct plans; the search stops after Rounds rounds
-// or when a round yields no new plan.
+// each round expands the beam members not expanded before by one guarded
+// rewrite step and keeps the Width cheapest distinct plans; the search
+// stops after Rounds rounds or when a round yields no new plan.
 type BeamConfig struct {
 	Config
 	// Width is the beam width (default 16).
 	Width int
 	// Rounds bounds the search depth (default 24).
 	Rounds int
-	// Score returns a plan's cost; lower is better.
-	Score func(algebra.Node) (float64, error)
+	// Score returns a plan's cost; lower is better. states is the search's
+	// memo, through which Score may derive the plan's states so that each
+	// subtree's state is derived once per search (see cost.Model.Scorer).
+	Score func(plan algebra.Node, states *props.Memo) (float64, error)
 }
 
 // Beam runs the beam search from the initial plan. The returned Result
-// lists every beam member ever visited (initial plan first) with
-// provenance; the caller picks the best by score.
+// lists every plan the search generated (initial plan first) with
+// provenance and score; the caller picks the best by score.
 func Beam(initial algebra.Node, cfg BeamConfig) (*Result, error) {
 	if cfg.Score == nil {
 		return nil, fmt.Errorf("enum: beam search needs a Score function")
-	}
-	if err := algebra.Validate(initial); err != nil {
-		return nil, fmt.Errorf("enum: invalid initial plan: %w", err)
 	}
 	width := cfg.Width
 	if width <= 0 {
@@ -43,94 +41,49 @@ func Beam(initial algebra.Node, cfg BeamConfig) (*Result, error) {
 	if rounds <= 0 {
 		rounds = 24
 	}
-	ruleSet := cfg.Rules
-	if ruleSet == nil {
-		ruleSet = rules.All()
-	}
-	if !cfg.IncludeExpanding {
-		ruleSet = rules.NonExpanding(ruleSet)
-	}
-
-	res := &Result{
-		Provenance:      make(map[string]Step),
-		GuardRejections: make(map[string]int),
-		Applications:    make(map[string]int),
-	}
-	type scored struct {
-		plan  algebra.Node
-		score float64
-	}
-	seen := map[string]bool{algebra.Canonical(initial): true}
-	res.Plans = append(res.Plans, initial)
-	initScore, err := cfg.Score(initial)
+	x, err := newExpansion(initial, cfg.Config)
 	if err != nil {
 		return nil, err
 	}
-	beam := []scored{{plan: initial, score: initScore}}
-
+	res := x.res
+	score := func(plan algebra.Node) (bool, error) {
+		s, err := cfg.Score(plan, x.states)
+		res.Scores = append(res.Scores, s)
+		return err == nil, err
+	}
+	if _, err := score(initial); err != nil {
+		return nil, err
+	}
+	// The beam holds indices into res.Plans and res.Scores. Plans from
+	// index fresh on were found in the previous round and are the only
+	// members not yet expanded: expanding a member again could only
+	// rediscover plans already seen.
+	beam, fresh := []int{0}, 0
 	for round := 0; round < rounds; round++ {
-		var candidates []scored
-		for _, member := range beam {
-			plan := member.plan
-			planKey := algebra.Canonical(plan)
-			st, err := props.InferStates(plan)
-			if err != nil {
-				return nil, err
+		found := len(res.Plans)
+		for _, i := range beam {
+			if i < fresh {
+				continue
 			}
-			pm, err := props.Infer(plan, cfg.ResultType, st)
-			if err != nil {
+			if err := x.expand(res.Plans[i], score); err != nil {
 				return nil, err
-			}
-			for _, path := range algebra.Paths(plan) {
-				node, err := algebra.NodeAt(plan, path)
-				if err != nil {
-					return nil, err
-				}
-				for _, rule := range ruleSet {
-					rewrite := rule.Apply(node, st)
-					if rewrite == nil {
-						continue
-					}
-					if !guardAllows(rule, rewrite, pm) {
-						res.GuardRejections[rule.Name]++
-						continue
-					}
-					newPlan, err := algebra.ReplaceAt(plan, path, rewrite.Result)
-					if err != nil {
-						return nil, err
-					}
-					res.Applications[rule.Name]++
-					key := algebra.Canonical(newPlan)
-					if seen[key] {
-						continue
-					}
-					seen[key] = true
-					score, err := cfg.Score(newPlan)
-					if err != nil {
-						return nil, err
-					}
-					candidates = append(candidates, scored{plan: newPlan, score: score})
-					res.Plans = append(res.Plans, newPlan)
-					res.Provenance[key] = Step{
-						Parent:   planKey,
-						Rule:     rule.Name,
-						RuleType: rule.Type,
-						Path:     path.Clone(),
-					}
-				}
 			}
 		}
-		if len(candidates) == 0 {
+		if len(res.Plans) == found {
 			break
 		}
-		// Next beam: the cheapest Width of old beam ∪ candidates, so a
+		// Next beam: the cheapest Width of the new plans ∪ old beam, so a
 		// plateau can still be crossed while good plans are never lost.
-		candidates = append(candidates, beam...)
-		sort.SliceStable(candidates, func(i, j int) bool { return candidates[i].score < candidates[j].score })
-		if len(candidates) > width {
-			candidates = candidates[:width]
+		next := make([]int, 0, len(res.Plans)-found+len(beam))
+		for i := found; i < len(res.Plans); i++ {
+			next = append(next, i)
 		}
-		beam = candidates
+		next = append(next, beam...)
+		sort.SliceStable(next, func(a, b int) bool { return res.Scores[next[a]] < res.Scores[next[b]] })
+		if len(next) > width {
+			next = next[:width]
+		}
+		beam, fresh = next, found
 	}
 	return res, nil
 }

@@ -237,13 +237,19 @@ func (e *Evaluator) evalAggregate(n *algebra.Aggregate) (*relation.Relation, err
 		}
 		out.Append(nt)
 	}
-	out.SetOrder(OrderAfterGroup(in.Order(), n.GroupBy))
+	out.SetOrder(OrderAfterGroup(in.Order(), n))
 	return out, nil
 }
 
-// OrderAfterGroup computes Prefix(Order(r), GroupPairs).
-func OrderAfterGroup(in relation.OrderSpec, groupBy []string) relation.OrderSpec {
-	return in.Prefix(groupBy)
+// OrderAfterGroup computes Prefix(Order(r), GroupPairs) for 𝒢 or 𝒢ᵀ. The
+// conventional 𝒢 yields a snapshot relation that names a grouped T1/T2 as
+// 1.T1/1.T2 (algebra.Aggregate.Schema), so its order names them so too.
+func OrderAfterGroup(in relation.OrderSpec, n *algebra.Aggregate) relation.OrderSpec {
+	out := in.Prefix(n.GroupBy)
+	if n.Op() == algebra.OpAggregate {
+		out = out.Rename(schema.T1, "1."+schema.T1).Rename(schema.T2, "1."+schema.T2)
+	}
+	return out
 }
 
 func NewAccumulators(aggs []expr.Aggregate, s *schema.Schema) []*expr.Accumulator {

@@ -345,7 +345,7 @@ func (e *Evaluator) evalTAggregate(n *algebra.Aggregate) (*relation.Relation, er
 			out.Append(nt)
 		}
 	}
-	out.SetOrder(OrderAfterGroup(in.Order(), n.GroupBy))
+	out.SetOrder(OrderAfterGroup(in.Order(), n))
 	return out, nil
 }
 

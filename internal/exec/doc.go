@@ -168,7 +168,7 @@
 // make the same choice, and extend the differential fuzz generator
 // (internal/testutil) with shapes that trigger it. The cost model's
 // order-conditional formulas (cost.Params
-// MergeTuple/SortVerifyFactor/MergeUnitsFactor and the Params.OpUnitsOrdered
+// MergeTuple/SortVerifyFactor/MergeUnitsFactor and the Params.OpUnits
 // meter) should be recalibrated when an algorithm's asymptotic shape
 // changes.
 package exec

@@ -5,9 +5,12 @@ import (
 	"testing"
 
 	"tqp/internal/algebra"
+	"tqp/internal/catalog"
 	"tqp/internal/datagen"
 	"tqp/internal/eval"
 	"tqp/internal/exec"
+	"tqp/internal/expr"
+	"tqp/internal/props"
 	"tqp/internal/relation"
 	"tqp/internal/testutil"
 )
@@ -148,5 +151,95 @@ func TestExternalMergeSortSpansRuns(t *testing.T) {
 	}
 	if !got.Order().Equal(want.Order()) {
 		t.Fatalf("order annotation %s ≠ reference %s", got.Order(), want.Order())
+	}
+}
+
+// orderEngines are the engines whose result-order annotations the order
+// tests pin: the reference evaluator and the exec engine sequential,
+// parallel and under a spilling budget.
+func orderEngines(t *testing.T, src eval.Source) map[string]interface {
+	Eval(algebra.Node) (*relation.Relation, error)
+} {
+	return map[string]interface {
+		Eval(algebra.Node) (*relation.Relation, error)
+	}{
+		"reference":   eval.New(src),
+		"exec":        exec.New(src),
+		"exec-par3":   exec.NewWith(src, exec.Config{Parallelism: 3}),
+		"exec-mem64K": exec.NewWith(src, exec.Config{MemoryBudget: 64 << 10, SpillDir: t.TempDir()}),
+	}
+}
+
+// TestGroupOrderNamesItsSchema: conventional 𝒢 grouping on a time attribute
+// yields a snapshot relation whose schema names the grouped attribute 1.T1,
+// so the Table 1 order it annotates — Prefix(Order(r), GroupPairs) — must
+// say 1.T1 as well, on every engine and in the static state alike.
+func TestGroupOrderNamesItsSchema(t *testing.T) {
+	c := catalog.Paper()
+	plan := algebra.NewAggregate([]string{"T1"}, []expr.Aggregate{{Func: expr.CountAll, As: "C"}},
+		algebra.NewSort(relation.OrderSpec{relation.Key("T1")}, c.MustNode("EMPLOYEE")))
+	want := relation.OrderSpec{relation.Key("1.T1")}
+	st, err := props.InferStates(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st[plan].Order.Equal(want) {
+		t.Fatalf("static order %s, want %s", st[plan].Order, want)
+	}
+	for name, eng := range orderEngines(t, c) {
+		got, err := eng.Eval(plan)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got.Schema().Names()[0] != "1.T1" || !got.Order().Equal(want) {
+			t.Errorf("%s: schema %s annotated with order %s, want %s", name, got.Schema(), got.Order(), want)
+		}
+	}
+}
+
+// TestOrderNamesOwnAttributes is the annotation invariant: on random plans,
+// every engine's result order names only attributes of the result's own
+// schema. Each random plan with a time attribute is also run under a
+// conventional 𝒢 grouping on T1 over an input sorted on it, the composition
+// whose order once named an attribute its result did not have.
+func TestOrderNamesOwnAttributes(t *testing.T) {
+	plans, ordered := 0, 0
+	byT1 := relation.OrderSpec{relation.Key("T1")}
+	count := []expr.Aggregate{{Func: expr.CountAll, As: "C"}}
+	for seed := int64(0); seed < 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		c, bases := testutil.TemporalCatalog(seed)
+		engines := orderEngines(t, c)
+		for trial := 0; trial < 6; trial++ {
+			p := testutil.RandomPlan(rng, bases, 2+rng.Intn(2))
+			plans++
+			batch := []algebra.Node{p}
+			if s, err := p.Schema(); err == nil && s.Has("T1") {
+				batch = append(batch, algebra.NewAggregate([]string{"T1"}, count, algebra.NewSort(byT1, p)))
+			}
+			for _, plan := range batch {
+				for name, eng := range engines {
+					got, err := eng.Eval(plan)
+					if err != nil {
+						t.Fatalf("seed %d: %s: %s: %v", seed, name, algebra.Canonical(plan), err)
+					}
+					for _, k := range got.Order() {
+						if !got.Schema().Has(k.Attr) {
+							t.Fatalf("seed %d: %s: %s: order %s names %q, not in schema %s",
+								seed, name, algebra.Canonical(plan), got.Order(), k.Attr, got.Schema())
+						}
+					}
+					if len(got.Order()) > 0 {
+						ordered++
+					}
+				}
+			}
+		}
+	}
+	if plans < 300 {
+		t.Fatalf("covered only %d random plans, want ≥ 300", plans)
+	}
+	if ordered == 0 {
+		t.Fatal("no result carried an order: the invariant was never exercised")
 	}
 }

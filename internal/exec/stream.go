@@ -284,7 +284,7 @@ func (e *Engine) buildAggregate(n *algebra.Aggregate) (*source, error) {
 	for i, g := range n.GroupBy {
 		gidx[i] = in.schema.Index(g)
 	}
-	order := eval.OrderAfterGroup(in.order, n.GroupBy)
+	order := eval.OrderAfterGroup(in.order, n)
 	streams := e.streams(in, gidx)
 	if !streams && (len(gidx) == 0 || (!e.parallel() && !e.budgeted())) {
 		// Pipelined hash aggregation never drains its input; a GROUP-BY-less

@@ -319,7 +319,7 @@ func (e *Engine) buildTAggregate(n *algebra.Aggregate) (*source, error) {
 	for i, g := range n.GroupBy {
 		gidx[i] = in.schema.Index(g)
 	}
-	order := eval.OrderAfterGroup(in.order, n.GroupBy)
+	order := eval.OrderAfterGroup(in.order, n)
 	t1, t2 := in.schema.TimeIndices()
 	emit := func(p part, members []int, scratch relation.Tuple, ob *batch) error {
 		ps := periodsAt(p, members, t1, t2)

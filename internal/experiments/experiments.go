@@ -362,7 +362,6 @@ func E10Ablation() Report {
 	c := catalog.Paper()
 	q, _ := tsql.Parse(PaperQuerySQL)
 	initial, _ := q.Plan(c)
-	model := cost.New(c, cost.DefaultParams())
 
 	variants := []struct {
 		name  string
@@ -375,18 +374,13 @@ func E10Ablation() Report {
 	}
 	costs := make(map[string]float64, len(variants))
 	for _, v := range variants {
-		res, err := enum.Enumerate(initial, enum.Config{ResultType: equiv.ResultList, Rules: v.rules})
+		ps, err := core.New(c, core.WithRules(v.rules)).Optimize(initial, equiv.ResultList, nil)
 		if err != nil {
 			b.pass = false
 			continue
 		}
-		_, best, err := model.Best(res.Plans)
-		if err != nil {
-			b.pass = false
-			continue
-		}
-		costs[v.name] = best
-		b.printf("  %-18s %4d plans, best cost %8.0f\n", v.name, len(res.Plans), best)
+		costs[v.name] = ps.BestCost
+		b.printf("  %-18s %4d plans, best cost %8.0f\n", v.name, len(ps.All), ps.BestCost)
 	}
 	b.check(costs["full catalog"] <= costs["≡L rules only"],
 		"weak-equivalence rules never hurt and typically help")

@@ -65,7 +65,8 @@ func (d Decision) Ordered() bool { return d.Merge || d.SortElided }
 // not validate get the zero decision (the engine will surface the error).
 func Decide(n algebra.Node, childOrders []relation.OrderSpec) Decision {
 	ch := n.Children()
-	cs := make([]*schema.Schema, len(ch))
+	var buf [2]*schema.Schema
+	cs := buf[:len(ch)]
 	for i, c := range ch {
 		s, err := c.Schema()
 		if err != nil {

@@ -29,8 +29,6 @@
 package props
 
 import (
-	"fmt"
-
 	"tqp/internal/algebra"
 	"tqp/internal/expr"
 	"tqp/internal/relation"
@@ -81,33 +79,44 @@ type States map[algebra.Node]State
 
 // InferStates computes the static state of every node in the plan.
 func InferStates(root algebra.Node) (States, error) {
-	st := make(States)
-	sites := make(map[algebra.Node]Site)
-	inferSites(root, Stratum, sites)
-	if _, err := inferState(root, st, sites); err != nil {
-		return nil, err
-	}
-	return st, nil
+	return NewMemo().States(root)
 }
 
-// inferSites assigns execution sites: operations below a TS run in the
-// DBMS, operations below a TD run in the stratum again.
-func inferSites(n algebra.Node, cur Site, out map[algebra.Node]Site) {
-	out[n] = cur
-	next := cur
-	switch n.Op() {
+// ChildSite returns where the children of an op running at site run:
+// below a TS in the DBMS, below a TD in the stratum again, and otherwise
+// where their parent runs.
+func ChildSite(site Site, op algebra.Op) Site {
+	switch op {
 	case algebra.OpTransferS:
-		next = DBMS
+		return DBMS
 	case algebra.OpTransferD:
-		next = Stratum
+		return Stratum
 	}
-	for _, c := range n.Children() {
-		inferSites(c, next, out)
-	}
+	return site
 }
 
-func inferState(n algebra.Node, out States, sites map[algebra.Node]Site) (State, error) {
-	if s, ok := out[n]; ok {
+// Memo holds the states derived during one optimization. A state is a pure
+// function of the node's subtree and the site the node executes at, so the
+// memo derives each (subtree, site) once; a plan rewritten along one path,
+// which shares every untouched subtree with its parent, derives only the
+// new nodes on that path. A Memo is not safe for concurrent use.
+type Memo struct {
+	states map[Sited]State
+}
+
+// Sited is a subtree executing at a site: the key of every memo of one
+// search, since what a search derives for a subtree depends on nothing else.
+type Sited struct {
+	Node algebra.Node
+	Site Site
+}
+
+// NewMemo returns an empty memo.
+func NewMemo() *Memo { return &Memo{states: make(map[Sited]State)} }
+
+// State returns the state of n executing at site.
+func (m *Memo) State(n algebra.Node, site Site) (State, error) {
+	if s, ok := m.states[Sited{n, site}]; ok {
 		return s, nil
 	}
 	sch, err := n.Schema()
@@ -115,17 +124,16 @@ func inferState(n algebra.Node, out States, sites map[algebra.Node]Site) (State,
 		return State{}, err
 	}
 	ch := n.Children()
-	cs := make([]State, len(ch))
+	var buf [2]State
+	cs := buf[:len(ch)]
 	for i, c := range ch {
-		s, err := inferState(c, out, sites)
-		if err != nil {
+		if cs[i], err = m.State(c, ChildSite(site, n.Op())); err != nil {
 			return State{}, err
 		}
-		cs[i] = s
 	}
 	s := deriveState(n, sch, cs)
 	s.Schema = sch
-	s.Site = sites[n]
+	s.Site = site
 	// Inside the DBMS, only a sort's own result has a usable order
 	// guarantee; every other operation's result order is unspecified.
 	if s.Site == DBMS && n.Op() != algebra.OpSort {
@@ -135,8 +143,26 @@ func inferState(n algebra.Node, out States, sites map[algebra.Node]Site) (State,
 		s.SnapshotDistinct = s.Distinct
 		s.Coalesced = false
 	}
-	out[n] = s
+	m.states[Sited{n, site}] = s
 	return s, nil
+}
+
+// States returns the state of every node of the plan rooted at root, which
+// executes in the stratum.
+func (m *Memo) States(root algebra.Node) (States, error) {
+	if _, err := m.State(root, Stratum); err != nil {
+		return nil, err
+	}
+	st := make(States)
+	var collect func(n algebra.Node, site Site)
+	collect = func(n algebra.Node, site Site) {
+		st[n] = m.states[Sited{n, site}]
+		for _, c := range n.Children() {
+			collect(c, ChildSite(site, n.Op()))
+		}
+	}
+	collect(root, Stratum)
+	return st, nil
 }
 
 // deriveState implements the Order / Duplicates / Coalescing columns of
@@ -175,8 +201,6 @@ func deriveState(n algebra.Node, sch *schema.Schema, cs []State) State {
 		}
 		s.Order = node.Spec
 		return s
-	case *algebra.Join:
-		return productState(n.Op() == algebra.OpTJoin, cs, sch)
 	}
 
 	switch n.Op() {
@@ -198,15 +222,15 @@ func deriveState(n algebra.Node, sch *schema.Schema, cs []State) State {
 			Distinct:         cs[0].Distinct && cs[1].SnapshotDistinct,
 			SnapshotDistinct: cs[0].SnapshotDistinct && cs[1].SnapshotDistinct,
 		}
-	case algebra.OpProduct:
+	case algebra.OpProduct, algebra.OpJoin:
 		return productState(false, cs, sch)
-	case algebra.OpTProduct:
+	case algebra.OpTProduct, algebra.OpTJoin:
 		return productState(true, cs, sch)
 	case algebra.OpDiff:
 		// \ retains the left order and duplicates; the result is a
 		// snapshot relation (time attributes qualified).
 		return State{
-			Order:    qualifyTimeOrder(cs[0].Order, sch),
+			Order:    qualifiedOrder(cs[0].Order, nil, sch),
 			Distinct: cs[0].Distinct,
 		}
 	case algebra.OpTDiff:
@@ -219,7 +243,7 @@ func deriveState(n algebra.Node, sch *schema.Schema, cs []State) State {
 		}
 	case algebra.OpRdup:
 		return State{
-			Order:            qualifyTimeOrder(cs[0].Order, sch),
+			Order:            qualifiedOrder(cs[0].Order, nil, sch),
 			Distinct:         true,
 			SnapshotDistinct: true,
 		}
@@ -251,14 +275,12 @@ func deriveState(n algebra.Node, sch *schema.Schema, cs []State) State {
 }
 
 func productState(temporal bool, cs []State, sch *schema.Schema) State {
-	var order relation.OrderSpec
+	left := cs[0].Order
 	if temporal {
-		order = productOrder(cs[0].Order.TimeFreePrefix(), cs[1].Schema, sch)
-	} else {
-		order = productOrder(cs[0].Order, cs[1].Schema, sch)
+		left = left.TimeFreePrefix()
 	}
 	s := State{
-		Order:    order,
+		Order:    qualifiedOrder(left, cs[1].Schema, sch),
 		Distinct: cs[0].Distinct && cs[1].Distinct,
 	}
 	if temporal {
@@ -267,30 +289,14 @@ func productState(temporal bool, cs []State, sch *schema.Schema) State {
 	return s
 }
 
-// productOrder maps the left argument's order into a product's result
-// schema under the "1." qualification of clashing and time attributes.
-func productOrder(in relation.OrderSpec, right, outSchema *schema.Schema) relation.OrderSpec {
+// qualifiedOrder maps an argument's order into a result schema under the
+// "1." qualification of time attributes and, for a product (right
+// non-nil), of attributes the right argument also has.
+func qualifiedOrder(in relation.OrderSpec, right, outSchema *schema.Schema) relation.OrderSpec {
 	var out relation.OrderSpec
 	for _, k := range in {
 		name := k.Attr
 		if name == schema.T1 || name == schema.T2 || (right != nil && right.Has(name)) {
-			name = "1." + name
-		}
-		if !outSchema.Has(name) {
-			break
-		}
-		out = append(out, relation.OrderKey{Attr: name, Dir: k.Dir})
-	}
-	return out
-}
-
-// qualifyTimeOrder renames T1/T2 order keys to their "1." qualified names
-// in a snapshot result schema.
-func qualifyTimeOrder(in relation.OrderSpec, outSchema *schema.Schema) relation.OrderSpec {
-	var out relation.OrderSpec
-	for _, k := range in {
-		name := k.Attr
-		if name == schema.T1 || name == schema.T2 {
 			name = "1." + name
 		}
 		if !outSchema.Has(name) {
@@ -331,12 +337,4 @@ func groupPrefixOrder(in relation.OrderSpec, groupBy []string, conventional bool
 		out = out.Rename(schema.T1, "1."+schema.T1).Rename(schema.T2, "1."+schema.T2)
 	}
 	return out
-}
-
-// StateError reports a missing node in a States map — a sign that the map
-// was computed for a different plan.
-type StateError struct{ Node algebra.Node }
-
-func (e *StateError) Error() string {
-	return fmt.Sprintf("props: no state for node %s", e.Node.Label())
 }

@@ -277,7 +277,7 @@ func (x *Executor) exec(root algebra.Node, path algebra.Path, probe func(string,
 			own.SpilledBytes -= below.SpilledBytes
 			own.SpilledOps -= below.SpilledOps
 		}
-		tr.StratumUnits += x.params.OpUnitsForNode(n, inRows, x.params.StratumTuple, 1, x.params.Streaming, dec[n].Ordered())
+		tr.StratumUnits += x.params.OpUnits(n, inRows, x.params.StratumTuple, 1, x.params.Streaming, dec[n].Ordered())
 		if probe != nil {
 			probe(path.String(), own)
 		}
@@ -303,7 +303,7 @@ func (x *Executor) meterDBMS(subplan algebra.Node, outRows int, tr *Trace) {
 			penalty = x.params.DBMSSortFactor
 		}
 		// The DBMS always simulates a conventional engine: never streaming.
-		tr.DBMSUnits += cost.OpUnits(n.Op(), outRows, x.params.DBMSTuple, penalty, false)
+		tr.DBMSUnits += x.params.OpUnits(n, outRows, x.params.DBMSTuple, penalty, false, false)
 		return true
 	})
 }

@@ -360,3 +360,26 @@ func maxInt(a, b int) int {
 	}
 	return b
 }
+
+// ColdStatements returns n distinct statements of the statement benchmark's
+// plan.cold shape over datagen.EmployeeDB: a coalesced temporal difference
+// whose selections vary the overlap period and the project, ordered by
+// EmpName. Each plans through the whole beam search.
+func ColdStatements(seed int64, n int) []string {
+	rng := rand.New(rand.NewSource(seed))
+	seen := make(map[string]bool, n)
+	out := make([]string, 0, n)
+	for len(out) < n {
+		a := rng.Intn(80)
+		b := a + 5 + rng.Intn(25)
+		sql := fmt.Sprintf("VALIDTIME SELECT DISTINCT COALESCED EmpName FROM EMPLOYEE "+
+			"WHERE PERIOD(T1, T2) OVERLAPS PERIOD(%d, %d) "+
+			"EXCEPT SELECT EmpName FROM PROJECT WHERE Prj = 'prj%03d' ORDER BY EmpName ASC",
+			a, b, rng.Intn(16))
+		if !seen[sql] {
+			seen[sql] = true
+			out = append(out, sql)
+		}
+	}
+	return out
+}
