@@ -12,6 +12,7 @@ import (
 	"tqp/internal/eval"
 	"tqp/internal/exec"
 	"tqp/internal/obs"
+	"tqp/internal/props"
 	"tqp/internal/relation"
 	"tqp/internal/testutil"
 )
@@ -57,7 +58,8 @@ func TestExplainAnalyzePaperQuery(t *testing.T) {
 }
 
 // TestExplainAnalyzeParity executes prepared plans under every engine and
-// demands bit-identical results plus identical per-node actuals: each
+// demands bit-identical results, a result order equal to the plan's static
+// root order (props.InferStates), and identical per-node actuals: each
 // stratum node's actual row count must equal the reference evaluator's
 // intermediate cardinality at the same plan position, whatever engine
 // pipelined it — on the paper statement and on random layered plans (TS
@@ -72,6 +74,12 @@ func TestExplainAnalyzeParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	analyzeParity(t, "paper statement", opt, prep)
+	// Inside the DBMS only the top sort's ORDER BY holds (Section 4.5): the
+	// inner sort's longer spec does not survive the outer one.
+	sortOverSort := algebra.NewTransferS(algebra.NewSort(relation.OrderSpec{relation.Key("Dept")},
+		algebra.NewSort(relation.OrderSpec{relation.Key("Dept"), relation.Key("EmpName")},
+			catalog.Paper().MustNode("EMPLOYEE"))))
+	analyzeParity(t, "sort over sort", opt, &core.Prepared{Plan: sortOverSort})
 
 	c, leaves := testutil.TemporalCatalogSized(7, 60, 40)
 	bases := make([]algebra.Node, len(leaves))
@@ -120,8 +128,18 @@ func analyzeParity(t *testing.T, name string, opt *core.Optimizer, prep *core.Pr
 		return true
 	})
 	plain, _, err := opt.ExecutePlan(prep.Plan, eval.Reference())
-	if err != nil || !plain.EqualAsList(ref.Result) {
-		t.Errorf("%s: analyzed reference run differs from the plain run (err=%v)", name, err)
+	if err != nil {
+		t.Fatalf("%s: plain reference run: %v", name, err)
+	}
+	if !plain.EqualAsList(ref.Result) {
+		t.Errorf("%s: analyzed reference run differs from the plain run", name)
+	}
+	st, err := props.InferStates(prep.Plan)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if want := st[prep.Plan].Order; !plain.Order().Equal(want) {
+		t.Errorf("%s: executed result order %s, static root order %s", name, plain.Order(), want)
 	}
 
 	for _, e := range []struct {

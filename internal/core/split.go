@@ -4,10 +4,10 @@ import (
 	"fmt"
 
 	"tqp/internal/algebra"
-	"tqp/internal/eval"
 	"tqp/internal/exec"
 	"tqp/internal/expr"
 	"tqp/internal/physical"
+	"tqp/internal/props"
 	"tqp/internal/relation"
 	"tqp/internal/schema"
 )
@@ -230,6 +230,7 @@ func matchChain(n algebra.Node) (*chainMatch, bool) {
 	}
 	// Apply innermost first, threading schema, order and renames.
 	for i := len(nodes) - 1; i >= 0; i-- {
+		m.order = props.OrderOf(nodes[i], m.order)
 		switch v := nodes[i].(type) {
 		case *algebra.Select:
 			m.steps = append(m.steps, exec.FragmentStep{Op: exec.FragSelect, Pred: v.P})
@@ -249,7 +250,6 @@ func matchChain(n algebra.Node) (*chainMatch, bool) {
 					}
 				}
 			}
-			m.order = eval.OrderAfterProject(m.order, v)
 			m.sch, m.base = outSch, next
 		}
 	}

@@ -59,8 +59,9 @@ func (e *Engine) SetStratumCallback(cb StratumCallback) { e.stratum = cb }
 
 // Result is a DBMS execution outcome.
 type Result struct {
-	// Rel is the result relation. Its recorded order is the subplan's
-	// ORDER BY guarantee (empty unless the top operation is a sort).
+	// Rel is the result relation. Its recorded order is the DBMS-site
+	// order of the subplan (props.OrderOf with no argument orders): the top
+	// sort's spec, or empty.
 	Rel *relation.Relation
 	// SQL is the statement the stratum would have shipped.
 	SQL string
@@ -84,10 +85,8 @@ func (e *Engine) Execute(subplan algebra.Node) (*Result, error) {
 	out := r.Clone()
 	if subplan.Op() != algebra.OpSort {
 		e.permute(out)
-		out.SetOrder(nil)
-	} else {
-		out.SetOrder(sqlgen.OrderByOf(subplan))
 	}
+	out.SetOrder(props.OrderOf(subplan))
 	return &Result{Rel: out, SQL: sql, Rewritten: optimized}, nil
 }
 

@@ -10,10 +10,39 @@ import (
 	"tqp/internal/equiv"
 	"tqp/internal/eval"
 	"tqp/internal/expr"
+	"tqp/internal/props"
 	"tqp/internal/relation"
 	"tqp/internal/stratum"
 	"tqp/internal/value"
 )
+
+// TestSortOverSortOrder: inside the DBMS only the top sort's ORDER BY is
+// guaranteed (Section 4.5), so a sort over a sort on a longer spec delivers
+// the outer spec alone. The static state of the DBMS-site sort and of the
+// TS above it must say so too, and equal what Execute annotates.
+func TestSortOverSortOrder(t *testing.T) {
+	c := catalog.Paper()
+	byDept := relation.OrderSpec{relation.Key("Dept")}
+	sub := algebra.NewSort(byDept,
+		algebra.NewSort(relation.OrderSpec{relation.Key("Dept"), relation.Key("EmpName")}, c.MustNode("EMPLOYEE")))
+	plan := algebra.NewTransferS(sub)
+	st, err := props.InferStates(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := dbms.New(c, 3).Execute(sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Rel.Order().Equal(byDept) {
+		t.Errorf("Execute annotates %s, want %s", res.Rel.Order(), byDept)
+	}
+	for _, n := range []algebra.Node{plan, sub} {
+		if got := st[n].Order; !got.Equal(res.Rel.Order()) {
+			t.Errorf("static order of %s is %s, the DBMS delivers %s", n.Label(), got, res.Rel.Order())
+		}
+	}
+}
 
 func TestMultisetFidelity(t *testing.T) {
 	c := catalog.Paper()

@@ -12,35 +12,27 @@ import (
 // result is unordered per Table 1 (we nevertheless produce the
 // deterministic left-then-right list; "unordered" means no order guarantee
 // is recorded for the optimizer).
-func (e *Evaluator) evalUnionAll(n algebra.Node) (*relation.Relation, error) {
-	l, r, err := e.evalBoth(n)
-	if err != nil {
-		return nil, err
-	}
-	out := relation.New(l.Schema())
+func evalUnionAll(l, r *relation.Relation, outSchema *schema.Schema) *relation.Relation {
+	out := relation.New(outSchema)
 	for _, t := range l.Tuples() {
 		out.Append(t)
 	}
 	for _, t := range r.Tuples() {
 		out.Append(t)
 	}
-	return out, nil
+	return out
 }
 
 // evalUnion implements the multiset union ∪ of Albert [1]: a tuple occurs
 // in the result as many times as it occurs in the argument with the most
 // occurrences of it. The list form is all of r1 followed by the excess
 // occurrences from r2 in their r2 order; the result is unordered.
-func (e *Evaluator) evalUnion(n algebra.Node) (*relation.Relation, error) {
-	l, r, err := e.evalBoth(n)
-	if err != nil {
-		return nil, err
-	}
+func evalUnion(l, r *relation.Relation, outSchema *schema.Schema) *relation.Relation {
 	counts := make(map[string]int, l.Len())
 	for _, t := range l.Tuples() {
 		counts[t.Key()]++
 	}
-	out := relation.New(l.Schema())
+	out := relation.New(outSchema)
 	for _, t := range l.Tuples() {
 		out.Append(t)
 	}
@@ -52,25 +44,13 @@ func (e *Evaluator) evalUnion(n algebra.Node) (*relation.Relation, error) {
 		}
 		out.Append(t)
 	}
-	return out, nil
+	return out
 }
 
 // evalProduct implements the conventional Cartesian product ×: a left-major
-// pair loop. Result order is Order(r1) (renamed under qualification).
-func (e *Evaluator) evalProduct(n algebra.Node) (*relation.Relation, error) {
-	return e.evalProductFiltered(n, nil)
-}
-
-// evalProductFiltered implements × with an optional fused join predicate.
-func (e *Evaluator) evalProductFiltered(n algebra.Node, p expr.Pred) (*relation.Relation, error) {
-	l, r, err := e.evalBoth(n)
-	if err != nil {
-		return nil, err
-	}
-	outSchema, err := n.Schema()
-	if err != nil {
-		return nil, err
-	}
+// pair loop, with an optional fused join predicate. Result order is
+// Order(r1) (renamed under qualification).
+func evalProduct(l, r *relation.Relation, outSchema *schema.Schema, p expr.Pred) (*relation.Relation, error) {
 	out := relation.New(outSchema)
 	lw := l.Schema().Len()
 	for _, lt := range l.Tuples() {
@@ -90,27 +70,7 @@ func (e *Evaluator) evalProductFiltered(n algebra.Node, p expr.Pred) (*relation.
 			out.Append(nt)
 		}
 	}
-	out.SetOrder(OrderAfterProduct(l.Order(), r.Schema(), outSchema))
 	return out, nil
-}
-
-// OrderAfterProduct maps the left argument's order spec into a product's
-// result schema: time attributes and attributes clashing with the right
-// argument acquire the "1." qualification; anything that still cannot be
-// found in the result schema ends the preserved prefix.
-func OrderAfterProduct(in relation.OrderSpec, right, outSchema *schema.Schema) relation.OrderSpec {
-	var out relation.OrderSpec
-	for _, k := range in {
-		name := k.Attr
-		if name == schema.T1 || name == schema.T2 || right.Has(name) {
-			name = "1." + name
-		}
-		if !outSchema.Has(name) {
-			break
-		}
-		out = append(out, relation.OrderKey{Attr: name, Dir: k.Dir})
-	}
-	return out
 }
 
 // evalDiff implements the multiset difference \: each tuple occurs
@@ -118,15 +78,7 @@ func OrderAfterProduct(in relation.OrderSpec, right, outSchema *schema.Schema) r
 // cancelled, so the result retains the order (and the late duplicates) of
 // r1. On temporal arguments the result is a snapshot relation (time
 // attributes qualified); the tuple values are unchanged.
-func (e *Evaluator) evalDiff(n algebra.Node) (*relation.Relation, error) {
-	l, r, err := e.evalBoth(n)
-	if err != nil {
-		return nil, err
-	}
-	outSchema, err := n.Schema()
-	if err != nil {
-		return nil, err
-	}
+func evalDiff(l, r *relation.Relation, outSchema *schema.Schema) *relation.Relation {
 	budget := make(map[string]int, r.Len())
 	for _, t := range r.Tuples() {
 		budget[t.Key()]++
@@ -140,24 +92,6 @@ func (e *Evaluator) evalDiff(n algebra.Node) (*relation.Relation, error) {
 		}
 		out.Append(t)
 	}
-	out.SetOrder(OrderQualifyTime(l.Order(), outSchema))
-	return out, nil
-}
-
-// OrderQualifyTime renames T1/T2 order keys to their "1."-qualified result
-// names for operations whose snapshot result keeps periods as plain data.
-func OrderQualifyTime(in relation.OrderSpec, outSchema *schema.Schema) relation.OrderSpec {
-	var out relation.OrderSpec
-	for _, k := range in {
-		name := k.Attr
-		if name == schema.T1 || name == schema.T2 {
-			name = "1." + name
-		}
-		if !outSchema.Has(name) {
-			break
-		}
-		out = append(out, relation.OrderKey{Attr: name, Dir: k.Dir})
-	}
 	return out
 }
 
@@ -165,15 +99,7 @@ func OrderQualifyTime(in relation.OrderSpec, outSchema *schema.Schema) relation.
 // occurrence of each tuple survives, so the order of the argument is
 // retained. On temporal arguments the result is a snapshot relation with
 // qualified time attributes (Figure 3, R2).
-func (e *Evaluator) evalRdup(n algebra.Node) (*relation.Relation, error) {
-	in, err := e.Eval(n.Children()[0])
-	if err != nil {
-		return nil, err
-	}
-	outSchema, err := n.Schema()
-	if err != nil {
-		return nil, err
-	}
+func evalRdup(in *relation.Relation, outSchema *schema.Schema) *relation.Relation {
 	seen := make(map[string]bool, in.Len())
 	out := relation.New(outSchema)
 	for _, t := range in.Tuples() {
@@ -184,25 +110,13 @@ func (e *Evaluator) evalRdup(n algebra.Node) (*relation.Relation, error) {
 		seen[k] = true
 		out.Append(t)
 	}
-	out.SetOrder(OrderQualifyTime(in.Order(), outSchema))
-	return out, nil
+	return out
 }
 
-// evalAggregate implements 𝒢 (and dispatches 𝒢ᵀ): group by the G
-// attributes, emit one tuple per group in order of first occurrence, so the
-// result order is Prefix(Order(r), GroupPairs) per Table 1.
-func (e *Evaluator) evalAggregate(n *algebra.Aggregate) (*relation.Relation, error) {
-	if n.Op() == algebra.OpTAggregate {
-		return e.evalTAggregate(n)
-	}
-	in, err := e.Eval(n.Children()[0])
-	if err != nil {
-		return nil, err
-	}
-	outSchema, err := n.Schema()
-	if err != nil {
-		return nil, err
-	}
+// evalAggregate implements 𝒢: group by the G attributes, emit one tuple per
+// group in order of first occurrence, so the result order is
+// Prefix(Order(r), GroupPairs) per Table 1.
+func evalAggregate(n *algebra.Aggregate, in *relation.Relation, outSchema *schema.Schema) (*relation.Relation, error) {
 	gidx := make([]int, len(n.GroupBy))
 	for i, g := range n.GroupBy {
 		gidx[i] = in.Schema().Index(g)
@@ -237,19 +151,7 @@ func (e *Evaluator) evalAggregate(n *algebra.Aggregate) (*relation.Relation, err
 		}
 		out.Append(nt)
 	}
-	out.SetOrder(OrderAfterGroup(in.Order(), n))
 	return out, nil
-}
-
-// OrderAfterGroup computes Prefix(Order(r), GroupPairs) for 𝒢 or 𝒢ᵀ. The
-// conventional 𝒢 yields a snapshot relation that names a grouped T1/T2 as
-// 1.T1/1.T2 (algebra.Aggregate.Schema), so its order names them so too.
-func OrderAfterGroup(in relation.OrderSpec, n *algebra.Aggregate) relation.OrderSpec {
-	out := in.Prefix(n.GroupBy)
-	if n.Op() == algebra.OpAggregate {
-		out = out.Rename(schema.T1, "1."+schema.T1).Rename(schema.T2, "1."+schema.T2)
-	}
-	return out
 }
 
 func NewAccumulators(aggs []expr.Aggregate, s *schema.Schema) []*expr.Accumulator {
@@ -277,17 +179,4 @@ func FoldAggregates(accs []*expr.Accumulator, aggs []expr.Aggregate, s *schema.S
 		}
 	}
 	return nil
-}
-
-func (e *Evaluator) evalBoth(n algebra.Node) (l, r *relation.Relation, err error) {
-	ch := n.Children()
-	l, err = e.Eval(ch[0])
-	if err != nil {
-		return nil, nil, err
-	}
-	r, err = e.Eval(ch[1])
-	if err != nil {
-		return nil, nil, err
-	}
-	return l, r, nil
 }

@@ -14,9 +14,10 @@ import (
 	"time"
 
 	"tqp/internal/algebra"
-	"tqp/internal/expr"
 	"tqp/internal/obs"
+	"tqp/internal/props"
 	"tqp/internal/relation"
+	"tqp/internal/schema"
 )
 
 // Source resolves base-relation names to instances; the catalog implements
@@ -135,7 +136,8 @@ func (e *Evaluator) ObserveNodes(_ bool, fn func(n algebra.Node, s obs.RunSample
 }
 
 // Eval evaluates the tree rooted at n and returns its result relation. The
-// result's Order() reflects the order guarantee of Table 1.
+// list is the reference every engine is held to; its Order() is the label
+// props.OrderOf gives it, Table 1's one copy.
 func (e *Evaluator) Eval(n algebra.Node) (*relation.Relation, error) {
 	if e.observe == nil {
 		return e.evalNode(n)
@@ -148,47 +150,84 @@ func (e *Evaluator) Eval(n algebra.Node) (*relation.Relation, error) {
 	return r, err
 }
 
-// evalNode dispatches one node; the operators recurse through Eval.
+// evalNode evaluates one node. A base relation resolves itself; any other
+// node evaluates its children through Eval, derives its schema, runs its
+// kernel and labels the result with its Table 1 order — the one place the
+// evaluator orders a result.
 func (e *Evaluator) evalNode(n algebra.Node) (*relation.Relation, error) {
+	if rel, ok := n.(*algebra.Rel); ok {
+		return e.evalRel(rel)
+	}
+	ch := n.Children()
+	var buf [2]*relation.Relation
+	var orders [2]relation.OrderSpec
+	in := buf[:len(ch)]
+	for i, c := range ch {
+		r, err := e.Eval(c)
+		if err != nil {
+			return nil, err
+		}
+		in[i], orders[i] = r, r.Order()
+	}
+	out, err := n.Schema()
+	if err != nil {
+		return nil, err
+	}
+	r, err := kernel(n, in, out)
+	if err != nil {
+		return nil, err
+	}
+	r.SetOrder(props.OrderOf(n, orders[:len(ch)]...))
+	return r, nil
+}
+
+// kernel computes n's result list from its arguments' lists.
+func kernel(n algebra.Node, in []*relation.Relation, out *schema.Schema) (*relation.Relation, error) {
 	switch node := n.(type) {
-	case *algebra.Rel:
-		return e.evalRel(node)
 	case *algebra.Select:
-		return e.evalSelect(node)
+		return evalSelect(node, in[0])
 	case *algebra.Project:
-		return e.evalProject(node)
+		return evalProject(node, in[0], out)
 	case *algebra.Aggregate:
-		return e.evalAggregate(node)
+		if node.Op() == algebra.OpTAggregate {
+			return evalTAggregate(node, in[0], out)
+		}
+		return evalAggregate(node, in[0], out)
 	case *algebra.Sort:
-		return e.evalSort(node)
+		return evalSort(node, in[0])
 	case *algebra.Join:
-		return e.evalJoin(node)
+		// The join idioms evaluate as their defining expansion, fusing the
+		// selection into the pair loop.
+		if node.Op() == algebra.OpTJoin {
+			return evalTProduct(in[0], in[1], out, node.P)
+		}
+		return evalProduct(in[0], in[1], out, node.P)
 	}
 	switch n.Op() {
 	case algebra.OpUnionAll:
-		return e.evalUnionAll(n)
+		return evalUnionAll(in[0], in[1], out), nil
 	case algebra.OpUnion:
-		return e.evalUnion(n)
+		return evalUnion(in[0], in[1], out), nil
 	case algebra.OpTUnion:
-		return e.evalTUnion(n)
+		return evalTUnion(in[0], in[1], out), nil
 	case algebra.OpProduct:
-		return e.evalProduct(n)
+		return evalProduct(in[0], in[1], out, nil)
 	case algebra.OpTProduct:
-		return e.evalTProduct(n, nil)
+		return evalTProduct(in[0], in[1], out, nil)
 	case algebra.OpDiff:
-		return e.evalDiff(n)
+		return evalDiff(in[0], in[1], out), nil
 	case algebra.OpTDiff:
-		return e.evalTDiff(n)
+		return evalTDiff(in[0], in[1], out), nil
 	case algebra.OpRdup:
-		return e.evalRdup(n)
+		return evalRdup(in[0], out), nil
 	case algebra.OpTRdup:
-		return e.evalTRdup(n)
+		return evalTRdup(in[0], out), nil
 	case algebra.OpCoal:
-		return e.evalCoal(n)
+		return evalCoal(in[0], out), nil
 	case algebra.OpTransferS, algebra.OpTransferD:
 		// In the reference evaluator, transfers are identities on data;
 		// their cost and site semantics live in the stratum executor.
-		return e.Eval(n.Children()[0])
+		return in[0], nil
 	default:
 		return nil, fmt.Errorf("eval: unsupported operator %s", n.Op())
 	}
@@ -211,11 +250,7 @@ func (e *Evaluator) evalRel(n *algebra.Rel) (*relation.Relation, error) {
 }
 
 // evalSelect implements σ_P: retains order, duplicates and coalescing.
-func (e *Evaluator) evalSelect(n *algebra.Select) (*relation.Relation, error) {
-	in, err := e.Eval(n.Children()[0])
-	if err != nil {
-		return nil, err
-	}
+func evalSelect(n *algebra.Select, in *relation.Relation) (*relation.Relation, error) {
 	out := relation.New(in.Schema())
 	for _, t := range in.Tuples() {
 		ok, err := n.P.Holds(in.Schema(), t)
@@ -226,22 +261,13 @@ func (e *Evaluator) evalSelect(n *algebra.Select) (*relation.Relation, error) {
 			out.Append(t)
 		}
 	}
-	out.SetOrder(in.Order())
 	return out, nil
 }
 
 // evalProject implements the generalized projection π. Result order is
 // Prefix(Order(r), ProjPairs): the largest prefix of the argument's order
 // whose attributes survive the projection (identity or pure-rename items).
-func (e *Evaluator) evalProject(n *algebra.Project) (*relation.Relation, error) {
-	in, err := e.Eval(n.Children()[0])
-	if err != nil {
-		return nil, err
-	}
-	outSchema, err := n.Schema()
-	if err != nil {
-		return nil, err
-	}
+func evalProject(n *algebra.Project, in *relation.Relation, outSchema *schema.Schema) (*relation.Relation, error) {
 	out := relation.New(outSchema)
 	for _, t := range in.Tuples() {
 		nt := make(relation.Tuple, len(n.Items))
@@ -254,62 +280,17 @@ func (e *Evaluator) evalProject(n *algebra.Project) (*relation.Relation, error) 
 		}
 		out.Append(nt)
 	}
-	out.SetOrder(OrderAfterProject(in.Order(), n))
 	return out, nil
-}
-
-// OrderAfterProject computes Prefix(Order(r), ProjPairs), following renames of
-// pure column items: an order key survives while its source attribute is
-// projected as a plain column (possibly under a new name).
-func OrderAfterProject(in relation.OrderSpec, n *algebra.Project) relation.OrderSpec {
-	rename := make(map[string]string) // source attr -> output name
-	for _, it := range n.Items {
-		if col, ok := it.Expr.(expr.Col); ok {
-			if _, seen := rename[col.Name]; !seen {
-				rename[col.Name] = it.As
-			}
-		}
-	}
-	var out relation.OrderSpec
-	for _, k := range in {
-		newName, ok := rename[k.Attr]
-		if !ok {
-			break
-		}
-		out = append(out, relation.OrderKey{Attr: newName, Dir: k.Dir})
-	}
-	return out
 }
 
 // evalSort implements sort_A via a stable sort; stability preserves the
 // relative order of tuples equal under the spec, so sorting "retains
 // duplicates" and the special case of Table 1 — sorting on a prefix of
 // Order(r) keeps the full order — holds operationally.
-func (e *Evaluator) evalSort(n *algebra.Sort) (*relation.Relation, error) {
-	in, err := e.Eval(n.Children()[0])
-	if err != nil {
-		return nil, err
-	}
+func evalSort(n *algebra.Sort, in *relation.Relation) (*relation.Relation, error) {
 	out := in.Clone()
 	if err := out.SortStable(n.Spec); err != nil {
 		return nil, err
 	}
-	if n.Spec.IsPrefixOf(in.Order()) {
-		// Special case of Table 1: the argument was already sorted on a
-		// list extending the requested one; the stronger order survives.
-		out.SetOrder(in.Order())
-	}
 	return out, nil
-}
-
-// evalJoin evaluates the join idioms by their defining expansion, fusing
-// the selection into the pair loop.
-func (e *Evaluator) evalJoin(n *algebra.Join) (*relation.Relation, error) {
-	if n.Op() == algebra.OpTJoin {
-		return e.evalTProduct(n.Expand().Children()[0], n.P)
-	}
-	expanded := n.Expand()
-	sel := expanded.(*algebra.Select)
-	prod := sel.Children()[0]
-	return e.evalProductFiltered(prod, n.P)
 }

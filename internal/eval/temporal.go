@@ -5,6 +5,7 @@ import (
 	"tqp/internal/expr"
 	"tqp/internal/period"
 	"tqp/internal/relation"
+	"tqp/internal/schema"
 	"tqp/internal/value"
 )
 
@@ -13,15 +14,7 @@ import (
 // timestamps under qualified names and carries the intersection period as
 // its own T1/T2 (Section 4.3). An optional fused predicate implements the
 // temporal-join idiom.
-func (e *Evaluator) evalTProduct(n algebra.Node, p expr.Pred) (*relation.Relation, error) {
-	l, r, err := e.evalBoth(n)
-	if err != nil {
-		return nil, err
-	}
-	outSchema, err := n.Schema()
-	if err != nil {
-		return nil, err
-	}
+func evalTProduct(l, r *relation.Relation, outSchema *schema.Schema, p expr.Pred) (*relation.Relation, error) {
 	lw, rw := l.Schema().Len(), r.Schema().Len()
 	out := relation.New(outSchema)
 	for i, lt := range l.Tuples() {
@@ -48,9 +41,6 @@ func (e *Evaluator) evalTProduct(n algebra.Node, p expr.Pred) (*relation.Relatio
 			out.Append(nt)
 		}
 	}
-	// Table 1: the order of ×ᵀ is Order(r1) \ TimePairs — the left order's
-	// time-free prefix, renamed under qualification.
-	out.SetOrder(OrderAfterProduct(l.Order().TimeFreePrefix(), r.Schema(), outSchema))
 	return out, nil
 }
 
@@ -88,15 +78,7 @@ func valueGroups(r *relation.Relation) (keys []string, groups map[string][]int) 
 // the pairwise recursion it sketches; exact per-snapshot semantics against
 // a fragmented right argument can produce more fragments —
 // the cost model uses the paper's bound as an estimate only.
-func (e *Evaluator) evalTDiff(n algebra.Node) (*relation.Relation, error) {
-	l, r, err := e.evalBoth(n)
-	if err != nil {
-		return nil, err
-	}
-	outSchema, err := n.Schema()
-	if err != nil {
-		return nil, err
-	}
+func evalTDiff(l, r *relation.Relation, outSchema *schema.Schema) *relation.Relation {
 	lt1, lt2 := l.Schema().TimeIndices()
 
 	_, rGroups := valueGroups(r)
@@ -167,8 +149,7 @@ func (e *Evaluator) evalTDiff(n algebra.Node) (*relation.Relation, error) {
 			out.Append(t.WithPeriodAt(lt1, lt2, p))
 		}
 	}
-	out.SetOrder(l.Order().TimeFreePrefix())
-	return out, nil
+	return out
 }
 
 // evalTRdup implements temporal duplicate elimination rdupᵀ exactly per the
@@ -177,11 +158,7 @@ func (e *Evaluator) evalTDiff(n algebra.Node) (*relation.Relation, error) {
 // whose period overlaps (Overᵀ) and replace it in place with its period
 // minus the head's period (Changeᵀ with [overlapping] \ᵀ [head] — zero, one
 // or two tuples).
-func (e *Evaluator) evalTRdup(n algebra.Node) (*relation.Relation, error) {
-	in, err := e.Eval(n.Children()[0])
-	if err != nil {
-		return nil, err
-	}
+func evalTRdup(in *relation.Relation, outSchema *schema.Schema) *relation.Relation {
 	t1, t2 := in.Schema().TimeIndices()
 	valIdx := make([]int, 0, in.Schema().Len()-2)
 	for i := 0; i < in.Schema().Len(); i++ {
@@ -222,12 +199,11 @@ func (e *Evaluator) evalTRdup(n algebra.Node) (*relation.Relation, error) {
 		}
 	}
 
-	out := relation.New(in.Schema())
+	out := relation.New(outSchema)
 	for _, rw := range rows {
 		out.Append(rw.t)
 	}
-	out.SetOrder(in.Order().TimeFreePrefix())
-	return out, nil
+	return out
 }
 
 // evalCoal implements coalescing coalᵀ per the paper's minimal definition
@@ -235,11 +211,7 @@ func (e *Evaluator) evalTRdup(n algebra.Node) (*relation.Relation, error) {
 // tuple order is retained (the merged tuple stays at the earlier position),
 // and — unlike Böhlen et al.'s coalescing — overlapping periods are not
 // merged; that effect is obtained by applying rdupᵀ first.
-func (e *Evaluator) evalCoal(n algebra.Node) (*relation.Relation, error) {
-	in, err := e.Eval(n.Children()[0])
-	if err != nil {
-		return nil, err
-	}
+func evalCoal(in *relation.Relation, outSchema *schema.Schema) *relation.Relation {
 	t1, t2 := in.Schema().TimeIndices()
 	valIdx := make([]int, 0, in.Schema().Len()-2)
 	for i := 0; i < in.Schema().Len(); i++ {
@@ -273,12 +245,11 @@ func (e *Evaluator) evalCoal(n algebra.Node) (*relation.Relation, error) {
 			i++
 		}
 	}
-	out := relation.New(in.Schema())
+	out := relation.New(outSchema)
 	for _, rw := range rows {
 		out.Append(rw.t)
 	}
-	out.SetOrder(in.Order().TimeFreePrefix())
-	return out, nil
+	return out
 }
 
 // evalTAggregate implements the temporal aggregation 𝒢ᵀ, snapshot-reducible
@@ -289,15 +260,7 @@ func (e *Evaluator) evalCoal(n algebra.Node) (*relation.Relation, error) {
 // aggregate values are *not* merged — Table 1 records that 𝒢ᵀ destroys
 // coalescing, and its cardinality bound 2·n(r)−1 is the elementary-interval
 // count.
-func (e *Evaluator) evalTAggregate(n *algebra.Aggregate) (*relation.Relation, error) {
-	in, err := e.Eval(n.Children()[0])
-	if err != nil {
-		return nil, err
-	}
-	outSchema, err := n.Schema()
-	if err != nil {
-		return nil, err
-	}
+func evalTAggregate(n *algebra.Aggregate, in *relation.Relation, outSchema *schema.Schema) (*relation.Relation, error) {
 	gidx := make([]int, len(n.GroupBy))
 	for i, g := range n.GroupBy {
 		gidx[i] = in.Schema().Index(g)
@@ -345,7 +308,6 @@ func (e *Evaluator) evalTAggregate(n *algebra.Aggregate) (*relation.Relation, er
 			out.Append(nt)
 		}
 	}
-	out.SetOrder(OrderAfterGroup(in.Order(), n))
 	return out, nil
 }
 
@@ -353,14 +315,10 @@ func (e *Evaluator) evalTAggregate(n *algebra.Aggregate) (*relation.Relation, er
 // multiset union ∪: at every instant each value occurs max(n1, n2) times.
 // The result is all of r1 followed by, per value group and per excess
 // layer, the maximal periods over which r2's multiplicity exceeds r1's.
-func (e *Evaluator) evalTUnion(n algebra.Node) (*relation.Relation, error) {
-	l, r, err := e.evalBoth(n)
-	if err != nil {
-		return nil, err
-	}
+func evalTUnion(l, r *relation.Relation, outSchema *schema.Schema) *relation.Relation {
 	t1, t2 := l.Schema().TimeIndices()
 
-	out := relation.New(l.Schema())
+	out := relation.New(outSchema)
 	for _, t := range l.Tuples() {
 		out.Append(t)
 	}
@@ -432,5 +390,5 @@ func (e *Evaluator) evalTUnion(n algebra.Node) (*relation.Relation, error) {
 			flush()
 		}
 	}
-	return out, nil
+	return out
 }

@@ -152,22 +152,23 @@
 // non-decreasing sequence keys, replacing periods through emitted.per
 // rather than copying value columns. The build function fills a keyedOp
 // (inputs, key columns per side, whether the delivered order keeps key
-// groups contiguous, output schema and Table 1 order) and returns
+// groups contiguous, output schema) and returns
 // Engine.keyedSource(op); residency, the worker pool, spilling, recursion,
 // accounting, stats and the gather are the driver's. Rows equal on the key
 // must be all the body needs to see together: that is what lets the driver
 // split the input anywhere between key groups.
 //
-// Any other operator adds a case to (*Engine).compile returning a source
-// (batch iterator + schema + Table 1 order annotation) that pulls its
-// inputs' source.vec. Derive the order with the helpers exported
-// from package eval (OrderAfterProject, OrderAfterProduct, OrderQualifyTime,
-// OrderAfterGroup) so the engines cannot drift. If the operator has an
-// order-exploiting algorithm, put its applicability test in package
-// physical's Decide so the engine, the cost model, and the stratum meter
-// make the same choice, and extend the differential fuzz generator
-// (internal/testutil) with shapes that trigger it. The cost model's
-// order-conditional formulas (cost.Params
+// Any other operator adds a case to (*Engine).operator returning a source
+// (batch iterator + schema) that pulls its inputs' source.vec. compile has
+// already built those inputs and derived the node's schema, and it sets the
+// built source's order from props.OrderOf, Table 1's one copy: a builder
+// neither builds its inputs nor orders its output, and reads the inputs'
+// delivered orders only to choose an algorithm. A new operator's order rule
+// goes into props.OrderOf. If the operator has an order-exploiting
+// algorithm, put its applicability test in package physical's Decide so the
+// engine, the cost model, and the stratum meter make the same choice, and
+// extend the differential fuzz generator (internal/testutil) with shapes
+// that trigger it. The cost model's order-conditional formulas (cost.Params
 // MergeTuple/SortVerifyFactor/MergeUnitsFactor and the Params.OpUnits
 // meter) should be recalibrated when an algorithm's asymptotic shape
 // changes.

@@ -7,6 +7,7 @@ import (
 	"tqp/internal/algebra"
 	"tqp/internal/eval"
 	"tqp/internal/obs"
+	"tqp/internal/props"
 	"tqp/internal/relation"
 	"tqp/internal/schema"
 	"tqp/internal/spill"
@@ -169,9 +170,10 @@ func (e *Engine) eval(n algebra.Node) (*relation.Relation, error) {
 
 // source is one built pipeline stage: its batch stream plus the static
 // knowledge the parent stages and the root need — the output schema and the
-// Table 1 order annotation (derived at build time with the same rules the
-// reference evaluator applies at run time). The stream has exactly one
-// consumer: the parent operator, or drainVec at the root.
+// order the stage delivers. A scan delivers its declared or stored order;
+// every other stage's order is set once, by compile, from props.OrderOf —
+// the label the reference evaluator gives the same list. The stream has
+// exactly one consumer: the parent operator, or drainVec at the root.
 type source struct {
 	vec    vecIterator
 	schema *schema.Schema
@@ -245,75 +247,89 @@ func (e *Engine) build(n algebra.Node) (*source, error) {
 	return e.observed(n, s), nil
 }
 
-// compile picks the node's operator; operators build their inputs via build.
+// compile builds a node's physical operator. A base relation compiles to
+// its scan, or to RunFragment's shard slice. Any other node builds its
+// children through build, derives its schema, hands both to its operator's
+// builder and sets the built stage's Table 1 order — the one place the
+// engine orders a stage.
 func (e *Engine) compile(n algebra.Node) (*source, error) {
-	switch node := n.(type) {
-	case *algebra.Rel:
+	if rel, ok := n.(*algebra.Rel); ok {
 		if e.leaf != nil {
 			return e.leaf, nil
 		}
-		return e.buildRel(node)
+		return e.buildRel(rel)
+	}
+	ch := n.Children()
+	var buf [2]*source
+	var orders [2]relation.OrderSpec
+	in := buf[:len(ch)]
+	for i, c := range ch {
+		s, err := e.build(c)
+		if err != nil {
+			return nil, err
+		}
+		in[i], orders[i] = s, s.order
+	}
+	out, err := n.Schema()
+	if err != nil {
+		return nil, err
+	}
+	s, err := e.operator(n, in, out)
+	if err != nil {
+		return nil, err
+	}
+	s.order = props.OrderOf(n, orders[:len(ch)]...)
+	return s, nil
+}
+
+// operator builds n's physical operator over its built inputs.
+func (e *Engine) operator(n algebra.Node, in []*source, out *schema.Schema) (*source, error) {
+	switch node := n.(type) {
 	case *algebra.Select:
-		return e.buildSelect(node)
+		return e.buildSelect(node, in[0]), nil
 	case *algebra.Project:
-		return e.buildProject(node)
+		return e.buildProject(node, in[0], out), nil
 	case *algebra.Aggregate:
 		if node.Op() == algebra.OpTAggregate {
-			return e.buildTAggregate(node)
+			return e.buildTAggregate(node, in[0], out), nil
 		}
-		return e.buildAggregate(node)
+		return e.buildAggregate(node, in[0], out), nil
 	case *algebra.Sort:
-		return e.buildSort(node)
+		return e.buildSort(node, in[0]), nil
 	case *algebra.Join:
 		// The join idioms evaluate as their defining expansion with the
 		// predicate fused into the product — σ_P(l × r), σ_P(l ×ᵀ r).
-		if node.Op() == algebra.OpTJoin {
-			prod := node.Expand().Children()[0]
-			return e.buildProduct(prod, node.P, true)
-		}
-		prod := node.Expand().Children()[0]
-		return e.buildProduct(prod, node.P, false)
+		return e.buildProduct(in[0], in[1], out, node.P, node.Op() == algebra.OpTJoin), nil
 	}
 	switch n.Op() {
 	case algebra.OpUnionAll:
-		return e.buildUnionAll(n)
+		// ⊔: streaming concatenation.
+		return vecSource(&vecConcatIter{cur: in[0].vec, rest: in[1].vec}, in[0].schema), nil
 	case algebra.OpUnion:
-		return e.buildUnion(n)
+		return e.buildUnion(in[0], in[1]), nil
 	case algebra.OpTUnion:
-		return e.buildTUnion(n)
+		return e.buildTUnion(in[0], in[1]), nil
 	case algebra.OpProduct:
-		return e.buildProduct(n, nil, false)
+		return e.buildProduct(in[0], in[1], out, nil, false), nil
 	case algebra.OpTProduct:
-		return e.buildProduct(n, nil, true)
+		return e.buildProduct(in[0], in[1], out, nil, true), nil
 	case algebra.OpDiff:
-		return e.buildDiff(n)
+		return e.buildDiff(in[0], in[1], out), nil
 	case algebra.OpTDiff:
-		return e.buildTDiff(n)
+		return e.buildTDiff(in[0], in[1]), nil
 	case algebra.OpRdup:
-		return e.buildRdup(n)
+		return e.buildRdup(in[0], out), nil
 	case algebra.OpTRdup:
-		return e.buildTRdup(n)
+		// rdupᵀ: the paper's iterative head/subtract algorithm, group-locally.
+		return e.buildValueGroup(in[0], rdupTSpans), nil
 	case algebra.OpCoal:
-		return e.buildCoal(n)
+		// coalᵀ: group-local adjacency merging.
+		return e.buildValueGroup(in[0], coalTSpans), nil
 	case algebra.OpTransferS, algebra.OpTransferD:
 		// Transfers are identities on data; their cost and site semantics
 		// live in the stratum executor.
-		return e.build(n.Children()[0])
+		return in[0], nil
 	default:
 		return nil, fmt.Errorf("exec: unsupported operator %s", n.Op())
 	}
-}
-
-// buildBoth builds both children of a binary node.
-func (e *Engine) buildBoth(n algebra.Node) (l, r *source, err error) {
-	ch := n.Children()
-	l, err = e.build(ch[0])
-	if err != nil {
-		return nil, nil, err
-	}
-	r, err = e.build(ch[1])
-	if err != nil {
-		return nil, nil, err
-	}
-	return l, r, nil
 }

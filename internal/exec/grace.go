@@ -54,7 +54,6 @@ import (
 	"sync/atomic"
 
 	"tqp/internal/period"
-	"tqp/internal/relation"
 	"tqp/internal/schema"
 	"tqp/internal/spill"
 	"tqp/internal/value"
@@ -215,7 +214,6 @@ type keyedOp struct {
 	lidx, ridx []int
 	contiguous bool // l's delivered order keeps key groups adjacent
 	out        *schema.Schema
-	order      relation.OrderSpec
 	body       partBody
 }
 
@@ -223,7 +221,7 @@ type keyedOp struct {
 // first pull, in the driver.
 func (e *Engine) keyedSource(op *keyedOp) *source {
 	e.stats.VectorOps++
-	return vecSource(&lazyBatchesIter{compute: func() ([]*batch, error) { return e.graceRun(op) }}, op.out, op.order)
+	return vecSource(&lazyBatchesIter{compute: func() ([]*batch, error) { return e.graceRun(op) }}, op.out)
 }
 
 // partSource is one grace partition's rows: resident or on disk. bytes and
@@ -876,5 +874,5 @@ func mergeBySeq(streams int, size func(p int) int, seq func(p, i int) int, emit 
 // batchSource wraps a resident batch as an ordinary pipeline stage — the
 // build side a budgeted join drained and found to fit, or one partition's.
 func batchSource(b *batch, sch *schema.Schema) *source {
-	return vecSource(&rangeBatchIter{b: b, hi: b.rows()}, sch, nil)
+	return vecSource(&rangeBatchIter{b: b, hi: b.rows()}, sch)
 }

@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"tqp/internal/algebra"
-	"tqp/internal/eval"
 	"tqp/internal/expr"
 	"tqp/internal/physical"
 	"tqp/internal/schema"
@@ -253,29 +251,15 @@ func (it *blockJoinIter) close() error {
 // hash join, whose probe side splits across the worker pool under
 // Parallelism and which becomes the hybrid join of graceJoinIter under a
 // budget.
-func (e *Engine) buildProduct(n algebra.Node, pred expr.Pred, temporal bool) (*source, error) {
-	l, r, err := e.buildBoth(n)
-	if err != nil {
-		return nil, err
-	}
-	outSchema, err := n.Schema()
-	if err != nil {
-		return nil, err
-	}
+func (e *Engine) buildProduct(l, r *source, outSchema *schema.Schema, pred expr.Pred, temporal bool) *source {
 	lidx, ridx, residual := physical.EquiKeys(pred, outSchema, l.schema.Len(), r.schema.Len())
-	outOrder := l.order
-	if temporal {
-		// Table 1: the order of ×ᵀ is the left order's time-free prefix.
-		outOrder = l.order.TimeFreePrefix()
-	}
-	order := eval.OrderAfterProduct(outOrder, r.schema, outSchema)
 	j := newPairJoiner(l, r, outSchema, lidx, ridx, residual, temporal)
 	e.stats.VectorOps++
 	if e.budgeted() {
-		return vecSource(&graceJoinIter{e: e, l: l, r: r, j: j}, outSchema, order), nil
+		return vecSource(&graceJoinIter{e: e, l: l, r: r, j: j}, outSchema)
 	}
 	if e.parallel() {
-		return e.vecParallelJoinSource(l, r, j, order), nil
+		return e.vecParallelJoinSource(l, r, j)
 	}
 	if len(lidx) > 0 && !e.opts.NoMerge {
 		if keys, ok := physical.MergeJoinKeys(l.order, r.order, l.schema, r.schema, lidx, ridx); ok {
@@ -284,10 +268,10 @@ func (e *Engine) buildProduct(n algebra.Node, pred expr.Pred, temporal bool) (*s
 				e: e, left: l.vec, right: r, out: outSchema, lw: j.lw, rw: j.rw,
 				cmp: compileVecJoinCmp(l.schema, r.schema, keys), residual: residual,
 				temporal: temporal, lt1: j.lt1, lt2: j.lt2,
-			}, outSchema, order), nil
+			}, outSchema)
 		}
 	}
 	v := j.joinIter(l.vec, r)
 	v.e = e
-	return vecSource(v, outSchema, order), nil
+	return vecSource(v, outSchema)
 }

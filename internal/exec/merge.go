@@ -1,9 +1,6 @@
 package exec
 
-import (
-	"tqp/internal/relation"
-	"tqp/internal/schema"
-)
+import "tqp/internal/schema"
 
 // groupCutIter runs a one-sided grouping operator over an input whose
 // delivered order keeps its groups contiguous: it cuts the batch stream at
@@ -28,10 +25,10 @@ type groupCutIter struct {
 }
 
 // groupSource compiles a grouping operator in its streaming form.
-func (e *Engine) groupSource(in *source, idx []int, out *schema.Schema, order relation.OrderSpec, body partBody) *source {
+func (e *Engine) groupSource(in *source, idx []int, out *schema.Schema, body partBody) *source {
 	e.stats.MergeOps++
 	e.stats.VectorOps++
-	return vecSource(&groupCutIter{e: e, in: in.vec, sch: in.schema, out: out, idx: idx, body: body}, out, order)
+	return vecSource(&groupCutIter{e: e, in: in.vec, sch: in.schema, out: out, idx: idx, body: body}, out)
 }
 
 // continues reports that b's first row belongs to the held group.

@@ -14,16 +14,17 @@ import (
 	"tqp/internal/value"
 )
 
-// TestOrderPropagationMatrix is the golden pin of Table 1's Order column as
-// a three-way contract: for every operator × input-order case, the order
-// the static inference derives (props.State.Order), the order the reference
-// evaluator records, and the order the exec engine's compiled pipeline
-// reports must be one and the same spec — and the result list must actually
-// satisfy it. A hand-written golden sub-table additionally pins the
-// distinctive rows (prefix-keeping sorts, time qualification, time-free
+// TestOrderPropagationMatrix is the golden pin of Table 1's Order column:
+// for every operator × input-order case, the order the static inference
+// derives (props.State.Order), the order the reference evaluator records
+// and the order the exec engine's compiled pipeline reports must be one and
+// the same spec. All three read the one props.OrderOf, so their agreement
+// pins only what each hands it; the independent checks are that the result
+// list actually satisfies the spec (SortedBy here, and every static claim in
+// props' TestStateSoundness) and a hand-written golden sub-table pinning
+// the distinctive rows (prefix-keeping sorts, time qualification, time-free
 // prefixes, grouping prefixes, product qualification) against literal
-// expected specs, so a coordinated drift of all three implementations
-// cannot slip through.
+// expected specs, so a wrong rule cannot slip through.
 func TestOrderPropagationMatrix(t *testing.T) {
 	base := datagen.Temporal(datagen.TemporalSpec{
 		Rows: 10, Values: 3, DupFrac: 0.3, AdjFrac: 0.3, TimeRange: 40, MaxPeriod: 8, Seed: 9,

@@ -155,18 +155,20 @@ func TestExternalMergeSortSpansRuns(t *testing.T) {
 }
 
 // orderEngines are the engines whose result-order annotations the order
-// tests pin: the reference evaluator and the exec engine sequential,
-// parallel and under a spilling budget.
+// tests pin: the reference evaluator and the exec engine sequential, hash-only
+// without sort elision, parallel, under a spilling budget, and both at once.
 func orderEngines(t *testing.T, src eval.Source) map[string]interface {
 	Eval(algebra.Node) (*relation.Relation, error)
 } {
 	return map[string]interface {
 		Eval(algebra.Node) (*relation.Relation, error)
 	}{
-		"reference":   eval.New(src),
-		"exec":        exec.New(src),
-		"exec-par3":   exec.NewWith(src, exec.Config{Parallelism: 3}),
-		"exec-mem64K": exec.NewWith(src, exec.Config{MemoryBudget: 64 << 10, SpillDir: t.TempDir()}),
+		"reference":        eval.New(src),
+		"exec":             exec.New(src),
+		"exec-hash":        exec.NewWith(src, exec.Config{NoMerge: true, NoSortElision: true}),
+		"exec-par3":        exec.NewWith(src, exec.Config{Parallelism: 3}),
+		"exec-mem64K":      exec.NewWith(src, exec.Config{MemoryBudget: 64 << 10, SpillDir: t.TempDir()}),
+		"exec-par3-mem64K": exec.NewWith(src, exec.Config{Parallelism: 3, MemoryBudget: 64 << 10, SpillDir: t.TempDir()}),
 	}
 }
 
@@ -197,13 +199,18 @@ func TestGroupOrderNamesItsSchema(t *testing.T) {
 	}
 }
 
-// TestOrderNamesOwnAttributes is the annotation invariant: on random plans,
-// every engine's result order names only attributes of the result's own
-// schema. Each random plan with a time attribute is also run under a
-// conventional 𝒢 grouping on T1 over an input sorted on it, the composition
-// whose order once named an attribute its result did not have.
+// TestOrderNamesOwnAttributes is the annotation invariant at every node: on
+// random plans, every subtree's result order on every engine equals the
+// static order props.InferStates derives for it, and names only attributes
+// of the result's own schema. Each random plan with a time attribute is also
+// run under a conventional 𝒢 grouping on T1 over an input sorted on it, the
+// composition whose order once named an attribute its result did not have.
+// The static order and the engines' labels come from one props.OrderOf, so
+// the check pins the inputs each engine hands it: delivered leaf orders,
+// elided sorts and every physical variant.
 func TestOrderNamesOwnAttributes(t *testing.T) {
-	plans, ordered := 0, 0
+	plans, elided := 0, 0
+	ordered := map[string]int{} // order keys annotated, per config
 	byT1 := relation.OrderSpec{relation.Key("T1")}
 	count := []expr.Aggregate{{Func: expr.CountAll, As: "C"}}
 	for seed := int64(0); seed < 50; seed++ {
@@ -218,20 +225,32 @@ func TestOrderNamesOwnAttributes(t *testing.T) {
 				batch = append(batch, algebra.NewAggregate([]string{"T1"}, count, algebra.NewSort(byT1, p)))
 			}
 			for _, plan := range batch {
+				st, err := props.InferStates(plan)
+				if err != nil {
+					t.Fatalf("seed %d: %s: %v", seed, algebra.Canonical(plan), err)
+				}
 				for name, eng := range engines {
-					got, err := eng.Eval(plan)
-					if err != nil {
-						t.Fatalf("seed %d: %s: %s: %v", seed, name, algebra.Canonical(plan), err)
-					}
-					for _, k := range got.Order() {
-						if !got.Schema().Has(k.Attr) {
-							t.Fatalf("seed %d: %s: %s: order %s names %q, not in schema %s",
-								seed, name, algebra.Canonical(plan), got.Order(), k.Attr, got.Schema())
+					algebra.Walk(plan, func(n algebra.Node, _ algebra.Path) bool {
+						got, err := eng.Eval(n)
+						if err != nil {
+							t.Fatalf("seed %d: %s: %s: %v", seed, name, algebra.Canonical(n), err)
 						}
-					}
-					if len(got.Order()) > 0 {
-						ordered++
-					}
+						if want := st[n].Order; !got.Order().Equal(want) {
+							t.Fatalf("seed %d: %s: %s: annotated %s, static order %s",
+								seed, name, algebra.Canonical(n), got.Order(), want)
+						}
+						for _, k := range got.Order() {
+							if !got.Schema().Has(k.Attr) {
+								t.Fatalf("seed %d: %s: %s: order %s names %q, not in schema %s",
+									seed, name, algebra.Canonical(n), got.Order(), k.Attr, got.Schema())
+							}
+						}
+						ordered[name] += len(got.Order())
+						if name == "exec" {
+							elided += eng.(*exec.Engine).Stats().SortsElided
+						}
+						return true
+					})
 				}
 			}
 		}
@@ -239,7 +258,12 @@ func TestOrderNamesOwnAttributes(t *testing.T) {
 	if plans < 300 {
 		t.Fatalf("covered only %d random plans, want ≥ 300", plans)
 	}
-	if ordered == 0 {
-		t.Fatal("no result carried an order: the invariant was never exercised")
+	for name, n := range ordered {
+		if n == 0 {
+			t.Errorf("%s: no result carried an order: the invariant was never exercised", name)
+		}
+	}
+	if elided == 0 {
+		t.Error("exec elided no sort: the elided-sort label went unchecked")
 	}
 }

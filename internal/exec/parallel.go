@@ -7,8 +7,6 @@ package exec
 import (
 	"sync"
 	"sync/atomic"
-
-	"tqp/internal/relation"
 )
 
 // parallel reports that the engine compiles partitioned operators.
@@ -174,7 +172,7 @@ func (it *rangeBatchIter) close() error { return nil }
 // through its own probe cursor over the shared read-only table, and the
 // workers' output batches concatenate in range order — which is exactly the
 // sequential join's left-major emission order, so no tag gather is needed.
-func (e *Engine) vecParallelJoinSource(l, r *source, j *pairJoiner, order relation.OrderSpec) *source {
+func (e *Engine) vecParallelJoinSource(l, r *source, j *pairJoiner) *source {
 	workers := e.exchange()
 	tmpl := j.joinIter(nil, r)
 	compute := func() ([]*batch, error) {
@@ -221,5 +219,5 @@ func (e *Engine) vecParallelJoinSource(l, r *source, j *pairJoiner, order relati
 		e.stats.VectorBatches += len(bs)
 		return bs, nil
 	}
-	return vecSource(&lazyBatchesIter{compute: compute}, j.out, order)
+	return vecSource(&lazyBatchesIter{compute: compute}, j.out)
 }

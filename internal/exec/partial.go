@@ -120,7 +120,7 @@ func RunFragment(rel *relation.Relation, seqs []int, steps []FragmentStep) (*rel
 		keys.ints[i] = int64(s)
 	}
 	slice := &batch{schema: sch, cols: append(image.cols[:w:w], keys), n: n}
-	eng.leaf = vecSource(&rangeBatchIter{b: slice, hi: n}, sch, rel.Order())
+	eng.leaf = &source{vec: &rangeBatchIter{b: slice, hi: n}, schema: sch, order: rel.Order()}
 
 	var plan algebra.Node = algebra.NewRel("@frag", sch, algebra.BaseInfo{})
 	var tail *FragmentStep

@@ -7,6 +7,7 @@ import (
 	"tqp/internal/eval"
 	"tqp/internal/physical"
 	"tqp/internal/relation"
+	"tqp/internal/schema"
 )
 
 // scanSource is the optional richer resolution interface a source may
@@ -36,41 +37,27 @@ func (e *Engine) buildRel(n *algebra.Rel) (*source, error) {
 		return nil, fmt.Errorf("exec: relation %q schema mismatch: plan %s vs instance %s",
 			n.Name, n.Sch, r.Schema())
 	}
+	// A scan delivers its declared order, or its instance's when none is
+	// declared.
 	order := r.Order()
 	if !n.Info.Order.Empty() {
 		order = n.Info.Order
 	}
 	// The columnar image converts lazily on the first pull (and is cached per
 	// relation); a scan travels as that one batch.
-	return vecSource(&onceBatchIter{compute: func() (*batch, error) { return e.batchOf(r), nil }}, r.Schema(), order), nil
+	return &source{vec: &onceBatchIter{compute: func() (*batch, error) { return e.batchOf(r), nil }}, schema: r.Schema(), order: order}, nil
 }
 
 // buildSelect compiles σ_P: a batch-at-a-time filter emitting selection
 // views, retaining order, duplicates and coalescing.
-func (e *Engine) buildSelect(n *algebra.Select) (*source, error) {
-	in, err := e.build(n.Children()[0])
-	if err != nil {
-		return nil, err
-	}
-	if _, err := n.Schema(); err != nil {
-		return nil, err
-	}
+func (e *Engine) buildSelect(n *algebra.Select, in *source) *source {
 	e.stats.VectorOps++
 	v := &vecFilterIter{e: e, in: in.vec, p: n.P, schema: in.schema, fast: compileVecPred(n.P, in.schema)}
-	return vecSource(v, in.schema, in.order), nil
+	return vecSource(v, in.schema)
 }
 
-// buildProject compiles π with the Prefix(Order(r), ProjPairs) order rule.
-func (e *Engine) buildProject(n *algebra.Project) (*source, error) {
-	in, err := e.build(n.Children()[0])
-	if err != nil {
-		return nil, err
-	}
-	outSchema, err := n.Schema()
-	if err != nil {
-		return nil, err
-	}
-	order := eval.OrderAfterProject(in.order, n)
+// buildProject compiles π.
+func (e *Engine) buildProject(n *algebra.Project, in *source, outSchema *schema.Schema) *source {
 	e.stats.VectorOps++
 	items := make([]projVecItem, len(n.Items))
 	for i, it := range n.Items {
@@ -78,7 +65,7 @@ func (e *Engine) buildProject(n *algebra.Project) (*source, error) {
 	}
 	gather := compileProjItems(items, in.schema)
 	v := &vecProjectIter{e: e, in: in.vec, items: items, gather: gather, inSchema: in.schema, outSchema: outSchema}
-	return vecSource(v, outSchema, order), nil
+	return vecSource(v, outSchema)
 }
 
 // buildSort compiles sort_A. When the input already delivers an order A is
@@ -88,31 +75,18 @@ func (e *Engine) buildProject(n *algebra.Project) (*source, error) {
 // permutation of row indices over its column planes (index runs sorted
 // across the worker pool under Parallelism); only the budgeted engine runs
 // the explicit external merge sort, whose runs cut by bytes and spill.
-func (e *Engine) buildSort(n *algebra.Sort) (*source, error) {
-	in, err := e.build(n.Children()[0])
-	if err != nil {
-		return nil, err
-	}
-	if err := n.Spec.Validate(in.schema); err != nil {
-		return nil, err
-	}
+func (e *Engine) buildSort(n *algebra.Sort, in *source) *source {
 	if !e.opts.NoSortElision && n.Spec.IsPrefixOf(in.order) {
 		e.stats.SortsElided++
-		return in, nil
-	}
-	order := n.Spec
-	if n.Spec.IsPrefixOf(in.order) {
-		// Table 1's special case: sorting on a prefix of the existing order
-		// keeps the stronger order (reachable only with NoSortElision).
-		order = in.order
+		return in
 	}
 	e.stats.MergeSorts++
 	if !e.budgeted() {
-		return e.vecSortSource(in, n.Spec, order), nil
+		return e.vecSortSource(in, n.Spec)
 	}
 	e.stats.VectorOps++
 	m := &mergeSortIter{eng: e, in: in.vec, schema: in.schema, cmp: compileVecCmp(in.schema, n.Spec)}
-	return vecSource(m, in.schema, order), nil
+	return vecSource(m, in.schema)
 }
 
 // vecConcatIter is ⊔: the left batch stream, then the right. The schemas are
@@ -147,18 +121,6 @@ func (c *vecConcatIter) close() error {
 	return err
 }
 
-// buildUnionAll compiles ⊔: streaming concatenation, unordered result.
-func (e *Engine) buildUnionAll(n algebra.Node) (*source, error) {
-	l, r, err := e.buildBoth(n)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := n.Schema(); err != nil {
-		return nil, err
-	}
-	return vecSource(&vecConcatIter{cur: l.vec, rest: r.vec}, l.schema, nil), nil
-}
-
 // streams reports that a one-sided grouping operator runs its bounded
 // group-at-a-time algorithm (groupCutIter, the adjacent-compare dedup) ahead of
 // the exchange driver: the delivered order keeps its groups contiguous and
@@ -174,35 +136,26 @@ func (e *Engine) streams(in *source, idx []int) bool {
 // qualified — the result is a snapshot relation). An input delivered in an
 // order covering every attribute keeps equal tuples contiguous, so a single
 // adjacent comparison replaces the hash set.
-func (e *Engine) buildRdup(n algebra.Node) (*source, error) {
-	in, err := e.build(n.Children()[0])
-	if err != nil {
-		return nil, err
-	}
-	outSchema, err := n.Schema()
-	if err != nil {
-		return nil, err
-	}
-	order := eval.OrderQualifyTime(in.order, outSchema)
+func (e *Engine) buildRdup(in *source, outSchema *schema.Schema) *source {
 	idx := identityIdx(in.schema.Len())
 	if e.streams(in, idx) {
 		// The adjacent-compare dedup carries one (batch, row) reference of
 		// state.
 		e.stats.MergeOps++
 		e.stats.VectorOps++
-		return vecSource(&vecDedupSortedIter{e: e, in: in.vec}, outSchema, order), nil
+		return vecSource(&vecDedupSortedIter{e: e, in: in.vec}, outSchema)
 	}
 	if !e.parallel() && !e.budgeted() {
 		// The pipelined hash set never drains its input — a different
 		// algorithm from the driver's partition body, kept for the
 		// sequential engine.
 		e.stats.VectorOps++
-		return vecSource(&vecRdupIter{e: e, in: in.vec}, outSchema, order), nil
+		return vecSource(&vecRdupIter{e: e, in: in.vec}, outSchema)
 	}
 	return e.keyedSource(&keyedOp{
 		l: in, lidx: idx, contiguous: groupsContiguous(in.order, in.schema, idx),
-		out: outSchema, order: order, body: rdupBody(idx),
-	}), nil
+		out: outSchema, body: rdupBody(idx),
+	})
 }
 
 // alignedMerge reports the shared total order under which \ and ∪ run
@@ -222,45 +175,29 @@ func (e *Engine) alignedMerge(l, r *source) (relation.OrderSpec, bool) {
 // duplicates. When both inputs deliver one shared total order, a two-pointer
 // merge replaces the hash multiplicity counters; otherwise the hash
 // anti-semi pass runs.
-func (e *Engine) buildDiff(n algebra.Node) (*source, error) {
-	l, r, err := e.buildBoth(n)
-	if err != nil {
-		return nil, err
-	}
-	outSchema, err := n.Schema()
-	if err != nil {
-		return nil, err
-	}
-	order := eval.OrderQualifyTime(l.order, outSchema)
+func (e *Engine) buildDiff(l, r *source, outSchema *schema.Schema) *source {
 	if spec, ok := e.alignedMerge(l, r); ok {
 		e.stats.MergeOps++
 		e.stats.VectorOps++
 		m := &vecMergeCancelIter{e: e, stream: l.vec, sorted: r, cmp: compileVecCmp(l.schema, spec)}
-		return vecSource(m, outSchema, order), nil
+		return vecSource(m, outSchema)
 	}
 	idx := identityIdx(l.schema.Len())
-	return e.keyedSource(&keyedOp{l: l, r: r, lidx: idx, ridx: idx, out: outSchema, order: order, body: diffBody(idx)}), nil
+	return e.keyedSource(&keyedOp{l: l, r: r, lidx: idx, ridx: idx, out: outSchema, body: diffBody(idx)})
 }
 
 // buildUnion compiles the multiset union ∪ of Albert [1]: each tuple occurs
 // max(n1, n2) times; unordered result. When both inputs deliver one shared
 // total order, a two-pointer merge replaces the hash multiplicity counters.
-func (e *Engine) buildUnion(n algebra.Node) (*source, error) {
-	l, r, err := e.buildBoth(n)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := n.Schema(); err != nil {
-		return nil, err
-	}
+func (e *Engine) buildUnion(l, r *source) *source {
 	if spec, ok := e.alignedMerge(l, r); ok {
 		e.stats.MergeOps++
 		e.stats.VectorOps++
 		m := &vecMergeCancelIter{e: e, stream: r.vec, sorted: l, emitSorted: true, cmp: compileVecCmp(l.schema, spec)}
-		return vecSource(m, l.schema, nil), nil
+		return vecSource(m, l.schema)
 	}
 	idx := identityIdx(l.schema.Len())
-	return e.keyedSource(&keyedOp{l: l, r: r, lidx: idx, ridx: idx, out: l.schema, body: unionBody(idx)}), nil
+	return e.keyedSource(&keyedOp{l: l, r: r, lidx: idx, ridx: idx, out: l.schema, body: unionBody(idx)})
 }
 
 // buildAggregate compiles 𝒢. Over an input whose delivered order keeps
@@ -271,26 +208,17 @@ func (e *Engine) buildUnion(n algebra.Node) (*source, error) {
 // first-occurrence-ordered hash table and one row per group is emitted once
 // the input is exhausted; the group orders coincide because contiguous
 // groups appear in first-occurrence order.
-func (e *Engine) buildAggregate(n *algebra.Aggregate) (*source, error) {
-	in, err := e.build(n.Children()[0])
-	if err != nil {
-		return nil, err
-	}
-	outSchema, err := n.Schema()
-	if err != nil {
-		return nil, err
-	}
+func (e *Engine) buildAggregate(n *algebra.Aggregate, in *source, outSchema *schema.Schema) *source {
 	gidx := make([]int, len(n.GroupBy))
 	for i, g := range n.GroupBy {
 		gidx[i] = in.schema.Index(g)
 	}
-	order := eval.OrderAfterGroup(in.order, n)
 	streams := e.streams(in, gidx)
 	if !streams && (len(gidx) == 0 || (!e.parallel() && !e.budgeted())) {
 		// Pipelined hash aggregation never drains its input; a GROUP-BY-less
 		// aggregate folds one global set of accumulators — state bounded by
 		// construction, nothing to partition.
-		return e.vecAggregateSource(in, gidx, outSchema, order, n.Aggs), nil
+		return e.vecAggregateSource(in, gidx, outSchema, n.Aggs)
 	}
 	emit := func(p part, members []int, scratch relation.Tuple, ob *batch) error {
 		accs := eval.NewAccumulators(n.Aggs, in.schema)
@@ -306,7 +234,7 @@ func (e *Engine) buildAggregate(n *algebra.Aggregate) (*source, error) {
 	contiguous := groupsContiguous(in.order, in.schema, gidx)
 	body := groupEmitBody(gidx, contiguous, outSchema, emit)
 	if streams {
-		return e.groupSource(in, gidx, outSchema, order, body), nil
+		return e.groupSource(in, gidx, outSchema, body)
 	}
-	return e.keyedSource(&keyedOp{l: in, lidx: gidx, contiguous: contiguous, out: outSchema, order: order, body: body}), nil
+	return e.keyedSource(&keyedOp{l: in, lidx: gidx, contiguous: contiguous, out: outSchema, body: body})
 }

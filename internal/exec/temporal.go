@@ -5,6 +5,7 @@ import (
 	"tqp/internal/eval"
 	"tqp/internal/period"
 	"tqp/internal/relation"
+	"tqp/internal/schema"
 	"tqp/internal/value"
 )
 
@@ -15,34 +16,15 @@ import (
 // equivalence. (The engine never sorts first — coalescing is not confluent
 // under reordering, so that would change the result multiset, not just its
 // order.)
-func (e *Engine) buildValueGroup(n algebra.Node, transform func([]vspan) []vspan) (*source, error) {
-	in, err := e.build(n.Children()[0])
-	if err != nil {
-		return nil, err
-	}
-	if _, err := n.Schema(); err != nil {
-		return nil, err
-	}
-	order := in.order.TimeFreePrefix()
+func (e *Engine) buildValueGroup(in *source, transform func([]vspan) []vspan) *source {
 	t1, t2 := in.schema.TimeIndices()
 	vidx := valueIdx(in.schema)
 	contiguous := groupsContiguous(in.order, in.schema, vidx)
 	body := valueGroupBody(vidx, t1, t2, contiguous, transform)
 	if e.streams(in, vidx) {
-		return e.groupSource(in, vidx, in.schema, order, body), nil
+		return e.groupSource(in, vidx, in.schema, body)
 	}
-	return e.keyedSource(&keyedOp{l: in, lidx: vidx, contiguous: contiguous, out: in.schema, order: order, body: body}), nil
-}
-
-// buildTRdup compiles rdupᵀ: the paper's iterative head/subtract algorithm,
-// group-locally (rdupTSpans).
-func (e *Engine) buildTRdup(n algebra.Node) (*source, error) {
-	return e.buildValueGroup(n, rdupTSpans)
-}
-
-// buildCoal compiles coalᵀ: group-local adjacency merging (coalTSpans).
-func (e *Engine) buildCoal(n algebra.Node) (*source, error) {
-	return e.buildValueGroup(n, coalTSpans)
+	return e.keyedSource(&keyedOp{l: in, lidx: vidx, contiguous: contiguous, out: in.schema, body: body})
 }
 
 // pairGroups groups one partition pair's rows into a shared
@@ -139,39 +121,19 @@ func tunionBody(vidx []int, t1, t2 int) partBody {
 // group's multiplicity forms a budget, and surviving fragments of each left
 // tuple re-emit in left list order — the reference's algorithm with row
 // hashes in place of string keys.
-func (e *Engine) buildTDiff(n algebra.Node) (*source, error) {
-	l, r, err := e.buildBoth(n)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := n.Schema(); err != nil {
-		return nil, err
-	}
+func (e *Engine) buildTDiff(l, r *source) *source {
 	vidx := valueIdx(l.schema)
 	t1, t2 := l.schema.TimeIndices()
-	return e.keyedSource(&keyedOp{
-		l: l, r: r, lidx: vidx, ridx: vidx, out: l.schema, order: l.order.TimeFreePrefix(),
-		body: tdiffBody(vidx, t1, t2),
-	}), nil
+	return e.keyedSource(&keyedOp{l: l, r: r, lidx: vidx, ridx: vidx, out: l.schema, body: tdiffBody(vidx, t1, t2)})
 }
 
 // buildTUnion compiles the temporal union ∪ᵀ: all of the left list followed
 // by, per right value group in first-occurrence order, the maximal periods
 // over which the right multiplicity exceeds the left's, layer by layer.
-func (e *Engine) buildTUnion(n algebra.Node) (*source, error) {
-	l, r, err := e.buildBoth(n)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := n.Schema(); err != nil {
-		return nil, err
-	}
+func (e *Engine) buildTUnion(l, r *source) *source {
 	vidx := valueIdx(l.schema)
 	t1, t2 := l.schema.TimeIndices()
-	return e.keyedSource(&keyedOp{
-		l: l, r: r, lidx: vidx, ridx: vidx, out: l.schema,
-		body: tunionBody(vidx, t1, t2),
-	}), nil
+	return e.keyedSource(&keyedOp{l: l, r: r, lidx: vidx, ridx: vidx, out: l.schema, body: tunionBody(vidx, t1, t2)})
 }
 
 // tdiffGroupFragments runs the temporal difference on one value-equivalence
@@ -306,20 +268,11 @@ func tunionExtraPeriods(lpsIn, rpsIn []period.Period) []period.Period {
 // delivered order keeps grouping columns contiguous streams group-at-a-time
 // (groupCutIter); otherwise the exchange driver runs the same body over its
 // partitions.
-func (e *Engine) buildTAggregate(n *algebra.Aggregate) (*source, error) {
-	in, err := e.build(n.Children()[0])
-	if err != nil {
-		return nil, err
-	}
-	outSchema, err := n.Schema()
-	if err != nil {
-		return nil, err
-	}
+func (e *Engine) buildTAggregate(n *algebra.Aggregate, in *source, outSchema *schema.Schema) *source {
 	gidx := make([]int, len(n.GroupBy))
 	for i, g := range n.GroupBy {
 		gidx[i] = in.schema.Index(g)
 	}
-	order := eval.OrderAfterGroup(in.order, n)
 	t1, t2 := in.schema.TimeIndices()
 	emit := func(p part, members []int, scratch relation.Tuple, ob *batch) error {
 		ps := periodsAt(p, members, t1, t2)
@@ -351,7 +304,7 @@ func (e *Engine) buildTAggregate(n *algebra.Aggregate) (*source, error) {
 	contiguous := groupsContiguous(in.order, in.schema, gidx)
 	body := groupEmitBody(gidx, contiguous, outSchema, emit)
 	if e.streams(in, gidx) {
-		return e.groupSource(in, gidx, outSchema, order, body), nil
+		return e.groupSource(in, gidx, outSchema, body)
 	}
-	return e.keyedSource(&keyedOp{l: in, lidx: gidx, contiguous: contiguous, out: outSchema, order: order, body: body}), nil
+	return e.keyedSource(&keyedOp{l: in, lidx: gidx, contiguous: contiguous, out: outSchema, body: body})
 }

@@ -351,8 +351,8 @@ type vecIterator interface {
 }
 
 // vecSource wraps a batch iterator as a pipeline stage.
-func vecSource(v vecIterator, sch *schema.Schema, order relation.OrderSpec) *source {
-	return &source{vec: v, schema: sch, order: order}
+func vecSource(v vecIterator, sch *schema.Schema) *source {
+	return &source{vec: v, schema: sch}
 }
 
 // vecDrainOne drains a columnar stream into a single compacted batch (the

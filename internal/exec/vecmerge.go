@@ -176,7 +176,7 @@ func (m *vecMergeCancelIter) close() error { return m.stream.close() }
 // view over the unmoved column planes. Under Parallelism the permutation
 // sorts as fixed-size index runs across the worker pool and gathers through
 // a k-way merge whose run-index tie-break reproduces the global stable sort.
-func (e *Engine) vecSortSource(in *source, spec relation.OrderSpec, order relation.OrderSpec) *source {
+func (e *Engine) vecSortSource(in *source, spec relation.OrderSpec) *source {
 	workers := 1
 	if e.parallel() {
 		workers = e.exchange()
@@ -220,7 +220,7 @@ func (e *Engine) vecSortSource(in *source, spec relation.OrderSpec, order relati
 		e.stats.VectorBatches++
 		return b.withSel(mergeSortedRuns(b, idx, cmp)), nil
 	}
-	return vecSource(&onceBatchIter{compute: compute}, sch, order)
+	return vecSource(&onceBatchIter{compute: compute}, sch)
 }
 
 // mergeSortedRuns k-way merges the sorted index runs idx[r*sortRunSize :

@@ -889,7 +889,7 @@ func groupEmitBody(gidx []int, contiguous bool, out *schema.Schema, emit groupEm
 // per-group accumulators keyed off the columns, and once the input is
 // exhausted one row per group — grouping keys read back from the group
 // representatives' column positions — emits in first-occurrence order.
-func (e *Engine) vecAggregateSource(in *source, gidx []int, outSchema *schema.Schema, order relation.OrderSpec, aggs []expr.Aggregate) *source {
+func (e *Engine) vecAggregateSource(in *source, gidx []int, outSchema *schema.Schema, aggs []expr.Aggregate) *source {
 	e.stats.VectorOps++
 	return vecSource(&onceBatchIter{compute: func() (*batch, error) {
 		groups := newVecGroups(gidx, 0)
@@ -928,5 +928,5 @@ func (e *Engine) vecAggregateSource(in *source, gidx []int, outSchema *schema.Sc
 			appendGroupRow(ob, groups.repB[gid], groups.repRow[gid], gidx, accs[gid])
 		}
 		return ob, nil
-	}}, outSchema, order)
+	}}, outSchema)
 }

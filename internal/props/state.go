@@ -4,7 +4,9 @@
 //     node's result — its order (Table 1's Order column), duplicate
 //     freeness, snapshot-duplicate freeness, and coalescing state. Rule
 //     preconditions ("r does not have duplicates in snapshots", D2) consult
-//     this state.
+//     this state. The order comes from OrderOf, the repo's one copy of Table
+//     1's Order column: the engines of packages eval and exec, the simulated
+//     DBMS and the shard split label their result lists with it too.
 //
 //   - Props: top-down inference of the paper's three Boolean operation
 //     properties (Table 2) — OrderRequired, DuplicatesRelevant,
@@ -131,13 +133,11 @@ func (m *Memo) State(n algebra.Node, site Site) (State, error) {
 			return State{}, err
 		}
 	}
-	s := deriveState(n, sch, cs)
+	s := deriveState(n, cs)
 	s.Schema = sch
 	s.Site = site
-	// Inside the DBMS, only a sort's own result has a usable order
-	// guarantee; every other operation's result order is unspecified.
-	if s.Site == DBMS && n.Op() != algebra.OpSort {
-		s.Order = nil
+	if site == DBMS {
+		s.Order = OrderOf(n)
 	}
 	if !sch.Temporal() {
 		s.SnapshotDistinct = s.Distinct
@@ -165,134 +165,138 @@ func (m *Memo) States(root algebra.Node) (States, error) {
 	return st, nil
 }
 
-// deriveState implements the Order / Duplicates / Coalescing columns of
-// Table 1 plus snapshot-duplicate propagation.
-func deriveState(n algebra.Node, sch *schema.Schema, cs []State) State {
-	switch node := n.(type) {
-	case *algebra.Rel:
+// deriveState implements the Duplicates and Coalescing columns of Table 1
+// plus snapshot-duplicate propagation, and takes the Order column from
+// OrderOf. A base relation's state is what the catalog declares about it.
+func deriveState(n algebra.Node, cs []State) State {
+	if rel, ok := n.(*algebra.Rel); ok {
 		return State{
-			Order:            node.Info.Order,
-			Distinct:         node.Info.Distinct,
-			SnapshotDistinct: node.Info.SnapshotDistinct,
-			Coalesced:        node.Info.Coalesced,
+			Order:            rel.Info.Order,
+			Distinct:         rel.Info.Distinct,
+			SnapshotDistinct: rel.Info.SnapshotDistinct,
+			Coalesced:        rel.Info.Coalesced,
 		}
-	case *algebra.Select:
-		// σ retains order, duplicates and coalescing.
-		return cs[0]
-	case *algebra.Project:
-		// π's order is Prefix(Order(r), ProjPairs); it generates
-		// duplicates and destroys coalescing (projection can coarsen the
-		// value-equivalence classes, Figure 3).
-		return State{Order: projectedOrder(cs[0].Order, node)}
-	case *algebra.Aggregate:
-		// 𝒢/𝒢ᵀ eliminate duplicates; their order is
-		// Prefix(Order(r), GroupPairs); 𝒢ᵀ destroys coalescing.
-		return State{
-			Order:            groupPrefixOrder(cs[0].Order, node.GroupBy, n.Op() == algebra.OpAggregate),
-			Distinct:         true,
-			SnapshotDistinct: true,
-		}
-	case *algebra.Sort:
-		s := cs[0]
-		if node.Spec.IsPrefixOf(s.Order) {
-			// Special case of Table 1: sorting on a prefix of the existing
-			// order keeps the stronger order.
-			return s
-		}
-		s.Order = node.Spec
-		return s
 	}
-
+	// π and ⊔ generate duplicates and destroy coalescing: the zero state.
+	var s State
 	switch n.Op() {
-	case algebra.OpUnionAll:
-		// ⊔ is unordered, generates duplicates, destroys coalescing.
-		return State{}
+	case algebra.OpSelect, algebra.OpSort, algebra.OpTransferS, algebra.OpTransferD:
+		// σ and sort retain duplicates and coalescing; transfers move data
+		// unchanged.
+		s = cs[0]
+	case algebra.OpAggregate, algebra.OpTAggregate, algebra.OpRdup, algebra.OpTRdup:
+		// 𝒢/𝒢ᵀ and rdup eliminate duplicates, rdupᵀ those in snapshots
+		// (hence also regular ones); all destroy coalescing.
+		s = State{Distinct: true, SnapshotDistinct: true}
 	case algebra.OpUnion:
-		// ∪ is unordered and retains duplicates: the result is distinct
-		// when both arguments are. On temporal arguments value-equivalent
-		// tuples from the two sides may still overlap, so snapshot
-		// distinctness is not retained.
-		return State{Distinct: cs[0].Distinct && cs[1].Distinct}
+		// ∪ retains duplicates: the result is distinct when both arguments
+		// are. On temporal arguments value-equivalent tuples from the two
+		// sides may still overlap, so snapshot distinctness is not retained.
+		s.Distinct = cs[0].Distinct && cs[1].Distinct
 	case algebra.OpTUnion:
 		// ∪ᵀ: per instant each value occurs max(n1,n2) times, so snapshot
 		// distinctness is the conjunction; regular distinctness
 		// additionally needs the right side snapshot-distinct so that the
 		// excess fragments cannot reproduce a left tuple (see eval).
-		return State{
-			Distinct:         cs[0].Distinct && cs[1].SnapshotDistinct,
-			SnapshotDistinct: cs[0].SnapshotDistinct && cs[1].SnapshotDistinct,
-		}
-	case algebra.OpProduct, algebra.OpJoin:
-		return productState(false, cs, sch)
-	case algebra.OpTProduct, algebra.OpTJoin:
-		return productState(true, cs, sch)
-	case algebra.OpDiff:
-		// \ retains the left order and duplicates; the result is a
-		// snapshot relation (time attributes qualified).
-		return State{
-			Order:    qualifiedOrder(cs[0].Order, nil, sch),
-			Distinct: cs[0].Distinct,
-		}
-	case algebra.OpTDiff:
-		// \ᵀ retains the left order (time-free prefix: periods shrink);
-		// with a snapshot-distinct left argument every fragment is unique.
-		return State{
-			Order:            cs[0].Order.TimeFreePrefix(),
-			Distinct:         cs[0].SnapshotDistinct,
-			SnapshotDistinct: cs[0].SnapshotDistinct,
-		}
-	case algebra.OpRdup:
-		return State{
-			Order:            qualifiedOrder(cs[0].Order, nil, sch),
-			Distinct:         true,
-			SnapshotDistinct: true,
-		}
-	case algebra.OpTRdup:
-		// rdupᵀ eliminates duplicates in snapshots (hence also regular
-		// ones) and destroys coalescing.
-		return State{
-			Order:            cs[0].Order.TimeFreePrefix(),
-			Distinct:         true,
-			SnapshotDistinct: true,
-		}
-	case algebra.OpCoal:
-		// coalᵀ retains order (time-free prefix — merged periods change),
-		// retains duplicates and snapshot state, and enforces coalescing.
-		return State{
-			Order:            cs[0].Order.TimeFreePrefix(),
-			Distinct:         cs[0].Distinct,
-			SnapshotDistinct: cs[0].SnapshotDistinct,
-			Coalesced:        true,
-		}
-	case algebra.OpTransferS, algebra.OpTransferD:
-		// Transfers move data unchanged; the order guarantee of a DBMS
-		// subplan survives only when produced by its top sort, which the
-		// site handling in inferState enforces on the child itself.
-		return cs[0]
-	default:
-		return State{}
-	}
-}
-
-func productState(temporal bool, cs []State, sch *schema.Schema) State {
-	left := cs[0].Order
-	if temporal {
-		left = left.TimeFreePrefix()
-	}
-	s := State{
-		Order:    qualifiedOrder(left, cs[1].Schema, sch),
-		Distinct: cs[0].Distinct && cs[1].Distinct,
-	}
-	if temporal {
+		s.Distinct = cs[0].Distinct && cs[1].SnapshotDistinct
 		s.SnapshotDistinct = cs[0].SnapshotDistinct && cs[1].SnapshotDistinct
+	case algebra.OpProduct, algebra.OpJoin:
+		s.Distinct = cs[0].Distinct && cs[1].Distinct
+	case algebra.OpTProduct, algebra.OpTJoin:
+		s.Distinct = cs[0].Distinct && cs[1].Distinct
+		s.SnapshotDistinct = cs[0].SnapshotDistinct && cs[1].SnapshotDistinct
+	case algebra.OpDiff:
+		// \ retains the left argument's duplicates.
+		s.Distinct = cs[0].Distinct
+	case algebra.OpTDiff:
+		// With a snapshot-distinct left argument every fragment is unique.
+		s.Distinct = cs[0].SnapshotDistinct
+		s.SnapshotDistinct = cs[0].SnapshotDistinct
+	case algebra.OpCoal:
+		// coalᵀ retains duplicates and snapshot state, and enforces
+		// coalescing.
+		s = State{Distinct: cs[0].Distinct, SnapshotDistinct: cs[0].SnapshotDistinct, Coalesced: true}
 	}
+	var in [2]relation.OrderSpec
+	for i, c := range cs {
+		in[i] = c.Order
+	}
+	s.Order = OrderOf(n, in[:len(cs)]...)
 	return s
 }
 
-// qualifiedOrder maps an argument's order into a result schema under the
-// "1." qualification of time attributes and, for a product (right
-// non-nil), of attributes the right argument also has.
-func qualifiedOrder(in relation.OrderSpec, right, outSchema *schema.Schema) relation.OrderSpec {
+// OrderOf is Table 1's Order column, written once: the order n's result
+// carries when its arguments deliver the orders in, in child order (a
+// missing one is unordered). The planner's states, both engines' result
+// annotations and the shard split all label their lists with it.
+//
+// A base relation has no arguments: it delivers its declared order, or its
+// instance's when none is declared, which only the caller knows, so OrderOf
+// gives it none. Called with no orders at all, OrderOf is the DBMS-site rule
+// of Section 4.5: inside the DBMS no argument's order is guaranteed, so a
+// node's order there is its own sort spec, or empty.
+func OrderOf(n algebra.Node, in ...relation.OrderSpec) relation.OrderSpec {
+	var arg relation.OrderSpec // the left (or only) argument's order
+	if len(in) > 0 {
+		arg = in[0]
+	}
+	switch node := n.(type) {
+	case *algebra.Project:
+		return projectedOrder(arg, node)
+	case *algebra.Aggregate:
+		// Prefix(Order(r), GroupPairs); the conventional 𝒢 yields a snapshot
+		// relation naming a grouped T1/T2 1.T1/1.T2 (Aggregate.Schema).
+		out := arg.Prefix(node.GroupBy)
+		if node.Op() == algebra.OpAggregate {
+			out = out.Rename(schema.T1, "1."+schema.T1).Rename(schema.T2, "1."+schema.T2)
+		}
+		return out
+	case *algebra.Sort:
+		if node.Spec.IsPrefixOf(arg) {
+			// Special case: sorting on a prefix of the existing order keeps
+			// the stronger order.
+			return arg
+		}
+		return node.Spec
+	}
+	switch n.Op() {
+	case algebra.OpSelect, algebra.OpTransferS, algebra.OpTransferD:
+		return arg
+	case algebra.OpProduct, algebra.OpJoin:
+		// × retains the left order.
+		return qualifiedOrder(arg, n, true)
+	case algebra.OpTProduct, algebra.OpTJoin:
+		// ×ᵀ retains the left order's time-free prefix: Order(r1) \ TimePairs.
+		return qualifiedOrder(arg.TimeFreePrefix(), n, true)
+	case algebra.OpDiff, algebra.OpRdup:
+		// \ and rdup retain the (left) argument's order; their snapshot
+		// result names the time attributes 1.T1/1.T2.
+		return qualifiedOrder(arg, n, false)
+	case algebra.OpTDiff, algebra.OpTRdup, algebra.OpCoal:
+		// \ᵀ, rdupᵀ and coalᵀ change periods: the time-free prefix survives.
+		return arg.TimeFreePrefix()
+	}
+	// Base relations, ⊔, ∪ and ∪ᵀ.
+	return nil
+}
+
+// qualifiedOrder maps an argument's order into n's result schema under the
+// "1." qualification of time attributes and, for a product, of attributes
+// the right argument also has; the first key the result lacks ends it.
+func qualifiedOrder(in relation.OrderSpec, n algebra.Node, product bool) relation.OrderSpec {
+	if len(in) == 0 {
+		return nil
+	}
+	outSchema, err := n.Schema()
+	if err != nil {
+		return nil
+	}
+	var right *schema.Schema
+	if product {
+		if right, err = n.Children()[1].Schema(); err != nil {
+			return nil
+		}
+	}
 	var out relation.OrderSpec
 	for _, k := range in {
 		name := k.Attr
@@ -307,9 +311,12 @@ func qualifiedOrder(in relation.OrderSpec, right, outSchema *schema.Schema) rela
 	return out
 }
 
-// projectedOrder computes Prefix(Order(r), ProjPairs) following renames of
-// pure column items, mirroring the evaluator.
+// projectedOrder computes Prefix(Order(r), ProjPairs): an order key survives
+// while its attribute is projected as a plain column, possibly renamed.
 func projectedOrder(in relation.OrderSpec, n *algebra.Project) relation.OrderSpec {
+	if len(in) == 0 {
+		return nil
+	}
 	rename := make(map[string]string)
 	for _, it := range n.Items {
 		if col, ok := it.Expr.(expr.Col); ok {
@@ -325,16 +332,6 @@ func projectedOrder(in relation.OrderSpec, n *algebra.Project) relation.OrderSpe
 			break
 		}
 		out = append(out, relation.OrderKey{Attr: newName, Dir: k.Dir})
-	}
-	return out
-}
-
-// groupPrefixOrder computes Prefix(Order(r), GroupPairs); conventional
-// aggregation over a temporal argument renames grouped time attributes.
-func groupPrefixOrder(in relation.OrderSpec, groupBy []string, conventional bool) relation.OrderSpec {
-	out := in.Prefix(groupBy)
-	if conventional {
-		out = out.Rename(schema.T1, "1."+schema.T1).Rename(schema.T2, "1."+schema.T2)
 	}
 	return out
 }

@@ -16,7 +16,6 @@ import (
 	"strings"
 
 	"tqp/internal/algebra"
-	"tqp/internal/relation"
 )
 
 // Generate renders the subplan as a SQL query string.
@@ -243,14 +242,4 @@ func sqlItem(it algebra.ProjItem) string {
 		return quoteIdent(c)
 	}
 	return it.Expr.String() + " AS " + quoteIdent(it.As)
-}
-
-// OrderByOf returns the ORDER BY guarantee a DBMS subplan provides: the
-// sort spec when the top operation is a sort, nil otherwise (Section 4.5:
-// the DBMS guarantees no order except under a top-level sort).
-func OrderByOf(n algebra.Node) relation.OrderSpec {
-	if s, ok := n.(*algebra.Sort); ok {
-		return s.Spec
-	}
-	return nil
 }

@@ -90,17 +90,6 @@ func TestTransfersRejected(t *testing.T) {
 	}
 }
 
-func TestOrderByOf(t *testing.T) {
-	c := catalog.Paper()
-	spec := relation.OrderSpec{relation.Key("EmpName")}
-	if got := sqlgen.OrderByOf(algebra.NewSort(spec, c.MustNode("EMPLOYEE"))); !got.Equal(spec) {
-		t.Errorf("OrderByOf sort = %s", got)
-	}
-	if got := sqlgen.OrderByOf(c.MustNode("EMPLOYEE")); got != nil {
-		t.Errorf("OrderByOf non-sort = %s", got)
-	}
-}
-
 func TestQualifiedIdentifiersQuoted(t *testing.T) {
 	c := catalog.Paper()
 	plan := algebra.NewSort(relation.OrderSpec{relation.Key("1.T1")},
