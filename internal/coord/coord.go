@@ -124,6 +124,9 @@ type Meta struct {
 type cacheEntry struct {
 	prep  *core.Prepared
 	split *core.Split
+	// wire holds each fragment's wire form, index-aligned with
+	// split.Fragments: encoded once per plan, sent to every shard.
+	wire []*server.WirePlan
 }
 
 // Coordinator plans, scatters and gathers. Safe for concurrent use: the
@@ -229,7 +232,12 @@ func (c *Coordinator) prepare(sql string) (*cacheEntry, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	ent := &cacheEntry{prep: prep, split: split}
+	ent := &cacheEntry{prep: prep, split: split, wire: make([]*server.WirePlan, len(split.Fragments))}
+	for i, f := range split.Fragments {
+		if ent.wire[i], err = server.EncodePlan(f.Plan); err != nil {
+			return nil, false, err
+		}
+	}
 	c.cache.Put(key, ent)
 	c.mu.Lock()
 	for _, f := range split.Fragments {
@@ -306,12 +314,7 @@ func (c *Coordinator) Query(ctx context.Context, sql string) (*relation.Relation
 		go func(i int) {
 			defer wg.Done()
 			o := shardOut{rels: make([]*relation.Relation, len(frags)), seqs: make([][]int, len(frags))}
-			for fi, f := range frags {
-				plan, err := server.EncodePlan(f.Rel, f.Steps)
-				if err != nil {
-					errs[i] = err
-					return
-				}
+			for fi, plan := range ent.wire {
 				rel, seqs, err := c.partial(ctx, i, plan)
 				if err != nil {
 					errs[i] = &ShardError{Index: i, Addr: c.cfg.Addrs[i], Err: err}
@@ -334,31 +337,15 @@ func (c *Coordinator) Query(ctx context.Context, sql string) (*relation.Relation
 	// fragment's placeholder relation.
 	synth := catalog.New()
 	for fi, f := range frags {
-		var merged []relation.Tuple
-		switch f.Kind {
-		case core.FragmentChain, core.FragmentSorted:
-			parts := make([]exec.TaggedRows, nShards)
-			for i := 0; i < nShards; i++ {
-				if outs[i].seqs[fi] == nil {
-					return nil, nil, &ShardError{Index: i, Addr: c.cfg.Addrs[i],
-						Err: fmt.Errorf("coord: shard returned no sequence keys for %s fragment %s", f.Kind, f.Name)}
-				}
-				parts[i] = exec.TaggedRows{Rows: outs[i].rels[fi].Tuples(), Seqs: outs[i].seqs[fi]}
+		parts := make([]exec.TaggedRows, nShards)
+		for i := range parts {
+			if outs[i].seqs[fi] == nil && f.Kind != core.FragmentGrouped {
+				return nil, nil, &ShardError{Index: i, Addr: c.cfg.Addrs[i],
+					Err: fmt.Errorf("coord: shard returned no sequence keys for %s fragment %s", f.Kind, f.Name)}
 			}
-			if f.Kind == core.FragmentChain {
-				merged = exec.MergeBySeq(parts)
-			} else {
-				merged = exec.MergeSorted(f.Schema, f.Keys, parts)
-			}
-		case core.FragmentGrouped:
-			parts := make([][]relation.Tuple, nShards)
-			for i := 0; i < nShards; i++ {
-				parts[i] = outs[i].rels[fi].Tuples()
-			}
-			merged = exec.MergeGroups(f.Schema, f.Prefix, parts)
+			parts[i] = exec.TaggedRows{Rows: outs[i].rels[fi].Tuples(), Seqs: outs[i].seqs[fi]}
 		}
-		rel := relation.FromTuplesTrusted(f.Schema, merged)
-		if err := synth.AddTrusted(f.Name, rel, algebra.BaseInfo{Order: f.Order}); err != nil {
+		if err := synth.AddTrusted(f.Name, f.Merge(parts), algebra.BaseInfo{Order: f.Order}); err != nil {
 			return nil, nil, err
 		}
 	}

@@ -13,17 +13,18 @@ import (
 )
 
 // This file splits a chosen physical plan for sharded execution: it
-// extracts the maximal per-shard fragments — chains over one base relation
-// that every shard can run independently over its slice — and rewrites the
-// plan so each extracted subtree reads a placeholder relation instead. The
-// coordinator runs the fragments on the shards, merges their outputs
+// extracts the maximal per-shard fragments — subtrees of the plan, chains
+// over one base relation that every shard can run independently over its
+// slice — and rewrites the plan so each extracted subtree reads a placeholder
+// relation instead. The coordinator ships each subtree as it stands, runs it
+// on the shards (exec.RunFragment), merges their outputs
 // deterministically (internal/exec's merge kernels), registers the merged
 // results as the placeholder relations of a synthetic catalog, and
 // executes the remainder plan through the ordinary stratum executor. The
 // rewrite is engineered so the remainder replays the single-node
 // execution bit-identically:
 //
-//   - A chain fragment (σ/π steps over a scan, no sort) merges by sequence key
+//   - A chain fragment (σ/π nodes over a scan, no sort) merges by sequence key
 //     back into the exact stored-order list the single-node DBMS would
 //     have produced, and its placeholder sits where the chain sat — the
 //     simulated DBMS's seeded permutation then applies to the same list
@@ -79,28 +80,42 @@ func (k FragmentKind) String() string {
 	}
 }
 
-// Fragment is one pushed-down chain: what every shard runs over its slice
-// of Rel, plus what the coordinator needs to merge the outputs and stand
-// in a placeholder relation for the remainder plan.
+// Fragment is one pushed-down plan subtree: what every shard runs over its
+// slice of the subtree's base relation, plus what the coordinator needs to
+// merge the outputs and stand in a placeholder relation for the remainder
+// plan.
 type Fragment struct {
 	// Name is the placeholder relation registered for the merged result.
 	Name string
 	Kind FragmentKind
-	// Rel is the base relation the fragment scans.
-	Rel string
-	// Steps is the per-shard chain (see exec.RunFragment).
-	Steps []exec.FragmentStep
+	// Plan is the subtree every shard runs (see exec.RunFragment): a chain
+	// of unary operators over one base relation.
+	Plan algebra.Node
 	// Schema is the fragment's output schema.
 	Schema *schema.Schema
-	// Order is the merged result's delivered order (declared on the
-	// placeholder): the base declared order for chains, the sort spec for
-	// sorted fragments, the grouping prefix for grouped ones.
+	// Order is the merged result's delivered order, declared on the
+	// placeholder, and what the merge orders by: the base declared order
+	// for chains, the full pushed sort spec for sorted fragments, the
+	// covering prefix of the pushed sort over the grouping attributes for
+	// grouped ones.
 	Order relation.OrderSpec
-	// Keys are the sorted-fragment merge keys (the full pushed sort spec).
-	Keys relation.OrderSpec
-	// Prefix is the grouped-fragment merge prefix (the covering prefix of
-	// the pushed sort over the grouping attributes).
-	Prefix relation.OrderSpec
+}
+
+// Merge reassembles the fragment's outputs, one per shard, into the list a
+// single node holds at the fragment's plan point: grouped outputs block-wise
+// on Order, sorted ones by (Order, sequence key), and chains by sequence key
+// alone — their stored order.
+func (f Fragment) Merge(parts []exec.TaggedRows) *relation.Relation {
+	var rows []relation.Tuple
+	switch f.Kind {
+	case FragmentGrouped:
+		rows = exec.MergeGroups(f.Schema, f.Order, parts)
+	case FragmentSorted:
+		rows = exec.MergeSorted(f.Schema, f.Order, parts)
+	default:
+		rows = exec.MergeSorted(f.Schema, nil, parts)
+	}
+	return relation.FromTuplesTrusted(f.Schema, rows)
 }
 
 // Split is a plan divided for sharded execution.
@@ -182,15 +197,13 @@ func (s *splitter) fail(err error) {
 	}
 }
 
-// chainMatch is a matched sort?((σ|π)*(Rel)) chain: the leaf, the
-// select/project steps in execution (innermost-first) order, the optional
+// chainMatch is a matched sort?((σ|π)*(Rel)) chain: the leaf, the optional
 // top sort, and the chain's pre-sort output schema, delivered order, and
 // output-name → base-attribute mapping (projections rename; an output
 // column computed by a non-column expression has no base attribute and is
 // absent from the map).
 type chainMatch struct {
 	rel   *algebra.Rel
-	steps []exec.FragmentStep
 	srt   *algebra.Sort
 	sch   *schema.Schema
 	order relation.OrderSpec
@@ -231,27 +244,25 @@ func matchChain(n algebra.Node) (*chainMatch, bool) {
 	// Apply innermost first, threading schema, order and renames.
 	for i := len(nodes) - 1; i >= 0; i-- {
 		m.order = props.OrderOf(nodes[i], m.order)
-		switch v := nodes[i].(type) {
-		case *algebra.Select:
-			m.steps = append(m.steps, exec.FragmentStep{Op: exec.FragSelect, Pred: v.P})
-		case *algebra.Project:
-			m.steps = append(m.steps, exec.FragmentStep{Op: exec.FragProject, Items: v.Items})
-			outSch, err := v.Schema()
-			if err != nil {
-				return nil, false
-			}
-			next := make(map[string]string, len(v.Items))
-			for _, it := range v.Items {
-				if col, ok := it.Expr.(expr.Col); ok {
-					if src, ok := m.base[col.Name]; ok {
-						if _, dup := next[it.As]; !dup {
-							next[it.As] = src
-						}
+		p, ok := nodes[i].(*algebra.Project)
+		if !ok {
+			continue
+		}
+		outSch, err := p.Schema()
+		if err != nil {
+			return nil, false
+		}
+		next := make(map[string]string, len(p.Items))
+		for _, it := range p.Items {
+			if col, ok := it.Expr.(expr.Col); ok {
+				if src, ok := m.base[col.Name]; ok {
+					if _, dup := next[it.As]; !dup {
+						next[it.As] = src
 					}
 				}
 			}
-			m.sch, m.base = outSch, next
 		}
+		m.sch, m.base = outSch, next
 	}
 	return m, true
 }
@@ -262,29 +273,22 @@ func (s *splitter) tryChain(n algebra.Node) (algebra.Node, bool) {
 	if !ok {
 		return nil, false
 	}
-	f := Fragment{
-		Name:   fmt.Sprintf("@part%d", len(s.frags)),
-		Kind:   FragmentChain,
-		Rel:    m.rel.Name,
-		Steps:  m.steps,
-		Schema: m.sch,
-		Order:  m.order,
+	if m.srt == nil {
+		return s.push(Fragment{Kind: FragmentChain, Plan: n, Schema: m.sch, Order: m.order}), true
 	}
-	if m.srt != nil {
-		f.Kind = FragmentSorted
-		f.Steps = append(f.Steps, exec.FragmentStep{Op: exec.FragSort, Keys: m.srt.Spec})
-		f.Order = m.srt.Spec
-		f.Keys = m.srt.Spec
-	}
+	// Keep the sort in the remainder: a stable re-sort of the merged
+	// (already sorted) placeholder is the identity, and the DBMS's
+	// sort-topped no-permute gating stays exactly as single-node.
+	placeholder := s.push(Fragment{Kind: FragmentSorted, Plan: n, Schema: m.sch, Order: m.srt.Spec})
+	return algebra.NewSort(m.srt.Spec, placeholder), true
+}
+
+// push records f under the next placeholder name and returns the
+// placeholder relation that stands in for it in the remainder.
+func (s *splitter) push(f Fragment) algebra.Node {
+	f.Name = fmt.Sprintf("@part%d", len(s.frags))
 	s.frags = append(s.frags, f)
-	placeholder := algebra.NewRel(f.Name, f.Schema, algebra.BaseInfo{Order: f.Order})
-	if m.srt != nil {
-		// Keep the sort in the remainder: a stable re-sort of the merged
-		// (already sorted) placeholder is the identity, and the DBMS's
-		// sort-topped no-permute gating stays exactly as single-node.
-		return algebra.NewSort(m.srt.Spec, placeholder), true
-	}
-	return placeholder, true
+	return algebra.NewRel(f.Name, f.Schema, algebra.BaseInfo{Order: f.Order})
 }
 
 // tryGrouped extracts a grouped fragment: one group operation directly
@@ -294,18 +298,12 @@ func (s *splitter) tryGrouped(n algebra.Node) (algebra.Node, bool) {
 	if s.policy.Colocated == nil {
 		return nil, false
 	}
-	var groupStep exec.FragmentStep
 	switch n.Op() {
-	case algebra.OpCoal:
-		groupStep = exec.FragmentStep{Op: exec.FragCoalT}
-	case algebra.OpTRdup:
-		groupStep = exec.FragmentStep{Op: exec.FragRdupT}
+	case algebra.OpCoal, algebra.OpTRdup:
 	case algebra.OpAggregate:
-		agg := n.(*algebra.Aggregate)
-		if len(agg.GroupBy) == 0 {
+		if len(n.(*algebra.Aggregate).GroupBy) == 0 {
 			return nil, false
 		}
-		groupStep = exec.FragmentStep{Op: exec.FragAggr, GroupBy: agg.GroupBy, Aggs: agg.Aggs}
 	default:
 		return nil, false
 	}
@@ -323,9 +321,9 @@ func (s *splitter) tryGrouped(n algebra.Node) (algebra.Node, bool) {
 	// renames them).
 	sch := m.sch
 	var gidx []int
-	if groupStep.Op == exec.FragAggr {
+	if agg, ok := n.(*algebra.Aggregate); ok {
 		t1, t2 := sch.TimeIndices()
-		for _, a := range groupStep.GroupBy {
+		for _, a := range agg.GroupBy {
 			j := sch.Index(a)
 			if j < 0 || j == t1 || j == t2 {
 				return nil, false
@@ -350,22 +348,12 @@ func (s *splitter) tryGrouped(n algebra.Node) (algebra.Node, bool) {
 	if !ok || !s.policy.Colocated(m.rel.Name, attrs) {
 		return nil, false
 	}
-	f := Fragment{
-		Name:   fmt.Sprintf("@part%d", len(s.frags)),
-		Kind:   FragmentGrouped,
-		Rel:    m.rel.Name,
-		Steps:  append(append(m.steps, exec.FragmentStep{Op: exec.FragSort, Keys: m.srt.Spec}), groupStep),
-		Order:  prefix,
-		Prefix: prefix,
-	}
 	outSch, err := n.Schema()
 	if err != nil {
 		s.fail(err)
 		return nil, false
 	}
-	f.Schema = outSch
-	s.frags = append(s.frags, f)
-	placeholder := algebra.NewRel(f.Name, f.Schema, algebra.BaseInfo{Order: prefix})
+	placeholder := s.push(Fragment{Kind: FragmentGrouped, Plan: n.WithChildren(ts.Children()[0]), Schema: outSch, Order: prefix})
 	// TS(sort_prefix(placeholder)): site-valid, permute-gated, identity.
 	return algebra.NewTransferS(algebra.NewSort(prefix, placeholder)), true
 }

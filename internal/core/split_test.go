@@ -28,54 +28,83 @@ var splitQueries = []string{
 }
 
 // TestSplitCoversEveryScan pins the splitter's core contract: every base
-// relation access moves into a fragment, so the remainder only reads
-// placeholders.
+// relation access moves into a fragment, each fragment is a subtree of the
+// plan, and the remainder only reads placeholders.
 func TestSplitCoversEveryScan(t *testing.T) {
 	cat := catalog.Paper()
 	o := core.New(cat)
-	total := 0
-	for _, sql := range splitQueries {
-		prep, err := o.Prepare(sql)
-		if err != nil {
-			t.Fatalf("%s: %v", sql, err)
-		}
-		split, err := core.SplitForShards(prep.Plan, core.SplitPolicy{})
-		if err != nil {
-			t.Fatalf("%s: %v", sql, err)
-		}
-		if len(split.Fragments) == 0 {
-			t.Fatalf("%s: no fragments extracted", sql)
-		}
-		total += len(split.Fragments)
-		names := make(map[string]bool)
-		for _, f := range split.Fragments {
-			if !strings.HasPrefix(f.Name, "@part") {
-				t.Fatalf("%s: fragment name %q", sql, f.Name)
+	total, grouped := 0, 0
+	for _, policy := range []core.SplitPolicy{{}, {Colocated: func(string, []string) bool { return true }}} {
+		for _, sql := range splitQueries {
+			prep, err := o.Prepare(sql)
+			if err != nil {
+				t.Fatalf("%s: %v", sql, err)
 			}
-			if names[f.Name] {
-				t.Fatalf("%s: duplicate fragment name %q", sql, f.Name)
+			split, err := core.SplitForShards(prep.Plan, policy)
+			if err != nil {
+				t.Fatalf("%s: %v", sql, err)
 			}
-			names[f.Name] = true
-			if _, err := cat.Resolve(f.Rel); err != nil {
-				t.Fatalf("%s: fragment scans unknown relation %q", sql, f.Rel)
+			if len(split.Fragments) == 0 {
+				t.Fatalf("%s: no fragments extracted", sql)
 			}
-			if f.Schema == nil {
-				t.Fatalf("%s: fragment %s has no schema", sql, f.Name)
-			}
-		}
-		algebra.Walk(split.Remainder, func(n algebra.Node, _ algebra.Path) bool {
-			if n.Op() == algebra.OpRel {
-				rel := n.(*algebra.Rel)
-				if !names[rel.Name] {
-					t.Fatalf("%s: remainder still reads base relation %q", sql, rel.Name)
+			total += len(split.Fragments)
+			names := make(map[string]bool)
+			for _, f := range split.Fragments {
+				if !strings.HasPrefix(f.Name, "@part") {
+					t.Fatalf("%s: fragment name %q", sql, f.Name)
+				}
+				if names[f.Name] {
+					t.Fatalf("%s: duplicate fragment name %q", sql, f.Name)
+				}
+				names[f.Name] = true
+				// A fragment ships a subtree of the plan as it stands; a
+				// grouped one drops only the transfer between its group
+				// operation and the chain below it.
+				shipped := f.Plan
+				if f.Kind == core.FragmentGrouped {
+					shipped = f.Plan.Children()[0]
+					grouped++
+				}
+				if !hasSubtree(prep.Plan, shipped) {
+					t.Fatalf("%s: fragment %s is not a subtree of the plan: %s", sql, f.Name, algebra.Canonical(f.Plan))
+				}
+				algebra.Walk(f.Plan, func(n algebra.Node, _ algebra.Path) bool {
+					if rel, ok := n.(*algebra.Rel); ok {
+						if _, err := cat.Resolve(rel.Name); err != nil {
+							t.Fatalf("%s: fragment scans unknown relation %q", sql, rel.Name)
+						}
+					}
+					return true
+				})
+				if f.Schema == nil {
+					t.Fatalf("%s: fragment %s has no schema", sql, f.Name)
 				}
 			}
-			return true
-		})
+			algebra.Walk(split.Remainder, func(n algebra.Node, _ algebra.Path) bool {
+				if n.Op() == algebra.OpRel {
+					rel := n.(*algebra.Rel)
+					if !names[rel.Name] {
+						t.Fatalf("%s: remainder still reads base relation %q", sql, rel.Name)
+					}
+				}
+				return true
+			})
+		}
 	}
-	if total < len(splitQueries) {
-		t.Fatalf("vacuous: %d fragments across %d queries", total, len(splitQueries))
+	if total < 2*len(splitQueries) || grouped == 0 {
+		t.Fatalf("vacuous: %d fragments (%d grouped) across %d queries", total, grouped, len(splitQueries))
 	}
+}
+
+// hasSubtree reports whether sub is one of root's nodes (the node itself,
+// not an equal copy).
+func hasSubtree(root, sub algebra.Node) bool {
+	found := false
+	algebra.Walk(root, func(n algebra.Node, _ algebra.Path) bool {
+		found = found || n == sub
+		return !found
+	})
+	return found
 }
 
 // TestSplitGroupPush pins the grouped-fragment path: with a colocating
@@ -177,47 +206,18 @@ func shardedRun(t *testing.T, cat *catalog.Catalog, plan algebra.Node, mode shar
 	}
 	synth := catalog.New()
 	for _, f := range split.Fragments {
-		var merged []relation.Tuple
-		if f.Kind == core.FragmentGrouped {
-			parts := make([][]relation.Tuple, n)
-			for i, s := range slices {
-				base, err := s.sub.Resolve(f.Rel)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rel, seqs, err := exec.RunFragment(base, s.pos[f.Rel], f.Steps)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if seqs != nil {
-					t.Fatalf("grouped fragment %s returned sequence keys", f.Name)
-				}
-				parts[i] = rel.Tuples()
+		parts := make([]exec.TaggedRows, n)
+		for i, s := range slices {
+			rel, seqs, err := exec.RunFragment(f.Plan, s.sub, s.pos)
+			if err != nil {
+				t.Fatal(err)
 			}
-			merged = exec.MergeGroups(f.Schema, f.Prefix, parts)
-		} else {
-			parts := make([]exec.TaggedRows, n)
-			for i, s := range slices {
-				base, err := s.sub.Resolve(f.Rel)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rel, seqs, err := exec.RunFragment(base, s.pos[f.Rel], f.Steps)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if seqs == nil {
-					t.Fatalf("fragment %s returned no sequence keys", f.Name)
-				}
-				parts[i] = exec.TaggedRows{Rows: rel.Tuples(), Seqs: seqs}
+			if (seqs == nil) != (f.Kind == core.FragmentGrouped) {
+				t.Fatalf("%s fragment %s returned sequence keys %v", f.Kind, f.Name, seqs)
 			}
-			if f.Kind == core.FragmentChain {
-				merged = exec.MergeBySeq(parts)
-			} else {
-				merged = exec.MergeSorted(f.Schema, f.Keys, parts)
-			}
+			parts[i] = exec.TaggedRows{Rows: rel.Tuples(), Seqs: seqs}
 		}
-		if err := synth.AddTrusted(f.Name, relation.FromTuplesTrusted(f.Schema, merged), algebra.BaseInfo{Order: f.Order}); err != nil {
+		if err := synth.AddTrusted(f.Name, f.Merge(parts), algebra.BaseInfo{Order: f.Order}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -76,8 +76,9 @@
 // a tuple) and write output planes.
 //
 // RunFragment (partial.go), the shard side of distributed execution, is not
-// a second implementation of σ, π and sort: it compiles its chain onto this
-// engine, the rows' global sequence keys riding along as a column.
+// a second implementation of any operator: a fragment is a plan subtree, and
+// it compiles onto this engine, the rows' global sequence keys riding along
+// as a column through its σ, π and sort nodes.
 //
 // Under an observer (eval.NodeObserver — the stratum executor installs one
 // for every region) build wraps each plan node's source in a pass-through

@@ -16,15 +16,24 @@ import (
 	"tqp/internal/value"
 )
 
-// fragChain is one random fragment: the steps RunFragment receives and the
-// same chain as a plan over a given leaf, up to (not including) a group tail.
+// fragChain is one random fragment: its σ/π/sort body and group tail, each
+// built over a given input, so the same chain runs as a fragment and as the
+// oracle's plans.
 type fragChain struct {
-	steps []exec.FragmentStep
 	// body builds the σ/π/sort prefix over leaf; a projection also passes
 	// the column named carry through, when one is named.
 	body func(leaf algebra.Node, carry string) algebra.Node
 	tail func(in algebra.Node) algebra.Node // nil for an ungrouped chain
-	keys relation.OrderSpec                 // the sort step's keys, nil if none
+	keys relation.OrderSpec                 // the sort's keys, nil if none
+}
+
+// plan is the chain as the fragment RunFragment receives, over leaf.
+func (c fragChain) plan(leaf algebra.Node) algebra.Node {
+	n := c.body(leaf, "")
+	if c.tail != nil {
+		n = c.tail(n)
+	}
+	return n
 }
 
 // randomFragChain draws select / project / sort (/ coalᵀ | rdupᵀ | 𝒢) over
@@ -33,12 +42,7 @@ type fragChain struct {
 func randomFragChain(rng *rand.Rand) fragChain {
 	var c fragChain
 	var mk []func(n algebra.Node, carry string) algebra.Node
-	add := func(st exec.FragmentStep, f func(n algebra.Node, carry string) algebra.Node) {
-		c.steps = append(c.steps, st)
-		if f != nil {
-			mk = append(mk, f)
-		}
-	}
+	add := func(f func(n algebra.Node, carry string) algebra.Node) { mk = append(mk, f) }
 	tail := rng.Intn(4) // 0: none, 1: coalT, 2: rdupT, 3: aggr
 	if rng.Intn(3) > 0 {
 		preds := []expr.Pred{
@@ -47,7 +51,7 @@ func randomFragChain(rng *rand.Rand) fragChain {
 			expr.Compare(expr.Lt, expr.Column(schema.T1), expr.Literal(value.Time(period.Chronon(100+rng.Intn(200))))),
 		}
 		p := preds[rng.Intn(len(preds))]
-		add(exec.FragmentStep{Op: exec.FragSelect, Pred: p}, func(n algebra.Node, _ string) algebra.Node { return algebra.NewSelect(p, n) })
+		add(func(n algebra.Node, _ string) algebra.Node { return algebra.NewSelect(p, n) })
 	}
 	if rng.Intn(2) == 0 {
 		names := []string{"Grp", "Name", schema.T1, schema.T2}
@@ -58,7 +62,7 @@ func randomFragChain(rng *rand.Rand) fragChain {
 		for i, name := range names {
 			items[i] = algebra.ColItem(name)
 		}
-		add(exec.FragmentStep{Op: exec.FragProject, Items: items}, func(n algebra.Node, carry string) algebra.Node {
+		add(func(n algebra.Node, carry string) algebra.Node {
 			if carry == "" {
 				return algebra.NewProject(items, n)
 			}
@@ -78,7 +82,7 @@ func randomFragChain(rng *rand.Rand) fragChain {
 	}
 	if c.keys != nil {
 		keys := c.keys
-		add(exec.FragmentStep{Op: exec.FragSort, Keys: keys}, func(n algebra.Node, _ string) algebra.Node { return algebra.NewSort(keys, n) })
+		add(func(n algebra.Node, _ string) algebra.Node { return algebra.NewSort(keys, n) })
 	}
 	c.body = func(n algebra.Node, carry string) algebra.Node {
 		for _, f := range mk {
@@ -88,14 +92,11 @@ func randomFragChain(rng *rand.Rand) fragChain {
 	}
 	switch tail {
 	case 1:
-		add(exec.FragmentStep{Op: exec.FragCoalT}, nil)
 		c.tail = algebra.NewCoal
 	case 2:
-		add(exec.FragmentStep{Op: exec.FragRdupT}, nil)
 		c.tail = algebra.NewTRdup
 	case 3:
 		aggs := []expr.Aggregate{{Func: expr.CountAll, As: "C"}, {Func: expr.Max, Arg: "Grp", As: "M"}}
-		add(exec.FragmentStep{Op: exec.FragAggr, GroupBy: []string{"Name"}, Aggs: aggs}, nil)
 		c.tail = func(n algebra.Node) algebra.Node { return algebra.NewAggregate([]string{"Name"}, aggs, n) }
 	}
 	return c
@@ -116,20 +117,16 @@ func TestRunFragmentMatchesEngine(t *testing.T) {
 		base := sizedTemporal(200+rng.Intn(400), 500+seed)
 		sch := base.Schema()
 		chain := randomFragChain(rng)
-		what := fmt.Sprintf("seed %d (%d steps)", seed, len(chain.steps))
+		frag := chain.plan(algebra.NewRel("R", sch, algebra.BaseInfo{}))
+		what := fmt.Sprintf("seed %d (%s)", seed, algebra.Canonical(frag))
 
-		full := chain.body(algebra.NewRel("R", sch, algebra.BaseInfo{}), "")
-		if chain.tail != nil {
-			full = chain.tail(full)
-		}
-		want, err := eval.New(eval.MapSource{"R": base}).Eval(full)
+		want, err := eval.New(eval.MapSource{"R": base}).Eval(frag)
 		if err != nil {
 			t.Fatalf("%s: reference: %v", what, err)
 		}
 
 		for _, n := range []int{1, 2, 4} {
 			tagged := make([]exec.TaggedRows, n)
-			groups := make([][]relation.Tuple, n)
 			var outSch *schema.Schema
 			for i := 0; i < n; i++ {
 				var rows []relation.Tuple
@@ -141,7 +138,7 @@ func TestRunFragmentMatchesEngine(t *testing.T) {
 						rows, pos = append(rows, tu), append(pos, k)
 					}
 				}
-				got, seqs, err := exec.RunFragment(relation.FromTuplesTrusted(sch, rows), pos, chain.steps)
+				got, seqs, err := exec.RunFragment(frag, eval.MapSource{"R": relation.FromTuplesTrusted(sch, rows)}, map[string][]int{"R": pos})
 				if err != nil {
 					t.Fatalf("%s slice %d/%d: %v", what, i, n, err)
 				}
@@ -151,7 +148,7 @@ func TestRunFragmentMatchesEngine(t *testing.T) {
 					if seqs != nil {
 						t.Fatalf("%s slice %d/%d: grouped fragment returned sequence keys", what, i, n)
 					}
-					plain := chain.tail(chain.body(algebra.NewRel("S", sch, algebra.BaseInfo{}), ""))
+					plain := chain.plan(algebra.NewRel("S", sch, algebra.BaseInfo{}))
 					ref, err := eval.New(eval.MapSource{"S": relation.FromTuplesTrusted(sch, rows)}).Eval(plain)
 					if err != nil {
 						t.Fatal(err)
@@ -159,7 +156,7 @@ func TestRunFragmentMatchesEngine(t *testing.T) {
 					if !got.EqualAsList(ref) || !got.Order().Equal(ref.Order()) {
 						t.Fatalf("%s slice %d/%d: grouped fragment differs from the reference", what, i, n)
 					}
-					groups[i] = got.Tuples()
+					tagged[i] = exec.TaggedRows{Rows: got.Tuples()}
 					continue
 				}
 				// The per-slice oracle: the reference over the slice with the
@@ -189,17 +186,35 @@ func TestRunFragmentMatchesEngine(t *testing.T) {
 				tagged[i] = exec.TaggedRows{Rows: got.Tuples(), Seqs: seqs}
 			}
 			var merged []relation.Tuple
-			switch {
-			case chain.tail != nil:
-				merged = exec.MergeGroups(outSch, chain.keys, groups)
-			case chain.keys != nil:
+			if chain.tail != nil {
+				merged = exec.MergeGroups(outSch, chain.keys, tagged)
+			} else {
 				merged = exec.MergeSorted(outSch, chain.keys, tagged)
-			default:
-				merged = exec.MergeBySeq(tagged)
 			}
 			if !relation.FromTuplesTrusted(outSch, merged).EqualAsList(want) {
 				t.Fatalf("%s: %d slices merge to %d rows, the reference on the unsharded relation has %d", what, n, len(merged), want.Len())
 			}
+		}
+	}
+}
+
+// TestRunFragmentRejects pins RunFragment's typed refusals: a fragment that
+// is not a unary chain over one relation, a relation the shard does not
+// hold, and sequence keys that do not match the slice.
+func TestRunFragmentRejects(t *testing.T) {
+	base := sizedTemporal(10, 1)
+	r := algebra.NewRel("R", base.Schema(), algebra.BaseInfo{})
+	src := eval.MapSource{"R": base}
+	for name, tc := range map[string]struct {
+		plan algebra.Node
+		pos  map[string][]int
+	}{
+		"two relations":    {algebra.NewUnionAll(r, r), nil},
+		"unknown relation": {algebra.NewCoal(algebra.NewRel("S", base.Schema(), algebra.BaseInfo{})), nil},
+		"short keys":       {algebra.NewSort(relation.OrderSpec{relation.Key("Name")}, r), map[string][]int{"R": {0}}},
+	} {
+		if _, _, err := exec.RunFragment(tc.plan, src, tc.pos); err == nil {
+			t.Errorf("%s: ran without error", name)
 		}
 	}
 }

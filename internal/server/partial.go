@@ -4,44 +4,44 @@ import (
 	"fmt"
 
 	"tqp/internal/algebra"
-	"tqp/internal/exec"
 	"tqp/internal/expr"
 	"tqp/internal/value"
 )
 
 // This file is the wire form of pushed-down plan fragments (OpPartial): a
-// small JSON tree mirroring exec.FragmentStep chains plus the predicate and
+// small JSON tree with one object per algebra node, plus the predicate and
 // scalar expression grammar. Operator spellings reuse the packages' String
-// renderings ("=", "<>", "OVERLAPS", "SUM", ...) so the wire vocabulary is
-// exactly the dialect's surface syntax; literal values travel under the
-// same kind-aware string codec as result rows (see encodeValue).
+// renderings ("select", "coalT", "=", "OVERLAPS", "SUM", ...) so the wire
+// vocabulary is exactly the algebra's and the dialect's surface syntax;
+// literal values travel under the same kind-aware string codec as result
+// rows (see encodeValue).
 
-// WirePlan is the payload of an OpPartial request: a fragment chain over
-// one base relation of the server's catalog shard.
+// WirePlan is the payload of an OpPartial request: a plan subtree over the
+// server's catalog shard. Op names the node's operator as algebra.Op renders
+// it, the fields its operator takes are set, and In holds its children.
 type WirePlan struct {
-	Rel   string     `json:"rel"`
-	Steps []WireStep `json:"steps,omitempty"`
+	Op      string      `json:"op"`
+	Rel     string      `json:"rel,omitempty"`      // rel: the base relation's name
+	Pred    *WirePred   `json:"pred,omitempty"`     // select
+	Items   []WireItem  `json:"items,omitempty"`    // project
+	Keys    []Order     `json:"keys,omitempty"`     // sort
+	GroupBy []string    `json:"group_by,omitempty"` // aggr
+	Aggs    []WireAgg   `json:"aggs,omitempty"`     // aggr
+	In      []*WirePlan `json:"in,omitempty"`
 }
 
-// WireStep is one fragment step. Op selects the variant: "select" (Pred),
-// "project" (Items), "sort" (Keys), "aggr" (GroupBy/Aggs), "coalT" and
-// "rdupT" (no operands).
-type WireStep struct {
-	Op      string     `json:"op"`
-	Pred    *WirePred  `json:"pred,omitempty"`
-	Items   []WireItem `json:"items,omitempty"`
-	Keys    []Order    `json:"keys,omitempty"`
-	GroupBy []string   `json:"group_by,omitempty"`
-	Aggs    []WireAgg  `json:"aggs,omitempty"`
-}
+// fragmentOps are the operators a fragment may contain: what core's
+// splitter pushes below the gather.
+var fragmentOps = []algebra.Op{algebra.OpRel, algebra.OpSelect, algebra.OpProject, algebra.OpSort,
+	algebra.OpAggregate, algebra.OpCoal, algebra.OpTRdup}
 
-// WireItem is one output column of a "project" step.
+// WireItem is one output column of a "project" node.
 type WireItem struct {
 	Expr *WireExpr `json:"expr"`
 	As   string    `json:"as"`
 }
 
-// WireAgg is one aggregate of an "aggr" step.
+// WireAgg is one aggregate of an "aggr" node.
 type WireAgg struct {
 	Func string `json:"func"` // COUNT, COUNT(*), SUM, AVG, MIN, MAX
 	Arg  string `json:"arg,omitempty"`
@@ -73,97 +73,113 @@ type WireExpr struct {
 	R    *WireExpr `json:"r,omitempty"`
 }
 
-// EncodePlan renders a fragment chain for the wire.
-func EncodePlan(rel string, steps []exec.FragmentStep) (*WirePlan, error) {
-	out := &WirePlan{Rel: rel, Steps: make([]WireStep, len(steps))}
-	for i, st := range steps {
-		ws := WireStep{Op: st.Op.String()}
-		switch st.Op {
-		case exec.FragSelect:
-			p, err := encodePred(st.Pred)
+// EncodePlan renders a plan fragment for the wire.
+func EncodePlan(n algebra.Node) (*WirePlan, error) {
+	if _, err := spelledAs("fragment operator", n.Op().String(), fragmentOps...); err != nil {
+		return nil, err
+	}
+	w := &WirePlan{Op: n.Op().String()}
+	switch v := n.(type) {
+	case *algebra.Rel:
+		w.Rel = v.Name
+	case *algebra.Select:
+		p, err := encodePred(v.P)
+		if err != nil {
+			return nil, err
+		}
+		w.Pred = p
+	case *algebra.Project:
+		w.Items = make([]WireItem, len(v.Items))
+		for j, it := range v.Items {
+			e, err := encodeExpr(it.Expr)
 			if err != nil {
 				return nil, err
 			}
-			ws.Pred = p
-		case exec.FragProject:
-			ws.Items = make([]WireItem, len(st.Items))
-			for j, it := range st.Items {
-				e, err := encodeExpr(it.Expr)
-				if err != nil {
-					return nil, err
-				}
-				ws.Items[j] = WireItem{Expr: e, As: it.As}
-			}
-		case exec.FragSort:
-			ws.Keys = orderOf(st.Keys)
-		case exec.FragAggr:
-			ws.GroupBy = st.GroupBy
-			ws.Aggs = make([]WireAgg, len(st.Aggs))
-			for j, a := range st.Aggs {
-				ws.Aggs[j] = WireAgg{Func: a.Func.String(), Arg: a.Arg, As: a.As}
-			}
-		case exec.FragCoalT, exec.FragRdupT:
-		default:
-			return nil, fmt.Errorf("server: cannot encode fragment op %d", uint8(st.Op))
+			w.Items[j] = WireItem{Expr: e, As: it.As}
 		}
-		out.Steps[i] = ws
+	case *algebra.Sort:
+		w.Keys = orderOf(v.Spec)
+	case *algebra.Aggregate:
+		w.GroupBy = v.GroupBy
+		w.Aggs = make([]WireAgg, len(v.Aggs))
+		for j, a := range v.Aggs {
+			w.Aggs[j] = WireAgg{Func: a.Func.String(), Arg: a.Arg, As: a.As}
+		}
 	}
-	return out, nil
+	for _, c := range n.Children() {
+		in, err := EncodePlan(c)
+		if err != nil {
+			return nil, err
+		}
+		w.In = append(w.In, in)
+	}
+	return w, nil
 }
 
-// DecodePlan parses a wire plan back into a fragment chain.
-func DecodePlan(p *WirePlan) (string, []exec.FragmentStep, error) {
-	if p == nil || p.Rel == "" {
-		return "", nil, fmt.Errorf("server: partial plan without a relation")
+// DecodePlan parses a wire plan back into a plan fragment. A base-relation
+// leaf carries only its name: the shard binds it to its slice of the
+// relation (see exec.RunFragment).
+func DecodePlan(w *WirePlan) (algebra.Node, error) {
+	if w == nil {
+		return nil, fmt.Errorf("server: partial plan without a node")
 	}
-	steps := make([]exec.FragmentStep, len(p.Steps))
-	for i, ws := range p.Steps {
-		var st exec.FragmentStep
-		switch ws.Op {
-		case "select":
-			pr, err := decodePred(ws.Pred)
-			if err != nil {
-				return "", nil, err
-			}
-			st = exec.FragmentStep{Op: exec.FragSelect, Pred: pr}
-		case "project":
-			if len(ws.Items) == 0 {
-				return "", nil, fmt.Errorf("server: project step without items")
-			}
-			items := make([]algebra.ProjItem, len(ws.Items))
-			for j, wi := range ws.Items {
-				e, err := decodeExpr(wi.Expr)
-				if err != nil {
-					return "", nil, err
-				}
-				items[j] = algebra.ProjItem{Expr: e, As: wi.As}
-			}
-			st = exec.FragmentStep{Op: exec.FragProject, Items: items}
-		case "sort":
-			if len(ws.Keys) == 0 {
-				return "", nil, fmt.Errorf("server: sort step without keys")
-			}
-			st = exec.FragmentStep{Op: exec.FragSort, Keys: orderSpecOf(ws.Keys)}
-		case "coalT":
-			st = exec.FragmentStep{Op: exec.FragCoalT}
-		case "rdupT":
-			st = exec.FragmentStep{Op: exec.FragRdupT}
-		case "aggr":
-			aggs := make([]expr.Aggregate, len(ws.Aggs))
-			for j, wa := range ws.Aggs {
-				f, err := aggFuncOf(wa.Func)
-				if err != nil {
-					return "", nil, err
-				}
-				aggs[j] = expr.Aggregate{Func: f, Arg: wa.Arg, As: wa.As}
-			}
-			st = exec.FragmentStep{Op: exec.FragAggr, GroupBy: ws.GroupBy, Aggs: aggs}
-		default:
-			return "", nil, fmt.Errorf("server: unknown fragment step %q", ws.Op)
+	op, err := spelledAs("fragment operator", w.Op, fragmentOps...)
+	if err != nil {
+		return nil, err
+	}
+	if len(w.In) != op.Arity() {
+		return nil, fmt.Errorf("server: %s node with %d inputs, want %d", w.Op, len(w.In), op.Arity())
+	}
+	if op == algebra.OpRel {
+		if w.Rel == "" {
+			return nil, fmt.Errorf("server: partial plan without a relation")
 		}
-		steps[i] = st
+		return algebra.NewRel(w.Rel, nil, algebra.BaseInfo{}), nil
 	}
-	return p.Rel, steps, nil
+	in, err := DecodePlan(w.In[0])
+	if err != nil {
+		return nil, err
+	}
+	switch op {
+	case algebra.OpSelect:
+		p, err := decodePred(w.Pred)
+		if err != nil {
+			return nil, err
+		}
+		return algebra.NewSelect(p, in), nil
+	case algebra.OpProject:
+		if len(w.Items) == 0 {
+			return nil, fmt.Errorf("server: project node without items")
+		}
+		items := make([]algebra.ProjItem, len(w.Items))
+		for j, wi := range w.Items {
+			e, err := decodeExpr(wi.Expr)
+			if err != nil {
+				return nil, err
+			}
+			items[j] = algebra.ProjItem{Expr: e, As: wi.As}
+		}
+		return algebra.NewProject(items, in), nil
+	case algebra.OpSort:
+		if len(w.Keys) == 0 {
+			return nil, fmt.Errorf("server: sort node without keys")
+		}
+		return algebra.NewSort(orderSpecOf(w.Keys), in), nil
+	case algebra.OpAggregate:
+		aggs := make([]expr.Aggregate, len(w.Aggs))
+		for j, wa := range w.Aggs {
+			f, err := spelledAs("aggregate function", wa.Func, expr.Count, expr.CountAll, expr.Sum, expr.Avg, expr.Min, expr.Max)
+			if err != nil {
+				return nil, err
+			}
+			aggs[j] = expr.Aggregate{Func: f, Arg: wa.Arg, As: wa.As}
+		}
+		return algebra.NewAggregate(w.GroupBy, aggs, in), nil
+	case algebra.OpCoal:
+		return algebra.NewCoal(in), nil
+	default:
+		return algebra.NewTRdup(in), nil
+	}
 }
 
 func encodePred(p expr.Pred) (*WirePred, error) {
@@ -223,13 +239,13 @@ func encodePred(p expr.Pred) (*WirePred, error) {
 
 func decodePred(w *WirePred) (expr.Pred, error) {
 	if w == nil {
-		return nil, fmt.Errorf("server: select step without a predicate")
+		return nil, fmt.Errorf("server: select node without a predicate")
 	}
 	switch w.Node {
 	case "true":
 		return expr.TruePred{}, nil
 	case "cmp":
-		op, err := cmpOpOf(w.Op)
+		op, err := spelledAs("comparison operator", w.Op, expr.Eq, expr.Ne, expr.Lt, expr.Le, expr.Gt, expr.Ge)
 		if err != nil {
 			return nil, err
 		}
@@ -262,7 +278,7 @@ func decodePred(w *WirePred) (expr.Pred, error) {
 		}
 		return expr.Neg(l), nil
 	case "period":
-		op, err := periodOpOf(w.Op)
+		op, err := spelledAs("period operator", w.Op, expr.POverlaps, expr.PContains, expr.PMeets, expr.PPrecedes)
 		if err != nil {
 			return nil, err
 		}
@@ -322,7 +338,7 @@ func decodeExpr(w *WireExpr) (expr.Expr, error) {
 		}
 		return expr.Literal(v), nil
 	case "arith":
-		op, err := arithOpOf(w.Op)
+		op, err := spelledAs("arithmetic operator", w.Op, expr.Add, expr.Sub, expr.Mul, expr.Div)
 		if err != nil {
 			return nil, err
 		}
@@ -340,38 +356,14 @@ func decodeExpr(w *WireExpr) (expr.Expr, error) {
 	}
 }
 
-func cmpOpOf(s string) (expr.CmpOp, error) {
-	for _, op := range []expr.CmpOp{expr.Eq, expr.Ne, expr.Lt, expr.Le, expr.Gt, expr.Ge} {
+// spelledAs returns the member of ops whose String is s: the wire spells
+// every operator as its package renders it.
+func spelledAs[T fmt.Stringer](what, s string, ops ...T) (T, error) {
+	for _, op := range ops {
 		if op.String() == s {
 			return op, nil
 		}
 	}
-	return 0, fmt.Errorf("server: unknown comparison operator %q", s)
-}
-
-func arithOpOf(s string) (expr.ArithOp, error) {
-	for _, op := range []expr.ArithOp{expr.Add, expr.Sub, expr.Mul, expr.Div} {
-		if op.String() == s {
-			return op, nil
-		}
-	}
-	return 0, fmt.Errorf("server: unknown arithmetic operator %q", s)
-}
-
-func aggFuncOf(s string) (expr.AggFunc, error) {
-	for _, f := range []expr.AggFunc{expr.Count, expr.CountAll, expr.Sum, expr.Avg, expr.Min, expr.Max} {
-		if f.String() == s {
-			return f, nil
-		}
-	}
-	return 0, fmt.Errorf("server: unknown aggregate function %q", s)
-}
-
-func periodOpOf(s string) (expr.PeriodOp, error) {
-	for _, op := range []expr.PeriodOp{expr.POverlaps, expr.PContains, expr.PMeets, expr.PPrecedes} {
-		if op.String() == s {
-			return op, nil
-		}
-	}
-	return 0, fmt.Errorf("server: unknown period operator %q", s)
+	var none T
+	return none, fmt.Errorf("server: unknown %s %q", what, s)
 }

@@ -6,45 +6,42 @@ import (
 	"testing"
 
 	"tqp/internal/algebra"
-	"tqp/internal/exec"
 	"tqp/internal/expr"
 	"tqp/internal/relation"
 	"tqp/internal/value"
 )
 
-// TestPartialPlanRoundTrip pins the fragment wire codec: a chain touching
-// every step variant and every predicate/expression grammar node survives
-// EncodePlan → JSON → DecodePlan → EncodePlan with an identical wire form.
-// (Decoded predicates aren't directly comparable, so equality is checked
-// on the canonical re-encoding.)
+// TestPartialPlanRoundTrip pins the fragment wire codec: a plan touching
+// every fragment operator and every predicate/expression grammar node
+// survives EncodePlan → JSON → DecodePlan as an equal plan, and re-encodes
+// to an identical wire form.
 func TestPartialPlanRoundTrip(t *testing.T) {
-	steps := []exec.FragmentStep{
-		{Op: exec.FragSelect, Pred: expr.Conj(
-			expr.Disj(
-				expr.Compare(expr.Ge, expr.Column("T1"), expr.Literal(value.Int(10))),
-				expr.Neg(expr.Compare(expr.Ne, expr.Column("Dept"), expr.Literal(value.String_("Ship")))),
-			),
-			expr.PeriodPred{
-				Op:     expr.POverlaps,
-				AStart: expr.Column("T1"), AEnd: expr.Column("T2"),
-				BStart: expr.Literal(value.Int(5)),
-				BEnd:   expr.Arith{Op: expr.Add, L: expr.Column("T1"), R: expr.Literal(value.Int(7))},
-			},
-		)},
-		{Op: exec.FragSelect, Pred: expr.TruePred{}},
-		{Op: exec.FragProject, Items: []algebra.ProjItem{
-			algebra.ColItem("EmpName"),
-			{Expr: expr.Arith{Op: expr.Mul, L: expr.Column("T2"), R: expr.Literal(value.Int(2))}, As: "Til"},
-		}},
-		{Op: exec.FragSort, Keys: relation.OrderSpec{relation.Key("EmpName"), relation.KeyDesc("Til")}},
-		{Op: exec.FragCoalT},
-		{Op: exec.FragRdupT},
-		{Op: exec.FragAggr, GroupBy: []string{"Dept"}, Aggs: []expr.Aggregate{
-			{Func: expr.CountAll, As: "n"},
-			{Func: expr.Sum, Arg: "T1", As: "total"},
-		}},
-	}
-	wire, err := EncodePlan("EMPLOYEE", steps)
+	var plan algebra.Node = algebra.NewRel("EMPLOYEE", nil, algebra.BaseInfo{})
+	plan = algebra.NewSelect(expr.Conj(
+		expr.Disj(
+			expr.Compare(expr.Ge, expr.Column("T1"), expr.Literal(value.Int(10))),
+			expr.Neg(expr.Compare(expr.Ne, expr.Column("Dept"), expr.Literal(value.String_("Ship")))),
+		),
+		expr.PeriodPred{
+			Op:     expr.POverlaps,
+			AStart: expr.Column("T1"), AEnd: expr.Column("T2"),
+			BStart: expr.Literal(value.Int(5)),
+			BEnd:   expr.Arith{Op: expr.Add, L: expr.Column("T1"), R: expr.Literal(value.Int(7))},
+		},
+	), plan)
+	plan = algebra.NewSelect(expr.TruePred{}, plan)
+	plan = algebra.NewProject([]algebra.ProjItem{
+		algebra.ColItem("EmpName"),
+		{Expr: expr.Arith{Op: expr.Mul, L: expr.Column("T2"), R: expr.Literal(value.Int(2))}, As: "Til"},
+	}, plan)
+	plan = algebra.NewSort(relation.OrderSpec{relation.Key("EmpName"), relation.KeyDesc("Til")}, plan)
+	plan = algebra.NewCoal(plan)
+	plan = algebra.NewTRdup(plan)
+	plan = algebra.NewAggregate([]string{"Dept"}, []expr.Aggregate{
+		{Func: expr.CountAll, As: "n"},
+		{Func: expr.Sum, Arg: "T1", As: "total"},
+	}, plan)
+	wire, err := EncodePlan(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,44 +53,53 @@ func TestPartialPlanRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(raw, &back); err != nil {
 		t.Fatal(err)
 	}
-	rel, decoded, err := DecodePlan(&back)
+	decoded, err := DecodePlan(&back)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rel != "EMPLOYEE" || len(decoded) != len(steps) {
-		t.Fatalf("decoded %q with %d steps, want EMPLOYEE with %d", rel, len(decoded), len(steps))
+	if !decoded.Equal(plan) {
+		t.Fatalf("decoded plan differs\nsent: %s\ngot:  %s", algebra.Canonical(plan), algebra.Canonical(decoded))
 	}
-	again, err := EncodePlan(rel, decoded)
+	again, err := EncodePlan(decoded)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(wire, again) {
 		t.Fatalf("round trip is not a fixed point\nfirst:  %+v\nsecond: %+v", wire, again)
 	}
+	if _, err := EncodePlan(algebra.NewTransferS(plan)); err == nil {
+		t.Fatal("a transfer encoded as a fragment operator")
+	}
 }
 
 // TestPartialPlanDecodeRejects pins the codec's typed rejections: a
-// malformed wire plan fails decoding instead of producing a bogus chain.
+// malformed wire plan fails decoding instead of producing a bogus plan.
 func TestPartialPlanDecodeRejects(t *testing.T) {
+	rel := &WirePlan{Op: "rel", Rel: "R"}
+	over := func(w WirePlan) *WirePlan { w.In = []*WirePlan{rel}; return &w }
 	for name, p := range map[string]*WirePlan{
 		"nil plan":        nil,
-		"no relation":     {Steps: []WireStep{{Op: "coalT"}}},
-		"unknown step":    {Rel: "R", Steps: []WireStep{{Op: "zigzag"}}},
-		"empty project":   {Rel: "R", Steps: []WireStep{{Op: "project"}}},
-		"keyless sort":    {Rel: "R", Steps: []WireStep{{Op: "sort"}}},
-		"predless select": {Rel: "R", Steps: []WireStep{{Op: "select"}}},
-		"bad cmp op": {Rel: "R", Steps: []WireStep{{Op: "select", Pred: &WirePred{
+		"no relation":     {Op: "coalT", In: []*WirePlan{{Op: "rel"}}},
+		"unknown op":      over(WirePlan{Op: "zigzag"}),
+		"transfer":        over(WirePlan{Op: "TS"}),
+		"leaf with input": {Op: "rel", Rel: "R", In: []*WirePlan{rel}},
+		"missing input":   {Op: "rdupT"},
+		"nil input":       {Op: "rdupT", In: []*WirePlan{nil}},
+		"empty project":   over(WirePlan{Op: "project"}),
+		"keyless sort":    over(WirePlan{Op: "sort"}),
+		"predless select": over(WirePlan{Op: "select"}),
+		"bad cmp op": over(WirePlan{Op: "select", Pred: &WirePred{
 			Node: "cmp", Op: "≈", LX: &WireExpr{Node: "col", Name: "a"}, RX: &WireExpr{Node: "col", Name: "b"},
-		}}}},
-		"bad literal kind": {Rel: "R", Steps: []WireStep{{Op: "select", Pred: &WirePred{
+		}}),
+		"bad literal kind": over(WirePlan{Op: "select", Pred: &WirePred{
 			Node: "cmp", Op: "=", LX: &WireExpr{Node: "lit", Kind: "blob", Val: "x"}, RX: &WireExpr{Node: "col", Name: "b"},
-		}}}},
-		"bad agg func": {Rel: "R", Steps: []WireStep{{Op: "aggr", Aggs: []WireAgg{{Func: "MEDIAN", As: "m"}}}}},
-		"short period": {Rel: "R", Steps: []WireStep{{Op: "select", Pred: &WirePred{
+		}}),
+		"bad agg func": over(WirePlan{Op: "aggr", Aggs: []WireAgg{{Func: "MEDIAN", As: "m"}}}),
+		"short period": over(WirePlan{Op: "select", Pred: &WirePred{
 			Node: "period", Op: "OVERLAPS", Args: []*WireExpr{{Node: "col", Name: "a"}},
-		}}}},
+		}}),
 	} {
-		if _, _, err := DecodePlan(p); err == nil {
+		if _, err := DecodePlan(p); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
 	}

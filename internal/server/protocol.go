@@ -175,8 +175,8 @@ type CoordStats struct {
 	// Queries and CacheHits count coordinator-planned statements.
 	Queries   int64 `json:"queries"`
 	CacheHits int64 `json:"cache_hits"`
-	// Fragments counts pushed-down fragment executions by kind (the
-	// fragment step chain, e.g. "scan+select").
+	// Fragments counts pushed-down fragments by how their shard outputs
+	// merge: "chain", "sorted" or "grouped".
 	Fragments map[string]int `json:"fragments,omitempty"`
 	// ShardCalls and Retries count partial-plan round trips and the
 	// redial-and-retry recoveries among them.

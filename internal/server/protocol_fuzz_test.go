@@ -1,9 +1,13 @@
 package server
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
+	"tqp/internal/algebra"
+	"tqp/internal/catalog"
+	"tqp/internal/exec"
 	"tqp/internal/schema"
 	"tqp/internal/value"
 )
@@ -130,5 +134,40 @@ func FuzzDecodeCols(f *testing.F) {
 				}
 			}
 		}
+	})
+}
+
+// FuzzDecodePlan drives the fragment decoder and the shard runner with
+// arbitrary partial-plan payloads from a hostile peer. Invariants: decoding
+// either fails or yields a plan that re-encodes to the same wire form, and
+// running a decoded plan on a shard returns a result or an error — never a
+// panic.
+func FuzzDecodePlan(f *testing.F) {
+	f.Add(`{"op":"rel","rel":"EMPLOYEE"}`)
+	f.Add(`{"op":"sort","keys":[{"attr":"EmpName"}],"in":[{"op":"select","pred":{"node":"cmp","op":"=","lx":{"node":"col","name":"Dept"},"rx":{"node":"lit","kind":"string","val":"Ship"}},"in":[{"op":"rel","rel":"EMPLOYEE"}]}]}`)
+	f.Add(`{"op":"coalT","in":[{"op":"project","items":[{"expr":{"node":"col","name":"EmpName"},"as":"EmpName"},{"expr":{"node":"col","name":"T1"},"as":"T1"},{"expr":{"node":"col","name":"T2"},"as":"T2"}],"in":[{"op":"rel","rel":"EMPLOYEE"}]}]}`)
+	f.Add(`{"op":"aggr","group_by":["Dept"],"aggs":[{"func":"COUNT(*)","as":"n"},{"func":"SUM","arg":"T1","as":"s"}],"in":[{"op":"rel","rel":"EMPLOYEE"}]}`)
+	f.Add(`{"op":"rdupT","in":[{"op":"select","pred":{"node":"period","op":"OVERLAPS","args":[{"node":"col","name":"T1"},{"node":"col","name":"T2"},{"node":"lit","kind":"int","val":"3"},{"node":"arith","op":"+","l":{"node":"col","name":"T1"},"r":{"node":"lit","kind":"int","val":"1"}}]},"in":[{"op":"rel","rel":"PROJECT"}]}]}`)
+	f.Add(`{"op":"select","in":[{"op":"rel","rel":"NOPE"}]}`)
+	cat := catalog.Paper()
+	f.Fuzz(func(t *testing.T, payload string) {
+		var w WirePlan
+		if json.Unmarshal([]byte(payload), &w) != nil {
+			return
+		}
+		plan, err := DecodePlan(&w)
+		if err != nil {
+			return
+		}
+		again, err := EncodePlan(plan)
+		if err != nil {
+			t.Fatalf("decoded plan %s does not re-encode: %v", algebra.Canonical(plan), err)
+		}
+		back, err := DecodePlan(again)
+		if err != nil || !back.Equal(plan) {
+			t.Fatalf("re-encoded plan %s does not decode to itself: %v", algebra.Canonical(plan), err)
+		}
+		// A decoded plan may not fit the catalog; only a panic fails.
+		_, _, _ = exec.RunFragment(plan, cat, nil)
 	})
 }

@@ -681,15 +681,11 @@ func (s *Server) runPartial(plan *WirePlan, w io.Writer) error {
 		gate()
 	}
 
-	rel, steps, err := DecodePlan(plan)
+	frag, err := DecodePlan(plan)
 	if err != nil {
 		return writeError(w, CodeProto, err)
 	}
-	base, err := s.cfg.Catalog.Resolve(rel)
-	if err != nil {
-		return writeError(w, CodePlan, err)
-	}
-	result, seqs, err := exec.RunFragment(base, s.cfg.ShardPositions[rel], steps)
+	result, seqs, err := exec.RunFragment(frag, s.cfg.Catalog, s.cfg.ShardPositions)
 	if err != nil {
 		return writeError(w, CodeExec, err)
 	}
