@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -257,6 +260,79 @@ func TestCoordinatorShardFailure(t *testing.T) {
 	}
 	if n := runtime.NumGoroutine(); n > before {
 		t.Fatalf("goroutine leak: %d before, %d after shutdown", before, n)
+	}
+}
+
+// keylessProxy fronts a shard server and rewrites every schema frame it
+// answers to say the rows carry no sequence keys — a shard that lost its
+// fragments' provenance. It returns the proxy's address; Cleanup stops it.
+func keylessProxy(t *testing.T, shardAddr string) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			front, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			back, err := net.Dial("tcp", shardAddr)
+			if err != nil {
+				front.Close()
+				return
+			}
+			go func() {
+				io.Copy(back, front)
+				back.Close()
+			}()
+			go func() {
+				defer front.Close()
+				for {
+					var resp server.Response
+					if server.ReadFrame(back, &resp) != nil {
+						return
+					}
+					resp.Keyed = false
+					if server.WriteFrame(front, &resp) != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestCoordinatorRefusesKeylessShard pins the gather's provenance check:
+// a chain or sorted fragment merges by sequence key, so a shard answering
+// one without keys fails the query with a *ShardError instead of merging
+// in some arbitrary order.
+func TestCoordinatorRefusesKeylessShard(t *testing.T) {
+	cat := catalog.Paper()
+	addrs := startShards(t, cat, 2, shard.Auto)
+	addrs[1] = keylessProxy(t, addrs[1])
+	for _, tc := range []struct{ kind, sql string }{
+		{"chain", "SELECT EmpName, Dept FROM EMPLOYEE"},
+		{"sorted", "SELECT EmpName FROM EMPLOYEE ORDER BY EmpName"},
+	} {
+		t.Run(tc.kind, func(t *testing.T) {
+			c, err := coord.New(context.Background(), coord.Config{Catalog: cat, Addrs: addrs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			_, _, err = c.Query(context.Background(), tc.sql)
+			if got := c.Stats().Fragments; got[tc.kind] != 1 || len(got) != 1 {
+				t.Fatalf("fragments %v, want one %s fragment", got, tc.kind)
+			}
+			var se *coord.ShardError
+			if !errors.As(err, &se) || se.Index != 1 || !strings.Contains(err.Error(), "no sequence keys") {
+				t.Fatalf("want a *coord.ShardError for shard 1 about missing keys, got %v", err)
+			}
+		})
 	}
 }
 

@@ -110,20 +110,10 @@ func (f *Frontend) handleConn(conn net.Conn) {
 	defer f.handlers.Done()
 	defer f.dropConn(conn)
 
-	br := bufio.NewReader(conn)
 	bw := bufio.NewWriter(frontWriter{conn: conn})
-	for {
-		var req server.Request
-		if err := server.ReadFrame(br, &req); err != nil {
-			return // hangup, framing error or bad payload: drop the peer
-		}
-		if err := f.handleRequest(&req, bw); err != nil {
-			return
-		}
-		if err := bw.Flush(); err != nil {
-			return
-		}
-	}
+	server.ServeRequests(bufio.NewReader(conn), bw, func(req *server.Request) error {
+		return f.handleRequest(req, bw)
+	})
 }
 
 // frontWriter arms a fresh write deadline before each underlying write.

@@ -2,7 +2,9 @@ package coord_test
 
 import (
 	"context"
+	"encoding/binary"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -100,6 +102,43 @@ func TestFrontendServesProtocol(t *testing.T) {
 	if _, _, err := cl.Query(context.Background(), "SELECT x FROM NOWHERE"); err == nil ||
 		!strings.Contains(err.Error(), "[plan]") {
 		t.Errorf("unknown relation error = %v, want a plan code", err)
+	}
+}
+
+// TestFrontendSurvivesBadPayload pins the frontend to the server's framing
+// contract: a well-framed but malformed JSON request gets a proto error
+// and the connection keeps serving, since the frame was consumed whole.
+func TestFrontendSurvivesBadPayload(t *testing.T) {
+	c, _ := startCoordinator(t, 1)
+	f, err := c.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	conn, err := net.Dial("tcp", f.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	garbage := []byte("this is not json")
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], uint32(len(garbage)))
+	if _, err := conn.Write(append(hdr[:], garbage...)); err != nil {
+		t.Fatal(err)
+	}
+	var resp server.Response
+	if err := server.ReadFrame(conn, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Kind != server.KindError || resp.Err == nil || resp.Err.Code != server.CodeProto {
+		t.Fatalf("bad payload: want a proto error, got %+v", resp)
+	}
+	if err := server.WriteFrame(conn, &server.Request{Op: server.OpPing}); err != nil {
+		t.Fatal(err)
+	}
+	if err := server.ReadFrame(conn, &resp); err != nil || resp.Kind != server.KindPong {
+		t.Fatalf("connection must survive a bad payload: %v %+v", err, resp)
 	}
 }
 

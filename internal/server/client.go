@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"fmt"
 	"net"
@@ -9,6 +10,8 @@ import (
 	"time"
 
 	"tqp/internal/relation"
+	"tqp/internal/schema"
+	"tqp/internal/spill"
 )
 
 // Client is a synchronous connection to a Server: one request in flight at
@@ -147,7 +150,7 @@ func (c *Client) Query(ctx context.Context, sql string) (*relation.Relation, *Qu
 		return nil, nil, err
 	}
 	defer end()
-	rel, meta, err := c.query(&Request{Op: OpQuery, SQL: sql}, nil)
+	rel, meta, _, err := c.query(&Request{Op: OpQuery, SQL: sql})
 	if err != nil {
 		if _, ok := err.(*ServerError); ok {
 			return nil, nil, err // in-protocol failure: the stream is intact
@@ -158,64 +161,49 @@ func (c *Client) Query(ctx context.Context, sql string) (*relation.Relation, *Qu
 }
 
 // query runs one result-streaming request (OpQuery or OpPartial); callers
-// hold c.mu with the connection armed. When seqs is non-nil, sequence-key
-// frames are gathered into it (the partial-plan protocol's provenance).
-func (c *Client) query(req *Request, seqs *[]int) (*relation.Relation, *QueryMeta, error) {
+// hold c.mu with the connection armed. keys holds the rows' sequence keys
+// when the schema frame says they are provenance (a keyed partial plan),
+// and is nil otherwise.
+func (c *Client) query(req *Request) (*relation.Relation, *QueryMeta, []int, error) {
 	if err := c.send(req); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	head, err := c.read()
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	if head.Kind == KindOK {
 		// A SET statement routed through Query: no result set.
-		return nil, &QueryMeta{}, nil
+		return nil, &QueryMeta{}, nil, nil
 	}
 	if head.Kind != KindSchema {
-		return nil, nil, protoErr(fmt.Errorf("server: expected schema frame, got %q", head.Kind))
+		return nil, nil, nil, protoErr(fmt.Errorf("server: expected schema frame, got %q", head.Kind))
 	}
 	sch, err := schemaOf(head.Cols)
 	if err != nil {
-		return nil, nil, protoErr(err)
+		return nil, nil, nil, protoErr(err)
 	}
 	var tuples []relation.Tuple
+	var keys []int
+	if head.Keyed {
+		keys = []int{}
+	}
 	for {
 		resp, err := c.read()
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		switch resp.Kind {
 		case KindRows:
-			// Column-major is what today's server sends; row-major keeps
-			// older peers readable.
-			var ts []relation.Tuple
-			if resp.ColRows != nil {
-				ts, err = decodeCols(sch, resp.ColRows)
-			} else {
-				ts, err = decodeRows(sch, resp.Rows)
+			if tuples, keys, err = decodeBlockFrame(resp, sch, tuples, keys); err != nil {
+				return nil, nil, nil, err
 			}
-			if err != nil {
-				return nil, nil, protoErr(err)
-			}
-			if seqs != nil {
-				if resp.Seqs == nil {
-					*seqs = nil
-					seqs = nil // the server stopped sending provenance
-				} else {
-					if len(resp.Seqs) != len(ts) {
-						return nil, nil, protoErr(fmt.Errorf("server: %d sequence keys for %d rows", len(resp.Seqs), len(ts)))
-					}
-					*seqs = append(*seqs, resp.Seqs...)
-				}
-			}
-			tuples = append(tuples, ts...)
 		case KindDone:
 			if resp.Done == nil {
-				return nil, nil, protoErr(fmt.Errorf("server: done frame without payload"))
+				return nil, nil, nil, protoErr(fmt.Errorf("server: done frame without payload"))
 			}
 			if resp.Done.Tuples != len(tuples) {
-				return nil, nil, protoErr(fmt.Errorf("server: done frame claims %d tuples, received %d", resp.Done.Tuples, len(tuples)))
+				return nil, nil, nil, protoErr(fmt.Errorf("server: done frame claims %d tuples, received %d", resp.Done.Tuples, len(tuples)))
 			}
 			rel := relation.FromTuplesTrusted(sch, tuples)
 			rel.SetOrder(orderSpecOf(head.Order))
@@ -225,17 +213,32 @@ func (c *Client) query(req *Request, seqs *[]int) (*relation.Relation, *QueryMet
 				BestCost:          resp.Done.BestCost,
 				TuplesTransferred: resp.Done.TuplesTransferred,
 				Engine:            resp.Done.Engine,
-			}, nil
+			}, keys, nil
 		default:
-			return nil, nil, protoErr(fmt.Errorf("server: unexpected frame %q inside a result stream", resp.Kind))
+			return nil, nil, nil, protoErr(fmt.Errorf("server: unexpected frame %q inside a result stream", resp.Kind))
 		}
 	}
 }
 
+// decodeBlockFrame appends a rows frame's rows, decoded against sch, to
+// tuples, and their sequence keys to keys unless keys is nil. A missing,
+// torn, corrupt or schema-confused block is a typed proto error.
+func decodeBlockFrame(resp *Response, sch *schema.Schema, tuples []relation.Tuple, keys []int) ([]relation.Tuple, []int, error) {
+	if len(resp.Block) == 0 {
+		return tuples, keys, protoErr(fmt.Errorf("server: rows frame without a block"))
+	}
+	tuples, keys, err := spill.DecodeBlocks(bytes.NewReader(resp.Block), sch, tuples, keys)
+	if err != nil {
+		return tuples, keys, protoErr(fmt.Errorf("server: rows frame: %w", err))
+	}
+	return tuples, keys, nil
+}
+
 // Partial runs one partial plan on the server's catalog shard and returns
-// the fragment's rows plus their global sequence keys (nil when the
-// fragment is grouped — its rows have no per-tuple provenance). This is
-// the coordinator's workhorse; see WirePlan for the fragment grammar.
+// the fragment's rows plus their global sequence keys — nil exactly when
+// the fragment carries none (a group operation consumed its per-tuple
+// provenance), and non-nil even for an empty answer otherwise. This is the
+// coordinator's workhorse; see WirePlan for the fragment grammar.
 func (c *Client) Partial(ctx context.Context, plan *WirePlan) (*relation.Relation, []int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -244,15 +247,14 @@ func (c *Client) Partial(ctx context.Context, plan *WirePlan) (*relation.Relatio
 		return nil, nil, err
 	}
 	defer end()
-	seqs := []int{}
-	rel, _, err := c.query(&Request{Op: OpPartial, Plan: plan}, &seqs)
+	rel, _, keys, err := c.query(&Request{Op: OpPartial, Plan: plan})
 	if err != nil {
 		if _, ok := err.(*ServerError); ok {
 			return nil, nil, err
 		}
 		return nil, nil, c.finish(ctx, err)
 	}
-	return rel, seqs, nil
+	return rel, keys, nil
 }
 
 // Set updates one session setting (engine, parallel, mem).

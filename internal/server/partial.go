@@ -13,8 +13,8 @@ import (
 // scalar expression grammar. Operator spellings reuse the packages' String
 // renderings ("select", "coalT", "=", "OVERLAPS", "SUM", ...) so the wire
 // vocabulary is exactly the algebra's and the dialect's surface syntax;
-// literal values travel under the same kind-aware string codec as result
-// rows (see encodeValue).
+// a literal travels as its kind plus the dialect's own rendering of the
+// value (value.Value.String, read back by value.Parse).
 
 // WirePlan is the payload of an OpPartial request: a plan subtree over the
 // server's catalog shard. Op names the node's operator as algebra.Op renders
@@ -304,7 +304,7 @@ func encodeExpr(e expr.Expr) (*WireExpr, error) {
 	case expr.Col:
 		return &WireExpr{Node: "col", Name: x.Name}, nil
 	case expr.Lit:
-		return &WireExpr{Node: "lit", Kind: x.Val.Kind().String(), Val: encodeValue(x.Val)}, nil
+		return &WireExpr{Node: "lit", Kind: x.Val.Kind().String(), Val: x.Val.String()}, nil
 	case expr.Arith:
 		l, err := encodeExpr(x.L)
 		if err != nil {
@@ -332,7 +332,7 @@ func decodeExpr(w *WireExpr) (expr.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		v, err := decodeValue(k, w.Val)
+		v, err := value.Parse(k, w.Val)
 		if err != nil {
 			return nil, err
 		}

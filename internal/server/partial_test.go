@@ -1,11 +1,13 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"reflect"
 	"testing"
 
 	"tqp/internal/algebra"
+	"tqp/internal/catalog"
 	"tqp/internal/expr"
 	"tqp/internal/relation"
 	"tqp/internal/value"
@@ -102,5 +104,53 @@ func TestPartialPlanDecodeRejects(t *testing.T) {
 		if _, err := DecodePlan(p); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
+	}
+}
+
+// TestPartialKeysOnlyWithProvenance pins Client.Partial's key contract: a
+// fragment whose rows keep their provenance (a scan, σ, π, sort) answers
+// with non-nil keys, one per row, even when no row qualifies; a fragment
+// whose group operation consumed the provenance answers with nil keys,
+// even when it has rows.
+func TestPartialKeysOnlyWithProvenance(t *testing.T) {
+	srv := startServer(t, Config{Catalog: catalog.Paper()})
+	cl, err := Dial(context.Background(), srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	emp := algebra.NewRel("EMPLOYEE", nil, algebra.BaseInfo{})
+	nobody := algebra.NewSelect(expr.Compare(expr.Eq, expr.Column("Dept"), expr.Literal(value.String_("Nowhere"))), emp)
+	for _, tc := range []struct {
+		name  string
+		plan  algebra.Node
+		keyed bool
+		empty bool
+	}{
+		{"scan", emp, true, false},
+		{"sorted chain", algebra.NewSort(relation.OrderSpec{relation.Key("EmpName")}, emp), true, false},
+		{"empty chain", nobody, true, true},
+		{"grouped", algebra.NewCoal(emp), false, false},
+		{"empty grouped", algebra.NewCoal(nobody), false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			wire, err := EncodePlan(tc.plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rel, keys, err := cl.Partial(context.Background(), wire)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (rel.Len() == 0) != tc.empty {
+				t.Fatalf("%d rows, want empty=%v", rel.Len(), tc.empty)
+			}
+			if (keys != nil) != tc.keyed {
+				t.Fatalf("keys %v (nil=%v), want keyed=%v", keys, keys == nil, tc.keyed)
+			}
+			if tc.keyed && len(keys) != rel.Len() {
+				t.Fatalf("%d keys for %d rows", len(keys), rel.Len())
+			}
+		})
 	}
 }

@@ -2,49 +2,49 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"net"
 	"testing"
 
 	"tqp/internal/relation"
 	"tqp/internal/schema"
+	"tqp/internal/spill"
+	"tqp/internal/value"
 )
 
-// TestZeroArityRowsSurviveWire pins the representability hole that motivated
-// the server's row-major fallback: the column-major layout derives its column
-// count from the first tuple's arity, so n zero-arity rows encode to zero
-// columns and the row count is gone. The row-major layout carries one (empty)
-// slice per row and survives.
+// TestZeroArityRowsSurviveWire pins that a result with no columns keeps
+// its row count on the wire: a block carries the count, both as a bare
+// block and through the server's frames into a client.
 func TestZeroArityRowsSurviveWire(t *testing.T) {
 	sch := schema.MustNew()
 	tuples := []relation.Tuple{{}, {}, {}}
 
-	// Column-major cannot carry these rows at all.
-	cols := encodeCols(tuples, 0, len(tuples))
-	if len(cols) != 0 {
-		t.Fatalf("zero-arity tuples encoded to %d columns; the layout has no column to put them in", len(cols))
-	}
-	back, err := decodeCols(sch, cols)
+	block := spill.EncodeBlock(nil, []int{0, 0, 0}, tuples)
+	back, _, err := spill.DecodeBlocks(bytes.NewReader(block), sch, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back) != 0 {
-		t.Fatalf("decodeCols conjured %d rows from an empty frame", len(back))
+	if len(back) != len(tuples) {
+		t.Fatalf("block round trip kept %d of %d zero-arity rows", len(back), len(tuples))
 	}
 
-	// Row-major — the layout the server falls back to for zero-arity
-	// schemas — round-trips the count exactly.
-	rows := encodeRows(tuples, 0, len(tuples))
-	if len(rows) != len(tuples) {
-		t.Fatalf("encodeRows kept %d of %d rows", len(rows), len(tuples))
-	}
-	got, err := decodeRows(sch, rows)
+	rel := relation.FromTuplesTrusted(sch, tuples)
+	c := fakePeer(t, func(br *bufio.Reader, bw *bufio.Writer) {
+		readRequest(t, br)
+		if err := StreamResult(bw, rel, 2, &Done{Tuples: rel.Len()}); err != nil {
+			t.Errorf("streaming: %v", err)
+		}
+	})
+	got, _, err := c.Query(context.Background(), "SELECT FROM R")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(tuples) {
-		t.Fatalf("row-major round trip kept %d of %d rows", len(got), len(tuples))
+	if got.Len() != len(tuples) {
+		t.Fatalf("wire round trip kept %d of %d zero-arity rows", got.Len(), len(tuples))
 	}
 }
 
@@ -72,22 +72,48 @@ func readRequest(t *testing.T, br *bufio.Reader) {
 	}
 }
 
+// sealBlock frames a hand-built block payload the way the spill encoder
+// does — length prefix, payload, CRC-32C — so a test can send a block whose
+// checksum holds but whose contents lie.
+func sealBlock(payload []byte) []byte {
+	out := binary.AppendUvarint(nil, uint64(len(payload)))
+	out = append(out, payload...)
+	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+}
+
 // TestClientMalformedFramesAreTypedProtoErrors pins the contract the decode
-// fuzzing established: any malformed frame from a peer — ragged columns, a
-// lying done count, an unexpected frame kind — surfaces from Client.Query as
-// a *ServerError carrying CodeProto, not an untyped string.
+// fuzzing established: any malformed frame from a peer — a torn, corrupt or
+// schema-confused block, a lying done count, an unexpected frame kind —
+// surfaces from Client.Query as a *ServerError carrying CodeProto, not an
+// untyped string.
 func TestClientMalformedFramesAreTypedProtoErrors(t *testing.T) {
 	schemaFrame := &Response{Kind: KindSchema, Cols: []Col{{Name: "N", Kind: "int"}}}
+	rows := func(block []byte) *Response { return &Response{Kind: KindRows, Block: block} }
+	good := spill.EncodeBlock(nil, []int{0, 0}, []relation.Tuple{{value.Int(1)}, {value.Int(2)}})
+	flipped := append([]byte(nil), good...)
+	flipped[len(flipped)/2] ^= 0x40
+	// Two rows claimed, one cell present: a ragged column under a valid
+	// checksum.
+	ragged := sealBlock([]byte{2, 1, 0, 0, byte(value.KindInt), 2})
 	cases := []struct {
 		name   string
 		frames []*Response
 	}{
 		{"not a schema frame", []*Response{{Kind: KindPong}}},
 		{"undecodable schema kind", []*Response{{Kind: KindSchema, Cols: []Col{{Name: "N", Kind: "complex128"}}}}},
-		{"ragged columnar frame", []*Response{schemaFrame, {Kind: KindRows, ColRows: [][]string{{"1", "2"}, {"3"}}}}},
-		{"kind-confused cell", []*Response{schemaFrame, {Kind: KindRows, ColRows: [][]string{{"not-an-int"}}}}},
+		{"ragged columnar frame", []*Response{schemaFrame, rows(ragged)}},
+		{"truncated block", []*Response{schemaFrame, rows(good[:len(good)-3])}},
+		{"checksum mismatch", []*Response{schemaFrame, rows(flipped)}},
+		{"rows frame without a block", []*Response{schemaFrame, {Kind: KindRows}}},
+		{"kind-confused cell", []*Response{schemaFrame, rows(spill.EncodeBlock(nil, []int{0, 0},
+			[]relation.Tuple{{value.Int(1)}, {value.String_("not-an-int")}}))}},
+		{"kind-confused column", []*Response{schemaFrame, rows(spill.EncodeBlock(nil, []int{0},
+			[]relation.Tuple{{value.String_("not-an-int")}}))}},
+		{"arity differs from schema", []*Response{schemaFrame, rows(spill.EncodeBlock(nil, []int{0},
+			[]relation.Tuple{{value.Int(1), value.Int(2)}}))}},
+		{"trailing bytes", []*Response{schemaFrame, rows(append(append([]byte(nil), good...), 0x03, 0x01))}},
 		{"done frame without payload", []*Response{schemaFrame, {Kind: KindDone}}},
-		{"lying done count", []*Response{schemaFrame, {Kind: KindRows, ColRows: [][]string{{"1"}}}, {Kind: KindDone, Done: &Done{Tuples: 7}}}},
+		{"lying done count", []*Response{schemaFrame, rows(good), {Kind: KindDone, Done: &Done{Tuples: 7}}}},
 		{"stats frame mid-stream", []*Response{schemaFrame, {Kind: KindStats, Stats: &StatsReply{}}}},
 	}
 	for _, tc := range cases {

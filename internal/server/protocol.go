@@ -18,9 +18,11 @@
 // Clients send Request frames; the server answers each request with one or
 // more Response frames. A query answer is a "schema" frame, zero or more
 // "rows" frames (batched), and a terminal "done" frame — or a single
-// "error" frame. Attribute values travel as strings under a kind-aware
-// codec (see encodeValue), so int64 and chronon values round-trip exactly
-// regardless of JSON number precision.
+// "error" frame. Rows travel in the one row codec of the system, the
+// checksummed columnar block of internal/spill: each rows frame carries one
+// block holding its rows' exact values, their sequence keys and a CRC-32C,
+// and the client decodes it against the schema frame's columns. JSON
+// carries only the control fields around it.
 package server
 
 import (
@@ -29,11 +31,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 
 	"tqp/internal/obs"
-	"tqp/internal/period"
 	"tqp/internal/relation"
 	"tqp/internal/schema"
 	"tqp/internal/value"
@@ -184,22 +184,20 @@ type CoordStats struct {
 	Retries    int64 `json:"retries"`
 }
 
-// Response is one server→client message. A rows frame carries its tuples
-// in exactly one of two layouts: Rows (row-major, the legacy form) or
-// ColRows (column-major — ColRows[j][i] is row i's value for column j).
-// The server emits ColRows, mirroring the exec engine's columnar batches
-// onto the wire: one slice per column per frame instead of one per row;
-// clients decode both.
+// Response is one server→client message. A schema frame carries Cols,
+// Order and Keyed; a rows frame carries Block, one spill block (see
+// spill.EncodeBlock) whose row count, values, sequence keys and checksum
+// the block itself holds.
 type Response struct {
-	Kind    string     `json:"kind"`
-	Cols    []Col      `json:"cols,omitempty"`
-	Order   []Order    `json:"order,omitempty"`
-	Rows    [][]string `json:"rows,omitempty"`
-	ColRows [][]string `json:"colrows,omitempty"`
-	// Seqs carries the frame's rows' global sequence keys (the stored
-	// positions in the unsharded relation), parallel to the rows, on
-	// partial-plan responses whose fragment preserves per-tuple provenance.
-	Seqs  []int       `json:"seqs,omitempty"`
+	Kind  string  `json:"kind"`
+	Cols  []Col   `json:"cols,omitempty"`
+	Order []Order `json:"order,omitempty"`
+	// Keyed says the rows frames' sequence keys are provenance: the rows'
+	// global positions in the unsharded relation, on a partial-plan answer
+	// whose fragment preserves per-tuple provenance. Otherwise the keys
+	// carry nothing and the client drops them.
+	Keyed bool        `json:"keyed,omitempty"`
+	Block []byte      `json:"block,omitempty"`
 	Done  *Done       `json:"done,omitempty"`
 	Err   *WireError  `json:"error,omitempty"`
 	Stats *StatsReply `json:"stats,omitempty"`
@@ -213,11 +211,11 @@ type ServerError struct {
 
 func (e *ServerError) Error() string { return fmt.Sprintf("server: [%s] %s", e.Code, e.Msg) }
 
-// protoErr types a malformed-frame failure from the decode path: every way a
-// peer's frames can be malformed — wrong frame kind, undecodable schema,
-// ragged or kind-confused rows, a lying done count — surfaces as the same
-// typed proto error a server-side frame rejection carries, so callers branch
-// on the code rather than on message text.
+// protoErr types a malformed-frame failure from the decode path: every way
+// a peer's frames can be malformed — wrong frame kind, undecodable schema,
+// a torn, corrupt or kind-confused block, a lying done count — surfaces as
+// the same typed proto error a server-side frame rejection carries, so
+// callers branch on the code rather than on message text.
 func protoErr(err error) error {
 	if se, ok := err.(*ServerError); ok {
 		return se
@@ -270,8 +268,8 @@ func ReadFrame(r io.Reader, v any) error {
 
 // errBadPayload marks a well-framed message whose JSON payload failed to
 // decode. The frame was fully consumed, so the stream is still in sync —
-// the server answers with a proto error and keeps serving the connection,
-// unlike framing errors, which are unrecoverable.
+// ServeRequests answers with a proto error and keeps serving the
+// connection, unlike framing errors, which are unrecoverable.
 var errBadPayload = errors.New("server: bad frame payload")
 
 // colsOf renders a schema for the wire.
@@ -320,153 +318,6 @@ func orderSpecOf(keys []Order) relation.OrderSpec {
 		}
 	}
 	return out
-}
-
-// encodeValue renders one attribute value losslessly. JSON numbers decode
-// as float64 and would corrupt int64/chronon values past 2^53, so every
-// kind travels as a string and the receiver decodes against the schema's
-// kind (the schema frame always precedes the rows frames).
-func encodeValue(v value.Value) string {
-	switch v.Kind() {
-	case value.KindInt:
-		return strconv.FormatInt(v.AsInt(), 10)
-	case value.KindFloat:
-		return strconv.FormatFloat(v.AsFloat(), 'g', -1, 64)
-	case value.KindString:
-		return v.AsString()
-	case value.KindBool:
-		if v.AsBool() {
-			return "t"
-		}
-		return "f"
-	case value.KindTime:
-		return strconv.FormatInt(int64(v.AsTime()), 10)
-	default:
-		return ""
-	}
-}
-
-// decodeValue parses one encoded value against its schema kind.
-func decodeValue(k value.Kind, s string) (value.Value, error) {
-	switch k {
-	case value.KindInt:
-		n, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			return value.Value{}, fmt.Errorf("server: bad int %q: %w", s, err)
-		}
-		return value.Int(n), nil
-	case value.KindFloat:
-		f, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			return value.Value{}, fmt.Errorf("server: bad float %q: %w", s, err)
-		}
-		return value.Float(f), nil
-	case value.KindString:
-		return value.String_(s), nil
-	case value.KindBool:
-		switch s {
-		case "t":
-			return value.Bool(true), nil
-		case "f":
-			return value.Bool(false), nil
-		}
-		return value.Value{}, fmt.Errorf("server: bad bool %q", s)
-	case value.KindTime:
-		n, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			return value.Value{}, fmt.Errorf("server: bad chronon %q: %w", s, err)
-		}
-		return value.Time(period.Chronon(n)), nil
-	default:
-		return value.Value{}, fmt.Errorf("server: cannot decode kind %s", k)
-	}
-}
-
-// encodeRows renders tuples[from:to] for a rows frame.
-func encodeRows(tuples []relation.Tuple, from, to int) [][]string {
-	out := make([][]string, to-from)
-	for i := from; i < to; i++ {
-		t := tuples[i]
-		row := make([]string, len(t))
-		for j, v := range t {
-			row[j] = encodeValue(v)
-		}
-		out[i-from] = row
-	}
-	return out
-}
-
-// decodeRows parses rows frames back into tuples, validating against the
-// schema as it goes.
-func decodeRows(s *schema.Schema, rows [][]string) ([]relation.Tuple, error) {
-	out := make([]relation.Tuple, len(rows))
-	for i, row := range rows {
-		if len(row) != s.Len() {
-			return nil, fmt.Errorf("server: row arity %d vs schema %s", len(row), s)
-		}
-		t := make(relation.Tuple, len(row))
-		for j, cell := range row {
-			v, err := decodeValue(s.At(j).Kind, cell)
-			if err != nil {
-				return nil, err
-			}
-			t[j] = v
-		}
-		out[i] = t
-	}
-	return out, nil
-}
-
-// encodeCols renders tuples[from:to] column-major for a rows frame:
-// out[j] holds column j's cells in row order.
-func encodeCols(tuples []relation.Tuple, from, to int) [][]string {
-	if to == from {
-		return nil
-	}
-	arity := len(tuples[from])
-	out := make([][]string, arity)
-	cells := make([]string, arity*(to-from))
-	for j := range out {
-		col := cells[j*(to-from) : (j+1)*(to-from) : (j+1)*(to-from)]
-		for i := from; i < to; i++ {
-			col[i-from] = encodeValue(tuples[i][j])
-		}
-		out[j] = col
-	}
-	return out
-}
-
-// decodeCols parses a column-major rows frame back into tuples, validating
-// arity and column lengths against the schema as it goes.
-func decodeCols(s *schema.Schema, cols [][]string) ([]relation.Tuple, error) {
-	if len(cols) != s.Len() {
-		return nil, fmt.Errorf("server: frame arity %d vs schema %s", len(cols), s)
-	}
-	if len(cols) == 0 {
-		return nil, nil
-	}
-	n := len(cols[0])
-	for j, col := range cols {
-		if len(col) != n {
-			return nil, fmt.Errorf("server: ragged columnar frame: column %d has %d cells, column 0 has %d", j, len(col), n)
-		}
-	}
-	vals := make([]value.Value, n*len(cols))
-	out := make([]relation.Tuple, n)
-	for i := range out {
-		out[i] = relation.Tuple(vals[i*len(cols) : (i+1)*len(cols) : (i+1)*len(cols)])
-	}
-	for j, col := range cols {
-		k := s.At(j).Kind
-		for i, cell := range col {
-			v, err := decodeValue(k, cell)
-			if err != nil {
-				return nil, err
-			}
-			out[i][j] = v
-		}
-	}
-	return out, nil
 }
 
 // NormalizeSQL is the plan cache's statement normal form: runs of

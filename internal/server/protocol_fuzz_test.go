@@ -2,13 +2,17 @@ package server
 
 import (
 	"encoding/json"
-	"strings"
+	"errors"
+	"math"
 	"testing"
 
 	"tqp/internal/algebra"
 	"tqp/internal/catalog"
 	"tqp/internal/exec"
+	"tqp/internal/period"
+	"tqp/internal/relation"
 	"tqp/internal/schema"
+	"tqp/internal/spill"
 	"tqp/internal/value"
 )
 
@@ -37,101 +41,54 @@ func fuzzSchema(t *testing.T, kindBytes []byte) *schema.Schema {
 	return s
 }
 
-// fuzzCols derives a column-major payload from raw fuzz text: columns split
-// on '|', cells split on ','. Raggedness, arity mismatches and kind-confused
-// cells all arise naturally from the fuzzer mutating the text.
-func fuzzCols(payload string) [][]string {
-	if payload == "" {
-		return nil
-	}
-	var cols [][]string
-	for _, col := range strings.Split(payload, "|") {
-		if col == "" {
-			cols = append(cols, nil)
-			continue
-		}
-		cols = append(cols, strings.Split(col, ","))
-	}
-	return cols
-}
-
-// transpose converts a rectangular column-major payload to row-major;
-// ok=false when the payload is ragged (no row-major equivalent exists).
-func transpose(cols [][]string) (rows [][]string, ok bool) {
-	if len(cols) == 0 {
-		return nil, true
-	}
-	n := len(cols[0])
-	for _, c := range cols {
-		if len(c) != n {
-			return nil, false
-		}
-	}
-	rows = make([][]string, n)
-	for i := range rows {
-		row := make([]string, len(cols))
-		for j := range cols {
-			row[j] = cols[j][i]
-		}
-		rows[i] = row
-	}
-	return rows, true
-}
-
-// FuzzDecodeCols drives the column-major frame decoder with arbitrary
-// payloads from a hostile peer. Invariants: never panic; reject every
-// ragged payload; agree exactly — same acceptance, same tuples — with the
-// row-major decoder on rectangular payloads; and never produce a value
-// whose kind differs from the schema's (silent kind corruption).
+// FuzzDecodeCols drives the client's rows-frame decoder — one columnar
+// spill block checked against the schema frame's columns — with arbitrary
+// block bytes from a hostile peer. Invariants: never panic; every failure
+// is a typed proto error; every decoded value has its schema column's kind
+// (no silent kind corruption); and decode∘encode∘decode is stable — the
+// decoded rows and keys re-encode to a block that decodes to themselves.
 func FuzzDecodeCols(f *testing.F) {
-	f.Add([]byte{0, 1}, "1,2|1.5,x")
-	f.Add([]byte{0}, "9223372036854775807|2")
-	f.Add([]byte{3, 3}, "t,f|t")
-	f.Add([]byte{1}, "NaN,Inf,-0")
-	f.Add([]byte{}, "")
-	f.Add([]byte{}, "|")
-	f.Add([]byte{2, 4}, "a,b,c|1,2")
-	f.Fuzz(func(t *testing.T, kindBytes []byte, payload string) {
+	block := func(seqs []int, rows ...relation.Tuple) []byte { return spill.EncodeBlock(nil, seqs, rows) }
+	f.Add([]byte{0, 1}, block([]int{0, 1}, relation.Tuple{value.Int(1), value.Float(1.5)}, relation.Tuple{value.Int(2), value.Float(2.5)}))
+	f.Add([]byte{0}, block([]int{9}, relation.Tuple{value.Int(math.MaxInt64)}))
+	f.Add([]byte{3, 3}, block([]int{0}, relation.Tuple{value.Bool(true), value.Bool(false)}))
+	f.Add([]byte{1}, block([]int{0, 1, 2}, relation.Tuple{value.Float(math.NaN())}, relation.Tuple{value.Float(math.Inf(1))}, relation.Tuple{value.Float(math.Copysign(0, -1))}))
+	f.Add([]byte{}, block([]int{0, 0}, relation.Tuple{}, relation.Tuple{}))
+	f.Add([]byte{}, []byte{})
+	f.Add([]byte{2, 4}, block([]int{1 << 40, 3}, relation.Tuple{value.String_("a"), value.Time(period.NowMarker)}, relation.Tuple{value.Int(1), value.Time(2)}))
+	f.Fuzz(func(t *testing.T, kindBytes []byte, payload []byte) {
 		s := fuzzSchema(t, kindBytes)
-		cols := fuzzCols(payload)
-
-		got, err := decodeCols(s, cols)
-
-		rows, rect := transpose(cols)
-		if !rect {
-			if err == nil {
-				t.Fatalf("ragged payload %q decoded without error", payload)
-			}
-			return
-		}
-		want, rowErr := decodeRows(s, rows)
-		if (err == nil) != (rowErr == nil) {
-			// Transposing an all-empty-columns payload loses the column
-			// count, so decodeRows sees an empty frame it cannot object to;
-			// decodeCols rejecting the extra columns there is correct
-			// strictness, not a disagreement.
-			if !(err != nil && len(rows) == 0) {
-				t.Fatalf("decoders disagree on acceptance of %q: cols err=%v, rows err=%v", payload, err, rowErr)
-			}
-			return
-		}
+		got, keys, err := decodeBlockFrame(&Response{Kind: KindRows, Block: payload}, s, nil, []int{})
 		if err != nil {
+			var se *ServerError
+			if !errors.As(err, &se) || se.Code != CodeProto {
+				t.Fatalf("untyped decode failure: %v", err)
+			}
 			return
 		}
-		if len(got) != len(want) {
-			t.Fatalf("decoders disagree on row count for %q: cols %d, rows %d", payload, len(got), len(want))
+		if len(got) == 0 || len(keys) != len(got) {
+			t.Fatalf("decoded %d rows with %d keys", len(got), len(keys))
 		}
-		for i := range got {
-			if len(got[i]) != s.Len() {
-				t.Fatalf("tuple %d has arity %d, schema %s", i, len(got[i]), s)
+		for i, tp := range got {
+			if len(tp) != s.Len() {
+				t.Fatalf("tuple %d has arity %d, schema %s", i, len(tp), s)
 			}
-			if !got[i].Equal(want[i]) {
-				t.Fatalf("decoders disagree on row %d of %q: cols %v, rows %v", i, payload, got[i], want[i])
-			}
-			for j, v := range got[i] {
+			for j, v := range tp {
 				if v.Kind() != s.At(j).Kind {
 					t.Fatalf("row %d col %d decoded to kind %v, schema wants %v", i, j, v.Kind(), s.At(j).Kind)
 				}
+			}
+		}
+		again, againKeys, err := decodeBlockFrame(&Response{Kind: KindRows, Block: spill.EncodeBlock(nil, keys, got)}, s, nil, []int{})
+		if err != nil {
+			t.Fatalf("re-encoded rows do not decode: %v", err)
+		}
+		if len(again) != len(got) {
+			t.Fatalf("re-decode kept %d of %d rows", len(again), len(got))
+		}
+		for i := range got {
+			if !again[i].Equal(got[i]) || againKeys[i] != keys[i] {
+				t.Fatalf("row %d: re-decoded %v key %d, first decode %v key %d", i, again[i], againKeys[i], got[i], keys[i])
 			}
 		}
 	})

@@ -1,16 +1,22 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
+	"context"
 	"encoding/binary"
+	"encoding/json"
 	"io"
 	"math"
 	"strings"
 	"testing"
 
+	"tqp/internal/algebra"
+	"tqp/internal/expr"
 	"tqp/internal/period"
 	"tqp/internal/relation"
 	"tqp/internal/schema"
+	"tqp/internal/spill"
 	"tqp/internal/value"
 )
 
@@ -55,36 +61,63 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestValueCodec round-trips every kind through the wire encoding,
-// including the values JSON numbers would corrupt (int64 past 2^53, the
-// NOW marker chronon) and float specials.
+// TestValueCodec round-trips every kind of literal through the fragment
+// wire codec (EncodePlan → JSON → DecodePlan), including the values JSON
+// numbers would corrupt (int64 extremes, the NOW marker chronon) and float
+// specials, whose kind and bits must survive exactly.
 func TestValueCodec(t *testing.T) {
 	vals := []value.Value{
 		value.Int(0), value.Int(-7), value.Int(math.MaxInt64), value.Int(math.MinInt64),
-		value.Float(0), value.Float(-2.5), value.Float(1e300), value.Float(math.Pi),
+		value.Float(0), value.Float(math.Copysign(0, -1)), value.Float(-2.5), value.Float(1e300),
+		value.Float(math.Pi), value.Float(math.NaN()), value.Float(math.Inf(1)),
 		value.String_(""), value.String_("it's quoted; with, commas"), value.String_("Anna"),
 		value.Bool(true), value.Bool(false),
 		value.Time(0), value.Time(42), value.Time(period.NowMarker),
 	}
 	for _, v := range vals {
-		got, err := decodeValue(v.Kind(), encodeValue(v))
+		plan := algebra.NewSelect(expr.Compare(expr.Eq, expr.Column("X"), expr.Literal(v)),
+			algebra.NewRel("R", nil, algebra.BaseInfo{}))
+		wire, err := EncodePlan(plan)
 		if err != nil {
 			t.Fatalf("%v: %v", v, err)
 		}
-		if !got.Equal(v) || got.Kind() != v.Kind() {
+		raw, err := json.Marshal(wire)
+		if err != nil {
+			t.Fatalf("%v: %v", v, err)
+		}
+		var back WirePlan
+		if err := json.Unmarshal(raw, &back); err != nil {
+			t.Fatalf("%v: %v", v, err)
+		}
+		decoded, err := DecodePlan(&back)
+		if err != nil {
+			t.Fatalf("%v: %v", v, err)
+		}
+		got := decoded.(*algebra.Select).P.(expr.Cmp).R.(expr.Lit).Val
+		if got.Kind() != v.Kind() || !got.Equal(v) {
 			t.Fatalf("round trip: got %v (%s) want %v (%s)", got, got.Kind(), v, v.Kind())
 		}
+		if v.Kind() == value.KindFloat && math.Float64bits(got.AsFloat()) != math.Float64bits(v.AsFloat()) {
+			t.Fatalf("round trip changed the bits of %v: %x vs %x", v, math.Float64bits(got.AsFloat()), math.Float64bits(v.AsFloat()))
+		}
 	}
-	if _, err := decodeValue(value.KindInt, "not-a-number"); err == nil {
-		t.Fatal("bad int must not decode")
-	}
-	if _, err := decodeValue(value.KindBool, "yes"); err == nil {
-		t.Fatal("bad bool must not decode")
+	// A literal the dialect cannot read is refused, not defaulted.
+	for _, bad := range []*WireExpr{
+		{Node: "lit", Kind: "int", Val: "not-a-number"},
+		{Node: "lit", Kind: "bool", Val: "yes"},
+		{Node: "lit", Kind: "time", Val: "1.5"},
+	} {
+		w := &WirePlan{Op: "select", Pred: &WirePred{Node: "cmp", Op: "=", LX: &WireExpr{Node: "col", Name: "X"}, RX: bad},
+			In: []*WirePlan{{Op: "rel", Rel: "R"}}}
+		if _, err := DecodePlan(w); err == nil {
+			t.Fatalf("literal %+v must not decode", bad)
+		}
 	}
 }
 
-// TestRelationCodec encodes a relation schema+rows+order for the wire and
-// reconstructs it bit-identically.
+// TestRelationCodec streams a relation — schema, rows with duplicates,
+// order — through the server's frames into a client and reconstructs it
+// bit-identically.
 func TestRelationCodec(t *testing.T) {
 	sch := schema.MustNew(
 		schema.Attr("Name", value.KindString),
@@ -98,6 +131,7 @@ func TestRelationCodec(t *testing.T) {
 		{"John", 2, 1, 8}, // duplicates are significant
 	})
 	spec := relation.OrderSpec{relation.Key("Name"), relation.KeyDesc("N")}
+	rel.SetOrder(spec)
 
 	sch2, err := schemaOf(colsOf(sch))
 	if err != nil {
@@ -106,26 +140,31 @@ func TestRelationCodec(t *testing.T) {
 	if !sch2.Equal(sch) {
 		t.Fatalf("schema round trip: %s vs %s", sch2, sch)
 	}
-	tuples, err := decodeRows(sch2, encodeRows(rel.Tuples(), 0, rel.Len()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := relation.FromTuplesTrusted(sch2, tuples)
-	got.SetOrder(orderSpecOf(orderOf(spec)))
-	if !got.EqualAsList(rel) {
-		t.Fatalf("rows round trip:\n%s\nvs\n%s", got, rel)
-	}
-	if !got.Order().Equal(spec) {
-		t.Fatalf("order round trip: %s vs %s", got.Order(), spec)
-	}
-	// Arity mismatches are loud.
-	if _, err := decodeRows(sch2, [][]string{{"Anna", "1"}}); err == nil {
-		t.Fatal("short row must not decode")
+	for _, batch := range []int{1, 2, 256} {
+		c := fakePeer(t, func(br *bufio.Reader, bw *bufio.Writer) {
+			readRequest(t, br)
+			if err := StreamResult(bw, rel, batch, &Done{Tuples: rel.Len()}); err != nil {
+				t.Errorf("streaming: %v", err)
+			}
+		})
+		got, _, err := c.Query(context.Background(), "SELECT * FROM R")
+		if err != nil {
+			t.Fatalf("batch %d: %v", batch, err)
+		}
+		if !got.Schema().Equal(sch) || !got.EqualAsList(rel) {
+			t.Fatalf("batch %d: rows round trip:\n%s\nvs\n%s", batch, got, rel)
+		}
+		if !got.Order().Equal(spec) {
+			t.Fatalf("batch %d: order round trip: %s vs %s", batch, got.Order(), spec)
+		}
 	}
 }
 
-// TestColumnarRowsCodec round-trips the column-major rows-frame layout the
-// server streams (one cell slice per column) and pins its error paths.
+// TestColumnarRowsCodec pins the rows frames the server streams: each
+// carries one columnar spill block holding exactly its window of the
+// result, with the fragment's sequence keys when the result is keyed and
+// zero keys otherwise, and a block decoded against the wrong schema or cut
+// short is refused.
 func TestColumnarRowsCodec(t *testing.T) {
 	sch := schema.MustNew(
 		schema.Attr("Name", value.KindString),
@@ -138,50 +177,69 @@ func TestColumnarRowsCodec(t *testing.T) {
 		{"it's", int64(1) << 62, 1, 8},
 		{"John", 2, 1, int64(period.NowMarker)},
 	})
-
-	cols := encodeCols(rel.Tuples(), 0, rel.Len())
-	if len(cols) != sch.Len() {
-		t.Fatalf("encoded %d columns, want %d", len(cols), sch.Len())
-	}
-	for j, col := range cols {
-		if len(col) != rel.Len() {
-			t.Fatalf("column %d has %d cells, want %d", j, len(col), rel.Len())
+	for _, keys := range [][]int{nil, {40, 7, 1 << 40}} {
+		var buf bytes.Buffer
+		if err := streamResult(&buf, rel, keys, 2, &Done{Tuples: rel.Len()}); err != nil {
+			t.Fatal(err)
+		}
+		var frames []Response
+		for {
+			var f Response
+			if err := ReadFrame(&buf, &f); err == io.EOF {
+				break
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			frames = append(frames, f)
+		}
+		if len(frames) != 4 || frames[0].Kind != KindSchema || frames[3].Kind != KindDone {
+			t.Fatalf("keys %v: want schema, 2 rows frames, done; got %d frames", keys, len(frames))
+		}
+		if frames[0].Keyed != (keys != nil) {
+			t.Fatalf("keys %v: schema frame says keyed=%v", keys, frames[0].Keyed)
+		}
+		// Each rows frame is one block holding exactly its window.
+		for i, win := range [][2]int{{0, 2}, {2, 3}} {
+			got, gotKeys, err := spill.DecodeBlocks(bytes.NewReader(frames[1+i].Block), sch, nil, []int{})
+			if err != nil {
+				t.Fatalf("keys %v frame %d: %v", keys, i, err)
+			}
+			want := rel.Tuples()[win[0]:win[1]]
+			if len(got) != len(want) {
+				t.Fatalf("keys %v frame %d: %d rows, want %d", keys, i, len(got), len(want))
+			}
+			for r := range got {
+				if !got[r].Equal(want[r]) {
+					t.Fatalf("keys %v frame %d row %d: %s vs %s", keys, i, r, got[r], want[r])
+				}
+				wantKey := 0
+				if keys != nil {
+					wantKey = keys[win[0]+r]
+				}
+				if gotKeys[r] != wantKey {
+					t.Fatalf("keys %v frame %d row %d: key %d, want %d", keys, i, r, gotKeys[r], wantKey)
+				}
+			}
 		}
 	}
-	// Column-major layout: cols[j][i] is row i's value for column j.
-	if cols[0][1] != "it's" || cols[1][1] != "4611686018427387904" {
-		t.Fatalf("layout is not column-major: %v", cols)
+	// Error paths: a block decoded against another schema, or cut short, is
+	// loud.
+	block := spill.EncodeBlock(nil, []int{0, 1, 2}, rel.Tuples())
+	short := schema.MustNew(schema.Attr("Name", value.KindString), schema.Attr("N", value.KindInt))
+	if _, _, err := spill.DecodeBlocks(bytes.NewReader(block), short, nil, nil); err == nil {
+		t.Fatal("a block of another arity must not decode")
 	}
-	tuples, err := decodeCols(sch, cols)
-	if err != nil {
-		t.Fatal(err)
+	confused := schema.MustNew(
+		schema.Attr("Name", value.KindString),
+		schema.Attr("N", value.KindFloat),
+		schema.Attr(schema.T1, value.KindTime),
+		schema.Attr(schema.T2, value.KindTime),
+	)
+	if _, _, err := spill.DecodeBlocks(bytes.NewReader(block), confused, nil, nil); err == nil {
+		t.Fatal("a column of another kind must not decode")
 	}
-	got := relation.FromTuplesTrusted(sch, tuples)
-	if !got.EqualAsList(rel) {
-		t.Fatalf("columnar round trip:\n%s\nvs\n%s", got, rel)
-	}
-	// Both layouts decode to identical tuples.
-	rows, err := decodeRows(sch, encodeRows(rel.Tuples(), 0, rel.Len()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range rows {
-		if !rows[i].Equal(tuples[i]) {
-			t.Fatalf("row %d: row-major %s vs column-major %s", i, rows[i], tuples[i])
-		}
-	}
-	// A sliced window encodes only [from, to).
-	win := encodeCols(rel.Tuples(), 1, 3)
-	if len(win[0]) != 2 || win[0][0] != "it's" {
-		t.Fatalf("window encode: %v", win)
-	}
-	// Error paths: arity mismatch and ragged columns are loud.
-	if _, err := decodeCols(sch, cols[:2]); err == nil {
-		t.Fatal("short frame must not decode")
-	}
-	ragged := [][]string{cols[0], cols[1], cols[2], cols[3][:1]}
-	if _, err := decodeCols(sch, ragged); err == nil {
-		t.Fatal("ragged frame must not decode")
+	if _, _, err := spill.DecodeBlocks(bytes.NewReader(block[:len(block)-1]), sch, nil, nil); err == nil {
+		t.Fatal("a truncated block must not decode")
 	}
 }
 

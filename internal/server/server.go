@@ -18,6 +18,7 @@ import (
 	"tqp/internal/obs"
 	"tqp/internal/relation"
 	"tqp/internal/schema"
+	"tqp/internal/spill"
 	"tqp/internal/stratum"
 	"tqp/internal/tsql"
 	"tqp/internal/value"
@@ -300,24 +301,32 @@ func (s *Server) handleConn(conn net.Conn) {
 	if err != nil {
 		return // Start validated this; unreachable in practice
 	}
-	br := bufio.NewReader(conn)
 	bw := bufio.NewWriter(deadlineWriter{conn: conn, timeout: s.cfg.WriteTimeout})
+	ServeRequests(bufio.NewReader(conn), bw, func(req *Request) error {
+		return s.handleRequest(req, sess, bw)
+	})
+}
+
+// ServeRequests runs one connection's request loop: it reads request
+// frames from r, hands each to handle, which writes its answer to bw, and
+// flushes bw after every answer. A well-framed request whose payload does
+// not decode is answered with a proto error and the loop goes on, since
+// the frame was consumed whole; a hangup, a framing error or a failed
+// write ends it. The server and the coordinator's frontend both serve
+// through it, so they keep one framing contract.
+func ServeRequests(r io.Reader, bw *bufio.Writer, handle func(*Request) error) {
 	for {
 		var req Request
-		if err := ReadFrame(br, &req); err != nil {
-			if errors.Is(err, errBadPayload) {
-				// The frame was consumed whole; answer and keep serving.
-				if writeError(bw, CodeProto, err) != nil || bw.Flush() != nil {
-					return
-				}
-				continue
-			}
-			return // hangup or unrecoverable framing error
+		err := ReadFrame(r, &req)
+		switch {
+		case errors.Is(err, errBadPayload):
+			err = writeError(bw, CodeProto, err)
+		case err != nil:
+			return
+		default:
+			err = handle(&req)
 		}
-		if err := s.handleRequest(&req, sess, bw); err != nil {
-			return // write failure: the peer is gone
-		}
-		if err := bw.Flush(); err != nil {
+		if err != nil || bw.Flush() != nil {
 			return
 		}
 	}
@@ -591,10 +600,12 @@ func StreamResult(w io.Writer, result *relation.Relation, batchRows int, done *D
 	return streamResult(w, result, nil, batchRows, done)
 }
 
-// streamResult is the one place the frame layout of a result is decided.
-// seqs, when non-nil, carries the rows' sequence keys (a pushed-down
-// fragment's answer), cut per rows frame alongside the rows.
-func streamResult(w io.Writer, result *relation.Relation, seqs []int, batchRows int, done *Done) error {
+// streamResult is the one place the frame layout of a result is decided:
+// a schema frame, one spill block per rows frame, a done frame. keys, when
+// non-nil, are the rows' sequence keys (a pushed-down fragment's
+// provenance) and the schema frame says so; otherwise every block carries
+// zero keys, which the client drops.
+func streamResult(w io.Writer, result *relation.Relation, keys []int, batchRows int, done *Done) error {
 	if batchRows <= 0 {
 		batchRows = 256
 	}
@@ -602,29 +613,26 @@ func streamResult(w io.Writer, result *relation.Relation, seqs []int, batchRows 
 		Kind:  KindSchema,
 		Cols:  colsOf(result.Schema()),
 		Order: orderOf(result.Order()),
+		Keyed: keys != nil,
 	}); err != nil {
 		return err
 	}
 	tuples := result.Tuples()
+	var zeros []int
+	if keys == nil {
+		zeros = make([]int, min(batchRows, len(tuples)))
+	}
+	var block []byte
 	for from := 0; from < len(tuples); from += batchRows {
-		to := from + batchRows
-		if to > len(tuples) {
-			to = len(tuples)
-		}
-		frame := &Response{Kind: KindRows}
-		if result.Schema().Len() == 0 {
-			// Column-major has no column to carry the row count of a
-			// zero-arity result, so those frames would silently lose every
-			// row; fall back to the row-major layout, which carries one
-			// (empty) slice per row.
-			frame.Rows = encodeRows(tuples, from, to)
+		to := min(from+batchRows, len(tuples))
+		var seqs []int
+		if keys != nil {
+			seqs = keys[from:to]
 		} else {
-			frame.ColRows = encodeCols(tuples, from, to)
+			seqs = zeros[:to-from]
 		}
-		if seqs != nil {
-			frame.Seqs = seqs[from:to]
-		}
-		if err := WriteFrame(w, frame); err != nil {
+		block = spill.EncodeBlock(block[:0], seqs, tuples[from:to])
+		if err := WriteFrame(w, &Response{Kind: KindRows, Block: block}); err != nil {
 			return err
 		}
 	}

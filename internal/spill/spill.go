@@ -1,19 +1,27 @@
 // Package spill implements the disk half of the exec engine's
-// memory-bounded execution mode: temp-file spill partitions holding
-// sequence-tagged tuples in a sized, checksummed columnar block codec.
+// memory-bounded execution mode — temp-file spill partitions holding
+// sequence-tagged tuples — and the checksummed columnar block those
+// partitions are made of.
 //
 // A Manager owns one run's spill directory (created lazily on first write,
 // removed wholesale by Cleanup), hands out Writers, and tracks the total
 // bytes written for the engine's Stats. A Writer appends tuples and is
 // Finished into an immutable File, which Opens into a Reader streaming the
 // tuples back in write order. On disk, tuples are grouped into columnar
-// blocks: a block holds up to blockRows same-arity tuples with each
-// attribute's values packed contiguously under a single kind byte, so the
-// per-value kind tag of a row codec is paid once per column instead of
-// once per cell and decode reconstructs a whole block of tuples from one
-// backing allocation. Every block carries its own length and a CRC-32C of
-// its payload, so a truncated or corrupted spill file is detected at read
-// time instead of silently corrupting a query result.
+// blocks: a block holds same-arity tuples with each attribute's values
+// packed contiguously under a single kind byte, so the per-value kind tag
+// of a row codec is paid once per column instead of once per cell and
+// decode reconstructs a whole block of tuples from one backing allocation.
+// Every block carries its own row count, its rows' sequence keys, its
+// length and a CRC-32C of its payload, so a truncated or corrupted block is
+// detected at read time instead of silently corrupting a query result.
+//
+// The block is the one row codec of the system, with three carriers: spill
+// partitions, the persistent store's segment files, and the server's rows
+// frames, each of which carries one block of a result (its sequence keys
+// are a pushed-down fragment's provenance). EncodeBlock writes a block and
+// DecodeBlocks reads blocks back against a schema, so a torn segment and a
+// hostile peer's frame fail through the same code.
 //
 // The codec is also the accounting currency of the memory arbiter:
 // TupleMemSize estimates a tuple's resident bytes, so the spill decision
@@ -29,11 +37,13 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"tqp/internal/period"
 	"tqp/internal/relation"
+	"tqp/internal/schema"
 	"tqp/internal/value"
 )
 
@@ -167,7 +177,7 @@ func (w *Writer) flush() error {
 	if len(w.pend) == 0 {
 		return nil
 	}
-	w.buf = encodeBlock(w.buf[:0], w.seqs, w.pend)
+	w.buf = EncodeBlock(w.buf[:0], w.seqs, w.pend)
 	w.seqs = w.seqs[:0]
 	w.pend = w.pend[:0]
 	if _, err := w.bw.Write(w.buf); err != nil {
@@ -311,7 +321,7 @@ func (r *Reader) Next() (seq int, t relation.Tuple, ok bool, err error) {
 		if r.remaining == 0 {
 			return 0, nil, false, nil
 		}
-		r.blkSeqs, r.blkRows, r.buf, err = decodeBlock(r.br, r.blkSeqs[:0], r.buf)
+		r.blkSeqs, r.blkRows, r.buf, err = decodeBlock(r.br, r.blkSeqs[:0], r.buf, r.blkRows[:0])
 		if err != nil {
 			return 0, nil, false, fmt.Errorf("spill: reading %s: %w", r.f.Name(), err)
 		}
@@ -393,50 +403,14 @@ func appendCell(dst []byte, v value.Value) []byte {
 	}
 }
 
-// encodeBlock appends one columnar block of same-arity tuples to dst:
+// encodeBlockCols appends one columnar block of len(seqs) arity-column
+// rows, read through a cell accessor, to dst — the one block encoder, shared
+// by tuples (EncodeBlock) and column planes (AppendBlockCols):
 //
 //	uvarint payloadLen | payload | uint32le CRC-32C(payload)
 //	payload = uvarint nrows | uvarint arity | nrows×uvarint seq | arity×column
 //	column  = kind byte | nrows×cell            (all cells share the kind)
 //	        | 0xFF | nrows×(kind byte | cell)   (heterogeneous fallback)
-func encodeBlock(dst []byte, seqs []int, rows []relation.Tuple) []byte {
-	arity := len(rows[0])
-	payload := binary.AppendUvarint(nil, uint64(len(rows)))
-	payload = binary.AppendUvarint(payload, uint64(arity))
-	for _, s := range seqs {
-		payload = binary.AppendUvarint(payload, uint64(s))
-	}
-	for j := 0; j < arity; j++ {
-		k := rows[0][j].Kind()
-		homog := k != value.KindInvalid
-		for _, t := range rows {
-			if t[j].Kind() != k {
-				homog = false
-				break
-			}
-		}
-		if homog {
-			payload = append(payload, byte(k))
-			for _, t := range rows {
-				payload = appendCell(payload, t[j])
-			}
-		} else {
-			payload = append(payload, kindHetero)
-			for _, t := range rows {
-				payload = append(payload, byte(t[j].Kind()))
-				payload = appendCell(payload, t[j])
-			}
-		}
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(payload)))
-	dst = append(dst, payload...)
-	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, castagnoli))
-}
-
-// encodeBlockCols is encodeBlock reading cells through an accessor instead
-// of tuples — byte-for-byte the same block format, so files written from
-// column planes and files written from tuples are indistinguishable to the
-// reader (and to repartitioning, which streams either kind).
 func encodeBlockCols(dst []byte, seqs []int, arity int, cell func(row, col int) value.Value) []byte {
 	nrows := len(seqs)
 	payload := binary.AppendUvarint(nil, uint64(nrows))
@@ -473,54 +447,70 @@ func encodeBlockCols(dst []byte, seqs []int, arity int, cell func(row, col int) 
 	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, castagnoli))
 }
 
-// decodeBlock reads one columnar block into tuples. seqs and buf are scratch
-// recycled across calls; the returned tuples are freshly allocated (callers
-// retain them past the next block) and share one backing array per block.
-func decodeBlock(br *bufio.Reader, seqs []int, buf []byte) ([]int, []relation.Tuple, []byte, error) {
+// BlockReader is what blocks decode from: a spill file or a segment file
+// behind a bufio.Reader, or a rows frame's bytes behind a bytes.Reader.
+type BlockReader interface {
+	io.Reader
+	io.ByteReader
+}
+
+// decodeBlock reads one columnar block and appends its rows to rows as
+// tuples sharing one freshly allocated backing array, so callers may retain
+// them past the next block. seqs and buf are scratch recycled across calls.
+func decodeBlock(r BlockReader, seqs []int, buf []byte, rows []relation.Tuple) ([]int, []relation.Tuple, []byte, error) {
 	var vals []value.Value
-	var rows []relation.Tuple
 	arity := 0
 	begin := func(nrows, a int) error {
 		arity = a
 		vals = make([]value.Value, nrows*arity)
-		rows = make([]relation.Tuple, nrows)
-		for i := range rows {
-			rows[i] = relation.Tuple(vals[i*arity : (i+1)*arity : (i+1)*arity])
+		rows = slices.Grow(rows, nrows)
+		for i := 0; i < nrows; i++ {
+			rows = append(rows, relation.Tuple(vals[i*arity:(i+1)*arity:(i+1)*arity]))
 		}
 		return nil
 	}
-	seqs, buf, err := decodeBlockInto(br, seqs, buf, begin, func(i, j int, v value.Value) { vals[i*arity+j] = v })
-	if err != nil {
-		return seqs, nil, buf, err
-	}
-	return seqs, rows, buf, nil
+	seqs, buf, err := decodeBlockInto(r, seqs, buf, begin, func(i, j int, v value.Value) { vals[i*arity+j] = v })
+	return seqs, rows, buf, err
 }
 
-// decodeBlockInto reads one columnar block, verifying length and checksum,
-// and hands its cells to put column by column (each column's in row order)
-// once begin has accepted the block's shape. seqs and buf are scratch
-// recycled across calls.
-func decodeBlockInto(br *bufio.Reader, seqs []int, buf []byte, begin func(nrows, arity int) error, put func(row, col int, v value.Value)) ([]int, []byte, error) {
+// decodeBlockInto reads one columnar block — the one block decoder —
+// verifying length and checksum, and hands its cells to put column by
+// column (each column's in row order) once begin has accepted the block's
+// shape. seqs and buf are scratch recycled across calls. A reader that is
+// exhausted before the block's first byte returns io.EOF itself: the clean
+// end of a block sequence. Every other failure, a block torn anywhere
+// included, is a descriptive error that is not io.EOF.
+func decodeBlockInto(br BlockReader, seqs []int, buf []byte, begin func(nrows, arity int) error, put func(row, col int, v value.Value)) ([]int, []byte, error) {
 	n, err := binary.ReadUvarint(br)
+	if err == io.EOF {
+		return seqs, buf, io.EOF
+	}
 	if err != nil {
 		return seqs, buf, fmt.Errorf("block header: %w", err)
 	}
 	if n > maxBlockSize {
 		return seqs, buf, fmt.Errorf("block of %d bytes exceeds the %d-byte bound (corrupt header)", n, maxBlockSize)
 	}
-	if cap(buf) < int(n) {
-		buf = make([]byte, n)
+	// The buffer grows only as payload bytes arrive, so a length claim
+	// from a corrupt header or a hostile peer costs what the reader holds,
+	// not what the header says.
+	payload := buf[:0]
+	for len(payload) < int(n) {
+		chunk := min(int(n)-len(payload), 64<<10)
+		payload = slices.Grow(payload, chunk)
+		got, err := io.ReadFull(br, payload[len(payload):len(payload)+chunk])
+		payload = payload[:len(payload)+got]
+		if err != nil {
+			return seqs, payload, fmt.Errorf("block payload: %w", torn(err))
+		}
 	}
-	payload := buf[:n]
-	if _, err := io.ReadFull(br, payload); err != nil {
-		return seqs, buf, fmt.Errorf("block payload: %w", err)
-	}
+	buf = payload
 	var sum [4]byte
 	if _, err := io.ReadFull(br, sum[:]); err != nil {
-		return seqs, buf, fmt.Errorf("block checksum: %w", err)
+		return seqs, buf, fmt.Errorf("block checksum: %w", torn(err))
 	}
 	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(sum[:]) {
-		return seqs, buf, fmt.Errorf("block checksum mismatch (corrupt spill file)")
+		return seqs, buf, fmt.Errorf("block checksum mismatch (corrupt block)")
 	}
 
 	pos := 0
@@ -652,24 +642,54 @@ func decodeBlockInto(br *bufio.Reader, seqs []int, buf []byte, begin func(nrows,
 // drive a multi-gigabyte allocation.
 const maxBlockSize = 64 << 20
 
-// EncodeBlock appends one columnar block of same-arity tuples to dst in the
-// spill block format (see encodeBlock) and returns the extended slice. It is
-// the exported face of the codec for other on-disk formats — the persistent
-// temporal store's segment files carry exactly these blocks, so both disk
-// representations share one codec, one checksum, and one corruption story.
-// len(seqs) must equal len(rows), both non-empty, and rows must share one
-// arity; callers chunk at BlockRows to match the writer's own packing.
-func EncodeBlock(dst []byte, seqs []int, rows []relation.Tuple) []byte {
-	return encodeBlock(dst, seqs, rows)
+// torn reports a reader that ran dry inside a block as the truncation it
+// is: io.EOF is reserved for the clean end between blocks.
+func torn(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
 
-// DecodeBlock reads one block from br, verifying the length bound and the
-// CRC-32C checksum. seqs and buf are scratch recycled across calls (pass the
-// returned buf back in); the returned tuples are freshly allocated and may
-// be retained. Any error — truncation, checksum mismatch, malformed cells —
-// identifies a corrupt or torn block; the codec never panics on bad input.
-func DecodeBlock(br *bufio.Reader, seqs []int, buf []byte) ([]int, []relation.Tuple, []byte, error) {
-	return decodeBlock(br, seqs, buf)
+// EncodeBlock appends one columnar block of same-arity tuples to dst (see
+// encodeBlockCols for the format) and returns the extended slice. It is the
+// codec's face for the block's other carriers: the persistent store's
+// segment files and the server's rows frames carry exactly these blocks, so
+// every carrier shares one codec, one checksum and one corruption story.
+// len(seqs) must equal len(rows), both non-empty, and rows must share one
+// arity; the store chunks at BlockRows to match the writer's own packing.
+func EncodeBlock(dst []byte, seqs []int, rows []relation.Tuple) []byte {
+	return encodeBlockCols(dst, seqs, len(rows[0]), func(i, j int) value.Value { return rows[i][j] })
+}
+
+// DecodeBlocks decodes the blocks r holds up to its end — a segment file's
+// blocks, or the one block of a rows frame — and appends their rows to rows,
+// and their sequence keys to keys unless keys is nil. Every row must fit sch
+// (arity and cell kinds). A torn or corrupt block, bytes past the last whole
+// block, and a row sch does not admit are all errors, never a panic: the
+// store reports them as corruption, the client as a protocol error.
+func DecodeBlocks(r BlockReader, sch *schema.Schema, rows []relation.Tuple, keys []int) ([]relation.Tuple, []int, error) {
+	var seqs []int
+	var buf []byte
+	for {
+		from := len(rows)
+		var err error
+		seqs, rows, buf, err = decodeBlock(r, seqs[:0], buf, rows)
+		if err == io.EOF {
+			return rows, keys, nil
+		}
+		if err != nil {
+			return rows[:from], keys, err
+		}
+		for _, t := range rows[from:] {
+			if err := t.CheckAgainst(sch); err != nil {
+				return rows[:from], keys, err
+			}
+		}
+		if keys != nil {
+			keys = append(keys, seqs...)
+		}
+	}
 }
 
 // tupleOverhead approximates the resident cost of one tuple beyond its

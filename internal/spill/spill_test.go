@@ -1,6 +1,8 @@
 package spill
 
 import (
+	"bytes"
+	"encoding/hex"
 	"math"
 	"os"
 	"path/filepath"
@@ -8,6 +10,7 @@ import (
 
 	"tqp/internal/period"
 	"tqp/internal/relation"
+	"tqp/internal/schema"
 	"tqp/internal/value"
 )
 
@@ -329,6 +332,105 @@ func TestColumnarSmallerThanRowCodec(t *testing.T) {
 	// any framing. The columnar file must beat even that.
 	if f.Bytes() >= int64(n*8) {
 		t.Fatalf("columnar file is %d bytes for %d tuples; per-cell kind tags would start at %d", f.Bytes(), n, n*8)
+	}
+}
+
+// goldenBlock is one block as the block encoder wrote it before the wire
+// became its third carrier — five rows of homogeneous int, float, string,
+// bool and time columns plus a column whose cells mix every kind — with
+// sequence keys 0, 7, 300, 2^40 and 5. Segment files on disk hold exactly
+// such blocks, so this fixture is the guarantee that they still open.
+const goldenBlock = "a70105060007ac02808080808020050100feffffffffffffffff01ffffffffffffffffff0101d804020000000000000080000000000000f0ff0000000000000a409c7500883ce4377e182d4454fb210940030011c3bc6ec3af636f646520e2809420e7958c0b68656c6c6f00776f726c64046974277304416e6e610400010001000500feffffffffffffff3f0954808080808040ff0102030374776f020000000000000c400401050ab098e16f"
+
+// TestBlockGoldenBytes decodes the golden block to its rows and keys and
+// re-encodes them byte for byte: the block format is frozen.
+func TestBlockGoldenBytes(t *testing.T) {
+	raw, err := hex.DecodeString(goldenBlock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []relation.Tuple{
+		relation.NewTuple(value.Int(0), value.Float(math.Copysign(0, -1)), value.String_(""), value.Bool(false), value.Time(0), value.Int(1)),
+		relation.NewTuple(value.Int(math.MaxInt64), value.Float(math.Inf(-1)), value.String_("ünïcode — 界"), value.Bool(true), value.Time(period.NowMarker), value.String_("two")),
+		relation.NewTuple(value.Int(math.MinInt64), value.Float(3.25), value.String_("hello\x00world"), value.Bool(false), value.Time(-5), value.Float(3.5)),
+		relation.NewTuple(value.Int(-1), value.Float(1e300), value.String_("it's"), value.Bool(true), value.Time(42), value.Bool(true)),
+		relation.NewTuple(value.Int(300), value.Float(math.Pi), value.String_("Anna"), value.Bool(false), value.Time(1<<40), value.Time(5)),
+	}
+	wantKeys := []int{0, 7, 300, 1 << 40, 5}
+	sch := schema.MustNew(
+		schema.Attr("I", value.KindInt), schema.Attr("F", value.KindFloat), schema.Attr("S", value.KindString),
+		schema.Attr("B", value.KindBool), schema.Attr("T", value.KindTime), schema.Attr("H", value.KindInt),
+	)
+	// The heterogeneous column fits no schema, so decode through the
+	// unchecked path first, then check the rest against a schema.
+	seqs, rows, _, err := decodeBlock(bytes.NewReader(raw), nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != len(want) {
+		t.Fatalf("decoded %d rows, want %d", len(rows), len(want))
+	}
+	for i := range want {
+		if seqs[i] != wantKeys[i] || !rows[i].Equal(want[i]) {
+			t.Fatalf("row %d: key %d %s, want key %d %s", i, seqs[i], rows[i], wantKeys[i], want[i])
+		}
+		for j := range want[i] {
+			if rows[i][j].Kind() != want[i][j].Kind() {
+				t.Fatalf("row %d col %d: kind %v, want %v", i, j, rows[i][j].Kind(), want[i][j].Kind())
+			}
+		}
+	}
+	if bits := math.Float64bits(rows[0][1].AsFloat()); bits != math.Float64bits(math.Copysign(0, -1)) {
+		t.Fatalf("negative zero decoded to bits %x", bits)
+	}
+	if again := EncodeBlock(nil, seqs, rows); !bytes.Equal(again, raw) {
+		t.Fatalf("re-encoded block differs:\n got %x\nwant %x", again, raw)
+	}
+	// Through the schema-checked decoder, the heterogeneous column is the
+	// one thing refused.
+	if _, _, err := DecodeBlocks(bytes.NewReader(raw), sch, nil, nil); err == nil {
+		t.Fatal("a string cell in an int column must not pass the schema check")
+	}
+}
+
+// TestDecodeBlocksStopsCleanly pins the sequence decoder's edges: an empty
+// reader holds no blocks, two blocks decode in order with their keys, and
+// a reader that runs dry inside a block — at any byte — is an error, never
+// the clean end.
+func TestDecodeBlocksStopsCleanly(t *testing.T) {
+	sch := schema.MustNew(schema.Attr("N", value.KindInt), schema.Attr("S", value.KindString))
+	a := []relation.Tuple{relation.NewTuple(value.Int(1), value.String_("a")), relation.NewTuple(value.Int(2), value.String_("b"))}
+	b := []relation.Tuple{relation.NewTuple(value.Int(3), value.String_("c"))}
+	stream := EncodeBlock(EncodeBlock(nil, []int{4, 5}, a), []int{6}, b)
+
+	rows, keys, err := DecodeBlocks(bytes.NewReader(nil), sch, nil, []int{})
+	if err != nil || len(rows) != 0 || len(keys) != 0 {
+		t.Fatalf("empty reader: %d rows, %d keys, err %v", len(rows), len(keys), err)
+	}
+	rows, keys, err = DecodeBlocks(bytes.NewReader(stream), sch, nil, []int{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := append(append([]relation.Tuple(nil), a...), b...)
+	if len(rows) != len(all) || keys[0] != 4 || keys[1] != 5 || keys[2] != 6 {
+		t.Fatalf("two blocks: %d rows, keys %v", len(rows), keys)
+	}
+	for i := range all {
+		if !rows[i].Equal(all[i]) {
+			t.Fatalf("row %d: %s, want %s", i, rows[i], all[i])
+		}
+	}
+	if _, keys, _ := DecodeBlocks(bytes.NewReader(stream), sch, nil, nil); keys != nil {
+		t.Fatalf("nil keys collected %v", keys)
+	}
+	first := len(EncodeBlock(nil, []int{4, 5}, a))
+	for cut := 1; cut < len(stream); cut++ {
+		if cut == first {
+			continue // a whole first block, then a clean end
+		}
+		if _, _, err := DecodeBlocks(bytes.NewReader(stream[:cut]), sch, nil, nil); err == nil {
+			t.Fatalf("stream cut at byte %d of %d decoded without error", cut, len(stream))
+		}
 	}
 }
 

@@ -29,7 +29,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -300,37 +299,20 @@ func (s *Store) Load(name string) (*relation.Relation, error) {
 }
 
 // readSegment appends one segment's tuples to dst, verifying block
-// checksums, the committed row count, and cell kinds against the schema.
+// checksums, cell kinds against the schema, and the committed row count.
 func (s *Store) readSegment(sg SegmentInfo, sch *schema.Schema, dst []relation.Tuple) ([]relation.Tuple, error) {
-	path := filepath.Join(s.dir, sg.File)
-	f, err := os.Open(path)
+	f, err := os.Open(filepath.Join(s.dir, sg.File))
 	if err != nil {
 		return dst, fmt.Errorf("store: segment %s: %v: %w", sg.File, err, ErrCorrupt)
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
-	var seqs []int
-	var buf []byte
-	got := 0
-	for got < sg.Rows {
-		var rows []relation.Tuple
-		seqs, rows, buf, err = spill.DecodeBlock(br, seqs[:0], buf)
-		if err != nil {
-			return dst, fmt.Errorf("store: segment %s: %v: %w", sg.File, err, ErrCorrupt)
-		}
-		if got+len(rows) > sg.Rows {
-			return dst, fmt.Errorf("store: segment %s holds more than its committed %d rows: %w", sg.File, sg.Rows, ErrCorrupt)
-		}
-		for _, t := range rows {
-			if err := t.CheckAgainst(sch); err != nil {
-				return dst, fmt.Errorf("store: segment %s: %v: %w", sg.File, err, ErrCorrupt)
-			}
-		}
-		dst = append(dst, rows...)
-		got += len(rows)
+	from := len(dst)
+	dst, _, err = spill.DecodeBlocks(bufio.NewReaderSize(f, 1<<16), sch, dst, nil)
+	if err != nil {
+		return dst, fmt.Errorf("store: segment %s: %v: %w", sg.File, err, ErrCorrupt)
 	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		return dst, fmt.Errorf("store: segment %s has bytes past its last block: %w", sg.File, ErrCorrupt)
+	if got := len(dst) - from; got != sg.Rows {
+		return dst, fmt.Errorf("store: segment %s holds %d rows, %d committed: %w", sg.File, got, sg.Rows, ErrCorrupt)
 	}
 	s.met.segmentsRead.Add(1)
 	s.met.bytesRead.Add(sg.Bytes)
