@@ -11,6 +11,14 @@
 //     cascades) runs before execution, standing in for "the DBMS, which
 //     will perform its own optimization".
 //
+// A subplan runs on the statement's own physical engine (the executor's
+// eval.EngineSpec): every engine computes the reference evaluator's list,
+// so the permutation applies to the same list whichever engine ran it, and
+// the reference spec keeps the oracle on both sites. The permutation is an
+// index vector — the seeded shuffle of 0..n-1 — gathered through
+// Relation.Permuted, so a columnar result is permuted as a selection over
+// its columns and no row is copied.
+//
 // Temporal operations are executable (the paper's initial plans compute
 // everything in the DBMS) but are priced punitively by the cost model: a
 // conventional DBMS runs them as complex self-join SQL.
@@ -22,6 +30,7 @@ import (
 
 	"tqp/internal/algebra"
 	"tqp/internal/eval"
+	"tqp/internal/obs"
 	"tqp/internal/props"
 	"tqp/internal/relation"
 	"tqp/internal/rules"
@@ -37,17 +46,20 @@ type StratumCallback func(n algebra.Node) (*relation.Relation, error)
 type Engine struct {
 	src      eval.Source
 	seed     int64
+	spec     eval.EngineSpec
 	stratum  StratumCallback
 	rewrites []rules.Rule
 }
 
-// New returns an engine over the given base-relation source. The seed
-// drives the order nondeterminism; two engines with different seeds are two
-// "DBMS implementations" that may sort results differently.
-func New(src eval.Source, seed int64) *Engine {
+// New returns an engine over the given base-relation source that runs its
+// subplans on the physical engine spec names. The seed drives the order
+// nondeterminism; two engines with different seeds are two "DBMS
+// implementations" that may sort results differently.
+func New(src eval.Source, seed int64, spec eval.EngineSpec) *Engine {
 	return &Engine{
 		src:  src,
 		seed: seed,
+		spec: spec,
 		// The DBMS's own rewriter: ≡L rules only, so it is always safe
 		// regardless of result-type context.
 		rewrites: rules.ByName("P2", "P3", "P4", "P5", "P6b", "PP2", "PP1"),
@@ -67,6 +79,9 @@ type Result struct {
 	SQL string
 	// Rewritten is the subplan after the DBMS's own rewriter.
 	Rewritten algebra.Node
+	// Run is the physical engine's sample of the subplan's root: its spill
+	// totals and peak working set (zero for an unbudgeted engine).
+	Run obs.RunSample
 }
 
 // Execute runs a subplan fully inside the DBMS.
@@ -78,22 +93,22 @@ func (e *Engine) Execute(subplan algebra.Node) (*Result, error) {
 		sql = "-- (subplan with stratum round-trip; no single SQL statement)"
 	}
 	optimized := e.rewrite(subplan)
-	r, err := e.eval(optimized)
+	out, run, err := e.eval(optimized)
 	if err != nil {
 		return nil, err
 	}
-	out := r.Clone()
 	if subplan.Op() != algebra.OpSort {
-		e.permute(out)
+		out = out.Permuted(e.permutation(out.Len()))
 	}
 	out.SetOrder(props.OrderOf(subplan))
-	return &Result{Rel: out, SQL: sql, Rewritten: optimized}, nil
+	return &Result{Rel: out, SQL: sql, Rewritten: optimized, Run: run}, nil
 }
 
-// eval evaluates a DBMS subplan on the reference evaluator: the TD subtrees
-// run in the stratum first, left to right, and their results are bound as
-// leaves of the subplan beside its base relations.
-func (e *Engine) eval(n algebra.Node) (*relation.Relation, error) {
+// eval evaluates a DBMS subplan on a fresh engine of the spec: the TD
+// subtrees run in the stratum first, left to right, and their results are
+// bound as leaves of the subplan beside its base relations. It returns the
+// engine's sample of the root as well.
+func (e *Engine) eval(n algebra.Node) (*relation.Relation, obs.RunSample, error) {
 	cut := func(n algebra.Node) bool {
 		return n.Op() == algebra.OpTransferD || n.Op() == algebra.OpTransferS
 	}
@@ -107,9 +122,19 @@ func (e *Engine) eval(n algebra.Node) (*relation.Relation, error) {
 		return e.stratum(n.Children()[0])
 	})
 	if err != nil {
-		return nil, err
+		return nil, obs.RunSample{}, err
 	}
-	return eval.New(boundSource{leaves: leaves, base: e.src}).Eval(bound)
+	eng := e.spec.Instantiate(boundSource{leaves: leaves, base: e.src})
+	var root obs.RunSample
+	if o, ok := eng.(eval.NodeObserver); ok {
+		o.ObserveNodes(false, func(n algebra.Node, s obs.RunSample) {
+			if n == bound {
+				root = s
+			}
+		})
+	}
+	r, err := eng.Eval(bound)
+	return r, root, err
 }
 
 // boundSource resolves a subplan's bound TD results ahead of the base
@@ -161,10 +186,16 @@ func (e *Engine) rewrite(plan algebra.Node) algebra.Node {
 	return plan
 }
 
-// permute applies the engine's deterministic seeded permutation — the
-// "whatever order the DBMS happens to produce" of Section 4.5.
-func (e *Engine) permute(r *relation.Relation) {
-	ts := r.Tuples()
-	rng := rand.New(rand.NewSource(e.seed + int64(len(ts))))
-	rng.Shuffle(len(ts), func(i, j int) { ts[i], ts[j] = ts[j], ts[i] })
+// permutation returns the engine's deterministic seeded permutation of n
+// rows — the "whatever order the DBMS happens to produce" of Section 4.5 —
+// as the index vector the permuted list gathers: its k-th row is the
+// result's idx[k]-th.
+func (e *Engine) permutation(n int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	rng := rand.New(rand.NewSource(e.seed + int64(n)))
+	rng.Shuffle(n, func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
+	return idx
 }

@@ -1,6 +1,7 @@
 package dbms_test
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -9,10 +10,12 @@ import (
 	"tqp/internal/dbms"
 	"tqp/internal/equiv"
 	"tqp/internal/eval"
+	"tqp/internal/exec"
 	"tqp/internal/expr"
 	"tqp/internal/props"
 	"tqp/internal/relation"
 	"tqp/internal/stratum"
+	"tqp/internal/testutil"
 	"tqp/internal/value"
 )
 
@@ -30,7 +33,7 @@ func TestSortOverSortOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := dbms.New(c, 3).Execute(sub)
+	res, err := dbms.New(c, 3, eval.Reference()).Execute(sub)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +56,7 @@ func TestMultisetFidelity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := dbms.New(c, 5).Execute(sub)
+	res, err := dbms.New(c, 5, eval.Reference()).Execute(sub)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,11 +72,11 @@ func TestMultisetFidelity(t *testing.T) {
 func TestOrderNondeterminism(t *testing.T) {
 	c := catalog.Paper()
 	sub := c.MustNode("EMPLOYEE")
-	r1, err := dbms.New(c, 1).Execute(sub)
+	r1, err := dbms.New(c, 1, eval.Reference()).Execute(sub)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := dbms.New(c, 2).Execute(sub)
+	r2, err := dbms.New(c, 2, eval.Reference()).Execute(sub)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +98,7 @@ func TestSortException(t *testing.T) {
 	spec := relation.OrderSpec{relation.Key("EmpName"), relation.Key("Dept")}
 	sub := algebra.NewSort(spec, c.MustNode("EMPLOYEE"))
 	for seed := int64(1); seed <= 5; seed++ {
-		res, err := dbms.New(c, seed).Execute(sub)
+		res, err := dbms.New(c, seed, eval.Reference()).Execute(sub)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +118,7 @@ func TestRewriterPushesSelections(t *testing.T) {
 	sub := algebra.NewSelect(
 		expr.Compare(expr.Eq, expr.Column("EmpName"), expr.Literal(value.String_("Anna"))),
 		algebra.NewProjectCols(c.MustNode("EMPLOYEE"), "EmpName", "Dept"))
-	res, err := dbms.New(c, 1).Execute(sub)
+	res, err := dbms.New(c, 1, eval.Reference()).Execute(sub)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +135,7 @@ func TestRewriterPushesSelections(t *testing.T) {
 
 func TestSQLAttached(t *testing.T) {
 	c := catalog.Paper()
-	res, err := dbms.New(c, 1).Execute(algebra.NewRdup(c.MustNode("PROJECT")))
+	res, err := dbms.New(c, 1, eval.Reference()).Execute(algebra.NewRdup(c.MustNode("PROJECT")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +172,93 @@ func TestTransferDCallback(t *testing.T) {
 		t.Errorf("round trip diverged:\n%s\nvs\n%s", got, want)
 	}
 	// Without a stratum callback, a bare engine must reject TD.
-	if _, err := dbms.New(c, 1).Execute(algebra.NewTransferD(c.MustNode("EMPLOYEE"))); err == nil {
+	if _, err := dbms.New(c, 1, eval.Reference()).Execute(algebra.NewTransferD(c.MustNode("EMPLOYEE"))); err == nil {
 		t.Error("TD without a callback must fail")
+	}
+}
+
+// subplanResult executes one DBMS subplan on the given engine spec, with TD
+// subtrees run by a stratum executor on the same spec.
+func subplanResult(c *catalog.Catalog, seed int64, spec eval.EngineSpec, sub algebra.Node) (*relation.Relation, error) {
+	d := dbms.New(c, seed, spec)
+	d.SetStratumCallback(func(n algebra.Node) (*relation.Relation, error) {
+		r, _, err := stratum.NewWithEngine(c, seed, spec).Execute(n)
+		return r, err
+	})
+	res, err := d.Execute(sub)
+	if err != nil {
+		return nil, err
+	}
+	return res.Rel, nil
+}
+
+// TestPerSubplanDifferential: the list a DBMS subplan hands the stratum —
+// permuted, or in its top sort's order — is the same on every engine the
+// executor runs the DBMS on as on the reference evaluator: sequential,
+// parallel and budgeted exec, over random plans, sort-topped plans and
+// plans that ship a random stratum region back down (TD).
+func TestPerSubplanDifferential(t *testing.T) {
+	specs := []eval.EngineSpec{
+		exec.NewSpec(exec.Config{}),
+		exec.NewSpec(exec.Config{Parallelism: 4}),
+		exec.NewSpec(exec.Config{MemoryBudget: 64 << 10}),
+	}
+	hasTD := func(n algebra.Node) bool {
+		found := false
+		algebra.Walk(n, func(m algebra.Node, _ algebra.Path) bool {
+			found = found || m.Op() == algebra.OpTransferD
+			return !found
+		})
+		return found
+	}
+	subplans, sortTopped, roundTrips := 0, 0, 0
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		c, bases := testutil.TemporalCatalogSized(seed, 24, 16)
+		for trial := 0; trial < 9; trial++ {
+			var sub algebra.Node
+			switch trial % 3 {
+			case 0:
+				sub = testutil.RandomPlan(rng, bases, 2+rng.Intn(2))
+			case 1:
+				p := testutil.RandomPlan(rng, bases, 2)
+				s, err := p.Schema()
+				if err != nil {
+					t.Fatal(err)
+				}
+				sub = algebra.NewSort(relation.OrderSpec{relation.Key(s.At(rng.Intn(s.Len())).Name)}, p)
+			default:
+				region := testutil.TemporalCore(rng, []algebra.Node{algebra.NewTransferS(bases[0]), algebra.NewTransferS(bases[1])}, 2)
+				sub = testutil.RandomPlan(rng, append([]algebra.Node{algebra.NewTransferD(region)}, bases...), 2)
+			}
+			want, errRef := subplanResult(c, seed, eval.Reference(), sub)
+			for _, spec := range specs {
+				got, err := subplanResult(c, seed, spec, sub)
+				if (err == nil) != (errRef == nil) {
+					t.Fatalf("seed %d: %s: %s and the reference disagree on failure: %v vs %v", seed, algebra.Canonical(sub), spec.Name, err, errRef)
+				}
+				if err != nil {
+					continue
+				}
+				if !got.Schema().Equal(want.Schema()) || !got.EqualAsList(want) || !got.Order().Equal(want.Order()) {
+					t.Fatalf("seed %d: %s: %s delivers (order %s)\n%s\nthe reference (order %s)\n%s",
+						seed, algebra.Canonical(sub), spec.Name, got.Order(), got, want.Order(), want)
+				}
+			}
+			if errRef != nil {
+				continue
+			}
+			subplans++
+			if sub.Op() == algebra.OpSort {
+				sortTopped++
+			}
+			if hasTD(sub) {
+				roundTrips++
+			}
+		}
+	}
+	t.Logf("%d subplans: %d sort-topped, %d with a TD round trip", subplans, sortTopped, roundTrips)
+	if subplans < 300 || sortTopped < 50 || roundTrips < 50 {
+		t.Fatalf("covered %d subplans (%d sort-topped, %d round trips), want ≥ 300 (≥ 50, ≥ 50)", subplans, sortTopped, roundTrips)
 	}
 }

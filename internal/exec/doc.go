@@ -35,12 +35,16 @@
 // Every operator is a vecIterator (vec.go): nextBatch hands the parent a
 // columnar batch — typed column planes plus a selection vector — and that
 // is the only currency between operators, inside the exchange driver and on
-// the way to and from disk. Tuple lists exist in two places: batchOf converts
-// a base relation to its cached columnar image at a leaf, and drainVec
-// materializes the root's batches into the result relation. The statement
-// path hands the engine whole regions between transfers (package stratum),
-// so that is once per region, and a batch never remembers the tuples it
-// came from. (An expression that is evaluated on a tuple — a residual join
+// the way to and from disk. The engine itself builds tuples nowhere:
+// drainVec hands the root's batch over as a columnar-primary result
+// relation (relation.FromColumnar, a batch being a relation.Columnar), and
+// batchOf scans a relation through its cached columnar image, converting
+// only a tuple list it has never seen. A result scanned again — a TS leaf
+// bound from a DBMS subplan, a TD leaf bound from a stratum region — is
+// read from its own batch. A plan that is a bare scan feeds no operator,
+// so scanList answers it in the relation's own form, image or tuple list,
+// converting nothing. Tuples appear only when a reader of a result asks for
+// them. (An expression that is evaluated on a tuple — a residual join
 // predicate, an aggregate's argument — gets one reusable scratch row.)
 //
 //	operator            algorithms (file)

@@ -35,6 +35,8 @@ type Stats struct {
 
 	SegmentsScanned int // store segments read by base scans this run
 	SegmentsSkipped int // store segments pruned by the period index this run
+
+	ScanConversions int // scanned relations transposed from tuples to columns this run
 }
 
 // Engine is the streaming hash- and merge-based engine. It implements
@@ -72,12 +74,14 @@ func (e *Engine) ObserveNodes(timed bool, fn func(algebra.Node, obs.RunSample)) 
 // caches on the relation itself (see Relation.ColumnarImage), so the
 // one-time tuple→batch transposition amortizes across every engine and
 // query scanning r — the load-time conversion of a columnar store, paid
-// lazily. The cached batch is immutable; mutating relation methods drop
-// the cache.
+// lazily. A relation this engine (or another) drained is columnar-primary:
+// its image is the drained batch, scanned as it is. The cached batch is
+// immutable; mutating relation methods drop the cache.
 func (e *Engine) batchOf(r *relation.Relation) *batch {
 	if b, ok := r.ColumnarImage().(*batch); ok {
 		return b
 	}
+	e.stats.ScanConversions++
 	// Capture the list version before reading the tuples: a mutation racing
 	// with the conversion bumps it, and the versioned store below then
 	// drops the stale image instead of caching pre-mutation order.
@@ -160,6 +164,9 @@ func (e *Engine) eval(n algebra.Node) (*relation.Relation, error) {
 			e.Close()
 			e.mem = nil
 		}()
+	}
+	if rel, ok := n.(*algebra.Rel); ok && e.leaf == nil {
+		return e.scanList(rel)
 	}
 	s, err := e.build(n)
 	if err != nil {

@@ -93,8 +93,8 @@ func RunFragment(plan algebra.Node, src eval.Source, positions map[string][]int)
 	if err != nil {
 		return nil, nil, fmt.Errorf("exec: fragment: %w", err)
 	}
-	outRows, outSeqs := out.Tuples(), make([]int, out.Len())
-	for i, t := range outRows {
+	outRows, outSeqs := make([]relation.Tuple, out.Len()), make([]int, out.Len())
+	for i, t := range out.Tuples() {
 		outRows[i], outSeqs[i] = t[:w:w], int(t[w].AsInt())
 	}
 	stripped := relation.FromTuplesTrusted(outSch, outRows)

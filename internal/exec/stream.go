@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"tqp/internal/algebra"
 	"tqp/internal/eval"
@@ -20,6 +21,18 @@ type scanSource interface {
 
 // buildRel compiles a base-relation scan.
 func (e *Engine) buildRel(n *algebra.Rel) (*source, error) {
+	r, order, err := e.resolve(n)
+	if err != nil {
+		return nil, err
+	}
+	// The columnar image converts lazily on the first pull (and is cached per
+	// relation); a scan travels as that one batch.
+	return &source{vec: &onceBatchIter{compute: func() (*batch, error) { return e.batchOf(r), nil }}, schema: r.Schema(), order: order}, nil
+}
+
+// resolve looks up the relation a scan reads and the order it delivers: its
+// declared order, or its instance's when none is declared.
+func (e *Engine) resolve(n *algebra.Rel) (*relation.Relation, relation.OrderSpec, error) {
 	var r *relation.Relation
 	var err error
 	if ss, ok := e.src.(scanSource); ok {
@@ -31,21 +44,42 @@ func (e *Engine) buildRel(n *algebra.Rel) (*source, error) {
 		r, err = e.src.Resolve(n.Name)
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if !r.Schema().Equal(n.Sch) {
-		return nil, fmt.Errorf("exec: relation %q schema mismatch: plan %s vs instance %s",
+		return nil, nil, fmt.Errorf("exec: relation %q schema mismatch: plan %s vs instance %s",
 			n.Name, n.Sch, r.Schema())
 	}
-	// A scan delivers its declared order, or its instance's when none is
-	// declared.
-	order := r.Order()
 	if !n.Info.Order.Empty() {
-		order = n.Info.Order
+		return r, n.Info.Order, nil
 	}
-	// The columnar image converts lazily on the first pull (and is cached per
-	// relation); a scan travels as that one batch.
-	return &source{vec: &onceBatchIter{compute: func() (*batch, error) { return e.batchOf(r), nil }}, schema: r.Schema(), order: order}, nil
+	return r, r.Order(), nil
+}
+
+// scanList answers a plan that is nothing but a scan — a DBMS subplan
+// reading one relation — without a pipeline: there is no operator to feed,
+// so the result is the relation's list in the form it already has, its
+// columnar image when one is cached and otherwise a copy of its tuple list
+// (as the reference evaluator copies it). A tuple list read once, such as a
+// time-travel scan's, so never makes the round trip through columns.
+func (e *Engine) scanList(n *algebra.Rel) (*relation.Relation, error) {
+	r, order, err := e.resolve(n)
+	if err != nil {
+		return nil, err
+	}
+	var out *relation.Relation
+	if img := r.ColumnarImage(); img != nil {
+		out = relation.FromColumnar(r.Schema(), img)
+	} else {
+		out = relation.FromTuplesTrusted(r.Schema(), slices.Clone(r.Tuples()))
+	}
+	out.SetOrder(order)
+	if e.observe != nil {
+		st := &stage{e: e, node: n}
+		st.Rows, st.Batches = int64(out.Len()), 1
+		e.stages = append(e.stages, st)
+	}
+	return out, nil
 }
 
 // buildSelect compiles σ_P: a batch-at-a-time filter emitting selection

@@ -234,10 +234,34 @@ func (b *batch) rowIndex(k int) int {
 	return k
 }
 
-// appendTuples materializes the presented rows as tuples appended to ts.
-// The tuples are cut from one backing array (as a decoded spill block's
-// are), so a batch costs one allocation, not one per row.
-func (b *batch) appendTuples(ts []relation.Tuple) []relation.Tuple {
+// A batch is a relation.Columnar: a drained result is a columnar-primary
+// relation over its root batch, and a scan of such a relation — a bound TS
+// leaf — reads that batch back without a conversion.
+
+// Rows implements relation.Columnar.
+func (b *batch) Rows() int { return b.rows() }
+
+// Cell implements relation.Columnar: column c of presented row i.
+func (b *batch) Cell(i, c int) value.Value { return b.cols[c].at(b.rowIndex(i)) }
+
+// Gather implements relation.Columnar: a selection view presenting rows
+// idx of b, which keeps idx when b has no selection of its own.
+func (b *batch) Gather(idx []int) relation.Columnar {
+	if b.sel == nil {
+		return b.withSel(idx)
+	}
+	sel := make([]int, len(idx))
+	for k, i := range idx {
+		sel[k] = b.sel[i]
+	}
+	return b.withSel(sel)
+}
+
+// AppendTuples implements relation.Columnar: it materializes the presented
+// rows as tuples appended to ts. The tuples are cut from one backing array
+// (as a decoded spill block's are), so a batch costs one allocation, not one
+// per row.
+func (b *batch) AppendTuples(ts []relation.Tuple) []relation.Tuple {
 	n, arity := b.rows(), len(b.cols)
 	vals := make([]value.Value, n*arity)
 	for k := 0; k < n; k++ {
@@ -417,28 +441,22 @@ func concatBatches(sch *schema.Schema, parts []*batch, total int) *batch {
 	return out
 }
 
-// drainVec materializes the root stage into the result relation — besides
-// batchOf at the leaves, the only place the engine holds tuples.
+// drainVec drains the root stage into the result: a columnar-primary
+// relation over one batch (a lone batch as it is, selection included), whose
+// tuples exist only if a reader asks for them.
 func drainVec(s *source) (*relation.Relation, error) {
-	var ts []relation.Tuple
-	for {
-		b, err := s.vec.nextBatch()
-		if err != nil {
-			s.vec.close()
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
-		if ts == nil {
-			ts = make([]relation.Tuple, 0, b.rows())
-		}
-		ts = b.appendTuples(ts)
-	}
-	if err := s.vec.close(); err != nil {
+	b, err := vecDrainOneView(s.vec, s.schema)
+	if err != nil {
 		return nil, err
 	}
-	out := relation.FromTuplesTrusted(s.schema, ts)
+	if b.schema != s.schema {
+		// The lone batch may be an input's (a ⊔ operand's, a transfer's):
+		// relabel it so a later scan of the result reads the result's schema.
+		nb := *b
+		nb.schema = s.schema
+		b = &nb
+	}
+	out := relation.FromColumnar(s.schema, b)
 	out.SetOrder(s.order)
 	return out, nil
 }

@@ -439,3 +439,101 @@ func rowOf(b *batch, i int) relation.Tuple {
 	b.fillTuple(t, i)
 	return t
 }
+
+// TestBatchPermuted pins the DBMS's permutation over columns: for a dense
+// and a selected batch of every boundary length, Permuted(idx) of the
+// columnar-primary relation is a view over the batch's own planes, and its
+// list equals both the tuple-list gather and the list that shuffling a
+// clone of the tuples in place — the same seeded swap sequence — produces.
+func TestBatchPermuted(t *testing.T) {
+	s := schema.MustNew(schema.Attr("K", value.KindInt), schema.Attr("S", value.KindString))
+	for _, n := range []int{0, 1, 2, 255, 256, 257, 6000} {
+		// dense presents n physical rows; selected presents n of 2n+1
+		// physical rows, every other one from the end.
+		var all []relation.Tuple
+		for i := 0; i < 2*n+1; i++ {
+			all = append(all, relation.Tuple{value.Int(int64(i)), value.String_(string(rune('a' + i%26)))})
+		}
+		full := batchOfTuples(s, all)
+		sel := make([]int, n)
+		selTuples := make([]relation.Tuple, n)
+		for k := range sel {
+			sel[k] = 2*n - 2*k
+			selTuples[k] = all[sel[k]]
+		}
+		for _, c := range []struct {
+			name string
+			b    *batch
+			ts   []relation.Tuple
+		}{
+			{"dense", batchOfTuples(s, all[:n]), all[:n]},
+			{"selected", full.withSel(sel), selTuples},
+		} {
+			for _, seed := range []int64{1, 3} {
+				idx := make([]int, n)
+				for i := range idx {
+					idx[i] = i
+				}
+				rand.New(rand.NewSource(seed+int64(n))).Shuffle(n, func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
+				want := append([]relation.Tuple(nil), c.ts...)
+				rand.New(rand.NewSource(seed+int64(n))).Shuffle(n, func(i, j int) { want[i], want[j] = want[j], want[i] })
+
+				col := relation.FromColumnar(s, c.b).Permuted(idx)
+				img, ok := col.ColumnarImage().(*batch)
+				if !ok || (n > 0 && &img.cols[0].ints[0] != &c.b.cols[0].ints[0]) {
+					t.Fatalf("%s n=%d seed=%d: Permuted copied the columns", c.name, n, seed)
+				}
+				for k := 0; k < n; k++ {
+					if !col.Cell(k, 0).Equal(want[k][0]) || !col.Cell(k, 1).Equal(want[k][1]) {
+						t.Fatalf("%s n=%d seed=%d: row %d cells differ from the in-place shuffle", c.name, n, seed, k)
+					}
+				}
+				list := relation.FromTuplesTrusted(s, c.ts).Permuted(idx)
+				for _, got := range []*relation.Relation{col, list} {
+					if got.Len() != n || !got.EqualAsList(relation.FromTuplesTrusted(s, want)) {
+						t.Fatalf("%s n=%d seed=%d: Permuted differs from the in-place shuffle", c.name, n, seed)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBareScanAnswersInItsOwnForm: a plan that is nothing but a scan
+// converts nothing. A tuple list answers with a copy of itself, which the
+// caller may mutate without touching the scanned relation; once a pipeline
+// has cached the relation's columnar image, the scan answers with that.
+func TestBareScanAnswersInItsOwnForm(t *testing.T) {
+	s := schema.MustNew(schema.Attr("K", value.KindInt))
+	r := relation.MustFromRows(s, [][]any{{3}, {1}, {2}})
+	scan := algebra.NewRel("R", s, algebra.BaseInfo{})
+	e := New(eval.MapSource{"R": r})
+
+	out, err := e.Eval(scan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Stats().ScanConversions != 0 || r.ColumnarImage() != nil || !out.EqualAsList(r) {
+		t.Fatalf("bare scan of a tuple list: %d conversions, result\n%s", e.Stats().ScanConversions, out)
+	}
+	if err := out.SortStable(relation.OrderSpec{relation.Key("K")}); err != nil {
+		t.Fatal(err)
+	}
+	if r.At(0)[0].AsInt() != 3 {
+		t.Fatalf("sorting the result reordered the scanned relation:\n%s", r)
+	}
+
+	if _, err := e.Eval(algebra.NewSelect(expr.Compare(expr.Gt, expr.Column("K"), expr.Literal(value.Int(0))), scan)); err != nil {
+		t.Fatal(err)
+	}
+	if e.Stats().ScanConversions != 1 || r.ColumnarImage() == nil {
+		t.Fatalf("a pipeline over the scan: %d conversions, image cached %v", e.Stats().ScanConversions, r.ColumnarImage() != nil)
+	}
+	out, err = e.Eval(scan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Stats().ScanConversions != 0 || out.ColumnarImage() != r.ColumnarImage() || !out.EqualAsList(r) {
+		t.Fatalf("bare scan of a cached image: %d conversions, shares image %v", e.Stats().ScanConversions, out.ColumnarImage() == r.ColumnarImage())
+	}
+}

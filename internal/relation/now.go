@@ -15,7 +15,7 @@ func (r *Relation) BindNow(now period.Chronon) *Relation {
 	}
 	t1, t2 := r.schema.TimeIndices()
 	out := New(r.schema)
-	for i, t := range r.tuples {
+	for i, t := range r.Tuples() {
 		p := r.PeriodOf(i).BindNow(now)
 		if p.Empty() {
 			continue
@@ -36,7 +36,7 @@ func (r *Relation) HasNowRelative() bool {
 	if !r.Temporal() {
 		return false
 	}
-	for i := range r.tuples {
+	for i := range r.Len() {
 		if r.PeriodOf(i).IsNowRelative() {
 			return true
 		}

@@ -3,18 +3,41 @@
 // is a list — it can contain duplicate tuples, and the ordering of tuples is
 // significant. Multiset and set views are derived on demand for the weaker
 // equivalence types.
+//
+// A list is held as tuples or, columnar-primary, as an execution engine's
+// column image (FromColumnar): such a relation answers Len and Cell from
+// the columns and derives its tuples once, the first time Tuples or At asks
+// for them, so a result that is only counted, scanned by the engine again
+// or encoded cell by cell never builds a tuple.
 package relation
 
 import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"tqp/internal/period"
 	"tqp/internal/schema"
 	"tqp/internal/value"
 )
+
+// Columnar is an immutable column-major image of a tuple list, built and
+// interpreted by the execution engine (which cannot be imported from here).
+// It is both the derived scan image a tuple list caches and the primary
+// form of a columnar-primary relation.
+type Columnar interface {
+	// Rows returns the number of rows the image presents.
+	Rows() int
+	// Cell returns the value of column c in presented row i.
+	Cell(i, c int) value.Value
+	// AppendTuples appends the presented rows to ts as tuples.
+	AppendTuples(ts []Tuple) []Tuple
+	// Gather returns the image presenting rows idx[0], idx[1], … of this
+	// one, sharing its storage; the image may keep idx.
+	Gather(idx []int) Columnar
+}
 
 // Relation is a list of tuples over a schema, together with the bookkeeping
 // the optimizer exploits: the known order of the list (the paper's Order(r)
@@ -24,13 +47,21 @@ type Relation struct {
 	tuples []Tuple
 	order  OrderSpec
 
-	// columnar caches an opaque immutable columnar image of the tuple list,
-	// built and interpreted by the execution engine (which cannot be
-	// imported from here). It rides on the relation rather than on an engine
-	// instance so the one-time conversion amortizes across every engine and
-	// query that scans this relation. The pointer is atomic — concurrent
-	// queries share catalog relations — and every tuple-list mutation drops
-	// it and bumps the version counter.
+	// cols, when set, is the list's primary form (FromColumnar): Len and
+	// Cell read it, and tuples is derived from it once, under derive, when
+	// first asked for. Only Append and SortStable clear it — mutations,
+	// which never run concurrently with readers — so readers consult it
+	// without synchronization.
+	cols   Columnar
+	derive sync.Once
+
+	// columnar caches the immutable columnar image of the tuple list, built
+	// and interpreted by the execution engine. It rides on the relation
+	// rather than on an engine instance so the one-time conversion
+	// amortizes across every engine and query that scans this relation; a
+	// columnar-primary relation starts with its primary form cached. The
+	// pointer is atomic — concurrent queries share catalog relations — and
+	// every tuple-list mutation drops it and bumps the version counter.
 	columnar atomic.Pointer[columnarImage]
 
 	// version counts tuple-list mutations monotonically. A builder captures
@@ -41,10 +72,10 @@ type Relation struct {
 	version atomic.Uint64
 }
 
-// columnarImage pairs the engine's opaque image with the tuple-list version
-// it was built from.
+// columnarImage pairs the engine's image with the tuple-list version it was
+// built from.
 type columnarImage struct {
-	img     any
+	img     Columnar
 	version uint64
 }
 
@@ -55,7 +86,7 @@ func (r *Relation) ColumnarVersion() uint64 { return r.version.Load() }
 
 // ColumnarImage returns the cached columnar image, or nil when none is
 // cached or the cached image was built from an older version of the list.
-func (r *Relation) ColumnarImage() any {
+func (r *Relation) ColumnarImage() Columnar {
 	c := r.columnar.Load()
 	if c == nil || c.version != r.version.Load() {
 		return nil
@@ -70,7 +101,7 @@ func (r *Relation) ColumnarImage() any {
 // version is dropped — and even if it lands between a mutation's version
 // bump and a reader's load, the version embedded in the image keeps the
 // reader from ever serving it.
-func (r *Relation) SetColumnarImage(img any, v uint64) {
+func (r *Relation) SetColumnarImage(img Columnar, v uint64) {
 	if v != r.version.Load() {
 		return
 	}
@@ -82,6 +113,13 @@ func (r *Relation) SetColumnarImage(img any, v uint64) {
 func (r *Relation) invalidateColumnar() {
 	r.version.Add(1)
 	r.columnar.Store(nil)
+}
+
+// own makes the tuple list the relation's only form ahead of a mutation:
+// a columnar-primary relation derives its tuples and drops its columns.
+func (r *Relation) own() {
+	r.Tuples()
+	r.cols = nil
 }
 
 // New returns an empty relation over s.
@@ -96,6 +134,16 @@ func New(s *schema.Schema) *Relation {
 // dominate the pipeline.
 func FromTuplesTrusted(s *schema.Schema, tuples []Tuple) *Relation {
 	return &Relation{schema: s, tuples: tuples}
+}
+
+// FromColumnar wraps an engine's immutable column image as a
+// columnar-primary relation over s, with no known order: Len and Cell read
+// the columns, the image is the relation's cached columnar image from the
+// start, and the tuples are derived once, on first demand.
+func FromColumnar(s *schema.Schema, c Columnar) *Relation {
+	r := &Relation{schema: s, cols: c}
+	r.columnar.Store(&columnarImage{img: c})
+	return r
 }
 
 // FromTuples builds a relation over s from the given tuples, validating each
@@ -185,17 +233,40 @@ func convertCell(k value.Kind, cell any) (value.Value, bool) {
 func (r *Relation) Schema() *schema.Schema { return r.schema }
 
 // Len is the paper's n(r): the cardinality of the list.
-func (r *Relation) Len() int { return len(r.tuples) }
+func (r *Relation) Len() int {
+	if r.cols != nil {
+		return r.cols.Rows()
+	}
+	return len(r.tuples)
+}
+
+// Cell returns the value of column c in the i-th tuple. A columnar-primary
+// relation reads it from its columns without deriving a tuple.
+func (r *Relation) Cell(i, c int) value.Value {
+	if r.cols != nil {
+		return r.cols.Cell(i, c)
+	}
+	return r.tuples[i][c]
+}
 
 // At returns the i-th tuple (not a copy; callers must not mutate).
-func (r *Relation) At(i int) Tuple { return r.tuples[i] }
+func (r *Relation) At(i int) Tuple { return r.Tuples()[i] }
 
-// Tuples returns the underlying tuple list (not a copy).
-func (r *Relation) Tuples() []Tuple { return r.tuples }
+// Tuples returns the underlying tuple list (not a copy). A columnar-primary
+// relation derives it on the first call — once, however many goroutines
+// ask. The slice is shared by every caller: no code writes into it, so
+// callers must not either (only Append and SortStable change the list).
+func (r *Relation) Tuples() []Tuple {
+	if r.cols != nil {
+		r.derive.Do(func() { r.tuples = r.cols.AppendTuples(make([]Tuple, 0, r.cols.Rows())) })
+	}
+	return r.tuples
+}
 
 // Append adds a tuple to the end of the list without validation; the caller
 // guarantees schema alignment.
 func (r *Relation) Append(t Tuple) {
+	r.own()
 	r.tuples = append(r.tuples, t)
 	r.invalidateColumnar()
 }
@@ -213,9 +284,25 @@ func (r *Relation) SetOrder(o OrderSpec) { r.order = o }
 func (r *Relation) Clone() *Relation {
 	return &Relation{
 		schema: r.schema,
-		tuples: append([]Tuple(nil), r.tuples...),
+		tuples: append([]Tuple(nil), r.Tuples()...),
 		order:  append(OrderSpec(nil), r.order...),
 	}
+}
+
+// Permuted returns the list r[idx[0]], r[idx[1]], … as a new relation with
+// no known order; idx is typically a permutation of 0..Len()-1, and the
+// result may keep it. A columnar-primary relation gathers through its
+// columns (Columnar.Gather), so no row is copied and no tuple is built;
+// otherwise the tuples are gathered, shared as Clone shares them.
+func (r *Relation) Permuted(idx []int) *Relation {
+	if r.cols != nil {
+		return FromColumnar(r.schema, r.cols.Gather(idx))
+	}
+	ts := make([]Tuple, len(idx))
+	for k, i := range idx {
+		ts[k] = r.tuples[i]
+	}
+	return &Relation{schema: r.schema, tuples: ts}
 }
 
 // Temporal reports whether the relation is temporal.
@@ -224,13 +311,13 @@ func (r *Relation) Temporal() bool { return r.schema.Temporal() }
 // PeriodOf returns the time period of the i-th tuple of a temporal relation.
 func (r *Relation) PeriodOf(i int) period.Period {
 	t1, t2 := r.schema.TimeIndices()
-	return r.tuples[i].PeriodAt(t1, t2)
+	return r.At(i).PeriodAt(t1, t2)
 }
 
 // Periods returns the periods of all tuples of a temporal relation.
 func (r *Relation) Periods() []period.Period {
 	out := make([]period.Period, r.Len())
-	for i := range r.tuples {
+	for i := range out {
 		out[i] = r.PeriodOf(i)
 	}
 	return out
@@ -257,8 +344,9 @@ func (r *Relation) SortedBy(o OrderSpec) bool {
 	if err := o.Validate(r.schema); err != nil {
 		return false
 	}
-	for i := 1; i < len(r.tuples); i++ {
-		if CompareOn(r.schema, o, r.tuples[i-1], r.tuples[i]) > 0 {
+	ts := r.Tuples()
+	for i := 1; i < len(ts); i++ {
+		if CompareOn(r.schema, o, ts[i-1], ts[i]) > 0 {
 			return false
 		}
 	}
@@ -268,7 +356,8 @@ func (r *Relation) SortedBy(o OrderSpec) bool {
 // HasDuplicates reports whether the list contains two equal tuples (regular
 // duplicates).
 func (r *Relation) HasDuplicates() bool {
-	return r.anyPair(Tuple.Hash, func(i, j int) bool { return r.tuples[i].Equal(r.tuples[j]) })
+	ts := r.Tuples()
+	return r.anyPair(Tuple.Hash, func(i, j int) bool { return ts[i].Equal(ts[j]) })
 }
 
 // anyPair reports whether two rows i < j satisfy match(i, j), trying only
@@ -276,9 +365,10 @@ func (r *Relation) HasDuplicates() bool {
 // through one index slice, so the pass allocates a map and a slice, never a
 // key per row.
 func (r *Relation) anyPair(hash func(Tuple) uint64, match func(i, j int) bool) bool {
-	head := make(map[uint64]int, len(r.tuples)) // hash → latest row + 1
-	prev := make([]int, len(r.tuples))          // row → previous row with its hash + 1
-	for j, t := range r.tuples {
+	ts := r.Tuples()
+	head := make(map[uint64]int, len(ts)) // hash → latest row + 1
+	prev := make([]int, len(ts))          // row → previous row with its hash + 1
+	for j, t := range ts {
 		h := hash(t)
 		for i := head[h]; i > 0; i = prev[i-1] {
 			if match(i-1, j) {
@@ -308,8 +398,9 @@ func (r *Relation) valueIdx() []int {
 // on an empty period).
 func (r *Relation) valuePair(rel func(p, q period.Period) bool) bool {
 	idx := r.valueIdx()
+	ts := r.Tuples()
 	return r.anyPair(func(t Tuple) uint64 { return t.HashOn(idx) }, func(i, j int) bool {
-		return rel(r.PeriodOf(i), r.PeriodOf(j)) && r.tuples[i].EqualOn(idx, r.tuples[j])
+		return rel(r.PeriodOf(i), r.PeriodOf(j)) && ts[i].EqualOn(idx, ts[j])
 	})
 }
 
@@ -351,7 +442,7 @@ func (r *Relation) Snapshot(t period.Chronon) *Relation {
 		panic("relation: snapshot schema: " + err.Error())
 	}
 	out := New(snapSchema)
-	for i, tp := range r.tuples {
+	for i, tp := range r.Tuples() {
 		if r.PeriodOf(i).Contains(t) {
 			nt := make(Tuple, len(idx))
 			for k, j := range idx {
@@ -378,6 +469,7 @@ func (r *Relation) SortStable(o OrderSpec) error {
 	if err := o.Validate(r.schema); err != nil {
 		return err
 	}
+	r.own()
 	sort.SliceStable(r.tuples, func(i, j int) bool {
 		return CompareOn(r.schema, o, r.tuples[i], r.tuples[j]) < 0
 	})
@@ -393,8 +485,9 @@ func (r *Relation) EqualAsList(o *Relation) bool {
 	if r.Len() != o.Len() {
 		return false
 	}
-	for i := range r.tuples {
-		if !r.tuples[i].Equal(o.tuples[i]) {
+	rt, ot := r.Tuples(), o.Tuples()
+	for i := range rt {
+		if !rt[i].Equal(ot[i]) {
 			return false
 		}
 	}
@@ -410,7 +503,7 @@ func (r *Relation) String() string {
 		widths[i] = len(n)
 	}
 	cells := make([][]string, r.Len())
-	for i, t := range r.tuples {
+	for i, t := range r.Tuples() {
 		row := make([]string, len(t))
 		for j, v := range t {
 			row[j] = v.String()

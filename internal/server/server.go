@@ -246,6 +246,18 @@ func (s *Server) Close() error {
 	return s.closeErr
 }
 
+// drained counts a query finished for Close's drain once its answer has
+// left w's buffer: Close closes every connection as soon as the drain ends,
+// so an answer still buffered then would never reach the client. A failed
+// flush is the connection's error, which the request loop's own flush
+// reports.
+func (s *Server) drained(w io.Writer) {
+	if f, ok := w.(interface{ Flush() error }); ok {
+		_ = f.Flush()
+	}
+	s.queries.Done()
+}
+
 // waitTimeout waits on wg for at most d; false on timeout. The timer is
 // stopped on the wait path (like the admission queue's) rather than left to
 // fire — time.After would keep a live timer per call until d elapses.
@@ -479,7 +491,7 @@ func (s *Server) runQuery(sql string, sess *session, w io.Writer) error {
 	s.queries.Add(1)
 	gate := s.execGate
 	s.mu.Unlock()
-	defer s.queries.Done()
+	defer s.drained(w)
 
 	mode, stripped := tsql.StripExplain(sql)
 	sql = stripped
@@ -617,21 +629,23 @@ func streamResult(w io.Writer, result *relation.Relation, keys []int, batchRows 
 	}); err != nil {
 		return err
 	}
-	tuples := result.Tuples()
+	n, arity := result.Len(), result.Schema().Len()
 	var zeros []int
 	if keys == nil {
-		zeros = make([]int, min(batchRows, len(tuples)))
+		zeros = make([]int, min(batchRows, n))
 	}
 	var block []byte
-	for from := 0; from < len(tuples); from += batchRows {
-		to := min(from+batchRows, len(tuples))
+	for from := 0; from < n; from += batchRows {
+		to := min(from+batchRows, n)
 		var seqs []int
 		if keys != nil {
 			seqs = keys[from:to]
 		} else {
 			seqs = zeros[:to-from]
 		}
-		block = spill.EncodeBlock(block[:0], seqs, tuples[from:to])
+		// Cells are read through the relation, so a columnar-primary result
+		// is encoded straight off its columns and never builds a tuple.
+		block = spill.EncodeBlockCols(block[:0], seqs, arity, func(i, j int) value.Value { return result.Cell(from+i, j) })
 		if err := WriteFrame(w, &Response{Kind: KindRows, Block: block}); err != nil {
 			return err
 		}
@@ -668,7 +682,7 @@ func (s *Server) runPartial(plan *WirePlan, w io.Writer) error {
 	s.queries.Add(1)
 	gate := s.execGate
 	s.mu.Unlock()
-	defer s.queries.Done()
+	defer s.drained(w)
 
 	if _, err := s.adm.acquire(); err != nil {
 		code := CodeAdmission

@@ -214,7 +214,7 @@ func (w *Writer) AppendBlockCols(seqs []int, arity int, memBytes int64, cell fun
 			lo := lo
 			block = func(row, col int) value.Value { return cell(lo+row, col) }
 		}
-		w.buf = encodeBlockCols(w.buf[:0], seqs[lo:hi], arity, block)
+		w.buf = EncodeBlockCols(w.buf[:0], seqs[lo:hi], arity, block)
 		if _, err := w.bw.Write(w.buf); err != nil {
 			return fmt.Errorf("spill: writing %s: %w", w.f.Name(), err)
 		}
@@ -403,15 +403,17 @@ func appendCell(dst []byte, v value.Value) []byte {
 	}
 }
 
-// encodeBlockCols appends one columnar block of len(seqs) arity-column
+// EncodeBlockCols appends one columnar block of len(seqs) arity-column
 // rows, read through a cell accessor, to dst — the one block encoder, shared
-// by tuples (EncodeBlock) and column planes (AppendBlockCols):
+// by tuples (EncodeBlock), column planes (AppendBlockCols) and the server's
+// rows frames (read through relation.Relation.Cell). len(seqs) must be
+// positive:
 //
 //	uvarint payloadLen | payload | uint32le CRC-32C(payload)
 //	payload = uvarint nrows | uvarint arity | nrows×uvarint seq | arity×column
 //	column  = kind byte | nrows×cell            (all cells share the kind)
 //	        | 0xFF | nrows×(kind byte | cell)   (heterogeneous fallback)
-func encodeBlockCols(dst []byte, seqs []int, arity int, cell func(row, col int) value.Value) []byte {
+func EncodeBlockCols(dst []byte, seqs []int, arity int, cell func(row, col int) value.Value) []byte {
 	nrows := len(seqs)
 	payload := binary.AppendUvarint(nil, uint64(nrows))
 	payload = binary.AppendUvarint(payload, uint64(arity))
@@ -652,14 +654,14 @@ func torn(err error) error {
 }
 
 // EncodeBlock appends one columnar block of same-arity tuples to dst (see
-// encodeBlockCols for the format) and returns the extended slice. It is the
+// EncodeBlockCols for the format) and returns the extended slice. It is the
 // codec's face for the block's other carriers: the persistent store's
 // segment files and the server's rows frames carry exactly these blocks, so
 // every carrier shares one codec, one checksum and one corruption story.
 // len(seqs) must equal len(rows), both non-empty, and rows must share one
 // arity; the store chunks at BlockRows to match the writer's own packing.
 func EncodeBlock(dst []byte, seqs []int, rows []relation.Tuple) []byte {
-	return encodeBlockCols(dst, seqs, len(rows[0]), func(i, j int) value.Value { return rows[i][j] })
+	return EncodeBlockCols(dst, seqs, len(rows[0]), func(i, j int) value.Value { return rows[i][j] })
 }
 
 // DecodeBlocks decodes the blocks r holds up to its end — a segment file's

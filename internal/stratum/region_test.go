@@ -97,9 +97,11 @@ func TestTraceGoldens(t *testing.T) {
 	}
 }
 
-// TestOneEnginePerRegion counts engine instantiations: a plan costs one per
-// stratum region holding an operator, however many nodes the region has — a
-// region that is a bare TS never reaches an engine.
+// TestOneEnginePerRegion counts engine instantiations per site: a plan
+// costs one per stratum region holding an operator, however many nodes the
+// region has, plus one per DBMS subplan executed, TD re-entries included. A
+// region that is a bare TS instantiates no stratum engine; only its DBMS
+// subplan does.
 func TestOneEnginePerRegion(t *testing.T) {
 	c := catalog.Paper()
 	prep, err := core.New(c, core.WithEngine(exec.NewSpec(exec.Config{}))).Prepare(paperSQL)
@@ -107,13 +109,15 @@ func TestOneEnginePerRegion(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name string
-		plan algebra.Node
-		want int
+		name              string
+		plan              algebra.Node
+		regions, subplans int
 	}{
-		{"paper statement", prep.Plan, 1},
-		{"TD round trip", roundTrip(c), 1},
-		{"operator above the round trip", algebra.NewCoal(roundTrip(c)), 2},
+		{"paper statement", prep.Plan, 1, 2},
+		// The outer region is a bare TS; the TD re-enters the stratum for
+		// one region, whose TS ships a second subplan.
+		{"TD round trip", roundTrip(c), 1, 2},
+		{"operator above the round trip", algebra.NewCoal(roundTrip(c)), 2, 2},
 	} {
 		for _, spec := range []eval.EngineSpec{eval.Reference(), exec.NewSpec(exec.Config{}), exec.NewSpec(exec.Config{Parallelism: 4, MemoryBudget: 64 << 10})} {
 			made := 0
@@ -122,11 +126,15 @@ func TestOneEnginePerRegion(t *testing.T) {
 				made++
 				return inner(src)
 			}
-			if _, _, err := stratum.NewWithEngine(c, 1, spec).Execute(tc.plan); err != nil {
+			_, tr, err := stratum.NewWithEngine(c, 1, spec).Execute(tc.plan)
+			if err != nil {
 				t.Fatalf("%s on %s: %v", tc.name, spec.Name, err)
 			}
-			if made != tc.want {
-				t.Errorf("%s on %s: %d engines instantiated, want %d", tc.name, spec.Name, made, tc.want)
+			if len(tr.SQL) != tc.subplans {
+				t.Errorf("%s on %s: %d DBMS subplans executed, want %d", tc.name, spec.Name, len(tr.SQL), tc.subplans)
+			}
+			if made != tc.regions+tc.subplans {
+				t.Errorf("%s on %s: %d engines instantiated, want %d regions + %d subplans", tc.name, spec.Name, made, tc.regions, tc.subplans)
 			}
 		}
 	}
@@ -174,5 +182,88 @@ func TestMidRegionErrorCleansUp(t *testing.T) {
 	_, tr, err := stratum.NewWithEngine(c, 1, spec).Execute(ok)
 	if err != nil || tr.SpilledBytes == 0 {
 		t.Fatalf("control run: err=%v spilled=%d bytes", err, tr.SpilledBytes)
+	}
+}
+
+// TestTSLeafScannedFromColumns counts tuple→column conversions across
+// every engine a statement instantiates: a DBMS result reaches the stratum
+// as its engine's columns, and a stratum result reaches the DBMS (TD) the
+// same way, so only the catalog's base relations are ever converted — once,
+// on the first run, after which their cached images serve every scan.
+func TestTSLeafScannedFromColumns(t *testing.T) {
+	c := catalog.Paper()
+	prep, err := core.New(c, core.WithEngine(exec.NewSpec(exec.Config{}))).Prepare(paperSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		plan  algebra.Node
+		bases int // distinct base relations the plan scans
+	}{
+		{"paper statement", prep.Plan, 2},
+		{"operator above the round trip", algebra.NewCoal(roundTrip(c)), 1},
+	} {
+		for _, cfg := range []exec.Config{{}, {Parallelism: 4, MemoryBudget: 64 << 10}} {
+			spec := exec.NewSpec(cfg)
+			var engines []*exec.Engine
+			inner := spec.New
+			spec.New = func(src eval.Source) eval.Engine {
+				e := inner(src).(*exec.Engine)
+				engines = append(engines, e)
+				return e
+			}
+			x := stratum.NewWithEngine(catalog.Paper(), 1, spec)
+			for run, want := range []int{tc.bases, 0} {
+				engines = engines[:0]
+				if _, _, err := x.Execute(tc.plan); err != nil {
+					t.Fatalf("%s on %s: %v", tc.name, spec.Name, err)
+				}
+				got := 0
+				for _, e := range engines {
+					got += e.Stats().ScanConversions
+				}
+				if got != want {
+					t.Errorf("%s on %s, run %d: %d scan conversions over %d engines, want %d", tc.name, spec.Name, run+1, got, len(engines), want)
+				}
+			}
+		}
+	}
+}
+
+// TestDBMSSpillCounted: a DBMS subplan runs on the statement's budgeted
+// engine, so a TS-side sort can spill; the trace counts it, and the spill
+// directory is empty afterwards.
+func TestDBMSSpillCounted(t *testing.T) {
+	const rows = 6000
+	sch := schema.MustNew(schema.Attr("Name", value.KindString), schema.Attr("X", value.KindInt))
+	r := relation.New(sch)
+	for i := 0; i < rows; i++ {
+		r.Append(relation.Tuple{value.String_(fmt.Sprintf("n%04d", i%97)), value.Int(int64(i))})
+	}
+	c := catalog.New()
+	if err := c.Add("R", r, algebra.BaseInfo{}); err != nil {
+		t.Fatal(err)
+	}
+	plan := algebra.NewTransferS(algebra.NewSort(relation.OrderSpec{relation.Key("Name")}, c.MustNode("R")))
+
+	dir := t.TempDir()
+	spec := exec.NewSpec(exec.Config{MemoryBudget: 64 << 10, SpillDir: dir})
+	got, tr, err := stratum.NewWithEngine(c, 1, spec).Execute(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() != rows || !got.SortedBy(relation.OrderSpec{relation.Key("Name")}) {
+		t.Fatalf("TS(sort(R)) returned %d rows, sorted=%v", got.Len(), got.SortedBy(relation.OrderSpec{relation.Key("Name")}))
+	}
+	if tr.SpilledBytes == 0 || tr.SpilledOps == 0 {
+		t.Errorf("DBMS-site spill not in the trace: spilled=%dB/%d ops", tr.SpilledBytes, tr.SpilledOps)
+	}
+	left, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 0 {
+		t.Errorf("spill directory not cleaned up after the DBMS subplan: %v", left)
 	}
 }

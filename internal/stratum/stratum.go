@@ -49,12 +49,20 @@ type Trace struct {
 	SegmentsScanned int
 	SegmentsSkipped int
 	// SpilledBytes and SpilledOps accumulate the budgeted engine's
-	// grace-hash spilling across this run's region evaluations; PeakBytes
-	// is the largest single region's tracked working set. All zero for
-	// unbudgeted engines.
+	// grace-hash spilling across this run's evaluations — stratum regions
+	// and DBMS subplans alike; PeakBytes is the largest single evaluation's
+	// tracked working set. All zero for unbudgeted engines.
 	SpilledBytes int64
 	SpilledOps   int64
 	PeakBytes    int64
+}
+
+// addSpill adds one evaluation's spill totals — a stratum region's or a
+// DBMS subplan's root sample — to the trace.
+func (t *Trace) addSpill(root obs.RunSample) {
+	t.SpilledBytes += root.SpilledBytes
+	t.SpilledOps += root.SpilledOps
+	t.PeakBytes = max(t.PeakBytes, root.PeakBytes)
 }
 
 // TotalUnits is the simulated total cost of the run.
@@ -103,16 +111,20 @@ func (cs *countingSource) Resolve(name string) (*relation.Relation, error) {
 }
 
 // New returns an executor over the catalog whose DBMS uses the given
-// order-nondeterminism seed; stratum subplans run on the reference
-// evaluator.
+// order-nondeterminism seed; plans run on the reference evaluator at both
+// sites.
 func New(cat *catalog.Catalog, seed int64) *Executor {
 	return NewWithEngine(cat, seed, eval.Reference())
 }
 
-// NewWithEngine returns an executor whose stratum-assigned subplans run on
-// the given physical engine (eval.Reference() or exec.NewSpec(exec.Config{})); the metering
-// and the cost calibration follow the engine's operator shapes. The DBMS
-// simulation is unaffected — it models a conventional engine either way.
+// NewWithEngine returns an executor whose plans run on the given physical
+// engine (eval.Reference() or exec.NewSpec(exec.Config{})) at both sites:
+// the stratum's regions and the DBMS's subplans alike, so a TS result
+// reaches the stratum in the engine's own form (columns, for exec). The
+// stratum's metering and cost calibration follow the engine's operator
+// shapes; the DBMS's metering does not — it prices a conventional engine
+// either way, and its seeded permutation and ≡L rewriter are the same on
+// every engine.
 func NewWithEngine(cat *catalog.Catalog, seed int64, spec eval.EngineSpec) *Executor {
 	if spec.New == nil {
 		spec = eval.Reference()
@@ -130,7 +142,7 @@ func NewWithEngine(cat *catalog.Catalog, seed int64, spec eval.EngineSpec) *Exec
 	return &Executor{
 		cat:    cat,
 		src:    src,
-		engine: dbms.New(src, seed),
+		engine: dbms.New(src, seed, spec),
 		params: params,
 		phys:   spec,
 	}
@@ -202,8 +214,9 @@ func validateSites(n algebra.Node, inStratum bool) error {
 // next TS transfers — as one evaluation on a fresh engine (the spec is
 // shared and immutable, engine state never is, which is what lets the
 // server run many executors over one catalog concurrently). The TS subtrees
-// run on the DBMS first, left to right, and their results are the region's
-// leaves; a region that is a bare TS is the DBMS result as it stands. path
+// run on the DBMS first, left to right, each on a fresh engine of its own,
+// and their results are the region's leaves; a region that is a bare TS
+// instantiates no stratum engine — it is the DBMS result as it stands. path
 // is root's path in the executed plan; probe is nil for an unprobed region.
 func (x *Executor) exec(root algebra.Node, path algebra.Path, probe func(string, obs.RunSample), tr *Trace) (*relation.Relation, error) {
 	isTS := func(n algebra.Node) bool { return n.Op() == algebra.OpTransferS }
@@ -215,6 +228,7 @@ func (x *Executor) exec(root algebra.Node, path algebra.Path, probe func(string,
 			return nil, err
 		}
 		tr.SQL = append(tr.SQL, res.SQL)
+		tr.addSpill(res.Run)
 		tr.TuplesTransferred += res.Rel.Len()
 		tr.TransferUnits += float64(res.Rel.Len()) * x.params.TransferTuple
 		x.meterDBMS(sub, res.Rel.Len(), tr)
@@ -243,12 +257,7 @@ func (x *Executor) exec(root algebra.Node, path algebra.Path, probe func(string,
 	if err != nil {
 		return nil, err
 	}
-	total := samples[bound]
-	tr.SpilledBytes += total.SpilledBytes
-	tr.SpilledOps += total.SpilledOps
-	if total.PeakBytes > tr.PeakBytes {
-		tr.PeakBytes = total.PeakBytes
-	}
+	tr.addSpill(samples[bound])
 
 	// Meter the region node by node, in post-order: every operator is priced
 	// on its children's actual rows with the physical variant the engine
