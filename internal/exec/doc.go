@@ -50,8 +50,9 @@
 //	operator            algorithms (file)
 //	scan                the relation's columnar image, one batch (stream.go)
 //	σ, π                selection views, zero-copy column gather (vecops.go)
-//	sort                row-index permutation, W-way index runs; external
-//	                    merge sort under a budget (vecmerge.go, sort.go)
+//	sort                row-index permutation sorted by (key, row index), W-way
+//	                    index runs; external merge sort under a budget
+//	                    (vecmerge.go, sort.go)
 //	⊔                   stream concatenation (stream.go)
 //	×, ×ᵀ, ⋈, ⋈ᵀ        one hash join kernel over the predicate's equality
 //	                    keys — none for a keyless product, whose build side is
@@ -72,12 +73,16 @@
 // the spilled keyed join — is one partition body over rows of a batch, run by
 // the exchange driver (grace.go): resident and whole (the sequential engine),
 // W-way on the worker pool, or spilled with recursion, its outputs gathered
-// by sequence key straight into output batches. The temporal bodies read and
-// write only (source row, period) spans — the kernels rdupTSpans,
-// coalTSpans, tdiffGroupFragments and tunionExtraPeriods, each written once —
-// and never touch a value column; the per-group emitters of 𝒢 and 𝒢ᵀ read
-// rows of the partition through one scratch tuple (eval.FoldAggregates takes
-// a tuple) and write output planes.
+// by sequence key straight into output batches. rdupᵀ, \ᵀ, ∪ᵀ and 𝒢ᵀ are one
+// multiplicity sweep per value group (temporal.go): sorted, distinct
+// endpoints cut the timeline into elementary intervals, a ±1 pass counts
+// each side on them, and a combiner decides what each yields — min(c, 1)
+// for rdupᵀ, max(cₗ − cᵣ, 0) for \ᵀ, max(cᵣ − cₗ, 0) past the left list for
+// ∪ᵀ, the aggregate of the active rows for 𝒢ᵀ; coalᵀ merges adjacent
+// periods (coalTSpans). The sweep's buffers belong to one body call — a grace
+// partition or a groupCutIter slice — and are reset per group. The temporal
+// bodies emit (source row, period) spans and never touch a value column; 𝒢
+// and 𝒢ᵀ fold rows through one scratch tuple.
 //
 // RunFragment (partial.go), the shard side of distributed execution, is not
 // a second implementation of any operator: a fragment is a plan subtree, and
@@ -151,7 +156,7 @@
 //
 // Adding a keyed blocking operator means writing one partition body and
 // naming its key columns — never a parallelX or graceX source. The body
-// (a partBody, see valueGroupBody or tdiffBody) is a pure function over one
+// (a partBody, see keepBody or tunionBody) is a pure function over one
 // partition: rows of a batch in arrival order plus their sequence keys. It
 // emits rows — of the partition's batch or of one it builds — under
 // non-decreasing sequence keys, replacing periods through emitted.per

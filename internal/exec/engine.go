@@ -315,7 +315,7 @@ func (e *Engine) operator(n algebra.Node, in []*source, out *schema.Schema) (*so
 	case algebra.OpUnion:
 		return e.buildUnion(in[0], in[1]), nil
 	case algebra.OpTUnion:
-		return e.buildTUnion(in[0], in[1]), nil
+		return e.buildTPair(in[0], in[1], tunionBody), nil
 	case algebra.OpProduct:
 		return e.buildProduct(in[0], in[1], out, nil, false), nil
 	case algebra.OpTProduct:
@@ -323,15 +323,13 @@ func (e *Engine) operator(n algebra.Node, in []*source, out *schema.Schema) (*so
 	case algebra.OpDiff:
 		return e.buildDiff(in[0], in[1], out), nil
 	case algebra.OpTDiff:
-		return e.buildTDiff(in[0], in[1]), nil
+		return e.buildTPair(in[0], in[1], tdiffBody), nil
 	case algebra.OpRdup:
 		return e.buildRdup(in[0], out), nil
 	case algebra.OpTRdup:
-		// rdupᵀ: the paper's iterative head/subtract algorithm, group-locally.
-		return e.buildValueGroup(in[0], rdupTSpans), nil
+		return e.buildValueGroup(in[0], rdupTBody), nil
 	case algebra.OpCoal:
-		// coalᵀ: group-local adjacency merging.
-		return e.buildValueGroup(in[0], coalTSpans), nil
+		return e.buildValueGroup(in[0], coalTBody), nil
 	case algebra.OpTransferS, algebra.OpTransferD:
 		// Transfers are identities on data; their cost and site semantics
 		// live in the stratum executor.

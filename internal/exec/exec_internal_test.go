@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -188,4 +189,56 @@ func TestSortedDisjoint(t *testing.T) {
 	if !spansSortedDisjoint(nil) {
 		t.Error("the empty group qualifies vacuously")
 	}
+}
+
+// sweepPartition builds a temporal partition of groups value groups, each
+// with rows rows of overlapping periods, interleaved so that no group is
+// contiguous.
+func sweepPartition(groups, rows int, shift period.Chronon) part {
+	s := schema.MustNew(
+		schema.Attr("Name", value.KindString),
+		schema.Attr(schema.T1, value.KindTime),
+		schema.Attr(schema.T2, value.KindTime))
+	var ts []relation.Tuple
+	for k := 0; k < rows; k++ {
+		for g := 0; g < groups; g++ {
+			start := shift + period.Chronon(3*k+g%5)
+			ts = append(ts, relation.Tuple{value.String_(fmt.Sprintf("g%04d", g)), value.Time(start), value.Time(start + 5)})
+		}
+	}
+	return wholeBatch(batchOfTuples(s, ts))
+}
+
+// TestSweepBodiesAllocateByPartition pins the sweep's scratch to the body
+// call: the \ᵀ and rdupᵀ partition bodies over 2,000 value groups allocate
+// at most a small constant more than over 20 — the buffers are reset per
+// group, never allocated per group. Beside the constant, which covers the
+// amortized growth of the scratch to the largest group, the bound admits
+// what the group table's map allocates more at the larger size hint (the
+// runtime may store a large map in several tables).
+func TestSweepBodiesAllocateByPartition(t *testing.T) {
+	sch := sweepPartition(1, 1, 0).b.schema
+	vidx := valueIdx(sch)
+	t1, t2 := sch.TimeIndices()
+	var table map[uint64]int
+	allocs := func(groups int) (diff, rdup float64) {
+		lp, rp := sweepPartition(groups, 3, 0), sweepPartition(groups, 2, 2)
+		tdiff, trdup := tdiffBody(vidx, t1, t2), rdupTBody(vidx, t1, t2, false)
+		diff = testing.AllocsPerRun(5, func() { _, _ = tdiff(lp, rp) })
+		diff -= testing.AllocsPerRun(5, func() { table = make(map[uint64]int, len(lp.rows)+len(rp.rows)) })
+		rdup = testing.AllocsPerRun(5, func() { _, _ = trdup(lp, part{}) })
+		rdup -= testing.AllocsPerRun(5, func() { table = make(map[uint64]int, len(lp.rows)) })
+		return diff, rdup
+	}
+	const slack = 8
+	smallDiff, smallRdup := allocs(20)
+	bigDiff, bigRdup := allocs(2000)
+	t.Logf("beside the group table: \\ᵀ %v → %v allocs, rdupᵀ %v → %v allocs", smallDiff, bigDiff, smallRdup, bigRdup)
+	if bigDiff > smallDiff+slack {
+		t.Errorf("\\ᵀ body: %v allocs at 2,000 groups, %v at 20: the sweep allocates per group", bigDiff, smallDiff)
+	}
+	if bigRdup > smallRdup+slack {
+		t.Errorf("rdupᵀ body: %v allocs at 2,000 groups, %v at 20: the sweep allocates per group", bigRdup, smallRdup)
+	}
+	_ = table
 }

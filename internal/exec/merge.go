@@ -24,11 +24,18 @@ type groupCutIter struct {
 	done bool
 }
 
-// groupSource compiles a grouping operator in its streaming form.
-func (e *Engine) groupSource(in *source, idx []int, out *schema.Schema, body partBody) *source {
+// groupSource compiles a one-sided grouping operator from its partition
+// body, told whether in's delivered order keeps the idx groups contiguous:
+// streamed group-at-a-time when that order allows, else by the exchange
+// driver.
+func (e *Engine) groupSource(in *source, idx []int, out *schema.Schema, body func(contiguous bool) partBody) *source {
+	contiguous := groupsContiguous(in.order, in.schema, idx)
+	if !e.streams(in, idx) {
+		return e.keyedSource(&keyedOp{l: in, lidx: idx, contiguous: contiguous, out: out, body: body(contiguous)})
+	}
 	e.stats.MergeOps++
 	e.stats.VectorOps++
-	return vecSource(&groupCutIter{e: e, in: in.vec, sch: in.schema, out: out, idx: idx, body: body}, out)
+	return vecSource(&groupCutIter{e: e, in: in.vec, sch: in.schema, out: out, idx: idx, body: body(contiguous)}, out)
 }
 
 // continues reports that b's first row belongs to the held group.

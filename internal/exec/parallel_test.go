@@ -11,7 +11,9 @@ import (
 	"tqp/internal/exec"
 	"tqp/internal/expr"
 	"tqp/internal/relation"
+	"tqp/internal/schema"
 	"tqp/internal/testutil"
+	"tqp/internal/value"
 )
 
 // TestDifferentialFourWay is the parallel engine's correctness anchor: it
@@ -143,6 +145,52 @@ func TestParallelSortStable(t *testing.T) {
 	}
 	if !got.EqualAsList(want) {
 		t.Fatal("parallel sort is not the stable sort of the input")
+	}
+}
+
+// TestSortTiesKeepArrivalOrder pins the sort's stability by construction:
+// over 10,000 rows whose keys are all equal, or take 3 distinct values, the
+// output permutation must be the stable one — keys ascending, arrival
+// order among equal keys — sequentially (one whole-batch sort), at
+// Parallelism 4 (index runs merged on the run index) and under a 64 KiB
+// budget (spilled runs of the external sort).
+func TestSortTiesKeepArrivalOrder(t *testing.T) {
+	s := schema.MustNew(schema.Attr("K", value.KindInt), schema.Attr("Pos", value.KindInt))
+	const rows = 10000
+	rng := rand.New(rand.NewSource(5))
+	for _, distinct := range []int{1, 3} {
+		ts := make([]relation.Tuple, rows)
+		var want []int64 // the stable order's Pos column
+		for i := range ts {
+			ts[i] = relation.Tuple{value.Int(int64(rng.Intn(distinct))), value.Int(int64(i))}
+		}
+		for k := 0; k < distinct; k++ {
+			for i, tu := range ts {
+				if tu[0].AsInt() == int64(k) {
+					want = append(want, int64(i))
+				}
+			}
+		}
+		src := eval.MapSource{"R": relation.FromTuplesTrusted(s, ts)}
+		plan := algebra.NewSort(relation.OrderSpec{relation.Key("K")}, algebra.NewRel("R", s, algebra.BaseInfo{}))
+		for _, cfg := range []exec.Config{{}, {Parallelism: 4}, {MemoryBudget: 64 << 10, SpillDir: t.TempDir()}} {
+			eng := exec.NewWith(src, cfg)
+			got, err := eng.Eval(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cfg.MemoryBudget > 0 && eng.Stats().SpilledOps == 0 {
+				t.Fatalf("%d keys, %+v: the external sort never spilled", distinct, cfg)
+			}
+			if got.Len() != rows {
+				t.Fatalf("%d keys, %+v: %d rows, want %d", distinct, cfg, got.Len(), rows)
+			}
+			for k := range want {
+				if pos := got.At(k)[1].AsInt(); pos != want[k] {
+					t.Fatalf("%d keys, %+v: output row %d is input row %d, the stable order has %d", distinct, cfg, k, pos, want[k])
+				}
+			}
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"container/heap"
-	"sort"
 
 	"tqp/internal/schema"
 	"tqp/internal/spill"
@@ -18,10 +17,10 @@ const sortRunSize = 4096
 // mergeSortIter is the budgeted engine's external merge sort (the
 // unbudgeted sort is vecSortSource): the input batches are consumed into
 // consecutive bounded runs — rows copied onto a run's own column planes and
-// stable-sorted as a permutation of row indices — and the runs are merged
-// through a min-heap whose tie-break — run index, then position within the
-// run — makes the merged sequence exactly the stable sort of the whole
-// input. Emission streams batch-at-a-time from the heap, so downstream
+// sorted by (key, row index) as a permutation of row indices — and the runs
+// are merged through a min-heap whose tie-break — run index, then position
+// within the run — makes the merged sequence exactly the stable sort of the
+// whole input. Emission streams batch-at-a-time from the heap, so downstream
 // operators start before the full output materializes.
 //
 // Run cutting is byte-driven: while the accumulated input fits the
@@ -203,9 +202,7 @@ func (m *mergeSortIter) build() error {
 			return nil
 		}
 		c := &runCursor{idx: len(cursors), b: run, perm: identityIdx(run.n), bytes: runBytes}
-		sort.SliceStable(c.perm, func(i, j int) bool {
-			return m.cmp(c.b, c.perm[i], c.b, c.perm[j]) < 0
-		})
+		sortRows(c.b, c.perm, m.cmp)
 		cursors = append(cursors, c)
 		if spilling {
 			if err := spillRun(c); err != nil {

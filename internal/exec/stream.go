@@ -254,21 +254,18 @@ func (e *Engine) buildAggregate(n *algebra.Aggregate, in *source, outSchema *sch
 		// construction, nothing to partition.
 		return e.vecAggregateSource(in, gidx, outSchema, n.Aggs)
 	}
-	emit := func(p part, members []int, scratch relation.Tuple, ob *batch) error {
+	emit := func(p part, members []int, sc *groupScratch, ob *batch) error {
 		accs := eval.NewAccumulators(n.Aggs, in.schema)
 		for _, k := range members {
-			p.b.fillTuple(scratch, p.rows[k])
-			if err := eval.FoldAggregates(accs, n.Aggs, in.schema, scratch); err != nil {
+			p.b.fillTuple(sc.row, p.rows[k])
+			if err := eval.FoldAggregates(accs, n.Aggs, in.schema, sc.row); err != nil {
 				return err
 			}
 		}
 		appendGroupRow(ob, p.b, p.rows[members[0]], gidx, accs)
 		return nil
 	}
-	contiguous := groupsContiguous(in.order, in.schema, gidx)
-	body := groupEmitBody(gidx, contiguous, outSchema, emit)
-	if streams {
-		return e.groupSource(in, gidx, outSchema, body)
-	}
-	return e.keyedSource(&keyedOp{l: in, lidx: gidx, contiguous: contiguous, out: outSchema, body: body})
+	return e.groupSource(in, gidx, outSchema, func(contiguous bool) partBody {
+		return groupEmitBody(gidx, contiguous, outSchema, emit)
+	})
 }

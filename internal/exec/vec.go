@@ -462,62 +462,59 @@ func drainVec(s *source) (*relation.Relation, error) {
 }
 
 // vecGroups assigns dense group ids to batch rows equal on a key-column
-// set, hashing straight off the column storage. Collisions chain on the
-// canonical row hash and every candidate is confirmed with value equality,
-// so distinct keys never share a group. Ids are allocated in
-// first-occurrence order — the iteration order the reference evaluator's
-// string-keyed maps expose — and representatives are (batch, row)
-// references, so no tuple is ever materialized. The referenced batches stay
-// alive as long as the table.
+// set, hashing straight off the column storage. Ids whose keys share a
+// canonical row hash chain through next from the newest, heads[hash]−1, and
+// every candidate is confirmed with value equality, so distinct keys never
+// share a group. Ids are allocated in first-occurrence order — the
+// iteration order the reference evaluator's string-keyed maps expose — and
+// representatives are (batch, row) references, so no tuple is ever
+// materialized. The referenced batches stay alive as long as the table.
 type vecGroups struct {
-	idx     []int
-	buckets map[uint64][]int
-	repB    []*batch
-	repRow  []int
+	idx    []int
+	heads  map[uint64]int // hash → newest id + 1
+	next   []int          // by id: the previous id with its hash, or -1
+	repB   []*batch
+	repRow []int
 }
 
 func newVecGroups(idx []int, sizeHint int) *vecGroups {
 	if len(idx) == 0 {
 		sizeHint = 1 // the empty key has one group, whatever the row count
 	}
-	return &vecGroups{idx: idx, buckets: make(map[uint64][]int, sizeHint)}
+	return &vecGroups{idx: idx, heads: make(map[uint64]int, sizeHint),
+		next: make([]int, 0, sizeHint), repB: make([]*batch, 0, sizeHint), repRow: make([]int, 0, sizeHint)}
 }
 
 // groupOf returns row i's group id, allocating a fresh one (fresh=true) for
 // the first row with a given key.
 func (g *vecGroups) groupOf(b *batch, i int) (id int, fresh bool) {
 	h := rowHash(b, i, g.idx)
-	for _, gid := range g.buckets[h] {
-		if g.equalRep(gid, b, i) {
-			return gid, false
-		}
+	if id = g.find(h, b, i, g.idx); id >= 0 {
+		return id, false
 	}
 	id = len(g.repB)
-	g.repB = append(g.repB, b)
-	g.repRow = append(g.repRow, i)
-	g.buckets[h] = append(g.buckets[h], id)
+	g.repB, g.repRow = append(g.repB, b), append(g.repRow, i)
+	g.next = append(g.next, g.heads[h]-1)
+	g.heads[h] = id + 1
 	return id, true
-}
-
-func (g *vecGroups) equalRep(gid int, b *batch, i int) bool {
-	return keysEqual(g.repB[gid], g.repRow[gid], b, i, g.idx)
 }
 
 // lookup finds the group whose key equals row i restricted to probeIdx —
 // position k of probeIdx pairs with position k of the table's key — or -1.
 func (g *vecGroups) lookup(b *batch, i int, probeIdx []int) int {
-	for _, gid := range g.buckets[rowHash(b, i, probeIdx)] {
-		rb, ri := g.repB[gid], g.repRow[gid]
-		match := true
+	return g.find(rowHash(b, i, probeIdx), b, i, probeIdx)
+}
+
+// find walks hash h's chain for lookup's match.
+func (g *vecGroups) find(h uint64, b *batch, i int, probeIdx []int) int {
+chain:
+	for gid := g.heads[h] - 1; gid >= 0; gid = g.next[gid] {
 		for k, pc := range probeIdx {
-			if !b.cols[pc].equalAt(i, &rb.cols[g.idx[k]], ri) {
-				match = false
-				break
+			if !b.cols[pc].equalAt(i, &g.repB[gid].cols[g.idx[k]], g.repRow[gid]) {
+				continue chain
 			}
 		}
-		if match {
-			return gid
-		}
+		return gid
 	}
 	return -1
 }
@@ -536,35 +533,61 @@ func keysEqual(a *batch, i int, b *batch, j int, idx []int) bool {
 	return true
 }
 
+// csrGroups is a grouping of a partition's rows in compressed sparse row
+// form: group g's members — positions into p.rows, in list order — are
+// pos[off[g]:off[g+1]].
+type csrGroups struct {
+	off, pos []int
+}
+
+// count returns the number of groups.
+func (c csrGroups) count() int { return max(len(c.off)-1, 0) }
+
+// members returns group g's positions.
+func (c csrGroups) members(g int) []int { return c.pos[c.off[g]:c.off[g+1]] }
+
+// csrOf groups positions 0..len(of)-1 by their group ids of[k] in
+// 0..n-1: count, prefix-sum to each group's end, fill backwards.
+func csrOf(of []int, n int) csrGroups {
+	off := make([]int, n+1)
+	for _, g := range of {
+		off[g]++
+	}
+	for g := 1; g < n; g++ {
+		off[g] += off[g-1]
+	}
+	off[n] = len(of)
+	pos := make([]int, len(of))
+	for k := len(of) - 1; k >= 0; k-- {
+		off[of[k]]--
+		pos[off[of[k]]] = k
+	}
+	return csrGroups{off: off, pos: pos}
+}
+
 // groupRows partitions a partition's rows by equality on idx, preserving
-// first-occurrence group order and row order within each group; the groups
-// hold positions into p.rows. contiguous=true (equal rows proved adjacent by
-// the input's OrderSpec — which any order-preserving subset holding whole
-// groups inherits) runs hash-free; an empty idx is one global group.
-func groupRows(p part, idx []int, contiguous bool) [][]int {
-	if len(p.rows) == 0 {
-		return nil
+// first-occurrence group order and row order within each group.
+// contiguous=true (equal rows proved adjacent by the input's OrderSpec —
+// which any order-preserving subset holding whole groups inherits) runs
+// hash-free; an empty idx is one global group.
+func groupRows(p part, idx []int, contiguous bool) csrGroups {
+	n := len(p.rows)
+	if n == 0 {
+		return csrGroups{}
 	}
 	if len(idx) == 0 || contiguous {
-		pos := identityIdx(len(p.rows))
-		var out [][]int
-		lo := 0
-		for k := 1; k < len(pos) && len(idx) > 0; k++ {
+		off := append(make([]int, 0, n+1), 0)
+		for k := 1; k < n && len(idx) > 0; k++ {
 			if !keysEqual(p.b, p.rows[k], p.b, p.rows[k-1], idx) {
-				out = append(out, pos[lo:k])
-				lo = k
+				off = append(off, k)
 			}
 		}
-		return append(out, pos[lo:])
+		return csrGroups{off: append(off, n), pos: identityIdx(n)}
 	}
-	groups := newVecGroups(idx, len(p.rows))
-	var out [][]int
+	groups := newVecGroups(idx, n)
+	of := make([]int, n)
 	for k, i := range p.rows {
-		gid, fresh := groups.groupOf(p.b, i)
-		if fresh {
-			out = append(out, nil)
-		}
-		out[gid] = append(out[gid], k)
+		of[k], _ = groups.groupOf(p.b, i)
 	}
-	return out
+	return csrOf(of, groups.size())
 }

@@ -252,78 +252,110 @@ func TestVecGroupsMatchesReference(t *testing.T) {
 	}
 }
 
-// spanKernelsAgainstReference checks the four temporal span kernels on one
-// value-equivalence group against the reference evaluator: lps and rps
-// become one-group relations (a single constant value column), and
-// rdupTSpans, coalTSpans, tdiffGroupFragments and tunionExtraPeriods must
-// reproduce the period lists of internal/eval's rdupᵀ, coalᵀ, \ᵀ and ∪ᵀ on
-// them exactly, fragment order included.
-func spanKernelsAgainstReference(t *testing.T, lps, rps []period.Period) {
+// spanGroup is one value-equivalence group's left and right periods.
+type spanGroup struct{ l, r []period.Period }
+
+// spanKernelsAgainstReference checks the temporal partition bodies — the
+// multiplicity sweep of rdupᵀ, \ᵀ, ∪ᵀ and 𝒢ᵀ, and coalᵀ's merge — against
+// the reference evaluator. Group g's periods become rows with value g+1,
+// interleaved round-robin with the other groups' into one left and one
+// right partition, so more than one group exercises the bodies' CSR
+// grouping and per-row fragment offsets. The bodies' rdupᵀ, coalᵀ, \ᵀ and
+// ∪ᵀ must reproduce internal/eval's lists exactly, fragment order included,
+// and so must 𝒢ᵀ by value with COUNT(*) and SUM of a per-row column W —
+// each row's list position, so the sum names the active set. A single
+// group also runs the bodies' hash-free contiguous path.
+func spanKernelsAgainstReference(t *testing.T, groups ...spanGroup) {
 	t.Helper()
 	s := schema.MustNew(
 		schema.Attr("V", value.KindInt),
 		schema.Attr(schema.T1, value.KindTime),
 		schema.Attr(schema.T2, value.KindTime))
-	t1, t2 := s.TimeIndices()
-	group := func(ps []period.Period) *relation.Relation {
-		ts := make([]relation.Tuple, len(ps))
-		for i, p := range ps {
-			ts[i] = relation.Tuple{value.Int(1), value.Time(p.Start), value.Time(p.End)}
-		}
-		return relation.FromTuplesTrusted(s, ts)
-	}
-	src := eval.MapSource{"L": group(lps), "R": group(rps)}
-	l := algebra.NewRel("L", s, algebra.BaseInfo{})
-	r := algebra.NewRel("R", s, algebra.BaseInfo{})
-	reference := func(n algebra.Node) []period.Period {
-		out, err := eval.New(src).Eval(n)
-		if err != nil {
-			t.Fatalf("reference %s: %v", algebra.Canonical(n), err)
-		}
-		ps := make([]period.Period, out.Len())
-		for i := range ps {
-			ps[i] = out.At(i).PeriodAt(t1, t2)
-		}
-		return ps
-	}
-	check := func(name string, got, want []period.Period) {
-		if len(got) != len(want) {
-			t.Fatalf("%s on L=%v R=%v: %d periods %v, reference %d %v", name, lps, rps, len(got), got, len(want), want)
-		}
-		for k := range got {
-			if got[k] != want[k] {
-				t.Fatalf("%s on L=%v R=%v: period %d is %v, reference %v", name, lps, rps, k, got[k], want[k])
+	sw := schema.MustNew(
+		schema.Attr("V", value.KindInt),
+		schema.Attr("W", value.KindInt),
+		schema.Attr(schema.T1, value.KindTime),
+		schema.Attr(schema.T2, value.KindTime))
+	rel := func(sch *schema.Schema, side func(spanGroup) []period.Period) *relation.Relation {
+		var ts []relation.Tuple
+		for x := 0; ; x++ {
+			more := false
+			for g, grp := range groups {
+				ps := side(grp)
+				if x >= len(ps) {
+					continue
+				}
+				more = true
+				tu := relation.Tuple{value.Int(int64(g + 1)), value.Time(ps[x].Start), value.Time(ps[x].End)}
+				if sch == sw {
+					tu = relation.Tuple{tu[0], value.Int(int64(len(ts))), tu[1], tu[2]}
+				}
+				ts = append(ts, tu)
+			}
+			if !more {
+				return relation.FromTuplesTrusted(sch, ts)
 			}
 		}
 	}
-	spans := func() []vspan {
-		ss := make([]vspan, len(lps))
-		for i, p := range lps {
-			ss[i] = vspan{src: i, p: p}
+	left := func(g spanGroup) []period.Period { return g.l }
+	right := func(g spanGroup) []period.Period { return g.r }
+	lrel, rrel, wrel := rel(s, left), rel(s, right), rel(sw, left)
+	src := eval.MapSource{"L": lrel, "R": rrel, "W": wrel}
+	l := algebra.NewRel("L", s, algebra.BaseInfo{})
+	r := algebra.NewRel("R", s, algebra.BaseInfo{})
+	w := algebra.NewRel("W", sw, algebra.BaseInfo{})
+	agg := algebra.NewTAggregate([]string{"V"}, []expr.Aggregate{
+		{Func: expr.CountAll, As: "c"}, {Func: expr.Sum, Arg: "W", As: "s"}}, w)
+	aggOut, err := agg.Schema()
+	if err != nil {
+		t.Fatal(err)
+	}
+	partOf := func(r *relation.Relation) part { return wholeBatch(batchOfTuples(r.Schema(), r.Tuples())) }
+	lp, rp, wp := partOf(lrel), partOf(rrel), partOf(wrel)
+	vidx := valueIdx(s)
+	t1, t2 := s.TimeIndices()
+	check := func(name string, n algebra.Node, body partBody, lp, rp part) {
+		want, err := eval.New(src).Eval(n)
+		if err != nil {
+			t.Fatalf("reference %s: %v", algebra.Canonical(n), err)
 		}
-		return ss
-	}
-	periods := func(ss []vspan) []period.Period {
-		ps := make([]period.Period, len(ss))
-		for i, sp := range ss {
-			ps[i] = sp.p
+		ems, err := body(lp, rp)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		return ps
+		var got []relation.Tuple
+		for _, b := range gather(want.Schema(), ems) {
+			for k := 0; k < b.rows(); k++ {
+				got = append(got, rowOf(b, b.rowIndex(k)))
+			}
+		}
+		if len(got) != want.Len() {
+			t.Fatalf("%s on %v: %d rows %v, reference %d\n%s", name, groups, len(got), got, want.Len(), want)
+		}
+		for k := range got {
+			if !got[k].Equal(want.At(k)) {
+				t.Fatalf("%s on %v: row %d is %v, reference %v", name, groups, k, got[k], want.At(k))
+			}
+		}
 	}
-	check("rdupTSpans", periods(rdupTSpans(spans())), reference(algebra.NewTRdup(l)))
-	check("coalTSpans", periods(coalTSpans(spans())), reference(algebra.NewCoal(l)))
-	var diff []period.Period
-	for _, fs := range tdiffGroupFragments(lps, rps) {
-		diff = append(diff, fs...)
+	contiguous := []bool{false}
+	if len(groups) == 1 {
+		contiguous = append(contiguous, true)
 	}
-	check("tdiffGroupFragments", diff, reference(algebra.NewTDiff(l, r)))
-	check("tunionExtraPeriods", tunionExtraPeriods(lps, rps), reference(algebra.NewTUnion(l, r))[len(lps):])
+	for _, c := range contiguous {
+		check("rdupT", algebra.NewTRdup(l), rdupTBody(vidx, t1, t2, c), lp, part{})
+		check("coalT", algebra.NewCoal(l), coalTBody(vidx, t1, t2, c), lp, part{})
+		check("aggrT", agg, tAggregateBody(agg, sw, []int{0}, c, aggOut), wp, part{})
+	}
+	check("diffT", algebra.NewTDiff(l, r), tdiffBody(vidx, t1, t2), lp, rp)
+	check("unionT", algebra.NewTUnion(l, r), tunionBody(vidx, t1, t2), lp, rp)
 }
 
-// TestSpanKernelsMatchReference is the property test tying the span kernels
-// to the reference evaluator on random single-group period lists: empty,
-// touching, nested, identical, sorted-disjoint and NOW-relative periods all
-// occur.
+// TestSpanKernelsMatchReference is the property test tying the temporal
+// partition bodies to the reference evaluator on random period lists —
+// empty, touching, nested, identical, sorted-disjoint and NOW-relative
+// periods all occur — as a single group and as a partition of several
+// groups, one only on the left and one only on the right.
 func TestSpanKernelsMatchReference(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -347,7 +379,10 @@ func TestSpanKernelsMatchReference(t *testing.T) {
 			}
 			return ps
 		}
-		spanKernelsAgainstReference(t, gen(rng.Intn(9)), gen(rng.Intn(6)))
+		one := spanGroup{gen(rng.Intn(9)), gen(rng.Intn(6))}
+		spanKernelsAgainstReference(t, one)
+		spanKernelsAgainstReference(t, one, spanGroup{gen(rng.Intn(9)), gen(rng.Intn(6))},
+			spanGroup{r: gen(1 + rng.Intn(5))}, spanGroup{l: gen(1 + rng.Intn(8))})
 	}
 }
 
@@ -364,7 +399,7 @@ func FuzzSpanKernels(f *testing.F) {
 	f.Add([]byte{4, 0, 6, 2, 6, 1, 1, 3, 3, 2}) // overlapping chain
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 33 {
-			data = data[:33] // the kernels are O(g²) per group by design
+			data = data[:33] // coalᵀ is O(g²) per group by design
 		}
 		var lps, rps []period.Period
 		if len(data) > 0 {
@@ -379,7 +414,7 @@ func FuzzSpanKernels(f *testing.F) {
 				}
 			}
 		}
-		spanKernelsAgainstReference(t, lps, rps)
+		spanKernelsAgainstReference(t, spanGroup{lps, rps})
 	})
 }
 

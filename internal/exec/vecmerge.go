@@ -1,14 +1,15 @@
 // The batch merge operator family: order-spec comparison compiled against
 // column planes, adjacent-compare dedup, the two-pointer merge diff/union
-// sweeps, the merge join, and sort as a stable permutation of row indices
-// emitted as one selection view. The compare, equality and hash kernels are
-// the exact typed specializations of the canonical value semantics, so
-// every operator here reproduces the reference evaluator's list.
+// sweeps, the merge join, and sort as a permutation of row indices sorted
+// by (key, row index), emitted as one selection view. The compare, equality
+// and hash kernels are the exact typed specializations of the canonical
+// value semantics, so every operator here reproduces the reference
+// evaluator's list.
 package exec
 
 import (
 	"container/heap"
-	"sort"
+	"slices"
 
 	"tqp/internal/expr"
 	"tqp/internal/period"
@@ -171,11 +172,12 @@ func (m *vecMergeCancelIter) nextBatch() (*batch, error) {
 func (m *vecMergeCancelIter) close() error { return m.stream.close() }
 
 // vecSortSource sorts a columnar input without materializing tuples: the
-// input drains into one compacted batch, a row-index permutation stable-
-// sorts under the compiled comparator, and the result is a single selection
-// view over the unmoved column planes. Under Parallelism the permutation
-// sorts as fixed-size index runs across the worker pool and gathers through
-// a k-way merge whose run-index tie-break reproduces the global stable sort.
+// input drains into one compacted batch, a row-index permutation sorts by
+// (key, row index) under the compiled comparator, and the result is a
+// single selection view over the unmoved column planes. Under Parallelism
+// the permutation sorts as fixed-size index runs across the worker pool and
+// gathers through a k-way merge whose run-index tie-break reproduces the
+// global stable sort.
 func (e *Engine) vecSortSource(in *source, spec relation.OrderSpec) *source {
 	workers := 1
 	if e.parallel() {
@@ -192,14 +194,9 @@ func (e *Engine) vecSortSource(in *source, spec relation.OrderSpec) *source {
 			return nil, nil
 		}
 		cmp := compileVecCmp(sch, spec)
-		idx := make([]int, b.n)
-		for i := range idx {
-			idx[i] = i
-		}
+		idx := identityIdx(b.n)
 		if workers <= 1 || b.n <= sortRunSize {
-			sort.SliceStable(idx, func(x, y int) bool {
-				return cmp(b, idx[x], b, idx[y]) < 0
-			})
+			sortRows(b, idx, cmp)
 			e.stats.VectorBatches++
 			return b.withSel(idx), nil
 		}
@@ -209,10 +206,7 @@ func (e *Engine) vecSortSource(in *source, spec relation.OrderSpec) *source {
 			if hi > b.n {
 				hi = b.n
 			}
-			run := idx[lo:hi]
-			sort.SliceStable(run, func(x, y int) bool {
-				return cmp(b, run[x], b, run[y]) < 0
-			})
+			sortRows(b, idx[lo:hi], cmp)
 			return nil
 		}); err != nil {
 			return nil, err
@@ -221,6 +215,18 @@ func (e *Engine) vecSortSource(in *source, spec relation.OrderSpec) *source {
 		return b.withSel(mergeSortedRuns(b, idx, cmp)), nil
 	}
 	return vecSource(&onceBatchIter{compute: compute}, sch)
+}
+
+// sortRows sorts the physical row indices rows — ascending when the sort
+// starts — by (key, row index): the keys are then unique, so the unstable
+// pdqsort yields exactly the stable order at O(n log n).
+func sortRows(b *batch, rows []int, cmp vecCmp) {
+	slices.SortFunc(rows, func(x, y int) int {
+		if c := cmp(b, x, b, y); c != 0 {
+			return c
+		}
+		return x - y
+	})
 }
 
 // mergeSortedRuns k-way merges the sorted index runs idx[r*sortRunSize :

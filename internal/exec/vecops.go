@@ -641,148 +641,6 @@ func (j *vecJoinIter) residualHolds(ri int, iv period.Period) (bool, error) {
 
 func (j *vecJoinIter) close() error { return j.left.close() }
 
-// vspan is one period fragment of a value-equivalence group during temporal
-// grouping: the row its values come from (its position in the partition —
-// rows keep arrival order there, so it is also the merge key) plus its
-// current period.
-// The temporal operators are defined per value-equivalent group on the
-// periods alone — the value columns are only carried — so the kernels below
-// run on 24-byte structs and never touch a value column.
-type vspan struct {
-	src int
-	p   period.Period
-}
-
-// spansSortedDisjoint reports that a group's periods are non-empty, sorted
-// by start, and pairwise non-overlapping — the shape left behind by a prior
-// rdupᵀ or a sort, under which overlap-driven work is provably absent.
-func spansSortedDisjoint(ss []vspan) bool {
-	for i, s := range ss {
-		if s.p.Empty() {
-			return false
-		}
-		if i > 0 && s.p.Start < ss[i-1].p.End {
-			return false
-		}
-	}
-	return true
-}
-
-// rdupTSpans runs the paper's iterative head/subtract algorithm on one
-// value-equivalence group, in place of the group's list order; fragments
-// inherit their source row. A group whose periods arrive sorted and
-// non-overlapping is recognized in a linear pre-scan and returned outright.
-func rdupTSpans(ss []vspan) []vspan {
-	if spansSortedDisjoint(ss) {
-		return ss // no overlaps exist: nothing to eliminate
-	}
-	for i := 0; i < len(ss); i++ {
-		head := ss[i]
-		for {
-			j := -1
-			for x := i + 1; x < len(ss); x++ {
-				if ss[x].p.Overlaps(head.p) {
-					j = x
-					break
-				}
-			}
-			if j < 0 {
-				break
-			}
-			frags := ss[j].p.Subtract(head.p)
-			repl := make([]vspan, 0, 2)
-			for _, f := range frags {
-				repl = append(repl, vspan{src: ss[j].src, p: f})
-			}
-			ss = append(ss[:j], append(repl, ss[j+1:]...)...)
-		}
-	}
-	return ss
-}
-
-// coalTSpans coalesces one value-equivalence group, the merged span keeping
-// the earlier row's values. A group whose periods are sorted and
-// non-overlapping merges in one pass; otherwise the reference's iterative
-// merge runs group-locally.
-func coalTSpans(ss []vspan) []vspan {
-	if spansSortedDisjoint(ss) {
-		return coalesceOnePassSpans(ss)
-	}
-	for i := 0; i < len(ss); {
-		merged := false
-		for j := i + 1; j < len(ss); j++ {
-			if !ss[i].p.Adjacent(ss[j].p) {
-				continue
-			}
-			u, _ := ss[i].p.Union(ss[j].p)
-			ss[i].p = u
-			ss = append(ss[:j], ss[j+1:]...)
-			merged = true
-			break
-		}
-		if !merged {
-			i++
-		}
-	}
-	return ss
-}
-
-// coalesceOnePassSpans merges a sorted, non-overlapping group in a single
-// sweep. Under spansSortedDisjoint the first later adjacent span is always
-// the immediate successor and merging preserves the invariant, so this
-// reproduces the iterative algorithm exactly.
-func coalesceOnePassSpans(ss []vspan) []vspan {
-	if len(ss) == 0 {
-		return ss
-	}
-	out := ss[:0:0]
-	cur := ss[0]
-	for _, s := range ss[1:] {
-		if cur.p.End == s.p.Start {
-			cur.p.End = s.p.End
-			continue
-		}
-		out = append(out, cur)
-		cur = s
-	}
-	return append(out, cur)
-}
-
-// valueGroupBody is the partition body of rdupᵀ / coalᵀ: partition the rows
-// by value equivalence off the columns, run the span-level transform
-// group-locally, and stable-merge the surviving spans back into list order.
-// Rows of different groups never interact and in-place replacement
-// preserves their relative order, so the group-local runs compose into
-// exactly the reference's global result at O(Σ g²) instead of O(n²).
-func valueGroupBody(vidx []int, t1, t2 int, contiguous bool, transform func([]vspan) []vspan) partBody {
-	return func(p, _ part) ([]emitted, error) {
-		var all []vspan
-		for _, members := range groupRows(p, vidx, contiguous) {
-			ss := make([]vspan, len(members))
-			for x, k := range members {
-				ss[x] = vspan{src: k, p: p.b.periodAt(t1, t2, p.rows[k])}
-			}
-			all = append(all, transform(ss)...)
-		}
-		// The spans of one row sit in one group, in sequence; placing every
-		// span by its row's position (a counting sort) re-interleaves the
-		// groups into list order with the fragments of a row kept together.
-		at := make([]int, len(p.rows)+1)
-		for _, s := range all {
-			at[s.src+1]++
-		}
-		for k := 1; k < len(at); k++ {
-			at[k] += at[k-1]
-		}
-		rows, per := make([]int, len(all)), make([]period.Period, len(all))
-		for _, s := range all {
-			rows[at[s.src]], per[at[s.src]] = p.rows[s.src], s.p
-			at[s.src]++
-		}
-		return []emitted{{part: part{b: p.b, rows: rows, seqs: p.seqs}, per: per}}, nil
-	}
-}
-
 // rdupBody is the partition body of rdup: the first occurrence of each row
 // survives, found with the columnar group table.
 func rdupBody(idx []int) partBody {
@@ -844,9 +702,17 @@ func unionBody(idx []int) partBody {
 }
 
 // groupEmit writes one group's result rows onto ob's planes: members are the
-// group's positions in p.rows, in list order, and scratch is a reusable input
-// row for eval.FoldAggregates.
-type groupEmit func(p part, members []int, scratch relation.Tuple, ob *batch) error
+// group's positions in p.rows, in list order, and sc is the body's scratch.
+type groupEmit func(p part, members []int, sc *groupScratch, ob *batch) error
+
+// groupScratch is what a grouping body owns for one call and its emitter
+// reuses for every group: an input row for eval.FoldAggregates, which takes
+// a tuple, and 𝒢ᵀ's sweep and per-interval accumulators.
+type groupScratch struct {
+	row   relation.Tuple
+	sweep sweep
+	accs  [][]*expr.Accumulator
+}
 
 // appendGroupRow writes the leading columns of one 𝒢 / 𝒢ᵀ result row — the
 // grouping columns, read off row i of b, then the accumulators' results —
@@ -871,10 +737,12 @@ func groupEmitBody(gidx []int, contiguous bool, out *schema.Schema, emit groupEm
 			return nil, nil
 		}
 		ob := newBatch(out, 0)
-		scratch := make(relation.Tuple, len(p.b.cols))
+		sc := &groupScratch{row: make(relation.Tuple, len(p.b.cols))}
+		groups := groupRows(p, gidx, contiguous)
 		var seqs []int
-		for _, members := range groupRows(p, gidx, contiguous) {
-			if err := emit(p, members, scratch, ob); err != nil {
+		for g := range groups.count() {
+			members := groups.members(g)
+			if err := emit(p, members, sc, ob); err != nil {
 				return nil, err
 			}
 			for len(seqs) < ob.n {

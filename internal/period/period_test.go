@@ -203,6 +203,58 @@ func TestEndpointsAndWitnesses(t *testing.T) {
 	}
 }
 
+// TestEndpointsMatchDefinition checks Endpoints against its definition —
+// the ascending, distinct start and end chronons of the non-empty periods —
+// on random lists mixing empty, duplicate and nested periods.
+func TestEndpointsMatchDefinition(t *testing.T) {
+	for seed := int64(0); seed < 500; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		var ps []Period
+		for i := r.Intn(12); i > 0; i-- {
+			switch r.Intn(4) {
+			case 0: // empty, possibly inverted
+				a := Chronon(r.Intn(50))
+				ps = append(ps, New(a, a-Chronon(r.Intn(3))))
+			case 1: // a duplicate of an earlier period
+				if len(ps) > 0 {
+					ps = append(ps, ps[r.Intn(len(ps))])
+					continue
+				}
+				ps = append(ps, randomPeriod(r))
+			case 2: // nested inside an earlier non-empty period
+				if len(ps) > 0 && !ps[len(ps)-1].Empty() {
+					outer := ps[len(ps)-1]
+					a := outer.Start + Chronon(r.Int63n(int64(outer.End-outer.Start)))
+					ps = append(ps, New(a, a+Chronon(r.Int63n(int64(outer.End-a)+1))))
+					continue
+				}
+				ps = append(ps, randomPeriod(r))
+			default:
+				ps = append(ps, randomPeriod(r))
+			}
+		}
+		seen := map[Chronon]bool{}
+		var want []Chronon
+		for c := Chronon(-5); c <= 80; c++ {
+			for _, p := range ps {
+				if !p.Empty() && (p.Start == c || p.End == c) && !seen[c] {
+					seen[c] = true
+					want = append(want, c)
+				}
+			}
+		}
+		got := Endpoints(ps)
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: Endpoints(%v) = %v, want %v", seed, ps, got, want)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: Endpoints(%v) = %v, want %v", seed, ps, got, want)
+			}
+		}
+	}
+}
+
 // TestWitnessesCoverMembershipChanges: between consecutive witnesses no
 // period's membership changes — the core guarantee behind snapshot checks.
 func TestWitnessesCoverMembershipChanges(t *testing.T) {

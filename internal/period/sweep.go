@@ -1,6 +1,9 @@
 package period
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Endpoints collects the distinct start and end chronons of the given
 // periods in ascending order. Between two consecutive endpoints the
@@ -8,20 +11,22 @@ import "sort"
 // elementary intervals used by snapshot-equivalence checks and by the
 // constant-interval evaluation of temporal aggregation.
 func Endpoints(ps []Period) []Chronon {
-	set := make(map[Chronon]struct{}, 2*len(ps))
-	for _, p := range ps {
-		if p.Empty() {
-			continue
+	return EndpointsInto(make([]Chronon, 0, 2*len(ps)), ps)
+}
+
+// EndpointsInto is Endpoints over several period lists, written over buf's
+// storage: a caller sweeping many groups reuses one buffer for all of them.
+func EndpointsInto(buf []Chronon, pss ...[]Period) []Chronon {
+	out := buf[:0]
+	for _, ps := range pss {
+		for _, p := range ps {
+			if !p.Empty() {
+				out = append(out, p.Start, p.End)
+			}
 		}
-		set[p.Start] = struct{}{}
-		set[p.End] = struct{}{}
 	}
-	out := make([]Chronon, 0, len(set))
-	for c := range set {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // ElementaryIntervals returns the sequence of maximal periods within which
