@@ -36,15 +36,16 @@ type Stats struct {
 	dur int64
 }
 
-// extend returns the statistics with rows of a relation over s folded in.
-func (st Stats) extend(s *schema.Schema, rows []relation.Tuple) Stats {
-	st.Card += len(rows)
-	if !s.Temporal() || st.Card == 0 {
+// extend returns the statistics with r's rows from position from on folded
+// in, their periods read off whatever form r holds — a store-loaded
+// relation's columns build no tuple for it.
+func (st Stats) extend(r *relation.Relation, from int) Stats {
+	st.Card += r.Len() - from
+	if !r.Temporal() || st.Card == 0 {
 		return st
 	}
-	t1, t2 := s.TimeIndices()
-	for _, t := range rows {
-		p := t.PeriodAt(t1, t2)
+	for i := from; i < r.Len(); i++ {
+		p := r.PeriodOf(i)
 		if p.Empty() {
 			continue
 		}
@@ -102,7 +103,7 @@ func (c *Catalog) Add(name string, r *relation.Relation, info algebra.BaseInfo) 
 	}
 	r = r.Clone()
 	r.SetOrder(info.Order)
-	c.entries[name] = &Entry{Name: name, Rel: r, Info: info, Stats: Stats{}.extend(r.Schema(), r.Tuples())}
+	c.entries[name] = &Entry{Name: name, Rel: r, Info: info, Stats: Stats{}.extend(r, 0)}
 	return nil
 }
 

@@ -49,7 +49,7 @@ func (c *Catalog) loadEntry(name string) error {
 	if err != nil {
 		return err
 	}
-	c.entries[name] = &Entry{Name: name, Rel: r, Info: info, Stats: Stats{}.extend(r.Schema(), r.Tuples()), segs: segs}
+	c.entries[name] = &Entry{Name: name, Rel: r, Info: info, Stats: Stats{}.extend(r, 0), segs: segs}
 	return nil
 }
 
@@ -110,8 +110,8 @@ func (c *Catalog) AppendTuples(name string, rows []relation.Tuple) error {
 		e.segs = segs
 	}
 	combined.SetOrder(e.Info.Order)
+	e.Stats = e.Stats.extend(combined, e.Rel.Len())
 	e.Rel = combined
-	e.Stats = e.Stats.extend(sch, rows)
 	return nil
 }
 

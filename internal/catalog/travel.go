@@ -130,34 +130,35 @@ func (c *Catalog) ResolveScan(name string) (*relation.Relation, int, int, error)
 		return nil, 0, 0, fmt.Errorf("catalog: %q is not temporal; FOR clauses need (T1, T2) periods", base)
 	}
 	qp := tr.QueryPeriod()
-	out := relation.FromTuplesTrusted(e.Rel.Schema(), nil)
+	var idx []int
 	scanned, skipped := 0, 0
+	keep := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if e.Rel.PeriodOf(i).Overlaps(qp) {
+				idx = append(idx, i)
+			}
+		}
+	}
 	if e.segs != nil {
 		// Disk-backed: walk the segment list, consulting each segment's
 		// fence before touching its row range. Cumulative Rows offsets map
 		// segments onto the materialized relation.
 		off := 0
 		for _, sg := range e.segs {
-			if !sg.MayOverlap(qp) {
+			if sg.MayOverlap(qp) {
+				scanned++
+				keep(off, off+sg.Rows)
+			} else {
 				skipped++
-				off += sg.Rows
-				continue
-			}
-			scanned++
-			for i := off; i < off+sg.Rows; i++ {
-				if e.Rel.PeriodOf(i).Overlaps(qp) {
-					out.Append(e.Rel.At(i))
-				}
 			}
 			off += sg.Rows
 		}
 	} else {
-		for i := 0; i < e.Rel.Len(); i++ {
-			if e.Rel.PeriodOf(i).Overlaps(qp) {
-				out.Append(e.Rel.At(i))
-			}
-		}
+		keep(0, e.Rel.Len())
 	}
+	// The kept rows are an index vector over the base list: a columnar
+	// base answers with a selection view of its batch, copying no row.
+	out := e.Rel.Permuted(idx)
 	out.SetOrder(e.Rel.Order())
 	c.countScan(scanned, skipped)
 	return out, scanned, skipped, nil

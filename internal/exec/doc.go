@@ -33,22 +33,23 @@
 // # One pull interface
 //
 // Every operator is a vecIterator (vec.go): nextBatch hands the parent a
-// columnar batch — typed column planes plus a selection vector — and that
-// is the only currency between operators, inside the exchange driver and on
-// the way to and from disk. The engine itself builds tuples nowhere:
-// drainVec hands the root's batch over as a columnar-primary result
-// relation (relation.FromColumnar, a batch being a relation.Columnar), and
-// batchOf scans a relation through its cached columnar image, converting
+// column.Batch — typed column planes plus a selection vector, the one
+// column type the relation, spill, store and server packages share — and
+// that is the only currency between operators, inside the exchange driver
+// and on the way to and from disk. The engine itself builds tuples
+// nowhere: drainVec hands the root's batch over as a columnar-primary
+// result relation (relation.FromColumnar), and batchOf scans a relation
+// through relation.Columns, its primary batch or cached image, converting
 // only a tuple list it has never seen. A result scanned again — a TS leaf
 // bound from a DBMS subplan, a TD leaf bound from a stratum region — is
 // read from its own batch. A plan that is a bare scan feeds no operator,
-// so scanList answers it in the relation's own form, image or tuple list,
+// so scanList answers it in the relation's own form, batch or tuple list,
 // converting nothing. Tuples appear only when a reader of a result asks for
 // them. (An expression that is evaluated on a tuple — a residual join
 // predicate, an aggregate's argument — gets one reusable scratch row.)
 //
 //	operator            algorithms (file)
-//	scan                the relation's columnar image, one batch (stream.go)
+//	scan                the relation's batch (relation.Columns), whole (stream.go)
 //	σ, π                selection views, zero-copy column gather (vecops.go)
 //	sort                row-index permutation sorted by (key, row index), W-way
 //	                    index runs; external merge sort under a budget

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"tqp/internal/algebra"
+	"tqp/internal/column"
 	"tqp/internal/eval"
 	"tqp/internal/obs"
 	"tqp/internal/props"
@@ -70,24 +71,15 @@ func (e *Engine) ObserveNodes(timed bool, fn func(algebra.Node, obs.RunSample)) 
 	e.observe, e.timed = fn, timed
 }
 
-// batchOf returns r's columnar image, converting on first use. The image
-// caches on the relation itself (see Relation.ColumnarImage), so the
-// one-time tuple→batch transposition amortizes across every engine and
-// query scanning r — the load-time conversion of a columnar store, paid
-// lazily. A relation this engine (or another) drained is columnar-primary:
-// its image is the drained batch, scanned as it is. The cached batch is
-// immutable; mutating relation methods drop the cache.
-func (e *Engine) batchOf(r *relation.Relation) *batch {
-	if b, ok := r.ColumnarImage().(*batch); ok {
-		return b
+// batchOf returns r's batch (relation.Columns): a relation this engine (or
+// another) drained, or a store loaded, is columnar-primary and scans as it
+// is; a tuple list converts once, and the image caches on the relation, so
+// the transposition amortizes across every engine and query scanning it.
+func (e *Engine) batchOf(r *relation.Relation) *column.Batch {
+	b, converted := r.Columns()
+	if converted {
+		e.stats.ScanConversions++
 	}
-	e.stats.ScanConversions++
-	// Capture the list version before reading the tuples: a mutation racing
-	// with the conversion bumps it, and the versioned store below then
-	// drops the stale image instead of caching pre-mutation order.
-	v := r.ColumnarVersion()
-	b := batchOfTuples(r.Schema(), r.Tuples())
-	r.SetColumnarImage(b, v)
 	return b
 }
 
@@ -213,7 +205,7 @@ func (e *Engine) spilledBytes() int64 {
 
 // nextBatch runs one pull of the wrapped source; a timed run adds the pull's
 // wall time and the movement of the run's spill counters to the sample.
-func (st *stage) nextBatch() (*batch, error) {
+func (st *stage) nextBatch() (*column.Batch, error) {
 	e := st.e
 	var start time.Time
 	var ops int
@@ -228,7 +220,7 @@ func (st *stage) nextBatch() (*batch, error) {
 		st.SpilledBytes += e.spilledBytes() - bytes
 	}
 	if b != nil {
-		st.Rows += int64(b.rows())
+		st.Rows += int64(b.Rows())
 		st.Batches++
 	}
 	return b, err

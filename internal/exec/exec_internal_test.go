@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"tqp/internal/column"
 	"tqp/internal/expr"
 	"tqp/internal/period"
 	"tqp/internal/physical"
@@ -12,6 +13,12 @@ import (
 	"tqp/internal/schema"
 	"tqp/internal/value"
 )
+
+// batchOfTuples converts a tuple list to one batch.
+func batchOfTuples(s *schema.Schema, ts []relation.Tuple) *column.Batch {
+	b, _ := relation.FromTuplesTrusted(s, ts).Columns()
+	return b
+}
 
 func productSchema(t *testing.T) *schema.Schema {
 	t.Helper()
@@ -217,7 +224,7 @@ func sweepPartition(groups, rows int, shift period.Chronon) part {
 // what the group table's map allocates more at the larger size hint (the
 // runtime may store a large map in several tables).
 func TestSweepBodiesAllocateByPartition(t *testing.T) {
-	sch := sweepPartition(1, 1, 0).b.schema
+	sch := sweepPartition(1, 1, 0).b.Schema
 	vidx := valueIdx(sch)
 	t1, t2 := sch.TimeIndices()
 	var table map[uint64]int

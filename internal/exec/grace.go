@@ -53,6 +53,7 @@ import (
 	"math"
 	"sync/atomic"
 
+	"tqp/internal/column"
 	"tqp/internal/period"
 	"tqp/internal/schema"
 	"tqp/internal/spill"
@@ -129,31 +130,12 @@ func spillBucket(h uint64, lvl int) int {
 	return int((h >> (3 * uint(lvl))) & (spillFanout - 1))
 }
 
-// batchRowMemSize is spill.TupleMemSize for a batch row, computed off the
-// column planes without building the tuple — the accounting currency of the
-// arbiter and of the leaf/recurse decisions.
-func batchRowMemSize(b *batch, i int) int64 {
-	n := spill.RowMemSize(len(b.cols))
-	for c := range b.cols {
-		col := &b.cols[c]
-		switch col.kind {
-		case value.KindString:
-			n += int64(len(col.strs[i]))
-		case value.KindInvalid:
-			if v := col.vals[i]; v.Kind() == value.KindString {
-				n += int64(len(v.AsString()))
-			}
-		}
-	}
-	return n
-}
-
 // rowHash is the canonical hash of row i's idx columns, bit-identical to
 // Tuple.HashOn — what routes a row to its partition on every route.
-func rowHash(b *batch, i int, idx []int) uint64 {
+func rowHash(b *column.Batch, i int, idx []int) uint64 {
 	h := value.HashSeed()
 	for _, c := range idx {
-		h = b.cols[c].hashInto(i, h)
+		h = b.Cols[c].HashInto(i, h)
 	}
 	return h
 }
@@ -163,7 +145,7 @@ func rowHash(b *batch, i int, idx []int) uint64 {
 // sequence keys — the rows' original list positions, which drive the
 // deterministic gather.
 type part struct {
-	b    *batch
+	b    *column.Batch
 	rows []int
 	seqs []int // by physical row of b; nil = the row index itself
 }
@@ -176,11 +158,11 @@ func (p part) seq(i int) int {
 }
 
 // wholeBatch presents every row of a compacted batch as one partition.
-func wholeBatch(b *batch) part {
+func wholeBatch(b *column.Batch) part {
 	if b == nil {
 		return part{}
 	}
-	return part{b: b, rows: identityIdx(b.n)}
+	return part{b: b, rows: identityIdx(b.N)}
 }
 
 // afterLeft offsets the sequence keys of a two-sided operator's right-side
@@ -221,7 +203,7 @@ type keyedOp struct {
 // first pull, in the driver.
 func (e *Engine) keyedSource(op *keyedOp) *source {
 	e.stats.VectorOps++
-	return vecSource(&lazyBatchesIter{compute: func() ([]*batch, error) { return e.graceRun(op) }}, op.out)
+	return vecSource(&lazyBatchesIter{compute: func() ([]*column.Batch, error) { return e.graceRun(op) }}, op.out)
 }
 
 // partSource is one grace partition's rows: resident or on disk. bytes and
@@ -237,21 +219,78 @@ type partSource struct {
 // batch when it fit its share, otherwise level-0 hash partitions written as
 // columnar blocks.
 type vecGraceSide struct {
-	b       *batch
+	b       *column.Batch
 	bytes   int64
 	count   int
 	spilled bool
 	parts   []partSource
 }
 
-// vecPending buffers one spill bucket's routed rows as (batch, row)
-// references until a block's worth accumulates; the flush hands the block
-// codec an accessor over the planes.
-type vecPending struct {
-	seqs  []int
-	bs    []*batch
-	rows  []int
-	bytes int64
+// fanout routes rows to spillFanout spill files by the key hash at one
+// level — the one routing of the first partition pass and of every
+// repartition. Each bucket copies its rows onto a pending batch of its own
+// until a block's worth accumulates, then writes them as one block; routing
+// preserves arrival order within each bucket.
+type fanout struct {
+	idx     []int
+	lvl     int
+	writers []*spill.Writer
+	pend    []*column.Batch
+	seqs    [][]int
+}
+
+// newFanout creates the fan-out's writers for rows over sch.
+func (e *Engine) newFanout(sch *schema.Schema, idx []int, lvl int) (*fanout, error) {
+	f := &fanout{idx: idx, lvl: lvl, writers: make([]*spill.Writer, spillFanout),
+		pend: make([]*column.Batch, spillFanout), seqs: make([][]int, spillFanout)}
+	for bk := range f.writers {
+		w, err := e.spillMgr.Create()
+		if err != nil {
+			f.abort()
+			return nil, err
+		}
+		f.writers[bk], f.pend[bk] = w, column.NewBatch(sch, spill.BlockRows)
+	}
+	return f, nil
+}
+
+// route sends b's physical row i, tagged seq, to its bucket.
+func (f *fanout) route(b *column.Batch, i, seq int) error {
+	bk := spillBucket(rowHash(b, i, f.idx), f.lvl)
+	f.pend[bk].AppendRow(b, i)
+	f.seqs[bk] = append(f.seqs[bk], seq)
+	if len(f.seqs[bk]) < spill.BlockRows {
+		return nil
+	}
+	return f.flush(bk)
+}
+
+// flush writes a bucket's pending rows and empties its batch for reuse.
+func (f *fanout) flush(bk int) error {
+	err := f.writers[bk].Write(f.seqs[bk], f.pend[bk])
+	f.pend[bk].Reset()
+	f.seqs[bk] = f.seqs[bk][:0]
+	return err
+}
+
+// finish flushes every bucket and closes the writers into partitions.
+func (f *fanout) finish() ([]partSource, error) {
+	for bk := range f.writers {
+		if err := f.flush(bk); err != nil {
+			f.abort()
+			return nil, err
+		}
+	}
+	return finishParts(f.writers)
+}
+
+// abort deletes every file still open.
+func (f *fanout) abort() {
+	for _, w := range f.writers {
+		if w != nil {
+			w.Abort()
+		}
+	}
 }
 
 // drainGraceVec is the one drain: it consumes an input into memory until
@@ -269,46 +308,16 @@ func (e *Engine) drainGraceVec(in *source, idx []int, share int64) (*vecGraceSid
 		if err != nil {
 			return nil, err
 		}
-		return &vecGraceSide{b: b, count: b.n}, nil
+		return &vecGraceSide{b: b, count: b.N}, nil
 	}
 	side := &vecGraceSide{}
 	v := in.vec
-	arity := in.schema.Len()
-	var resident []*batch
-	var writers []*spill.Writer
-	var pend []vecPending
-	abort := func() {
-		for _, w := range writers {
-			if w != nil {
-				w.Abort()
-			}
-		}
-	}
-	flushBucket := func(bk int) error {
-		p := &pend[bk]
-		if len(p.seqs) == 0 {
-			return nil
-		}
-		err := writers[bk].AppendBlockCols(p.seqs, arity, p.bytes, func(row, col int) value.Value {
-			return p.bs[row].cols[col].at(p.rows[row])
-		})
-		p.seqs, p.bs, p.rows, p.bytes = p.seqs[:0], p.bs[:0], p.rows[:0], 0
-		return err
-	}
-	route := func(b *batch, i, seq int, m int64) error {
-		bk := spillBucket(rowHash(b, i, idx), 0)
-		p := &pend[bk]
-		p.seqs = append(p.seqs, seq)
-		p.bs = append(p.bs, b)
-		p.rows = append(p.rows, i)
-		p.bytes += m
-		if len(p.seqs) >= spill.BlockRows {
-			return flushBucket(bk)
-		}
-		return nil
-	}
+	var resident []*column.Batch
+	var fan *fanout
 	fail := func(err error) (*vecGraceSide, error) {
-		abort()
+		if fan != nil {
+			fan.abort()
+		}
 		v.close()
 		return nil, err
 	}
@@ -320,37 +329,32 @@ func (e *Engine) drainGraceVec(in *source, idx []int, share int64) (*vecGraceSid
 		if b == nil {
 			break
 		}
-		n, k := b.rows(), 0
+		n, k := b.Rows(), 0
 		if !side.spilled {
 			// Account row by row, so the switch happens at the row that
 			// crosses the share and the peak overshoots by one row at most.
 			var bb int64
 			for k < n && side.bytes+bb <= share {
-				bb += batchRowMemSize(b, b.rowIndex(k))
+				bb += b.MemSize(b.RowIndex(k))
 				k++
 			}
 			side.bytes += bb
 			side.count += k
 			e.mem.grow(bb)
-			resident = append(resident, b.rangeView(0, k))
+			resident = append(resident, b.RangeView(0, k))
 			if side.bytes <= share {
 				continue
 			}
 			// Switch to spilling: everything buffered so far fans out, and
 			// the resident bytes return to the arbiter.
 			side.spilled = true
-			writers = make([]*spill.Writer, spillFanout)
-			pend = make([]vecPending, spillFanout)
-			for bk := range writers {
-				if writers[bk], err = e.spillMgr.Create(); err != nil {
-					return fail(err)
-				}
+			if fan, err = e.newFanout(in.schema, idx, 0); err != nil {
+				return fail(err)
 			}
 			seq := 0
 			for _, rb := range resident {
-				for x := 0; x < rb.rows(); x++ {
-					i := rb.rowIndex(x)
-					if err := route(rb, i, seq, batchRowMemSize(rb, i)); err != nil {
+				for x := 0; x < rb.Rows(); x++ {
+					if err := fan.route(rb, rb.RowIndex(x), seq); err != nil {
 						return fail(err)
 					}
 					seq++
@@ -360,30 +364,25 @@ func (e *Engine) drainGraceVec(in *source, idx []int, share int64) (*vecGraceSid
 			resident = nil
 		}
 		for ; k < n; k++ {
-			i := b.rowIndex(k)
-			m := batchRowMemSize(b, i)
-			side.bytes += m
-			if err := route(b, i, side.count, m); err != nil {
+			i := b.RowIndex(k)
+			side.bytes += b.MemSize(i)
+			if err := fan.route(b, i, side.count); err != nil {
 				return fail(err)
 			}
 			side.count++
 		}
 	}
 	if err := v.close(); err != nil {
-		abort()
+		if fan != nil {
+			fan.abort()
+		}
 		return nil, err
 	}
 	if !side.spilled {
-		side.b = concatBatches(in.schema, resident, side.count).compact()
+		side.b = column.Concat(in.schema, resident, side.count).Compact()
 		return side, nil
 	}
-	for bk := range writers {
-		if err := flushBucket(bk); err != nil {
-			abort()
-			return nil, err
-		}
-	}
-	parts, err := finishParts(writers)
+	parts, err := fan.finish()
 	if err != nil {
 		return nil, err
 	}
@@ -432,65 +431,60 @@ func splitPart(p part, idx []int, lvl int) []partSource {
 		ps := &parts[spillBucket(rowHash(p.b, i, idx), lvl)]
 		ps.b, ps.seqs = p.b, p.seqs
 		ps.rows = append(ps.rows, i)
-		ps.bytes += batchRowMemSize(p.b, i)
+		ps.bytes += p.b.MemSize(i)
 		ps.count++
 	}
 	return parts
 }
 
 // repartition splits one partition at the given level: resident rows split
-// in memory, an on-disk partition streams through fresh writers without
-// materializing, and the source file is removed as soon as it is consumed.
-func (e *Engine) repartition(ps partSource, idx []int, lvl int) ([]partSource, error) {
+// in memory, and an on-disk partition streams a block at a time through the
+// fan-out's routing into fresh writers, its source file removed as soon as
+// it is consumed.
+func (e *Engine) repartition(ps partSource, sch *schema.Schema, idx []int, lvl int) ([]partSource, error) {
 	if ps.file == nil {
 		return splitPart(ps.part, idx, lvl), nil
 	}
-	writers := make([]*spill.Writer, spillFanout)
-	abort := func() {
-		for _, w := range writers {
-			if w != nil {
-				w.Abort()
-			}
-		}
-	}
-	var err error
-	for b := range writers {
-		if writers[b], err = e.spillMgr.Create(); err != nil {
-			abort()
-			return nil, err
-		}
+	fan, err := e.newFanout(sch, idx, lvl)
+	if err != nil {
+		return nil, err
 	}
 	r, err := ps.file.Open()
 	if err != nil {
-		abort()
+		fan.abort()
 		return nil, err
 	}
+	fail := func(err error) ([]partSource, error) {
+		r.Close()
+		fan.abort()
+		return nil, err
+	}
+	blk := column.NewBatch(sch, spill.BlockRows)
 	for {
-		seq, t, ok, err := r.Next()
+		blk.Reset()
+		seqs, ok, err := r.Next(blk)
 		if err != nil {
-			r.Close()
-			abort()
-			return nil, err
+			return fail(err)
 		}
 		if !ok {
 			break
 		}
-		if err := writers[spillBucket(t.HashOn(idx), lvl)].Append(seq, t); err != nil {
-			r.Close()
-			abort()
-			return nil, err
+		for i, seq := range seqs {
+			if err := fan.route(blk, i, seq); err != nil {
+				return fail(err)
+			}
 		}
 	}
 	if err := r.Close(); err != nil {
-		abort()
+		fan.abort()
 		return nil, err
 	}
 	ps.file.Remove()
-	return finishParts(writers)
+	return fan.finish()
 }
 
 // loadPart is the one loader: it materializes a partition as rows of a
-// batch. A spilled partition decodes block-at-a-time into column planes,
+// batch. A spilled partition decodes block-at-a-time onto column planes,
 // its file order being arrival order within the bucket; the arbiter grows
 // by its bytes (the caller releases after the body ran) and the backing
 // file is removed.
@@ -502,10 +496,10 @@ func (e *Engine) loadPart(ps partSource, sch *schema.Schema) (part, error) {
 	if err != nil {
 		return part{}, err
 	}
-	b := newBatch(sch, ps.count)
+	b := column.NewBatch(sch, ps.count)
 	seqs := make([]int, 0, ps.count)
 	for {
-		bs, ok, err := r.NextBlockCols(len(b.cols), func(_, col int, v value.Value) { b.cols[col].append(v) })
+		bs, ok, err := r.Next(b)
 		if err != nil {
 			r.Close()
 			return part{}, err
@@ -515,13 +509,12 @@ func (e *Engine) loadPart(ps partSource, sch *schema.Schema) (part, error) {
 		}
 		seqs = append(seqs, bs...)
 	}
-	b.n = len(seqs)
 	if err := r.Close(); err != nil {
 		return part{}, err
 	}
 	ps.file.Remove()
 	e.mem.grow(ps.bytes)
-	return part{b: b, rows: identityIdx(b.n), seqs: seqs}, nil
+	return part{b: b, rows: identityIdx(b.N), seqs: seqs}, nil
 }
 
 // processGrace runs the body over one partition (pair), re-partitioning
@@ -533,16 +526,18 @@ func (e *Engine) processGrace(op *keyedOp, lp, rp partSource, lvl int) ([]emitte
 	if lp.count == 0 && rp.count == 0 {
 		return nil, nil
 	}
+	var rsch *schema.Schema // nil for a one-sided operator, whose rp is empty
+	if op.r != nil {
+		rsch = op.r.schema
+	}
 	if lp.bytes+rp.bytes <= e.opShare() || lvl > maxSpillLevel || lp.count+rp.count <= 1 {
 		l, err := e.loadPart(lp, op.l.schema)
 		if err != nil {
 			return nil, err
 		}
-		var r part
-		if op.r != nil {
-			if r, err = e.loadPart(rp, op.r.schema); err != nil {
-				return nil, err
-			}
+		r, err := e.loadPart(rp, rsch)
+		if err != nil {
+			return nil, err
 		}
 		out, err := op.body(l, r)
 		for k := range out {
@@ -556,11 +551,11 @@ func (e *Engine) processGrace(op *keyedOp, lp, rp partSource, lvl int) ([]emitte
 		}
 		return out, err
 	}
-	lsubs, err := e.repartition(lp, op.lidx, lvl)
+	lsubs, err := e.repartition(lp, op.l.schema, op.lidx, lvl)
 	if err != nil {
 		return nil, err
 	}
-	rsubs, err := e.repartition(rp, op.ridx, lvl)
+	rsubs, err := e.repartition(rp, rsch, op.ridx, lvl)
 	if err != nil {
 		return nil, err
 	}
@@ -588,7 +583,7 @@ func (e *Engine) graceNoteSpill() {
 // graceRun drives a keyed blocking operator end to end: drain the inputs
 // (spilling past the share — the whole share for a one-sided operator,
 // half each for a two-sided one), then run the route graceRunFrom picks.
-func (e *Engine) graceRun(op *keyedOp) ([]*batch, error) {
+func (e *Engine) graceRun(op *keyedOp) ([]*column.Batch, error) {
 	share := int64(noShare)
 	if e.budgeted() && len(op.lidx) > 0 {
 		share = e.opShare()
@@ -617,7 +612,7 @@ func (e *Engine) graceRun(op *keyedOp) ([]*batch, error) {
 // partitions with recursion when either side overflowed its share (a
 // resident side splits in memory to pair up), W partitions on the worker
 // pool under plain parallelism, otherwise the whole input as one partition.
-func (e *Engine) graceRunFrom(op *keyedOp, ls, rs *vecGraceSide) ([]*batch, error) {
+func (e *Engine) graceRunFrom(op *keyedOp, ls, rs *vecGraceSide) ([]*column.Batch, error) {
 	defer e.releaseResident(ls)
 	defer e.releaseResident(rs)
 	var outs [][]emitted
@@ -677,25 +672,25 @@ type seg struct{ m, lo, hi int }
 // copyRows builds a fresh batch from the rows segs lists, column-wise:
 // value columns straight from the source planes and — when a stretch
 // replaces periods — the period columns written from the periods.
-func copyRows(out *schema.Schema, ems []emitted, segs []seg, replaced bool) *batch {
+func copyRows(out *schema.Schema, ems []emitted, segs []seg, replaced bool) *column.Batch {
 	total := 0
 	for _, sg := range segs {
 		total += sg.hi - sg.lo
 	}
-	b := newBatch(out, total)
+	b := column.NewBatch(out, total)
 	t1, t2 := -1, -1
 	if replaced {
 		t1, t2 = out.TimeIndices()
 	}
-	for c := range b.cols {
+	for c := range b.Cols {
 		if c == t1 || c == t2 {
 			continue
 		}
-		col := &b.cols[c]
+		col := &b.Cols[c]
 		for _, sg := range segs {
-			src := &ems[sg.m].b.cols[c]
+			src := &ems[sg.m].b.Cols[c]
 			for _, i := range ems[sg.m].rows[sg.lo:sg.hi] {
-				col.appendFrom(src, i)
+				col.AppendFrom(src, i)
 			}
 		}
 	}
@@ -703,16 +698,16 @@ func copyRows(out *schema.Schema, ems []emitted, segs []seg, replaced bool) *bat
 		for _, sg := range segs {
 			m := &ems[sg.m]
 			for k := sg.lo; k < sg.hi; k++ {
-				p := m.b.periodAt(t1, t2, m.rows[k])
+				p := m.b.PeriodAt(t1, t2, m.rows[k])
 				if m.per != nil {
 					p = m.per[k]
 				}
-				b.cols[t1].append(value.Time(p.Start))
-				b.cols[t2].append(value.Time(p.End))
+				b.Cols[t1].Append(value.Time(p.Start))
+				b.Cols[t2].Append(value.Time(p.End))
 			}
 		}
 	}
-	b.n = total
+	b.N = total
 	return b
 }
 
@@ -723,7 +718,7 @@ func copyRows(out *schema.Schema, ems []emitted, segs []seg, replaced bool) *bat
 // one batch per source, a selection view over its planes where no period is
 // replaced; interleaved outputs of many sources copy row by row into one
 // batch.
-func gather(out *schema.Schema, ems []emitted) []*batch {
+func gather(out *schema.Schema, ems []emitted) []*column.Batch {
 	live, temporal := 0, false
 	for k := range ems {
 		if len(ems[k].rows) > 0 {
@@ -749,11 +744,11 @@ func gather(out *schema.Schema, ems []emitted) []*batch {
 			segs = append(segs, seg{m, lo, hi})
 		})
 	if runs > live {
-		return []*batch{copyRows(out, ems, segs, temporal)}
+		return []*column.Batch{copyRows(out, ems, segs, temporal)}
 	}
 	// Few runs: the outputs do not interleave, and each run becomes a batch
 	// of its own.
-	var bs []*batch
+	var bs []*column.Batch
 	for lo := 0; lo < len(segs); {
 		src, replaced := ems[segs[lo].m].b, false
 		hi := lo
@@ -779,8 +774,8 @@ func gather(out *schema.Schema, ems []emitted) []*batch {
 
 // selView presents the given physical rows of a compacted batch: the batch
 // itself when they are all of its rows in order, else a selection view.
-func selView(b *batch, rows []int) *batch {
-	if len(rows) == b.n {
+func selView(b *column.Batch, rows []int) *column.Batch {
+	if len(rows) == b.N {
 		whole := true
 		for k, i := range rows {
 			if i != k {
@@ -792,7 +787,7 @@ func selView(b *batch, rows []int) *batch {
 			return b
 		}
 	}
-	return b.withSel(rows)
+	return b.WithSel(rows)
 }
 
 // detach copies a spilled leaf's output stretch out of its loaded
@@ -801,7 +796,7 @@ func selView(b *batch, rows []int) *batch {
 // an operator that keeps most of its input — pins no more than it is worth
 // and is kept as it is.
 func detach(out *schema.Schema, m emitted) emitted {
-	if len(m.rows) == 0 || len(m.rows)*2 >= m.b.n {
+	if len(m.rows) == 0 || len(m.rows)*2 >= m.b.N {
 		return m
 	}
 	seqs := make([]int, len(m.rows))
@@ -809,7 +804,7 @@ func detach(out *schema.Schema, m emitted) emitted {
 		seqs[k] = m.seq(k)
 	}
 	b := copyRows(out, []emitted{m}, []seg{{0, 0, len(m.rows)}}, m.per != nil)
-	return emitted{part: part{b: b, rows: identityIdx(b.n), seqs: seqs}}
+	return emitted{part: part{b: b, rows: identityIdx(b.N), seqs: seqs}}
 }
 
 // mergeBySeq is the one k-way merge loop behind every gather: stream p's
@@ -873,6 +868,6 @@ func mergeBySeq(streams int, size func(p int) int, seq func(p, i int) int, emit 
 
 // batchSource wraps a resident batch as an ordinary pipeline stage — the
 // build side a budgeted join drained and found to fit, or one partition's.
-func batchSource(b *batch, sch *schema.Schema) *source {
-	return vecSource(&rangeBatchIter{b: b, hi: b.rows()}, sch)
+func batchSource(b *column.Batch, sch *schema.Schema) *source {
+	return vecSource(&rangeBatchIter{b: b, hi: b.Rows()}, sch)
 }

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"tqp/internal/column"
 	"tqp/internal/expr"
 	"tqp/internal/physical"
 	"tqp/internal/schema"
@@ -51,7 +52,7 @@ func (j *pairJoiner) joinPart(lp, rp part) ([]emitted, error) {
 		return nil, nil
 	}
 	probe := selView(lp.b, lp.rows)
-	v := j.joinIter(&rangeBatchIter{b: probe, hi: probe.rows()}, batchSource(selView(rp.b, rp.rows), rp.b.schema))
+	v := j.joinIter(&rangeBatchIter{b: probe, hi: probe.Rows()}, batchSource(selView(rp.b, rp.rows), rp.b.Schema))
 	v.trackProbes = true
 	var out []emitted
 	for {
@@ -62,11 +63,11 @@ func (j *pairJoiner) joinPart(lp, rp part) ([]emitted, error) {
 		if b == nil {
 			return out, nil
 		}
-		seqs := make([]int, b.n)
+		seqs := make([]int, b.N)
 		for x, i := range v.probes {
 			seqs[x] = lp.seq(i)
 		}
-		out = append(out, emitted{part: part{b: b, rows: identityIdx(b.n), seqs: seqs}})
+		out = append(out, emitted{part: part{b: b, rows: identityIdx(b.N), seqs: seqs}})
 	}
 }
 
@@ -100,7 +101,7 @@ func (g *graceJoinIter) start() error {
 		v.e = e
 		g.inner = v
 	case len(j.ridx) > 0:
-		g.inner = &lazyBatchesIter{compute: func() ([]*batch, error) {
+		g.inner = &lazyBatchesIter{compute: func() ([]*column.Batch, error) {
 			ls, err := e.drainGraceVec(g.l, j.lidx, e.opShare()/2)
 			if err != nil {
 				return nil, err
@@ -117,12 +118,12 @@ func (g *graceJoinIter) start() error {
 				file = ps.file
 			}
 		}
-		g.inner = &blockJoinIter{e: e, left: g.l.vec, j: j, file: file, blk: newBatch(g.r.schema, spill.BlockRows)}
+		g.inner = &blockJoinIter{e: e, left: g.l.vec, j: j, file: file, blk: column.NewBatch(g.r.schema, spill.BlockRows)}
 	}
 	return nil
 }
 
-func (g *graceJoinIter) nextBatch() (*batch, error) {
+func (g *graceJoinIter) nextBatch() (*column.Batch, error) {
 	if g.inner == nil {
 		if err := g.start(); err != nil {
 			return nil, err
@@ -167,14 +168,14 @@ type blockJoinIter struct {
 	j    *pairJoiner
 	file *spill.File
 	r    *spill.Reader
-	blk  *batch // the decoded build block
+	blk  *column.Batch // the decoded build block
 
-	pb  *batch   // current probe batch
-	pk  int      // next presented row of pb
-	out []*batch // the gathered output of the last probe range, not yet emitted
+	pb  *column.Batch   // current probe batch
+	pk  int             // next presented row of pb
+	out []*column.Batch // the gathered output of the last probe range, not yet emitted
 }
 
-func (it *blockJoinIter) nextBatch() (*batch, error) {
+func (it *blockJoinIter) nextBatch() (*column.Batch, error) {
 	for {
 		if len(it.out) > 0 {
 			b := it.out[0]
@@ -182,16 +183,16 @@ func (it *blockJoinIter) nextBatch() (*batch, error) {
 			it.e.stats.VectorBatches++
 			return b, nil
 		}
-		if it.pb == nil || it.pk >= it.pb.rows() {
+		if it.pb == nil || it.pk >= it.pb.Rows() {
 			b, err := it.left.nextBatch()
 			if err != nil || b == nil {
 				return nil, err
 			}
 			it.pb, it.pk = b, 0
 		}
-		hi := min(it.pk+vecBatchRows, it.pb.rows())
+		hi := min(it.pk+vecBatchRows, it.pb.Rows())
 		// Compacted, a probe row's index is its sequence key.
-		probe := wholeBatch(it.pb.rangeView(it.pk, hi).compact())
+		probe := wholeBatch(it.pb.RangeView(it.pk, hi).Compact())
 		it.pk = hi
 		ems, err := it.joinBlocks(probe)
 		if err != nil {
@@ -216,11 +217,11 @@ func (it *blockJoinIter) joinBlocks(probe part) ([]emitted, error) {
 	}
 	var ems []emitted
 	for {
-		ok, err := decodeBlock(it.r, it.blk)
+		ok, err := readBlock(it.r, it.blk)
 		if err != nil || !ok {
 			return ems, err
 		}
-		m := it.file.MemBytes() * int64(it.blk.n) / int64(it.file.Count())
+		m := it.file.MemBytes() * int64(it.blk.N) / int64(it.file.Count())
 		it.e.mem.grow(m)
 		res, err := it.j.joinPart(probe, wholeBatch(it.blk))
 		it.e.mem.release(m)

@@ -1,6 +1,9 @@
 package exec
 
-import "tqp/internal/schema"
+import (
+	"tqp/internal/column"
+	"tqp/internal/schema"
+)
 
 // groupCutIter runs a one-sided grouping operator over an input whose
 // delivered order keeps its groups contiguous: it cuts the batch stream at
@@ -19,8 +22,8 @@ type groupCutIter struct {
 	idx  []int // grouping columns (equality defines a group boundary)
 	body partBody
 
-	held []*batch // rows of the unfinished last group, all equal on idx
-	emit []*batch // the last slice's output, not yet handed on
+	held []*column.Batch // rows of the unfinished last group, all equal on idx
+	emit []*column.Batch // the last slice's output, not yet handed on
 	done bool
 }
 
@@ -39,12 +42,12 @@ func (e *Engine) groupSource(in *source, idx []int, out *schema.Schema, body fun
 }
 
 // continues reports that b's first row belongs to the held group.
-func (g *groupCutIter) continues(b *batch) bool {
+func (g *groupCutIter) continues(b *column.Batch) bool {
 	last := g.held[len(g.held)-1]
-	return keysEqual(last, last.rowIndex(last.rows()-1), b, b.rowIndex(0), g.idx)
+	return keysEqual(last, last.RowIndex(last.Rows()-1), b, b.RowIndex(0), g.idx)
 }
 
-func (g *groupCutIter) nextBatch() (*batch, error) {
+func (g *groupCutIter) nextBatch() (*column.Batch, error) {
 	for {
 		if len(g.emit) > 0 {
 			b := g.emit[0]
@@ -65,9 +68,9 @@ func (g *groupCutIter) nextBatch() (*batch, error) {
 		} else {
 			// k is where b's last group starts; the rows before it finish
 			// every group begun so far.
-			n := b.rows()
+			n := b.Rows()
 			k := n - 1
-			for k > 0 && keysEqual(b, b.rowIndex(k), b, b.rowIndex(k-1), g.idx) {
+			for k > 0 && keysEqual(b, b.RowIndex(k), b, b.RowIndex(k-1), g.idx) {
 				k--
 			}
 			if k == 0 && len(g.held) > 0 && g.continues(b) {
@@ -75,22 +78,22 @@ func (g *groupCutIter) nextBatch() (*batch, error) {
 				continue
 			}
 			if k > 0 {
-				whole = append(whole, b.rangeView(0, k))
+				whole = append(whole, b.RangeView(0, k))
 			}
-			g.held = []*batch{b.rangeView(k, n)}
+			g.held = []*column.Batch{b.RangeView(k, n)}
 		}
 		total := 0
 		for _, w := range whole {
-			total += w.rows()
+			total += w.Rows()
 		}
 		if total == 0 {
 			continue
 		}
 		// One partition: its sequence keys never meet another's in the
 		// gather, so a selection view serves as it is.
-		s := concatBatches(g.sch, whole, total)
-		p := part{b: s, rows: s.sel}
-		if s.sel == nil {
+		s := column.Concat(g.sch, whole, total)
+		p := part{b: s, rows: s.Sel}
+		if s.Sel == nil {
 			p = wholeBatch(s)
 		}
 		ems, err := g.body(p, part{})

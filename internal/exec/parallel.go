@@ -7,6 +7,8 @@ package exec
 import (
 	"sync"
 	"sync/atomic"
+
+	"tqp/internal/column"
 )
 
 // parallel reports that the engine compiles partitioned operators.
@@ -73,14 +75,14 @@ func runTasks(workers, tasks int, fn func(task int) error) error {
 // canonical hash of the key columns, preserving row order within each
 // partition — the hash exchange: every key group lands wholly in one
 // partition in list order, and a row's physical index is its sequence key.
-func hashParts(b *batch, idx []int, p int) []part {
+func hashParts(b *column.Batch, idx []int, p int) []part {
 	parts := make([]part, p)
 	if b == nil {
 		return parts
 	}
 	counts := make([]int, p)
-	buckets := make([]int32, b.n)
-	for i := 0; i < b.n; i++ {
+	buckets := make([]int32, b.N)
+	for i := 0; i < b.N; i++ {
 		bk := int(rowHash(b, i, idx) % uint64(p))
 		buckets[i] = int32(bk)
 		counts[bk]++
@@ -98,16 +100,16 @@ func hashParts(b *batch, idx []int, p int) []part {
 // segments whose boundaries never split a run of rows equal on idx — the
 // range exchange: with the delivered order proving groups contiguous, each
 // segment holds whole groups and the segment outputs concatenate in order.
-func rangeParts(b *batch, idx []int, p int) []part {
+func rangeParts(b *column.Batch, idx []int, p int) []part {
 	var parts []part
-	all := identityIdx(b.n)
-	target := (b.n + p - 1) / p
-	for lo := 0; lo < b.n; {
+	all := identityIdx(b.N)
+	target := (b.N + p - 1) / p
+	for lo := 0; lo < b.N; {
 		hi := lo + target
-		if hi > b.n {
-			hi = b.n
+		if hi > b.N {
+			hi = b.N
 		}
-		for hi < b.n && keysEqual(b, hi, b, hi-1, idx) {
+		for hi < b.N && keysEqual(b, hi, b, hi-1, idx) {
 			hi++
 		}
 		parts = append(parts, part{b: b, rows: all[lo:hi:hi]})
@@ -119,13 +121,13 @@ func rangeParts(b *batch, idx []int, p int) []part {
 // lazyBatchesIter computes a fixed batch list on first pull and emits the
 // non-empty entries in order.
 type lazyBatchesIter struct {
-	compute func() ([]*batch, error)
+	compute func() ([]*column.Batch, error)
 	started bool
-	bs      []*batch
+	bs      []*column.Batch
 	k       int
 }
 
-func (it *lazyBatchesIter) nextBatch() (*batch, error) {
+func (it *lazyBatchesIter) nextBatch() (*column.Batch, error) {
 	if !it.started {
 		bs, err := it.compute()
 		if err != nil {
@@ -136,7 +138,7 @@ func (it *lazyBatchesIter) nextBatch() (*batch, error) {
 	for it.k < len(it.bs) {
 		b := it.bs[it.k]
 		it.k++
-		if b != nil && b.rows() > 0 {
+		if b != nil && b.Rows() > 0 {
 			return b, nil
 		}
 	}
@@ -150,17 +152,17 @@ func (it *lazyBatchesIter) close() error { return nil }
 // over the shared planes, so a worker scans its range with no selection
 // indirection and nothing is copied.
 type rangeBatchIter struct {
-	b      *batch
+	b      *column.Batch
 	lo, hi int
 	done   bool
 }
 
-func (it *rangeBatchIter) nextBatch() (*batch, error) {
+func (it *rangeBatchIter) nextBatch() (*column.Batch, error) {
 	if it.done || it.lo >= it.hi {
 		return nil, nil
 	}
 	it.done = true
-	return it.b.rangeView(it.lo, it.hi), nil
+	return it.b.RangeView(it.lo, it.hi), nil
 }
 
 func (it *rangeBatchIter) close() error { return nil }
@@ -175,7 +177,7 @@ func (it *rangeBatchIter) close() error { return nil }
 func (e *Engine) vecParallelJoinSource(l, r *source, j *pairJoiner) *source {
 	workers := e.exchange()
 	tmpl := j.joinIter(nil, r)
-	compute := func() ([]*batch, error) {
+	compute := func() ([]*column.Batch, error) {
 		// The view drain: a filtered scan arrives as one selection view and
 		// splits by presented rows — compacting 50% of a million-row batch
 		// before the scatter would cost more than the exchange saves.
@@ -187,11 +189,11 @@ func (e *Engine) vecParallelJoinSource(l, r *source, j *pairJoiner) *source {
 		if err := tmpl.buildSide(); err != nil {
 			return nil, err
 		}
-		rows := pb.rows()
-		if rows == 0 || tmpl.build.n == 0 {
+		rows := pb.Rows()
+		if rows == 0 || tmpl.build.N == 0 {
 			return nil, nil
 		}
-		outs := make([][]*batch, workers)
+		outs := make([][]*column.Batch, workers)
 		if err := runTasks(workers, workers, func(p int) error {
 			// Worker copy: shared build table (read-only after buildSide),
 			// own probe cursor. The template's engine is nil, so the copies
@@ -212,7 +214,7 @@ func (e *Engine) vecParallelJoinSource(l, r *source, j *pairJoiner) *source {
 		}); err != nil {
 			return nil, err
 		}
-		var bs []*batch
+		var bs []*column.Batch
 		for _, o := range outs {
 			bs = append(bs, o...)
 		}

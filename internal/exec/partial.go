@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"tqp/internal/algebra"
+	"tqp/internal/column"
 	"tqp/internal/eval"
 	"tqp/internal/relation"
 	"tqp/internal/schema"
@@ -68,13 +69,15 @@ func RunFragment(plan algebra.Node, src eval.Source, positions map[string][]int)
 	}
 	// The leaf is the slice's cached columnar image with the keys as one
 	// more plane: repeated fragments over a shard's relation convert it once.
+	// The keys plane is dense, so a selection view (a FOR PERIOD scan of a
+	// columnar-primary entry) is compacted to the rows it presents.
 	eng := &Engine{}
-	image := eng.batchOf(rel)
-	keys := colvec{kind: value.KindInt, ints: make([]int64, n)}
+	image := eng.batchOf(rel).Compact()
+	keys := column.Vec{Kind: value.KindInt, Ints: make([]int64, n)}
 	for i, s := range seqs {
-		keys.ints[i] = int64(s)
+		keys.Ints[i] = int64(s)
 	}
-	slice := &batch{schema: sch, cols: append(image.cols[:w:w], keys), n: n}
+	slice := &column.Batch{Schema: sch, Cols: append(image.Cols[:w:w], keys), N: n}
 	eng.leaf = &source{vec: &rangeBatchIter{b: slice, hi: n}, schema: sch, order: rel.Order()}
 
 	keyed, carried, err := withSeq(plan, algebra.NewRel("@frag", sch, algebra.BaseInfo{}))
@@ -93,11 +96,14 @@ func RunFragment(plan algebra.Node, src eval.Source, positions map[string][]int)
 	if err != nil {
 		return nil, nil, fmt.Errorf("exec: fragment: %w", err)
 	}
-	outRows, outSeqs := make([]relation.Tuple, out.Len()), make([]int, out.Len())
-	for i, t := range out.Tuples() {
-		outRows[i], outSeqs[i] = t[:w:w], int(t[w].AsInt())
+	// The keys come off the result's last plane, and the stripped result
+	// is a view of the others: no tuple is built.
+	b, _ := out.Columns()
+	outSeqs := make([]int, b.Rows())
+	for k := range outSeqs {
+		outSeqs[k] = int(b.Cols[w].At(b.RowIndex(k)).AsInt())
 	}
-	stripped := relation.FromTuplesTrusted(outSch, outRows)
+	stripped := relation.FromColumnar(outSch, &column.Batch{Schema: outSch, Cols: b.Cols[:w:w], N: b.N, Sel: b.Sel})
 	stripped.SetOrder(out.Order())
 	return stripped, outSeqs, nil
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"tqp/internal/algebra"
+	"tqp/internal/catalog"
 	"tqp/internal/eval"
 	"tqp/internal/exec"
 	"tqp/internal/expr"
@@ -215,6 +216,81 @@ func TestRunFragmentRejects(t *testing.T) {
 	} {
 		if _, _, err := exec.RunFragment(tc.plan, src, tc.pos); err == nil {
 			t.Errorf("%s: ran without error", name)
+		}
+	}
+}
+
+// TestRunFragmentOverTravelScan runs σ/π/sort fragments over FOR PERIOD and
+// AS OF leaves of a reopened disk catalog, whose travel scans are selection
+// views of the loaded batch. The result equals the engine's and the
+// reference's, and every returned sequence key names the leaf row its output
+// row came from.
+func TestRunFragmentOverTravelScan(t *testing.T) {
+	dir := t.TempDir()
+	disk, err := catalog.OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	era := func(e int) [][]any {
+		var rows [][]any
+		for i := 0; i < 200; i++ {
+			rows = append(rows, []any{fmt.Sprintf("e%03d", (i*7)%50), fmt.Sprintf("d%d", i%3), 100*e + i%90, 100*e + i%90 + 5})
+		}
+		return rows
+	}
+	if err := disk.AddDisk("EMPLOYEE", relation.MustFromRows(catalog.EmployeeSchema(), era(0)), algebra.BaseInfo{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := disk.AppendRows("EMPLOYEE", era(1)); err != nil {
+		t.Fatal(err)
+	}
+	cold, err := catalog.OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dept := expr.Compare(expr.Eq, expr.Column("Dept"), expr.Literal(value.String_("d1")))
+	for _, tr := range []catalog.Travel{
+		{Kind: catalog.TravelPeriod, Start: 120, End: 150},
+		{Kind: catalog.TravelAsOf, T: 130},
+	} {
+		leaf, err := cold.TravelNode("EMPLOYEE", &tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, err := cold.Resolve(leaf.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, plan := range []algebra.Node{
+			algebra.NewSelect(dept, leaf),
+			algebra.NewProjectCols(algebra.NewSelect(dept, leaf), "EmpName", "Dept"),
+			algebra.NewSort(relation.OrderSpec{relation.Key("EmpName")}, algebra.NewSelect(dept, leaf)),
+		} {
+			what := algebra.Canonical(plan)
+			got, seqs, err := exec.RunFragment(plan, cold, nil)
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			want, err := eval.Reference().Instantiate(cold).Eval(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			engine, err := exec.New(cold).Eval(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Len() == 0 || !got.EqualAsList(want) || !got.EqualAsList(engine) {
+				t.Fatalf("%s: %d rows differ from the reference's %d and the engine's %d", what, got.Len(), want.Len(), engine.Len())
+			}
+			if len(seqs) != got.Len() {
+				t.Fatalf("%s: %d sequence keys for %d rows", what, len(seqs), got.Len())
+			}
+			for k, s := range seqs {
+				src := in.At(s)
+				if src[1].AsString() != "d1" || src[0].AsString() != got.At(k)[0].AsString() {
+					t.Fatalf("%s row %d: key %d names leaf row %v, output %v", what, k, s, src, got.At(k))
+				}
+			}
 		}
 	}
 }

@@ -3,9 +3,9 @@ package exec
 import (
 	"container/heap"
 
+	"tqp/internal/column"
 	"tqp/internal/schema"
 	"tqp/internal/spill"
-	"tqp/internal/value"
 )
 
 // sortRunSize bounds the rows sorted per run: the index runs the in-memory
@@ -45,11 +45,10 @@ type mergeSortIter struct {
 // runCursor is one run's merge position: row perm[pos] of a resident run's
 // batch, or row pos of the block a spilled run's reader decoded last.
 type runCursor struct {
-	idx   int // run index: the stability tie-break
-	b     *batch
-	perm  []int // resident runs: the sorted order of b's rows
-	pos   int
-	bytes int64 // the run's accounted bytes
+	idx  int // run index: the stability tie-break
+	b    *column.Batch
+	perm []int // resident runs: the sorted order of b's rows
+	pos  int
 
 	file *spill.File
 	r    *spill.Reader
@@ -69,21 +68,17 @@ func (c *runCursor) advance(sch *schema.Schema) (ok bool, err error) {
 	if c.r == nil {
 		return c.pos < len(c.perm), nil
 	}
-	if c.pos < c.b.n {
+	if c.pos < c.b.N {
 		return true, nil
 	}
 	return c.nextBlock(sch)
 }
 
-// decodeBlock decodes r's next block over b's planes, replacing the block
+// readBlock decodes r's next block over b's planes, replacing the block
 // decoded before; ok=false marks the end of the file.
-func decodeBlock(r *spill.Reader, b *batch) (ok bool, err error) {
-	for i := range b.cols {
-		col := &b.cols[i]
-		col.ints, col.floats, col.strs, col.vals = col.ints[:0], col.floats[:0], col.strs[:0], col.vals[:0]
-	}
-	seqs, ok, err := r.NextBlockCols(len(b.cols), func(_, col int, v value.Value) { b.cols[col].append(v) })
-	b.n = len(seqs)
+func readBlock(r *spill.Reader, b *column.Batch) (ok bool, err error) {
+	b.Reset()
+	_, ok, err = r.Next(b)
 	return ok, err
 }
 
@@ -92,9 +87,9 @@ func decodeBlock(r *spill.Reader, b *batch) (ok bool, err error) {
 // file the cursor closes itself.
 func (c *runCursor) nextBlock(sch *schema.Schema) (ok bool, err error) {
 	if c.b == nil {
-		c.b = newBatch(sch, spill.BlockRows)
+		c.b = column.NewBatch(sch, spill.BlockRows)
 	}
-	ok, err = decodeBlock(c.r, c.b)
+	ok, err = readBlock(c.r, c.b)
 	if err != nil {
 		return false, err
 	}
@@ -154,7 +149,7 @@ func (h *runHeap) Pop() any {
 
 // pop hands the merge's next row to take and moves its cursor on; a cursor at
 // its run's end leaves the heap.
-func (h *runHeap) pop(sch *schema.Schema, take func(b *batch, row int)) error {
+func (h *runHeap) pop(sch *schema.Schema, take func(b *column.Batch, row int)) error {
 	c := h.cursors[0]
 	take(c.b, c.row())
 	ok, err := c.advance(sch)
@@ -171,13 +166,12 @@ func (h *runHeap) pop(sch *schema.Schema, take func(b *batch, row int)) error {
 
 func (m *mergeSortIter) build() error {
 	share := m.eng.opShare()
-	arity := m.schema.Len()
 
 	var cursors []*runCursor
 	var residentBytes int64
 	spilling := false
 
-	run := newBatch(m.schema, sortRunSize)
+	run := column.NewBatch(m.schema, sortRunSize)
 	var runBytes int64
 
 	spillRun := func(c *runCursor) error {
@@ -185,10 +179,9 @@ func (m *mergeSortIter) build() error {
 		if err != nil {
 			return err
 		}
-		// The sort needs no sequence keys: the run's file order is its order.
-		err = w.AppendBlockCols(make([]int, len(c.perm)), arity, c.bytes, func(row, col int) value.Value {
-			return c.b.cols[col].at(c.perm[row])
-		})
+		// The run spills as the selection view of its permutation; the sort
+		// needs no sequence keys: the run's file order is its order.
+		err = w.Write(make([]int, len(c.perm)), c.b.WithSel(c.perm))
 		if err != nil {
 			w.Abort()
 			return err
@@ -198,10 +191,10 @@ func (m *mergeSortIter) build() error {
 		return err
 	}
 	flush := func() error {
-		if run.n == 0 {
+		if run.N == 0 {
 			return nil
 		}
-		c := &runCursor{idx: len(cursors), b: run, perm: identityIdx(run.n), bytes: runBytes}
+		c := &runCursor{idx: len(cursors), b: run, perm: identityIdx(run.N)}
 		sortRows(c.b, c.perm, m.cmp)
 		cursors = append(cursors, c)
 		if spilling {
@@ -212,7 +205,7 @@ func (m *mergeSortIter) build() error {
 			residentBytes += runBytes
 			m.eng.mem.grow(runBytes)
 		}
-		run = newBatch(m.schema, sortRunSize)
+		run = column.NewBatch(m.schema, sortRunSize)
 		runBytes = 0
 		return nil
 	}
@@ -248,14 +241,14 @@ func (m *mergeSortIter) build() error {
 		if b == nil {
 			break
 		}
-		for k, n := 0, b.rows(); k < n; k++ {
-			i := b.rowIndex(k)
-			run.appendRow(b, i)
-			runBytes += batchRowMemSize(b, i)
+		for k, n := 0, b.Rows(); k < n; k++ {
+			i := b.RowIndex(k)
+			run.AppendRow(b, i)
+			runBytes += b.MemSize(i)
 			if !spilling && residentBytes+runBytes > share {
 				err = startSpilling()
 			}
-			if err == nil && (spilling && runBytes > share/2 || run.n == sortRunSize) {
+			if err == nil && (spilling && runBytes > share/2 || run.N == sortRunSize) {
 				err = flush()
 			}
 			if err != nil {
@@ -287,7 +280,7 @@ func (m *mergeSortIter) build() error {
 	return nil
 }
 
-func (m *mergeSortIter) nextBatch() (*batch, error) {
+func (m *mergeSortIter) nextBatch() (*column.Batch, error) {
 	if !m.built {
 		if err := m.build(); err != nil {
 			return nil, err
@@ -296,9 +289,9 @@ func (m *mergeSortIter) nextBatch() (*batch, error) {
 	if m.h.Len() == 0 {
 		return nil, nil
 	}
-	out := newBatch(m.schema, vecBatchRows)
-	take := out.appendRow
-	for m.h.Len() > 0 && out.n < vecBatchRows {
+	out := column.NewBatch(m.schema, vecBatchRows)
+	take := out.AppendRow
+	for m.h.Len() > 0 && out.N < vecBatchRows {
 		if err := m.h.pop(m.schema, take); err != nil {
 			return nil, err
 		}

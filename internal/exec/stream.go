@@ -2,9 +2,9 @@ package exec
 
 import (
 	"fmt"
-	"slices"
 
 	"tqp/internal/algebra"
+	"tqp/internal/column"
 	"tqp/internal/eval"
 	"tqp/internal/physical"
 	"tqp/internal/relation"
@@ -27,7 +27,7 @@ func (e *Engine) buildRel(n *algebra.Rel) (*source, error) {
 	}
 	// The columnar image converts lazily on the first pull (and is cached per
 	// relation); a scan travels as that one batch.
-	return &source{vec: &onceBatchIter{compute: func() (*batch, error) { return e.batchOf(r), nil }}, schema: r.Schema(), order: order}, nil
+	return &source{vec: &onceBatchIter{compute: func() (*column.Batch, error) { return e.batchOf(r), nil }}, schema: r.Schema(), order: order}, nil
 }
 
 // resolve looks up the relation a scan reads and the order it delivers: its
@@ -58,21 +58,15 @@ func (e *Engine) resolve(n *algebra.Rel) (*relation.Relation, relation.OrderSpec
 
 // scanList answers a plan that is nothing but a scan — a DBMS subplan
 // reading one relation — without a pipeline: there is no operator to feed,
-// so the result is the relation's list in the form it already has, its
-// columnar image when one is cached and otherwise a copy of its tuple list
-// (as the reference evaluator copies it). A tuple list read once, such as a
-// time-travel scan's, so never makes the round trip through columns.
+// so the result is the relation's list in the form it already has
+// (relation.Clone, as the reference evaluator copies it): its primary batch,
+// or a copy of its tuple list carrying any cached image, converting nothing.
 func (e *Engine) scanList(n *algebra.Rel) (*relation.Relation, error) {
 	r, order, err := e.resolve(n)
 	if err != nil {
 		return nil, err
 	}
-	var out *relation.Relation
-	if img := r.ColumnarImage(); img != nil {
-		out = relation.FromColumnar(r.Schema(), img)
-	} else {
-		out = relation.FromTuplesTrusted(r.Schema(), slices.Clone(r.Tuples()))
-	}
+	out := r.Clone()
 	out.SetOrder(order)
 	if e.observe != nil {
 		st := &stage{e: e, node: n}
@@ -129,7 +123,7 @@ type vecConcatIter struct {
 	cur, rest vecIterator
 }
 
-func (c *vecConcatIter) nextBatch() (*batch, error) {
+func (c *vecConcatIter) nextBatch() (*column.Batch, error) {
 	for {
 		b, err := c.cur.nextBatch()
 		if err != nil || b != nil {
@@ -254,10 +248,10 @@ func (e *Engine) buildAggregate(n *algebra.Aggregate, in *source, outSchema *sch
 		// construction, nothing to partition.
 		return e.vecAggregateSource(in, gidx, outSchema, n.Aggs)
 	}
-	emit := func(p part, members []int, sc *groupScratch, ob *batch) error {
+	emit := func(p part, members []int, sc *groupScratch, ob *column.Batch) error {
 		accs := eval.NewAccumulators(n.Aggs, in.schema)
 		for _, k := range members {
-			p.b.fillTuple(sc.row, p.rows[k])
+			p.b.FillRow(sc.row, p.rows[k])
 			if err := eval.FoldAggregates(accs, n.Aggs, in.schema, sc.row); err != nil {
 				return err
 			}

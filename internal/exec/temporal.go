@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"tqp/internal/algebra"
+	"tqp/internal/column"
 	"tqp/internal/eval"
 	"tqp/internal/period"
 	"tqp/internal/schema"
@@ -39,7 +40,7 @@ func newSweep(rows int) *sweep {
 func (s *sweep) load(side int, p part, ks []int, t1, t2 int) []period.Period {
 	ps := s.ps[side][:0]
 	for _, k := range ks {
-		ps = append(ps, p.b.periodAt(t1, t2, p.rows[k]))
+		ps = append(ps, p.b.PeriodAt(t1, t2, p.rows[k]))
 	}
 	s.ps[side] = ps
 	return ps
@@ -238,7 +239,7 @@ func coalTBody(vidx []int, t1, t2 int, contiguous bool) partBody {
 		for g := range groups.count() {
 			ss = ss[:0]
 			for _, k := range groups.members(g) {
-				ss = append(ss, vspan{src: k, p: p.b.periodAt(t1, t2, p.rows[k])})
+				ss = append(ss, vspan{src: k, p: p.b.PeriodAt(t1, t2, p.rows[k])})
 			}
 			for _, sp := range coalTSpans(ss) {
 				s.record(sp.src, sp.p)
@@ -359,7 +360,7 @@ func (e *Engine) buildTAggregate(n *algebra.Aggregate, in *source, outSchema *sc
 func tAggregateBody(n *algebra.Aggregate, in *schema.Schema, gidx []int, contiguous bool, out *schema.Schema) partBody {
 	t1, t2 := in.TimeIndices()
 	fresh := eval.NewAccumulators(n.Aggs, in) // read-only: copied to reset
-	emit := func(p part, members []int, sc *groupScratch, ob *batch) error {
+	emit := func(p part, members []int, sc *groupScratch, ob *column.Batch) error {
 		s := &sc.sweep
 		ps := s.load(0, p, members, t1, t2)
 		m := s.timeline()
@@ -377,7 +378,7 @@ func tAggregateBody(n *algebra.Aggregate, in *schema.Schema, gidx []int, contigu
 			if pj.Empty() {
 				continue
 			}
-			p.b.fillTuple(sc.row, p.rows[members[j]])
+			p.b.FillRow(sc.row, p.rows[members[j]])
 			for x := s.at(pj.Start); s.ends[x] < pj.End; x++ {
 				if err := eval.FoldAggregates(sc.accs[x], n.Aggs, in, sc.row); err != nil {
 					return err
@@ -389,9 +390,9 @@ func tAggregateBody(n *algebra.Aggregate, in *schema.Schema, gidx []int, contigu
 				continue
 			}
 			appendGroupRow(ob, p.b, p.rows[members[0]], gidx, sc.accs[x])
-			w := len(ob.cols)
-			ob.cols[w-2].append(value.Time(s.ends[x]))
-			ob.cols[w-1].append(value.Time(s.ends[x+1]))
+			w := len(ob.Cols)
+			ob.Cols[w-2].Append(value.Time(s.ends[x]))
+			ob.Cols[w-1].Append(value.Time(s.ends[x+1]))
 		}
 		return nil
 	}

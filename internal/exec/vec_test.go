@@ -1,11 +1,15 @@
 package exec
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"tqp/internal/algebra"
+	"tqp/internal/catalog"
+	"tqp/internal/column"
 	"tqp/internal/eval"
 	"tqp/internal/expr"
 	"tqp/internal/period"
@@ -29,25 +33,25 @@ func TestColvecRoundTrip(t *testing.T) {
 		{value.KindString, []value.Value{value.String_(""), value.String_("a"), value.String_("it's")}},
 	}
 	for _, tc := range cases {
-		c := newColvec(tc.kind, 0)
+		c := column.NewVec(tc.kind, 0)
 		for _, v := range tc.vals {
-			c.append(v)
+			c.Append(v)
 		}
-		if c.kind != tc.kind {
-			t.Fatalf("kind %v: column demoted to %v on same-kind appends", tc.kind, c.kind)
+		if c.Kind != tc.kind {
+			t.Fatalf("kind %v: column demoted to %v on same-kind appends", tc.kind, c.Kind)
 		}
-		if c.length() != len(tc.vals) {
-			t.Fatalf("kind %v: length %d, want %d", tc.kind, c.length(), len(tc.vals))
+		if c.Len() != len(tc.vals) {
+			t.Fatalf("kind %v: length %d, want %d", tc.kind, c.Len(), len(tc.vals))
 		}
 		for i, v := range tc.vals {
-			got := c.at(i)
+			got := c.At(i)
 			if !got.Equal(v) || got.Kind() != v.Kind() {
 				t.Fatalf("kind %v: at(%d) = %v (%v), want %v", tc.kind, i, got, got.Kind(), v)
 			}
 			if got.HashInto(value.HashSeed()) != v.HashInto(value.HashSeed()) {
 				t.Fatalf("kind %v: at(%d) hashes differently from the appended value", tc.kind, i)
 			}
-			if !c.equalAt(i, &c, i) {
+			if !c.EqualAt(i, &c, i) {
 				t.Fatalf("kind %v: equalAt(%d,%d) false on the same slot", tc.kind, i, i)
 			}
 		}
@@ -58,30 +62,30 @@ func TestColvecRoundTrip(t *testing.T) {
 // foreign kind falls back to boxed storage without losing the earlier
 // typed values — including cross-kind numeric equality semantics.
 func TestColvecKindMixed(t *testing.T) {
-	c := newColvec(value.KindInt, 0)
-	c.append(value.Int(3))
-	c.append(value.Float(3.5)) // demotes
-	c.append(value.String_("x"))
-	if c.kind != value.KindInvalid {
-		t.Fatalf("mixed column kept kind %v, want boxed fallback", c.kind)
+	c := column.NewVec(value.KindInt, 0)
+	c.Append(value.Int(3))
+	c.Append(value.Float(3.5)) // demotes
+	c.Append(value.String_("x"))
+	if c.Kind != value.KindInvalid {
+		t.Fatalf("mixed column kept kind %v, want boxed fallback", c.Kind)
 	}
 	want := []value.Value{value.Int(3), value.Float(3.5), value.String_("x")}
 	for i, v := range want {
-		if got := c.at(i); !got.Equal(v) || got.Kind() != v.Kind() {
+		if got := c.At(i); !got.Equal(v) || got.Kind() != v.Kind() {
 			t.Fatalf("after demotion at(%d) = %v (%v), want %v", i, got, got.Kind(), v)
 		}
 	}
 	// Cross-kind numeric equality must keep the canonical Compare result:
 	// Int(3) == Float(3.0) even across differently-typed columns.
-	f := newColvec(value.KindFloat, 0)
-	f.append(value.Float(3))
-	if !c.equalAt(0, &f, 0) {
+	f := column.NewVec(value.KindFloat, 0)
+	f.Append(value.Float(3))
+	if !c.EqualAt(0, &f, 0) {
 		t.Fatal("Int(3) and Float(3.0) must compare equal across columns")
 	}
 	// NaN equals NaN under the canonical total order.
-	n1 := newColvec(value.KindFloat, 0)
-	n1.append(value.Float(math.NaN()))
-	if !n1.equalAt(0, &n1, 0) {
+	n1 := column.NewVec(value.KindFloat, 0)
+	n1.Append(value.Float(math.NaN()))
+	if !n1.EqualAt(0, &n1, 0) {
 		t.Fatal("NaN must equal NaN under the canonical order")
 	}
 }
@@ -103,24 +107,24 @@ func TestBatchSelectionCompact(t *testing.T) {
 		})
 	}
 	b := batchOfTuples(s, tuples)
-	if b.n != 6 || b.rows() != 6 {
-		t.Fatalf("batch rows = %d/%d, want 6/6", b.n, b.rows())
+	if b.N != 6 || b.Rows() != 6 {
+		t.Fatalf("batch rows = %d/%d, want 6/6", b.N, b.Rows())
 	}
-	v := b.withSel([]int{4, 1, 3})
-	if v.rows() != 3 {
-		t.Fatalf("view rows = %d, want 3", v.rows())
+	v := b.WithSel([]int{4, 1, 3})
+	if v.Rows() != 3 {
+		t.Fatalf("view rows = %d, want 3", v.Rows())
 	}
 	for k, phys := range []int{4, 1, 3} {
-		if got := v.rowIndex(k); got != phys {
+		if got := v.RowIndex(k); got != phys {
 			t.Fatalf("view rowIndex(%d) = %d, want %d", k, got, phys)
 		}
-		if !rowOf(v, v.rowIndex(k)).Equal(tuples[phys]) {
+		if !rowOf(v, v.RowIndex(k)).Equal(tuples[phys]) {
 			t.Fatalf("view row %d differs from source tuple %d", k, phys)
 		}
 	}
-	c := v.compact()
-	if c.sel != nil || c.n != 3 {
-		t.Fatalf("compacted batch n=%d sel=%v, want 3/nil", c.n, c.sel)
+	c := v.Compact()
+	if c.Sel != nil || c.N != 3 {
+		t.Fatalf("compacted batch n=%d sel=%v, want 3/nil", c.N, c.Sel)
 	}
 	for k, phys := range []int{4, 1, 3} {
 		if !rowOf(c, k).Equal(tuples[phys]) {
@@ -128,7 +132,7 @@ func TestBatchSelectionCompact(t *testing.T) {
 		}
 	}
 	// The shared base is untouched by the view and the compaction.
-	if b.sel != nil || b.n != 6 {
+	if b.Sel != nil || b.N != 6 {
 		t.Fatal("selection view mutated its base batch")
 	}
 	for i, tu := range tuples {
@@ -140,7 +144,7 @@ func TestBatchSelectionCompact(t *testing.T) {
 	nb := batchOfTuples(s, []relation.Tuple{{
 		value.Int(1), value.String_("now"), value.Time(5), value.Time(period.NowMarker),
 	}})
-	p := nb.periodAt(2, 3, 0)
+	p := nb.PeriodAt(2, 3, 0)
 	if p.Start != 5 || p.End != period.NowMarker || !p.IsNowRelative() {
 		t.Fatalf("periodAt = %v, want [5, NOW)", p)
 	}
@@ -151,30 +155,30 @@ func TestBatchSelectionCompact(t *testing.T) {
 // single unselected batch passes through without copying.
 func TestVecDrainOne(t *testing.T) {
 	s := schema.MustNew(schema.Attr("K", value.KindInt))
-	mk := func(vals ...int64) *batch {
+	mk := func(vals ...int64) *column.Batch {
 		ts := make([]relation.Tuple, len(vals))
 		for i, v := range vals {
 			ts[i] = relation.Tuple{value.Int(v)}
 		}
 		return batchOfTuples(s, ts)
 	}
-	b1 := mk(1, 2, 3).withSel([]int{2, 0})
+	b1 := mk(1, 2, 3).WithSel([]int{2, 0})
 	b2 := mk(4, 5)
-	out, err := vecDrainOne(&stubVecIter{batches: []*batch{b1, b2}}, s)
+	out, err := vecDrainOne(&stubVecIter{batches: []*column.Batch{b1, b2}}, s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []int64{3, 1, 4, 5}
-	if out.n != len(want) || out.sel != nil {
-		t.Fatalf("drained n=%d sel=%v, want %d/nil", out.n, out.sel, len(want))
+	if out.N != len(want) || out.Sel != nil {
+		t.Fatalf("drained n=%d sel=%v, want %d/nil", out.N, out.Sel, len(want))
 	}
 	for i, w := range want {
-		if got := out.cols[0].at(i); got.AsInt() != w {
+		if got := out.Cols[0].At(i); got.AsInt() != w {
 			t.Fatalf("drained row %d = %v, want %d", i, got, w)
 		}
 	}
 	single := mk(7, 8)
-	out, err = vecDrainOne(&stubVecIter{batches: []*batch{single}}, s)
+	out, err = vecDrainOne(&stubVecIter{batches: []*column.Batch{single}}, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,11 +188,11 @@ func TestVecDrainOne(t *testing.T) {
 }
 
 type stubVecIter struct {
-	batches []*batch
+	batches []*column.Batch
 	i       int
 }
 
-func (s *stubVecIter) nextBatch() (*batch, error) {
+func (s *stubVecIter) nextBatch() (*column.Batch, error) {
 	if s.i >= len(s.batches) {
 		return nil, nil
 	}
@@ -325,8 +329,8 @@ func spanKernelsAgainstReference(t *testing.T, groups ...spanGroup) {
 		}
 		var got []relation.Tuple
 		for _, b := range gather(want.Schema(), ems) {
-			for k := 0; k < b.rows(); k++ {
-				got = append(got, rowOf(b, b.rowIndex(k)))
+			for k := 0; k < b.Rows(); k++ {
+				got = append(got, rowOf(b, b.RowIndex(k)))
 			}
 		}
 		if len(got) != want.Len() {
@@ -469,9 +473,9 @@ func TestVecPredCompiler(t *testing.T) {
 }
 
 // rowOf materializes the physical row i of b.
-func rowOf(b *batch, i int) relation.Tuple {
-	t := make(relation.Tuple, len(b.cols))
-	b.fillTuple(t, i)
+func rowOf(b *column.Batch, i int) relation.Tuple {
+	t := make(relation.Tuple, len(b.Cols))
+	b.FillRow(t, i)
 	return t
 }
 
@@ -498,11 +502,11 @@ func TestBatchPermuted(t *testing.T) {
 		}
 		for _, c := range []struct {
 			name string
-			b    *batch
+			b    *column.Batch
 			ts   []relation.Tuple
 		}{
 			{"dense", batchOfTuples(s, all[:n]), all[:n]},
-			{"selected", full.withSel(sel), selTuples},
+			{"selected", full.WithSel(sel), selTuples},
 		} {
 			for _, seed := range []int64{1, 3} {
 				idx := make([]int, n)
@@ -514,12 +518,12 @@ func TestBatchPermuted(t *testing.T) {
 				rand.New(rand.NewSource(seed+int64(n))).Shuffle(n, func(i, j int) { want[i], want[j] = want[j], want[i] })
 
 				col := relation.FromColumnar(s, c.b).Permuted(idx)
-				img, ok := col.ColumnarImage().(*batch)
-				if !ok || (n > 0 && &img.cols[0].ints[0] != &c.b.cols[0].ints[0]) {
+				img, converted := col.Columns()
+				if converted || (n > 0 && &img.Cols[0].Ints[0] != &c.b.Cols[0].Ints[0]) {
 					t.Fatalf("%s n=%d seed=%d: Permuted copied the columns", c.name, n, seed)
 				}
 				for k := 0; k < n; k++ {
-					if !col.Cell(k, 0).Equal(want[k][0]) || !col.Cell(k, 1).Equal(want[k][1]) {
+					if i := img.RowIndex(k); !img.Cols[0].At(i).Equal(want[k][0]) || !img.Cols[1].At(i).Equal(want[k][1]) {
 						t.Fatalf("%s n=%d seed=%d: row %d cells differ from the in-place shuffle", c.name, n, seed, k)
 					}
 				}
@@ -548,7 +552,7 @@ func TestBareScanAnswersInItsOwnForm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Stats().ScanConversions != 0 || r.ColumnarImage() != nil || !out.EqualAsList(r) {
+	if e.Stats().ScanConversions != 0 || !out.EqualAsList(r) {
 		t.Fatalf("bare scan of a tuple list: %d conversions, result\n%s", e.Stats().ScanConversions, out)
 	}
 	if err := out.SortStable(relation.OrderSpec{relation.Key("K")}); err != nil {
@@ -561,14 +565,85 @@ func TestBareScanAnswersInItsOwnForm(t *testing.T) {
 	if _, err := e.Eval(algebra.NewSelect(expr.Compare(expr.Gt, expr.Column("K"), expr.Literal(value.Int(0))), scan)); err != nil {
 		t.Fatal(err)
 	}
-	if e.Stats().ScanConversions != 1 || r.ColumnarImage() == nil {
-		t.Fatalf("a pipeline over the scan: %d conversions, image cached %v", e.Stats().ScanConversions, r.ColumnarImage() != nil)
+	image, converted := r.Columns()
+	if e.Stats().ScanConversions != 1 || converted {
+		t.Fatalf("a pipeline over the scan: %d conversions, image cached %v", e.Stats().ScanConversions, !converted)
 	}
 	out, err = e.Eval(scan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Stats().ScanConversions != 0 || out.ColumnarImage() != r.ColumnarImage() || !out.EqualAsList(r) {
-		t.Fatalf("bare scan of a cached image: %d conversions, shares image %v", e.Stats().ScanConversions, out.ColumnarImage() == r.ColumnarImage())
+	if shared, _ := out.Columns(); e.Stats().ScanConversions != 0 || shared != image || !out.EqualAsList(r) {
+		t.Fatalf("bare scan of a cached image: %d conversions, shares image %v", e.Stats().ScanConversions, shared == image)
+	}
+}
+
+// TestDiskCatalogScansConvertNothing: a reopened disk catalog hands the
+// engine columnar-primary relations — segments decode onto one batch — so
+// a bare scan, a pipeline over a scan and a FOR PERIOD scan of one convert
+// nothing, and none derives a tuple on the base relation (the catalog's
+// statistics and the travel filter read the periods off the columns).
+func TestDiskCatalogScansConvertNothing(t *testing.T) {
+	dir := t.TempDir()
+	disk, err := catalog.OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	era := func(e int) [][]any {
+		var rows [][]any
+		for i := 0; i < 300; i++ {
+			rows = append(rows, []any{fmt.Sprintf("e%03d", i%40), fmt.Sprintf("d%d", i%3), 100*e + i%90, 100*e + i%90 + 5})
+		}
+		return rows
+	}
+	if err := disk.AddDisk("EMPLOYEE", relation.MustFromRows(catalog.EmployeeSchema(), era(0)), algebra.BaseInfo{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := disk.AppendRows("EMPLOYEE", era(1)); err != nil {
+		t.Fatal(err)
+	}
+	travel, err := disk.TravelNode("EMPLOYEE", &catalog.Travel{Kind: catalog.TravelPeriod, Start: 120, End: 150})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan := disk.MustNode("EMPLOYEE")
+	late := expr.Compare(expr.Ge, expr.Column(schema.T1), expr.Literal(value.Int(40)))
+	for _, c := range []struct {
+		name string
+		plan algebra.Node
+	}{
+		{"bare scan", scan},
+		{"pipeline", algebra.NewSelect(late, scan)},
+		{"for period", travel},
+		{"pipeline for period", algebra.NewSelect(late, travel)},
+	} {
+		cold, err := catalog.OpenDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entry, err := cold.Entry("EMPLOYEE")
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := New(cold)
+		got, err := e.Eval(c.plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := e.Stats().ScanConversions; n != 0 {
+			t.Errorf("%s: %d scan conversions, want 0", c.name, n)
+		}
+		// The tuple list of a columnar-primary relation exists only once a
+		// reader derived it.
+		if !reflect.ValueOf(entry.Rel).Elem().FieldByName("tuples").IsNil() {
+			t.Errorf("%s: the scan derived the base relation's tuples", c.name)
+		}
+		want, err := eval.Reference().Instantiate(cold).Eval(c.plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Len() == 0 || !got.EqualAsList(want) {
+			t.Errorf("%s: %d rows differ from the reference's %d", c.name, got.Len(), want.Len())
+		}
 	}
 }

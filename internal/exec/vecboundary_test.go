@@ -11,7 +11,6 @@ import (
 	"tqp/internal/period"
 	"tqp/internal/relation"
 	"tqp/internal/schema"
-	"tqp/internal/spill"
 	"tqp/internal/value"
 )
 
@@ -72,8 +71,9 @@ func TestVecBatchBoundarySizes(t *testing.T) {
 	// (a two-sided operator drains each input against half of it).
 	const share = 1 << 12
 	accounted := func(r *relation.Relation) (bytes int64) {
-		for _, t := range r.Tuples() {
-			bytes += spill.TupleMemSize(t)
+		b := batchOfTuples(r.Schema(), r.Tuples())
+		for i := 0; i < b.N; i++ {
+			bytes += b.MemSize(i)
 		}
 		return bytes
 	}
@@ -338,11 +338,11 @@ func TestVecHashPartitionGather(t *testing.T) {
 				}
 				continue
 			}
-			if len(out) != 1 || out[0].rows() != n {
+			if len(out) != 1 || out[0].Rows() != n {
 				t.Fatalf("n=%d p=%d: gather produced %d batches", n, p, len(out))
 			}
 			for k := 0; k < n; k++ {
-				if got := out[0].rowIndex(k); got != k {
+				if got := out[0].RowIndex(k); got != k {
 					t.Fatalf("n=%d p=%d: gathered position %d reads row %d", n, p, k, got)
 				}
 			}

@@ -11,6 +11,7 @@ import (
 	"container/heap"
 	"slices"
 
+	"tqp/internal/column"
 	"tqp/internal/expr"
 	"tqp/internal/period"
 	"tqp/internal/physical"
@@ -22,7 +23,7 @@ import (
 // vecCmp orders row ai of batch a against row bi of batch b (physical
 // indices) under a compiled order spec, with the sign contract of
 // relation.CompareOn.
-type vecCmp func(a *batch, ai int, b *batch, bi int) int
+type vecCmp func(a *column.Batch, ai int, b *column.Batch, bi int) int
 
 // intPlaneKind reports the kinds stored unboxed on the int64 plane, whose
 // payload order is the canonical Compare order for same-kind values.
@@ -44,9 +45,9 @@ func compileVecCmp(s *schema.Schema, spec relation.OrderSpec) vecCmp {
 
 // rowsEqual reports full-row equality between two batch rows (physical
 // indices) — the columnar Tuple.Equal.
-func rowsEqual(a *batch, ai int, b *batch, bi int) bool {
-	for c := range a.cols {
-		if !a.cols[c].equalAt(ai, &b.cols[c], bi) {
+func rowsEqual(a *column.Batch, ai int, b *column.Batch, bi int) bool {
+	for c := range a.Cols {
+		if !a.Cols[c].EqualAt(ai, &b.Cols[c], bi) {
 			return false
 		}
 	}
@@ -60,20 +61,20 @@ func rowsEqual(a *batch, ai int, b *batch, bi int) bool {
 type vecDedupSortedIter struct {
 	e     *Engine
 	in    vecIterator
-	prevB *batch
+	prevB *column.Batch
 	prevI int
 }
 
-func (d *vecDedupSortedIter) nextBatch() (*batch, error) {
+func (d *vecDedupSortedIter) nextBatch() (*column.Batch, error) {
 	for {
 		b, err := d.in.nextBatch()
 		if err != nil || b == nil {
 			return nil, err
 		}
-		n := b.rows()
+		n := b.Rows()
 		sel := make([]int, 0, n)
 		for k := 0; k < n; k++ {
-			i := b.rowIndex(k)
+			i := b.RowIndex(k)
 			if d.prevB != nil && rowsEqual(b, i, d.prevB, d.prevI) {
 				continue
 			}
@@ -84,10 +85,10 @@ func (d *vecDedupSortedIter) nextBatch() (*batch, error) {
 			continue
 		}
 		d.e.stats.VectorBatches++
-		if b.sel == nil && len(sel) == n {
+		if b.Sel == nil && len(sel) == n {
 			return b, nil
 		}
-		return b.withSel(sel), nil
+		return b.WithSel(sel), nil
 	}
 }
 
@@ -110,20 +111,20 @@ type vecMergeCancelIter struct {
 	cmp        vecCmp // drained row against stream row
 
 	built    bool
-	sb       *batch
+	sb       *column.Batch
 	gi       int // start of the current drained group
 	gEnd     int // end of the current drained group
 	consumed int // stream occurrences the current group has cancelled
 }
 
-func (m *vecMergeCancelIter) nextBatch() (*batch, error) {
+func (m *vecMergeCancelIter) nextBatch() (*column.Batch, error) {
 	if !m.built {
 		sb, err := vecDrainOne(m.sorted.vec, m.sorted.schema)
 		if err != nil {
 			return nil, err
 		}
 		m.sb, m.built = sb, true
-		if m.emitSorted && sb.n > 0 {
+		if m.emitSorted && sb.N > 0 {
 			m.e.stats.VectorBatches++
 			return sb, nil
 		}
@@ -133,12 +134,12 @@ func (m *vecMergeCancelIter) nextBatch() (*batch, error) {
 		if err != nil || b == nil {
 			return nil, err
 		}
-		n := b.rows()
+		n := b.Rows()
 		sel := make([]int, 0, n)
 		for k := 0; k < n; k++ {
-			i := b.rowIndex(k)
+			i := b.RowIndex(k)
 			cmp := 1 // drained side exhausted: every remaining stream row survives
-			for m.gi < m.sb.n {
+			for m.gi < m.sb.N {
 				cmp = m.cmp(m.sb, m.gi, b, i)
 				if cmp >= 0 {
 					break
@@ -148,7 +149,7 @@ func (m *vecMergeCancelIter) nextBatch() (*batch, error) {
 				m.consumed = 0
 			}
 			if cmp == 0 {
-				for m.gEnd < m.sb.n && m.cmp(m.sb, m.gEnd, b, i) == 0 {
+				for m.gEnd < m.sb.N && m.cmp(m.sb, m.gEnd, b, i) == 0 {
 					m.gEnd++
 				}
 				if m.consumed < m.gEnd-m.gi {
@@ -162,10 +163,10 @@ func (m *vecMergeCancelIter) nextBatch() (*batch, error) {
 			continue
 		}
 		m.e.stats.VectorBatches++
-		if b.sel == nil && len(sel) == n {
+		if b.Sel == nil && len(sel) == n {
 			return b, nil
 		}
-		return b.withSel(sel), nil
+		return b.WithSel(sel), nil
 	}
 }
 
@@ -185,26 +186,26 @@ func (e *Engine) vecSortSource(in *source, spec relation.OrderSpec) *source {
 	}
 	e.stats.VectorOps++
 	sch := in.schema
-	compute := func() (*batch, error) {
+	compute := func() (*column.Batch, error) {
 		b, err := vecDrainOne(in.vec, sch)
 		if err != nil {
 			return nil, err
 		}
-		if b.n == 0 {
+		if b.N == 0 {
 			return nil, nil
 		}
 		cmp := compileVecCmp(sch, spec)
-		idx := identityIdx(b.n)
-		if workers <= 1 || b.n <= sortRunSize {
+		idx := identityIdx(b.N)
+		if workers <= 1 || b.N <= sortRunSize {
 			sortRows(b, idx, cmp)
 			e.stats.VectorBatches++
-			return b.withSel(idx), nil
+			return b.WithSel(idx), nil
 		}
-		nRuns := (b.n + sortRunSize - 1) / sortRunSize
+		nRuns := (b.N + sortRunSize - 1) / sortRunSize
 		if err := runTasks(workers, nRuns, func(r int) error {
 			lo, hi := r*sortRunSize, (r+1)*sortRunSize
-			if hi > b.n {
-				hi = b.n
+			if hi > b.N {
+				hi = b.N
 			}
 			sortRows(b, idx[lo:hi], cmp)
 			return nil
@@ -212,7 +213,7 @@ func (e *Engine) vecSortSource(in *source, spec relation.OrderSpec) *source {
 			return nil, err
 		}
 		e.stats.VectorBatches++
-		return b.withSel(mergeSortedRuns(b, idx, cmp)), nil
+		return b.WithSel(mergeSortedRuns(b, idx, cmp)), nil
 	}
 	return vecSource(&onceBatchIter{compute: compute}, sch)
 }
@@ -220,7 +221,7 @@ func (e *Engine) vecSortSource(in *source, spec relation.OrderSpec) *source {
 // sortRows sorts the physical row indices rows — ascending when the sort
 // starts — by (key, row index): the keys are then unique, so the unstable
 // pdqsort yields exactly the stable order at O(n log n).
-func sortRows(b *batch, rows []int, cmp vecCmp) {
+func sortRows(b *column.Batch, rows []int, cmp vecCmp) {
 	slices.SortFunc(rows, func(x, y int) int {
 		if c := cmp(b, x, b, y); c != 0 {
 			return c
@@ -233,7 +234,7 @@ func sortRows(b *batch, rows []int, cmp vecCmp) {
 // (r+1)*sortRunSize) into one sorted permutation through the external sort's
 // run heap, whose run-index tie-break — runs partition the input in order —
 // is exactly the stable sort's arrival order.
-func mergeSortedRuns(b *batch, idx []int, cmp vecCmp) []int {
+func mergeSortedRuns(b *column.Batch, idx []int, cmp vecCmp) []int {
 	h := runHeap{cmp: cmp}
 	for lo := 0; lo < len(idx); lo += sortRunSize {
 		hi := min(lo+sortRunSize, len(idx))
@@ -241,7 +242,7 @@ func mergeSortedRuns(b *batch, idx []int, cmp vecCmp) []int {
 	}
 	heap.Init(&h)
 	out := make([]int, 0, len(idx))
-	take := func(_ *batch, row int) { out = append(out, row) }
+	take := func(_ *column.Batch, row int) { out = append(out, row) }
 	for h.Len() > 0 {
 		_ = h.pop(nil, take) // resident runs read no file: pop cannot fail
 	}
@@ -268,21 +269,21 @@ func compileVecJoinCmp(ls, rs *schema.Schema, keys physical.JoinKeys) vecCmp {
 		}
 		ks[i] = key{lc: keys.L[i], rc: keys.R[i], kind: k, desc: keys.Dirs[i] == relation.Desc}
 	}
-	return func(a *batch, ai int, b *batch, bi int) int {
+	return func(a *column.Batch, ai int, b *column.Batch, bi int) int {
 		for _, k := range ks {
-			ca, cb := &a.cols[k.lc], &b.cols[k.rc]
+			ca, cb := &a.Cols[k.lc], &b.Cols[k.rc]
 			var c int
 			switch {
-			case intPlaneKind(k.kind) && ca.kind == k.kind && cb.kind == k.kind:
-				va, vb := ca.ints[ai], cb.ints[bi]
+			case intPlaneKind(k.kind) && ca.Kind == k.kind && cb.Kind == k.kind:
+				va, vb := ca.Ints[ai], cb.Ints[bi]
 				switch {
 				case va < vb:
 					c = -1
 				case va > vb:
 					c = 1
 				}
-			case k.kind == value.KindString && ca.kind == value.KindString && cb.kind == value.KindString:
-				va, vb := ca.strs[ai], cb.strs[bi]
+			case k.kind == value.KindString && ca.Kind == value.KindString && cb.Kind == value.KindString:
+				va, vb := ca.Strs[ai], cb.Strs[bi]
 				switch {
 				case va < vb:
 					c = -1
@@ -290,7 +291,7 @@ func compileVecJoinCmp(ls, rs *schema.Schema, keys physical.JoinKeys) vecCmp {
 					c = 1
 				}
 			default:
-				c = ca.at(ai).Compare(cb.at(bi))
+				c = ca.At(ai).Compare(cb.At(bi))
 			}
 			if k.desc {
 				c = -c
@@ -322,11 +323,11 @@ type vecMergeJoinIter struct {
 	lt1, lt2 int
 
 	built    bool
-	rb       *batch
+	rb       *column.Batch
 	periods  []period.Period
 	ri, gEnd int // current right key group [ri, gEnd)
 
-	pb      *batch
+	pb      *column.Batch
 	pk      int // next presented row in pb
 	cur     int // physical probe row parked on the cursor
 	ci      int // next right row within the parked group
@@ -343,9 +344,9 @@ func (m *vecMergeJoinIter) buildSide() error {
 	m.rb = rb
 	if m.temporal {
 		rt1, rt2 := m.right.schema.TimeIndices()
-		m.periods = make([]period.Period, rb.n)
-		for i := 0; i < rb.n; i++ {
-			m.periods[i] = rb.periodAt(rt1, rt2, i)
+		m.periods = make([]period.Period, rb.N)
+		for i := 0; i < rb.N; i++ {
+			m.periods[i] = rb.PeriodAt(rt1, rt2, i)
 		}
 	}
 	m.built = true
@@ -357,7 +358,7 @@ func (m *vecMergeJoinIter) buildSide() error {
 // rows arrive in key order, so the right pointer never moves backwards.
 func (m *vecMergeJoinIter) advance() (bool, error) {
 	for {
-		if m.pb == nil || m.pk >= m.pb.rows() {
+		if m.pb == nil || m.pk >= m.pb.Rows() {
 			b, err := m.left.nextBatch()
 			if err != nil {
 				return false, err
@@ -368,10 +369,10 @@ func (m *vecMergeJoinIter) advance() (bool, error) {
 			m.pb, m.pk = b, 0
 			continue
 		}
-		i := m.pb.rowIndex(m.pk)
+		i := m.pb.RowIndex(m.pk)
 		m.pk++
 		cmp := -1 // right side exhausted: no match for any further left key
-		for m.ri < m.rb.n {
+		for m.ri < m.rb.N {
 			cmp = m.cmp(m.pb, i, m.rb, m.ri)
 			if cmp <= 0 {
 				break
@@ -381,21 +382,21 @@ func (m *vecMergeJoinIter) advance() (bool, error) {
 		if cmp == 0 {
 			if m.gEnd <= m.ri {
 				m.gEnd = m.ri + 1
-				for m.gEnd < m.rb.n && m.cmp(m.pb, i, m.rb, m.gEnd) == 0 {
+				for m.gEnd < m.rb.N && m.cmp(m.pb, i, m.rb, m.gEnd) == 0 {
 					m.gEnd++
 				}
 			}
 			m.cur = i
 			m.ci = m.ri
 			if m.temporal {
-				m.curP = m.pb.periodAt(m.lt1, m.lt2, i)
+				m.curP = m.pb.PeriodAt(m.lt1, m.lt2, i)
 			}
 			return true, nil
 		}
 	}
 }
 
-func (m *vecMergeJoinIter) nextBatch() (*batch, error) {
+func (m *vecMergeJoinIter) nextBatch() (*column.Batch, error) {
 	if !m.built {
 		if err := m.buildSide(); err != nil {
 			return nil, err
@@ -409,7 +410,7 @@ func (m *vecMergeJoinIter) nextBatch() (*batch, error) {
 	if !m.live {
 		return nil, nil
 	}
-	out := newBatch(m.out, vecBatchRows)
+	out := column.NewBatch(m.out, vecBatchRows)
 	for m.live {
 		for m.ci < m.gEnd {
 			ri := m.ci
@@ -431,18 +432,18 @@ func (m *vecMergeJoinIter) nextBatch() (*batch, error) {
 				}
 			}
 			for c := 0; c < m.lw; c++ {
-				out.cols[c].appendFrom(&m.pb.cols[c], m.cur)
+				out.Cols[c].AppendFrom(&m.pb.Cols[c], m.cur)
 			}
 			for c := 0; c < m.rw; c++ {
-				out.cols[m.lw+c].appendFrom(&m.rb.cols[c], ri)
+				out.Cols[m.lw+c].AppendFrom(&m.rb.Cols[c], ri)
 			}
 			if m.temporal {
-				out.cols[m.lw+m.rw].append(value.Time(iv.Start))
-				out.cols[m.lw+m.rw+1].append(value.Time(iv.End))
+				out.Cols[m.lw+m.rw].Append(value.Time(iv.Start))
+				out.Cols[m.lw+m.rw+1].Append(value.Time(iv.End))
 			}
-			out.n++
+			out.N++
 		}
-		if out.n >= vecBatchRows {
+		if out.N >= vecBatchRows {
 			break
 		}
 		ok, err := m.advance()
@@ -451,7 +452,7 @@ func (m *vecMergeJoinIter) nextBatch() (*batch, error) {
 		}
 		m.live = ok
 	}
-	if out.n == 0 {
+	if out.N == 0 {
 		return nil, nil
 	}
 	m.e.stats.VectorBatches++
@@ -469,10 +470,10 @@ func (m *vecMergeJoinIter) residualHolds(ri int, iv period.Period) (bool, error)
 		m.scratch = make(relation.Tuple, width)
 	}
 	for c := 0; c < m.lw; c++ {
-		m.scratch[c] = m.pb.cols[c].at(m.cur)
+		m.scratch[c] = m.pb.Cols[c].At(m.cur)
 	}
 	for c := 0; c < m.rw; c++ {
-		m.scratch[m.lw+c] = m.rb.cols[c].at(ri)
+		m.scratch[m.lw+c] = m.rb.Cols[c].At(ri)
 	}
 	if m.temporal {
 		m.scratch[m.lw+m.rw] = value.Time(iv.Start)

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"tqp/internal/column"
 	"tqp/internal/eval"
 	"tqp/internal/expr"
 	"tqp/internal/period"
@@ -20,11 +21,11 @@ import (
 // onceBatchIter defers a batch-producing computation to the first pull and
 // emits its result as a single batch.
 type onceBatchIter struct {
-	compute func() (*batch, error)
+	compute func() (*column.Batch, error)
 	done    bool
 }
 
-func (o *onceBatchIter) nextBatch() (*batch, error) {
+func (o *onceBatchIter) nextBatch() (*column.Batch, error) {
 	if o.done {
 		return nil, nil
 	}
@@ -33,7 +34,7 @@ func (o *onceBatchIter) nextBatch() (*batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	if b == nil || b.rows() == 0 {
+	if b == nil || b.Rows() == 0 {
 		return nil, nil
 	}
 	return b, nil
@@ -43,7 +44,7 @@ func (o *onceBatchIter) close() error { return nil }
 
 // vecPred is a predicate compiled against columnar input: evaluated on the
 // physical row i of b without materializing a tuple.
-type vecPred func(b *batch, i int) (bool, error)
+type vecPred func(b *column.Batch, i int) (bool, error)
 
 // compileVecPred builds a columnar evaluator for p over s, or nil when p
 // contains a shape the compiler does not specialize (arithmetic, period
@@ -53,13 +54,13 @@ type vecPred func(b *batch, i int) (bool, error)
 func compileVecPred(p expr.Pred, s *schema.Schema) vecPred {
 	switch q := p.(type) {
 	case expr.TruePred:
-		return func(*batch, int) (bool, error) { return true, nil }
+		return func(*column.Batch, int) (bool, error) { return true, nil }
 	case expr.Not:
 		inner := compileVecPred(q.P, s)
 		if inner == nil {
 			return nil
 		}
-		return func(b *batch, i int) (bool, error) {
+		return func(b *column.Batch, i int) (bool, error) {
 			ok, err := inner(b, i)
 			return !ok, err
 		}
@@ -68,7 +69,7 @@ func compileVecPred(p expr.Pred, s *schema.Schema) vecPred {
 		if l == nil || r == nil {
 			return nil
 		}
-		return func(b *batch, i int) (bool, error) {
+		return func(b *column.Batch, i int) (bool, error) {
 			ok, err := l(b, i)
 			if err != nil || !ok {
 				return false, err
@@ -80,7 +81,7 @@ func compileVecPred(p expr.Pred, s *schema.Schema) vecPred {
 		if l == nil || r == nil {
 			return nil
 		}
-		return func(b *batch, i int) (bool, error) {
+		return func(b *column.Batch, i int) (bool, error) {
 			ok, err := l(b, i)
 			if err != nil || ok {
 				return ok, err
@@ -97,7 +98,7 @@ func compileVecPred(p expr.Pred, s *schema.Schema) vecPred {
 			return nil
 		}
 		op := q.Op
-		return func(b *batch, i int) (bool, error) {
+		return func(b *column.Batch, i int) (bool, error) {
 			cr := lv(b, i).Compare(rv(b, i))
 			return cmpHolds(op, cr), nil
 		}
@@ -200,21 +201,21 @@ func compileTypedCmp(q expr.Cmp, s *schema.Schema) vecPred {
 				k = int64(lit.AsTime())
 			}
 			cmp, slow := intCmp(q.Op), generic(q.Op)
-			return func(b *batch, i int) (bool, error) {
-				if c := &b.cols[li]; c.kind == lk {
-					return cmp(c.ints[i], k), nil
+			return func(b *column.Batch, i int) (bool, error) {
+				if c := &b.Cols[li]; c.Kind == lk {
+					return cmp(c.Ints[i], k), nil
 				}
-				return slow(b.cols[li].at(i), lit), nil
+				return slow(b.Cols[li].At(i), lit), nil
 			}
 		}
 		if lk == value.KindString && lit.Kind() == value.KindString {
 			k := lit.AsString()
 			cmp, slow := strCmp(q.Op), generic(q.Op)
-			return func(b *batch, i int) (bool, error) {
-				if c := &b.cols[li]; c.kind == value.KindString {
-					return cmp(c.strs[i], k), nil
+			return func(b *column.Batch, i int) (bool, error) {
+				if c := &b.Cols[li]; c.Kind == value.KindString {
+					return cmp(c.Strs[i], k), nil
 				}
-				return slow(b.cols[li].at(i), lit), nil
+				return slow(b.Cols[li].At(i), lit), nil
 			}
 		}
 	case expr.Col:
@@ -225,22 +226,22 @@ func compileTypedCmp(q expr.Cmp, s *schema.Schema) vecPred {
 		rk := s.At(ri).Kind
 		if intPlane(lk) && lk == rk {
 			cmp, slow := intCmp(q.Op), generic(q.Op)
-			return func(b *batch, i int) (bool, error) {
-				lc, rc := &b.cols[li], &b.cols[ri]
-				if lc.kind == lk && rc.kind == lk {
-					return cmp(lc.ints[i], rc.ints[i]), nil
+			return func(b *column.Batch, i int) (bool, error) {
+				lc, rc := &b.Cols[li], &b.Cols[ri]
+				if lc.Kind == lk && rc.Kind == lk {
+					return cmp(lc.Ints[i], rc.Ints[i]), nil
 				}
-				return slow(lc.at(i), rc.at(i)), nil
+				return slow(lc.At(i), rc.At(i)), nil
 			}
 		}
 		if lk == value.KindString && rk == value.KindString {
 			cmp, slow := strCmp(q.Op), generic(q.Op)
-			return func(b *batch, i int) (bool, error) {
-				lc, rc := &b.cols[li], &b.cols[ri]
-				if lc.kind == value.KindString && rc.kind == value.KindString {
-					return cmp(lc.strs[i], rc.strs[i]), nil
+			return func(b *column.Batch, i int) (bool, error) {
+				lc, rc := &b.Cols[li], &b.Cols[ri]
+				if lc.Kind == value.KindString && rc.Kind == value.KindString {
+					return cmp(lc.Strs[i], rc.Strs[i]), nil
 				}
-				return slow(lc.at(i), rc.at(i)), nil
+				return slow(lc.At(i), rc.At(i)), nil
 			}
 		}
 	}
@@ -249,17 +250,17 @@ func compileTypedCmp(q expr.Cmp, s *schema.Schema) vecPred {
 
 // compileVecExpr specializes a scalar expression to a column read or a
 // constant; nil for any other shape.
-func compileVecExpr(e expr.Expr, s *schema.Schema) func(b *batch, i int) value.Value {
+func compileVecExpr(e expr.Expr, s *schema.Schema) func(b *column.Batch, i int) value.Value {
 	switch x := e.(type) {
 	case expr.Col:
 		ci := s.Index(x.Name)
 		if ci < 0 {
 			return nil
 		}
-		return func(b *batch, i int) value.Value { return b.cols[ci].at(i) }
+		return func(b *column.Batch, i int) value.Value { return b.Cols[ci].At(i) }
 	case expr.Lit:
 		v := x.Val
-		return func(*batch, int) value.Value { return v }
+		return func(*column.Batch, int) value.Value { return v }
 	}
 	return nil
 }
@@ -276,18 +277,18 @@ type vecFilterIter struct {
 	scratch relation.Tuple
 }
 
-func (f *vecFilterIter) holds(b *batch, i int) (bool, error) {
+func (f *vecFilterIter) holds(b *column.Batch, i int) (bool, error) {
 	if f.fast != nil {
 		return f.fast(b, i)
 	}
 	if f.scratch == nil {
 		f.scratch = make(relation.Tuple, f.schema.Len())
 	}
-	b.fillTuple(f.scratch, i)
+	b.FillRow(f.scratch, i)
 	return f.p.Holds(f.schema, f.scratch)
 }
 
-func (f *vecFilterIter) nextBatch() (*batch, error) {
+func (f *vecFilterIter) nextBatch() (*column.Batch, error) {
 	for {
 		b, err := f.in.nextBatch()
 		if err != nil || b == nil {
@@ -299,11 +300,11 @@ func (f *vecFilterIter) nextBatch() (*batch, error) {
 		// the GC churn they cause would dominate the filter itself. The
 		// slice cannot be reused across batches: the emitted view owns it,
 		// and downstream group operators retain batches.
-		n := b.rows()
+		n := b.Rows()
 		sel := make([]int, 0, n)
 		pass := 0
 		for k := 0; k < n; k++ {
-			i := b.rowIndex(k)
+			i := b.RowIndex(k)
 			ok, err := f.holds(b, i)
 			if err != nil {
 				return nil, err
@@ -320,7 +321,7 @@ func (f *vecFilterIter) nextBatch() (*batch, error) {
 		if pass == n {
 			return b, nil
 		}
-		return b.withSel(sel), nil
+		return b.WithSel(sel), nil
 	}
 }
 
@@ -362,40 +363,40 @@ func compileProjItems(items []projVecItem, in *schema.Schema) bool {
 	return gather
 }
 
-func (p *vecProjectIter) nextBatch() (*batch, error) {
+func (p *vecProjectIter) nextBatch() (*column.Batch, error) {
 	b, err := p.in.nextBatch()
 	if err != nil || b == nil {
 		return nil, err
 	}
 	p.e.stats.VectorBatches++
 	if p.gather {
-		out := &batch{schema: p.outSchema, cols: make([]colvec, len(p.items)), n: b.n, sel: b.sel}
+		out := &column.Batch{Schema: p.outSchema, Cols: make([]column.Vec, len(p.items)), N: b.N, Sel: b.Sel}
 		for k, it := range p.items {
-			out.cols[k] = b.cols[it.col]
+			out.Cols[k] = b.Cols[it.col]
 		}
 		return out, nil
 	}
-	n := b.rows()
-	out := newBatch(p.outSchema, n)
+	n := b.Rows()
+	out := column.NewBatch(p.outSchema, n)
 	if p.scratch == nil {
 		p.scratch = make(relation.Tuple, p.inSchema.Len())
 	}
 	for k := 0; k < n; k++ {
-		i := b.rowIndex(k)
+		i := b.RowIndex(k)
 		for c, it := range p.items {
 			if it.col >= 0 {
-				out.cols[c].appendFrom(&b.cols[it.col], i)
+				out.Cols[c].AppendFrom(&b.Cols[it.col], i)
 				continue
 			}
-			b.fillTuple(p.scratch, i)
+			b.FillRow(p.scratch, i)
 			v, err := it.eval.Eval(p.inSchema, p.scratch)
 			if err != nil {
 				return nil, err
 			}
-			out.cols[c].append(v)
+			out.Cols[c].Append(v)
 		}
 	}
-	out.n = n
+	out.N = n
 	return out, nil
 }
 
@@ -410,19 +411,19 @@ type vecRdupIter struct {
 	seen *vecGroups
 }
 
-func (r *vecRdupIter) nextBatch() (*batch, error) {
+func (r *vecRdupIter) nextBatch() (*column.Batch, error) {
 	for {
 		b, err := r.in.nextBatch()
 		if err != nil || b == nil {
 			return nil, err
 		}
 		if r.seen == nil {
-			r.seen = newVecGroups(identityIdx(len(b.cols)), 0)
+			r.seen = newVecGroups(identityIdx(len(b.Cols)), 0)
 		}
 		var sel []int
-		n := b.rows()
+		n := b.Rows()
 		for k := 0; k < n; k++ {
-			i := b.rowIndex(k)
+			i := b.RowIndex(k)
 			if _, fresh := r.seen.groupOf(b, i); fresh {
 				sel = append(sel, i)
 			}
@@ -431,10 +432,10 @@ func (r *vecRdupIter) nextBatch() (*batch, error) {
 			continue
 		}
 		r.e.stats.VectorBatches++
-		if b.sel == nil && len(sel) == n {
+		if b.Sel == nil && len(sel) == n {
 			return b, nil
 		}
-		return b.withSel(sel), nil
+		return b.WithSel(sel), nil
 	}
 }
 
@@ -461,15 +462,15 @@ type vecJoinIter struct {
 
 	built   bool // the shared build state below is ready
 	started bool // this iterator's probe cursor has taken its first step
-	build   *batch
+	build   *column.Batch
 	periods []period.Period
 	table   *vecGroups
 	members [][]int
 
-	pb       *batch // current probe batch
-	pk       int    // next presented row in pb
-	curProbe int    // physical index of the probe row the cursor is on
-	ci       int    // next candidate within cand
+	pb       *column.Batch // current probe batch
+	pk       int           // next presented row in pb
+	curProbe int           // physical index of the probe row the cursor is on
+	ci       int           // next candidate within cand
 	cand     []int
 	curP     period.Period
 	live     bool // a probe row with candidates is parked on the cursor
@@ -490,13 +491,13 @@ func (j *vecJoinIter) buildSide() error {
 	j.build = b
 	if j.temporal {
 		rt1, rt2 := j.right.schema.TimeIndices()
-		j.periods = make([]period.Period, b.n)
-		for i := 0; i < b.n; i++ {
-			j.periods[i] = b.periodAt(rt1, rt2, i)
+		j.periods = make([]period.Period, b.N)
+		for i := 0; i < b.N; i++ {
+			j.periods[i] = b.PeriodAt(rt1, rt2, i)
 		}
 	}
-	j.table = newVecGroups(j.ridx, b.n)
-	for i := 0; i < b.n; i++ {
+	j.table = newVecGroups(j.ridx, b.N)
+	for i := 0; i < b.N; i++ {
 		gid, fresh := j.table.groupOf(b, i)
 		if fresh {
 			j.members = append(j.members, nil)
@@ -511,7 +512,7 @@ func (j *vecJoinIter) buildSide() error {
 // match, pulling probe batches as needed; false when the left is exhausted.
 func (j *vecJoinIter) advance() (bool, error) {
 	for {
-		if j.pb == nil || j.pk >= j.pb.rows() {
+		if j.pb == nil || j.pk >= j.pb.Rows() {
 			b, err := j.left.nextBatch()
 			if err != nil {
 				return false, err
@@ -522,13 +523,13 @@ func (j *vecJoinIter) advance() (bool, error) {
 			j.pb, j.pk = b, 0
 			continue
 		}
-		i := j.pb.rowIndex(j.pk)
+		i := j.pb.RowIndex(j.pk)
 		j.pk++
 		if gid := j.table.lookup(j.pb, i, j.lidx); gid >= 0 {
 			j.cand = j.members[gid]
 			j.ci = 0
 			if j.temporal {
-				j.curP = j.pb.periodAt(j.lt1, j.lt2, i)
+				j.curP = j.pb.PeriodAt(j.lt1, j.lt2, i)
 			}
 			// Park the probe row index in cand's cursor state: emit pairs
 			// against it until the candidate list is spent.
@@ -538,7 +539,7 @@ func (j *vecJoinIter) advance() (bool, error) {
 	}
 }
 
-func (j *vecJoinIter) nextBatch() (*batch, error) {
+func (j *vecJoinIter) nextBatch() (*column.Batch, error) {
 	if !j.built {
 		if err := j.buildSide(); err != nil {
 			return nil, err
@@ -558,7 +559,7 @@ func (j *vecJoinIter) nextBatch() (*batch, error) {
 	if !j.live {
 		return nil, nil
 	}
-	out := newBatch(j.out, vecBatchRows)
+	out := column.NewBatch(j.out, vecBatchRows)
 	j.probes = j.probes[:0]
 	for j.live {
 		for j.ci < len(j.cand) {
@@ -581,21 +582,21 @@ func (j *vecJoinIter) nextBatch() (*batch, error) {
 				}
 			}
 			for c := 0; c < j.lw; c++ {
-				out.cols[c].appendFrom(&j.pb.cols[c], j.curProbe)
+				out.Cols[c].AppendFrom(&j.pb.Cols[c], j.curProbe)
 			}
 			for c := 0; c < j.rw; c++ {
-				out.cols[j.lw+c].appendFrom(&j.build.cols[c], ri)
+				out.Cols[j.lw+c].AppendFrom(&j.build.Cols[c], ri)
 			}
 			if j.temporal {
-				out.cols[j.lw+j.rw].append(value.Time(iv.Start))
-				out.cols[j.lw+j.rw+1].append(value.Time(iv.End))
+				out.Cols[j.lw+j.rw].Append(value.Time(iv.Start))
+				out.Cols[j.lw+j.rw+1].Append(value.Time(iv.End))
 			}
-			out.n++
+			out.N++
 			if j.trackProbes {
 				j.probes = append(j.probes, j.curProbe)
 			}
 		}
-		if out.n >= vecBatchRows {
+		if out.N >= vecBatchRows {
 			break
 		}
 		ok, err := j.advance()
@@ -604,7 +605,7 @@ func (j *vecJoinIter) nextBatch() (*batch, error) {
 		}
 		j.live = ok
 	}
-	if out.n == 0 {
+	if out.N == 0 {
 		return nil, nil
 	}
 	// Worker copies in the parallel join and the spilled join's partition
@@ -627,10 +628,10 @@ func (j *vecJoinIter) residualHolds(ri int, iv period.Period) (bool, error) {
 		j.scratch = make(relation.Tuple, width)
 	}
 	for c := 0; c < j.lw; c++ {
-		j.scratch[c] = j.pb.cols[c].at(j.curProbe)
+		j.scratch[c] = j.pb.Cols[c].At(j.curProbe)
 	}
 	for c := 0; c < j.rw; c++ {
-		j.scratch[j.lw+c] = j.build.cols[c].at(ri)
+		j.scratch[j.lw+c] = j.build.Cols[c].At(ri)
 	}
 	if j.temporal {
 		j.scratch[j.lw+j.rw] = value.Time(iv.Start)
@@ -703,7 +704,7 @@ func unionBody(idx []int) partBody {
 
 // groupEmit writes one group's result rows onto ob's planes: members are the
 // group's positions in p.rows, in list order, and sc is the body's scratch.
-type groupEmit func(p part, members []int, sc *groupScratch, ob *batch) error
+type groupEmit func(p part, members []int, sc *groupScratch, ob *column.Batch) error
 
 // groupScratch is what a grouping body owns for one call and its emitter
 // reuses for every group: an input row for eval.FoldAggregates, which takes
@@ -717,14 +718,14 @@ type groupScratch struct {
 // appendGroupRow writes the leading columns of one 𝒢 / 𝒢ᵀ result row — the
 // grouping columns, read off row i of b, then the accumulators' results —
 // and counts the row; 𝒢ᵀ appends the row's period itself.
-func appendGroupRow(ob, b *batch, i int, gidx []int, accs []*expr.Accumulator) {
+func appendGroupRow(ob, b *column.Batch, i int, gidx []int, accs []*expr.Accumulator) {
 	for c, gi := range gidx {
-		ob.cols[c].appendFrom(&b.cols[gi], i)
+		ob.Cols[c].AppendFrom(&b.Cols[gi], i)
 	}
 	for x, acc := range accs {
-		ob.cols[len(gidx)+x].append(acc.Result())
+		ob.Cols[len(gidx)+x].Append(acc.Result())
 	}
-	ob.n++
+	ob.N++
 }
 
 // groupEmitBody is the partition body of the grouping operators whose
@@ -736,8 +737,8 @@ func groupEmitBody(gidx []int, contiguous bool, out *schema.Schema, emit groupEm
 		if len(p.rows) == 0 {
 			return nil, nil
 		}
-		ob := newBatch(out, 0)
-		sc := &groupScratch{row: make(relation.Tuple, len(p.b.cols))}
+		ob := column.NewBatch(out, 0)
+		sc := &groupScratch{row: make(relation.Tuple, len(p.b.Cols))}
 		groups := groupRows(p, gidx, contiguous)
 		var seqs []int
 		for g := range groups.count() {
@@ -745,11 +746,11 @@ func groupEmitBody(gidx []int, contiguous bool, out *schema.Schema, emit groupEm
 			if err := emit(p, members, sc, ob); err != nil {
 				return nil, err
 			}
-			for len(seqs) < ob.n {
+			for len(seqs) < ob.N {
 				seqs = append(seqs, p.seq(p.rows[members[0]]))
 			}
 		}
-		return []emitted{{part: part{b: ob, rows: identityIdx(ob.n), seqs: seqs}}}, nil
+		return []emitted{{part: part{b: ob, rows: identityIdx(ob.N), seqs: seqs}}}, nil
 	}
 }
 
@@ -759,7 +760,7 @@ func groupEmitBody(gidx []int, contiguous bool, out *schema.Schema, emit groupEm
 // representatives' column positions — emits in first-occurrence order.
 func (e *Engine) vecAggregateSource(in *source, gidx []int, outSchema *schema.Schema, aggs []expr.Aggregate) *source {
 	e.stats.VectorOps++
-	return vecSource(&onceBatchIter{compute: func() (*batch, error) {
+	return vecSource(&onceBatchIter{compute: func() (*column.Batch, error) {
 		groups := newVecGroups(gidx, 0)
 		var accs [][]*expr.Accumulator
 		scratch := make(relation.Tuple, in.schema.Len())
@@ -770,14 +771,14 @@ func (e *Engine) vecAggregateSource(in *source, gidx []int, outSchema *schema.Sc
 					return err
 				}
 				e.stats.VectorBatches++
-				n := b.rows()
+				n := b.Rows()
 				for k := 0; k < n; k++ {
-					i := b.rowIndex(k)
+					i := b.RowIndex(k)
 					gid, fresh := groups.groupOf(b, i)
 					if fresh {
 						accs = append(accs, eval.NewAccumulators(aggs, in.schema))
 					}
-					b.fillTuple(scratch, i)
+					b.FillRow(scratch, i)
 					if err := eval.FoldAggregates(accs[gid], aggs, in.schema, scratch); err != nil {
 						return err
 					}
@@ -791,7 +792,7 @@ func (e *Engine) vecAggregateSource(in *source, gidx []int, outSchema *schema.Sc
 		if err := in.vec.close(); err != nil {
 			return nil, err
 		}
-		ob := newBatch(outSchema, groups.size())
+		ob := column.NewBatch(outSchema, groups.size())
 		for gid := range accs {
 			appendGroupRow(ob, groups.repB[gid], groups.repRow[gid], gidx, accs[gid])
 		}

@@ -3,7 +3,6 @@ package relation
 import (
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"tqp/internal/schema"
@@ -16,78 +15,91 @@ func twoRowRelation(t *testing.T) *Relation {
 	return MustFromRows(s, [][]any{{2}, {1}})
 }
 
-// TestColumnarImageStaleAfterSort pins the check-then-act race of the
-// columnar scan cache as a deterministic interleaving: an engine reads the
-// tuple list and starts converting, a concurrent SortStable permutes the
-// list and invalidates the cache, and the engine then stores its pre-sort
-// image. The row count is unchanged, so a staleness check based on it
-// accepts the stale image and serves pre-sort order to every later query.
-// The cache must reject the late store instead.
-func TestColumnarImageStaleAfterSort(t *testing.T) {
+// keys reads column 0 of every presented row of r's batch.
+func keys(r *Relation) []int64 {
+	b, _ := r.Columns()
+	out := make([]int64, b.Rows())
+	for k := range out {
+		out[k] = b.Cols[0].At(b.RowIndex(k)).AsInt()
+	}
+	return out
+}
+
+func equalKeys(a, b []int64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestColumnsStaleAfterSort pins the check-then-act race of the columnar
+// scan cache: an image built before a SortStable must never be served after
+// it. The row count is unchanged by the sort, so only a cache the mutation
+// itself drops can tell the two lists apart.
+func TestColumnsStaleAfterSort(t *testing.T) {
 	r := twoRowRelation(t)
-
-	// Engine: observes the pre-sort tuple list and begins converting.
-	v := r.ColumnarVersion()
-	staleImg := imageOf(r.Tuples())
-
-	// Concurrent writer: permutes the list, invalidating the cache.
+	before, converted := r.Columns()
+	if !converted {
+		t.Fatal("the first Columns call on a tuple list did not convert")
+	}
 	if err := r.SortStable(OrderSpec{Key("K")}); err != nil {
 		t.Fatal(err)
 	}
-
-	// Engine: finishes and stores the image built from the pre-sort list.
-	r.SetColumnarImage(staleImg, v)
-
-	if got := r.ColumnarImage(); got != nil {
-		t.Fatalf("cache served an image stored against the pre-sort list: %v", got)
+	after, converted := r.Columns()
+	if after == before || !converted {
+		t.Fatal("the cache served an image built before the sort")
+	}
+	if got := keys(r); !equalKeys(got, []int64{1, 2}) {
+		t.Fatalf("image after the sort presents %v, want [1 2]", got)
+	}
+	if again, converted := r.Columns(); again != after || converted {
+		t.Fatal("a fresh image was not cached")
 	}
 }
 
-// TestColumnarImageVersionMonotonic checks that the version counter never
-// re-admits an image across a mutate-and-restore cycle: sorting back to the
-// original order must still reject an image captured before the first sort
-// (the rows check cannot distinguish the two states; a monotonic counter
-// can).
-func TestColumnarImageVersionMonotonic(t *testing.T) {
+// TestColumnsNotReadmittedAfterRestore checks that a mutate-and-restore
+// cycle never re-admits an image: sorting back to the original order must
+// still convert afresh (the row count and even the list cannot distinguish
+// the two states; dropping the image on every mutation can).
+func TestColumnsNotReadmittedAfterRestore(t *testing.T) {
 	r := twoRowRelation(t)
-	v := r.ColumnarVersion()
-
+	original, _ := r.Columns()
 	if err := r.SortStable(OrderSpec{Key("K")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.SortStable(OrderSpec{KeyDesc("K")}); err != nil {
 		t.Fatal(err)
 	}
-
-	r.SetColumnarImage(tag("image-of-the-original-list"), v)
-	if got := r.ColumnarImage(); got != nil {
-		t.Fatalf("cache re-admitted an image from before two sorts: %v", got)
+	fresh, converted := r.Columns()
+	if fresh == original || !converted {
+		t.Fatal("the cache re-admitted the image from before two sorts")
 	}
-
-	// A store made against the current version is accepted…
-	v2 := r.ColumnarVersion()
-	r.SetColumnarImage(tag("fresh"), v2)
-	if got := r.ColumnarImage(); got != tag("fresh") {
-		t.Fatalf("cache rejected a fresh image: %v", got)
+	// The fresh image is cached…
+	if again, converted := r.Columns(); again != fresh || converted {
+		t.Fatal("the cache dropped a fresh image")
 	}
 	// …and dropped by the next mutation.
 	r.Append(Tuple{value.Int(3)})
-	if got := r.ColumnarImage(); got != nil {
-		t.Fatalf("cache survived Append: %v", got)
+	if got, converted := r.Columns(); got == fresh || !converted {
+		t.Fatal("the image survived Append")
+	}
+	if got := keys(r); !equalKeys(got, []int64{2, 1, 3}) {
+		t.Fatalf("image after Append presents %v, want [2 1 3]", got)
 	}
 }
 
-// TestColumnarImageConcurrentSortAndStore stresses the cache under the race
-// detector: builders repeatedly capture a version, snapshot the first tuple,
-// and store an image; a writer flips the sort order between rounds. At every
-// point a served image must have been stored at the relation's then-current
-// version, so after the writer's final sort the cache can only hold an image
-// stored after it.
-func TestColumnarImageConcurrentSortAndStore(t *testing.T) {
+// TestColumnsConcurrentSortAndAppend stresses the cache under the race
+// detector: readers call Columns while a writer alternates the sort order
+// and appends. Every served image must present a list the relation really
+// held — whole rows, no row lost or torn — and once the writer's final
+// mutation has returned, the cache can only serve an image built after it.
+func TestColumnsConcurrentSortAndAppend(t *testing.T) {
 	r := twoRowRelation(t)
-	asc := OrderSpec{Key("K")}
-	desc := OrderSpec{KeyDesc("K")}
-
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for w := 0; w < 4; w++ {
@@ -100,26 +112,36 @@ func TestColumnarImageConcurrentSortAndStore(t *testing.T) {
 					return
 				default:
 				}
-				v := r.ColumnarVersion()
-				r.SetColumnarImage(tag(strconv.FormatUint(v, 10)), v)
-				if got := r.ColumnarImage(); got != nil {
-					// A served image must carry the version it was stored
-					// at; the load path guarantees it matches the current
-					// version at the moment of the check.
-					if _, ok := got.(tag); !ok {
-						t.Errorf("cache holds a foreign image: %v", got)
-						return
-					}
+				// The list holds 1, 2 and the appended 100, 101, … — each
+				// once, whatever the order — so an image presents exactly
+				// 2 + k distinct keys with the appended ones a prefix.
+				got := keys(r)
+				seen := make(map[int64]bool, len(got))
+				for _, k := range got {
+					seen[k] = true
+				}
+				ok := len(seen) == len(got) && seen[1] && seen[2]
+				for k := int64(100); k < int64(100+len(got)-2); k++ {
+					ok = ok && seen[k]
+				}
+				if !ok {
+					t.Errorf("served an image of no list the relation held: %v", got)
+					return
 				}
 			}
 		}()
 	}
-	for i := 0; i < 200; i++ {
-		spec := asc
-		if i%2 == 1 {
-			spec = desc
+	for i := 0; i < 300; i++ {
+		var err error
+		switch i % 3 {
+		case 0:
+			err = r.SortStable(OrderSpec{Key("K")})
+		case 1:
+			err = r.SortStable(OrderSpec{KeyDesc("K")})
+		default:
+			r.Append(Tuple{value.Int(int64(100 + i/3))})
 		}
-		if err := r.SortStable(spec); err != nil {
+		if err != nil {
 			t.Error(err)
 			break
 		}
@@ -127,86 +149,55 @@ func TestColumnarImageConcurrentSortAndStore(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	// Quiesced: one final mutation, then no builder runs again — the cache
-	// must be empty, not holding any image stored against an older list.
-	if err := r.SortStable(asc); err != nil {
+	// Quiesced: one final mutation, then no reader runs again — the cache
+	// must be empty, not holding an image of an older list.
+	if err := r.SortStable(OrderSpec{Key("K")}); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.ColumnarImage(); got != nil {
-		t.Fatalf("cache holds an image from before the final sort: %v", got)
+	b, converted := r.Columns()
+	if !converted {
+		t.Fatal("the cache held an image from before the final sort")
+	}
+	if got := keys(r); b.Rows() != 102 || got[0] != 1 || got[101] != 199 {
+		t.Fatalf("final image presents %d rows, %v … %v", b.Rows(), got[0], got[len(got)-1])
 	}
 }
 
-// tag is a Columnar stand-in for the cache tests, which only check which
-// image the cache serves.
-type tag string
-
-func (tag) Rows() int                       { return 0 }
-func (tag) Cell(int, int) value.Value       { return value.Value{} }
-func (tag) AppendTuples(ts []Tuple) []Tuple { return ts }
-func (g tag) Gather([]int) Columnar         { return g }
-
-// rowImage is a Columnar over a tuple list that counts its tuple
-// derivations.
-type rowImage struct {
-	ts      []Tuple
-	derived *atomic.Int32
-}
-
-func imageOf(ts []Tuple) *rowImage {
-	return &rowImage{ts: append([]Tuple(nil), ts...), derived: new(atomic.Int32)}
-}
-
-func (m *rowImage) Rows() int                 { return len(m.ts) }
-func (m *rowImage) Cell(i, c int) value.Value { return m.ts[i][c] }
-
-func (m *rowImage) AppendTuples(ts []Tuple) []Tuple {
-	m.derived.Add(1)
-	return append(ts, m.ts...)
-}
-
-func (m *rowImage) Gather(idx []int) Columnar {
-	g := &rowImage{derived: m.derived}
-	for _, i := range idx {
-		g.ts = append(g.ts, m.ts[i])
-	}
-	return g
-}
-
-func columnarRelation(n int) (*Relation, *rowImage) {
+func columnarRelation(n int) (*Relation, []Tuple) {
 	s := schema.MustNew(schema.Attr("K", value.KindInt), schema.Attr("S", value.KindString))
 	var ts []Tuple
 	for i := 0; i < n; i++ {
 		ts = append(ts, Tuple{value.Int(int64(n - i)), value.String_(strconv.Itoa(i))})
 	}
-	img := imageOf(ts)
-	return FromColumnar(s, img), img
+	return FromColumnar(s, columnsOf(s, ts)), ts
 }
 
-// TestFromColumnarLenAndCell: a columnar-primary relation answers Len and
-// Cell from its columns and derives no tuples until Tuples or At asks.
+// TestFromColumnarLenAndCell: a columnar-primary relation answers Len, its
+// cells (Columns) and its periods from the batch and derives no tuples
+// until Tuples or At asks.
 func TestFromColumnarLenAndCell(t *testing.T) {
-	r, img := columnarRelation(5)
+	r, ts := columnarRelation(5)
 	if r.Len() != 5 {
 		t.Fatalf("Len = %d, want 5", r.Len())
 	}
+	b, converted := r.Columns()
+	if b != r.cols || converted {
+		t.Fatal("Columns did not answer with the primary batch")
+	}
 	for i := 0; i < r.Len(); i++ {
-		if got := r.Cell(i, 1).AsString(); got != strconv.Itoa(i) {
-			t.Errorf("Cell(%d, 1) = %q", i, got)
+		if got := b.Cols[1].At(i).AsString(); got != strconv.Itoa(i) {
+			t.Errorf("cell (%d, 1) = %q", i, got)
 		}
 	}
-	if r.ColumnarImage() != Columnar(img) {
-		t.Error("the primary columns are not the cached columnar image")
+	if r.tuples != nil {
+		t.Fatal("Len/Columns derived tuples")
 	}
-	if n := img.derived.Load(); n != 0 || r.tuples != nil {
-		t.Fatalf("Len/Cell derived tuples (%d derivations)", n)
+	if got := r.At(2); !got.Equal(ts[2]) {
+		t.Errorf("At(2) = %v, want %v", got, ts[2])
 	}
-	if got := r.At(2); !got.Equal(img.ts[2]) {
-		t.Errorf("At(2) = %v, want %v", got, img.ts[2])
-	}
-	r.Tuples()
-	if n := img.derived.Load(); n != 1 {
-		t.Errorf("%d derivations after At and Tuples, want 1", n)
+	derived := r.tuples
+	if got := r.Tuples(); &got[0] != &derived[0] {
+		t.Error("Tuples derived the list a second time")
 	}
 }
 
@@ -214,7 +205,7 @@ func TestFromColumnarLenAndCell(t *testing.T) {
 // columnar-primary relation derive its tuples exactly once and all see the
 // same list (run under -race).
 func TestFromColumnarConcurrentTuples(t *testing.T) {
-	r, img := columnarRelation(300)
+	r, _ := columnarRelation(300)
 	const readers = 8
 	got := make([][]Tuple, readers)
 	var wg sync.WaitGroup
@@ -224,13 +215,10 @@ func TestFromColumnarConcurrentTuples(t *testing.T) {
 			defer wg.Done()
 			got[w] = r.Tuples()
 			_ = r.Len()
-			_ = r.Cell(w, 0)
+			_, _ = r.Columns()
 		}(w)
 	}
 	wg.Wait()
-	if n := img.derived.Load(); n != 1 {
-		t.Fatalf("%d derivations by %d readers, want 1", n, readers)
-	}
 	for w := range got {
 		if len(got[w]) != 300 || &got[w][0] != &got[0][0] {
 			t.Fatalf("reader %d saw a different list", w)
@@ -239,8 +227,8 @@ func TestFromColumnarConcurrentTuples(t *testing.T) {
 }
 
 // TestFromColumnarMutationDropsColumns: Append and SortStable turn a
-// columnar-primary relation into a tuple list — the columns and the cached
-// image drop and the version advances — and keep every row.
+// columnar-primary relation into a tuple list — the primary batch drops and
+// the next Columns converts the new list — and keep every row.
 func TestFromColumnarMutationDropsColumns(t *testing.T) {
 	for _, mutate := range []struct {
 		name string
@@ -251,32 +239,31 @@ func TestFromColumnarMutationDropsColumns(t *testing.T) {
 		{"SortStable", func(r *Relation) error { return r.SortStable(OrderSpec{Key("K")}) }, []int64{1, 2, 3}},
 	} {
 		r, _ := columnarRelation(3)
-		v := r.ColumnarVersion()
+		primary, _ := r.Columns()
 		if err := mutate.f(r); err != nil {
 			t.Fatal(err)
 		}
-		if r.cols != nil || r.ColumnarImage() != nil {
+		if r.cols != nil {
 			t.Errorf("%s kept the columns", mutate.name)
 		}
-		if r.ColumnarVersion() == v {
-			t.Errorf("%s did not bump the version", mutate.name)
+		if b, converted := r.Columns(); b == primary || !converted {
+			t.Errorf("%s left the old batch in place", mutate.name)
 		}
 		if r.Len() != len(mutate.want) {
 			t.Fatalf("%s: Len = %d, want %d", mutate.name, r.Len(), len(mutate.want))
 		}
-		for i, k := range mutate.want {
-			if got := r.Cell(i, 0).AsInt(); got != k {
-				t.Errorf("%s: row %d key %d, want %d", mutate.name, i, got, k)
-			}
+		if got := keys(r); !equalKeys(got, mutate.want) {
+			t.Errorf("%s: keys %v, want %v", mutate.name, got, mutate.want)
 		}
 	}
 }
 
 // TestPermutedTuples: Permuted gathers a tuple list by index and a
-// columnar-primary list through its columns, building no tuple.
+// columnar-primary list as a selection view of its batch, building no
+// tuple; an empty index presents no row.
 func TestPermutedTuples(t *testing.T) {
-	col, img := columnarRelation(4)
-	list := FromTuplesTrusted(col.Schema(), img.ts)
+	col, ts := columnarRelation(4)
+	list := FromTuplesTrusted(col.Schema(), ts)
 	list.SetOrder(OrderSpec{Key("K")})
 	idx := []int{2, 0, 3, 1}
 	for _, r := range []*Relation{list, col} {
@@ -284,13 +271,19 @@ func TestPermutedTuples(t *testing.T) {
 		if !p.Order().Empty() {
 			t.Errorf("Permuted kept order %s", p.Order())
 		}
+		if r == col && (p.tuples != nil || &p.cols.Cols[0].Ints[0] != &col.cols.Cols[0].Ints[0]) {
+			t.Error("Permuted of a columnar list built tuples or copied the planes")
+		}
 		for k, i := range idx {
-			if !p.At(k).Equal(img.ts[i]) {
-				t.Errorf("row %d = %v, want %v", k, p.At(k), img.ts[i])
+			if !p.At(k).Equal(ts[i]) {
+				t.Errorf("row %d = %v, want %v", k, p.At(k), ts[i])
 			}
 		}
+		if n := r.Permuted(nil).Len(); n != 0 {
+			t.Errorf("Permuted(nil) presents %d rows", n)
+		}
 	}
-	if n := img.derived.Load(); n != 1 {
-		t.Errorf("%d derivations, want 1 (the permuted list's own)", n)
+	if col.tuples != nil {
+		t.Error("Permuted derived the base relation's tuples")
 	}
 }

@@ -4,11 +4,12 @@
 // significant. Multiset and set views are derived on demand for the weaker
 // equivalence types.
 //
-// A list is held as tuples or, columnar-primary, as an execution engine's
-// column image (FromColumnar): such a relation answers Len and Cell from
-// the columns and derives its tuples once, the first time Tuples or At asks
-// for them, so a result that is only counted, scanned by the engine again
-// or encoded cell by cell never builds a tuple.
+// A list is held as tuples or, columnar-primary, as one column.Batch
+// (FromColumnar): such a relation answers Len, Columns and PeriodOf from the
+// batch and derives its tuples once, the first time Tuples or At asks for
+// them, so a result that is only counted, scanned by the engine again or
+// encoded onto the wire never builds a tuple. A tuple list converts to a
+// batch once, on its first Columns call, and caches it.
 package relation
 
 import (
@@ -18,26 +19,11 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"tqp/internal/column"
 	"tqp/internal/period"
 	"tqp/internal/schema"
 	"tqp/internal/value"
 )
-
-// Columnar is an immutable column-major image of a tuple list, built and
-// interpreted by the execution engine (which cannot be imported from here).
-// It is both the derived scan image a tuple list caches and the primary
-// form of a columnar-primary relation.
-type Columnar interface {
-	// Rows returns the number of rows the image presents.
-	Rows() int
-	// Cell returns the value of column c in presented row i.
-	Cell(i, c int) value.Value
-	// AppendTuples appends the presented rows to ts as tuples.
-	AppendTuples(ts []Tuple) []Tuple
-	// Gather returns the image presenting rows idx[0], idx[1], … of this
-	// one, sharing its storage; the image may keep idx.
-	Gather(idx []int) Columnar
-}
 
 // Relation is a list of tuples over a schema, together with the bookkeeping
 // the optimizer exploits: the known order of the list (the paper's Order(r)
@@ -47,79 +33,71 @@ type Relation struct {
 	tuples []Tuple
 	order  OrderSpec
 
-	// cols, when set, is the list's primary form (FromColumnar): Len and
-	// Cell read it, and tuples is derived from it once, under derive, when
-	// first asked for. Only Append and SortStable clear it — mutations,
-	// which never run concurrently with readers — so readers consult it
+	// cols, when set, is the list's primary form (FromColumnar): Len reads
+	// it, and tuples is derived from it once, under derive, when first asked
+	// for. Only Append and SortStable clear it — mutations, which never run
+	// concurrently with readers of the tuples — so readers consult it
 	// without synchronization.
-	cols   Columnar
+	cols   *column.Batch
 	derive sync.Once
 
-	// columnar caches the immutable columnar image of the tuple list, built
-	// and interpreted by the execution engine. It rides on the relation
-	// rather than on an engine instance so the one-time conversion
-	// amortizes across every engine and query that scans this relation; a
-	// columnar-primary relation starts with its primary form cached. The
-	// pointer is atomic — concurrent queries share catalog relations — and
-	// every tuple-list mutation drops it and bumps the version counter.
-	columnar atomic.Pointer[columnarImage]
-
-	// version counts tuple-list mutations monotonically. A builder captures
-	// the version before reading the list and passes it back to
-	// SetColumnarImage; a store whose version no longer matches is a stale
-	// image of a list that has since mutated and is discarded. A row-count
-	// check cannot do this job — a sort permutes without changing the count.
-	version atomic.Uint64
+	// image caches the columnar form of a tuple list (Columns). It rides on
+	// the relation rather than on an engine instance so the one-time
+	// conversion amortizes across every engine and query that scans this
+	// relation. Concurrent queries share catalog relations, so the pointer
+	// is atomic; conversions and mutations hold mu, so an image is always
+	// built from the list as it stands and every mutation drops it before
+	// releasing the lock — a stale image is never stored, let alone served.
+	image atomic.Pointer[column.Batch]
+	mu    sync.Mutex
 }
 
-// columnarImage pairs the engine's image with the tuple-list version it was
-// built from.
-type columnarImage struct {
-	img     Columnar
-	version uint64
-}
-
-// ColumnarVersion returns the current mutation version of the tuple list.
-// Builders read it before converting and hand it to SetColumnarImage, so a
-// mutation racing with the conversion invalidates the resulting image.
-func (r *Relation) ColumnarVersion() uint64 { return r.version.Load() }
-
-// ColumnarImage returns the cached columnar image, or nil when none is
-// cached or the cached image was built from an older version of the list.
-func (r *Relation) ColumnarImage() Columnar {
-	c := r.columnar.Load()
-	if c == nil || c.version != r.version.Load() {
-		return nil
+// Columns returns the list as one immutable batch: the primary batch of a
+// columnar-primary relation, or the cached image of a tuple list, converted
+// on first use. converted reports that this call did the conversion. The
+// batch must not be mutated; the relation's own mutations drop the image.
+func (r *Relation) Columns() (b *column.Batch, converted bool) {
+	if r.cols != nil {
+		return r.cols, false
 	}
-	return c.img
-}
-
-// SetColumnarImage caches img as the columnar form of the tuple list as it
-// stood at version v (from ColumnarVersion, read before the conversion
-// started). The image must be immutable; concurrent builders may race and
-// any same-version winner is acceptable. A store against an outdated
-// version is dropped — and even if it lands between a mutation's version
-// bump and a reader's load, the version embedded in the image keeps the
-// reader from ever serving it.
-func (r *Relation) SetColumnarImage(img Columnar, v uint64) {
-	if v != r.version.Load() {
-		return
+	if b := r.image.Load(); b != nil {
+		return b, false
 	}
-	r.columnar.Store(&columnarImage{img: img, version: v})
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if b := r.image.Load(); b != nil {
+		return b, false
+	}
+	b = columnsOf(r.schema, r.tuples)
+	r.image.Store(b)
+	return b, true
 }
 
-// invalidateColumnar records a tuple-list mutation: the cache drops and the
-// version advances so in-flight conversions of the old list cannot re-store.
-func (r *Relation) invalidateColumnar() {
-	r.version.Add(1)
-	r.columnar.Store(nil)
+// columnsOf converts a tuple list to one batch over s.
+func columnsOf(s *schema.Schema, ts []Tuple) *column.Batch {
+	b := column.NewBatch(s, len(ts))
+	for c := range b.Cols {
+		col := &b.Cols[c]
+		for _, t := range ts {
+			col.Append(t[c])
+		}
+	}
+	b.N = len(ts)
+	return b
 }
 
-// own makes the tuple list the relation's only form ahead of a mutation:
-// a columnar-primary relation derives its tuples and drops its columns.
-func (r *Relation) own() {
+// mutate runs f on the tuple list as the relation's only form: a
+// columnar-primary relation derives its tuples and drops its columns, and
+// the cached image drops.
+func (r *Relation) mutate(f func()) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.Tuples()
-	r.cols = nil
+	if r.cols != nil { // a tuple list's cols is never written: Columns reads it unlocked
+		r.cols = nil
+	}
+	f()
+	r.image.Store(nil)
 }
 
 // New returns an empty relation over s.
@@ -136,14 +114,11 @@ func FromTuplesTrusted(s *schema.Schema, tuples []Tuple) *Relation {
 	return &Relation{schema: s, tuples: tuples}
 }
 
-// FromColumnar wraps an engine's immutable column image as a
-// columnar-primary relation over s, with no known order: Len and Cell read
-// the columns, the image is the relation's cached columnar image from the
-// start, and the tuples are derived once, on first demand.
-func FromColumnar(s *schema.Schema, c Columnar) *Relation {
-	r := &Relation{schema: s, cols: c}
-	r.columnar.Store(&columnarImage{img: c})
-	return r
+// FromColumnar wraps an immutable batch as a columnar-primary relation over
+// s, with no known order: Len and Columns read the batch, and the tuples are
+// derived once, on first demand.
+func FromColumnar(s *schema.Schema, b *column.Batch) *Relation {
+	return &Relation{schema: s, cols: b}
 }
 
 // FromTuples builds a relation over s from the given tuples, validating each
@@ -240,15 +215,6 @@ func (r *Relation) Len() int {
 	return len(r.tuples)
 }
 
-// Cell returns the value of column c in the i-th tuple. A columnar-primary
-// relation reads it from its columns without deriving a tuple.
-func (r *Relation) Cell(i, c int) value.Value {
-	if r.cols != nil {
-		return r.cols.Cell(i, c)
-	}
-	return r.tuples[i][c]
-}
-
 // At returns the i-th tuple (not a copy; callers must not mutate).
 func (r *Relation) At(i int) Tuple { return r.Tuples()[i] }
 
@@ -258,7 +224,7 @@ func (r *Relation) At(i int) Tuple { return r.Tuples()[i] }
 // callers must not either (only Append and SortStable change the list).
 func (r *Relation) Tuples() []Tuple {
 	if r.cols != nil {
-		r.derive.Do(func() { r.tuples = r.cols.AppendTuples(make([]Tuple, 0, r.cols.Rows())) })
+		r.derive.Do(func() { r.tuples = tuplesOf(r.cols) })
 	}
 	return r.tuples
 }
@@ -266,9 +232,20 @@ func (r *Relation) Tuples() []Tuple {
 // Append adds a tuple to the end of the list without validation; the caller
 // guarantees schema alignment.
 func (r *Relation) Append(t Tuple) {
-	r.own()
-	r.tuples = append(r.tuples, t)
-	r.invalidateColumnar()
+	r.mutate(func() { r.tuples = append(r.tuples, t) })
+}
+
+// tuplesOf materializes a batch's presented rows as tuples cut from one
+// backing array, so a list costs one allocation, not one per row.
+func tuplesOf(b *column.Batch) []Tuple {
+	n, arity := b.Rows(), len(b.Cols)
+	ts := make([]Tuple, n)
+	vals := make([]value.Value, n*arity)
+	for k := range ts {
+		ts[k] = vals[k*arity : (k+1)*arity : (k+1)*arity]
+		b.FillRow(ts[k], b.RowIndex(k))
+	}
+	return ts
 }
 
 // Order returns the known order of the relation, the paper's Order(r). An
@@ -279,24 +256,32 @@ func (r *Relation) Order() OrderSpec { return r.order }
 // job to only record orders the list actually satisfies; SortedBy can verify.
 func (r *Relation) SetOrder(o OrderSpec) { r.order = o }
 
-// Clone returns a deep-enough copy: the tuple list is copied, tuples are
-// shared (they are treated as immutable).
+// Clone returns an independent copy in the form the list already has: a
+// columnar-primary relation shares its batch, immutable as it is; a tuple
+// list is copied, its tuples shared (they are treated as immutable), and the
+// copy carries the cached image, so neither form converts again.
 func (r *Relation) Clone() *Relation {
-	return &Relation{
-		schema: r.schema,
-		tuples: append([]Tuple(nil), r.Tuples()...),
-		order:  append(OrderSpec(nil), r.order...),
+	order := append(OrderSpec(nil), r.order...)
+	if r.cols != nil {
+		return &Relation{schema: r.schema, cols: r.cols, order: order}
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	c := &Relation{schema: r.schema, tuples: append([]Tuple(nil), r.tuples...), order: order}
+	if img := r.image.Load(); img != nil {
+		c.image.Store(img)
+	}
+	return c
 }
 
 // Permuted returns the list r[idx[0]], r[idx[1]], … as a new relation with
 // no known order; idx is typically a permutation of 0..Len()-1, and the
-// result may keep it. A columnar-primary relation gathers through its
-// columns (Columnar.Gather), so no row is copied and no tuple is built;
-// otherwise the tuples are gathered, shared as Clone shares them.
+// result may keep it. A columnar-primary relation answers with a selection
+// view of its batch, so no row is copied and no tuple is built; otherwise
+// the tuples are gathered, shared as Clone shares them.
 func (r *Relation) Permuted(idx []int) *Relation {
 	if r.cols != nil {
-		return FromColumnar(r.schema, r.cols.Gather(idx))
+		return FromColumnar(r.schema, r.cols.Select(idx))
 	}
 	ts := make([]Tuple, len(idx))
 	for k, i := range idx {
@@ -311,7 +296,10 @@ func (r *Relation) Temporal() bool { return r.schema.Temporal() }
 // PeriodOf returns the time period of the i-th tuple of a temporal relation.
 func (r *Relation) PeriodOf(i int) period.Period {
 	t1, t2 := r.schema.TimeIndices()
-	return r.At(i).PeriodAt(t1, t2)
+	if r.cols != nil {
+		return r.cols.PeriodAt(t1, t2, r.cols.RowIndex(i))
+	}
+	return r.tuples[i].PeriodAt(t1, t2)
 }
 
 // Periods returns the periods of all tuples of a temporal relation.
@@ -469,12 +457,12 @@ func (r *Relation) SortStable(o OrderSpec) error {
 	if err := o.Validate(r.schema); err != nil {
 		return err
 	}
-	r.own()
-	sort.SliceStable(r.tuples, func(i, j int) bool {
-		return CompareOn(r.schema, o, r.tuples[i], r.tuples[j]) < 0
+	r.mutate(func() {
+		sort.SliceStable(r.tuples, func(i, j int) bool {
+			return CompareOn(r.schema, o, r.tuples[i], r.tuples[j]) < 0
+		})
 	})
 	r.order = o
-	r.invalidateColumnar()
 	return nil
 }
 

@@ -9,8 +9,8 @@ import (
 	"sync"
 	"time"
 
+	"tqp/internal/column"
 	"tqp/internal/relation"
-	"tqp/internal/schema"
 	"tqp/internal/spill"
 )
 
@@ -183,7 +183,7 @@ func (c *Client) query(req *Request) (*relation.Relation, *QueryMeta, []int, err
 	if err != nil {
 		return nil, nil, nil, protoErr(err)
 	}
-	var tuples []relation.Tuple
+	b := column.NewBatch(sch, 0)
 	var keys []int
 	if head.Keyed {
 		keys = []int{}
@@ -195,17 +195,17 @@ func (c *Client) query(req *Request) (*relation.Relation, *QueryMeta, []int, err
 		}
 		switch resp.Kind {
 		case KindRows:
-			if tuples, keys, err = decodeBlockFrame(resp, sch, tuples, keys); err != nil {
+			if keys, err = decodeBlockFrame(resp, b, keys); err != nil {
 				return nil, nil, nil, err
 			}
 		case KindDone:
 			if resp.Done == nil {
 				return nil, nil, nil, protoErr(fmt.Errorf("server: done frame without payload"))
 			}
-			if resp.Done.Tuples != len(tuples) {
-				return nil, nil, nil, protoErr(fmt.Errorf("server: done frame claims %d tuples, received %d", resp.Done.Tuples, len(tuples)))
+			if resp.Done.Tuples != b.Rows() {
+				return nil, nil, nil, protoErr(fmt.Errorf("server: done frame claims %d tuples, received %d", resp.Done.Tuples, b.Rows()))
 			}
-			rel := relation.FromTuplesTrusted(sch, tuples)
+			rel := relation.FromColumnar(sch, b)
 			rel.SetOrder(orderSpecOf(head.Order))
 			return rel, &QueryMeta{
 				CacheHit:          resp.Done.CacheHit,
@@ -220,18 +220,18 @@ func (c *Client) query(req *Request) (*relation.Relation, *QueryMeta, []int, err
 	}
 }
 
-// decodeBlockFrame appends a rows frame's rows, decoded against sch, to
-// tuples, and their sequence keys to keys unless keys is nil. A missing,
-// torn, corrupt or schema-confused block is a typed proto error.
-func decodeBlockFrame(resp *Response, sch *schema.Schema, tuples []relation.Tuple, keys []int) ([]relation.Tuple, []int, error) {
+// decodeBlockFrame appends a rows frame's rows, decoded against b's
+// schema, to b, and their sequence keys to keys unless keys is nil. A
+// missing, torn, corrupt or schema-confused block is a typed proto error.
+func decodeBlockFrame(resp *Response, b *column.Batch, keys []int) ([]int, error) {
 	if len(resp.Block) == 0 {
-		return tuples, keys, protoErr(fmt.Errorf("server: rows frame without a block"))
+		return keys, protoErr(fmt.Errorf("server: rows frame without a block"))
 	}
-	tuples, keys, err := spill.DecodeBlocks(bytes.NewReader(resp.Block), sch, tuples, keys)
+	keys, err := spill.DecodeBlocks(bytes.NewReader(resp.Block), b, keys)
 	if err != nil {
-		return tuples, keys, protoErr(fmt.Errorf("server: rows frame: %w", err))
+		return keys, protoErr(fmt.Errorf("server: rows frame: %w", err))
 	}
-	return tuples, keys, nil
+	return keys, nil
 }
 
 // Partial runs one partial plan on the server's catalog shard and returns

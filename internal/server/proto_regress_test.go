@@ -2,7 +2,6 @@ package server
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -12,7 +11,6 @@ import (
 
 	"tqp/internal/relation"
 	"tqp/internal/schema"
-	"tqp/internal/spill"
 	"tqp/internal/value"
 )
 
@@ -23,8 +21,8 @@ func TestZeroArityRowsSurviveWire(t *testing.T) {
 	sch := schema.MustNew()
 	tuples := []relation.Tuple{{}, {}, {}}
 
-	block := spill.EncodeBlock(nil, []int{0, 0, 0}, tuples)
-	back, _, err := spill.DecodeBlocks(bytes.NewReader(block), sch, nil, nil)
+	block := blockOf([]int{0, 0, 0}, tuples...)
+	back, _, err := decodeRows(block, sch, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +87,7 @@ func sealBlock(payload []byte) []byte {
 func TestClientMalformedFramesAreTypedProtoErrors(t *testing.T) {
 	schemaFrame := &Response{Kind: KindSchema, Cols: []Col{{Name: "N", Kind: "int"}}}
 	rows := func(block []byte) *Response { return &Response{Kind: KindRows, Block: block} }
-	good := spill.EncodeBlock(nil, []int{0, 0}, []relation.Tuple{{value.Int(1)}, {value.Int(2)}})
+	good := blockOf([]int{0, 0}, relation.Tuple{value.Int(1)}, relation.Tuple{value.Int(2)})
 	flipped := append([]byte(nil), good...)
 	flipped[len(flipped)/2] ^= 0x40
 	// Two rows claimed, one cell present: a ragged column under a valid
@@ -105,12 +103,12 @@ func TestClientMalformedFramesAreTypedProtoErrors(t *testing.T) {
 		{"truncated block", []*Response{schemaFrame, rows(good[:len(good)-3])}},
 		{"checksum mismatch", []*Response{schemaFrame, rows(flipped)}},
 		{"rows frame without a block", []*Response{schemaFrame, {Kind: KindRows}}},
-		{"kind-confused cell", []*Response{schemaFrame, rows(spill.EncodeBlock(nil, []int{0, 0},
-			[]relation.Tuple{{value.Int(1)}, {value.String_("not-an-int")}}))}},
-		{"kind-confused column", []*Response{schemaFrame, rows(spill.EncodeBlock(nil, []int{0},
-			[]relation.Tuple{{value.String_("not-an-int")}}))}},
-		{"arity differs from schema", []*Response{schemaFrame, rows(spill.EncodeBlock(nil, []int{0},
-			[]relation.Tuple{{value.Int(1), value.Int(2)}}))}},
+		{"kind-confused cell", []*Response{schemaFrame, rows(blockOf([]int{0, 0},
+			relation.Tuple{value.Int(1)}, relation.Tuple{value.String_("not-an-int")}))}},
+		{"kind-confused column", []*Response{schemaFrame, rows(blockOf([]int{0},
+			relation.Tuple{value.String_("not-an-int")}))}},
+		{"arity differs from schema", []*Response{schemaFrame, rows(blockOf([]int{0},
+			relation.Tuple{value.Int(1), value.Int(2)}))}},
 		{"trailing bytes", []*Response{schemaFrame, rows(append(append([]byte(nil), good...), 0x03, 0x01))}},
 		{"done frame without payload", []*Response{schemaFrame, {Kind: KindDone}}},
 		{"lying done count", []*Response{schemaFrame, rows(good), {Kind: KindDone, Done: &Done{Tuples: 7}}}},

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"math"
@@ -8,6 +9,7 @@ import (
 
 	"tqp/internal/algebra"
 	"tqp/internal/catalog"
+	"tqp/internal/column"
 	"tqp/internal/exec"
 	"tqp/internal/period"
 	"tqp/internal/relation"
@@ -15,6 +17,42 @@ import (
 	"tqp/internal/spill"
 	"tqp/internal/value"
 )
+
+// blockOf encodes same-arity rows of any kinds as one block, the way a peer
+// would: the rows ride boxed planes, which encode exactly as typed planes of
+// their kinds.
+func blockOf(seqs []int, rows ...relation.Tuple) []byte {
+	arity := 0
+	if len(rows) > 0 {
+		arity = len(rows[0])
+	}
+	b := &column.Batch{Cols: make([]column.Vec, arity), N: len(rows)}
+	for c := range b.Cols {
+		b.Cols[c] = column.NewVec(value.KindInvalid, len(rows))
+		for _, t := range rows {
+			b.Cols[c].Append(t[c])
+		}
+	}
+	return spill.EncodeBlock(nil, seqs, b, 0)
+}
+
+// rowsOf reads a batch's presented rows as tuples.
+func rowsOf(b *column.Batch) []relation.Tuple {
+	out := make([]relation.Tuple, b.Rows())
+	for k := range out {
+		out[k] = make(relation.Tuple, len(b.Cols))
+		b.FillRow(out[k], b.RowIndex(k))
+	}
+	return out
+}
+
+// decodeRows decodes a block sequence against sch into tuples, collecting
+// keys unless keys is nil.
+func decodeRows(data []byte, sch *schema.Schema, keys []int) ([]relation.Tuple, []int, error) {
+	b := column.NewBatch(sch, 0)
+	keys, err := spill.DecodeBlocks(bytes.NewReader(data), b, keys)
+	return rowsOf(b), keys, err
+}
 
 // fuzzKinds maps a byte to an attribute kind for fuzz-built schemas.
 var fuzzKinds = []value.Kind{
@@ -48,7 +86,7 @@ func fuzzSchema(t *testing.T, kindBytes []byte) *schema.Schema {
 // (no silent kind corruption); and decode∘encode∘decode is stable — the
 // decoded rows and keys re-encode to a block that decodes to themselves.
 func FuzzDecodeCols(f *testing.F) {
-	block := func(seqs []int, rows ...relation.Tuple) []byte { return spill.EncodeBlock(nil, seqs, rows) }
+	block := blockOf
 	f.Add([]byte{0, 1}, block([]int{0, 1}, relation.Tuple{value.Int(1), value.Float(1.5)}, relation.Tuple{value.Int(2), value.Float(2.5)}))
 	f.Add([]byte{0}, block([]int{9}, relation.Tuple{value.Int(math.MaxInt64)}))
 	f.Add([]byte{3, 3}, block([]int{0}, relation.Tuple{value.Bool(true), value.Bool(false)}))
@@ -58,7 +96,9 @@ func FuzzDecodeCols(f *testing.F) {
 	f.Add([]byte{2, 4}, block([]int{1 << 40, 3}, relation.Tuple{value.String_("a"), value.Time(period.NowMarker)}, relation.Tuple{value.Int(1), value.Time(2)}))
 	f.Fuzz(func(t *testing.T, kindBytes []byte, payload []byte) {
 		s := fuzzSchema(t, kindBytes)
-		got, keys, err := decodeBlockFrame(&Response{Kind: KindRows, Block: payload}, s, nil, []int{})
+		b := column.NewBatch(s, 0)
+		keys, err := decodeBlockFrame(&Response{Kind: KindRows, Block: payload}, b, []int{})
+		got := rowsOf(b)
 		if err != nil {
 			var se *ServerError
 			if !errors.As(err, &se) || se.Code != CodeProto {
@@ -79,7 +119,9 @@ func FuzzDecodeCols(f *testing.F) {
 				}
 			}
 		}
-		again, againKeys, err := decodeBlockFrame(&Response{Kind: KindRows, Block: spill.EncodeBlock(nil, keys, got)}, s, nil, []int{})
+		back := column.NewBatch(s, 0)
+		againKeys, err := decodeBlockFrame(&Response{Kind: KindRows, Block: spill.EncodeBlock(nil, keys, b, 0)}, back, []int{})
+		again := rowsOf(back)
 		if err != nil {
 			t.Fatalf("re-encoded rows do not decode: %v", err)
 		}

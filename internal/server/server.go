@@ -629,7 +629,10 @@ func streamResult(w io.Writer, result *relation.Relation, keys []int, batchRows 
 	}); err != nil {
 		return err
 	}
-	n, arity := result.Len(), result.Schema().Len()
+	// The rows are encoded straight off the result's batch: a
+	// columnar-primary result (every engine result is) never builds a tuple.
+	b, _ := result.Columns()
+	n := b.Rows()
 	var zeros []int
 	if keys == nil {
 		zeros = make([]int, min(batchRows, n))
@@ -643,9 +646,7 @@ func streamResult(w io.Writer, result *relation.Relation, keys []int, batchRows 
 		} else {
 			seqs = zeros[:to-from]
 		}
-		// Cells are read through the relation, so a columnar-primary result
-		// is encoded straight off its columns and never builds a tuple.
-		block = spill.EncodeBlockCols(block[:0], seqs, arity, func(i, j int) value.Value { return result.Cell(from+i, j) })
+		block = spill.EncodeBlock(block[:0], seqs, b, from)
 		if err := WriteFrame(w, &Response{Kind: KindRows, Block: block}); err != nil {
 			return err
 		}

@@ -483,6 +483,12 @@ func TestServerGracefulShutdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl2.Close()
+	// Dial returns at TCP connect, while the connection may still wait in
+	// the listen backlog; a round trip proves the server accepted it
+	// before Close shuts the listener.
+	if err := cl2.Ping(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 
 	const sql = "SELECT DISTINCT EmpName FROM EMPLOYEE ORDER BY EmpName"
 	type outcome struct {

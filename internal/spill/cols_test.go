@@ -4,128 +4,126 @@ import (
 	"math"
 	"testing"
 
+	"tqp/internal/column"
 	"tqp/internal/period"
 	"tqp/internal/relation"
+	"tqp/internal/schema"
 	"tqp/internal/value"
 )
 
 // colSample is a columnar payload with one homogeneous int column, one
 // heterogeneous column that mixes every kind (forcing the per-cell kind
-// encoding), and one string column with boundary contents.
-func colSample(n int) ([]int, [][]value.Value) {
+// encoding), and one string column with boundary contents, on the planes a
+// schema of those kinds gives it: the middle one demotes to boxed cells.
+func colSample(n int) ([]int, *column.Batch) {
+	sch := schema.MustNew(schema.Attr("I", value.KindInt), schema.Attr("H", value.KindInt), schema.Attr("S", value.KindString))
+	b := column.NewBatch(sch, n)
 	seqs := make([]int, n)
-	rows := make([][]value.Value, n)
 	hetero := []value.Value{
 		value.Int(-1), value.Float(math.NaN()), value.String_("x\x00y"),
 		value.Bool(true), value.Time(period.NowMarker), value.Float(math.Inf(-1)),
 	}
 	for i := range seqs {
 		seqs[i] = i*3 + 1
-		rows[i] = []value.Value{
-			value.Int(int64(i) - 2),
-			hetero[i%len(hetero)],
-			value.String_(string(rune('A' + i%26))),
-		}
+		b.Cols[0].Append(value.Int(int64(i) - 2))
+		b.Cols[1].Append(hetero[i%len(hetero)])
+		b.Cols[2].Append(value.String_(string(rune('A' + i%26))))
 	}
-	return seqs, rows
+	b.N = n
+	return seqs, b
 }
 
-// TestAppendBlockColsRoundTrip pins the columnar writer against both
-// readers: tuple-at-a-time Next (the repartition path) and NextBlockCols
-// (the partition loader's block→planes path) must decode identical seqs and
-// values, across block boundaries and with heterogeneous columns.
-func TestAppendBlockColsRoundTrip(t *testing.T) {
+// TestWriteBatchRoundTrip pins the columnar writer against the block reader:
+// the presented rows of a dense batch and of a selection view (the external
+// sort's permutation) decode to identical seqs and values, across block
+// boundaries and with heterogeneous columns, and the file's MemBytes is the
+// rows' accounted size.
+func TestWriteBatchRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, BlockRows - 1, BlockRows, BlockRows + 1, 2*BlockRows + 7} {
-		m := NewManager(t.TempDir())
-		w, err := m.Create()
-		if err != nil {
-			t.Fatal(err)
+		seqs, dense := colSample(n)
+		reversed := make([]int, n)
+		for k := range reversed {
+			reversed[k] = n - 1 - k
 		}
-		seqs, rows := colSample(n)
-		mem := int64(n) * RowMemSize(3)
-		err = w.AppendBlockCols(seqs, 3, mem, func(row, col int) value.Value {
-			return rows[row][col]
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, err := w.Finish()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if f.Count() != n || f.MemBytes() != mem {
-			t.Fatalf("n=%d: count=%d mem=%d, want %d/%d", n, f.Count(), f.MemBytes(), n, mem)
-		}
-		for pass, block := range []bool{false, true} {
+		for _, b := range []*column.Batch{dense, dense.WithSel(reversed)} {
+			m := NewManager(t.TempDir())
+			w, err := m.Create()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Write(seqs, b); err != nil {
+				t.Fatal(err)
+			}
+			f, err := w.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var mem int64
+			for i := 0; i < n; i++ {
+				mem += dense.MemSize(i)
+			}
+			if f.Count() != n || f.MemBytes() != mem {
+				t.Fatalf("n=%d: count=%d mem=%d, want %d/%d", n, f.Count(), f.MemBytes(), n, mem)
+			}
 			r, err := f.Open()
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := 0
+			got := column.NewBatch(dense.Schema, n)
+			var gotSeqs []int
 			for {
-				if block {
-					cols := make([][]value.Value, 3)
-					bseqs, ok, err := r.NextBlockCols(3, func(_, col int, v value.Value) {
-						cols[col] = append(cols[col], v)
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !ok {
-						break
-					}
-					if len(bseqs) == 0 {
-						t.Fatalf("n=%d: empty block", n)
-					}
-					for i := range bseqs {
-						if len(cols[0]) != len(bseqs) || len(cols[1]) != len(bseqs) || len(cols[2]) != len(bseqs) {
-							t.Fatalf("n=%d: block of %d seqs has columns of %d/%d/%d cells", n, len(bseqs), len(cols[0]), len(cols[1]), len(cols[2]))
-						}
-						checkColRow(t, n, got, bseqs[i], relation.Tuple{cols[0][i], cols[1][i], cols[2][i]}, seqs, rows)
-						got++
-					}
-				} else {
-					seq, tp, ok, err := r.Next()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !ok {
-						break
-					}
-					checkColRow(t, n, got, seq, tp, seqs, rows)
-					got++
+				bseqs, ok, err := r.Next(got)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			if got != n {
-				t.Fatalf("n=%d pass=%d: decoded %d rows", n, pass, got)
+				if !ok {
+					break
+				}
+				if len(bseqs) == 0 || len(bseqs) > BlockRows {
+					t.Fatalf("n=%d: block of %d rows", n, len(bseqs))
+				}
+				gotSeqs = append(gotSeqs, bseqs...)
 			}
 			r.Close()
+			if got.N != n || len(gotSeqs) != n {
+				t.Fatalf("n=%d: decoded %d rows, %d seqs", n, got.N, len(gotSeqs))
+			}
+			for k := 0; k < n; k++ {
+				checkColRow(t, n, k, gotSeqs[k], rowOf(got, k), seqs[k], rowOf(b, b.RowIndex(k)))
+			}
+			m.Cleanup()
 		}
-		m.Cleanup()
 	}
 }
 
-func checkColRow(t *testing.T, n, i, seq int, tp relation.Tuple, seqs []int, rows [][]value.Value) {
+// rowOf reads physical row i of b as a tuple.
+func rowOf(b *column.Batch, i int) relation.Tuple {
+	t := make(relation.Tuple, len(b.Cols))
+	b.FillRow(t, i)
+	return t
+}
+
+func checkColRow(t *testing.T, n, i, seq int, tp relation.Tuple, wantSeq int, want relation.Tuple) {
 	t.Helper()
-	if seq != seqs[i] {
-		t.Fatalf("n=%d row %d: seq %d, want %d", n, i, seq, seqs[i])
+	if seq != wantSeq {
+		t.Fatalf("n=%d row %d: seq %d, want %d", n, i, seq, wantSeq)
 	}
-	if len(tp) != len(rows[i]) {
-		t.Fatalf("n=%d row %d: arity %d, want %d", n, i, len(tp), len(rows[i]))
+	if len(tp) != len(want) {
+		t.Fatalf("n=%d row %d: arity %d, want %d", n, i, len(tp), len(want))
 	}
 	for c := range tp {
-		if !tp[c].Equal(rows[i][c]) || tp[c].Kind() != rows[i][c].Kind() {
-			t.Fatalf("n=%d row %d col %d: %v (%v), want %v", n, i, c, tp[c], tp[c].Kind(), rows[i][c])
+		if !tp[c].Equal(want[c]) || tp[c].Kind() != want[c].Kind() {
+			t.Fatalf("n=%d row %d col %d: %v (%v), want %v", n, i, c, tp[c], tp[c].Kind(), want[c])
 		}
 	}
 }
 
-// TestInterleavedAppendAndBlockCols checks that row appends and columnar
-// block appends compose on one file — including an arity change between
-// the two regions, which the per-block arity header must carry — that the
-// tuple reader sees the concatenation in order, and that the fixed-arity
-// block→planes reader refuses the foreign-arity block instead of
-// mis-filing its cells.
+// TestInterleavedAppendAndBlockCols checks that writes of different arity
+// compose on one file — a head run, a block-spanning run of wider rows and
+// a one-row tail, whose arity changes the per-block arity header must carry
+// — that a reader sees the concatenation in order, and that the
+// fixed-arity reader refuses a foreign-arity block instead of mis-filing
+// its cells.
 func TestInterleavedAppendAndBlockCols(t *testing.T) {
 	m := NewManager(t.TempDir())
 	defer m.Cleanup()
@@ -137,20 +135,15 @@ func TestInterleavedAppendAndBlockCols(t *testing.T) {
 		relation.NewTuple(value.Int(1), value.String_("r")),
 		relation.NewTuple(value.Float(2.5), value.Bool(false)),
 	}
-	for i, tp := range head {
-		if err := w.Append(100+i, tp); err != nil {
-			t.Fatal(err)
-		}
+	if err := w.Write([]int{100, 101}, batchOf(2, head)); err != nil {
+		t.Fatal(err)
 	}
-	seqs, rows := colSample(BlockRows + 3) // wider arity than the head rows
-	err = w.AppendBlockCols(seqs, 3, int64(len(seqs))*RowMemSize(3), func(r, c int) value.Value {
-		return rows[r][c]
-	})
-	if err != nil {
+	seqs, mid := colSample(BlockRows + 3) // wider arity than the head rows
+	if err := w.Write(seqs, mid); err != nil {
 		t.Fatal(err)
 	}
 	tail := relation.NewTuple(value.Time(7))
-	if err := w.Append(999, tail); err != nil {
+	if err := w.Write([]int{999}, batchOf(1, []relation.Tuple{tail})); err != nil {
 		t.Fatal(err)
 	}
 	f, err := w.Finish()
@@ -166,40 +159,32 @@ func TestInterleavedAppendAndBlockCols(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	var gotSeqs []int
-	var gotRows []relation.Tuple
-	for {
-		seq, tp, ok, err := r.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		gotSeqs = append(gotSeqs, seq)
-		gotRows = append(gotRows, tp)
-	}
-	if len(gotRows) != wantN {
-		t.Fatalf("decoded %d rows, want %d", len(gotRows), wantN)
-	}
-	for i, tp := range head {
-		if gotSeqs[i] != 100+i || !gotRows[i].Equal(tp) {
-			t.Fatalf("head row %d: seq=%d tuple=%s", i, gotSeqs[i], gotRows[i])
+	rr := &rowReader{r: r}
+	for i, want := range head {
+		seq, tp, ok, err := rr.next(2)
+		if err != nil || !ok || seq != 100+i || !tp.Equal(want) {
+			t.Fatalf("head row %d: seq=%d tuple=%s ok=%v err=%v", i, seq, tp, ok, err)
 		}
 	}
 	for i := range seqs {
-		checkColRow(t, wantN, i, gotSeqs[len(head)+i], gotRows[len(head)+i], seqs, rows)
+		seq, tp, ok, err := rr.next(3)
+		if err != nil || !ok {
+			t.Fatalf("row %d: ok=%v err=%v", i, ok, err)
+		}
+		checkColRow(t, wantN, i, seq, tp, seqs[i], rowOf(mid, i))
 	}
-	last := len(gotRows) - 1
-	if gotSeqs[last] != 999 || !gotRows[last].Equal(tail) {
-		t.Fatalf("tail row: seq=%d tuple=%s", gotSeqs[last], gotRows[last])
+	if seq, tp, ok, err := rr.next(1); err != nil || !ok || seq != 999 || !tp.Equal(tail) {
+		t.Fatalf("tail row: seq=%d tuple=%s ok=%v err=%v", seq, tp, ok, err)
+	}
+	if _, _, ok, err := rr.next(1); ok || err != nil {
+		t.Fatalf("want clean end, got ok=%v err=%v", ok, err)
 	}
 	cr, err := f.Open()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cr.Close()
-	if _, _, err := cr.NextBlockCols(3, func(int, int, value.Value) {}); err == nil {
-		t.Fatal("NextBlockCols(3) accepted the 2-column head block")
+	if _, _, err := cr.Next(batchOf(3, nil)); err == nil {
+		t.Fatal("a 3-column reader accepted the 2-column head block")
 	}
 }

@@ -1,31 +1,29 @@
 // Package spill implements the disk half of the exec engine's
 // memory-bounded execution mode — temp-file spill partitions holding
-// sequence-tagged tuples — and the checksummed columnar block those
+// sequence-tagged rows — and the checksummed columnar block those
 // partitions are made of.
 //
 // A Manager owns one run's spill directory (created lazily on first write,
 // removed wholesale by Cleanup), hands out Writers, and tracks the total
-// bytes written for the engine's Stats. A Writer appends tuples and is
-// Finished into an immutable File, which Opens into a Reader streaming the
-// tuples back in write order. On disk, tuples are grouped into columnar
-// blocks: a block holds same-arity tuples with each attribute's values
-// packed contiguously under a single kind byte, so the per-value kind tag
-// of a row codec is paid once per column instead of once per cell and
-// decode reconstructs a whole block of tuples from one backing allocation.
-// Every block carries its own row count, its rows' sequence keys, its
-// length and a CRC-32C of its payload, so a truncated or corrupted block is
-// detected at read time instead of silently corrupting a query result.
+// bytes written for the engine's Stats. A Writer writes a column.Batch's
+// presented rows, with their sequence keys, and is Finished into an
+// immutable File, which Opens into a Reader decoding the rows back a block
+// at a time, in write order, onto a batch's column planes. On disk, rows
+// are grouped into columnar blocks: a block holds same-arity rows with each
+// attribute's values packed contiguously under a single kind byte, so the
+// per-value kind tag of a row codec is paid once per column instead of once
+// per cell. Every block carries its own row count, its rows' sequence keys,
+// its length and a CRC-32C of its payload, so a truncated or corrupted
+// block is detected at read time instead of silently corrupting a query
+// result.
 //
 // The block is the one row codec of the system, with three carriers: spill
 // partitions, the persistent store's segment files, and the server's rows
 // frames, each of which carries one block of a result (its sequence keys
-// are a pushed-down fragment's provenance). EncodeBlock writes a block and
-// DecodeBlocks reads blocks back against a schema, so a torn segment and a
-// hostile peer's frame fail through the same code.
-//
-// The codec is also the accounting currency of the memory arbiter:
-// TupleMemSize estimates a tuple's resident bytes, so the spill decision
-// and the spilled representation agree about what "too big" means.
+// are a pushed-down fragment's provenance). EncodeBlock writes a block from
+// a batch's typed planes and DecodeBlocks reads blocks back into a batch
+// against its schema, so a torn segment and a hostile peer's frame fail
+// through the same code.
 package spill
 
 import (
@@ -41,9 +39,8 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"tqp/internal/column"
 	"tqp/internal/period"
-	"tqp/internal/relation"
-	"tqp/internal/schema"
 	"tqp/internal/value"
 )
 
@@ -122,121 +119,51 @@ func (m *Manager) Cleanup() error {
 // inside the memory budget share.
 const writerBufSize = 16 << 10
 
-// blockRows caps the tuples buffered into one columnar block. The cap
-// bounds the writer's resident buffer (the arbiter already accounts the
-// tuples themselves, which stay referenced until the flush) and keeps a
-// single corrupt block's blast radius small.
+// blockRows caps the rows encoded into one columnar block. The cap keeps a
+// single corrupt block's blast radius small and a decoded block's planes
+// cache-sized.
 const blockRows = 256
 
-// BlockRows exposes the block packing cap: callers batching rows for
-// AppendBlockCols flush at this granularity so their buffering matches the
+// BlockRows exposes the block packing cap: callers buffering rows for
+// Writer.Write flush at this granularity so their buffering matches the
 // writer's own.
 const BlockRows = blockRows
 
-// Writer appends sequence-tagged tuples to one spill file, packing them
-// into columnar blocks of up to blockRows same-arity tuples. Appended
-// tuples are referenced, not copied, until their block flushes — safe
-// because engine tuples are immutable once built.
+// Writer writes sequence-tagged rows to one spill file as columnar blocks
+// of up to blockRows rows.
 type Writer struct {
 	mgr      *Manager
 	f        *os.File
 	bw       *bufio.Writer
 	buf      []byte
-	seqs     []int
-	pend     []relation.Tuple
-	arity    int
 	count    int
 	bytes    int64
 	memBytes int64
 }
 
-// Append buffers one tuple. seq is the tuple's sequence key (its original
-// list position — the deterministic replay order of the spilled partition).
-// A full buffer or an arity change flushes the pending block.
-func (w *Writer) Append(seq int, t relation.Tuple) error {
-	if len(w.pend) > 0 && len(t) != w.arity {
-		if err := w.flush(); err != nil {
-			return err
-		}
-	}
-	if len(w.pend) == 0 {
-		w.arity = len(t)
-	}
-	w.pend = append(w.pend, t)
-	w.seqs = append(w.seqs, seq)
-	w.count++
-	w.memBytes += TupleMemSize(t)
-	if len(w.pend) >= blockRows {
-		return w.flush()
-	}
-	return nil
-}
-
-// flush encodes and writes the pending block.
-func (w *Writer) flush() error {
-	if len(w.pend) == 0 {
-		return nil
-	}
-	w.buf = EncodeBlock(w.buf[:0], w.seqs, w.pend)
-	w.seqs = w.seqs[:0]
-	w.pend = w.pend[:0]
-	if _, err := w.bw.Write(w.buf); err != nil {
-		return fmt.Errorf("spill: writing %s: %w", w.f.Name(), err)
-	}
-	w.bytes += int64(len(w.buf))
-	return nil
-}
-
-// AppendBlockCols appends len(seqs) same-arity rows read through a cell
-// accessor, encoding them straight into columnar blocks — the batch
-// pipeline's write path, which never materializes a tuple. Rows chunk at
-// blockRows; any tuples pending from Append flush first so interleaved use
-// stays block-aligned. memBytes is the rows' resident cost in TupleMemSize
-// currency (the caller reads it off its column planes), keeping the file's
-// MemBytes — and with it the engine's recursion decisions — identical to
-// the tuple write path's.
-func (w *Writer) AppendBlockCols(seqs []int, arity int, memBytes int64, cell func(row, col int) value.Value) error {
-	if len(seqs) == 0 {
-		return nil
-	}
-	if len(w.pend) > 0 {
-		if err := w.flush(); err != nil {
-			return err
-		}
-	}
+// Write encodes b's presented rows, tagged with seqs (one per row: the
+// rows' original list positions, the deterministic replay order of the
+// spilled partition), straight from the typed planes into blocks of up to
+// blockRows rows. The rows' resident cost (column.Batch.MemSize) adds to
+// the file's MemBytes.
+func (w *Writer) Write(seqs []int, b *column.Batch) error {
 	for lo := 0; lo < len(seqs); lo += blockRows {
-		hi := lo + blockRows
-		if hi > len(seqs) {
-			hi = len(seqs)
-		}
-		block := cell
-		if lo > 0 {
-			lo := lo
-			block = func(row, col int) value.Value { return cell(lo+row, col) }
-		}
-		w.buf = EncodeBlockCols(w.buf[:0], seqs[lo:hi], arity, block)
+		hi := min(lo+blockRows, len(seqs))
+		w.buf = EncodeBlock(w.buf[:0], seqs[lo:hi], b, lo)
 		if _, err := w.bw.Write(w.buf); err != nil {
 			return fmt.Errorf("spill: writing %s: %w", w.f.Name(), err)
 		}
 		w.bytes += int64(len(w.buf))
 	}
+	for k := range seqs {
+		w.memBytes += b.MemSize(b.RowIndex(k))
+	}
 	w.count += len(seqs)
-	w.memBytes += memBytes
 	return nil
 }
 
-// Count returns the tuples appended so far.
-func (w *Writer) Count() int { return w.count }
-
-// Bytes returns the encoded bytes of the blocks flushed so far.
-func (w *Writer) Bytes() int64 { return w.bytes }
-
 // Finish flushes and closes the writer, returning the immutable file.
 func (w *Writer) Finish() (*File, error) {
-	if err := w.flush(); err != nil {
-		w.f.Close()
-		return nil, err
-	}
 	if err := w.bw.Flush(); err != nil {
 		w.f.Close()
 		return nil, fmt.Errorf("spill: flushing %s: %w", w.f.Name(), err)
@@ -269,13 +196,13 @@ func (f *File) Count() int { return f.count }
 // Bytes returns the file's encoded on-disk size.
 func (f *File) Bytes() int64 { return f.bytes }
 
-// MemBytes returns the resident cost of the file's tuples once decoded —
-// the sum of TupleMemSize over its records. The engine's recursion
+// MemBytes returns the resident cost of the file's rows once decoded —
+// the sum of column.Batch.MemSize over its records. The engine's recursion
 // decisions and arbiter accounting use this, never the (several-fold
 // smaller) encoded size: "fits the share" must mean fits in memory.
 func (f *File) MemBytes() int64 { return f.memBytes }
 
-// Open returns a reader streaming the records in write order.
+// Open returns a reader over the records in write order.
 func (f *File) Open() (*Reader, error) {
 	file, err := os.Open(f.path)
 	if err != nil {
@@ -288,17 +215,14 @@ func (f *File) Open() (*Reader, error) {
 // return before the operator finishes, not at run cleanup.
 func (f *File) Remove() error { return os.Remove(f.path) }
 
-// Reader streams one spill file's tuples, decoding a columnar block at a
-// time and handing out its tuples in write order.
+// Reader decodes one spill file a block at a time.
 type Reader struct {
 	f         *os.File
 	br        *bufio.Reader
 	buf       []byte
+	seqs      []int
 	remaining int
 	total     int
-	blkSeqs   []int
-	blkRows   []relation.Tuple
-	blkPos    int
 }
 
 // Rewind repositions the reader at the first record, reusing the open file
@@ -310,59 +234,27 @@ func (r *Reader) Rewind() error {
 	}
 	r.br.Reset(r.f)
 	r.remaining = r.total
-	r.blkSeqs, r.blkRows, r.blkPos = r.blkSeqs[:0], r.blkRows[:0], 0
 	return nil
 }
 
-// Next returns the next record. ok=false with a nil error marks the end of
-// the file; a short file (fewer records than written) is an error.
-func (r *Reader) Next() (seq int, t relation.Tuple, ok bool, err error) {
-	if r.blkPos == len(r.blkRows) {
-		if r.remaining == 0 {
-			return 0, nil, false, nil
-		}
-		r.blkSeqs, r.blkRows, r.buf, err = decodeBlock(r.br, r.blkSeqs[:0], r.buf, r.blkRows[:0])
-		if err != nil {
-			return 0, nil, false, fmt.Errorf("spill: reading %s: %w", r.f.Name(), err)
-		}
-		if len(r.blkRows) > r.remaining {
-			return 0, nil, false, fmt.Errorf("spill: reading %s: block holds %d tuples, only %d expected", r.f.Name(), len(r.blkRows), r.remaining)
-		}
-		r.blkPos = 0
-	}
-	seq, t = r.blkSeqs[r.blkPos], r.blkRows[r.blkPos]
-	r.blkPos++
-	r.remaining--
-	return seq, t, true, nil
-}
-
-// NextBlockCols decodes the next block straight into the caller's column
-// storage — the batch pipeline's read path, which never materializes a
-// tuple: put receives the block's cells (block-local row, column) column by
-// column, each column's in row order, and the rows' sequence keys are
-// returned. ok=false with a nil error marks the end of the file. The block
-// must hold arity-column rows, and the seqs slice is valid only until the
-// next call (it recycles the reader's scratch). A reader is driven through
-// either Next or NextBlockCols, not both.
-func (r *Reader) NextBlockCols(arity int, put func(row, col int, v value.Value)) (seqs []int, ok bool, err error) {
+// Next decodes the next block onto b's column planes, appending its rows,
+// and returns their sequence keys; ok=false with a nil error marks the end
+// of the file, and a short file (fewer records than written) is an error.
+// The block's arity must be b's. The seqs slice is valid only until the
+// next call (it recycles the reader's scratch).
+func (r *Reader) Next(b *column.Batch) (seqs []int, ok bool, err error) {
 	if r.remaining == 0 {
 		return nil, false, nil
 	}
-	begin := func(_, a int) error {
-		if a != arity {
-			return fmt.Errorf("block holds %d-column rows, want %d", a, arity)
-		}
-		return nil
-	}
-	r.blkSeqs, r.buf, err = decodeBlockInto(r.br, r.blkSeqs[:0], r.buf, begin, put)
-	if err == nil && len(r.blkSeqs) > r.remaining {
-		err = fmt.Errorf("block holds %d tuples, only %d expected", len(r.blkSeqs), r.remaining)
+	r.seqs, r.buf, err = decodeBlock(r.br, r.seqs[:0], r.buf, b)
+	if err == nil && len(r.seqs) > r.remaining {
+		err = fmt.Errorf("block holds %d rows, only %d expected", len(r.seqs), r.remaining)
 	}
 	if err != nil {
-		return nil, false, fmt.Errorf("spill: reading %s: %w", r.f.Name(), err)
+		return nil, false, fmt.Errorf("spill: reading %s: %w", r.f.Name(), torn(err))
 	}
-	r.remaining -= len(r.blkSeqs)
-	return r.blkSeqs, true, nil
+	r.remaining -= len(r.seqs)
+	return r.seqs, true, nil
 }
 
 // Close releases the file handle.
@@ -403,50 +295,57 @@ func appendCell(dst []byte, v value.Value) []byte {
 	}
 }
 
-// EncodeBlockCols appends one columnar block of len(seqs) arity-column
-// rows, read through a cell accessor, to dst — the one block encoder, shared
-// by tuples (EncodeBlock), column planes (AppendBlockCols) and the server's
-// rows frames (read through relation.Relation.Cell). len(seqs) must be
-// positive:
+// EncodeBlock appends to dst one columnar block of b's presented rows
+// [lo, lo+len(seqs)), tagged with seqs, read straight off the column planes
+// — the one block encoder. len(seqs) must be positive:
 //
 //	uvarint payloadLen | payload | uint32le CRC-32C(payload)
 //	payload = uvarint nrows | uvarint arity | nrows×uvarint seq | arity×column
 //	column  = kind byte | nrows×cell            (all cells share the kind)
 //	        | 0xFF | nrows×(kind byte | cell)   (heterogeneous fallback)
-func EncodeBlockCols(dst []byte, seqs []int, arity int, cell func(row, col int) value.Value) []byte {
-	nrows := len(seqs)
-	payload := binary.AppendUvarint(nil, uint64(nrows))
-	payload = binary.AppendUvarint(payload, uint64(arity))
+//
+// A typed plane is homogeneous by construction; a boxed one is written
+// homogeneous when its cells in the range share one kind.
+func EncodeBlock(dst []byte, seqs []int, b *column.Batch, lo int) []byte {
+	start := len(dst)
+	dst = binary.AppendUvarint(dst, uint64(len(seqs)))
+	dst = binary.AppendUvarint(dst, uint64(len(b.Cols)))
 	for _, s := range seqs {
-		payload = binary.AppendUvarint(payload, uint64(s))
+		dst = binary.AppendUvarint(dst, uint64(s))
 	}
-	for j := 0; j < arity; j++ {
-		// Encode the column as homogeneous in one pass over the accessor,
-		// and fall back to the per-cell kinds only if a cell disagrees.
-		mark := len(payload)
-		k := cell(0, j).Kind()
-		homog := k != value.KindInvalid
-		payload = append(payload, byte(k))
-		for i := 0; homog && i < nrows; i++ {
-			v := cell(i, j)
-			if v.Kind() != k {
-				homog = false
-				break
-			}
-			payload = appendCell(payload, v)
-		}
-		if !homog {
-			payload = append(payload[:mark], kindHetero)
-			for i := 0; i < nrows; i++ {
-				v := cell(i, j)
-				payload = append(payload, byte(v.Kind()))
-				payload = appendCell(payload, v)
+	hi := lo + len(seqs)
+	for j := range b.Cols {
+		col := &b.Cols[j]
+		k := col.Kind
+		if k == value.KindInvalid {
+			k = col.Vals[b.RowIndex(lo)].Kind()
+			for r := lo; r < hi && k != value.KindInvalid; r++ {
+				if col.Vals[b.RowIndex(r)].Kind() != k {
+					k = value.KindInvalid
+				}
 			}
 		}
+		if k != value.KindInvalid {
+			dst = append(dst, byte(k))
+			for r := lo; r < hi; r++ {
+				dst = appendCell(dst, col.At(b.RowIndex(r)))
+			}
+			continue
+		}
+		dst = append(dst, kindHetero)
+		for r := lo; r < hi; r++ {
+			v := col.At(b.RowIndex(r))
+			dst = appendCell(append(dst, byte(v.Kind())), v)
+		}
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(payload)))
-	dst = append(dst, payload...)
-	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, castagnoli))
+	// Prefix the payload with its length in place, then seal it.
+	n := len(dst) - start
+	var hdr [binary.MaxVarintLen64]byte
+	h := binary.PutUvarint(hdr[:], uint64(n))
+	dst = append(dst, hdr[:h]...)
+	copy(dst[start+h:], dst[start:start+n])
+	copy(dst[start:], hdr[:h])
+	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start+h:], castagnoli))
 }
 
 // BlockReader is what blocks decode from: a spill file or a segment file
@@ -456,33 +355,16 @@ type BlockReader interface {
 	io.ByteReader
 }
 
-// decodeBlock reads one columnar block and appends its rows to rows as
-// tuples sharing one freshly allocated backing array, so callers may retain
-// them past the next block. seqs and buf are scratch recycled across calls.
-func decodeBlock(r BlockReader, seqs []int, buf []byte, rows []relation.Tuple) ([]int, []relation.Tuple, []byte, error) {
-	var vals []value.Value
-	arity := 0
-	begin := func(nrows, a int) error {
-		arity = a
-		vals = make([]value.Value, nrows*arity)
-		rows = slices.Grow(rows, nrows)
-		for i := 0; i < nrows; i++ {
-			rows = append(rows, relation.Tuple(vals[i*arity:(i+1)*arity:(i+1)*arity]))
-		}
-		return nil
-	}
-	seqs, buf, err := decodeBlockInto(r, seqs, buf, begin, func(i, j int, v value.Value) { vals[i*arity+j] = v })
-	return seqs, rows, buf, err
-}
-
-// decodeBlockInto reads one columnar block — the one block decoder —
-// verifying length and checksum, and hands its cells to put column by
-// column (each column's in row order) once begin has accepted the block's
-// shape. seqs and buf are scratch recycled across calls. A reader that is
+// decodeBlock reads one columnar block — the one block decoder — verifying
+// length and checksum, and appends its rows to b's column planes (a cell of
+// a foreign kind demotes its column, as Vec.Append does) and their sequence
+// keys to seqs. The block's strings are sliced from one string per block.
+// seqs and buf are scratch recycled across calls. A reader that is
 // exhausted before the block's first byte returns io.EOF itself: the clean
 // end of a block sequence. Every other failure, a block torn anywhere
-// included, is a descriptive error that is not io.EOF.
-func decodeBlockInto(br BlockReader, seqs []int, buf []byte, begin func(nrows, arity int) error, put func(row, col int, v value.Value)) ([]int, []byte, error) {
+// included, is a descriptive error that is not io.EOF; on one, b may hold
+// part of the block.
+func decodeBlock(br BlockReader, seqs []int, buf []byte, b *column.Batch) ([]int, []byte, error) {
 	n, err := binary.ReadUvarint(br)
 	if err == io.EOF {
 		return seqs, buf, io.EOF
@@ -516,6 +398,7 @@ func decodeBlockInto(br BlockReader, seqs []int, buf []byte, begin func(nrows, a
 	}
 
 	pos := 0
+	var strs string // the payload as one string, once a string cell needs it
 	readUvarint := func() (uint64, error) {
 		v, k := binary.Uvarint(payload[pos:])
 		if k <= 0 {
@@ -536,10 +419,7 @@ func decodeBlockInto(br BlockReader, seqs []int, buf []byte, begin func(nrows, a
 		switch kind {
 		case value.KindInt:
 			v, err := readVarint()
-			if err != nil {
-				return value.Value{}, err
-			}
-			return value.Int(v), nil
+			return value.Int(v), err
 		case value.KindFloat:
 			if pos+8 > len(payload) {
 				return value.Value{}, fmt.Errorf("block truncated in float value")
@@ -552,10 +432,13 @@ func decodeBlockInto(br BlockReader, seqs []int, buf []byte, begin func(nrows, a
 			if err != nil {
 				return value.Value{}, err
 			}
-			if pos+int(l) > len(payload) {
+			if l > uint64(len(payload)-pos) {
 				return value.Value{}, fmt.Errorf("block truncated in string value")
 			}
-			v := value.String_(string(payload[pos : pos+int(l)]))
+			if strs == "" {
+				strs = string(payload)
+			}
+			v := value.String_(strs[pos : pos+int(l)])
 			pos += int(l)
 			return v, nil
 		case value.KindBool:
@@ -567,10 +450,7 @@ func decodeBlockInto(br BlockReader, seqs []int, buf []byte, begin func(nrows, a
 			return v, nil
 		case value.KindTime:
 			v, err := readVarint()
-			if err != nil {
-				return value.Value{}, err
-			}
-			return value.Time(period.Chronon(v)), nil
+			return value.Time(period.Chronon(v)), err
 		default:
 			return value.Value{}, fmt.Errorf("block holds unknown value kind %d", kind)
 		}
@@ -595,6 +475,9 @@ func decodeBlockInto(br BlockReader, seqs []int, buf []byte, begin func(nrows, a
 	if arity > 0 && uint64(arity)*(nrows64+1) > n {
 		return seqs, buf, fmt.Errorf("block claims %d×%d cells in %d bytes", nrows64, arity64, n)
 	}
+	if arity != len(b.Cols) {
+		return seqs, buf, fmt.Errorf("block holds %d-column rows, want %d", arity, len(b.Cols))
+	}
 	for i := 0; i < nrows; i++ {
 		s, err := readUvarint()
 		if err != nil {
@@ -602,41 +485,33 @@ func decodeBlockInto(br BlockReader, seqs []int, buf []byte, begin func(nrows, a
 		}
 		seqs = append(seqs, int(s))
 	}
-	if err := begin(nrows, arity); err != nil {
-		return seqs, buf, err
-	}
-	for j := 0; j < arity; j++ {
+	for j := range b.Cols {
+		col := &b.Cols[j]
 		if pos >= len(payload) {
 			return seqs, buf, fmt.Errorf("block truncated at column %d", j)
 		}
 		kind := value.Kind(payload[pos])
 		pos++
-		if kind == kindHetero {
-			for i := 0; i < nrows; i++ {
+		for i := 0; i < nrows; i++ {
+			k := kind
+			if kind == kindHetero {
 				if pos >= len(payload) {
 					return seqs, buf, fmt.Errorf("block truncated at column %d row %d", j, i)
 				}
-				ck := value.Kind(payload[pos])
+				k = value.Kind(payload[pos])
 				pos++
-				v, err := readCell(ck)
-				if err != nil {
-					return seqs, buf, err
-				}
-				put(i, j, v)
 			}
-			continue
-		}
-		for i := 0; i < nrows; i++ {
-			v, err := readCell(kind)
+			v, err := readCell(k)
 			if err != nil {
 				return seqs, buf, err
 			}
-			put(i, j, v)
+			col.Append(v)
 		}
 	}
 	if pos != len(payload) {
 		return seqs, buf, fmt.Errorf("block has %d trailing bytes", len(payload)-pos)
 	}
+	b.N += nrows
 	return seqs, buf, nil
 }
 
@@ -653,39 +528,28 @@ func torn(err error) error {
 	return err
 }
 
-// EncodeBlock appends one columnar block of same-arity tuples to dst (see
-// EncodeBlockCols for the format) and returns the extended slice. It is the
-// codec's face for the block's other carriers: the persistent store's
-// segment files and the server's rows frames carry exactly these blocks, so
-// every carrier shares one codec, one checksum and one corruption story.
-// len(seqs) must equal len(rows), both non-empty, and rows must share one
-// arity; the store chunks at BlockRows to match the writer's own packing.
-func EncodeBlock(dst []byte, seqs []int, rows []relation.Tuple) []byte {
-	return EncodeBlockCols(dst, seqs, len(rows[0]), func(i, j int) value.Value { return rows[i][j] })
-}
-
 // DecodeBlocks decodes the blocks r holds up to its end — a segment file's
-// blocks, or the one block of a rows frame — and appends their rows to rows,
-// and their sequence keys to keys unless keys is nil. Every row must fit sch
-// (arity and cell kinds). A torn or corrupt block, bytes past the last whole
-// block, and a row sch does not admit are all errors, never a panic: the
-// store reports them as corruption, the client as a protocol error.
-func DecodeBlocks(r BlockReader, sch *schema.Schema, rows []relation.Tuple, keys []int) ([]relation.Tuple, []int, error) {
+// blocks, or the one block of a rows frame — appending their rows to b,
+// and their sequence keys to keys unless keys is nil. Every cell must be of
+// its column's kind in b.Schema. A torn or corrupt block, bytes past the
+// last whole block, and a row the schema does not admit are all errors,
+// never a panic: the store reports them as corruption, the client as a
+// protocol error. On an error b holds an unspecified prefix.
+func DecodeBlocks(r BlockReader, b *column.Batch, keys []int) ([]int, error) {
 	var seqs []int
 	var buf []byte
 	for {
-		from := len(rows)
 		var err error
-		seqs, rows, buf, err = decodeBlock(r, seqs[:0], buf, rows)
+		seqs, buf, err = decodeBlock(r, seqs[:0], buf, b)
 		if err == io.EOF {
-			return rows, keys, nil
+			return keys, nil
 		}
 		if err != nil {
-			return rows[:from], keys, err
+			return keys, err
 		}
-		for _, t := range rows[from:] {
-			if err := t.CheckAgainst(sch); err != nil {
-				return rows[:from], keys, err
+		for j := range b.Cols {
+			if want := b.Schema.At(j).Kind; b.Cols[j].Kind != want {
+				return keys, fmt.Errorf("attribute %s expects %s cells, the block holds others", b.Schema.At(j).Name, want)
 			}
 		}
 		if keys != nil {
@@ -693,31 +557,3 @@ func DecodeBlocks(r BlockReader, sch *schema.Schema, rows []relation.Tuple, keys
 		}
 	}
 }
-
-// tupleOverhead approximates the resident cost of one tuple beyond its
-// values: the slice header plus allocator slack.
-const tupleOverhead = 48
-
-// valueSize is the resident size of one value.Value struct.
-const valueSize = 40
-
-// TupleMemSize estimates the resident bytes of one tuple — the accounting
-// currency of the engine's memory arbiter. It deliberately leans high
-// (headers and allocator slack included): the budget is a working-set
-// bound, and over-counting errs toward spilling early rather than blowing
-// the budget.
-func TupleMemSize(t relation.Tuple) int64 {
-	n := RowMemSize(len(t))
-	for _, v := range t {
-		if v.Kind() == value.KindString {
-			n += int64(len(v.AsString()))
-		}
-	}
-	return n
-}
-
-// RowMemSize is TupleMemSize's fixed part for an arity-column row. Callers
-// accounting rows that live on column planes (no tuple to hand to
-// TupleMemSize) add string payload bytes on top of this, keeping the two
-// pipelines' arbiter accounting identical.
-func RowMemSize(arity int) int64 { return int64(tupleOverhead) + int64(arity)*valueSize }

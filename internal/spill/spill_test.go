@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"tqp/internal/column"
 	"tqp/internal/period"
 	"tqp/internal/relation"
 	"tqp/internal/schema"
@@ -24,6 +25,72 @@ func sampleTuples() []relation.Tuple {
 	}
 }
 
+// batchOf holds same-arity rows on boxed planes, so any mix of kinds
+// encodes exactly as typed planes of those kinds would.
+func batchOf(arity int, rows []relation.Tuple) *column.Batch {
+	b := &column.Batch{Cols: make([]column.Vec, arity), N: len(rows)}
+	for c := range b.Cols {
+		b.Cols[c] = column.NewVec(value.KindInvalid, len(rows))
+		for _, t := range rows {
+			b.Cols[c].Append(t[c])
+		}
+	}
+	return b
+}
+
+// writeRows writes rows tagged seqs, one Write per run of equal arity.
+func writeRows(w *Writer, seqs []int, rows []relation.Tuple) error {
+	for lo := 0; lo < len(rows); {
+		hi := lo + 1
+		for hi < len(rows) && len(rows[hi]) == len(rows[lo]) {
+			hi++
+		}
+		if err := w.Write(seqs[lo:hi], batchOf(len(rows[lo]), rows[lo:hi])); err != nil {
+			return err
+		}
+		lo = hi
+	}
+	return nil
+}
+
+// seqsOf returns the keys 0, step, 2·step, … for n rows.
+func seqsOf(n, step int) []int {
+	seqs := make([]int, n)
+	for i := range seqs {
+		seqs[i] = i * step
+	}
+	return seqs
+}
+
+// rowReader hands out a spill file's rows one at a time, decoding each
+// block onto a fresh batch of the arity the caller expects next.
+type rowReader struct {
+	r    *Reader
+	b    *column.Batch
+	seqs []int
+	pos  int
+}
+
+func (rr *rowReader) next(arity int) (seq int, t relation.Tuple, ok bool, err error) {
+	if rr.b == nil || rr.pos == rr.b.N {
+		rr.b, rr.pos = batchOf(arity, nil), 0
+		if rr.seqs, ok, err = rr.r.Next(rr.b); !ok || err != nil {
+			rr.b = nil
+			return 0, nil, ok, err
+		}
+	}
+	t = make(relation.Tuple, len(rr.b.Cols))
+	rr.b.FillRow(t, rr.pos)
+	seq = rr.seqs[rr.pos]
+	rr.pos++
+	return seq, t, true, nil
+}
+
+func (rr *rowReader) rewind() error {
+	rr.b = nil
+	return rr.r.Rewind()
+}
+
 // TestRoundTrip pins the codec: every value kind, extreme ints, NaN/Inf
 // floats and empty tuples must decode Equal, with sequence keys intact.
 func TestRoundTrip(t *testing.T) {
@@ -34,10 +101,8 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	tuples := sampleTuples()
-	for i, tp := range tuples {
-		if err := w.Append(i*7, tp); err != nil {
-			t.Fatal(err)
-		}
+	if err := writeRows(w, seqsOf(len(tuples), 7), tuples); err != nil {
+		t.Fatal(err)
 	}
 	f, err := w.Finish()
 	if err != nil {
@@ -54,8 +119,9 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
+	rr := &rowReader{r: r}
 	for i, want := range tuples {
-		seq, got, ok, err := r.Next()
+		seq, got, ok, err := rr.next(len(want))
 		if err != nil || !ok {
 			t.Fatalf("record %d: ok=%v err=%v", i, ok, err)
 		}
@@ -66,7 +132,7 @@ func TestRoundTrip(t *testing.T) {
 			t.Fatalf("record %d: decoded %s, want %s", i, got, want)
 		}
 	}
-	if _, _, ok, err := r.Next(); ok || err != nil {
+	if _, _, ok, err := rr.next(0); ok || err != nil {
 		t.Fatalf("expected clean end of file, got ok=%v err=%v", ok, err)
 	}
 	// NaN must stay NaN through the codec (Equal treats NaN==NaN).
@@ -76,10 +142,10 @@ func TestRoundTrip(t *testing.T) {
 
 	// Rewind replays the records from the top on the same handle — the
 	// spilled nested loop's repeated-scan path.
-	if err := r.Rewind(); err != nil {
+	if err := rr.rewind(); err != nil {
 		t.Fatal(err)
 	}
-	seq, got, ok, err := r.Next()
+	seq, got, ok, err := rr.next(len(tuples[0]))
 	if err != nil || !ok || seq != 0 || !got.Equal(tuples[0]) {
 		t.Fatalf("after Rewind: seq=%d ok=%v err=%v", seq, ok, err)
 	}
@@ -101,14 +167,16 @@ func TestCorruptionDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, tp := range sampleTuples() {
-		if err := w.Append(i, tp); err != nil {
-			t.Fatal(err)
-		}
+	rows := sampleTuples()[:4] // one arity, so readAll can read it whole
+	if err := writeRows(w, seqsOf(len(rows), 1), rows); err != nil {
+		t.Fatal(err)
 	}
 	f, err := w.Finish()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if err := readAll(f); err != nil {
+		t.Fatalf("intact file: %v", err)
 	}
 
 	var path string
@@ -150,7 +218,7 @@ func readAll(f *File) error {
 	}
 	defer r.Close()
 	for {
-		_, _, ok, err := r.Next()
+		_, ok, err := r.Next(batchOf(4, nil))
 		if err != nil {
 			return err
 		}
@@ -174,9 +242,9 @@ func TestBlockSpanning(t *testing.T) {
 	tuples := make([]relation.Tuple, n)
 	for i := range tuples {
 		tuples[i] = relation.NewTuple(value.Int(int64(i)), value.String_("row"), value.Time(period.Chronon(i%5)))
-		if err := w.Append(i*3, tuples[i]); err != nil {
-			t.Fatal(err)
-		}
+	}
+	if err := writeRows(w, seqsOf(n, 3), tuples); err != nil {
+		t.Fatal(err)
 	}
 	f, err := w.Finish()
 	if err != nil {
@@ -190,10 +258,11 @@ func TestBlockSpanning(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
+	rr := &rowReader{r: r}
 	check := func(from int) {
 		t.Helper()
 		for i := from; i < n; i++ {
-			seq, got, ok, err := r.Next()
+			seq, got, ok, err := rr.next(3)
 			if err != nil || !ok {
 				t.Fatalf("tuple %d: ok=%v err=%v", i, ok, err)
 			}
@@ -201,29 +270,28 @@ func TestBlockSpanning(t *testing.T) {
 				t.Fatalf("tuple %d: seq=%d got %s", i, seq, got)
 			}
 		}
-		if _, _, ok, err := r.Next(); ok || err != nil {
+		if _, _, ok, err := rr.next(3); ok || err != nil {
 			t.Fatalf("want clean EOF, got ok=%v err=%v", ok, err)
 		}
 	}
 	// Read halfway, rewind from inside a block, then read everything.
 	for i := 0; i < n/2; i++ {
-		if _, _, ok, err := r.Next(); !ok || err != nil {
+		if _, _, ok, err := rr.next(3); !ok || err != nil {
 			t.Fatalf("priming read %d: ok=%v err=%v", i, ok, err)
 		}
 	}
-	if err := r.Rewind(); err != nil {
+	if err := rr.rewind(); err != nil {
 		t.Fatal(err)
 	}
 	check(0)
-	if err := r.Rewind(); err != nil {
+	if err := rr.rewind(); err != nil {
 		t.Fatal(err)
 	}
 	check(0)
 }
 
-// TestBlockArityChange: a writer fed tuples of shifting arity must flush a
-// block at every change and replay the exact sequence — the schema is not
-// per-file, it is per-block.
+// TestBlockArityChange: runs of shifting arity written to one file replay
+// the exact sequence — the schema is not per-file, it is per-block.
 func TestBlockArityChange(t *testing.T) {
 	m := NewManager(t.TempDir())
 	defer m.Cleanup()
@@ -243,9 +311,9 @@ func TestBlockArityChange(t *testing.T) {
 			tp = relation.Tuple{}
 		}
 		tuples = append(tuples, tp)
-		if err := w.Append(i, tp); err != nil {
-			t.Fatal(err)
-		}
+	}
+	if err := writeRows(w, seqsOf(len(tuples), 1), tuples); err != nil {
+		t.Fatal(err)
 	}
 	f, err := w.Finish()
 	if err != nil {
@@ -256,13 +324,14 @@ func TestBlockArityChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
+	rr := &rowReader{r: r}
 	for i, want := range tuples {
-		seq, got, ok, err := r.Next()
+		seq, got, ok, err := rr.next(len(want))
 		if err != nil || !ok || seq != i || !got.Equal(want) {
 			t.Fatalf("tuple %d: seq=%d ok=%v err=%v got %s want %s", i, seq, ok, err, got, want)
 		}
 	}
-	if _, _, ok, _ := r.Next(); ok {
+	if _, _, ok, _ := rr.next(0); ok {
 		t.Fatal("trailing tuples after the last arity group")
 	}
 }
@@ -283,10 +352,8 @@ func TestBlockHeterogeneousColumn(t *testing.T) {
 		relation.NewTuple(value.Bool(true), value.Int(40)),
 		relation.NewTuple(value.Time(5), value.Int(50)),
 	}
-	for i, tp := range tuples {
-		if err := w.Append(i, tp); err != nil {
-			t.Fatal(err)
-		}
+	if err := writeRows(w, seqsOf(len(tuples), 1), tuples); err != nil {
+		t.Fatal(err)
 	}
 	f, err := w.Finish()
 	if err != nil {
@@ -297,8 +364,9 @@ func TestBlockHeterogeneousColumn(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
+	rr := &rowReader{r: r}
 	for i, want := range tuples {
-		_, got, ok, err := r.Next()
+		_, got, ok, err := rr.next(2)
 		if err != nil || !ok || !got.Equal(want) {
 			t.Fatalf("tuple %d: ok=%v err=%v got %s want %s", i, ok, err, got, want)
 		}
@@ -319,10 +387,12 @@ func TestColumnarSmallerThanRowCodec(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 2048
-	for i := 0; i < n; i++ {
-		if err := w.Append(i, relation.NewTuple(value.Int(1), value.Int(2), value.Int(3), value.Int(4))); err != nil {
-			t.Fatal(err)
-		}
+	rows := make([]relation.Tuple, n)
+	for i := range rows {
+		rows[i] = relation.NewTuple(value.Int(1), value.Int(2), value.Int(3), value.Int(4))
+	}
+	if err := writeRows(w, seqsOf(n, 1), rows); err != nil {
+		t.Fatal(err)
 	}
 	f, err := w.Finish()
 	if err != nil {
@@ -342,8 +412,8 @@ func TestColumnarSmallerThanRowCodec(t *testing.T) {
 // such blocks, so this fixture is the guarantee that they still open.
 const goldenBlock = "a70105060007ac02808080808020050100feffffffffffffffff01ffffffffffffffffff0101d804020000000000000080000000000000f0ff0000000000000a409c7500883ce4377e182d4454fb210940030011c3bc6ec3af636f646520e2809420e7958c0b68656c6c6f00776f726c64046974277304416e6e610400010001000500feffffffffffffff3f0954808080808040ff0102030374776f020000000000000c400401050ab098e16f"
 
-// TestBlockGoldenBytes decodes the golden block to its rows and keys and
-// re-encodes them byte for byte: the block format is frozen.
+// TestBlockGoldenBytes decodes the golden block onto column planes and
+// re-encodes it from them byte for byte: the block format is frozen.
 func TestBlockGoldenBytes(t *testing.T) {
 	raw, err := hex.DecodeString(goldenBlock)
 	if err != nil {
@@ -362,13 +432,25 @@ func TestBlockGoldenBytes(t *testing.T) {
 		schema.Attr("B", value.KindBool), schema.Attr("T", value.KindTime), schema.Attr("H", value.KindInt),
 	)
 	// The heterogeneous column fits no schema, so decode through the
-	// unchecked path first, then check the rest against a schema.
-	seqs, rows, _, err := decodeBlock(bytes.NewReader(raw), nil, nil, nil)
+	// unchecked path first — its plane demotes to boxed cells — then check
+	// the rest against a schema.
+	b := column.NewBatch(sch, 0)
+	seqs, _, err := decodeBlock(bytes.NewReader(raw), nil, nil, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != len(want) {
-		t.Fatalf("decoded %d rows, want %d", len(rows), len(want))
+	if b.N != len(want) {
+		t.Fatalf("decoded %d rows, want %d", b.N, len(want))
+	}
+	rows := make([]relation.Tuple, b.N)
+	for i := range rows {
+		rows[i] = make(relation.Tuple, len(b.Cols))
+		b.FillRow(rows[i], i)
+	}
+	for j, col := range b.Cols[:5] {
+		if col.Kind != sch.At(j).Kind {
+			t.Fatalf("column %d decoded onto a %v plane, want %v", j, col.Kind, sch.At(j).Kind)
+		}
 	}
 	for i := range want {
 		if seqs[i] != wantKeys[i] || !rows[i].Equal(want[i]) {
@@ -383,12 +465,12 @@ func TestBlockGoldenBytes(t *testing.T) {
 	if bits := math.Float64bits(rows[0][1].AsFloat()); bits != math.Float64bits(math.Copysign(0, -1)) {
 		t.Fatalf("negative zero decoded to bits %x", bits)
 	}
-	if again := EncodeBlock(nil, seqs, rows); !bytes.Equal(again, raw) {
+	if again := EncodeBlock(nil, seqs, b, 0); !bytes.Equal(again, raw) {
 		t.Fatalf("re-encoded block differs:\n got %x\nwant %x", again, raw)
 	}
 	// Through the schema-checked decoder, the heterogeneous column is the
 	// one thing refused.
-	if _, _, err := DecodeBlocks(bytes.NewReader(raw), sch, nil, nil); err == nil {
+	if _, err := DecodeBlocks(bytes.NewReader(raw), column.NewBatch(sch, 0), nil); err == nil {
 		t.Fatal("a string cell in an int column must not pass the schema check")
 	}
 }
@@ -401,13 +483,23 @@ func TestDecodeBlocksStopsCleanly(t *testing.T) {
 	sch := schema.MustNew(schema.Attr("N", value.KindInt), schema.Attr("S", value.KindString))
 	a := []relation.Tuple{relation.NewTuple(value.Int(1), value.String_("a")), relation.NewTuple(value.Int(2), value.String_("b"))}
 	b := []relation.Tuple{relation.NewTuple(value.Int(3), value.String_("c"))}
-	stream := EncodeBlock(EncodeBlock(nil, []int{4, 5}, a), []int{6}, b)
+	stream := EncodeBlock(EncodeBlock(nil, []int{4, 5}, batchOf(2, a), 0), []int{6}, batchOf(2, b), 0)
+	decode := func(data []byte, keys []int) ([]relation.Tuple, []int, error) {
+		got := column.NewBatch(sch, 0)
+		keys, err := DecodeBlocks(bytes.NewReader(data), got, keys)
+		rows := make([]relation.Tuple, got.N)
+		for i := range rows {
+			rows[i] = make(relation.Tuple, len(got.Cols))
+			got.FillRow(rows[i], i)
+		}
+		return rows, keys, err
+	}
 
-	rows, keys, err := DecodeBlocks(bytes.NewReader(nil), sch, nil, []int{})
+	rows, keys, err := decode(nil, []int{})
 	if err != nil || len(rows) != 0 || len(keys) != 0 {
 		t.Fatalf("empty reader: %d rows, %d keys, err %v", len(rows), len(keys), err)
 	}
-	rows, keys, err = DecodeBlocks(bytes.NewReader(stream), sch, nil, []int{})
+	rows, keys, err = decode(stream, []int{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,15 +512,15 @@ func TestDecodeBlocksStopsCleanly(t *testing.T) {
 			t.Fatalf("row %d: %s, want %s", i, rows[i], all[i])
 		}
 	}
-	if _, keys, _ := DecodeBlocks(bytes.NewReader(stream), sch, nil, nil); keys != nil {
+	if _, keys, _ := decode(stream, nil); keys != nil {
 		t.Fatalf("nil keys collected %v", keys)
 	}
-	first := len(EncodeBlock(nil, []int{4, 5}, a))
+	first := len(EncodeBlock(nil, []int{4, 5}, batchOf(2, a), 0))
 	for cut := 1; cut < len(stream); cut++ {
 		if cut == first {
 			continue // a whole first block, then a clean end
 		}
-		if _, _, err := DecodeBlocks(bytes.NewReader(stream[:cut]), sch, nil, nil); err == nil {
+		if _, _, err := decode(stream[:cut], nil); err == nil {
 			t.Fatalf("stream cut at byte %d of %d decoded without error", cut, len(stream))
 		}
 	}
@@ -450,7 +542,7 @@ func TestManagerLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(0, sampleTuples()[0]); err != nil {
+	if err := w.Write([]int{0}, batchOf(4, sampleTuples()[:1])); err != nil {
 		t.Fatal(err)
 	}
 	f, err := w.Finish()
@@ -486,15 +578,20 @@ func TestManagerLifecycle(t *testing.T) {
 	}
 }
 
-// TestTupleMemSize: the accounting estimate must be positive and grow with
-// string content.
+// TestTupleMemSize: the accounting estimate of a row — priced as the tuple
+// it would be — must be positive and grow with string content, on typed
+// and boxed planes alike.
 func TestTupleMemSize(t *testing.T) {
 	small := relation.NewTuple(value.Int(1))
 	big := relation.NewTuple(value.String_(string(make([]byte, 1024))))
-	if TupleMemSize(small) <= 0 {
-		t.Fatal("non-positive size for a 1-value tuple")
+	boxed := batchOf(1, []relation.Tuple{small, big})
+	typed := column.NewBatch(schema.MustNew(schema.Attr("S", value.KindString)), 1)
+	typed.Cols[0].Append(big[0])
+	typed.N = 1
+	if boxed.MemSize(0) <= 0 {
+		t.Fatal("non-positive size for a 1-value row")
 	}
-	if TupleMemSize(big) < 1024 {
-		t.Fatalf("string content not accounted: %d", TupleMemSize(big))
+	if boxed.MemSize(1) < 1024 || typed.MemSize(0) != boxed.MemSize(1) {
+		t.Fatalf("string content not accounted: boxed %d, typed %d", boxed.MemSize(1), typed.MemSize(0))
 	}
 }

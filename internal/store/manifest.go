@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"strings"
 
 	"tqp/internal/algebra"
 	"tqp/internal/period"
@@ -221,8 +222,36 @@ func decodeManifest(data []byte) (*manifest, error) {
 		if _, err := r.schemaOf(); err != nil {
 			return nil, fmt.Errorf("%v: %w", err, ErrCorrupt)
 		}
+		for _, sg := range r.Segments {
+			if !segmentName(sg.File) {
+				return nil, fmt.Errorf("store: relation %q segment file %q is not a seg-NNNNNN.seg name: %w", r.Name, sg.File, ErrCorrupt)
+			}
+			// Every row takes at least one byte (its sequence key), so a
+			// count past the size, like a negative one, is no segment's.
+			if sg.Rows < 0 || int64(sg.Rows) > sg.Bytes {
+				return nil, fmt.Errorf("store: segment %s claims %d rows in %d bytes: %w", sg.File, sg.Rows, sg.Bytes, ErrCorrupt)
+			}
+		}
 	}
 	return &m, nil
+}
+
+// segmentName reports that name is a plain segment file name in the store
+// directory, seg-NNNNNN.seg with six or more digits — never a path.
+func segmentName(name string) bool {
+	digits, ok := strings.CutPrefix(name, "seg-")
+	if !ok {
+		return false
+	}
+	if digits, ok = strings.CutSuffix(digits, ".seg"); !ok || len(digits) < 6 {
+		return false
+	}
+	for _, c := range digits {
+		if c < '0' || c > '9' {
+			return false
+		}
+	}
+	return true
 }
 
 // readManifest loads and verifies the manifest at path.

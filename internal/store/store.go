@@ -5,9 +5,11 @@
 //	seg-NNNNNN.seg  — immutable segment files of columnar blocks
 //
 // Segments reuse the spill block codec (kind-tagged column planes, CRC-32C
-// per block), so the two on-disk tuple formats share one codec and one
+// per block), so spill partitions and segments share one codec and one
 // corruption story: a truncated or bit-flipped segment is detected at read
-// time with a typed error, never a panic or a silent wrong answer.
+// time with a typed error, never a panic or a silent wrong answer. A
+// relation's segments decode onto one column.Batch, and Load hands it over
+// as a columnar-primary relation: no tuple is built on the way in.
 //
 // Every segment carries min/max chronon fences over its tuples' periods in
 // the manifest — the per-segment interval index. A point-in-time or period
@@ -35,6 +37,7 @@ import (
 	"strings"
 
 	"tqp/internal/algebra"
+	"tqp/internal/column"
 	"tqp/internal/relation"
 	"tqp/internal/schema"
 	"tqp/internal/spill"
@@ -222,8 +225,9 @@ func (s *Store) Append(name string, rows []relation.Tuple) error {
 			return fmt.Errorf("store: appending to %q, row %d: %w", name, i, err)
 		}
 	}
+	b, _ := relation.FromTuplesTrusted(sch, rows).Columns()
 	next := s.man.clone()
-	seg, err := s.writeSegment(next, sch, rows)
+	seg, err := s.writeSegment(next, b)
 	if err != nil {
 		return err
 	}
@@ -244,17 +248,14 @@ func (s *Store) Compact(name string) error {
 	if len(mr.Segments) <= 1 {
 		return nil
 	}
-	rows, err := s.Load(name)
+	r, err := s.Load(name)
 	if err != nil {
 		return err
 	}
-	sch, err := mr.schemaOf()
-	if err != nil {
-		return err
-	}
+	b, _ := r.Columns()
 	old := append([]SegmentInfo(nil), mr.Segments...)
 	next := s.man.clone()
-	seg, err := s.writeSegment(next, sch, rows.Tuples())
+	seg, err := s.writeSegment(next, b)
 	if err != nil {
 		return err
 	}
@@ -269,10 +270,11 @@ func (s *Store) Compact(name string) error {
 	return nil
 }
 
-// Load reads the named relation's full tuple list by decoding its segments
-// in order, verifying every block checksum on the way. The returned
-// relation carries the declared order. Decode failures on committed
-// segments wrap ErrCorrupt.
+// Load reads the named relation's full list by decoding its segments in
+// order onto one batch, verifying every block checksum on the way: the
+// result is columnar-primary, so no tuple is built until a reader asks for
+// one. The returned relation carries the declared order. Decode failures on
+// committed segments wrap ErrCorrupt.
 func (s *Store) Load(name string) (*relation.Relation, error) {
 	mr := s.man.rel(name)
 	if mr == nil {
@@ -286,43 +288,42 @@ func (s *Store) Load(name string) (*relation.Relation, error) {
 	for _, sg := range mr.Segments {
 		total += sg.Rows
 	}
-	tuples := make([]relation.Tuple, 0, total)
+	b := column.NewBatch(sch, total)
 	for _, sg := range mr.Segments {
-		tuples, err = s.readSegment(sg, sch, tuples)
-		if err != nil {
+		if err := s.readSegment(sg, b); err != nil {
 			return nil, err
 		}
 	}
-	r := relation.FromTuplesTrusted(sch, tuples)
+	r := relation.FromColumnar(sch, b)
 	r.SetOrder(mr.infoOf().Order)
 	return r, nil
 }
 
-// readSegment appends one segment's tuples to dst, verifying block
-// checksums, cell kinds against the schema, and the committed row count.
-func (s *Store) readSegment(sg SegmentInfo, sch *schema.Schema, dst []relation.Tuple) ([]relation.Tuple, error) {
+// readSegment appends one segment's rows to b, verifying block checksums,
+// cell kinds against b's schema, and the committed row count.
+func (s *Store) readSegment(sg SegmentInfo, b *column.Batch) error {
 	f, err := os.Open(filepath.Join(s.dir, sg.File))
 	if err != nil {
-		return dst, fmt.Errorf("store: segment %s: %v: %w", sg.File, err, ErrCorrupt)
+		return fmt.Errorf("store: segment %s: %v: %w", sg.File, err, ErrCorrupt)
 	}
 	defer f.Close()
-	from := len(dst)
-	dst, _, err = spill.DecodeBlocks(bufio.NewReaderSize(f, 1<<16), sch, dst, nil)
-	if err != nil {
-		return dst, fmt.Errorf("store: segment %s: %v: %w", sg.File, err, ErrCorrupt)
+	from := b.N
+	if _, err := spill.DecodeBlocks(bufio.NewReaderSize(f, 1<<16), b, nil); err != nil {
+		return fmt.Errorf("store: segment %s: %v: %w", sg.File, err, ErrCorrupt)
 	}
-	if got := len(dst) - from; got != sg.Rows {
-		return dst, fmt.Errorf("store: segment %s holds %d rows, %d committed: %w", sg.File, got, sg.Rows, ErrCorrupt)
+	if got := b.N - from; got != sg.Rows {
+		return fmt.Errorf("store: segment %s holds %d rows, %d committed: %w", sg.File, got, sg.Rows, ErrCorrupt)
 	}
 	s.met.segmentsRead.Add(1)
 	s.met.bytesRead.Add(sg.Bytes)
-	return dst, nil
+	return nil
 }
 
-// writeSegment writes rows as one new segment file, fsyncs it, and returns
-// its descriptor (allocating the segment number from next). The file is
-// durable before the caller commits the manifest that references it.
-func (s *Store) writeSegment(next *manifest, sch *schema.Schema, rows []relation.Tuple) (SegmentInfo, error) {
+// writeSegment writes b's rows as one new segment file, block by block
+// straight off its planes, fsyncs it, and returns its descriptor
+// (allocating the segment number from next). The file is durable before
+// the caller commits the manifest that references it.
+func (s *Store) writeSegment(next *manifest, b *column.Batch) (SegmentInfo, error) {
 	name := fmt.Sprintf("seg-%06d.seg", next.NextSeg)
 	next.NextSeg++
 	path := filepath.Join(s.dir, name)
@@ -332,18 +333,16 @@ func (s *Store) writeSegment(next *manifest, sch *schema.Schema, rows []relation
 	}
 	bw := bufio.NewWriterSize(f, 1<<16)
 	var buf []byte
+	n := b.Rows()
 	seqs := make([]int, 0, spill.BlockRows)
 	var bytes int64
-	for lo := 0; lo < len(rows); lo += spill.BlockRows {
-		hi := lo + spill.BlockRows
-		if hi > len(rows) {
-			hi = len(rows)
-		}
+	for lo := 0; lo < n; lo += spill.BlockRows {
+		hi := min(lo+spill.BlockRows, n)
 		seqs = seqs[:0]
 		for i := lo; i < hi; i++ {
 			seqs = append(seqs, i)
 		}
-		buf = spill.EncodeBlock(buf[:0], seqs, rows[lo:hi])
+		buf = spill.EncodeBlock(buf[:0], seqs, b, lo)
 		if _, err := bw.Write(buf); err != nil {
 			f.Close()
 			return SegmentInfo{}, fmt.Errorf("store: writing segment %s: %w", name, err)
@@ -369,13 +368,13 @@ func (s *Store) writeSegment(next *manifest, sch *schema.Schema, rows []relation
 	}
 	s.met.segmentsWritten.Add(1)
 	s.met.bytesWritten.Add(bytes)
-	seg := SegmentInfo{File: name, Rows: len(rows), Bytes: bytes}
-	if sch.Temporal() {
+	seg := SegmentInfo{File: name, Rows: n, Bytes: bytes}
+	if b.Schema.Temporal() {
 		seg.Fenced = true
-		t1, t2 := sch.TimeIndices()
+		t1, t2 := b.Schema.TimeIndices()
 		first := true
-		for _, t := range rows {
-			p := t.PeriodAt(t1, t2)
+		for k := 0; k < n; k++ {
+			p := b.PeriodAt(t1, t2, b.RowIndex(k))
 			if p.Empty() {
 				continue
 			}
