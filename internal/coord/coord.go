@@ -292,28 +292,48 @@ func (c *Coordinator) Query(ctx context.Context, sql string) (*relation.Relation
 	if err != nil {
 		return nil, nil, err
 	}
+	outs, err := c.scatter(ctx, ent)
+	if err != nil {
+		return nil, nil, err
+	}
+	result, err := c.finish(ent, outs)
+	if err != nil {
+		return nil, nil, err
+	}
+	return result, &Meta{
+		CacheHit:  hit,
+		Plans:     ent.prep.PlanCount,
+		BestCost:  ent.prep.BestCost,
+		Fragments: len(ent.split.Fragments),
+		Shards:    len(c.clients),
+	}, nil
+}
+
+// shardOut is one shard's answers to a statement's fragments,
+// index-aligned with them: each a columnar result and its sequence keys.
+type shardOut struct {
+	rels []*relation.Relation
+	seqs [][]int
+}
+
+// scatter runs every fragment of ent on every shard: one goroutine per
+// shard runs all fragments over that shard's (serialized) connection, so
+// fragments of one shard pipeline naturally and shards proceed
+// concurrently.
+func (c *Coordinator) scatter(ctx context.Context, ent *cacheEntry) ([]shardOut, error) {
 	c.mu.Lock()
 	c.stats.Queries++
 	c.stats.ShardCalls += len(ent.split.Fragments) * len(c.clients)
 	c.mu.Unlock()
 
-	// Scatter: one goroutine per shard runs all fragments over that
-	// shard's (serialized) connection; fragments of one shard pipeline
-	// naturally, shards proceed concurrently.
-	nShards := len(c.clients)
-	frags := ent.split.Fragments
-	type shardOut struct {
-		rels []*relation.Relation
-		seqs [][]int
-	}
-	outs := make([]shardOut, nShards)
-	errs := make([]error, nShards)
+	outs := make([]shardOut, len(c.clients))
+	errs := make([]error, len(c.clients))
 	var wg sync.WaitGroup
-	for i := 0; i < nShards; i++ {
+	for i := range c.clients {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			o := shardOut{rels: make([]*relation.Relation, len(frags)), seqs: make([][]int, len(frags))}
+			o := shardOut{rels: make([]*relation.Relation, len(ent.wire)), seqs: make([][]int, len(ent.wire))}
 			for fi, plan := range ent.wire {
 				rel, seqs, err := c.partial(ctx, i, plan)
 				if err != nil {
@@ -328,41 +348,34 @@ func (c *Coordinator) Query(ctx context.Context, sql string) (*relation.Relation
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
+	return outs, nil
+}
 
-	// Gather: merge each fragment's shard outputs into the exact list a
-	// single node would hold at that plan point, and register it as the
-	// fragment's placeholder relation.
+// finish gathers and runs the remainder. The gather merges each fragment's
+// shard answers, in columns, into the exact list a single node would hold
+// at that plan point and registers it as the fragment's placeholder
+// relation; the remainder plan then replays the single-node execution over
+// the placeholders — including the simulated DBMS's seeded permutations,
+// which depend only on the seed and the (identical) gathered lists.
+func (c *Coordinator) finish(ent *cacheEntry, outs []shardOut) (*relation.Relation, error) {
 	synth := catalog.New()
-	for fi, f := range frags {
-		parts := make([]exec.TaggedRows, nShards)
+	for fi, f := range ent.split.Fragments {
+		parts := make([]exec.TaggedRows, len(outs))
 		for i := range parts {
 			if outs[i].seqs[fi] == nil && f.Kind != core.FragmentGrouped {
-				return nil, nil, &ShardError{Index: i, Addr: c.cfg.Addrs[i],
+				return nil, &ShardError{Index: i, Addr: c.cfg.Addrs[i],
 					Err: fmt.Errorf("coord: shard returned no sequence keys for %s fragment %s", f.Kind, f.Name)}
 			}
-			parts[i] = exec.TaggedRows{Rows: outs[i].rels[fi].Tuples(), Seqs: outs[i].seqs[fi]}
+			b, _ := outs[i].rels[fi].Columns()
+			parts[i] = exec.TaggedRows{Batch: b, Seqs: outs[i].seqs[fi]}
 		}
 		if err := synth.AddTrusted(f.Name, f.Merge(parts), algebra.BaseInfo{Order: f.Order}); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-
-	// Finish: the remainder plan replays the single-node execution over
-	// the placeholders — including the simulated DBMS's seeded
-	// permutations, which depend only on the seed and the (identical)
-	// gathered lists.
 	result, _, err := stratum.NewWithEngine(synth, c.cfg.Seed, c.cfg.Spec).Execute(ent.split.Remainder)
-	if err != nil {
-		return nil, nil, err
-	}
-	return result, &Meta{
-		CacheHit:  hit,
-		Plans:     ent.prep.PlanCount,
-		BestCost:  ent.prep.BestCost,
-		Fragments: len(frags),
-		Shards:    nShards,
-	}, nil
+	return result, err
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"tqp/internal/coord"
 	"tqp/internal/core"
 	"tqp/internal/datagen"
+	"tqp/internal/eval"
 	"tqp/internal/exec"
 	"tqp/internal/relation"
 	"tqp/internal/server"
@@ -352,5 +354,86 @@ func TestCoordinatorDialFailure(t *testing.T) {
 	}
 	if se.Index != 1 {
 		t.Fatalf("error names shard %d, want 1", se.Index)
+	}
+}
+
+// gatherQueries push every fragment kind under hash partitioning: bare and
+// filtered chains, pushed sorts, and grouped push-downs (temporal
+// coalescing grouped on every value attribute, the hashed ones).
+var gatherQueries = []string{
+	"SELECT EmpName, Dept FROM EMPLOYEE",
+	"VALIDTIME SELECT EmpName FROM EMPLOYEE WHERE Dept = 'Ship'",
+	paperSQL,
+	"VALIDTIME SELECT DISTINCT COALESCED EmpName, Dept FROM EMPLOYEE ORDER BY EmpName ASC, Dept ASC",
+	"VALIDTIME SELECT COALESCED EmpName, Dept FROM EMPLOYEE ORDER BY Dept ASC, EmpName ASC",
+	"SELECT EmpName, Dept FROM EMPLOYEE ORDER BY EmpName ASC",
+	"SELECT EmpName FROM EMPLOYEE WHERE Dept = 'Ship' ORDER BY EmpName DESC",
+}
+
+// TestCoordinatorGatherConvertsNothing pins the columnar gather: shard
+// answers arrive as columns, the k-way merge reads and writes columns, and
+// the merged placeholders are columnar-primary. So at 1, 2 and 4 shards,
+// over chain, sorted and grouped fragments, the remainder's engines — the
+// stratum's and the DBMS site's alike — report 0 scan conversions, and no
+// shard answer has derived a tuple by the time the statement returns; the
+// result is still a single node's list.
+func TestCoordinatorGatherConvertsNothing(t *testing.T) {
+	db := datagen.EmployeeDB(datagen.EmployeeSpec{
+		Employees: 40, SpellsPerEmp: 3, AssignmentsPerEmp: 4, Seed: 7,
+	})
+	for _, n := range []int{1, 2, 4} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			spec := exec.NewSpec(exec.Config{})
+			var engines []*exec.Engine
+			inner := spec.New
+			spec.New = func(src eval.Source) eval.Engine {
+				e := inner(src).(*exec.Engine)
+				engines = append(engines, e)
+				return e
+			}
+			c, err := coord.New(context.Background(), coord.Config{
+				Catalog: db, Addrs: startShards(t, db, n, shard.ForceHash), Mode: shard.ForceHash, Spec: spec, Seed: 1,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			plain := exec.NewSpec(exec.Config{})
+			oracle := core.New(db, core.WithEngine(plain), core.WithDBMSSeed(1),
+				core.WithCostParams(core.ShardedCostParams(plain, n)))
+			for _, sql := range gatherQueries {
+				engines = engines[:0]
+				got, answers, err := c.QueryAnswers(context.Background(), sql)
+				if err != nil {
+					t.Fatalf("%s: %v", sql, err)
+				}
+				conversions := 0
+				for _, e := range engines {
+					conversions += e.Stats().ScanConversions
+				}
+				if len(engines) == 0 || conversions != 0 {
+					t.Errorf("%s: the remainder converted %d scans over %d engines, want 0", sql, conversions, len(engines))
+				}
+				for i, a := range answers {
+					if !reflect.ValueOf(a).Elem().FieldByName("tuples").IsNil() {
+						t.Errorf("%s: shard answer %d derived its tuples", sql, i)
+					}
+				}
+				prep, err := oracle.Prepare(sql)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, _, err := oracle.ExecutePlan(prep.Plan, plain)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !want.EqualAsList(got) {
+					t.Fatalf("%s: sharded result diverges\nwant:\n%s\ngot:\n%s", sql, want, got)
+				}
+			}
+			if st := c.Stats(); st.Fragments["chain"] == 0 || st.Fragments["sorted"] == 0 || st.Fragments["grouped"] == 0 {
+				t.Fatalf("fragment kinds %v: every kind must be gathered", st.Fragments)
+			}
+		})
 	}
 }

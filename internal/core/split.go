@@ -18,7 +18,7 @@ import (
 // slice — and rewrites the plan so each extracted subtree reads a placeholder
 // relation instead. The coordinator ships each subtree as it stands, runs it
 // on the shards (exec.RunFragment), merges their outputs
-// deterministically (internal/exec's merge kernels), registers the merged
+// deterministically (exec.MergeParts), registers the merged
 // results as the placeholder relations of a synthetic catalog, and
 // executes the remainder plan through the ordinary stratum executor. The
 // rewrite is engineered so the remainder replays the single-node
@@ -102,20 +102,16 @@ type Fragment struct {
 }
 
 // Merge reassembles the fragment's outputs, one per shard, into the list a
-// single node holds at the fragment's plan point: grouped outputs block-wise
-// on Order, sorted ones by (Order, sequence key), and chains by sequence key
-// alone — their stored order.
+// single node holds at the fragment's plan point — grouped outputs
+// block-wise on Order, sorted ones by (Order, sequence key), and chains by
+// sequence key alone, their stored order — as a columnar-primary relation,
+// so the remainder scans its placeholder with no conversion.
 func (f Fragment) Merge(parts []exec.TaggedRows) *relation.Relation {
-	var rows []relation.Tuple
-	switch f.Kind {
-	case FragmentGrouped:
-		rows = exec.MergeGroups(f.Schema, f.Order, parts)
-	case FragmentSorted:
-		rows = exec.MergeSorted(f.Schema, f.Order, parts)
-	default:
-		rows = exec.MergeSorted(f.Schema, nil, parts)
+	order := f.Order
+	if f.Kind == FragmentChain {
+		order = nil
 	}
-	return relation.FromTuplesTrusted(f.Schema, rows)
+	return relation.FromColumnar(f.Schema, exec.MergeParts(f.Schema, order, f.Kind == FragmentGrouped, parts))
 }
 
 // Split is a plan divided for sharded execution.

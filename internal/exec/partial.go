@@ -12,7 +12,7 @@ import (
 )
 
 // This file is the shard side of distributed execution: pushed-down plan
-// fragments compiled onto the engine, plus the merge kernels the coordinator
+// fragments compiled onto the engine, plus the k-way merge the coordinator
 // uses to reassemble per-shard results into exactly the list a single-node
 // run would produce.
 //
@@ -137,78 +137,88 @@ func withSeq(n, leaf algebra.Node) (_ algebra.Node, carried bool, err error) {
 	return n.WithChildren(algebra.NewProjectCols(in, sch.Names()[:sch.Len()-1]...)), false, nil
 }
 
-// TaggedRows pairs one shard's fragment output with its sequence keys,
-// parallel slices (Seqs[i] is Rows[i]'s global stored position).
+// TaggedRows is one shard's fragment output: its batch, plus the presented
+// rows' sequence keys (Seqs[k] is row k's global stored position), or nil
+// for a grouped fragment's output, whose groups carry none.
 type TaggedRows struct {
-	Rows []relation.Tuple
-	Seqs []int
+	Batch *column.Batch
+	Seqs  []int
 }
 
-// MergeSorted merges per-shard fragment outputs into the global stable sort
-// order: by the sort keys, ties broken by sequence key. Each shard's list is
+// MergeParts merges per-shard fragment outputs, each ordered by order, into
+// the one list a single node holds — the k-way merge behind every fragment
+// kind. Sorted parts merge by (order, sequence key): each shard's list is
 // sorted by exactly that compound order (a stable local sort over a
-// sequence-ascending slice), so this is a standard k-way merge. With no
-// keys it merges an unsorted chain back into the global stored order:
-// partitioning assigns each stored row to exactly one shard, so the
-// sequence keys are disjoint.
-func MergeSorted(sch *schema.Schema, keys relation.OrderSpec, parts []TaggedRows) []relation.Tuple {
+// sequence-ascending slice), and with no order the sequence keys alone
+// restore the stored order, which partitioning split disjointly. Grouped
+// parts carry no keys: the push-down contract keeps every group on one shard
+// and distinct groups differ on order, which is the grouping prefix, so whole
+// blocks of prefix-equal rows move intact, ties (which real groups cannot
+// produce) going to the lower shard index. The rows are picked as runs and
+// gathered column by column; a lone run is a view of its part.
+func MergeParts(sch *schema.Schema, order relation.OrderSpec, grouped bool, parts []TaggedRows) *column.Batch {
 	total := 0
 	for _, p := range parts {
-		total += len(p.Rows)
+		total += p.Batch.Rows()
 	}
-	out := make([]relation.Tuple, 0, total)
+	cmp := compileVecCmp(sch, order)
+	type run struct{ part, lo, hi int }
+	var runs []run
 	at := make([]int, len(parts))
-	for len(out) < total {
+	for picked := 0; picked < total; {
 		best := -1
 		for k, p := range parts {
-			if at[k] >= len(p.Rows) {
+			if at[k] >= p.Batch.Rows() {
 				continue
 			}
 			if best < 0 {
 				best = k
 				continue
 			}
-			c := relation.CompareOn(sch, keys, p.Rows[at[k]], parts[best].Rows[at[best]])
-			if c < 0 || (c == 0 && p.Seqs[at[k]] < parts[best].Seqs[at[best]]) {
+			bb := parts[best].Batch
+			c := cmp(p.Batch, p.Batch.RowIndex(at[k]), bb, bb.RowIndex(at[best]))
+			if c < 0 || (c == 0 && !grouped && p.Seqs[at[k]] < parts[best].Seqs[at[best]]) {
 				best = k
 			}
 		}
-		out = append(out, parts[best].Rows[at[best]])
-		at[best]++
+		lo, hi := at[best], at[best]+1
+		if grouped {
+			b := parts[best].Batch
+			head := b.RowIndex(lo)
+			for hi < b.Rows() && cmp(b, b.RowIndex(hi), b, head) == 0 {
+				hi++
+			}
+		}
+		if last := len(runs) - 1; last >= 0 && runs[last].part == best && runs[last].hi == lo {
+			runs[last].hi = hi
+		} else {
+			runs = append(runs, run{best, lo, hi})
+		}
+		at[best] = hi
+		picked += hi - lo
 	}
-	return out
-}
-
-// MergeGroups merges per-shard grouped fragment outputs block-wise on the
-// grouping prefix; the parts carry no sequence keys. The push-down contract
-// guarantees every group lives wholly on one shard and distinct groups
-// differ on the prefix, so whole blocks of prefix-equal rows move intact;
-// ties across shards cannot occur for real groups, and shard index breaks
-// them deterministically anyway.
-func MergeGroups(sch *schema.Schema, prefix relation.OrderSpec, parts []TaggedRows) []relation.Tuple {
-	total := 0
-	for _, p := range parts {
-		total += len(p.Rows)
+	if len(runs) == 1 {
+		v := parts[runs[0].part].Batch.RangeView(runs[0].lo, runs[0].hi)
+		v.Schema = sch
+		return v
 	}
-	out := make([]relation.Tuple, 0, total)
-	at := make([]int, len(parts))
-	for len(out) < total {
-		best := -1
-		for k, p := range parts {
-			if at[k] >= len(p.Rows) {
+	// Not column.Concat over RangeViews: a sorted merge of interleaved
+	// shards makes about one run per row, and a view per run is a batch
+	// header per row.
+	out := column.NewBatch(sch, total)
+	for c := range out.Cols {
+		col := &out.Cols[c]
+		for _, r := range runs {
+			src := parts[r.part].Batch
+			if src.Sel == nil {
+				col.AppendRange(&src.Cols[c], r.lo, r.hi)
 				continue
 			}
-			if best < 0 || relation.CompareOn(sch, prefix, p.Rows[at[k]], parts[best].Rows[at[best]]) < 0 {
-				best = k
+			for _, i := range src.Sel[r.lo:r.hi] {
+				col.AppendFrom(&src.Cols[c], i)
 			}
 		}
-		// Move the whole prefix-equal block from the chosen shard.
-		p := parts[best].Rows
-		head := p[at[best]]
-		for at[best] < len(p) && relation.CompareOn(sch, prefix, p[at[best]], head) == 0 {
-			out = append(out, p[at[best]])
-			at[best]++
-		}
 	}
+	out.N = total
 	return out
 }

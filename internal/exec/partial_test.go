@@ -157,7 +157,8 @@ func TestRunFragmentMatchesEngine(t *testing.T) {
 					if !got.EqualAsList(ref) || !got.Order().Equal(ref.Order()) {
 						t.Fatalf("%s slice %d/%d: grouped fragment differs from the reference", what, i, n)
 					}
-					tagged[i] = exec.TaggedRows{Rows: got.Tuples()}
+					b, _ := got.Columns()
+					tagged[i] = exec.TaggedRows{Batch: b}
 					continue
 				}
 				// The per-slice oracle: the reference over the slice with the
@@ -184,16 +185,12 @@ func TestRunFragmentMatchesEngine(t *testing.T) {
 				if !got.Order().Equal(ref.Order()) {
 					t.Fatalf("%s slice %d/%d: order %s, reference %s", what, i, n, got.Order(), ref.Order())
 				}
-				tagged[i] = exec.TaggedRows{Rows: got.Tuples(), Seqs: seqs}
+				b, _ := got.Columns()
+				tagged[i] = exec.TaggedRows{Batch: b, Seqs: seqs}
 			}
-			var merged []relation.Tuple
-			if chain.tail != nil {
-				merged = exec.MergeGroups(outSch, chain.keys, tagged)
-			} else {
-				merged = exec.MergeSorted(outSch, chain.keys, tagged)
-			}
-			if !relation.FromTuplesTrusted(outSch, merged).EqualAsList(want) {
-				t.Fatalf("%s: %d slices merge to %d rows, the reference on the unsharded relation has %d", what, n, len(merged), want.Len())
+			merged := relation.FromColumnar(outSch, exec.MergeParts(outSch, chain.keys, chain.tail != nil, tagged))
+			if !merged.EqualAsList(want) {
+				t.Fatalf("%s: %d slices merge to %d rows, the reference on the unsharded relation has %d", what, n, merged.Len(), want.Len())
 			}
 		}
 	}

@@ -2,8 +2,8 @@ package server
 
 import (
 	"bufio"
-	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -23,13 +23,17 @@ import (
 // round trip (dial, request write, response reads) via connection
 // deadlines, and cancellation interrupts blocked I/O. A context failure
 // poisons the connection — frames may be half-read — so the Client is
-// closed and every later call fails; redial to recover.
+// closed and every later call fails; redial to recover. So does a frame
+// the client rejects as malformed, which may have more of its answer
+// queued behind it; only an error frame the server sent leaves the
+// connection usable.
 type Client struct {
 	mu     sync.Mutex
 	conn   net.Conn
 	br     *bufio.Reader
 	bw     *bufio.Writer
-	broken error // sticky: set when ctx interrupted mid-frame I/O
+	rbuf   []byte // rows frames' bytes, reused frame after frame
+	broken error  // sticky: set when ctx interrupted mid-frame I/O
 }
 
 // Dial connects to a server at addr (host:port), honoring the context's
@@ -122,17 +126,50 @@ func (c *Client) send(req *Request) error {
 	return c.bw.Flush()
 }
 
-// read reads one response frame; callers hold c.mu.
+// fail ends a request that did not complete; callers hold c.mu. Only an
+// error frame the server sent leaves the stream intact — the server ends a
+// failed request with it — so that *ServerError comes back and the
+// connection serves on. Every other failure marks the connection broken,
+// because the rest of the answer may still be queued on the socket: an
+// I/O error, a context interruption, and a frame the client itself
+// rejected as malformed, which still comes back as its typed proto error.
+// The sticky error a later call gets is never a *ServerError, so a caller
+// that redials on connection failures does.
+func (c *Client) fail(ctx context.Context, err error) error {
+	var sent *errorFrame
+	if errors.As(err, &sent) {
+		return sent.ServerError
+	}
+	if se, ok := err.(*ServerError); ok {
+		c.finish(ctx, fmt.Errorf("server: connection dropped after a malformed frame: %s", se.Msg))
+		return se
+	}
+	return c.finish(ctx, err)
+}
+
+// errorFrame is the error a server sent in an error frame, as read returns
+// it, so fail can tell it from a failure the client raised.
+type errorFrame struct{ *ServerError }
+
+// read reads one response frame; callers hold c.mu. A rows frame's Block
+// is the client's read buffer, valid until the next read. A frame that
+// arrived whole but is malformed is a typed proto error.
 func (c *Client) read() (*Response, error) {
-	var resp Response
+	resp := Response{Block: c.rbuf[:0]}
 	if err := ReadFrame(c.br, &resp); err != nil {
+		if errors.Is(err, errBadPayload) {
+			return nil, protoErr(err)
+		}
 		return nil, err
+	}
+	if resp.Kind == KindRows {
+		c.rbuf = resp.Block
 	}
 	if resp.Kind == KindError {
 		if resp.Err == nil {
-			return nil, &ServerError{Code: CodeProto, Msg: "error response without payload"}
+			return nil, protoErr(fmt.Errorf("server: error response without payload"))
 		}
-		return nil, &ServerError{Code: resp.Err.Code, Msg: resp.Err.Msg}
+		return nil, &errorFrame{&ServerError{Code: resp.Err.Code, Msg: resp.Err.Msg}}
 	}
 	return &resp, nil
 }
@@ -152,10 +189,7 @@ func (c *Client) Query(ctx context.Context, sql string) (*relation.Relation, *Qu
 	defer end()
 	rel, meta, _, err := c.query(&Request{Op: OpQuery, SQL: sql})
 	if err != nil {
-		if _, ok := err.(*ServerError); ok {
-			return nil, nil, err // in-protocol failure: the stream is intact
-		}
-		return nil, nil, c.finish(ctx, err)
+		return nil, nil, c.fail(ctx, err)
 	}
 	return rel, meta, nil
 }
@@ -220,14 +254,15 @@ func (c *Client) query(req *Request) (*relation.Relation, *QueryMeta, []int, err
 	}
 }
 
-// decodeBlockFrame appends a rows frame's rows, decoded against b's
-// schema, to b, and their sequence keys to keys unless keys is nil. A
-// missing, torn, corrupt or schema-confused block is a typed proto error.
+// decodeBlockFrame appends a rows frame's rows, decoded in place against
+// b's schema, to b, and their sequence keys to keys unless keys is nil. A
+// missing, torn, corrupt or schema-confused block, or bytes past it, is a
+// typed proto error.
 func decodeBlockFrame(resp *Response, b *column.Batch, keys []int) ([]int, error) {
 	if len(resp.Block) == 0 {
 		return keys, protoErr(fmt.Errorf("server: rows frame without a block"))
 	}
-	keys, err := spill.DecodeBlocks(bytes.NewReader(resp.Block), b, keys)
+	keys, err := spill.DecodeBlock(resp.Block, b, keys)
 	if err != nil {
 		return keys, protoErr(fmt.Errorf("server: rows frame: %w", err))
 	}
@@ -249,10 +284,7 @@ func (c *Client) Partial(ctx context.Context, plan *WirePlan) (*relation.Relatio
 	defer end()
 	rel, _, keys, err := c.query(&Request{Op: OpPartial, Plan: plan})
 	if err != nil {
-		if _, ok := err.(*ServerError); ok {
-			return nil, nil, err
-		}
-		return nil, nil, c.finish(ctx, err)
+		return nil, nil, c.fail(ctx, err)
 	}
 	return rel, keys, nil
 }
@@ -306,10 +338,7 @@ func (c *Client) roundTrip(ctx context.Context, req *Request, want string, accep
 		return nil
 	}
 	if err := exchange(); err != nil {
-		if _, ok := err.(*ServerError); ok {
-			return err
-		}
-		return c.finish(ctx, err)
+		return c.fail(ctx, err)
 	}
 	return nil
 }

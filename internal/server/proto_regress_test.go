@@ -22,7 +22,7 @@ func TestZeroArityRowsSurviveWire(t *testing.T) {
 	tuples := []relation.Tuple{{}, {}, {}}
 
 	block := blockOf([]int{0, 0, 0}, tuples...)
-	back, _, err := decodeRows(block, sch, nil)
+	back, _, err := blockTuples(block, sch, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

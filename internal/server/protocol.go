@@ -1,5 +1,5 @@
 // Package server is the concurrent temporal-query service: a TCP server
-// speaking a length-prefixed JSON protocol over the optimizer assembled in
+// speaking a length-prefixed frame protocol over the optimizer assembled in
 // internal/core. It adds the three things the in-process API lacks for
 // serving repetitive multiset workloads to many clients at once:
 //
@@ -14,15 +14,15 @@
 //     error when saturated.
 //
 // The wire protocol is deliberately small. Every message is one frame: a
-// 4-byte big-endian payload length followed by that many bytes of JSON.
+// 4-byte big-endian header holding the payload length, then the payload.
 // Clients send Request frames; the server answers each request with one or
 // more Response frames. A query answer is a "schema" frame, zero or more
 // "rows" frames (batched), and a terminal "done" frame — or a single
-// "error" frame. Rows travel in the one row codec of the system, the
-// checksummed columnar block of internal/spill: each rows frame carries one
-// block holding its rows' exact values, their sequence keys and a CRC-32C,
-// and the client decodes it against the schema frame's columns. JSON
-// carries only the control fields around it.
+// "error" frame. Control frames carry JSON. A rows frame carries the one
+// row codec of the system raw: its header has the top bit set, and its
+// payload is one checksummed columnar block of internal/spill holding its
+// rows' exact values and their sequence keys, which the client decodes in
+// place against the schema frame's columns.
 package server
 
 import (
@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"tqp/internal/obs"
@@ -196,8 +197,10 @@ type Response struct {
 	// global positions in the unsharded relation, on a partial-plan answer
 	// whose fragment preserves per-tuple provenance. Otherwise the keys
 	// carry nothing and the client drops them.
-	Keyed bool        `json:"keyed,omitempty"`
-	Block []byte      `json:"block,omitempty"`
+	Keyed bool `json:"keyed,omitempty"`
+	// Block is a rows frame's body, which crosses the wire raw (see
+	// WriteFrame), never inside JSON.
+	Block []byte      `json:"-"`
 	Done  *Done       `json:"done,omitempty"`
 	Err   *WireError  `json:"error,omitempty"`
 	Stats *StatsReply `json:"stats,omitempty"`
@@ -223,27 +226,42 @@ func protoErr(err error) error {
 	return &ServerError{Code: CodeProto, Msg: err.Error()}
 }
 
-// WriteFrame marshals v and writes it as one length-prefixed frame.
+// rawFrame flags a frame header whose payload is a raw rows block rather
+// than JSON. MaxFrame needs only the low 27 bits of the length, so the top
+// bit is free; a reader that does not know the flag sees an over-limit
+// length and drops the connection rather than misreading the frame.
+const rawFrame = 1 << 31
+
+// WriteFrame writes v as one length-prefixed frame: a rows Response as its
+// raw block under a flagged header, anything else as JSON.
 func WriteFrame(w io.Writer, v any) error {
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("server: encoding frame: %w", err)
+	payload, flag := []byte(nil), uint32(0)
+	if resp, ok := v.(*Response); ok && resp.Kind == KindRows {
+		payload, flag = resp.Block, rawFrame
+	} else {
+		var err error
+		if payload, err = json.Marshal(v); err != nil {
+			return fmt.Errorf("server: encoding frame: %w", err)
+		}
 	}
 	if len(payload) > MaxFrame {
 		return fmt.Errorf("server: frame of %d bytes exceeds the %d-byte limit", len(payload), MaxFrame)
 	}
 	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
+	binary.BigEndian.PutUint32(hdr[:], flag|uint32(len(payload)))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	_, err = w.Write(payload)
+	_, err := w.Write(payload)
 	return err
 }
 
-// ReadFrame reads one length-prefixed frame and unmarshals it into v.
-// io.EOF before the first header byte means a clean peer hangup and is
-// returned verbatim; a partial frame is an io.ErrUnexpectedEOF.
+// ReadFrame reads one length-prefixed frame into v. A raw frame is a rows
+// Response: v must be a *Response, whose Block receives the frame's bytes,
+// reusing the capacity Block already has. Any other frame is JSON, and a
+// JSON rows frame is malformed: rows travel only raw. io.EOF before the
+// first header byte means a clean peer hangup and is returned verbatim; a
+// partial frame is an io.ErrUnexpectedEOF.
 func ReadFrame(r io.Reader, v any) error {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -252,24 +270,66 @@ func ReadFrame(r io.Reader, v any) error {
 		}
 		return fmt.Errorf("server: reading frame header: %w", err)
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	h := binary.BigEndian.Uint32(hdr[:])
+	n := h &^ rawFrame
 	if n > MaxFrame {
-		return fmt.Errorf("server: peer announced a %d-byte frame (limit %d)", n, MaxFrame)
+		return fmt.Errorf("%w: peer announced a %d-byte frame (limit %d)", errOversize, n, MaxFrame)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	resp, _ := v.(*Response)
+	var scratch []byte
+	if resp != nil {
+		scratch = resp.Block
+	}
+	payload, err := readPayload(r, scratch[:0], int(n))
+	if err != nil {
 		return fmt.Errorf("server: reading frame payload: %w", err)
+	}
+	if h&rawFrame != 0 {
+		if resp == nil {
+			return fmt.Errorf("%w: a raw rows frame where a %T is expected", errBadPayload, v)
+		}
+		*resp = Response{Kind: KindRows, Block: payload}
+		return nil
+	}
+	if resp != nil {
+		resp.Block = nil
 	}
 	if err := json.Unmarshal(payload, v); err != nil {
 		return fmt.Errorf("%w: %v", errBadPayload, err)
 	}
+	if resp != nil && resp.Kind == KindRows {
+		return fmt.Errorf("%w: a JSON rows frame (rows travel only as raw frames)", errBadPayload)
+	}
 	return nil
 }
 
-// errBadPayload marks a well-framed message whose JSON payload failed to
-// decode. The frame was fully consumed, so the stream is still in sync —
-// ServeRequests answers with a proto error and keeps serving the
-// connection, unlike framing errors, which are unrecoverable.
+// readPayload reads an n-byte frame payload into buf's storage. The buffer
+// grows only as bytes arrive, so a length claim from a hostile or broken
+// peer costs what the peer sends, not what its header says.
+func readPayload(r io.Reader, buf []byte, n int) ([]byte, error) {
+	for len(buf) < n {
+		chunk := min(n-len(buf), 64<<10)
+		buf = slices.Grow(buf, chunk)
+		got, err := io.ReadFull(r, buf[len(buf):len(buf)+chunk])
+		buf = buf[:len(buf)+got]
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
+}
+
+// errOversize marks a header announcing more than MaxFrame bytes: the
+// connection is dropped rather than the allocation attempted.
+var errOversize = errors.New("server: oversize frame")
+
+// errBadPayload marks a well-framed message whose payload failed to decode
+// as what the reader expects. The frame was fully consumed, so the stream
+// is still in sync — ServeRequests answers with a proto error and keeps
+// serving the connection, unlike framing errors, which are unrecoverable.
 var errBadPayload = errors.New("server: bad frame payload")
 
 // colsOf renders a schema for the wire.

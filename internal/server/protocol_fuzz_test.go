@@ -46,9 +46,9 @@ func rowsOf(b *column.Batch) []relation.Tuple {
 	return out
 }
 
-// decodeRows decodes a block sequence against sch into tuples, collecting
+// blockTuples decodes a block sequence against sch into tuples, collecting
 // keys unless keys is nil.
-func decodeRows(data []byte, sch *schema.Schema, keys []int) ([]relation.Tuple, []int, error) {
+func blockTuples(data []byte, sch *schema.Schema, keys []int) ([]relation.Tuple, []int, error) {
 	b := column.NewBatch(sch, 0)
 	keys, err := spill.DecodeBlocks(bytes.NewReader(data), b, keys)
 	return rowsOf(b), keys, err
@@ -94,6 +94,13 @@ func FuzzDecodeCols(f *testing.F) {
 	f.Add([]byte{}, block([]int{0, 0}, relation.Tuple{}, relation.Tuple{}))
 	f.Add([]byte{}, []byte{})
 	f.Add([]byte{2, 4}, block([]int{1 << 40, 3}, relation.Tuple{value.String_("a"), value.Time(period.NowMarker)}, relation.Tuple{value.Int(1), value.Time(2)}))
+	// Homogeneous int, time and string columns decode straight onto their
+	// typed planes.
+	f.Add([]byte{0, 4, 2}, block([]int{3, 1, 2},
+		relation.Tuple{value.Int(-7), value.Time(0), value.String_("Anna")},
+		relation.Tuple{value.Int(math.MinInt64), value.Time(period.NowMarker), value.String_("")},
+		relation.Tuple{value.Int(1 << 40), value.Time(-3), value.String_("ünï")}))
+	f.Add([]byte{2, 2, 4, 4}, block([]int{0}, relation.Tuple{value.String_("x"), value.String_("yz"), value.Time(1), value.Time(5)}))
 	f.Fuzz(func(t *testing.T, kindBytes []byte, payload []byte) {
 		s := fuzzSchema(t, kindBytes)
 		b := column.NewBatch(s, 0)

@@ -199,7 +199,7 @@ func TestColumnarRowsCodec(t *testing.T) {
 		}
 		// Each rows frame is one block holding exactly its window.
 		for i, win := range [][2]int{{0, 2}, {2, 3}} {
-			got, gotKeys, err := decodeRows(frames[1+i].Block, sch, []int{})
+			got, gotKeys, err := blockTuples(frames[1+i].Block, sch, []int{})
 			if err != nil {
 				t.Fatalf("keys %v frame %d: %v", keys, i, err)
 			}
@@ -225,7 +225,7 @@ func TestColumnarRowsCodec(t *testing.T) {
 	// loud.
 	block := blockOf([]int{0, 1, 2}, rel.Tuples()...)
 	short := schema.MustNew(schema.Attr("Name", value.KindString), schema.Attr("N", value.KindInt))
-	if _, _, err := decodeRows(block, short, nil); err == nil {
+	if _, _, err := blockTuples(block, short, nil); err == nil {
 		t.Fatal("a block of another arity must not decode")
 	}
 	confused := schema.MustNew(
@@ -234,10 +234,10 @@ func TestColumnarRowsCodec(t *testing.T) {
 		schema.Attr(schema.T1, value.KindTime),
 		schema.Attr(schema.T2, value.KindTime),
 	)
-	if _, _, err := decodeRows(block, confused, nil); err == nil {
+	if _, _, err := blockTuples(block, confused, nil); err == nil {
 		t.Fatal("a column of another kind must not decode")
 	}
-	if _, _, err := decodeRows(block[:len(block)-1], sch, nil); err == nil {
+	if _, _, err := blockTuples(block[:len(block)-1], sch, nil); err == nil {
 		t.Fatal("a truncated block must not decode")
 	}
 }

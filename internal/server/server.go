@@ -637,7 +637,7 @@ func streamResult(w io.Writer, result *relation.Relation, keys []int, batchRows 
 	if keys == nil {
 		zeros = make([]int, min(batchRows, n))
 	}
-	var block []byte
+	rows := Response{Kind: KindRows}
 	for from := 0; from < n; from += batchRows {
 		to := min(from+batchRows, n)
 		var seqs []int
@@ -646,8 +646,8 @@ func streamResult(w io.Writer, result *relation.Relation, keys []int, batchRows 
 		} else {
 			seqs = zeros[:to-from]
 		}
-		block = spill.EncodeBlock(block[:0], seqs, b, from)
-		if err := WriteFrame(w, &Response{Kind: KindRows, Block: block}); err != nil {
+		rows.Block = spill.EncodeBlock(rows.Block[:0], seqs, b, from)
+		if err := WriteFrame(w, &rows); err != nil {
 			return err
 		}
 	}

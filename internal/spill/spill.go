@@ -21,9 +21,10 @@
 // partitions, the persistent store's segment files, and the server's rows
 // frames, each of which carries one block of a result (its sequence keys
 // are a pushed-down fragment's provenance). EncodeBlock writes a block from
-// a batch's typed planes and DecodeBlocks reads blocks back into a batch
-// against its schema, so a torn segment and a hostile peer's frame fail
-// through the same code.
+// a batch's typed planes; DecodeBlocks reads blocks from a reader, and
+// DecodeBlock one block in place from a frame's bytes, back onto a batch's
+// typed planes against its schema — both through the one payload decoder,
+// so a torn segment and a hostile peer's frame fail through the same code.
 package spill
 
 import (
@@ -326,10 +327,7 @@ func EncodeBlock(dst []byte, seqs []int, b *column.Batch, lo int) []byte {
 			}
 		}
 		if k != value.KindInvalid {
-			dst = append(dst, byte(k))
-			for r := lo; r < hi; r++ {
-				dst = appendCell(dst, col.At(b.RowIndex(r)))
-			}
+			dst = appendPlane(append(dst, byte(k)), col, b, lo, hi)
 			continue
 		}
 		dst = append(dst, kindHetero)
@@ -348,22 +346,55 @@ func EncodeBlock(dst []byte, seqs []int, b *column.Batch, lo int) []byte {
 	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start+h:], castagnoli))
 }
 
-// BlockReader is what blocks decode from: a spill file or a segment file
-// behind a bufio.Reader, or a rows frame's bytes behind a bytes.Reader.
+// appendPlane appends the cells of the presented rows [lo, hi) of col, a
+// column of b whose cells all share one kind, with no kind bytes: a typed
+// plane is read unboxed, exactly as appendCell writes its values.
+func appendPlane(dst []byte, col *column.Vec, b *column.Batch, lo, hi int) []byte {
+	switch col.Kind {
+	case value.KindInt, value.KindTime:
+		for r := lo; r < hi; r++ {
+			dst = binary.AppendVarint(dst, col.Ints[b.RowIndex(r)])
+		}
+	case value.KindBool:
+		for r := lo; r < hi; r++ {
+			c := byte(0)
+			if col.Ints[b.RowIndex(r)] != 0 {
+				c = 1
+			}
+			dst = append(dst, c)
+		}
+	case value.KindFloat:
+		for r := lo; r < hi; r++ {
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(col.Floats[b.RowIndex(r)]))
+		}
+	case value.KindString:
+		for r := lo; r < hi; r++ {
+			s := col.Strs[b.RowIndex(r)]
+			dst = append(binary.AppendUvarint(dst, uint64(len(s))), s...)
+		}
+	default:
+		for r := lo; r < hi; r++ {
+			dst = appendCell(dst, col.Vals[b.RowIndex(r)])
+		}
+	}
+	return dst
+}
+
+// BlockReader is what a block sequence decodes from: a spill file or a
+// segment file behind a bufio.Reader. A rows frame's one block is already in
+// memory and decodes in place (DecodeBlock).
 type BlockReader interface {
 	io.Reader
 	io.ByteReader
 }
 
-// decodeBlock reads one columnar block — the one block decoder — verifying
-// length and checksum, and appends its rows to b's column planes (a cell of
-// a foreign kind demotes its column, as Vec.Append does) and their sequence
-// keys to seqs. The block's strings are sliced from one string per block.
-// seqs and buf are scratch recycled across calls. A reader that is
-// exhausted before the block's first byte returns io.EOF itself: the clean
-// end of a block sequence. Every other failure, a block torn anywhere
-// included, is a descriptive error that is not io.EOF; on one, b may hold
-// part of the block.
+// decodeBlock reads one columnar block from br, verifying its length and
+// checksum, and decodes it (decodePayload) onto b's column planes, its
+// sequence keys appended to seqs. seqs and buf are scratch recycled across
+// calls. A reader that is exhausted before the block's first byte returns
+// io.EOF itself: the clean end of a block sequence. Every other failure, a
+// block torn anywhere included, is a descriptive error that is not io.EOF;
+// on one, b may hold part of the block.
 func decodeBlock(br BlockReader, seqs []int, buf []byte, b *column.Batch) ([]int, []byte, error) {
 	n, err := binary.ReadUvarint(br)
 	if err == io.EOF {
@@ -396,73 +427,59 @@ func decodeBlock(br BlockReader, seqs []int, buf []byte, b *column.Batch) ([]int
 	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(sum[:]) {
 		return seqs, buf, fmt.Errorf("block checksum mismatch (corrupt block)")
 	}
+	seqs, err = decodePayload(payload, seqs, true, b)
+	return seqs, buf, err
+}
 
-	pos := 0
-	var strs string // the payload as one string, once a string cell needs it
-	readUvarint := func() (uint64, error) {
-		v, k := binary.Uvarint(payload[pos:])
-		if k <= 0 {
-			return 0, fmt.Errorf("truncated varint in block")
-		}
-		pos += k
-		return v, nil
+// DecodeBlock decodes the one block data holds — a rows frame's body —
+// in place: the payload is read where it lies, never copied, and its
+// strings are cut from one string per block. It appends the rows to b and
+// their sequence keys to keys unless keys is nil. Exactly one whole block
+// must fill data, and every cell must be of its column's kind in b.Schema;
+// anything else is an error, never a panic. On an error b holds an
+// unspecified prefix.
+func DecodeBlock(data []byte, b *column.Batch, keys []int) ([]int, error) {
+	n, h := binary.Uvarint(data)
+	if h <= 0 {
+		return keys, fmt.Errorf("block header: truncated varint")
 	}
-	readVarint := func() (int64, error) {
-		v, k := binary.Varint(payload[pos:])
-		if k <= 0 {
-			return 0, fmt.Errorf("truncated varint in block")
-		}
-		pos += k
-		return v, nil
+	if n > maxBlockSize {
+		return keys, fmt.Errorf("block of %d bytes exceeds the %d-byte bound (corrupt header)", n, maxBlockSize)
 	}
-	readCell := func(kind value.Kind) (value.Value, error) {
-		switch kind {
-		case value.KindInt:
-			v, err := readVarint()
-			return value.Int(v), err
-		case value.KindFloat:
-			if pos+8 > len(payload) {
-				return value.Value{}, fmt.Errorf("block truncated in float value")
-			}
-			v := value.Float(math.Float64frombits(binary.LittleEndian.Uint64(payload[pos:])))
-			pos += 8
-			return v, nil
-		case value.KindString:
-			l, err := readUvarint()
-			if err != nil {
-				return value.Value{}, err
-			}
-			if l > uint64(len(payload)-pos) {
-				return value.Value{}, fmt.Errorf("block truncated in string value")
-			}
-			if strs == "" {
-				strs = string(payload)
-			}
-			v := value.String_(strs[pos : pos+int(l)])
-			pos += int(l)
-			return v, nil
-		case value.KindBool:
-			if pos >= len(payload) {
-				return value.Value{}, fmt.Errorf("block truncated in bool value")
-			}
-			v := value.Bool(payload[pos] != 0)
-			pos++
-			return v, nil
-		case value.KindTime:
-			v, err := readVarint()
-			return value.Time(period.Chronon(v)), err
-		default:
-			return value.Value{}, fmt.Errorf("block holds unknown value kind %d", kind)
-		}
+	if rest := uint64(len(data) - h); rest < n+4 {
+		return keys, fmt.Errorf("block of %d bytes torn after %d: %w", n, rest, io.ErrUnexpectedEOF)
+	} else if rest > n+4 {
+		return keys, fmt.Errorf("%d bytes past the block", rest-n-4)
 	}
+	payload := data[h : h+int(n)]
+	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(data[h+int(n):]) {
+		return keys, fmt.Errorf("block checksum mismatch (corrupt block)")
+	}
+	keys, err := decodePayload(payload, keys, keys != nil, b)
+	if err != nil {
+		return keys, err
+	}
+	return keys, checkKinds(b)
+}
 
-	nrows64, err := readUvarint()
+// decodePayload decodes one verified block payload — the one block
+// decoder — appending its rows to b's column planes and, when keep is set,
+// their sequence keys to seqs. A column whose block kind is its plane's
+// kind decodes straight onto the typed plane, grown once by the block's
+// row count; a heterogeneous column, or one of a foreign kind, appends
+// cell by cell (a foreign kind demotes its plane, as Vec.Append does). The
+// block's strings are sliced from one string per block. On an error b may
+// hold part of the block.
+func decodePayload(payload []byte, seqs []int, keep bool, b *column.Batch) ([]int, error) {
+	d := payloadDecoder{p: payload}
+	n := uint64(len(payload))
+	nrows64, err := d.uvarint()
 	if err != nil {
-		return seqs, buf, err
+		return seqs, err
 	}
-	arity64, err := readUvarint()
+	arity64, err := d.uvarint()
 	if err != nil {
-		return seqs, buf, err
+		return seqs, err
 	}
 	nrows, arity := int(nrows64), int(arity64)
 	// Sanity bounds before allocating: every seq takes ≥1 byte, and every
@@ -470,49 +487,199 @@ func decodeBlock(br BlockReader, seqs []int, buf []byte, b *column.Batch) ([]int
 	// minimum), so a corrupt header cannot claim more cells than the
 	// payload could hold.
 	if nrows == 0 || nrows64 > n || arity64 > n {
-		return seqs, buf, fmt.Errorf("block claims %d rows × %d columns in %d bytes", nrows64, arity64, n)
+		return seqs, fmt.Errorf("block claims %d rows × %d columns in %d bytes", nrows64, arity64, n)
 	}
 	if arity > 0 && uint64(arity)*(nrows64+1) > n {
-		return seqs, buf, fmt.Errorf("block claims %d×%d cells in %d bytes", nrows64, arity64, n)
+		return seqs, fmt.Errorf("block claims %d×%d cells in %d bytes", nrows64, arity64, n)
 	}
 	if arity != len(b.Cols) {
-		return seqs, buf, fmt.Errorf("block holds %d-column rows, want %d", arity, len(b.Cols))
+		return seqs, fmt.Errorf("block holds %d-column rows, want %d", arity, len(b.Cols))
+	}
+	if keep {
+		seqs = slices.Grow(seqs, nrows)
 	}
 	for i := 0; i < nrows; i++ {
-		s, err := readUvarint()
+		s, err := d.uvarint()
 		if err != nil {
-			return seqs, buf, err
+			return seqs, err
 		}
-		seqs = append(seqs, int(s))
+		if keep {
+			seqs = append(seqs, int(s))
+		}
 	}
 	for j := range b.Cols {
 		col := &b.Cols[j]
-		if pos >= len(payload) {
-			return seqs, buf, fmt.Errorf("block truncated at column %d", j)
+		if d.pos >= len(d.p) {
+			return seqs, fmt.Errorf("block truncated at column %d", j)
 		}
-		kind := value.Kind(payload[pos])
-		pos++
+		kind := value.Kind(d.p[d.pos])
+		d.pos++
+		if kind == col.Kind && kind != value.KindInvalid {
+			if err := d.plane(col, nrows); err != nil {
+				return seqs, err
+			}
+			continue
+		}
 		for i := 0; i < nrows; i++ {
 			k := kind
 			if kind == kindHetero {
-				if pos >= len(payload) {
-					return seqs, buf, fmt.Errorf("block truncated at column %d row %d", j, i)
+				if d.pos >= len(d.p) {
+					return seqs, fmt.Errorf("block truncated at column %d row %d", j, i)
 				}
-				k = value.Kind(payload[pos])
-				pos++
+				k = value.Kind(d.p[d.pos])
+				d.pos++
 			}
-			v, err := readCell(k)
+			v, err := d.cell(k)
 			if err != nil {
-				return seqs, buf, err
+				return seqs, err
 			}
 			col.Append(v)
 		}
 	}
-	if pos != len(payload) {
-		return seqs, buf, fmt.Errorf("block has %d trailing bytes", len(payload)-pos)
+	if d.pos != len(d.p) {
+		return seqs, fmt.Errorf("block has %d trailing bytes", len(d.p)-d.pos)
 	}
 	b.N += nrows
-	return seqs, buf, nil
+	return seqs, nil
+}
+
+// payloadDecoder reads one verified block payload from its start.
+type payloadDecoder struct {
+	p    []byte
+	pos  int
+	strs string // the payload as one string, once a string cell needs it
+}
+
+func (d *payloadDecoder) uvarint() (uint64, error) {
+	v, k := binary.Uvarint(d.p[d.pos:])
+	if k <= 0 {
+		return 0, fmt.Errorf("truncated varint in block")
+	}
+	d.pos += k
+	return v, nil
+}
+
+func (d *payloadDecoder) varint() (int64, error) {
+	v, k := binary.Varint(d.p[d.pos:])
+	if k <= 0 {
+		return 0, fmt.Errorf("truncated varint in block")
+	}
+	d.pos += k
+	return v, nil
+}
+
+// str reads one length-prefixed string, sliced from the block's string.
+func (d *payloadDecoder) str() (string, error) {
+	l, err := d.uvarint()
+	if err != nil {
+		return "", err
+	}
+	if l > uint64(len(d.p)-d.pos) {
+		return "", fmt.Errorf("block truncated in string value")
+	}
+	if d.strs == "" {
+		d.strs = string(d.p)
+	}
+	s := d.strs[d.pos : d.pos+int(l)]
+	d.pos += int(l)
+	return s, nil
+}
+
+// cell reads one cell of kind k as a value: the per-cell path.
+func (d *payloadDecoder) cell(k value.Kind) (value.Value, error) {
+	switch k {
+	case value.KindInt:
+		v, err := d.varint()
+		return value.Int(v), err
+	case value.KindFloat:
+		if d.pos+8 > len(d.p) {
+			return value.Value{}, fmt.Errorf("block truncated in float value")
+		}
+		v := value.Float(math.Float64frombits(binary.LittleEndian.Uint64(d.p[d.pos:])))
+		d.pos += 8
+		return v, nil
+	case value.KindString:
+		s, err := d.str()
+		return value.String_(s), err
+	case value.KindBool:
+		if d.pos >= len(d.p) {
+			return value.Value{}, fmt.Errorf("block truncated in bool value")
+		}
+		v := value.Bool(d.p[d.pos] != 0)
+		d.pos++
+		return v, nil
+	case value.KindTime:
+		v, err := d.varint()
+		return value.Time(period.Chronon(v)), err
+	default:
+		return value.Value{}, fmt.Errorf("block holds unknown value kind %d", k)
+	}
+}
+
+// plane decodes n cells of col's own kind straight onto its typed plane,
+// grown once: the values are exactly those cell would box, unboxed.
+func (d *payloadDecoder) plane(col *column.Vec, n int) error {
+	switch col.Kind {
+	case value.KindInt, value.KindTime:
+		ints := slices.Grow(col.Ints, n)
+		for i := 0; i < n; i++ {
+			v, k := binary.Varint(d.p[d.pos:])
+			if k <= 0 {
+				col.Ints = ints
+				return fmt.Errorf("truncated varint in block")
+			}
+			d.pos += k
+			ints = append(ints, v)
+		}
+		col.Ints = ints
+	case value.KindBool:
+		if n > len(d.p)-d.pos {
+			return fmt.Errorf("block truncated in bool value")
+		}
+		ints := slices.Grow(col.Ints, n)
+		for _, c := range d.p[d.pos : d.pos+n] {
+			v := int64(0)
+			if c != 0 {
+				v = 1
+			}
+			ints = append(ints, v)
+		}
+		d.pos += n
+		col.Ints = ints
+	case value.KindFloat:
+		if n > (len(d.p)-d.pos)/8 {
+			return fmt.Errorf("block truncated in float value")
+		}
+		floats := slices.Grow(col.Floats, n)
+		for i := 0; i < n; i++ {
+			floats = append(floats, math.Float64frombits(binary.LittleEndian.Uint64(d.p[d.pos:])))
+			d.pos += 8
+		}
+		col.Floats = floats
+	case value.KindString:
+		strs := slices.Grow(col.Strs, n)
+		for i := 0; i < n; i++ {
+			s, err := d.str()
+			if err != nil {
+				col.Strs = strs
+				return err
+			}
+			strs = append(strs, s)
+		}
+		col.Strs = strs
+	}
+	return nil
+}
+
+// checkKinds reports a column whose plane is not its schema attribute's
+// kind: a block cell the schema does not admit demoted it.
+func checkKinds(b *column.Batch) error {
+	for j := range b.Cols {
+		if want := b.Schema.At(j).Kind; b.Cols[j].Kind != want {
+			return fmt.Errorf("attribute %s expects %s cells, the block holds others", b.Schema.At(j).Name, want)
+		}
+	}
+	return nil
 }
 
 // maxBlockSize bounds a single block; a corrupt length prefix must not
@@ -547,10 +714,8 @@ func DecodeBlocks(r BlockReader, b *column.Batch, keys []int) ([]int, error) {
 		if err != nil {
 			return keys, err
 		}
-		for j := range b.Cols {
-			if want := b.Schema.At(j).Kind; b.Cols[j].Kind != want {
-				return keys, fmt.Errorf("attribute %s expects %s cells, the block holds others", b.Schema.At(j).Name, want)
-			}
+		if err := checkKinds(b); err != nil {
+			return keys, err
 		}
 		if keys != nil {
 			keys = append(keys, seqs...)
