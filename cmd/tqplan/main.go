@@ -209,7 +209,7 @@ func sortedCatalog(cat *tqp.Catalog) (*tqp.Catalog, error) {
 		if err != nil {
 			return nil, err
 		}
-		r := e.Rel.Clone()
+		r := e.Rel
 		var spec relation.OrderSpec
 		s := r.Schema()
 		t1, t2 := s.TimeIndices()
@@ -221,7 +221,7 @@ func sortedCatalog(cat *tqp.Catalog) (*tqp.Catalog, error) {
 		}
 		info := e.Info
 		if len(spec) > 0 {
-			if err := r.SortStable(spec); err != nil {
+			if r, err = r.Sorted(spec); err != nil {
 				return nil, err
 			}
 			info.Order = spec

@@ -139,10 +139,11 @@ func TestResolveCopiesAreIsolated(t *testing.T) {
 	if err := c.Add("R", r, algebra.BaseInfo{}); err != nil {
 		t.Fatal(err)
 	}
-	// Mutating the caller's relation after Add must not affect the catalog.
-	r.Append(relation.NewTuple(value.Int(2)))
+	// Recording an order on the caller's relation after Add must not
+	// affect the catalog's entry.
+	r.SetOrder(relation.OrderSpec{relation.Key("A")})
 	got, _ := c.Resolve("R")
-	if got.Len() != 1 {
-		t.Error("catalog must hold its own copy of the tuple list")
+	if got == r || !got.Order().Empty() || got.Len() != 1 {
+		t.Error("catalog must hold its own relation")
 	}
 }

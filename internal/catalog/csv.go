@@ -33,7 +33,7 @@ func (c *Catalog) AddCSV(name string, r io.Reader, info algebra.BaseInfo) error 
 	if err != nil {
 		return fmt.Errorf("catalog: %q: %w", name, err)
 	}
-	rel := relation.New(sch)
+	rows := make([]relation.Tuple, 0, len(lines)-1)
 	for ln, line := range lines[1:] {
 		cells := strings.Split(line, ",")
 		if len(cells) != sch.Len() {
@@ -47,9 +47,9 @@ func (c *Catalog) AddCSV(name string, r io.Reader, info algebra.BaseInfo) error 
 			}
 			t[i] = v
 		}
-		rel.Append(t)
+		rows = append(rows, t)
 	}
-	return c.Add(name, rel, info)
+	return c.Add(name, relation.FromTuplesTrusted(sch, rows), info)
 }
 
 func parseCSVHeader(header string) (*schema.Schema, error) {
@@ -82,25 +82,34 @@ func splitLines(s string) []string {
 }
 
 // WriteCSV renders a relation in the AddCSV format, making catalogs
-// round-trippable.
+// round-trippable. A cell AddCSV would read back differently — a string
+// holding a comma or a newline, or with leading or trailing space, or an
+// empty string as the only cell of a row, whose line AddCSV skips as blank —
+// is an error naming its row and attribute, and nothing is written.
 func WriteCSV(w io.Writer, r *relation.Relation) error {
 	sch := r.Schema()
-	header := make([]string, sch.Len())
+	var b strings.Builder
 	for i := 0; i < sch.Len(); i++ {
+		if i > 0 {
+			b.WriteByte(',')
+		}
 		a := sch.At(i)
-		header[i] = a.Name + ":" + a.Kind.String()
+		b.WriteString(a.Name + ":" + a.Kind.String())
 	}
-	if _, err := fmt.Fprintln(w, strings.Join(header, ",")); err != nil {
-		return err
-	}
-	for _, t := range r.Tuples() {
-		cells := make([]string, len(t))
+	b.WriteByte('\n')
+	for row, t := range r.Tuples() {
 		for i, v := range t {
-			cells[i] = v.String()
+			cell := v.String()
+			if strings.ContainsAny(cell, ",\n") || strings.TrimSpace(cell) != cell || (len(t) == 1 && cell == "") {
+				return fmt.Errorf("catalog: csv row %d attribute %s: %q does not read back", row, sch.At(i).Name, cell)
+			}
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			b.WriteString(cell)
 		}
-		if _, err := fmt.Fprintln(w, strings.Join(cells, ",")); err != nil {
-			return err
-		}
+		b.WriteByte('\n')
 	}
-	return nil
+	_, err := io.WriteString(w, b.String())
+	return err
 }

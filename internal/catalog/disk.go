@@ -2,9 +2,9 @@ package catalog
 
 import (
 	"fmt"
-	"slices"
 
 	"tqp/internal/algebra"
+	"tqp/internal/column"
 	"tqp/internal/relation"
 	"tqp/internal/store"
 )
@@ -70,7 +70,7 @@ func (c *Catalog) AddDisk(name string, r *relation.Relation, info algebra.BaseIn
 	if err := c.st.Create(name, r.Schema(), info); err != nil {
 		return err
 	}
-	if err := c.st.Append(name, r.Tuples()); err != nil {
+	if err := c.st.Append(name, r.Columns()); err != nil {
 		return err
 	}
 	return c.loadEntry(name)
@@ -86,33 +86,13 @@ func (c *Catalog) AppendTuples(name string, rows []relation.Tuple) error {
 	if !ok {
 		return fmt.Errorf("catalog: unknown relation %q", name)
 	}
-	if len(rows) == 0 {
-		return nil
-	}
 	sch := e.Rel.Schema()
 	for _, t := range rows {
 		if err := t.CheckAgainst(sch); err != nil {
 			return fmt.Errorf("catalog: append to %q: %w", name, err)
 		}
 	}
-	combined := relation.FromTuplesTrusted(sch, slices.Concat(e.Rel.Tuples(), rows))
-	if err := verifyInfo(name, combined, e.Info); err != nil {
-		return err
-	}
-	if c.st != nil {
-		if err := c.st.Append(name, rows); err != nil {
-			return err
-		}
-		segs, err := c.st.Segments(name)
-		if err != nil {
-			return err
-		}
-		e.segs = segs
-	}
-	combined.SetOrder(e.Info.Order)
-	e.Stats = e.Stats.extend(combined, e.Rel.Len())
-	e.Rel = combined
-	return nil
+	return c.appendBatch(e, relation.FromTuplesTrusted(sch, rows).Columns())
 }
 
 // AppendRows is AppendTuples over raw row literals.
@@ -125,7 +105,36 @@ func (c *Catalog) AppendRows(name string, rows [][]any) error {
 	if err != nil {
 		return fmt.Errorf("catalog: append to %q: %w", name, err)
 	}
-	return c.AppendTuples(name, r.Tuples())
+	return c.appendBatch(e, r.Columns())
+}
+
+// appendBatch appends a schema-checked batch of new rows to e: the combined
+// list is one batch (column.Concat), and the same new-row batch is what the
+// store writes.
+func (c *Catalog) appendBatch(e *Entry, b *column.Batch) error {
+	if b.Rows() == 0 {
+		return nil
+	}
+	sch := e.Rel.Schema()
+	old := e.Rel.Columns()
+	combined := relation.FromColumnar(sch, column.Concat(sch, []*column.Batch{old, b}, old.Rows()+b.Rows()))
+	if err := verifyInfo(e.Name, combined, e.Info); err != nil {
+		return err
+	}
+	if c.st != nil {
+		if err := c.st.Append(e.Name, b); err != nil {
+			return err
+		}
+		segs, err := c.st.Segments(e.Name)
+		if err != nil {
+			return err
+		}
+		e.segs = segs
+	}
+	combined.SetOrder(e.Info.Order)
+	e.Stats = e.Stats.extend(combined, e.Rel.Len())
+	e.Rel = combined
+	return nil
 }
 
 // Compact rewrites a disk-backed relation's segments into one, re-fencing

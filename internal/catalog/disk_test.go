@@ -201,13 +201,14 @@ func TestTravelMatchesNaiveFilter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := relation.FromTuplesTrusted(base.Schema(), nil)
+		var rows []relation.Tuple
 		qp := tr.QueryPeriod()
 		for i := 0; i < base.Len(); i++ {
 			if base.PeriodOf(i).Overlaps(qp) {
-				want.Append(base.At(i))
+				rows = append(rows, base.At(i))
 			}
 		}
+		want := relation.FromTuplesTrusted(base.Schema(), rows)
 		if !got.EqualAsList(want) {
 			t.Fatalf("travel %+v: indexed scan differs from naive filter (%d vs %d rows)", tr, got.Len(), want.Len())
 		}

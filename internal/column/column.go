@@ -1,7 +1,7 @@
 // Package column is the one physical form of a relation's list between
 // disk, engine and wire: a Batch of typed column planes (Vec) plus an
 // optional selection vector. The execution engine's operators consume and
-// produce batches, a relation holds one as its primary or cached form, and
+// produce batches, a relation is one, and
 // the spill block codec encodes a batch's presented rows straight from the
 // planes and decodes back into them — for spill partitions, store segments
 // and the server's rows frames alike.

@@ -369,7 +369,7 @@ func (c *Coordinator) finish(ent *cacheEntry, outs []shardOut) (*relation.Relati
 				return nil, &ShardError{Index: i, Addr: c.cfg.Addrs[i],
 					Err: fmt.Errorf("coord: shard returned no sequence keys for %s fragment %s", f.Kind, f.Name)}
 			}
-			b, _ := outs[i].rels[fi].Columns()
+			b := outs[i].rels[fi].Columns()
 			parts[i] = exec.TaggedRows{Batch: b, Seqs: outs[i].seqs[fi]}
 		}
 		if err := synth.AddTrusted(f.Name, f.Merge(parts), algebra.BaseInfo{Order: f.Order}); err != nil {

@@ -104,8 +104,8 @@ type Fragment struct {
 // Merge reassembles the fragment's outputs, one per shard, into the list a
 // single node holds at the fragment's plan point — grouped outputs
 // block-wise on Order, sorted ones by (Order, sequence key), and chains by
-// sequence key alone, their stored order — as a columnar-primary relation,
-// so the remainder scans its placeholder with no conversion.
+// sequence key alone, their stored order — as a relation over the merged
+// batch, which the remainder scans as it is.
 func (f Fragment) Merge(parts []exec.TaggedRows) *relation.Relation {
 	order := f.Order
 	if f.Kind == FragmentChain {

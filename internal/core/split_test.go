@@ -215,8 +215,7 @@ func shardedRun(t *testing.T, cat *catalog.Catalog, plan algebra.Node, mode shar
 			if (seqs == nil) != (f.Kind == core.FragmentGrouped) {
 				t.Fatalf("%s fragment %s returned sequence keys %v", f.Kind, f.Name, seqs)
 			}
-			b, _ := rel.Columns()
-			parts[i] = exec.TaggedRows{Batch: b, Seqs: seqs}
+			parts[i] = exec.TaggedRows{Batch: rel.Columns(), Seqs: seqs}
 		}
 		if err := synth.AddTrusted(f.Name, f.Merge(parts), algebra.BaseInfo{Order: f.Order}); err != nil {
 			t.Fatal(err)

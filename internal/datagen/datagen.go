@@ -10,6 +10,7 @@ import (
 
 	"tqp/internal/algebra"
 	"tqp/internal/catalog"
+	"tqp/internal/column"
 	"tqp/internal/period"
 	"tqp/internal/relation"
 	"tqp/internal/schema"
@@ -60,11 +61,11 @@ func Temporal(spec TemporalSpec) *relation.Relation {
 	if spec.MaxPeriod <= 0 {
 		spec.MaxPeriod = 10
 	}
-	r := relation.New(TemporalSchema())
+	ts := make([]relation.Tuple, 0, spec.Rows)
 	lastOfValue := make(map[int]period.Period)
 	for i := 0; i < spec.Rows; i++ {
-		if r.Len() > 0 && rng.Float64() < spec.DupFrac {
-			r.Append(r.At(rng.Intn(r.Len())).Clone())
+		if len(ts) > 0 && rng.Float64() < spec.DupFrac {
+			ts = append(ts, ts[rng.Intn(len(ts))])
 			continue
 		}
 		v := rng.Intn(spec.Values)
@@ -77,14 +78,14 @@ func Temporal(spec TemporalSpec) *relation.Relation {
 			p = period.New(start, start+period.Chronon(1+rng.Intn(spec.MaxPeriod)))
 		}
 		lastOfValue[v] = p
-		r.Append(relation.NewTuple(
+		ts = append(ts, relation.NewTuple(
 			value.String_(fmt.Sprintf("v%d", v%26)),
 			value.Int(int64(v)),
 			value.Time(p.Start),
 			value.Time(p.End),
 		))
 	}
-	return r
+	return relation.FromTuplesTrusted(TemporalSchema(), ts)
 }
 
 // SnapshotSpec parameterizes a synthetic snapshot relation over the schema
@@ -110,19 +111,19 @@ func Snapshot(spec SnapshotSpec) *relation.Relation {
 	if spec.Values <= 0 {
 		spec.Values = 4
 	}
-	r := relation.New(SnapshotSchema())
+	ts := make([]relation.Tuple, 0, spec.Rows)
 	for i := 0; i < spec.Rows; i++ {
-		if r.Len() > 0 && rng.Float64() < spec.DupFrac {
-			r.Append(r.At(rng.Intn(r.Len())).Clone())
+		if len(ts) > 0 && rng.Float64() < spec.DupFrac {
+			ts = append(ts, ts[rng.Intn(len(ts))])
 			continue
 		}
 		v := rng.Intn(spec.Values)
-		r.Append(relation.NewTuple(
+		ts = append(ts, relation.NewTuple(
 			value.String_(fmt.Sprintf("v%d", v%26)),
 			value.Int(int64(v)),
 		))
 	}
-	return r
+	return relation.FromTuplesTrusted(SnapshotSchema(), ts)
 }
 
 // EmployeeSpec parameterizes a scaled version of the paper's EMPLOYEE /
@@ -157,33 +158,37 @@ func EmployeeDB(spec EmployeeSpec) *catalog.Catalog {
 	if spec.Projects <= 0 {
 		spec.Projects = 16
 	}
-	emp := relation.New(catalog.EmployeeSchema())
-	prj := relation.New(catalog.ProjectSchema())
+	emp := column.NewBatch(catalog.EmployeeSchema(), spec.Employees*spec.SpellsPerEmp)
+	prj := column.NewBatch(catalog.ProjectSchema(), spec.Employees*spec.AssignmentsPerEmp)
 	for e := 0; e < spec.Employees; e++ {
 		name := fmt.Sprintf("emp%04d", e)
 		for s := 0; s < spec.SpellsPerEmp; s++ {
 			start := period.Chronon(rng.Intn(spec.TimeRange))
 			length := period.Chronon(1 + rng.Intn(spec.TimeRange/4+1))
-			emp.Append(relation.NewTuple(
-				value.String_(name),
+			appendRow(emp, value.String_(name),
 				value.String_(fmt.Sprintf("dept%02d", rng.Intn(spec.Depts))),
 				value.Time(start),
-				value.Time(start+length),
-			))
+				value.Time(start+length))
 		}
 		for a := 0; a < spec.AssignmentsPerEmp; a++ {
 			start := period.Chronon(rng.Intn(spec.TimeRange))
 			length := period.Chronon(1 + rng.Intn(spec.TimeRange/8+1))
-			prj.Append(relation.NewTuple(
-				value.String_(name),
+			appendRow(prj, value.String_(name),
 				value.String_(fmt.Sprintf("prj%03d", rng.Intn(spec.Projects))),
 				value.Time(start),
-				value.Time(start+length),
-			))
+				value.Time(start+length))
 		}
 	}
 	c := catalog.New()
-	c.MustAdd("EMPLOYEE", emp, algebra.BaseInfo{})
-	c.MustAdd("PROJECT", prj, algebra.BaseInfo{})
+	c.MustAdd("EMPLOYEE", relation.FromColumnar(catalog.EmployeeSchema(), emp), algebra.BaseInfo{})
+	c.MustAdd("PROJECT", relation.FromColumnar(catalog.ProjectSchema(), prj), algebra.BaseInfo{})
 	return c
+}
+
+// appendRow appends one row of values to b.
+func appendRow(b *column.Batch, vs ...value.Value) {
+	for c, v := range vs {
+		b.Cols[c].Append(v)
+	}
+	b.N++
 }

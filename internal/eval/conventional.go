@@ -1,6 +1,8 @@
 package eval
 
 import (
+	"slices"
+
 	"tqp/internal/algebra"
 	"tqp/internal/expr"
 	"tqp/internal/relation"
@@ -13,14 +15,7 @@ import (
 // deterministic left-then-right list; "unordered" means no order guarantee
 // is recorded for the optimizer).
 func evalUnionAll(l, r *relation.Relation, outSchema *schema.Schema) *relation.Relation {
-	out := relation.New(outSchema)
-	for _, t := range l.Tuples() {
-		out.Append(t)
-	}
-	for _, t := range r.Tuples() {
-		out.Append(t)
-	}
-	return out
+	return relation.FromTuplesTrusted(outSchema, slices.Concat(l.Tuples(), r.Tuples()))
 }
 
 // evalUnion implements the multiset union ∪ of Albert [1]: a tuple occurs
@@ -32,26 +27,23 @@ func evalUnion(l, r *relation.Relation, outSchema *schema.Schema) *relation.Rela
 	for _, t := range l.Tuples() {
 		counts[t.Key()]++
 	}
-	out := relation.New(outSchema)
-	for _, t := range l.Tuples() {
-		out.Append(t)
-	}
+	out := slices.Clone(l.Tuples())
 	for _, t := range r.Tuples() {
 		k := t.Key()
 		if counts[k] > 0 {
 			counts[k]--
 			continue
 		}
-		out.Append(t)
+		out = append(out, t)
 	}
-	return out
+	return relation.FromTuplesTrusted(outSchema, out)
 }
 
 // evalProduct implements the conventional Cartesian product ×: a left-major
 // pair loop, with an optional fused join predicate. Result order is
 // Order(r1) (renamed under qualification).
 func evalProduct(l, r *relation.Relation, outSchema *schema.Schema, p expr.Pred) (*relation.Relation, error) {
-	out := relation.New(outSchema)
+	var out []relation.Tuple
 	lw := l.Schema().Len()
 	for _, lt := range l.Tuples() {
 		for _, rt := range r.Tuples() {
@@ -67,10 +59,10 @@ func evalProduct(l, r *relation.Relation, outSchema *schema.Schema, p expr.Pred)
 					continue
 				}
 			}
-			out.Append(nt)
+			out = append(out, nt)
 		}
 	}
-	return out, nil
+	return relation.FromTuplesTrusted(outSchema, out), nil
 }
 
 // evalDiff implements the multiset difference \: each tuple occurs
@@ -83,16 +75,16 @@ func evalDiff(l, r *relation.Relation, outSchema *schema.Schema) *relation.Relat
 	for _, t := range r.Tuples() {
 		budget[t.Key()]++
 	}
-	out := relation.New(outSchema)
+	var out []relation.Tuple
 	for _, t := range l.Tuples() {
 		k := t.Key()
 		if budget[k] > 0 {
 			budget[k]--
 			continue
 		}
-		out.Append(t)
+		out = append(out, t)
 	}
-	return out
+	return relation.FromTuplesTrusted(outSchema, out)
 }
 
 // evalRdup implements regular duplicate elimination rdup: the first
@@ -101,16 +93,16 @@ func evalDiff(l, r *relation.Relation, outSchema *schema.Schema) *relation.Relat
 // qualified time attributes (Figure 3, R2).
 func evalRdup(in *relation.Relation, outSchema *schema.Schema) *relation.Relation {
 	seen := make(map[string]bool, in.Len())
-	out := relation.New(outSchema)
+	var out []relation.Tuple
 	for _, t := range in.Tuples() {
 		k := t.Key()
 		if seen[k] {
 			continue
 		}
 		seen[k] = true
-		out.Append(t)
+		out = append(out, t)
 	}
-	return out
+	return relation.FromTuplesTrusted(outSchema, out)
 }
 
 // evalAggregate implements 𝒢: group by the G attributes, emit one tuple per
@@ -139,7 +131,7 @@ func evalAggregate(n *algebra.Aggregate, in *relation.Relation, outSchema *schem
 			return nil, err
 		}
 	}
-	out := relation.New(outSchema)
+	var out []relation.Tuple
 	for _, k := range orderKeys {
 		g := groups[k]
 		nt := make(relation.Tuple, 0, outSchema.Len())
@@ -149,9 +141,9 @@ func evalAggregate(n *algebra.Aggregate, in *relation.Relation, outSchema *schem
 		for _, acc := range g.accs {
 			nt = append(nt, acc.Result())
 		}
-		out.Append(nt)
+		out = append(out, nt)
 	}
-	return out, nil
+	return relation.FromTuplesTrusted(outSchema, out), nil
 }
 
 func NewAccumulators(aggs []expr.Aggregate, s *schema.Schema) []*expr.Accumulator {

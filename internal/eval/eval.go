@@ -251,24 +251,24 @@ func (e *Evaluator) evalRel(n *algebra.Rel) (*relation.Relation, error) {
 
 // evalSelect implements σ_P: retains order, duplicates and coalescing.
 func evalSelect(n *algebra.Select, in *relation.Relation) (*relation.Relation, error) {
-	out := relation.New(in.Schema())
+	var out []relation.Tuple
 	for _, t := range in.Tuples() {
 		ok, err := n.P.Holds(in.Schema(), t)
 		if err != nil {
 			return nil, err
 		}
 		if ok {
-			out.Append(t)
+			out = append(out, t)
 		}
 	}
-	return out, nil
+	return relation.FromTuplesTrusted(in.Schema(), out), nil
 }
 
 // evalProject implements the generalized projection π. Result order is
 // Prefix(Order(r), ProjPairs): the largest prefix of the argument's order
 // whose attributes survive the projection (identity or pure-rename items).
 func evalProject(n *algebra.Project, in *relation.Relation, outSchema *schema.Schema) (*relation.Relation, error) {
-	out := relation.New(outSchema)
+	var out []relation.Tuple
 	for _, t := range in.Tuples() {
 		nt := make(relation.Tuple, len(n.Items))
 		for i, it := range n.Items {
@@ -278,9 +278,9 @@ func evalProject(n *algebra.Project, in *relation.Relation, outSchema *schema.Sc
 			}
 			nt[i] = v
 		}
-		out.Append(nt)
+		out = append(out, nt)
 	}
-	return out, nil
+	return relation.FromTuplesTrusted(outSchema, out), nil
 }
 
 // evalSort implements sort_A via a stable sort; stability preserves the
@@ -288,9 +288,5 @@ func evalProject(n *algebra.Project, in *relation.Relation, outSchema *schema.Sc
 // duplicates" and the special case of Table 1 — sorting on a prefix of
 // Order(r) keeps the full order — holds operationally.
 func evalSort(n *algebra.Sort, in *relation.Relation) (*relation.Relation, error) {
-	out := in.Clone()
-	if err := out.SortStable(n.Spec); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return in.Sorted(n.Spec)
 }

@@ -138,10 +138,7 @@ func TestFigure3Equivalences(t *testing.T) {
 	// content: R1 and R2 hold the same tuples as sets. We verify via the
 	// renamed schema: rebuild R2 under the temporal schema.
 	r2 := mustEval(t, e, algebra.NewRdup(r1n))
-	r2t := relation.New(r1.Schema())
-	for _, tp := range r2.Tuples() {
-		r2t.Append(tp)
-	}
+	r2t := relation.FromTuplesTrusted(r1.Schema(), r2.Tuples())
 	for _, c := range []struct {
 		typ  equiv.Type
 		want bool

@@ -159,11 +159,7 @@ func renamed(want, got *relation.Relation) *relation.Relation {
 			return want
 		}
 	}
-	out := relation.New(gs)
-	for _, tp := range want.Tuples() {
-		out.Append(tp)
-	}
-	return out
+	return relation.FromTuplesTrusted(gs, want.Tuples())
 }
 
 // TestTRdupIdempotent: rdupᵀ is idempotent, and its output never has
@@ -236,17 +232,18 @@ func TestCanonicalization(t *testing.T) {
 		// A snapshot-equivalent variant: fragment every tuple at its period
 		// midpoint.
 		t1, t2 := r.Schema().TimeIndices()
-		frag := relation.New(r.Schema())
+		var pieces []relation.Tuple
 		for i, tp := range r.Tuples() {
 			p := r.PeriodOf(i)
 			if p.Duration() >= 2 {
 				mid := p.Start + period.Chronon(p.Duration()/2)
-				frag.Append(tp.WithPeriodAt(t1, t2, period.New(p.Start, mid)))
-				frag.Append(tp.WithPeriodAt(t1, t2, period.New(mid, p.End)))
+				pieces = append(pieces, tp.WithPeriodAt(t1, t2, period.New(p.Start, mid)),
+					tp.WithPeriodAt(t1, t2, period.New(mid, p.End)))
 			} else {
-				frag.Append(tp)
+				pieces = append(pieces, tp)
 			}
 		}
+		frag := relation.FromTuplesTrusted(r.Schema(), pieces)
 		if ok, _ := equiv.Check(equiv.SnapshotMultiset, r, frag); !ok {
 			t.Fatalf("seed %d: fragmentation should preserve snapshots", seed)
 		}

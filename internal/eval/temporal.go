@@ -1,6 +1,8 @@
 package eval
 
 import (
+	"slices"
+
 	"tqp/internal/algebra"
 	"tqp/internal/expr"
 	"tqp/internal/period"
@@ -16,7 +18,7 @@ import (
 // temporal-join idiom.
 func evalTProduct(l, r *relation.Relation, outSchema *schema.Schema, p expr.Pred) (*relation.Relation, error) {
 	lw, rw := l.Schema().Len(), r.Schema().Len()
-	out := relation.New(outSchema)
+	var out []relation.Tuple
 	for i, lt := range l.Tuples() {
 		lp := l.PeriodOf(i)
 		for j, rt := range r.Tuples() {
@@ -38,10 +40,10 @@ func evalTProduct(l, r *relation.Relation, outSchema *schema.Schema, p expr.Pred
 					continue
 				}
 			}
-			out.Append(nt)
+			out = append(out, nt)
 		}
 	}
-	return out, nil
+	return relation.FromTuplesTrusted(outSchema, out), nil
 }
 
 // valueGroups partitions the tuple indices of a temporal relation by
@@ -143,13 +145,13 @@ func evalTDiff(l, r *relation.Relation, outSchema *schema.Schema) *relation.Rela
 		}
 	}
 
-	out := relation.New(outSchema)
+	var out []relation.Tuple
 	for i, t := range l.Tuples() {
 		for _, p := range frag[i] {
-			out.Append(t.WithPeriodAt(lt1, lt2, p))
+			out = append(out, t.WithPeriodAt(lt1, lt2, p))
 		}
 	}
-	return out
+	return relation.FromTuplesTrusted(outSchema, out)
 }
 
 // evalTRdup implements temporal duplicate elimination rdupᵀ exactly per the
@@ -195,15 +197,15 @@ func evalTRdup(in *relation.Relation, outSchema *schema.Schema) *relation.Relati
 			for _, f := range frags {
 				repl = append(repl, row{t: rows[j].t.WithPeriodAt(t1, t2, f), p: f, k: rows[j].k})
 			}
-			rows = append(rows[:j], append(repl, rows[j+1:]...)...)
+			rows = slices.Replace(rows, j, j+1, repl...)
 		}
 	}
 
-	out := relation.New(outSchema)
+	var out []relation.Tuple
 	for _, rw := range rows {
-		out.Append(rw.t)
+		out = append(out, rw.t)
 	}
-	return out
+	return relation.FromTuplesTrusted(outSchema, out)
 }
 
 // evalCoal implements coalescing coalᵀ per the paper's minimal definition
@@ -245,11 +247,11 @@ func evalCoal(in *relation.Relation, outSchema *schema.Schema) *relation.Relatio
 			i++
 		}
 	}
-	out := relation.New(outSchema)
+	var out []relation.Tuple
 	for _, rw := range rows {
-		out.Append(rw.t)
+		out = append(out, rw.t)
 	}
-	return out
+	return relation.FromTuplesTrusted(outSchema, out)
 }
 
 // evalTAggregate implements the temporal aggregation 𝒢ᵀ, snapshot-reducible
@@ -274,7 +276,7 @@ func evalTAggregate(n *algebra.Aggregate, in *relation.Relation, outSchema *sche
 		}
 		groups[k] = append(groups[k], i)
 	}
-	out := relation.New(outSchema)
+	var out []relation.Tuple
 	for _, k := range keys {
 		members := groups[k]
 		ps := make([]period.Period, len(members))
@@ -305,10 +307,10 @@ func evalTAggregate(n *algebra.Aggregate, in *relation.Relation, outSchema *sche
 				nt = append(nt, acc.Result())
 			}
 			nt = append(nt, value.Time(iv.Start), value.Time(iv.End))
-			out.Append(nt)
+			out = append(out, nt)
 		}
 	}
-	return out, nil
+	return relation.FromTuplesTrusted(outSchema, out), nil
 }
 
 // evalTUnion implements the temporal union ∪ᵀ, snapshot-reducible to the
@@ -318,9 +320,9 @@ func evalTAggregate(n *algebra.Aggregate, in *relation.Relation, outSchema *sche
 func evalTUnion(l, r *relation.Relation, outSchema *schema.Schema) *relation.Relation {
 	t1, t2 := l.Schema().TimeIndices()
 
-	out := relation.New(outSchema)
+	var out []relation.Tuple
 	for _, t := range l.Tuples() {
-		out.Append(t)
+		out = append(out, t)
 	}
 
 	rKeys, rGroups := valueGroups(r)
@@ -371,7 +373,7 @@ func evalTUnion(l, r *relation.Relation, outSchema *schema.Schema) *relation.Rel
 			var cur period.Period
 			flush := func() {
 				if !cur.Empty() {
-					out.Append(rep.WithPeriodAt(t1, t2, cur))
+					out = append(out, rep.WithPeriodAt(t1, t2, cur))
 					cur = period.Period{}
 				}
 			}
@@ -390,5 +392,5 @@ func evalTUnion(l, r *relation.Relation, outSchema *schema.Schema) *relation.Rel
 			flush()
 		}
 	}
-	return out
+	return relation.FromTuplesTrusted(outSchema, out)
 }

@@ -37,16 +37,15 @@
 // column type the relation, spill, store and server packages share — and
 // that is the only currency between operators, inside the exchange driver
 // and on the way to and from disk. The engine itself builds tuples
-// nowhere: drainVec hands the root's batch over as a columnar-primary
-// result relation (relation.FromColumnar), and batchOf scans a relation
-// through relation.Columns, its primary batch or cached image, converting
-// only a tuple list it has never seen. A result scanned again — a TS leaf
-// bound from a DBMS subplan, a TD leaf bound from a stratum region — is
-// read from its own batch. A plan that is a bare scan feeds no operator,
-// so scanList answers it in the relation's own form, batch or tuple list,
-// converting nothing. Tuples appear only when a reader of a result asks for
-// them. (An expression that is evaluated on a tuple — a residual join
-// predicate, an aggregate's argument — gets one reusable scratch row.)
+// nowhere: a relation is its batch, so a scan reads relation.Columns and
+// drainVec hands the root's batch over as the result relation
+// (relation.FromColumnar). A result scanned again — a TS leaf bound from a
+// DBMS subplan, a TD leaf bound from a stratum region — is read from its
+// own batch. A plan that is a bare scan feeds no operator, so scanList
+// answers with the scanned relation's batch. Tuples appear only when a
+// reader of a result asks for them. (An expression that is evaluated on a
+// tuple — a residual join predicate, an aggregate's argument — gets one
+// reusable scratch row.)
 //
 //	operator            algorithms (file)
 //	scan                the relation's batch (relation.Columns), whole (stream.go)

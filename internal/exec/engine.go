@@ -36,8 +36,6 @@ type Stats struct {
 
 	SegmentsScanned int // store segments read by base scans this run
 	SegmentsSkipped int // store segments pruned by the period index this run
-
-	ScanConversions int // scanned relations transposed from tuples to columns this run
 }
 
 // Engine is the streaming hash- and merge-based engine. It implements
@@ -69,18 +67,6 @@ type Engine struct {
 // ObserveNodes implements eval.NodeObserver.
 func (e *Engine) ObserveNodes(timed bool, fn func(algebra.Node, obs.RunSample)) {
 	e.observe, e.timed = fn, timed
-}
-
-// batchOf returns r's batch (relation.Columns): a relation this engine (or
-// another) drained, or a store loaded, is columnar-primary and scans as it
-// is; a tuple list converts once, and the image caches on the relation, so
-// the transposition amortizes across every engine and query scanning it.
-func (e *Engine) batchOf(r *relation.Relation) *column.Batch {
-	b, converted := r.Columns()
-	if converted {
-		e.stats.ScanConversions++
-	}
-	return b
 }
 
 // New returns an engine over src with every physical variant enabled.

@@ -16,8 +16,7 @@ import (
 
 // batchOfTuples converts a tuple list to one batch.
 func batchOfTuples(s *schema.Schema, ts []relation.Tuple) *column.Batch {
-	b, _ := relation.FromTuplesTrusted(s, ts).Columns()
-	return b
+	return relation.FromTuplesTrusted(s, ts).Columns()
 }
 
 func productSchema(t *testing.T) *schema.Schema {
@@ -82,7 +81,7 @@ func TestGroupsContiguous(t *testing.T) {
 		schema.Attr("Grp", value.KindInt),
 		schema.Attr(schema.T1, value.KindTime),
 		schema.Attr(schema.T2, value.KindTime))
-	vidx := valueIdx(s) // Name, Grp
+	vidx := physical.ValueIdx(s) // Name, Grp
 	cases := []struct {
 		ord  relation.OrderSpec
 		want bool
@@ -111,7 +110,7 @@ func TestGroupsContiguousDuplicateKeys(t *testing.T) {
 		schema.Attr("Grp", value.KindInt),
 		schema.Attr(schema.T1, value.KindTime),
 		schema.Attr(schema.T2, value.KindTime))
-	vidx := valueIdx(s)
+	vidx := physical.ValueIdx(s)
 	dup := relation.OrderSpec{relation.Key("Name"), relation.Key("Name")}
 	if groupsContiguous(dup, s, vidx) {
 		t.Fatal("sort_{Name,Name} must not prove (Name,Grp) contiguity")
@@ -225,7 +224,7 @@ func sweepPartition(groups, rows int, shift period.Chronon) part {
 // runtime may store a large map in several tables).
 func TestSweepBodiesAllocateByPartition(t *testing.T) {
 	sch := sweepPartition(1, 1, 0).b.Schema
-	vidx := valueIdx(sch)
+	vidx := physical.ValueIdx(sch)
 	t1, t2 := sch.TimeIndices()
 	var table map[uint64]int
 	allocs := func(groups int) (diff, rdup float64) {

@@ -15,11 +15,6 @@ func identityIdx(n int) []int {
 	return out
 }
 
-// valueIdx returns the positions of a temporal schema's non-time attributes:
-// the value-equivalence columns of Section 2.1 (shared with the planner's
-// decision procedure in package physical).
-func valueIdx(s *schema.Schema) []int { return physical.ValueIdx(s) }
-
 // groupsContiguous reports whether tuples equal on idx are guaranteed to be
 // adjacent in a list sorted by ord. The decision lives in package physical
 // so the engine, the cost model and the stratum meter agree; the empty-idx

@@ -44,10 +44,11 @@ func TestOrderPropagationMatrix(t *testing.T) {
 	leaves := map[string]algebra.Node{}
 	for _, in := range inputOrders {
 		for _, side := range []string{"L", "R"} {
-			r := base.Clone()
+			r := base
 			info := algebra.BaseInfo{Order: in.spec}
 			if !in.spec.Empty() {
-				if err := r.SortStable(in.spec); err != nil {
+				var err error
+				if r, err = base.Sorted(in.spec); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -200,9 +200,9 @@ func TestSortTiesKeepArrivalOrder(t *testing.T) {
 // group boundaries concatenate in order).
 func TestParallelRangeExchange(t *testing.T) {
 	byNameGrp := relation.OrderSpec{relation.Key("Name"), relation.Key("Grp")}
-	r := datagen.Temporal(datagen.TemporalSpec{
-		Rows: 9000, Values: 400, DupFrac: 0.2, AdjFrac: 0.3, TimeRange: 300, MaxPeriod: 15, Seed: 13})
-	if err := r.SortStable(byNameGrp); err != nil {
+	r, err := datagen.Temporal(datagen.TemporalSpec{
+		Rows: 9000, Values: 400, DupFrac: 0.2, AdjFrac: 0.3, TimeRange: 300, MaxPeriod: 15, Seed: 13}).Sorted(byNameGrp)
+	if err != nil {
 		t.Fatal(err)
 	}
 	src := eval.MapSource{"R": r}

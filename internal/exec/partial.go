@@ -67,17 +67,16 @@ func RunFragment(plan algebra.Node, src eval.Source, positions map[string][]int)
 	if err != nil {
 		return nil, nil, fmt.Errorf("exec: fragment: %w", err)
 	}
-	// The leaf is the slice's cached columnar image with the keys as one
-	// more plane: repeated fragments over a shard's relation convert it once.
-	// The keys plane is dense, so a selection view (a FOR PERIOD scan of a
-	// columnar-primary entry) is compacted to the rows it presents.
+	// The leaf is the slice's batch with the keys as one more plane. The
+	// keys plane is dense, so a selection view (a FOR PERIOD scan) is
+	// compacted to the rows it presents.
 	eng := &Engine{}
-	image := eng.batchOf(rel).Compact()
+	dense := rel.Columns().Compact()
 	keys := column.Vec{Kind: value.KindInt, Ints: make([]int64, n)}
 	for i, s := range seqs {
 		keys.Ints[i] = int64(s)
 	}
-	slice := &column.Batch{Schema: sch, Cols: append(image.Cols[:w:w], keys), N: n}
+	slice := &column.Batch{Schema: sch, Cols: append(dense.Cols[:w:w], keys), N: n}
 	eng.leaf = &source{vec: &rangeBatchIter{b: slice, hi: n}, schema: sch, order: rel.Order()}
 
 	keyed, carried, err := withSeq(plan, algebra.NewRel("@frag", sch, algebra.BaseInfo{}))
@@ -98,7 +97,7 @@ func RunFragment(plan algebra.Node, src eval.Source, positions map[string][]int)
 	}
 	// The keys come off the result's last plane, and the stripped result
 	// is a view of the others: no tuple is built.
-	b, _ := out.Columns()
+	b := out.Columns()
 	outSeqs := make([]int, b.Rows())
 	for k := range outSeqs {
 		outSeqs[k] = int(b.Cols[w].At(b.RowIndex(k)).AsInt())

@@ -157,7 +157,7 @@ func TestRunFragmentMatchesEngine(t *testing.T) {
 					if !got.EqualAsList(ref) || !got.Order().Equal(ref.Order()) {
 						t.Fatalf("%s slice %d/%d: grouped fragment differs from the reference", what, i, n)
 					}
-					b, _ := got.Columns()
+					b := got.Columns()
 					tagged[i] = exec.TaggedRows{Batch: b}
 					continue
 				}
@@ -185,7 +185,7 @@ func TestRunFragmentMatchesEngine(t *testing.T) {
 				if !got.Order().Equal(ref.Order()) {
 					t.Fatalf("%s slice %d/%d: order %s, reference %s", what, i, n, got.Order(), ref.Order())
 				}
-				b, _ := got.Columns()
+				b := got.Columns()
 				tagged[i] = exec.TaggedRows{Batch: b, Seqs: seqs}
 			}
 			merged := relation.FromColumnar(outSch, exec.MergeParts(outSch, chain.keys, chain.tail != nil, tagged))

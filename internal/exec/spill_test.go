@@ -363,8 +363,8 @@ func TestBudgetedSortSpillStability(t *testing.T) {
 // reference's left-major list and its Table 1 order annotation.
 func TestKeylessProductSpill(t *testing.T) {
 	byValue := relation.OrderSpec{relation.Key("Name"), relation.Key("Grp")}
-	l := sizedTemporal(2*exec.VecBatchRows+3, 31)
-	if err := l.SortStable(byValue); err != nil {
+	l, err := sizedTemporal(2*exec.VecBatchRows+3, 31).Sorted(byValue)
+	if err != nil {
 		t.Fatal(err)
 	}
 	r := sizedTemporal(300, 32) // spill blocks hold 256 rows
@@ -474,9 +474,9 @@ func TestKeylessProductSpillStreams(t *testing.T) {
 // streaming variant — no partitioning, no spilling, however small the
 // budget.
 func TestBudgetPrefersStreamingMerge(t *testing.T) {
-	r := sizedTemporal(3000, 33)
 	byValue := relation.OrderSpec{relation.Key("Name"), relation.Key("Grp")}
-	if err := r.SortStable(byValue); err != nil {
+	r, err := sizedTemporal(3000, 33).Sorted(byValue)
+	if err != nil {
 		t.Fatal(err)
 	}
 	src := eval.MapSource{"R": r}

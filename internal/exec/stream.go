@@ -25,9 +25,8 @@ func (e *Engine) buildRel(n *algebra.Rel) (*source, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The columnar image converts lazily on the first pull (and is cached per
-	// relation); a scan travels as that one batch.
-	return &source{vec: &onceBatchIter{compute: func() (*column.Batch, error) { return e.batchOf(r), nil }}, schema: r.Schema(), order: order}, nil
+	// A scan travels as the relation's one batch.
+	return &source{vec: &onceBatchIter{compute: func() (*column.Batch, error) { return r.Columns(), nil }}, schema: r.Schema(), order: order}, nil
 }
 
 // resolve looks up the relation a scan reads and the order it delivers: its
@@ -58,9 +57,8 @@ func (e *Engine) resolve(n *algebra.Rel) (*relation.Relation, relation.OrderSpec
 
 // scanList answers a plan that is nothing but a scan — a DBMS subplan
 // reading one relation — without a pipeline: there is no operator to feed,
-// so the result is the relation's list in the form it already has
-// (relation.Clone, as the reference evaluator copies it): its primary batch,
-// or a copy of its tuple list carrying any cached image, converting nothing.
+// so the result shares the relation's batch (relation.Clone, as the
+// reference evaluator copies it).
 func (e *Engine) scanList(n *algebra.Rel) (*relation.Relation, error) {
 	r, order, err := e.resolve(n)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"tqp/internal/column"
 	"tqp/internal/eval"
 	"tqp/internal/period"
+	"tqp/internal/physical"
 	"tqp/internal/schema"
 	"tqp/internal/value"
 )
@@ -151,7 +152,7 @@ func pairGroups(lp, rp part, vidx []int, contiguous bool) (l, r csrGroups, rOf [
 // confluent under reordering, so that would change the result multiset.)
 func (e *Engine) buildValueGroup(in *source, body func(vidx []int, t1, t2 int, contiguous bool) partBody) *source {
 	t1, t2 := in.schema.TimeIndices()
-	vidx := valueIdx(in.schema)
+	vidx := physical.ValueIdx(in.schema)
 	return e.groupSource(in, vidx, in.schema, func(contiguous bool) partBody { return body(vidx, t1, t2, contiguous) })
 }
 
@@ -335,7 +336,7 @@ func tunionBody(vidx []int, t1, t2 int) partBody {
 // partition body: both sides partition by value equivalence — the
 // reference's algorithm with row hashes in place of string keys.
 func (e *Engine) buildTPair(l, r *source, body func(vidx []int, t1, t2 int) partBody) *source {
-	vidx := valueIdx(l.schema)
+	vidx := physical.ValueIdx(l.schema)
 	t1, t2 := l.schema.TimeIndices()
 	return e.keyedSource(&keyedOp{l: l, r: r, lidx: vidx, ridx: vidx, out: l.schema, body: body(vidx, t1, t2)})
 }

@@ -63,9 +63,9 @@ func vecDrainOneView(v vecIterator, sch *schema.Schema) (*column.Batch, error) {
 	return column.Concat(sch, parts, total), nil
 }
 
-// drainVec drains the root stage into the result: a columnar-primary
-// relation over one batch (a lone batch as it is, selection included), whose
-// tuples exist only if a reader asks for them.
+// drainVec drains the root stage into the result: a relation over one batch
+// (a lone batch as it is, selection included), whose tuples exist only if a
+// reader asks for them.
 func drainVec(s *source) (*relation.Relation, error) {
 	b, err := vecDrainOneView(s.vec, s.schema)
 	if err != nil {

@@ -10,9 +10,12 @@ import (
 	"tqp/internal/algebra"
 	"tqp/internal/catalog"
 	"tqp/internal/column"
+	"tqp/internal/datagen"
+	"tqp/internal/dbms"
 	"tqp/internal/eval"
 	"tqp/internal/expr"
 	"tqp/internal/period"
+	"tqp/internal/physical"
 	"tqp/internal/relation"
 	"tqp/internal/schema"
 	"tqp/internal/value"
@@ -316,7 +319,7 @@ func spanKernelsAgainstReference(t *testing.T, groups ...spanGroup) {
 	}
 	partOf := func(r *relation.Relation) part { return wholeBatch(batchOfTuples(r.Schema(), r.Tuples())) }
 	lp, rp, wp := partOf(lrel), partOf(rrel), partOf(wrel)
-	vidx := valueIdx(s)
+	vidx := physical.ValueIdx(s)
 	t1, t2 := s.TimeIndices()
 	check := func(name string, n algebra.Node, body partBody, lp, rp part) {
 		want, err := eval.New(src).Eval(n)
@@ -481,9 +484,9 @@ func rowOf(b *column.Batch, i int) relation.Tuple {
 
 // TestBatchPermuted pins the DBMS's permutation over columns: for a dense
 // and a selected batch of every boundary length, Permuted(idx) of the
-// columnar-primary relation is a view over the batch's own planes, and its
-// list equals both the tuple-list gather and the list that shuffling a
-// clone of the tuples in place — the same seeded swap sequence — produces.
+// relation is a view over the batch's own planes, and its list equals the
+// list that shuffling a clone of the tuples in place — the same seeded swap
+// sequence — produces, whichever constructor built the relation.
 func TestBatchPermuted(t *testing.T) {
 	s := schema.MustNew(schema.Attr("K", value.KindInt), schema.Attr("S", value.KindString))
 	for _, n := range []int{0, 1, 2, 255, 256, 257, 6000} {
@@ -518,8 +521,8 @@ func TestBatchPermuted(t *testing.T) {
 				rand.New(rand.NewSource(seed+int64(n))).Shuffle(n, func(i, j int) { want[i], want[j] = want[j], want[i] })
 
 				col := relation.FromColumnar(s, c.b).Permuted(idx)
-				img, converted := col.Columns()
-				if converted || (n > 0 && &img.Cols[0].Ints[0] != &c.b.Cols[0].Ints[0]) {
+				img := col.Columns()
+				if n > 0 && &img.Cols[0].Ints[0] != &c.b.Cols[0].Ints[0] {
 					t.Fatalf("%s n=%d seed=%d: Permuted copied the columns", c.name, n, seed)
 				}
 				for k := 0; k < n; k++ {
@@ -538,51 +541,43 @@ func TestBatchPermuted(t *testing.T) {
 	}
 }
 
-// TestBareScanAnswersInItsOwnForm: a plan that is nothing but a scan
-// converts nothing. A tuple list answers with a copy of itself, which the
-// caller may mutate without touching the scanned relation; once a pipeline
-// has cached the relation's columnar image, the scan answers with that.
+// TestBareScanAnswersInItsOwnForm: a DBMS subplan that is nothing but a
+// scan answers over the base relation's own planes. The scan shares the
+// base's batch and the DBMS's permutation selects from it, so the answer is
+// a selection view: no row is copied, no tuple is built, and the list is
+// the reference evaluator's.
 func TestBareScanAnswersInItsOwnForm(t *testing.T) {
-	s := schema.MustNew(schema.Attr("K", value.KindInt))
-	r := relation.MustFromRows(s, [][]any{{3}, {1}, {2}})
-	scan := algebra.NewRel("R", s, algebra.BaseInfo{})
-	e := New(eval.MapSource{"R": r})
-
-	out, err := e.Eval(scan)
+	db := datagen.EmployeeDB(datagen.EmployeeSpec{Employees: 30, SpellsPerEmp: 2, AssignmentsPerEmp: 2, Seed: 3})
+	base, err := db.Resolve("EMPLOYEE")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Stats().ScanConversions != 0 || !out.EqualAsList(r) {
-		t.Fatalf("bare scan of a tuple list: %d conversions, result\n%s", e.Stats().ScanConversions, out)
-	}
-	if err := out.SortStable(relation.OrderSpec{relation.Key("K")}); err != nil {
-		t.Fatal(err)
-	}
-	if r.At(0)[0].AsInt() != 3 {
-		t.Fatalf("sorting the result reordered the scanned relation:\n%s", r)
-	}
-
-	if _, err := e.Eval(algebra.NewSelect(expr.Compare(expr.Gt, expr.Column("K"), expr.Literal(value.Int(0))), scan)); err != nil {
-		t.Fatal(err)
-	}
-	image, converted := r.Columns()
-	if e.Stats().ScanConversions != 1 || converted {
-		t.Fatalf("a pipeline over the scan: %d conversions, image cached %v", e.Stats().ScanConversions, !converted)
-	}
-	out, err = e.Eval(scan)
+	scan := db.MustNode("EMPLOYEE")
+	res, err := dbms.New(db, 1, NewSpec(Config{})).Execute(scan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if shared, _ := out.Columns(); e.Stats().ScanConversions != 0 || shared != image || !out.EqualAsList(r) {
-		t.Fatalf("bare scan of a cached image: %d conversions, shares image %v", e.Stats().ScanConversions, shared == image)
+	b := res.Rel.Columns()
+	if b.Sel == nil || &b.Cols[0].Strs[0] != &base.Columns().Cols[0].Strs[0] {
+		t.Fatal("the bare scan's answer is not a selection view over the base relation's planes")
+	}
+	if !reflect.ValueOf(res.Rel).Elem().FieldByName("tuples").IsNil() {
+		t.Error("the bare scan's answer built tuples")
+	}
+	want, err := dbms.New(db, 1, eval.Reference()).Execute(scan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rel.Len() != base.Len() || !res.Rel.EqualAsList(want.Rel) {
+		t.Fatalf("the bare scan's answer differs from the reference's:\n%s", res.Rel)
 	}
 }
 
 // TestDiskCatalogScansConvertNothing: a reopened disk catalog hands the
-// engine columnar-primary relations — segments decode onto one batch — so
-// a bare scan, a pipeline over a scan and a FOR PERIOD scan of one convert
-// nothing, and none derives a tuple on the base relation (the catalog's
-// statistics and the travel filter read the periods off the columns).
+// engine relations over the batch its segments decode onto, so neither a
+// bare scan, a pipeline over a scan nor a FOR PERIOD scan of one derives a
+// tuple on the base relation (the catalog's statistics and the travel
+// filter read the periods off the columns).
 func TestDiskCatalogScansConvertNothing(t *testing.T) {
 	dir := t.TempDir()
 	disk, err := catalog.OpenDir(dir)
@@ -630,11 +625,7 @@ func TestDiskCatalogScansConvertNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := e.Stats().ScanConversions; n != 0 {
-			t.Errorf("%s: %d scan conversions, want 0", c.name, n)
-		}
-		// The tuple list of a columnar-primary relation exists only once a
-		// reader derived it.
+		// A relation's tuple view exists only once a reader derived it.
 		if !reflect.ValueOf(entry.Rel).Elem().FieldByName("tuples").IsNil() {
 			t.Errorf("%s: the scan derived the base relation's tuples", c.name)
 		}

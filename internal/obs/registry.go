@@ -313,11 +313,11 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			case m.hist != nil:
 				writeHistogram(&b, m)
 			case m.fn != nil:
-				fmt.Fprintf(&b, "%s %s\n", sampleName(m.name, m.labels, ""), formatFloat(m.fn()))
+				fmt.Fprintf(&b, "%s %s\n", sampleName(m.name, m.labels), formatFloat(m.fn()))
 			case m.counter != nil:
-				fmt.Fprintf(&b, "%s %d\n", sampleName(m.name, m.labels, ""), m.counter.Value())
+				fmt.Fprintf(&b, "%s %d\n", sampleName(m.name, m.labels), m.counter.Value())
 			case m.gauge != nil:
-				fmt.Fprintf(&b, "%s %d\n", sampleName(m.name, m.labels, ""), m.gauge.Value())
+				fmt.Fprintf(&b, "%s %d\n", sampleName(m.name, m.labels), m.gauge.Value())
 			}
 		}
 	}
@@ -332,15 +332,15 @@ func writeHistogram(b *strings.Builder, m *metric) {
 	var cum int64
 	for i, bound := range h.bounds {
 		cum += h.counts[i].Load()
-		fmt.Fprintf(b, "%s %d\n", sampleName(m.name+"_bucket", append(append([]Label(nil), m.labels...), L("le", formatFloat(bound))), ""), cum)
+		fmt.Fprintf(b, "%s %d\n", sampleName(m.name+"_bucket", append(append([]Label(nil), m.labels...), L("le", formatFloat(bound)))), cum)
 	}
-	fmt.Fprintf(b, "%s %d\n", sampleName(m.name+"_bucket", append(append([]Label(nil), m.labels...), L("le", "+Inf")), ""), h.Count())
-	fmt.Fprintf(b, "%s %s\n", sampleName(m.name+"_sum", m.labels, ""), formatFloat(h.Sum()))
-	fmt.Fprintf(b, "%s %d\n", sampleName(m.name+"_count", m.labels, ""), h.Count())
+	fmt.Fprintf(b, "%s %d\n", sampleName(m.name+"_bucket", append(append([]Label(nil), m.labels...), L("le", "+Inf"))), h.Count())
+	fmt.Fprintf(b, "%s %s\n", sampleName(m.name+"_sum", m.labels), formatFloat(h.Sum()))
+	fmt.Fprintf(b, "%s %d\n", sampleName(m.name+"_count", m.labels), h.Count())
 }
 
 // sampleName renders name{l1="v1",...} with label values escaped.
-func sampleName(name string, labels []Label, _ string) string {
+func sampleName(name string, labels []Label) string {
 	if len(labels) == 0 {
 		return name
 	}

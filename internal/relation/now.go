@@ -14,18 +14,19 @@ func (r *Relation) BindNow(now period.Chronon) *Relation {
 		return r.Clone()
 	}
 	t1, t2 := r.schema.TimeIndices()
-	out := New(r.schema)
+	var ts []Tuple
 	for i, t := range r.Tuples() {
 		p := r.PeriodOf(i).BindNow(now)
 		if p.Empty() {
 			continue
 		}
 		if p.Equal(r.PeriodOf(i)) {
-			out.Append(t)
+			ts = append(ts, t)
 		} else {
-			out.Append(t.WithPeriodAt(t1, t2, p))
+			ts = append(ts, t.WithPeriodAt(t1, t2, p))
 		}
 	}
+	out := FromTuplesTrusted(r.schema, ts)
 	out.SetOrder(r.order)
 	return out
 }

@@ -44,9 +44,9 @@ func TestBindNow(t *testing.T) {
 }
 
 func TestBindNowPreservesOrderSpec(t *testing.T) {
-	r := nowSample()
 	spec := OrderSpec{Key("Name")}
-	if err := r.SortStable(spec); err != nil {
+	r, err := nowSample().Sorted(spec)
+	if err != nil {
 		t.Fatal(err)
 	}
 	bound := r.BindNow(10)

@@ -4,20 +4,23 @@
 // significant. Multiset and set views are derived on demand for the weaker
 // equivalence types.
 //
-// A list is held as tuples or, columnar-primary, as one column.Batch
-// (FromColumnar): such a relation answers Len, Columns and PeriodOf from the
-// batch and derives its tuples once, the first time Tuples or At asks for
-// them, so a result that is only counted, scanned by the engine again or
-// encoded onto the wire never builds a tuple. A tuple list converts to a
-// batch once, on its first Columns call, and caches it.
+// A list has one physical form, a column.Batch. Every constructor builds
+// it, and Len, Columns, PeriodOf, Permuted and Sorted answer from it, so a
+// result that is only counted, scanned by the engine again or encoded onto
+// the wire never builds a tuple. Tuples and At are a read-only view of the
+// batch, derived once, the first time a reader asks, and shared with every
+// Clone; FromTuplesTrusted keeps the caller's slice as that view. A
+// relation never changes its list after construction — only its recorded
+// order (SetOrder) — so a reordered or filtered list is a new relation,
+// usually a selection view of the same batch.
 package relation
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"tqp/internal/column"
 	"tqp/internal/period"
@@ -30,50 +33,25 @@ import (
 // function) and lazily computed duplicate/coalescing state.
 type Relation struct {
 	schema *schema.Schema
-	tuples []Tuple
 	order  OrderSpec
+	*list
+	own list // the list a constructor built; a Clone shares its source's
+}
 
-	// cols, when set, is the list's primary form (FromColumnar): Len reads
-	// it, and tuples is derived from it once, under derive, when first asked
-	// for. Only Append and SortStable clear it — mutations, which never run
-	// concurrently with readers of the tuples — so readers consult it
-	// without synchronization.
+// list is one immutable batch and its read-only tuple view, set once under
+// derive. Relations over the same list share the view, so however many
+// copies of a base relation a plan scans, its tuples are derived once.
+type list struct {
 	cols   *column.Batch
+	tuples []Tuple
 	derive sync.Once
-
-	// image caches the columnar form of a tuple list (Columns). It rides on
-	// the relation rather than on an engine instance so the one-time
-	// conversion amortizes across every engine and query that scans this
-	// relation. Concurrent queries share catalog relations, so the pointer
-	// is atomic; conversions and mutations hold mu, so an image is always
-	// built from the list as it stands and every mutation drops it before
-	// releasing the lock — a stale image is never stored, let alone served.
-	image atomic.Pointer[column.Batch]
-	mu    sync.Mutex
 }
 
-// Columns returns the list as one immutable batch: the primary batch of a
-// columnar-primary relation, or the cached image of a tuple list, converted
-// on first use. converted reports that this call did the conversion. The
-// batch must not be mutated; the relation's own mutations drop the image.
-func (r *Relation) Columns() (b *column.Batch, converted bool) {
-	if r.cols != nil {
-		return r.cols, false
-	}
-	if b := r.image.Load(); b != nil {
-		return b, false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if b := r.image.Load(); b != nil {
-		return b, false
-	}
-	b = columnsOf(r.schema, r.tuples)
-	r.image.Store(b)
-	return b, true
-}
+// Columns returns the list as one immutable batch; callers must not mutate
+// it.
+func (r *Relation) Columns() *column.Batch { return r.cols }
 
-// columnsOf converts a tuple list to one batch over s.
+// columnsOf transposes a tuple list to one batch over s.
 func columnsOf(s *schema.Schema, ts []Tuple) *column.Batch {
 	b := column.NewBatch(s, len(ts))
 	for c := range b.Cols {
@@ -86,52 +64,34 @@ func columnsOf(s *schema.Schema, ts []Tuple) *column.Batch {
 	return b
 }
 
-// mutate runs f on the tuple list as the relation's only form: a
-// columnar-primary relation derives its tuples and drops its columns, and
-// the cached image drops.
-func (r *Relation) mutate(f func()) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.Tuples()
-	if r.cols != nil { // a tuple list's cols is never written: Columns reads it unlocked
-		r.cols = nil
-	}
-	f()
-	r.image.Store(nil)
-}
-
-// New returns an empty relation over s.
-func New(s *schema.Schema) *Relation {
-	return &Relation{schema: s}
-}
-
-// FromTuplesTrusted wraps an existing tuple list as a relation without
-// validation or copying. The caller guarantees schema alignment and hands
-// over ownership of the slice — the execution engine's bulk path for
-// materialized intermediate results, where per-tuple Append growth would
-// dominate the pipeline.
+// FromTuplesTrusted builds a relation from a tuple list without validation.
+// The caller guarantees schema alignment and hands over the slice, which
+// becomes the relation's tuple view: the list is transposed once, and no
+// reader derives it again.
 func FromTuplesTrusted(s *schema.Schema, tuples []Tuple) *Relation {
-	return &Relation{schema: s, tuples: tuples}
+	r := FromColumnar(s, columnsOf(s, tuples))
+	r.derive.Do(func() { r.tuples = tuples })
+	return r
 }
 
-// FromColumnar wraps an immutable batch as a columnar-primary relation over
-// s, with no known order: Len and Columns read the batch, and the tuples are
-// derived once, on first demand.
+// FromColumnar wraps an immutable batch as a relation over s, with no known
+// order.
 func FromColumnar(s *schema.Schema, b *column.Batch) *Relation {
-	return &Relation{schema: s, cols: b}
+	r := &Relation{schema: s}
+	r.own.cols = b
+	r.list = &r.own
+	return r
 }
 
 // FromTuples builds a relation over s from the given tuples, validating each
 // against the schema. The relation is considered unordered.
 func FromTuples(s *schema.Schema, tuples []Tuple) (*Relation, error) {
-	r := New(s)
 	for i, t := range tuples {
 		if err := t.CheckAgainst(s); err != nil {
 			return nil, fmt.Errorf("tuple %d: %w", i, err)
 		}
-		r.tuples = append(r.tuples, t)
 	}
-	return r, nil
+	return FromTuplesTrusted(s, tuples), nil
 }
 
 // MustFromRows builds a relation from untyped rows (for tests, examples and
@@ -147,24 +107,24 @@ func MustFromRows(s *schema.Schema, rows [][]any) *Relation {
 
 // FromRows is MustFromRows returning conversion errors instead of
 // panicking — the ingestion path for data that did not come from a fixture
-// (e.g. rows appended to a persistent catalog at runtime).
+// (e.g. rows appended to a persistent catalog at runtime). The cells go
+// straight onto the batch's planes.
 func FromRows(s *schema.Schema, rows [][]any) (*Relation, error) {
-	r := New(s)
+	b := column.NewBatch(s, len(rows))
 	for j, row := range rows {
 		if len(row) != s.Len() {
 			return nil, fmt.Errorf("relation: row %d arity %d vs schema %s", j, len(row), s)
 		}
-		t := make(Tuple, len(row))
 		for i, cell := range row {
 			v, ok := convertCell(s.At(i).Kind, cell)
 			if !ok {
 				return nil, fmt.Errorf("relation: row %d: cannot convert %T to %s", j, cell, s.At(i).Kind)
 			}
-			t[i] = v
+			b.Cols[i].Append(v)
 		}
-		r.tuples = append(r.tuples, t)
 	}
-	return r, nil
+	b.N = len(rows)
+	return FromColumnar(s, b), nil
 }
 
 func convertCell(k value.Kind, cell any) (value.Value, bool) {
@@ -208,31 +168,17 @@ func convertCell(k value.Kind, cell any) (value.Value, bool) {
 func (r *Relation) Schema() *schema.Schema { return r.schema }
 
 // Len is the paper's n(r): the cardinality of the list.
-func (r *Relation) Len() int {
-	if r.cols != nil {
-		return r.cols.Rows()
-	}
-	return len(r.tuples)
-}
+func (r *Relation) Len() int { return r.cols.Rows() }
 
 // At returns the i-th tuple (not a copy; callers must not mutate).
 func (r *Relation) At(i int) Tuple { return r.Tuples()[i] }
 
-// Tuples returns the underlying tuple list (not a copy). A columnar-primary
-// relation derives it on the first call — once, however many goroutines
-// ask. The slice is shared by every caller: no code writes into it, so
-// callers must not either (only Append and SortStable change the list).
+// Tuples returns the list's tuple view (not a copy), derived from the batch
+// on the first call — once, however many goroutines ask. The slice is
+// shared by every caller, so callers must not write into it.
 func (r *Relation) Tuples() []Tuple {
-	if r.cols != nil {
-		r.derive.Do(func() { r.tuples = tuplesOf(r.cols) })
-	}
+	r.derive.Do(func() { r.tuples = tuplesOf(r.cols) })
 	return r.tuples
-}
-
-// Append adds a tuple to the end of the list without validation; the caller
-// guarantees schema alignment.
-func (r *Relation) Append(t Tuple) {
-	r.mutate(func() { r.tuples = append(r.tuples, t) })
 }
 
 // tuplesOf materializes a batch's presented rows as tuples cut from one
@@ -256,38 +202,53 @@ func (r *Relation) Order() OrderSpec { return r.order }
 // job to only record orders the list actually satisfies; SortedBy can verify.
 func (r *Relation) SetOrder(o OrderSpec) { r.order = o }
 
-// Clone returns an independent copy in the form the list already has: a
-// columnar-primary relation shares its batch, immutable as it is; a tuple
-// list is copied, its tuples shared (they are treated as immutable), and the
-// copy carries the cached image, so neither form converts again.
+// Clone returns a relation over the same list — its batch and its tuple
+// view — whose recorded order can be set independently.
 func (r *Relation) Clone() *Relation {
-	order := append(OrderSpec(nil), r.order...)
-	if r.cols != nil {
-		return &Relation{schema: r.schema, cols: r.cols, order: order}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c := &Relation{schema: r.schema, tuples: append([]Tuple(nil), r.tuples...), order: order}
-	if img := r.image.Load(); img != nil {
-		c.image.Store(img)
-	}
-	return c
+	return &Relation{schema: r.schema, order: append(OrderSpec(nil), r.order...), list: r.list}
 }
 
 // Permuted returns the list r[idx[0]], r[idx[1]], … as a new relation with
-// no known order; idx is typically a permutation of 0..Len()-1, and the
-// result may keep it. A columnar-primary relation answers with a selection
-// view of its batch, so no row is copied and no tuple is built; otherwise
-// the tuples are gathered, shared as Clone shares them.
+// no known order: a selection view of the batch, so no row is copied and no
+// tuple is built. idx is typically a permutation of 0..Len()-1, and the
+// result may keep it.
 func (r *Relation) Permuted(idx []int) *Relation {
-	if r.cols != nil {
-		return FromColumnar(r.schema, r.cols.Select(idx))
+	return FromColumnar(r.schema, r.cols.Select(idx))
+}
+
+// Sorted returns the list stable-sorted by o, recording o as its order: a
+// selection view of the batch (Permuted). Stability matters: the paper's
+// sort "retains duplicates" and list semantics elsewhere depend on the
+// relative order of ties, so ties keep their list positions.
+func (r *Relation) Sorted(o OrderSpec) (*Relation, error) {
+	if err := o.Validate(r.schema); err != nil {
+		return nil, err
 	}
-	ts := make([]Tuple, len(idx))
-	for k, i := range idx {
-		ts[k] = r.tuples[i]
+	pos := make([]int, len(o))
+	for k, key := range o {
+		pos[k] = r.schema.Index(key.Attr)
 	}
-	return &Relation{schema: r.schema, tuples: ts}
+	b := r.cols
+	idx := make([]int, r.Len())
+	for i := range idx {
+		idx[i] = i
+	}
+	slices.SortFunc(idx, func(i, j int) int {
+		pi, pj := b.RowIndex(i), b.RowIndex(j)
+		for k, c := range pos {
+			d := b.Cols[c].At(pi).Compare(b.Cols[c].At(pj))
+			if o[k].Dir == Desc {
+				d = -d
+			}
+			if d != 0 {
+				return d
+			}
+		}
+		return cmp.Compare(i, j)
+	})
+	out := r.Permuted(idx)
+	out.order = o
+	return out, nil
 }
 
 // Temporal reports whether the relation is temporal.
@@ -296,10 +257,7 @@ func (r *Relation) Temporal() bool { return r.schema.Temporal() }
 // PeriodOf returns the time period of the i-th tuple of a temporal relation.
 func (r *Relation) PeriodOf(i int) period.Period {
 	t1, t2 := r.schema.TimeIndices()
-	if r.cols != nil {
-		return r.cols.PeriodAt(t1, t2, r.cols.RowIndex(i))
-	}
-	return r.tuples[i].PeriodAt(t1, t2)
+	return r.cols.PeriodAt(t1, t2, r.cols.RowIndex(i))
 }
 
 // Periods returns the periods of all tuples of a temporal relation.
@@ -429,16 +387,17 @@ func (r *Relation) Snapshot(t period.Chronon) *Relation {
 	if err != nil {
 		panic("relation: snapshot schema: " + err.Error())
 	}
-	out := New(snapSchema)
+	var ts []Tuple
 	for i, tp := range r.Tuples() {
 		if r.PeriodOf(i).Contains(t) {
 			nt := make(Tuple, len(idx))
 			for k, j := range idx {
 				nt[k] = tp[j]
 			}
-			out.Append(nt)
+			ts = append(ts, nt)
 		}
 	}
+	out := FromTuplesTrusted(snapSchema, ts)
 	out.SetOrder(r.order.Prefix(names))
 	return out
 }
@@ -448,22 +407,6 @@ func (r *Relation) Snapshot(t period.Chronon) *Relation {
 // checks over these witnesses cover every instant of the domain.
 func (r *Relation) CriticalInstants() []period.Chronon {
 	return period.Witnesses(r.Periods())
-}
-
-// SortStable stable-sorts the tuple list by the given spec and records the
-// order. Stability matters: the paper's sort "retains duplicates" and list
-// semantics elsewhere depend on the relative order of ties.
-func (r *Relation) SortStable(o OrderSpec) error {
-	if err := o.Validate(r.schema); err != nil {
-		return err
-	}
-	r.mutate(func() {
-		sort.SliceStable(r.tuples, func(i, j int) bool {
-			return CompareOn(r.schema, o, r.tuples[i], r.tuples[j]) < 0
-		})
-	})
-	r.order = o
-	return nil
 }
 
 // EqualAsList reports list equivalence of the tuple sequences (schema

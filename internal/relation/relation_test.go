@@ -100,13 +100,13 @@ func TestSnapshotPanicsOnConventional(t *testing.T) {
 }
 
 func TestSortStableAndOrder(t *testing.T) {
-	r := sample()
 	spec := OrderSpec{Key("Name")}
-	if err := r.SortStable(spec); err != nil {
+	r, err := sample().Sorted(spec)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !r.SortedBy(spec) {
-		t.Error("SortStable must establish the order")
+		t.Error("Sorted must establish the order")
 	}
 	if !r.Order().Equal(spec) {
 		t.Errorf("recorded order %s", r.Order())
@@ -115,7 +115,7 @@ func TestSortStableAndOrder(t *testing.T) {
 	if !r.PeriodOf(0).Equal(period.New(1, 4)) || !r.PeriodOf(2).Equal(period.New(4, 7)) {
 		t.Errorf("stable sort broke tie order:\n%s", r)
 	}
-	if err := r.SortStable(OrderSpec{Key("missing")}); err == nil {
+	if _, err := r.Sorted(OrderSpec{Key("missing")}); err == nil {
 		t.Error("sorting on a missing attribute should fail")
 	}
 }
@@ -199,16 +199,16 @@ func TestSortPermutationInvariant(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		r := sample()
 		spec := OrderSpec{Key("Name"), Key("Grp"), Key(schema.T1), Key(schema.T2)}
-		p := r.Clone()
-		ts := p.Tuples()
-		rng.Shuffle(len(ts), func(i, j int) { ts[i], ts[j] = ts[j], ts[i] })
-		if err := r.SortStable(spec); err != nil {
+		p := r.Permuted(rng.Perm(r.Len()))
+		rs, err := r.Sorted(spec)
+		if err != nil {
 			return false
 		}
-		if err := p.SortStable(spec); err != nil {
+		ps, err := p.Sorted(spec)
+		if err != nil {
 			return false
 		}
-		return r.EqualAsList(p)
+		return rs.EqualAsList(ps)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

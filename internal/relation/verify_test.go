@@ -73,15 +73,15 @@ func keyIsCoalesced(r *relation.Relation) bool {
 // empty one ([s, s) or [s+1, s)), keeping the values.
 func withEmptyPeriods(r *relation.Relation, rng *rand.Rand, frac float64) *relation.Relation {
 	t1, t2 := r.Schema().TimeIndices()
-	out := relation.New(r.Schema())
+	out := make([]relation.Tuple, 0, r.Len())
 	for i, t := range r.Tuples() {
 		if rng.Float64() < frac {
 			s := r.PeriodOf(i).Start
 			t = t.WithPeriodAt(t1, t2, period.Period{Start: s + period.Chronon(rng.Intn(2)), End: s})
 		}
-		out.Append(t)
+		out = append(out, t)
 	}
-	return out
+	return relation.FromTuplesTrusted(r.Schema(), out)
 }
 
 // TestVerificationMatchesStringKeys pins HasDuplicates,
@@ -165,11 +165,12 @@ func TestVerificationMatchesStringKeys(t *testing.T) {
 // allocation count.
 func TestVerificationAllocsIndependentOfRows(t *testing.T) {
 	allocs := func(rows int) [3]float64 {
-		r := relation.New(datagen.TemporalSchema())
-		for i := 0; i < rows; i++ {
-			r.Append(relation.NewTuple(value.String_(fmt.Sprintf("v%d", i)), value.Int(int64(i)),
-				value.Time(period.Chronon(2*i)), value.Time(period.Chronon(2*i+1))))
+		ts := make([]relation.Tuple, rows)
+		for i := range ts {
+			ts[i] = relation.NewTuple(value.String_(fmt.Sprintf("v%d", i)), value.Int(int64(i)),
+				value.Time(period.Chronon(2*i)), value.Time(period.Chronon(2*i+1)))
 		}
+		r := relation.FromTuplesTrusted(datagen.TemporalSchema(), ts)
 		var out [3]float64
 		for k, f := range []func() bool{r.HasDuplicates, r.HasSnapshotDuplicates, r.IsCoalesced} {
 			out[k] = testing.AllocsPerRun(5, func() { f() })

@@ -126,10 +126,11 @@ func TestReadFrameAllocatesWhatArrives(t *testing.T) {
 // one read buffer, so reading it allocates for the result's planes, not
 // once per frame.
 func TestClientReusesRowsBuffer(t *testing.T) {
-	rel := relation.New(schema.MustNew(schema.Attr("N", value.KindInt)))
-	for i := 0; i < 4096; i++ {
-		rel.Append(relation.NewTuple(value.Int(int64(i))))
+	ts := make([]relation.Tuple, 4096)
+	for i := range ts {
+		ts[i] = relation.NewTuple(value.Int(int64(i)))
 	}
+	rel := relation.FromTuplesTrusted(schema.MustNew(schema.Attr("N", value.KindInt)), ts)
 	c := fakePeer(t, func(br *bufio.Reader, bw *bufio.Writer) {
 		readRequest(t, br)
 		if err := StreamResult(bw, rel, 64, &Done{Tuples: rel.Len()}); err != nil {

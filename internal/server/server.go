@@ -629,9 +629,9 @@ func streamResult(w io.Writer, result *relation.Relation, keys []int, batchRows 
 	}); err != nil {
 		return err
 	}
-	// The rows are encoded straight off the result's batch: a
-	// columnar-primary result (every engine result is) never builds a tuple.
-	b, _ := result.Columns()
+	// The rows are encoded straight off the result's batch: no tuple is
+	// built.
+	b := result.Columns()
 	n := b.Rows()
 	var zeros []int
 	if keys == nil {
@@ -662,11 +662,12 @@ func textRelation(text string) *relation.Relation {
 	if err != nil {
 		panic(err) // static schema; cannot fail
 	}
-	r := relation.New(sch)
-	for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
-		r.Append(relation.NewTuple(value.String_(line)))
+	lines := strings.Split(strings.TrimRight(text, "\n"), "\n")
+	rows := make([]relation.Tuple, len(lines))
+	for i, line := range lines {
+		rows[i] = relation.NewTuple(value.String_(line))
 	}
-	return r
+	return relation.FromTuplesTrusted(sch, rows)
 }
 
 // runPartial executes one pushed-down plan fragment against the server's

@@ -182,11 +182,9 @@ func (m *Map) Partition(i int) (*catalog.Catalog, map[string][]int, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		tuples := make([]relation.Tuple, len(pos))
-		for j, g := range pos {
-			tuples[j] = e.Rel.At(g)
-		}
-		sub := relation.FromTuplesTrusted(e.Rel.Schema(), tuples)
+		// The slice is compacted here, once: a fragment over a dense slice
+		// scans its planes as they are (exec.RunFragment compacts a view).
+		sub := relation.FromColumnar(e.Rel.Schema(), e.Rel.Permuted(pos).Columns().Compact())
 		if err := out.AddTrusted(name, sub, e.Info); err != nil {
 			return nil, nil, err
 		}
@@ -263,7 +261,7 @@ func groupRuns(rel *relation.Relation, idx []int) (bool, []int) {
 	seen := make(map[uint64]bool)
 	grouped := true
 	for i := 0; i < n; i++ {
-		if i > 0 && equalOn(rel.At(i-1), rel.At(i), idx) {
+		if i > 0 && rel.At(i-1).EqualOn(idx, rel.At(i)) {
 			continue
 		}
 		if i > 0 {
@@ -276,15 +274,6 @@ func groupRuns(rel *relation.Relation, idx []int) (bool, []int) {
 		seen[h] = true
 	}
 	return grouped, bounds
-}
-
-func equalOn(a, b relation.Tuple, idx []int) bool {
-	for _, j := range idx {
-		if !a[j].Equal(b[j]) {
-			return false
-		}
-	}
-	return true
 }
 
 // everyRow is the boundary set of ungrouped data: a cut may fall anywhere.

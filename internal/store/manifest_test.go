@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"tqp/internal/algebra"
+	"tqp/internal/column"
 	"tqp/internal/relation"
 	"tqp/internal/schema"
 	"tqp/internal/store"
@@ -48,8 +49,8 @@ func seedStore(t testing.TB, dir string) {
 		t.Fatal(err)
 	}
 	snap := schema.MustNew(schema.Attr("K", value.KindInt), schema.Attr("F", value.KindFloat))
-	rows := func(sch *schema.Schema, rows [][]any) []relation.Tuple {
-		return relation.MustFromRows(sch, rows).Tuples()
+	rows := func(sch *schema.Schema, rows [][]any) *column.Batch {
+		return relation.MustFromRows(sch, rows).Columns()
 	}
 	for _, step := range []error{
 		s.Create("R", tempSchema(), algebra.BaseInfo{Distinct: true}),

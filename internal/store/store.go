@@ -9,7 +9,7 @@
 // corruption story: a truncated or bit-flipped segment is detected at read
 // time with a typed error, never a panic or a silent wrong answer. A
 // relation's segments decode onto one column.Batch, and Load hands it over
-// as a columnar-primary relation: no tuple is built on the way in.
+// as the relation's list: no tuple is built on the way in.
 //
 // Every segment carries min/max chronon fences over its tuples' periods in
 // the manifest — the per-segment interval index. A point-in-time or period
@@ -205,34 +205,55 @@ func (s *Store) Create(name string, sch *schema.Schema, info algebra.BaseInfo) e
 	return s.commit(next)
 }
 
-// Append commits one new segment holding rows at the end of the named
-// relation. Rows are validated against the stored schema before anything
-// touches disk. An empty rows slice is a no-op.
-func (s *Store) Append(name string, rows []relation.Tuple) error {
+// Append commits one new segment holding b's presented rows at the end of
+// the named relation. The batch is checked against the stored schema,
+// column by column and, where a plane is boxed, row by row, before anything
+// touches disk. An empty batch is a no-op.
+func (s *Store) Append(name string, b *column.Batch) error {
 	mr := s.man.rel(name)
 	if mr == nil {
 		return fmt.Errorf("store: unknown relation %q", name)
 	}
-	if len(rows) == 0 {
+	if b.Rows() == 0 {
 		return nil
 	}
 	sch, err := mr.schemaOf()
 	if err != nil {
 		return err
 	}
-	for i, t := range rows {
-		if err := t.CheckAgainst(sch); err != nil {
-			return fmt.Errorf("store: appending to %q, row %d: %w", name, i, err)
-		}
+	if err := checkBatch(sch, b); err != nil {
+		return fmt.Errorf("store: appending to %q, %w", name, err)
 	}
-	b, _ := relation.FromTuplesTrusted(sch, rows).Columns()
+	view := *b
+	view.Schema = sch // the fences follow the stored schema's time attributes
 	next := s.man.clone()
-	seg, err := s.writeSegment(next, b)
+	seg, err := s.writeSegment(next, &view)
 	if err != nil {
 		return err
 	}
 	next.rel(name).Segments = append(next.rel(name).Segments, seg)
 	return s.commit(next)
+}
+
+// checkBatch reports the first cell of b whose domain is not sch's: a typed
+// plane of the attribute's kind holds only such cells, any other plane is
+// checked cell by cell.
+func checkBatch(sch *schema.Schema, b *column.Batch) error {
+	if len(b.Cols) != sch.Len() {
+		return fmt.Errorf("batch arity %d does not match schema %s", len(b.Cols), sch)
+	}
+	for c := range b.Cols {
+		col, want := &b.Cols[c], sch.At(c).Kind
+		if col.Kind == want {
+			continue
+		}
+		for k := 0; k < b.Rows(); k++ {
+			if got := col.At(b.RowIndex(k)).Kind(); got != want {
+				return fmt.Errorf("row %d: attribute %s expects %s, batch holds %s", k, sch.At(c).Name, want, got)
+			}
+		}
+	}
+	return nil
 }
 
 // Compact rewrites the named relation's segments as a single segment with
@@ -252,7 +273,7 @@ func (s *Store) Compact(name string) error {
 	if err != nil {
 		return err
 	}
-	b, _ := r.Columns()
+	b := r.Columns()
 	old := append([]SegmentInfo(nil), mr.Segments...)
 	next := s.man.clone()
 	seg, err := s.writeSegment(next, b)
@@ -272,8 +293,8 @@ func (s *Store) Compact(name string) error {
 
 // Load reads the named relation's full list by decoding its segments in
 // order onto one batch, verifying every block checksum on the way: the
-// result is columnar-primary, so no tuple is built until a reader asks for
-// one. The returned relation carries the declared order. Decode failures on
+// result is a relation over that batch, so no tuple is built until a reader
+// asks for one. The returned relation carries the declared order. Decode failures on
 // committed segments wrap ErrCorrupt.
 func (s *Store) Load(name string) (*relation.Relation, error) {
 	mr := s.man.rel(name)

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"tqp/internal/algebra"
+	"tqp/internal/column"
 	"tqp/internal/period"
 	"tqp/internal/relation"
 	"tqp/internal/schema"
@@ -31,6 +32,11 @@ func rowsOf(t *testing.T, sch *schema.Schema, rows [][]any) []relation.Tuple {
 		t.Fatal(err)
 	}
 	return r.Tuples()
+}
+
+// batchOf is a tuple list's batch, for Append.
+func batchOf(sch *schema.Schema, rows []relation.Tuple) *column.Batch {
+	return relation.FromTuplesTrusted(sch, rows).Columns()
 }
 
 // openStore opens a store and fails the test on error.
@@ -58,10 +64,10 @@ func TestRoundTrip(t *testing.T) {
 	}
 	first := rowsOf(t, sch, [][]any{{"a", 1, 5}, {"b", 2, 6}})
 	second := rowsOf(t, sch, [][]any{{"c", 100, 200}})
-	if err := s.Append("R", first); err != nil {
+	if err := s.Append("R", batchOf(sch, first)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Append("R", second); err != nil {
+	if err := s.Append("R", batchOf(sch, second)); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Version(); got != 3 {
@@ -112,7 +118,7 @@ func TestLargeAppendManyBlocks(t *testing.T) {
 		raw = append(raw, []any{fmt.Sprintf("n%d", i), i, i + 3})
 	}
 	rows := rowsOf(t, sch, raw)
-	if err := s.Append("R", rows); err != nil {
+	if err := s.Append("R", batchOf(sch, rows)); err != nil {
 		t.Fatal(err)
 	}
 	r, err := openStore(t, dir).Load("R")
@@ -140,7 +146,7 @@ func TestCrashAtFaultPoints(t *testing.T) {
 				t.Fatal(err)
 			}
 			committed := rowsOf(t, sch, [][]any{{"keep", 1, 2}})
-			if err := s.Append("R", committed); err != nil {
+			if err := s.Append("R", batchOf(sch, committed)); err != nil {
 				t.Fatal(err)
 			}
 			wantVersion := s.Version()
@@ -152,7 +158,7 @@ func TestCrashAtFaultPoints(t *testing.T) {
 				}
 				return nil
 			})
-			if err := s.Append("R", rowsOf(t, sch, [][]any{{"lost", 10, 20}})); !errors.Is(err, killed) {
+			if err := s.Append("R", batchOf(sch, rowsOf(t, sch, [][]any{{"lost", 10, 20}}))); !errors.Is(err, killed) {
 				t.Fatalf("append survived the %s kill: %v", point, err)
 			}
 
@@ -185,7 +191,7 @@ func TestTornManifestAtFuzzedOffsets(t *testing.T) {
 		t.Fatal(err)
 	}
 	committed := rowsOf(t, sch, [][]any{{"keep", 1, 2}})
-	if err := s.Append("R", committed); err != nil {
+	if err := s.Append("R", batchOf(sch, committed)); err != nil {
 		t.Fatal(err)
 	}
 	wantVersion := s.Version()
@@ -246,7 +252,7 @@ func TestCorruptionIsTypedNeverPanics(t *testing.T) {
 			t.Fatal(err)
 		}
 		rows := rowsOf(t, sch, [][]any{{"a", 1, 5}, {"b", 2, 6}, {"c", 3, 7}})
-		if err := s.Append("R", rows); err != nil {
+		if err := s.Append("R", batchOf(sch, rows)); err != nil {
 			t.Fatal(err)
 		}
 		return dir, rows
@@ -353,7 +359,7 @@ func TestCompact(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		rows := rowsOf(t, sch, [][]any{{fmt.Sprintf("r%d", i), 10 * i, 10*i + 5}})
 		all = append(all, rows...)
-		if err := s.Append("R", rows); err != nil {
+		if err := s.Append("R", batchOf(sch, rows)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -413,13 +419,22 @@ func TestAppendValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Append("R", bad.Tuples()); err == nil {
+	if err := s.Append("R", bad.Columns()); err == nil {
 		t.Fatal("append of mis-shaped rows must fail")
+	}
+	// Right arity, but row 1 holds an int where T1 is a time: the plane is
+	// boxed, and the check names the row and the attribute.
+	mixed := batchOf(sch, []relation.Tuple{
+		{value.String_("a"), value.Time(1), value.Time(2)},
+		{value.String_("b"), value.Int(3), value.Time(4)},
+	})
+	if err := s.Append("R", mixed); err == nil || !strings.Contains(err.Error(), "row 1: attribute T1") {
+		t.Fatalf("append of a mis-kinded cell: %v", err)
 	}
 	if v := s.Version(); v != 1 {
 		t.Fatalf("failed append bumped version to %d", v)
 	}
-	if err := s.Append("missing", nil); err == nil {
+	if err := s.Append("missing", batchOf(sch, nil)); err == nil {
 		t.Fatal("append to unknown relation must fail")
 	}
 }

@@ -73,8 +73,8 @@ func SortedCatalog(rows int) *catalog.Catalog {
 		{Rows: rows, Values: rows / 4, DupFrac: 0.2, AdjFrac: 0.3, TimeRange: 300, MaxPeriod: 15, Seed: 21},
 		{Rows: 256, Values: rows / 4, DupFrac: 0.1, AdjFrac: 0.3, TimeRange: 300, MaxPeriod: 15, Seed: 22},
 	} {
-		r := datagen.Temporal(spec)
-		if err := r.SortStable(byNameGrp); err != nil {
+		r, err := datagen.Temporal(spec).Sorted(byNameGrp)
+		if err != nil {
 			panic(fmt.Sprintf("testutil: %v", err))
 		}
 		if err := c.Add([]string{"L", "R"}[i], r, algebra.BaseInfo{Order: byNameGrp}); err != nil {

@@ -1,6 +1,7 @@
 package tsql_test
 
 import (
+	"slices"
 	"testing"
 
 	"tqp/internal/catalog"
@@ -103,13 +104,7 @@ func TestIntersectWithExceptComplement(t *testing.T) {
 	except := run(`VALIDTIME SELECT DISTINCT EmpName FROM EMPLOYEE EXCEPT SELECT EmpName FROM PROJECT`)
 	whole := run(`VALIDTIME SELECT DISTINCT EmpName FROM EMPLOYEE`)
 
-	union := relation.New(whole.Schema())
-	for _, tp := range inter.Tuples() {
-		union.Append(tp)
-	}
-	for _, tp := range except.Tuples() {
-		union.Append(tp)
-	}
+	union := relation.FromTuplesTrusted(whole.Schema(), slices.Concat(inter.Tuples(), except.Tuples()))
 	ok, err := equiv.Check(equiv.SnapshotSet, whole, union)
 	if err != nil || !ok {
 		t.Errorf("INTERSECT ∪ EXCEPT must cover the whole history (err=%v):\n%s\nvs\n%s",
