@@ -50,9 +50,10 @@
 //	operator            algorithms (file)
 //	scan                the relation's batch (relation.Columns), whole (stream.go)
 //	σ, π                selection views, zero-copy column gather (vecops.go)
-//	sort                row-index permutation sorted by (key, row index), W-way
-//	                    index runs; external merge sort under a budget
-//	                    (vecmerge.go, sort.go)
+//	sort                row-index permutation sorted by (key, row index) —
+//	                    straight against the plane for one int or string
+//	                    key — W-way index runs; external merge sort under a
+//	                    budget (keys.go, vecmerge.go, sort.go)
 //	⊔                   stream concatenation (stream.go)
 //	×, ×ᵀ, ⋈, ⋈ᵀ        one hash join kernel over the predicate's equality
 //	                    keys — none for a keyless product, whose build side is
@@ -79,10 +80,26 @@
 // each side on them, and a combiner decides what each yields — min(c, 1)
 // for rdupᵀ, max(cₗ − cᵣ, 0) for \ᵀ, max(cᵣ − cₗ, 0) past the left list for
 // ∪ᵀ, the aggregate of the active rows for 𝒢ᵀ; coalᵀ merges adjacent
-// periods (coalTSpans). The sweep's buffers belong to one body call — a grace
-// partition or a groupCutIter slice — and are reset per group. The temporal
+// periods (coalTSpans). The sweep's buffers, the group table and the
+// groupings belong to one body call — a grace partition or a groupCutIter
+// slice: the call takes them from a pool on entry, resets them per group and
+// returns them on exit, and nothing it emits points into them. The temporal
 // bodies emit (source row, period) spans and never touch a value column; 𝒢
 // and 𝒢ᵀ fold rows through one scratch tuple.
+//
+// # Key kernels
+//
+// Grouping, ordering and partitioning run on the typed column planes
+// (keys.go). hashRows hashes a key column at a time, its kind decided once
+// per column, bit-identical to relation.Tuple.HashOn, so spill buckets and
+// shard placement never move. The group table is one open-addressing table
+// of int32 slots over the stored hashes, grown by doubling; it gives every
+// keyed operator — rdup, \, ∪, the temporal bodies, 𝒢, the join's build and
+// probe — first-occurrence ids confirmed by value equality. A comparator
+// picks each key's comparison by kind and direction when it is compiled and
+// binds a batch's key planes once; a demoted (boxed) column and floats take
+// value.Compare. Every sort, merge, merge join, merge cancel, adjacent dedup
+// and the coordinator's MergeParts compare through it.
 //
 // RunFragment (partial.go), the shard side of distributed execution, is not
 // a second implementation of any operator: a fragment is a plan subtree, and

@@ -216,35 +216,41 @@ func sweepPartition(groups, rows int, shift period.Chronon) part {
 }
 
 // TestSweepBodiesAllocateByPartition pins the sweep's scratch to the body
-// call: the \ᵀ and rdupᵀ partition bodies over 2,000 value groups allocate
-// at most a small constant more than over 20 — the buffers are reset per
-// group, never allocated per group. Beside the constant, which covers the
-// amortized growth of the scratch to the largest group, the bound admits
-// what the group table's map allocates more at the larger size hint (the
-// runtime may store a large map in several tables).
+// call: once warm, the \ᵀ and rdupᵀ partition bodies over 2,000 value
+// groups allocate no more than over 20. The group table, the groupings and
+// the sweep's buffers come from the pooled scratch and are reset per group,
+// so what a call allocates is its output. Each count is the least of three
+// measurements, so a scratch the pool happened to hand another processor
+// does not count; under the race detector sync.Pool drops items at random,
+// so there the counts are only logged.
 func TestSweepBodiesAllocateByPartition(t *testing.T) {
 	sch := sweepPartition(1, 1, 0).b.Schema
 	vidx := physical.ValueIdx(sch)
 	t1, t2 := sch.TimeIndices()
-	var table map[uint64]int
+	least := func(f func()) float64 {
+		n := testing.AllocsPerRun(5, f)
+		for range 2 {
+			n = min(n, testing.AllocsPerRun(5, f))
+		}
+		return n
+	}
 	allocs := func(groups int) (diff, rdup float64) {
 		lp, rp := sweepPartition(groups, 3, 0), sweepPartition(groups, 2, 2)
 		tdiff, trdup := tdiffBody(vidx, t1, t2), rdupTBody(vidx, t1, t2, false)
-		diff = testing.AllocsPerRun(5, func() { _, _ = tdiff(lp, rp) })
-		diff -= testing.AllocsPerRun(5, func() { table = make(map[uint64]int, len(lp.rows)+len(rp.rows)) })
-		rdup = testing.AllocsPerRun(5, func() { _, _ = trdup(lp, part{}) })
-		rdup -= testing.AllocsPerRun(5, func() { table = make(map[uint64]int, len(lp.rows)) })
+		diff = least(func() { _, _ = tdiff(lp, rp) })
+		rdup = least(func() { _, _ = trdup(lp, part{}) })
 		return diff, rdup
 	}
-	const slack = 8
 	smallDiff, smallRdup := allocs(20)
 	bigDiff, bigRdup := allocs(2000)
-	t.Logf("beside the group table: \\ᵀ %v → %v allocs, rdupᵀ %v → %v allocs", smallDiff, bigDiff, smallRdup, bigRdup)
-	if bigDiff > smallDiff+slack {
-		t.Errorf("\\ᵀ body: %v allocs at 2,000 groups, %v at 20: the sweep allocates per group", bigDiff, smallDiff)
+	t.Logf("\\ᵀ %v → %v allocs, rdupᵀ %v → %v allocs", smallDiff, bigDiff, smallRdup, bigRdup)
+	if raceEnabled {
+		return
 	}
-	if bigRdup > smallRdup+slack {
-		t.Errorf("rdupᵀ body: %v allocs at 2,000 groups, %v at 20: the sweep allocates per group", bigRdup, smallRdup)
+	if bigDiff > smallDiff {
+		t.Errorf("\\ᵀ body: %v allocs at 2,000 groups, %v at 20: the body allocates per group", bigDiff, smallDiff)
 	}
-	_ = table
+	if bigRdup > smallRdup {
+		t.Errorf("rdupᵀ body: %v allocs at 2,000 groups, %v at 20: the body allocates per group", bigRdup, smallRdup)
+	}
 }

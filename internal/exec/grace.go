@@ -130,16 +130,6 @@ func spillBucket(h uint64, lvl int) int {
 	return int((h >> (3 * uint(lvl))) & (spillFanout - 1))
 }
 
-// rowHash is the canonical hash of row i's idx columns, bit-identical to
-// Tuple.HashOn — what routes a row to its partition on every route.
-func rowHash(b *column.Batch, i int, idx []int) uint64 {
-	h := value.HashSeed()
-	for _, c := range idx {
-		h = b.Cols[c].HashInto(i, h)
-	}
-	return h
-}
-
 // part is one partition of a keyed operator's input, the currency of the
 // driver: physical rows of a compacted batch in arrival order, plus their
 // sequence keys — the rows' original list positions, which drive the
@@ -237,6 +227,9 @@ type fanout struct {
 	writers []*spill.Writer
 	pend    []*column.Batch
 	seqs    [][]int
+
+	hv         []uint64 // the routed rows' key hashes
+	rows, keys []int    // a dense range's rows and consecutive sequence keys
 }
 
 // newFanout creates the fan-out's writers for rows over sch.
@@ -254,15 +247,37 @@ func (e *Engine) newFanout(sch *schema.Schema, idx []int, lvl int) (*fanout, err
 	return f, nil
 }
 
-// route sends b's physical row i, tagged seq, to its bucket.
-func (f *fanout) route(b *column.Batch, i, seq int) error {
-	bk := spillBucket(rowHash(b, i, f.idx), f.lvl)
-	f.pend[bk].AppendRow(b, i)
-	f.seqs[bk] = append(f.seqs[bk], seq)
-	if len(f.seqs[bk]) < spill.BlockRows {
-		return nil
+// route sends b's physical rows rows[k], tagged seqs[k], to their buckets,
+// hashing the batch's key columns in one pass.
+func (f *fanout) route(b *column.Batch, rows, seqs []int) error {
+	f.hv = resize(f.hv, len(rows))
+	hashRows(b, rows, f.idx, f.hv)
+	for k, i := range rows {
+		bk := spillBucket(f.hv[k], f.lvl)
+		f.pend[bk].AppendRow(b, i)
+		f.seqs[bk] = append(f.seqs[bk], seqs[k])
+		if len(f.seqs[bk]) < spill.BlockRows {
+			continue
+		}
+		if err := f.flush(bk); err != nil {
+			return err
+		}
 	}
-	return f.flush(bk)
+	return nil
+}
+
+// routeFrom routes b's presented rows [lo, hi), tagged with consecutive
+// sequence keys from first.
+func (f *fanout) routeFrom(b *column.Batch, lo, hi, first int) error {
+	rows := b.Sel
+	if rows == nil {
+		f.rows = seqRows(f.rows, lo, hi)
+		rows = f.rows
+	} else {
+		rows = rows[lo:hi]
+	}
+	f.keys = seqRows(f.keys, first, first+hi-lo)
+	return f.route(b, rows, f.keys)
 }
 
 // flush writes a bucket's pending rows and empties its batch for reuse.
@@ -353,24 +368,21 @@ func (e *Engine) drainGraceVec(in *source, idx []int, share int64) (*vecGraceSid
 			}
 			seq := 0
 			for _, rb := range resident {
-				for x := 0; x < rb.Rows(); x++ {
-					if err := fan.route(rb, rb.RowIndex(x), seq); err != nil {
-						return fail(err)
-					}
-					seq++
+				if err := fan.routeFrom(rb, 0, rb.Rows(), seq); err != nil {
+					return fail(err)
 				}
+				seq += rb.Rows()
 			}
 			e.mem.release(side.bytes)
 			resident = nil
 		}
-		for ; k < n; k++ {
-			i := b.RowIndex(k)
-			side.bytes += b.MemSize(i)
-			if err := fan.route(b, i, side.count); err != nil {
-				return fail(err)
-			}
-			side.count++
+		for x := k; x < n; x++ {
+			side.bytes += b.MemSize(b.RowIndex(x))
 		}
+		if err := fan.routeFrom(b, k, n, side.count); err != nil {
+			return fail(err)
+		}
+		side.count += n - k
 	}
 	if err := v.close(); err != nil {
 		if fan != nil {
@@ -427,8 +439,10 @@ func (e *Engine) releaseResident(side *vecGraceSide) {
 // over the same batch.
 func splitPart(p part, idx []int, lvl int) []partSource {
 	parts := make([]partSource, spillFanout)
-	for _, i := range p.rows {
-		ps := &parts[spillBucket(rowHash(p.b, i, idx), lvl)]
+	hs := make([]uint64, len(p.rows))
+	hashRows(p.b, p.rows, idx, hs)
+	for k, i := range p.rows {
+		ps := &parts[spillBucket(hs[k], lvl)]
 		ps.b, ps.seqs = p.b, p.seqs
 		ps.rows = append(ps.rows, i)
 		ps.bytes += p.b.MemSize(i)
@@ -469,10 +483,9 @@ func (e *Engine) repartition(ps partSource, sch *schema.Schema, idx []int, lvl i
 		if !ok {
 			break
 		}
-		for i, seq := range seqs {
-			if err := fan.route(blk, i, seq); err != nil {
-				return fail(err)
-			}
+		fan.rows = seqRows(fan.rows, 0, blk.N)
+		if err := fan.route(blk, fan.rows, seqs); err != nil {
+			return fail(err)
 		}
 	}
 	if err := r.Close(); err != nil {

@@ -7,13 +7,7 @@ import (
 )
 
 // identityIdx returns [0, 1, ..., n).
-func identityIdx(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
+func identityIdx(n int) []int { return seqRows(nil, 0, n) }
 
 // groupsContiguous reports whether tuples equal on idx are guaranteed to be
 // adjacent in a list sorted by ord. The decision lives in package physical

@@ -81,9 +81,11 @@ func hashParts(b *column.Batch, idx []int, p int) []part {
 		return parts
 	}
 	counts := make([]int, p)
+	hs := make([]uint64, b.N)
+	hashRows(b, seqRows(nil, 0, b.N), idx, hs)
 	buckets := make([]int32, b.N)
-	for i := 0; i < b.N; i++ {
-		bk := int(rowHash(b, i, idx) % uint64(p))
+	for i, h := range hs {
+		bk := int(h % uint64(p))
 		buckets[i] = int32(bk)
 		counts[bk]++
 	}

@@ -161,6 +161,10 @@ func MergeParts(sch *schema.Schema, order relation.OrderSpec, grouped bool, part
 		total += p.Batch.Rows()
 	}
 	cmp := compileVecCmp(sch, order)
+	sides := make([]keySide, len(parts))
+	for k, p := range parts {
+		sides[k] = cmp.left(p.Batch)
+	}
 	type run struct{ part, lo, hi int }
 	var runs []run
 	at := make([]int, len(parts))
@@ -174,8 +178,7 @@ func MergeParts(sch *schema.Schema, order relation.OrderSpec, grouped bool, part
 				best = k
 				continue
 			}
-			bb := parts[best].Batch
-			c := cmp(p.Batch, p.Batch.RowIndex(at[k]), bb, bb.RowIndex(at[best]))
+			c := cmp.compare(sides[k], p.Batch.RowIndex(at[k]), sides[best], parts[best].Batch.RowIndex(at[best]))
 			if c < 0 || (c == 0 && !grouped && p.Seqs[at[k]] < parts[best].Seqs[at[best]]) {
 				best = k
 			}
@@ -184,7 +187,7 @@ func MergeParts(sch *schema.Schema, order relation.OrderSpec, grouped bool, part
 		if grouped {
 			b := parts[best].Batch
 			head := b.RowIndex(lo)
-			for hi < b.Rows() && cmp(b, b.RowIndex(hi), b, head) == 0 {
+			for hi < b.Rows() && cmp.compare(sides[best], b.RowIndex(hi), sides[best], head) == 0 {
 				hi++
 			}
 		}

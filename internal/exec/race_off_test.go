@@ -1,6 +1,6 @@
 //go:build !race
 
-package exec_test
+package exec
 
 // raceEnabled reports a race-instrumented test binary.
 const raceEnabled = false

@@ -1,6 +1,6 @@
 //go:build race
 
-package exec_test
+package exec
 
 // raceEnabled reports a race-instrumented test binary; the heaviest scale
 // tests skip under it (their logic is covered at smaller scales).

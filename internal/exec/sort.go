@@ -35,7 +35,7 @@ type mergeSortIter struct {
 	eng    *Engine
 	in     vecIterator
 	schema *schema.Schema
-	cmp    vecCmp
+	cmp    *vecCmp
 
 	built    bool
 	h        runHeap
@@ -47,7 +47,8 @@ type mergeSortIter struct {
 type runCursor struct {
 	idx  int // run index: the stability tie-break
 	b    *column.Batch
-	perm []int // resident runs: the sorted order of b's rows
+	side keySide // b's key planes, bound again for every decoded block
+	perm []int   // resident runs: the sorted order of b's rows
 	pos  int
 
 	file *spill.File
@@ -63,7 +64,7 @@ func (c *runCursor) row() int {
 }
 
 // advance moves past the current row; ok=false reports run exhaustion.
-func (c *runCursor) advance(sch *schema.Schema) (ok bool, err error) {
+func (c *runCursor) advance(sch *schema.Schema, cmp *vecCmp) (ok bool, err error) {
 	c.pos++
 	if c.r == nil {
 		return c.pos < len(c.perm), nil
@@ -71,7 +72,7 @@ func (c *runCursor) advance(sch *schema.Schema) (ok bool, err error) {
 	if c.pos < c.b.N {
 		return true, nil
 	}
-	return c.nextBlock(sch)
+	return c.nextBlock(sch, cmp)
 }
 
 // readBlock decodes r's next block over b's planes, replacing the block
@@ -85,7 +86,7 @@ func readBlock(r *spill.Reader, b *column.Batch) (ok bool, err error) {
 // nextBlock decodes a spilled run's next block over the planes of the last
 // one — the merge has copied every row of it out by now; at the end of the
 // file the cursor closes itself.
-func (c *runCursor) nextBlock(sch *schema.Schema) (ok bool, err error) {
+func (c *runCursor) nextBlock(sch *schema.Schema, cmp *vecCmp) (ok bool, err error) {
 	if c.b == nil {
 		c.b = column.NewBatch(sch, spill.BlockRows)
 	}
@@ -97,20 +98,20 @@ func (c *runCursor) nextBlock(sch *schema.Schema) (ok bool, err error) {
 		c.close()
 		return false, nil
 	}
-	c.pos = 0
+	c.pos, c.side = 0, cmp.left(c.b)
 	return true, nil
 }
 
 // open readies a spilled cursor's reader and first block; ok=false reports
 // an empty run.
-func (c *runCursor) open(sch *schema.Schema) (ok bool, err error) {
+func (c *runCursor) open(sch *schema.Schema, cmp *vecCmp) (ok bool, err error) {
 	if c.file == nil {
 		return true, nil
 	}
 	if c.r, err = c.file.Open(); err != nil {
 		return false, err
 	}
-	return c.nextBlock(sch)
+	return c.nextBlock(sch, cmp)
 }
 
 // close releases a spilled cursor's reader and file.
@@ -127,13 +128,13 @@ func (c *runCursor) close() {
 
 type runHeap struct {
 	cursors []*runCursor
-	cmp     vecCmp
+	cmp     *vecCmp
 }
 
 func (h *runHeap) Len() int { return len(h.cursors) }
 func (h *runHeap) Less(i, j int) bool {
 	a, b := h.cursors[i], h.cursors[j]
-	if c := h.cmp(a.b, a.row(), b.b, b.row()); c != 0 {
+	if c := h.cmp.compare(a.side, a.row(), b.side, b.row()); c != 0 {
 		return c < 0
 	}
 	return a.idx < b.idx
@@ -152,7 +153,7 @@ func (h *runHeap) Pop() any {
 func (h *runHeap) pop(sch *schema.Schema, take func(b *column.Batch, row int)) error {
 	c := h.cursors[0]
 	take(c.b, c.row())
-	ok, err := c.advance(sch)
+	ok, err := c.advance(sch, h.cmp)
 	if err != nil {
 		return err
 	}
@@ -187,14 +188,14 @@ func (m *mergeSortIter) build() error {
 			return err
 		}
 		c.file, err = w.Finish()
-		c.b, c.perm = nil, nil
+		c.b, c.side, c.perm = nil, nil, nil
 		return err
 	}
 	flush := func() error {
 		if run.N == 0 {
 			return nil
 		}
-		c := &runCursor{idx: len(cursors), b: run, perm: identityIdx(run.N)}
+		c := &runCursor{idx: len(cursors), b: run, side: m.cmp.left(run), perm: identityIdx(run.N)}
 		sortRows(c.b, c.perm, m.cmp)
 		cursors = append(cursors, c)
 		if spilling {
@@ -266,7 +267,7 @@ func (m *mergeSortIter) build() error {
 
 	m.h = runHeap{cmp: m.cmp}
 	for _, c := range cursors {
-		ok, err := c.open(m.schema)
+		ok, err := c.open(m.schema, m.cmp)
 		if err != nil {
 			return fail(err)
 		}

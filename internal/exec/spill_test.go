@@ -511,7 +511,7 @@ func TestMillionRowPipelineUnderBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1M-row pipeline skipped in -short mode")
 	}
-	if raceEnabled {
+	if exec.RaceEnabled {
 		t.Skip("1M-row pipeline skipped under the race detector (covered at smaller scales)")
 	}
 	const budget = 16 << 20

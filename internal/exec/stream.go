@@ -169,7 +169,8 @@ func (e *Engine) buildRdup(in *source, outSchema *schema.Schema) *source {
 		// state.
 		e.stats.MergeOps++
 		e.stats.VectorOps++
-		return vecSource(&vecDedupSortedIter{e: e, in: in.vec}, outSchema)
+		all := physical.JoinKeys{L: idx, R: idx, Dirs: make([]relation.Direction, len(idx))}
+		return vecSource(&vecDedupSortedIter{e: e, in: in.vec, cmp: compileVecJoinCmp(in.schema, in.schema, all)}, outSchema)
 	}
 	if !e.parallel() && !e.budgeted() {
 		// The pipelined hash set never drains its input — a different
@@ -246,7 +247,7 @@ func (e *Engine) buildAggregate(n *algebra.Aggregate, in *source, outSchema *sch
 		// construction, nothing to partition.
 		return e.vecAggregateSource(in, gidx, outSchema, n.Aggs)
 	}
-	emit := func(p part, members []int, sc *groupScratch, ob *column.Batch) error {
+	emit := func(p part, members []int32, sc *scratch, ob *column.Batch) error {
 		accs := eval.NewAccumulators(n.Aggs, in.schema)
 		for _, k := range members {
 			p.b.FillRow(sc.row, p.rows[k])

@@ -18,9 +18,9 @@ import (
 // (Sections 2.4–2.5): each input is a step function from time to
 // multiplicity, constant between consecutive distinct endpoints of the
 // group's non-empty periods (the elementary intervals), and each operator
-// combines those functions pointwise. A body creates one sweep per call and
-// resets its buffers per group, so a partition costs the same few buffers
-// however many groups it holds.
+// combines those functions pointwise. A body call owns one sweep (its
+// pooled scratch) and resets the buffers per group, so a partition costs
+// the same few buffers however many groups it holds.
 type sweep struct {
 	ps   [2][]period.Period // the group's periods per side, in list order
 	ends []period.Chronon   // the group's distinct endpoints, ascending
@@ -29,16 +29,18 @@ type sweep struct {
 	// The fragments each partition row keeps: row k's are
 	// frag[off[k] : off[k]+n[k]], written group by group, read in list order.
 	frag   []period.Period
-	off, n []int
+	off, n []int32
 }
 
-// newSweep returns the scratch of a body whose rows keep fragments.
-func newSweep(rows int) *sweep {
-	return &sweep{frag: make([]period.Period, 0, rows), off: make([]int, rows), n: make([]int, rows)}
+// reset readies the sweep for a body whose rows rows keep fragments.
+func (s *sweep) reset(rows int) {
+	s.frag = s.frag[:0]
+	s.off, s.n = resize(s.off, rows), resize(s.n, rows)
+	clear(s.n)
 }
 
 // load reads the periods of p's rows at positions ks as side's input.
-func (s *sweep) load(side int, p part, ks []int, t1, t2 int) []period.Period {
+func (s *sweep) load(side int, p part, ks []int32, t1, t2 int) []period.Period {
 	ps := s.ps[side][:0]
 	for _, k := range ks {
 		ps = append(ps, p.b.PeriodAt(t1, t2, p.rows[k]))
@@ -64,7 +66,7 @@ func (s *sweep) at(t period.Chronon) int {
 // per endpoint (the last, past every interval, is 0): +1 at each non-empty
 // period's start, −1 at its end, prefix-summed.
 func (s *sweep) count(side int) []int {
-	c := slices.Grow(s.cnt[side][:0], len(s.ends))[:len(s.ends)]
+	c := resize(s.cnt[side], len(s.ends))
 	clear(c)
 	for _, p := range s.ps[side] {
 		if !p.Empty() {
@@ -84,7 +86,7 @@ func (s *sweep) count(side int) []int {
 // and claim then gives it an unlimited budget every later row spends.
 // Consecutive kept intervals fuse into maximal fragments, row k's.
 func (s *sweep) keep(k int, p period.Period, budget []int, claim bool) {
-	s.off[k] = len(s.frag)
+	s.off[k] = int32(len(s.frag))
 	var cur period.Period
 	for x := s.at(p.Start); s.ends[x] < p.End; x++ {
 		if budget[x] > 0 {
@@ -106,16 +108,17 @@ func (s *sweep) keep(k int, p period.Period, budget []int, claim bool) {
 	if !cur.Empty() {
 		s.frag = append(s.frag, cur)
 	}
-	s.n[k] = len(s.frag) - s.off[k]
+	s.n[k] = int32(len(s.frag)) - s.off[k]
 }
 
 // record records p as row k's one fragment.
 func (s *sweep) record(k int, p period.Period) {
-	s.off[k], s.n[k] = len(s.frag), 1
+	s.off[k], s.n[k] = int32(len(s.frag)), 1
 	s.frag = append(s.frag, p)
 }
 
-// fragments emits the kept fragments of p's rows in list order.
+// fragments emits the kept fragments of p's rows in list order, copied out
+// of the sweep: the emitted stretch outlives the body's scratch.
 func (s *sweep) fragments(p part) emitted {
 	rows, per := make([]int, 0, len(s.frag)), make([]period.Period, 0, len(s.frag))
 	for k, i := range p.rows {
@@ -124,27 +127,6 @@ func (s *sweep) fragments(p part) emitted {
 		}
 	}
 	return emitted{part: part{b: p.b, rows: rows, seqs: p.seqs}, per: per}
-}
-
-// pairGroups groups one partition pair's rows into a shared
-// value-equivalence id space: group g's members are l.members(g) and
-// r.members(g), and rOf[k] is right position k's group. An empty rp groups
-// by groupRows, hash-free when contiguous.
-func pairGroups(lp, rp part, vidx []int, contiguous bool) (l, r csrGroups, rOf []int) {
-	if len(rp.rows) == 0 {
-		l = groupRows(lp, vidx, contiguous)
-		return l, csrGroups{off: make([]int, l.count()+1)}, nil
-	}
-	groups := newVecGroups(vidx, len(lp.rows)+len(rp.rows))
-	of := make([]int, len(lp.rows)+len(rp.rows))
-	lOf, rOf := of[:len(lp.rows)], of[len(lp.rows):]
-	for k, i := range lp.rows {
-		lOf[k], _ = groups.groupOf(lp.b, i)
-	}
-	for k, i := range rp.rows {
-		rOf[k], _ = groups.groupOf(rp.b, i)
-	}
-	return csrOf(lOf, groups.size()), csrOf(rOf, groups.size()), rOf
 }
 
 // buildValueGroup compiles rdupᵀ or coalᵀ from its partition body, grouped
@@ -234,18 +216,22 @@ func coalesceOnePassSpans(ss []vspan) []vspan {
 // reference's global result at O(Σ g²) instead of O(n²).
 func coalTBody(vidx []int, t1, t2 int, contiguous bool) partBody {
 	return func(p, _ part) ([]emitted, error) {
-		groups := groupRows(p, vidx, contiguous)
-		s := newSweep(len(p.rows))
-		var ss []vspan
+		sc := getScratch()
+		defer sc.release()
+		groups := sc.groupRows(p, vidx, contiguous)
+		s := &sc.sweep
+		s.reset(len(p.rows))
+		ss := sc.spans
 		for g := range groups.count() {
 			ss = ss[:0]
 			for _, k := range groups.members(g) {
-				ss = append(ss, vspan{src: k, p: p.b.PeriodAt(t1, t2, p.rows[k])})
+				ss = append(ss, vspan{src: int(k), p: p.b.PeriodAt(t1, t2, p.rows[k])})
 			}
 			for _, sp := range coalTSpans(ss) {
 				s.record(sp.src, sp.p)
 			}
 		}
+		sc.spans = ss
 		return []emitted{s.fragments(p)}, nil
 	}
 }
@@ -260,8 +246,11 @@ func coalTBody(vidx []int, t1, t2 int, contiguous bool) partBody {
 // empty period overlaps nothing and keeps it.
 func keepBody(vidx []int, t1, t2 int, contiguous, rdup bool) partBody {
 	return func(lp, rp part) ([]emitted, error) {
-		l, r, _ := pairGroups(lp, rp, vidx, contiguous)
-		s := newSweep(len(lp.rows))
+		sc := getScratch()
+		defer sc.release()
+		l, r, _ := sc.pairGroups(lp, rp, vidx, contiguous)
+		s := &sc.sweep
+		s.reset(len(lp.rows))
 		for g := range l.count() {
 			ks := l.members(g)
 			lps := s.load(0, lp, ks, t1, t2)
@@ -270,9 +259,9 @@ func keepBody(vidx []int, t1, t2 int, contiguous, rdup bool) partBody {
 			budget := s.count(1)
 			for x, k := range ks {
 				if !lps[x].Empty() {
-					s.keep(k, lps[x], budget, rdup)
+					s.keep(int(k), lps[x], budget, rdup)
 				} else if rdup {
-					s.record(k, lps[x])
+					s.record(int(k), lps[x])
 				}
 			}
 		}
@@ -293,16 +282,18 @@ func tdiffBody(vidx []int, t1, t2 int) partBody { return keepBody(vidx, t1, t2, 
 // the excess max(cᵣ − cₗ, 0), layer by layer, then by timeline.
 func tunionBody(vidx []int, t1, t2 int) partBody {
 	return func(lp, rp part) ([]emitted, error) {
-		l, r, rOf := pairGroups(lp, rp, vidx, false)
-		var s sweep
+		sc := getScratch()
+		defer sc.release()
+		l, r, rOf := sc.pairGroups(lp, rp, vidx, false)
+		s := &sc.sweep
 		var rows []int
 		var per []period.Period
 		for k, g := range rOf {
-			if ks := r.members(g); ks[0] != k {
+			if ks := r.members(int(g)); int(ks[0]) != k {
 				continue // not the group's first right row
 			}
-			s.load(0, lp, l.members(g), t1, t2)
-			s.load(1, rp, r.members(g), t1, t2)
+			s.load(0, lp, l.members(int(g)), t1, t2)
+			s.load(1, rp, r.members(int(g)), t1, t2)
 			m := s.timeline()
 			cl, extra := s.count(0), s.count(1)
 			top := 0
@@ -361,7 +352,7 @@ func (e *Engine) buildTAggregate(n *algebra.Aggregate, in *source, outSchema *sc
 func tAggregateBody(n *algebra.Aggregate, in *schema.Schema, gidx []int, contiguous bool, out *schema.Schema) partBody {
 	t1, t2 := in.TimeIndices()
 	fresh := eval.NewAccumulators(n.Aggs, in) // read-only: copied to reset
-	emit := func(p part, members []int, sc *groupScratch, ob *column.Batch) error {
+	emit := func(p part, members []int32, sc *scratch, ob *column.Batch) error {
 		s := &sc.sweep
 		ps := s.load(0, p, members, t1, t2)
 		m := s.timeline()

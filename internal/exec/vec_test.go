@@ -207,7 +207,7 @@ func (s *stubVecIter) nextBatch() (*column.Batch, error) {
 func (s *stubVecIter) close() error { return nil }
 
 // TestVecGroupsMatchesReference drives random kind-mixed tuples through the
-// columnar group table and checks it against the definition it implements:
+// group table and checks it against the definition it implements:
 // group ids are dense in first-occurrence order, two rows share an id
 // exactly when their tuples are EqualOn the key, and lookups find the group
 // of the equal row or nothing.
@@ -227,8 +227,9 @@ func TestVecGroupsMatchesReference(t *testing.T) {
 	}
 	idx := []int{0, 1, 2}
 	b := batchOfTuples(s, tuples)
-	vg := newVecGroups(idx, 0)
+	g := &groupTable{idx: idx}
 	var reps []relation.Tuple // reference: first occurrence of each key
+	id := make([]int32, 1)
 	for i, tu := range tuples {
 		want, wantFresh := len(reps), true
 		for gid, rep := range reps {
@@ -240,22 +241,27 @@ func TestVecGroupsMatchesReference(t *testing.T) {
 		if wantFresh {
 			reps = append(reps, tu)
 		}
-		if vid, vfresh := vg.groupOf(b, i); vid != want || vfresh != wantFresh {
-			t.Fatalf("row %d: vecGroups (%d,%v), reference (%d,%v)", i, vid, vfresh, want, wantFresh)
+		before := g.size()
+		g.add(b, []int{i}, id)
+		if vid, vfresh := int(id[0]), g.size() > before; vid != want || vfresh != wantFresh {
+			t.Fatalf("row %d: group table (%d,%v), reference (%d,%v)", i, vid, vfresh, want, wantFresh)
 		}
 	}
-	if vg.size() != len(reps) {
-		t.Fatalf("vecGroups holds %d groups, reference %d", vg.size(), len(reps))
+	if g.size() != len(reps) {
+		t.Fatalf("group table holds %d groups, reference %d", g.size(), len(reps))
 	}
+	rows := identityIdx(len(tuples))
+	ids := make([]int32, len(rows))
+	g.lookup(b, rows, idx, make([]uint64, len(rows)), ids)
 	for i, tu := range tuples {
-		gid := vg.lookup(b, i, idx)
-		if gid < 0 || !reps[gid].EqualOn(idx, tu) {
+		if gid := ids[i]; gid < 0 || !reps[gid].EqualOn(idx, tu) {
 			t.Fatalf("row %d: lookup found group %d", i, gid)
 		}
 	}
 	absent := batchOfTuples(s, []relation.Tuple{{value.Int(99), value.String_("a"), value.Float(0)}})
-	if gid := vg.lookup(absent, 0, idx); gid != -1 {
-		t.Fatalf("lookup of an absent key found group %d", gid)
+	g.lookup(absent, []int{0}, idx, make([]uint64, 1), id)
+	if id[0] != -1 {
+		t.Fatalf("lookup of an absent key found group %d", id[0])
 	}
 }
 

@@ -1,67 +1,32 @@
-// The batch merge operator family: order-spec comparison compiled against
-// column planes, adjacent-compare dedup, the two-pointer merge diff/union
-// sweeps, the merge join, and sort as a permutation of row indices sorted
-// by (key, row index), emitted as one selection view. The compare, equality
-// and hash kernels are the exact typed specializations of the canonical
-// value semantics, so every operator here reproduces the reference
-// evaluator's list.
+// The batch merge operator family: adjacent-compare dedup, the two-pointer
+// merge diff/union sweeps, the merge join, and sort as a permutation of row
+// indices sorted by (key, row index), emitted as one selection view. Every
+// comparison is the compiled comparator of keys.go, the exact typed
+// specialization of the canonical value order, so every operator here
+// reproduces the reference evaluator's list.
 package exec
 
 import (
 	"container/heap"
-	"slices"
 
 	"tqp/internal/column"
 	"tqp/internal/expr"
 	"tqp/internal/period"
-	"tqp/internal/physical"
 	"tqp/internal/relation"
 	"tqp/internal/schema"
 	"tqp/internal/value"
 )
 
-// vecCmp orders row ai of batch a against row bi of batch b (physical
-// indices) under a compiled order spec, with the sign contract of
-// relation.CompareOn.
-type vecCmp func(a *column.Batch, ai int, b *column.Batch, bi int) int
-
-// intPlaneKind reports the kinds stored unboxed on the int64 plane, whose
-// payload order is the canonical Compare order for same-kind values.
-func intPlaneKind(k value.Kind) bool {
-	return k == value.KindInt || k == value.KindBool || k == value.KindTime
-}
-
-// compileVecCmp compiles an order spec against a schema into a columnar
-// comparator — CompareOn restricted to the spec, computed without
-// constructing tuples: the join comparator with both sides on one schema.
-func compileVecCmp(s *schema.Schema, spec relation.OrderSpec) vecCmp {
-	var keys physical.JoinKeys
-	for _, k := range spec {
-		c := s.Index(k.Attr)
-		keys.L, keys.R, keys.Dirs = append(keys.L, c), append(keys.R, c), append(keys.Dirs, k.Dir)
-	}
-	return compileVecJoinCmp(s, s, keys)
-}
-
-// rowsEqual reports full-row equality between two batch rows (physical
-// indices) — the columnar Tuple.Equal.
-func rowsEqual(a *column.Batch, ai int, b *column.Batch, bi int) bool {
-	for c := range a.Cols {
-		if !a.Cols[c].EqualAt(ai, &b.Cols[c], bi) {
-			return false
-		}
-	}
-	return true
-}
-
 // vecDedupSortedIter streams rdup over a columnar input whose delivered
 // order covers every attribute: the first row of each equal run survives,
-// found by a single adjacent comparison carried across batch boundaries.
-// Survivors are emitted as selection views over the input batches.
+// found by a single adjacent comparison — the all-columns comparator, equal
+// at 0 — carried across batch boundaries. Survivors are emitted as
+// selection views over the input batches.
 type vecDedupSortedIter struct {
 	e     *Engine
 	in    vecIterator
-	prevB *column.Batch
+	cmp   *vecCmp
+	prev  keySide // the key planes of the batch holding the previous row
 	prevI int
 }
 
@@ -73,12 +38,13 @@ func (d *vecDedupSortedIter) nextBatch() (*column.Batch, error) {
 		}
 		n := b.Rows()
 		sel := make([]int, 0, n)
+		side := d.cmp.left(b)
 		for k := 0; k < n; k++ {
 			i := b.RowIndex(k)
-			if d.prevB != nil && rowsEqual(b, i, d.prevB, d.prevI) {
+			if d.prev != nil && d.cmp.compare(side, i, d.prev, d.prevI) == 0 {
 				continue
 			}
-			d.prevB, d.prevI = b, i
+			d.prev, d.prevI = side, i
 			sel = append(sel, i)
 		}
 		if len(sel) == 0 {
@@ -107,14 +73,15 @@ type vecMergeCancelIter struct {
 	e          *Engine
 	stream     vecIterator
 	sorted     *source
-	emitSorted bool   // ∪: the drained side is output, ahead of the stream
-	cmp        vecCmp // drained row against stream row
+	emitSorted bool    // ∪: the drained side is output, ahead of the stream
+	cmp        *vecCmp // drained row against stream row
 
 	built    bool
 	sb       *column.Batch
-	gi       int // start of the current drained group
-	gEnd     int // end of the current drained group
-	consumed int // stream occurrences the current group has cancelled
+	ss       keySide // sb's key planes
+	gi       int     // start of the current drained group
+	gEnd     int     // end of the current drained group
+	consumed int     // stream occurrences the current group has cancelled
 }
 
 func (m *vecMergeCancelIter) nextBatch() (*column.Batch, error) {
@@ -123,7 +90,7 @@ func (m *vecMergeCancelIter) nextBatch() (*column.Batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		m.sb, m.built = sb, true
+		m.sb, m.ss, m.built = sb, m.cmp.left(sb), true
 		if m.emitSorted && sb.N > 0 {
 			m.e.stats.VectorBatches++
 			return sb, nil
@@ -136,11 +103,12 @@ func (m *vecMergeCancelIter) nextBatch() (*column.Batch, error) {
 		}
 		n := b.Rows()
 		sel := make([]int, 0, n)
+		side := m.cmp.right(b)
 		for k := 0; k < n; k++ {
 			i := b.RowIndex(k)
 			cmp := 1 // drained side exhausted: every remaining stream row survives
 			for m.gi < m.sb.N {
-				cmp = m.cmp(m.sb, m.gi, b, i)
+				cmp = m.cmp.compare(m.ss, m.gi, side, i)
 				if cmp >= 0 {
 					break
 				}
@@ -149,7 +117,7 @@ func (m *vecMergeCancelIter) nextBatch() (*column.Batch, error) {
 				m.consumed = 0
 			}
 			if cmp == 0 {
-				for m.gEnd < m.sb.N && m.cmp(m.sb, m.gEnd, b, i) == 0 {
+				for m.gEnd < m.sb.N && m.cmp.compare(m.ss, m.gEnd, side, i) == 0 {
 					m.gEnd++
 				}
 				if m.consumed < m.gEnd-m.gi {
@@ -218,27 +186,16 @@ func (e *Engine) vecSortSource(in *source, spec relation.OrderSpec) *source {
 	return vecSource(&onceBatchIter{compute: compute}, sch)
 }
 
-// sortRows sorts the physical row indices rows — ascending when the sort
-// starts — by (key, row index): the keys are then unique, so the unstable
-// pdqsort yields exactly the stable order at O(n log n).
-func sortRows(b *column.Batch, rows []int, cmp vecCmp) {
-	slices.SortFunc(rows, func(x, y int) int {
-		if c := cmp(b, x, b, y); c != 0 {
-			return c
-		}
-		return x - y
-	})
-}
-
 // mergeSortedRuns k-way merges the sorted index runs idx[r*sortRunSize :
 // (r+1)*sortRunSize) into one sorted permutation through the external sort's
 // run heap, whose run-index tie-break — runs partition the input in order —
 // is exactly the stable sort's arrival order.
-func mergeSortedRuns(b *column.Batch, idx []int, cmp vecCmp) []int {
+func mergeSortedRuns(b *column.Batch, idx []int, cmp *vecCmp) []int {
 	h := runHeap{cmp: cmp}
+	side := cmp.left(b)
 	for lo := 0; lo < len(idx); lo += sortRunSize {
 		hi := min(lo+sortRunSize, len(idx))
-		h.cursors = append(h.cursors, &runCursor{idx: len(h.cursors), b: b, perm: idx[lo:hi]})
+		h.cursors = append(h.cursors, &runCursor{idx: len(h.cursors), b: b, side: side, perm: idx[lo:hi]})
 	}
 	heap.Init(&h)
 	out := make([]int, 0, len(idx))
@@ -247,61 +204,6 @@ func mergeSortedRuns(b *column.Batch, idx []int, cmp vecCmp) []int {
 		_ = h.pop(nil, take) // resident runs read no file: pop cannot fail
 	}
 	return out
-}
-
-// compileVecJoinCmp compiles a merge join's aligned key sequence into a
-// cross-schema columnar comparator: left column L[k] against right column
-// R[k] under Dirs[k], on the typed planes when both sides store the same
-// unboxed kind, the generic value compare otherwise (floats always — their
-// NaN and cross-kind ordering is the generic path's). The sign contract is
-// physical.JoinKeys.Compare's exactly.
-func compileVecJoinCmp(ls, rs *schema.Schema, keys physical.JoinKeys) vecCmp {
-	type key struct {
-		lc, rc int
-		kind   value.Kind // shared unboxed kind; KindInvalid = generic path
-		desc   bool
-	}
-	ks := make([]key, len(keys.L))
-	for i := range keys.L {
-		k := ls.At(keys.L[i]).Kind
-		if rs.At(keys.R[i]).Kind != k {
-			k = value.KindInvalid
-		}
-		ks[i] = key{lc: keys.L[i], rc: keys.R[i], kind: k, desc: keys.Dirs[i] == relation.Desc}
-	}
-	return func(a *column.Batch, ai int, b *column.Batch, bi int) int {
-		for _, k := range ks {
-			ca, cb := &a.Cols[k.lc], &b.Cols[k.rc]
-			var c int
-			switch {
-			case intPlaneKind(k.kind) && ca.Kind == k.kind && cb.Kind == k.kind:
-				va, vb := ca.Ints[ai], cb.Ints[bi]
-				switch {
-				case va < vb:
-					c = -1
-				case va > vb:
-					c = 1
-				}
-			case k.kind == value.KindString && ca.Kind == value.KindString && cb.Kind == value.KindString:
-				va, vb := ca.Strs[ai], cb.Strs[bi]
-				switch {
-				case va < vb:
-					c = -1
-				case va > vb:
-					c = 1
-				}
-			default:
-				c = ca.At(ai).Compare(cb.At(bi))
-			}
-			if k.desc {
-				c = -c
-			}
-			if c != 0 {
-				return c
-			}
-		}
-		return 0
-	}
 }
 
 // vecMergeJoinIter evaluates an equi-key join over inputs both delivered in
@@ -317,20 +219,22 @@ type vecMergeJoinIter struct {
 	right    *source
 	out      *schema.Schema
 	lw, rw   int
-	cmp      vecCmp // left key columns against right key columns
+	cmp      *vecCmp // left key columns against right key columns
 	residual expr.Pred
 	temporal bool
 	lt1, lt2 int
 
 	built    bool
 	rb       *column.Batch
+	rs       keySide // rb's key planes
 	periods  []period.Period
 	ri, gEnd int // current right key group [ri, gEnd)
 
 	pb      *column.Batch
-	pk      int // next presented row in pb
-	cur     int // physical probe row parked on the cursor
-	ci      int // next right row within the parked group
+	ps      keySide // pb's key planes
+	pk      int     // next presented row in pb
+	cur     int     // physical probe row parked on the cursor
+	ci      int     // next right row within the parked group
 	curP    period.Period
 	live    bool
 	scratch relation.Tuple
@@ -341,7 +245,7 @@ func (m *vecMergeJoinIter) buildSide() error {
 	if err != nil {
 		return err
 	}
-	m.rb = rb
+	m.rb, m.rs = rb, m.cmp.right(rb)
 	if m.temporal {
 		rt1, rt2 := m.right.schema.TimeIndices()
 		m.periods = make([]period.Period, rb.N)
@@ -366,14 +270,14 @@ func (m *vecMergeJoinIter) advance() (bool, error) {
 			if b == nil {
 				return false, nil
 			}
-			m.pb, m.pk = b, 0
+			m.pb, m.ps, m.pk = b, m.cmp.left(b), 0
 			continue
 		}
 		i := m.pb.RowIndex(m.pk)
 		m.pk++
 		cmp := -1 // right side exhausted: no match for any further left key
 		for m.ri < m.rb.N {
-			cmp = m.cmp(m.pb, i, m.rb, m.ri)
+			cmp = m.cmp.compare(m.ps, i, m.rs, m.ri)
 			if cmp <= 0 {
 				break
 			}
@@ -382,7 +286,7 @@ func (m *vecMergeJoinIter) advance() (bool, error) {
 		if cmp == 0 {
 			if m.gEnd <= m.ri {
 				m.gEnd = m.ri + 1
-				for m.gEnd < m.rb.N && m.cmp(m.pb, i, m.rb, m.gEnd) == 0 {
+				for m.gEnd < m.rb.N && m.cmp.compare(m.ps, i, m.rs, m.gEnd) == 0 {
 					m.gEnd++
 				}
 			}

@@ -402,13 +402,16 @@ func (p *vecProjectIter) nextBatch() (*column.Batch, error) {
 
 func (p *vecProjectIter) close() error { return p.in.close() }
 
-// vecRdupIter is the columnar rdup: a streaming hash set over the columns,
-// emitting each batch's first-occurrence rows as a selection view. The set
-// holds (batch, row) references, so surviving rows are never copied.
+// vecRdupIter is the columnar rdup: a streaming group table over the
+// columns, emitting each batch's first-occurrence rows as a selection view.
+// The table holds (batch, row) references, so surviving rows are never
+// copied.
 type vecRdupIter struct {
 	e    *Engine
 	in   vecIterator
-	seen *vecGroups
+	seen *groupTable
+	rows []int
+	ids  []int32
 }
 
 func (r *vecRdupIter) nextBatch() (*column.Batch, error) {
@@ -418,21 +421,24 @@ func (r *vecRdupIter) nextBatch() (*column.Batch, error) {
 			return nil, err
 		}
 		if r.seen == nil {
-			r.seen = newVecGroups(identityIdx(len(b.Cols)), 0)
+			r.seen = &groupTable{idx: identityIdx(len(b.Cols))}
 		}
+		rows := presented(b, &r.rows)
+		r.ids = resize(r.ids, len(rows))
+		fresh := int32(r.seen.size()) // the id the next new key gets
+		r.seen.add(b, rows, r.ids)
 		var sel []int
-		n := b.Rows()
-		for k := 0; k < n; k++ {
-			i := b.RowIndex(k)
-			if _, fresh := r.seen.groupOf(b, i); fresh {
-				sel = append(sel, i)
+		for k, id := range r.ids {
+			if id == fresh {
+				sel = append(sel, rows[k])
+				fresh++
 			}
 		}
 		if len(sel) == 0 {
 			continue
 		}
 		r.e.stats.VectorBatches++
-		if b.Sel == nil && len(sel) == n {
+		if b.Sel == nil && len(sel) == b.N {
 			return b, nil
 		}
 		return b.WithSel(sel), nil
@@ -464,14 +470,17 @@ type vecJoinIter struct {
 	started bool // this iterator's probe cursor has taken its first step
 	build   *column.Batch
 	periods []period.Period
-	table   *vecGroups
-	members [][]int
+	table   *groupTable // read-only once built: probe copies share it
+	members csrGroups   // by group: its build rows, in list order
 
 	pb       *column.Batch // current probe batch
 	pk       int           // next presented row in pb
+	gids     []int32       // by presented row of pb: its build group, or -1
+	prows    []int         // pb's presented rows, when it has no selection
+	hs       []uint64      // the probe's hash scratch
 	curProbe int           // physical index of the probe row the cursor is on
 	ci       int           // next candidate within cand
-	cand     []int
+	cand     []int32
 	curP     period.Period
 	live     bool // a probe row with candidates is parked on the cursor
 	scratch  relation.Tuple
@@ -496,14 +505,10 @@ func (j *vecJoinIter) buildSide() error {
 			j.periods[i] = b.PeriodAt(rt1, rt2, i)
 		}
 	}
-	j.table = newVecGroups(j.ridx, b.N)
-	for i := 0; i < b.N; i++ {
-		gid, fresh := j.table.groupOf(b, i)
-		if fresh {
-			j.members = append(j.members, nil)
-		}
-		j.members[gid] = append(j.members[gid], i)
-	}
+	j.table = &groupTable{idx: j.ridx}
+	ids := make([]int32, b.N)
+	j.table.add(b, identityIdx(b.N), ids)
+	j.members.fill(ids, j.table.size())
 	j.built = true
 	return nil
 }
@@ -521,12 +526,15 @@ func (j *vecJoinIter) advance() (bool, error) {
 				return false, nil
 			}
 			j.pb, j.pk = b, 0
+			rows := presented(b, &j.prows)
+			j.gids, j.hs = resize(j.gids, len(rows)), resize(j.hs, len(rows))
+			j.table.lookup(b, rows, j.lidx, j.hs, j.gids)
 			continue
 		}
-		i := j.pb.RowIndex(j.pk)
+		i, gid := j.pb.RowIndex(j.pk), j.gids[j.pk]
 		j.pk++
-		if gid := j.table.lookup(j.pb, i, j.lidx); gid >= 0 {
-			j.cand = j.members[gid]
+		if gid >= 0 {
+			j.cand = j.members.members(int(gid))
 			j.ci = 0
 			if j.temporal {
 				j.curP = j.pb.PeriodAt(j.lt1, j.lt2, i)
@@ -563,7 +571,7 @@ func (j *vecJoinIter) nextBatch() (*column.Batch, error) {
 	j.probes = j.probes[:0]
 	for j.live {
 		for j.ci < len(j.cand) {
-			ri := j.cand[j.ci]
+			ri := int(j.cand[j.ci])
 			j.ci++
 			var iv period.Period
 			if j.temporal {
@@ -643,14 +651,20 @@ func (j *vecJoinIter) residualHolds(ri int, iv period.Period) (bool, error) {
 func (j *vecJoinIter) close() error { return j.left.close() }
 
 // rdupBody is the partition body of rdup: the first occurrence of each row
-// survives, found with the columnar group table.
+// survives, found with the group table.
 func rdupBody(idx []int) partBody {
 	return func(p, _ part) ([]emitted, error) {
-		groups := newVecGroups(idx, len(p.rows))
-		sel := make([]int, 0, len(p.rows))
-		for _, i := range p.rows {
-			if _, fresh := groups.groupOf(p.b, i); fresh {
-				sel = append(sel, i)
+		sc := getScratch()
+		defer sc.release()
+		sc.groups.reset(idx)
+		ids := sc.ids(len(p.rows))
+		sc.groups.add(p.b, p.rows, ids)
+		sel := make([]int, 0, sc.groups.size())
+		fresh := int32(0) // the id the next first occurrence has
+		for k, id := range ids {
+			if id == fresh {
+				sel = append(sel, p.rows[k])
+				fresh++
 			}
 		}
 		return []emitted{{part: part{b: p.b, rows: sel, seqs: p.seqs}}}, nil
@@ -661,22 +675,28 @@ func rdupBody(idx []int) partBody {
 // multiplicity budgets, scan rows stream against them with budget hits
 // cancelling, and the surviving scan rows are returned in order.
 func cancelMultiplicity(fund, scan part, idx []int) []int {
-	groups := newVecGroups(idx, len(fund.rows))
-	var budget []int
-	for _, i := range fund.rows {
-		gid, fresh := groups.groupOf(fund.b, i)
-		if fresh {
-			budget = append(budget, 0)
-		}
-		budget[gid]++
+	sc := getScratch()
+	defer sc.release()
+	g := &sc.groups
+	g.reset(idx)
+	ids := sc.ids(max(len(fund.rows), len(scan.rows)))
+	g.add(fund.b, fund.rows, ids[:len(fund.rows)])
+	budget := resize(sc.budget, g.size())
+	clear(budget)
+	for _, id := range ids[:len(fund.rows)] {
+		budget[id]++
 	}
+	sc.budget = budget
+	ids = ids[:len(scan.rows)]
+	g.hv = resize(g.hv, len(scan.rows))
+	g.lookup(scan.b, scan.rows, idx, g.hv, ids)
 	sel := make([]int, 0, len(scan.rows))
-	for _, i := range scan.rows {
-		if gid := groups.lookup(scan.b, i, idx); gid >= 0 && budget[gid] > 0 {
-			budget[gid]--
+	for k, id := range ids {
+		if id >= 0 && budget[id] > 0 {
+			budget[id]--
 			continue
 		}
-		sel = append(sel, i)
+		sel = append(sel, scan.rows[k])
 	}
 	return sel
 }
@@ -704,16 +724,7 @@ func unionBody(idx []int) partBody {
 
 // groupEmit writes one group's result rows onto ob's planes: members are the
 // group's positions in p.rows, in list order, and sc is the body's scratch.
-type groupEmit func(p part, members []int, sc *groupScratch, ob *column.Batch) error
-
-// groupScratch is what a grouping body owns for one call and its emitter
-// reuses for every group: an input row for eval.FoldAggregates, which takes
-// a tuple, and 𝒢ᵀ's sweep and per-interval accumulators.
-type groupScratch struct {
-	row   relation.Tuple
-	sweep sweep
-	accs  [][]*expr.Accumulator
-}
+type groupEmit func(p part, members []int32, sc *scratch, ob *column.Batch) error
 
 // appendGroupRow writes the leading columns of one 𝒢 / 𝒢ᵀ result row — the
 // grouping columns, read off row i of b, then the accumulators' results —
@@ -737,9 +748,11 @@ func groupEmitBody(gidx []int, contiguous bool, out *schema.Schema, emit groupEm
 		if len(p.rows) == 0 {
 			return nil, nil
 		}
+		sc := getScratch()
+		defer sc.release()
+		sc.row = resize(sc.row, len(p.b.Cols))
 		ob := column.NewBatch(out, 0)
-		sc := &groupScratch{row: make(relation.Tuple, len(p.b.Cols))}
-		groups := groupRows(p, gidx, contiguous)
+		groups := sc.groupRows(p, gidx, contiguous)
 		var seqs []int
 		for g := range groups.count() {
 			members := groups.members(g)
@@ -761,8 +774,10 @@ func groupEmitBody(gidx []int, contiguous bool, out *schema.Schema, emit groupEm
 func (e *Engine) vecAggregateSource(in *source, gidx []int, outSchema *schema.Schema, aggs []expr.Aggregate) *source {
 	e.stats.VectorOps++
 	return vecSource(&onceBatchIter{compute: func() (*column.Batch, error) {
-		groups := newVecGroups(gidx, 0)
+		groups := &groupTable{idx: gidx}
 		var accs [][]*expr.Accumulator
+		var rowBuf []int
+		var ids []int32
 		scratch := make(relation.Tuple, in.schema.Len())
 		fold := func() error {
 			for {
@@ -771,14 +786,14 @@ func (e *Engine) vecAggregateSource(in *source, gidx []int, outSchema *schema.Sc
 					return err
 				}
 				e.stats.VectorBatches++
-				n := b.Rows()
-				for k := 0; k < n; k++ {
-					i := b.RowIndex(k)
-					gid, fresh := groups.groupOf(b, i)
-					if fresh {
+				rows := presented(b, &rowBuf)
+				ids = resize(ids, len(rows))
+				groups.add(b, rows, ids)
+				for k, gid := range ids {
+					if int(gid) == len(accs) {
 						accs = append(accs, eval.NewAccumulators(aggs, in.schema))
 					}
-					b.FillRow(scratch, i)
+					b.FillRow(scratch, rows[k])
 					if err := eval.FoldAggregates(accs[gid], aggs, in.schema, scratch); err != nil {
 						return err
 					}
@@ -794,7 +809,8 @@ func (e *Engine) vecAggregateSource(in *source, gidx []int, outSchema *schema.Sc
 		}
 		ob := column.NewBatch(outSchema, groups.size())
 		for gid := range accs {
-			appendGroupRow(ob, groups.repB[gid], groups.repRow[gid], gidx, accs[gid])
+			rb, ri := groups.repOf(gid)
+			appendGroupRow(ob, rb, ri, gidx, accs[gid])
 		}
 		return ob, nil
 	}}, outSchema)
