@@ -46,6 +46,16 @@ type derived struct {
 	schemaErr  error
 	keyOnce    sync.Once
 	key        string
+	labelOnce  sync.Once
+	label      string
+}
+
+// labelOf returns n's label, rendering it on first use only: the canonical
+// key and the intern table of a search both read it for every node.
+func labelOf(n Node) string {
+	d := n.derived()
+	d.labelOnce.Do(func() { d.label = n.Label() })
+	return d.label
 }
 
 // schemaOf returns the schema build derives, calling build on first use only.

@@ -131,11 +131,11 @@ func Validate(root Node) error {
 func Canonical(n Node) string {
 	ch := n.Children()
 	if len(ch) == 0 {
-		return n.Label()
+		return labelOf(n)
 	}
 	d := n.derived()
 	d.keyOnce.Do(func() {
-		label := n.Label()
+		label := labelOf(n)
 		size := len(label) + len(ch) + 1
 		for _, c := range ch {
 			size += len(Canonical(c))

@@ -11,6 +11,8 @@
 package column
 
 import (
+	"slices"
+
 	"tqp/internal/period"
 	"tqp/internal/schema"
 	"tqp/internal/value"
@@ -138,6 +140,39 @@ func (c *Vec) AppendFrom(o *Vec, i int) {
 		}
 	}
 	c.Append(o.At(i))
+}
+
+// AppendIndexed copies o's values at the indices idx in order: a gather
+// over the typed plane when the storage kinds match.
+func (c *Vec) AppendIndexed(o *Vec, idx []int) {
+	if c.Kind == o.Kind {
+		switch c.Kind {
+		case value.KindInt, value.KindBool, value.KindTime:
+			dst := slices.Grow(c.Ints, len(idx))
+			for _, i := range idx {
+				dst = append(dst, o.Ints[i])
+			}
+			c.Ints = dst
+			return
+		case value.KindFloat:
+			dst := slices.Grow(c.Floats, len(idx))
+			for _, i := range idx {
+				dst = append(dst, o.Floats[i])
+			}
+			c.Floats = dst
+			return
+		case value.KindString:
+			dst := slices.Grow(c.Strs, len(idx))
+			for _, i := range idx {
+				dst = append(dst, o.Strs[i])
+			}
+			c.Strs = dst
+			return
+		}
+	}
+	for _, i := range idx {
+		c.Append(o.At(i))
+	}
 }
 
 // AppendRange bulk-copies o's values [lo,hi), staying typed when possible.
@@ -296,12 +331,7 @@ func (b *Batch) Compact() *Batch {
 		return b
 	}
 	out := NewBatch(b.Schema, len(b.Sel))
-	for c := range out.Cols {
-		for _, i := range b.Sel {
-			out.Cols[c].AppendFrom(&b.Cols[c], i)
-		}
-	}
-	out.N = len(b.Sel)
+	out.AppendPresented(b, 0, len(b.Sel))
 	return out
 }
 
@@ -350,21 +380,24 @@ func Concat(sch *schema.Schema, parts []*Batch, total int) *Batch {
 		return parts[0]
 	}
 	out := NewBatch(sch, total)
-	for c := range out.Cols {
-		col := &out.Cols[c]
-		for _, p := range parts {
-			src := &p.Cols[c]
-			if p.Sel == nil {
-				col.AppendRange(src, 0, p.N)
-				continue
-			}
-			for _, i := range p.Sel {
-				col.AppendFrom(src, i)
-			}
-		}
+	for _, p := range parts {
+		out.AppendPresented(p, 0, p.Rows())
 	}
-	out.N = total
 	return out
+}
+
+// AppendPresented appends src's presented rows [lo, hi) as physical rows of
+// the dense batch b: a plane-wise bulk copy when src has no selection.
+func (b *Batch) AppendPresented(src *Batch, lo, hi int) {
+	for c := range b.Cols {
+		col, from := &b.Cols[c], &src.Cols[c]
+		if src.Sel == nil {
+			col.AppendRange(from, lo, hi)
+			continue
+		}
+		col.AppendIndexed(from, src.Sel[lo:hi])
+	}
+	b.N += hi - lo
 }
 
 // tupleOverhead approximates the resident cost of one row held as a tuple

@@ -134,9 +134,10 @@ func TestDBMSSeedIndependence(t *testing.T) {
 }
 
 // TestPrepareAllocsBounded: preparing a plan.cold statement at 100
-// employees — parse, plan, the 187-plan beam search, costing — stays within
-// 30,000 allocations, because the beam derives each subtree's schema, key,
-// state, cost and rule matches once per search.
+// employees — parse, plan, the 188-plan beam search with its order chases,
+// costing — stays within 30,000 allocations, because the beam interns its
+// plans and derives each distinct subtree's schema, state, cost and rule
+// matches once per search.
 func TestPrepareAllocsBounded(t *testing.T) {
 	db := datagen.EmployeeDB(datagen.EmployeeSpec{Employees: 100, SpellsPerEmp: 3, AssignmentsPerEmp: 4, Seed: 1})
 	opt := core.New(db, core.WithEngine(exec.NewSpec(exec.Config{})), core.WithDBMSSeed(1))
@@ -148,8 +149,8 @@ func TestPrepareAllocsBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if prep.PlanCount != 187 {
-		t.Fatalf("the beam found %d plans, want 187", prep.PlanCount)
+	if prep.PlanCount != 188 {
+		t.Fatalf("the beam found %d plans, want 188", prep.PlanCount)
 	}
 	if allocs > 30000 {
 		t.Errorf("Prepare allocates %.0f times per statement, want ≤ 30000", allocs)

@@ -89,18 +89,19 @@ func TestEngineSpecRejectsUnknown(t *testing.T) {
 
 // TestPaperPlanFingerprints pins the plan the optimizer chooses for the
 // paper statement on tqplan's 2000-employee synthetic database, per engine
-// spec. The values were recorded while eval.EngineSpec still carried a
-// separate columnar flag next to Streaming: folding the two must change no
-// plan, with or without the parallel and spill shapes the flag discounted.
+// spec. Since the beam chases a pushed sort down to where its order pays,
+// every spec picks the model's exhaustive optimum, the same plan:
+// diffT(coalT(rdupT(TS(sort_EmpName(π EMPLOYEE)))), TS(π PROJECT)), where
+// the DBMS sorts and every temporal operator above runs on that order.
 func TestPaperPlanFingerprints(t *testing.T) {
 	db := datagen.EmployeeDB(datagen.EmployeeSpec{Employees: 2000, SpellsPerEmp: 3, AssignmentsPerEmp: 4, Seed: 42})
 	for _, tc := range []struct {
 		cfg  exec.Config
 		want string
 	}{
-		{exec.Config{}, "629fc942666c1c11"},
-		{exec.Config{Parallelism: 4}, "629fc942666c1c11"},
-		{exec.Config{MemoryBudget: 512 << 10}, "e57f876bff357ed4"},
+		{exec.Config{}, "e784abf7b2233730"},
+		{exec.Config{Parallelism: 4}, "e784abf7b2233730"},
+		{exec.Config{MemoryBudget: 512 << 10}, "e784abf7b2233730"},
 	} {
 		spec := exec.NewSpec(tc.cfg)
 		prep, err := core.New(db, core.WithEngine(spec)).Prepare(engineTestSQL)

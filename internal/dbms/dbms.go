@@ -57,14 +57,17 @@ type Engine struct {
 // implementations" that may sort results differently.
 func New(src eval.Source, seed int64, spec eval.EngineSpec) *Engine {
 	return &Engine{
-		src:  src,
-		seed: seed,
-		spec: spec,
-		// The DBMS's own rewriter: ≡L rules only, so it is always safe
-		// regardless of result-type context.
-		rewrites: rules.ByName("P2", "P3", "P4", "P5", "P6b", "PP2", "PP1"),
+		src:      src,
+		seed:     seed,
+		spec:     spec,
+		rewrites: dbmsRewrites,
 	}
 }
+
+// dbmsRewrites is the DBMS's own rewriter: ≡L rules only, so it is always
+// safe regardless of result-type context. Rules are immutable values, so
+// every engine shares the one list.
+var dbmsRewrites = rules.ByName("P2", "P3", "P4", "P5", "P6b", "PP2", "PP1")
 
 // SetStratumCallback wires the executor handling TD subtrees.
 func (e *Engine) SetStratumCallback(cb StratumCallback) { e.stratum = cb }

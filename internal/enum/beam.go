@@ -14,6 +14,17 @@ import (
 // each round expands the beam members not expanded before by one guarded
 // rewrite step and keeps the Width cheapest distinct plans; the search
 // stops after Rounds rounds or when a round yields no new plan.
+//
+// A rewrite step that pushes a sort (S4–S10, T-sort) is followed down in
+// the same expansion: the pushed sort is pushed again wherever the guard
+// admits it, and every plan on the way is recorded and scored as a new plan
+// of the round. A pushed sort typically scores worse until it reaches an
+// operator that spends its order — a merge or group-at-a-time variant, or
+// the DBMS, which sorts cheaply — so one step at a time the beam would
+// prune the path to the plan where the order pays; the chase puts that plan
+// in the running without widening the beam. All of it runs on the search's
+// one interned memo (see the package doc), so the chased plans cost what
+// their new nodes cost.
 type BeamConfig struct {
 	Config
 	// Width is the beam width (default 16).
@@ -45,13 +56,14 @@ func Beam(initial algebra.Node, cfg BeamConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	x.chase = true
 	res := x.res
 	score := func(plan algebra.Node) (bool, error) {
 		s, err := cfg.Score(plan, x.states)
 		res.Scores = append(res.Scores, s)
 		return err == nil, err
 	}
-	if _, err := score(initial); err != nil {
+	if _, err := score(res.Plans[0]); err != nil {
 		return nil, err
 	}
 	// The beam holds indices into res.Plans and res.Scores. Plans from
@@ -65,7 +77,7 @@ func Beam(initial algebra.Node, cfg BeamConfig) (*Result, error) {
 			if i < fresh {
 				continue
 			}
-			if err := x.expand(res.Plans[i], score); err != nil {
+			if err := x.expand(i, score); err != nil {
 				return nil, err
 			}
 		}

@@ -7,11 +7,16 @@ import (
 
 	"tqp/internal/algebra"
 	"tqp/internal/catalog"
+	"tqp/internal/core"
+	"tqp/internal/datagen"
 	"tqp/internal/enum"
 	"tqp/internal/equiv"
 	"tqp/internal/eval"
+	"tqp/internal/exec"
 	"tqp/internal/relation"
 	"tqp/internal/rules"
+	"tqp/internal/testutil"
+	"tqp/internal/tsql"
 )
 
 func canonSet(plans []algebra.Node) []string {
@@ -62,8 +67,12 @@ func TestEnumerateFindsPaperPlan(t *testing.T) {
 // TestEnumerationCorrectness is Theorem 6.1 in executable form: every
 // enumerated plan must be ≡SQL-equivalent to the initial plan — here for a
 // list result ordered by EmpName, ≡M plus agreement on the EmpName
-// projection.
+// projection. The exhaustive closure over the paper's catalog runs on the
+// reference evaluator; the beam's plans, order chases included, over the
+// statement corpus run on exec (see beamCorpusCorrect).
 func TestEnumerationCorrectness(t *testing.T) {
+	t.Run("beam-corpus-exec", beamCorpusCorrect)
+
 	c := catalog.Paper()
 	initial := catalog.PaperInitialPlan(c)
 	res, err := enum.Enumerate(initial, enum.Config{ResultType: equiv.ResultList})
@@ -179,4 +188,78 @@ func min(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// beamCorpusCorrect runs every plan the beam search generates for the
+// paper statement and 40 plan.cold statements (seed 7) on exec —
+// sequential, at Parallelism 4 and under a 512 KiB budget, each search
+// costed for its engine — and checks each result ≡SQL to the reference
+// result of the statement's initial plan. Its vacuity guard: some chosen
+// plan sorts below a TS, the order the chase pushes into the DBMS.
+func beamCorpusCorrect(t *testing.T) {
+	db := datagen.EmployeeDB(datagen.EmployeeSpec{Employees: corpusEmployees, SpellsPerEmp: 3, AssignmentsPerEmp: 4, Seed: 7})
+	sqls := append([]string{paperSQL}, testutil.ColdStatements(7, 40)...)
+	sortedInDBMS, runs := 0, 0
+	for _, cfg := range []exec.Config{{}, {Parallelism: 4}, {MemoryBudget: 512 << 10, SpillDir: t.TempDir()}} {
+		spec := exec.NewSpec(cfg)
+		opt := core.New(db, core.WithEngine(spec))
+		for _, sql := range sqls {
+			q, err := tsql.Parse(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			initial, err := q.Plan(db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := opt.Reference(initial)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ps, err := opt.OptimizeBeam(initial, q.ResultType(), q.OrderBy())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range ps.All {
+				got, _, err := opt.ExecutePlan(p, spec)
+				if err != nil {
+					t.Fatalf("%s: plan %s: %v", spec.Name, algebra.Canonical(p), err)
+				}
+				runs++
+				if ok, err := equiv.CheckSQL(q.ResultType(), q.OrderBy(), want, got); err != nil || !ok {
+					t.Fatalf("%s: plan %s is not ≡SQL to the initial plan (derived via %v, err=%v)",
+						spec.Name, algebra.Canonical(p), ps.Enumeration.Derivation(p), err)
+				}
+			}
+			if sortBelowTS(ps.Best) {
+				sortedInDBMS++
+			}
+		}
+	}
+	if sortedInDBMS == 0 {
+		t.Error("no chosen plan sorts below a TS: the order chase never reached the DBMS")
+	}
+	t.Logf("%d plan runs; %d chosen plans sort in the DBMS", runs, sortedInDBMS)
+}
+
+// corpusEmployees sizes the correctness corpus's database: every plan of
+// every statement runs three times, so it is smaller than the benchmark's.
+const corpusEmployees = 40
+
+const paperSQL = `VALIDTIME SELECT DISTINCT COALESCED EmpName FROM EMPLOYEE
+	EXCEPT SELECT EmpName FROM PROJECT ORDER BY EmpName ASC`
+
+// sortBelowTS reports that plan sorts inside the DBMS.
+func sortBelowTS(plan algebra.Node) bool {
+	found := false
+	algebra.Walk(plan, func(n algebra.Node, _ algebra.Path) bool {
+		if n.Op() == algebra.OpTransferS {
+			algebra.Walk(n, func(m algebra.Node, _ algebra.Path) bool {
+				found = found || m.Op() == algebra.OpSort
+				return true
+			})
+		}
+		return !found
+	})
+	return found
 }

@@ -14,6 +14,7 @@ import (
 	"tqp/internal/enum"
 	"tqp/internal/equiv"
 	"tqp/internal/props"
+	"tqp/internal/relation"
 	"tqp/internal/rules"
 	"tqp/internal/testutil"
 	"tqp/internal/tsql"
@@ -28,10 +29,12 @@ type oracleRun struct {
 	members    map[string]bool // distinct members expanded
 }
 
-// oracleBeam is the beam search with nothing shared between plans: every
-// round expands every member, each member's states are inferred afresh,
-// every node is reached by path, and every plan is costed afresh by
-// cost.Model.Plan. Its defaults are Beam's.
+// oracleBeam is the beam search with nothing shared between plans, nor
+// between the positions of one plan: every round expands every member, an
+// unshared copy of each member and each chased plan has its states and
+// properties inferred afresh, every node is reached by path, and every plan
+// is costed afresh by cost.Model.Plan. It chases pushed sorts as Beam does;
+// its defaults are Beam's.
 func oracleBeam(t *testing.T, initial algebra.Node, rt equiv.ResultType, model *cost.Model) oracleRun {
 	t.Helper()
 	ruleSet := rules.NonExpanding(rules.All())
@@ -51,9 +54,57 @@ func oracleBeam(t *testing.T, initial algebra.Node, rt equiv.ResultType, model *
 	run.plans = append(run.plans, algebra.Canonical(initial))
 	run.scores = append(run.scores, score(initial))
 	beam := []member{{initial, run.scores[0]}}
+	var candidates []member
+	record := func(p algebra.Node, parent string, rule rules.Rule, path algebra.Path) {
+		key := algebra.Canonical(p)
+		seen[key] = true
+		s := score(p)
+		candidates = append(candidates, member{p, s})
+		run.plans = append(run.plans, key)
+		run.scores = append(run.scores, s)
+		run.provenance[key] = enum.Step{Parent: parent, Rule: rule.Name, RuleType: rule.Type, Path: path.Clone()}
+	}
+	// chase follows a sort pushed to path in plan through every further
+	// guarded pushdown, depth first, recording each new plan on the way.
+	var chase func(plan algebra.Node, path algebra.Path)
+	chase = func(plan algebra.Node, path algebra.Path) {
+		plan = unshare(plan)
+		n, err := algebra.NodeAt(plan, path)
+		if err != nil || n.Op() != algebra.OpSort {
+			return
+		}
+		st, err := props.InferStates(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pm, err := props.Infer(plan, rt, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parent := algebra.Canonical(plan)
+		for _, rule := range ruleSet {
+			if !rule.PushesSort {
+				continue
+			}
+			rw := rule.Apply(n, st)
+			if rw == nil || !oracleGuard(rule, rw, pm, st[n].Site, n) {
+				continue
+			}
+			p, err := algebra.ReplaceAt(plan, path, rw.Result)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if seen[algebra.Canonical(p)] {
+				continue
+			}
+			record(p, parent, rule, path)
+			chase(p, path.Child(0))
+		}
+	}
 	for round := 0; round < 24; round++ {
-		var candidates []member
+		candidates = nil
 		for _, m := range beam {
+			m.plan = unshare(m.plan)
 			parent := algebra.Canonical(m.plan)
 			run.expansions++
 			run.members[parent] = true
@@ -75,15 +126,7 @@ func oracleBeam(t *testing.T, initial algebra.Node, rt equiv.ResultType, model *
 					if rw == nil {
 						continue
 					}
-					ps := make([]props.Props, len(rw.Participants))
-					known := true
-					for i, p := range rw.Participants {
-						ps[i], known = pm[p]
-						if !known {
-							break
-						}
-					}
-					if !known || !props.Applicable(rule.Type, ps) {
+					if !oracleGuard(rule, rw, pm, st[n].Site, n) {
 						continue
 					}
 					p, err := algebra.ReplaceAt(m.plan, path, rw.Result)
@@ -94,12 +137,10 @@ func oracleBeam(t *testing.T, initial algebra.Node, rt equiv.ResultType, model *
 					if seen[key] {
 						continue
 					}
-					seen[key] = true
-					s := score(p)
-					candidates = append(candidates, member{p, s})
-					run.plans = append(run.plans, key)
-					run.scores = append(run.scores, s)
-					run.provenance[key] = enum.Step{Parent: parent, Rule: rule.Name, RuleType: rule.Type, Path: path.Clone()}
+					record(p, parent, rule, path)
+					if rule.PushesSort {
+						chase(p, path.Child(0))
+					}
 				}
 			}
 		}
@@ -114,6 +155,42 @@ func oracleBeam(t *testing.T, initial algebra.Node, rt equiv.ResultType, model *
 		beam = candidates
 	}
 	return run
+}
+
+// unshare copies a plan so that no two of its positions share a node: the
+// oracle's properties are then those of each position, whatever subtrees
+// the plan repeats.
+func unshare(n algebra.Node) algebra.Node {
+	if rel, ok := n.(*algebra.Rel); ok {
+		return algebra.NewRel(rel.Name, rel.Sch, rel.Info)
+	}
+	ch := make([]algebra.Node, len(n.Children()))
+	for i, c := range n.Children() {
+		ch[i] = unshare(c)
+	}
+	return n.WithChildren(ch...)
+}
+
+// oracleGuard is Figure 5's guard — every participant's properties permit
+// the rule's equivalence type — plus the DBMS's order rule at the location
+// n, executing at site. n's plan is unshared, so each participant's node,
+// found by its path from n, stands for its position alone.
+func oracleGuard(rule rules.Rule, rw *rules.Rewrite, pm props.PropsMap, site props.Site, n algebra.Node) bool {
+	if !props.DBMSOrderKept(site, pm[n].Tau, rw.Result.Op()) {
+		return false
+	}
+	ps := make([]props.Props, len(rw.Participants))
+	for i, path := range rw.Participants {
+		p, err := algebra.NodeAt(n, path)
+		if err != nil {
+			return false
+		}
+		var known bool
+		if ps[i], known = pm[p]; !known {
+			return false
+		}
+	}
+	return props.Applicable(rule.Type, ps)
 }
 
 // memoBeam runs Beam scored by model.Scorer and returns the search's states
@@ -156,14 +233,16 @@ func coldStatements(t *testing.T, n int) (*catalog.Catalog, []algebra.Node, []eq
 	return db, plans, rts
 }
 
-// TestBeamMemoMatchesOracle: the beam derives each subtree's state and cost
-// once per search, re-expands no plan and memoizes rule matches per
-// subtree. None of that may change what it finds: against the oracle beam,
+// TestBeamMemoMatchesOracle: the beam interns its plans, derives each
+// subtree's state and cost once per search, re-expands no plan and
+// memoizes rule matches and guard verdicts per subtree. None of that may
+// change what it finds: against the oracle beam,
 // which shares nothing between plans, it must generate the same plans in
 // the same order with the same provenance and bit-identical scores, and
 // its memoized states must equal fresh ones node for node. Cases: the
-// paper statement, 64 plan.cold statements, and random plans under several
-// cost calibrations and result types.
+// paper statement, 64 plan.cold statements, random plans under several
+// cost calibrations and result types, and random plans that repeat
+// subtrees across branches.
 func TestBeamMemoMatchesOracle(t *testing.T) {
 	type tc struct {
 		initial algebra.Node
@@ -195,6 +274,25 @@ func TestBeamMemoMatchesOracle(t *testing.T) {
 		}
 	}
 
+	// Plans that repeat subtrees across branches, where an interned plan
+	// shares one node between positions with different requirements. The
+	// first is \ᵀ(coalᵀ(r), r) with r = coalᵀ(rdupᵀ(A)), where C10r
+	// applies: its participant r1 = r is also the location's right child.
+	for seed := int64(0); seed < 100; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		c, bases := testutil.TemporalCatalog(seed)
+		model := cost.New(c, cost.ParamsFor(true))
+		r := algebra.NewCoal(algebra.NewTRdup(bases[0]))
+		p := algebra.NewTDiff(algebra.NewCoal(r), r)
+		if seed > 0 {
+			var made []algebra.Node
+			p = sharingPlan(rng, &made, bases, 4)
+		}
+		if algebra.Validate(p) == nil {
+			cases = append(cases, tc{p, equiv.ResultType(seed % 3), model})
+		}
+	}
+
 	for i, c := range cases {
 		want := oracleBeam(t, c.initial, c.rt, c.model)
 		res, memo := memoBeam(t, c.initial, c.rt, c.model)
@@ -206,7 +304,7 @@ func TestBeamMemoMatchesOracle(t *testing.T) {
 			t.Fatalf("case %d (%s): memoized beam found %d plans, oracle %d, or in another order",
 				i, want.plans[0], len(got), len(want.plans))
 		}
-		if !reflect.DeepEqual(res.Provenance, want.provenance) {
+		if !reflect.DeepEqual(res.Provenance(), want.provenance) {
 			t.Fatalf("case %d (%s): provenance differs", i, want.plans[0])
 		}
 		if len(res.Scores) != len(want.scores) {
@@ -237,11 +335,42 @@ func TestBeamMemoMatchesOracle(t *testing.T) {
 	}
 }
 
+// sharingPlan builds a random temporal plan of depth at most depth over
+// bases whose leaves often reuse a subtree built before (made), so that
+// equal subtrees recur across branches and at different depths.
+func sharingPlan(rng *rand.Rand, made *[]algebra.Node, bases []algebra.Node, depth int) algebra.Node {
+	if depth == 0 || rng.Intn(5) == 0 {
+		if len(*made) > 0 && rng.Intn(2) == 0 {
+			return (*made)[rng.Intn(len(*made))]
+		}
+		return bases[rng.Intn(len(bases))]
+	}
+	sub := func() algebra.Node { return sharingPlan(rng, made, bases, depth-1) }
+	var n algebra.Node
+	switch rng.Intn(6) {
+	case 0:
+		n = algebra.NewCoal(sub())
+	case 1:
+		n = algebra.NewTRdup(sub())
+	case 2:
+		n = algebra.NewSort(relation.OrderSpec{relation.Key("Name")}, sub())
+	case 3:
+		n = algebra.NewTDiff(sub(), sub())
+	case 4:
+		n = algebra.NewTUnion(sub(), sub())
+	default:
+		n = algebra.NewUnionAll(sub(), sub())
+	}
+	*made = append(*made, n)
+	return n
+}
+
 // TestBeamExpandsEachPlanOnce: a beam member that survives a round was
 // expanded when it entered the beam, and expanding it again could only
 // rediscover plans already seen. So the beam expands each distinct member
-// once: on a plan.cold statement, 79 expansions, where re-expanding every
-// member each round (the oracle) makes 163.
+// once: on a plan.cold statement, 77 expansions, where re-expanding every
+// member each round (the oracle) makes 158. The 188 plans include those the
+// order chase scores on the way down.
 func TestBeamExpandsEachPlanOnce(t *testing.T) {
 	db, cold, rts := coldStatements(t, 1)
 	model := cost.New(db, cost.ParamsFor(true))
@@ -250,8 +379,8 @@ func TestBeamExpandsEachPlanOnce(t *testing.T) {
 	if res.Expanded != len(want.members) {
 		t.Errorf("beam made %d member expansions for %d distinct members", res.Expanded, len(want.members))
 	}
-	if len(want.members) != 79 || want.expansions != 163 || len(res.Plans) != 187 {
-		t.Errorf("statement drifted: %d distinct members, %d oracle expansions, %d plans; want 79, 163, 187",
+	if len(want.members) != 77 || want.expansions != 158 || len(res.Plans) != 188 {
+		t.Errorf("statement drifted: %d distinct members, %d oracle expansions, %d plans; want 77, 158, 188",
 			len(want.members), want.expansions, len(res.Plans))
 	}
 }

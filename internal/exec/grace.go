@@ -57,7 +57,6 @@ import (
 	"tqp/internal/period"
 	"tqp/internal/schema"
 	"tqp/internal/spill"
-	"tqp/internal/value"
 )
 
 // spillFanout is the grace-hash fan-out: each partitioning pass splits a
@@ -673,7 +672,7 @@ func (e *Engine) graceRunFrom(op *keyedOp, ls, rs *vecGraceSide) ([]*column.Batc
 	for _, o := range outs {
 		ems = append(ems, o...)
 	}
-	bs := gather(op.out, ems)
+	bs := gather(nil, op.out, ems)
 	e.stats.VectorBatches += len(bs)
 	return bs, nil
 }
@@ -699,15 +698,14 @@ func copyRows(out *schema.Schema, ems []emitted, segs []seg, replaced bool) *col
 		if c == t1 || c == t2 {
 			continue
 		}
-		col := &b.Cols[c]
 		for _, sg := range segs {
-			src := &ems[sg.m].b.Cols[c]
-			for _, i := range ems[sg.m].rows[sg.lo:sg.hi] {
-				col.AppendFrom(src, i)
-			}
+			b.Cols[c].AppendIndexed(&ems[sg.m].b.Cols[c], ems[sg.m].rows[sg.lo:sg.hi])
 		}
 	}
 	if replaced {
+		// A schema types T1 and T2 as chronons (schema.New), so the batch
+		// holds them on int64 planes: write the periods straight onto them.
+		starts, ends := &b.Cols[t1], &b.Cols[t2]
 		for _, sg := range segs {
 			m := &ems[sg.m]
 			for k := sg.lo; k < sg.hi; k++ {
@@ -715,8 +713,7 @@ func copyRows(out *schema.Schema, ems []emitted, segs []seg, replaced bool) *col
 				if m.per != nil {
 					p = m.per[k]
 				}
-				b.Cols[t1].Append(value.Time(p.Start))
-				b.Cols[t2].Append(value.Time(p.End))
+				starts.Ints, ends.Ints = append(starts.Ints, int64(p.Start)), append(ends.Ints, int64(p.End))
 			}
 		}
 	}
@@ -726,12 +723,12 @@ func copyRows(out *schema.Schema, ems []emitted, segs []seg, replaced bool) *col
 
 // gather is the deterministic ordered gather of every route: the
 // partitions' outputs merge by (sequence key, partition index) into output
-// batches. Outputs that do not interleave — a single partition, the range
-// exchange's segments, ∪'s left list ahead of its right survivors — pass as
-// one batch per source, a selection view over its planes where no period is
-// replaced; interleaved outputs of many sources copy row by row into one
-// batch.
-func gather(out *schema.Schema, ems []emitted) []*column.Batch {
+// batches, appended to bs. Outputs that do not interleave — a single
+// partition, the range exchange's segments, ∪'s left list ahead of its
+// right survivors — pass as one batch per source, a selection view over its
+// planes where no period is replaced; interleaved outputs of many sources
+// copy row by row into one batch.
+func gather(bs []*column.Batch, out *schema.Schema, ems []emitted) []*column.Batch {
 	live, temporal := 0, false
 	for k := range ems {
 		if len(ems[k].rows) > 0 {
@@ -741,7 +738,8 @@ func gather(out *schema.Schema, ems []emitted) []*column.Batch {
 	}
 	// segs lists the merged output; runs counts its maximal stretches
 	// reading one source batch.
-	var segs []seg
+	var segBuf [mergeStack]seg
+	segs := segBuf[:0]
 	runs := 0
 	mergeBySeq(len(ems),
 		func(m int) int { return len(ems[m].rows) },
@@ -757,11 +755,10 @@ func gather(out *schema.Schema, ems []emitted) []*column.Batch {
 			segs = append(segs, seg{m, lo, hi})
 		})
 	if runs > live {
-		return []*column.Batch{copyRows(out, ems, segs, temporal)}
+		return append(bs, copyRows(out, ems, segs, temporal))
 	}
 	// Few runs: the outputs do not interleave, and each run becomes a batch
 	// of its own.
-	var bs []*column.Batch
 	for lo := 0; lo < len(segs); {
 		src, replaced := ems[segs[lo].m].b, false
 		hi := lo
@@ -830,8 +827,17 @@ func detach(out *schema.Schema, m emitted) emitted {
 // hand-rolled cursor heap (h holds stream indices, pos the heads): this
 // runs once per output row of every exchange, where the interface dispatch
 // of container/heap is measurable.
+//
+// Up to mergeStack streams, the cursors live on the stack: a gather of one
+// partition's output, as the streaming group operators make one per slice,
+// then allocates nothing to merge.
 func mergeBySeq(streams int, size func(p int) int, seq func(p, i int) int, emit func(p, lo, hi int)) {
-	pos := make([]int, streams)
+	var posBuf, heapBuf [mergeStack]int
+	pos, h := posBuf[:0], heapBuf[:0]
+	if streams > mergeStack {
+		pos, h = make([]int, 0, streams), make([]int, 0, streams)
+	}
+	pos = pos[:streams]
 	less := func(a, b int) bool {
 		sa, sb := seq(a, pos[a]), seq(b, pos[b])
 		if sa != sb {
@@ -839,7 +845,6 @@ func mergeBySeq(streams int, size func(p int) int, seq func(p, i int) int, emit 
 		}
 		return a < b
 	}
-	var h []int
 	siftDown := func(i int) {
 		for {
 			c := 2*i + 1
@@ -878,6 +883,9 @@ func mergeBySeq(streams int, size func(p int) int, seq func(p, i int) int, emit 
 		emit(h[0], pos[h[0]], size(h[0]))
 	}
 }
+
+// mergeStack is how many streams mergeBySeq merges without allocating.
+const mergeStack = 16
 
 // batchSource wraps a resident batch as an ordinary pipeline stage — the
 // build side a budgeted join drained and found to fit, or one partition's.

@@ -198,7 +198,7 @@ func (it *blockJoinIter) nextBatch() (*column.Batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		it.out = gather(it.j.out, ems)
+		it.out = gather(nil, it.j.out, ems)
 	}
 }
 

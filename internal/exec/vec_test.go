@@ -337,7 +337,7 @@ func spanKernelsAgainstReference(t *testing.T, groups ...spanGroup) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		var got []relation.Tuple
-		for _, b := range gather(want.Schema(), ems) {
+		for _, b := range gather(nil, want.Schema(), ems) {
 			for k := 0; k < b.Rows(); k++ {
 				got = append(got, rowOf(b, b.RowIndex(k)))
 			}

@@ -331,7 +331,7 @@ func TestVecHashPartitionGather(t *testing.T) {
 					}
 				}
 			}
-			out := gather(s, ems)
+			out := gather(nil, s, ems)
 			if n == 0 {
 				if len(out) != 0 {
 					t.Fatalf("p=%d: gather of nothing produced %d batches", p, len(out))

@@ -232,9 +232,33 @@ func AttrsOf(node interface{ Attrs(map[string]bool) }) []string {
 }
 
 // UsesTime reports whether the node mentions either reserved time attribute —
-// the precondition test "T1 ∉ attr(·) ∧ T2 ∉ attr(·)" of rules C3/C4.
+// the precondition test "T1 ∉ attr(·) ∧ T2 ∉ attr(·)" of rules C3/C4. The
+// planner asks it of every selection and projection item it infers
+// properties for, so it walks the expression without building attr(·).
 func UsesTime(node interface{ Attrs(map[string]bool) }) bool {
+	switch n := node.(type) {
+	case Col:
+		return isTime(n.Name)
+	case Lit, TruePred:
+		return false
+	case Arith:
+		return UsesTime(n.L) || UsesTime(n.R)
+	case Cmp:
+		return UsesTime(n.L) || UsesTime(n.R)
+	case And:
+		return UsesTime(n.L) || UsesTime(n.R)
+	case Or:
+		return UsesTime(n.L) || UsesTime(n.R)
+	case Not:
+		return UsesTime(n.P)
+	case PeriodPred:
+		return UsesTime(n.AStart) || UsesTime(n.AEnd) || UsesTime(n.BStart) || UsesTime(n.BEnd)
+	case Aggregate:
+		return n.Func != CountAll && isTime(n.Arg)
+	}
 	set := make(map[string]bool)
 	node.Attrs(set)
 	return set[schema.T1] || set[schema.T2]
 }
+
+func isTime(attr string) bool { return attr == schema.T1 || attr == schema.T2 }

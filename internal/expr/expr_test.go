@@ -160,6 +160,41 @@ func TestAttrsAndUsesTime(t *testing.T) {
 	}
 }
 
+// TestUsesTimeWalksWithoutAllocating: UsesTime agrees with attr(·) on every
+// expression, predicate and aggregate shape, and answers without
+// allocating — the planner asks it on every property inference.
+func TestUsesTimeWalksWithoutAllocating(t *testing.T) {
+	grp, t1, t2 := Column("Grp"), Column(schema.T1), Column(schema.T2)
+	five := Literal(value.Int(5))
+	nodes := []interface{ Attrs(map[string]bool) }{
+		grp, t1, t2, five,
+		Arith{Op: Add, L: grp, R: five},
+		Arith{Op: Sub, L: five, R: t2},
+		Compare(Lt, grp, five),
+		Compare(Ge, t1, five),
+		Conj(Compare(Lt, grp, five), Compare(Ge, t1, five)),
+		Disj(Compare(Lt, grp, five), Compare(Eq, Column("Name"), Literal(value.String_("x")))),
+		Neg(Compare(Eq, t2, five)),
+		TruePred{},
+		PeriodPred{Op: POverlaps, AStart: t1, AEnd: t2, BStart: five, BEnd: five},
+		PeriodPred{Op: PMeets, AStart: five, AEnd: five, BStart: five, BEnd: five},
+		Aggregate{Func: Max, Arg: schema.T1, As: "m"},
+		Aggregate{Func: Sum, Arg: "Grp", As: "s"},
+		Aggregate{Func: CountAll, As: "n"},
+	}
+	for _, n := range nodes {
+		set := make(map[string]bool)
+		n.Attrs(set)
+		want := set[schema.T1] || set[schema.T2]
+		if got := UsesTime(n); got != want {
+			t.Errorf("UsesTime(%v) = %v, attr(·) says %v", n, got, want)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { UsesTime(n) }); allocs != 0 {
+			t.Errorf("UsesTime(%v) allocates %.0f times", n, allocs)
+		}
+	}
+}
+
 func TestSubstitution(t *testing.T) {
 	env := map[string]Expr{"Grp": Arith{Op: Add, L: Column("Score"), R: Literal(value.Int(1))}}
 	e, err := SubstExpr(Arith{Op: Mul, L: Column("Grp"), R: Literal(value.Int(2))}, env)

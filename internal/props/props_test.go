@@ -233,3 +233,27 @@ func TestStateSoundness(t *testing.T) {
 		check(plan)
 	}
 }
+
+// TestDBMSOrderKept: inside the DBMS only a sort orders a result (Section
+// 4.5), so where a DBMS location must keep an order its replacement must be
+// a sort; in the stratum, and wherever no order is required, any operator
+// may replace it.
+func TestDBMSOrderKept(t *testing.T) {
+	for _, tc := range []struct {
+		site props.Site
+		tau  equiv.Type
+		op   algebra.Op
+		want bool
+	}{
+		{props.Stratum, equiv.List, algebra.OpCoal, true},
+		{props.DBMS, equiv.List, algebra.OpSort, true},
+		{props.DBMS, equiv.List, algebra.OpCoal, false},
+		{props.DBMS, equiv.SnapshotList, algebra.OpProject, false},
+		{props.DBMS, equiv.Multiset, algebra.OpProject, true},
+		{props.DBMS, equiv.SnapshotSet, algebra.OpTRdup, true},
+	} {
+		if got := props.DBMSOrderKept(tc.site, tc.tau, tc.op); got != tc.want {
+			t.Errorf("DBMSOrderKept(%s, %v, %s) = %v, want %v", tc.site, tc.tau, tc.op, got, tc.want)
+		}
+	}
+}

@@ -150,19 +150,33 @@ func (m *Memo) State(n algebra.Node, site Site) (State, error) {
 // States returns the state of every node of the plan rooted at root, which
 // executes in the stratum.
 func (m *Memo) States(root algebra.Node) (States, error) {
-	if _, err := m.State(root, Stratum); err != nil {
+	st := make(States)
+	if err := m.Subtree(root, Stratum, -1, st); err != nil {
 		return nil, err
 	}
-	st := make(States)
-	var collect func(n algebra.Node, site Site)
-	collect = func(n algebra.Node, site Site) {
-		st[n] = m.states[Sited{n, site}]
-		for _, c := range n.Children() {
-			collect(c, ChildSite(site, n.Op()))
-		}
-	}
-	collect(root, Stratum)
 	return st, nil
+}
+
+// Subtree adds to st the state of n, executing at site, and of its
+// descendants down to depth levels below it (all of them when depth is
+// negative). A search reuses one map across the locations it matches rules
+// at, clearing it in between, and collects no deeper than a rule reads.
+func (m *Memo) Subtree(n algebra.Node, site Site, depth int, st States) error {
+	if _, err := m.State(n, site); err != nil {
+		return err
+	}
+	m.collect(n, site, depth, st)
+	return nil
+}
+
+func (m *Memo) collect(n algebra.Node, site Site, depth int, st States) {
+	st[n] = m.states[Sited{n, site}]
+	if depth == 0 {
+		return
+	}
+	for _, c := range n.Children() {
+		m.collect(c, ChildSite(site, n.Op()), depth-1, st)
+	}
 }
 
 // deriveState implements the Duplicates and Coalescing columns of Table 1

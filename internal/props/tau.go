@@ -68,8 +68,7 @@ func Infer(root algebra.Node, rt equiv.ResultType, st States) (PropsMap, error) 
 	return pm, nil
 }
 
-// propagate assigns τ to n and derives each child's τ per the operation's
-// semantics; each case below states its derivation.
+// propagate assigns τ to n and derives each child's τ through ChildTaus.
 func propagate(n algebra.Node, tau equiv.Type, st States, pm PropsMap) {
 	if old, ok := pm[n]; ok {
 		// A node reachable twice (shared subtree) keeps the strongest
@@ -81,38 +80,43 @@ func propagate(n algebra.Node, tau equiv.Type, st States, pm PropsMap) {
 	if len(ch) == 0 {
 		return
 	}
+	taus := ChildTaus(n, tau, st[ch[0]])
+	for i, c := range ch {
+		propagate(c, taus[i], st, pm)
+	}
+}
+
+// ChildTaus derives the τ each of n's children must preserve when n must
+// preserve tau, per the operation's semantics; each case below states its
+// derivation. left is the state of n's first child, which coalᵀ and \ᵀ
+// consult. The search derives a plan's requirements top-down with it, one
+// position at a time, so two equal subtrees at different places of a plan
+// keep their own requirements.
+func ChildTaus(n algebra.Node, tau equiv.Type, left State) [2]equiv.Type {
+	same := func(t equiv.Type) [2]equiv.Type { return [2]equiv.Type{t, t} }
 	switch node := n.(type) {
 	case *algebra.Select:
 		// Time-free selections are snapshot-reducible; selections that
 		// inspect T1/T2 pin the argument's exact periods.
 		if expr.UsesTime(node.P) {
-			propagate(ch[0], toNonSnapshot(tau), st, pm)
-		} else {
-			propagate(ch[0], tau, st, pm)
+			return same(toNonSnapshot(tau))
 		}
-		return
+		return same(tau)
 	case *algebra.Project:
 		if periodTransparent(node) {
-			propagate(ch[0], tau, st, pm)
-		} else {
-			// The projection reads periods as data or drops them; either
-			// way the argument's exact periods matter.
-			propagate(ch[0], toNonSnapshot(tau), st, pm)
+			return same(tau)
 		}
-		return
+		// The projection reads periods as data or drops them; either way
+		// the argument's exact periods matter.
+		return same(toNonSnapshot(tau))
 	case *algebra.Sort:
 		// Everything below a sort may be reordered freely (Section 5.2).
-		propagate(ch[0], dropOrder(tau), st, pm)
-		return
+		return same(dropOrder(tau))
 	case *algebra.Aggregate:
-		propagate(ch[0], aggregateChildTau(tau, node), st, pm)
-		return
+		return same(aggregateChildTau(tau, node))
 	case *algebra.Join:
 		// Join idioms behave as σ∘× — period values become data.
-		l, r := toNonSnapshot(tau), toNonSnapshot(tau)
-		propagate(ch[0], l, st, pm)
-		propagate(ch[1], r, st, pm)
-		return
+		return same(toNonSnapshot(tau))
 	}
 
 	switch n.Op() {
@@ -120,10 +124,9 @@ func propagate(n algebra.Node, tau equiv.Type, st States, pm PropsMap) {
 		// rdup makes the argument's duplicate counts immaterial, but its
 		// list output still follows the argument's list.
 		if tau == equiv.List {
-			propagate(ch[0], equiv.List, st, pm)
-		} else {
-			propagate(ch[0], dropDups(tau), st, pm)
+			return same(equiv.List)
 		}
+		return same(dropDups(tau))
 	case algebra.OpTRdup:
 		// rdupᵀ is order-sensitive: its multiset output depends on the
 		// argument's tuple distribution, so non-snapshot requirements
@@ -132,18 +135,17 @@ func propagate(n algebra.Node, tau equiv.Type, st States, pm PropsMap) {
 		// ≡SM (its output never has snapshot duplicates) becomes ≡SS below.
 		switch tau {
 		case equiv.SnapshotList:
-			propagate(ch[0], equiv.SnapshotList, st, pm)
+			return same(equiv.SnapshotList)
 		case equiv.SnapshotMultiset, equiv.SnapshotSet:
-			propagate(ch[0], equiv.SnapshotSet, st, pm)
+			return same(equiv.SnapshotSet)
 		default:
-			propagate(ch[0], equiv.List, st, pm)
+			return same(equiv.List)
 		}
 	case algebra.OpCoal:
-		propagate(ch[0], coalChildTau(tau, st[ch[0]]), st, pm)
+		return same(coalChildTau(tau, left))
 	case algebra.OpTDiff:
-		leftTau, rightTau := tdiffChildTaus(tau, st[ch[0]])
-		propagate(ch[0], leftTau, st, pm)
-		propagate(ch[1], rightTau, st, pm)
+		l, r := tdiffChildTaus(tau, left)
+		return [2]equiv.Type{l, r}
 	case algebra.OpDiff:
 		// Conventional difference: the left side's duplicates always
 		// matter (counts decide survival); the right side contributes only
@@ -152,39 +154,28 @@ func propagate(n algebra.Node, tau equiv.Type, st States, pm PropsMap) {
 		if l == equiv.Set {
 			l = equiv.Multiset
 		}
-		propagate(ch[0], l, st, pm)
-		propagate(ch[1], equiv.Multiset, st, pm)
+		return [2]equiv.Type{l, equiv.Multiset}
 	case algebra.OpProduct:
-		propagate(ch[0], toNonSnapshot(tau), st, pm)
-		propagate(ch[1], toNonSnapshot(tau), st, pm)
+		return same(toNonSnapshot(tau))
 	case algebra.OpTProduct:
 		// ×ᵀ retains its arguments' timestamps as data (1.T1 …), so even
 		// snapshot requirements pin the arguments' exact periods.
-		propagate(ch[0], toNonSnapshot(tau), st, pm)
-		propagate(ch[1], toNonSnapshot(tau), st, pm)
+		return same(toNonSnapshot(tau))
 	case algebra.OpUnionAll:
 		// ⊔ is fully transparent: snapshots concatenate pointwise.
-		propagate(ch[0], tau, st, pm)
-		propagate(ch[1], tau, st, pm)
+		return same(tau)
 	case algebra.OpUnion:
 		// ∪ compares whole tuples (periods as identity), so snapshot
 		// requirements strengthen; set-level requirements survive (max ≥ 1
 		// iff present in either side).
-		u := toNonSnapshot(tau)
-		propagate(ch[0], u, st, pm)
-		propagate(ch[1], u, st, pm)
+		return same(toNonSnapshot(tau))
 	case algebra.OpTUnion:
-		l, r := tunionChildTau(tau), tunionChildTau(tau)
-		propagate(ch[0], l, st, pm)
-		propagate(ch[1], r, st, pm)
+		return same(tunionChildTau(tau))
 	case algebra.OpTransferS, algebra.OpTransferD:
-		propagate(ch[0], tau, st, pm)
-	default:
-		// Unknown operator: require full list equivalence below.
-		for _, c := range ch {
-			propagate(c, equiv.List, st, pm)
-		}
+		return same(tau)
 	}
+	// Unknown operator: require full list equivalence below.
+	return same(equiv.List)
 }
 
 // aggregateChildTau derives the argument requirement of 𝒢/𝒢ᵀ.
@@ -376,6 +367,23 @@ func strongest(a, b equiv.Type) equiv.Type {
 		return b
 	}
 	return equiv.List
+}
+
+// DBMSOrderKept reports whether a rewrite at a location executing at site,
+// whose requirement is tau, may replace the location by a subtree rooted at
+// op. Inside the DBMS no operation but sort guarantees its result's order
+// (Section 4.5), so the list a DBMS region hands over is ordered only by a
+// sort at the region's root: where the location must keep an order there,
+// its replacement must be a sort. A rule's ≡L type speaks of the algebra's
+// lists, which the DBMS does not keep, so the Figure 5 guard alone would
+// let a sort pushdown leave the region's output unordered.
+func DBMSOrderKept(site Site, tau equiv.Type, op algebra.Op) bool {
+	return site != DBMS || !fromTau(tau).OrderRequired || op == algebra.OpSort
+}
+
+// Permits is Applicable for one operation whose requirement is tau.
+func Permits(rt, tau equiv.Type) bool {
+	return Applicable(rt, []Props{fromTau(tau)})
 }
 
 // Applicable implements the guard of the enumeration algorithm (Figure 5):

@@ -96,15 +96,18 @@ func (o OrderSpec) Prefix(keep []string) OrderSpec {
 // is not sound for a list invariant, so we take the largest time-free
 // prefix, which is — a list sorted on an order is sorted on each of its
 // prefixes — and agrees with every example in the paper.
+//
+// The prefix shares o's keys, capacity-capped so an append copies: order
+// specs are never written in place.
 func (o OrderSpec) TimeFreePrefix() OrderSpec {
-	var out OrderSpec
-	for _, k := range o {
-		if k.Attr == schema.T1 || k.Attr == schema.T2 {
-			break
-		}
-		out = append(out, k)
+	n := 0
+	for n < len(o) && o[n].Attr != schema.T1 && o[n].Attr != schema.T2 {
+		n++
 	}
-	return out
+	if n == 0 {
+		return nil
+	}
+	return o[:n:n]
 }
 
 // Rename returns a copy of the spec with attribute old renamed to new.

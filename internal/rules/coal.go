@@ -25,7 +25,7 @@ func CoalRules() []Rule {
 				if !ok || !cs.Coalesced {
 					return nil
 				}
-				return rw(child, n, child)
+				return rw(child, here, c0)
 			},
 		},
 		{
@@ -37,7 +37,7 @@ func CoalRules() []Rule {
 					return nil
 				}
 				child := n.Children()[0]
-				return rw(child, n, child)
+				return rw(child, here, c0)
 			},
 		},
 		{
@@ -53,7 +53,7 @@ func CoalRules() []Rule {
 				if n.Op() == algebra.OpCoal {
 					return nil
 				}
-				return rw(algebra.NewCoal(n), n)
+				return rw(algebra.NewCoal(n), here)
 			},
 		},
 		{
@@ -70,7 +70,7 @@ func CoalRules() []Rule {
 				}
 				inner := sel.Children()[0]
 				repl := algebra.NewSelect(sel.P, algebra.NewCoal(inner))
-				return rw(repl, n, sel, inner)
+				return rw(repl, here, c0, c00)
 			},
 		},
 		{
@@ -88,7 +88,7 @@ func CoalRules() []Rule {
 				}
 				inner := coal.Children()[0]
 				repl := algebra.NewCoal(algebra.NewSelect(sel.P, inner))
-				return rw(repl, n, coal, inner)
+				return rw(repl, here, c0, c00)
 			},
 		},
 		{
@@ -111,7 +111,7 @@ func CoalRules() []Rule {
 				}
 				inner := coal.Children()[0]
 				repl := proj.WithChildren(inner)
-				return rw(repl, n, coal, inner)
+				return rw(repl, here, c0, c00)
 			},
 		},
 		{
@@ -140,7 +140,7 @@ func CoalRules() []Rule {
 				}
 				l, r := ch[0].Children()[0], ch[1].Children()[0]
 				repl := algebra.NewCoal(algebra.NewUnionAll(l, r))
-				return rw(repl, n, u, ch[0], ch[1], l, r)
+				return rw(repl, here, c0, c00, c01, c000, c010)
 			},
 		},
 		{
@@ -162,7 +162,7 @@ func CoalRules() []Rule {
 				}
 				l, r := ch[0].Children()[0], ch[1].Children()[0]
 				repl := algebra.NewCoal(algebra.NewTUnion(l, r))
-				return rw(repl, n, u, ch[0], ch[1], l, r)
+				return rw(repl, here, c0, c00, c01, c000, c010)
 			},
 		},
 		{
@@ -183,7 +183,7 @@ func CoalRules() []Rule {
 				}
 				inner := coal.Children()[0]
 				repl := algebra.NewCoal(agg.WithChildren(inner))
-				return rw(repl, n, agg, coal, inner)
+				return rw(repl, here, c0, c00, c000)
 			},
 		},
 		{
@@ -208,7 +208,7 @@ func CoalRules() []Rule {
 					return nil
 				}
 				repl := algebra.NewCoal(proj.WithChildren(inner))
-				return rw(repl, n, proj, coal, inner)
+				return rw(repl, here, c0, c00, c000)
 			},
 		},
 		{
@@ -244,7 +244,7 @@ func CoalRules() []Rule {
 				}
 				repl := proj.WithChildren(
 					algebra.NewTProduct(algebra.NewCoal(ch[0]), algebra.NewCoal(ch[1])))
-				return rw(repl, n, proj, prod, ch[0], ch[1])
+				return rw(repl, here, c0, c00, c000, c001)
 			},
 		},
 		{
@@ -265,7 +265,7 @@ func CoalRules() []Rule {
 					return nil
 				}
 				repl := algebra.NewTDiff(algebra.NewCoal(ch[0]), algebra.NewCoal(ch[1]))
-				return rw(repl, n, diff, ch[0], ch[1])
+				return rw(repl, here, c0, c00, c01)
 			},
 		},
 		{
@@ -286,7 +286,7 @@ func CoalRules() []Rule {
 					return nil
 				}
 				repl := algebra.NewCoal(algebra.NewTDiff(l, r))
-				return rw(repl, n, ch[0], ch[1], l, r)
+				return rw(repl, here, c0, c1, c00, c10)
 			},
 		},
 	}

@@ -41,7 +41,7 @@ func selectRules() []Rule {
 				}
 				r := inner.Children()[0]
 				repl := algebra.NewSelect(inner.P, algebra.NewSelect(outer.P, r))
-				return rw(repl, n, inner, r)
+				return rw(repl, here, c0, c00)
 			},
 		},
 		{
@@ -59,7 +59,7 @@ func selectRules() []Rule {
 				}
 				r := sel.Children()[0]
 				repl := algebra.NewSelect(conj.L, algebra.NewSelect(conj.R, r))
-				return rw(repl, n, r)
+				return rw(repl, here, c0)
 			},
 		},
 		{
@@ -77,7 +77,7 @@ func selectRules() []Rule {
 				}
 				r := inner.Children()[0]
 				repl := algebra.NewSelect(expr.Conj(outer.P, inner.P), r)
-				return rw(repl, n, inner, r)
+				return rw(repl, here, c0, c00)
 			},
 		},
 		{
@@ -121,7 +121,7 @@ func selectRules() []Rule {
 				repl := u.WithChildren(
 					algebra.NewSelect(sel.P, ch[0]),
 					algebra.NewSelect(sel.P, ch[1]))
-				return rw(repl, n, u, ch[0], ch[1])
+				return rw(repl, here, c0, c00, c01)
 			},
 		},
 		{
@@ -153,7 +153,7 @@ func selectRules() []Rule {
 				repl := d.WithChildren(
 					algebra.NewSelect(sel.P, ch[0]),
 					algebra.NewSelect(sel.P, ch[1]))
-				return rw(repl, n, d, ch[0], ch[1])
+				return rw(repl, here, c0, c00, c01)
 			},
 		},
 		{
@@ -180,7 +180,7 @@ func selectRules() []Rule {
 				}
 				ch := d.Children()
 				repl := d.WithChildren(algebra.NewSelect(sel.P, ch[0]), ch[1])
-				return rw(repl, n, d, ch[0], ch[1])
+				return rw(repl, here, c0, c00, c01)
 			},
 		},
 	}
@@ -223,7 +223,7 @@ func pushSelectIntoProduct(n algebra.Node, st props.States, side int) *Rewrite {
 	newCh := []algebra.Node{ch[0], ch[1]}
 	newCh[side] = algebra.NewSelect(p, ch[side])
 	repl := prod.WithChildren(newCh...)
-	return rw(repl, n, prod, ch[0], ch[1])
+	return rw(repl, here, c0, c00, c01)
 }
 
 // resolveToSide maps a product-schema attribute name to the argument
@@ -286,7 +286,7 @@ func projectRules() []Rule {
 				}
 				r := inner.Children()[0]
 				repl := algebra.NewProject(items, r)
-				return rw(repl, n, inner, r)
+				return rw(repl, here, c0, c00)
 			},
 		},
 		{
@@ -312,7 +312,7 @@ func projectRules() []Rule {
 				}
 				r := proj.Children()[0]
 				repl := proj.WithChildren(algebra.NewSelect(p, r))
-				return rw(repl, n, proj, r)
+				return rw(repl, here, c0, c00)
 			},
 		},
 		{
@@ -358,7 +358,7 @@ func projectRules() []Rule {
 				}
 				r := sel.Children()[0]
 				repl := algebra.NewSelect(p, proj.WithChildren(r))
-				return rw(repl, n, sel, r)
+				return rw(repl, here, c0, c00)
 			},
 		},
 		{
@@ -392,7 +392,7 @@ func commuteRules() []Rule {
 				}
 				ch := n.Children()
 				repl := algebra.NewUnionAll(ch[1], ch[0])
-				return rw(repl, n, ch[0], ch[1])
+				return rw(repl, here, c0, c1)
 			},
 		},
 		{
@@ -405,7 +405,7 @@ func commuteRules() []Rule {
 				}
 				ch := n.Children()
 				repl := algebra.NewUnion(ch[1], ch[0])
-				return rw(repl, n, ch[0], ch[1])
+				return rw(repl, here, c0, c1)
 			},
 		},
 		{
@@ -418,7 +418,7 @@ func commuteRules() []Rule {
 				}
 				ch := n.Children()
 				repl := algebra.NewTUnion(ch[1], ch[0])
-				return rw(repl, n, ch[0], ch[1])
+				return rw(repl, here, c0, c1)
 			},
 		},
 		{
@@ -435,7 +435,7 @@ func commuteRules() []Rule {
 				}
 				inner := ch[0].Children()
 				repl := algebra.NewUnionAll(inner[0], algebra.NewUnionAll(inner[1], ch[1]))
-				return rw(repl, n, ch[0], inner[0], inner[1], ch[1])
+				return rw(repl, here, c0, c00, c01, c1)
 			},
 		},
 		{
@@ -452,7 +452,7 @@ func commuteRules() []Rule {
 				}
 				inner := ch[0].Children()
 				repl := algebra.NewUnion(inner[0], algebra.NewUnion(inner[1], ch[1]))
-				return rw(repl, n, ch[0], inner[0], inner[1], ch[1])
+				return rw(repl, here, c0, c00, c01, c1)
 			},
 		},
 		{
@@ -469,7 +469,7 @@ func commuteRules() []Rule {
 				}
 				inner := ch[0].Children()
 				repl := algebra.NewTUnion(inner[0], algebra.NewTUnion(inner[1], ch[1]))
-				return rw(repl, n, ch[0], inner[0], inner[1], ch[1])
+				return rw(repl, here, c0, c00, c01, c1)
 			},
 		},
 	}
@@ -490,10 +490,10 @@ func idiomRules() []Rule {
 				switch prod.Op() {
 				case algebra.OpProduct:
 					ch := prod.Children()
-					return rw(algebra.NewJoin(sel.P, ch[0], ch[1]), n, prod, ch[0], ch[1])
+					return rw(algebra.NewJoin(sel.P, ch[0], ch[1]), here, c0, c00, c01)
 				case algebra.OpTProduct:
 					ch := prod.Children()
-					return rw(algebra.NewTJoin(sel.P, ch[0], ch[1]), n, prod, ch[0], ch[1])
+					return rw(algebra.NewTJoin(sel.P, ch[0], ch[1]), here, c0, c00, c01)
 				default:
 					return nil
 				}
@@ -508,8 +508,7 @@ func idiomRules() []Rule {
 				if !ok {
 					return nil
 				}
-				ch := n.Children()
-				return rw(j.Expand(), n, ch[0], ch[1])
+				return rw(j.Expand(), here, c0, c1)
 			},
 		},
 	}

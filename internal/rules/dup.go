@@ -29,7 +29,7 @@ func DupRules() []Rule {
 				if cs.Schema.Temporal() {
 					return nil
 				}
-				return rw(child, n, child)
+				return rw(child, here, c0)
 			},
 		},
 		{
@@ -45,7 +45,7 @@ func DupRules() []Rule {
 				if !ok || !cs.SnapshotDistinct {
 					return nil
 				}
-				return rw(child, n, child)
+				return rw(child, here, c0)
 			},
 		},
 		{
@@ -63,7 +63,7 @@ func DupRules() []Rule {
 					// incomparable.
 					return nil
 				}
-				return rw(child, n, child)
+				return rw(child, here, c0)
 			},
 		},
 		{
@@ -75,7 +75,7 @@ func DupRules() []Rule {
 					return nil
 				}
 				child := n.Children()[0]
-				return rw(child, n, child)
+				return rw(child, here, c0)
 			},
 		},
 		{
@@ -91,7 +91,7 @@ func DupRules() []Rule {
 				if n.Op() == algebra.OpRdup {
 					return nil // pointless double elimination
 				}
-				return rw(algebra.NewRdup(n), n)
+				return rw(algebra.NewRdup(n), here)
 			},
 		},
 		{
@@ -107,7 +107,7 @@ func DupRules() []Rule {
 				if n.Op() == algebra.OpTRdup {
 					return nil
 				}
-				return rw(algebra.NewTRdup(n), n)
+				return rw(algebra.NewTRdup(n), here)
 			},
 		},
 		{
@@ -135,7 +135,7 @@ func DupRules() []Rule {
 					return nil
 				}
 				repl := algebra.NewUnion(algebra.NewRdup(uch[0]), algebra.NewRdup(uch[1]))
-				return rw(repl, n, u, uch[0], uch[1])
+				return rw(repl, here, c0, c00, c01)
 			},
 		},
 		{
@@ -156,7 +156,7 @@ func DupRules() []Rule {
 					return nil
 				}
 				repl := algebra.NewRdup(algebra.NewUnion(l, r))
-				return rw(repl, n, ch[0], ch[1], l, r)
+				return rw(repl, here, c0, c1, c00, c10)
 			},
 		},
 		{
@@ -173,7 +173,7 @@ func DupRules() []Rule {
 				}
 				uch := u.Children()
 				repl := algebra.NewTUnion(algebra.NewTRdup(uch[0]), algebra.NewTRdup(uch[1]))
-				return rw(repl, n, u, uch[0], uch[1])
+				return rw(repl, here, c0, c00, c01)
 			},
 		},
 		{
@@ -190,7 +190,7 @@ func DupRules() []Rule {
 				}
 				l, r := ch[0].Children()[0], ch[1].Children()[0]
 				repl := algebra.NewTRdup(algebra.NewTUnion(l, r))
-				return rw(repl, n, ch[0], ch[1], l, r)
+				return rw(repl, here, c0, c1, c00, c10)
 			},
 		},
 	}

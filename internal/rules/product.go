@@ -60,7 +60,7 @@ func commuteProduct(n algebra.Node, st props.States) *Rewrite {
 		}
 	}
 	repl := algebra.NewProject(items, swapped)
-	return rw(repl, n, ch[0], ch[1])
+	return rw(repl, here, c0, c1)
 }
 
 // pruneProductColumns implements rule PP3: when a projection over a
@@ -162,7 +162,7 @@ func pruneProductColumns(n algebra.Node, st props.States) *Rewrite {
 		items[i] = algebra.ProjItem{Expr: e, As: it.As}
 	}
 	repl := algebra.NewProject(items, newProd)
-	return rw(repl, n, prod, ch[0], ch[1])
+	return rw(repl, here, c0, c00, c01)
 }
 
 // completeTimes ensures that if either reserved time attribute of a

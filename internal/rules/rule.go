@@ -23,8 +23,14 @@ import (
 // mentioned on the rule's left-hand side plus the roots of its subtree
 // variables, per Section 6).
 type Rewrite struct {
-	Result       algebra.Node
-	Participants []algebra.Node
+	Result algebra.Node
+	// Participants are the participating operations' positions on the
+	// left-hand side, as paths from the location (the location itself
+	// first). A position, not a node, names each: where a plan repeats a
+	// subtree, as an interned plan does by sharing one node, the same node
+	// can sit at a participant's position and elsewhere in the location,
+	// and only the position says whose properties gate the rule.
+	Participants []algebra.Path
 }
 
 // Rule is one transformation rule.
@@ -39,14 +45,40 @@ type Rule struct {
 	// duplicate elimination); the enumerator excludes them by default so
 	// that enumeration terminates (Section 6).
 	Expanding bool
+	// PushesSort marks the sort-pushdown rules (S4–S10 and T-sort): the
+	// rewrite moves the sort at its location into the sort's argument,
+	// where the sort becomes the rewritten location's first child, ready
+	// to be pushed again. The beam search follows such a sort down (see
+	// package enum).
+	PushesSort bool
 	// Apply matches the rule against the subtree rooted at n (a location
 	// in some plan) under the plan's static states; it returns nil when
 	// the rule does not apply there.
 	Apply func(n algebra.Node, st props.States) *Rewrite
 }
 
+// StateDepth is how far below its location a rule reads states: no rule's
+// Apply looks up a node deeper than its location's great-grandchildren, so
+// a caller may hand Apply the states of the location's top StateDepth+1
+// levels only.
+const StateDepth = 3
+
+// Participant positions, as paths from the location: here is the location,
+// c0 its first child, c01 that child's second child, and so on.
+var (
+	here = algebra.Path{}
+	c0   = algebra.Path{0}
+	c1   = algebra.Path{1}
+	c00  = algebra.Path{0, 0}
+	c01  = algebra.Path{0, 1}
+	c10  = algebra.Path{1, 0}
+	c000 = algebra.Path{0, 0, 0}
+	c001 = algebra.Path{0, 0, 1}
+	c010 = algebra.Path{0, 1, 0}
+)
+
 // rw is a convenience constructor for Rewrite.
-func rw(result algebra.Node, participants ...algebra.Node) *Rewrite {
+func rw(result algebra.Node, participants ...algebra.Path) *Rewrite {
 	return &Rewrite{Result: result, Participants: participants}
 }
 

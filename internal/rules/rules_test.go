@@ -374,3 +374,87 @@ func TestRuleStrength(t *testing.T) {
 		t.Error("PC1: ≡L should fail — commuted product enumerates pairs right-major")
 	}
 }
+
+// TestRulesReadWithinStateDepth: no rule reads the state of a node deeper
+// than StateDepth below its location — the search hands Apply only those
+// states. Every rule at every location of every pool plan must propose the
+// same rewrite from the location's top StateDepth+1 levels of states as
+// from the whole plan's.
+func TestRulesReadWithinStateDepth(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		_, plans := pool(t, seed*100)
+		for pi, plan := range plans {
+			memo := props.NewMemo()
+			full, err := memo.States(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, path := range algebra.Paths(plan) {
+				node, err := algebra.NodeAt(plan, path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				near := make(props.States)
+				if err := memo.Subtree(node, full[node].Site, rules.StateDepth, near); err != nil {
+					t.Fatal(err)
+				}
+				for _, rule := range rules.All() {
+					a, b := rule.Apply(node, full), rule.Apply(node, near)
+					if (a == nil) != (b == nil) || (a != nil && algebra.Canonical(a.Result) != algebra.Canonical(b.Result)) {
+						t.Fatalf("seed %d plan %d: rule %s at %s reads states deeper than StateDepth %d",
+							seed, pi, rule.Name, path, rules.StateDepth)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestParticipantsAreLHSPositions: a rewrite names its participants by
+// their paths from the location, which the search resolves over the
+// location's top StateDepth+1 levels. Every rule at every location of every
+// pool plan must list the location first and distinct positions within
+// those levels that exist in the plan, each below another participant, as
+// the operations and subtree roots of a left-hand side are.
+func TestParticipantsAreLHSPositions(t *testing.T) {
+	matched := 0
+	for seed := int64(1); seed <= 5; seed++ {
+		_, plans := pool(t, seed*100)
+		for pi, plan := range plans {
+			st, err := props.InferStates(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, path := range algebra.Paths(plan) {
+				node, err := algebra.NodeAt(plan, path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, rule := range rules.All() {
+					rw := rule.Apply(node, st)
+					if rw == nil {
+						continue
+					}
+					matched++
+					ps := rw.Participants
+					if len(ps) == 0 || len(ps[0]) != 0 {
+						t.Fatalf("seed %d plan %d: rule %s at %s: participants %v do not start at the location", seed, pi, rule.Name, path, ps)
+					}
+					listed := map[string]bool{}
+					for _, p := range ps {
+						if _, err := algebra.NodeAt(node, p); err != nil || len(p) > rules.StateDepth {
+							t.Fatalf("seed %d plan %d: rule %s at %s: participant %v is not a position within StateDepth", seed, pi, rule.Name, path, p)
+						}
+						if listed[p.String()] || (len(p) > 0 && !listed[p[:len(p)-1].String()]) {
+							t.Fatalf("seed %d plan %d: rule %s at %s: participant %v repeats or hangs below no earlier participant", seed, pi, rule.Name, path, p)
+						}
+						listed[p.String()] = true
+					}
+				}
+			}
+		}
+	}
+	if matched == 0 {
+		t.Fatal("no rule matched any pool plan")
+	}
+}

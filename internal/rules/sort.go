@@ -29,7 +29,7 @@ func SortRules() []Rule {
 				if !ok || !srt.Spec.IsPrefixOf(cs.Order) {
 					return nil
 				}
-				return rw(child, n, child)
+				return rw(child, here, c0)
 			},
 		},
 		{
@@ -41,7 +41,7 @@ func SortRules() []Rule {
 					return nil
 				}
 				child := n.Children()[0]
-				return rw(child, n, child)
+				return rw(child, here, c0)
 			},
 		},
 		{
@@ -59,13 +59,14 @@ func SortRules() []Rule {
 					return nil
 				}
 				repl := algebra.NewSort(outer.Spec, inner.Children()[0])
-				return rw(repl, n, innerNode, inner.Children()[0])
+				return rw(repl, here, c0, c00)
 			},
 		},
 		{
-			Name: "S4",
-			Type: equiv.List,
-			Doc:  "sortA(σP(r)) ≡L σP(sortA(r))",
+			Name:       "S4",
+			Type:       equiv.List,
+			PushesSort: true,
+			Doc:        "sortA(σP(r)) ≡L σP(sortA(r))",
 			Apply: func(n algebra.Node, st props.States) *Rewrite {
 				srt, ok := n.(*algebra.Sort)
 				if !ok {
@@ -77,7 +78,7 @@ func SortRules() []Rule {
 				}
 				inner := sel.Children()[0]
 				repl := algebra.NewSelect(sel.P, algebra.NewSort(srt.Spec, inner))
-				return rw(repl, n, sel, inner)
+				return rw(repl, here, c0, c00)
 			},
 		},
 		{
@@ -95,13 +96,14 @@ func SortRules() []Rule {
 				}
 				inner := srt.Children()[0]
 				repl := algebra.NewSort(srt.Spec, algebra.NewSelect(sel.P, inner))
-				return rw(repl, n, srt, inner)
+				return rw(repl, here, c0, c00)
 			},
 		},
 		{
-			Name: "S5",
-			Type: equiv.List,
-			Doc:  "sortA(π(r)) ≡L π(sortA'(r)), if A's attributes are pure columns of r",
+			Name:       "S5",
+			Type:       equiv.List,
+			PushesSort: true,
+			Doc:        "sortA(π(r)) ≡L π(sortA'(r)), if A's attributes are pure columns of r",
 			Apply: func(n algebra.Node, st props.States) *Rewrite {
 				srt, ok := n.(*algebra.Sort)
 				if !ok {
@@ -129,21 +131,23 @@ func SortRules() []Rule {
 				}
 				child := proj.Children()[0]
 				repl := proj.WithChildren(algebra.NewSort(inner, child))
-				return rw(repl, n, proj, child)
+				return rw(repl, here, c0, c00)
 			},
 		},
 		{
-			Name: "S6",
-			Type: equiv.List,
-			Doc:  "sortA(r1 × r2) ≡L sortA(r1') × r2, if A is over r1's attributes",
+			Name:       "S6",
+			Type:       equiv.List,
+			PushesSort: true,
+			Doc:        "sortA(r1 × r2) ≡L sortA(r1') × r2, if A is over r1's attributes",
 			Apply: func(n algebra.Node, st props.States) *Rewrite {
 				return sortIntoLeft(n, st, algebra.OpProduct, false)
 			},
 		},
 		{
-			Name: "S7",
-			Type: equiv.List,
-			Doc:  "sortA(r1 \\ r2) ≡L sortA(r1') \\ r2, if A is over r1's attributes",
+			Name:       "S7",
+			Type:       equiv.List,
+			PushesSort: true,
+			Doc:        "sortA(r1 \\ r2) ≡L sortA(r1') \\ r2, if A is over r1's attributes",
 			Apply: func(n algebra.Node, st props.States) *Rewrite {
 				return sortIntoLeft(n, st, algebra.OpDiff, false)
 			},
@@ -154,17 +158,19 @@ func SortRules() []Rule {
 			// and the group-local temporal operations (\ᵀ, coalᵀ, rdupᵀ)
 			// only observe within-group order — so S8–S10 need no
 			// snapshot-distinctness precondition.
-			Name: "S8",
-			Type: equiv.List,
-			Doc:  "sortA(r1 \\T r2) ≡L sortA(r1) \\T r2, if A is time-free",
+			Name:       "S8",
+			Type:       equiv.List,
+			PushesSort: true,
+			Doc:        "sortA(r1 \\T r2) ≡L sortA(r1) \\T r2, if A is time-free",
 			Apply: func(n algebra.Node, st props.States) *Rewrite {
 				return sortIntoLeft(n, st, algebra.OpTDiff, true)
 			},
 		},
 		{
-			Name: "S9",
-			Type: equiv.List,
-			Doc:  "sortA(coalT(r)) ≡L coalT(sortA(r)), if A is time-free",
+			Name:       "S9",
+			Type:       equiv.List,
+			PushesSort: true,
+			Doc:        "sortA(coalT(r)) ≡L coalT(sortA(r)), if A is time-free",
 			Apply: func(n algebra.Node, st props.States) *Rewrite {
 				srt, ok := n.(*algebra.Sort)
 				if !ok {
@@ -179,13 +185,14 @@ func SortRules() []Rule {
 				}
 				inner := coal.Children()[0]
 				repl := algebra.NewCoal(algebra.NewSort(srt.Spec, inner))
-				return rw(repl, n, coal, inner)
+				return rw(repl, here, c0, c00)
 			},
 		},
 		{
-			Name: "S10",
-			Type: equiv.List,
-			Doc:  "sortA(rdupT(r)) ≡L rdupT(sortA(r)), if A is time-free",
+			Name:       "S10",
+			Type:       equiv.List,
+			PushesSort: true,
+			Doc:        "sortA(rdupT(r)) ≡L rdupT(sortA(r)), if A is time-free",
 			Apply: func(n algebra.Node, st props.States) *Rewrite {
 				srt, ok := n.(*algebra.Sort)
 				if !ok {
@@ -200,7 +207,7 @@ func SortRules() []Rule {
 				}
 				inner := rd.Children()[0]
 				repl := algebra.NewTRdup(algebra.NewSort(srt.Spec, inner))
-				return rw(repl, n, rd, inner)
+				return rw(repl, here, c0, c00)
 			},
 		},
 	}
@@ -241,7 +248,7 @@ func sortIntoLeft(n algebra.Node, st props.States, op algebra.Op, timeFreeOnly b
 		inner = append(inner, relation.OrderKey{Attr: src, Dir: k.Dir})
 	}
 	repl := bin.WithChildren(algebra.NewSort(inner, ch[0]), ch[1])
-	return rw(repl, n, bin, ch[0], ch[1])
+	return rw(repl, here, c0, c00, c01)
 }
 
 func usesTimeAttrs(spec interface{ Attrs() []string }) bool {

@@ -37,13 +37,14 @@ func TransferRules() []Rule {
 					return nil
 				}
 				inner := child.Children()[0]
-				return rw(inner, n, child, inner)
+				return rw(inner, here, c0, c00)
 			},
 		},
 		Rule{
-			Name: "T-sort",
-			Type: equiv.List,
-			Doc:  "sortA(TS(r)) ≡L TS(sortA(r)) — sort transfers exactly",
+			Name:       "T-sort",
+			Type:       equiv.List,
+			PushesSort: true,
+			Doc:        "sortA(TS(r)) ≡L TS(sortA(r)) — sort transfers exactly",
 			Apply: func(n algebra.Node, st props.States) *Rewrite {
 				srt, ok := n.(*algebra.Sort)
 				if !ok {
@@ -55,7 +56,7 @@ func TransferRules() []Rule {
 				}
 				inner := ts.Children()[0]
 				repl := algebra.NewTransferS(algebra.NewSort(srt.Spec, inner))
-				return rw(repl, n, ts, inner)
+				return rw(repl, here, c0, c00)
 			},
 		},
 		Rule{
@@ -72,7 +73,7 @@ func TransferRules() []Rule {
 				}
 				inner := srt.Children()[0]
 				repl := algebra.NewSort(srt.Spec, algebra.NewTransferS(inner))
-				return rw(repl, n, srt, inner)
+				return rw(repl, here, c0, c00)
 			},
 		},
 	)
@@ -91,7 +92,7 @@ func TransferRules() []Rule {
 			}
 			grand := inner.Children()[0]
 			repl := inner.WithChildren(algebra.NewTransferS(grand))
-			return rw(repl, n, inner, grand)
+			return rw(repl, here, c0, c00)
 		},
 	})
 	out = append(out, Rule{
@@ -108,7 +109,7 @@ func TransferRules() []Rule {
 			}
 			grand := ts.Children()[0]
 			repl := algebra.NewTransferS(n.WithChildren(grand))
-			return rw(repl, n, ts, grand)
+			return rw(repl, here, c0, c00)
 		},
 	})
 	// The order-sensitive temporal unaries (see the package comment on the
@@ -127,7 +128,7 @@ func TransferRules() []Rule {
 			}
 			grand := inner.Children()[0]
 			repl := inner.WithChildren(algebra.NewTransferS(grand))
-			return rw(repl, n, inner, grand)
+			return rw(repl, here, c0, c00)
 		},
 	})
 	out = append(out, Rule{
@@ -144,7 +145,7 @@ func TransferRules() []Rule {
 			}
 			grand := ts.Children()[0]
 			repl := algebra.NewTransferS(n.WithChildren(grand))
-			return rw(repl, n, ts, grand)
+			return rw(repl, here, c0, c00)
 		},
 	})
 	// Binary operations: TS(op2(r1, r2)) ≡ op2(TS(r1), TS(r2)) and back.
@@ -162,7 +163,7 @@ func TransferRules() []Rule {
 			}
 			ch := inner.Children()
 			repl := inner.WithChildren(algebra.NewTransferS(ch[0]), algebra.NewTransferS(ch[1]))
-			return rw(repl, n, inner, ch[0], ch[1])
+			return rw(repl, here, c0, c00, c01)
 		},
 	})
 	out = append(out, Rule{
@@ -179,7 +180,7 @@ func TransferRules() []Rule {
 			}
 			l, r := ch[0].Children()[0], ch[1].Children()[0]
 			repl := algebra.NewTransferS(n.WithChildren(l, r))
-			return rw(repl, n, ch[0], ch[1], l, r)
+			return rw(repl, here, c0, c1, c00, c10)
 		},
 	})
 	out = append(out, Rule{
@@ -196,7 +197,7 @@ func TransferRules() []Rule {
 			}
 			ch := inner.Children()
 			repl := inner.WithChildren(algebra.NewTransferS(ch[0]), algebra.NewTransferS(ch[1]))
-			return rw(repl, n, inner, ch[0], ch[1])
+			return rw(repl, here, c0, c00, c01)
 		},
 	})
 	out = append(out, Rule{
@@ -213,7 +214,7 @@ func TransferRules() []Rule {
 			}
 			l, r := ch[0].Children()[0], ch[1].Children()[0]
 			repl := algebra.NewTransferS(n.WithChildren(l, r))
-			return rw(repl, n, ch[0], ch[1], l, r)
+			return rw(repl, here, c0, c1, c00, c10)
 		},
 	})
 	return out
