@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"os"
 	"testing"
 
 	"tqp/internal/catalog"
@@ -139,5 +140,45 @@ func TestParseBytes(t *testing.T) {
 		if _, err := core.ParseBytes(bad); err == nil {
 			t.Errorf("ParseBytes(%q) should fail", bad)
 		}
+	}
+}
+
+// TestPaperStatementSpillFiles pins the spill passes of the paper statement
+// at the statement benchmark's size under its 512 KiB budget: exactly two
+// operators spill — the DBMS's sort_EmpName and the stratum's \ᵀ — and
+// each partitioning step writes one pass file (the \ᵀ's two inputs one
+// each, the sort's spilled runs one), so the statement creates at most 3
+// files. Nothing is left in the spill directory, and the result is the
+// unbudgeted engine's.
+func TestPaperStatementSpillFiles(t *testing.T) {
+	db := datagen.EmployeeDB(datagen.EmployeeSpec{Employees: 2000, SpellsPerEmp: 3, AssignmentsPerEmp: 4, Seed: 7})
+	plain := exec.NewSpec(exec.Config{})
+	dir := t.TempDir()
+	budget := exec.NewSpec(exec.Config{MemoryBudget: 512 << 10, SpillDir: dir})
+	opt := core.New(db, core.WithEngine(plain), core.WithDBMSSeed(1))
+	prep, err := opt.Prepare(engineTestSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, tr, err := opt.ExecutePlan(prep.Plan, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.SpilledOps != 2 || tr.SpilledBytes == 0 {
+		t.Fatalf("want the sort and the \\ᵀ to spill: %d operators, %d bytes", tr.SpilledOps, tr.SpilledBytes)
+	}
+	if tr.SpillFiles == 0 || tr.SpillFiles > 3 {
+		t.Fatalf("the statement created %d spill files, want 1..3", tr.SpillFiles)
+	}
+	t.Logf("spill: %d operators, %d files, %d bytes", tr.SpilledOps, tr.SpillFiles, tr.SpilledBytes)
+	if names, err := os.ReadDir(dir); err != nil || len(names) != 0 {
+		t.Fatalf("spill directory after the statement: %v (%v)", names, err)
+	}
+	want, _, err := opt.ExecutePlan(prep.Plan, plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.EqualAsList(want) {
+		t.Fatal("the budgeted statement's result differs from the unbudgeted one")
 	}
 }

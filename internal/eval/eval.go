@@ -50,8 +50,8 @@ type Engine interface {
 // NodeObserver is the optional interface of an engine that reports per-node
 // actuals: after ObserveNodes, an Eval that succeeds has called fn once for
 // every node of the tree it was handed, on the evaluating goroutine, in no
-// particular order. Rows and Batches are always set. Wall, SpilledBytes and
-// SpilledOps cover the node's whole subtree (its own share is that less its
+// particular order. Rows and Batches are always set. Wall, SpilledBytes,
+// SpilledOps and SpillFiles cover the node's whole subtree (its own share is that less its
 // children's); a pipelining engine must read a clock around every pull to
 // attribute them, so it fills them only when timed is set. The run's
 // PeakBytes, and its spill totals even untimed, arrive on the root.

@@ -31,9 +31,10 @@ type Config struct {
 	// spilling). With Parallelism > 1 the budget divides into per-worker
 	// shares: W partition tasks run concurrently, each bounded by budget/W.
 	MemoryBudget int64
-	// SpillDir is the directory spill files are created under (a fresh
-	// subdirectory per Eval, removed when the run ends — success or error).
-	// Empty means the system temp directory.
+	// SpillDir is the directory spill files are created in: one temp file
+	// per spill pass, removed when the pass is consumed and in any case
+	// when the run ends — success or error. Empty means the system temp
+	// directory.
 	SpillDir string
 	// NoMerge disables the merge/sort-based variants (merge join, merge
 	// diff/union, adjacent-compare dedup, streaming group-at-a-time

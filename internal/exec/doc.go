@@ -87,6 +87,22 @@
 // bodies emit (source row, period) spans and never touch a value column; 𝒢
 // and 𝒢ᵀ fold rows through one scratch tuple.
 //
+// # Spilling
+//
+// Under Config.MemoryBudget an operator's spilled state lives in spill
+// passes (package spill), one per partitioning step: the drain's first
+// fan-out of an input and every repartition put all spillFanout buckets in
+// one pass, and the external sort (sort.go) puts all of its spilled runs in
+// one. A pass is one append-only file, created on its first write directly
+// in Config.SpillDir; its buckets' blocks interleave there, each bucket
+// reads back its own extents, and the file goes with the last bucket
+// consumed. So a statement creates a file per spilling step, not per bucket
+// or run (Stats.SpillFiles), and an empty bucket costs nothing. The sort
+// builds each run column-wise from views of its input batches —
+// concatenated and compacted once, sorted as a row permutation (sortRows) —
+// and keeps its final run resident: under the cut rule it is at most half
+// the share.
+//
 // # Key kernels
 //
 // Grouping, ordering and partitioning run on the typed column planes

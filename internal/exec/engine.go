@@ -29,6 +29,7 @@ type Stats struct {
 
 	SpilledOps   int   // operators that exceeded their budget share and spilled
 	SpilledBytes int64 // encoded bytes written to spill files this run
+	SpillFiles   int64 // spill pass files created this run
 	PeakBytes    int64 // peak accounted working-set bytes this run
 
 	VectorOps     int // operators compiled this run; every operator is a batch operator
@@ -111,8 +112,8 @@ func memString(b int64) string {
 // Eval evaluates the tree rooted at n by building its batch pipeline and
 // draining the root. The result's Order() carries the Table 1 guarantee.
 // Stats are reset on entry and describe this run alone. Under a memory
-// budget the run's spill files live in a fresh temp directory that is
-// removed before Eval returns, on the success and error paths alike.
+// budget the run's spill pass files live in Config.SpillDir, and every one
+// is removed before Eval returns, on the success and error paths alike.
 func (e *Engine) Eval(n algebra.Node) (*relation.Relation, error) {
 	r, err := e.eval(n)
 	if err != nil || e.observe == nil {
@@ -121,7 +122,7 @@ func (e *Engine) Eval(n algebra.Node) (*relation.Relation, error) {
 	// The root's subtree is the whole run: its spill counts are the run's
 	// totals, known here even when no stage was timed.
 	root := e.stages[len(e.stages)-1]
-	root.SpilledBytes, root.SpilledOps = e.stats.SpilledBytes, int64(e.stats.SpilledOps)
+	root.SpilledBytes, root.SpilledOps, root.SpillFiles = e.stats.SpilledBytes, int64(e.stats.SpilledOps), e.stats.SpillFiles
 	root.PeakBytes = e.stats.PeakBytes
 	for _, st := range e.stages {
 		e.observe(st.node, st.RunSample)
@@ -137,7 +138,7 @@ func (e *Engine) eval(n algebra.Node) (*relation.Relation, error) {
 		e.mem = &arbiter{}
 		e.spillMgr = spill.NewManager(e.opts.SpillDir)
 		defer func() {
-			e.stats.SpilledBytes = e.spilledBytes()
+			e.stats.SpilledBytes, e.stats.SpillFiles = e.spilledBytes(), e.spillFiles()
 			e.stats.PeakBytes = e.mem.peakBytes()
 			e.Close()
 			e.mem = nil
@@ -169,7 +170,7 @@ type source struct {
 // source: the node's batch stream runs through it, counting the rows and
 // batches the node produced. A timed observer also brackets every pull
 // with a reading of the clock and of the run's spill counters, which makes
-// Wall, SpilledBytes and SpilledOps subtree totals (children are pulled
+// Wall, SpilledBytes, SpilledOps and SpillFiles subtree totals (children are pulled
 // inside the node's own pulls and nowhere else). Only the node's one
 // consumer pulls a stage, on the goroutine driving the pipeline; worker
 // pools run below the operators. A run nobody observes compiles no stages.
@@ -189,21 +190,30 @@ func (e *Engine) spilledBytes() int64 {
 	return e.spillMgr.BytesWritten()
 }
 
+// spillFiles reads the run's spill-files counter; zero without a budget.
+func (e *Engine) spillFiles() int64 {
+	if e.spillMgr == nil {
+		return 0
+	}
+	return e.spillMgr.FilesCreated()
+}
+
 // nextBatch runs one pull of the wrapped source; a timed run adds the pull's
 // wall time and the movement of the run's spill counters to the sample.
 func (st *stage) nextBatch() (*column.Batch, error) {
 	e := st.e
 	var start time.Time
 	var ops int
-	var bytes int64
+	var bytes, files int64
 	if e.timed {
-		start, ops, bytes = time.Now(), e.stats.SpilledOps, e.spilledBytes()
+		start, ops, bytes, files = time.Now(), e.stats.SpilledOps, e.spilledBytes(), e.spillFiles()
 	}
 	b, err := st.in.vec.nextBatch()
 	if e.timed {
 		st.Wall += time.Since(start)
 		st.SpilledOps += int64(e.stats.SpilledOps - ops)
 		st.SpilledBytes += e.spilledBytes() - bytes
+		st.SpillFiles += e.spillFiles() - files
 	}
 	if b != nil {
 		st.Rows += int64(b.Rows())

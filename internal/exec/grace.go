@@ -17,8 +17,9 @@
 //
 //   - spilled (Config.MemoryBudget > 0 and the accounted input exceeds the
 //     operator's share): the drain switches to writing fan-out hash
-//     partitions to temp files (package spill) as columnar blocks; the
-//     partitions are then processed one at a time (workers at a time under
+//     partitions as columnar blocks to the buckets of one spill pass
+//     (package spill) — one file for the whole fan-out; the partitions are
+//     then processed one at a time (workers at a time under
 //     Parallelism, each bounded by budget/W), and a partition that still
 //     exceeds the share re-partitions recursively on fresh bits of the key
 //     hash. The recursion is depth-capped, so a single-key skew degrades to
@@ -45,8 +46,9 @@
 // shapes keep unbounded state by construction and are documented rather
 // than bounded: an operator with no key columns (a GROUP-BY-less aggregate,
 // a temporal relation of periods alone — one global group with nothing to
-// partition on) and the fixed floor of the spill writers' buffers
-// (fanout × 16KB) under budgets smaller than that.
+// partition on) and the fixed floor of a spill pass's write buffer (one
+// 16KB buffer per pass, shared by its buckets — not fanout × 16KB) under
+// budgets smaller than that.
 package exec
 
 import (
@@ -70,7 +72,7 @@ const spillFanout = 8
 const maxSpillLevel = 6
 
 // minShare floors the per-operator budget share so degenerate budgets
-// (budget ≪ fanout × writer buffers) still terminate promptly.
+// (budget ≪ a spill pass's write buffer) still terminate promptly.
 const minShare = 4 << 10
 
 // noShare is the drain share of an input that is never spilled: no budget
@@ -215,14 +217,18 @@ type vecGraceSide struct {
 	parts   []partSource
 }
 
-// fanout routes rows to spillFanout spill files by the key hash at one
-// level — the one routing of the first partition pass and of every
-// repartition. Each bucket copies its rows onto a pending batch of its own
-// until a block's worth accumulates, then writes them as one block; routing
-// preserves arrival order within each bucket.
+// fanout routes rows to spillFanout buckets of one spill pass by the key
+// hash at one level — the one routing of the first partition pass and of
+// every repartition. Each bucket copies its rows onto a pending batch of its
+// own until a block's worth accumulates, then writes them as one block to
+// the pass's file; routing preserves arrival order within each bucket. A
+// bucket takes its batch and writer on its first row, so an empty bucket
+// costs nothing.
 type fanout struct {
+	sch     *schema.Schema
 	idx     []int
 	lvl     int
+	pass    *spill.Pass
 	writers []*spill.Writer
 	pend    []*column.Batch
 	seqs    [][]int
@@ -231,19 +237,10 @@ type fanout struct {
 	rows, keys []int    // a dense range's rows and consecutive sequence keys
 }
 
-// newFanout creates the fan-out's writers for rows over sch.
-func (e *Engine) newFanout(sch *schema.Schema, idx []int, lvl int) (*fanout, error) {
-	f := &fanout{idx: idx, lvl: lvl, writers: make([]*spill.Writer, spillFanout),
-		pend: make([]*column.Batch, spillFanout), seqs: make([][]int, spillFanout)}
-	for bk := range f.writers {
-		w, err := e.spillMgr.Create()
-		if err != nil {
-			f.abort()
-			return nil, err
-		}
-		f.writers[bk], f.pend[bk] = w, column.NewBatch(sch, spill.BlockRows)
-	}
-	return f, nil
+// newFanout starts a fan-out pass for rows over sch.
+func (e *Engine) newFanout(sch *schema.Schema, idx []int, lvl int) *fanout {
+	return &fanout{sch: sch, idx: idx, lvl: lvl, pass: e.spillMgr.NewPass(),
+		writers: make([]*spill.Writer, spillFanout), pend: make([]*column.Batch, spillFanout), seqs: make([][]int, spillFanout)}
 }
 
 // route sends b's physical rows rows[k], tagged seqs[k], to their buckets,
@@ -253,6 +250,9 @@ func (f *fanout) route(b *column.Batch, rows, seqs []int) error {
 	hashRows(b, rows, f.idx, f.hv)
 	for k, i := range rows {
 		bk := spillBucket(f.hv[k], f.lvl)
+		if f.pend[bk] == nil {
+			f.pend[bk] = column.NewBatch(f.sch, spill.BlockRows)
+		}
 		f.pend[bk].AppendRow(b, i)
 		f.seqs[bk] = append(f.seqs[bk], seqs[k])
 		if len(f.seqs[bk]) < spill.BlockRows {
@@ -281,28 +281,51 @@ func (f *fanout) routeFrom(b *column.Batch, lo, hi, first int) error {
 
 // flush writes a bucket's pending rows and empties its batch for reuse.
 func (f *fanout) flush(bk int) error {
+	if len(f.seqs[bk]) == 0 {
+		return nil
+	}
+	if f.writers[bk] == nil {
+		f.writers[bk] = f.pass.Writer()
+	}
 	err := f.writers[bk].Write(f.seqs[bk], f.pend[bk])
 	f.pend[bk].Reset()
 	f.seqs[bk] = f.seqs[bk][:0]
 	return err
 }
 
-// finish flushes every bucket and closes the writers into partitions.
+// finish flushes every bucket and seals the written ones into partitions;
+// on failure every bucket still open is aborted.
 func (f *fanout) finish() ([]partSource, error) {
+	parts := make([]partSource, spillFanout)
 	for bk := range f.writers {
-		if err := f.flush(bk); err != nil {
+		err := f.flush(bk)
+		var file *spill.File
+		if err == nil && f.writers[bk] != nil {
+			file, err = f.writers[bk].Finish()
+			f.writers[bk] = nil
+		}
+		if err != nil {
 			f.abort()
+			for _, ps := range parts {
+				if ps.file != nil {
+					ps.file.Remove()
+				}
+			}
 			return nil, err
 		}
+		if file != nil {
+			parts[bk] = partSource{file: file, bytes: file.MemBytes(), count: file.Count()}
+		}
 	}
-	return finishParts(f.writers)
+	return parts, nil
 }
 
-// abort deletes every file still open.
+// abort drops every bucket still open.
 func (f *fanout) abort() {
-	for _, w := range f.writers {
+	for bk, w := range f.writers {
 		if w != nil {
 			w.Abort()
+			f.writers[bk] = nil
 		}
 	}
 }
@@ -362,9 +385,7 @@ func (e *Engine) drainGraceVec(in *source, idx []int, share int64) (*vecGraceSid
 			// Switch to spilling: everything buffered so far fans out, and
 			// the resident bytes return to the arbiter.
 			side.spilled = true
-			if fan, err = e.newFanout(in.schema, idx, 0); err != nil {
-				return fail(err)
-			}
+			fan = e.newFanout(in.schema, idx, 0)
 			seq := 0
 			for _, rb := range resident {
 				if err := fan.routeFrom(rb, 0, rb.Rows(), seq); err != nil {
@@ -401,30 +422,6 @@ func (e *Engine) drainGraceVec(in *source, idx []int, share int64) (*vecGraceSid
 	return side, nil
 }
 
-// finishParts closes a fan-out's writers into partitions, dropping the
-// empty files; on failure every file still open is aborted.
-func finishParts(writers []*spill.Writer) ([]partSource, error) {
-	parts := make([]partSource, len(writers))
-	for bk, w := range writers {
-		f, err := w.Finish()
-		writers[bk] = nil
-		if err != nil {
-			for _, rest := range writers {
-				if rest != nil {
-					rest.Abort()
-				}
-			}
-			return nil, err
-		}
-		if f.Count() == 0 {
-			f.Remove()
-			continue
-		}
-		parts[bk] = partSource{file: f, bytes: f.MemBytes(), count: f.Count()}
-	}
-	return parts, nil
-}
-
 // releaseResident returns a side's resident bytes to the arbiter once its
 // rows are no longer the operator's working set.
 func (e *Engine) releaseResident(side *vecGraceSide) {
@@ -452,16 +449,13 @@ func splitPart(p part, idx []int, lvl int) []partSource {
 
 // repartition splits one partition at the given level: resident rows split
 // in memory, and an on-disk partition streams a block at a time through the
-// fan-out's routing into fresh writers, its source file removed as soon as
+// fan-out's routing into a fresh pass, its source bucket removed as soon as
 // it is consumed.
 func (e *Engine) repartition(ps partSource, sch *schema.Schema, idx []int, lvl int) ([]partSource, error) {
 	if ps.file == nil {
 		return splitPart(ps.part, idx, lvl), nil
 	}
-	fan, err := e.newFanout(sch, idx, lvl)
-	if err != nil {
-		return nil, err
-	}
+	fan := e.newFanout(sch, idx, lvl)
 	r, err := ps.file.Open()
 	if err != nil {
 		fan.abort()
@@ -497,9 +491,9 @@ func (e *Engine) repartition(ps partSource, sch *schema.Schema, idx []int, lvl i
 
 // loadPart is the one loader: it materializes a partition as rows of a
 // batch. A spilled partition decodes block-at-a-time onto column planes,
-// its file order being arrival order within the bucket; the arbiter grows
-// by its bytes (the caller releases after the body ran) and the backing
-// file is removed.
+// its write order being arrival order within the bucket; the arbiter grows
+// by its bytes (the caller releases after the body ran) and the bucket is
+// removed from its pass.
 func (e *Engine) loadPart(ps partSource, sch *schema.Schema) (part, error) {
 	if ps.file == nil {
 		return ps.part, nil

@@ -16,21 +16,23 @@ const sortRunSize = 4096
 
 // mergeSortIter is the budgeted engine's external merge sort (the
 // unbudgeted sort is vecSortSource): the input batches are consumed into
-// consecutive bounded runs — rows copied onto a run's own column planes and
-// sorted by (key, row index) as a permutation of row indices — and the runs
-// are merged through a min-heap whose tie-break — run index, then position
-// within the run — makes the merged sequence exactly the stable sort of the
-// whole input. Emission streams batch-at-a-time from the heap, so downstream
-// operators start before the full output materializes.
+// consecutive bounded runs — views of the input rows, concatenated and
+// compacted once per run and sorted by (key, row index) as a permutation of
+// row indices — and the runs are merged through a min-heap whose tie-break —
+// run index, then position within the run — makes the merged sequence
+// exactly the stable sort of the whole input. Emission streams
+// batch-at-a-time from the heap, so downstream operators start before the
+// full output materializes.
 //
 // Run cutting is byte-driven: while the accumulated input fits the
 // operator's share, runs stay in memory; past the share, every resident run
-// flushes to a spill file and further runs cut at half the share, sort, and
-// spill as columnar blocks in sorted order. The merge heap then streams from
-// the files, a block at a time. Run boundaries are pure bookkeeping — any
-// consecutive partition into stable-sorted runs merges to the identical
-// global stable sort — so the budgeted sort agrees with the in-memory one
-// bit-for-bit.
+// spills and further runs cut at half the share, sort, and spill as
+// columnar blocks in sorted order — every spilled run a bucket of the
+// sort's one spill pass — except the final run, which stays resident. The
+// merge heap then streams the spilled runs a block at a time. Run
+// boundaries are pure bookkeeping — any consecutive partition into
+// stable-sorted runs merges to the identical global stable sort — so the
+// budgeted sort agrees with the in-memory one bit-for-bit.
 type mergeSortIter struct {
 	eng    *Engine
 	in     vecIterator
@@ -170,35 +172,41 @@ func (m *mergeSortIter) build() error {
 
 	var cursors []*runCursor
 	var residentBytes int64
-	spilling := false
+	var pass *spill.Pass // the spilled runs' one file, once the sort spills
+	var zeros []int      // a spilled run's sequence keys: its file order is its order
 
-	run := column.NewBatch(m.schema, sortRunSize)
+	// The open run is views of the input rows it holds so far.
+	var views []*column.Batch
+	var runRows int
 	var runBytes int64
 
 	spillRun := func(c *runCursor) error {
-		w, err := m.eng.spillMgr.Create()
-		if err != nil {
-			return err
-		}
-		// The run spills as the selection view of its permutation; the sort
-		// needs no sequence keys: the run's file order is its order.
-		err = w.Write(make([]int, len(c.perm)), c.b.WithSel(c.perm))
-		if err != nil {
+		w := pass.Writer()
+		// The run spills as the selection view of its permutation.
+		if err := w.Write(zeros[:len(c.perm)], c.b.WithSel(c.perm)); err != nil {
 			w.Abort()
 			return err
 		}
+		var err error
 		c.file, err = w.Finish()
 		c.b, c.side, c.perm = nil, nil, nil
 		return err
 	}
-	flush := func() error {
-		if run.N == 0 {
+	// cut closes the open run: its views concatenate and compact once, it
+	// sorts as a row permutation, and it spills — unless the sort is not
+	// spilling or this is the final run, which stays resident (under the cut
+	// rule it is at most half the share).
+	cut := func(final bool) error {
+		if runRows == 0 {
 			return nil
 		}
+		run := column.Concat(m.schema, views, runRows).Compact()
 		c := &runCursor{idx: len(cursors), b: run, side: m.cmp.left(run), perm: identityIdx(run.N)}
 		sortRows(c.b, c.perm, m.cmp)
 		cursors = append(cursors, c)
-		if spilling {
+		clear(views)
+		views = views[:0]
+		if pass != nil && !final {
 			if err := spillRun(c); err != nil {
 				return err
 			}
@@ -206,15 +214,15 @@ func (m *mergeSortIter) build() error {
 			residentBytes += runBytes
 			m.eng.mem.grow(runBytes)
 		}
-		run = column.NewBatch(m.schema, sortRunSize)
-		runBytes = 0
+		runRows, runBytes = 0, 0
 		return nil
 	}
-	// startSpilling converts every resident run to a spill file in place —
+	// startSpilling converts every resident run to a spilled one in place —
 	// run indices (the stability tie-break) keep their arrival order — so
-	// from here on the working set is one run buffer plus writer buffers.
+	// from here on the working set is the open run plus the pass's buffer.
 	startSpilling := func() error {
-		spilling = true
+		pass = m.eng.spillMgr.NewPass()
+		zeros = make([]int, sortRunSize)
 		m.eng.stats.SpilledOps++
 		for _, c := range cursors {
 			if err := spillRun(c); err != nil {
@@ -242,26 +250,33 @@ func (m *mergeSortIter) build() error {
 		if b == nil {
 			break
 		}
-		for k, n := 0, b.Rows(); k < n; k++ {
-			i := b.RowIndex(k)
-			run.AppendRow(b, i)
-			runBytes += b.MemSize(i)
-			if !spilling && residentBytes+runBytes > share {
+		// Rows [lo, k] of b belong to the open run; the cut decisions are
+		// made row by row, exactly where the rows cross them.
+		lo, n := 0, b.Rows()
+		for k := 0; k < n; k++ {
+			runBytes += b.MemSize(b.RowIndex(k))
+			runRows++
+			if pass == nil && residentBytes+runBytes > share {
 				err = startSpilling()
 			}
-			if err == nil && (spilling && runBytes > share/2 || run.N == sortRunSize) {
-				err = flush()
+			if err == nil && (pass != nil && runBytes > share/2 || runRows == sortRunSize) {
+				views = append(views, b.RangeView(lo, k+1))
+				lo = k + 1
+				err = cut(false)
 			}
 			if err != nil {
 				m.in.close()
 				return fail(err)
 			}
 		}
+		if lo < n {
+			views = append(views, b.RangeView(lo, n))
+		}
 	}
 	if err := m.in.close(); err != nil {
 		return fail(err)
 	}
-	if err := flush(); err != nil {
+	if err := cut(true); err != nil {
 		return fail(err)
 	}
 

@@ -280,6 +280,89 @@ func TestSpillLifecycleMidQueryError(t *testing.T) {
 	}
 }
 
+// lateFault returns a σ over rel R whose predicate divides by zero at the
+// first row of a Grp value that first occurs in the last quarter of r: the
+// rows before it stream (and spill) fine, then the selection faults.
+func lateFault(t *testing.T, r *relation.Relation) algebra.Node {
+	t.Helper()
+	gi := r.Schema().Index("Grp")
+	seen := map[int64]bool{}
+	for i := 0; i < r.Len(); i++ {
+		v := r.At(i)[gi].AsInt()
+		if i >= 3*r.Len()/4 && !seen[v] {
+			div := expr.Arith{Op: expr.Div, L: expr.Literal(value.Int(1)),
+				R: expr.Arith{Op: expr.Sub, L: expr.Column("Grp"), R: expr.Literal(value.Int(v))}}
+			return algebra.NewSelect(expr.Compare(expr.Lt, div, expr.Literal(value.Int(1<<30))),
+				algebra.NewRel("R", r.Schema(), algebra.BaseInfo{}))
+		}
+		seen[v] = true
+	}
+	t.Fatal("no late-first-occurrence Grp value in this dataset")
+	return nil
+}
+
+// assertSpillDirEmpty fails when anything is left in a run's spill
+// directory.
+func assertSpillDirEmpty(t *testing.T, dir string) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 0 {
+		names := make([]string, len(entries))
+		for i, e := range entries {
+			names[i] = e.Name()
+		}
+		t.Fatalf("spill state leaked after a mid-query error: %v", names)
+	}
+}
+
+// TestPassReleasedWhenDiffTRightFaults faults a \ᵀ's right input after its
+// left input has spilled into a pass file: the error surfaces, and the left
+// pass — finished, its buckets never processed — leaves nothing behind, at
+// Parallelism 1 and 4.
+func TestPassReleasedWhenDiffTRightFaults(t *testing.T) {
+	l := sizedTemporal(3000, 31)
+	r := sizedTemporal(3000, 32)
+	src := eval.MapSource{"L": l, "R": r}
+	plan := algebra.NewTDiff(algebra.NewRel("L", l.Schema(), algebra.BaseInfo{}), lateFault(t, r))
+	for _, par := range []int{1, 4} {
+		dir := t.TempDir()
+		eng := exec.NewWith(src, exec.Config{MemoryBudget: 32 << 10, Parallelism: par, SpillDir: dir})
+		if _, err := eng.Eval(plan); err == nil {
+			t.Fatalf("parallelism %d: expected the division by zero to surface", par)
+		}
+		if st := eng.Stats(); st.SpillFiles == 0 {
+			t.Fatalf("parallelism %d: the left input never spilled, stats %+v", par, st)
+		}
+		assertSpillDirEmpty(t, dir)
+	}
+}
+
+// TestPassReleasedWhenSortInputFaults faults a budgeted sort's input after
+// its first 3,000 rows have arrived — at ~200 accounted bytes a row, a
+// 64 KiB share starts spilling after ~300 rows and cuts runs of at most half
+// the share, so a dozen runs are in the sort's pass by then: the error
+// surfaces and the pass file goes, at Parallelism 1 and 4.
+func TestPassReleasedWhenSortInputFaults(t *testing.T) {
+	r := sizedTemporal(3000, 33)
+	src := eval.MapSource{"R": r}
+	in := algebra.NewUnionAll(algebra.NewRel("R", r.Schema(), algebra.BaseInfo{}), lateFault(t, r))
+	plan := algebra.NewSort(relation.OrderSpec{relation.Key("Name")}, in)
+	for _, par := range []int{1, 4} {
+		dir := t.TempDir()
+		eng := exec.NewWith(src, exec.Config{MemoryBudget: 64 << 10, Parallelism: par, SpillDir: dir})
+		if _, err := eng.Eval(plan); err == nil {
+			t.Fatalf("parallelism %d: expected the division by zero to surface", par)
+		}
+		if st := eng.Stats(); st.SpillFiles != 1 || st.SpilledOps != 1 || st.SpilledBytes < 64<<10/4 {
+			t.Fatalf("parallelism %d: want one sort pass of several spilled runs, stats %+v", par, st)
+		}
+		assertSpillDirEmpty(t, dir)
+	}
+}
+
 // TestStatsResetPerRun pins the per-run stats contract: a reused Engine
 // reports the most recent Eval's counters only, for the merge family and
 // the new spill counters alike.

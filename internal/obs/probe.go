@@ -19,6 +19,7 @@ type RunSample struct {
 	Wall         time.Duration // wall time spent in the node
 	SpilledBytes int64         // bytes written to spill files
 	SpilledOps   int64         // operators that spilled
+	SpillFiles   int64         // spill pass files created
 	PeakBytes    int64         // peak tracked memory of the node's region (root only)
 }
 
@@ -41,6 +42,7 @@ func (n *NodeStats) Merge(s RunSample) {
 	n.Wall += s.Wall
 	n.SpilledBytes += s.SpilledBytes
 	n.SpilledOps += s.SpilledOps
+	n.SpillFiles += s.SpillFiles
 	if s.PeakBytes > n.PeakBytes {
 		n.PeakBytes = s.PeakBytes
 	}

@@ -30,6 +30,7 @@ type QueryRecord struct {
 	PeakBytes    int64     `json:"peak_bytes,omitempty"`
 	SpilledOps   int64     `json:"spilled_ops,omitempty"`
 	SpilledBytes int64     `json:"spilled_bytes,omitempty"`
+	SpillFiles   int64     `json:"spill_files,omitempty"`
 	Code         string    `json:"code,omitempty"` // error code on failure, empty on success
 }
 

@@ -469,6 +469,7 @@ func (s *Server) finishQuery(t *queryTiming, sql string, spec eval.EngineSpec, p
 		rec.PeakBytes = trace.PeakBytes
 		rec.SpilledOps = trace.SpilledOps
 		rec.SpilledBytes = trace.SpilledBytes
+		rec.SpillFiles = trace.SpillFiles
 	}
 	s.qlog.Emit(rec)
 }

@@ -1,24 +1,33 @@
 // Package spill implements the disk half of the exec engine's
-// memory-bounded execution mode — temp-file spill partitions holding
-// sequence-tagged rows — and the checksummed columnar block those
-// partitions are made of.
+// memory-bounded execution mode — spill passes holding sequence-tagged
+// rows — and the checksummed columnar block those passes are made of.
 //
-// A Manager owns one run's spill directory (created lazily on first write,
-// removed wholesale by Cleanup), hands out Writers, and tracks the total
-// bytes written for the engine's Stats. A Writer writes a column.Batch's
-// presented rows, with their sequence keys, and is Finished into an
-// immutable File, which Opens into a Reader decoding the rows back a block
-// at a time, in write order, onto a batch's column planes. On disk, rows
-// are grouped into columnar blocks: a block holds same-arity rows with each
-// attribute's values packed contiguously under a single kind byte, so the
-// per-value kind tag of a row codec is paid once per column instead of once
-// per cell. Every block carries its own row count, its rows' sequence keys,
-// its length and a CRC-32C of its payload, so a truncated or corrupted
-// block is detected at read time instead of silently corrupting a query
-// result.
+// A Manager owns one run's spill passes and tracks the bytes written and the
+// files created for the engine's Stats. A Pass is one partitioning step of
+// an operator — a fan-out's buckets, or an external sort's runs — and is one
+// append-only temp file, created directly in the manager's parent
+// directory on the pass's first write. Each
+// bucket of the pass is a Writer that appends a column.Batch's presented
+// rows, with their sequence keys, as blocks to the pass's file and records
+// each block's extent (offset, length); it is Finished into an immutable
+// File, which Opens into a Reader decoding the bucket's blocks back, in
+// write order, where they lie: extents that adjoin in the file are read
+// together (ReadAt, up to one buffer's worth) and each block decodes in
+// place onto a batch's column planes. Buckets interleave in the file, and
+// an empty bucket writes nothing. The file is closed and removed when the last
+// bucket of its pass is Removed or aborted, and Manager.Cleanup removes any
+// pass file a run still holds.
+//
+// On disk, rows are grouped into columnar blocks: a block holds same-arity
+// rows with each attribute's values packed contiguously under a single kind
+// byte, so the per-value kind tag of a row codec is paid once per column
+// instead of once per cell. Every block carries its own row count, its rows'
+// sequence keys, its length and a CRC-32C of its payload, so a truncated or
+// corrupted block is detected at read time instead of silently corrupting a
+// query result.
 //
 // The block is the one row codec of the system, with three carriers: spill
-// partitions, the persistent store's segment files, and the server's rows
+// passes, the persistent store's segment files, and the server's rows
 // frames, each of which carries one block of a result (its sequence keys
 // are a pushed-down fragment's provenance). EncodeBlock writes a block from
 // a batch's typed planes; DecodeBlocks reads blocks from a reader, and
@@ -28,14 +37,12 @@
 package spill
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
 	"os"
-	"path/filepath"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -48,77 +55,148 @@ import (
 // castagnoli is the CRC-32C table; hardware-accelerated on amd64/arm64.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Manager owns one execution run's spill directory. The zero-ish Manager
-// returned by NewManager creates no directory until the first file is
-// created, so unbudgeted and unspilled runs never touch the filesystem.
+// Manager owns one execution run's spill passes. It touches the filesystem
+// only when a pass first writes, so unbudgeted and unspilled runs never do.
 type Manager struct {
-	parent string // directory to create the spill dir under; "" = os.TempDir()
+	parent string // directory the pass files are created in; "" = os.TempDir()
 
-	mu   sync.Mutex
-	dir  string
-	next int
+	mu     sync.Mutex
+	passes map[*Pass]struct{} // passes whose file exists
 
 	bytes atomic.Int64
+	files atomic.Int64
 }
 
-// NewManager returns a manager that will create its spill directory under
-// parent ("" means the system temp directory).
+// NewManager returns a manager that creates its pass files in parent (""
+// means the system temp directory).
 func NewManager(parent string) *Manager { return &Manager{parent: parent} }
-
-// Dir returns the spill directory, or "" when nothing has spilled yet.
-func (m *Manager) Dir() string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.dir
-}
 
 // BytesWritten is the total encoded bytes appended across all writers.
 func (m *Manager) BytesWritten() int64 { return m.bytes.Load() }
 
-// Create opens a fresh spill file for writing.
-func (m *Manager) Create() (*Writer, error) {
+// FilesCreated is the number of pass files the manager has created.
+func (m *Manager) FilesCreated() int64 { return m.files.Load() }
+
+// NewPass starts a pass: one append-only file, created on its first write,
+// shared by every bucket Writer the pass hands out.
+func (m *Manager) NewPass() *Pass { return &Pass{mgr: m} }
+
+// Create starts a pass of its own and returns its one bucket's writer.
+func (m *Manager) Create() (*Writer, error) { return m.NewPass().Writer(), nil }
+
+// Cleanup closes and removes every pass file the run still holds. It is
+// safe to call when nothing ever spilled, and to call more than once.
+func (m *Manager) Cleanup() error {
 	m.mu.Lock()
-	if m.dir == "" {
-		parent := m.parent
+	passes := m.passes
+	m.passes = nil
+	m.mu.Unlock()
+	var first error
+	for p := range passes {
+		p.mu.Lock()
+		err := p.discard()
+		p.mu.Unlock()
+		if first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// writerBufSize is each pass's write buffer and each Reader's read window.
+// A pass buffers all of its buckets' blocks in one buffer, so a fan-out
+// costs one buffer, not one per bucket.
+const writerBufSize = 16 << 10
+
+// Pass is one append-only spill file shared by the bucket writers of one
+// partitioning step. Its buckets' blocks interleave in the file in write
+// order; each bucket knows its own blocks by their extents. Writers of one
+// pass may be used from any goroutine; the file is released when the last
+// bucket is removed or aborted, which partition tasks may do concurrently.
+type Pass struct {
+	mgr *Manager
+
+	mu      sync.Mutex
+	f       *os.File // nil until the first write
+	flushed int64    // bytes written to f; buf starts at this offset
+	buf     []byte   // encoded blocks not yet written
+	live    int      // buckets neither removed nor aborted
+}
+
+// Writer adds a bucket to the pass.
+func (p *Pass) Writer() *Writer {
+	p.mu.Lock()
+	p.live++
+	p.mu.Unlock()
+	return &Writer{p: p}
+}
+
+// flush writes the buffered blocks, creating the file on the first write.
+// The caller holds p.mu.
+func (p *Pass) flush() error {
+	if len(p.buf) == 0 {
+		return nil
+	}
+	if p.f == nil {
+		parent := p.mgr.parent
 		if parent == "" {
 			parent = os.TempDir()
 		}
-		dir, err := os.MkdirTemp(parent, "tqp-spill-")
+		f, err := os.CreateTemp(parent, "tqp-spill-*")
 		if err != nil {
-			m.mu.Unlock()
-			return nil, fmt.Errorf("spill: creating spill directory: %w", err)
+			return fmt.Errorf("spill: creating a pass file: %w", err)
 		}
-		m.dir = dir
+		p.f = f
+		p.mgr.files.Add(1)
+		p.mgr.mu.Lock()
+		if p.mgr.passes == nil {
+			p.mgr.passes = make(map[*Pass]struct{})
+		}
+		p.mgr.passes[p] = struct{}{}
+		p.mgr.mu.Unlock()
 	}
-	name := filepath.Join(m.dir, fmt.Sprintf("part-%06d", m.next))
-	m.next++
-	m.mu.Unlock()
-
-	f, err := os.OpenFile(name, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o600)
-	if err != nil {
-		return nil, fmt.Errorf("spill: creating %s: %w", name, err)
+	if _, err := p.f.Write(p.buf); err != nil {
+		return fmt.Errorf("spill: writing %s: %w", p.f.Name(), err)
 	}
-	return &Writer{mgr: m, f: f, bw: bufio.NewWriterSize(f, writerBufSize)}, nil
+	p.flushed += int64(len(p.buf))
+	p.buf = p.buf[:0]
+	return nil
 }
 
-// Cleanup removes the spill directory and everything in it. It is safe to
-// call when nothing ever spilled, and to call more than once.
-func (m *Manager) Cleanup() error {
-	m.mu.Lock()
-	dir := m.dir
-	m.dir = ""
-	m.mu.Unlock()
-	if dir == "" {
+// release drops one bucket; the last one takes the file with it.
+func (p *Pass) release() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.live--
+	if p.live > 0 {
 		return nil
 	}
-	return os.RemoveAll(dir)
+	return p.discard()
 }
 
-// writerBufSize is each Writer's (and Reader's) buffer. Spill fan-out keeps
-// several writers open at once, so the buffer is deliberately modest; the
-// engine's partition count is chosen so that fan-out × buffer stays well
-// inside the memory budget share.
-const writerBufSize = 16 << 10
+// discard closes and removes the pass's file, if it has one; a later write
+// starts a fresh file. The caller holds p.mu.
+func (p *Pass) discard() error {
+	f := p.f
+	p.f, p.flushed, p.buf = nil, 0, nil
+	if f == nil {
+		return nil
+	}
+	p.mgr.mu.Lock()
+	delete(p.mgr.passes, p)
+	p.mgr.mu.Unlock()
+	cerr := f.Close()
+	if err := os.Remove(f.Name()); err != nil {
+		return fmt.Errorf("spill: removing %s: %w", f.Name(), err)
+	}
+	return cerr
+}
+
+// extent is one block's place in its pass file.
+type extent struct {
+	off int64
+	n   int
+}
 
 // blockRows caps the rows encoded into one columnar block. The cap keeps a
 // single corrupt block's blast radius small and a decoded block's planes
@@ -130,16 +208,15 @@ const blockRows = 256
 // writer's own.
 const BlockRows = blockRows
 
-// Writer writes sequence-tagged rows to one spill file as columnar blocks
-// of up to blockRows rows.
+// Writer is one bucket of a pass: it appends sequence-tagged rows to the
+// pass's file as columnar blocks of up to blockRows rows.
 type Writer struct {
-	mgr      *Manager
-	f        *os.File
-	bw       *bufio.Writer
-	buf      []byte
+	p        *Pass
+	ext      []extent
 	count    int
 	bytes    int64
 	memBytes int64
+	done     bool
 }
 
 // Write encodes b's presented rows, tagged with seqs (one per row: the
@@ -148,14 +225,23 @@ type Writer struct {
 // blockRows rows. The rows' resident cost (column.Batch.MemSize) adds to
 // the file's MemBytes.
 func (w *Writer) Write(seqs []int, b *column.Batch) error {
+	p := w.p
+	p.mu.Lock()
 	for lo := 0; lo < len(seqs); lo += blockRows {
 		hi := min(lo+blockRows, len(seqs))
-		w.buf = EncodeBlock(w.buf[:0], seqs[lo:hi], b, lo)
-		if _, err := w.bw.Write(w.buf); err != nil {
-			return fmt.Errorf("spill: writing %s: %w", w.f.Name(), err)
+		start := len(p.buf)
+		p.buf = EncodeBlock(p.buf, seqs[lo:hi], b, lo)
+		n := len(p.buf) - start
+		w.ext = append(w.ext, extent{off: p.flushed + int64(start), n: n})
+		w.bytes += int64(n)
+		if len(p.buf) >= writerBufSize {
+			if err := p.flush(); err != nil {
+				p.mu.Unlock()
+				return err
+			}
 		}
-		w.bytes += int64(len(w.buf))
 	}
+	p.mu.Unlock()
 	for k := range seqs {
 		w.memBytes += b.MemSize(b.RowIndex(k))
 	}
@@ -163,32 +249,42 @@ func (w *Writer) Write(seqs []int, b *column.Batch) error {
 	return nil
 }
 
-// Finish flushes and closes the writer, returning the immutable file.
+// Finish flushes the pass and seals the bucket into an immutable File. On
+// an error the bucket is aborted.
 func (w *Writer) Finish() (*File, error) {
-	if err := w.bw.Flush(); err != nil {
-		w.f.Close()
-		return nil, fmt.Errorf("spill: flushing %s: %w", w.f.Name(), err)
+	p := w.p
+	p.mu.Lock()
+	err := p.flush()
+	fh := p.f
+	p.mu.Unlock()
+	if err != nil {
+		w.Abort()
+		return nil, err
 	}
-	name := w.f.Name()
-	if err := w.f.Close(); err != nil {
-		return nil, fmt.Errorf("spill: closing %s: %w", name, err)
-	}
-	w.mgr.bytes.Add(w.bytes)
-	return &File{path: name, count: w.count, bytes: w.bytes, memBytes: w.memBytes}, nil
+	w.done = true
+	p.mgr.bytes.Add(w.bytes)
+	return &File{p: p, fh: fh, ext: w.ext, count: w.count, bytes: w.bytes, memBytes: w.memBytes}, nil
 }
 
-// Abort closes and deletes the half-written file.
+// Abort drops the half-written bucket; its blocks are dead space in the
+// pass's file until the pass is released.
 func (w *Writer) Abort() {
-	w.f.Close()
-	os.Remove(w.f.Name())
+	if w.done {
+		return
+	}
+	w.done = true
+	w.p.release()
 }
 
-// File is one finished spill file.
+// File is one finished bucket of a pass.
 type File struct {
-	path     string
+	p        *Pass
+	fh       *os.File // the pass's file; nil when nothing was ever written
+	ext      []extent
 	count    int
 	bytes    int64
 	memBytes int64
+	removed  bool
 }
 
 // Count returns the number of records in the file.
@@ -205,61 +301,94 @@ func (f *File) MemBytes() int64 { return f.memBytes }
 
 // Open returns a reader over the records in write order.
 func (f *File) Open() (*Reader, error) {
-	file, err := os.Open(f.path)
-	if err != nil {
-		return nil, fmt.Errorf("spill: opening %s: %w", f.path, err)
-	}
-	return &Reader{f: file, br: bufio.NewReaderSize(file, writerBufSize), remaining: f.count, total: f.count}, nil
+	return &Reader{f: f, remaining: f.count}, nil
 }
 
-// Remove deletes the file; the data is consumed and the disk space should
-// return before the operator finishes, not at run cleanup.
-func (f *File) Remove() error { return os.Remove(f.path) }
+// Remove releases the bucket; the data is consumed, and the disk space
+// should return before the operator finishes, not at run cleanup. The pass
+// file goes with its last bucket.
+func (f *File) Remove() error {
+	if f.removed {
+		return nil
+	}
+	f.removed = true
+	return f.p.release()
+}
 
-// Reader decodes one spill file a block at a time.
+// Reader decodes one bucket a block at a time. It reads the bucket's
+// extents with ReadAt, those adjoining in the file up to writerBufSize
+// bytes at once, into a window, and decodes each block where it lies.
 type Reader struct {
-	f         *os.File
-	br        *bufio.Reader
-	buf       []byte
-	seqs      []int
-	remaining int
-	total     int
+	f            *File
+	win          []byte // the bytes of extents [winLo, winHi)
+	winLo, winHi int
+	next         int // the next extent to decode
+	seqs         []int
+	remaining    int
 }
 
-// Rewind repositions the reader at the first record, reusing the open file
-// handle and buffer — the repeated-scan path of the spilled nested loop,
-// which would otherwise pay an open/close and a fresh buffer per pass.
+// Rewind repositions the reader at the first record — the repeated-scan
+// path of the spilled nested loop. The window is kept, so a bucket that
+// fits one window is read from the file only once.
 func (r *Reader) Rewind() error {
-	if _, err := r.f.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("spill: rewinding %s: %w", r.f.Name(), err)
+	r.next, r.remaining = 0, r.f.count
+	return nil
+}
+
+// fill reads the window starting at extent r.next.
+func (r *Reader) fill() error {
+	ext := r.f.ext
+	lo, hi := r.next, r.next+1
+	start, end := ext[lo].off, ext[lo].off+int64(ext[lo].n)
+	for hi < len(ext) && ext[hi].off == end && end+int64(ext[hi].n)-start <= writerBufSize {
+		end += int64(ext[hi].n)
+		hi++
 	}
-	r.br.Reset(r.f)
-	r.remaining = r.total
+	r.win = slices.Grow(r.win[:0], int(end-start))[:end-start]
+	r.winLo, r.winHi = lo, lo // invalid until the read succeeds
+	if _, err := r.f.fh.ReadAt(r.win, start); err != nil {
+		return torn(err)
+	}
+	r.winHi = hi
 	return nil
 }
 
 // Next decodes the next block onto b's column planes, appending its rows,
 // and returns their sequence keys; ok=false with a nil error marks the end
-// of the file, and a short file (fewer records than written) is an error.
+// of the bucket, and a short file (fewer records than written) is an error.
 // The block's arity must be b's. The seqs slice is valid only until the
 // next call (it recycles the reader's scratch).
 func (r *Reader) Next(b *column.Batch) (seqs []int, ok bool, err error) {
 	if r.remaining == 0 {
 		return nil, false, nil
 	}
-	r.seqs, r.buf, err = decodeBlock(r.br, r.seqs[:0], r.buf, b)
+	if r.next < r.winLo || r.next >= r.winHi {
+		if r.next >= len(r.f.ext) {
+			err = fmt.Errorf("bucket ends %d rows short", r.remaining)
+		} else {
+			err = r.fill()
+		}
+	}
+	if err == nil {
+		e, base := r.f.ext[r.next], r.f.ext[r.winLo].off
+		r.seqs, err = decodeFrame(r.win[e.off-base:e.off-base+int64(e.n)], r.seqs[:0], true, b)
+	}
 	if err == nil && len(r.seqs) > r.remaining {
 		err = fmt.Errorf("block holds %d rows, only %d expected", len(r.seqs), r.remaining)
 	}
 	if err != nil {
-		return nil, false, fmt.Errorf("spill: reading %s: %w", r.f.Name(), torn(err))
+		return nil, false, fmt.Errorf("spill: reading %s: %w", r.f.fh.Name(), err)
 	}
+	r.next++
 	r.remaining -= len(r.seqs)
 	return r.seqs, true, nil
 }
 
-// Close releases the file handle.
-func (r *Reader) Close() error { return r.f.Close() }
+// Close releases the reader's window; the bucket stays until Removed.
+func (r *Reader) Close() error {
+	r.win, r.winLo, r.winHi = nil, 0, 0
+	return nil
+}
 
 // kindHetero marks a column whose cells do not share one kind; each cell
 // then carries its own kind byte, row-codec style.
@@ -380,8 +509,8 @@ func appendPlane(dst []byte, col *column.Vec, b *column.Batch, lo, hi int) []byt
 	return dst
 }
 
-// BlockReader is what a block sequence decodes from: a spill file or a
-// segment file behind a bufio.Reader. A rows frame's one block is already in
+// BlockReader is what a block sequence decodes from: a segment file behind a
+// bufio.Reader. A rows frame's one block is already in
 // memory and decodes in place (DecodeBlock).
 type BlockReader interface {
 	io.Reader
@@ -439,27 +568,34 @@ func decodeBlock(br BlockReader, seqs []int, buf []byte, b *column.Batch) ([]int
 // anything else is an error, never a panic. On an error b holds an
 // unspecified prefix.
 func DecodeBlock(data []byte, b *column.Batch, keys []int) ([]int, error) {
-	n, h := binary.Uvarint(data)
-	if h <= 0 {
-		return keys, fmt.Errorf("block header: truncated varint")
-	}
-	if n > maxBlockSize {
-		return keys, fmt.Errorf("block of %d bytes exceeds the %d-byte bound (corrupt header)", n, maxBlockSize)
-	}
-	if rest := uint64(len(data) - h); rest < n+4 {
-		return keys, fmt.Errorf("block of %d bytes torn after %d: %w", n, rest, io.ErrUnexpectedEOF)
-	} else if rest > n+4 {
-		return keys, fmt.Errorf("%d bytes past the block", rest-n-4)
-	}
-	payload := data[h : h+int(n)]
-	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(data[h+int(n):]) {
-		return keys, fmt.Errorf("block checksum mismatch (corrupt block)")
-	}
-	keys, err := decodePayload(payload, keys, keys != nil, b)
+	keys, err := decodeFrame(data, keys, keys != nil, b)
 	if err != nil {
 		return keys, err
 	}
 	return keys, checkKinds(b)
+}
+
+// decodeFrame verifies the one whole block data holds — its length and
+// checksum — and decodes it in place (decodePayload): a rows frame's body,
+// or a spill block read where it lies in its pass file.
+func decodeFrame(data []byte, seqs []int, keep bool, b *column.Batch) ([]int, error) {
+	n, h := binary.Uvarint(data)
+	if h <= 0 {
+		return seqs, fmt.Errorf("block header: truncated varint")
+	}
+	if n > maxBlockSize {
+		return seqs, fmt.Errorf("block of %d bytes exceeds the %d-byte bound (corrupt header)", n, maxBlockSize)
+	}
+	if rest := uint64(len(data) - h); rest < n+4 {
+		return seqs, fmt.Errorf("block of %d bytes torn after %d: %w", n, rest, io.ErrUnexpectedEOF)
+	} else if rest > n+4 {
+		return seqs, fmt.Errorf("%d bytes past the block", rest-n-4)
+	}
+	payload := data[h : h+int(n)]
+	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(data[h+int(n):]) {
+		return seqs, fmt.Errorf("block checksum mismatch (corrupt block)")
+	}
+	return decodePayload(payload, seqs, keep, b)
 }
 
 // decodePayload decodes one verified block payload — the one block

@@ -180,7 +180,7 @@ func TestCorruptionDetected(t *testing.T) {
 	}
 
 	var path string
-	err = filepath.Walk(m.Dir(), func(p string, info os.FileInfo, err error) error {
+	err = filepath.Walk(dir, func(p string, info os.FileInfo, err error) error {
 		if err == nil && !info.IsDir() {
 			path = p
 		}
@@ -526,13 +526,13 @@ func TestDecodeBlocksStopsCleanly(t *testing.T) {
 	}
 }
 
-// TestManagerLifecycle: no directory until the first writer, gone after
-// Cleanup, and Remove releases individual files early.
+// TestManagerLifecycle: no pass file until the first write, gone after
+// Cleanup, and Remove releases individual passes early.
 func TestManagerLifecycle(t *testing.T) {
 	parent := t.TempDir()
 	m := NewManager(parent)
-	if m.Dir() != "" {
-		t.Fatal("manager created a directory before anything spilled")
+	if names := dirNames(t, parent); len(names) != 0 {
+		t.Fatalf("manager created %v before anything spilled", names)
 	}
 	if err := m.Cleanup(); err != nil {
 		t.Fatalf("cleanup of an untouched manager: %v", err)
@@ -549,11 +549,14 @@ func TestManagerLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Dir() == "" {
-		t.Fatal("manager has no directory after a write")
+	if names := dirNames(t, parent); len(names) != 1 {
+		t.Fatalf("want one pass file after a write, have %v", names)
 	}
 	if err := f.Remove(); err != nil {
 		t.Fatal(err)
+	}
+	if names := dirNames(t, parent); len(names) != 0 {
+		t.Fatalf("Remove of a pass's only bucket left %v", names)
 	}
 
 	w2, err := m.Create()
@@ -562,19 +565,109 @@ func TestManagerLifecycle(t *testing.T) {
 	}
 	w2.Abort() // aborted writers must leave nothing behind
 
-	dir := m.Dir()
-	if err := m.Cleanup(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(dir); !os.IsNotExist(err) {
-		t.Fatalf("spill directory %s survived Cleanup (stat err %v)", dir, err)
-	}
-	entries, err := os.ReadDir(parent)
+	// A pass still held at the end of the run is Cleanup's to remove.
+	w3, err := m.Create()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 0 {
-		t.Fatalf("parent directory not empty after Cleanup: %v", entries)
+	if err := w3.Write([]int{0}, batchOf(4, sampleTuples()[:1])); err != nil {
+		t.Fatal(err)
+	}
+	held, err := w3.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Cleanup(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(held.fh.Name()); !os.IsNotExist(err) {
+		t.Fatalf("pass file %s survived Cleanup (stat err %v)", held.fh.Name(), err)
+	}
+	if names := dirNames(t, parent); len(names) != 0 {
+		t.Fatalf("parent directory not empty after Cleanup: %v", names)
+	}
+	if m.FilesCreated() != 2 {
+		t.Fatalf("FilesCreated = %d, want 2 (the aborted pass never wrote)", m.FilesCreated())
+	}
+}
+
+// dirNames lists the entries of dir.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, len(entries))
+	for i, e := range entries {
+		names[i] = e.Name()
+	}
+	return names
+}
+
+// TestPassCorruptionStaysInItsBucket interleaves two buckets' blocks in one
+// pass file, flips a byte inside one of bucket 1's blocks, and expects
+// bucket 1's read to fail while bucket 0 — reading only its own extents of
+// the same file — still decodes intact.
+func TestPassCorruptionStaysInItsBucket(t *testing.T) {
+	dir := t.TempDir()
+	m := NewManager(dir)
+	defer m.Cleanup()
+	p := m.NewPass()
+	w0, w1 := p.Writer(), p.Writer()
+	rows := sampleTuples()[:4]
+	for k := range rows {
+		if err := writeRows(w0, []int{10 * k}, rows[k:k+1]); err != nil {
+			t.Fatal(err)
+		}
+		if err := writeRows(w1, []int{10*k + 1}, rows[k:k+1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f0, err := w0.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f1, err := w1.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if names := dirNames(t, dir); len(names) != 1 {
+		t.Fatalf("two buckets of one pass should share one file, have %v", names)
+	}
+	if f0.fh != f1.fh || len(f0.ext) != 4 || len(f1.ext) != 4 || f1.ext[0].off < f0.ext[0].off || f0.ext[1].off < f1.ext[0].off {
+		t.Fatalf("buckets do not interleave in one file: %v / %v", f0.ext, f1.ext)
+	}
+	path := f1.fh.Name()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := f1.ext[1]
+	data[e.off+int64(e.n)/2] ^= 0x40
+	if err := os.WriteFile(path, data, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if err := readAll(f1); err == nil {
+		t.Fatal("bit flip in bucket 1 went undetected")
+	}
+	r, err := f0.Open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	rr := &rowReader{r: r}
+	for k, want := range rows {
+		seq, got, ok, err := rr.next(len(want))
+		if err != nil || !ok {
+			t.Fatalf("bucket 0 record %d: ok=%v err=%v", k, ok, err)
+		}
+		if seq != 10*k || !got.Equal(want) {
+			t.Fatalf("bucket 0 record %d: seq %d %s, want %d %s", k, seq, got, 10*k, want)
+		}
+	}
+	if _, _, ok, err := rr.next(4); ok || err != nil {
+		t.Fatalf("bucket 0: expected a clean end, got ok=%v err=%v", ok, err)
 	}
 }
 

@@ -48,12 +48,13 @@ type Trace struct {
 	// overlap a time-travel scan's query period.
 	SegmentsScanned int
 	SegmentsSkipped int
-	// SpilledBytes and SpilledOps accumulate the budgeted engine's
-	// grace-hash spilling across this run's evaluations — stratum regions
+	// SpilledBytes, SpilledOps and SpillFiles accumulate the budgeted
+	// engine's spilling across this run's evaluations — stratum regions
 	// and DBMS subplans alike; PeakBytes is the largest single evaluation's
 	// tracked working set. All zero for unbudgeted engines.
 	SpilledBytes int64
 	SpilledOps   int64
+	SpillFiles   int64
 	PeakBytes    int64
 }
 
@@ -62,6 +63,7 @@ type Trace struct {
 func (t *Trace) addSpill(root obs.RunSample) {
 	t.SpilledBytes += root.SpilledBytes
 	t.SpilledOps += root.SpilledOps
+	t.SpillFiles += root.SpillFiles
 	t.PeakBytes = max(t.PeakBytes, root.PeakBytes)
 }
 
@@ -285,6 +287,7 @@ func (x *Executor) exec(root algebra.Node, path algebra.Path, probe func(string,
 			own.Wall -= below.Wall
 			own.SpilledBytes -= below.SpilledBytes
 			own.SpilledOps -= below.SpilledOps
+			own.SpillFiles -= below.SpillFiles
 		}
 		tr.StratumUnits += x.params.OpUnits(n, inRows, x.params.StratumTuple, 1, x.params.Streaming, dec[n].Ordered())
 		if probe != nil {
