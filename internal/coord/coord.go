@@ -99,18 +99,8 @@ func (e *ShardError) Unwrap() error { return e.Err }
 
 // Stats counts a coordinator's work, for observability and for tests
 // guarding against vacuously-green differentials (a run that pushed no
-// fragments proves nothing).
-type Stats struct {
-	Queries   int
-	CacheHits int
-	// Fragments counts pushed fragments by kind ("chain", "sorted",
-	// "grouped") across all planned splits.
-	Fragments map[string]int
-	// ShardCalls counts fragment dispatches; Retries counts redials after
-	// a transient failure.
-	ShardCalls int
-	Retries    int
-}
+// fragments proves nothing). It is the stats reply's Coord section.
+type Stats = server.CoordStats
 
 // Meta is the provenance of one coordinated query.
 type Meta struct {
@@ -210,7 +200,8 @@ func (c *Coordinator) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := c.stats
-	out.CacheHits = int(c.cache.Stats().Hits)
+	out.Shards = len(c.cfg.Addrs)
+	out.CacheHits = c.cache.Stats().Hits
 	out.Fragments = make(map[string]int, len(c.stats.Fragments))
 	for k, v := range c.stats.Fragments {
 		out.Fragments[k] = v
@@ -323,7 +314,7 @@ type shardOut struct {
 func (c *Coordinator) scatter(ctx context.Context, ent *cacheEntry) ([]shardOut, error) {
 	c.mu.Lock()
 	c.stats.Queries++
-	c.stats.ShardCalls += len(ent.split.Fragments) * len(c.clients)
+	c.stats.ShardCalls += int64(len(ent.split.Fragments) * len(c.clients))
 	c.mu.Unlock()
 
 	outs := make([]shardOut, len(c.clients))

@@ -138,7 +138,7 @@ func TestCoordinatorDifferential(t *testing.T) {
 					if mode == shard.ForceRange && n == 1 && st.Fragments["grouped"] == 0 {
 						t.Fatalf("range partitioning colocates whole value groups; expected a grouped push, got %v", st.Fragments)
 					}
-					if st.ShardCalls == 0 || st.Queries != len(queries)+1 || st.CacheHits != 1 {
+					if st.ShardCalls == 0 || st.Queries != int64(len(queries)+1) || st.CacheHits != 1 || st.Shards != n {
 						t.Fatalf("stats %+v", st)
 					}
 				})

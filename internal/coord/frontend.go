@@ -160,8 +160,8 @@ func (f *Frontend) statsReply() *server.StatsReply {
 		Conns:         conns,
 		Fingerprint:   f.c.fp,
 		UptimeSeconds: time.Since(f.start).Seconds(),
-		Queries:       int64(st.Queries),
-		Coord:         f.c.wireStats(),
+		Queries:       st.Queries,
+		Coord:         &st,
 	}
 }
 

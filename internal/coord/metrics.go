@@ -3,7 +3,6 @@ package coord
 import (
 	"tqp/internal/core"
 	"tqp/internal/obs"
-	"tqp/internal/server"
 )
 
 // RegisterMetrics exports the coordinator's counters into reg as
@@ -33,23 +32,5 @@ func (c *Coordinator) RegisterMetrics(reg *obs.Registry) {
 		reg.CounterFunc("tqp_coord_fragments_total", "Pushed-down fragments planned, by merge kind.", func() float64 {
 			return float64(c.Stats().Fragments[name])
 		}, obs.L("kind", name))
-	}
-}
-
-// wireStats renders the coordinator's counters as the stats reply's Coord
-// section.
-func (c *Coordinator) wireStats() *server.CoordStats {
-	st := c.Stats()
-	frags := make(map[string]int, len(st.Fragments))
-	for k, v := range st.Fragments {
-		frags[k] = v
-	}
-	return &server.CoordStats{
-		Shards:     len(c.cfg.Addrs),
-		Queries:    int64(st.Queries),
-		CacheHits:  int64(st.CacheHits),
-		Fragments:  frags,
-		ShardCalls: int64(st.ShardCalls),
-		Retries:    int64(st.Retries),
 	}
 }

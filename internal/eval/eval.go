@@ -50,11 +50,12 @@ type Engine interface {
 // NodeObserver is the optional interface of an engine that reports per-node
 // actuals: after ObserveNodes, an Eval that succeeds has called fn once for
 // every node of the tree it was handed, on the evaluating goroutine, in no
-// particular order. Rows and Batches are always set. Wall, SpilledBytes,
-// SpilledOps and SpillFiles cover the node's whole subtree (its own share is that less its
-// children's); a pipelining engine must read a clock around every pull to
-// attribute them, so it fills them only when timed is set. The run's
-// PeakBytes, and its spill totals even untimed, arrive on the root.
+// particular order. Rows and Batches are always set. Wall and the Spill
+// counts (SpilledOps, SpilledBytes, SpillFiles) cover the node's whole
+// subtree (its own share is that less its children's, obs.Spill.Less); a
+// pipelining engine must read a clock around every pull to attribute them,
+// so it fills them only when timed is set. The run's PeakBytes, and its
+// spill totals even untimed, arrive on the root.
 type NodeObserver interface {
 	ObserveNodes(timed bool, fn func(n algebra.Node, s obs.RunSample))
 }

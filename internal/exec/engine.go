@@ -27,16 +27,10 @@ type Stats struct {
 	ParallelOps int // operators compiled with a parallel exchange
 	Partitions  int // partitions fanned out across those operators
 
-	SpilledOps   int   // operators that exceeded their budget share and spilled
-	SpilledBytes int64 // encoded bytes written to spill files this run
-	SpillFiles   int64 // spill pass files created this run
-	PeakBytes    int64 // peak accounted working-set bytes this run
-
-	VectorOps     int // operators compiled this run; every operator is a batch operator
-	VectorBatches int // columnar batches those operators emitted this run
-
-	SegmentsScanned int // store segments read by base scans this run
-	SegmentsSkipped int // store segments pruned by the period index this run
+	// Spill counts the operators that exceeded their budget share and
+	// spilled, the bytes and pass files they wrote, and the run's peak
+	// accounted working set.
+	obs.Spill
 }
 
 // Engine is the streaming hash- and merge-based engine. It implements
@@ -121,9 +115,7 @@ func (e *Engine) Eval(n algebra.Node) (*relation.Relation, error) {
 	}
 	// The root's subtree is the whole run: its spill counts are the run's
 	// totals, known here even when no stage was timed.
-	root := e.stages[len(e.stages)-1]
-	root.SpilledBytes, root.SpilledOps, root.SpillFiles = e.stats.SpilledBytes, int64(e.stats.SpilledOps), e.stats.SpillFiles
-	root.PeakBytes = e.stats.PeakBytes
+	e.stages[len(e.stages)-1].Spill = e.stats.Spill
 	for _, st := range e.stages {
 		e.observe(st.node, st.RunSample)
 	}
@@ -138,7 +130,7 @@ func (e *Engine) eval(n algebra.Node) (*relation.Relation, error) {
 		e.mem = &arbiter{}
 		e.spillMgr = spill.NewManager(e.opts.SpillDir)
 		defer func() {
-			e.stats.SpilledBytes, e.stats.SpillFiles = e.spilledBytes(), e.spillFiles()
+			e.stats.Spill = e.spilled()
 			e.stats.PeakBytes = e.mem.peakBytes()
 			e.Close()
 			e.mem = nil
@@ -170,8 +162,8 @@ type source struct {
 // source: the node's batch stream runs through it, counting the rows and
 // batches the node produced. A timed observer also brackets every pull
 // with a reading of the clock and of the run's spill counters, which makes
-// Wall, SpilledBytes, SpilledOps and SpillFiles subtree totals (children are pulled
-// inside the node's own pulls and nowhere else). Only the node's one
+// Wall and the Spill counts subtree totals (children are pulled inside the
+// node's own pulls and nowhere else). Only the node's one
 // consumer pulls a stage, on the goroutine driving the pipeline; worker
 // pools run below the operators. A run nobody observes compiles no stages.
 type stage struct {
@@ -182,20 +174,14 @@ type stage struct {
 	out  source  // what the parent sees: in's stream routed through the stage
 }
 
-// spilledBytes reads the run's spill-bytes counter; zero without a budget.
-func (e *Engine) spilledBytes() int64 {
-	if e.spillMgr == nil {
-		return 0
+// spilled reads the run's spill counters so far — operators, bytes and
+// pass files, no peak; zero without a budget.
+func (e *Engine) spilled() obs.Spill {
+	s := obs.Spill{SpilledOps: e.stats.SpilledOps}
+	if e.spillMgr != nil {
+		s.SpilledBytes, s.SpillFiles = e.spillMgr.BytesWritten(), e.spillMgr.FilesCreated()
 	}
-	return e.spillMgr.BytesWritten()
-}
-
-// spillFiles reads the run's spill-files counter; zero without a budget.
-func (e *Engine) spillFiles() int64 {
-	if e.spillMgr == nil {
-		return 0
-	}
-	return e.spillMgr.FilesCreated()
+	return s
 }
 
 // nextBatch runs one pull of the wrapped source; a timed run adds the pull's
@@ -203,17 +189,14 @@ func (e *Engine) spillFiles() int64 {
 func (st *stage) nextBatch() (*column.Batch, error) {
 	e := st.e
 	var start time.Time
-	var ops int
-	var bytes, files int64
+	var before obs.Spill
 	if e.timed {
-		start, ops, bytes, files = time.Now(), e.stats.SpilledOps, e.spilledBytes(), e.spillFiles()
+		start, before = time.Now(), e.spilled()
 	}
 	b, err := st.in.vec.nextBatch()
 	if e.timed {
 		st.Wall += time.Since(start)
-		st.SpilledOps += int64(e.stats.SpilledOps - ops)
-		st.SpilledBytes += e.spilledBytes() - bytes
-		st.SpillFiles += e.spillFiles() - files
+		st.Spill.Add(e.spilled().Less(before))
 	}
 	if b != nil {
 		st.Rows += int64(b.Rows())

@@ -193,7 +193,6 @@ type keyedOp struct {
 // keyedSource compiles a keyed blocking operator: everything happens on
 // first pull, in the driver.
 func (e *Engine) keyedSource(op *keyedOp) *source {
-	e.stats.VectorOps++
 	return vecSource(&lazyBatchesIter{compute: func() ([]*column.Batch, error) { return e.graceRun(op) }}, op.out)
 }
 
@@ -667,7 +666,6 @@ func (e *Engine) graceRunFrom(op *keyedOp, ls, rs *vecGraceSide) ([]*column.Batc
 		ems = append(ems, o...)
 	}
 	bs := gather(nil, op.out, ems)
-	e.stats.VectorBatches += len(bs)
 	return bs, nil
 }
 

@@ -97,9 +97,7 @@ func (g *graceJoinIter) start() error {
 	switch {
 	case !rs.spilled:
 		g.build = rs
-		v := j.joinIter(g.l.vec, batchSource(rs.b, g.r.schema))
-		v.e = e
-		g.inner = v
+		g.inner = j.joinIter(g.l.vec, batchSource(rs.b, g.r.schema))
 	case len(j.ridx) > 0:
 		g.inner = &lazyBatchesIter{compute: func() ([]*column.Batch, error) {
 			ls, err := e.drainGraceVec(g.l, j.lidx, e.opShare()/2)
@@ -180,7 +178,6 @@ func (it *blockJoinIter) nextBatch() (*column.Batch, error) {
 		if len(it.out) > 0 {
 			b := it.out[0]
 			it.out = it.out[1:]
-			it.e.stats.VectorBatches++
 			return b, nil
 		}
 		if it.pb == nil || it.pk >= it.pb.Rows() {
@@ -255,7 +252,6 @@ func (it *blockJoinIter) close() error {
 func (e *Engine) buildProduct(l, r *source, outSchema *schema.Schema, pred expr.Pred, temporal bool) *source {
 	lidx, ridx, residual := physical.EquiKeys(pred, outSchema, l.schema.Len(), r.schema.Len())
 	j := newPairJoiner(l, r, outSchema, lidx, ridx, residual, temporal)
-	e.stats.VectorOps++
 	if e.budgeted() {
 		return vecSource(&graceJoinIter{e: e, l: l, r: r, j: j}, outSchema)
 	}
@@ -266,13 +262,11 @@ func (e *Engine) buildProduct(l, r *source, outSchema *schema.Schema, pred expr.
 		if keys, ok := physical.MergeJoinKeys(l.order, r.order, l.schema, r.schema, lidx, ridx); ok {
 			e.stats.MergeJoins++
 			return vecSource(&vecMergeJoinIter{
-				e: e, left: l.vec, right: r, out: outSchema, lw: j.lw, rw: j.rw,
+				left: l.vec, right: r, out: outSchema, lw: j.lw, rw: j.rw,
 				cmp: compileVecJoinCmp(l.schema, r.schema, keys), residual: residual,
 				temporal: temporal, lt1: j.lt1, lt2: j.lt2,
 			}, outSchema)
 		}
 	}
-	v := j.joinIter(l.vec, r)
-	v.e = e
-	return vecSource(v, outSchema)
+	return vecSource(j.joinIter(l.vec, r), outSchema)
 }

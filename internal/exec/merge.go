@@ -24,7 +24,6 @@ import (
 // the gather and the grouping bodies build batches of their own — so once a
 // pull's output is gathered the scratch is free again.
 type groupCutIter struct {
-	e    *Engine
 	in   vecIterator
 	out  *schema.Schema
 	idx  []int // grouping columns (equality defines a group boundary)
@@ -55,9 +54,8 @@ func (e *Engine) groupSource(in *source, idx []int, out *schema.Schema, body fun
 		return e.keyedSource(&keyedOp{l: in, lidx: idx, contiguous: contiguous, out: out, body: body(contiguous)})
 	}
 	e.stats.MergeOps++
-	e.stats.VectorOps++
 	return vecSource(&groupCutIter{
-		e: e, in: in.vec, out: out, idx: idx, body: body(contiguous),
+		in: in.vec, out: out, idx: idx, body: body(contiguous),
 		work: column.NewBatch(in.schema, 0),
 	}, out)
 }
@@ -76,7 +74,6 @@ func (g *groupCutIter) nextBatch() (*column.Batch, error) {
 		if len(g.emit) > 0 {
 			b := g.emit[0]
 			g.emit = g.emit[1:]
-			g.e.stats.VectorBatches++
 			return b, nil
 		}
 		if g.done {

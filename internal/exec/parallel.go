@@ -198,9 +198,7 @@ func (e *Engine) vecParallelJoinSource(l, r *source, j *pairJoiner) *source {
 		outs := make([][]*column.Batch, workers)
 		if err := runTasks(workers, workers, func(p int) error {
 			// Worker copy: shared build table (read-only after buildSide),
-			// own probe cursor. The template's engine is nil, so the copies
-			// never write stats concurrently — the batch count below is the
-			// spawner's.
+			// own probe cursor.
 			w := *tmpl
 			w.left = &rangeBatchIter{b: pb, lo: p * rows / workers, hi: (p + 1) * rows / workers}
 			for {
@@ -220,7 +218,6 @@ func (e *Engine) vecParallelJoinSource(l, r *source, j *pairJoiner) *source {
 		for _, o := range outs {
 			bs = append(bs, o...)
 		}
-		e.stats.VectorBatches += len(bs)
 		return bs, nil
 	}
 	return vecSource(&lazyBatchesIter{compute: compute}, j.out)

@@ -312,7 +312,6 @@ func (m *mergeSortIter) nextBatch() (*column.Batch, error) {
 			return nil, err
 		}
 	}
-	m.eng.stats.VectorBatches++
 	return out, nil
 }
 

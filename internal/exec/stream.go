@@ -11,14 +11,6 @@ import (
 	"tqp/internal/schema"
 )
 
-// scanSource is the optional richer resolution interface a source may
-// implement (the catalog does): alongside the relation it reports how many
-// store segments the scan read and how many the period index pruned. The
-// assertion is structural so exec needs no catalog import.
-type scanSource interface {
-	ResolveScan(name string) (*relation.Relation, int, int, error)
-}
-
 // buildRel compiles a base-relation scan.
 func (e *Engine) buildRel(n *algebra.Rel) (*source, error) {
 	r, order, err := e.resolve(n)
@@ -32,16 +24,7 @@ func (e *Engine) buildRel(n *algebra.Rel) (*source, error) {
 // resolve looks up the relation a scan reads and the order it delivers: its
 // declared order, or its instance's when none is declared.
 func (e *Engine) resolve(n *algebra.Rel) (*relation.Relation, relation.OrderSpec, error) {
-	var r *relation.Relation
-	var err error
-	if ss, ok := e.src.(scanSource); ok {
-		var scanned, skipped int
-		r, scanned, skipped, err = ss.ResolveScan(n.Name)
-		e.stats.SegmentsScanned += scanned
-		e.stats.SegmentsSkipped += skipped
-	} else {
-		r, err = e.src.Resolve(n.Name)
-	}
+	r, err := e.src.Resolve(n.Name)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -77,20 +60,18 @@ func (e *Engine) scanList(n *algebra.Rel) (*relation.Relation, error) {
 // buildSelect compiles σ_P: a batch-at-a-time filter emitting selection
 // views, retaining order, duplicates and coalescing.
 func (e *Engine) buildSelect(n *algebra.Select, in *source) *source {
-	e.stats.VectorOps++
-	v := &vecFilterIter{e: e, in: in.vec, p: n.P, schema: in.schema, fast: compileVecPred(n.P, in.schema)}
+	v := &vecFilterIter{in: in.vec, p: n.P, schema: in.schema, fast: compileVecPred(n.P, in.schema)}
 	return vecSource(v, in.schema)
 }
 
 // buildProject compiles π.
 func (e *Engine) buildProject(n *algebra.Project, in *source, outSchema *schema.Schema) *source {
-	e.stats.VectorOps++
 	items := make([]projVecItem, len(n.Items))
 	for i, it := range n.Items {
 		items[i].eval = it.Expr
 	}
 	gather := compileProjItems(items, in.schema)
-	v := &vecProjectIter{e: e, in: in.vec, items: items, gather: gather, inSchema: in.schema, outSchema: outSchema}
+	v := &vecProjectIter{in: in.vec, items: items, gather: gather, inSchema: in.schema, outSchema: outSchema}
 	return vecSource(v, outSchema)
 }
 
@@ -110,7 +91,6 @@ func (e *Engine) buildSort(n *algebra.Sort, in *source) *source {
 	if !e.budgeted() {
 		return e.vecSortSource(in, n.Spec)
 	}
-	e.stats.VectorOps++
 	m := &mergeSortIter{eng: e, in: in.vec, schema: in.schema, cmp: compileVecCmp(in.schema, n.Spec)}
 	return vecSource(m, in.schema)
 }
@@ -168,16 +148,14 @@ func (e *Engine) buildRdup(in *source, outSchema *schema.Schema) *source {
 		// The adjacent-compare dedup carries one (batch, row) reference of
 		// state.
 		e.stats.MergeOps++
-		e.stats.VectorOps++
 		all := physical.JoinKeys{L: idx, R: idx, Dirs: make([]relation.Direction, len(idx))}
-		return vecSource(&vecDedupSortedIter{e: e, in: in.vec, cmp: compileVecJoinCmp(in.schema, in.schema, all)}, outSchema)
+		return vecSource(&vecDedupSortedIter{in: in.vec, cmp: compileVecJoinCmp(in.schema, in.schema, all)}, outSchema)
 	}
 	if !e.parallel() && !e.budgeted() {
 		// The pipelined hash set never drains its input — a different
 		// algorithm from the driver's partition body, kept for the
 		// sequential engine.
-		e.stats.VectorOps++
-		return vecSource(&vecRdupIter{e: e, in: in.vec}, outSchema)
+		return vecSource(&vecRdupIter{in: in.vec}, outSchema)
 	}
 	return e.keyedSource(&keyedOp{
 		l: in, lidx: idx, contiguous: groupsContiguous(in.order, in.schema, idx),
@@ -205,8 +183,7 @@ func (e *Engine) alignedMerge(l, r *source) (relation.OrderSpec, bool) {
 func (e *Engine) buildDiff(l, r *source, outSchema *schema.Schema) *source {
 	if spec, ok := e.alignedMerge(l, r); ok {
 		e.stats.MergeOps++
-		e.stats.VectorOps++
-		m := &vecMergeCancelIter{e: e, stream: l.vec, sorted: r, cmp: compileVecCmp(l.schema, spec)}
+		m := &vecMergeCancelIter{stream: l.vec, sorted: r, cmp: compileVecCmp(l.schema, spec)}
 		return vecSource(m, outSchema)
 	}
 	idx := identityIdx(l.schema.Len())
@@ -219,8 +196,7 @@ func (e *Engine) buildDiff(l, r *source, outSchema *schema.Schema) *source {
 func (e *Engine) buildUnion(l, r *source) *source {
 	if spec, ok := e.alignedMerge(l, r); ok {
 		e.stats.MergeOps++
-		e.stats.VectorOps++
-		m := &vecMergeCancelIter{e: e, stream: r.vec, sorted: l, emitSorted: true, cmp: compileVecCmp(l.schema, spec)}
+		m := &vecMergeCancelIter{stream: r.vec, sorted: l, emitSorted: true, cmp: compileVecCmp(l.schema, spec)}
 		return vecSource(m, l.schema)
 	}
 	idx := identityIdx(l.schema.Len())

@@ -23,7 +23,6 @@ import (
 // at 0 — carried across batch boundaries. Survivors are emitted as
 // selection views over the input batches.
 type vecDedupSortedIter struct {
-	e     *Engine
 	in    vecIterator
 	cmp   *vecCmp
 	prev  keySide // the key planes of the batch holding the previous row
@@ -50,7 +49,6 @@ func (d *vecDedupSortedIter) nextBatch() (*column.Batch, error) {
 		if len(sel) == 0 {
 			continue
 		}
-		d.e.stats.VectorBatches++
 		if b.Sel == nil && len(sel) == n {
 			return b, nil
 		}
@@ -70,7 +68,6 @@ func (d *vecDedupSortedIter) close() error { return d.in.close() }
 // the right. The sweep state persists across batches because the stream is
 // globally ordered.
 type vecMergeCancelIter struct {
-	e          *Engine
 	stream     vecIterator
 	sorted     *source
 	emitSorted bool    // ∪: the drained side is output, ahead of the stream
@@ -92,7 +89,6 @@ func (m *vecMergeCancelIter) nextBatch() (*column.Batch, error) {
 		}
 		m.sb, m.ss, m.built = sb, m.cmp.left(sb), true
 		if m.emitSorted && sb.N > 0 {
-			m.e.stats.VectorBatches++
 			return sb, nil
 		}
 	}
@@ -130,7 +126,6 @@ func (m *vecMergeCancelIter) nextBatch() (*column.Batch, error) {
 		if len(sel) == 0 {
 			continue
 		}
-		m.e.stats.VectorBatches++
 		if b.Sel == nil && len(sel) == n {
 			return b, nil
 		}
@@ -152,7 +147,6 @@ func (e *Engine) vecSortSource(in *source, spec relation.OrderSpec) *source {
 	if e.parallel() {
 		workers = e.exchange()
 	}
-	e.stats.VectorOps++
 	sch := in.schema
 	compute := func() (*column.Batch, error) {
 		b, err := vecDrainOne(in.vec, sch)
@@ -166,7 +160,6 @@ func (e *Engine) vecSortSource(in *source, spec relation.OrderSpec) *source {
 		idx := identityIdx(b.N)
 		if workers <= 1 || b.N <= sortRunSize {
 			sortRows(b, idx, cmp)
-			e.stats.VectorBatches++
 			return b.WithSel(idx), nil
 		}
 		nRuns := (b.N + sortRunSize - 1) / sortRunSize
@@ -180,7 +173,6 @@ func (e *Engine) vecSortSource(in *source, spec relation.OrderSpec) *source {
 		}); err != nil {
 			return nil, err
 		}
-		e.stats.VectorBatches++
 		return b.WithSel(mergeSortedRuns(b, idx, cmp)), nil
 	}
 	return vecSource(&onceBatchIter{compute: compute}, sch)
@@ -214,7 +206,6 @@ func mergeSortedRuns(b *column.Batch, idx []int, cmp *vecCmp) []int {
 // contiguous right key group in right-list order, the hash join's exact
 // left-major sequence at zero hashing cost.
 type vecMergeJoinIter struct {
-	e        *Engine
 	left     vecIterator
 	right    *source
 	out      *schema.Schema
@@ -359,7 +350,6 @@ func (m *vecMergeJoinIter) nextBatch() (*column.Batch, error) {
 	if out.N == 0 {
 		return nil, nil
 	}
-	m.e.stats.VectorBatches++
 	return out, nil
 }
 

@@ -269,7 +269,6 @@ func compileVecExpr(e expr.Expr, s *schema.Schema) func(b *column.Batch, i int) 
 // predicate over the presented rows and emits a selection-vector view — no
 // row is copied, a fully-passing batch passes through as-is.
 type vecFilterIter struct {
-	e       *Engine
 	in      vecIterator
 	p       expr.Pred
 	schema  *schema.Schema
@@ -317,7 +316,6 @@ func (f *vecFilterIter) nextBatch() (*column.Batch, error) {
 		if pass == 0 {
 			continue
 		}
-		f.e.stats.VectorBatches++
 		if pass == n {
 			return b, nil
 		}
@@ -332,7 +330,6 @@ func (f *vecFilterIter) close() error { return f.in.close() }
 // the input's storage and selection; anything else evaluates row-at-a-time
 // into a fresh batch through a reused scratch tuple.
 type vecProjectIter struct {
-	e         *Engine
 	in        vecIterator
 	items     []projVecItem
 	gather    bool // every item is a plain column reference
@@ -368,7 +365,6 @@ func (p *vecProjectIter) nextBatch() (*column.Batch, error) {
 	if err != nil || b == nil {
 		return nil, err
 	}
-	p.e.stats.VectorBatches++
 	if p.gather {
 		out := &column.Batch{Schema: p.outSchema, Cols: make([]column.Vec, len(p.items)), N: b.N, Sel: b.Sel}
 		for k, it := range p.items {
@@ -407,7 +403,6 @@ func (p *vecProjectIter) close() error { return p.in.close() }
 // The table holds (batch, row) references, so surviving rows are never
 // copied.
 type vecRdupIter struct {
-	e    *Engine
 	in   vecIterator
 	seen *groupTable
 	rows []int
@@ -437,7 +432,6 @@ func (r *vecRdupIter) nextBatch() (*column.Batch, error) {
 		if len(sel) == 0 {
 			continue
 		}
-		r.e.stats.VectorBatches++
 		if b.Sel == nil && len(sel) == b.N {
 			return b, nil
 		}
@@ -455,7 +449,6 @@ func (r *vecRdupIter) close() error { return r.in.close() }
 // tuple allocation — and the emission order is the reference's left-major
 // sequence.
 type vecJoinIter struct {
-	e        *Engine
 	left     vecIterator
 	right    *source
 	out      *schema.Schema
@@ -616,12 +609,6 @@ func (j *vecJoinIter) nextBatch() (*column.Batch, error) {
 	if out.N == 0 {
 		return nil, nil
 	}
-	// Worker copies in the parallel join and the spilled join's partition
-	// bodies run with e == nil: the spawner owns the batch counter, so
-	// concurrent workers never race on stats.
-	if j.e != nil {
-		j.e.stats.VectorBatches++
-	}
 	return out, nil
 }
 
@@ -772,7 +759,6 @@ func groupEmitBody(gidx []int, contiguous bool, out *schema.Schema, emit groupEm
 // exhausted one row per group — grouping keys read back from the group
 // representatives' column positions — emits in first-occurrence order.
 func (e *Engine) vecAggregateSource(in *source, gidx []int, outSchema *schema.Schema, aggs []expr.Aggregate) *source {
-	e.stats.VectorOps++
 	return vecSource(&onceBatchIter{compute: func() (*column.Batch, error) {
 		groups := &groupTable{idx: gidx}
 		var accs [][]*expr.Accumulator
@@ -785,7 +771,6 @@ func (e *Engine) vecAggregateSource(in *source, gidx []int, outSchema *schema.Sc
 				if err != nil || b == nil {
 					return err
 				}
-				e.stats.VectorBatches++
 				rows := presented(b, &rowBuf)
 				ids = resize(ids, len(rows))
 				groups.add(b, rows, ids)

@@ -248,21 +248,37 @@ func TestQueryLogThresholds(t *testing.T) {
 }
 
 // TestWriterSink pins the query log's line format: one JSON object per
-// line, parseable back into the record shape.
+// line, byte for byte — field names, their order, and the spill fields
+// omitted when zero — and parseable back into the record shape.
 func TestWriterSink(t *testing.T) {
+	at := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
+	spilled := &obs.QueryRecord{
+		Time: at, SQLHash: "abc", Fingerprint: "fp", Engine: "exec", Parallelism: 2,
+		MemoryBudget: 512 << 10, CacheHit: true, Rows: 3,
+		QueueMS: 0.25, PlanMS: 1, ExecMS: 1.5, StreamMS: 0.5,
+		Spill: obs.Spill{PeakBytes: 4096, SpilledOps: 2, SpilledBytes: 8192, SpillFiles: 3},
+		Code:  "exec",
+	}
+	plain := &obs.QueryRecord{Time: at, SQLHash: "abc", Engine: "exec", Rows: 3, ExecMS: 1.5}
 	var b strings.Builder
 	s := obs.WriterSink(&b)
-	s.Emit(&obs.QueryRecord{SQLHash: "abc", Engine: "exec", Rows: 3, ExecMS: 1.5})
-	line := b.String()
-	if !strings.HasSuffix(line, "\n") {
-		t.Fatal("record must end with newline")
+	s.Emit(spilled)
+	s.Emit(plain)
+	want := `{"time":"2026-01-02T03:04:05Z","sql_hash":"abc","plan_fingerprint":"fp","engine":"exec",` +
+		`"parallelism":2,"memory_budget":524288,"cache_hit":true,"rows":3,"queue_ms":0.25,"plan_ms":1,` +
+		`"exec_ms":1.5,"stream_ms":0.5,"peak_bytes":4096,"spilled_ops":2,"spilled_bytes":8192,` +
+		`"spill_files":3,"code":"exec"}` + "\n" +
+		`{"time":"2026-01-02T03:04:05Z","sql_hash":"abc","plan_fingerprint":"","engine":"exec",` +
+		`"cache_hit":false,"rows":3,"queue_ms":0,"plan_ms":0,"exec_ms":1.5,"stream_ms":0}` + "\n"
+	if got := b.String(); got != want {
+		t.Fatalf("query log lines\ngot:  %s\nwant: %s", got, want)
 	}
 	var back obs.QueryRecord
-	if err := json.Unmarshal([]byte(line), &back); err != nil {
+	if err := json.Unmarshal([]byte(strings.SplitN(want, "\n", 2)[0]), &back); err != nil {
 		t.Fatalf("record not JSON: %v", err)
 	}
-	if back.SQLHash != "abc" || back.Rows != 3 {
-		t.Fatalf("round trip = %+v", back)
+	if back != *spilled {
+		t.Fatalf("round trip = %+v, want %+v", back, *spilled)
 	}
 }
 
@@ -278,8 +294,8 @@ func TestHashStable(t *testing.T) {
 
 func TestPlanProbe(t *testing.T) {
 	p := obs.NewPlanProbe()
-	p.Observe("0.1", obs.RunSample{Rows: 5, Wall: time.Millisecond, PeakBytes: 10})
-	p.Observe("0.1", obs.RunSample{Rows: 2, Wall: time.Millisecond, PeakBytes: 4})
+	p.Observe("0.1", obs.RunSample{Rows: 5, Wall: time.Millisecond, Spill: obs.Spill{PeakBytes: 10}})
+	p.Observe("0.1", obs.RunSample{Rows: 2, Wall: time.Millisecond, Spill: obs.Spill{PeakBytes: 4}})
 	p.Observe("ε", obs.RunSample{Rows: 1})
 	if p.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", p.Len())

@@ -5,6 +5,35 @@ import (
 	"time"
 )
 
+// Spill is one run's spilling record: what a budgeted engine wrote to its
+// spill files and the largest working set it tracked. It is declared once
+// and embedded wherever the counters travel — exec.Stats, RunSample,
+// stratum.Trace and QueryRecord — so the JSON tags are the query log's.
+// PeakBytes is not additive: Add keeps the larger peak, and Less leaves it.
+type Spill struct {
+	PeakBytes    int64 `json:"peak_bytes,omitempty"`    // peak tracked working-set bytes
+	SpilledOps   int64 `json:"spilled_ops,omitempty"`   // operators that spilled
+	SpilledBytes int64 `json:"spilled_bytes,omitempty"` // encoded bytes written to spill files
+	SpillFiles   int64 `json:"spill_files,omitempty"`   // spill pass files created
+}
+
+// Add folds o into s: the counts sum, the peak is the larger of the two.
+func (s *Spill) Add(o Spill) {
+	s.PeakBytes = max(s.PeakBytes, o.PeakBytes)
+	s.SpilledOps += o.SpilledOps
+	s.SpilledBytes += o.SpilledBytes
+	s.SpillFiles += o.SpillFiles
+}
+
+// Less is s with o's counts taken away and s's peak kept: a node's own
+// share of its subtree's totals, or the counters' movement since o.
+func (s Spill) Less(o Spill) Spill {
+	s.SpilledOps -= o.SpilledOps
+	s.SpilledBytes -= o.SpilledBytes
+	s.SpillFiles -= o.SpillFiles
+	return s
+}
+
 // RunSample is one plan node's worth of actuals. The stratum executor runs
 // each region between transfers as one engine evaluation, and the engine
 // reports a sample per node of the region from inside its pipeline
@@ -14,13 +43,10 @@ import (
 // spent in its pulls, less its children's. PeakBytes is not additive — it is
 // the region's, and is reported on the region's root node only.
 type RunSample struct {
-	Rows         int64         // tuples the node produced
-	Batches      int64         // columnar batches it produced
-	Wall         time.Duration // wall time spent in the node
-	SpilledBytes int64         // bytes written to spill files
-	SpilledOps   int64         // operators that spilled
-	SpillFiles   int64         // spill pass files created
-	PeakBytes    int64         // peak tracked memory of the node's region (root only)
+	Rows    int64         // tuples the node produced
+	Batches int64         // columnar batches it produced
+	Wall    time.Duration // wall time spent in the node
+	Spill
 }
 
 // NodeStats accumulates samples for one plan node, keyed by the node's
@@ -40,12 +66,7 @@ func (n *NodeStats) Merge(s RunSample) {
 	n.Rows += s.Rows
 	n.Batches += s.Batches
 	n.Wall += s.Wall
-	n.SpilledBytes += s.SpilledBytes
-	n.SpilledOps += s.SpilledOps
-	n.SpillFiles += s.SpillFiles
-	if s.PeakBytes > n.PeakBytes {
-		n.PeakBytes = s.PeakBytes
-	}
+	n.Spill.Add(s.Spill)
 }
 
 // PlanProbe collects per-node actuals for one analyzed execution. Node

@@ -27,10 +27,7 @@ type QueryRecord struct {
 	PlanMS       float64   `json:"plan_ms"`
 	ExecMS       float64   `json:"exec_ms"`
 	StreamMS     float64   `json:"stream_ms"`
-	PeakBytes    int64     `json:"peak_bytes,omitempty"`
-	SpilledOps   int64     `json:"spilled_ops,omitempty"`
-	SpilledBytes int64     `json:"spilled_bytes,omitempty"`
-	SpillFiles   int64     `json:"spill_files,omitempty"`
+	Spill                  // peak_bytes, spilled_ops, spilled_bytes, spill_files
 	Code         string    `json:"code,omitempty"` // error code on failure, empty on success
 }
 

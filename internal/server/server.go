@@ -466,10 +466,7 @@ func (s *Server) finishQuery(t *queryTiming, sql string, spec eval.EngineSpec, p
 		rec.Fingerprint = prep.Fingerprint
 	}
 	if trace != nil {
-		rec.PeakBytes = trace.PeakBytes
-		rec.SpilledOps = trace.SpilledOps
-		rec.SpilledBytes = trace.SpilledBytes
-		rec.SpillFiles = trace.SpillFiles
+		rec.Spill = trace.Spill
 	}
 	s.qlog.Emit(rec)
 }

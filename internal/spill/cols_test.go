@@ -47,10 +47,7 @@ func TestWriteBatchRoundTrip(t *testing.T) {
 		}
 		for _, b := range []*column.Batch{dense, dense.WithSel(reversed)} {
 			m := NewManager(t.TempDir())
-			w, err := m.Create()
-			if err != nil {
-				t.Fatal(err)
-			}
+			w := m.NewPass().Writer()
 			if err := w.Write(seqs, b); err != nil {
 				t.Fatal(err)
 			}
@@ -127,10 +124,7 @@ func checkColRow(t *testing.T, n, i, seq int, tp relation.Tuple, wantSeq int, wa
 func TestInterleavedAppendAndBlockCols(t *testing.T) {
 	m := NewManager(t.TempDir())
 	defer m.Cleanup()
-	w, err := m.Create()
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := m.NewPass().Writer()
 	head := []relation.Tuple{
 		relation.NewTuple(value.Int(1), value.String_("r")),
 		relation.NewTuple(value.Float(2.5), value.Bool(false)),

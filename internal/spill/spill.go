@@ -81,9 +81,6 @@ func (m *Manager) FilesCreated() int64 { return m.files.Load() }
 // shared by every bucket Writer the pass hands out.
 func (m *Manager) NewPass() *Pass { return &Pass{mgr: m} }
 
-// Create starts a pass of its own and returns its one bucket's writer.
-func (m *Manager) Create() (*Writer, error) { return m.NewPass().Writer(), nil }
-
 // Cleanup closes and removes every pass file the run still holds. It is
 // safe to call when nothing ever spilled, and to call more than once.
 func (m *Manager) Cleanup() error {

@@ -96,10 +96,7 @@ func (rr *rowReader) rewind() error {
 func TestRoundTrip(t *testing.T) {
 	m := NewManager(t.TempDir())
 	defer m.Cleanup()
-	w, err := m.Create()
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := m.NewPass().Writer()
 	tuples := sampleTuples()
 	if err := writeRows(w, seqsOf(len(tuples), 7), tuples); err != nil {
 		t.Fatal(err)
@@ -163,10 +160,7 @@ func TestCorruptionDetected(t *testing.T) {
 	dir := t.TempDir()
 	m := NewManager(dir)
 	defer m.Cleanup()
-	w, err := m.Create()
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := m.NewPass().Writer()
 	rows := sampleTuples()[:4] // one arity, so readAll can read it whole
 	if err := writeRows(w, seqsOf(len(rows), 1), rows); err != nil {
 		t.Fatal(err)
@@ -234,10 +228,7 @@ func readAll(f *File) error {
 func TestBlockSpanning(t *testing.T) {
 	m := NewManager(t.TempDir())
 	defer m.Cleanup()
-	w, err := m.Create()
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := m.NewPass().Writer()
 	const n = 3*blockRows + 17
 	tuples := make([]relation.Tuple, n)
 	for i := range tuples {
@@ -295,10 +286,7 @@ func TestBlockSpanning(t *testing.T) {
 func TestBlockArityChange(t *testing.T) {
 	m := NewManager(t.TempDir())
 	defer m.Cleanup()
-	w, err := m.Create()
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := m.NewPass().Writer()
 	var tuples []relation.Tuple
 	for i := 0; i < 40; i++ {
 		var tp relation.Tuple
@@ -341,10 +329,7 @@ func TestBlockArityChange(t *testing.T) {
 func TestBlockHeterogeneousColumn(t *testing.T) {
 	m := NewManager(t.TempDir())
 	defer m.Cleanup()
-	w, err := m.Create()
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := m.NewPass().Writer()
 	tuples := []relation.Tuple{
 		relation.NewTuple(value.Int(1), value.Int(10)),
 		relation.NewTuple(value.String_("two"), value.Int(20)),
@@ -382,10 +367,7 @@ func TestBlockHeterogeneousColumn(t *testing.T) {
 func TestColumnarSmallerThanRowCodec(t *testing.T) {
 	m := NewManager(t.TempDir())
 	defer m.Cleanup()
-	w, err := m.Create()
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := m.NewPass().Writer()
 	const n = 2048
 	rows := make([]relation.Tuple, n)
 	for i := range rows {
@@ -538,10 +520,7 @@ func TestManagerLifecycle(t *testing.T) {
 		t.Fatalf("cleanup of an untouched manager: %v", err)
 	}
 
-	w, err := m.Create()
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := m.NewPass().Writer()
 	if err := w.Write([]int{0}, batchOf(4, sampleTuples()[:1])); err != nil {
 		t.Fatal(err)
 	}
@@ -559,17 +538,11 @@ func TestManagerLifecycle(t *testing.T) {
 		t.Fatalf("Remove of a pass's only bucket left %v", names)
 	}
 
-	w2, err := m.Create()
-	if err != nil {
-		t.Fatal(err)
-	}
+	w2 := m.NewPass().Writer()
 	w2.Abort() // aborted writers must leave nothing behind
 
 	// A pass still held at the end of the run is Cleanup's to remove.
-	w3, err := m.Create()
-	if err != nil {
-		t.Fatal(err)
-	}
+	w3 := m.NewPass().Writer()
 	if err := w3.Write([]int{0}, batchOf(4, sampleTuples()[:1])); err != nil {
 		t.Fatal(err)
 	}

@@ -48,23 +48,11 @@ type Trace struct {
 	// overlap a time-travel scan's query period.
 	SegmentsScanned int
 	SegmentsSkipped int
-	// SpilledBytes, SpilledOps and SpillFiles accumulate the budgeted
-	// engine's spilling across this run's evaluations — stratum regions
-	// and DBMS subplans alike; PeakBytes is the largest single evaluation's
+	// Spill accumulates the budgeted engine's spilling across this run's
+	// evaluations — stratum regions and DBMS subplans alike, each added
+	// from its root sample; PeakBytes is the largest single evaluation's
 	// tracked working set. All zero for unbudgeted engines.
-	SpilledBytes int64
-	SpilledOps   int64
-	SpillFiles   int64
-	PeakBytes    int64
-}
-
-// addSpill adds one evaluation's spill totals — a stratum region's or a
-// DBMS subplan's root sample — to the trace.
-func (t *Trace) addSpill(root obs.RunSample) {
-	t.SpilledBytes += root.SpilledBytes
-	t.SpilledOps += root.SpilledOps
-	t.SpillFiles += root.SpillFiles
-	t.PeakBytes = max(t.PeakBytes, root.PeakBytes)
+	obs.Spill
 }
 
 // TotalUnits is the simulated total cost of the run.
@@ -230,7 +218,7 @@ func (x *Executor) exec(root algebra.Node, path algebra.Path, probe func(string,
 			return nil, err
 		}
 		tr.SQL = append(tr.SQL, res.SQL)
-		tr.addSpill(res.Run)
+		tr.Spill.Add(res.Run.Spill)
 		tr.TuplesTransferred += res.Rel.Len()
 		tr.TransferUnits += float64(res.Rel.Len()) * x.params.TransferTuple
 		x.meterDBMS(sub, res.Rel.Len(), tr)
@@ -259,7 +247,7 @@ func (x *Executor) exec(root algebra.Node, path algebra.Path, probe func(string,
 	if err != nil {
 		return nil, err
 	}
-	tr.addSpill(samples[bound])
+	tr.Spill.Add(samples[bound].Spill)
 
 	// Meter the region node by node, in post-order: every operator is priced
 	// on its children's actual rows with the physical variant the engine
@@ -285,9 +273,7 @@ func (x *Executor) exec(root algebra.Node, path algebra.Path, probe func(string,
 			below := samples[c]
 			inRows += int(below.Rows)
 			own.Wall -= below.Wall
-			own.SpilledBytes -= below.SpilledBytes
-			own.SpilledOps -= below.SpilledOps
-			own.SpillFiles -= below.SpillFiles
+			own.Spill = own.Spill.Less(below.Spill)
 		}
 		tr.StratumUnits += x.params.OpUnits(n, inRows, x.params.StratumTuple, 1, x.params.Streaming, dec[n].Ordered())
 		if probe != nil {
