@@ -50,13 +50,13 @@ import (
 
 func main() {
 	var (
-		shards    = flag.String("shards", "", "comma-separated shard server addresses (host:port,...)")
-		spawn     = flag.Int("spawn", 0, "spawn this many in-process shard servers instead of -shards")
-		db        = flag.String("db", "paper", "database: 'paper' or 'synth' (must match the shard servers)")
-		employees = flag.Int("employees", 1000, "synthetic database size (with -db synth)")
-		engine    = flag.String("engine", "exec", "engine for planning and the coordinator-side remainder: 'reference', 'exec' or 'parallel'")
-		parallel  = flag.Int("parallel", 0, "worker count for the morsel-parallel engine")
-		mem       = flag.String("mem", "", "memory budget for the exec engine's blocking operators, e.g. 64K, 16MB")
+		shards      = flag.String("shards", "", "comma-separated shard server addresses (host:port,...)")
+		spawn       = flag.Int("spawn", 0, "spawn this many in-process shard servers instead of -shards")
+		db          = flag.String("db", "paper", "database: 'paper' or 'synth' (must match the shard servers)")
+		employees   = flag.Int("employees", 1000, "synthetic database size (with -db synth)")
+		engine      = flag.String("engine", "exec", "engine for planning and the coordinator-side remainder: 'reference', 'exec' or 'parallel'")
+		parallel    = flag.Int("parallel", 0, "worker count for the morsel-parallel engine")
+		mem         = flag.String("mem", "", "memory budget for the exec engine's blocking operators, e.g. 64K, 16MB")
 		mode        = flag.String("mode", "auto", "partitioning strategy: 'auto', 'hash' or 'range' (must match the shard servers' -shard-mode)")
 		seed        = flag.Int64("seed", 1, "simulated DBMS order-nondeterminism seed (must match the shard servers)")
 		query       = flag.String("q", "", "run one statement and exit (default: read statements from stdin)")
@@ -84,16 +84,9 @@ func run(shards string, spawn int, db string, employees int, engine string, para
 	if err != nil {
 		return err
 	}
-	var cat *tqp.Catalog
-	switch db {
-	case "paper":
-		cat = tqp.PaperCatalog()
-	case "synth":
-		cat = tqp.SyntheticEmployeeDB(tqp.EmployeeSpec{
-			Employees: employees, SpellsPerEmp: 3, AssignmentsPerEmp: 4, Seed: 42,
-		})
-	default:
-		return fmt.Errorf("unknown database %q (want 'paper' or 'synth')", db)
+	cat, err := core.CatalogFor(db, employees)
+	if err != nil {
+		return err
 	}
 
 	var addrs []string

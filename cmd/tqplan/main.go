@@ -63,16 +63,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	var cat *tqp.Catalog
-	switch *db {
-	case "paper":
-		cat = tqp.PaperCatalog()
-	case "synth":
-		cat = tqp.SyntheticEmployeeDB(tqp.EmployeeSpec{
-			Employees: *employees, SpellsPerEmp: 3, AssignmentsPerEmp: 4, Seed: 42,
-		})
-	default:
-		fmt.Fprintf(os.Stderr, "tqplan: unknown database %q\n", *db)
+	cat, err := core.CatalogFor(*db, *employees)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "tqplan: %v\n", err)
 		os.Exit(2)
 	}
 	if *sorted {

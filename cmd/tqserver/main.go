@@ -136,16 +136,9 @@ func buildConfig(addr, db, dbDir string, employees int, engine string, maxConc, 
 	if err != nil {
 		return server.Config{}, err
 	}
-	var cat *tqp.Catalog
-	switch db {
-	case "paper":
-		cat = tqp.PaperCatalog()
-	case "synth":
-		cat = tqp.SyntheticEmployeeDB(tqp.EmployeeSpec{
-			Employees: employees, SpellsPerEmp: 3, AssignmentsPerEmp: 4, Seed: 42,
-		})
-	default:
-		return server.Config{}, fmt.Errorf("unknown database %q (want 'paper' or 'synth')", db)
+	cat, err := core.CatalogFor(db, employees)
+	if err != nil {
+		return server.Config{}, err
 	}
 	if dbDir != "" {
 		// The in-memory catalog built above becomes the seed for a fresh

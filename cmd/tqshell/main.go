@@ -78,16 +78,9 @@ func main() {
 
 // openCatalog resolves the -db/-db-dir flags to a catalog instance.
 func openCatalog(db, dbDir string, employees int) (*tqp.Catalog, error) {
-	var cat *tqp.Catalog
-	switch db {
-	case "paper":
-		cat = tqp.PaperCatalog()
-	case "synth":
-		cat = tqp.SyntheticEmployeeDB(tqp.EmployeeSpec{
-			Employees: employees, SpellsPerEmp: 3, AssignmentsPerEmp: 4, Seed: 42,
-		})
-	default:
-		return nil, fmt.Errorf("unknown database %q", db)
+	cat, err := core.CatalogFor(db, employees)
+	if err != nil {
+		return nil, err
 	}
 	if dbDir != "" {
 		return tqp.OpenDiskCatalog(dbDir, cat)

@@ -1,13 +1,10 @@
 package coord
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
 	"io"
-	"net"
-	"sync"
 	"time"
 
 	"tqp/internal/server"
@@ -18,114 +15,39 @@ import (
 // would at a single server. It answers the query, ping and stats
 // operations; per-session settings (set, SET statements) and partial plans
 // are refused with typed errors, because a coordinator's engine spec is
-// fixed at construction and it is the one *sending* partial plans.
+// fixed at construction and it is the one *sending* partial plans. Its
+// connections live on a server.Listener, the server's own lifecycle.
 type Frontend struct {
 	c     *Coordinator
-	ln    net.Listener
+	lis   *server.Listener
 	start time.Time
-
-	mu     sync.Mutex
-	closed bool
-	conns  map[net.Conn]bool
-
-	accept   sync.WaitGroup
-	handlers sync.WaitGroup
 }
-
-// frontendWriteTimeout arms each network write to a frontend client, so a
-// peer that stops reading cannot stall a handler forever.
-const frontendWriteTimeout = 30 * time.Second
-
-// frontendBatchRows is the frontend's result-streaming batch size,
-// matching the server default.
-const frontendBatchRows = 256
 
 // Serve starts a protocol frontend for the coordinator on addr (use an
 // ":0" port for ephemeral; read it back with Addr). The caller owns Close,
 // and must close the frontend before closing the coordinator.
 func (c *Coordinator) Serve(addr string) (*Frontend, error) {
-	ln, err := net.Listen("tcp", addr)
+	lis, err := server.Listen(addr)
 	if err != nil {
 		return nil, err
 	}
-	f := &Frontend{c: c, ln: ln, start: time.Now(), conns: make(map[net.Conn]bool)}
-	f.accept.Add(1)
-	go f.acceptLoop()
+	f := &Frontend{c: c, lis: lis, start: time.Now()}
+	lis.Serve(func(w io.Writer) func(*server.Request) error {
+		return func(req *server.Request) error { return f.handleRequest(req, w) }
+	})
 	return f, nil
 }
 
 // Addr returns the frontend's bound listen address.
-func (f *Frontend) Addr() string { return f.ln.Addr().String() }
+func (f *Frontend) Addr() string { return f.lis.Addr() }
 
-// Close stops accepting, drops open connections and waits for handlers.
+// Close stops accepting, drops open connections and returns once every
+// handler has: a handler that outlived it would run against a coordinator
+// whose Close has dropped its shard clients.
 func (f *Frontend) Close() error {
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return nil
-	}
-	f.closed = true
-	conns := make([]net.Conn, 0, len(f.conns))
-	for conn := range f.conns {
-		conns = append(conns, conn)
-	}
-	f.mu.Unlock()
-	err := f.ln.Close()
-	for _, conn := range conns {
-		conn.Close()
-	}
-	f.accept.Wait()
-	f.handlers.Wait()
+	err := f.lis.StopAccepting()
+	f.lis.CloseConns(0)
 	return err
-}
-
-func (f *Frontend) acceptLoop() {
-	defer f.accept.Done()
-	for {
-		conn, err := f.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		f.mu.Lock()
-		if f.closed {
-			f.mu.Unlock()
-			conn.Close()
-			return
-		}
-		f.conns[conn] = true
-		f.mu.Unlock()
-		f.handlers.Add(1)
-		go f.handleConn(conn)
-	}
-}
-
-func (f *Frontend) dropConn(conn net.Conn) {
-	f.mu.Lock()
-	delete(f.conns, conn)
-	f.mu.Unlock()
-	conn.Close()
-}
-
-func (f *Frontend) handleConn(conn net.Conn) {
-	defer f.handlers.Done()
-	defer f.dropConn(conn)
-
-	bw := bufio.NewWriter(frontWriter{conn: conn})
-	server.ServeRequests(bufio.NewReader(conn), bw, func(req *server.Request) error {
-		return f.handleRequest(req, bw)
-	})
-}
-
-// frontWriter arms a fresh write deadline before each underlying write.
-type frontWriter struct {
-	conn net.Conn
-}
-
-func (w frontWriter) Write(p []byte) (int, error) {
-	if err := w.conn.SetWriteDeadline(time.Now().Add(frontendWriteTimeout)); err != nil {
-		return 0, err
-	}
-	return w.conn.Write(p)
 }
 
 func (f *Frontend) handleRequest(req *server.Request, w io.Writer) error {
@@ -137,13 +59,13 @@ func (f *Frontend) handleRequest(req *server.Request, w io.Writer) error {
 	case server.OpQuery:
 		return f.runQuery(req.SQL, w)
 	case server.OpSet:
-		return writeError(w, server.CodeSet,
+		return server.WriteError(w, server.CodeSet,
 			errors.New("coord: session settings are fixed per coordinator"))
 	case server.OpPartial:
-		return writeError(w, server.CodeProto,
+		return server.WriteError(w, server.CodeProto,
 			errors.New("coord: partial plans are not accepted by a coordinator"))
 	default:
-		return writeError(w, server.CodeProto, fmt.Errorf("coord: unknown op %q", req.Op))
+		return server.WriteError(w, server.CodeProto, fmt.Errorf("coord: unknown op %q", req.Op))
 	}
 }
 
@@ -152,12 +74,9 @@ func (f *Frontend) handleRequest(req *server.Request, w io.Writer) error {
 // section only a coordinator fills.
 func (f *Frontend) statsReply() *server.StatsReply {
 	st := f.c.Stats()
-	f.mu.Lock()
-	conns := len(f.conns)
-	f.mu.Unlock()
 	return &server.StatsReply{
 		Cache:         f.c.cache.Stats(),
-		Conns:         conns,
+		Conns:         f.lis.Conns(),
 		Fingerprint:   f.c.fp,
 		UptimeSeconds: time.Since(f.start).Seconds(),
 		Queries:       st.Queries,
@@ -170,30 +89,20 @@ func (f *Frontend) statsReply() *server.StatsReply {
 func (f *Frontend) runQuery(sql string, w io.Writer) error {
 	result, meta, err := f.c.Query(context.Background(), sql)
 	if err != nil {
-		// Classify exactly as the server does: unparsable → parse; shard
-		// execution failures → exec; everything between → plan.
-		code := server.CodePlan
+		// Classify as the server does; a shard's execution failure is an
+		// exec error.
+		code := server.CodeExec
 		var se *ShardError
-		if errors.As(err, &se) {
-			code = server.CodeExec
-		} else if _, perr := f.c.opt.Parse(sql); perr != nil {
-			code = server.CodeParse
+		if !errors.As(err, &se) {
+			code = server.PrepareCode(f.c.opt, sql)
 		}
-		return writeError(w, code, err)
+		return server.WriteError(w, code, err)
 	}
-	return server.StreamResult(w, result, frontendBatchRows, &server.Done{
+	return server.StreamResult(w, result, server.ResultBatchRows, &server.Done{
 		Tuples:   result.Len(),
 		Plans:    meta.Plans,
 		CacheHit: meta.CacheHit,
 		BestCost: meta.BestCost,
 		Engine:   f.c.cfg.Spec.Name,
-	})
-}
-
-// writeError writes one typed error frame.
-func writeError(w io.Writer, code string, err error) error {
-	return server.WriteFrame(w, &server.Response{
-		Kind: server.KindError,
-		Err:  &server.WireError{Code: code, Msg: err.Error()},
 	})
 }

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"tqp/internal/catalog"
 	"tqp/internal/coord"
@@ -102,6 +103,57 @@ func TestFrontendServesProtocol(t *testing.T) {
 	if _, _, err := cl.Query(context.Background(), "SELECT x FROM NOWHERE"); err == nil ||
 		!strings.Contains(err.Error(), "[plan]") {
 		t.Errorf("unknown relation error = %v, want a plan code", err)
+	}
+}
+
+// TestFrontendCloseDropsClients pins the frontend's close contract: the
+// stats reply counts the open connections, Close drops connected clients
+// and returns once their handlers have, and a second Close is harmless.
+func TestFrontendCloseDropsClients(t *testing.T) {
+	c, _ := startCoordinator(t, 1)
+	f, err := c.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	ctx := context.Background()
+	var cls [2]*server.Client
+	for i := range cls {
+		if cls[i], err = server.Dial(ctx, f.Addr()); err != nil {
+			t.Fatal(err)
+		}
+		defer cls[i].Close()
+	}
+	if _, _, err := cls[0].Query(ctx, paperSQL); err != nil {
+		t.Fatal(err)
+	}
+	// The query proved the first connection accepted; the stats round trip
+	// proves the second.
+	st, err := cls[1].Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Conns != 2 {
+		t.Fatalf("stats reply counts %d connections, want 2", st.Conns)
+	}
+
+	closed := make(chan error, 1)
+	go func() { closed <- f.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close never returned with clients connected")
+	}
+	for i, cl := range cls {
+		if err := cl.Ping(ctx); err == nil {
+			t.Errorf("client %d still answered after Close", i)
+		}
+	}
+	if err := f.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
 	}
 }
 

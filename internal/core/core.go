@@ -20,6 +20,7 @@ import (
 	"tqp/internal/algebra"
 	"tqp/internal/catalog"
 	"tqp/internal/cost"
+	"tqp/internal/datagen"
 	"tqp/internal/enum"
 	"tqp/internal/equiv"
 	"tqp/internal/eval"
@@ -51,6 +52,20 @@ type Option func(*Optimizer)
 // workers. All produce identical result lists; they differ in speed and
 // therefore in the cost shapes the optimizer assumes.
 func EngineSpec(name string) (eval.EngineSpec, error) { return EngineFor(name, exec.Config{}) }
+
+// CatalogFor resolves the CLIs' -db flag: "paper" is the paper's Figure 1
+// database, "synth" the synthetic employee database at the given size.
+func CatalogFor(db string, employees int) (*catalog.Catalog, error) {
+	switch db {
+	case "paper":
+		return catalog.Paper(), nil
+	case "synth":
+		return datagen.EmployeeDB(datagen.EmployeeSpec{
+			Employees: employees, SpellsPerEmp: 3, AssignmentsPerEmp: 4, Seed: 42,
+		}), nil
+	}
+	return nil, fmt.Errorf("unknown database %q (want 'paper' or 'synth')", db)
+}
 
 // EngineFor resolves an engine name against an exec.Config (the CLIs' and
 // sessions' -parallel/-mem/-spill knobs in one struct): "exec" and
@@ -130,15 +145,7 @@ func ParseBytes(s string) (int64, error) {
 func WithEngine(spec eval.EngineSpec) Option {
 	return func(o *Optimizer) {
 		o.engine = spec
-		p := cost.ParamsFor(spec.Streaming)
-		// Price order-exploiting variants only for engines that compile
-		// them (spec.OrderAware); otherwise fall back to the blind shapes.
-		p.OrderBlind = !spec.OrderAware
-		// Price partitioned operators with the engine's fan-out width, and
-		// spilling against the engine's memory budget.
-		p.Parallelism = spec.Parallelism
-		p.MemoryBudget = spec.MemoryBudget
-		o.model = cost.New(o.cat, p)
+		o.model = cost.New(o.cat, cost.ForEngine(spec))
 	}
 }
 
@@ -157,10 +164,7 @@ func WithMaxPlans(n int) Option {
 // budgeted) plus the scale-out pricing — DBMS-site work divides across the
 // shards, shipped tuples pay the wire-and-merge hop.
 func ShardedCostParams(spec eval.EngineSpec, shards int) cost.Params {
-	p := cost.ParamsFor(spec.Streaming)
-	p.OrderBlind = !spec.OrderAware
-	p.Parallelism = spec.Parallelism
-	p.MemoryBudget = spec.MemoryBudget
+	p := cost.ForEngine(spec)
 	p.Shards = shards
 	return p
 }

@@ -14,6 +14,7 @@ import (
 
 	"tqp/internal/algebra"
 	"tqp/internal/catalog"
+	"tqp/internal/eval"
 	"tqp/internal/physical"
 	"tqp/internal/props"
 	"tqp/internal/relation"
@@ -248,6 +249,19 @@ func spillExempt(op algebra.Op, ordered bool) bool {
 func ParamsFor(streaming bool) Params {
 	p := DefaultParams()
 	p.Streaming = streaming
+	return p
+}
+
+// ForEngine is the calibration for a physical engine: its operator shapes
+// (ParamsFor), order-exploiting variants priced only for engines that
+// compile them (spec.OrderAware), partitioned operators priced at the
+// engine's fan-out width, and spilling against its memory budget — so the
+// model and the stratum's meter price what the engine actually pays.
+func ForEngine(spec eval.EngineSpec) Params {
+	p := ParamsFor(spec.Streaming)
+	p.OrderBlind = !spec.OrderAware
+	p.Parallelism = spec.Parallelism
+	p.MemoryBudget = spec.MemoryBudget
 	return p
 }
 

@@ -42,9 +42,7 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 		return time.Since(s.start).Seconds()
 	})
 	reg.GaugeFunc("tqp_connections", "Open client connections.", func() float64 {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		return float64(len(s.conns))
+		return float64(s.lis.Conns())
 	})
 	reg.CounterFunc("tqp_plan_cache_hits_total", "Plan cache hits.", func() float64 {
 		return float64(s.cache.Stats().Hits)

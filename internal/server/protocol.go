@@ -328,7 +328,7 @@ var errOversize = errors.New("server: oversize frame")
 
 // errBadPayload marks a well-framed message whose payload failed to decode
 // as what the reader expects. The frame was fully consumed, so the stream
-// is still in sync — ServeRequests answers with a proto error and keeps
+// is still in sync — serveRequests answers with a proto error and keeps
 // serving the connection, unlike framing errors, which are unrecoverable.
 var errBadPayload = errors.New("server: bad frame payload")
 

@@ -1,11 +1,9 @@
 package server
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"runtime"
 	"strings"
 	"sync"
@@ -25,7 +23,10 @@ import (
 )
 
 // Config parameterizes a Server. The zero value of every field has a
-// usable default; only Catalog is required.
+// usable default; only Catalog is required. Two serving constants are not
+// configurable: a result streams ResultBatchRows rows per frame, and every
+// network write to a client must finish within 30 s (a peer that stops
+// reading errors its handler out instead of stalling it).
 type Config struct {
 	// Addr is the TCP listen address; default "127.0.0.1:0" (an ephemeral
 	// port — read the chosen one back with Server.Addr).
@@ -55,13 +56,6 @@ type Config struct {
 	// CacheSize bounds the plan cache (entries); default 256, negative
 	// disables caching.
 	CacheSize int
-	// BatchRows is the result streaming batch size; default 256.
-	BatchRows int
-	// WriteTimeout bounds each network write to a client; default 30s. A
-	// peer that stops reading stalls its connection's writes, and this
-	// deadline is what unsticks the handler (admission slots are already
-	// safe: they release before result streaming begins).
-	WriteTimeout time.Duration
 	// Seed drives the simulated DBMS's order nondeterminism; default 1.
 	// Two servers with equal catalogs, seeds and engine settings return
 	// bit-identical result lists for every statement.
@@ -114,12 +108,6 @@ func (c Config) withDefaults() Config {
 	if c.CacheSize == 0 {
 		c.CacheSize = 256
 	}
-	if c.BatchRows <= 0 {
-		c.BatchRows = 256
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 30 * time.Second
-	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
@@ -132,7 +120,7 @@ func (c Config) withDefaults() Config {
 // Server is one running temporal-query service instance.
 type Server struct {
 	cfg     Config
-	ln      net.Listener
+	lis     *Listener
 	fp      string
 	cache   *PlanCache[*core.Prepared]
 	adm     *admission
@@ -141,13 +129,10 @@ type Server struct {
 	qlog    *obs.QueryLog
 
 	mu     sync.Mutex
-	conns  map[net.Conn]bool
 	opts   map[string]*core.Optimizer // per engine-spec name, for planning
 	closed bool
 
-	queries  sync.WaitGroup // in-flight query executions
-	handlers sync.WaitGroup // connection handler goroutines
-	accept   sync.WaitGroup // the accept loop
+	queries sync.WaitGroup // in-flight query executions
 
 	closeOnce sync.Once
 	closeErr  error
@@ -171,19 +156,18 @@ func Start(cfg Config) (*Server, error) {
 	if _, err := newSession(cfg.Engine, adm.grant(), cfg.SpillDir); err != nil {
 		return nil, err
 	}
-	ln, err := net.Listen("tcp", cfg.Addr)
+	lis, err := Listen(cfg.Addr)
 	if err != nil {
 		return nil, fmt.Errorf("server: listen: %w", err)
 	}
 	s := &Server{
 		cfg:   cfg,
-		ln:    ln,
+		lis:   lis,
 		fp:    cfg.Catalog.Fingerprint(),
 		cache: NewPlanCache[*core.Prepared](cfg.CacheSize),
 		adm:   adm,
 		start: time.Now(),
 		qlog:  cfg.QueryLog,
-		conns: make(map[net.Conn]bool),
 		opts:  make(map[string]*core.Optimizer),
 	}
 	// The metric families always exist — they feed the stats reply's
@@ -196,13 +180,22 @@ func Start(cfg Config) (*Server, error) {
 		cfg.Catalog.RegisterMetrics(reg)
 	}
 	s.metrics = newServerMetrics(reg, s)
-	s.accept.Add(1)
-	go s.acceptLoop()
+	lis.Serve(s.openConn)
 	return s, nil
 }
 
+// openConn gives one connection its session at the server's defaults and
+// returns the connection's request handler.
+func (s *Server) openConn(w io.Writer) func(*Request) error {
+	sess, err := newSession(s.cfg.Engine, s.adm.grant(), s.cfg.SpillDir)
+	if err != nil {
+		return nil // Start validated this; unreachable in practice
+	}
+	return func(req *Request) error { return s.handleRequest(req, sess, w) }
+}
+
 // Addr returns the bound listen address (host:port).
-func (s *Server) Addr() string { return s.ln.Addr().String() }
+func (s *Server) Addr() string { return s.lis.Addr() }
 
 // CacheStats snapshots the plan cache counters.
 func (s *Server) CacheStats() CacheStats { return s.cache.Stats() }
@@ -224,24 +217,17 @@ func (s *Server) Close() error {
 		s.closed = true
 		s.mu.Unlock()
 
-		s.ln.Close()
-		s.accept.Wait()
+		s.lis.StopAccepting()
 		s.adm.close()
 
 		if !waitTimeout(&s.queries, s.cfg.DrainTimeout) {
 			s.closeErr = fmt.Errorf("server: close: drain deadline %s exceeded with queries in flight", s.cfg.DrainTimeout)
 		}
 
-		s.mu.Lock()
-		for c := range s.conns {
-			c.Close()
-		}
-		s.mu.Unlock()
-
 		// Idle handlers unblock off their closed connections immediately;
 		// handlers stuck in a straggler query are already counted in
 		// closeErr, so don't wait for them forever.
-		waitTimeout(&s.handlers, time.Second)
+		s.lis.CloseConns(time.Second)
 	})
 	return s.closeErr
 }
@@ -277,92 +263,6 @@ func waitTimeout(wg *sync.WaitGroup, d time.Duration) bool {
 	}
 }
 
-func (s *Server) acceptLoop() {
-	defer s.accept.Done()
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = true
-		s.mu.Unlock()
-		s.handlers.Add(1)
-		go s.handleConn(conn)
-	}
-}
-
-func (s *Server) dropConn(conn net.Conn) {
-	s.mu.Lock()
-	delete(s.conns, conn)
-	s.mu.Unlock()
-	conn.Close()
-}
-
-// handleConn serves one connection: a session plus a request loop.
-func (s *Server) handleConn(conn net.Conn) {
-	defer s.handlers.Done()
-	defer s.dropConn(conn)
-
-	sess, err := newSession(s.cfg.Engine, s.adm.grant(), s.cfg.SpillDir)
-	if err != nil {
-		return // Start validated this; unreachable in practice
-	}
-	bw := bufio.NewWriter(deadlineWriter{conn: conn, timeout: s.cfg.WriteTimeout})
-	ServeRequests(bufio.NewReader(conn), bw, func(req *Request) error {
-		return s.handleRequest(req, sess, bw)
-	})
-}
-
-// ServeRequests runs one connection's request loop: it reads request
-// frames from r, hands each to handle, which writes its answer to bw, and
-// flushes bw after every answer. A well-framed request whose payload does
-// not decode is answered with a proto error and the loop goes on, since
-// the frame was consumed whole; a hangup, a framing error or a failed
-// write ends it. The server and the coordinator's frontend both serve
-// through it, so they keep one framing contract.
-func ServeRequests(r io.Reader, bw *bufio.Writer, handle func(*Request) error) {
-	for {
-		var req Request
-		err := ReadFrame(r, &req)
-		switch {
-		case errors.Is(err, errBadPayload):
-			err = writeError(bw, CodeProto, err)
-		case err != nil:
-			return
-		default:
-			err = handle(&req)
-		}
-		if err != nil || bw.Flush() != nil {
-			return
-		}
-	}
-}
-
-// deadlineWriter arms a fresh write deadline before every underlying
-// write, so a peer that stops reading errors the handler out within
-// timeout instead of blocking it forever. Per-write (not per-response)
-// granularity: a large result to a slow-but-reading client keeps making
-// progress, only a genuine stall trips the deadline.
-type deadlineWriter struct {
-	conn    net.Conn
-	timeout time.Duration
-}
-
-func (w deadlineWriter) Write(p []byte) (int, error) {
-	if w.timeout > 0 {
-		if err := w.conn.SetWriteDeadline(time.Now().Add(w.timeout)); err != nil {
-			return 0, err
-		}
-	}
-	return w.conn.Write(p)
-}
-
 // handleRequest dispatches one request, writing the full response to w. A
 // returned error means the connection is unusable; per-request failures are
 // written as error frames and return nil.
@@ -396,15 +296,12 @@ func (s *Server) handleRequest(req *Request, sess *session, w io.Writer) error {
 }
 
 func (s *Server) statsReply() *StatsReply {
-	s.mu.Lock()
-	conns := len(s.conns)
-	s.mu.Unlock()
 	lat := s.metrics.latency.Snapshot()
 	qw := s.metrics.queueWait.Snapshot()
 	return &StatsReply{
 		Cache:         s.cache.Stats(),
 		Admission:     s.adm.stats(),
-		Conns:         conns,
+		Conns:         s.lis.Conns(),
 		Fingerprint:   s.fp,
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Queries:       s.metrics.queries.Value(),
@@ -414,15 +311,25 @@ func (s *Server) statsReply() *StatsReply {
 	}
 }
 
-// writeError writes one typed error frame.
-func writeError(w io.Writer, code string, err error) error {
+// WriteError writes one typed error frame.
+func WriteError(w io.Writer, code string, err error) error {
 	return WriteFrame(w, &Response{Kind: KindError, Err: &WireError{Code: code, Msg: err.Error()}})
 }
 
 // replyError counts the failure under its code and writes the error frame.
 func (s *Server) replyError(w io.Writer, code string, err error) error {
 	s.metrics.errorCounter(code).Inc()
-	return writeError(w, code, err)
+	return WriteError(w, code, err)
+}
+
+// PrepareCode classifies a statement that failed to prepare: a parse error
+// if it does not even parse, else a plan error (name resolution, planning,
+// enumeration, site validation).
+func PrepareCode(opt *core.Optimizer, sql string) string {
+	if _, err := opt.Parse(sql); err != nil {
+		return CodeParse
+	}
+	return CodePlan
 }
 
 // queryTiming is one query's latency breakdown, filled in as runQuery
@@ -478,59 +385,26 @@ func (s *Server) finishQuery(t *queryTiming, sql string, spec eval.EngineSpec, p
 // single-column result instead of (EXPLAIN) or alongside running (EXPLAIN
 // ANALYZE) the statement's own rows.
 func (s *Server) runQuery(sql string, sess *session, w io.Writer) error {
-	// Count the query as in flight before touching admission, under the
-	// same lock Close uses to flip closed — after Close observes closed,
-	// no new query can register, which makes the drain wait race-free.
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return s.replyError(w, CodeShutdown, ErrClosing)
-	}
-	s.queries.Add(1)
-	gate := s.execGate
-	s.mu.Unlock()
-	defer s.drained(w)
-
-	mode, stripped := tsql.StripExplain(sql)
-	sql = stripped
-	s.metrics.queries.Inc()
-	started := time.Now()
+	mode, sql := tsql.StripExplain(sql)
 	spec := sess.spec
+	a, code, err := s.admit(w, true)
+	defer a.done()
 
 	// The failure path flushes timing through finish; the success path
-	// nils it out and flushes itself with the full measurements.
-	var t queryTiming
+	// flushes itself with the full measurements.
+	t := queryTiming{queue: a.queue}
+	started := a.started
 	var prep *core.Prepared
 	var trace *stratum.Trace
 	hit := false
 	finish := func(code string) {
 		s.finishQuery(&t, sql, spec, prep, hit, 0, trace, code, started)
 	}
-
-	if _, err := s.adm.acquire(); err != nil {
-		t.queue = time.Since(started)
-		code := CodeAdmission
-		if errors.Is(err, ErrClosing) {
-			code = CodeShutdown
+	if err != nil {
+		if a.entered {
+			finish(code)
 		}
-		finish(code)
 		return s.replyError(w, code, err)
-	}
-	t.queue = time.Since(started)
-	// The slot covers the expensive phases — planning and execution. It
-	// releases before result streaming: the result is fully materialized
-	// by then, so a slow (or stalled) reader must not keep a slot from
-	// the queue while bytes trickle out.
-	released := false
-	release := func() {
-		if !released {
-			released = true
-			s.adm.release()
-		}
-	}
-	defer release()
-	if gate != nil {
-		gate()
 	}
 
 	key := PlanKey(s.fp, spec.Name, sql)
@@ -542,13 +416,7 @@ func (s *Server) runQuery(sql string, sess *session, w io.Writer) error {
 		prep, err = opt.Prepare(sql)
 		t.plan = time.Since(planStart)
 		if err != nil {
-			// Classify exactly: if the statement does not even parse it
-			// is a parse error; anything after (name resolution, planning,
-			// enumeration, site validation) is a plan error.
-			code := CodePlan
-			if _, perr := opt.Parse(sql); perr != nil {
-				code = CodeParse
-			}
+			code := PrepareCode(opt, sql)
 			finish(code)
 			return s.replyError(w, code, err)
 		}
@@ -583,7 +451,7 @@ func (s *Server) runQuery(sql string, sess *session, w io.Writer) error {
 			return s.replyError(w, CodeExec, err)
 		}
 	}
-	release()
+	a.release()
 
 	streamStart := time.Now()
 	done := &Done{
@@ -596,17 +464,21 @@ func (s *Server) runQuery(sql string, sess *session, w io.Writer) error {
 	if trace != nil {
 		done.TuplesTransferred = trace.TuplesTransferred
 	}
-	err := StreamResult(w, result, s.cfg.BatchRows, done)
+	err = streamResult(w, result, nil, ResultBatchRows, done)
 	t.stream = time.Since(streamStart)
 	s.finishQuery(&t, sql, spec, prep, hit, result.Len(), trace, "", started)
 	return err
 }
 
 // StreamResult writes a materialized result as protocol frames — one
-// schema frame, batched rows frames, the terminal done frame — the
-// server's answer to a query. Exported so the coordinator's frontend
-// streams its gathered results with the exact same encoding.
+// schema frame, rows frames of batchRows rows (ResultBatchRows when
+// batchRows ≤ 0), the terminal done frame — the server's answer to a
+// query. Exported so the coordinator's frontend streams its gathered
+// results with the exact same encoding.
 func StreamResult(w io.Writer, result *relation.Relation, batchRows int, done *Done) error {
+	if batchRows <= 0 {
+		batchRows = ResultBatchRows
+	}
 	return streamResult(w, result, nil, batchRows, done)
 }
 
@@ -616,9 +488,6 @@ func StreamResult(w io.Writer, result *relation.Relation, batchRows int, done *D
 // provenance) and the schema frame says so; otherwise every block carries
 // zero keys, which the client drops.
 func streamResult(w io.Writer, result *relation.Relation, keys []int, batchRows int, done *Done) error {
-	if batchRows <= 0 {
-		batchRows = 256
-	}
 	if err := WriteFrame(w, &Response{
 		Kind:  KindSchema,
 		Cols:  colsOf(result.Schema()),
@@ -674,45 +543,92 @@ func textRelation(text string) *relation.Relation {
 // just with the planning already done coordinator-side — but skips the
 // plan cache: fragments arrive pre-planned.
 func (s *Server) runPartial(plan *WirePlan, w io.Writer) error {
+	a, code, err := s.admit(w, false)
+	defer a.done()
+	if err != nil {
+		return WriteError(w, code, err)
+	}
+	frag, err := DecodePlan(plan)
+	if err != nil {
+		return WriteError(w, CodeProto, err)
+	}
+	result, seqs, err := exec.RunFragment(frag, s.cfg.Catalog, s.cfg.ShardPositions)
+	if err != nil {
+		return WriteError(w, CodeExec, err)
+	}
+	a.release()
+	return streamResult(w, result, seqs, ResultBatchRows, &Done{Tuples: result.Len()})
+}
+
+// admitted is one request on the path queries and fragments share: counted
+// in flight for Close's drain, then holding an admission slot.
+type admitted struct {
+	s       *Server
+	w       io.Writer
+	entered bool          // counted in flight; done counts it drained
+	held    bool          // holds an admission slot
+	started time.Time     // when it entered
+	queue   time.Duration // its admission wait
+}
+
+// admit counts a request in flight and takes an admission slot for it,
+// then runs the test gate while the slot is held; count adds the request to
+// the served-queries total once it is in flight. On failure it returns the
+// wire code to answer with, and entered says whether the request was in
+// flight by then (a closing server refuses it before). Defer done either
+// way.
+func (s *Server) admit(w io.Writer, count bool) (admitted, string, error) {
+	// Count the request as in flight before touching admission, under the
+	// same lock Close uses to flip closed — after Close observes closed,
+	// no new request can register, which makes the drain wait race-free.
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return writeError(w, CodeShutdown, ErrClosing)
+		return admitted{}, CodeShutdown, ErrClosing
 	}
 	s.queries.Add(1)
 	gate := s.execGate
 	s.mu.Unlock()
-	defer s.drained(w)
 
-	if _, err := s.adm.acquire(); err != nil {
-		code := CodeAdmission
+	a := admitted{s: s, w: w, entered: true}
+	if count {
+		s.metrics.queries.Inc()
+	}
+	a.started = time.Now()
+	_, err := s.adm.acquire()
+	a.queue = time.Since(a.started)
+	if err != nil {
 		if errors.Is(err, ErrClosing) {
-			code = CodeShutdown
+			return a, CodeShutdown, err
 		}
-		return writeError(w, code, err)
+		return a, CodeAdmission, err
 	}
-	released := false
-	release := func() {
-		if !released {
-			released = true
-			s.adm.release()
-		}
-	}
-	defer release()
+	a.held = true
 	if gate != nil {
 		gate()
 	}
+	return a, "", nil
+}
 
-	frag, err := DecodePlan(plan)
-	if err != nil {
-		return writeError(w, CodeProto, err)
+// release returns the admission slot; later calls do nothing. The slot
+// covers the expensive phases — planning and execution. It releases before
+// result streaming: the result is fully materialized by then, so a slow
+// (or stalled) reader must not keep a slot from the queue while bytes
+// trickle out.
+func (a *admitted) release() {
+	if a.held {
+		a.held = false
+		a.s.adm.release()
 	}
-	result, seqs, err := exec.RunFragment(frag, s.cfg.Catalog, s.cfg.ShardPositions)
-	if err != nil {
-		return writeError(w, CodeExec, err)
+}
+
+// done releases the slot if still held and counts an in-flight request
+// drained.
+func (a *admitted) done() {
+	a.release()
+	if a.entered {
+		a.s.drained(a.w)
 	}
-	release()
-	return streamResult(w, result, seqs, s.cfg.BatchRows, &Done{Tuples: result.Len()})
 }
 
 // optimizerFor returns the planning optimizer calibrated to the spec,

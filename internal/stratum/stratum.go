@@ -119,21 +119,12 @@ func NewWithEngine(cat *catalog.Catalog, seed int64, spec eval.EngineSpec) *Exec
 	if spec.New == nil {
 		spec = eval.Reference()
 	}
-	params := cost.ParamsFor(spec.Streaming)
-	// Price the order-exploiting variants only for engines that compile
-	// them (e.g. not for a NoMerge spec), partitioned operators with
-	// the engine's parallel fan-out width, and spilling against the
-	// engine's memory budget — so the meter mirrors what the budgeted
-	// engine actually pays.
-	params.OrderBlind = !spec.OrderAware
-	params.Parallelism = spec.Parallelism
-	params.MemoryBudget = spec.MemoryBudget
 	src := &countingSource{cat: cat}
 	return &Executor{
 		cat:    cat,
 		src:    src,
 		engine: dbms.New(src, seed, spec),
-		params: params,
+		params: cost.ForEngine(spec),
 		phys:   spec,
 	}
 }
