@@ -20,9 +20,10 @@
 // its value attributes and declares the order in the catalog, feeding the
 // order-aware planner. With -engine exec the chosen plan is wrapped in an
 // order-enforcing sort (the ≡SQL contract made physical), annotated with
-// the per-node physical decision, and costed against the order-blind model
-// — on the paper query the enforcer elides because the optimizer pushes the
-// sort into the DBMS and every operation above preserves its order.
+// the per-node physical decision the engine of that width and budget
+// compiles, and costed for it — on the paper query the enforcer elides
+// because the optimizer pushes the sort into the DBMS and every operation
+// above preserves its order.
 package main
 
 import (
@@ -140,13 +141,14 @@ func main() {
 
 	// With the exec engine the executed plan carries an explicit order
 	// enforcer for the query's ORDER BY: it compiles away when the chosen
-	// plan already delivers the order, and the physical annotation shows
-	// it. The reference evaluator cannot elide, so it runs the chosen plan
+	// plan already delivers the order, and the physical annotation — the
+	// variants the engine of this width and budget compiles — shows it.
+	// The reference evaluator cannot elide, so it runs the chosen plan
 	// as-is (its ≡SQL order guarantee is verified by the optimizer tests).
 	final := plans.Best
 	if spec.Streaming {
 		final = core.EnforceOrder(plans.Best, plans.OrderBy)
-		dec, err := physical.Annotate(final)
+		dec, err := physical.Annotate(final, spec.Shape())
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "tqplan: annotate: %v\n", err)
 			os.Exit(1)
@@ -156,21 +158,13 @@ func main() {
 				return string(dec[n].Algo)
 			}))
 		sum := physical.Summarize(dec)
-		awareParams := cost.ParamsFor(true)
-		awareParams.Parallelism = spec.Parallelism
-		awareParams.MemoryBudget = spec.MemoryBudget
-		awareCost, err1 := cost.New(cat, awareParams).Cost(final)
-		blindParams := cost.ParamsFor(true)
-		blindParams.OrderBlind = true
-		blindParams.Parallelism = spec.Parallelism
-		blindParams.MemoryBudget = spec.MemoryBudget
-		blindCost, err2 := cost.New(cat, blindParams).Cost(final)
-		if err1 != nil || err2 != nil {
-			fmt.Fprintf(os.Stderr, "tqplan: cost: %v %v\n", err1, err2)
+		physCost, err := cost.New(cat, cost.ForEngine(spec)).Cost(final)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "tqplan: cost: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("physical summary: %d sort(s) elided, %d merge operator(s); order-aware cost %.0f vs order-blind %.0f (%.2fx)\n",
-			sum.SortsElided, sum.MergeOps, awareCost, blindCost, blindCost/awareCost)
+		fmt.Printf("physical summary: %d sort(s) elided, %d sort(s) performed, %d merge join(s), %d other merge operator(s); cost %.0f\n",
+			sum.SortsElided, sum.Sorts, sum.MergeJoins, sum.MergeOps, physCost)
 	}
 
 	if !*execute {

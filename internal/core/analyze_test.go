@@ -11,7 +11,9 @@ import (
 	"tqp/internal/core"
 	"tqp/internal/eval"
 	"tqp/internal/exec"
+	"tqp/internal/expr"
 	"tqp/internal/obs"
+	"tqp/internal/physical"
 	"tqp/internal/props"
 	"tqp/internal/relation"
 	"tqp/internal/testutil"
@@ -208,5 +210,36 @@ func TestPreparedEstimates(t *testing.T) {
 	}
 	if prep.Fingerprint == "" || len(prep.Fingerprint) != 16 {
 		t.Fatalf("plan fingerprint %q", prep.Fingerprint)
+	}
+}
+
+// TestExplainAnalyzeLabelsCompiledVariant: EXPLAIN ANALYZE labels each node
+// with the variant the analyzing engine compiles for its width and budget.
+// Over the sorted catalog both ⋈ᵀ inputs arrive key-sorted from the DBMS:
+// the sequential engine merge-joins them, while the 4-wide engine, whose
+// pool splits the probe side, runs — and is labelled — the hash join.
+func TestExplainAnalyzeLabelsCompiledVariant(t *testing.T) {
+	c := testutil.SortedCatalog(1200)
+	byName := relation.OrderSpec{relation.Key("Name")}
+	plan := algebra.NewTJoin(expr.Compare(expr.Eq, expr.Column("1.Name"), expr.Column("2.Name")),
+		algebra.NewTransferS(algebra.NewSort(byName, c.MustNode("L"))),
+		algebra.NewTransferS(algebra.NewSort(byName, c.MustNode("R"))))
+	opt := core.New(c)
+	for _, tc := range []struct {
+		cfg  exec.Config
+		want physical.Algo
+	}{
+		{exec.Config{}, physical.AlgoMergeJoin},
+		{exec.Config{Parallelism: 4}, physical.AlgoHashJoin},
+	} {
+		spec := exec.NewSpec(tc.cfg)
+		an, err := opt.ExplainAnalyze(&core.Prepared{Plan: plan}, spec)
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Name, err)
+		}
+		root := strings.SplitN(an.Text, "\n", 3)[1]
+		if !strings.Contains(root, "("+string(tc.want)+")") {
+			t.Errorf("%s: ⋈ᵀ labelled %q, want (%s)\n%s", spec.Name, root, tc.want, an.Text)
+		}
 	}
 }

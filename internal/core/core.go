@@ -160,9 +160,9 @@ func WithMaxPlans(n int) Option {
 }
 
 // ShardedCostParams is the calibration for a coordinator planning over N
-// shards: the engine spec's shapes (streaming, order-aware, parallel,
-// budgeted) plus the scale-out pricing — DBMS-site work divides across the
-// shards, shipped tuples pay the wire-and-merge hop.
+// shards: the engine spec's shapes (streaming, parallel, budgeted) plus
+// the scale-out pricing — DBMS-site work divides across the shards, shipped
+// tuples pay the wire-and-merge hop.
 func ShardedCostParams(spec eval.EngineSpec, shards int) cost.Params {
 	p := cost.ForEngine(spec)
 	p.Shards = shards
@@ -513,7 +513,7 @@ func (o *Optimizer) ExplainAnalyze(prep *Prepared, spec eval.EngineSpec) (*Analy
 	if err != nil {
 		return nil, err
 	}
-	dec, err := physical.Annotate(prep.Plan)
+	dec, err := physical.Annotate(prep.Plan, spec.Shape())
 	if err != nil {
 		return nil, err
 	}

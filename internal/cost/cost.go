@@ -68,11 +68,6 @@ type Params struct {
 	// per-tuple exchange/gather and spill prices of the batch-compiled
 	// operators scale by VecExchangeFactor and VecSpillFactor.
 	Streaming bool
-	// OrderBlind disables delivered-order reasoning: every operator is
-	// priced as if its inputs were unordered, exactly the PR 1 model. Used
-	// for the tqplan order-aware/order-blind comparison and by
-	// TestOrderAwareBelowBlind, which pins aware strictly below blind.
-	OrderBlind bool
 	// Parallelism is the worker count of the morsel-parallel exec engine
 	// (exec.Config.Parallelism); 0 or 1 prices sequential execution. With
 	// W > 1 every partitionable operator's own work divides by W while each
@@ -158,19 +153,6 @@ func DefaultParams() Params {
 	}
 }
 
-// partitionedOp reports that the exec engine fans op out through a parallel
-// exchange when Config.Parallelism > 1 (see exec/parallel.go); the
-// pipelined operators (σ, π, ⊔) and transfers stay sequential.
-func partitionedOp(op algebra.Op) bool {
-	switch op {
-	case algebra.OpSort, algebra.OpProduct, algebra.OpTProduct, algebra.OpJoin, algebra.OpTJoin,
-		algebra.OpRdup, algebra.OpDiff, algebra.OpUnion, algebra.OpAggregate,
-		algebra.OpTRdup, algebra.OpCoal, algebra.OpTDiff, algebra.OpTUnion, algebra.OpTAggregate:
-		return true
-	}
-	return false
-}
-
 // vecBatchOp reports the operators whose parallel exchanges and grace
 // spills are priced with the batch discount: the hash family — dedup, the
 // diff/union budgets, and the keyed joins. The sort, the temporal group
@@ -227,23 +209,6 @@ func (p Params) spillShape(op algebra.Op, own, inRows float64) float64 {
 	return own + inRows*(wr+rd)
 }
 
-// spillExempt reports the compilations whose budgeted state is bounded
-// without partitioning, so no spill charge applies however large the
-// input: the streaming group-at-a-time merge family, which the budgeted
-// engine prefers whenever the delivered order proves groups contiguous.
-// The two-sided merge variants (diff/union/join) still materialize a side,
-// so the budgeted engine graces them and they stay priced.
-func spillExempt(op algebra.Op, ordered bool) bool {
-	if !ordered {
-		return false
-	}
-	switch op {
-	case algebra.OpRdup, algebra.OpAggregate, algebra.OpTRdup, algebra.OpCoal, algebra.OpTAggregate:
-		return true
-	}
-	return false
-}
-
 // ParamsFor returns the calibration for a stratum engine: the default
 // reference shapes, or the streaming shapes of the exec engine.
 func ParamsFor(streaming bool) Params {
@@ -253,13 +218,11 @@ func ParamsFor(streaming bool) Params {
 }
 
 // ForEngine is the calibration for a physical engine: its operator shapes
-// (ParamsFor), order-exploiting variants priced only for engines that
-// compile them (spec.OrderAware), partitioned operators priced at the
-// engine's fan-out width, and spilling against its memory budget — so the
-// model and the stratum's meter price what the engine actually pays.
+// (ParamsFor), partitioned operators priced at the engine's fan-out width,
+// and spilling against its memory budget — so the model and the stratum's
+// meter price what the engine actually pays.
 func ForEngine(spec eval.EngineSpec) Params {
 	p := ParamsFor(spec.Streaming)
-	p.OrderBlind = !spec.OrderAware
 	p.Parallelism = spec.Parallelism
 	p.MemoryBudget = spec.MemoryBudget
 	return p
@@ -269,36 +232,35 @@ func ForEngine(spec eval.EngineSpec) Params {
 // cardinality; the stratum executor meters actual executions with it.
 // streaming selects the exec engine's hash/one-pass shapes — linear
 // products, joins and temporal grouping operators — over the reference
-// evaluator's pairwise and scan-heavy ones. ordered reports that the
-// streaming engine compiled the order-exploiting variant at this node (an
-// elided sort, a merge join, or a contiguous-group merge pass), so the
-// metered work drops accordingly — an elided sort is a verify pass
-// (SortVerifyFactor), a merge pass scales the hash variant's per-tuple work
-// by MergeUnitsFactor. The factors come from the calibration so model and
-// meter recalibrate together. The reference evaluator (streaming=false) has
-// no such variants, so ordered is ignored. With Parallelism > 1 the
-// partitioned operators additionally take the parallel shape (per-partition
-// work plus exchange and gather, with the input cardinality standing in for
-// the output's, which the meter does not know) — except a GROUP-BY-less
-// aggregate, one global group the engine leaves on its sequential path
-// (mirroring the estimator's parallelApplies).
-func (p Params) OpUnits(n algebra.Node, rows int, tupleCost, penalty float64, streaming, ordered bool) float64 {
+// evaluator's pairwise and scan-heavy ones. dec is the variant the
+// streaming engine compiled at this node (package physical): an elided sort
+// is a verify pass (SortVerifyFactor), a merge variant scales the hash
+// variant's per-tuple work by MergeUnitsFactor — the factors come from the
+// calibration so model and meter recalibrate together — and a node with an
+// exchange or spillable state takes the parallel shape (per-partition work
+// plus exchange and gather, with the input cardinality standing in for the
+// output's, which the meter does not know) and the spill shape. The
+// reference evaluator (streaming=false) has no variants: its zero decision
+// takes neither shape.
+func (p Params) OpUnits(n algebra.Node, rows int, tupleCost, penalty float64, streaming bool, dec physical.Variant) float64 {
 	op := n.Op()
-	units := p.opUnitsSequential(op, rows, tupleCost, penalty, streaming, ordered)
-	if agg, ok := n.(*algebra.Aggregate); ok && len(agg.GroupBy) == 0 {
-		return units
-	}
-	// An ordered sort is an elided sort — a compiled-away no-op with no
-	// exchange to meter and no state to spill. Ordered grouping operators
-	// keep both shapes: they still fan out (range exchange) and, budgeted,
-	// their materializing variants still partition to disk.
-	if streaming && partitionedOp(op) && !(op == algebra.OpSort && ordered) {
-		units = p.parallelShape(op, units, float64(rows), float64(rows))
-		if !spillExempt(op, ordered) {
-			units = p.spillShape(op, units, float64(rows))
-		}
+	units := p.opUnitsSequential(op, rows, tupleCost, penalty, streaming, dec.Merge || dec.SortElided)
+	if streaming {
+		units = p.shaped(op, dec, units, float64(rows), float64(rows))
 	}
 	return units
+}
+
+// shaped adds the parallel and spill shapes dec calls for to one
+// operator's own cost.
+func (p Params) shaped(op algebra.Op, dec physical.Variant, own, inRows, outRows float64) float64 {
+	if dec.Exchange {
+		own = p.parallelShape(op, own, inRows, outRows)
+	}
+	if dec.Spills {
+		own = p.spillShape(op, own, inRows)
+	}
+	return own
 }
 
 func (p Params) opUnitsSequential(op algebra.Op, rows int, tupleCost, penalty float64, streaming, ordered bool) float64 {
@@ -355,12 +317,13 @@ type Estimates map[algebra.Node]Estimate
 // Model estimates plans against a catalog's statistics.
 type Model struct {
 	params Params
+	shape  physical.Shape // the engine shape params price
 	cat    *catalog.Catalog
 }
 
 // New returns a model over the catalog with the given parameters.
 func New(cat *catalog.Catalog, params Params) *Model {
-	return &Model{params: params, cat: cat}
+	return &Model{params: params, shape: physical.ShapeOf(params.Parallelism, params.MemoryBudget), cat: cat}
 }
 
 // Plan estimates every node of the plan; the root's Estimate carries the
@@ -420,7 +383,13 @@ func (m *Model) node(n algebra.Node, site props.Site, states *props.Memo, memo m
 		s, _ := states.State(c, cs) // derived without error by m.node
 		ce[i], orders[i] = e, s.Order
 	}
-	e := m.estimate(n, site, ce, orders)
+	// The exec engine's variants only run in the stratum; DBMS subplans
+	// are always priced with the conventional shapes.
+	var dec physical.Variant
+	if m.params.Streaming && site != props.DBMS {
+		dec = physical.Decide(n, orders, m.shape).Variant
+	}
+	e := m.estimate(n, site, ce, dec)
 	for _, c := range ce {
 		e.Cost += c.Cost
 	}
@@ -430,16 +399,16 @@ func (m *Model) node(n algebra.Node, site props.Site, states *props.Memo, memo m
 
 // estimate derives one node's output cardinality (Table 1's cardinality
 // column used as an estimator) and its own processing cost. With the
-// streaming engine and OrderBlind unset the cost is order-conditional: the
-// children's statically inferred orders (Table 1 propagation) are run
-// through the same physical decision procedure the engine compiles with
-// (package physical), and the merge/elided variants are priced with
-// MergeTuple/SortVerifyFactor instead of HashTuple and N·log N. With
-// Parallelism > 1 every partitioned operator then takes the parallel shape:
-// per-partition work plus an exchange charge on the input rows and a gather
-// charge on the output rows.
-func (m *Model) estimate(n algebra.Node, site props.Site, ce []Estimate, orders []relation.OrderSpec) Estimate {
-	est := m.estimateOne(n, site, ce, orders)
+// streaming engine the cost is that of dec, the variant physical.Decide
+// picks from the children's statically inferred orders (Table 1
+// propagation) and the engine's shape — the decision the engine compiles:
+// the merge/elided variants are priced with MergeTuple/SortVerifyFactor
+// instead of HashTuple and N·log N, a node with an exchange takes the
+// parallel shape (per-partition work plus an exchange charge on the input
+// rows and a gather charge on the output rows) and one with spillable
+// state the spill shape.
+func (m *Model) estimate(n algebra.Node, site props.Site, ce []Estimate, dec physical.Variant) Estimate {
+	est := m.estimateOne(n, site, ce, dec)
 	p := m.params
 	// Scale-out: DBMS-site operations run sharded (each shard works its
 	// slice concurrently), transfers additionally pay the wire hop and the
@@ -452,48 +421,17 @@ func (m *Model) estimate(n algebra.Node, site props.Site, ce []Estimate, orders 
 			est.Cost /= float64(p.Shards)
 		}
 	}
-	// The sequential unbudgeted configuration — the common case, paid per
-	// candidate plan by the beam search — takes neither shape; skip the
-	// decision work outright.
-	if (p.Parallelism > 1 || p.MemoryBudget > 0) && p.Streaming && site != props.DBMS &&
-		partitionedOp(n.Op()) && m.parallelApplies(n, orders) {
+	if dec.Exchange || dec.Spills {
 		in := 0.0
 		for _, c := range ce {
 			in += c.Rows
 		}
-		if p.Parallelism > 1 {
-			est.Cost = p.parallelShape(n.Op(), est.Cost, in, est.Rows)
-		}
-		if p.MemoryBudget > 0 {
-			ordered := false
-			if !p.OrderBlind {
-				ordered = physical.Decide(n, orders).Ordered()
-			}
-			if !spillExempt(n.Op(), ordered) {
-				est.Cost = p.spillShape(n.Op(), est.Cost, in)
-			}
-		}
+		est.Cost = p.shaped(n.Op(), dec, est.Cost, in, est.Rows)
 	}
 	return est
 }
 
-// parallelApplies mirrors the engine's per-node exchange guards beyond the
-// operator kind: an elided sort compiles to nothing (no exchange to price),
-// and a GROUP-BY-less aggregate is one global group the engine leaves on
-// its sequential path.
-func (m *Model) parallelApplies(n algebra.Node, orders []relation.OrderSpec) bool {
-	switch node := n.(type) {
-	case *algebra.Sort:
-		if !m.params.OrderBlind && physical.Decide(n, orders).SortElided {
-			return false
-		}
-	case *algebra.Aggregate:
-		return len(node.GroupBy) > 0
-	}
-	return true
-}
-
-func (m *Model) estimateOne(n algebra.Node, site props.Site, ce []Estimate, orders []relation.OrderSpec) Estimate {
+func (m *Model) estimateOne(n algebra.Node, site props.Site, ce []Estimate, dec physical.Variant) Estimate {
 	p := m.params
 	tuple := p.StratumTuple
 	if site == props.DBMS {
@@ -503,13 +441,7 @@ func (m *Model) estimateOne(n algebra.Node, site props.Site, ce []Estimate, orde
 	if site == props.DBMS && n.Op().Temporal() {
 		temporalPenalty = p.DBMSTemporalPenalty
 	}
-	// The exec engine's hash and merge operators only run in the stratum;
-	// DBMS subplans are always priced with the conventional shapes.
 	streaming := p.Streaming && site != props.DBMS
-	var dec physical.Decision
-	if streaming && !p.OrderBlind {
-		dec = physical.Decide(n, orders)
-	}
 	// groupTuple is the per-tuple partitioning cost of a streaming grouping
 	// operator: a hash build/probe, or the cheaper adjacent comparison when
 	// the input's delivered order keeps the operator's groups contiguous.

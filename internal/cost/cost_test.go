@@ -121,32 +121,44 @@ func TestEstimatesScaleWithData(t *testing.T) {
 	}
 }
 
-// TestOrderAwareBelowBlind: over bases sorted and declared on ⟨Name, Grp⟩,
+// TestDeclaredOrderPricedBelowUndeclared: over bases sorted and declared on ⟨Name, Grp⟩,
 // the delivered order derives bottom-up through rdupᵀ, coalᵀ and ⋈ᵀ, so the
-// order-aware model prices the group-at-a-time temporal operators, the merge
-// join and the elided top sorts strictly below the order-blind model, which
-// hashes and sorts as if every input were unordered.
-func TestOrderAwareBelowBlind(t *testing.T) {
-	c := testutil.SortedCatalog(1200)
-	pipe := algebra.NewSort(relation.OrderSpec{relation.Key("Name")},
-		algebra.NewCoal(algebra.NewTRdup(c.MustNode("L"))))
-	join := algebra.NewSort(relation.OrderSpec{relation.Key("1.Name")},
-		algebra.NewTJoin(expr.Compare(expr.Eq, expr.Column("1.Name"), expr.Column("2.Name")),
-			c.MustNode("L"), c.MustNode("R")))
-	blindParams := cost.ParamsFor(true)
-	blindParams.OrderBlind = true
-	aware, blind := cost.New(c, cost.ParamsFor(true)), cost.New(c, blindParams)
-	for name, plan := range map[string]algebra.Node{"pipeline": pipe, "join": join} {
-		ca, err := aware.Cost(plan)
+// streaming model prices the group-at-a-time temporal operators, the merge
+// join and the elided top sorts strictly below the same plans over the same
+// bases with no declared order, which it hashes and sorts.
+func TestDeclaredOrderPricedBelowUndeclared(t *testing.T) {
+	sorted := testutil.SortedCatalog(1200)
+	undeclared := catalog.New()
+	for _, name := range []string{"L", "R"} {
+		e, err := sorted.Entry(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cb, err := blind.Cost(plan)
+		if err := undeclared.Add(name, e.Rel, algebra.BaseInfo{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plans := func(c *catalog.Catalog) map[string]algebra.Node {
+		return map[string]algebra.Node{
+			"pipeline": algebra.NewSort(relation.OrderSpec{relation.Key("Name")},
+				algebra.NewCoal(algebra.NewTRdup(c.MustNode("L")))),
+			"join": algebra.NewSort(relation.OrderSpec{relation.Key("1.Name")},
+				algebra.NewTJoin(expr.Compare(expr.Eq, expr.Column("1.Name"), expr.Column("2.Name")),
+					c.MustNode("L"), c.MustNode("R"))),
+		}
+	}
+	aware, blind := plans(sorted), plans(undeclared)
+	for name := range aware {
+		ca, err := cost.New(sorted, cost.ParamsFor(true)).Cost(aware[name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		cb, err := cost.New(undeclared, cost.ParamsFor(true)).Cost(blind[name])
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !(ca < cb) {
-			t.Errorf("%s: order-aware cost %.0f must be strictly below order-blind %.0f", name, ca, cb)
+			t.Errorf("%s: cost over declared order %.0f must be strictly below %.0f over none", name, ca, cb)
 		}
 	}
 }

@@ -31,6 +31,7 @@ import (
 	"tqp/internal/algebra"
 	"tqp/internal/eval"
 	"tqp/internal/obs"
+	"tqp/internal/physical"
 	"tqp/internal/props"
 	"tqp/internal/relation"
 	"tqp/internal/rules"
@@ -130,7 +131,7 @@ func (e *Engine) eval(n algebra.Node) (*relation.Relation, obs.RunSample, error)
 	eng := e.spec.Instantiate(boundSource{leaves: leaves, base: e.src})
 	var root obs.RunSample
 	if o, ok := eng.(eval.NodeObserver); ok {
-		o.ObserveNodes(false, func(n algebra.Node, s obs.RunSample) {
+		o.ObserveNodes(false, func(n algebra.Node, _ physical.Variant, s obs.RunSample) {
 			if n == bound {
 				root = s
 			}

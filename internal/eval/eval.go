@@ -15,6 +15,7 @@ import (
 
 	"tqp/internal/algebra"
 	"tqp/internal/obs"
+	"tqp/internal/physical"
 	"tqp/internal/props"
 	"tqp/internal/relation"
 	"tqp/internal/schema"
@@ -50,14 +51,16 @@ type Engine interface {
 // NodeObserver is the optional interface of an engine that reports per-node
 // actuals: after ObserveNodes, an Eval that succeeds has called fn once for
 // every node of the tree it was handed, on the evaluating goroutine, in no
-// particular order. Rows and Batches are always set. Wall and the Spill
-// counts (SpilledOps, SpilledBytes, SpillFiles) cover the node's whole
-// subtree (its own share is that less its children's, obs.Spill.Less); a
-// pipelining engine must read a clock around every pull to attribute them,
-// so it fills them only when timed is set. The run's PeakBytes, and its
-// spill totals even untimed, arrive on the root.
+// particular order, with the physical variant it compiled for the node (the
+// zero Variant for an engine that has no variants to choose). Rows and
+// Batches are always set. Wall and the Spill counts (SpilledOps,
+// SpilledBytes, SpillFiles) cover the node's whole subtree (its own share
+// is that less its children's, obs.Spill.Less); a pipelining engine must
+// read a clock around every pull to attribute them, so it fills them only
+// when timed is set. The run's PeakBytes, and its spill totals even
+// untimed, arrive on the root.
 type NodeObserver interface {
-	ObserveNodes(timed bool, fn func(n algebra.Node, s obs.RunSample))
+	ObserveNodes(timed bool, fn func(n algebra.Node, d physical.Variant, s obs.RunSample))
 }
 
 // Factory constructs an engine over a tuple source. The stratum executor
@@ -81,11 +84,6 @@ type EngineSpec struct {
 	// the cost model prices with cost.Params VecExchangeFactor and
 	// VecSpillFactor.
 	Streaming bool
-	// OrderAware reports that the engine compiles the order-exploiting
-	// physical variants (merge operators, sort elision) when its inputs'
-	// delivered orders allow. The cost model and the stratum meter price
-	// those variants only for engines that actually compile them.
-	OrderAware bool
 	// Parallelism is the worker count of a morsel-parallel engine (exec's
 	// Config.Parallelism); 0 or 1 means sequential execution. The cost model
 	// uses it to price partitioned operators as per-partition work plus
@@ -97,6 +95,12 @@ type EngineSpec struct {
 	// operators whose estimated state exceeds the per-worker budget share,
 	// so the optimizer can trade sorts against spilling hash operators.
 	MemoryBudget int64
+}
+
+// Shape is the engine's shape for physical.Decide: the variants the exec
+// engine compiles depend on its width and budget besides delivered orders.
+func (s EngineSpec) Shape() physical.Shape {
+	return physical.ShapeOf(s.Parallelism, s.MemoryBudget)
 }
 
 // Instantiate constructs a fresh engine over src from the spec — the
@@ -124,7 +128,7 @@ func Reference() EngineSpec {
 // Evaluator evaluates operator trees against a Source.
 type Evaluator struct {
 	src     Source
-	observe func(n algebra.Node, s obs.RunSample)
+	observe func(n algebra.Node, d physical.Variant, s obs.RunSample)
 }
 
 // New returns an evaluator over src.
@@ -132,7 +136,7 @@ func New(src Source) *Evaluator { return &Evaluator{src: src} }
 
 // ObserveNodes implements NodeObserver: a sample is the length of the node's
 // materialized result and the wall time of its Eval call, timed or not.
-func (e *Evaluator) ObserveNodes(_ bool, fn func(n algebra.Node, s obs.RunSample)) {
+func (e *Evaluator) ObserveNodes(_ bool, fn func(n algebra.Node, d physical.Variant, s obs.RunSample)) {
 	e.observe = fn
 }
 
@@ -146,7 +150,7 @@ func (e *Evaluator) Eval(n algebra.Node) (*relation.Relation, error) {
 	start := time.Now()
 	r, err := e.evalNode(n)
 	if err == nil {
-		e.observe(n, obs.RunSample{Rows: int64(r.Len()), Wall: time.Since(start)})
+		e.observe(n, physical.Variant{}, obs.RunSample{Rows: int64(r.Len()), Wall: time.Since(start)})
 	}
 	return r, err
 }

@@ -9,9 +9,10 @@ import (
 // Config is the one engine-configuration surface: every knob of the exec
 // engine in a single struct, consumed by NewSpec (for planning and the
 // stratum) and NewWith (for a bare engine). The zero value is the
-// fully-enabled sequential engine ("exec"). No field selects between two
-// implementations of one algorithm: Parallelism and MemoryBudget size the
-// run, NoMerge and NoSortElision restrict which algorithms may compile.
+// sequential engine ("exec"). No field selects between two implementations
+// of one algorithm: Parallelism and MemoryBudget size the run, and with the
+// delivered orders the engine observes they are all package physical's
+// Decide reads to choose each operator's variant.
 type Config struct {
 	// Parallelism is the number of workers a partitionable operator may fan
 	// out to: the exchange driver (grace.go) hash- or range-partitions the
@@ -36,31 +37,19 @@ type Config struct {
 	// when the run ends — success or error. Empty means the system temp
 	// directory.
 	SpillDir string
-	// NoMerge disables the merge/sort-based variants (merge join, merge
-	// diff/union, adjacent-compare dedup, streaming group-at-a-time
-	// temporal operators); every operator uses its hash variant.
-	NoMerge bool
-	// NoSortElision forces every sort node to physically sort, even when
-	// its input already delivers the requested order.
-	NoSortElision bool
 }
 
 // NewSpec derives an immutable engine spec from a Config, named
-// consistently across the whole surface: "exec", "exec-hash", "exec-par4",
+// consistently across the whole surface: "exec", "exec-par4",
 // "exec-par4-mem16M", …. It is the one constructor: a session's engine
 // settings plus the admission controller's resource shares (and the
 // server's spill directory) become one spec, instantiated per query via
 // eval.EngineSpec.Instantiate.
-// The restriction flags (NoMerge, NoSortElision) are reflected in OrderAware
-// so the cost model never prices variants the engine won't compile.
 func NewSpec(cfg Config) eval.EngineSpec {
 	if cfg.Parallelism < 1 {
 		cfg.Parallelism = 1
 	}
 	name := "exec"
-	if cfg.NoMerge || cfg.NoSortElision {
-		name = "exec-hash"
-	}
 	if cfg.Parallelism > 1 {
 		name += fmt.Sprintf("-par%d", cfg.Parallelism)
 	}
@@ -71,7 +60,6 @@ func NewSpec(cfg Config) eval.EngineSpec {
 		Name:         name,
 		New:          func(src eval.Source) eval.Engine { return NewWith(src, cfg) },
 		Streaming:    true,
-		OrderAware:   !cfg.NoMerge && !cfg.NoSortElision,
 		Parallelism:  cfg.Parallelism,
 		MemoryBudget: cfg.MemoryBudget,
 	}

@@ -10,6 +10,7 @@ import (
 	"tqp/internal/exec"
 	"tqp/internal/expr"
 	"tqp/internal/obs"
+	"tqp/internal/physical"
 	"tqp/internal/relation"
 	"tqp/internal/schema"
 	"tqp/internal/testutil"
@@ -168,7 +169,7 @@ func TestUnobservedEvalCompilesNoStage(t *testing.T) {
 			t.Errorf("%+v: the configured route never ran: %+v", cfg, st)
 		}
 		samples := 0
-		e.ObserveNodes(false, func(algebra.Node, obs.RunSample) { samples++ })
+		e.ObserveNodes(false, func(algebra.Node, physical.Variant, obs.RunSample) { samples++ })
 		got, err := e.Eval(plan)
 		if err != nil {
 			t.Fatal(err)

@@ -18,13 +18,14 @@
 // never *which list* comes out. The reference evaluator is the sole oracle:
 // differential tests (differential_test.go, order_test.go, spill_test.go)
 // drive hundreds of random conventional and temporal plans through it and
-// through this engine hash-only, full, parallel and budgeted, and assert
-// exact list equality plus identical Table 1 order annotations.
+// through this engine sequential, parallel and budgeted, and assert exact
+// list equality plus identical Table 1 order annotations.
 //
 // Inside this package each algorithm is implemented once. An operator may
-// have several algorithms — hash, merge, streaming group-at-a-time — chosen
-// from what the build step can observe (delivered orders, and the Config's
-// Parallelism and MemoryBudget); it never has two implementations of the
+// have several algorithms — hash, merge, streaming group-at-a-time — and
+// package physical's Decide chooses among them from what the build step
+// observes (delivered orders, and the Config's Parallelism and
+// MemoryBudget); it never has two implementations of the
 // same algorithm with a switch between them, and it is never written once
 // per *route*: how a keyed blocking operator's input is held (resident,
 // partitioned across workers, spilled to disk) is the exchange driver's
@@ -135,29 +136,38 @@
 // evaluator applies at run time (and that props.State.Order derives
 // statically; the golden matrix in order_golden_test.go pins all three to
 // each other). Delivered orders are list invariants, and the engine spends
-// them in three ways, all decided by the shared procedure in package
-// physical so the cost model prices exactly what the engine compiles:
+// them in three ways. compile asks physical.Decide once per node, from the
+// inputs' delivered orders and the engine's shape (its width and whether a
+// budget is set), and the node's builder compiles exactly the decision it
+// gets — no builder tests an order itself — so the cost model, the stratum
+// meter and EXPLAIN ANALYZE, which read the same decision, describe what
+// ran (TestVariantCountersMatchAnnotation):
 //
 //   - Sort elision. sort_A over an input delivering an order A is a prefix
 //     of is a physical no-op (a stable sort cannot move any tuple); the
 //     build step returns the input stage unchanged, stronger order
-//     included. Config.NoSortElision disables this for differential
-//     testing and the order experiment, and the elided/performed property
-//     test asserts bit-equal outputs either way.
+//     included, on every shape. The reference evaluator always sorts, so
+//     the differential suites pin that elision never moves a tuple.
 //
 //   - Merge operators. With key-covering aligned orders on both inputs,
 //     joins merge instead of hashing (vecMergeJoinIter: a monotone pointer
 //     over the materialized sorted right side, emitting the hash join's
 //     exact left-major pair order); \ and ∪ run two-pointer merges over a
-//     shared total order; rdup degenerates to an adjacent comparison.
+//     shared total order; rdup degenerates to an adjacent comparison. The
+//     two-sided merges materialize a side, so only the sequential
+//     unbudgeted engine compiles them: a pool or a budget partitions that
+//     side instead.
 //
 //   - Streaming grouping. rdupᵀ, coalᵀ, 𝒢 and 𝒢ᵀ over inputs whose
 //     delivered order keeps their groups contiguous run group-at-a-time
 //     (groupCutIter): cut the batch stream at group boundaries, run the
 //     operator's partition body over each slice of whole groups, emit,
 //     repeat — state bounded by one group, no hash table, no global
-//     materialization. Contiguity is a property of the delivered order, not
-//     a separate operator.
+//     materialization, so the budgeted engine prefers it to partitioning.
+//     Under plain parallelism the driver's range exchange splits the same
+//     contiguous groups across the pool instead, and the bodies still cut
+//     groups without hashing. Contiguity is a property of the delivered
+//     order, not a separate operator.
 //
 // When no order helps, the hash variants run: hash join on extracted
 // equi-keys (on the empty key for a keyless product), hash multiplicity
@@ -166,10 +176,8 @@
 // and pipelined hash aggregation. The engine deliberately does NOT "sort
 // first and merge" when an input is unsorted: coalescing is not confluent
 // under reordering, so a sort-based coalᵀ would change the result multiset,
-// not just its order. Config.NoMerge restricts the engine to the hash
-// algorithms (the exec-hash spec) — an algorithm restriction only, the
-// operators stay batch-at-a-time — and Stats counts which variants
-// compiled.
+// not just its order. Stats counts which variants compiled, as
+// physical.Summarize counts an annotated plan.
 //
 // Config.Parallelism and Config.MemoryBudget never change a result list:
 // they only move the exchange driver between its routes (and size the
@@ -203,13 +211,15 @@
 //
 // Any other operator adds a case to (*Engine).operator returning a source
 // (batch iterator + schema) that pulls its inputs' source.vec. compile has
-// already built those inputs and derived the node's schema, and it sets the
-// built source's order from props.OrderOf, Table 1's one copy: a builder
-// neither builds its inputs nor orders its output, and reads the inputs'
-// delivered orders only to choose an algorithm. A new operator's order rule
-// goes into props.OrderOf. If the operator has an order-exploiting
-// algorithm, put its applicability test in package physical's Decide so the
-// engine, the cost model, and the stratum meter make the same choice, and
+// already built those inputs, derived the node's schema and taken the
+// node's physical.Decision, and it sets the built source's order from
+// props.OrderOf, Table 1's one copy: a builder neither builds its inputs
+// nor orders its output nor reads their orders — it compiles the decision
+// it is handed. A new operator's order rule goes into props.OrderOf. If the
+// operator has more than one algorithm, its choice — applicability test,
+// the shapes that rule a variant out, and whatever the builder compiles it
+// from (keys, contiguity) — goes into package physical's Decide, so the
+// engine, the cost model, the stratum meter and EXPLAIN ANALYZE share it;
 // extend the differential fuzz generator (internal/testutil) with shapes
 // that trigger it. The cost model's order-conditional formulas (cost.Params
 // MergeTuple/SortVerifyFactor/MergeUnitsFactor and the Params.OpUnits

@@ -8,6 +8,7 @@ import (
 	"tqp/internal/column"
 	"tqp/internal/eval"
 	"tqp/internal/obs"
+	"tqp/internal/physical"
 	"tqp/internal/props"
 	"tqp/internal/relation"
 	"tqp/internal/schema"
@@ -16,14 +17,15 @@ import (
 
 // Stats counts the physical variants the engine's most recent Eval
 // compiled and ran — the run-time record that the order-exploiting,
-// parallel and spilling paths actually fired. Eval resets the counters on
-// entry, so a reused Engine reports per-run stats, never an accumulation
-// across queries.
+// parallel and spilling paths actually fired. The four variant counters
+// tally the nodes' physical.Decide decisions exactly as physical.Summarize
+// tallies an annotated plan. Eval resets the counters on entry, so a reused
+// Engine reports per-run stats, never an accumulation across queries.
 type Stats struct {
 	SortsElided int // sort nodes compiled away (input already ordered)
-	MergeSorts  int // external merge sorts performed
+	MergeSorts  int // sort nodes physically performed: in-memory permutation or external merge sort
 	MergeJoins  int // merge joins chosen over hash joins
-	MergeOps    int // merge diff/union/dedup and streaming group operators
+	MergeOps    int // merge diff/union, adjacent-compare dedup and grouping over contiguous groups
 	ParallelOps int // operators compiled with a parallel exchange
 	Partitions  int // partitions fanned out across those operators
 
@@ -35,11 +37,13 @@ type Stats struct {
 
 // Engine is the streaming hash- and merge-based engine. It implements
 // eval.Engine and produces the same result list as the reference evaluator
-// for every plan; when an input's delivered order allows it (and the Config
-// permits), it compiles the cheaper merge/sort-based variant of an operator.
+// for every plan; it compiles, per node, the variant physical.Decide picks
+// for the inputs' delivered orders and the engine's shape — the cheaper
+// merge/sort-based one wherever the order allows it.
 type Engine struct {
 	src   eval.Source
 	opts  Config
+	shape physical.Shape
 	stats Stats
 
 	// leaf, when set, is what a Rel of the plan compiles to instead of a
@@ -54,22 +58,22 @@ type Engine struct {
 	// observe, when set, receives every plan node's sample after a
 	// successful Eval (eval.NodeObserver), from the run's stages — listed in
 	// build order, the root last; timed makes them bracket every pull.
-	observe func(algebra.Node, obs.RunSample)
+	observe func(algebra.Node, physical.Variant, obs.RunSample)
 	timed   bool
 	stages  []*stage
 }
 
 // ObserveNodes implements eval.NodeObserver.
-func (e *Engine) ObserveNodes(timed bool, fn func(algebra.Node, obs.RunSample)) {
+func (e *Engine) ObserveNodes(timed bool, fn func(algebra.Node, physical.Variant, obs.RunSample)) {
 	e.observe, e.timed = fn, timed
 }
 
-// New returns an engine over src with every physical variant enabled.
+// New returns the sequential unbudgeted engine over src.
 func New(src eval.Source) *Engine { return &Engine{src: src} }
 
 // NewWith returns an engine over src configured by opts.
 func NewWith(src eval.Source, opts Config) *Engine {
-	return &Engine{src: src, opts: opts}
+	return &Engine{src: src, opts: opts, shape: physical.ShapeOf(opts.Parallelism, opts.MemoryBudget)}
 }
 
 // Stats reports the physical-variant counters of the most recent Eval.
@@ -117,7 +121,7 @@ func (e *Engine) Eval(n algebra.Node) (*relation.Relation, error) {
 	// totals, known here even when no stage was timed.
 	e.stages[len(e.stages)-1].Spill = e.stats.Spill
 	for _, st := range e.stages {
-		e.observe(st.node, st.RunSample)
+		e.observe(st.node, st.dec, st.RunSample)
 	}
 	return r, nil
 }
@@ -170,8 +174,9 @@ type stage struct {
 	obs.RunSample
 	e    *Engine
 	node algebra.Node
-	in   *source // the node's own source
-	out  source  // what the parent sees: in's stream routed through the stage
+	dec  physical.Variant // the variant the node compiled
+	in   *source          // the node's own source
+	out  source           // what the parent sees: in's stream routed through the stage
 }
 
 // spilled reads the run's spill counters so far — operators, bytes and
@@ -208,8 +213,8 @@ func (st *stage) nextBatch() (*column.Batch, error) {
 func (st *stage) close() error { return st.in.vec.close() }
 
 // observed wraps a compiled node in its stage.
-func (e *Engine) observed(n algebra.Node, in *source) *source {
-	st := &stage{e: e, node: n, in: in}
+func (e *Engine) observed(n algebra.Node, d physical.Variant, in *source) *source {
+	st := &stage{e: e, node: n, dec: d, in: in}
 	st.out = source{vec: st, schema: in.schema, order: in.order}
 	e.stages = append(e.stages, st)
 	return &st.out
@@ -218,24 +223,27 @@ func (e *Engine) observed(n algebra.Node, in *source) *source {
 // build compiles a logical node into a physical pipeline stage, wrapped in
 // its counting stage when the run is observed.
 func (e *Engine) build(n algebra.Node) (*source, error) {
-	s, err := e.compile(n)
+	s, d, err := e.compile(n)
 	if err != nil || e.observe == nil {
 		return s, err
 	}
-	return e.observed(n, s), nil
+	return e.observed(n, d.Variant, s), nil
 }
 
 // compile builds a node's physical operator. A base relation compiles to
 // its scan, or to RunFragment's shard slice. Any other node builds its
-// children through build, derives its schema, hands both to its operator's
-// builder and sets the built stage's Table 1 order — the one place the
-// engine orders a stage.
-func (e *Engine) compile(n algebra.Node) (*source, error) {
+// children through build, derives its schema, takes its variant from
+// physical.Decide over the children's delivered orders and the engine's
+// shape — the one place the engine chooses one — hands all three to its
+// operator's builder and sets the built stage's Table 1 order — the one
+// place the engine orders a stage.
+func (e *Engine) compile(n algebra.Node) (*source, physical.Decision, error) {
 	if rel, ok := n.(*algebra.Rel); ok {
 		if e.leaf != nil {
-			return e.leaf, nil
+			return e.leaf, physical.Decision{}, nil
 		}
-		return e.buildRel(rel)
+		s, err := e.buildRel(rel)
+		return s, physical.Decision{}, err
 	}
 	ch := n.Children()
 	var buf [2]*source
@@ -244,24 +252,42 @@ func (e *Engine) compile(n algebra.Node) (*source, error) {
 	for i, c := range ch {
 		s, err := e.build(c)
 		if err != nil {
-			return nil, err
+			return nil, physical.Decision{}, err
 		}
 		in[i], orders[i] = s, s.order
 	}
 	out, err := n.Schema()
 	if err != nil {
-		return nil, err
+		return nil, physical.Decision{}, err
 	}
-	s, err := e.operator(n, in, out)
+	d := physical.Decide(n, orders[:len(ch)], e.shape)
+	e.count(d.Variant)
+	s, err := e.operator(n, d, in, out)
 	if err != nil {
-		return nil, err
+		return nil, physical.Decision{}, err
 	}
 	s.order = props.OrderOf(n, orders[:len(ch)]...)
-	return s, nil
+	return s, d, nil
 }
 
-// operator builds n's physical operator over its built inputs.
-func (e *Engine) operator(n algebra.Node, in []*source, out *schema.Schema) (*source, error) {
+// count records a compiled decision in the variant counters, as
+// physical.Summarize tallies an annotated plan.
+func (e *Engine) count(d physical.Variant) {
+	switch {
+	case d.SortElided:
+		e.stats.SortsElided++
+	case d.Algo == physical.AlgoSort:
+		e.stats.MergeSorts++
+	case d.Algo == physical.AlgoMergeJoin:
+		e.stats.MergeJoins++
+	case d.Merge:
+		e.stats.MergeOps++
+	}
+}
+
+// operator builds n's physical operator, the variant d, over its built
+// inputs.
+func (e *Engine) operator(n algebra.Node, d physical.Decision, in []*source, out *schema.Schema) (*source, error) {
 	switch node := n.(type) {
 	case *algebra.Select:
 		return e.buildSelect(node, in[0]), nil
@@ -269,38 +295,38 @@ func (e *Engine) operator(n algebra.Node, in []*source, out *schema.Schema) (*so
 		return e.buildProject(node, in[0], out), nil
 	case *algebra.Aggregate:
 		if node.Op() == algebra.OpTAggregate {
-			return e.buildTAggregate(node, in[0], out), nil
+			return e.buildTAggregate(node, d, in[0], out), nil
 		}
-		return e.buildAggregate(node, in[0], out), nil
+		return e.buildAggregate(node, d, in[0], out), nil
 	case *algebra.Sort:
-		return e.buildSort(node, in[0]), nil
+		return e.buildSort(node, d, in[0]), nil
 	case *algebra.Join:
 		// The join idioms evaluate as their defining expansion with the
 		// predicate fused into the product — σ_P(l × r), σ_P(l ×ᵀ r).
-		return e.buildProduct(in[0], in[1], out, node.P, node.Op() == algebra.OpTJoin), nil
+		return e.buildProduct(d, in[0], in[1], out, node.Op() == algebra.OpTJoin), nil
 	}
 	switch n.Op() {
 	case algebra.OpUnionAll:
 		// ⊔: streaming concatenation.
 		return vecSource(&vecConcatIter{cur: in[0].vec, rest: in[1].vec}, in[0].schema), nil
 	case algebra.OpUnion:
-		return e.buildUnion(in[0], in[1]), nil
+		return e.buildUnion(d, in[0], in[1]), nil
 	case algebra.OpTUnion:
-		return e.buildTPair(in[0], in[1], tunionBody), nil
+		return e.buildTPair(d, in[0], in[1], tunionBody), nil
 	case algebra.OpProduct:
-		return e.buildProduct(in[0], in[1], out, nil, false), nil
+		return e.buildProduct(d, in[0], in[1], out, false), nil
 	case algebra.OpTProduct:
-		return e.buildProduct(in[0], in[1], out, nil, true), nil
+		return e.buildProduct(d, in[0], in[1], out, true), nil
 	case algebra.OpDiff:
-		return e.buildDiff(in[0], in[1], out), nil
+		return e.buildDiff(d, in[0], in[1], out), nil
 	case algebra.OpTDiff:
-		return e.buildTPair(in[0], in[1], tdiffBody), nil
+		return e.buildTPair(d, in[0], in[1], tdiffBody), nil
 	case algebra.OpRdup:
-		return e.buildRdup(in[0], out), nil
+		return e.buildRdup(d, in[0], out), nil
 	case algebra.OpTRdup:
-		return e.buildValueGroup(in[0], rdupTBody), nil
+		return e.buildValueGroup(d, in[0], rdupTBody), nil
 	case algebra.OpCoal:
-		return e.buildValueGroup(in[0], coalTBody), nil
+		return e.buildValueGroup(d, in[0], coalTBody), nil
 	case algebra.OpTransferS, algebra.OpTransferD:
 		// Transfers are identities on data; their cost and site semantics
 		// live in the stratum executor.

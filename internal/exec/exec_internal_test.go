@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"tqp/internal/algebra"
 	"tqp/internal/column"
 	"tqp/internal/expr"
 	"tqp/internal/period"
@@ -73,6 +74,14 @@ func TestEquiKeys(t *testing.T) {
 	}
 }
 
+// valueGroupsContiguous is the contiguity the engine compiles rdupᵀ with
+// over an input delivered in ord: its decision's verdict on the value
+// columns (Name, Grp) of s.
+func valueGroupsContiguous(s *schema.Schema, ord relation.OrderSpec) bool {
+	rdupT := algebra.NewTRdup(algebra.NewRel("R", s, algebra.BaseInfo{}))
+	return physical.Decide(rdupT, []relation.OrderSpec{ord}, physical.Shape{}).Contiguous
+}
+
 // TestGroupsContiguous pins the OrderSpec reasoning that lets the grouping
 // operators skip the hash table.
 func TestGroupsContiguous(t *testing.T) {
@@ -81,7 +90,6 @@ func TestGroupsContiguous(t *testing.T) {
 		schema.Attr("Grp", value.KindInt),
 		schema.Attr(schema.T1, value.KindTime),
 		schema.Attr(schema.T2, value.KindTime))
-	vidx := physical.ValueIdx(s) // Name, Grp
 	cases := []struct {
 		ord  relation.OrderSpec
 		want bool
@@ -94,8 +102,8 @@ func TestGroupsContiguous(t *testing.T) {
 		{relation.OrderSpec{relation.Key("T1"), relation.Key("Name"), relation.Key("Grp")}, false}, // time attr splits groups
 	}
 	for _, c := range cases {
-		if got := groupsContiguous(c.ord, s, vidx); got != c.want {
-			t.Errorf("groupsContiguous(%s) = %v, want %v", c.ord, got, c.want)
+		if got := valueGroupsContiguous(s, c.ord); got != c.want {
+			t.Errorf("contiguous(%s) = %v, want %v", c.ord, got, c.want)
 		}
 	}
 }
@@ -110,12 +118,11 @@ func TestGroupsContiguousDuplicateKeys(t *testing.T) {
 		schema.Attr("Grp", value.KindInt),
 		schema.Attr(schema.T1, value.KindTime),
 		schema.Attr(schema.T2, value.KindTime))
-	vidx := physical.ValueIdx(s)
 	dup := relation.OrderSpec{relation.Key("Name"), relation.Key("Name")}
-	if groupsContiguous(dup, s, vidx) {
+	if valueGroupsContiguous(s, dup) {
 		t.Fatal("sort_{Name,Name} must not prove (Name,Grp) contiguity")
 	}
-	if !groupsContiguous(relation.OrderSpec{relation.Key("Grp"), relation.Key("Grp"), relation.Key("Name")}, s, vidx) {
+	if !valueGroupsContiguous(s, relation.OrderSpec{relation.Key("Grp"), relation.Key("Grp"), relation.Key("Name")}) {
 		t.Fatal("duplicates are harmless once every value attribute is covered")
 	}
 }

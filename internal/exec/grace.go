@@ -11,7 +11,7 @@
 //   - W-way (Config.Parallelism > 1, no budget): the resident batch splits
 //     into W partitions on the worker pool — contiguous whole-group ranges
 //     when the delivered order proves the key groups contiguous
-//     (physical.GroupsContiguous), otherwise by the canonical hash of the
+//     (physical.Decision.Contiguous), otherwise by the canonical hash of the
 //     key columns read off the column planes — so every key group lands
 //     wholly in one partition in list order.
 //
@@ -641,7 +641,7 @@ func (e *Engine) graceRunFrom(op *keyedOp, ls, rs *vecGraceSide) ([]*column.Batc
 	case e.parallel() && !e.budgeted() && len(op.lidx) > 0:
 		w := e.exchange()
 		var lparts, rparts []part
-		if op.r == nil && op.contiguous && !e.opts.NoMerge {
+		if op.r == nil && op.contiguous {
 			lparts = rangeParts(ls.b, op.lidx, w)
 			rparts = make([]part, len(lparts))
 		} else {

@@ -242,31 +242,25 @@ func (it *blockJoinIter) close() error {
 }
 
 // buildProduct compiles × / ×ᵀ with an optional fused join predicate; the
-// join idioms dispatch here with their predicate. Every shape is one join
-// kernel over the predicate's equality keys — none for a keyless product —
-// with the rest of the predicate as its residual. With keys and both inputs
-// delivered in a key-covering order the merge join is chosen; otherwise the
-// hash join, whose probe side splits across the worker pool under
-// Parallelism and which becomes the hybrid join of graceJoinIter under a
-// budget.
-func (e *Engine) buildProduct(l, r *source, outSchema *schema.Schema, pred expr.Pred, temporal bool) *source {
-	lidx, ridx, residual := physical.EquiKeys(pred, outSchema, l.schema.Len(), r.schema.Len())
-	j := newPairJoiner(l, r, outSchema, lidx, ridx, residual, temporal)
-	if e.budgeted() {
+// join idioms dispatch here with their decision. Every shape is one join
+// kernel over the predicate's equality keys (d.Keys, d.RKeys — none for a
+// keyless product) with the rest of the predicate as its residual: the
+// merge join when d says so, else the hash join, which becomes the hybrid
+// join of graceJoinIter when it spills and splits its probe side across
+// the worker pool under an exchange.
+func (e *Engine) buildProduct(d physical.Decision, l, r *source, outSchema *schema.Schema, temporal bool) *source {
+	j := newPairJoiner(l, r, outSchema, d.Keys, d.RKeys, d.Residual, temporal)
+	switch {
+	case d.Merge:
+		return vecSource(&vecMergeJoinIter{
+			left: l.vec, right: r, out: outSchema, lw: j.lw, rw: j.rw,
+			cmp: compileVecJoinCmp(l.schema, r.schema, d.MergeKeys), residual: d.Residual,
+			temporal: temporal, lt1: j.lt1, lt2: j.lt2,
+		}, outSchema)
+	case d.Spills:
 		return vecSource(&graceJoinIter{e: e, l: l, r: r, j: j}, outSchema)
-	}
-	if e.parallel() {
+	case d.Exchange:
 		return e.vecParallelJoinSource(l, r, j)
-	}
-	if len(lidx) > 0 && !e.opts.NoMerge {
-		if keys, ok := physical.MergeJoinKeys(l.order, r.order, l.schema, r.schema, lidx, ridx); ok {
-			e.stats.MergeJoins++
-			return vecSource(&vecMergeJoinIter{
-				left: l.vec, right: r, out: outSchema, lw: j.lw, rw: j.rw,
-				cmp: compileVecJoinCmp(l.schema, r.schema, keys), residual: residual,
-				temporal: temporal, lt1: j.lt1, lt2: j.lt2,
-			}, outSchema)
-		}
 	}
 	return vecSource(j.joinIter(l.vec, r), outSchema)
 }

@@ -72,6 +72,9 @@ func hashRows(b *column.Batch, rows, idx []int, out []uint64) {
 	}
 }
 
+// identityIdx returns [0, 1, ..., n).
+func identityIdx(n int) []int { return seqRows(nil, 0, n) }
+
 // seqRows fills buf with lo, lo+1, …, hi-1: the physical rows of a dense
 // range, for the kernels that take a row list.
 func seqRows(buf []int, lo, hi int) []int {
@@ -440,8 +443,8 @@ func compileVecCmp(s *schema.Schema, spec relation.OrderSpec) *vecCmp {
 }
 
 // compileVecJoinCmp compiles a merge join's aligned key sequence: left
-// column L[k] against right column R[k] under Dirs[k], the sign contract of
-// physical.JoinKeys.Compare.
+// column L[k] against right column R[k] under Dirs[k], the first unequal
+// key deciding — negative when the left row sorts first.
 func compileVecJoinCmp(ls, rs *schema.Schema, keys physical.JoinKeys) *vecCmp {
 	c := &vecCmp{keys: make([]cmpKey, len(keys.L))}
 	for i := range keys.L {

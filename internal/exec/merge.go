@@ -2,6 +2,7 @@ package exec
 
 import (
 	"tqp/internal/column"
+	"tqp/internal/physical"
 	"tqp/internal/schema"
 )
 
@@ -45,17 +46,14 @@ type span struct {
 }
 
 // groupSource compiles a one-sided grouping operator from its partition
-// body, told whether in's delivered order keeps the idx groups contiguous:
-// streamed group-at-a-time when that order allows, else by the exchange
-// driver.
-func (e *Engine) groupSource(in *source, idx []int, out *schema.Schema, body func(contiguous bool) partBody) *source {
-	contiguous := groupsContiguous(in.order, in.schema, idx)
-	if !e.streams(in, idx) {
-		return e.keyedSource(&keyedOp{l: in, lidx: idx, contiguous: contiguous, out: out, body: body(contiguous)})
+// body (built for d.Contiguous): a merge decision with no exchange streams
+// group-at-a-time, anything else runs on the exchange driver.
+func (e *Engine) groupSource(in *source, d physical.Decision, out *schema.Schema, body partBody) *source {
+	if !d.Merge || d.Exchange {
+		return e.keyedSource(&keyedOp{l: in, lidx: d.Keys, contiguous: d.Contiguous, out: out, body: body})
 	}
-	e.stats.MergeOps++
 	return vecSource(&groupCutIter{
-		in: in.vec, out: out, idx: idx, body: body(contiguous),
+		in: in.vec, out: out, idx: d.Keys, body: body,
 		work: column.NewBatch(in.schema, 0),
 	}, out)
 }

@@ -10,27 +10,31 @@ import (
 	"tqp/internal/eval"
 	"tqp/internal/exec"
 	"tqp/internal/expr"
+	"tqp/internal/physical"
 	"tqp/internal/props"
 	"tqp/internal/relation"
 	"tqp/internal/testutil"
 )
 
 // TestDifferentialThreeWay is the merge family's correctness anchor: every
-// random plan runs through the reference evaluator, the hash-only engine
-// (PR 1's physical operators) and the full engine with the merge/sort-based
-// variants and sort elision enabled, and all three must produce the
-// identical tuple list and the identical Table 1 order annotation. The
-// generator over-weights order-sensitive shapes, and the accumulated engine
-// stats prove the merge paths actually compiled — a three-way pass over
-// plans that never hit a merge operator would be vacuous.
+// random plan runs through the reference evaluator, the sequential engine
+// with the merge/sort-based variants and sort elision, and the engine under
+// a budget it never exhausts, whose decisions trade the merge join and the
+// merge \ and ∪ for their hash variants on the exchange driver; all three
+// must produce the identical tuple list and the identical Table 1 order
+// annotation. The generator over-weights order-sensitive shapes, and the
+// accumulated engine stats prove the merge paths actually compiled — a
+// three-way pass over plans that never hit a merge operator would be
+// vacuous.
 func TestDifferentialThreeWay(t *testing.T) {
 	plans := 0
 	var total exec.Stats
+	spillDir := t.TempDir()
 	for seed := int64(0); seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		c, bases := testutil.TemporalCatalog(seed)
 		ref := eval.New(c)
-		hash := exec.NewWith(c, exec.Config{NoMerge: true, NoSortElision: true})
+		hash := exec.NewWith(c, exec.Config{MemoryBudget: 1 << 40, SpillDir: spillDir})
 		merge := exec.New(c)
 
 		for trial := 0; trial < 8; trial++ {
@@ -46,8 +50,11 @@ func TestDifferentialThreeWay(t *testing.T) {
 				continue
 			}
 			plans++
+			if hash.Stats().MergeJoins != 0 {
+				t.Fatalf("seed %d: %s: budgeted engine compiled a merge join: %+v", seed, algebra.Canonical(plan), hash.Stats())
+			}
 			if !gotHash.EqualAsList(want) {
-				t.Fatalf("seed %d: %s: hash-only engine differs from reference\nhash (%d tuples):\n%s\nreference (%d tuples):\n%s",
+				t.Fatalf("seed %d: %s: budgeted engine differs from reference\nhash (%d tuples):\n%s\nreference (%d tuples):\n%s",
 					seed, algebra.Canonical(plan), gotHash.Len(), gotHash, want.Len(), want)
 			}
 			if !gotMerge.EqualAsList(want) {
@@ -74,48 +81,98 @@ func TestDifferentialThreeWay(t *testing.T) {
 	}
 }
 
-// TestSortElisionSafe is the elided-sort property test: for random plans,
-// compiling with sort elision on and off must produce bit-identical result
-// lists and order annotations — eliding a sort whose spec is a prefix of
-// the delivered order can never move a tuple, because a stable sort of a
-// list already sorted on a stronger order is the identity.
-func TestSortElisionSafe(t *testing.T) {
-	plans, elided := 0, 0
-	for seed := int64(500); seed < 540; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		c, bases := testutil.TemporalCatalog(seed)
-		withElision := exec.New(c)
-		withoutElision := exec.NewWith(c, exec.Config{NoSortElision: true})
+// orderedCatalog is testutil.TemporalCatalog with each base physically
+// sorted on, and declaring, an order drawn by the seed — so leaf orders, not
+// only the plans' own sorts, feed the physical decisions.
+func orderedCatalog(t *testing.T, seed int64) (*catalog.Catalog, []algebra.Node) {
+	t.Helper()
+	orders := []relation.OrderSpec{
+		{relation.Key("Name"), relation.Key("Grp")},
+		{relation.Key("Name")},
+		{relation.Key("Grp")},
+		{relation.Key("Name"), relation.Key("Grp"), relation.Key("T1"), relation.Key("T2")},
+	}
+	src, _ := testutil.TemporalCatalog(seed)
+	c := catalog.New()
+	for i, name := range []string{"A", "B"} {
+		e, err := src.Entry(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := orders[(int(seed)+i)%len(orders)]
+		r, err := e.Rel.Sorted(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		info := e.Info
+		info.Order = spec
+		if err := c.Add(name, r, info); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return c, []algebra.Node{c.MustNode("A"), c.MustNode("B")}
+}
 
-		for trial := 0; trial < 8; trial++ {
+// TestVariantCountersMatchAnnotation pins one physical decision: on random
+// plans over bases with declared orders, at every width and budget, the
+// variants the engine counts having compiled are exactly what
+// physical.Summarize tallies of physical.Annotate for the engine's shape —
+// the view the cost model prices and EXPLAIN ANALYZE renders. Each shape
+// must compile every order-exploiting variant its decisions allow, or the
+// agreement would be vacuous.
+func TestVariantCountersMatchAnnotation(t *testing.T) {
+	spillDir := t.TempDir()
+	configs := []exec.Config{
+		{},
+		{Parallelism: 3},
+		{MemoryBudget: 4 << 10, SpillDir: spillDir},
+		{Parallelism: 3, MemoryBudget: 4 << 10, SpillDir: spillDir},
+	}
+	totals := make([]physical.Summary, len(configs))
+	plans := 0
+	for seed := int64(0); seed < 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		c, bases := orderedCatalog(t, seed)
+		for trial := 0; trial < 6; trial++ {
 			plan := testutil.RandomPlan(rng, bases, 2+rng.Intn(2))
-			got, err1 := withElision.Eval(plan)
-			want, err2 := withoutElision.Eval(plan)
-			if (err1 == nil) != (err2 == nil) {
-				t.Fatalf("seed %d: elision changes failure behaviour for %s: %v vs %v",
-					seed, algebra.Canonical(plan), err1, err2)
-			}
-			if err1 != nil {
+			if _, err := eval.New(c).Eval(plan); err != nil {
 				continue
 			}
 			plans++
-			if !got.EqualAsList(want) {
-				t.Fatalf("seed %d: %s: elided-sort result differs\nelided:\n%s\nperformed:\n%s",
-					seed, algebra.Canonical(plan), got, want)
+			for i, cfg := range configs {
+				spec := exec.NewSpec(cfg)
+				dec, err := physical.Annotate(plan, spec.Shape())
+				if err != nil {
+					t.Fatalf("seed %d: %s: %v", seed, algebra.Canonical(plan), err)
+				}
+				want := physical.Summarize(dec)
+				eng := exec.NewWith(c, cfg)
+				if _, err := eng.Eval(plan); err != nil {
+					t.Fatalf("seed %d: %s: %s: %v", seed, spec.Name, algebra.Canonical(plan), err)
+				}
+				st := eng.Stats()
+				got := physical.Summary{SortsElided: st.SortsElided, Sorts: st.MergeSorts, MergeJoins: st.MergeJoins, MergeOps: st.MergeOps}
+				if got != want {
+					t.Fatalf("seed %d: %s: %s: engine compiled %+v, annotation says %+v",
+						seed, spec.Name, algebra.Canonical(plan), got, want)
+				}
+				totals[i].SortsElided += got.SortsElided
+				totals[i].Sorts += got.Sorts
+				totals[i].MergeJoins += got.MergeJoins
+				totals[i].MergeOps += got.MergeOps
 			}
-			if !got.Order().Equal(want.Order()) {
-				t.Fatalf("seed %d: %s: elided-sort order %s ≠ performed order %s",
-					seed, algebra.Canonical(plan), got.Order(), want.Order())
-			}
-			// Stats are per-run (Eval resets them), so accumulate per plan.
-			elided += withElision.Stats().SortsElided
 		}
 	}
-	if plans < 200 {
-		t.Fatalf("elision suite covered only %d plans, want ≥ 200", plans)
+	if plans < 300 {
+		t.Fatalf("covered only %d plans, want ≥ 300", plans)
 	}
-	if elided == 0 {
-		t.Fatal("no sort was ever elided: the property test is vacuous")
+	for i, s := range totals {
+		if s.SortsElided == 0 || s.Sorts == 0 || s.MergeOps == 0 {
+			t.Errorf("%s: a variant never compiled: %+v", exec.NewSpec(configs[i]).Name, s)
+		}
+	}
+	if totals[0].MergeJoins == 0 {
+		t.Error("the sequential engine never compiled a merge join")
 	}
 }
 
@@ -155,8 +212,8 @@ func TestExternalMergeSortSpansRuns(t *testing.T) {
 }
 
 // orderEngines are the engines whose result-order annotations the order
-// tests pin: the reference evaluator and the exec engine sequential, hash-only
-// without sort elision, parallel, under a spilling budget, and both at once.
+// tests pin: the reference evaluator and the exec engine sequential,
+// parallel, under a spilling budget, and both at once.
 func orderEngines(t *testing.T, src eval.Source) map[string]interface {
 	Eval(algebra.Node) (*relation.Relation, error)
 } {
@@ -165,7 +222,6 @@ func orderEngines(t *testing.T, src eval.Source) map[string]interface {
 	}{
 		"reference":        eval.New(src),
 		"exec":             exec.New(src),
-		"exec-hash":        exec.NewWith(src, exec.Config{NoMerge: true, NoSortElision: true}),
 		"exec-par3":        exec.NewWith(src, exec.Config{Parallelism: 3}),
 		"exec-mem64K":      exec.NewWith(src, exec.Config{MemoryBudget: 64 << 10, SpillDir: t.TempDir()}),
 		"exec-par3-mem64K": exec.NewWith(src, exec.Config{Parallelism: 3, MemoryBudget: 64 << 10, SpillDir: t.TempDir()}),

@@ -18,8 +18,10 @@ import (
 
 // TestDifferentialFourWay is the parallel engine's correctness anchor: it
 // drives random conventional+temporal plans through four paths — the
-// reference evaluator, the hash-only engine (PR 1), the merge engine
-// (PR 2), and the morsel-parallel engine — at parallelism 1, 2 and 8, and
+// reference evaluator, the sequential merge engine, the morsel-parallel
+// engine, and the morsel-parallel engine under a budget it never exhausts
+// (where one-sided grouping over contiguous groups streams ahead of the
+// driver instead of range-exchanging) — at parallelism 1, 2 and 8, and
 // asserts bit-identical result lists and Table 1 order annotations across
 // all of them. Run under -race in CI, this is also the determinism proof:
 // any scheduling-dependent gather would diverge from the reference list.
@@ -29,6 +31,7 @@ func TestDifferentialFourWay(t *testing.T) {
 	for _, par := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) {
 			plans, exchanges := 0, 0
+			spillDir := t.TempDir()
 			for seed := int64(200); seed < 230; seed++ {
 				rng := rand.New(rand.NewSource(seed))
 				c, bases := testutil.TemporalCatalog(seed)
@@ -40,9 +43,9 @@ func TestDifferentialFourWay(t *testing.T) {
 						name string
 						e    *exec.Engine
 					}{
-						{"exec-hash", exec.NewWith(c, exec.Config{NoMerge: true, NoSortElision: true})},
 						{"exec-merge", exec.New(c)},
 						{"exec-parallel", exec.NewWith(c, exec.Config{Parallelism: par})},
+						{"exec-parallel-budgeted", exec.NewWith(c, exec.Config{Parallelism: par, MemoryBudget: 1 << 40, SpillDir: spillDir})},
 					} {
 						got, err := eng.e.Eval(plan)
 						if (errRef == nil) != (err == nil) {

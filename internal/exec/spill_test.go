@@ -56,10 +56,11 @@ func recordFuzzFailure(t *testing.T, format string, args ...any) {
 }
 
 // TestDifferentialFiveWay is the memory-bounded engine's correctness
-// anchor: reference vs hash-only vs full vs parallel vs budgeted-spill at
+// anchor: reference vs sequential vs parallel vs budgeted-spill at
 // budgets {64KB, 1MB, unlimited}, all bit-identical on random plans. Every
-// leg compiles the batch operators (vec.go) — the hash-only leg their hash
-// variants only — and runs the keyed blocking operators through the
+// leg compiles the batch operators (vec.go) — each the variants
+// physical.Decide picks for its width and budget — and runs the keyed
+// blocking operators through the
 // exchange driver's routes (resident, W-way, spilled), the keyless products
 // through the join's, and the streaming group family wherever a delivered
 // order keeps groups contiguous. Two sweeps run: tiny catalogs for plan-shape coverage, and
@@ -74,7 +75,6 @@ func TestDifferentialFiveWay(t *testing.T) {
 		opts exec.Config
 	}
 	legs := []leg{
-		{"exec-hash", exec.Config{NoMerge: true, NoSortElision: true}},
 		{"exec-merge", exec.Config{}},
 		{"exec-par3", exec.Config{Parallelism: 3}},
 		{"spill-small", exec.Config{MemoryBudget: small}},
@@ -121,9 +121,6 @@ func TestDifferentialFiveWay(t *testing.T) {
 					}
 					if st.SpilledOps > 0 && st.SpilledBytes == 0 {
 						t.Fatalf("seed %d leg %s: spilled %d ops but recorded no bytes", seed, lg.name, st.SpilledOps)
-					}
-					if lg.name == "exec-hash" && st.MergeOps+st.MergeJoins+st.SortsElided != 0 {
-						t.Fatalf("seed %d leg %s: order-exploiting variants compiled under NoMerge/NoSortElision: %+v", seed, lg.name, st)
 					}
 				}
 				if errRef == nil {

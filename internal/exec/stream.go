@@ -75,20 +75,18 @@ func (e *Engine) buildProject(n *algebra.Project, in *source, outSchema *schema.
 	return vecSource(v, outSchema)
 }
 
-// buildSort compiles sort_A. When the input already delivers an order A is
-// a prefix of, the sort is a physical no-op (a stable sort cannot move any
-// tuple) and compilation elides it outright, passing the input stage —
-// and its stronger order — through. Otherwise the input sorts as a stable
-// permutation of row indices over its column planes (index runs sorted
-// across the worker pool under Parallelism); only the budgeted engine runs
-// the explicit external merge sort, whose runs cut by bytes and spill.
-func (e *Engine) buildSort(n *algebra.Sort, in *source) *source {
-	if !e.opts.NoSortElision && n.Spec.IsPrefixOf(in.order) {
-		e.stats.SortsElided++
+// buildSort compiles sort_A. An elided sort — the input already delivers an
+// order A is a prefix of — is a physical no-op (a stable sort cannot move
+// any tuple), so compilation passes the input stage, and its stronger
+// order, through. Otherwise the input sorts as a stable permutation of row
+// indices over its column planes (index runs sorted across the worker pool
+// under Parallelism); only a sort that spills runs the explicit external
+// merge sort, whose runs cut by bytes.
+func (e *Engine) buildSort(n *algebra.Sort, d physical.Decision, in *source) *source {
+	if d.SortElided {
 		return in
 	}
-	e.stats.MergeSorts++
-	if !e.budgeted() {
+	if !d.Spills {
 		return e.vecSortSource(in, n.Spec)
 	}
 	m := &mergeSortIter{eng: e, in: in.vec, schema: in.schema, cmp: compileVecCmp(in.schema, n.Spec)}
@@ -127,80 +125,46 @@ func (c *vecConcatIter) close() error {
 	return err
 }
 
-// streams reports that a one-sided grouping operator runs its bounded
-// group-at-a-time algorithm (groupCutIter, the adjacent-compare dedup) ahead of
-// the exchange driver: the delivered order keeps its groups contiguous and
-// merge variants are allowed. One group of state is already memory-bounded,
-// so the budgeted engine prefers it over partitioning; under plain
-// parallelism the driver's range exchange over the same contiguity wins.
-func (e *Engine) streams(in *source, idx []int) bool {
-	return !e.opts.NoMerge && !(e.parallel() && !e.budgeted()) && physical.GroupsContiguous(in.order, in.schema, idx)
-}
-
 // buildRdup compiles rdup: streaming duplicate elimination. The first
 // occurrence survives, so the argument's order is retained (time attributes
-// qualified — the result is a snapshot relation). An input delivered in an
-// order covering every attribute keeps equal tuples contiguous, so a single
-// adjacent comparison replaces the hash set.
-func (e *Engine) buildRdup(in *source, outSchema *schema.Schema) *source {
-	idx := identityIdx(in.schema.Len())
-	if e.streams(in, idx) {
-		// The adjacent-compare dedup carries one (batch, row) reference of
-		// state.
-		e.stats.MergeOps++
-		all := physical.JoinKeys{L: idx, R: idx, Dirs: make([]relation.Direction, len(idx))}
-		return vecSource(&vecDedupSortedIter{in: in.vec, cmp: compileVecJoinCmp(in.schema, in.schema, all)}, outSchema)
-	}
-	if !e.parallel() && !e.budgeted() {
+// qualified — the result is a snapshot relation). Its merge variant is a
+// single adjacent comparison over an input whose order keeps equal tuples
+// contiguous, carrying one (batch, row) reference of state.
+func (e *Engine) buildRdup(d physical.Decision, in *source, outSchema *schema.Schema) *source {
+	switch {
+	case d.Merge:
+		return vecSource(&vecDedupSortedIter{in: in.vec, cmp: compileVecJoinCmp(in.schema, in.schema, d.MergeKeys)}, outSchema)
+	case !d.Exchange && !d.Spills:
 		// The pipelined hash set never drains its input — a different
 		// algorithm from the driver's partition body, kept for the
 		// sequential engine.
 		return vecSource(&vecRdupIter{in: in.vec}, outSchema)
 	}
-	return e.keyedSource(&keyedOp{
-		l: in, lidx: idx, contiguous: groupsContiguous(in.order, in.schema, idx),
-		out: outSchema, body: rdupBody(idx),
-	})
-}
-
-// alignedMerge reports the shared total order under which \ and ∪ run
-// their two-pointer merge instead of the exchange driver. The merge
-// materializes one whole side, so it is the sequential engine's variant
-// only: under a budget or a worker pool the driver partitions that side
-// instead.
-func (e *Engine) alignedMerge(l, r *source) (relation.OrderSpec, bool) {
-	if e.opts.NoMerge || e.budgeted() || e.parallel() {
-		return nil, false
-	}
-	return physical.AlignedTotalOrder(l.order, r.order, l.schema)
+	return e.keyedSource(&keyedOp{l: in, lidx: d.Keys, contiguous: d.Contiguous, out: outSchema, body: rdupBody(d.Keys)})
 }
 
 // buildDiff compiles the multiset difference \: the earliest left
 // occurrences absorb the subtraction, retaining the left order and the late
-// duplicates. When both inputs deliver one shared total order, a two-pointer
-// merge replaces the hash multiplicity counters; otherwise the hash
-// anti-semi pass runs.
-func (e *Engine) buildDiff(l, r *source, outSchema *schema.Schema) *source {
-	if spec, ok := e.alignedMerge(l, r); ok {
-		e.stats.MergeOps++
-		m := &vecMergeCancelIter{stream: l.vec, sorted: r, cmp: compileVecCmp(l.schema, spec)}
+// duplicates. Its merge variant is a two-pointer merge under the inputs'
+// shared total order; otherwise the hash anti-semi pass runs.
+func (e *Engine) buildDiff(d physical.Decision, l, r *source, outSchema *schema.Schema) *source {
+	if d.Merge {
+		m := &vecMergeCancelIter{stream: l.vec, sorted: r, cmp: compileVecCmp(l.schema, d.MergeSpec)}
 		return vecSource(m, outSchema)
 	}
-	idx := identityIdx(l.schema.Len())
-	return e.keyedSource(&keyedOp{l: l, r: r, lidx: idx, ridx: idx, out: outSchema, body: diffBody(idx)})
+	return e.keyedSource(&keyedOp{l: l, r: r, lidx: d.Keys, ridx: d.RKeys, out: outSchema, body: diffBody(d.Keys)})
 }
 
 // buildUnion compiles the multiset union ∪ of Albert [1]: each tuple occurs
-// max(n1, n2) times; unordered result. When both inputs deliver one shared
-// total order, a two-pointer merge replaces the hash multiplicity counters.
-func (e *Engine) buildUnion(l, r *source) *source {
-	if spec, ok := e.alignedMerge(l, r); ok {
-		e.stats.MergeOps++
-		m := &vecMergeCancelIter{stream: r.vec, sorted: l, emitSorted: true, cmp: compileVecCmp(l.schema, spec)}
+// max(n1, n2) times; unordered result. Its merge variant is a two-pointer
+// merge under the inputs' shared total order in place of the hash
+// multiplicity counters.
+func (e *Engine) buildUnion(d physical.Decision, l, r *source) *source {
+	if d.Merge {
+		m := &vecMergeCancelIter{stream: r.vec, sorted: l, emitSorted: true, cmp: compileVecCmp(l.schema, d.MergeSpec)}
 		return vecSource(m, l.schema)
 	}
-	idx := identityIdx(l.schema.Len())
-	return e.keyedSource(&keyedOp{l: l, r: r, lidx: idx, ridx: idx, out: l.schema, body: unionBody(idx)})
+	return e.keyedSource(&keyedOp{l: l, r: r, lidx: d.Keys, ridx: d.RKeys, out: l.schema, body: unionBody(d.Keys)})
 }
 
 // buildAggregate compiles 𝒢. Over an input whose delivered order keeps
@@ -211,13 +175,9 @@ func (e *Engine) buildUnion(l, r *source) *source {
 // first-occurrence-ordered hash table and one row per group is emitted once
 // the input is exhausted; the group orders coincide because contiguous
 // groups appear in first-occurrence order.
-func (e *Engine) buildAggregate(n *algebra.Aggregate, in *source, outSchema *schema.Schema) *source {
-	gidx := make([]int, len(n.GroupBy))
-	for i, g := range n.GroupBy {
-		gidx[i] = in.schema.Index(g)
-	}
-	streams := e.streams(in, gidx)
-	if !streams && (len(gidx) == 0 || (!e.parallel() && !e.budgeted())) {
+func (e *Engine) buildAggregate(n *algebra.Aggregate, d physical.Decision, in *source, outSchema *schema.Schema) *source {
+	gidx := d.Keys
+	if !d.Merge && !d.Exchange && !d.Spills {
 		// Pipelined hash aggregation never drains its input; a GROUP-BY-less
 		// aggregate folds one global set of accumulators — state bounded by
 		// construction, nothing to partition.
@@ -234,7 +194,5 @@ func (e *Engine) buildAggregate(n *algebra.Aggregate, in *source, outSchema *sch
 		appendGroupRow(ob, p.b, p.rows[members[0]], gidx, accs)
 		return nil
 	}
-	return e.groupSource(in, gidx, outSchema, func(contiguous bool) partBody {
-		return groupEmitBody(gidx, contiguous, outSchema, emit)
-	})
+	return e.groupSource(in, d, outSchema, groupEmitBody(gidx, d.Contiguous, outSchema, emit))
 }

@@ -132,10 +132,9 @@ func (s *sweep) fragments(p part) emitted {
 // buildValueGroup compiles rdupᵀ or coalᵀ from its partition body, grouped
 // by value equivalence. (The engine never sorts first — coalescing is not
 // confluent under reordering, so that would change the result multiset.)
-func (e *Engine) buildValueGroup(in *source, body func(vidx []int, t1, t2 int, contiguous bool) partBody) *source {
+func (e *Engine) buildValueGroup(d physical.Decision, in *source, body func(vidx []int, t1, t2 int, contiguous bool) partBody) *source {
 	t1, t2 := in.schema.TimeIndices()
-	vidx := physical.ValueIdx(in.schema)
-	return e.groupSource(in, vidx, in.schema, func(contiguous bool) partBody { return body(vidx, t1, t2, contiguous) })
+	return e.groupSource(in, d, in.schema, body(d.Keys, t1, t2, d.Contiguous))
 }
 
 // vspan is one period of a value-equivalence group during coalescing: the
@@ -326,23 +325,16 @@ func tunionBody(vidx []int, t1, t2 int) partBody {
 // buildTPair compiles a two-sided temporal operator (\ᵀ, ∪ᵀ) from its
 // partition body: both sides partition by value equivalence — the
 // reference's algorithm with row hashes in place of string keys.
-func (e *Engine) buildTPair(l, r *source, body func(vidx []int, t1, t2 int) partBody) *source {
-	vidx := physical.ValueIdx(l.schema)
+func (e *Engine) buildTPair(d physical.Decision, l, r *source, body func(vidx []int, t1, t2 int) partBody) *source {
 	t1, t2 := l.schema.TimeIndices()
-	return e.keyedSource(&keyedOp{l: l, r: r, lidx: vidx, ridx: vidx, out: l.schema, body: body(vidx, t1, t2)})
+	return e.keyedSource(&keyedOp{l: l, r: r, lidx: d.Keys, ridx: d.RKeys, out: l.schema, body: body(d.Keys, t1, t2)})
 }
 
 // buildTAggregate compiles 𝒢ᵀ. A GROUP-BY-less 𝒢ᵀ is one global group
 // whose constant intervals need every row at once: with no key the driver
 // never partitions it.
-func (e *Engine) buildTAggregate(n *algebra.Aggregate, in *source, outSchema *schema.Schema) *source {
-	gidx := make([]int, len(n.GroupBy))
-	for i, g := range n.GroupBy {
-		gidx[i] = in.schema.Index(g)
-	}
-	return e.groupSource(in, gidx, outSchema, func(contiguous bool) partBody {
-		return tAggregateBody(n, in.schema, gidx, contiguous, outSchema)
-	})
+func (e *Engine) buildTAggregate(n *algebra.Aggregate, d physical.Decision, in *source, outSchema *schema.Schema) *source {
+	return e.groupSource(in, d, outSchema, tAggregateBody(n, in.schema, d.Keys, d.Contiguous, outSchema))
 }
 
 // tAggregateBody is the partition body of 𝒢ᵀ, whose combiner is the

@@ -1,18 +1,21 @@
-// Package physical decides, per logical operator, which physical variant of
-// the exec engine applies given the delivered orders of the operator's
-// inputs: merge vs hash joins, streaming sort-based vs hash grouping, and
-// sort elision. It is the single decision procedure shared by the exec
-// engine (which decides with the run-time delivered orders of its compiled
-// pipelines), the cost model (which decides with the statically inferred
-// orders of props.State), the stratum executor's metering, and the tqplan
-// display — so the engine and the model cannot drift on when the
-// order-exploiting variants fire.
+// Package physical is the one place a physical variant of the exec engine
+// is chosen. Decide picks, per logical operator, the variant the engine
+// compiles from the delivered orders of the operator's inputs and from the
+// engine's Shape (width and memory budget): merge vs hash joins, merge vs
+// hash \ and ∪, adjacent-compare vs hash dedup, contiguous vs hashed
+// grouping, group-at-a-time streaming vs the exchange driver, and sort
+// elision. The exec engine compiles exactly the decision it returns (over
+// its run-time orders) and reports it per node to the stratum's meter; the
+// cost model decides over the statically inferred orders of props.State,
+// and EXPLAIN ANALYZE and tqplan render Annotate's decisions for their
+// engine's shape. Where the catalog's BaseInfo is truthful the two sets of
+// orders coincide, so the model prices what the engine runs.
 //
-// The soundness of every decision rests on Table 1's order propagation: an
-// input's OrderSpec is a list invariant, so a prefix of it covering exactly
-// an operator's grouping attributes proves the operator's groups contiguous
-// (GroupsContiguous), and a sort spec that is a prefix of the delivered
-// order proves the sort a no-op (Table 1's special case).
+// The soundness of every order decision rests on Table 1's order
+// propagation: an input's OrderSpec is a list invariant, so a prefix of it
+// covering exactly an operator's grouping attributes proves the operator's
+// groups contiguous (CoveringPrefix), and a sort spec that is a prefix of
+// the delivered order proves the sort a no-op (Table 1's special case).
 package physical
 
 import (
@@ -28,7 +31,7 @@ type Algo string
 
 // Physical operator variants.
 const (
-	AlgoSort       Algo = "merge-sort"  // run-forming external merge sort
+	AlgoSort       Algo = "merge-sort"  // stable sort (run-forming and spilling under a budget)
 	AlgoSortElided Algo = "sort~elided" // input already delivers the order
 	AlgoMergeJoin  Algo = "merge-join"  // both inputs ordered on the equi-keys
 	AlgoHashJoin   Algo = "hash-join"   // build/probe on the equi-keys
@@ -45,25 +48,74 @@ const (
 	AlgoHashPart   Algo = "hash-part"   // two-sided hash partitioning (\ᵀ, ∪ᵀ)
 )
 
-// Decision is the chosen physical variant for one node.
-type Decision struct {
+// Shape is what the engine's choice depends on besides delivered orders.
+// The zero Shape is the sequential, unbudgeted engine (and the reference
+// evaluator, which has no variants to choose).
+type Shape struct {
+	// Parallel is a worker pool wider than one: keyed operators run W-way
+	// through the exchange driver, joins split their probe side and sorts
+	// form their runs on the pool.
+	Parallel bool
+	// Budgeted is a memory budget: blocking operators account their state
+	// and may spill it.
+	Budgeted bool
+}
+
+// ShapeOf is the shape of an engine with the given worker count and memory
+// budget in bytes (0 for none).
+func ShapeOf(parallelism int, memoryBudget int64) Shape {
+	return Shape{Parallel: parallelism > 1, Budgeted: memoryBudget > 0}
+}
+
+// Variant is the chosen physical variant of one node: what the engine
+// reports it compiled, what the cost model and the stratum meter price,
+// and what EXPLAIN ANALYZE and tqplan render.
+type Variant struct {
 	// Algo is the variant for display.
 	Algo Algo
-	// Merge reports that the order-exploiting merge/sort-based variant
-	// applies (cheaper than the hash variant under the cost model).
+	// Merge reports an order-exploiting variant: a merge join, a merge \
+	// or ∪, an adjacent-compare dedup, or grouping that cuts contiguous
+	// groups instead of hashing. Without Exchange, a Merge grouping
+	// operator streams group-at-a-time ahead of the exchange driver.
 	Merge bool
 	// SortElided reports that a sort node is a physical no-op because its
 	// input already delivers an order the requested spec is a prefix of.
 	SortElided bool
+	// Contiguous reports that the input's delivered order keeps the Keys
+	// groups of a one-sided keyed operator adjacent (trivially so with no
+	// keys): the driver then splits whole-group ranges across the pool.
+	Contiguous bool
+	// Exchange reports that the node's work divides across the worker
+	// pool (the parallel cost shape).
+	Exchange bool
+	// Spills reports that, under the budget, the node's working state is
+	// accounted against an operator share and spills past it (the spill
+	// cost shape).
+	Spills bool
 }
 
-// Ordered reports that the decision exploits a delivered input order.
-func (d Decision) Ordered() bool { return d.Merge || d.SortElided }
+// Decision is a node's Variant with what the engine's builder compiles it
+// from.
+type Decision struct {
+	Variant
+	// Keys are the key columns: the left equi-join columns, the grouping
+	// columns, the value-equivalence columns, or every column. RKeys are the
+	// right side's (the right equi-join columns, or Keys again for \, ∪,
+	// \ᵀ and ∪ᵀ), Residual the join predicate left over the equi-keys.
+	Keys, RKeys []int
+	Residual    expr.Pred
+	// MergeKeys is the aligned comparison sequence of a merge join or an
+	// adjacent-compare dedup; MergeSpec the shared covering order of a
+	// merge \ or ∪.
+	MergeKeys JoinKeys
+	MergeSpec relation.OrderSpec
+}
 
-// Decide picks the physical variant for n given the delivered orders of its
-// children. Child schemas are derived from the plan; nodes whose schemas do
-// not validate get the zero decision (the engine will surface the error).
-func Decide(n algebra.Node, childOrders []relation.OrderSpec) Decision {
+// Decide picks the physical variant the engine of shape sh compiles for n,
+// given the delivered orders of its children. Child schemas are derived from
+// the plan; nodes whose schemas do not validate get the zero decision (the
+// engine will surface the error).
+func Decide(n algebra.Node, childOrders []relation.OrderSpec, sh Shape) Decision {
 	ch := n.Children()
 	var buf [2]*schema.Schema
 	cs := buf[:len(ch)]
@@ -80,27 +132,35 @@ func Decide(n algebra.Node, childOrders []relation.OrderSpec) Decision {
 		}
 		return nil
 	}
+	// The merge variants of the two-sided operators materialize a whole
+	// side, so only the sequential unbudgeted engine compiles them: a
+	// budget or a pool partitions that side instead.
+	seq := !sh.Parallel && !sh.Budgeted
 
 	switch node := n.(type) {
 	case *algebra.Sort:
 		if node.Spec.IsPrefixOf(ord(0)) {
-			return Decision{Algo: AlgoSortElided, SortElided: true}
+			return Decision{Variant: Variant{Algo: AlgoSortElided, SortElided: true}}
 		}
-		return Decision{Algo: AlgoSort}
+		return Decision{Variant: Variant{Algo: AlgoSort, Exchange: sh.Parallel, Spills: sh.Budgeted}}
 	case *algebra.Join:
 		out, err := n.Schema()
 		if err != nil {
 			return Decision{}
 		}
-		lw, rw := cs[0].Len(), cs[1].Len()
-		lidx, ridx, _ := EquiKeys(node.P, out, lw, rw)
+		lidx, ridx, residual := EquiKeys(node.P, out, cs[0].Len(), cs[1].Len())
+		d := joined(sh)
+		d.Keys, d.RKeys, d.Residual = lidx, ridx, residual
 		if len(lidx) == 0 {
-			return Decision{Algo: AlgoNestedLoop}
+			return d
 		}
-		if _, ok := MergeJoinKeys(ord(0), ord(1), cs[0], cs[1], lidx, ridx); ok {
-			return Decision{Algo: AlgoMergeJoin, Merge: true}
+		d.Algo = AlgoHashJoin
+		if seq {
+			if keys, ok := mergeJoinKeys(ord(0), ord(1), cs[0], cs[1], lidx, ridx); ok {
+				d.Algo, d.Merge, d.MergeKeys = AlgoMergeJoin, true, keys
+			}
 		}
-		return Decision{Algo: AlgoHashJoin}
+		return d
 	case *algebra.Aggregate:
 		gidx := make([]int, len(node.GroupBy))
 		for i, g := range node.GroupBy {
@@ -111,55 +171,95 @@ func Decide(n algebra.Node, childOrders []relation.OrderSpec) Decision {
 				return Decision{}
 			}
 		}
-		if GroupsContiguous(ord(0), cs[0], gidx) {
-			return Decision{Algo: AlgoMergeGroup, Merge: true}
-		}
-		return Decision{Algo: AlgoHashGroup}
+		return grouped(gidx, ord(0), cs[0], sh, true)
 	}
 
 	switch n.Op() {
 	case algebra.OpRdup:
-		if GroupsContiguous(ord(0), cs[0], identityIdx(cs[0].Len())) {
-			return Decision{Algo: AlgoMergeDedup, Merge: true}
+		d := grouped(identityIdx(cs[0].Len()), ord(0), cs[0], sh, false)
+		d.Algo = AlgoHashDedup
+		if d.Merge {
+			d.Algo = AlgoMergeDedup
+			d.MergeKeys = JoinKeys{L: d.Keys, R: d.Keys, Dirs: make([]relation.Direction, len(d.Keys))}
 		}
-		return Decision{Algo: AlgoHashDedup}
-	case algebra.OpDiff:
-		if _, ok := AlignedTotalOrder(ord(0), ord(1), cs[0]); ok {
-			return Decision{Algo: AlgoMergeDiff, Merge: true}
+		return d
+	case algebra.OpDiff, algebra.OpUnion:
+		merge, hash := AlgoMergeDiff, AlgoHashDiff
+		if n.Op() == algebra.OpUnion {
+			merge, hash = AlgoMergeUnion, AlgoHashUnion
 		}
-		return Decision{Algo: AlgoHashDiff}
-	case algebra.OpUnion:
-		if _, ok := AlignedTotalOrder(ord(0), ord(1), cs[0]); ok {
-			return Decision{Algo: AlgoMergeUnion, Merge: true}
+		idx := identityIdx(cs[0].Len())
+		if seq {
+			if spec, ok := alignedTotalOrder(ord(0), ord(1), cs[0], idx); ok {
+				return Decision{Variant: Variant{Algo: merge, Merge: true}, MergeSpec: spec}
+			}
 		}
-		return Decision{Algo: AlgoHashUnion}
+		d := keyed(idx, sh)
+		d.Algo, d.RKeys = hash, idx
+		return d
 	case algebra.OpTRdup, algebra.OpCoal:
-		if GroupsContiguous(ord(0), cs[0], ValueIdx(cs[0])) {
-			return Decision{Algo: AlgoMergeGroup, Merge: true}
-		}
-		return Decision{Algo: AlgoHashGroup}
+		return grouped(ValueIdx(cs[0]), ord(0), cs[0], sh, true)
 	case algebra.OpTDiff, algebra.OpTUnion:
-		return Decision{Algo: AlgoHashPart}
+		vidx := ValueIdx(cs[0])
+		d := keyed(vidx, sh)
+		d.Algo, d.RKeys = AlgoHashPart, vidx
+		return d
 	case algebra.OpProduct, algebra.OpTProduct:
-		return Decision{Algo: AlgoNestedLoop}
+		return joined(sh)
 	case algebra.OpSelect, algebra.OpProject, algebra.OpUnionAll:
-		return Decision{Algo: AlgoStream}
+		return Decision{Variant: Variant{Algo: AlgoStream}}
 	default:
 		return Decision{}
 	}
 }
 
-// Annotate decides the physical variant of every node of a plan from the
-// statically inferred delivered orders (props.State.Order). This is the
-// compile-time view the cost model prices and tqplan renders; the engine
-// makes the same decisions at build time from its run-time orders, which
-// coincide whenever the catalog's BaseInfo is truthful.
-func Annotate(plan algebra.Node) (map[algebra.Node]Decision, error) {
+// joined is the decision of a join or product before its keys: the nested
+// loop, which — like every join — splits its probe side across the pool
+// and, under a budget, becomes the hybrid hash join that spills.
+func joined(sh Shape) Decision {
+	return Decision{Variant: Variant{Algo: AlgoNestedLoop, Exchange: sh.Parallel, Spills: sh.Budgeted}}
+}
+
+// keyed is the exchange driver's decision for an operator keyed on idx: the
+// pool partitions it and the budget spills it, given keys to partition on.
+func keyed(idx []int, sh Shape) Decision {
+	return Decision{Variant: Variant{Exchange: sh.Parallel && len(idx) > 0, Spills: sh.Budgeted && len(idx) > 0}, Keys: idx}
+}
+
+// grouped decides a one-sided keyed operator over key columns idx: rdup
+// (adjacentBody false: its partition body always hashes), 𝒢, 𝒢ᵀ, rdupᵀ and
+// coalᵀ (adjacentBody true: their bodies cut contiguous groups instead). An
+// input whose order keeps the groups contiguous streams group-at-a-time —
+// one group of state, already memory-bounded, so the budgeted engine prefers
+// it over partitioning — except under plain parallelism, where the driver's
+// range exchange over the same contiguity wins.
+func grouped(idx []int, ord relation.OrderSpec, s *schema.Schema, sh Shape, adjacentBody bool) Decision {
+	_, contiguous := CoveringPrefix(ord, s, idx) // false with no keys
+	stream := contiguous && !(sh.Parallel && !sh.Budgeted)
+	d := Decision{Keys: idx}
+	if !stream {
+		d = keyed(idx, sh)
+	}
+	// No keys is one global group: trivially contiguous.
+	d.Algo, d.Contiguous = AlgoHashGroup, contiguous || len(idx) == 0
+	if stream || (adjacentBody && contiguous) {
+		d.Algo, d.Merge = AlgoMergeGroup, true
+	}
+	return d
+}
+
+// Annotate decides the physical variant of every node of a plan for an
+// engine of shape sh from the statically inferred delivered orders
+// (props.State.Order) — the view the cost model prices and EXPLAIN ANALYZE
+// and tqplan render. The engine makes the same decisions at build time from
+// its run-time orders, which coincide whenever the catalog's BaseInfo is
+// truthful.
+func Annotate(plan algebra.Node, sh Shape) (map[algebra.Node]Variant, error) {
 	st, err := props.InferStates(plan)
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[algebra.Node]Decision)
+	out := make(map[algebra.Node]Variant)
 	var walk func(n algebra.Node)
 	walk = func(n algebra.Node) {
 		ch := n.Children()
@@ -168,39 +268,37 @@ func Annotate(plan algebra.Node) (map[algebra.Node]Decision, error) {
 			walk(c)
 			orders[i] = st[c].Order
 		}
-		out[n] = Decide(n, orders)
+		out[n] = Decide(n, orders, sh).Variant
 	}
 	walk(plan)
 	return out, nil
 }
 
-// Summary counts the order-exploiting decisions of an annotated plan.
+// Summary counts an annotated plan's decisions as the engine's variant
+// counters (exec.Stats) count what it compiled.
 type Summary struct {
-	SortsElided int
-	MergeOps    int
+	SortsElided int // sorts compiled away
+	Sorts       int // sorts physically performed
+	MergeJoins  int // merge joins
+	MergeOps    int // every other Merge decision
 }
 
 // Summarize tallies an Annotate result.
-func Summarize(dec map[algebra.Node]Decision) Summary {
+func Summarize(dec map[algebra.Node]Variant) Summary {
 	var s Summary
 	for _, d := range dec {
-		if d.SortElided {
+		switch {
+		case d.SortElided:
 			s.SortsElided++
-		}
-		if d.Merge {
+		case d.Algo == AlgoSort:
+			s.Sorts++
+		case d.Algo == AlgoMergeJoin:
+			s.MergeJoins++
+		case d.Merge:
 			s.MergeOps++
 		}
 	}
 	return s
-}
-
-// GroupsContiguous reports whether tuples equal on idx are guaranteed to be
-// adjacent in a list sorted by ord: some prefix of ord covers exactly the
-// idx attribute set. When true the grouping operators run without a hash
-// table in a single comparison pass.
-func GroupsContiguous(ord relation.OrderSpec, s *schema.Schema, idx []int) bool {
-	_, ok := CoveringPrefix(ord, s, idx)
-	return ok
 }
 
 // CoveringPrefix returns the shortest prefix of ord that mentions only —
@@ -236,13 +334,12 @@ func CoveringPrefix(ord relation.OrderSpec, s *schema.Schema, idx []int) (relati
 	return nil, false
 }
 
-// AlignedTotalOrder reports that both inputs of a schema-preserving binary
-// multiset operation (\, ∪) deliver one shared order covering every
-// attribute — so full-tuple equality groups are contiguous on both sides
-// and arrive in the same sequence, admitting a two-pointer merge. The
-// returned spec is the shared covering prefix.
-func AlignedTotalOrder(l, r relation.OrderSpec, s *schema.Schema) (relation.OrderSpec, bool) {
-	idx := identityIdx(s.Len())
+// alignedTotalOrder reports that both inputs of a schema-preserving binary
+// multiset operation (\, ∪) over all columns idx deliver one shared order
+// covering every attribute — so full-tuple equality groups are contiguous
+// on both sides and arrive in the same sequence, admitting a two-pointer
+// merge. The returned spec is the shared covering prefix.
+func alignedTotalOrder(l, r relation.OrderSpec, s *schema.Schema, idx []int) (relation.OrderSpec, bool) {
 	lp, ok := CoveringPrefix(l, s, idx)
 	if !ok {
 		return nil, false
@@ -263,27 +360,13 @@ type JoinKeys struct {
 	Dirs []relation.Direction
 }
 
-// Compare orders a left tuple against a right tuple under the key sequence.
-func (k JoinKeys) Compare(lt, rt relation.Tuple) int {
-	for i := range k.L {
-		c := lt[k.L[i]].Compare(rt[k.R[i]])
-		if k.Dirs[i] == relation.Desc {
-			c = -c
-		}
-		if c != 0 {
-			return c
-		}
-	}
-	return 0
-}
-
-// MergeJoinKeys reports whether a merge join applies: both inputs deliver
+// mergeJoinKeys reports whether a merge join applies: both inputs deliver
 // orders whose covering prefixes span exactly their side of the equi-key
 // pairing, positionally aligned with equal directions. The key pairing must
 // be functional in both directions (each left column equated with exactly
 // one right column and vice versa); a predicate equating one column with
 // two different ones falls back to the hash join.
-func MergeJoinKeys(lOrd, rOrd relation.OrderSpec, ls, rs *schema.Schema, lidx, ridx []int) (JoinKeys, bool) {
+func mergeJoinKeys(lOrd, rOrd relation.OrderSpec, ls, rs *schema.Schema, lidx, ridx []int) (JoinKeys, bool) {
 	l2r := make(map[int]int, len(lidx))
 	r2l := make(map[int]int, len(ridx))
 	for m := range lidx {
@@ -381,11 +464,20 @@ func EquiKeys(p expr.Pred, out *schema.Schema, lw, rw int) (lidx, ridx []int, re
 }
 
 // ValueIdx returns the positions of a temporal schema's non-time
-// attributes: the value-equivalence columns of Section 2.1.
+// attributes: the value-equivalence columns of Section 2.1. Like every key
+// column list a decision carries, the result is read-only.
 func ValueIdx(s *schema.Schema) []int {
 	t1, t2 := s.TimeIndices()
-	out := make([]int, 0, s.Len())
-	for i := 0; i < s.Len(); i++ {
+	n := s.Len()
+	switch {
+	case t1 < 0:
+		return identityIdx(n)
+	case min(t1, t2) == n-2:
+		// The usual layout: the period trails the value columns.
+		return identityIdx(n - 2)
+	}
+	out := make([]int, 0, n)
+	for i := 0; i < n; i++ {
 		if i == t1 || i == t2 {
 			continue
 		}
@@ -394,7 +486,21 @@ func ValueIdx(s *schema.Schema) []int {
 	return out
 }
 
+// ascending is [0, 1, …), shared by identityIdx: key column lists are only
+// read, and a slice of it is capped at its length, so an append copies.
+var ascending = func() []int {
+	out := make([]int, 64)
+	for i := range out {
+		out[i] = i
+	}
+	return out
+}()
+
+// identityIdx returns [0, 1, ..., n), read-only.
 func identityIdx(n int) []int {
+	if n <= len(ascending) {
+		return ascending[:n:n]
+	}
 	out := make([]int, n)
 	for i := range out {
 		out[i] = i

@@ -46,7 +46,7 @@ func TestDecideSort(t *testing.T) {
 		{byGrpDesc, byNameGrp, false},
 	}
 	for _, c := range cases {
-		d := physical.Decide(algebra.NewSort(c.spec, l), []relation.OrderSpec{c.in})
+		d := physical.Decide(algebra.NewSort(c.spec, l), []relation.OrderSpec{c.in}, physical.Shape{})
 		if d.SortElided != c.elided {
 			t.Errorf("sort %s over %s: elided=%v, want %v", c.spec, c.in, d.SortElided, c.elided)
 		}
@@ -59,7 +59,7 @@ func TestDecideJoin(t *testing.T) {
 	eq := expr.Compare(expr.Eq, expr.Column("1.Name"), expr.Column("2.Name"))
 	mk := func(lo, ro relation.OrderSpec) physical.Decision {
 		j := algebra.NewTJoin(eq, leafWithOrder("L", lo), leafWithOrder("R", ro))
-		return physical.Decide(j, []relation.OrderSpec{lo, ro})
+		return physical.Decide(j, []relation.OrderSpec{lo, ro}, physical.Shape{})
 	}
 	if d := mk(byName, byName); d.Algo != physical.AlgoMergeJoin || !d.Merge {
 		t.Errorf("both sides key-ordered: got %s", d.Algo)
@@ -80,7 +80,7 @@ func TestDecideJoin(t *testing.T) {
 	theta := algebra.NewTJoin(
 		expr.Compare(expr.Lt, expr.Column("1.Grp"), expr.Column("2.Grp")),
 		leafWithOrder("L", byName), leafWithOrder("R", byName))
-	if d := physical.Decide(theta, []relation.OrderSpec{byName, byName}); d.Algo != physical.AlgoNestedLoop {
+	if d := physical.Decide(theta, []relation.OrderSpec{byName, byName}, physical.Shape{}); d.Algo != physical.AlgoNestedLoop {
 		t.Errorf("theta join: got %s", d.Algo)
 	}
 }
@@ -110,7 +110,7 @@ func TestDecideGroupingAndSets(t *testing.T) {
 		{"diffT always hash-partitions", algebra.NewTDiff(lv, rv), []relation.OrderSpec{byAll, byAll}, physical.AlgoHashPart},
 	}
 	for _, c := range cases {
-		if d := physical.Decide(c.plan, c.orders); d.Algo != c.want {
+		if d := physical.Decide(c.plan, c.orders, physical.Shape{}); d.Algo != c.want {
 			t.Errorf("%s: got %s, want %s", c.name, d.Algo, c.want)
 		}
 	}
@@ -141,15 +141,88 @@ func TestCoveringPrefix(t *testing.T) {
 func TestAnnotateStaticPlan(t *testing.T) {
 	l := leafWithOrder("L", byNameGrp)
 	plan := algebra.NewSort(byName, algebra.NewCoal(algebra.NewTRdup(l)))
-	dec, err := physical.Annotate(plan)
+	dec, err := physical.Annotate(plan, physical.Shape{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sum := physical.Summarize(dec)
-	if sum.SortsElided != 1 || sum.MergeOps != 2 {
+	if sum != (physical.Summary{SortsElided: 1, MergeOps: 2}) {
 		t.Fatalf("expected 1 elided sort and 2 merge groups, got %+v", sum)
 	}
 	if d := dec[plan]; d.Algo != physical.AlgoSortElided {
 		t.Fatalf("top sort: got %s", d.Algo)
+	}
+}
+
+// TestDecideShapes pins how the engine's width and budget move a decision
+// off the order-exploiting variants it cannot run: the two-sided merges
+// materialize a side, so a pool or a budget partitions it instead; a
+// contiguous rdup streams except under plain width, where the driver's
+// range exchange runs its hashing body; the grouping family keeps cutting
+// contiguous groups on every shape, streaming ahead of the driver except
+// under plain width; and an elided sort stays elided everywhere.
+func TestDecideShapes(t *testing.T) {
+	seq, par := physical.Shape{}, physical.Shape{Parallel: true}
+	mem, parMem := physical.Shape{Budgeted: true}, physical.Shape{Parallel: true, Budgeted: true}
+	lv, rv := leafWithOrder("L", nil), leafWithOrder("R", nil)
+	eq := expr.Compare(expr.Eq, expr.Column("1.Name"), expr.Column("2.Name"))
+	type want struct {
+		algo                               physical.Algo
+		merge, contiguous, exchange, spill bool
+	}
+	cases := []struct {
+		name   string
+		plan   algebra.Node
+		orders []relation.OrderSpec
+		shapes map[physical.Shape]want
+	}{
+		{"join on aligned keys", algebra.NewTJoin(eq, lv, rv), []relation.OrderSpec{byName, byName}, map[physical.Shape]want{
+			seq:    {algo: physical.AlgoMergeJoin, merge: true},
+			par:    {algo: physical.AlgoHashJoin, exchange: true},
+			mem:    {algo: physical.AlgoHashJoin, spill: true},
+			parMem: {algo: physical.AlgoHashJoin, exchange: true, spill: true},
+		}},
+		{"diff aligned", algebra.NewDiff(lv, rv), []relation.OrderSpec{byAll, byAll}, map[physical.Shape]want{
+			seq: {algo: physical.AlgoMergeDiff, merge: true},
+			par: {algo: physical.AlgoHashDiff, exchange: true},
+			mem: {algo: physical.AlgoHashDiff, spill: true},
+		}},
+		{"rdup total order", algebra.NewRdup(lv), []relation.OrderSpec{byAll}, map[physical.Shape]want{
+			seq:    {algo: physical.AlgoMergeDedup, merge: true, contiguous: true},
+			par:    {algo: physical.AlgoHashDedup, contiguous: true, exchange: true},
+			mem:    {algo: physical.AlgoMergeDedup, merge: true, contiguous: true},
+			parMem: {algo: physical.AlgoMergeDedup, merge: true, contiguous: true},
+		}},
+		{"rdup unordered", algebra.NewRdup(lv), []relation.OrderSpec{nil}, map[physical.Shape]want{
+			seq: {algo: physical.AlgoHashDedup},
+			par: {algo: physical.AlgoHashDedup, exchange: true},
+			mem: {algo: physical.AlgoHashDedup, spill: true},
+		}},
+		{"coalT contiguous", algebra.NewCoal(lv), []relation.OrderSpec{byNameGrp}, map[physical.Shape]want{
+			seq:    {algo: physical.AlgoMergeGroup, merge: true, contiguous: true},
+			par:    {algo: physical.AlgoMergeGroup, merge: true, contiguous: true, exchange: true},
+			mem:    {algo: physical.AlgoMergeGroup, merge: true, contiguous: true},
+			parMem: {algo: physical.AlgoMergeGroup, merge: true, contiguous: true},
+		}},
+		{"aggregate without GROUP BY", algebra.NewAggregate(nil, []expr.Aggregate{{Func: expr.CountAll, As: "c"}}, lv), []relation.OrderSpec{nil}, map[physical.Shape]want{
+			par:    {algo: physical.AlgoHashGroup, contiguous: true},
+			parMem: {algo: physical.AlgoHashGroup, contiguous: true},
+		}},
+		{"sort elided", algebra.NewSort(byName, lv), []relation.OrderSpec{byNameGrp}, map[physical.Shape]want{
+			parMem: {algo: physical.AlgoSortElided},
+		}},
+		{"sort performed", algebra.NewSort(byName, lv), []relation.OrderSpec{nil}, map[physical.Shape]want{
+			seq:    {algo: physical.AlgoSort},
+			parMem: {algo: physical.AlgoSort, exchange: true, spill: true},
+		}},
+	}
+	for _, c := range cases {
+		for sh, w := range c.shapes {
+			d := physical.Decide(c.plan, c.orders, sh)
+			got := want{d.Algo, d.Merge, d.Contiguous, d.Exchange, d.Spills}
+			if got != w {
+				t.Errorf("%s at %+v: got %+v, want %+v", c.name, sh, got, w)
+			}
+		}
 	}
 }

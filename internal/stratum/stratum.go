@@ -228,11 +228,18 @@ func (x *Executor) exec(root algebra.Node, path algebra.Path, probe func(string,
 		return nil, err
 	}
 	eng := x.phys.Instantiate(eval.MapSource(leaves))
-	// The engine's per-node samples feed the cost meter (row counts) and the
-	// trace's spill accounting always, and the probe when there is one.
-	samples := make(map[algebra.Node]obs.RunSample)
+	// The engine's per-node samples feed the cost meter (row counts and the
+	// variant compiled) and the trace's spill accounting always, and the
+	// probe when there is one.
+	type nodeRun struct {
+		obs.RunSample
+		variant physical.Variant
+	}
+	samples := make(map[algebra.Node]nodeRun)
 	if o, ok := eng.(eval.NodeObserver); ok {
-		o.ObserveNodes(probe != nil, func(n algebra.Node, s obs.RunSample) { samples[n] = s })
+		o.ObserveNodes(probe != nil, func(n algebra.Node, v physical.Variant, s obs.RunSample) {
+			samples[n] = nodeRun{s, v}
+		})
 	}
 	out, err := eng.Eval(bound)
 	if err != nil {
@@ -242,22 +249,15 @@ func (x *Executor) exec(root algebra.Node, path algebra.Path, probe func(string,
 
 	// Meter the region node by node, in post-order: every operator is priced
 	// on its children's actual rows with the physical variant the engine
-	// compiled — the shared decision procedure (package physical) over the
-	// orders the bound leaves deliver, for engines that compile
-	// order-exploiting variants at all. The probe gets each node's own share
-	// of the subtree totals; paths in the bound region are the plan's.
-	var dec map[algebra.Node]physical.Decision
-	if x.params.Streaming && !x.params.OrderBlind {
-		if dec, err = physical.Annotate(bound); err != nil {
-			return nil, err
-		}
-	}
+	// reports it compiled. The probe gets each node's own share of the
+	// subtree totals; paths in the bound region are the plan's.
 	var meter func(n algebra.Node, path algebra.Path)
 	meter = func(n algebra.Node, path algebra.Path) {
 		if n.Op() == algebra.OpRel {
 			return // a bound TS: metered and probed at the transfer
 		}
-		own := samples[n]
+		run := samples[n]
+		own := run.RunSample
 		inRows := 0
 		for i, c := range n.Children() {
 			meter(c, path.Child(i))
@@ -266,7 +266,7 @@ func (x *Executor) exec(root algebra.Node, path algebra.Path, probe func(string,
 			own.Wall -= below.Wall
 			own.Spill = own.Spill.Less(below.Spill)
 		}
-		tr.StratumUnits += x.params.OpUnits(n, inRows, x.params.StratumTuple, 1, x.params.Streaming, dec[n].Ordered())
+		tr.StratumUnits += x.params.OpUnits(n, inRows, x.params.StratumTuple, 1, x.params.Streaming, run.variant)
 		if probe != nil {
 			probe(path.String(), own)
 		}
@@ -292,7 +292,7 @@ func (x *Executor) meterDBMS(subplan algebra.Node, outRows int, tr *Trace) {
 			penalty = x.params.DBMSSortFactor
 		}
 		// The DBMS always simulates a conventional engine: never streaming.
-		tr.DBMSUnits += x.params.OpUnits(n, outRows, x.params.DBMSTuple, penalty, false, false)
+		tr.DBMSUnits += x.params.OpUnits(n, outRows, x.params.DBMSTuple, penalty, false, physical.Variant{})
 		return true
 	})
 }
