@@ -296,14 +296,6 @@ func (b *Batch) FillRow(t []value.Value, i int) {
 	}
 }
 
-// AppendRow appends src's physical row i as a new physical row.
-func (b *Batch) AppendRow(src *Batch, i int) {
-	for c := range b.Cols {
-		b.Cols[c].AppendFrom(&src.Cols[c], i)
-	}
-	b.N++
-}
-
 // Reset empties a batch for reuse, keeping its planes' capacity and
 // dropping any selection. Only the batch's owner may reset it: its views
 // share the planes.
@@ -400,31 +392,134 @@ func (b *Batch) AppendPresented(src *Batch, lo, hi int) {
 	b.N += hi - lo
 }
 
-// tupleOverhead approximates the resident cost of one row held as a tuple
-// beyond its values: the slice header plus allocator slack.
-const tupleOverhead = 48
+// DropFront removes the first k physical rows of a dense batch, moving the
+// rest to the front of the planes and keeping their capacity. Only the
+// batch's owner may call it: its views share the planes.
+func (b *Batch) DropFront(k int) {
+	for c := range b.Cols {
+		col := &b.Cols[c]
+		switch col.Kind {
+		case value.KindInt, value.KindBool, value.KindTime:
+			col.Ints = col.Ints[:copy(col.Ints, col.Ints[k:])]
+		case value.KindFloat:
+			col.Floats = col.Floats[:copy(col.Floats, col.Floats[k:])]
+		case value.KindString:
+			clear(col.Strs[copy(col.Strs, col.Strs[k:]):])
+			col.Strs = col.Strs[:len(col.Strs)-k]
+		default:
+			clear(col.Vals[copy(col.Vals, col.Vals[k:]):])
+			col.Vals = col.Vals[:len(col.Vals)-k]
+		}
+	}
+	b.N -= k
+}
 
-// valueSize is the resident size of one value.Value struct.
-const valueSize = 40
+// The accounting currency: what one cell holds on its plane.
+const (
+	wordBytes  = 8  // an int, bool, chronon or float cell
+	strBytes   = 16 // a string cell's header; its payload adds
+	boxedBytes = 40 // a boxed cell's value.Value; a string payload adds
+)
 
-// MemSize estimates the resident bytes of physical row i — the accounting
-// currency of the engine's memory arbiter and of a spill file's MemBytes.
-// It prices the row as a tuple would be (headers and allocator slack
-// included, plus string payloads), deliberately leaning high: the budget is
-// a working-set bound, and over-counting errs toward spilling early rather
-// than blowing the budget.
-func (b *Batch) MemSize(i int) int64 {
-	n := int64(tupleOverhead) + int64(len(b.Cols))*valueSize
+// cellBytes is the price of one cell on a plane of storage kind k
+// (KindInvalid: boxed) before any string payload.
+func cellBytes(k value.Kind) int64 {
+	switch k {
+	case value.KindInt, value.KindBool, value.KindTime, value.KindFloat:
+		return wordBytes
+	case value.KindString:
+		return strBytes
+	default:
+		return boxedBytes
+	}
+}
+
+// fixedBytes is the part of a row's price that does not depend on the row,
+// and varying reports a column whose cells add a payload.
+func (b *Batch) fixedBytes() (fixed int64, varying bool) {
+	for c := range b.Cols {
+		k := b.Cols[c].Kind
+		fixed += cellBytes(k)
+		varying = varying || k == value.KindString || k == value.KindInvalid
+	}
+	return fixed, varying
+}
+
+// RowBytes is Bytes' price of one row of schema s before string payloads —
+// the currency of the engine's arbiter for a caller that knows how many
+// rows but not which: the cost model's spill threshold.
+func RowBytes(s *schema.Schema) int64 {
+	var n int64
+	for i := 0; i < s.Len(); i++ {
+		n += cellBytes(s.At(i).Kind)
+	}
+	return n
+}
+
+// Bytes prices the presented rows [lo, hi) by what they hold on the
+// planes: 8 B per int, bool, chronon or float cell, a 16 B header plus the
+// payload per string cell, and a 40 B value plus any string payload per
+// boxed cell. It is the one accounting currency of the engine's memory
+// arbiter and of a spill file's MemBytes, priced once per range: a
+// fixed-width schema reads no row, and otherwise only the string cells are
+// read.
+func (b *Batch) Bytes(lo, hi int) int64 {
+	fixed, varying := b.fixedBytes()
+	n := int64(hi-lo) * fixed
+	if !varying {
+		return n
+	}
 	for c := range b.Cols {
 		col := &b.Cols[c]
 		switch col.Kind {
 		case value.KindString:
-			n += int64(len(col.Strs[i]))
+			if b.Sel == nil {
+				for _, s := range col.Strs[lo:hi] {
+					n += int64(len(s))
+				}
+				continue
+			}
+			for _, i := range b.Sel[lo:hi] {
+				n += int64(len(col.Strs[i]))
+			}
 		case value.KindInvalid:
-			if v := col.Vals[i]; v.Kind() == value.KindString {
-				n += int64(len(v.AsString()))
+			for k := lo; k < hi; k++ {
+				if v := col.Vals[b.RowIndex(k)]; v.Kind() == value.KindString {
+					n += int64(len(v.AsString()))
+				}
 			}
 		}
 	}
 	return n
+}
+
+// Fit returns the end k of the longest run of presented rows [lo, k), k ≤
+// hi, whose Bytes fit room, and those bytes: arithmetic for a fixed-width
+// schema, and otherwise one price of the whole range, walking the rows only
+// when it does not fit.
+func (b *Batch) Fit(lo, hi int, room int64) (int, int64) {
+	fixed, varying := b.fixedBytes()
+	if room < 0 {
+		return lo, 0
+	}
+	if !varying {
+		k := hi
+		if fixed > 0 {
+			k = lo + int(min(int64(hi-lo), room/fixed))
+		}
+		return k, int64(k-lo) * fixed
+	}
+	if n := b.Bytes(lo, hi); n <= room {
+		return hi, n
+	}
+	var used int64
+	k := lo
+	for ; k < hi; k++ {
+		r := b.Bytes(k, k+1)
+		if used+r > room {
+			break
+		}
+		used += r
+	}
+	return k, used
 }

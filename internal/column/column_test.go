@@ -2,6 +2,7 @@ package column
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -116,16 +117,46 @@ func TestVecDemotesAndResets(t *testing.T) {
 	}
 }
 
-// TestMemSize: a row is priced as its tuple would be — a fixed part per
-// cell plus string payloads — whether its strings sit on a typed or a boxed
-// plane.
-func TestMemSize(t *testing.T) {
-	b := sample(2)
-	boxed := NewVec(value.KindInvalid, 2)
-	boxed.AppendRange(&b.Cols[1], 0, 2)
-	wide := &Batch{Schema: b.Schema, Cols: []Vec{b.Cols[0], boxed, b.Cols[2], b.Cols[3]}, N: 2}
-	if b.MemSize(0) != int64(tupleOverhead+4*valueSize+1) || wide.MemSize(1) != b.MemSize(1) {
-		t.Fatalf("MemSize typed %d, boxed %d", b.MemSize(1), wide.MemSize(1))
+// TestBytes: rows are priced by what their cells hold on the planes — 8 B
+// per word cell, a 16 B header plus the payload per string cell, a 40 B
+// value plus any string payload per boxed cell — over a range of presented
+// rows, the same through a selection as through the dense planes; Fit stops
+// at the row that would cross its room, fixed-width or not.
+func TestBytes(t *testing.T) {
+	b := sample(3)
+	b.Cols[1].Strs[2] = "xyz"
+	if got, want := b.Bytes(0, 3), int64(3*(3*wordBytes+strBytes)+1+1+3); got != want {
+		t.Fatalf("Bytes(0, 3) = %d, want %d", got, want)
+	}
+	if got, want := b.WithSel([]int{2, 0}).Bytes(0, 2), b.Bytes(2, 3)+b.Bytes(0, 1); got != want {
+		t.Fatalf("selected Bytes = %d, want %d", got, want)
+	}
+	boxed := NewVec(value.KindInvalid, 3)
+	boxed.AppendRange(&b.Cols[1], 0, 3)
+	wide := &Batch{Schema: b.Schema, Cols: []Vec{b.Cols[0], boxed, b.Cols[2], b.Cols[3]}, N: 3}
+	if got, want := wide.Bytes(2, 3), int64(3*wordBytes+boxedBytes+3); got != want {
+		t.Fatalf("boxed Bytes = %d, want %d", got, want)
+	}
+	row := 3*wordBytes + strBytes + 1
+	if k, n := b.Fit(0, 3, int64(2*row)); k != 2 || n != int64(2*row) {
+		t.Fatalf("Fit(0, 3, 2 rows) = %d, %d", k, n)
+	}
+	if k, n := b.Fit(1, 3, int64(2*row)); k != 2 || n != int64(row) {
+		t.Fatalf("Fit over the long string = %d, %d", k, n)
+	}
+	ints := &Batch{Schema: b.Schema, Cols: []Vec{b.Cols[0], b.Cols[0], b.Cols[2], b.Cols[3]}, N: 3}
+	if k, n := ints.Fit(0, 3, 4*wordBytes*2+1); k != 2 || n != 4*wordBytes*2 {
+		t.Fatalf("fixed-width Fit = %d, %d", k, n)
+	}
+}
+
+// TestDropFront: dropping rows from the front of a dense batch keeps the
+// rest in order on every plane.
+func TestDropFront(t *testing.T) {
+	b := sample(5)
+	b.DropFront(2)
+	if b.N != 3 || b.Cols[1].Len() != 3 || !slices.Equal(keys(b), []int64{2, 3, 4}) || b.Cols[1].Strs[0] != "c" {
+		t.Fatalf("after DropFront(2): %d rows, keys %v", b.N, keys(b))
 	}
 }
 

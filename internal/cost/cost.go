@@ -14,6 +14,7 @@ import (
 
 	"tqp/internal/algebra"
 	"tqp/internal/catalog"
+	"tqp/internal/column"
 	"tqp/internal/eval"
 	"tqp/internal/physical"
 	"tqp/internal/props"
@@ -94,9 +95,6 @@ type Params struct {
 	// SpillRead is the per-tuple cost of reading and decoding one spilled
 	// tuple back.
 	SpillRead float64
-	// TupleBytes estimates the resident bytes of one tuple, converting
-	// cardinality estimates into working-set bytes for the spill decision.
-	TupleBytes float64
 	// VecExchangeFactor scales ExchangeTuple and GatherTuple for a
 	// Streaming engine: the scatter is a hash over column planes plus one
 	// appended row index, and the gather merges ascending selection
@@ -145,7 +143,6 @@ func DefaultParams() Params {
 		GatherTuple:         0.05,
 		SpillWrite:          0.8,
 		SpillRead:           0.6,
-		TupleBytes:          192,
 		VecExchangeFactor:   0.4,
 		VecSpillFactor:      0.6,
 		ShipTuple:           0.5,
@@ -189,24 +186,38 @@ func (p Params) parallelShape(op algebra.Op, own, inRows, outRows float64) float
 }
 
 // spillShape adds the grace-hash spill charge when an operator's estimated
-// materialized state — inRows tuples at TupleBytes each — exceeds the
-// per-worker budget share the engine compares operator state against
-// (exec's opShare): one spill write and one read per input tuple
-// (recursive re-partitioning passes are rare and left unpriced).
-// The exec engine encodes spill blocks straight off the column planes
-// and re-reads them block-at-a-time into batches, so the per-tuple spill
-// prices of the batch-compiled operators scale by VecSpillFactor.
-func (p Params) spillShape(op algebra.Op, own, inRows float64) float64 {
-	share := float64(p.MemoryBudget) / float64(max(p.Parallelism, 1))
-	if p.MemoryBudget <= 0 || inRows*p.TupleBytes <= share {
+// materialized state — its input rows priced at column.RowBytes of their
+// schema, the engine's accounting currency — exceeds what the engine lets
+// it hold: the per-worker budget share (exec's opShare), half of it per
+// side of a two-sided operator. Then every input tuple pays one spill write
+// and one read (recursive re-partitioning passes are rare and left
+// unpriced). The exec engine encodes spill blocks straight off the column
+// planes and re-reads them block-at-a-time into batches, so the per-tuple
+// spill prices of the batch-compiled operators scale by VecSpillFactor.
+func (p Params) spillShape(n algebra.Node, own float64, inRows []float64) float64 {
+	if p.MemoryBudget <= 0 {
+		return own
+	}
+	share := float64(p.MemoryBudget) / float64(max(p.Parallelism, 1)) / float64(max(len(inRows), 1))
+	in, over := 0.0, false
+	for i, c := range n.Children() {
+		if i >= len(inRows) {
+			break
+		}
+		in += inRows[i]
+		if s, err := c.Schema(); err == nil && inRows[i]*float64(column.RowBytes(s)) > share {
+			over = true
+		}
+	}
+	if !over {
 		return own
 	}
 	wr, rd := p.SpillWrite, p.SpillRead
-	if p.Streaming && vecBatchOp(op) {
+	if p.Streaming && vecBatchOp(n.Op()) {
 		wr *= p.VecSpillFactor
 		rd *= p.VecSpillFactor
 	}
-	return own + inRows*(wr+rd)
+	return own + in*(wr+rd)
 }
 
 // ParamsFor returns the calibration for a stratum engine: the default
@@ -228,8 +239,9 @@ func ForEngine(spec eval.EngineSpec) Params {
 	return p
 }
 
-// OpUnits assigns simulated work units to operation n over the given input
-// cardinality; the stratum executor meters actual executions with it.
+// OpUnits assigns simulated work units to operation n over its inputs' row
+// counts (one per child; the DBMS meter passes the output's as one); the
+// stratum executor meters actual executions with it.
 // streaming selects the exec engine's hash/one-pass shapes — linear
 // products, joins and temporal grouping operators — over the reference
 // evaluator's pairwise and scan-heavy ones. dec is the variant the
@@ -242,23 +254,33 @@ func ForEngine(spec eval.EngineSpec) Params {
 // output's, which the meter does not know) and the spill shape. The
 // reference evaluator (streaming=false) has no variants: its zero decision
 // takes neither shape.
-func (p Params) OpUnits(n algebra.Node, rows int, tupleCost, penalty float64, streaming bool, dec physical.Variant) float64 {
-	op := n.Op()
-	units := p.opUnitsSequential(op, rows, tupleCost, penalty, streaming, dec.Merge || dec.SortElided)
+func (p Params) OpUnits(n algebra.Node, inRows []int, tupleCost, penalty float64, streaming bool, dec physical.Variant) float64 {
+	rows := 0
+	var buf [2]float64
+	sides := buf[:0]
+	for _, r := range inRows {
+		rows += r
+		sides = append(sides, float64(r))
+	}
+	units := p.opUnitsSequential(n.Op(), rows, tupleCost, penalty, streaming, dec.Merge || dec.SortElided)
 	if streaming {
-		units = p.shaped(op, dec, units, float64(rows), float64(rows))
+		units = p.shaped(n, dec, units, sides, float64(rows))
 	}
 	return units
 }
 
 // shaped adds the parallel and spill shapes dec calls for to one
-// operator's own cost.
-func (p Params) shaped(op algebra.Op, dec physical.Variant, own, inRows, outRows float64) float64 {
+// operator's own cost, given the row counts of its inputs.
+func (p Params) shaped(n algebra.Node, dec physical.Variant, own float64, inRows []float64, outRows float64) float64 {
+	in := 0.0
+	for _, r := range inRows {
+		in += r
+	}
 	if dec.Exchange {
-		own = p.parallelShape(op, own, inRows, outRows)
+		own = p.parallelShape(n.Op(), own, in, outRows)
 	}
 	if dec.Spills {
-		own = p.spillShape(op, own, inRows)
+		own = p.spillShape(n, own, inRows)
 	}
 	return own
 }
@@ -422,11 +444,12 @@ func (m *Model) estimate(n algebra.Node, site props.Site, ce []Estimate, dec phy
 		}
 	}
 	if dec.Exchange || dec.Spills {
-		in := 0.0
+		var buf [2]float64
+		in := buf[:0]
 		for _, c := range ce {
-			in += c.Rows
+			in = append(in, c.Rows)
 		}
-		est.Cost = p.shaped(n.Op(), dec, est.Cost, in, est.Rows)
+		est.Cost = p.shaped(n, dec, est.Cost, in, est.Rows)
 	}
 	return est
 }

@@ -248,8 +248,8 @@ func TestBatchDiscount(t *testing.T) {
 		t.Errorf("vectorized exchange must price below the boxed one: vec=%.0f boxed=%.0f", vec, boxed)
 	}
 	// The spill discount shows on the same operator when its build state
-	// outgrows a 64 KiB budget share.
-	boxedSpill, vecSpill := costWith(dedup, false, 1, 64<<10), costWith(dedup, true, 1, 64<<10)
+	// (1200 rows at 32 plane bytes) outgrows a 16 KiB budget share.
+	boxedSpill, vecSpill := costWith(dedup, false, 1, 16<<10), costWith(dedup, true, 1, 16<<10)
 	if !(vecSpill < boxedSpill) {
 		t.Errorf("vectorized spill must price below the boxed one: vec=%.0f boxed=%.0f", vecSpill, boxedSpill)
 	}

@@ -23,14 +23,17 @@ type Config struct {
 	// 0 or 1 compiles the sequential pipeline.
 	Parallelism int
 	// MemoryBudget bounds the working-set bytes of the blocking operators
-	// (hash tables, materialized build sides, sort runs; see grace.go). An
-	// operator whose state would exceed its share grace-hash partitions its
-	// inputs to temp files and processes one partition at a time, recursing
-	// while a partition still exceeds the share; the spilled partitions
-	// replay in original list order via sequence keys, so results stay
-	// bit-identical to the unbudgeted engine. 0 means unlimited (no
-	// spilling). With Parallelism > 1 the budget divides into per-worker
-	// shares: W partition tasks run concurrently, each bounded by budget/W.
+	// (hash tables, materialized build sides, sort runs; see grace.go),
+	// priced by what their rows hold on the column planes
+	// (column.Batch.Bytes). An operator whose state would exceed its share
+	// hash-partitions its inputs, keeps the partitions that fit the share in
+	// memory and writes the rest to temp files (hybrid hash), processes the
+	// partitions one at a time and recurses while a spilled partition still
+	// exceeds the share; the partitions replay in original list order via
+	// sequence keys, so results stay bit-identical to the unbudgeted engine.
+	// 0 means unlimited (no spilling). With Parallelism > 1 the budget
+	// divides into per-worker shares: W partition tasks run concurrently,
+	// each bounded by budget/W.
 	MemoryBudget int64
 	// SpillDir is the directory spill files are created in: one temp file
 	// per spill pass, removed when the pass is consumed and in any case

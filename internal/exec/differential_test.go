@@ -156,7 +156,7 @@ func TestUnobservedEvalCompilesNoStage(t *testing.T) {
 	nodes := 0
 	algebra.Walk(plan, func(algebra.Node, algebra.Path) bool { nodes++; return true })
 
-	for _, cfg := range []exec.Config{{}, {Parallelism: 3}, {MemoryBudget: 64 << 10}} {
+	for _, cfg := range []exec.Config{{}, {Parallelism: 3}, {MemoryBudget: 16 << 10}} {
 		e := exec.NewWith(src, cfg)
 		want, err := e.Eval(plan)
 		if err != nil {

@@ -90,19 +90,40 @@
 //
 // # Spilling
 //
-// Under Config.MemoryBudget an operator's spilled state lives in spill
-// passes (package spill), one per partitioning step: the drain's first
-// fan-out of an input and every repartition put all spillFanout buckets in
-// one pass, and the external sort (sort.go) puts all of its spilled runs in
-// one. A pass is one append-only file, created on its first write directly
-// in Config.SpillDir; its buckets' blocks interleave there, each bucket
-// reads back its own extents, and the file goes with the last bucket
-// consumed. So a statement creates a file per spilling step, not per bucket
-// or run (Stats.SpillFiles), and an empty bucket costs nothing. The sort
-// builds each run column-wise from views of its input batches —
-// concatenated and compacted once, sorted as a row permutation (sortRows) —
-// and keeps its final run resident: under the cut rule it is at most half
-// the share.
+// Config.MemoryBudget is counted in one currency: column.Batch.Bytes, the
+// bytes a range of rows holds on the typed planes (8 B per int, bool,
+// chronon or float cell, a 16 B header plus the payload per string cell,
+// 40 B plus any string payload per boxed cell). Every place that accounts —
+// the drain, splitPart, the sort's runs, a spill file's MemBytes — prices a
+// batch range once, never row by row, and the cost model's spill threshold
+// prices a row of the schema the same way (column.RowBytes). The
+// unbudgeted engine never prices anything.
+//
+// A keyed operator's drain holds its input until the batch that would cross
+// its share, then turns hybrid (DeWitt et al., SIGMOD 1984): what it holds,
+// and then the rest of the stream, routes into spillFanout hash buckets,
+// and while the resident buckets would exceed the share the largest of
+// them spills. Rows of a spilled bucket go to its pass writer, rows of a
+// resident one stay in memory, so the drain spills only the overflow; the
+// resident bucket pairs then run first, with no encode or decode, and
+// return their bytes before the spilled pairs load. Under Parallelism the
+// resident input splits W ways on the pool like the unbudgeted one, and
+// the spilled pairs run W at a time, each within budget/W.
+//
+// Spilled state lives in spill passes (package spill), one per
+// partitioning step: a drain's buckets and every repartition put all
+// spillFanout buckets in one pass, and the external sort (sort.go) puts all
+// of its spilled runs in one. A pass is one append-only file, created on
+// its first write directly in Config.SpillDir; its buckets' blocks
+// interleave there, each bucket reads back its own extents, and the file
+// goes with the last bucket consumed. So a statement creates a file per
+// spilling step, not per bucket or run (Stats.SpillFiles), and an empty
+// bucket costs nothing. A budgeted sort that fits its share sorts once and
+// emits through its permutation, exactly as the unbudgeted sort; past the
+// share it cuts runs by bytes — each concatenated and compacted once,
+// sorted as a row permutation (sortRows) — keeps its final run resident
+// (under the cut rule at most half the share), and merges them emitting
+// column-wise (run, row range) stretches.
 //
 // # Key kernels
 //

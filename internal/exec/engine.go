@@ -207,8 +207,16 @@ func (st *stage) nextBatch() (*column.Batch, error) {
 		st.Rows += int64(b.Rows())
 		st.Batches++
 	}
+	if heapProbe != nil {
+		heapProbe()
+	}
 	return b, err
 }
+
+// heapProbe, set only by the package's tests, is called after every batch
+// an observed run pulls through a stage and after every partition the
+// exchange driver runs — where the budget tests sample the live heap.
+var heapProbe func()
 
 func (st *stage) close() error { return st.in.vec.close() }
 

@@ -11,3 +11,7 @@ func StageCount(e *Engine) int { return len(e.stages) }
 // RaceEnabled reports a race-instrumented test binary to the external test
 // package.
 const RaceEnabled = raceEnabled
+
+// SetHeapProbe installs (or, with nil, removes) the function an observed run
+// calls once per batch and once per driver partition.
+func SetHeapProbe(f func()) { heapProbe = f }

@@ -8,18 +8,19 @@
 //   - resident: the whole input is one partition and the body runs once.
 //     The sequential engine is simply this width-1 case.
 //
-//   - W-way (Config.Parallelism > 1, no budget): the resident batch splits
-//     into W partitions on the worker pool — contiguous whole-group ranges
-//     when the delivered order proves the key groups contiguous
-//     (physical.Decision.Contiguous), otherwise by the canonical hash of the
-//     key columns read off the column planes — so every key group lands
-//     wholly in one partition in list order.
+//   - W-way (Config.Parallelism > 1, budgeted or not, nothing spilled): the
+//     resident batch splits into W partitions on the worker pool —
+//     contiguous whole-group ranges when the delivered order proves the key
+//     groups contiguous (physical.Decision.Contiguous), otherwise by the
+//     canonical hash of the key columns read off the column planes — so
+//     every key group lands wholly in one partition in list order.
 //
-//   - spilled (Config.MemoryBudget > 0 and the accounted input exceeds the
-//     operator's share): the drain switches to writing fan-out hash
-//     partitions as columnar blocks to the buckets of one spill pass
-//     (package spill) — one file for the whole fan-out; the partitions are
-//     then processed one at a time (workers at a time under
+//   - spilled (Config.MemoryBudget > 0 and an input crossed its share): the
+//     drain turns hybrid — it routes its rows into fan-out hash buckets,
+//     keeps the buckets that fit the share resident and writes the rest as
+//     columnar blocks to the buckets of one spill pass (package spill) — one
+//     file for the whole fan-out. The resident bucket pairs run first, then
+//     the spilled ones load one at a time (workers at a time under
 //     Parallelism, each bounded by budget/W), and a partition that still
 //     exceeds the share re-partitions recursively on fresh bits of the key
 //     hash. The recursion is depth-capped, so a single-key skew degrades to
@@ -39,8 +40,9 @@
 // materializes one operator at a time, so a plan's exchanges run their
 // pools in sequence, not stacked.
 //
-// What the budget bounds is the working set of the blocking operators:
-// hash tables, materialized build sides, key-group partitions, sort runs.
+// What the budget bounds is the working set of the blocking operators —
+// hash tables, materialized build sides, key-group partitions, sort runs —
+// priced by their plane bytes (column.Batch.Bytes).
 // Streams between operators and the query's result are outputs, not
 // operator state, and are exempt — the standard work_mem contract. Two
 // shapes keep unbounded state by construction and are documented rather
@@ -48,7 +50,9 @@
 // a temporal relation of periods alone — one global group with nothing to
 // partition on) and the fixed floor of a spill pass's write buffer (one
 // 16KB buffer per pass, shared by its buckets — not fanout × 16KB) under
-// budgets smaller than that.
+// budgets smaller than that. A two-sided operator whose one side keeps a
+// bucket resident while the other side spilled it holds that resident half
+// while the spilled pairs load, at most one share on top of them.
 package exec
 
 import (
@@ -197,71 +201,182 @@ func (e *Engine) keyedSource(op *keyedOp) *source {
 }
 
 // partSource is one grace partition's rows: resident or on disk. bytes and
-// count drive the recursion decision without touching the data.
+// count drive the recursion decision without touching the data; a resident
+// partition's bytes are accounted until its pair has run.
 type partSource struct {
 	part
-	file  *spill.File
-	bytes int64
-	count int
+	file   *spill.File
+	bytes  int64
+	count  int
+	shared bool // rows of a batch split in memory, which outlives the partition
 }
 
 // vecGraceSide is a fully drained operator input: one compacted resident
-// batch when it fit its share, otherwise level-0 hash partitions written as
-// columnar blocks.
+// batch when it fit its share, otherwise the level-0 hash buckets of the
+// hybrid drain, each resident or spilled.
 type vecGraceSide struct {
 	b       *column.Batch
-	bytes   int64
+	bytes   int64 // b's accounted bytes
 	count   int
-	spilled bool
+	spilled bool // partitioned into parts, at least one of them on disk
 	parts   []partSource
 }
 
-// fanout routes rows to spillFanout buckets of one spill pass by the key
-// hash at one level — the one routing of the first partition pass and of
-// every repartition. Each bucket copies its rows onto a pending batch of its
-// own until a block's worth accumulates, then writes them as one block to
-// the pass's file; routing preserves arrival order within each bucket. A
-// bucket takes its batch and writer on its first row, so an empty bucket
-// costs nothing.
+// fanout routes rows to the spillFanout buckets of one partitioning step
+// by the key hash at one level — the one routing of the drain and of every
+// repartition. Each routed batch is grouped by bucket once and each
+// bucket's rows gather plane-wise onto a batch of the bucket's own, so
+// routing preserves arrival order within each bucket. A bucket is resident
+// or spilled: a spilled bucket writes its rows a block at a time to the
+// step's one spill pass, and a resident bucket keeps its rows in memory,
+// accounted against the step's share. A repartition's buckets all spill;
+// the drain's start resident, and whenever what they hold would cross the
+// share the largest of them spills (hybrid hash). A bucket takes its batch
+// and writer on its first row, so an empty bucket costs nothing.
 type fanout struct {
-	sch     *schema.Schema
-	idx     []int
-	lvl     int
-	pass    *spill.Pass
-	writers []*spill.Writer
-	pend    []*column.Batch
-	seqs    [][]int
+	e        *Engine
+	sch      *schema.Schema
+	idx      []int
+	lvl      int
+	share    int64 // what the resident buckets may hold; 0 = every bucket spills
+	pass     *spill.Pass
+	writers  [spillFanout]*spill.Writer
+	pend     [spillFanout]*column.Batch // a resident bucket's rows, or a spilled one's not yet written
+	seqs     [spillFanout][]int
+	spilled  [spillFanout]bool
+	held     [spillFanout]int64 // a resident bucket's accounted bytes
+	resident int64              // the sum of held
 
-	hv         []uint64 // the routed rows' key hashes
-	rows, keys []int    // a dense range's rows and consecutive sequence keys
+	hv          []uint64 // the routed rows' key hashes
+	order, oseq []int    // the routed rows and their sequence keys, grouped by bucket
+	rows, keys  []int    // a dense range's rows and consecutive sequence keys
 }
 
-// newFanout starts a fan-out pass for rows over sch.
-func (e *Engine) newFanout(sch *schema.Schema, idx []int, lvl int) *fanout {
-	return &fanout{sch: sch, idx: idx, lvl: lvl, pass: e.spillMgr.NewPass(),
-		writers: make([]*spill.Writer, spillFanout), pend: make([]*column.Batch, spillFanout), seqs: make([][]int, spillFanout)}
+// newFanout starts a partitioning step over sch whose resident buckets may
+// hold share bytes (0: every bucket spills).
+func (e *Engine) newFanout(sch *schema.Schema, idx []int, lvl int, share int64) *fanout {
+	f := &fanout{e: e, sch: sch, idx: idx, lvl: lvl, share: share, pass: e.spillMgr.NewPass()}
+	for bk := range f.spilled {
+		f.spilled[bk] = share == 0
+	}
+	return f
 }
 
-// route sends b's physical rows rows[k], tagged seqs[k], to their buckets,
-// hashing the batch's key columns in one pass.
+// route sends b's physical rows rows[k], tagged seqs[k], to their buckets:
+// one hashing pass over the key columns, one grouping of the rows by
+// bucket, and one plane-wise gather per bucket.
 func (f *fanout) route(b *column.Batch, rows, seqs []int) error {
+	if len(rows) == 0 {
+		return nil
+	}
 	f.hv = resize(f.hv, len(rows))
 	hashRows(b, rows, f.idx, f.hv)
-	for k, i := range rows {
-		bk := spillBucket(f.hv[k], f.lvl)
-		if f.pend[bk] == nil {
-			f.pend[bk] = column.NewBatch(f.sch, spill.BlockRows)
-		}
-		f.pend[bk].AppendRow(b, i)
-		f.seqs[bk] = append(f.seqs[bk], seqs[k])
-		if len(f.seqs[bk]) < spill.BlockRows {
-			continue
-		}
-		if err := f.flush(bk); err != nil {
+	var bounds [spillFanout + 1]int
+	for _, h := range f.hv {
+		bounds[spillBucket(h, f.lvl)+1]++
+	}
+	var at [spillFanout]int
+	for bk := range at {
+		bounds[bk+1] += bounds[bk]
+		at[bk] = bounds[bk]
+	}
+	f.order, f.oseq = resize(f.order, len(rows)), resize(f.oseq, len(rows))
+	for k, h := range f.hv {
+		bk := spillBucket(h, f.lvl)
+		f.order[at[bk]], f.oseq[at[bk]] = rows[k], seqs[k]
+		at[bk]++
+	}
+	view := b.WithSel(f.order)
+	if f.share > 0 {
+		if err := f.fit(view, &bounds); err != nil {
 			return err
 		}
 	}
+	for bk := range f.pend {
+		lo, hi := bounds[bk], bounds[bk+1]
+		if lo == hi {
+			continue
+		}
+		if f.spilled[bk] && len(f.seqs[bk]) == 0 && hi-lo >= spill.BlockRows {
+			// Whole blocks of a spilled bucket's rows go to its writer
+			// straight from the routed batch.
+			w := (hi - lo) - (hi-lo)%spill.BlockRows
+			if err := f.write(bk, f.oseq[lo:lo+w], view.RangeView(lo, lo+w)); err != nil {
+				return err
+			}
+			if lo += w; lo == hi {
+				continue
+			}
+		}
+		if f.pend[bk] == nil {
+			// A spilled bucket's batch holds a block; a resident one's
+			// grows from what arrived.
+			capHint := hi - lo
+			if f.spilled[bk] {
+				capHint = max(capHint, spill.BlockRows)
+			}
+			f.pend[bk] = column.NewBatch(f.sch, capHint)
+		}
+		f.pend[bk].AppendPresented(view, lo, hi)
+		f.seqs[bk] = append(f.seqs[bk], f.oseq[lo:hi]...)
+		if f.spilled[bk] && len(f.seqs[bk]) >= spill.BlockRows {
+			if err := f.flush(bk, false); err != nil {
+				return err
+			}
+		}
+	}
 	return nil
+}
+
+// fit keeps the resident buckets within the share before a routed batch's
+// rows join them: while what they hold plus what the batch adds to them
+// would cross it, the largest resident bucket spills. The batch's bytes
+// are priced once per bucket range, and what stays resident grows the
+// arbiter, so the accounted bytes never exceed the share.
+func (f *fanout) fit(view *column.Batch, bounds *[spillFanout + 1]int) error {
+	var add [spillFanout]int64
+	var total int64
+	for bk := range add {
+		if !f.spilled[bk] && bounds[bk] < bounds[bk+1] {
+			add[bk] = view.Bytes(bounds[bk], bounds[bk+1])
+			total += add[bk]
+		}
+	}
+	for f.resident+total > f.share {
+		big := -1
+		for bk := range add {
+			if !f.spilled[bk] && (big < 0 || f.held[bk]+add[bk] > f.held[big]+add[big]) {
+				big = bk
+			}
+		}
+		total -= add[big]
+		add[big] = 0
+		if err := f.evict(big); err != nil {
+			return err
+		}
+	}
+	f.resident += total
+	f.e.mem.grow(total)
+	for bk := range add {
+		f.held[bk] += add[bk]
+	}
+	return nil
+}
+
+// evict turns resident bucket bk into a spilled one: its rows are written
+// to the pass and their bytes return to the arbiter.
+func (f *fanout) evict(bk int) error {
+	f.spilled[bk] = true
+	f.resident -= f.held[bk]
+	f.e.mem.release(f.held[bk])
+	f.held[bk] = 0
+	if f.pend[bk] == nil {
+		return nil
+	}
+	err := f.flush(bk, true)
+	// The bucket's later rows arrive a block's worth at a time.
+	f.pend[bk], f.seqs[bk] = nil, nil
+	return err
 }
 
 // routeFrom routes b's presented rows [lo, hi), tagged with consecutive
@@ -278,26 +393,45 @@ func (f *fanout) routeFrom(b *column.Batch, lo, hi, first int) error {
 	return f.route(b, rows, f.keys)
 }
 
-// flush writes a bucket's pending rows and empties its batch for reuse.
-func (f *fanout) flush(bk int) error {
-	if len(f.seqs[bk]) == 0 {
+// flush writes a spilled bucket's pending rows — whole blocks of them, or
+// all of them — and keeps the rest pending.
+func (f *fanout) flush(bk int, all bool) error {
+	n := len(f.seqs[bk])
+	if !all {
+		n -= n % spill.BlockRows
+	}
+	if n == 0 {
 		return nil
 	}
-	if f.writers[bk] == nil {
-		f.writers[bk] = f.pass.Writer()
-	}
-	err := f.writers[bk].Write(f.seqs[bk], f.pend[bk])
-	f.pend[bk].Reset()
-	f.seqs[bk] = f.seqs[bk][:0]
+	err := f.write(bk, f.seqs[bk][:n], f.pend[bk])
+	f.pend[bk].DropFront(n)
+	f.seqs[bk] = f.seqs[bk][:copy(f.seqs[bk], f.seqs[bk][n:])]
 	return err
 }
 
-// finish flushes every bucket and seals the written ones into partitions;
-// on failure every bucket still open is aborted.
+// write appends rows tagged seqs to spilled bucket bk's file, opening its
+// writer on the bucket's first write.
+func (f *fanout) write(bk int, seqs []int, b *column.Batch) error {
+	if f.writers[bk] == nil {
+		f.writers[bk] = f.pass.Writer()
+	}
+	return f.writers[bk].Write(seqs, b)
+}
+
+// finish seals the step into its partitions: a spilled bucket flushes and
+// becomes a file, and a resident bucket keeps its batch — its rows in
+// arrival order — with its accounted bytes. On failure every bucket still
+// open is aborted.
 func (f *fanout) finish() ([]partSource, error) {
 	parts := make([]partSource, spillFanout)
 	for bk := range f.writers {
-		err := f.flush(bk)
+		if !f.spilled[bk] {
+			if b := f.pend[bk]; b != nil {
+				parts[bk] = partSource{part: part{b: b, rows: identityIdx(b.N), seqs: f.seqs[bk]}, bytes: f.held[bk], count: b.N}
+			}
+			continue
+		}
+		err := f.flush(bk, true)
 		var file *spill.File
 		if err == nil && f.writers[bk] != nil {
 			file, err = f.writers[bk].Finish()
@@ -329,15 +463,17 @@ func (f *fanout) abort() {
 	}
 }
 
-// drainGraceVec is the one drain: it consumes an input into memory until
-// share is exceeded, then switches to spilling — everything buffered fans
-// out to columnar block writers by the level-0 hash of idx and the rest of
-// the stream routes directly, no tuple materialized on the way to disk.
-// Rows are tagged with their arrival positions and routing preserves
-// arrival order within each bucket, so key groups land whole and in list
-// order — the invariant every partition body relies on. Each buffered row
-// grows the arbiter by its accounted bytes; an input drained without a
-// share is neither accounted nor spilled.
+// drainGraceVec is the one drain: it consumes an input into memory while it
+// fits share. The batch that would cross the share switches it to the
+// hybrid drain: everything buffered, then the rest of the stream, routes
+// into the level-0 hash buckets of idx, whose resident rest stays within
+// the share by spilling the largest buckets to columnar block writers — no
+// tuple materialized on the way to disk. Rows are tagged with their arrival
+// positions and routing preserves arrival order within each bucket, so key
+// groups land whole and in list order — the invariant every partition body
+// relies on. Resident rows grow the arbiter by their bytes, priced once per
+// batch (or bucket) range; an input drained without a share is neither
+// accounted nor spilled.
 func (e *Engine) drainGraceVec(in *source, idx []int, share int64) (*vecGraceSide, error) {
 	if share == noShare {
 		b, err := vecDrainOne(in.vec, in.schema)
@@ -365,26 +501,20 @@ func (e *Engine) drainGraceVec(in *source, idx []int, share int64) (*vecGraceSid
 		if b == nil {
 			break
 		}
-		n, k := b.Rows(), 0
-		if !side.spilled {
-			// Account row by row, so the switch happens at the row that
-			// crosses the share and the peak overshoots by one row at most.
-			var bb int64
-			for k < n && side.bytes+bb <= share {
-				bb += b.MemSize(b.RowIndex(k))
-				k++
-			}
-			side.bytes += bb
-			side.count += k
-			e.mem.grow(bb)
-			resident = append(resident, b.RangeView(0, k))
-			if side.bytes <= share {
+		n := b.Rows()
+		if fan == nil {
+			if bb := b.Bytes(0, n); side.bytes+bb <= share {
+				side.bytes += bb
+				side.count += n
+				e.mem.grow(bb)
+				resident = append(resident, b)
 				continue
 			}
-			// Switch to spilling: everything buffered so far fans out, and
-			// the resident bytes return to the arbiter.
-			side.spilled = true
-			fan = e.newFanout(in.schema, idx, 0)
+			// Switch to the hybrid drain: the buffered rows route into the
+			// buckets, which take over their accounting.
+			fan = e.newFanout(in.schema, idx, 0, share)
+			e.mem.release(side.bytes)
+			side.bytes = 0
 			seq := 0
 			for _, rb := range resident {
 				if err := fan.routeFrom(rb, 0, rb.Rows(), seq); err != nil {
@@ -392,16 +522,12 @@ func (e *Engine) drainGraceVec(in *source, idx []int, share int64) (*vecGraceSid
 				}
 				seq += rb.Rows()
 			}
-			e.mem.release(side.bytes)
 			resident = nil
 		}
-		for x := k; x < n; x++ {
-			side.bytes += b.MemSize(b.RowIndex(x))
-		}
-		if err := fan.routeFrom(b, k, n, side.count); err != nil {
+		if err := fan.routeFrom(b, 0, n, side.count); err != nil {
 			return fail(err)
 		}
-		side.count += n - k
+		side.count += n
 	}
 	if err := v.close(); err != nil {
 		if fan != nil {
@@ -409,7 +535,7 @@ func (e *Engine) drainGraceVec(in *source, idx []int, share int64) (*vecGraceSid
 		}
 		return nil, err
 	}
-	if !side.spilled {
+	if fan == nil {
 		side.b = column.Concat(in.schema, resident, side.count).Compact()
 		return side, nil
 	}
@@ -417,31 +543,58 @@ func (e *Engine) drainGraceVec(in *source, idx []int, share int64) (*vecGraceSid
 	if err != nil {
 		return nil, err
 	}
-	side.parts = parts
+	side.spilled, side.parts = true, parts
 	return side, nil
 }
 
-// releaseResident returns a side's resident bytes to the arbiter once its
-// rows are no longer the operator's working set.
+// releaseResident returns a whole resident side's bytes to the arbiter once
+// its rows are no longer the operator's working set. (A partitioned side's
+// resident buckets own their bytes, returned as their pairs run.)
 func (e *Engine) releaseResident(side *vecGraceSide) {
-	if !side.spilled && side.bytes > 0 {
+	if side.b != nil && side.bytes > 0 {
 		e.mem.release(side.bytes)
+		side.bytes = 0
 	}
 }
 
+// buckets presents a drained side as level-0 buckets: a partitioned side's
+// own, or a whole resident side split in memory, its bytes moving to the
+// buckets.
+func (e *Engine) buckets(side *vecGraceSide, idx []int) []partSource {
+	if side.spilled {
+		return side.parts
+	}
+	parts := splitPart(wholeBatch(side.b), idx, 0)
+	side.bytes = 0
+	return parts
+}
+
 // splitPart partitions resident rows into fan-out buckets at the given
-// level, preserving order. No disk is involved: the buckets are row lists
-// over the same batch.
+// level, preserving order; each bucket's bytes are priced once over its
+// rows. No disk is involved: the buckets are row lists over the same batch.
 func splitPart(p part, idx []int, lvl int) []partSource {
 	parts := make([]partSource, spillFanout)
+	if len(p.rows) == 0 {
+		return parts
+	}
 	hs := make([]uint64, len(p.rows))
 	hashRows(p.b, p.rows, idx, hs)
+	for _, h := range hs {
+		parts[spillBucket(h, lvl)].count++
+	}
+	for bk := range parts {
+		if ps := &parts[bk]; ps.count > 0 {
+			ps.b, ps.seqs, ps.rows, ps.shared = p.b, p.seqs, make([]int, 0, ps.count), true
+		}
+	}
 	for k, i := range p.rows {
 		ps := &parts[spillBucket(hs[k], lvl)]
-		ps.b, ps.seqs = p.b, p.seqs
 		ps.rows = append(ps.rows, i)
-		ps.bytes += p.b.MemSize(i)
-		ps.count++
+	}
+	for bk := range parts {
+		if ps := &parts[bk]; ps.count > 0 {
+			ps.bytes = p.b.WithSel(ps.rows).Bytes(0, ps.count)
+		}
 	}
 	return parts
 }
@@ -454,7 +607,7 @@ func (e *Engine) repartition(ps partSource, sch *schema.Schema, idx []int, lvl i
 	if ps.file == nil {
 		return splitPart(ps.part, idx, lvl), nil
 	}
-	fan := e.newFanout(sch, idx, lvl)
+	fan := e.newFanout(sch, idx, lvl, 0)
 	r, err := ps.file.Open()
 	if err != nil {
 		fan.abort()
@@ -489,10 +642,11 @@ func (e *Engine) repartition(ps partSource, sch *schema.Schema, idx []int, lvl i
 }
 
 // loadPart is the one loader: it materializes a partition as rows of a
-// batch. A spilled partition decodes block-at-a-time onto column planes,
-// its write order being arrival order within the bucket; the arbiter grows
-// by its bytes (the caller releases after the body ran) and the bucket is
-// removed from its pass.
+// batch. A resident partition is already one; a spilled partition decodes
+// block-at-a-time onto column planes, its write order being arrival order
+// within the bucket, the arbiter grows by its bytes and the bucket is
+// removed from its pass. Either way the caller releases the bytes after the
+// body ran.
 func (e *Engine) loadPart(ps partSource, sch *schema.Schema) (part, error) {
 	if ps.file == nil {
 		return ps.part, nil
@@ -525,8 +679,9 @@ func (e *Engine) loadPart(ps partSource, sch *schema.Schema) (part, error) {
 // processGrace runs the body over one partition (pair), re-partitioning
 // while it exceeds the share and can still split. Both sides of a pair
 // split together, each hashing its own key columns. A leaf's output is
-// copied out of the loaded partition at once, so what stays resident until
-// the gather is the operator's output, never its input.
+// copied out of a loaded partition or a resident bucket at once (detach),
+// so what stays resident until the gather is the operator's output, never
+// its input.
 func (e *Engine) processGrace(op *keyedOp, lp, rp partSource, lvl int) ([]emitted, error) {
 	if lp.count == 0 && rp.count == 0 {
 		return nil, nil
@@ -545,15 +700,15 @@ func (e *Engine) processGrace(op *keyedOp, lp, rp partSource, lvl int) ([]emitte
 			return nil, err
 		}
 		out, err := op.body(l, r)
-		for k := range out {
-			out[k] = detach(op.out, out[k])
+		if heapProbe != nil {
+			heapProbe()
 		}
-		if lp.file != nil {
-			e.mem.release(lp.bytes)
+		for k, m := range out {
+			if !(lp.shared && m.b == l.b) && !(rp.shared && m.b == r.b) {
+				out[k] = detach(op.out, m)
+			}
 		}
-		if rp.file != nil {
-			e.mem.release(rp.bytes)
-		}
+		e.mem.release(lp.bytes + rp.bytes)
 		return out, err
 	}
 	lsubs, err := e.repartition(lp, op.l.schema, op.lidx, lvl)
@@ -625,20 +780,29 @@ func (e *Engine) graceRunFrom(op *keyedOp, ls, rs *vecGraceSide) ([]*column.Batc
 	switch {
 	case ls.spilled || rs.spilled:
 		e.graceNoteSpill()
-		lparts, rparts := ls.parts, rs.parts
-		if !ls.spilled {
-			lparts = splitPart(wholeBatch(ls.b), op.lidx, 0)
-		}
-		if !rs.spilled {
-			rparts = splitPart(wholeBatch(rs.b), op.ridx, 0)
+		lparts, rparts := e.buckets(ls, op.lidx), e.buckets(rs, op.ridx)
+		// The resident pairs run first, with no encode or decode, and
+		// return their bytes before any spilled pair loads.
+		var resident, loaded []int
+		for b := range lparts {
+			if lparts[b].file == nil && rparts[b].file == nil {
+				resident = append(resident, b)
+			} else {
+				loaded = append(loaded, b)
+			}
 		}
 		outs = make([][]emitted, spillFanout)
-		err = runTasks(e.workers(), spillFanout, func(b int) error {
-			res, err := e.processGrace(op, lparts[b], rparts[b], 1)
-			outs[b] = res
-			return err
-		})
-	case e.parallel() && !e.budgeted() && len(op.lidx) > 0:
+		for _, phase := range [][]int{resident, loaded} {
+			if err = runTasks(e.workers(), len(phase), func(t int) error {
+				b := phase[t]
+				res, err := e.processGrace(op, lparts[b], rparts[b], 1)
+				outs[b] = res
+				return err
+			}); err != nil {
+				break
+			}
+		}
+	case e.parallel() && len(op.lidx) > 0:
 		w := e.exchange()
 		var lparts, rparts []part
 		if op.r == nil && op.contiguous {
@@ -792,11 +956,13 @@ func selView(b *column.Batch, rows []int) *column.Batch {
 	return b.WithSel(rows)
 }
 
-// detach copies a spilled leaf's output stretch out of its loaded
-// partition, so the partition's planes can be collected. A stretch at least
-// half the size of the batch it reads — a body-built batch, a pass-through,
-// an operator that keeps most of its input — pins no more than it is worth
-// and is kept as it is.
+// detach copies a leaf's output stretch out of the partition batch it
+// reads — a loaded partition, or a resident bucket the drain gathered — so
+// that batch's planes can be collected. (A stretch over a batch split in
+// memory stays as it is: that batch outlives the partition.) A stretch at
+// least half the size of the batch it reads — a body-built batch, a
+// pass-through, an operator that keeps most of its input — pins no more
+// than it is worth and is kept as it is.
 func detach(out *schema.Schema, m emitted) emitted {
 	if len(m.rows) == 0 || len(m.rows)*2 >= m.b.N {
 		return m

@@ -75,7 +75,8 @@ func (j *pairJoiner) joinPart(lp, rp part) ([]emitted, error) {
 // build (right) side drains against half the operator share on first pull;
 // while it stays resident the probe side is a stream between operators — not
 // operator state — so it is never drained, and the ordinary batch hash join
-// streams against the resident build rows. When the build side overflows, a
+// streams against the resident build rows (each probe batch split across
+// the worker pool under Parallelism). When the build side overflows, a
 // keyed join drains the probe side too and the driver's spilled route pairs
 // the buckets, each running the same kernel (joinPart); with no key to
 // partition on, the probe side streams against the one spilled build file
@@ -97,7 +98,11 @@ func (g *graceJoinIter) start() error {
 	switch {
 	case !rs.spilled:
 		g.build = rs
-		g.inner = j.joinIter(g.l.vec, batchSource(rs.b, g.r.schema))
+		inner := j.joinIter(g.l.vec, batchSource(rs.b, g.r.schema))
+		g.inner = inner
+		if e.parallel() {
+			g.inner = &probeFanIter{tmpl: inner, workers: e.exchange()}
+		}
 	case len(j.ridx) > 0:
 		g.inner = &lazyBatchesIter{compute: func() ([]*column.Batch, error) {
 			ls, err := e.drainGraceVec(g.l, j.lidx, e.opShare()/2)
@@ -116,7 +121,11 @@ func (g *graceJoinIter) start() error {
 				file = ps.file
 			}
 		}
-		g.inner = &blockJoinIter{e: e, left: g.l.vec, j: j, file: file, blk: column.NewBatch(g.r.schema, spill.BlockRows)}
+		workers := 1
+		if e.parallel() {
+			workers = e.exchange()
+		}
+		g.inner = &blockJoinIter{e: e, left: g.l.vec, j: j, workers: workers, file: file, blk: column.NewBatch(g.r.schema, spill.BlockRows)}
 	}
 	return nil
 }
@@ -150,6 +159,39 @@ func (g *graceJoinIter) close() error {
 	return g.inner.close()
 }
 
+// probeFanIter streams a join's probe side through the worker pool against
+// a build side already resident: each probe batch's presented rows split
+// into contiguous worker ranges (probeRanges), and the batch's output is
+// handed on before the next probe batch is read, so the probe side stays a
+// stream.
+type probeFanIter struct {
+	tmpl    *vecJoinIter // the probe stream and the shared build table; never probes itself
+	workers int
+	out     []*column.Batch // the output of the last probe batch, not yet emitted
+}
+
+func (it *probeFanIter) nextBatch() (*column.Batch, error) {
+	for len(it.out) == 0 {
+		if !it.tmpl.built {
+			if err := it.tmpl.buildSide(); err != nil {
+				return nil, err
+			}
+		}
+		pb, err := it.tmpl.left.nextBatch()
+		if err != nil || pb == nil {
+			return nil, err
+		}
+		if it.out, err = probeRanges(it.tmpl, pb, it.workers); err != nil {
+			return nil, err
+		}
+	}
+	b := it.out[0]
+	it.out = it.out[1:]
+	return b, nil
+}
+
+func (it *probeFanIter) close() error { return it.tmpl.close() }
+
 // blockJoinIter is the memory-bounded join with no key to partition on — the
 // keyless × / ×ᵀ, or a θ-join whose predicate is all residual — once its
 // build side has overflowed into one spill file: a block nested loop. Each
@@ -161,12 +203,13 @@ func (g *graceJoinIter) close() error {
 // by probe position into the reference's left-major, right-list order; the
 // output of one probe batch is handed on before the next is read.
 type blockJoinIter struct {
-	e    *Engine
-	left vecIterator
-	j    *pairJoiner
-	file *spill.File
-	r    *spill.Reader
-	blk  *column.Batch // the decoded build block
+	e       *Engine
+	left    vecIterator
+	j       *pairJoiner
+	workers int // a block joins the probe rows in this many ranges at once
+	file    *spill.File
+	r       *spill.Reader
+	blk     *column.Batch // the decoded build block
 
 	pb  *column.Batch   // current probe batch
 	pk  int             // next presented row of pb
@@ -220,13 +263,38 @@ func (it *blockJoinIter) joinBlocks(probe part) ([]emitted, error) {
 		}
 		m := it.file.MemBytes() * int64(it.blk.N) / int64(it.file.Count())
 		it.e.mem.grow(m)
-		res, err := it.j.joinPart(probe, wholeBatch(it.blk))
+		res, err := it.joinBlock(probe)
 		it.e.mem.release(m)
 		if err != nil {
 			return nil, err
 		}
 		ems = append(ems, res...)
 	}
+}
+
+// joinBlock joins the probe rows with the decoded block: at once, or split
+// into contiguous probe ranges across the worker pool, each building its
+// own table over the shared read-only block. The gather orders the ranges'
+// outputs by probe row.
+func (it *blockJoinIter) joinBlock(probe part) ([]emitted, error) {
+	build := wholeBatch(it.blk)
+	if it.workers <= 1 {
+		return it.j.joinPart(probe, build)
+	}
+	n := len(probe.rows)
+	outs := make([][]emitted, it.workers)
+	err := runTasks(it.workers, it.workers, func(p int) error {
+		sub := probe
+		sub.rows = probe.rows[p*n/it.workers : (p+1)*n/it.workers]
+		var err error
+		outs[p], err = it.j.joinPart(sub, build)
+		return err
+	})
+	var ems []emitted
+	for _, o := range outs {
+		ems = append(ems, o...)
+	}
+	return ems, err
 }
 
 func (it *blockJoinIter) close() error {

@@ -117,9 +117,10 @@ func orderedCatalog(t *testing.T, seed int64) (*catalog.Catalog, []algebra.Node)
 // plans over bases with declared orders, at every width and budget, the
 // variants the engine counts having compiled are exactly what
 // physical.Summarize tallies of physical.Annotate for the engine's shape —
-// the view the cost model prices and EXPLAIN ANALYZE renders. Each shape
-// must compile every order-exploiting variant its decisions allow, or the
-// agreement would be vacuous.
+// the view the cost model prices and EXPLAIN ANALYZE renders — and a plan
+// with a node annotated Exchange fans out on the pool (Stats.ParallelOps).
+// Each shape must compile every order-exploiting variant its decisions
+// allow, or the agreement would be vacuous.
 func TestVariantCountersMatchAnnotation(t *testing.T) {
 	spillDir := t.TempDir()
 	configs := []exec.Config{
@@ -155,6 +156,19 @@ func TestVariantCountersMatchAnnotation(t *testing.T) {
 				if got != want {
 					t.Fatalf("seed %d: %s: %s: engine compiled %+v, annotation says %+v",
 						seed, spec.Name, algebra.Canonical(plan), got, want)
+				}
+				// A node annotated with an exchange divides its work across
+				// the pool, budgeted or not, so the engine must have fanned
+				// out at least one operator.
+				exchanged := 0
+				for _, v := range dec {
+					if v.Exchange {
+						exchanged++
+					}
+				}
+				if exchanged > 0 && st.ParallelOps == 0 {
+					t.Fatalf("seed %d: %s: %s: %d nodes annotated with an exchange, but no operator fanned out: %+v",
+						seed, spec.Name, algebra.Canonical(plan), exchanged, st)
 				}
 				totals[i].SortsElided += got.SortsElided
 				totals[i].Sorts += got.Sorts

@@ -191,34 +191,41 @@ func (e *Engine) vecParallelJoinSource(l, r *source, j *pairJoiner) *source {
 		if err := tmpl.buildSide(); err != nil {
 			return nil, err
 		}
-		rows := pb.Rows()
-		if rows == 0 || tmpl.build.N == 0 {
+		if pb.Rows() == 0 || tmpl.build.N == 0 {
 			return nil, nil
 		}
-		outs := make([][]*column.Batch, workers)
-		if err := runTasks(workers, workers, func(p int) error {
-			// Worker copy: shared build table (read-only after buildSide),
-			// own probe cursor.
-			w := *tmpl
-			w.left = &rangeBatchIter{b: pb, lo: p * rows / workers, hi: (p + 1) * rows / workers}
-			for {
-				ob, err := w.nextBatch()
-				if err != nil {
-					return err
-				}
-				if ob == nil {
-					return nil
-				}
-				outs[p] = append(outs[p], ob)
-			}
-		}); err != nil {
-			return nil, err
-		}
-		var bs []*column.Batch
-		for _, o := range outs {
-			bs = append(bs, o...)
-		}
-		return bs, nil
+		return probeRanges(tmpl, pb, workers)
 	}
 	return vecSource(&lazyBatchesIter{compute: compute}, j.out)
+}
+
+// probeRanges joins probe batch pb's presented rows, split into workers
+// contiguous ranges, against tmpl's built table: each worker streams its
+// range through its own copy of the probe cursor over the shared read-only
+// table, and the ranges' outputs concatenate in range order — exactly the
+// sequential join's left-major emission order.
+func probeRanges(tmpl *vecJoinIter, pb *column.Batch, workers int) ([]*column.Batch, error) {
+	rows := pb.Rows()
+	outs := make([][]*column.Batch, workers)
+	if err := runTasks(workers, workers, func(p int) error {
+		w := *tmpl
+		w.left = &rangeBatchIter{b: pb, lo: p * rows / workers, hi: (p + 1) * rows / workers}
+		for {
+			ob, err := w.nextBatch()
+			if err != nil {
+				return err
+			}
+			if ob == nil {
+				return nil
+			}
+			outs[p] = append(outs[p], ob)
+		}
+	}); err != nil {
+		return nil, err
+	}
+	var bs []*column.Batch
+	for _, o := range outs {
+		bs = append(bs, o...)
+	}
+	return bs, nil
 }

@@ -151,8 +151,9 @@ func TestParallelSortStable(t *testing.T) {
 // over 10,000 rows whose keys are all equal, or take 3 distinct values, the
 // output permutation must be the stable one — keys ascending, arrival
 // order among equal keys — sequentially (one whole-batch sort), at
-// Parallelism 4 (index runs merged on the run index) and under a 64 KiB
-// budget (spilled runs of the external sort).
+// Parallelism 4 (index runs merged on the run index), under a 64 KiB
+// budget (spilled runs of the external sort) and under a budget at
+// Parallelism 4, fitting it or spilling.
 func TestSortTiesKeepArrivalOrder(t *testing.T) {
 	s := schema.MustNew(schema.Attr("K", value.KindInt), schema.Attr("Pos", value.KindInt))
 	const rows = 10000
@@ -172,13 +173,18 @@ func TestSortTiesKeepArrivalOrder(t *testing.T) {
 		}
 		src := eval.MapSource{"R": relation.FromTuplesTrusted(s, ts)}
 		plan := algebra.NewSort(relation.OrderSpec{relation.Key("K")}, algebra.NewRel("R", s, algebra.BaseInfo{}))
-		for _, cfg := range []exec.Config{{}, {Parallelism: 4}, {MemoryBudget: 64 << 10, SpillDir: t.TempDir()}} {
+		for _, cfg := range []exec.Config{
+			{}, {Parallelism: 4}, {MemoryBudget: 64 << 10, SpillDir: t.TempDir()},
+			// Budgeted under Parallelism: resident (sorted once, in index runs
+			// across the pool) and spilled.
+			{Parallelism: 4, MemoryBudget: 1 << 30}, {Parallelism: 4, MemoryBudget: 64 << 10, SpillDir: t.TempDir()},
+		} {
 			eng := exec.NewWith(src, cfg)
 			got, err := eng.Eval(plan)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if cfg.MemoryBudget > 0 && eng.Stats().SpilledOps == 0 {
+			if cfg.MemoryBudget == 64<<10 && eng.Stats().SpilledOps == 0 {
 				t.Fatalf("%d keys, %+v: the external sort never spilled", distinct, cfg)
 			}
 			if got.Len() != rows {

@@ -8,40 +8,51 @@ import (
 	"tqp/internal/spill"
 )
 
-// sortRunSize bounds the rows sorted per run: the index runs the in-memory
-// batch sort fans out across the worker pool (vecSortSource), and the runs
-// of the budgeted external merge sort, which additionally cuts runs by
-// bytes and spills them to temp files.
+// sortRunSize bounds the rows of one index run the in-memory sort fans out
+// across the worker pool (sortPerm). The budgeted sort's spilled runs are
+// cut by bytes instead.
 const sortRunSize = 4096
 
-// mergeSortIter is the budgeted engine's external merge sort (the
-// unbudgeted sort is vecSortSource): the input batches are consumed into
-// consecutive bounded runs — views of the input rows, concatenated and
-// compacted once per run and sorted by (key, row index) as a permutation of
-// row indices — and the runs are merged through a min-heap whose tie-break —
-// run index, then position within the run — makes the merged sequence
-// exactly the stable sort of the whole input. Emission streams
-// batch-at-a-time from the heap, so downstream operators start before the
-// full output materializes.
+// mergeSortIter is the budgeted engine's sort (the unbudgeted sort is
+// vecSortSource). The input batches are consumed as views into an open run,
+// whose rows grow the arbiter by their bytes. A sort whose input fits the
+// operator's share keeps it as one run: its views concatenate and compact
+// once, it sorts once by (key, row index) as a permutation of row indices
+// (index runs across the worker pool under Parallelism), and it is emitted
+// through that permutation — exactly the unbudgeted sort.
 //
-// Run cutting is byte-driven: while the accumulated input fits the
-// operator's share, runs stay in memory; past the share, every resident run
-// spills and further runs cut at half the share, sort, and spill as
-// columnar blocks in sorted order — every spilled run a bucket of the
-// sort's one spill pass — except the final run, which stays resident. The
-// merge heap then streams the spilled runs a block at a time. Run
-// boundaries are pure bookkeeping — any consecutive partition into
-// stable-sorted runs merges to the identical global stable sort — so the
-// budgeted sort agrees with the in-memory one bit-for-bit.
+// At the row that would cross the share the sort spills: the open run sorts
+// and is written to the sort's one spill pass as a bucket in sorted order,
+// its bytes return to the arbiter, and further runs cut at half the share
+// and spill the same way — except the final run, which stays resident. The
+// runs are then merged through a min-heap whose tie-break — run index, then
+// position within the run — makes the merged sequence exactly the stable
+// sort of the whole input; spilled runs stream a block at a time. Emission
+// streams batch-at-a-time from the heap, and each output batch gathers its
+// rows plane-wise as (run, row range) stretches. Run boundaries are pure
+// bookkeeping — any consecutive partition into stable-sorted runs merges to
+// the identical global stable sort — so the budgeted sort agrees with the
+// in-memory one bit-for-bit.
 type mergeSortIter struct {
-	eng    *Engine
-	in     vecIterator
-	schema *schema.Schema
-	cmp    *vecCmp
+	eng     *Engine
+	in      vecIterator
+	schema  *schema.Schema
+	cmp     *vecCmp
+	workers int // the run sorts' fan-out
 
 	built    bool
+	whole    *column.Batch // the sorted input of a sort that never spilled, not yet emitted
 	h        runHeap
+	segs     []runSeg
 	resident int64 // accounted bytes of in-memory runs, released on close
+}
+
+// runSeg is a stretch of merged output read from one run: positions [lo,
+// hi) of its permutation (a resident run) or of its decoded block (a
+// spilled one).
+type runSeg struct {
+	c      *runCursor
+	lo, hi int
 }
 
 // runCursor is one run's merge position: row perm[pos] of a resident run's
@@ -150,12 +161,10 @@ func (h *runHeap) Pop() any {
 	return c
 }
 
-// pop hands the merge's next row to take and moves its cursor on; a cursor at
-// its run's end leaves the heap.
-func (h *runHeap) pop(sch *schema.Schema, take func(b *column.Batch, row int)) error {
-	c := h.cursors[0]
-	take(c.b, c.row())
-	ok, err := c.advance(sch, h.cmp)
+// step moves the top cursor past its current row; a cursor at its run's end
+// leaves the heap.
+func (h *runHeap) step(sch *schema.Schema) error {
+	ok, err := h.cursors[0].advance(sch, h.cmp)
 	if err != nil {
 		return err
 	}
@@ -169,68 +178,49 @@ func (h *runHeap) pop(sch *schema.Schema, take func(b *column.Batch, row int)) e
 
 func (m *mergeSortIter) build() error {
 	share := m.eng.opShare()
+	limit := share // the open run's allowance: the share, or half of it once spilling
 
-	var cursors []*runCursor
-	var residentBytes int64
-	var pass *spill.Pass // the spilled runs' one file, once the sort spills
-	var zeros []int      // a spilled run's sequence keys: its file order is its order
+	var cursors []*runCursor // the spilled runs, in arrival order
+	var pass *spill.Pass     // the spilled runs' one file, once the sort spills
+	var zeros []int          // a spilled run's sequence keys: its file order is its order
 
 	// The open run is views of the input rows it holds so far.
 	var views []*column.Batch
 	var runRows int
 	var runBytes int64
 
-	spillRun := func(c *runCursor) error {
+	// sortRun closes the open run: its views concatenate and compact once,
+	// and it sorts as a row permutation.
+	sortRun := func() *runCursor {
+		run := column.Concat(m.schema, views, runRows).Compact()
+		clear(views)
+		views = views[:0]
+		return &runCursor{idx: len(cursors), b: run, side: m.cmp.left(run), perm: sortPerm(run, m.cmp, m.workers)}
+	}
+	// spillRun sorts the open run and writes it, in sorted order, as one
+	// bucket of the sort's pass; its bytes return to the arbiter.
+	spillRun := func() error {
+		if pass == nil {
+			pass = m.eng.spillMgr.NewPass()
+			m.eng.stats.SpilledOps++
+		}
+		c := sortRun()
+		if len(zeros) < runRows {
+			zeros = make([]int, runRows)
+		}
 		w := pass.Writer()
-		// The run spills as the selection view of its permutation.
-		if err := w.Write(zeros[:len(c.perm)], c.b.WithSel(c.perm)); err != nil {
+		if err := w.Write(zeros[:runRows], c.b.WithSel(c.perm)); err != nil {
 			w.Abort()
 			return err
 		}
-		var err error
-		c.file, err = w.Finish()
-		c.b, c.side, c.perm = nil, nil, nil
-		return err
-	}
-	// cut closes the open run: its views concatenate and compact once, it
-	// sorts as a row permutation, and it spills — unless the sort is not
-	// spilling or this is the final run, which stays resident (under the cut
-	// rule it is at most half the share).
-	cut := func(final bool) error {
-		if runRows == 0 {
-			return nil
+		f, err := w.Finish()
+		if err != nil {
+			return err
 		}
-		run := column.Concat(m.schema, views, runRows).Compact()
-		c := &runCursor{idx: len(cursors), b: run, side: m.cmp.left(run), perm: identityIdx(run.N)}
-		sortRows(c.b, c.perm, m.cmp)
+		c.b, c.side, c.perm, c.file = nil, nil, nil, f
 		cursors = append(cursors, c)
-		clear(views)
-		views = views[:0]
-		if pass != nil && !final {
-			if err := spillRun(c); err != nil {
-				return err
-			}
-		} else {
-			residentBytes += runBytes
-			m.eng.mem.grow(runBytes)
-		}
+		m.eng.mem.release(runBytes)
 		runRows, runBytes = 0, 0
-		return nil
-	}
-	// startSpilling converts every resident run to a spilled one in place —
-	// run indices (the stability tie-break) keep their arrival order — so
-	// from here on the working set is the open run plus the pass's buffer.
-	startSpilling := func() error {
-		pass = m.eng.spillMgr.NewPass()
-		zeros = make([]int, sortRunSize)
-		m.eng.stats.SpilledOps++
-		for _, c := range cursors {
-			if err := spillRun(c); err != nil {
-				return err
-			}
-		}
-		m.eng.mem.release(residentBytes)
-		residentBytes = 0
 		return nil
 	}
 
@@ -250,36 +240,44 @@ func (m *mergeSortIter) build() error {
 		if b == nil {
 			break
 		}
-		// Rows [lo, k] of b belong to the open run; the cut decisions are
-		// made row by row, exactly where the rows cross them.
-		lo, n := 0, b.Rows()
-		for k := 0; k < n; k++ {
-			runBytes += b.MemSize(b.RowIndex(k))
-			runRows++
-			if pass == nil && residentBytes+runBytes > share {
-				err = startSpilling()
+		// The rows that fit the allowance join the open run, priced once
+		// per range; the row that would cross it spills the run first.
+		for lo, n := 0, b.Rows(); lo < n; {
+			k, bb := b.Fit(lo, n, limit-runBytes)
+			if k == lo && runRows == 0 {
+				// A row wider than the allowance is a run of its own.
+				k, bb = lo+1, b.Bytes(lo, lo+1)
 			}
-			if err == nil && (pass != nil && runBytes > share/2 || runRows == sortRunSize) {
-				views = append(views, b.RangeView(lo, k+1))
-				lo = k + 1
-				err = cut(false)
+			if k > lo {
+				views = append(views, b.RangeView(lo, k))
+				runRows += k - lo
+				runBytes += bb
+				m.eng.mem.grow(bb)
+				lo = k
 			}
-			if err != nil {
-				m.in.close()
-				return fail(err)
+			if lo < n {
+				if err := spillRun(); err != nil {
+					m.in.close()
+					return fail(err)
+				}
+				limit = share / 2
 			}
-		}
-		if lo < n {
-			views = append(views, b.RangeView(lo, n))
 		}
 	}
 	if err := m.in.close(); err != nil {
 		return fail(err)
 	}
-	if err := cut(true); err != nil {
-		return fail(err)
+	m.resident, m.built = runBytes, true
+	if pass == nil {
+		if runRows > 0 {
+			c := sortRun()
+			m.whole = c.b.WithSel(c.perm)
+		}
+		return nil
 	}
-
+	if runRows > 0 {
+		cursors = append(cursors, sortRun())
+	}
 	m.h = runHeap{cmp: m.cmp}
 	for _, c := range cursors {
 		ok, err := c.open(m.schema, m.cmp)
@@ -291,8 +289,6 @@ func (m *mergeSortIter) build() error {
 		}
 	}
 	heap.Init(&m.h)
-	m.resident = residentBytes
-	m.built = true
 	return nil
 }
 
@@ -302,17 +298,53 @@ func (m *mergeSortIter) nextBatch() (*column.Batch, error) {
 			return nil, err
 		}
 	}
+	if b := m.whole; b != nil {
+		m.whole = nil
+		return b, nil
+	}
 	if m.h.Len() == 0 {
 		return nil, nil
 	}
 	out := column.NewBatch(m.schema, vecBatchRows)
-	take := out.AppendRow
-	for m.h.Len() > 0 && out.N < vecBatchRows {
-		if err := m.h.pop(m.schema, take); err != nil {
+	segs := m.segs[:0]
+	for rows := 0; rows < vecBatchRows && m.h.Len() > 0; rows++ {
+		c := m.h.cursors[0]
+		if last := len(segs) - 1; last >= 0 && segs[last].c == c && segs[last].hi == c.pos {
+			segs[last].hi++
+		} else {
+			segs = append(segs, runSeg{c, c.pos, c.pos + 1})
+		}
+		if c.r != nil && c.pos+1 == c.b.N {
+			// The run's next block decodes over this one's planes: its
+			// rows are gathered first.
+			gatherSegs(out, segs)
+			segs = segs[:0]
+		}
+		if err := m.h.step(m.schema); err != nil {
 			return nil, err
 		}
 	}
+	gatherSegs(out, segs)
+	m.segs = segs[:0]
 	return out, nil
+}
+
+// gatherSegs appends the rows of merged stretches to out plane by plane: a
+// resident run's through its permutation, a spilled run's block as a range.
+func gatherSegs(out *column.Batch, segs []runSeg) {
+	for c := range out.Cols {
+		col := &out.Cols[c]
+		for _, sg := range segs {
+			if sg.c.perm != nil {
+				col.AppendIndexed(&sg.c.b.Cols[c], sg.c.perm[sg.lo:sg.hi])
+			} else {
+				col.AppendRange(&sg.c.b.Cols[c], sg.lo, sg.hi)
+			}
+		}
+	}
+	for _, sg := range segs {
+		out.N += sg.hi - sg.lo
+	}
 }
 
 func (m *mergeSortIter) close() error {

@@ -89,7 +89,10 @@ func (e *Engine) buildSort(n *algebra.Sort, d physical.Decision, in *source) *so
 	if !d.Spills {
 		return e.vecSortSource(in, n.Spec)
 	}
-	m := &mergeSortIter{eng: e, in: in.vec, schema: in.schema, cmp: compileVecCmp(in.schema, n.Spec)}
+	m := &mergeSortIter{eng: e, in: in.vec, schema: in.schema, cmp: compileVecCmp(in.schema, n.Spec), workers: 1}
+	if e.parallel() {
+		m.workers = e.exchange()
+	}
 	return vecSource(m, in.schema)
 }
 

@@ -70,12 +70,9 @@ func TestVecBatchBoundarySizes(t *testing.T) {
 	// share is the 4 KiB operator share both budgeted configurations grant
 	// (a two-sided operator drains each input against half of it).
 	const share = 1 << 12
-	accounted := func(r *relation.Relation) (bytes int64) {
+	accounted := func(r *relation.Relation) int64 {
 		b := batchOfTuples(r.Schema(), r.Tuples())
-		for i := 0; i < b.N; i++ {
-			bytes += b.MemSize(i)
-		}
-		return bytes
+		return b.Bytes(0, b.N)
 	}
 	for _, n := range sizes {
 		r, s := boundaryRelation(n, int64(n)*37+1)
@@ -250,9 +247,9 @@ func checkRoute(t *testing.T, what string, opts Config, st Stats, keyed, twoSide
 		t.Fatalf("%s: SpilledOps = %d with inputs of %d/%d accounted bytes against a %d-byte share (keyed=%v)",
 			what, st.SpilledOps, leftBytes, rightBytes, share, keyed)
 	}
-	// Partitions fan out to the pool under plain parallelism, and when a
-	// parallel budgeted run spills; never without a key.
-	wantParallel := keyed && parallel && (!budgeted || wantSpill)
+	// Partitions fan out to the pool under parallelism, budgeted or not,
+	// spilled or resident; never without a key.
+	wantParallel := keyed && parallel
 	if (st.ParallelOps > 0) != wantParallel || st.Partitions != st.ParallelOps*opts.Parallelism {
 		t.Fatalf("%s: ParallelOps = %d, Partitions = %d at Parallelism %d (keyed=%v, spilled=%v)",
 			what, st.ParallelOps, st.Partitions, opts.Parallelism, keyed, wantSpill)

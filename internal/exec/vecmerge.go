@@ -156,26 +156,27 @@ func (e *Engine) vecSortSource(in *source, spec relation.OrderSpec) *source {
 		if b.N == 0 {
 			return nil, nil
 		}
-		cmp := compileVecCmp(sch, spec)
-		idx := identityIdx(b.N)
-		if workers <= 1 || b.N <= sortRunSize {
-			sortRows(b, idx, cmp)
-			return b.WithSel(idx), nil
-		}
-		nRuns := (b.N + sortRunSize - 1) / sortRunSize
-		if err := runTasks(workers, nRuns, func(r int) error {
-			lo, hi := r*sortRunSize, (r+1)*sortRunSize
-			if hi > b.N {
-				hi = b.N
-			}
-			sortRows(b, idx[lo:hi], cmp)
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		return b.WithSel(mergeSortedRuns(b, idx, cmp)), nil
+		return b.WithSel(sortPerm(b, compileVecCmp(sch, spec), workers)), nil
 	}
 	return vecSource(&onceBatchIter{compute: compute}, sch)
+}
+
+// sortPerm sorts a compacted batch's rows as a stable permutation of row
+// indices: one sort of the whole index, or — with more than one worker and
+// more than one run's worth of rows — fixed-size index runs sorted across
+// the pool and merged by mergeSortedRuns.
+func sortPerm(b *column.Batch, cmp *vecCmp, workers int) []int {
+	idx := identityIdx(b.N)
+	if workers <= 1 || b.N <= sortRunSize {
+		sortRows(b, idx, cmp)
+		return idx
+	}
+	nRuns := (b.N + sortRunSize - 1) / sortRunSize
+	_ = runTasks(workers, nRuns, func(r int) error { // the run sorts cannot fail
+		sortRows(b, idx[r*sortRunSize:min((r+1)*sortRunSize, b.N)], cmp)
+		return nil
+	})
+	return mergeSortedRuns(b, idx, cmp)
 }
 
 // mergeSortedRuns k-way merges the sorted index runs idx[r*sortRunSize :
@@ -191,9 +192,9 @@ func mergeSortedRuns(b *column.Batch, idx []int, cmp *vecCmp) []int {
 	}
 	heap.Init(&h)
 	out := make([]int, 0, len(idx))
-	take := func(_ *column.Batch, row int) { out = append(out, row) }
 	for h.Len() > 0 {
-		_ = h.pop(nil, take) // resident runs read no file: pop cannot fail
+		out = append(out, h.cursors[0].row())
+		_ = h.step(nil) // resident runs read no file: a step cannot fail
 	}
 	return out
 }

@@ -55,10 +55,7 @@ func TestWriteBatchRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var mem int64
-			for i := 0; i < n; i++ {
-				mem += dense.MemSize(i)
-			}
+			mem := dense.Bytes(0, n)
 			if f.Count() != n || f.MemBytes() != mem {
 				t.Fatalf("n=%d: count=%d mem=%d, want %d/%d", n, f.Count(), f.MemBytes(), n, mem)
 			}

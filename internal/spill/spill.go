@@ -219,8 +219,8 @@ type Writer struct {
 // Write encodes b's presented rows, tagged with seqs (one per row: the
 // rows' original list positions, the deterministic replay order of the
 // spilled partition), straight from the typed planes into blocks of up to
-// blockRows rows. The rows' resident cost (column.Batch.MemSize) adds to
-// the file's MemBytes.
+// blockRows rows. The rows' resident price (column.Batch.Bytes, once over
+// the whole range) adds to the file's MemBytes.
 func (w *Writer) Write(seqs []int, b *column.Batch) error {
 	p := w.p
 	p.mu.Lock()
@@ -239,9 +239,7 @@ func (w *Writer) Write(seqs []int, b *column.Batch) error {
 		}
 	}
 	p.mu.Unlock()
-	for k := range seqs {
-		w.memBytes += b.MemSize(b.RowIndex(k))
-	}
+	w.memBytes += b.Bytes(0, len(seqs))
 	w.count += len(seqs)
 	return nil
 }
@@ -290,10 +288,11 @@ func (f *File) Count() int { return f.count }
 // Bytes returns the file's encoded on-disk size.
 func (f *File) Bytes() int64 { return f.bytes }
 
-// MemBytes returns the resident cost of the file's rows once decoded —
-// the sum of column.Batch.MemSize over its records. The engine's recursion
-// decisions and arbiter accounting use this, never the (several-fold
-// smaller) encoded size: "fits the share" must mean fits in memory.
+// MemBytes returns the resident price of the file's rows once decoded onto
+// column planes — column.Batch.Bytes over every range written, the same
+// currency the engine accounts resident rows in. The engine's recursion
+// decisions and arbiter accounting use this, never the encoded size: "fits
+// the share" must mean fits in memory.
 func (f *File) MemBytes() int64 { return f.memBytes }
 
 // Open returns a reader over the records in write order.

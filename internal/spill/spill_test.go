@@ -644,20 +644,33 @@ func TestPassCorruptionStaysInItsBucket(t *testing.T) {
 	}
 }
 
-// TestTupleMemSize: the accounting estimate of a row — priced as the tuple
-// it would be — must be positive and grow with string content, on typed
-// and boxed planes alike.
-func TestTupleMemSize(t *testing.T) {
+// TestMemBytesPricesPlanes: a file's MemBytes is the plane price of the
+// rows written to it (column.Batch.Bytes over each written range), which
+// grows with string content on typed and boxed planes alike — a typed string
+// cell costs its 16 B header, a boxed one its 40 B value.
+func TestMemBytesPricesPlanes(t *testing.T) {
 	small := relation.NewTuple(value.Int(1))
 	big := relation.NewTuple(value.String_(string(make([]byte, 1024))))
 	boxed := batchOf(1, []relation.Tuple{small, big})
 	typed := column.NewBatch(schema.MustNew(schema.Attr("S", value.KindString)), 1)
 	typed.Cols[0].Append(big[0])
 	typed.N = 1
-	if boxed.MemSize(0) <= 0 {
-		t.Fatal("non-positive size for a 1-value row")
+	if boxed.Bytes(0, 1) != 40 || boxed.Bytes(1, 2) != 40+1024 || typed.Bytes(0, 1) != 16+1024 {
+		t.Fatalf("prices: boxed int %d, boxed string %d, typed string %d", boxed.Bytes(0, 1), boxed.Bytes(1, 2), typed.Bytes(0, 1))
 	}
-	if boxed.MemSize(1) < 1024 || typed.MemSize(0) != boxed.MemSize(1) {
-		t.Fatalf("string content not accounted: boxed %d, typed %d", boxed.MemSize(1), typed.MemSize(0))
+	w := NewManager(t.TempDir()).NewPass().Writer()
+	if err := w.Write([]int{0, 1}, boxed); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Write([]int{2}, typed); err != nil {
+		t.Fatal(err)
+	}
+	f, err := w.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Remove()
+	if want := boxed.Bytes(0, 2) + typed.Bytes(0, 1); f.MemBytes() != want {
+		t.Fatalf("MemBytes %d, want %d", f.MemBytes(), want)
 	}
 }

@@ -258,11 +258,12 @@ func (x *Executor) exec(root algebra.Node, path algebra.Path, probe func(string,
 		}
 		run := samples[n]
 		own := run.RunSample
-		inRows := 0
+		var buf [2]int
+		inRows := buf[:0]
 		for i, c := range n.Children() {
 			meter(c, path.Child(i))
 			below := samples[c]
-			inRows += int(below.Rows)
+			inRows = append(inRows, int(below.Rows))
 			own.Wall -= below.Wall
 			own.Spill = own.Spill.Less(below.Spill)
 		}
@@ -292,7 +293,7 @@ func (x *Executor) meterDBMS(subplan algebra.Node, outRows int, tr *Trace) {
 			penalty = x.params.DBMSSortFactor
 		}
 		// The DBMS always simulates a conventional engine: never streaming.
-		tr.DBMSUnits += x.params.OpUnits(n, outRows, x.params.DBMSTuple, penalty, false, physical.Variant{})
+		tr.DBMSUnits += x.params.OpUnits(n, []int{outRows}, x.params.DBMSTuple, penalty, false, physical.Variant{})
 		return true
 	})
 }
