@@ -33,7 +33,7 @@
 //
 // # One pull interface
 //
-// Every operator is a vecIterator (vec.go): nextBatch hands the parent a
+// Every operator is a vecIterator (pipeline.go): nextBatch hands the parent a
 // column.Batch — typed column planes plus a selection vector, the one
 // column type the relation, spill, store and server packages share — and
 // that is the only currency between operators, inside the exchange driver
@@ -50,19 +50,21 @@
 //
 //	operator            algorithms (file)
 //	scan                the relation's batch (relation.Columns), whole (stream.go)
-//	σ, π                selection views, zero-copy column gather (vecops.go)
-//	sort                row-index permutation sorted by (key, row index) —
-//	                    straight against the plane for one int or string
-//	                    key — W-way index runs; external merge sort under a
-//	                    budget (keys.go, vecmerge.go, sort.go)
+//	σ, π                selection views, zero-copy column gather (ops.go)
+//	sort                one operator: row-index permutation sorted by (key,
+//	                    row index) — straight against the plane for one int
+//	                    or string key — W-way index runs; past a budget share,
+//	                    spilled runs merged by the one merge heap (keys.go,
+//	                    mergeops.go, sort.go)
 //	⊔                   stream concatenation (stream.go)
 //	×, ×ᵀ, ⋈, ⋈ᵀ        one hash join kernel over the predicate's equality
 //	                    keys — none for a keyless product, whose build side is
-//	                    the one group of the empty key — probe ranges on the
-//	                    worker pool, hybrid grace join under a budget with a
-//	                    block nested loop when there is no key to partition
-//	                    on; merge join over aligned orders (vecops.go,
-//	                    join.go, parallel.go, vecmerge.go)
+//	                    the one group of the empty key — each probe batch
+//	                    split into ranges on the worker pool (one route,
+//	                    budgeted or not), hybrid grace join under a budget
+//	                    with a block nested loop when there is no key to
+//	                    partition on; merge join over aligned orders (ops.go,
+//	                    join.go, parallel.go, mergeops.go)
 //	rdup                pipelined hash set, adjacent compare, partition body
 //	\, ∪                two-pointer merge over a shared total order, else
 //	                    partition bodies
@@ -118,12 +120,14 @@
 // interleave there, each bucket reads back its own extents, and the file
 // goes with the last bucket consumed. So a statement creates a file per
 // spilling step, not per bucket or run (Stats.SpillFiles), and an empty
-// bucket costs nothing. A budgeted sort that fits its share sorts once and
-// emits through its permutation, exactly as the unbudgeted sort; past the
-// share it cuts runs by bytes — each concatenated and compacted once,
+// bucket costs nothing. The sort is one operator (mergeSortIter): a sort
+// that fits its share — every unbudgeted sort, whose rows are never priced
+// — sorts once and emits through its permutation; past the share it cuts
+// runs by bytes — each concatenated and compacted once,
 // sorted as a row permutation (sortRows) — keeps its final run resident
-// (under the cut rule at most half the share), and merges them emitting
-// column-wise (run, row range) stretches.
+// (under the cut rule at most half the share), and merges them through the
+// one merge heap (mergeHeap), emitting column-wise (run, row range)
+// stretches.
 //
 // # Key kernels
 //
@@ -137,7 +141,13 @@
 // picks each key's comparison by kind and direction when it is compiled and
 // binds a batch's key planes once; a demoted (boxed) column and floats take
 // value.Compare. Every sort, merge, merge join, merge cancel, adjacent dedup
-// and the coordinator's MergeParts compare through it.
+// and the coordinator's MergeParts compare through it. Every k-way merge —
+// the gather's, the external sort's runs, the W-way sort's index runs and
+// MergeParts — takes its heads off the one merge heap (mergeHeap), ties
+// going to the lower stream index, so order by key, then sequence key, then
+// stream index is written once. Every in-memory hash split — the W-way
+// route's exchange by hash modulo W and a spilled level's fan-out — is the
+// one order-preserving splitter, hashSplit, told its bucket function.
 //
 // RunFragment (partial.go), the shard side of distributed execution, is not
 // a second implementation of any operator: a fragment is a plan subtree, and

@@ -56,6 +56,7 @@
 package exec
 
 import (
+	"cmp"
 	"math"
 	"sync/atomic"
 
@@ -569,31 +570,52 @@ func (e *Engine) buckets(side *vecGraceSide, idx []int) []partSource {
 	return parts
 }
 
-// splitPart partitions resident rows into fan-out buckets at the given
-// level, preserving order; each bucket's bytes are priced once over its
-// rows. No disk is involved: the buckets are row lists over the same batch.
-func splitPart(p part, idx []int, lvl int) []partSource {
-	parts := make([]partSource, spillFanout)
+// hashSplit is the one in-memory hash split: it buckets a partition's rows
+// into out by bucket(h), h the canonical hash of their key columns,
+// preserving order within each bucket. Every bucket keeps the partition's
+// batch and sequence keys, so a key group lands whole in one bucket, in
+// list order.
+func hashSplit(p part, idx []int, out []part, bucket func(h uint64) int) {
+	for bk := range out {
+		out[bk] = part{b: p.b, seqs: p.seqs}
+	}
 	if len(p.rows) == 0 {
-		return parts
+		return
 	}
 	hs := make([]uint64, len(p.rows))
 	hashRows(p.b, p.rows, idx, hs)
-	for _, h := range hs {
-		parts[spillBucket(h, lvl)].count++
+	var countBuf [spillFanout]int
+	counts := countBuf[:]
+	if len(out) > len(counts) {
+		counts = make([]int, len(out))
 	}
-	for bk := range parts {
-		if ps := &parts[bk]; ps.count > 0 {
-			ps.b, ps.seqs, ps.rows, ps.shared = p.b, p.seqs, make([]int, 0, ps.count), true
+	for k, h := range hs {
+		bk := bucket(h)
+		hs[k] = uint64(bk)
+		counts[bk]++
+	}
+	for bk := range out {
+		if counts[bk] > 0 {
+			out[bk].rows = make([]int, 0, counts[bk])
 		}
 	}
 	for k, i := range p.rows {
-		ps := &parts[spillBucket(hs[k], lvl)]
+		ps := &out[hs[k]]
 		ps.rows = append(ps.rows, i)
 	}
-	for bk := range parts {
-		if ps := &parts[bk]; ps.count > 0 {
-			ps.bytes = p.b.WithSel(ps.rows).Bytes(0, ps.count)
+}
+
+// splitPart splits resident rows into the fan-out buckets of a spill level
+// (hashSplit), each bucket's bytes priced once over its rows. No disk is
+// involved: the buckets are row lists over the same batch.
+func splitPart(p part, idx []int, lvl int) []partSource {
+	var subs [spillFanout]part
+	hashSplit(p, idx, subs[:], func(h uint64) int { return spillBucket(h, lvl) })
+	parts := make([]partSource, spillFanout)
+	for bk, sub := range subs {
+		parts[bk] = partSource{part: sub, count: len(sub.rows), shared: true}
+		if len(sub.rows) > 0 {
+			parts[bk].bytes = sub.b.WithSel(sub.rows).Bytes(0, len(sub.rows))
 		}
 	}
 	return parts
@@ -809,8 +831,8 @@ func (e *Engine) graceRunFrom(op *keyedOp, ls, rs *vecGraceSide) ([]*column.Batc
 			lparts = rangeParts(ls.b, op.lidx, w)
 			rparts = make([]part, len(lparts))
 		} else {
-			lparts = hashParts(ls.b, op.lidx, w)
-			rparts = hashParts(rs.b, op.ridx, w)
+			lparts = hashExchange(ls.b, op.lidx, w)
+			rparts = hashExchange(rs.b, op.ridx, w)
 		}
 		outs = make([][]emitted, len(lparts))
 		err = runTasks(w, len(lparts), func(p int) error {
@@ -975,75 +997,130 @@ func detach(out *schema.Schema, m emitted) emitted {
 	return emitted{part: part{b: b, rows: identityIdx(b.N), seqs: seqs}}
 }
 
-// mergeBySeq is the one k-way merge loop behind every gather: stream p's
-// items are non-decreasing in seq, and the merge pops the smallest
-// (seq, stream index) head from a binary min-heap — O(N·log k) — emitting
-// the items as ranges [lo, hi) of their stream; once a single stream is
-// left its whole remainder is one range. Items sharing a seq — one probe
-// tuple's join matches, one row's fragments — always live in a single
-// stream, so they keep their stream-local emission order. The heap is a
-// hand-rolled cursor heap (h holds stream indices, pos the heads): this
-// runs once per output row of every exchange, where the interface dispatch
-// of container/heap is measurable.
+// mergeBySeq is the k-way merge behind every gather: stream p's items are
+// non-decreasing in seq, and the merge takes the smallest (seq, stream
+// index) head off the one merge heap, emitting the items as ranges [lo, hi)
+// of their stream; once a single stream is left its whole remainder is one
+// range. Items sharing a seq — one probe tuple's join matches, one row's
+// fragments — always live in a single stream, so they keep their
+// stream-local emission order.
 //
-// Up to mergeStack streams, the cursors live on the stack: a gather of one
-// partition's output, as the streaming group operators make one per slice,
-// then allocates nothing to merge.
+// Each stream's head key is read once per item and kept for the heap's
+// comparisons. Up to mergeStack streams, the heads and the heap live on the
+// stack: a gather of one partition's output, as the streaming group
+// operators make one per slice, then allocates nothing to merge.
 func mergeBySeq(streams int, size func(p int) int, seq func(p, i int) int, emit func(p, lo, hi int)) {
-	var posBuf, heapBuf [mergeStack]int
-	pos, h := posBuf[:0], heapBuf[:0]
-	if streams > mergeStack {
-		pos, h = make([]int, 0, streams), make([]int, 0, streams)
-	}
-	pos = pos[:streams]
-	less := func(a, b int) bool {
-		sa, sb := seq(a, pos[a]), seq(b, pos[b])
-		if sa != sb {
-			return sa < sb
-		}
-		return a < b
-	}
-	siftDown := func(i int) {
-		for {
-			c := 2*i + 1
-			if c >= len(h) {
-				return
-			}
-			if c+1 < len(h) && less(h[c+1], h[c]) {
-				c++
-			}
-			if !less(h[c], h[i]) {
-				return
-			}
-			h[i], h[c] = h[c], h[i]
-			i = c
-		}
-	}
+	var space mergeSpace
+	pos, head, buf := space.slices(streams) // head[p] = seq(p, pos[p]), read once per item
+	m := newMergeHeap(buf, func(a, b int) int { return cmp.Compare(head[a], head[b]) })
 	for p := 0; p < streams; p++ {
 		if size(p) > 0 {
-			h = append(h, p)
+			head[p] = seq(p, 0)
+			m.push(p)
 		}
 	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(i)
-	}
-	for len(h) > 1 {
-		p := h[0]
+	for m.len() > 1 {
+		p := m.top()
 		emit(p, pos[p], pos[p]+1)
 		pos[p]++
-		if pos[p] >= size(p) {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
+		more := pos[p] < size(p)
+		if more {
+			head[p] = seq(p, pos[p])
 		}
-		siftDown(0)
+		m.next(more)
 	}
-	if len(h) == 1 {
-		emit(h[0], pos[h[0]], size(h[0]))
+	if m.len() == 1 {
+		p := m.top()
+		emit(p, pos[p], size(p))
 	}
 }
 
-// mergeStack is how many streams mergeBySeq merges without allocating.
+// mergeStack is how many streams a merge keeps on the stack.
 const mergeStack = 16
+
+// mergeSpace is a merge's stack storage: for each stream a head position
+// and a head key, and the heap.
+type mergeSpace [3 * mergeStack]int
+
+// slices returns zeroed positions, keys and heap space for n streams: the
+// stack array, or one fresh slice past mergeStack.
+func (s *mergeSpace) slices(n int) (pos, head, heap []int) {
+	buf := s[:]
+	if n > mergeStack {
+		buf = make([]int, 3*n)
+	}
+	return buf[:n:n], buf[n : 2*n : 2*n], buf[2*n : 3*n]
+}
+
+// mergeHeap is the package's one k-way merge: a binary min-heap of stream
+// indices ordered by their heads, ties going to the lower stream index. Its
+// callers order heads by key, then sequence key, so with the index last it
+// is the one stable rule every sort, merge and gather shares. The caller
+// keeps the heads: it reads the top stream's, moves it, and calls next. The
+// heap lives in the slice it is given, whose capacity bounds the streams —
+// a stack array makes a merge that allocates nothing. (It is hand-rolled:
+// it runs once per output row of every exchange, where the interface
+// dispatch of the standard library's heap is measurable.)
+type mergeHeap struct {
+	h   []int
+	cmp func(a, b int) int // the three-way order of streams a's and b's heads
+}
+
+// newMergeHeap starts an empty merge over buf's capacity.
+func newMergeHeap(buf []int, cmp func(a, b int) int) mergeHeap {
+	return mergeHeap{h: buf[:0], cmp: cmp}
+}
+
+func (m *mergeHeap) len() int { return len(m.h) }
+
+// top is the stream whose head comes first.
+func (m *mergeHeap) top() int { return m.h[0] }
+
+func (m *mergeHeap) less(a, b int) bool {
+	if c := m.cmp(a, b); c != 0 {
+		return c < 0
+	}
+	return a < b
+}
+
+// push adds stream p, whose head is live.
+func (m *mergeHeap) push(p int) {
+	i := len(m.h)
+	m.h = m.h[:i+1]
+	m.h[i] = p
+	for i > 0 {
+		up := (i - 1) / 2
+		if !m.less(m.h[i], m.h[up]) {
+			return
+		}
+		m.h[i], m.h[up] = m.h[up], m.h[i]
+		i = up
+	}
+}
+
+// next restores the order after the top stream's head moved; more=false
+// reports that the stream is exhausted, and it leaves the heap.
+func (m *mergeHeap) next(more bool) {
+	if !more {
+		last := len(m.h) - 1
+		m.h[0] = m.h[last]
+		m.h = m.h[:last]
+	}
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= len(m.h) {
+			return
+		}
+		if c+1 < len(m.h) && m.less(m.h[c+1], m.h[c]) {
+			c++
+		}
+		if !m.less(m.h[c], m.h[i]) {
+			return
+		}
+		m.h[i], m.h[c] = m.h[c], m.h[i]
+		i = c
+	}
+}
 
 // batchSource wraps a resident batch as an ordinary pipeline stage — the
 // build side a budgeted join drained and found to fit, or one partition's.

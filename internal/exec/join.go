@@ -159,11 +159,13 @@ func (g *graceJoinIter) close() error {
 	return g.inner.close()
 }
 
-// probeFanIter streams a join's probe side through the worker pool against
-// a build side already resident: each probe batch's presented rows split
-// into contiguous worker ranges (probeRanges), and the batch's output is
-// handed on before the next probe batch is read, so the probe side stays a
-// stream.
+// probeFanIter is the join's one parallel probe route, unbudgeted or with a
+// build side that stayed resident: the build side drains once into the
+// shared read-only table, each probe batch's presented rows split into
+// contiguous worker ranges (probeRanges), and the batch's output is handed
+// on before the next probe batch is read, so the probe side stays a stream.
+// Against an empty build side the probe batches are read and dropped
+// without a probe.
 type probeFanIter struct {
 	tmpl    *vecJoinIter // the probe stream and the shared build table; never probes itself
 	workers int
@@ -180,6 +182,9 @@ func (it *probeFanIter) nextBatch() (*column.Batch, error) {
 		pb, err := it.tmpl.left.nextBatch()
 		if err != nil || pb == nil {
 			return nil, err
+		}
+		if it.tmpl.build.N == 0 {
+			continue
 		}
 		if it.out, err = probeRanges(it.tmpl, pb, it.workers); err != nil {
 			return nil, err
@@ -314,8 +319,8 @@ func (it *blockJoinIter) close() error {
 // kernel over the predicate's equality keys (d.Keys, d.RKeys — none for a
 // keyless product) with the rest of the predicate as its residual: the
 // merge join when d says so, else the hash join, which becomes the hybrid
-// join of graceJoinIter when it spills and splits its probe side across
-// the worker pool under an exchange.
+// join of graceJoinIter under a budget and splits its probe batches across
+// the worker pool (probeFanIter) under an exchange.
 func (e *Engine) buildProduct(d physical.Decision, l, r *source, outSchema *schema.Schema, temporal bool) *source {
 	j := newPairJoiner(l, r, outSchema, d.Keys, d.RKeys, d.Residual, temporal)
 	switch {
@@ -328,7 +333,7 @@ func (e *Engine) buildProduct(d physical.Decision, l, r *source, outSchema *sche
 	case d.Spills:
 		return vecSource(&graceJoinIter{e: e, l: l, r: r, j: j}, outSchema)
 	case d.Exchange:
-		return e.vecParallelJoinSource(l, r, j)
+		return vecSource(&probeFanIter{tmpl: j.joinIter(l.vec, r), workers: e.exchange()}, outSchema)
 	}
 	return vecSource(j.joinIter(l.vec, r), outSchema)
 }

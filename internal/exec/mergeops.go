@@ -1,14 +1,12 @@
 // The batch merge operator family: adjacent-compare dedup, the two-pointer
-// merge diff/union sweeps, the merge join, and sort as a permutation of row
-// indices sorted by (key, row index), emitted as one selection view. Every
+// merge diff/union sweeps, the merge join, and the sort's permutation of row
+// indices sorted by (key, row index) that sort.go's operator emits. Every
 // comparison is the compiled comparator of keys.go, the exact typed
 // specialization of the canonical value order, so every operator here
 // reproduces the reference evaluator's list.
 package exec
 
 import (
-	"container/heap"
-
 	"tqp/internal/column"
 	"tqp/internal/expr"
 	"tqp/internal/period"
@@ -135,32 +133,6 @@ func (m *vecMergeCancelIter) nextBatch() (*column.Batch, error) {
 
 func (m *vecMergeCancelIter) close() error { return m.stream.close() }
 
-// vecSortSource sorts a columnar input without materializing tuples: the
-// input drains into one compacted batch, a row-index permutation sorts by
-// (key, row index) under the compiled comparator, and the result is a
-// single selection view over the unmoved column planes. Under Parallelism
-// the permutation sorts as fixed-size index runs across the worker pool and
-// gathers through a k-way merge whose run-index tie-break reproduces the
-// global stable sort.
-func (e *Engine) vecSortSource(in *source, spec relation.OrderSpec) *source {
-	workers := 1
-	if e.parallel() {
-		workers = e.exchange()
-	}
-	sch := in.schema
-	compute := func() (*column.Batch, error) {
-		b, err := vecDrainOne(in.vec, sch)
-		if err != nil {
-			return nil, err
-		}
-		if b.N == 0 {
-			return nil, nil
-		}
-		return b.WithSel(sortPerm(b, compileVecCmp(sch, spec), workers)), nil
-	}
-	return vecSource(&onceBatchIter{compute: compute}, sch)
-}
-
 // sortPerm sorts a compacted batch's rows as a stable permutation of row
 // indices: one sort of the whole index, or — with more than one worker and
 // more than one run's worth of rows — fixed-size index runs sorted across
@@ -180,21 +152,24 @@ func sortPerm(b *column.Batch, cmp *vecCmp, workers int) []int {
 }
 
 // mergeSortedRuns k-way merges the sorted index runs idx[r*sortRunSize :
-// (r+1)*sortRunSize) into one sorted permutation through the external sort's
-// run heap, whose run-index tie-break — runs partition the input in order —
-// is exactly the stable sort's arrival order.
+// (r+1)*sortRunSize) into one sorted permutation through the one merge
+// heap, whose run-index tie-break — runs partition the input in order — is
+// exactly the stable sort's arrival order.
 func mergeSortedRuns(b *column.Batch, idx []int, cmp *vecCmp) []int {
-	h := runHeap{cmp: cmp}
 	side := cmp.left(b)
-	for lo := 0; lo < len(idx); lo += sortRunSize {
-		hi := min(lo+sortRunSize, len(idx))
-		h.cursors = append(h.cursors, &runCursor{idx: len(h.cursors), b: b, side: side, perm: idx[lo:hi]})
+	runs := (len(idx) + sortRunSize - 1) / sortRunSize
+	pos := make([]int, runs) // run r's head: a position in idx
+	m := newMergeHeap(make([]int, 0, runs), func(r, q int) int { return cmp.compare(side, idx[pos[r]], side, idx[pos[q]]) })
+	for r := range pos {
+		pos[r] = r * sortRunSize
+		m.push(r)
 	}
-	heap.Init(&h)
 	out := make([]int, 0, len(idx))
-	for h.Len() > 0 {
-		out = append(out, h.cursors[0].row())
-		_ = h.step(nil) // resident runs read no file: a step cannot fail
+	for m.len() > 0 {
+		r := m.top()
+		out = append(out, idx[pos[r]])
+		pos[r]++
+		m.next(pos[r] < min((r+1)*sortRunSize, len(idx)))
 	}
 	return out
 }

@@ -71,30 +71,13 @@ func runTasks(workers, tasks int, fn func(task int) error) error {
 	return nil
 }
 
-// hashParts scatters a compacted batch's rows into p partitions by the
-// canonical hash of the key columns, preserving row order within each
-// partition — the hash exchange: every key group lands wholly in one
-// partition in list order, and a row's physical index is its sequence key.
-func hashParts(b *column.Batch, idx []int, p int) []part {
-	parts := make([]part, p)
-	if b == nil {
-		return parts
-	}
-	counts := make([]int, p)
-	hs := make([]uint64, b.N)
-	hashRows(b, seqRows(nil, 0, b.N), idx, hs)
-	buckets := make([]int32, b.N)
-	for i, h := range hs {
-		bk := int(h % uint64(p))
-		buckets[i] = int32(bk)
-		counts[bk]++
-	}
-	for bk := range parts {
-		parts[bk] = part{b: b, rows: make([]int, 0, counts[bk])}
-	}
-	for i, bk := range buckets {
-		parts[bk].rows = append(parts[bk].rows, i)
-	}
+// hashExchange splits a compacted batch's rows into w partitions by the
+// canonical hash of the key columns modulo w (hashSplit) — the hash
+// exchange: every key group lands wholly in one partition in list order, and
+// a row's physical index is its sequence key.
+func hashExchange(b *column.Batch, idx []int, w int) []part {
+	parts := make([]part, w)
+	hashSplit(wholeBatch(b), idx, parts, func(h uint64) int { return int(h % uint64(w)) })
 	return parts
 }
 
@@ -168,36 +151,6 @@ func (it *rangeBatchIter) nextBatch() (*column.Batch, error) {
 }
 
 func (it *rangeBatchIter) close() error { return nil }
-
-// vecParallelJoinSource is the parallel × / ×ᵀ: the build side drains once
-// into the shared columnar hash table (one group under the empty key of a
-// keyless product), the probe side drains into one batch whose presented
-// rows split into contiguous worker ranges, each worker streams its range
-// through its own probe cursor over the shared read-only table, and the
-// workers' output batches concatenate in range order — which is exactly the
-// sequential join's left-major emission order, so no tag gather is needed.
-func (e *Engine) vecParallelJoinSource(l, r *source, j *pairJoiner) *source {
-	workers := e.exchange()
-	tmpl := j.joinIter(nil, r)
-	compute := func() ([]*column.Batch, error) {
-		// The view drain: a filtered scan arrives as one selection view and
-		// splits by presented rows — compacting 50% of a million-row batch
-		// before the scatter would cost more than the exchange saves.
-		pb, err := vecDrainOneView(l.vec, l.schema)
-		if err != nil {
-			r.vec.close()
-			return nil, err
-		}
-		if err := tmpl.buildSide(); err != nil {
-			return nil, err
-		}
-		if pb.Rows() == 0 || tmpl.build.N == 0 {
-			return nil, nil
-		}
-		return probeRanges(tmpl, pb, workers)
-	}
-	return vecSource(&lazyBatchesIter{compute: compute}, j.out)
-}
 
 // probeRanges joins probe batch pb's presented rows, split into workers
 // contiguous ranges, against tmpl's built table: each worker streams its

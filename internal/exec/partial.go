@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
 
 	"tqp/internal/algebra"
@@ -153,51 +154,59 @@ type TaggedRows struct {
 // parts carry no keys: the push-down contract keeps every group on one shard
 // and distinct groups differ on order, which is the grouping prefix, so whole
 // blocks of prefix-equal rows move intact, ties (which real groups cannot
-// produce) going to the lower shard index. The rows are picked as runs and
-// gathered column by column; a lone run is a view of its part.
+// produce) going to the lower shard index. The parts' heads meet in the one
+// merge heap, the rows are picked as runs, and the runs gather plane-wise; a
+// lone run is a view of its part.
 func MergeParts(sch *schema.Schema, order relation.OrderSpec, grouped bool, parts []TaggedRows) *column.Batch {
 	total := 0
 	for _, p := range parts {
 		total += p.Batch.Rows()
 	}
-	cmp := compileVecCmp(sch, order)
+	kc := compileVecCmp(sch, order)
 	sides := make([]keySide, len(parts))
 	for k, p := range parts {
-		sides[k] = cmp.left(p.Batch)
+		sides[k] = kc.left(p.Batch)
+	}
+	var space mergeSpace
+	at, _, buf := space.slices(len(parts)) // at[k] is part k's head: a presented row of its batch
+	m := newMergeHeap(buf, func(a, b int) int {
+		pa, pb := parts[a], parts[b]
+		if c := kc.compare(sides[a], pa.Batch.RowIndex(at[a]), sides[b], pb.Batch.RowIndex(at[b])); c != 0 || grouped {
+			return c
+		}
+		return cmp.Compare(pa.Seqs[at[a]], pb.Seqs[at[b]])
+	})
+	for k, p := range parts {
+		if p.Batch.Rows() > 0 {
+			m.push(k)
+		}
 	}
 	type run struct{ part, lo, hi int }
 	var runs []run
-	at := make([]int, len(parts))
-	for picked := 0; picked < total; {
-		best := -1
-		for k, p := range parts {
-			if at[k] >= p.Batch.Rows() {
-				continue
-			}
-			if best < 0 {
-				best = k
-				continue
-			}
-			c := cmp.compare(sides[k], p.Batch.RowIndex(at[k]), sides[best], parts[best].Batch.RowIndex(at[best]))
-			if c < 0 || (c == 0 && !grouped && p.Seqs[at[k]] < parts[best].Seqs[at[best]]) {
-				best = k
-			}
+	pick := func(k, hi int) {
+		if last := len(runs) - 1; last >= 0 && runs[last].part == k && runs[last].hi == at[k] {
+			runs[last].hi = hi
+		} else {
+			runs = append(runs, run{k, at[k], hi})
 		}
-		lo, hi := at[best], at[best]+1
+		at[k] = hi
+	}
+	for m.len() > 1 {
+		k := m.top()
+		b := parts[k].Batch
+		hi := at[k] + 1
 		if grouped {
-			b := parts[best].Batch
-			head := b.RowIndex(lo)
-			for hi < b.Rows() && cmp.compare(sides[best], b.RowIndex(hi), sides[best], head) == 0 {
+			head := b.RowIndex(at[k])
+			for hi < b.Rows() && kc.compare(sides[k], b.RowIndex(hi), sides[k], head) == 0 {
 				hi++
 			}
 		}
-		if last := len(runs) - 1; last >= 0 && runs[last].part == best && runs[last].hi == lo {
-			runs[last].hi = hi
-		} else {
-			runs = append(runs, run{best, lo, hi})
-		}
-		at[best] = hi
-		picked += hi - lo
+		pick(k, hi)
+		m.next(hi < b.Rows())
+	}
+	if m.len() == 1 {
+		k := m.top()
+		pick(k, parts[k].Batch.Rows())
 	}
 	if len(runs) == 1 {
 		v := parts[runs[0].part].Batch.RangeView(runs[0].lo, runs[0].hi)
@@ -208,19 +217,8 @@ func MergeParts(sch *schema.Schema, order relation.OrderSpec, grouped bool, part
 	// shards makes about one run per row, and a view per run is a batch
 	// header per row.
 	out := column.NewBatch(sch, total)
-	for c := range out.Cols {
-		col := &out.Cols[c]
-		for _, r := range runs {
-			src := parts[r.part].Batch
-			if src.Sel == nil {
-				col.AppendRange(&src.Cols[c], r.lo, r.hi)
-				continue
-			}
-			for _, i := range src.Sel[r.lo:r.hi] {
-				col.AppendFrom(&src.Cols[c], i)
-			}
-		}
+	for _, r := range runs {
+		out.AppendPresented(parts[r.part].Batch, r.lo, r.hi)
 	}
-	out.N = total
 	return out
 }

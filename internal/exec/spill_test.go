@@ -58,15 +58,16 @@ func recordFuzzFailure(t *testing.T, format string, args ...any) {
 // TestDifferentialFiveWay is the memory-bounded engine's correctness
 // anchor: reference vs sequential vs parallel vs budgeted-spill at
 // budgets {64KB, 1MB, unlimited}, all bit-identical on random plans. Every
-// leg compiles the batch operators (vec.go) — each the variants
+// leg compiles the batch operators (pipeline.go) — each the variants
 // physical.Decide picks for its width and budget — and runs the keyed
 // blocking operators through the
 // exchange driver's routes (resident, W-way, spilled), the keyless products
 // through the join's, and the streaming group family wherever a delivered
 // order keeps groups contiguous. Two sweeps run: tiny catalogs for plan-shape coverage, and
-// sized catalogs (hundreds of rows) so the small budget genuinely forces
-// the grace-hash spill paths — a vacuity guard asserts Stats.SpilledOps > 0
-// there. The parallel budgeted leg
+// sized catalogs (a thousand rows and more) whose inputs cross even the
+// sequential leg's whole-budget share, so the small budget genuinely forces
+// the grace-hash and external-sort spill paths — a per-leg vacuity guard
+// asserts that every small-budget leg spills. The parallel budgeted leg
 // exercises the per-worker budget shares.
 func TestDifferentialFiveWay(t *testing.T) {
 	small := smallBudget()
@@ -86,7 +87,8 @@ func TestDifferentialFiveWay(t *testing.T) {
 	}
 
 	spillDir := t.TempDir()
-	plans, spilledSmall := 0, int64(0)
+	plans := 0
+	spilled := make(map[string]int64) // a small-budget leg's spilled operators, by leg
 	sweep := func(seedLo, seedHi int64, rowsA, rowsB, trials int) {
 		for seed := seedLo; seed < seedHi; seed++ {
 			rng := rand.New(rand.NewSource(seed))
@@ -117,7 +119,7 @@ func TestDifferentialFiveWay(t *testing.T) {
 					}
 					st := eng.Stats()
 					if lg.opts.MemoryBudget == small {
-						spilledSmall += st.SpilledOps
+						spilled[lg.name] += st.SpilledOps
 					}
 					if st.SpilledOps > 0 && st.SpilledBytes == 0 {
 						t.Fatalf("seed %d leg %s: spilled %d ops but recorded no bytes", seed, lg.name, st.SpilledOps)
@@ -130,14 +132,16 @@ func TestDifferentialFiveWay(t *testing.T) {
 		}
 	}
 	scale := fuzzScale()
-	sweep(0, 16*scale, 8, 6, 8)            // plan-shape coverage on the tiny catalogs
-	sweep(1000, 1000+6*scale, 300, 200, 4) // sized catalogs: the small budget must spill
+	sweep(0, 16*scale, 8, 6, 8)              // plan-shape coverage on the tiny catalogs
+	sweep(1000, 1000+6*scale, 1500, 1000, 4) // sized catalogs: the small budget must spill
 
 	if plans < 100 {
 		t.Fatalf("five-way differential covered only %d plans, want ≥ 100", plans)
 	}
-	if spilledSmall == 0 {
-		t.Fatalf("vacuous run: the %d-byte budget never spilled across %d plans", small, plans)
+	for _, lg := range legs {
+		if lg.opts.MemoryBudget == small && spilled[lg.name] == 0 {
+			t.Fatalf("vacuous run: leg %s never spilled at the %d-byte budget across %d plans", lg.name, small, plans)
+		}
 	}
 	// The shared spill directory must be empty again: every Eval removes
 	// its run directory on completion.
@@ -148,7 +152,7 @@ func TestDifferentialFiveWay(t *testing.T) {
 	if len(entries) != 0 {
 		t.Fatalf("spill directory not empty after the suite: %v", entries)
 	}
-	t.Logf("five-way differential: %d plans, %d spilled ops under the %d-byte budget", plans, spilledSmall, small)
+	t.Logf("five-way differential: %d plans, spilled ops under the %d-byte budget by leg: %v", plans, small, spilled)
 }
 
 // sizedTemporal returns a temporal relation big enough to exceed small

@@ -78,18 +78,19 @@ func (e *Engine) buildProject(n *algebra.Project, in *source, outSchema *schema.
 // buildSort compiles sort_A. An elided sort — the input already delivers an
 // order A is a prefix of — is a physical no-op (a stable sort cannot move
 // any tuple), so compilation passes the input stage, and its stronger
-// order, through. Otherwise the input sorts as a stable permutation of row
-// indices over its column planes (index runs sorted across the worker pool
-// under Parallelism); only a sort that spills runs the explicit external
-// merge sort, whose runs cut by bytes.
+// order, through. Every other sort is mergeSortIter: the input sorts as a
+// stable permutation of row indices over its column planes (index runs
+// sorted across the worker pool under Parallelism), and only a budgeted
+// sort whose input crosses its share spills runs cut by bytes and merges
+// them.
 func (e *Engine) buildSort(n *algebra.Sort, d physical.Decision, in *source) *source {
 	if d.SortElided {
 		return in
 	}
-	if !d.Spills {
-		return e.vecSortSource(in, n.Spec)
+	m := &mergeSortIter{eng: e, in: in.vec, schema: in.schema, cmp: compileVecCmp(in.schema, n.Spec), share: noShare, workers: 1}
+	if d.Spills {
+		m.share = e.opShare()
 	}
-	m := &mergeSortIter{eng: e, in: in.vec, schema: in.schema, cmp: compileVecCmp(in.schema, n.Spec), workers: 1}
 	if e.parallel() {
 		m.workers = e.exchange()
 	}

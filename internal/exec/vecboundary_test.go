@@ -257,7 +257,7 @@ func checkRoute(t *testing.T, what string, opts Config, st Stats, keyed, twoSide
 }
 
 // TestVecHashPartitionGather pins the scatter/gather contract the W-way
-// route relies on: hashParts splits a compacted batch into disjoint
+// route relies on: hashExchange splits a compacted batch into disjoint
 // ascending row lists that cover every row and keep equal keys together,
 // and gather reassembles the partitions' outputs — here every row, passed
 // through — into the original list order, which is what makes parallel
@@ -281,7 +281,7 @@ func TestVecHashPartitionGather(t *testing.T) {
 		}
 		b := batchOfTuples(s, ts)
 		for _, p := range []int{1, 3, 8} {
-			parts := hashParts(b, []int{0, 1}, p)
+			parts := hashExchange(b, []int{0, 1}, p)
 			if len(parts) != p {
 				t.Fatalf("n=%d p=%d: %d partitions", n, p, len(parts))
 			}
