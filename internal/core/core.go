@@ -41,6 +41,7 @@ type Optimizer struct {
 	config enum.Config
 	seed   int64
 	engine eval.EngineSpec
+	params *cost.Params // set by WithCostParams; nil prices the engine's shape
 }
 
 // Option configures an Optimizer.
@@ -140,13 +141,10 @@ func ParseBytes(s string) (int64, error) {
 }
 
 // WithEngine selects the physical engine that executes stratum-assigned
-// subplans and recalibrates the cost model to its operator shapes (a later
-// WithCostParams overrides the calibration).
+// subplans; the cost model prices its shape (cost.ForEngine) unless
+// WithCostParams sets one, in whichever order the two options come.
 func WithEngine(spec eval.EngineSpec) Option {
-	return func(o *Optimizer) {
-		o.engine = spec
-		o.model = cost.New(o.cat, cost.ForEngine(spec))
-	}
+	return func(o *Optimizer) { o.engine = spec }
 }
 
 // WithRules restricts the transformation-rule set.
@@ -159,8 +157,8 @@ func WithMaxPlans(n int) Option {
 	return func(o *Optimizer) { o.config.MaxPlans = n }
 }
 
-// ShardedCostParams is the calibration for a coordinator planning over N
-// shards: the engine spec's shapes (streaming, parallel, budgeted) plus
+// ShardedCostParams is the shape a coordinator planning over N shards
+// prices: the engine spec's shapes (streaming, parallel, budgeted) plus
 // the scale-out pricing — DBMS-site work divides across the shards, shipped
 // tuples pay the wire-and-merge hop.
 func ShardedCostParams(spec eval.EngineSpec, shards int) cost.Params {
@@ -169,9 +167,10 @@ func ShardedCostParams(spec eval.EngineSpec, shards int) cost.Params {
 	return p
 }
 
-// WithCostParams overrides the cost model calibration.
+// WithCostParams sets the shape the cost model prices in place of the
+// engine's own (WithEngine), such as a coordinator's ShardedCostParams.
 func WithCostParams(p cost.Params) Option {
-	return func(o *Optimizer) { o.model = cost.New(o.cat, p) }
+	return func(o *Optimizer) { o.params = &p }
 }
 
 // WithDBMSSeed sets the simulated DBMS's order-nondeterminism seed.
@@ -179,17 +178,22 @@ func WithDBMSSeed(seed int64) Option {
 	return func(o *Optimizer) { o.seed = seed }
 }
 
-// New returns an optimizer over the catalog.
+// New returns an optimizer over the catalog. Its cost model is built once
+// the options have run, so it prices the same shape in any option order.
 func New(cat *catalog.Catalog, opts ...Option) *Optimizer {
 	o := &Optimizer{
 		cat:    cat,
-		model:  cost.New(cat, cost.DefaultParams()),
 		seed:   1,
 		engine: eval.Reference(),
 	}
 	for _, opt := range opts {
 		opt(o)
 	}
+	params := cost.ForEngine(o.engine)
+	if o.params != nil {
+		params = *o.params
+	}
+	o.model = cost.New(cat, params)
 	return o
 }
 

@@ -115,6 +115,30 @@ func TestPaperPlanFingerprints(t *testing.T) {
 	}
 }
 
+// TestCostOptionsInAnyOrder: the optimizer builds its cost model once its
+// options have run, so a coordinator's sharded shape survives an engine
+// option on either side of it. When each option rebuilt the model, a
+// WithEngine after WithCostParams dropped the shards.
+func TestCostOptionsInAnyOrder(t *testing.T) {
+	db := datagen.EmployeeDB(datagen.EmployeeSpec{Employees: 2000, SpellsPerEmp: 3, AssignmentsPerEmp: 4, Seed: 42})
+	spec := exec.NewSpec(exec.Config{})
+	sharded := core.WithCostParams(core.ShardedCostParams(spec, 2))
+	bestCost := func(opts ...core.Option) float64 {
+		prep, err := core.New(db, opts...).Prepare(engineTestSQL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return prep.BestCost
+	}
+	first, second := bestCost(sharded, core.WithEngine(spec)), bestCost(core.WithEngine(spec), sharded)
+	if first != second {
+		t.Errorf("sharded shape before the engine prices the best plan at %v, after it at %v", first, second)
+	}
+	if single := bestCost(core.WithEngine(spec)); single == second {
+		t.Errorf("2 shards price the best plan at %v, the same as one node", single)
+	}
+}
+
 // TestParseBytes pins the -mem flag syntax.
 func TestParseBytes(t *testing.T) {
 	for _, tc := range []struct {

@@ -21,167 +21,167 @@ import (
 	"tqp/internal/relation"
 )
 
-// Params weight the cost model.
-type Params struct {
-	// StratumTuple is the per-tuple processing cost in the stratum.
-	StratumTuple float64
-	// DBMSTuple is the per-tuple processing cost of conventional
-	// operations in the DBMS (a mature executor: cheaper).
-	DBMSTuple float64
-	// DBMSSortFactor scales sorting inside the DBMS relative to a stratum
+// The model's calibration: hand-set weights, one setting each. The paper
+// leaves cost estimation to future work, so these are this model's fit, not
+// a contract; recalibrating one is a change to this file, and a test pins
+// the prices they produce (TestCostGoldens).
+const (
+	// dbmsTuple is the per-tuple processing cost of conventional operations
+	// in the DBMS (a mature executor: cheaper than the stratum's 1).
+	dbmsTuple float64 = 0.4
+	// dbmsSortFactor scales sorting inside the DBMS relative to a stratum
 	// sort ("the DBMS sorts faster than the stratum").
-	DBMSSortFactor float64
-	// DBMSTemporalPenalty multiplies temporal operations executed in the
+	dbmsSortFactor float64 = 0.25
+	// dbmsTemporalPenalty multiplies temporal operations executed in the
 	// DBMS, which must be expressed as complex self-join SQL.
-	DBMSTemporalPenalty float64
-	// TransferTuple is the per-tuple cost of a TS/TD transfer.
-	TransferTuple float64
-	// DefaultSelectivity estimates σ when nothing better is known.
-	DefaultSelectivity float64
-	// HashTuple is the per-tuple cost of a hash-table build or probe in the
+	dbmsTemporalPenalty float64 = 20.0
+	// transferTuple is the per-tuple cost of a TS/TD transfer.
+	transferTuple float64 = 2.0
+	// defaultSelectivity estimates σ when nothing better is known.
+	defaultSelectivity float64 = 1.0 / 3
+	// hashTuple is the per-tuple cost of a hash-table build or probe in the
 	// exec engine's hash operators (hash join, hash rdup, value-group
-	// partitioning). It is charged on top of StratumTuple for the tuples a
-	// streaming operator hashes.
-	HashTuple float64
-	// MergeTuple is the per-tuple cost of the adjacent-comparison merge
-	// pass that replaces hashing when a streaming operator's inputs already
+	// partitioning), charged on top of the stratum's per-tuple cost for the
+	// tuples a streaming operator hashes.
+	hashTuple float64 = 0.5
+	// mergeTuple is the per-tuple cost of the adjacent-comparison merge pass
+	// that replaces hashing when a streaming operator's inputs already
 	// deliver the order its groups or keys need (merge join, merge
-	// diff/union, sorted dedup, group-at-a-time temporal operators). It is
-	// cheaper than HashTuple: a comparison against the previous tuple
-	// instead of a hash-table build and probe.
-	MergeTuple float64
-	// SortVerifyFactor prices an elided sort — one whose input already
-	// delivers an order the requested spec is a prefix of — as a fraction
-	// of a linear pass instead of N·log N work. The stratum meter uses the
-	// same factor, so recalibration keeps model and trace consistent.
-	SortVerifyFactor float64
-	// MergeUnitsFactor scales the stratum meter's simulated units for a
-	// streaming operator compiled as its merge variant, relative to the
-	// hash variant's linear shape (the estimate-side counterpart is
-	// MergeTuple replacing HashTuple).
-	MergeUnitsFactor float64
+	// diff/union, sorted dedup, group-at-a-time temporal operators): a
+	// comparison against the previous tuple instead of a hash-table build
+	// and probe.
+	mergeTuple float64 = 0.1
+	// sortVerifyFactor prices an elided sort — one whose input already
+	// delivers an order the requested spec is a prefix of — as a fraction of
+	// a linear pass instead of N·log N work, in the model and the meter
+	// alike.
+	sortVerifyFactor float64 = 0.25
+	// mergeUnitsFactor scales the meter's units for a streaming operator
+	// compiled as its merge variant, relative to the hash variant's linear
+	// shape (the estimate-side counterpart is mergeTuple replacing
+	// hashTuple).
+	mergeUnitsFactor float64 = 0.5
+	// exchangeTuple is the per-tuple cost of routing a tuple through a
+	// parallel exchange (a partition hash or segment lookup plus a copy into
+	// the partition stream).
+	exchangeTuple float64 = 0.2
+	// gatherTuple is the per-tuple cost of the deterministic ordered gather
+	// (one k-way merge step by sequence key and partition index).
+	gatherTuple float64 = 0.05
+	// spillWrite is the per-tuple cost of encoding and writing one tuple to
+	// a spill partition.
+	spillWrite float64 = 0.8
+	// spillRead is the per-tuple cost of reading and decoding one spilled
+	// tuple back.
+	spillRead float64 = 0.6
+	// vecExchangeFactor scales exchangeTuple and gatherTuple for the
+	// batch-compiled operators of a Streaming engine: the scatter is a hash
+	// over column planes plus one appended row index, and the gather merges
+	// ascending selection vectors — no tuple copy on either side.
+	vecExchangeFactor float64 = 0.4
+	// vecSpillFactor scales spillWrite and spillRead for the batch-compiled
+	// operators of a Streaming engine: the block codec reads cells off the
+	// planes on the way out and decodes block-at-a-time into batches on the
+	// way back, skipping the per-tuple materialization of the boxed path.
+	vecSpillFactor float64 = 0.6
+	// shipTuple is the per-tuple cost of shipping one shard-result row to
+	// the coordinator and routing it through the k-way gather merge.
+	shipTuple float64 = 0.5
+	// segmentRead is the per-segment cost of a disk-backed base scan: one
+	// store segment's worth of block reads, CRC checks and decoding. A
+	// time-travel scan pays it only for segments surviving the period
+	// index's fence pruning, which is what makes an indexed scan of a narrow
+	// period cheaper than a full scan of the same relation. In-memory
+	// relations have no segments and price scans at zero.
+	segmentRead float64 = 32.0
+)
+
+// Params is the shape the model prices: what the engine and the deployment
+// determine, never a weight. The stratum's per-tuple cost is the unit (1);
+// every other price is relative to it.
+type Params struct {
 	// Streaming declares that the stratum runs the exec engine: products
 	// and joins cost build+probe+output instead of pairwise work, and the
-	// temporal grouping operators drop their scan factors (see OpUnits).
+	// temporal grouping operators drop their scan factors (see opUnits).
 	// The exec engine is columnar: its exchanges route row positions over
 	// shared column planes instead of copying tuples, and its budgeted
 	// operators encode spill blocks straight off the planes, so the
 	// per-tuple exchange/gather and spill prices of the batch-compiled
-	// operators scale by VecExchangeFactor and VecSpillFactor.
+	// operators take the batch discount (batchDiscount).
 	Streaming bool
 	// Parallelism is the worker count of the morsel-parallel exec engine
 	// (exec.Config.Parallelism); 0 or 1 prices sequential execution. With
 	// W > 1 every partitionable operator's own work divides by W while each
-	// input tuple pays ExchangeTuple and each output tuple GatherTuple — the
-	// Amdahl shape of partition + work + deterministic merge.
+	// input tuple pays an exchange charge and each output tuple a gather
+	// charge — the Amdahl shape of partition + work + deterministic merge.
 	Parallelism int
-	// ExchangeTuple is the per-tuple cost of routing a tuple through a
-	// parallel exchange (a partition hash or segment lookup plus a copy
-	// into the partition stream).
-	ExchangeTuple float64
-	// GatherTuple is the per-tuple cost of the deterministic ordered gather
-	// (one k-way merge step by sequence key and partition index).
-	GatherTuple float64
 	// MemoryBudget is the exec engine's working-set bound in bytes; 0 means
 	// unlimited. When an operator's estimated materialized state exceeds
 	// the per-worker budget share, the model adds the grace-hash spill
-	// shape: every input tuple pays one SpillWrite and one SpillRead. This
-	// is what lets the beam trade an explicit sort (whose streaming variant
+	// shape: every input tuple pays one spill write and one read. This is
+	// what lets the beam trade an explicit sort (whose streaming variant
 	// never materializes) against a spilling hash operator.
 	MemoryBudget int64
-	// SpillWrite is the per-tuple cost of encoding and writing one tuple to
-	// a spill partition.
-	SpillWrite float64
-	// SpillRead is the per-tuple cost of reading and decoding one spilled
-	// tuple back.
-	SpillRead float64
-	// VecExchangeFactor scales ExchangeTuple and GatherTuple for a
-	// Streaming engine: the scatter is a hash over column planes plus one
-	// appended row index, and the gather merges ascending selection
-	// vectors — no tuple copy on either side.
-	VecExchangeFactor float64
-	// VecSpillFactor scales SpillWrite and SpillRead for a Streaming
-	// engine: the block codec reads cells off the planes on the way out and
-	// decodes block-at-a-time into batches on the way back, skipping the
-	// per-tuple materialization of the boxed path.
-	VecSpillFactor float64
 	// Shards prices coordinated scale-out execution: with N > 1 shards the
 	// DBMS-site work of a plan — the pushed-down scan/filter/sort chains —
 	// runs on all shards concurrently, so each DBMS operation's own cost
-	// divides by N, while every tuple crossing a transfer additionally
-	// pays ShipTuple for the wire hop and the coordinator's deterministic
-	// merge step. 0 or 1 prices single-node execution.
+	// divides by N, while every tuple crossing a transfer additionally pays
+	// the wire hop and the coordinator's deterministic merge step. 0 or 1
+	// prices single-node execution.
 	Shards int
-	// ShipTuple is the per-tuple cost of shipping one shard-result row to
-	// the coordinator and routing it through the k-way gather merge.
-	ShipTuple float64
-	// SegmentRead is the per-segment cost of a disk-backed base scan: one
-	// store segment's worth of block reads, CRC checks and decoding. A
-	// time-travel scan pays it only for segments surviving the period
-	// index's fence pruning, which is what makes an indexed scan of a
-	// narrow period cheaper than a full scan of the same relation.
-	// In-memory relations have no segments and price scans at zero, as
-	// before.
-	SegmentRead float64
 }
 
-// DefaultParams returns the calibration used by the experiments, matching
-// the reference evaluator's operator shapes in the stratum.
-func DefaultParams() Params {
-	return Params{
-		StratumTuple:        1.0,
-		DBMSTuple:           0.4,
-		DBMSSortFactor:      0.25,
-		DBMSTemporalPenalty: 20.0,
-		TransferTuple:       2.0,
-		DefaultSelectivity:  1.0 / 3,
-		HashTuple:           0.5,
-		MergeTuple:          0.1,
-		SortVerifyFactor:    0.25,
-		MergeUnitsFactor:    0.5,
-		ExchangeTuple:       0.2,
-		GatherTuple:         0.05,
-		SpillWrite:          0.8,
-		SpillRead:           0.6,
-		VecExchangeFactor:   0.4,
-		VecSpillFactor:      0.6,
-		ShipTuple:           0.5,
-		SegmentRead:         32.0,
-	}
+// ForEngine is the model's shape for a physical engine: its operator shapes
+// (Streaming), partitioned operators priced at the engine's fan-out width,
+// and spilling against its memory budget — so the model and the stratum's
+// meter price what the engine actually pays. It prices one node; a
+// coordinator sets Shards.
+func ForEngine(spec eval.EngineSpec) Params {
+	return Params{Streaming: spec.Streaming, Parallelism: spec.Parallelism, MemoryBudget: spec.MemoryBudget}
 }
 
-// vecBatchOp reports the operators whose parallel exchanges and grace
-// spills are priced with the batch discount: the hash family — dedup, the
-// diff/union budgets, and the keyed joins. The sort, the temporal group
-// family and the keyless products keep the boxed exchange and spill prices
-// they were calibrated with (the engine runs them on batches too, but a
-// sort-family discount once steered the optimizer onto plans whose layered
-// execution lost the DBMS's order determinism, and the plan fingerprints
-// are pinned to this calibration).
-func vecBatchOp(op algebra.Op) bool {
-	switch op {
-	case algebra.OpRdup, algebra.OpDiff, algebra.OpUnion, algebra.OpJoin, algebra.OpTJoin:
-		return true
+// batchDiscount is the factor on an operator's per-tuple exchange/gather
+// prices and the factor on its spill prices. The hash family — dedup, the
+// diff/union budgets and the keyed joins — takes the columnar discount on a
+// Streaming engine. The sort, the temporal group family and the keyless
+// products keep the boxed prices they were calibrated with (the engine runs
+// them on batches too, but a sort-family discount once steered the
+// optimizer onto plans whose layered execution lost the DBMS's order
+// determinism, and the plan fingerprints are pinned to this calibration).
+func (p Params) batchDiscount(op algebra.Op) (exchange, spill float64) {
+	if p.Streaming {
+		switch op {
+		case algebra.OpRdup, algebra.OpDiff, algebra.OpUnion, algebra.OpJoin, algebra.OpTJoin:
+			return vecExchangeFactor, vecSpillFactor
+		}
 	}
-	return false
+	return 1, 1
+}
+
+// dbmsPenalty is the factor on dbmsTuple for one operation at the DBMS
+// site: a sort is cheaper than the stratum's, a temporal operation (complex
+// self-join SQL) far dearer, anything else the plain conventional price.
+// The model's DBMS estimates and the meter's DBMS units share it.
+func dbmsPenalty(op algebra.Op) float64 {
+	switch {
+	case op == algebra.OpSort:
+		return dbmsSortFactor
+	case op.Temporal():
+		return dbmsTemporalPenalty
+	}
+	return 1
 }
 
 // parallelShape reprices one partitioned operator's own cost for a W-way
 // parallel engine: the per-partition work is the sequential work divided
 // across the workers, every input tuple pays the exchange routing, and
-// every output tuple one gather-merge step.
-// The exec engine's exchange scatters batch views (a hash plus a row
-// index per tuple, no copy), so the routing and gather prices of the
-// batch-compiled operators scale by VecExchangeFactor.
-func (p Params) parallelShape(op algebra.Op, own, inRows, outRows float64) float64 {
+// every output tuple one gather-merge step, both scaled by the operator's
+// exchange discount.
+func (p Params) parallelShape(own, inRows, outRows, discount float64) float64 {
 	if p.Parallelism <= 1 {
 		return own
 	}
-	ex, ga := p.ExchangeTuple, p.GatherTuple
-	if p.Streaming && vecBatchOp(op) {
-		ex *= p.VecExchangeFactor
-		ga *= p.VecExchangeFactor
-	}
+	ex, ga := exchangeTuple*discount, gatherTuple*discount
 	return own/float64(p.Parallelism) + inRows*ex + outRows*ga
 }
 
@@ -191,10 +191,8 @@ func (p Params) parallelShape(op algebra.Op, own, inRows, outRows float64) float
 // it hold: the per-worker budget share (exec's opShare), half of it per
 // side of a two-sided operator. Then every input tuple pays one spill write
 // and one read (recursive re-partitioning passes are rare and left
-// unpriced). The exec engine encodes spill blocks straight off the column
-// planes and re-reads them block-at-a-time into batches, so the per-tuple
-// spill prices of the batch-compiled operators scale by VecSpillFactor.
-func (p Params) spillShape(n algebra.Node, own float64, inRows []float64) float64 {
+// unpriced), both scaled by the operator's spill discount.
+func (p Params) spillShape(n algebra.Node, own float64, inRows []float64, discount float64) float64 {
 	if p.MemoryBudget <= 0 {
 		return own
 	}
@@ -212,49 +210,52 @@ func (p Params) spillShape(n algebra.Node, own float64, inRows []float64) float6
 	if !over {
 		return own
 	}
-	wr, rd := p.SpillWrite, p.SpillRead
-	if p.Streaming && vecBatchOp(n.Op()) {
-		wr *= p.VecSpillFactor
-		rd *= p.VecSpillFactor
-	}
+	wr, rd := spillWrite*discount, spillRead*discount
 	return own + in*(wr+rd)
 }
 
-// ParamsFor returns the calibration for a stratum engine: the default
-// reference shapes, or the streaming shapes of the exec engine.
-func ParamsFor(streaming bool) Params {
-	p := DefaultParams()
-	p.Streaming = streaming
-	return p
+// StratumUnits meters one stratum operation the engine ran: simulated work
+// units for n over its inputs' actual row counts (one per child), with dec
+// the variant the engine reports it compiled.
+func (p Params) StratumUnits(n algebra.Node, inRows []int, dec physical.Variant) float64 {
+	return p.opUnits(n, inRows, 1, 1, p.Streaming, dec)
 }
 
-// ForEngine is the calibration for a physical engine: its operator shapes
-// (ParamsFor), partitioned operators priced at the engine's fan-out width,
-// and spilling against its memory budget — so the model and the stratum's
-// meter price what the engine actually pays.
-func ForEngine(spec eval.EngineSpec) Params {
-	p := ParamsFor(spec.Streaming)
-	p.Parallelism = spec.Parallelism
-	p.MemoryBudget = spec.MemoryBudget
-	return p
+// DBMSUnits meters a subplan shipped to the DBMS and returns total plus its
+// units. Without instrumenting the DBMS's internals each operation is
+// charged with the subplan's output cardinality outRows as a proxy; the
+// relative penalties (temporal operations dear, sorts cheap) are what the
+// experiments exercise. The DBMS simulates a conventional engine, so the
+// streaming shapes never apply. Each operation's units are added to the
+// running total in turn, so a trace's total does not depend on how its
+// subplans group.
+func (p Params) DBMSUnits(total float64, subplan algebra.Node, outRows int) float64 {
+	algebra.Walk(subplan, func(n algebra.Node, _ algebra.Path) bool {
+		if n.Op() != algebra.OpRel {
+			total += p.opUnits(n, []int{outRows}, dbmsTuple, dbmsPenalty(n.Op()), false, physical.Variant{})
+		}
+		return true
+	})
+	return total
 }
 
-// OpUnits assigns simulated work units to operation n over its inputs' row
-// counts (one per child; the DBMS meter passes the output's as one); the
-// stratum executor meters actual executions with it.
+// TransferUnits meters rows crossing the stratum/DBMS boundary.
+func TransferUnits(rows int) float64 { return float64(rows) * transferTuple }
+
+// opUnits assigns simulated work units to operation n over its inputs' row
+// counts (one per child; the DBMS meter passes the output's as one).
 // streaming selects the exec engine's hash/one-pass shapes — linear
 // products, joins and temporal grouping operators — over the reference
 // evaluator's pairwise and scan-heavy ones. dec is the variant the
 // streaming engine compiled at this node (package physical): an elided sort
-// is a verify pass (SortVerifyFactor), a merge variant scales the hash
-// variant's per-tuple work by MergeUnitsFactor — the factors come from the
-// calibration so model and meter recalibrate together — and a node with an
-// exchange or spillable state takes the parallel shape (per-partition work
-// plus exchange and gather, with the input cardinality standing in for the
+// is a verify pass (sortVerifyFactor), a merge variant scales the hash
+// variant's per-tuple work by mergeUnitsFactor, and a node with an exchange
+// or spillable state takes the parallel shape (per-partition work plus
+// exchange and gather, with the input cardinality standing in for the
 // output's, which the meter does not know) and the spill shape. The
 // reference evaluator (streaming=false) has no variants: its zero decision
 // takes neither shape.
-func (p Params) OpUnits(n algebra.Node, inRows []int, tupleCost, penalty float64, streaming bool, dec physical.Variant) float64 {
+func (p Params) opUnits(n algebra.Node, inRows []int, tupleCost, penalty float64, streaming bool, dec physical.Variant) float64 {
 	rows := 0
 	var buf [2]float64
 	sides := buf[:0]
@@ -262,7 +263,7 @@ func (p Params) OpUnits(n algebra.Node, inRows []int, tupleCost, penalty float64
 		rows += r
 		sides = append(sides, float64(r))
 	}
-	units := p.opUnitsSequential(n.Op(), rows, tupleCost, penalty, streaming, dec.Merge || dec.SortElided)
+	units := opUnitsSequential(n.Op(), rows, tupleCost, penalty, streaming, dec.Merge || dec.SortElided)
 	if streaming {
 		units = p.shaped(n, dec, units, sides, float64(rows))
 	}
@@ -276,16 +277,17 @@ func (p Params) shaped(n algebra.Node, dec physical.Variant, own float64, inRows
 	for _, r := range inRows {
 		in += r
 	}
+	exchange, spill := p.batchDiscount(n.Op())
 	if dec.Exchange {
-		own = p.parallelShape(n.Op(), own, in, outRows)
+		own = p.parallelShape(own, in, outRows, exchange)
 	}
 	if dec.Spills {
-		own = p.spillShape(n, own, inRows)
+		own = p.spillShape(n, own, inRows, spill)
 	}
 	return own
 }
 
-func (p Params) opUnitsSequential(op algebra.Op, rows int, tupleCost, penalty float64, streaming, ordered bool) float64 {
+func opUnitsSequential(op algebra.Op, rows int, tupleCost, penalty float64, streaming, ordered bool) float64 {
 	r := float64(rows)
 	logR := 1.0
 	if r >= 2 {
@@ -295,14 +297,14 @@ func (p Params) opUnitsSequential(op algebra.Op, rows int, tupleCost, penalty fl
 	switch op {
 	case algebra.OpSort:
 		if ordered {
-			return r * tupleCost * penalty * p.SortVerifyFactor
+			return r * tupleCost * penalty * sortVerifyFactor
 		}
 		return r * logR * tupleCost * penalty
 	case algebra.OpProduct, algebra.OpTProduct, algebra.OpJoin, algebra.OpTJoin:
 		if streaming {
 			units := r * tupleCost * penalty
 			if ordered {
-				units *= p.MergeUnitsFactor
+				units *= mergeUnitsFactor
 			}
 			return units
 		}
@@ -311,7 +313,7 @@ func (p Params) opUnitsSequential(op algebra.Op, rows int, tupleCost, penalty fl
 		if streaming {
 			units := r * tupleCost * penalty
 			if ordered {
-				units *= p.MergeUnitsFactor
+				units *= mergeUnitsFactor
 			}
 			return units
 		}
@@ -320,7 +322,7 @@ func (p Params) opUnitsSequential(op algebra.Op, rows int, tupleCost, penalty fl
 		return 0
 	default:
 		if ordered {
-			return r * tupleCost * penalty * p.MergeUnitsFactor
+			return r * tupleCost * penalty * mergeUnitsFactor
 		}
 		return r * tupleCost * penalty
 	}
@@ -424,8 +426,8 @@ func (m *Model) node(n algebra.Node, site props.Site, states *props.Memo, memo m
 // streaming engine the cost is that of dec, the variant physical.Decide
 // picks from the children's statically inferred orders (Table 1
 // propagation) and the engine's shape — the decision the engine compiles:
-// the merge/elided variants are priced with MergeTuple/SortVerifyFactor
-// instead of HashTuple and N·log N, a node with an exchange takes the
+// the merge/elided variants are priced with mergeTuple/sortVerifyFactor
+// instead of hashTuple and N·log N, a node with an exchange takes the
 // parallel shape (per-partition work plus an exchange charge on the input
 // rows and a gather charge on the output rows) and one with spillable
 // state the spill shape.
@@ -438,7 +440,7 @@ func (m *Model) estimate(n algebra.Node, site props.Site, ce []Estimate, dec phy
 	if p.Shards > 1 {
 		switch {
 		case n.Op() == algebra.OpTransferS || n.Op() == algebra.OpTransferD:
-			est.Cost += ce[0].Rows * p.ShipTuple
+			est.Cost += ce[0].Rows * shipTuple
 		case site == props.DBMS:
 			est.Cost /= float64(p.Shards)
 		}
@@ -455,22 +457,19 @@ func (m *Model) estimate(n algebra.Node, site props.Site, ce []Estimate, dec phy
 }
 
 func (m *Model) estimateOne(n algebra.Node, site props.Site, ce []Estimate, dec physical.Variant) Estimate {
-	p := m.params
-	tuple := p.StratumTuple
+	// The stratum's per-tuple cost is the unit; at the DBMS an operation
+	// pays the conventional executor's price times its site penalty.
+	tuple, penalty := 1.0, 1.0
 	if site == props.DBMS {
-		tuple = p.DBMSTuple
+		tuple, penalty = dbmsTuple, dbmsPenalty(n.Op())
 	}
-	temporalPenalty := 1.0
-	if site == props.DBMS && n.Op().Temporal() {
-		temporalPenalty = p.DBMSTemporalPenalty
-	}
-	streaming := p.Streaming && site != props.DBMS
+	streaming := m.params.Streaming && site != props.DBMS
 	// groupTuple is the per-tuple partitioning cost of a streaming grouping
 	// operator: a hash build/probe, or the cheaper adjacent comparison when
 	// the input's delivered order keeps the operator's groups contiguous.
-	groupTuple := p.HashTuple
+	groupTuple := hashTuple
 	if dec.Merge {
-		groupTuple = p.MergeTuple
+		groupTuple = mergeTuple
 	}
 	logN := func(x float64) float64 {
 		if x < 2 {
@@ -489,13 +488,13 @@ func (m *Model) estimateOne(n algebra.Node, site props.Site, ce []Estimate, dec 
 			// segments and keep the historical free scan.
 			if est, ok := m.cat.ScanEstimate(rel.Name); ok {
 				rows = est.Rows
-				cst = float64(est.Segments) * p.SegmentRead
+				cst = float64(est.Segments) * segmentRead
 			}
 		}
 		return Estimate{Rows: rows, Cost: cst}
 	case algebra.OpSelect:
 		in := ce[0].Rows
-		return Estimate{Rows: in * p.DefaultSelectivity, Cost: in * tuple}
+		return Estimate{Rows: in * defaultSelectivity, Cost: in * tuple}
 	case algebra.OpProject:
 		in := ce[0].Rows
 		return Estimate{Rows: in, Cost: in * tuple}
@@ -503,24 +502,20 @@ func (m *Model) estimateOne(n algebra.Node, site props.Site, ce []Estimate, dec 
 		in := ce[0].Rows
 		if streaming && dec.SortElided {
 			// The engine compiles the sort away; charge a verify pass.
-			return Estimate{Rows: in, Cost: in * tuple * p.SortVerifyFactor}
+			return Estimate{Rows: in, Cost: in * tuple * sortVerifyFactor}
 		}
-		factor := 1.0
-		if site == props.DBMS {
-			factor = p.DBMSSortFactor
-		}
-		return Estimate{Rows: in, Cost: in * logN(in) * tuple * factor}
+		return Estimate{Rows: in, Cost: in * logN(in) * tuple * penalty}
 	case algebra.OpRdup:
 		in := ce[0].Rows
 		if streaming && dec.Merge {
 			// Sorted input: dedup is an adjacent comparison per tuple.
-			return Estimate{Rows: math.Max(1, in*0.6), Cost: in * (tuple*0.5 + p.MergeTuple)}
+			return Estimate{Rows: math.Max(1, in*0.6), Cost: in * (tuple*0.5 + mergeTuple)}
 		}
 		return Estimate{Rows: math.Max(1, in*0.6), Cost: in * tuple}
 	case algebra.OpAggregate:
 		in := ce[0].Rows
 		if streaming && dec.Merge {
-			return Estimate{Rows: math.Max(1, in*0.3), Cost: in * (tuple*0.5 + p.MergeTuple)}
+			return Estimate{Rows: math.Max(1, in*0.3), Cost: in * (tuple*0.5 + mergeTuple)}
 		}
 		return Estimate{Rows: math.Max(1, in*0.3), Cost: in * tuple}
 	case algebra.OpUnionAll:
@@ -529,17 +524,17 @@ func (m *Model) estimateOne(n algebra.Node, site props.Site, ce []Estimate, dec 
 		// Between max(n1,n2) and n1+n2 (Table 1).
 		rows := math.Max(ce[0].Rows, ce[1].Rows) + 0.5*math.Min(ce[0].Rows, ce[1].Rows)
 		if streaming && dec.Merge {
-			return Estimate{Rows: rows, Cost: (ce[0].Rows + ce[1].Rows) * (tuple*0.5 + p.MergeTuple)}
+			return Estimate{Rows: rows, Cost: (ce[0].Rows + ce[1].Rows) * (tuple*0.5 + mergeTuple)}
 		}
 		return Estimate{Rows: rows, Cost: (ce[0].Rows + ce[1].Rows) * tuple}
 	case algebra.OpProduct, algebra.OpJoin:
 		rows := ce[0].Rows * ce[1].Rows
 		if n.Op() == algebra.OpJoin {
-			rows *= p.DefaultSelectivity
+			rows *= defaultSelectivity
 		}
 		if streaming && n.Op() == algebra.OpJoin {
 			// Hash join: build + probe + emit, not pairwise work — or, with
-			// key-covering input orders, a merge join at MergeTuple per input
+			// key-covering input orders, a merge join at mergeTuple per input
 			// tuple instead of the hash build/probe.
 			return Estimate{Rows: rows, Cost: (ce[0].Rows+ce[1].Rows)*groupTuple + rows*tuple}
 		}
@@ -549,7 +544,7 @@ func (m *Model) estimateOne(n algebra.Node, site props.Site, ce []Estimate, dec 
 		lo := math.Max(ce[0].Rows-ce[1].Rows, 0)
 		rows := (lo + ce[0].Rows) / 2
 		if streaming && dec.Merge {
-			return Estimate{Rows: rows, Cost: (ce[0].Rows + ce[1].Rows) * (tuple*0.5 + p.MergeTuple)}
+			return Estimate{Rows: rows, Cost: (ce[0].Rows + ce[1].Rows) * (tuple*0.5 + mergeTuple)}
 		}
 		return Estimate{Rows: rows, Cost: (ce[0].Rows + ce[1].Rows) * tuple}
 	case algebra.OpTProduct, algebra.OpTJoin:
@@ -557,12 +552,12 @@ func (m *Model) estimateOne(n algebra.Node, site props.Site, ce []Estimate, dec 
 		overlap := 0.3
 		rows := ce[0].Rows * ce[1].Rows * overlap
 		if n.Op() == algebra.OpTJoin {
-			rows *= p.DefaultSelectivity
+			rows *= defaultSelectivity
 		}
 		if streaming && n.Op() == algebra.OpTJoin {
 			return Estimate{Rows: rows, Cost: (ce[0].Rows+ce[1].Rows)*groupTuple + rows*tuple}
 		}
-		return Estimate{Rows: rows, Cost: ce[0].Rows * ce[1].Rows * tuple * temporalPenalty}
+		return Estimate{Rows: rows, Cost: ce[0].Rows * ce[1].Rows * tuple * penalty}
 	case algebra.OpTDiff:
 		// At most 2·n1 fragments (Table 1).
 		n1, n2 := ce[0].Rows, ce[1].Rows
@@ -570,39 +565,39 @@ func (m *Model) estimateOne(n algebra.Node, site props.Site, ce []Estimate, dec 
 		if streaming {
 			// Hash partition both sides, one pass per value group.
 			work = (n1 + n2)
-			return Estimate{Rows: math.Min(2*n1, n1*1.25), Cost: (n1+n2)*p.HashTuple + work*tuple}
+			return Estimate{Rows: math.Min(2*n1, n1*1.25), Cost: (n1+n2)*hashTuple + work*tuple}
 		}
-		return Estimate{Rows: math.Min(2*n1, n1*1.25), Cost: work * tuple * temporalPenalty}
+		return Estimate{Rows: math.Min(2*n1, n1*1.25), Cost: work * tuple * penalty}
 	case algebra.OpTAggregate:
 		in := ce[0].Rows
 		// At most 2·n−1 constant intervals (Table 1).
 		if streaming {
 			return Estimate{Rows: math.Max(1, in*1.5), Cost: in*groupTuple + in*2*tuple}
 		}
-		return Estimate{Rows: math.Max(1, in*1.5), Cost: in * logN(in) * 2 * tuple * temporalPenalty}
+		return Estimate{Rows: math.Max(1, in*1.5), Cost: in * logN(in) * 2 * tuple * penalty}
 	case algebra.OpTRdup:
 		in := ce[0].Rows
 		// At most 2·n−1 (Table 1); duplicates also disappear.
 		if streaming {
 			return Estimate{Rows: math.Max(1, in*0.8), Cost: in*groupTuple + in*tuple}
 		}
-		return Estimate{Rows: math.Max(1, in*0.8), Cost: in * logN(in) * 2 * tuple * temporalPenalty}
+		return Estimate{Rows: math.Max(1, in*0.8), Cost: in * logN(in) * 2 * tuple * penalty}
 	case algebra.OpTUnion:
 		n1, n2 := ce[0].Rows, ce[1].Rows
 		// At least n1, at most n1+2·n2 (Table 1).
 		if streaming {
-			return Estimate{Rows: n1 + n2, Cost: (n1+n2)*p.HashTuple + (n1+n2)*tuple}
+			return Estimate{Rows: n1 + n2, Cost: (n1+n2)*hashTuple + (n1+n2)*tuple}
 		}
-		return Estimate{Rows: n1 + n2, Cost: (n1 + n2) * logN(n1+n2) * tuple * temporalPenalty}
+		return Estimate{Rows: n1 + n2, Cost: (n1 + n2) * logN(n1+n2) * tuple * penalty}
 	case algebra.OpCoal:
 		in := ce[0].Rows
 		if streaming {
 			return Estimate{Rows: math.Max(1, in*0.7), Cost: in*groupTuple + in*tuple}
 		}
-		return Estimate{Rows: math.Max(1, in*0.7), Cost: in * logN(in) * tuple * temporalPenalty}
+		return Estimate{Rows: math.Max(1, in*0.7), Cost: in * logN(in) * tuple * penalty}
 	case algebra.OpTransferS, algebra.OpTransferD:
 		in := ce[0].Rows
-		return Estimate{Rows: in, Cost: in * p.TransferTuple}
+		return Estimate{Rows: in, Cost: in * transferTuple}
 	default:
 		return Estimate{Rows: ce[0].Rows, Cost: ce[0].Rows * tuple}
 	}

@@ -7,6 +7,8 @@ import (
 	"tqp/internal/catalog"
 	"tqp/internal/cost"
 	"tqp/internal/datagen"
+	"tqp/internal/eval"
+	"tqp/internal/exec"
 	"tqp/internal/expr"
 	"tqp/internal/props"
 	"tqp/internal/relation"
@@ -15,7 +17,7 @@ import (
 
 func TestOptimizedPlanCheaper(t *testing.T) {
 	c := catalog.Paper()
-	m := cost.New(c, cost.DefaultParams())
+	m := cost.New(c, cost.ForEngine(eval.Reference()))
 	initial, err := m.Cost(catalog.PaperInitialPlan(c))
 	if err != nil {
 		t.Fatal(err)
@@ -31,7 +33,7 @@ func TestOptimizedPlanCheaper(t *testing.T) {
 
 func TestCardinalityUsesCatalog(t *testing.T) {
 	c := catalog.Paper()
-	m := cost.New(c, cost.DefaultParams())
+	m := cost.New(c, cost.ForEngine(eval.Reference()))
 	// Leaf estimates come from the catalog stats: EMPLOYEE has 5 tuples,
 	// and projection preserves cardinality.
 	plan := catalog.PaperProjection(c.MustNode("EMPLOYEE"))
@@ -46,7 +48,7 @@ func TestCardinalityUsesCatalog(t *testing.T) {
 
 func TestSortSiteAsymmetry(t *testing.T) {
 	c := catalog.Paper()
-	m := cost.New(c, cost.DefaultParams())
+	m := cost.New(c, cost.ForEngine(eval.Reference()))
 	spec := relation.OrderSpec{relation.Key("EmpName")}
 	proj := func() algebra.Node { return catalog.PaperProjection(c.MustNode("EMPLOYEE")) }
 	// sort inside the DBMS vs in the stratum: the paper's premise is that
@@ -68,7 +70,7 @@ func TestSortSiteAsymmetry(t *testing.T) {
 
 func TestTemporalPenaltyInDBMS(t *testing.T) {
 	c := catalog.Paper()
-	m := cost.New(c, cost.DefaultParams())
+	m := cost.New(c, cost.ForEngine(eval.Reference()))
 	proj := func() algebra.Node { return catalog.PaperProjection(c.MustNode("EMPLOYEE")) }
 	inDBMS := algebra.NewTransferS(algebra.NewTRdup(proj()))
 	inStratum := algebra.NewTRdup(algebra.NewTransferS(proj()))
@@ -87,7 +89,7 @@ func TestTemporalPenaltyInDBMS(t *testing.T) {
 
 func TestBestSelection(t *testing.T) {
 	c := catalog.Paper()
-	m := cost.New(c, cost.DefaultParams())
+	m := cost.New(c, cost.ForEngine(eval.Reference()))
 	plans := []algebra.Node{
 		catalog.PaperInitialPlan(c),
 		catalog.PaperIntermediatePlan(c),
@@ -108,11 +110,11 @@ func TestBestSelection(t *testing.T) {
 func TestEstimatesScaleWithData(t *testing.T) {
 	small := datagen.EmployeeDB(datagen.EmployeeSpec{Employees: 10, SpellsPerEmp: 2, AssignmentsPerEmp: 2, Seed: 1})
 	large := datagen.EmployeeDB(datagen.EmployeeSpec{Employees: 100, SpellsPerEmp: 2, AssignmentsPerEmp: 2, Seed: 1})
-	cs, err := cost.New(small, cost.DefaultParams()).Cost(catalog.PaperInitialPlan(small))
+	cs, err := cost.New(small, cost.ForEngine(eval.Reference())).Cost(catalog.PaperInitialPlan(small))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := cost.New(large, cost.DefaultParams()).Cost(catalog.PaperInitialPlan(large))
+	cl, err := cost.New(large, cost.ForEngine(eval.Reference())).Cost(catalog.PaperInitialPlan(large))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,11 +151,11 @@ func TestDeclaredOrderPricedBelowUndeclared(t *testing.T) {
 	}
 	aware, blind := plans(sorted), plans(undeclared)
 	for name := range aware {
-		ca, err := cost.New(sorted, cost.ParamsFor(true)).Cost(aware[name])
+		ca, err := cost.New(sorted, cost.ForEngine(exec.NewSpec(exec.Config{}))).Cost(aware[name])
 		if err != nil {
 			t.Fatal(err)
 		}
-		cb, err := cost.New(undeclared, cost.ParamsFor(true)).Cost(blind[name])
+		cb, err := cost.New(undeclared, cost.ForEngine(exec.NewSpec(exec.Config{}))).Cost(blind[name])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,8 +177,7 @@ func TestParallelShape(t *testing.T) {
 	// must ignore Parallelism entirely.
 	plan := catalog.PaperOptimizedPlan(c)
 	costAt := func(w int) float64 {
-		p := cost.ParamsFor(true)
-		p.Parallelism = w
+		p := cost.ForEngine(exec.NewSpec(exec.Config{Parallelism: w}))
 		got, err := cost.New(c, p).Cost(plan)
 		if err != nil {
 			t.Fatal(err)
@@ -200,7 +201,7 @@ func TestParallelShape(t *testing.T) {
 func TestReferenceParamsIgnoreParallelism(t *testing.T) {
 	c := catalog.Paper()
 	plan := catalog.PaperInitialPlan(c)
-	p := cost.DefaultParams()
+	p := cost.ForEngine(eval.Reference())
 	seq, err := cost.New(c, p).Cost(plan)
 	if err != nil {
 		t.Fatal(err)
@@ -215,74 +216,6 @@ func TestReferenceParamsIgnoreParallelism(t *testing.T) {
 	}
 }
 
-// TestBatchDiscount pins the columnar calibration: a parallel (and
-// budgeted) plan whose operators the engine batch-compiles — the hash
-// family — prices cheaper under the batch discount factors than at the
-// boxed per-tuple prices (the factors set to 1), while the operators
-// outside the discount (the sort, the temporal group family) keep the
-// boxed prices exactly. The discount is a factor, never an exemption — a
-// sort-family discount once steered the optimizer onto plans whose
-// layered execution lost the DBMS's order determinism.
-func TestBatchDiscount(t *testing.T) {
-	c := datagen.EmployeeDB(datagen.EmployeeSpec{Employees: 400, SpellsPerEmp: 3, AssignmentsPerEmp: 4, Seed: 1})
-	costWith := func(plan algebra.Node, vec bool, par int, budget int64) float64 {
-		p := cost.ParamsFor(true)
-		p.Parallelism = par
-		p.MemoryBudget = budget
-		if !vec {
-			// The boxed prices: what a tuple-copying exchange and spill
-			// would pay, for comparison against the calibrated discount.
-			p.VecExchangeFactor, p.VecSpillFactor = 1, 1
-		}
-		got, err := cost.New(c, p).Cost(plan)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return got
-	}
-	// The exchange discount shows on a partitioned hash-family operator:
-	// dedup over the 1200-row EMPLOYEE scan, fanned out four ways.
-	dedup := algebra.NewRdup(algebra.NewTransferS(catalog.PaperProjection(c.MustNode("EMPLOYEE"))))
-	boxed, vec := costWith(dedup, false, 4, 0), costWith(dedup, true, 4, 0)
-	if !(vec < boxed) {
-		t.Errorf("vectorized exchange must price below the boxed one: vec=%.0f boxed=%.0f", vec, boxed)
-	}
-	// The spill discount shows on the same operator when its build state
-	// (1200 rows at 32 plane bytes) outgrows a 16 KiB budget share.
-	boxedSpill, vecSpill := costWith(dedup, false, 1, 16<<10), costWith(dedup, true, 1, 16<<10)
-	if !(vecSpill < boxedSpill) {
-		t.Errorf("vectorized spill must price below the boxed one: vec=%.0f boxed=%.0f", vecSpill, boxedSpill)
-	}
-	// The paper's optimized plan partitions only sorts and temporal group
-	// operators — shapes the engine exchanges tuple-wise — so the factors
-	// must not move its price; a blanket discount here once steered the server
-	// onto a plan whose layered execution lost the DBMS's order guarantee.
-	plan := catalog.PaperOptimizedPlan(c)
-	if bp, vp := costWith(plan, false, 4, 0), costWith(plan, true, 4, 0); bp != vp {
-		t.Errorf("temporal-family plan must ignore the batch discount: boxed=%.0f vec=%.0f", bp, vp)
-	}
-	// A stratum sort spills and exchanges tuple-wise — no batch variant on
-	// either path — so the discount factors must not move its price at all.
-	srt := algebra.NewSort(relation.OrderSpec{relation.Key("EmpName")},
-		algebra.NewTransferS(catalog.PaperProjection(c.MustNode("EMPLOYEE"))))
-	for _, cfg := range []struct {
-		name   string
-		par    int
-		budget int64
-	}{{"budgeted", 1, 64 << 10}, {"parallel", 4, 0}} {
-		bs, vs := costWith(srt, false, cfg.par, cfg.budget), costWith(srt, true, cfg.par, cfg.budget)
-		if bs != vs {
-			t.Errorf("%s sort must ignore the batch discount: boxed=%.0f vec=%.0f", cfg.name, bs, vs)
-		}
-	}
-	// The discount scales the charges; it must not erase them. A no-charge
-	// bound: sequential unbudgeted cost divided by the worker count.
-	seq := costWith(dedup, true, 1, 0)
-	if vec <= seq/4 {
-		t.Errorf("vectorized 4-way cost %.0f must stay above the exchange floor (seq/4 = %.0f)", vec, seq/4)
-	}
-}
-
 // TestScorerKeysSite: one subtree can run in the stratum in one plan and in
 // the DBMS, under a TS, in another. Its state and its estimate differ
 // between the sites — the DBMS guarantees no order but a sort's, and pays
@@ -290,7 +223,7 @@ func TestBatchDiscount(t *testing.T) {
 // the two plans through one memo must give each plan its fresh cost.
 func TestScorerKeysSite(t *testing.T) {
 	c := testutil.SortedCatalog(64)
-	m := cost.New(c, cost.ParamsFor(true))
+	m := cost.New(c, cost.ForEngine(exec.NewSpec(exec.Config{})))
 	shared := algebra.NewCoal(c.MustNode("L"))
 	score, states := m.Scorer(), props.NewMemo()
 	for _, plan := range []algebra.Node{shared, algebra.NewTransferS(shared)} {

@@ -6,6 +6,7 @@ import (
 	"tqp/internal/algebra"
 	"tqp/internal/catalog"
 	"tqp/internal/cost"
+	"tqp/internal/eval"
 	"tqp/internal/relation"
 	"tqp/internal/schema"
 	"tqp/internal/value"
@@ -35,14 +36,14 @@ func TestTravelScanPricing(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p := cost.DefaultParams()
+	p := cost.ForEngine(eval.Reference())
 	m := cost.New(c, p)
 	full, err := m.Cost(c.MustNode("R"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 3 * p.SegmentRead; full != want {
-		t.Fatalf("full disk scan costs %.1f, want %d segments × %.1f = %.1f", full, 3, p.SegmentRead, want)
+	if want := 3 * cost.SegmentRead; full != want {
+		t.Fatalf("full disk scan costs %.1f, want %d segments × %.1f = %.1f", full, 3, cost.SegmentRead, want)
 	}
 
 	narrowNode, err := c.TravelNode("R", &catalog.Travel{Kind: catalog.TravelAsOf, T: 104})
@@ -53,7 +54,7 @@ func TestTravelScanPricing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 1 * p.SegmentRead; narrow != want {
+	if want := 1 * cost.SegmentRead; narrow != want {
 		t.Fatalf("pruned travel scan costs %.1f, want %.1f", narrow, want)
 	}
 	if narrow >= full {

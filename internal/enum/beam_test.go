@@ -38,7 +38,7 @@ func cheapest(t *testing.T, model *cost.Model, plans []algebra.Node) (algebra.No
 func TestBeamMatchesExhaustiveBest(t *testing.T) {
 	c := catalog.Paper()
 	initial := catalog.PaperInitialPlan(c)
-	model := cost.New(c, cost.DefaultParams())
+	model := cost.New(c, cost.ForEngine(eval.Reference()))
 
 	full, err := enum.Enumerate(initial, enum.Config{ResultType: equiv.ResultList})
 	if err != nil {
@@ -70,7 +70,7 @@ func TestBeamMatchesExhaustiveBest(t *testing.T) {
 func TestBeamPlansAreCorrect(t *testing.T) {
 	c := catalog.Paper()
 	initial := catalog.PaperInitialPlan(c)
-	model := cost.New(c, cost.DefaultParams())
+	model := cost.New(c, cost.ForEngine(eval.Reference()))
 	beam, err := enum.Beam(initial, enum.BeamConfig{
 		Config: enum.Config{ResultType: equiv.ResultList},
 		Score:  model.Scorer(),
@@ -98,7 +98,7 @@ func TestBeamFindsSortFreePlan(t *testing.T) {
 	c := testutil.SortedCatalog(1200)
 	initial := algebra.NewSort(relation.OrderSpec{relation.Key("Name")},
 		algebra.NewCoal(algebra.NewTRdup(c.MustNode("L"))))
-	model := cost.New(c, cost.ParamsFor(true))
+	model := cost.New(c, cost.ForEngine(exec.NewSpec(exec.Config{})))
 	res, err := enum.Beam(initial, enum.BeamConfig{
 		Config: enum.Config{ResultType: equiv.ResultList},
 		Score:  model.Scorer(),

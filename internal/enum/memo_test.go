@@ -13,6 +13,8 @@ import (
 	"tqp/internal/datagen"
 	"tqp/internal/enum"
 	"tqp/internal/equiv"
+	"tqp/internal/eval"
+	"tqp/internal/exec"
 	"tqp/internal/props"
 	"tqp/internal/relation"
 	"tqp/internal/rules"
@@ -252,20 +254,19 @@ func TestBeamMemoMatchesOracle(t *testing.T) {
 	var cases []tc
 	paper := catalog.Paper()
 	for _, streaming := range []bool{false, true} {
-		cases = append(cases, tc{catalog.PaperInitialPlan(paper), equiv.ResultList, cost.New(paper, cost.ParamsFor(streaming))})
+		cases = append(cases, tc{catalog.PaperInitialPlan(paper), equiv.ResultList, cost.New(paper, cost.ForEngine(eval.EngineSpec{Streaming: streaming}))})
 	}
 	db, cold, rts := coldStatements(t, 64)
-	coldModel := cost.New(db, cost.ParamsFor(true))
+	coldModel := cost.New(db, cost.ForEngine(exec.NewSpec(exec.Config{})))
 	for i := range cold {
 		cases = append(cases, tc{cold[i], rts[i], coldModel})
 	}
-	budgeted := cost.ParamsFor(true)
-	budgeted.Parallelism, budgeted.MemoryBudget = 4, 4<<10
+	budgeted := cost.ForEngine(exec.NewSpec(exec.Config{Parallelism: 4, MemoryBudget: 4 << 10}))
 	random := 0
 	for seed := int64(0); random < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		c, bases := testutil.TemporalCatalog(seed)
-		params := []cost.Params{cost.DefaultParams(), cost.ParamsFor(true), budgeted}[seed%3]
+		params := []cost.Params{cost.ForEngine(eval.Reference()), cost.ForEngine(exec.NewSpec(exec.Config{})), budgeted}[seed%3]
 		model := cost.New(c, params)
 		for trial := 0; trial < 5; trial++ {
 			p := testutil.RandomPlan(rng, bases, 1+rng.Intn(2))
@@ -281,7 +282,7 @@ func TestBeamMemoMatchesOracle(t *testing.T) {
 	for seed := int64(0); seed < 100; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		c, bases := testutil.TemporalCatalog(seed)
-		model := cost.New(c, cost.ParamsFor(true))
+		model := cost.New(c, cost.ForEngine(exec.NewSpec(exec.Config{})))
 		r := algebra.NewCoal(algebra.NewTRdup(bases[0]))
 		p := algebra.NewTDiff(algebra.NewCoal(r), r)
 		if seed > 0 {
@@ -373,7 +374,7 @@ func sharingPlan(rng *rand.Rand, made *[]algebra.Node, bases []algebra.Node, dep
 // order chase scores on the way down.
 func TestBeamExpandsEachPlanOnce(t *testing.T) {
 	db, cold, rts := coldStatements(t, 1)
-	model := cost.New(db, cost.ParamsFor(true))
+	model := cost.New(db, cost.ForEngine(exec.NewSpec(exec.Config{})))
 	want := oracleBeam(t, cold[0], rts[0], model)
 	res, _ := memoBeam(t, cold[0], rts[0], model)
 	if res.Expanded != len(want.members) {

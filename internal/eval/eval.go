@@ -81,8 +81,7 @@ type EngineSpec struct {
 	// and log-factor formulas to linear ones, over columnar batches —
 	// parallel exchanges scatter batch views over shared column planes and
 	// budgeted operators write spill partitions as columnar blocks, which
-	// the cost model prices with cost.Params VecExchangeFactor and
-	// VecSpillFactor.
+	// the cost model prices below tuple copies (its batch discount).
 	Streaming bool
 	// Parallelism is the worker count of a morsel-parallel engine (exec's
 	// Config.Parallelism); 0 or 1 means sequential execution. The cost model
@@ -91,7 +90,7 @@ type EngineSpec struct {
 	Parallelism int
 	// MemoryBudget is the working-set byte bound of a memory-bounded engine
 	// (exec's Config.MemoryBudget); 0 means unlimited. The cost model uses
-	// it to price grace-hash spilling (SpillWrite/SpillRead per tuple) on
+	// it to price grace-hash spilling (a spill write and read per tuple) on
 	// operators whose estimated state exceeds the per-worker budget share,
 	// so the optimizer can trade sorts against spilling hash operators.
 	MemoryBudget int64

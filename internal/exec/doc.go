@@ -252,8 +252,8 @@
 // from (keys, contiguity) — goes into package physical's Decide, so the
 // engine, the cost model, the stratum meter and EXPLAIN ANALYZE share it;
 // extend the differential fuzz generator (internal/testutil) with shapes
-// that trigger it. The cost model's order-conditional formulas (cost.Params
-// MergeTuple/SortVerifyFactor/MergeUnitsFactor and the Params.OpUnits
-// meter) should be recalibrated when an algorithm's asymptotic shape
-// changes.
+// that trigger it. The cost model's order-conditional weights (package
+// cost's merge, sort-verify and merge-units prices, which its estimates and
+// the stratum meter share) should be recalibrated when an algorithm's
+// asymptotic shape changes.
 package exec

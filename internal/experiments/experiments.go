@@ -124,7 +124,7 @@ func E2With(spec eval.EngineSpec) Report {
 	final := catalog.PaperOptimizedPlan(c)
 	b.printf("Figure 2(b)/6(b):\n%s", indent(algebra.Render(final, nil)))
 
-	model := cost.New(c, cost.DefaultParams())
+	model := cost.New(c, cost.ForEngine(eval.Reference()))
 	ci, _ := model.Cost(initial)
 	cf, _ := model.Cost(final)
 	b.printf("  model cost: initial=%.0f optimized=%.0f (%.1fx)\n", ci, cf, ci/cf)

@@ -111,8 +111,8 @@ func New(cat *catalog.Catalog, seed int64) *Executor {
 // engine (eval.Reference() or exec.NewSpec(exec.Config{})) at both sites:
 // the stratum's regions and the DBMS's subplans alike, so a TS result
 // reaches the stratum in the engine's own form (columns, for exec). The
-// stratum's metering and cost calibration follow the engine's operator
-// shapes; the DBMS's metering does not — it prices a conventional engine
+// stratum's metering follows the engine's shape (cost.ForEngine); the
+// DBMS's metering does not — it prices a conventional engine
 // either way, and its seeded permutation and ≡L rewriter are the same on
 // every engine.
 func NewWithEngine(cat *catalog.Catalog, seed int64, spec eval.EngineSpec) *Executor {
@@ -146,7 +146,7 @@ func (x *Executor) Execute(plan algebra.Node) (*relation.Relation, *Trace, error
 			return nil, err
 		}
 		tr.TuplesTransferred += r.Len()
-		tr.TransferUnits += float64(r.Len()) * x.params.TransferTuple
+		tr.TransferUnits += cost.TransferUnits(r.Len())
 		return r, nil
 	})
 	r, err := x.exec(plan, nil, x.probe, tr)
@@ -211,8 +211,8 @@ func (x *Executor) exec(root algebra.Node, path algebra.Path, probe func(string,
 		tr.SQL = append(tr.SQL, res.SQL)
 		tr.Spill.Add(res.Run.Spill)
 		tr.TuplesTransferred += res.Rel.Len()
-		tr.TransferUnits += float64(res.Rel.Len()) * x.params.TransferTuple
-		x.meterDBMS(sub, res.Rel.Len(), tr)
+		tr.TransferUnits += cost.TransferUnits(res.Rel.Len())
+		tr.DBMSUnits = x.params.DBMSUnits(tr.DBMSUnits, sub, res.Rel.Len())
 		if probe != nil {
 			// The TS node's actual is the transferred row count; its wall
 			// time covers the whole DBMS region below it.
@@ -267,33 +267,11 @@ func (x *Executor) exec(root algebra.Node, path algebra.Path, probe func(string,
 			own.Wall -= below.Wall
 			own.Spill = own.Spill.Less(below.Spill)
 		}
-		tr.StratumUnits += x.params.OpUnits(n, inRows, x.params.StratumTuple, 1, x.params.Streaming, run.variant)
+		tr.StratumUnits += x.params.StratumUnits(n, inRows, run.variant)
 		if probe != nil {
 			probe(path.String(), own)
 		}
 	}
 	meter(bound, path)
 	return out, nil
-}
-
-// meterDBMS charges simulated DBMS work for a shipped subplan. Without
-// instrumenting the engine's internals we charge each operation with the
-// subplan's output cardinality as a proxy; the relative penalties
-// (temporal ops expensive, sorts cheap) are what the experiments exercise.
-func (x *Executor) meterDBMS(subplan algebra.Node, outRows int, tr *Trace) {
-	algebra.Walk(subplan, func(n algebra.Node, _ algebra.Path) bool {
-		if n.Op() == algebra.OpRel {
-			return true
-		}
-		penalty := 1.0
-		if n.Op().Temporal() {
-			penalty = x.params.DBMSTemporalPenalty
-		}
-		if n.Op() == algebra.OpSort {
-			penalty = x.params.DBMSSortFactor
-		}
-		// The DBMS always simulates a conventional engine: never streaming.
-		tr.DBMSUnits += x.params.OpUnits(n, []int{outRows}, x.params.DBMSTuple, penalty, false, physical.Variant{})
-		return true
-	})
 }

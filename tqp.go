@@ -183,7 +183,8 @@ var (
 	WithMaxPlans = core.WithMaxPlans
 	// WithDBMSSeed selects the simulated DBMS's order behaviour.
 	WithDBMSSeed = core.WithDBMSSeed
-	// WithCostParams overrides the cost calibration.
+	// WithCostParams sets the shape the cost model prices (engine width,
+	// memory budget, shards) in place of the engine's own.
 	WithCostParams = core.WithCostParams
 	// WithEngine selects the physical engine for stratum subplans.
 	WithEngine = core.WithEngine
