@@ -215,10 +215,30 @@ func (p Params) spillShape(n algebra.Node, own float64, inRows []float64, discou
 }
 
 // StratumUnits meters one stratum operation the engine ran: simulated work
-// units for n over its inputs' actual row counts (one per child), with dec
-// the variant the engine reports it compiled.
+// units for n over its inputs' actual row counts (one per child). On a
+// Streaming engine the shapes are the exec engine's hash/one-pass ones —
+// linear products, joins and temporal grouping operators — and dec, the
+// variant the engine reports it compiled (package physical), prices as it
+// does in the model: an elided sort is a verify pass (sortVerifyFactor), a
+// merge variant scales the hash variant's per-tuple work by
+// mergeUnitsFactor, and a node with an exchange or spillable state takes
+// the parallel shape (per-partition work plus exchange and gather, with the
+// input cardinality standing in for the output's, which the meter does not
+// know) and the spill shape. The reference evaluator's shapes are pairwise
+// and scan-heavy, and it has no variants.
 func (p Params) StratumUnits(n algebra.Node, inRows []int, dec physical.Variant) float64 {
-	return p.opUnits(n, inRows, 1, 1, p.Streaming, dec)
+	rows := 0
+	var buf [2]float64
+	sides := buf[:0]
+	for _, r := range inRows {
+		rows += r
+		sides = append(sides, float64(r))
+	}
+	units := opUnits(n.Op(), rows, 1, 1, p.Streaming, dec.Merge || dec.SortElided)
+	if p.Streaming {
+		units = p.shaped(n, dec, units, sides, float64(rows))
+	}
+	return units
 }
 
 // DBMSUnits meters a subplan shipped to the DBMS and returns total plus its
@@ -229,10 +249,10 @@ func (p Params) StratumUnits(n algebra.Node, inRows []int, dec physical.Variant)
 // streaming shapes never apply. Each operation's units are added to the
 // running total in turn, so a trace's total does not depend on how its
 // subplans group.
-func (p Params) DBMSUnits(total float64, subplan algebra.Node, outRows int) float64 {
+func DBMSUnits(total float64, subplan algebra.Node, outRows int) float64 {
 	algebra.Walk(subplan, func(n algebra.Node, _ algebra.Path) bool {
 		if n.Op() != algebra.OpRel {
-			total += p.opUnits(n, []int{outRows}, dbmsTuple, dbmsPenalty(n.Op()), false, physical.Variant{})
+			total += opUnits(n.Op(), outRows, dbmsTuple, dbmsPenalty(n.Op()), false, false)
 		}
 		return true
 	})
@@ -241,34 +261,6 @@ func (p Params) DBMSUnits(total float64, subplan algebra.Node, outRows int) floa
 
 // TransferUnits meters rows crossing the stratum/DBMS boundary.
 func TransferUnits(rows int) float64 { return float64(rows) * transferTuple }
-
-// opUnits assigns simulated work units to operation n over its inputs' row
-// counts (one per child; the DBMS meter passes the output's as one).
-// streaming selects the exec engine's hash/one-pass shapes — linear
-// products, joins and temporal grouping operators — over the reference
-// evaluator's pairwise and scan-heavy ones. dec is the variant the
-// streaming engine compiled at this node (package physical): an elided sort
-// is a verify pass (sortVerifyFactor), a merge variant scales the hash
-// variant's per-tuple work by mergeUnitsFactor, and a node with an exchange
-// or spillable state takes the parallel shape (per-partition work plus
-// exchange and gather, with the input cardinality standing in for the
-// output's, which the meter does not know) and the spill shape. The
-// reference evaluator (streaming=false) has no variants: its zero decision
-// takes neither shape.
-func (p Params) opUnits(n algebra.Node, inRows []int, tupleCost, penalty float64, streaming bool, dec physical.Variant) float64 {
-	rows := 0
-	var buf [2]float64
-	sides := buf[:0]
-	for _, r := range inRows {
-		rows += r
-		sides = append(sides, float64(r))
-	}
-	units := opUnitsSequential(n.Op(), rows, tupleCost, penalty, streaming, dec.Merge || dec.SortElided)
-	if streaming {
-		units = p.shaped(n, dec, units, sides, float64(rows))
-	}
-	return units
-}
 
 // shaped adds the parallel and spill shapes dec calls for to one
 // operator's own cost, given the row counts of its inputs.
@@ -287,7 +279,10 @@ func (p Params) shaped(n algebra.Node, dec physical.Variant, own float64, inRows
 	return own
 }
 
-func opUnitsSequential(op algebra.Op, rows int, tupleCost, penalty float64, streaming, ordered bool) float64 {
+// opUnits is one operation's sequential work units over rows input tuples
+// at tupleCost each, scaled by the site's penalty; ordered marks a merge
+// or elided-sort variant, which only a streaming engine compiles.
+func opUnits(op algebra.Op, rows int, tupleCost, penalty float64, streaming, ordered bool) float64 {
 	r := float64(rows)
 	logR := 1.0
 	if r >= 2 {

@@ -212,7 +212,7 @@ func (x *Executor) exec(root algebra.Node, path algebra.Path, probe func(string,
 		tr.Spill.Add(res.Run.Spill)
 		tr.TuplesTransferred += res.Rel.Len()
 		tr.TransferUnits += cost.TransferUnits(res.Rel.Len())
-		tr.DBMSUnits = x.params.DBMSUnits(tr.DBMSUnits, sub, res.Rel.Len())
+		tr.DBMSUnits = cost.DBMSUnits(tr.DBMSUnits, sub, res.Rel.Len())
 		if probe != nil {
 			// The TS node's actual is the transferred row count; its wall
 			// time covers the whole DBMS region below it.
