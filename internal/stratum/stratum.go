@@ -112,9 +112,8 @@ func New(cat *catalog.Catalog, seed int64) *Executor {
 // the stratum's regions and the DBMS's subplans alike, so a TS result
 // reaches the stratum in the engine's own form (columns, for exec). The
 // stratum's metering follows the engine's shape (cost.ForEngine); the
-// DBMS's metering does not — it prices a conventional engine
-// either way, and its seeded permutation and ≡L rewriter are the same on
-// every engine.
+// DBMS's metering does not — it prices a conventional engine either way,
+// and its seeded permutation and ≡L rewriter are the same on every engine.
 func NewWithEngine(cat *catalog.Catalog, seed int64, spec eval.EngineSpec) *Executor {
 	if spec.New == nil {
 		spec = eval.Reference()
