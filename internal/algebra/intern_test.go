@@ -1,6 +1,7 @@
 package algebra_test
 
 import (
+	"sync"
 	"testing"
 
 	"tqp/internal/algebra"
@@ -83,5 +84,81 @@ func TestInternerReplaceAt(t *testing.T) {
 	}
 	if _, err := in.ReplaceAt(plan, algebra.Path{3}, pushed); err == nil {
 		t.Error("a path leaving the tree must fail")
+	}
+}
+
+// TestInternerOwnership: an intern table numbers the nodes it hands out
+// densely, 0 to Len()-1, and a node belongs to the first table that
+// registered it. Another table interning that node rebuilds an equal node
+// of its own and leaves the first table's id alone, and two searches
+// interning one shared plan at once race on nothing.
+func TestInternerOwnership(t *testing.T) {
+	byName := relation.OrderSpec{relation.Key("Name")}
+	build := func() algebra.Node {
+		base := algebra.NewProjectCols(rel("R", tempSchema()), "Name", "T1", "T2")
+		return algebra.NewTDiff(algebra.NewSort(byName, algebra.NewTRdup(base)), algebra.NewCoal(base))
+	}
+	first := algebra.NewInterner()
+	plan := first.Intern(build())
+	ids := map[int32]algebra.Node{}
+	algebra.Walk(plan, func(n algebra.Node, _ algebra.Path) bool {
+		id, ok := first.ID(n)
+		if !ok {
+			t.Fatalf("%s: an interned node has no id", n.Label())
+		}
+		ids[id] = n
+		return true
+	})
+	if len(ids) != first.Len() {
+		t.Fatalf("%d distinct ids for %d nodes", len(ids), first.Len())
+	}
+	for id := range ids {
+		if id < 0 || int(id) >= first.Len() {
+			t.Errorf("id %d outside 0..%d", id, first.Len()-1)
+		}
+	}
+	rootID, _ := first.ID(plan)
+
+	second := algebra.NewInterner()
+	again := second.Intern(plan)
+	if again == plan {
+		t.Fatal("a node another table owns must be rebuilt, not relabelled")
+	}
+	if algebra.Canonical(again) != algebra.Canonical(plan) {
+		t.Errorf("rebuilt %s, want %s", algebra.Canonical(again), algebra.Canonical(plan))
+	}
+	if id, ok := first.ID(plan); !ok || id != rootID {
+		t.Errorf("the owner's id moved from %d to %d (owned %v)", rootID, id, ok)
+	}
+	if _, ok := second.ID(plan); ok {
+		t.Error("the second table must not claim the first table's node")
+	}
+	if _, ok := first.ID(again); ok {
+		t.Error("the first table must not know the second table's rebuild")
+	}
+	if second.Intern(again) != again {
+		t.Error("a node the table owns must intern to itself")
+	}
+
+	shared := build()
+	var wg sync.WaitGroup
+	got := make([]algebra.Node, 2)
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			in := algebra.NewInterner()
+			got[g] = in.Intern(shared)
+			if _, ok := in.ID(got[g]); !ok {
+				t.Error("an interned node has no id in its table")
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got[0] == got[1] {
+		t.Error("two tables must not hand out one node")
+	}
+	if algebra.Canonical(got[0]) != algebra.Canonical(got[1]) {
+		t.Error("two tables interned one plan to different trees")
 	}
 }

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -156,4 +157,33 @@ func TestPrepareAllocsBounded(t *testing.T) {
 		t.Errorf("Prepare allocates %.0f times per statement, want ≤ 30000", allocs)
 	}
 	t.Logf("Prepare: %.0f allocations", allocs)
+}
+
+// TestPrepareBytesBounded: preparing the same plan.cold statement allocates
+// at most 600,000 bytes. The search's memos — states, estimates, rule
+// matches and the seen set — are slices indexed by the intern table's node
+// ids, not maps keyed by node (about 804,000 bytes when they were).
+func TestPrepareBytesBounded(t *testing.T) {
+	db := datagen.EmployeeDB(datagen.EmployeeSpec{Employees: 100, SpellsPerEmp: 3, AssignmentsPerEmp: 4, Seed: 1})
+	opt := core.New(db, core.WithEngine(exec.NewSpec(exec.Config{})), core.WithDBMSSeed(1))
+	sql := testutil.ColdStatements(1, 1)[0]
+	prepare := func() {
+		if _, err := opt.Prepare(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	prepare() // warm up: package-level tables and the catalog's caches
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		prepare()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	if bytes > 600000 {
+		t.Errorf("Prepare allocates %d bytes per statement, want ≤ 600000", bytes)
+	}
+	t.Logf("Prepare: %d bytes", bytes)
 }
