@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"tqp/internal/expr"
 	"tqp/internal/relation"
@@ -48,6 +49,12 @@ type derived struct {
 	key        string
 	labelOnce  sync.Once
 	label      string
+	// owner marks the intern table that registered the node (0: none has)
+	// and id is the node's id there. The table claims the node with a
+	// compare-and-swap on owner and writes id before it hands the node
+	// out; only the owning table reads id.
+	owner atomic.Uint64
+	id    int32
 }
 
 // labelOf returns n's label, rendering it on first use only: the canonical

@@ -348,8 +348,7 @@ func New(cat *catalog.Catalog, params Params) *Model {
 // Plan estimates every node of the plan; the root's Estimate carries the
 // total plan cost.
 func (m *Model) Plan(plan algebra.Node) (Estimates, error) {
-	states := props.NewMemo()
-	memo := make(map[props.Sited]Estimate)
+	states, memo := props.NewMemo(), props.NewTable[Estimate](nil)
 	if _, err := m.node(plan, props.Stratum, states, memo); err != nil {
 		return nil, err
 	}
@@ -359,7 +358,7 @@ func (m *Model) Plan(plan algebra.Node) (Estimates, error) {
 	}
 	es := make(Estimates, len(st))
 	for n, s := range st {
-		es[n] = memo[props.Sited{Node: n, Site: s.Site}]
+		es[n], _ = memo.Get(n, s.Site)
 	}
 	return es, nil
 }
@@ -372,18 +371,23 @@ func (m *Model) Cost(plan algebra.Node) (float64, error) {
 // Scorer returns a cost function for the plans of one optimization, which
 // derive their states through the optimization's states memo. An estimate,
 // like a state, is a pure function of the node's subtree and site, so the
-// scorer memoizes each (subtree, site) estimate: a plan rewritten along one
-// path is priced along that path only, at exactly the cost Cost reports.
+// scorer memoizes each (subtree, site) estimate in a props.Table over the
+// states memo's intern table, indexed by node id: a plan rewritten along
+// one path is priced along that path only, at exactly the cost Cost
+// reports.
 func (m *Model) Scorer() func(plan algebra.Node, states *props.Memo) (float64, error) {
-	memo := make(map[props.Sited]Estimate)
+	var memo *props.Table[Estimate]
 	return func(plan algebra.Node, states *props.Memo) (float64, error) {
+		if memo == nil {
+			memo = props.NewTable[Estimate](states.Interner())
+		}
 		e, err := m.node(plan, props.Stratum, states, memo)
 		return e.Cost, err
 	}
 }
 
-func (m *Model) node(n algebra.Node, site props.Site, states *props.Memo, memo map[props.Sited]Estimate) (Estimate, error) {
-	if e, ok := memo[props.Sited{Node: n, Site: site}]; ok {
+func (m *Model) node(n algebra.Node, site props.Site, states *props.Memo, memo *props.Table[Estimate]) (Estimate, error) {
+	if e, ok := memo.Get(n, site); ok {
 		return e, nil
 	}
 	if _, err := states.State(n, site); err != nil {
@@ -412,7 +416,7 @@ func (m *Model) node(n algebra.Node, site props.Site, states *props.Memo, memo m
 	for _, c := range ce {
 		e.Cost += c.Cost
 	}
-	memo[props.Sited{Node: n, Site: site}] = e
+	memo.Add(n, site, e)
 	return e, nil
 }
 

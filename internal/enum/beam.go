@@ -1,8 +1,9 @@
 package enum
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"tqp/internal/algebra"
 	"tqp/internal/props"
@@ -91,11 +92,12 @@ func Beam(initial algebra.Node, cfg BeamConfig) (*Result, error) {
 			next = append(next, i)
 		}
 		next = append(next, beam...)
-		sort.SliceStable(next, func(a, b int) bool { return res.Scores[next[a]] < res.Scores[next[b]] })
+		slices.SortStableFunc(next, func(a, b int) int { return cmp.Compare(res.Scores[a], res.Scores[b]) })
 		if len(next) > width {
 			next = next[:width]
 		}
 		beam, fresh = next, found
 	}
+	x.count()
 	return res, nil
 }

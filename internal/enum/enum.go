@@ -12,18 +12,20 @@
 // once, so their rule counts cover first expansions only.
 //
 // One search is one memo. Every plan it builds is hash-consed through an
-// intern table (algebra.Interner), so equal subtrees are one node and the
-// seen set, the states (props.Memo), the estimates (cost.Model.Scorer) and
-// the rule matches key on node identity: a rediscovered plan is a pointer
-// lookup that builds nothing, and each distinct (subtree, site) derives its
-// state, cost, matches and guard verdicts once. Canonical strings are
-// rendered only for provenance and display (Result.Provenance,
-// Result.Derivation). The guard reads each location's requirement τ
-// top-down along the visit and each participant's at the participant's own
-// position, which the rule names by its path from the location, so it is
-// exact per position even where two equal subtrees of a plan are one node.
-// Inside the DBMS it admits only rewrites that keep an ordered region's
-// root a sort (props.DBMSOrderKept).
+// intern table (algebra.Interner), so equal subtrees are one node with a
+// dense id, and every memo of the search is a slice indexed by id: the
+// seen set by a root's id, the states (props.Memo), the estimates
+// (cost.Model.Scorer) and the rule matches by the slot id·2+site of a
+// props.Table. A rediscovered plan is an index that builds nothing, and
+// each distinct (subtree, site) derives its state, cost, matches and guard
+// verdicts once. The one map the search hashes is the intern table's.
+// Canonical strings are rendered only for provenance and display
+// (Result.Provenance, Result.Derivation). The guard reads each location's
+// requirement τ top-down along the visit and each participant's at the
+// participant's own position, which the rule names by its path from the
+// location, so it is exact per position even where two equal subtrees of
+// a plan are one node. Inside the DBMS it admits only rewrites that keep
+// an ordered region's root a sort (props.DBMSOrderKept).
 //
 // The beam chases orders: when a sort-pushdown rule (S4–S10, T-sort) fires,
 // the search follows the pushed sort through every further pushdown the
@@ -33,6 +35,7 @@ package enum
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"tqp/internal/algebra"
 	"tqp/internal/equiv"
@@ -93,9 +96,11 @@ type Result struct {
 	// Capped reports that MaxPlans stopped the fixpoint early.
 	Capped bool
 
-	// index maps each plan to its position in Plans: the search's seen
-	// set, keyed by the interned root.
-	index map[algebra.Node]int
+	// intern is the search's intern table, which handed out every plan.
+	intern *algebra.Interner
+	// index is the search's seen set: indexed by a root's id in intern, it
+	// holds the plan's position in Plans plus one (0: not a plan).
+	index []int32
 	// steps records, index for index with Plans, how each plan was first
 	// produced; the initial plan's entry is empty.
 	steps []step
@@ -137,7 +142,7 @@ func (r *Result) step(i int) Step {
 // earliest step first. The plan may be one of Plans or any tree equal to
 // one; a plan the search never produced has no derivation.
 func (r *Result) Derivation(plan algebra.Node) []Step {
-	i, ok := r.index[plan]
+	i, ok := r.indexOf(plan)
 	if !ok {
 		key := algebra.Canonical(plan)
 		for j, p := range r.Plans {
@@ -154,6 +159,16 @@ func (r *Result) Derivation(plan algebra.Node) []Step {
 	}
 	slices.Reverse(out)
 	return out
+}
+
+// indexOf returns the position in Plans of plan, a node the search's intern
+// table handed out, and false when it is not one of Plans.
+func (r *Result) indexOf(plan algebra.Node) (int, bool) {
+	id, ok := r.intern.ID(plan)
+	if !ok || int(id) >= len(r.index) || r.index[id] == 0 {
+		return 0, false
+	}
+	return int(r.index[id]) - 1, true
 }
 
 // Enumerate runs the Figure 5 algorithm from the initial plan.
@@ -176,6 +191,7 @@ func Enumerate(initial algebra.Node, cfg Config) (*Result, error) {
 			return nil, err
 		}
 	}
+	x.count()
 	return res, nil
 }
 
@@ -188,14 +204,18 @@ type expansion struct {
 	rt     equiv.ResultType
 	intern *algebra.Interner
 	states *props.Memo
-	memo   map[props.Sited]sited
+	memo   *props.Table[sited]
 	res    *Result
+	// applied and rejected count, per rule position, the rewrites that
+	// produced a plan and the matches the guard rejected; count adds them
+	// to the Result's maps when the search ends.
+	applied, rejected []int
 	// chase follows each pushed sort down (Beam); Enumerate closes the
 	// space anyway and does not.
 	chase bool
 	// st and pos are scratch for one location's subtree: its states, read
 	// by the rules, and its positions, read by the guard.
-	st  props.States
+	st  props.View
 	pos []position
 }
 
@@ -210,34 +230,70 @@ type position struct {
 	kids  int
 }
 
+// defaultRules is the rule set of a Config without Rules: the
+// non-expanding catalog, built once and shared, read-only, by every search.
+var defaultRules = sync.OnceValue(func() []rules.Rule { return rules.NonExpanding(rules.All()) })
+
 func newExpansion(initial algebra.Node, cfg Config) (*expansion, error) {
 	if err := algebra.Validate(initial); err != nil {
 		return nil, fmt.Errorf("enum: invalid initial plan: %w", err)
 	}
 	ruleSet := cfg.Rules
-	if ruleSet == nil {
+	switch {
+	case ruleSet == nil && !cfg.IncludeExpanding:
+		ruleSet = defaultRules()
+	case ruleSet == nil:
 		ruleSet = rules.All()
-	}
-	if !cfg.IncludeExpanding {
+	case !cfg.IncludeExpanding:
 		ruleSet = rules.NonExpanding(ruleSet)
 	}
 	intern := algebra.NewInterner()
 	initial = intern.Intern(initial)
-	return &expansion{
-		rules:  ruleSet,
-		rt:     cfg.ResultType,
-		intern: intern,
-		states: props.NewMemo(),
-		memo:   make(map[props.Sited]sited),
+	x := &expansion{
+		rules:    ruleSet,
+		rt:       cfg.ResultType,
+		intern:   intern,
+		states:   props.NewMemoFor(intern),
+		memo:     props.NewTable[sited](intern),
+		applied:  make([]int, len(ruleSet)),
+		rejected: make([]int, len(ruleSet)),
 		res: &Result{
-			Plans:           []algebra.Node{initial},
-			GuardRejections: make(map[string]int),
-			Applications:    make(map[string]int),
-			index:           map[algebra.Node]int{initial: 0},
-			steps:           make([]step, 1, 64),
+			Plans:  []algebra.Node{initial},
+			intern: intern,
+			steps:  make([]step, 1, 64),
 		},
-		st: make(props.States),
-	}, nil
+	}
+	x.see(initial, 0)
+	return x, nil
+}
+
+// see records that plan is the j-th of Plans.
+func (x *expansion) see(plan algebra.Node, j int) {
+	res := x.res
+	id, _ := x.intern.ID(plan)
+	if int(id) >= len(res.index) {
+		res.index = append(res.index, make([]int32, x.intern.Len()-len(res.index))...)
+	}
+	res.index[id] = int32(j) + 1
+}
+
+// count fills the Result's per-rule counters from the search's.
+func (x *expansion) count() {
+	res := x.res
+	var applied, rejected int
+	for k := range x.rules {
+		applied += min(x.applied[k], 1)
+		rejected += min(x.rejected[k], 1)
+	}
+	res.Applications, res.GuardRejections = make(map[string]int, applied), make(map[string]int, rejected)
+	for k := range x.rules {
+		if c := x.applied[k]; c > 0 {
+			res.Applications[x.rules[k].Name] += c
+		}
+		if c := x.rejected[k]; c > 0 {
+			res.GuardRejections[x.rules[k].Name] += c
+		}
+	}
 }
 
 // expand applies every rule at every node of the i-th plan, in pre-order,
@@ -258,14 +314,16 @@ func (x *expansion) expand(i int, found func(algebra.Node) (bool, error)) error 
 		if err != nil {
 			return false, err
 		}
-		for k, m := range e.ms {
-			if more, err := x.apply(i, m, e.admits(tau, k), path, found); !more || err != nil {
+		// e moves when the memo grows: copy out what the visit reads.
+		ms, admit, kids := e.ms, e.admit[tau], e.kids[tau]
+		for k, m := range ms {
+			if more, err := x.apply(i, m, admits(admit, k), path, found); !more || err != nil {
 				return false, err
 			}
 		}
 		cs := props.ChildSite(site, n.Op())
 		for j, c := range n.Children() {
-			if more, err := visit(c, cs, e.kids[tau][j], append(path, j)); !more || err != nil {
+			if more, err := visit(c, cs, kids[j], append(path, j)); !more || err != nil {
 				return false, err
 			}
 		}
@@ -280,28 +338,28 @@ func (x *expansion) expand(i int, found func(algebra.Node) (bool, error)) error 
 // sort and the search chases, the sort is then followed down the new plan.
 func (x *expansion) apply(i int, m match, admitted bool, path algebra.Path, found func(algebra.Node) (bool, error)) (bool, error) {
 	if !admitted {
-		x.res.GuardRejections[m.rule.Name]++
+		x.rejected[m.rule]++
 		return true, nil
 	}
 	newPlan, err := x.intern.ReplaceAt(x.res.Plans[i], path, m.rewrite.Result)
 	if err != nil {
 		return false, err
 	}
-	x.res.Applications[m.rule.Name]++
-	if _, seen := x.res.index[newPlan]; seen {
+	x.applied[m.rule]++
+	if _, seen := x.res.indexOf(newPlan); seen {
 		return true, nil
 	}
 	// Every schema derivation propagates its children's errors, so the
 	// root's schema validates the whole plan; a plan seen before was valid
 	// then.
 	if _, err := newPlan.Schema(); err != nil {
-		return false, fmt.Errorf("enum: rule %s at %s produced invalid plan: %w", m.rule.Name, path, err)
+		return false, fmt.Errorf("enum: rule %s at %s produced invalid plan: %w", x.rules[m.rule].Name, path, err)
 	}
-	j := x.record(newPlan, i, m.rule, path)
+	j := x.record(newPlan, i, &x.rules[m.rule], path)
 	if more, err := found(newPlan); !more || err != nil {
 		return false, err
 	}
-	if !x.chase || !m.rule.PushesSort {
+	if !x.chase || !x.rules[m.rule].PushesSort {
 		return true, nil
 	}
 	return x.chaseSort(j, append(path, 0), found)
@@ -330,11 +388,13 @@ func (x *expansion) chaseSort(j int, path algebra.Path, found func(algebra.Node)
 	if err != nil {
 		return false, err
 	}
-	for k, m := range e.ms {
-		if !m.rule.PushesSort {
+	// e moves when the memo grows: copy out what the chase reads.
+	ms, admit := e.ms, e.admit[tau]
+	for k, m := range ms {
+		if !x.rules[m.rule].PushesSort {
 			continue
 		}
-		if more, err := x.apply(j, m, e.admits(tau, k), path, found); !more || err != nil {
+		if more, err := x.apply(j, m, admits(admit, k), path, found); !more || err != nil {
 			return false, err
 		}
 	}
@@ -381,7 +441,7 @@ func (x *expansion) record(plan algebra.Node, i int, rule *rules.Rule, path alge
 	start := len(res.paths)
 	res.paths = append(res.paths, path...)
 	res.Plans = append(res.Plans, plan)
-	res.index[plan] = j
+	x.see(plan, j)
 	res.steps = append(res.steps, step{parent: i, rule: rule, path: res.paths[start:len(res.paths):len(res.paths)]})
 	return j
 }
@@ -398,11 +458,11 @@ type sited struct {
 	kids    [6][2]equiv.Type
 }
 
-// admits reports whether the guard admits the k-th match at a location
-// requiring tau. entry derives the mask for the first 64 matches, and no
-// node matches more rules than that.
-func (e sited) admits(tau equiv.Type, k int) bool {
-	return k < 64 && e.admit[tau]&(1<<k) != 0
+// admits reports whether admit, a location's admit mask, admits the k-th
+// match. entry derives the mask for the first 64 matches, and no node
+// matches more rules than that.
+func admits(admit uint64, k int) bool {
+	return k < 64 && admit&(1<<k) != 0
 }
 
 // entry returns the rules matching at n, executing at site, in rule order,
@@ -410,45 +470,46 @@ func (e sited) admits(tau equiv.Type, k int) bool {
 // requiring tau. A rule reads only the subtree it matches and that
 // subtree's states, which n's site fixes, and the guard reads only the
 // requirements of the subtree's positions, which tau fixes besides. So all
-// of it is memoized per (subtree, site): a plan sharing a subtree with an
-// expanded plan reuses its matches and verdicts there. Each rewrite is
-// interned once, when it is memoized.
-func (x *expansion) entry(n algebra.Node, site props.Site, tau equiv.Type) (sited, error) {
-	k := props.Sited{Node: n, Site: site}
-	e, ok := x.memo[k]
+// of it is memoized per (subtree, site), in a props.Table indexed by node
+// id: a plan sharing a subtree with an expanded plan reuses its matches
+// and verdicts there. Each rewrite is interned once, when it is memoized.
+//
+// The entry is returned in place, valid until the next call, which may
+// grow the memo and move it.
+func (x *expansion) entry(n algebra.Node, site props.Site, tau equiv.Type) (*sited, error) {
+	i, ok := x.memo.Index(n, site)
 	if !ok {
-		clear(x.st)
-		if err := x.states.Subtree(n, site, rules.StateDepth, x.st); err != nil {
-			return e, fmt.Errorf("enum: state inference: %w", err)
+		if err := x.states.Subtree(n, site, rules.StateDepth, &x.st); err != nil {
+			return nil, fmt.Errorf("enum: state inference: %w", err)
 		}
-		for i := range x.rules {
-			if rw := x.rules[i].Apply(n, x.st); rw != nil {
+		var ms []match
+		for k := range x.rules {
+			if rw := x.rules[k].Apply(n, &x.st); rw != nil {
 				rw.Result = x.intern.Intern(rw.Result)
-				e.ms = append(e.ms, match{&x.rules[i], rw})
+				ms = append(ms, match{k, rw})
 			}
 		}
+		i = x.memo.Add(n, site, sited{ms: ms})
 	}
+	e := x.memo.At(i)
 	if e.derived&(1<<tau) == 0 {
+		// Neither childTaus nor positions touches x.memo: e stays put.
 		kids, _, err := x.childTaus(n, site, tau)
 		if err != nil {
-			return e, err
+			return nil, err
 		}
 		e.kids[tau] = kids
 		if len(e.ms) > 0 {
 			if err := x.positions(n, site, tau); err != nil {
-				return e, err
+				return nil, err
 			}
-			for i, m := range e.ms[:min(len(e.ms), 64)] {
+			for k, m := range e.ms[:min(len(e.ms), 64)] {
 				if x.guardAllows(m) && props.DBMSOrderKept(site, tau, m.rewrite.Result.Op()) {
-					e.admit[tau] |= 1 << i
+					e.admit[tau] |= 1 << k
 				}
 			}
 		}
 		e.derived |= 1 << tau
-		ok = false
-	}
-	if !ok {
-		x.memo[k] = e
 	}
 	return e, nil
 }
@@ -496,15 +557,16 @@ func (x *expansion) guardAllows(m match) bool {
 			}
 			q = x.pos[q].kids + j
 		}
-		if !props.Permits(m.rule.Type, x.pos[q].tau) {
+		if !props.Permits(x.rules[m.rule].Type, x.pos[q].tau) {
 			return false
 		}
 	}
 	return true
 }
 
-// match is one rule matching at a node, with the rewrite it proposes.
+// match is one rule matching at a node, by its position in the search's
+// rule set, with the rewrite it proposes.
 type match struct {
-	rule    *rules.Rule
+	rule    int
 	rewrite *rules.Rewrite
 }

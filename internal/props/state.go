@@ -79,6 +79,18 @@ type State struct {
 // identity, which is stable because plans are immutable trees.
 type States map[algebra.Node]State
 
+// State returns n's state, and false when the plan has no node n.
+func (s States) State(n algebra.Node) (State, bool) {
+	st, ok := s[n]
+	return st, ok
+}
+
+// Lookup is how a transformation rule reads the states of the nodes it
+// matches: a whole plan's (States) or one location's top levels (View).
+type Lookup interface {
+	State(n algebra.Node) (State, bool)
+}
+
 // InferStates computes the static state of every node in the plan.
 func InferStates(root algebra.Node) (States, error) {
 	return NewMemo().States(root)
@@ -97,40 +109,122 @@ func ChildSite(site Site, op algebra.Op) Site {
 	return site
 }
 
+// Table holds one value per (subtree, site) of one search. A node the
+// search's intern table handed out has slot id·2+site, and slots maps the
+// slot to the value's index in vals (plus one; 0 is empty), so a lookup is
+// two slice reads. A node the table's interner does not own — InferStates,
+// Model.Plan and Model.Cost derive plans built outside any search — falls
+// back to a map keyed by node. A Table is not safe for concurrent use.
+type Table[T any] struct {
+	in    *algebra.Interner
+	slots []int32
+	vals  []T
+	other map[algebra.Node][2]int32
+}
+
+// NewTable returns an empty table over the nodes in hands out; a nil in
+// keys every node by the fallback map.
+func NewTable[T any](in *algebra.Interner) *Table[T] { return &Table[T]{in: in} }
+
+// Index returns the index of n's value at site, and false when there is none.
+func (t *Table[T]) Index(n algebra.Node, site Site) (int, bool) {
+	var i int32
+	if id, ok := t.in.ID(n); ok {
+		if s := int(id)*2 + int(site); s < len(t.slots) {
+			i = t.slots[s]
+		}
+	} else {
+		i = t.other[n][site]
+	}
+	return int(i) - 1, i != 0
+}
+
+// Get returns n's value at site, and false when there is none.
+func (t *Table[T]) Get(n algebra.Node, site Site) (T, bool) {
+	i, ok := t.Index(n, site)
+	if !ok {
+		var zero T
+		return zero, false
+	}
+	return t.vals[i], true
+}
+
+// At returns the i-th value in place; the pointer is valid until the next
+// Add, which may move the values.
+func (t *Table[T]) At(i int) *T { return &t.vals[i] }
+
+// Add records v as n's value at site, which has none yet, and returns its
+// index.
+func (t *Table[T]) Add(n algebra.Node, site Site, v T) int {
+	if t.vals == nil {
+		t.vals = make([]T, 0, 64)
+	}
+	t.vals = append(t.vals, v)
+	i := int32(len(t.vals))
+	if id, ok := t.in.ID(n); ok {
+		s := int(id)*2 + int(site)
+		if s >= len(t.slots) {
+			// Cover every node the interner has handed out so far; append
+			// grows the capacity geometrically.
+			t.slots = append(t.slots, make([]int32, max(2*t.in.Len(), 128)-len(t.slots))...)
+		}
+		t.slots[s] = i
+	} else {
+		if t.other == nil {
+			t.other = make(map[algebra.Node][2]int32)
+		}
+		e := t.other[n]
+		e[site] = i
+		t.other[n] = e
+	}
+	return int(i) - 1
+}
+
 // Memo holds the states derived during one optimization. A state is a pure
 // function of the node's subtree and the site the node executes at, so the
-// memo derives each (subtree, site) once; a plan rewritten along one path,
-// which shares every untouched subtree with its parent, derives only the
-// new nodes on that path. A Memo is not safe for concurrent use.
+// memo derives each (subtree, site) once, into a Table over the search's
+// intern table; a plan rewritten along one path, which shares every
+// untouched subtree with its parent, derives only the new nodes on that
+// path. A Memo is not safe for concurrent use.
 type Memo struct {
-	states map[Sited]State
+	states Table[State]
 }
 
-// Sited is a subtree executing at a site: the key of every memo of one
-// search, since what a search derives for a subtree depends on nothing else.
-type Sited struct {
-	Node algebra.Node
-	Site Site
-}
+// NewMemo returns an empty memo for plans built outside a search.
+func NewMemo() *Memo { return NewMemoFor(nil) }
 
-// NewMemo returns an empty memo.
-func NewMemo() *Memo { return &Memo{states: make(map[Sited]State)} }
+// NewMemoFor returns an empty memo for one search, which indexes the nodes
+// its intern table in hands out by id.
+func NewMemoFor(in *algebra.Interner) *Memo { return &Memo{states: Table[State]{in: in}} }
+
+// Interner returns the intern table whose nodes the memo indexes by id.
+func (m *Memo) Interner() *algebra.Interner { return m.states.in }
 
 // State returns the state of n executing at site.
 func (m *Memo) State(n algebra.Node, site Site) (State, error) {
-	if s, ok := m.states[Sited{n, site}]; ok {
-		return s, nil
+	if i, ok := m.states.Index(n, site); ok {
+		return m.states.vals[i], nil
 	}
-	sch, err := n.Schema()
+	i, err := m.derive(n, site)
 	if err != nil {
 		return State{}, err
+	}
+	return m.states.vals[i], nil
+}
+
+// derive derives the state of n executing at site, which the memo does
+// not hold yet, and returns its index.
+func (m *Memo) derive(n algebra.Node, site Site) (int, error) {
+	sch, err := n.Schema()
+	if err != nil {
+		return 0, err
 	}
 	ch := n.Children()
 	var buf [2]State
 	cs := buf[:len(ch)]
 	for i, c := range ch {
 		if cs[i], err = m.State(c, ChildSite(site, n.Op())); err != nil {
-			return State{}, err
+			return 0, err
 		}
 	}
 	s := deriveState(n, cs)
@@ -143,39 +237,69 @@ func (m *Memo) State(n algebra.Node, site Site) (State, error) {
 		s.SnapshotDistinct = s.Distinct
 		s.Coalesced = false
 	}
-	m.states[Sited{n, site}] = s
-	return s, nil
+	return m.states.Add(n, site, s), nil
 }
 
 // States returns the state of every node of the plan rooted at root, which
 // executes in the stratum.
 func (m *Memo) States(root algebra.Node) (States, error) {
-	st := make(States)
-	if err := m.Subtree(root, Stratum, -1, st); err != nil {
+	var v View
+	if err := m.Subtree(root, Stratum, -1, &v); err != nil {
 		return nil, err
+	}
+	st := make(States, len(v.nodes))
+	for i, n := range v.nodes {
+		st[n] = m.states.vals[v.at[i]]
 	}
 	return st, nil
 }
 
-// Subtree adds to st the state of n, executing at site, and of its
+// View is the states of the top levels of one location's subtree, as
+// Memo.Subtree collects them: a search hands the rules one View, refilled
+// at every location it matches them at, and collects no deeper than a
+// rule reads (at most 15 positions at rules.StateDepth).
+type View struct {
+	m     *Memo
+	nodes []algebra.Node
+	at    []int32 // each node's index in the memo's states
+}
+
+// State returns n's state, and false when n is not in the view. A node at
+// several positions reads the state of the last in pre-order, as States
+// keeps it.
+func (v *View) State(n algebra.Node) (State, bool) {
+	for i := len(v.nodes) - 1; i >= 0; i-- {
+		if v.nodes[i] == n {
+			return v.m.states.vals[v.at[i]], true
+		}
+	}
+	return State{}, false
+}
+
+// Subtree refills v with the state of n, executing at site, and of its
 // descendants down to depth levels below it (all of them when depth is
-// negative). A search reuses one map across the locations it matches rules
-// at, clearing it in between, and collects no deeper than a rule reads.
-func (m *Memo) Subtree(n algebra.Node, site Site, depth int, st States) error {
+// negative), in pre-order.
+func (m *Memo) Subtree(n algebra.Node, site Site, depth int, v *View) error {
 	if _, err := m.State(n, site); err != nil {
 		return err
 	}
-	m.collect(n, site, depth, st)
+	if v.nodes == nil {
+		v.nodes, v.at = make([]algebra.Node, 0, 16), make([]int32, 0, 16)
+	}
+	v.m, v.nodes, v.at = m, v.nodes[:0], v.at[:0]
+	m.collect(n, site, depth, v)
 	return nil
 }
 
-func (m *Memo) collect(n algebra.Node, site Site, depth int, st States) {
-	st[n] = m.states[Sited{n, site}]
+func (m *Memo) collect(n algebra.Node, site Site, depth int, v *View) {
+	i, _ := m.states.Index(n, site) // derived by Subtree's State
+	v.nodes = append(v.nodes, n)
+	v.at = append(v.at, int32(i))
 	if depth == 0 {
 		return
 	}
 	for _, c := range n.Children() {
-		m.collect(c, ChildSite(site, n.Op()), depth-1, st)
+		m.collect(c, ChildSite(site, n.Op()), depth-1, v)
 	}
 }
 

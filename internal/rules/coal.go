@@ -16,12 +16,12 @@ func CoalRules() []Rule {
 			Name: "C1",
 			Type: equiv.List,
 			Doc:  "coalT(r) ≡L r, if r is coalesced",
-			Apply: func(n algebra.Node, st props.States) *Rewrite {
+			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
 				if n.Op() != algebra.OpCoal {
 					return nil
 				}
 				child := n.Children()[0]
-				cs, ok := st[child]
+				cs, ok := st.State(child)
 				if !ok || !cs.Coalesced {
 					return nil
 				}
@@ -32,7 +32,7 @@ func CoalRules() []Rule {
 			Name: "C2",
 			Type: equiv.SnapshotMultiset,
 			Doc:  "coalT(r) ≡SM r",
-			Apply: func(n algebra.Node, st props.States) *Rewrite {
+			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
 				if n.Op() != algebra.OpCoal {
 					return nil
 				}
@@ -45,8 +45,8 @@ func CoalRules() []Rule {
 			Type:      equiv.SnapshotMultiset,
 			Doc:       "r ≡SM coalT(r) (expanding)",
 			Expanding: true,
-			Apply: func(n algebra.Node, st props.States) *Rewrite {
-				s, ok := st[n]
+			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+				s, ok := st.State(n)
 				if !ok || !s.Schema.Temporal() {
 					return nil
 				}
@@ -60,7 +60,7 @@ func CoalRules() []Rule {
 			Name: "C3",
 			Type: equiv.List,
 			Doc:  "coalT(σP(r)) ≡L σP(coalT(r)), if T1,T2 ∉ attr(P)",
-			Apply: func(n algebra.Node, st props.States) *Rewrite {
+			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
 				if n.Op() != algebra.OpCoal {
 					return nil
 				}
@@ -77,7 +77,7 @@ func CoalRules() []Rule {
 			Name: "C3r",
 			Type: equiv.List,
 			Doc:  "σP(coalT(r)) ≡L coalT(σP(r)), if T1,T2 ∉ attr(P)",
-			Apply: func(n algebra.Node, st props.States) *Rewrite {
+			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
 				sel, ok := n.(*algebra.Select)
 				if !ok || expr.UsesTime(sel.P) {
 					return nil
@@ -95,7 +95,7 @@ func CoalRules() []Rule {
 			Name: "C4",
 			Type: equiv.Set,
 			Doc:  "π{f1..fn}(coalT(r)) ≡S π{f1..fn}(r), if T1,T2 ∉ attr(f1..fn)",
-			Apply: func(n algebra.Node, st props.States) *Rewrite {
+			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
 				proj, ok := n.(*algebra.Project)
 				if !ok {
 					return nil
@@ -126,7 +126,7 @@ func CoalRules() []Rule {
 			Name: "C5",
 			Type: equiv.SnapshotMultiset,
 			Doc:  "coalT(coalT(r1) ⊔ coalT(r2)) ≡SM coalT(r1 ⊔ r2)",
-			Apply: func(n algebra.Node, st props.States) *Rewrite {
+			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
 				if n.Op() != algebra.OpCoal {
 					return nil
 				}
@@ -148,7 +148,7 @@ func CoalRules() []Rule {
 			Name: "C6",
 			Type: equiv.SnapshotMultiset,
 			Doc:  "coalT(coalT(r1) ∪T coalT(r2)) ≡SM coalT(r1 ∪T r2)",
-			Apply: func(n algebra.Node, st props.States) *Rewrite {
+			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
 				if n.Op() != algebra.OpCoal {
 					return nil
 				}
@@ -169,7 +169,7 @@ func CoalRules() []Rule {
 			Name: "C7",
 			Type: equiv.List,
 			Doc:  "coalT(aggrT(coalT(r))) ≡L coalT(aggrT(r))",
-			Apply: func(n algebra.Node, st props.States) *Rewrite {
+			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
 				if n.Op() != algebra.OpCoal {
 					return nil
 				}
@@ -190,7 +190,7 @@ func CoalRules() []Rule {
 			Name: "C8",
 			Type: equiv.List,
 			Doc:  "coalT(π{f..,T1,T2}(coalT(r))) ≡L coalT(π{f..,T1,T2}(r)), if r has no duplicates in snapshots",
-			Apply: func(n algebra.Node, st props.States) *Rewrite {
+			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
 				if n.Op() != algebra.OpCoal {
 					return nil
 				}
@@ -203,7 +203,7 @@ func CoalRules() []Rule {
 					return nil
 				}
 				inner := coal.Children()[0]
-				is, ok := st[inner]
+				is, ok := st.State(inner)
 				if !ok || !is.SnapshotDistinct {
 					return nil
 				}
@@ -221,7 +221,7 @@ func CoalRules() []Rule {
 			Name: "C9",
 			Type: equiv.Multiset,
 			Doc:  "coalT(πA(r1 ×T r2)) ≡M πA(coalT(r1) ×T coalT(r2)), A = Σ \\ {1.T1,1.T2,2.T1,2.T2}, if r1, r2 have no duplicates in snapshots",
-			Apply: func(n algebra.Node, st props.States) *Rewrite {
+			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
 				if n.Op() != algebra.OpCoal {
 					return nil
 				}
@@ -237,8 +237,8 @@ func CoalRules() []Rule {
 					return nil
 				}
 				ch := prod.Children()
-				ls, ok1 := st[ch[0]]
-				rs, ok2 := st[ch[1]]
+				ls, ok1 := st.State(ch[0])
+				rs, ok2 := st.State(ch[1])
 				if !ok1 || !ok2 || !ls.SnapshotDistinct || !rs.SnapshotDistinct {
 					return nil
 				}
@@ -251,7 +251,7 @@ func CoalRules() []Rule {
 			Name: "C10",
 			Type: equiv.Multiset,
 			Doc:  "coalT(r1 \\T r2) ≡M coalT(r1) \\T coalT(r2), if r1 has no duplicates in snapshots",
-			Apply: func(n algebra.Node, st props.States) *Rewrite {
+			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
 				if n.Op() != algebra.OpCoal {
 					return nil
 				}
@@ -260,7 +260,7 @@ func CoalRules() []Rule {
 					return nil
 				}
 				ch := diff.Children()
-				ls, ok := st[ch[0]]
+				ls, ok := st.State(ch[0])
 				if !ok || !ls.SnapshotDistinct {
 					return nil
 				}
@@ -272,7 +272,7 @@ func CoalRules() []Rule {
 			Name: "C10r",
 			Type: equiv.Multiset,
 			Doc:  "coalT(r1) \\T coalT(r2) ≡M coalT(r1 \\T r2), if r1 has no duplicates in snapshots",
-			Apply: func(n algebra.Node, st props.States) *Rewrite {
+			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
 				if n.Op() != algebra.OpTDiff {
 					return nil
 				}
@@ -281,7 +281,7 @@ func CoalRules() []Rule {
 					return nil
 				}
 				l, r := ch[0].Children()[0], ch[1].Children()[0]
-				ls, ok := st[l]
+				ls, ok := st.State(l)
 				if !ok || !ls.SnapshotDistinct {
 					return nil
 				}

@@ -15,12 +15,12 @@ func DupRules() []Rule {
 			Name: "D1",
 			Type: equiv.List,
 			Doc:  "rdup(r) ≡L r, if r does not have duplicates",
-			Apply: func(n algebra.Node, st props.States) *Rewrite {
+			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
 				if n.Op() != algebra.OpRdup {
 					return nil
 				}
 				child := n.Children()[0]
-				cs, ok := st[child]
+				cs, ok := st.State(child)
 				if !ok || !cs.Distinct {
 					return nil
 				}
@@ -36,12 +36,12 @@ func DupRules() []Rule {
 			Name: "D2",
 			Type: equiv.List,
 			Doc:  "rdupT(r) ≡L r, if r does not have duplicates in snapshots",
-			Apply: func(n algebra.Node, st props.States) *Rewrite {
+			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
 				if n.Op() != algebra.OpTRdup {
 					return nil
 				}
 				child := n.Children()[0]
-				cs, ok := st[child]
+				cs, ok := st.State(child)
 				if !ok || !cs.SnapshotDistinct {
 					return nil
 				}
@@ -52,12 +52,12 @@ func DupRules() []Rule {
 			Name: "D3",
 			Type: equiv.Set,
 			Doc:  "rdup(r) ≡S r",
-			Apply: func(n algebra.Node, st props.States) *Rewrite {
+			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
 				if n.Op() != algebra.OpRdup {
 					return nil
 				}
 				child := n.Children()[0]
-				cs, ok := st[child]
+				cs, ok := st.State(child)
 				if !ok || cs.Schema.Temporal() {
 					// Schema change (1.T1 renaming) would make the sides
 					// incomparable.
@@ -70,7 +70,7 @@ func DupRules() []Rule {
 			Name: "D4",
 			Type: equiv.SnapshotSet,
 			Doc:  "rdupT(r) ≡SS r",
-			Apply: func(n algebra.Node, st props.States) *Rewrite {
+			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
 				if n.Op() != algebra.OpTRdup {
 					return nil
 				}
@@ -83,8 +83,8 @@ func DupRules() []Rule {
 			Type:      equiv.Set,
 			Doc:       "r ≡S rdup(r) (expanding)",
 			Expanding: true,
-			Apply: func(n algebra.Node, st props.States) *Rewrite {
-				s, ok := st[n]
+			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+				s, ok := st.State(n)
 				if !ok || s.Schema.Temporal() {
 					return nil
 				}
@@ -99,8 +99,8 @@ func DupRules() []Rule {
 			Type:      equiv.SnapshotSet,
 			Doc:       "r ≡SS rdupT(r) (expanding)",
 			Expanding: true,
-			Apply: func(n algebra.Node, st props.States) *Rewrite {
-				s, ok := st[n]
+			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+				s, ok := st.State(n)
 				if !ok || !s.Schema.Temporal() {
 					return nil
 				}
@@ -114,7 +114,7 @@ func DupRules() []Rule {
 			Name: "D5",
 			Type: equiv.List,
 			Doc:  "rdup(r1 ∪ r2) ≡L rdup(r1) ∪ rdup(r2)",
-			Apply: func(n algebra.Node, st props.States) *Rewrite {
+			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
 				if n.Op() != algebra.OpRdup {
 					return nil
 				}
@@ -123,7 +123,7 @@ func DupRules() []Rule {
 					return nil
 				}
 				uch := u.Children()
-				us, ok := st[u]
+				us, ok := st.State(u)
 				if !ok || us.Schema.Temporal() {
 					// rdup over a temporal union renames time attributes;
 					// the rewritten inner rdups would rename before the
@@ -142,7 +142,7 @@ func DupRules() []Rule {
 			Name: "D5r",
 			Type: equiv.List,
 			Doc:  "rdup(r1) ∪ rdup(r2) ≡L rdup(r1 ∪ r2)",
-			Apply: func(n algebra.Node, st props.States) *Rewrite {
+			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
 				if n.Op() != algebra.OpUnion {
 					return nil
 				}
@@ -151,7 +151,7 @@ func DupRules() []Rule {
 					return nil
 				}
 				l, r := ch[0].Children()[0], ch[1].Children()[0]
-				ls, ok := st[l]
+				ls, ok := st.State(l)
 				if !ok || ls.Schema.Temporal() {
 					return nil
 				}
@@ -163,7 +163,7 @@ func DupRules() []Rule {
 			Name: "D6",
 			Type: equiv.List,
 			Doc:  "rdupT(r1 ∪T r2) ≡L rdupT(r1) ∪T rdupT(r2)",
-			Apply: func(n algebra.Node, st props.States) *Rewrite {
+			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
 				if n.Op() != algebra.OpTRdup {
 					return nil
 				}
@@ -180,7 +180,7 @@ func DupRules() []Rule {
 			Name: "D6r",
 			Type: equiv.List,
 			Doc:  "rdupT(r1) ∪T rdupT(r2) ≡L rdupT(r1 ∪T r2)",
-			Apply: func(n algebra.Node, st props.States) *Rewrite {
+			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
 				if n.Op() != algebra.OpTUnion {
 					return nil
 				}

@@ -11,7 +11,7 @@ import (
 // where the projection restores the original column order and names. The
 // equivalence is ≡M: tuple order changes from left-major over r1 to
 // left-major over r2.
-func commuteProduct(n algebra.Node, st props.States) *Rewrite {
+func commuteProduct(n algebra.Node, st props.Lookup) *Rewrite {
 	op := n.Op()
 	if op != algebra.OpProduct && op != algebra.OpTProduct {
 		return nil
@@ -68,7 +68,7 @@ func commuteProduct(n algebra.Node, st props.States) *Rewrite {
 // sides first. This is the classic column-pruning rewrite; it is ≡L because
 // projections preserve cardinality and order, and the outer projection is
 // re-based onto the pruned product's (possibly re-qualified) names.
-func pruneProductColumns(n algebra.Node, st props.States) *Rewrite {
+func pruneProductColumns(n algebra.Node, st props.Lookup) *Rewrite {
 	proj, ok := n.(*algebra.Project)
 	if !ok {
 		return nil

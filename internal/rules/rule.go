@@ -52,9 +52,11 @@ type Rule struct {
 	// package enum).
 	PushesSort bool
 	// Apply matches the rule against the subtree rooted at n (a location
-	// in some plan) under the plan's static states; it returns nil when
-	// the rule does not apply there.
-	Apply func(n algebra.Node, st props.States) *Rewrite
+	// in some plan) under the static states st reads: a whole plan's
+	// (props.States) or the location's top StateDepth+1 levels (the
+	// search's props.View). It returns nil when the rule does not apply
+	// there.
+	Apply func(n algebra.Node, st props.Lookup) *Rewrite
 }
 
 // StateDepth is how far below its location a rule reads states: no rule's

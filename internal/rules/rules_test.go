@@ -394,7 +394,7 @@ func TestRulesReadWithinStateDepth(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				near := make(props.States)
+				near := new(props.View)
 				if err := memo.Subtree(node, full[node].Site, rules.StateDepth, near); err != nil {
 					t.Fatal(err)
 				}

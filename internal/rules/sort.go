@@ -19,13 +19,13 @@ func SortRules() []Rule {
 			Name: "S1",
 			Type: equiv.List,
 			Doc:  "sortA(r) ≡L r, if IsPrefixOf(A, Order(r))",
-			Apply: func(n algebra.Node, st props.States) *Rewrite {
+			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
 				srt, ok := n.(*algebra.Sort)
 				if !ok {
 					return nil
 				}
 				child := srt.Children()[0]
-				cs, ok := st[child]
+				cs, ok := st.State(child)
 				if !ok || !srt.Spec.IsPrefixOf(cs.Order) {
 					return nil
 				}
@@ -36,7 +36,7 @@ func SortRules() []Rule {
 			Name: "S2",
 			Type: equiv.Multiset,
 			Doc:  "sortA(r) ≡M r",
-			Apply: func(n algebra.Node, st props.States) *Rewrite {
+			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
 				if n.Op() != algebra.OpSort {
 					return nil
 				}
@@ -48,7 +48,7 @@ func SortRules() []Rule {
 			Name: "S3",
 			Type: equiv.List,
 			Doc:  "sortA(sortB(r)) ≡L sortA(r), if IsPrefixOf(B, A)",
-			Apply: func(n algebra.Node, st props.States) *Rewrite {
+			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
 				outer, ok := n.(*algebra.Sort)
 				if !ok {
 					return nil
@@ -67,7 +67,7 @@ func SortRules() []Rule {
 			Type:       equiv.List,
 			PushesSort: true,
 			Doc:        "sortA(σP(r)) ≡L σP(sortA(r))",
-			Apply: func(n algebra.Node, st props.States) *Rewrite {
+			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
 				srt, ok := n.(*algebra.Sort)
 				if !ok {
 					return nil
@@ -85,7 +85,7 @@ func SortRules() []Rule {
 			Name: "S4r",
 			Type: equiv.List,
 			Doc:  "σP(sortA(r)) ≡L sortA(σP(r))",
-			Apply: func(n algebra.Node, st props.States) *Rewrite {
+			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
 				sel, ok := n.(*algebra.Select)
 				if !ok {
 					return nil
@@ -104,7 +104,7 @@ func SortRules() []Rule {
 			Type:       equiv.List,
 			PushesSort: true,
 			Doc:        "sortA(π(r)) ≡L π(sortA'(r)), if A's attributes are pure columns of r",
-			Apply: func(n algebra.Node, st props.States) *Rewrite {
+			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
 				srt, ok := n.(*algebra.Sort)
 				if !ok {
 					return nil
@@ -139,7 +139,7 @@ func SortRules() []Rule {
 			Type:       equiv.List,
 			PushesSort: true,
 			Doc:        "sortA(r1 × r2) ≡L sortA(r1') × r2, if A is over r1's attributes",
-			Apply: func(n algebra.Node, st props.States) *Rewrite {
+			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
 				return sortIntoLeft(n, st, algebra.OpProduct, false)
 			},
 		},
@@ -148,7 +148,7 @@ func SortRules() []Rule {
 			Type:       equiv.List,
 			PushesSort: true,
 			Doc:        "sortA(r1 \\ r2) ≡L sortA(r1') \\ r2, if A is over r1's attributes",
-			Apply: func(n algebra.Node, st props.States) *Rewrite {
+			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
 				return sortIntoLeft(n, st, algebra.OpDiff, false)
 			},
 		},
@@ -162,7 +162,7 @@ func SortRules() []Rule {
 			Type:       equiv.List,
 			PushesSort: true,
 			Doc:        "sortA(r1 \\T r2) ≡L sortA(r1) \\T r2, if A is time-free",
-			Apply: func(n algebra.Node, st props.States) *Rewrite {
+			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
 				return sortIntoLeft(n, st, algebra.OpTDiff, true)
 			},
 		},
@@ -171,7 +171,7 @@ func SortRules() []Rule {
 			Type:       equiv.List,
 			PushesSort: true,
 			Doc:        "sortA(coalT(r)) ≡L coalT(sortA(r)), if A is time-free",
-			Apply: func(n algebra.Node, st props.States) *Rewrite {
+			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
 				srt, ok := n.(*algebra.Sort)
 				if !ok {
 					return nil
@@ -193,7 +193,7 @@ func SortRules() []Rule {
 			Type:       equiv.List,
 			PushesSort: true,
 			Doc:        "sortA(rdupT(r)) ≡L rdupT(sortA(r)), if A is time-free",
-			Apply: func(n algebra.Node, st props.States) *Rewrite {
+			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
 				srt, ok := n.(*algebra.Sort)
 				if !ok {
 					return nil
@@ -215,7 +215,7 @@ func SortRules() []Rule {
 
 // sortIntoLeft pushes a sort into the left argument of a binary operation
 // that retains its left argument's order.
-func sortIntoLeft(n algebra.Node, st props.States, op algebra.Op, timeFreeOnly bool) *Rewrite {
+func sortIntoLeft(n algebra.Node, st props.Lookup, op algebra.Op, timeFreeOnly bool) *Rewrite {
 	srt, ok := n.(*algebra.Sort)
 	if !ok {
 		return nil
@@ -225,7 +225,7 @@ func sortIntoLeft(n algebra.Node, st props.States, op algebra.Op, timeFreeOnly b
 		return nil
 	}
 	ch := bin.Children()
-	ls, ok := st[ch[0]]
+	ls, ok := st.State(ch[0])
 	if !ok {
 		return nil
 	}
