@@ -85,15 +85,56 @@ func (s States) State(n algebra.Node) (State, bool) {
 	return st, ok
 }
 
-// Lookup is how a transformation rule reads the states of the nodes it
-// matches: a whole plan's (States) or one location's top levels (View).
-type Lookup interface {
-	State(n algebra.Node) (State, bool)
+// InferStates computes the static state of every node in the plan. It
+// keeps no memo: it derives each position once, bottom-up, and a node at
+// several positions keeps the state of the last in pre-order, as
+// Memo.States does.
+func InferStates(root algebra.Node) (States, error) {
+	st := make(States)
+	if _, err := infer(root, Stratum, st); err != nil {
+		return nil, err
+	}
+	return st, nil
 }
 
-// InferStates computes the static state of every node in the plan.
-func InferStates(root algebra.Node) (States, error) {
-	return NewMemo().States(root)
+// infer derives the state of n executing at site, and of its descendants,
+// into st.
+func infer(n algebra.Node, site Site, st States) (State, error) {
+	ch := n.Children()
+	var buf [2]State
+	cs := buf[:len(ch)]
+	for i, c := range ch {
+		var err error
+		if cs[i], err = infer(c, ChildSite(site, n.Op()), st); err != nil {
+			return State{}, err
+		}
+	}
+	s, err := stateAt(n, site, cs)
+	if err != nil {
+		return State{}, err
+	}
+	st[n] = s
+	return s, nil
+}
+
+// stateAt is the state of n executing at site over its children's states
+// cs.
+func stateAt(n algebra.Node, site Site, cs []State) (State, error) {
+	sch, err := n.Schema()
+	if err != nil {
+		return State{}, err
+	}
+	s := deriveState(n, cs)
+	s.Schema = sch
+	s.Site = site
+	if site == DBMS {
+		s.Order = OrderOf(n)
+	}
+	if !sch.Temporal() {
+		s.SnapshotDistinct = s.Distinct
+		s.Coalesced = false
+	}
+	return s, nil
 }
 
 // ChildSite returns where the children of an op running at site run:
@@ -112,9 +153,9 @@ func ChildSite(site Site, op algebra.Op) Site {
 // Table holds one value per (subtree, site) of one search. A node the
 // search's intern table handed out has slot id·2+site, and slots maps the
 // slot to the value's index in vals (plus one; 0 is empty), so a lookup is
-// two slice reads. A node the table's interner does not own — InferStates,
-// Model.Plan and Model.Cost derive plans built outside any search — falls
-// back to a map keyed by node. A Table is not safe for concurrent use.
+// two slice reads. A node the table's interner does not own — Model.Plan
+// and Model.Cost price plans built outside any search — falls back to a
+// map keyed by node. A Table is not safe for concurrent use.
 type Table[T any] struct {
 	in    *algebra.Interner
 	slots []int32
@@ -215,43 +256,39 @@ func (m *Memo) State(n algebra.Node, site Site) (State, error) {
 // derive derives the state of n executing at site, which the memo does
 // not hold yet, and returns its index.
 func (m *Memo) derive(n algebra.Node, site Site) (int, error) {
-	sch, err := n.Schema()
-	if err != nil {
-		return 0, err
-	}
 	ch := n.Children()
 	var buf [2]State
 	cs := buf[:len(ch)]
 	for i, c := range ch {
+		var err error
 		if cs[i], err = m.State(c, ChildSite(site, n.Op())); err != nil {
 			return 0, err
 		}
 	}
-	s := deriveState(n, cs)
-	s.Schema = sch
-	s.Site = site
-	if site == DBMS {
-		s.Order = OrderOf(n)
-	}
-	if !sch.Temporal() {
-		s.SnapshotDistinct = s.Distinct
-		s.Coalesced = false
+	s, err := stateAt(n, site, cs)
+	if err != nil {
+		return 0, err
 	}
 	return m.states.Add(n, site, s), nil
 }
 
 // States returns the state of every node of the plan rooted at root, which
-// executes in the stratum.
+// executes in the stratum; a node at several positions keeps the state of
+// the last in pre-order.
 func (m *Memo) States(root algebra.Node) (States, error) {
-	var v View
-	if err := m.Subtree(root, Stratum, -1, &v); err != nil {
+	if _, err := m.State(root, Stratum); err != nil {
 		return nil, err
 	}
-	st := make(States, len(v.nodes))
-	for i, n := range v.nodes {
-		st[n] = m.states.vals[v.at[i]]
-	}
+	st := make(States)
+	m.fill(root, Stratum, st)
 	return st, nil
+}
+
+func (m *Memo) fill(n algebra.Node, site Site, st States) {
+	st[n], _ = m.states.Get(n, site) // derived by States
+	for _, c := range n.Children() {
+		m.fill(c, ChildSite(site, n.Op()), st)
+	}
 }
 
 // View is the states of the top levels of one location's subtree, as
@@ -277,8 +314,7 @@ func (v *View) State(n algebra.Node) (State, bool) {
 }
 
 // Subtree refills v with the state of n, executing at site, and of its
-// descendants down to depth levels below it (all of them when depth is
-// negative), in pre-order.
+// descendants down to depth levels below it, in pre-order.
 func (m *Memo) Subtree(n algebra.Node, site Site, depth int, v *View) error {
 	if _, err := m.State(n, site); err != nil {
 		return err

@@ -4,7 +4,6 @@ import (
 	"tqp/internal/algebra"
 	"tqp/internal/equiv"
 	"tqp/internal/expr"
-	"tqp/internal/props"
 	"tqp/internal/schema"
 )
 
@@ -16,7 +15,7 @@ func CoalRules() []Rule {
 			Name: "C1",
 			Type: equiv.List,
 			Doc:  "coalT(r) ≡L r, if r is coalesced",
-			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+			Apply: func(n algebra.Node, st Lookup) *Rewrite {
 				if n.Op() != algebra.OpCoal {
 					return nil
 				}
@@ -32,7 +31,7 @@ func CoalRules() []Rule {
 			Name: "C2",
 			Type: equiv.SnapshotMultiset,
 			Doc:  "coalT(r) ≡SM r",
-			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+			Apply: func(n algebra.Node, st Lookup) *Rewrite {
 				if n.Op() != algebra.OpCoal {
 					return nil
 				}
@@ -45,7 +44,7 @@ func CoalRules() []Rule {
 			Type:      equiv.SnapshotMultiset,
 			Doc:       "r ≡SM coalT(r) (expanding)",
 			Expanding: true,
-			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+			Apply: func(n algebra.Node, st Lookup) *Rewrite {
 				s, ok := st.State(n)
 				if !ok || !s.Schema.Temporal() {
 					return nil
@@ -60,7 +59,7 @@ func CoalRules() []Rule {
 			Name: "C3",
 			Type: equiv.List,
 			Doc:  "coalT(σP(r)) ≡L σP(coalT(r)), if T1,T2 ∉ attr(P)",
-			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+			Apply: func(n algebra.Node, st Lookup) *Rewrite {
 				if n.Op() != algebra.OpCoal {
 					return nil
 				}
@@ -77,7 +76,7 @@ func CoalRules() []Rule {
 			Name: "C3r",
 			Type: equiv.List,
 			Doc:  "σP(coalT(r)) ≡L coalT(σP(r)), if T1,T2 ∉ attr(P)",
-			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+			Apply: func(n algebra.Node, st Lookup) *Rewrite {
 				sel, ok := n.(*algebra.Select)
 				if !ok || expr.UsesTime(sel.P) {
 					return nil
@@ -95,7 +94,7 @@ func CoalRules() []Rule {
 			Name: "C4",
 			Type: equiv.Set,
 			Doc:  "π{f1..fn}(coalT(r)) ≡S π{f1..fn}(r), if T1,T2 ∉ attr(f1..fn)",
-			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+			Apply: func(n algebra.Node, st Lookup) *Rewrite {
 				proj, ok := n.(*algebra.Project)
 				if !ok {
 					return nil
@@ -126,7 +125,7 @@ func CoalRules() []Rule {
 			Name: "C5",
 			Type: equiv.SnapshotMultiset,
 			Doc:  "coalT(coalT(r1) ⊔ coalT(r2)) ≡SM coalT(r1 ⊔ r2)",
-			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+			Apply: func(n algebra.Node, st Lookup) *Rewrite {
 				if n.Op() != algebra.OpCoal {
 					return nil
 				}
@@ -148,7 +147,7 @@ func CoalRules() []Rule {
 			Name: "C6",
 			Type: equiv.SnapshotMultiset,
 			Doc:  "coalT(coalT(r1) ∪T coalT(r2)) ≡SM coalT(r1 ∪T r2)",
-			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+			Apply: func(n algebra.Node, st Lookup) *Rewrite {
 				if n.Op() != algebra.OpCoal {
 					return nil
 				}
@@ -169,7 +168,7 @@ func CoalRules() []Rule {
 			Name: "C7",
 			Type: equiv.List,
 			Doc:  "coalT(aggrT(coalT(r))) ≡L coalT(aggrT(r))",
-			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+			Apply: func(n algebra.Node, st Lookup) *Rewrite {
 				if n.Op() != algebra.OpCoal {
 					return nil
 				}
@@ -190,7 +189,7 @@ func CoalRules() []Rule {
 			Name: "C8",
 			Type: equiv.List,
 			Doc:  "coalT(π{f..,T1,T2}(coalT(r))) ≡L coalT(π{f..,T1,T2}(r)), if r has no duplicates in snapshots",
-			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+			Apply: func(n algebra.Node, st Lookup) *Rewrite {
 				if n.Op() != algebra.OpCoal {
 					return nil
 				}
@@ -221,7 +220,7 @@ func CoalRules() []Rule {
 			Name: "C9",
 			Type: equiv.Multiset,
 			Doc:  "coalT(πA(r1 ×T r2)) ≡M πA(coalT(r1) ×T coalT(r2)), A = Σ \\ {1.T1,1.T2,2.T1,2.T2}, if r1, r2 have no duplicates in snapshots",
-			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+			Apply: func(n algebra.Node, st Lookup) *Rewrite {
 				if n.Op() != algebra.OpCoal {
 					return nil
 				}
@@ -251,7 +250,7 @@ func CoalRules() []Rule {
 			Name: "C10",
 			Type: equiv.Multiset,
 			Doc:  "coalT(r1 \\T r2) ≡M coalT(r1) \\T coalT(r2), if r1 has no duplicates in snapshots",
-			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+			Apply: func(n algebra.Node, st Lookup) *Rewrite {
 				if n.Op() != algebra.OpCoal {
 					return nil
 				}
@@ -272,7 +271,7 @@ func CoalRules() []Rule {
 			Name: "C10r",
 			Type: equiv.Multiset,
 			Doc:  "coalT(r1) \\T coalT(r2) ≡M coalT(r1 \\T r2), if r1 has no duplicates in snapshots",
-			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+			Apply: func(n algebra.Node, st Lookup) *Rewrite {
 				if n.Op() != algebra.OpTDiff {
 					return nil
 				}

@@ -4,7 +4,6 @@ import (
 	"tqp/internal/algebra"
 	"tqp/internal/equiv"
 	"tqp/internal/expr"
-	"tqp/internal/props"
 	"tqp/internal/schema"
 )
 
@@ -30,7 +29,7 @@ func selectRules() []Rule {
 			Name: "P1",
 			Type: equiv.List,
 			Doc:  "σp(σq(r)) ≡L σq(σp(r))",
-			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+			Apply: func(n algebra.Node, st Lookup) *Rewrite {
 				outer, ok := n.(*algebra.Select)
 				if !ok {
 					return nil
@@ -48,7 +47,7 @@ func selectRules() []Rule {
 			Name: "P2",
 			Type: equiv.List,
 			Doc:  "σ(p∧q)(r) ≡L σp(σq(r))",
-			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+			Apply: func(n algebra.Node, st Lookup) *Rewrite {
 				sel, ok := n.(*algebra.Select)
 				if !ok {
 					return nil
@@ -66,7 +65,7 @@ func selectRules() []Rule {
 			Name: "P2r",
 			Type: equiv.List,
 			Doc:  "σp(σq(r)) ≡L σ(p∧q)(r)",
-			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+			Apply: func(n algebra.Node, st Lookup) *Rewrite {
 				outer, ok := n.(*algebra.Select)
 				if !ok {
 					return nil
@@ -84,7 +83,7 @@ func selectRules() []Rule {
 			Name: "P3",
 			Type: equiv.List,
 			Doc:  "σp(r1 × r2) ≡L σp'(r1) × r2, if p references only r1",
-			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+			Apply: func(n algebra.Node, st Lookup) *Rewrite {
 				return pushSelectIntoProduct(n, st, 0)
 			},
 		},
@@ -92,7 +91,7 @@ func selectRules() []Rule {
 			Name: "P4",
 			Type: equiv.List,
 			Doc:  "σp(r1 × r2) ≡L r1 × σp'(r2), if p references only r2",
-			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+			Apply: func(n algebra.Node, st Lookup) *Rewrite {
 				return pushSelectIntoProduct(n, st, 1)
 			},
 		},
@@ -100,7 +99,7 @@ func selectRules() []Rule {
 			Name: "P5",
 			Type: equiv.List,
 			Doc:  "σp(r1 ⊔ r2) ≡L σp(r1) ⊔ σp(r2); likewise for ∪ and (time-free) ∪T",
-			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+			Apply: func(n algebra.Node, st Lookup) *Rewrite {
 				sel, ok := n.(*algebra.Select)
 				if !ok {
 					return nil
@@ -128,7 +127,7 @@ func selectRules() []Rule {
 			Name: "P6",
 			Type: equiv.List,
 			Doc:  "σp(r1 \\ r2) ≡L σp(r1) \\ σp(r2); likewise for (time-free) \\T",
-			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+			Apply: func(n algebra.Node, st Lookup) *Rewrite {
 				sel, ok := n.(*algebra.Select)
 				if !ok {
 					return nil
@@ -160,7 +159,7 @@ func selectRules() []Rule {
 			Name: "P6b",
 			Type: equiv.List,
 			Doc:  "σp(r1 \\ r2) ≡L σp(r1) \\ r2; likewise for (time-free) \\T",
-			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+			Apply: func(n algebra.Node, st Lookup) *Rewrite {
 				sel, ok := n.(*algebra.Select)
 				if !ok {
 					return nil
@@ -188,7 +187,7 @@ func selectRules() []Rule {
 
 // pushSelectIntoProduct pushes σp below a × or ×ᵀ into argument side (0 or
 // 1) when every attribute of p resolves there, translating qualified names.
-func pushSelectIntoProduct(n algebra.Node, st props.Lookup, side int) *Rewrite {
+func pushSelectIntoProduct(n algebra.Node, st Lookup, side int) *Rewrite {
 	sel, ok := n.(*algebra.Select)
 	if !ok {
 		return nil
@@ -263,7 +262,7 @@ func projectRules() []Rule {
 			Name: "PP1",
 			Type: equiv.List,
 			Doc:  "πL(πM(r)) ≡L π(L∘M)(r)",
-			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+			Apply: func(n algebra.Node, st Lookup) *Rewrite {
 				outer, ok := n.(*algebra.Project)
 				if !ok {
 					return nil
@@ -293,7 +292,7 @@ func projectRules() []Rule {
 			Name: "PP2",
 			Type: equiv.List,
 			Doc:  "σp(πL(r)) ≡L πL(σ(p∘L)(r))",
-			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+			Apply: func(n algebra.Node, st Lookup) *Rewrite {
 				sel, ok := n.(*algebra.Select)
 				if !ok {
 					return nil
@@ -319,7 +318,7 @@ func projectRules() []Rule {
 			Name: "PP2r",
 			Type: equiv.List,
 			Doc:  "πL(σp(r)) ≡L σp'(πL(r)), if p survives the projection",
-			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+			Apply: func(n algebra.Node, st Lookup) *Rewrite {
 				proj, ok := n.(*algebra.Project)
 				if !ok {
 					return nil
@@ -365,7 +364,7 @@ func projectRules() []Rule {
 			Name: "PP3",
 			Type: equiv.List,
 			Doc:  "πL(r1 × r2) ≡L πL'(π1(r1) × π2(r2)) — column pruning",
-			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+			Apply: func(n algebra.Node, st Lookup) *Rewrite {
 				return pruneProductColumns(n, st)
 			},
 		},
@@ -378,7 +377,7 @@ func commuteRules() []Rule {
 			Name: "PC1",
 			Type: equiv.Multiset,
 			Doc:  "r1 × r2 ≡M π(r2 × r1) — product commutativity with reordering projection",
-			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+			Apply: func(n algebra.Node, st Lookup) *Rewrite {
 				return commuteProduct(n, st)
 			},
 		},
@@ -386,7 +385,7 @@ func commuteRules() []Rule {
 			Name: "PC2",
 			Type: equiv.Multiset,
 			Doc:  "r1 ⊔ r2 ≡M r2 ⊔ r1",
-			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+			Apply: func(n algebra.Node, st Lookup) *Rewrite {
 				if n.Op() != algebra.OpUnionAll {
 					return nil
 				}
@@ -399,7 +398,7 @@ func commuteRules() []Rule {
 			Name: "PC3",
 			Type: equiv.Multiset,
 			Doc:  "r1 ∪ r2 ≡M r2 ∪ r1",
-			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+			Apply: func(n algebra.Node, st Lookup) *Rewrite {
 				if n.Op() != algebra.OpUnion {
 					return nil
 				}
@@ -412,7 +411,7 @@ func commuteRules() []Rule {
 			Name: "PC4",
 			Type: equiv.SnapshotMultiset,
 			Doc:  "r1 ∪T r2 ≡SM r2 ∪T r1 (weaker than ≡M: fragmentation differs)",
-			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+			Apply: func(n algebra.Node, st Lookup) *Rewrite {
 				if n.Op() != algebra.OpTUnion {
 					return nil
 				}
@@ -425,7 +424,7 @@ func commuteRules() []Rule {
 			Name: "PA1",
 			Type: equiv.List,
 			Doc:  "(r1 ⊔ r2) ⊔ r3 ≡L r1 ⊔ (r2 ⊔ r3)",
-			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+			Apply: func(n algebra.Node, st Lookup) *Rewrite {
 				if n.Op() != algebra.OpUnionAll {
 					return nil
 				}
@@ -442,7 +441,7 @@ func commuteRules() []Rule {
 			Name: "PA2",
 			Type: equiv.Multiset,
 			Doc:  "(r1 ∪ r2) ∪ r3 ≡M r1 ∪ (r2 ∪ r3)",
-			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+			Apply: func(n algebra.Node, st Lookup) *Rewrite {
 				if n.Op() != algebra.OpUnion {
 					return nil
 				}
@@ -459,7 +458,7 @@ func commuteRules() []Rule {
 			Name: "PA3",
 			Type: equiv.SnapshotMultiset,
 			Doc:  "(r1 ∪T r2) ∪T r3 ≡SM r1 ∪T (r2 ∪T r3)",
-			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+			Apply: func(n algebra.Node, st Lookup) *Rewrite {
 				if n.Op() != algebra.OpTUnion {
 					return nil
 				}
@@ -481,7 +480,7 @@ func idiomRules() []Rule {
 			Name: "PJ1",
 			Type: equiv.List,
 			Doc:  "σp(r1 × r2) ≡L r1 ⋈p r2 — join idiom introduction",
-			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+			Apply: func(n algebra.Node, st Lookup) *Rewrite {
 				sel, ok := n.(*algebra.Select)
 				if !ok {
 					return nil
@@ -503,7 +502,7 @@ func idiomRules() []Rule {
 			Name: "PJ1r",
 			Type: equiv.List,
 			Doc:  "r1 ⋈p r2 ≡L σp(r1 × r2) — join idiom expansion",
-			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+			Apply: func(n algebra.Node, st Lookup) *Rewrite {
 				j, ok := n.(*algebra.Join)
 				if !ok {
 					return nil

@@ -3,7 +3,6 @@ package rules
 import (
 	"tqp/internal/algebra"
 	"tqp/internal/equiv"
-	"tqp/internal/props"
 )
 
 // DupRules returns the duplicate-elimination rules D1–D6 of Figure 4,
@@ -15,7 +14,7 @@ func DupRules() []Rule {
 			Name: "D1",
 			Type: equiv.List,
 			Doc:  "rdup(r) ≡L r, if r does not have duplicates",
-			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+			Apply: func(n algebra.Node, st Lookup) *Rewrite {
 				if n.Op() != algebra.OpRdup {
 					return nil
 				}
@@ -36,7 +35,7 @@ func DupRules() []Rule {
 			Name: "D2",
 			Type: equiv.List,
 			Doc:  "rdupT(r) ≡L r, if r does not have duplicates in snapshots",
-			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+			Apply: func(n algebra.Node, st Lookup) *Rewrite {
 				if n.Op() != algebra.OpTRdup {
 					return nil
 				}
@@ -52,7 +51,7 @@ func DupRules() []Rule {
 			Name: "D3",
 			Type: equiv.Set,
 			Doc:  "rdup(r) ≡S r",
-			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+			Apply: func(n algebra.Node, st Lookup) *Rewrite {
 				if n.Op() != algebra.OpRdup {
 					return nil
 				}
@@ -70,7 +69,7 @@ func DupRules() []Rule {
 			Name: "D4",
 			Type: equiv.SnapshotSet,
 			Doc:  "rdupT(r) ≡SS r",
-			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+			Apply: func(n algebra.Node, st Lookup) *Rewrite {
 				if n.Op() != algebra.OpTRdup {
 					return nil
 				}
@@ -83,7 +82,7 @@ func DupRules() []Rule {
 			Type:      equiv.Set,
 			Doc:       "r ≡S rdup(r) (expanding)",
 			Expanding: true,
-			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+			Apply: func(n algebra.Node, st Lookup) *Rewrite {
 				s, ok := st.State(n)
 				if !ok || s.Schema.Temporal() {
 					return nil
@@ -99,7 +98,7 @@ func DupRules() []Rule {
 			Type:      equiv.SnapshotSet,
 			Doc:       "r ≡SS rdupT(r) (expanding)",
 			Expanding: true,
-			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+			Apply: func(n algebra.Node, st Lookup) *Rewrite {
 				s, ok := st.State(n)
 				if !ok || !s.Schema.Temporal() {
 					return nil
@@ -114,7 +113,7 @@ func DupRules() []Rule {
 			Name: "D5",
 			Type: equiv.List,
 			Doc:  "rdup(r1 ∪ r2) ≡L rdup(r1) ∪ rdup(r2)",
-			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+			Apply: func(n algebra.Node, st Lookup) *Rewrite {
 				if n.Op() != algebra.OpRdup {
 					return nil
 				}
@@ -142,7 +141,7 @@ func DupRules() []Rule {
 			Name: "D5r",
 			Type: equiv.List,
 			Doc:  "rdup(r1) ∪ rdup(r2) ≡L rdup(r1 ∪ r2)",
-			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+			Apply: func(n algebra.Node, st Lookup) *Rewrite {
 				if n.Op() != algebra.OpUnion {
 					return nil
 				}
@@ -163,7 +162,7 @@ func DupRules() []Rule {
 			Name: "D6",
 			Type: equiv.List,
 			Doc:  "rdupT(r1 ∪T r2) ≡L rdupT(r1) ∪T rdupT(r2)",
-			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+			Apply: func(n algebra.Node, st Lookup) *Rewrite {
 				if n.Op() != algebra.OpTRdup {
 					return nil
 				}
@@ -180,7 +179,7 @@ func DupRules() []Rule {
 			Name: "D6r",
 			Type: equiv.List,
 			Doc:  "rdupT(r1) ∪T rdupT(r2) ≡L rdupT(r1 ∪T r2)",
-			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+			Apply: func(n algebra.Node, st Lookup) *Rewrite {
 				if n.Op() != algebra.OpTUnion {
 					return nil
 				}

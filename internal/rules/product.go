@@ -3,7 +3,6 @@ package rules
 import (
 	"tqp/internal/algebra"
 	"tqp/internal/expr"
-	"tqp/internal/props"
 	"tqp/internal/schema"
 )
 
@@ -11,7 +10,7 @@ import (
 // where the projection restores the original column order and names. The
 // equivalence is ≡M: tuple order changes from left-major over r1 to
 // left-major over r2.
-func commuteProduct(n algebra.Node, st props.Lookup) *Rewrite {
+func commuteProduct(n algebra.Node, st Lookup) *Rewrite {
 	op := n.Op()
 	if op != algebra.OpProduct && op != algebra.OpTProduct {
 		return nil
@@ -68,7 +67,7 @@ func commuteProduct(n algebra.Node, st props.Lookup) *Rewrite {
 // sides first. This is the classic column-pruning rewrite; it is ≡L because
 // projections preserve cardinality and order, and the outer projection is
 // re-based onto the pruned product's (possibly re-qualified) names.
-func pruneProductColumns(n algebra.Node, st props.Lookup) *Rewrite {
+func pruneProductColumns(n algebra.Node, st Lookup) *Rewrite {
 	proj, ok := n.(*algebra.Project)
 	if !ok {
 		return nil

@@ -52,11 +52,16 @@ type Rule struct {
 	// package enum).
 	PushesSort bool
 	// Apply matches the rule against the subtree rooted at n (a location
-	// in some plan) under the static states st reads: a whole plan's
-	// (props.States) or the location's top StateDepth+1 levels (the
-	// search's props.View). It returns nil when the rule does not apply
-	// there.
-	Apply func(n algebra.Node, st props.Lookup) *Rewrite
+	// in some plan) under the static states st reads; it returns nil when
+	// the rule does not apply there.
+	Apply func(n algebra.Node, st Lookup) *Rewrite
+}
+
+// Lookup is how a rule reads the static states of the nodes it matches: a
+// whole plan's (props.States) or the location's top StateDepth+1 levels
+// (the search's props.View).
+type Lookup interface {
+	State(n algebra.Node) (props.State, bool)
 }
 
 // StateDepth is how far below its location a rule reads states: no rule's

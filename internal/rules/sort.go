@@ -4,7 +4,6 @@ import (
 	"tqp/internal/algebra"
 	"tqp/internal/equiv"
 	"tqp/internal/expr"
-	"tqp/internal/props"
 	"tqp/internal/relation"
 	"tqp/internal/schema"
 )
@@ -19,7 +18,7 @@ func SortRules() []Rule {
 			Name: "S1",
 			Type: equiv.List,
 			Doc:  "sortA(r) ≡L r, if IsPrefixOf(A, Order(r))",
-			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+			Apply: func(n algebra.Node, st Lookup) *Rewrite {
 				srt, ok := n.(*algebra.Sort)
 				if !ok {
 					return nil
@@ -36,7 +35,7 @@ func SortRules() []Rule {
 			Name: "S2",
 			Type: equiv.Multiset,
 			Doc:  "sortA(r) ≡M r",
-			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+			Apply: func(n algebra.Node, st Lookup) *Rewrite {
 				if n.Op() != algebra.OpSort {
 					return nil
 				}
@@ -48,7 +47,7 @@ func SortRules() []Rule {
 			Name: "S3",
 			Type: equiv.List,
 			Doc:  "sortA(sortB(r)) ≡L sortA(r), if IsPrefixOf(B, A)",
-			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+			Apply: func(n algebra.Node, st Lookup) *Rewrite {
 				outer, ok := n.(*algebra.Sort)
 				if !ok {
 					return nil
@@ -67,7 +66,7 @@ func SortRules() []Rule {
 			Type:       equiv.List,
 			PushesSort: true,
 			Doc:        "sortA(σP(r)) ≡L σP(sortA(r))",
-			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+			Apply: func(n algebra.Node, st Lookup) *Rewrite {
 				srt, ok := n.(*algebra.Sort)
 				if !ok {
 					return nil
@@ -85,7 +84,7 @@ func SortRules() []Rule {
 			Name: "S4r",
 			Type: equiv.List,
 			Doc:  "σP(sortA(r)) ≡L sortA(σP(r))",
-			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+			Apply: func(n algebra.Node, st Lookup) *Rewrite {
 				sel, ok := n.(*algebra.Select)
 				if !ok {
 					return nil
@@ -104,7 +103,7 @@ func SortRules() []Rule {
 			Type:       equiv.List,
 			PushesSort: true,
 			Doc:        "sortA(π(r)) ≡L π(sortA'(r)), if A's attributes are pure columns of r",
-			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+			Apply: func(n algebra.Node, st Lookup) *Rewrite {
 				srt, ok := n.(*algebra.Sort)
 				if !ok {
 					return nil
@@ -139,7 +138,7 @@ func SortRules() []Rule {
 			Type:       equiv.List,
 			PushesSort: true,
 			Doc:        "sortA(r1 × r2) ≡L sortA(r1') × r2, if A is over r1's attributes",
-			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+			Apply: func(n algebra.Node, st Lookup) *Rewrite {
 				return sortIntoLeft(n, st, algebra.OpProduct, false)
 			},
 		},
@@ -148,7 +147,7 @@ func SortRules() []Rule {
 			Type:       equiv.List,
 			PushesSort: true,
 			Doc:        "sortA(r1 \\ r2) ≡L sortA(r1') \\ r2, if A is over r1's attributes",
-			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+			Apply: func(n algebra.Node, st Lookup) *Rewrite {
 				return sortIntoLeft(n, st, algebra.OpDiff, false)
 			},
 		},
@@ -162,7 +161,7 @@ func SortRules() []Rule {
 			Type:       equiv.List,
 			PushesSort: true,
 			Doc:        "sortA(r1 \\T r2) ≡L sortA(r1) \\T r2, if A is time-free",
-			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+			Apply: func(n algebra.Node, st Lookup) *Rewrite {
 				return sortIntoLeft(n, st, algebra.OpTDiff, true)
 			},
 		},
@@ -171,7 +170,7 @@ func SortRules() []Rule {
 			Type:       equiv.List,
 			PushesSort: true,
 			Doc:        "sortA(coalT(r)) ≡L coalT(sortA(r)), if A is time-free",
-			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+			Apply: func(n algebra.Node, st Lookup) *Rewrite {
 				srt, ok := n.(*algebra.Sort)
 				if !ok {
 					return nil
@@ -193,7 +192,7 @@ func SortRules() []Rule {
 			Type:       equiv.List,
 			PushesSort: true,
 			Doc:        "sortA(rdupT(r)) ≡L rdupT(sortA(r)), if A is time-free",
-			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+			Apply: func(n algebra.Node, st Lookup) *Rewrite {
 				srt, ok := n.(*algebra.Sort)
 				if !ok {
 					return nil
@@ -215,7 +214,7 @@ func SortRules() []Rule {
 
 // sortIntoLeft pushes a sort into the left argument of a binary operation
 // that retains its left argument's order.
-func sortIntoLeft(n algebra.Node, st props.Lookup, op algebra.Op, timeFreeOnly bool) *Rewrite {
+func sortIntoLeft(n algebra.Node, st Lookup, op algebra.Op, timeFreeOnly bool) *Rewrite {
 	srt, ok := n.(*algebra.Sort)
 	if !ok {
 		return nil

@@ -3,7 +3,6 @@ package rules
 import (
 	"tqp/internal/algebra"
 	"tqp/internal/equiv"
-	"tqp/internal/props"
 )
 
 // TransferRules returns the transfer transformation rules of Section 4.5.
@@ -23,7 +22,7 @@ func TransferRules() []Rule {
 			Name: "T0",
 			Type: equiv.List,
 			Doc:  "TS(TD(r)) ≡L r and TD(TS(r)) ≡L r",
-			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+			Apply: func(n algebra.Node, st Lookup) *Rewrite {
 				op := n.Op()
 				if op != algebra.OpTransferS && op != algebra.OpTransferD {
 					return nil
@@ -45,7 +44,7 @@ func TransferRules() []Rule {
 			Type:       equiv.List,
 			PushesSort: true,
 			Doc:        "sortA(TS(r)) ≡L TS(sortA(r)) — sort transfers exactly",
-			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+			Apply: func(n algebra.Node, st Lookup) *Rewrite {
 				srt, ok := n.(*algebra.Sort)
 				if !ok {
 					return nil
@@ -63,7 +62,7 @@ func TransferRules() []Rule {
 			Name: "T-sort-r",
 			Type: equiv.List,
 			Doc:  "TS(sortA(r)) ≡L sortA(TS(r)) — pull a sort into the stratum",
-			Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+			Apply: func(n algebra.Node, st Lookup) *Rewrite {
 				if n.Op() != algebra.OpTransferS {
 					return nil
 				}
@@ -82,7 +81,7 @@ func TransferRules() []Rule {
 		Name: "T1",
 		Type: equiv.Multiset,
 		Doc:  "TS(op1(r)) ≡M op1(TS(r)) for order-insensitive unary op1",
-		Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+		Apply: func(n algebra.Node, st Lookup) *Rewrite {
 			if n.Op() != algebra.OpTransferS {
 				return nil
 			}
@@ -99,7 +98,7 @@ func TransferRules() []Rule {
 		Name: "T1r",
 		Type: equiv.Multiset,
 		Doc:  "op1(TS(r)) ≡M TS(op1(r)) for order-insensitive unary op1",
-		Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+		Apply: func(n algebra.Node, st Lookup) *Rewrite {
 			if !transferableUnary(n.Op()) {
 				return nil
 			}
@@ -118,7 +117,7 @@ func TransferRules() []Rule {
 		Name: "T2",
 		Type: equiv.Multiset,
 		Doc:  "TS(opT(r)) ≡M opT(TS(r)) for order-sensitive temporal unary opT",
-		Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+		Apply: func(n algebra.Node, st Lookup) *Rewrite {
 			if n.Op() != algebra.OpTransferS {
 				return nil
 			}
@@ -135,7 +134,7 @@ func TransferRules() []Rule {
 		Name: "T2r",
 		Type: equiv.Multiset,
 		Doc:  "opT(TS(r)) ≡M TS(opT(r)) for order-sensitive temporal unary opT",
-		Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+		Apply: func(n algebra.Node, st Lookup) *Rewrite {
 			if !orderSensitiveUnary(n.Op()) {
 				return nil
 			}
@@ -153,7 +152,7 @@ func TransferRules() []Rule {
 		Name: "T3",
 		Type: equiv.Multiset,
 		Doc:  "TS(op2(r1,r2)) ≡M op2(TS(r1),TS(r2)) for order-insensitive binary op2",
-		Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+		Apply: func(n algebra.Node, st Lookup) *Rewrite {
 			if n.Op() != algebra.OpTransferS {
 				return nil
 			}
@@ -170,7 +169,7 @@ func TransferRules() []Rule {
 		Name: "T3r",
 		Type: equiv.Multiset,
 		Doc:  "op2(TS(r1),TS(r2)) ≡M TS(op2(r1,r2)) for order-insensitive binary op2",
-		Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+		Apply: func(n algebra.Node, st Lookup) *Rewrite {
 			if !transferableBinary(n.Op()) {
 				return nil
 			}
@@ -187,7 +186,7 @@ func TransferRules() []Rule {
 		Name: "T4",
 		Type: equiv.Multiset,
 		Doc:  "TS(opT2(r1,r2)) ≡M opT2(TS(r1),TS(r2)) for order-sensitive temporal binary opT2",
-		Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+		Apply: func(n algebra.Node, st Lookup) *Rewrite {
 			if n.Op() != algebra.OpTransferS {
 				return nil
 			}
@@ -204,7 +203,7 @@ func TransferRules() []Rule {
 		Name: "T4r",
 		Type: equiv.Multiset,
 		Doc:  "opT2(TS(r1),TS(r2)) ≡M TS(opT2(r1,r2)) for order-sensitive temporal binary opT2",
-		Apply: func(n algebra.Node, st props.Lookup) *Rewrite {
+		Apply: func(n algebra.Node, st Lookup) *Rewrite {
 			if !orderSensitiveBinary(n.Op()) {
 				return nil
 			}
