@@ -75,11 +75,8 @@ func NewInterner() *Interner {
 func (in *Interner) Len() int { return len(in.list) }
 
 // ID returns n's id in the table, and false when the table did not hand n
-// out (or in is nil).
+// out.
 func (in *Interner) ID(n Node) (int32, bool) {
-	if in == nil {
-		return -1, false
-	}
 	d := n.derived()
 	if d.owner.Load() != in.serial {
 		return -1, false

@@ -32,8 +32,6 @@ type Node interface {
 	// Label renders the operator with its parameters but without children,
 	// e.g. "project{EmpName,T1,T2}".
 	Label() string
-	// Equal reports structural equality of whole subtrees.
-	Equal(other Node) bool
 	// derived returns what the node computes once; being unexported, it
 	// also keeps every Node implementation inside this package.
 	derived() *derived
@@ -121,12 +119,6 @@ func (n *Rel) Schema() (*schema.Schema, error) {
 // Label implements Node.
 func (n *Rel) Label() string { return n.Name }
 
-// Equal implements Node.
-func (n *Rel) Equal(other Node) bool {
-	o, ok := other.(*Rel)
-	return ok && o.Name == n.Name
-}
-
 // Select is the selection σ_P. Per Table 1 it retains order, duplicates and
 // coalescing... (coalescing is retained: removing whole tuples cannot create
 // adjacency violations).
@@ -171,12 +163,6 @@ func (n *Select) deriveSchema() (*schema.Schema, error) {
 
 // Label implements Node.
 func (n *Select) Label() string { return "select{" + n.P.String() + "}" }
-
-// Equal implements Node.
-func (n *Select) Equal(other Node) bool {
-	o, ok := other.(*Select)
-	return ok && n.P.EqualPred(o.P) && n.kids[0].Equal(o.kids[0])
-}
 
 // ProjItem is one output column of a projection: an expression and its
 // result name.
@@ -286,20 +272,6 @@ func (n *Project) Label() string {
 	return "project{" + strings.Join(parts, ",") + "}"
 }
 
-// Equal implements Node.
-func (n *Project) Equal(other Node) bool {
-	o, ok := other.(*Project)
-	if !ok || len(o.Items) != len(n.Items) {
-		return false
-	}
-	for i := range n.Items {
-		if n.Items[i].As != o.Items[i].As || !n.Items[i].Expr.EqualExpr(o.Items[i].Expr) {
-			return false
-		}
-	}
-	return n.kids[0].Equal(o.kids[0])
-}
-
 // binary is the shared shape of parameter-free binary operators.
 type binary struct {
 	op   Op
@@ -317,10 +289,6 @@ func (n *binary) WithChildren(ch ...Node) Node {
 	return newBinary(n.op, ch[0], ch[1])
 }
 func (n *binary) Label() string { return n.op.String() }
-func (n *binary) Equal(other Node) bool {
-	o, ok := other.(*binary)
-	return ok && o.op == n.op && n.kids[0].Equal(o.kids[0]) && n.kids[1].Equal(o.kids[1])
-}
 
 // Schema implements Node for each parameter-free binary operator.
 func (n *binary) Schema() (*schema.Schema, error) { return n.d.schemaOf(n.deriveSchema) }

@@ -108,26 +108,6 @@ func (n *Aggregate) Label() string {
 	return n.Op().String() + "{" + strings.Join(parts, ",") + "}"
 }
 
-// Equal implements Node.
-func (n *Aggregate) Equal(other Node) bool {
-	o, ok := other.(*Aggregate)
-	if !ok || o.temporal != n.temporal ||
-		len(o.GroupBy) != len(n.GroupBy) || len(o.Aggs) != len(n.Aggs) {
-		return false
-	}
-	for i := range n.GroupBy {
-		if n.GroupBy[i] != o.GroupBy[i] {
-			return false
-		}
-	}
-	for i := range n.Aggs {
-		if n.Aggs[i] != o.Aggs[i] {
-			return false
-		}
-	}
-	return n.kids[0].Equal(o.kids[0])
-}
-
 // unary is the shared shape of parameter-free unary operators: rdup, rdupᵀ,
 // coalᵀ, TS, TD.
 type unary struct {
@@ -146,10 +126,6 @@ func (n *unary) WithChildren(ch ...Node) Node {
 	return newUnary(n.op, ch[0])
 }
 func (n *unary) Label() string { return n.op.String() }
-func (n *unary) Equal(other Node) bool {
-	o, ok := other.(*unary)
-	return ok && o.op == n.op && n.kids[0].Equal(o.kids[0])
-}
 
 // Schema implements Node for each parameter-free unary operator.
 func (n *unary) Schema() (*schema.Schema, error) { return n.d.schemaOf(n.deriveSchema) }
@@ -252,12 +228,6 @@ func (n *Sort) Label() string {
 	return b.String()
 }
 
-// Equal implements Node.
-func (n *Sort) Equal(other Node) bool {
-	o, ok := other.(*Sort)
-	return ok && n.Spec.Equal(o.Spec) && n.kids[0].Equal(o.kids[0])
-}
-
 // Join is the join idiom: σ_P(l × r) — and TJoin its temporal counterpart
 // σ_P(l ×ᵀ r). Idioms are "combinations of operations ... included for
 // efficiency, but ... identified as idioms" (Section 2.2). Expand converts
@@ -311,10 +281,3 @@ func (n *Join) Expand() Node {
 
 // Label implements Node.
 func (n *Join) Label() string { return n.Op().String() + "{" + n.P.String() + "}" }
-
-// Equal implements Node.
-func (n *Join) Equal(other Node) bool {
-	o, ok := other.(*Join)
-	return ok && o.temporal == n.temporal && n.P.EqualPred(o.P) &&
-		n.kids[0].Equal(o.kids[0]) && n.kids[1].Equal(o.kids[1])
-}

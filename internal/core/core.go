@@ -249,12 +249,8 @@ func (o *Optimizer) Optimize(initial algebra.Node, rt equiv.ResultType, orderBy 
 	if err != nil {
 		return nil, err
 	}
-	score, states := o.model.Scorer(), props.NewMemo()
-	res.Scores = make([]float64, len(res.Plans))
-	for i, p := range res.Plans {
-		if res.Scores[i], err = score(p, states); err != nil {
-			return nil, err
-		}
+	if err := res.Score(o.model.Scorer()); err != nil {
+		return nil, err
 	}
 	return cheapest(initial, rt, orderBy, res)
 }
@@ -320,22 +316,17 @@ type Prepared struct {
 	// PlanCount and BestCost record the enumeration outcome.
 	PlanCount int
 	BestCost  float64
-	// Estimates holds the cost model's per-node predictions keyed by
-	// algebra path ("ε", "0", "0.1"). Plan trees are immutable, so paths
-	// are stable node IDs; EXPLAIN ANALYZE joins execution actuals against
-	// this map, and the ROADMAP's cardinality-feedback loop will consume
-	// the same pairs.
-	Estimates map[string]NodeEstimate
+	// Estimates holds the cost model's per-position predictions, as
+	// cost.Model.Plan returns them: keyed by algebra path ("ε", "0",
+	// "0.1"), each at the site its position executes at. Plan trees are
+	// immutable, so paths are stable position IDs; EXPLAIN ANALYZE joins
+	// execution actuals against this map, and the ROADMAP's
+	// cardinality-feedback loop will consume the same pairs.
+	Estimates map[string]cost.Estimate
 	// Fingerprint identifies the physical plan: a truncated SHA-256 over
 	// its canonical text. The structured query log records it, so a slow
 	// query can be joined back to the exact plan that ran it.
 	Fingerprint string
-}
-
-// NodeEstimate is the estimator's prediction for one plan node.
-type NodeEstimate struct {
-	Rows float64
-	Cost float64
 }
 
 // Prepare parses, plans and costs a statement down to a single executable
@@ -362,16 +353,10 @@ func (o *Optimizer) Prepare(sql string) (*Prepared, error) {
 	if err := stratum.ValidateSites(plan); err != nil {
 		return nil, err
 	}
-	es, err := o.model.Plan(plan)
+	estimates, err := o.model.Plan(plan)
 	if err != nil {
 		return nil, err
 	}
-	estimates := make(map[string]NodeEstimate, algebra.Count(plan))
-	algebra.Walk(plan, func(n algebra.Node, p algebra.Path) bool {
-		e := es[n]
-		estimates[p.String()] = NodeEstimate{Rows: e.Rows, Cost: e.Cost}
-		return true
-	})
 	return &Prepared{
 		SQL:         sql,
 		Plan:        plan,
@@ -471,9 +456,10 @@ func (o *Optimizer) Explain(plan algebra.Node, rt equiv.ResultType) (string, err
 	if err != nil {
 		return "", err
 	}
-	return algebra.Render(plan, func(n algebra.Node, _ algebra.Path) string {
+	return algebra.Render(plan, func(n algebra.Node, p algebra.Path) string {
+		e := es[p.String()]
 		return fmt.Sprintf("%s  site=%s rows≈%.0f cost≈%.0f",
-			pm[n].Vector(), st[n].Site, es[n].Rows, es[n].Cost)
+			pm[n].Vector(), st[n].Site, e.Rows, e.Cost)
 	}), nil
 }
 

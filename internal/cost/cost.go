@@ -330,9 +330,6 @@ type Estimate struct {
 	Cost float64
 }
 
-// Estimates maps plan nodes to their estimates.
-type Estimates map[algebra.Node]Estimate
-
 // Model estimates plans against a catalog's statistics.
 type Model struct {
 	params Params
@@ -345,27 +342,36 @@ func New(cat *catalog.Catalog, params Params) *Model {
 	return &Model{params: params, shape: physical.ShapeOf(params.Parallelism, params.MemoryBudget), cat: cat}
 }
 
-// Plan estimates every node of the plan; the root's Estimate carries the
-// total plan cost.
-func (m *Model) Plan(plan algebra.Node) (Estimates, error) {
-	states, memo := props.NewMemo(), props.NewTable[Estimate](nil)
-	if _, err := m.node(plan, props.Stratum, states, memo); err != nil {
+// Plan estimates every position of the plan, keyed by its path
+// (algebra.Path.String: "ε", "0", "0.1"), each at the site it executes at;
+// the root's Estimate, at "ε", carries the total plan cost. The plan is
+// interned into a table of its own, so each distinct (subtree, site) is
+// priced once.
+func (m *Model) Plan(plan algebra.Node) (map[string]Estimate, error) {
+	in := algebra.NewInterner()
+	root := in.Intern(plan)
+	states, memo := props.NewMemo(in), props.NewTable[Estimate](in)
+	if _, err := m.node(root, props.Stratum, states, memo); err != nil {
 		return nil, err
 	}
-	st, err := states.States(plan)
-	if err != nil {
-		return nil, err
+	es := make(map[string]Estimate, algebra.Count(root))
+	var walk func(n algebra.Node, site props.Site, path algebra.Path)
+	walk = func(n algebra.Node, site props.Site, path algebra.Path) {
+		es[path.String()], _ = memo.Get(n, site) // priced by m.node
+		cs := props.ChildSite(site, n.Op())
+		for i, c := range n.Children() {
+			walk(c, cs, append(path, i))
+		}
 	}
-	es := make(Estimates, len(st))
-	for n, s := range st {
-		es[n], _ = memo.Get(n, s.Site)
-	}
+	walk(root, props.Stratum, make(algebra.Path, 0, 8))
 	return es, nil
 }
 
-// Cost returns the total estimated cost of the plan.
+// Cost returns the total estimated cost of the plan, interned into a table
+// of its own.
 func (m *Model) Cost(plan algebra.Node) (float64, error) {
-	return m.Scorer()(plan, props.NewMemo())
+	in := algebra.NewInterner()
+	return m.Scorer()(in.Intern(plan), props.NewMemo(in))
 }
 
 // Scorer returns a cost function for the plans of one optimization, which

@@ -41,7 +41,7 @@ func TestCardinalityUsesCatalog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := es[plan].Rows; got != 5 {
+	if got := es["ε"].Rows; got != 5 {
 		t.Errorf("π(EMPLOYEE) estimated rows = %.1f, want 5", got)
 	}
 }
@@ -225,9 +225,10 @@ func TestScorerKeysSite(t *testing.T) {
 	c := testutil.SortedCatalog(64)
 	m := cost.New(c, cost.ForEngine(exec.NewSpec(exec.Config{})))
 	shared := algebra.NewCoal(c.MustNode("L"))
-	score, states := m.Scorer(), props.NewMemo()
+	in := algebra.NewInterner()
+	score, states := m.Scorer(), props.NewMemo(in)
 	for _, plan := range []algebra.Node{shared, algebra.NewTransferS(shared)} {
-		got, err := score(plan, states)
+		got, err := score(in.Intern(plan), states)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,11 +240,11 @@ func TestScorerKeysSite(t *testing.T) {
 			t.Errorf("%s: memoized cost %v, fresh %v", algebra.Canonical(plan), got, want)
 		}
 	}
-	inStratum, err := states.State(shared, props.Stratum)
+	inStratum, err := states.State(in.Intern(shared), props.Stratum)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inDBMS, err := states.State(shared, props.DBMS)
+	inDBMS, err := states.State(in.Intern(shared), props.DBMS)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func TestBatchDiscount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, out := es[dedup.Children()[0]].Rows, es[dedup].Rows
+	in, out := es["0"].Rows, es["ε"].Rows
 	ex, sp := par4.batchDiscount(dedup.Op())
 	if vec, boxed := par4.parallelShape(in, in, out, ex), par4.parallelShape(in, in, out, 1); !(vec < boxed) {
 		t.Errorf("vectorized exchange must price below the boxed one: vec=%.0f boxed=%.0f", vec, boxed)

@@ -72,9 +72,10 @@ func TestCostGoldens(t *testing.T) {
 	} {
 		h, n := sha256.New(), 0
 		for _, c := range corpora {
-			score, states := cost.New(c.cat, tc.params).Scorer(), props.NewMemo()
+			in := algebra.NewInterner()
+			score, states := cost.New(c.cat, tc.params).Scorer(), props.NewMemo(in)
 			for _, p := range c.plans {
-				s, err := score(p, states)
+				s, err := score(in.Intern(p), states)
 				if err != nil {
 					t.Fatalf("%s: %s: %v", tc.name, algebra.Canonical(p), err)
 				}

@@ -71,8 +71,8 @@ func TestTravelScanPricing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if es[narrowNode].Rows >= esFull[fullNode].Rows {
-		t.Fatalf("travel row estimate %.2f not below full %.2f", es[narrowNode].Rows, esFull[fullNode].Rows)
+	if es["ε"].Rows >= esFull["ε"].Rows {
+		t.Fatalf("travel row estimate %.2f not below full %.2f", es["ε"].Rows, esFull["ε"].Rows)
 	}
 
 	// In-memory catalogs keep the historical free leaf.

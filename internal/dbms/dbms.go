@@ -9,7 +9,10 @@
 //     sort, "sort being the only exception" (Section 4.5);
 //  3. its own optimizer — an ≡L-only rewriter (selection pushdown and
 //     cascades) runs before execution, standing in for "the DBMS, which
-//     will perform its own optimization".
+//     will perform its own optimization". It is one bottom-up pass to a
+//     fixpoint: children first, then the first matching rule, whose result
+//     is rewritten in turn. Its rules read no states (P3/P4 read a
+//     child's schema), so no state inference runs on the execution path.
 //
 // A subplan runs on the statement's own physical engine (the executor's
 // eval.EngineSpec): every engine computes the reference evaluator's list,
@@ -27,6 +30,7 @@ package dbms
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"tqp/internal/algebra"
 	"tqp/internal/eval"
@@ -96,7 +100,8 @@ func (e *Engine) Execute(subplan algebra.Node) (*Result, error) {
 		// keep a marker for the trace.
 		sql = "-- (subplan with stratum round-trip; no single SQL statement)"
 	}
-	optimized := e.rewrite(subplan)
+	budget := maxRewrites
+	optimized := e.rewrite(subplan, &budget)
 	out, run, err := e.eval(optimized)
 	if err != nil {
 		return nil, err
@@ -155,39 +160,39 @@ func (s boundSource) Resolve(name string) (*relation.Relation, error) {
 	return s.base.Resolve(name)
 }
 
-// rewrite applies the DBMS's own ≡L rewriter to a fixpoint (bounded).
-func (e *Engine) rewrite(plan algebra.Node) algebra.Node {
-	for round := 0; round < 16; round++ {
-		st, err := props.InferStates(plan)
-		if err != nil {
-			return plan
-		}
-		changed := false
-		for _, path := range algebra.Paths(plan) {
-			node, err := algebra.NodeAt(plan, path)
-			if err != nil {
-				continue
+// maxRewrites bounds the rewrites of one subplan. The DBMS's rules only
+// split conjunctions and push selections and projections down, so every
+// subplan reaches its fixpoint long before; the bound is a safety net.
+const maxRewrites = 64
+
+// rewrite applies the DBMS's own ≡L rewriter to n in one bottom-up pass:
+// n's children first, then the first rule matching at n, whose result is
+// rewritten in turn. A rule reads only the subtree it matches, so a node
+// none matches, over rewritten children, roots a fixpoint. The rules read
+// no states, so Apply gets none. budget counts the rewrites left.
+func (e *Engine) rewrite(n algebra.Node, budget *int) algebra.Node {
+	var kids []algebra.Node // n's children once one of them changed
+	for i, c := range n.Children() {
+		if r := e.rewrite(c, budget); r != c {
+			if kids == nil {
+				kids = slices.Clone(n.Children())
 			}
-			for _, rule := range e.rewrites {
-				rw := rule.Apply(node, st)
-				if rw == nil {
-					continue
-				}
-				if next, err := algebra.ReplaceAt(plan, path, rw.Result); err == nil {
-					plan = next
-					changed = true
-					break
-				}
-			}
-			if changed {
-				break
-			}
-		}
-		if !changed {
-			return plan
+			kids[i] = r
 		}
 	}
-	return plan
+	if kids != nil {
+		n = n.WithChildren(kids...)
+	}
+	if *budget == 0 {
+		return n
+	}
+	for _, rule := range e.rewrites {
+		if rw := rule.Apply(n, nil); rw != nil {
+			*budget--
+			return e.rewrite(rw.Result, budget)
+		}
+	}
+	return n
 }
 
 // permutation returns the engine's deterministic seeded permutation of n

@@ -9,12 +9,19 @@ import (
 	"tqp/internal/props"
 )
 
+// The beam's shape: each round keeps the beamWidth cheapest distinct
+// plans, and the search stops after beamRounds rounds.
+const (
+	beamWidth  = 16
+	beamRounds = 24
+)
+
 // BeamConfig controls the cost-guided beam search — the "heuristics ...
 // necessary to achieve an efficient and effective optimizer" of the paper's
 // future-work section. Instead of closing the plan space like Enumerate,
 // each round expands the beam members not expanded before by one guarded
-// rewrite step and keeps the Width cheapest distinct plans; the search
-// stops after Rounds rounds or when a round yields no new plan.
+// rewrite step and keeps the beamWidth cheapest distinct plans; the search
+// stops after beamRounds rounds or when a round yields no new plan.
 //
 // A rewrite step that pushes a sort (S4–S10, T-sort) is followed down in
 // the same expansion: the pushed sort is pushed again wherever the guard
@@ -28,13 +35,8 @@ import (
 // their new nodes cost.
 type BeamConfig struct {
 	Config
-	// Width is the beam width (default 16).
-	Width int
-	// Rounds bounds the search depth (default 24).
-	Rounds int
-	// Score returns a plan's cost; lower is better. states is the search's
-	// memo, through which Score may derive the plan's states so that each
-	// subtree's state is derived once per search (see cost.Model.Scorer).
+	// Score returns a plan's cost; lower is better. The beam scores each
+	// plan as it finds it, through Result.Score.
 	Score func(plan algebra.Node, states *props.Memo) (float64, error)
 }
 
@@ -45,26 +47,17 @@ func Beam(initial algebra.Node, cfg BeamConfig) (*Result, error) {
 	if cfg.Score == nil {
 		return nil, fmt.Errorf("enum: beam search needs a Score function")
 	}
-	width := cfg.Width
-	if width <= 0 {
-		width = 16
-	}
-	rounds := cfg.Rounds
-	if rounds <= 0 {
-		rounds = 24
-	}
 	x, err := newExpansion(initial, cfg.Config)
 	if err != nil {
 		return nil, err
 	}
 	x.chase = true
 	res := x.res
-	score := func(plan algebra.Node) (bool, error) {
-		s, err := cfg.Score(plan, x.states)
-		res.Scores = append(res.Scores, s)
+	score := func(algebra.Node) (bool, error) {
+		err := res.Score(cfg.Score)
 		return err == nil, err
 	}
-	if _, err := score(res.Plans[0]); err != nil {
+	if err := res.Score(cfg.Score); err != nil {
 		return nil, err
 	}
 	// The beam holds indices into res.Plans and res.Scores. Plans from
@@ -72,7 +65,7 @@ func Beam(initial algebra.Node, cfg BeamConfig) (*Result, error) {
 	// members not yet expanded: expanding a member again could only
 	// rediscover plans already seen.
 	beam, fresh := []int{0}, 0
-	for round := 0; round < rounds; round++ {
+	for round := 0; round < beamRounds; round++ {
 		found := len(res.Plans)
 		for _, i := range beam {
 			if i < fresh {
@@ -85,7 +78,7 @@ func Beam(initial algebra.Node, cfg BeamConfig) (*Result, error) {
 		if len(res.Plans) == found {
 			break
 		}
-		// Next beam: the cheapest Width of the new plans ∪ old beam, so a
+		// Next beam: the cheapest beamWidth of the new plans ∪ old beam, so a
 		// plateau can still be crossed while good plans are never lost.
 		next := make([]int, 0, len(res.Plans)-found+len(beam))
 		for i := found; i < len(res.Plans); i++ {
@@ -93,8 +86,8 @@ func Beam(initial algebra.Node, cfg BeamConfig) (*Result, error) {
 		}
 		next = append(next, beam...)
 		slices.SortStableFunc(next, func(a, b int) int { return cmp.Compare(res.Scores[a], res.Scores[b]) })
-		if len(next) > width {
-			next = next[:width]
+		if len(next) > beamWidth {
+			next = next[:beamWidth]
 		}
 		beam, fresh = next, found
 	}

@@ -19,6 +19,9 @@
 // props.Table. A rediscovered plan is an index that builds nothing, and
 // each distinct (subtree, site) derives its state, cost, matches and guard
 // verdicts once. The one map the search hashes is the intern table's.
+// Both searches score through that memo, with Result.Score: Beam each plan
+// as it finds it, since its rounds rank by score, and Enumerate's caller
+// the whole closure once the fixpoint is reached.
 // Canonical strings are rendered only for provenance and display
 // (Result.Provenance, Result.Derivation). The guard reads each location's
 // requirement τ top-down along the visit and each participant's at the
@@ -78,9 +81,9 @@ type Result struct {
 	// discovery order. The plans are interned (algebra.Interner): within
 	// one Result, equal subtrees are one node.
 	Plans []algebra.Node
-	// Scores holds each plan's score, index for index with Plans: Beam
-	// records them as it scores; Enumerate does not score and leaves it to
-	// the caller.
+	// Scores holds each plan's score, index for index with Plans, as
+	// Score records them: Beam scores each plan as it finds it, and
+	// Enumerate's caller scores the closure once it is complete.
 	Scores []float64
 	// GuardRejections counts, per rule, how many syntactic matches the
 	// property guard of Figure 5 rejected. Every plan is expanded once, so
@@ -96,8 +99,10 @@ type Result struct {
 	// Capped reports that MaxPlans stopped the fixpoint early.
 	Capped bool
 
-	// intern is the search's intern table, which handed out every plan.
+	// intern is the search's intern table, which handed out every plan,
+	// and states the search's states memo over it.
 	intern *algebra.Interner
+	states *props.Memo
 	// index is the search's seen set: indexed by a root's id in intern, it
 	// holds the plan's position in Plans plus one (0: not a plan).
 	index []int32
@@ -114,6 +119,20 @@ type step struct {
 	parent int
 	rule   *rules.Rule
 	path   algebra.Path
+}
+
+// Score scores, in order, every plan that has no score yet, through the
+// search's own states memo (see cost.Model.Scorer), and records the scores
+// in Scores.
+func (r *Result) Score(score func(plan algebra.Node, states *props.Memo) (float64, error)) error {
+	for i := len(r.Scores); i < len(r.Plans); i++ {
+		s, err := score(r.Plans[i], r.states)
+		if err != nil {
+			return err
+		}
+		r.Scores = append(r.Scores, s)
+	}
+	return nil
 }
 
 // Provenance maps each plan's canonical form to the step that first
@@ -249,17 +268,19 @@ func newExpansion(initial algebra.Node, cfg Config) (*expansion, error) {
 	}
 	intern := algebra.NewInterner()
 	initial = intern.Intern(initial)
+	states := props.NewMemo(intern)
 	x := &expansion{
 		rules:    ruleSet,
 		rt:       cfg.ResultType,
 		intern:   intern,
-		states:   props.NewMemoFor(intern),
+		states:   states,
 		memo:     props.NewTable[sited](intern),
 		applied:  make([]int, len(ruleSet)),
 		rejected: make([]int, len(ruleSet)),
 		res: &Result{
 			Plans:  []algebra.Node{initial},
 			intern: intern,
+			states: states,
 			steps:  make([]step, 1, 64),
 		},
 	}

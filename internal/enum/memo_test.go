@@ -45,7 +45,7 @@ func oracleBeam(t *testing.T, initial algebra.Node, rt equiv.ResultType, model *
 		if err != nil {
 			t.Fatal(err)
 		}
-		return es[p].Cost
+		return es["ε"].Cost
 	}
 	type member struct {
 		plan  algebra.Node
@@ -241,7 +241,7 @@ func coldStatements(t *testing.T, n int) (*catalog.Catalog, []algebra.Node, []eq
 // change what it finds: against the oracle beam,
 // which shares nothing between plans, it must generate the same plans in
 // the same order with the same provenance and bit-identical scores, and
-// its memoized states must equal fresh ones node for node. Cases: the
+// its memoized states must equal fresh ones position for position. Cases: the
 // paper statement, 64 plan.cold statements, random plans under several
 // cost calibrations and result types, and random plans that repeat
 // subtrees across branches.
@@ -317,18 +317,25 @@ func TestBeamMemoMatchesOracle(t *testing.T) {
 			}
 		}
 		for _, p := range res.Plans {
-			fresh, err := props.InferStates(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			memoized, err := memo.States(p)
+			// Position for position: the fresh state of an unshared copy
+			// against the memo's state of the plan's node at that site.
+			u := unshare(p)
+			fresh, err := props.InferStates(u)
 			if err != nil {
 				t.Fatal(err)
 			}
 			algebra.Walk(p, func(n algebra.Node, path algebra.Path) bool {
-				if !reflect.DeepEqual(memoized[n], fresh[n]) {
+				at, err := algebra.NodeAt(u, path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				memoized, err := memo.State(n, fresh[at].Site)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(memoized, fresh[at]) {
 					t.Fatalf("case %d: plan %s at %s: memoized state %+v, fresh %+v",
-						i, algebra.Canonical(p), path, memoized[n], fresh[n])
+						i, algebra.Canonical(p), path, memoized, fresh[at])
 				}
 				return true
 			})

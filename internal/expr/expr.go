@@ -27,8 +27,6 @@ type Expr interface {
 	Attrs(set map[string]bool)
 	// String renders the expression.
 	String() string
-	// EqualExpr reports structural equality.
-	EqualExpr(other Expr) bool
 }
 
 // Col references an attribute by name.
@@ -55,12 +53,6 @@ func (c Col) Attrs(set map[string]bool) { set[c.Name] = true }
 // String implements Expr.
 func (c Col) String() string { return c.Name }
 
-// EqualExpr implements Expr.
-func (c Col) EqualExpr(other Expr) bool {
-	o, ok := other.(Col)
-	return ok && o.Name == c.Name
-}
-
 // Lit is a literal value.
 type Lit struct{ Val value.Value }
 
@@ -82,12 +74,6 @@ func (l Lit) String() string {
 		return "'" + l.Val.String() + "'"
 	}
 	return l.Val.String()
-}
-
-// EqualExpr implements Expr.
-func (l Lit) EqualExpr(other Expr) bool {
-	o, ok := other.(Lit)
-	return ok && o.Val.Equal(l.Val) && o.Val.Kind() == l.Val.Kind()
 }
 
 // ArithOp is an arithmetic operator.
@@ -211,12 +197,6 @@ func (a Arith) Attrs(set map[string]bool) {
 // String implements Expr.
 func (a Arith) String() string {
 	return "(" + a.L.String() + " " + a.Op.String() + " " + a.R.String() + ")"
-}
-
-// EqualExpr implements Expr.
-func (a Arith) EqualExpr(other Expr) bool {
-	o, ok := other.(Arith)
-	return ok && o.Op == a.Op && a.L.EqualExpr(o.L) && a.R.EqualExpr(o.R)
 }
 
 // AttrsOf returns the sorted attribute set of any Expr or Pred.

@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -239,10 +240,10 @@ func TestConjSplitRoundTrip(t *testing.T) {
 	if len(parts) != 3 {
 		t.Fatalf("SplitConj = %d parts", len(parts))
 	}
-	if !parts[0].EqualPred(a) || !parts[1].EqualPred(b) || !parts[2].EqualPred(c) {
+	if !reflect.DeepEqual(parts, []Pred{a, b, c}) {
 		t.Error("round trip broke predicate identity")
 	}
-	if !ConjList(nil).EqualPred(TruePred{}) {
+	if !reflect.DeepEqual(ConjList(nil), Pred(TruePred{})) {
 		t.Error("empty conjunction is TRUE")
 	}
 }

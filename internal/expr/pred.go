@@ -16,8 +16,6 @@ type Pred interface {
 	Attrs(set map[string]bool)
 	// String renders the predicate.
 	String() string
-	// EqualPred reports structural equality.
-	EqualPred(other Pred) bool
 }
 
 // CmpOp is a comparison operator.
@@ -95,12 +93,6 @@ func (c Cmp) Attrs(set map[string]bool) {
 // String implements Pred.
 func (c Cmp) String() string { return c.L.String() + " " + c.Op.String() + " " + c.R.String() }
 
-// EqualPred implements Pred.
-func (c Cmp) EqualPred(other Pred) bool {
-	o, ok := other.(Cmp)
-	return ok && o.Op == c.Op && c.L.EqualExpr(o.L) && c.R.EqualExpr(o.R)
-}
-
 // And is a conjunction of predicates.
 type And struct{ L, R Pred }
 
@@ -124,12 +116,6 @@ func (a And) Attrs(set map[string]bool) {
 
 // String implements Pred.
 func (a And) String() string { return "(" + a.L.String() + " AND " + a.R.String() + ")" }
-
-// EqualPred implements Pred.
-func (a And) EqualPred(other Pred) bool {
-	o, ok := other.(And)
-	return ok && a.L.EqualPred(o.L) && a.R.EqualPred(o.R)
-}
 
 // Or is a disjunction of predicates.
 type Or struct{ L, R Pred }
@@ -155,12 +141,6 @@ func (o Or) Attrs(set map[string]bool) {
 // String implements Pred.
 func (o Or) String() string { return "(" + o.L.String() + " OR " + o.R.String() + ")" }
 
-// EqualPred implements Pred.
-func (o Or) EqualPred(other Pred) bool {
-	p, ok := other.(Or)
-	return ok && o.L.EqualPred(p.L) && o.R.EqualPred(p.R)
-}
-
 // Not negates a predicate.
 type Not struct{ P Pred }
 
@@ -179,12 +159,6 @@ func (n Not) Attrs(set map[string]bool) { n.P.Attrs(set) }
 // String implements Pred.
 func (n Not) String() string { return "NOT " + n.P.String() }
 
-// EqualPred implements Pred.
-func (n Not) EqualPred(other Pred) bool {
-	o, ok := other.(Not)
-	return ok && n.P.EqualPred(o.P)
-}
-
 // TruePred is the always-true predicate.
 type TruePred struct{}
 
@@ -196,12 +170,6 @@ func (TruePred) Attrs(map[string]bool) {}
 
 // String implements Pred.
 func (TruePred) String() string { return "TRUE" }
-
-// EqualPred implements Pred.
-func (TruePred) EqualPred(other Pred) bool {
-	_, ok := other.(TruePred)
-	return ok
-}
 
 // PeriodOp names an Allen-style period predicate over the tuple's own
 // period attributes or over two qualified periods (e.g., in a temporal join
@@ -287,14 +255,6 @@ func (p PeriodPred) Attrs(set map[string]bool) {
 func (p PeriodPred) String() string {
 	return fmt.Sprintf("PERIOD(%s,%s) %s PERIOD(%s,%s)",
 		p.AStart, p.AEnd, p.Op, p.BStart, p.BEnd)
-}
-
-// EqualPred implements Pred.
-func (p PeriodPred) EqualPred(other Pred) bool {
-	o, ok := other.(PeriodPred)
-	return ok && o.Op == p.Op &&
-		p.AStart.EqualExpr(o.AStart) && p.AEnd.EqualExpr(o.AEnd) &&
-		p.BStart.EqualExpr(o.BStart) && p.BEnd.EqualExpr(o.BEnd)
 }
 
 // ConjList folds a list of predicates into a right-nested conjunction;

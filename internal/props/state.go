@@ -87,8 +87,7 @@ func (s States) State(n algebra.Node) (State, bool) {
 
 // InferStates computes the static state of every node in the plan. It
 // keeps no memo: it derives each position once, bottom-up, and a node at
-// several positions keeps the state of the last in pre-order, as
-// Memo.States does.
+// several positions keeps the state of the last in pre-order.
 func InferStates(root algebra.Node) (States, error) {
 	st := make(States)
 	if _, err := infer(root, Stratum, st); err != nil {
@@ -150,32 +149,37 @@ func ChildSite(site Site, op algebra.Op) Site {
 	return site
 }
 
-// Table holds one value per (subtree, site) of one search. A node the
-// search's intern table handed out has slot id·2+site, and slots maps the
-// slot to the value's index in vals (plus one; 0 is empty), so a lookup is
-// two slice reads. A node the table's interner does not own — Model.Plan
-// and Model.Cost price plans built outside any search — falls back to a
-// map keyed by node. A Table is not safe for concurrent use.
+// Table holds one value per (subtree, site) of one search, over the
+// search's intern table: the node with id i has slot i·2+site, and slots
+// maps the slot to the value's index in vals (plus one; 0 is empty), so a
+// lookup is two slice reads. Every node a Table is handed must come from
+// its intern table; a plan built outside a search is interned into a table
+// of its own first (as cost.Model.Plan and Model.Cost do). A Table is not
+// safe for concurrent use.
 type Table[T any] struct {
 	in    *algebra.Interner
 	slots []int32
 	vals  []T
-	other map[algebra.Node][2]int32
 }
 
-// NewTable returns an empty table over the nodes in hands out; a nil in
-// keys every node by the fallback map.
+// NewTable returns an empty table over the nodes in hands out.
 func NewTable[T any](in *algebra.Interner) *Table[T] { return &Table[T]{in: in} }
+
+// slot returns n's slot at site. A node the table's intern table did not
+// hand out has none: that is a caller's bug, and slot panics.
+func (t *Table[T]) slot(n algebra.Node, site Site) int {
+	id, ok := t.in.ID(n)
+	if !ok {
+		panic("props: a node the table's intern table did not hand out")
+	}
+	return int(id)*2 + int(site)
+}
 
 // Index returns the index of n's value at site, and false when there is none.
 func (t *Table[T]) Index(n algebra.Node, site Site) (int, bool) {
 	var i int32
-	if id, ok := t.in.ID(n); ok {
-		if s := int(id)*2 + int(site); s < len(t.slots) {
-			i = t.slots[s]
-		}
-	} else {
-		i = t.other[n][site]
+	if s := t.slot(n, site); s < len(t.slots) {
+		i = t.slots[s]
 	}
 	return int(i) - 1, i != 0
 }
@@ -197,28 +201,18 @@ func (t *Table[T]) At(i int) *T { return &t.vals[i] }
 // Add records v as n's value at site, which has none yet, and returns its
 // index.
 func (t *Table[T]) Add(n algebra.Node, site Site, v T) int {
+	s := t.slot(n, site)
 	if t.vals == nil {
 		t.vals = make([]T, 0, 64)
 	}
 	t.vals = append(t.vals, v)
-	i := int32(len(t.vals))
-	if id, ok := t.in.ID(n); ok {
-		s := int(id)*2 + int(site)
-		if s >= len(t.slots) {
-			// Cover every node the interner has handed out so far; append
-			// grows the capacity geometrically.
-			t.slots = append(t.slots, make([]int32, max(2*t.in.Len(), 128)-len(t.slots))...)
-		}
-		t.slots[s] = i
-	} else {
-		if t.other == nil {
-			t.other = make(map[algebra.Node][2]int32)
-		}
-		e := t.other[n]
-		e[site] = i
-		t.other[n] = e
+	if s >= len(t.slots) {
+		// Cover every node the interner has handed out so far; append
+		// grows the capacity geometrically.
+		t.slots = append(t.slots, make([]int32, max(2*t.in.Len(), 128)-len(t.slots))...)
 	}
-	return int(i) - 1
+	t.slots[s] = int32(len(t.vals))
+	return len(t.vals) - 1
 }
 
 // Memo holds the states derived during one optimization. A state is a pure
@@ -231,12 +225,9 @@ type Memo struct {
 	states Table[State]
 }
 
-// NewMemo returns an empty memo for plans built outside a search.
-func NewMemo() *Memo { return NewMemoFor(nil) }
-
-// NewMemoFor returns an empty memo for one search, which indexes the nodes
-// its intern table in hands out by id.
-func NewMemoFor(in *algebra.Interner) *Memo { return &Memo{states: Table[State]{in: in}} }
+// NewMemo returns an empty memo over the nodes the intern table in hands
+// out.
+func NewMemo(in *algebra.Interner) *Memo { return &Memo{states: Table[State]{in: in}} }
 
 // Interner returns the intern table whose nodes the memo indexes by id.
 func (m *Memo) Interner() *algebra.Interner { return m.states.in }
@@ -272,25 +263,6 @@ func (m *Memo) derive(n algebra.Node, site Site) (int, error) {
 	return m.states.Add(n, site, s), nil
 }
 
-// States returns the state of every node of the plan rooted at root, which
-// executes in the stratum; a node at several positions keeps the state of
-// the last in pre-order.
-func (m *Memo) States(root algebra.Node) (States, error) {
-	if _, err := m.State(root, Stratum); err != nil {
-		return nil, err
-	}
-	st := make(States)
-	m.fill(root, Stratum, st)
-	return st, nil
-}
-
-func (m *Memo) fill(n algebra.Node, site Site, st States) {
-	st[n], _ = m.states.Get(n, site) // derived by States
-	for _, c := range n.Children() {
-		m.fill(c, ChildSite(site, n.Op()), st)
-	}
-}
-
 // View is the states of the top levels of one location's subtree, as
 // Memo.Subtree collects them: a search hands the rules one View, refilled
 // at every location it matches them at, and collects no deeper than a
@@ -302,8 +274,8 @@ type View struct {
 }
 
 // State returns n's state, and false when n is not in the view. A node at
-// several positions reads the state of the last in pre-order, as States
-// keeps it.
+// several positions reads the state of the last in pre-order, as
+// InferStates keeps it.
 func (v *View) State(n algebra.Node) (State, bool) {
 	for i := len(v.nodes) - 1; i >= 0; i-- {
 		if v.nodes[i] == n {

@@ -84,7 +84,7 @@ func selectRules() []Rule {
 			Type: equiv.List,
 			Doc:  "σp(r1 × r2) ≡L σp'(r1) × r2, if p references only r1",
 			Apply: func(n algebra.Node, st Lookup) *Rewrite {
-				return pushSelectIntoProduct(n, st, 0)
+				return pushSelectIntoProduct(n, 0)
 			},
 		},
 		{
@@ -92,7 +92,7 @@ func selectRules() []Rule {
 			Type: equiv.List,
 			Doc:  "σp(r1 × r2) ≡L r1 × σp'(r2), if p references only r2",
 			Apply: func(n algebra.Node, st Lookup) *Rewrite {
-				return pushSelectIntoProduct(n, st, 1)
+				return pushSelectIntoProduct(n, 1)
 			},
 		},
 		{
@@ -187,7 +187,7 @@ func selectRules() []Rule {
 
 // pushSelectIntoProduct pushes σp below a × or ×ᵀ into argument side (0 or
 // 1) when every attribute of p resolves there, translating qualified names.
-func pushSelectIntoProduct(n algebra.Node, st Lookup, side int) *Rewrite {
+func pushSelectIntoProduct(n algebra.Node, side int) *Rewrite {
 	sel, ok := n.(*algebra.Select)
 	if !ok {
 		return nil
@@ -197,13 +197,13 @@ func pushSelectIntoProduct(n algebra.Node, st Lookup, side int) *Rewrite {
 		return nil
 	}
 	ch := prod.Children()
-	ss, ok := st.State(ch[side])
-	if !ok {
+	sch, err := ch[side].Schema()
+	if err != nil {
 		return nil
 	}
 	renames := make(map[string]string)
 	for _, a := range expr.AttrsOf(sel.P) {
-		src, ok := resolveToSide(a, ss.Schema, side)
+		src, ok := resolveToSide(a, sch, side)
 		if !ok {
 			return nil
 		}

@@ -59,7 +59,8 @@ type Rule struct {
 
 // Lookup is how a rule reads the static states of the nodes it matches: a
 // whole plan's (props.States) or the location's top StateDepth+1 levels
-// (the search's props.View).
+// (the search's props.View). The DBMS's rewriter passes none: its rules
+// read no states.
 type Lookup interface {
 	State(n algebra.Node) (props.State, bool)
 }

@@ -384,8 +384,10 @@ func TestRulesReadWithinStateDepth(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		_, plans := pool(t, seed*100)
 		for pi, plan := range plans {
-			memo := props.NewMemo()
-			full, err := memo.States(plan)
+			in := algebra.NewInterner()
+			plan = in.Intern(plan)
+			memo := props.NewMemo(in)
+			full, err := props.InferStates(plan)
 			if err != nil {
 				t.Fatal(err)
 			}
