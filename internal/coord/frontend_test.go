@@ -232,3 +232,41 @@ func TestCoordinatorMetrics(t *testing.T) {
 		}
 	}
 }
+
+// TestFrontendSchemaFrameCarriesRowCount: the frontend's answer carries
+// the done frame's tuple count in its schema frame, as a server's does.
+func TestFrontendSchemaFrameCarriesRowCount(t *testing.T) {
+	c, _ := startCoordinator(t, 2)
+	f, err := c.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	conn, err := net.Dial("tcp", f.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := server.WriteFrame(conn, &server.Request{Op: server.OpQuery, SQL: paperSQL}); err != nil {
+		t.Fatal(err)
+	}
+	rows := -1
+	for {
+		var resp server.Response
+		if err := server.ReadFrame(conn, &resp); err != nil {
+			t.Fatal(err)
+		}
+		switch resp.Kind {
+		case server.KindSchema:
+			rows = resp.Rows
+		case server.KindRows:
+		case server.KindDone:
+			if resp.Done == nil || resp.Done.Tuples == 0 || rows != resp.Done.Tuples {
+				t.Fatalf("schema frame says %d rows, done frame %+v", rows, resp.Done)
+			}
+			return
+		default:
+			t.Fatalf("unexpected %q frame: %+v", resp.Kind, resp)
+		}
+	}
+}

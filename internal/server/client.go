@@ -217,10 +217,17 @@ func (c *Client) query(req *Request) (*relation.Relation, *QueryMeta, []int, err
 	if err != nil {
 		return nil, nil, nil, protoErr(err)
 	}
-	b := column.NewBatch(sch, 0)
+	// The hint sizes the planes once; the done frame still checks the
+	// count, and rows past the hint grow the planes as they arrive.
+	width := sch.Len()
+	if head.Keyed {
+		width++
+	}
+	rows := presizeRows(head.Rows, width)
+	b := column.NewBatch(sch, rows)
 	var keys []int
 	if head.Keyed {
-		keys = []int{}
+		keys = make([]int, 0, rows)
 	}
 	for {
 		resp, err := c.read()

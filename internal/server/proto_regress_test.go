@@ -5,12 +5,17 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"net"
+	"runtime"
+	"slices"
 	"testing"
 
+	"tqp/internal/catalog"
 	"tqp/internal/relation"
 	"tqp/internal/schema"
+	"tqp/internal/spill"
 	"tqp/internal/value"
 )
 
@@ -138,5 +143,178 @@ func TestClientMalformedFramesAreTypedProtoErrors(t *testing.T) {
 				t.Fatalf("error carries code %q, want %q: %v", se.Code, CodeProto, se)
 			}
 		})
+	}
+}
+
+// writeHintedAnswer streams rel as a peer whose schema frame claims hint
+// rows and whose done frame claims tuples: the rows frames are rel's,
+// ResultBatchRows to a frame, each block with zero keys.
+func writeHintedAnswer(t *testing.T, bw *bufio.Writer, rel *relation.Relation, hint, tuples int) {
+	t.Helper()
+	frames := []*Response{{Kind: KindSchema, Cols: colsOf(rel.Schema()), Rows: hint}}
+	b := rel.Columns()
+	for from := 0; from < b.Rows(); from += ResultBatchRows {
+		to := min(from+ResultBatchRows, b.Rows())
+		frames = append(frames, &Response{Kind: KindRows, Block: spill.EncodeBlock(nil, zeroKeys[:to-from], b, from)})
+	}
+	frames = append(frames, &Response{Kind: KindDone, Done: &Done{Tuples: tuples}})
+	for _, f := range frames {
+		if err := WriteFrame(bw, f); err != nil {
+			t.Errorf("writing frame: %v", err)
+			return
+		}
+		bw.Flush()
+	}
+}
+
+// TestLyingRowsHint: the schema frame's row count comes from a peer, so it
+// is only a hint. A huge, a negative, a short and a long hint each decode
+// to the streamed list when the done frame matches the rows sent, and to
+// the typed proto error when it does not; a 1<<40 hint presizes at most
+// maxHintCells cells, and costs no more than that in bytes.
+func TestLyingRowsHint(t *testing.T) {
+	const sent = 700
+	ts := make([]relation.Tuple, sent)
+	for i := range ts {
+		ts[i] = relation.NewTuple(value.Int(int64(i)), value.String_(fmt.Sprint("e", i%13)))
+	}
+	sch := schema.MustNew(schema.Attr("N", value.KindInt), schema.Attr("S", value.KindString))
+	rel := relation.FromTuplesTrusted(sch, ts)
+	for _, hint := range []int{1 << 40, -5, 10, sent + 1000} {
+		for _, tuples := range []int{sent, sent - 1} {
+			t.Run(fmt.Sprintf("hint=%d/done=%d", hint, tuples), func(t *testing.T) {
+				c := fakePeer(t, func(br *bufio.Reader, bw *bufio.Writer) {
+					readRequest(t, br)
+					writeHintedAnswer(t, bw, rel, hint, tuples)
+				})
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				got, _, err := c.Query(context.Background(), "SELECT N, S FROM R")
+				runtime.ReadMemStats(&after)
+				if n := after.TotalAlloc - before.TotalAlloc; n > 16*maxHintCells+1<<20 {
+					t.Fatalf("a %d-row hint allocated %d bytes", hint, n)
+				}
+				if tuples != sent {
+					var se *ServerError
+					if !errors.As(err, &se) || se.Code != CodeProto {
+						t.Fatalf("a done frame claiming %d of %d rows: want a proto error, got %v", tuples, sent, err)
+					}
+					return
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !got.EqualAsList(rel) {
+					t.Fatal("result differs from the streamed relation")
+				}
+				for j, col := range got.Columns().Cols {
+					if c := max(cap(col.Ints), cap(col.Strs)); c > max(sent, maxHintCells/sch.Len()) {
+						t.Fatalf("column %d presized to %d rows on a %d-row hint", j, c, hint)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestRowsHintPresizesOnce: a client sizes its planes once from the schema
+// frame's row count, so an answer of many rows frames decodes with no
+// regrowth — the plane's capacity is the row count exactly — and a keyed
+// partial answer sizes its sequence keys the same way.
+func TestRowsHintPresizesOnce(t *testing.T) {
+	const n = 4096
+	ts := make([]relation.Tuple, n)
+	keys := make([]int, n)
+	for i := range ts {
+		ts[i] = relation.NewTuple(value.Int(int64(i)))
+		keys[i] = 3 * i
+	}
+	rel := relation.FromTuplesTrusted(schema.MustNew(schema.Attr("N", value.KindInt)), ts)
+
+	c := fakePeer(t, func(br *bufio.Reader, bw *bufio.Writer) {
+		readRequest(t, br)
+		if err := StreamResult(bw, rel, 0, &Done{Tuples: rel.Len()}); err != nil {
+			t.Error(err)
+		}
+	})
+	got, _, err := c.Query(context.Background(), "SELECT N FROM R")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.EqualAsList(rel) {
+		t.Fatal("result differs from the streamed relation")
+	}
+	if c := cap(got.Columns().Cols[0].Ints); c != n {
+		t.Fatalf("a %d-row answer decoded onto a plane of capacity %d", n, c)
+	}
+
+	c = fakePeer(t, func(br *bufio.Reader, bw *bufio.Writer) {
+		readRequest(t, br)
+		if err := streamResult(bw, rel, keys, ResultBatchRows, &Done{Tuples: rel.Len()}); err != nil {
+			t.Error(err)
+		}
+	})
+	got, gotKeys, err := c.Partial(context.Background(), &WirePlan{Op: "rel", Rel: "R"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.EqualAsList(rel) || !slices.Equal(gotKeys, keys) {
+		t.Fatal("keyed answer differs from the streamed relation and keys")
+	}
+	if c := cap(got.Columns().Cols[0].Ints); c != n {
+		t.Fatalf("a %d-row keyed answer decoded onto a plane of capacity %d", n, c)
+	}
+	if c := cap(gotKeys); c != n {
+		t.Fatalf("%d sequence keys decoded into a slice of capacity %d", n, c)
+	}
+}
+
+// answerFrames sends req on a fresh connection to addr and reads the
+// answer's schema and done frames.
+func answerFrames(t *testing.T, addr string, req *Request) (*Response, *Done) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := WriteFrame(conn, req); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	var head *Response
+	for {
+		var resp Response
+		if err := ReadFrame(br, &resp); err != nil {
+			t.Fatal(err)
+		}
+		switch resp.Kind {
+		case KindSchema:
+			head = &resp
+		case KindDone:
+			if head == nil || resp.Done == nil {
+				t.Fatalf("done frame %+v without a schema frame before it", resp)
+			}
+			return head, resp.Done
+		case KindRows:
+		default:
+			t.Fatalf("unexpected %q frame: %+v", resp.Kind, resp)
+		}
+	}
+}
+
+// TestSchemaFrameCarriesRowCount: a server's query answer and its
+// partial-plan answer both carry the done frame's tuple count in the
+// schema frame.
+func TestSchemaFrameCarriesRowCount(t *testing.T) {
+	srv := startServer(t, Config{Catalog: catalog.Paper()})
+	for _, req := range []*Request{
+		{Op: OpQuery, SQL: "SELECT * FROM EMPLOYEE"},
+		{Op: OpPartial, Plan: &WirePlan{Op: "rel", Rel: "EMPLOYEE"}},
+	} {
+		head, done := answerFrames(t, srv.Addr(), req)
+		if done.Tuples == 0 || head.Rows != done.Tuples {
+			t.Errorf("%s: schema frame says %d rows, done frame %d tuples", req.Op, head.Rows, done.Tuples)
+		}
 	}
 }

@@ -22,7 +22,10 @@
 // row codec of the system raw: its header has the top bit set, and its
 // payload is one checksummed columnar block of internal/spill holding its
 // rows' exact values and their sequence keys, which the client decodes in
-// place against the schema frame's columns.
+// place against the schema frame's columns. The schema frame also carries
+// the answer's row count as a hint, from which the client sizes its column
+// planes once, up to a fixed bound; the done frame's tuple count stays the
+// authority on how many rows the answer holds.
 package server
 
 import (
@@ -44,6 +47,19 @@ import (
 // payload is malformed (or hostile); the connection is dropped rather than
 // the allocation attempted.
 const MaxFrame = 64 << 20
+
+// maxHintCells bounds what a schema frame's row-count hint may presize:
+// the client sizes its column planes (and its sequence keys, on a keyed
+// answer) for at most this many cells in all, 16 MiB at the widest plane
+// cell. A hint comes from a peer, so a lying one costs at most that; rows
+// past it grow the planes as they arrive.
+const maxHintCells = 1 << 20
+
+// presizeRows clamps a schema frame's row hint to what the client may
+// presize for an answer of width planes: [0, maxHintCells/width].
+func presizeRows(hint, width int) int {
+	return max(0, min(hint, maxHintCells/max(width, 1)))
+}
 
 // Request operations.
 const (
@@ -186,13 +202,18 @@ type CoordStats struct {
 }
 
 // Response is one server→client message. A schema frame carries Cols,
-// Order and Keyed; a rows frame carries Block, one spill block (see
+// Order, Keyed and Rows; a rows frame carries Block, one spill block (see
 // spill.EncodeBlock) whose row count, values, sequence keys and checksum
 // the block itself holds.
 type Response struct {
 	Kind  string  `json:"kind"`
 	Cols  []Col   `json:"cols,omitempty"`
 	Order []Order `json:"order,omitempty"`
+	// Rows is a schema frame's hint of the answer's row count, from which
+	// the client sizes its planes once (see maxHintCells). It is only a
+	// hint: the done frame's Tuples is the count the client checks, and a
+	// frame without it (an older server's) decodes as before.
+	Rows int `json:"rows,omitempty"`
 	// Keyed says the rows frames' sequence keys are provenance: the rows'
 	// global positions in the unsharded relation, on a partial-plan answer
 	// whose fragment preserves per-tuple provenance. Otherwise the keys

@@ -165,6 +165,9 @@ func FuzzReadFrame(f *testing.F) {
 	rows := frame(&Response{Kind: KindRows, Block: block})
 	f.Add(append(append([]byte(nil), ping...), rows...))
 	f.Add(append(append([]byte(nil), rows...), ping...))
+	// A schema frame whose row-count hint lies, ahead of its rows.
+	hinted := frame(&Response{Kind: KindSchema, Cols: []Col{{Name: "N", Kind: "int"}}, Rows: 1 << 40})
+	f.Add(append(append([]byte(nil), hinted...), rows...))
 	f.Add(rows[:len(rows)-7])
 	f.Add(rawHeader(MaxFrame + 1))
 	f.Add(rawHeader(rawFrame | MaxFrame))

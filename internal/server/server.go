@@ -482,26 +482,31 @@ func StreamResult(w io.Writer, result *relation.Relation, batchRows int, done *D
 	return streamResult(w, result, nil, batchRows, done)
 }
 
+// zeroKeys are the sequence keys of a keyless answer's rows frame. It is
+// never written: every keyless answer shares it.
+var zeroKeys [ResultBatchRows]int
+
 // streamResult is the one place the frame layout of a result is decided:
-// a schema frame, one spill block per rows frame, a done frame. keys, when
-// non-nil, are the rows' sequence keys (a pushed-down fragment's
-// provenance) and the schema frame says so; otherwise every block carries
-// zero keys, which the client drops.
+// a schema frame carrying the row count, one spill block per rows frame, a
+// done frame. keys, when non-nil, are the rows' sequence keys (a
+// pushed-down fragment's provenance) and the schema frame says so;
+// otherwise every block carries zero keys, which the client drops.
 func streamResult(w io.Writer, result *relation.Relation, keys []int, batchRows int, done *Done) error {
+	// The rows are encoded straight off the result's batch: no tuple is
+	// built.
+	b := result.Columns()
+	n := b.Rows()
 	if err := WriteFrame(w, &Response{
 		Kind:  KindSchema,
 		Cols:  colsOf(result.Schema()),
 		Order: orderOf(result.Order()),
 		Keyed: keys != nil,
+		Rows:  n,
 	}); err != nil {
 		return err
 	}
-	// The rows are encoded straight off the result's batch: no tuple is
-	// built.
-	b := result.Columns()
-	n := b.Rows()
-	var zeros []int
-	if keys == nil {
+	zeros := zeroKeys[:]
+	if keys == nil && min(batchRows, n) > len(zeros) {
 		zeros = make([]int, min(batchRows, n))
 	}
 	rows := Response{Kind: KindRows}
