@@ -242,27 +242,6 @@ func (n *Project) deriveSchema() (*schema.Schema, error) {
 	return schema.New(attrs...)
 }
 
-// OutNames returns the projection's output attribute names in order.
-func (n *Project) OutNames() []string {
-	out := make([]string, len(n.Items))
-	for i, it := range n.Items {
-		out[i] = it.As
-	}
-	return out
-}
-
-// IdentityOn reports whether the projection merely passes through the named
-// attribute (projects the column under its own name).
-func (n *Project) IdentityOn(name string) bool {
-	for _, it := range n.Items {
-		if it.As == name {
-			c, ok := it.Expr.(expr.Col)
-			return ok && c.Name == name
-		}
-	}
-	return false
-}
-
 // Label implements Node.
 func (n *Project) Label() string {
 	parts := make([]string, len(n.Items))

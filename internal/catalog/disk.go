@@ -28,9 +28,6 @@ func OpenDir(dir string) (*Catalog, error) {
 	return c, nil
 }
 
-// DiskBacked reports whether the catalog persists to a store directory.
-func (c *Catalog) DiskBacked() bool { return c.st != nil }
-
 // Store exposes the backing store (nil for in-memory catalogs), for tests
 // and tooling that inspect the on-disk state.
 func (c *Catalog) Store() *store.Store { return c.st }

@@ -101,12 +101,10 @@ func E1With(spec eval.EngineSpec) Report {
 	return Report{ID: "E1", Title: "Figure 1 — example relations and the query's Result", Pass: b.pass, Body: b.String()}
 }
 
-// E2Figure2 reproduces Figure 2: the initial algebra expression from the
-// user-level query, the optimized plan, and — as the extension measurement —
-// their costs under the model and their simulated execution work.
-func E2Figure2() Report { return E2With(eval.Reference()) }
-
-// E2With is E2Figure2 on an explicit engine.
+// E2With reproduces Figure 2 on an explicit engine: the initial algebra
+// expression from the user-level query, the optimized plan, and — as the
+// extension measurement — their costs under the model and their simulated
+// execution work.
 func E2With(spec eval.EngineSpec) Report {
 	b := newReport()
 	c := catalog.Paper()
@@ -146,11 +144,9 @@ func E2With(spec eval.EngineSpec) Report {
 	return Report{ID: "E2", Title: "Figure 2 — initial vs optimized query plan", Pass: b.pass, Body: b.String()}
 }
 
-// E3Figure3 reproduces Figure 3: R1 = π(EMPLOYEE), R2 = rdup(R1) with the
-// 1.T1/1.T2 renaming, R3 = rdupᵀ(R1) with John's period cut to [8,11).
-func E3Figure3() Report { return E3With(eval.Reference()) }
-
-// E3With is E3Figure3 on an explicit engine.
+// E3With reproduces Figure 3 on an explicit engine: R1 = π(EMPLOYEE),
+// R2 = rdup(R1) with the 1.T1/1.T2 renaming, R3 = rdupᵀ(R1) with John's
+// period cut to [8,11).
 func E3With(spec eval.EngineSpec) Report {
 	b := newReport()
 	c := catalog.Paper()
