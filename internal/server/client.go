@@ -194,6 +194,13 @@ func (c *Client) Query(ctx context.Context, sql string) (*relation.Relation, *Qu
 	return rel, meta, nil
 }
 
+// maxHintCells bounds what a schema frame's row-count hint may presize:
+// the client sizes its column planes (and its sequence keys, on a keyed
+// answer) for at most this many cells in all, 16 MiB at the widest plane
+// cell. A hint comes from a peer, so a lying one costs at most that; rows
+// past it grow the planes as they arrive.
+const maxHintCells = 1 << 20
+
 // query runs one result-streaming request (OpQuery or OpPartial); callers
 // hold c.mu with the connection armed. keys holds the rows' sequence keys
 // when the schema frame says they are provenance (a keyed partial plan),
@@ -223,7 +230,7 @@ func (c *Client) query(req *Request) (*relation.Relation, *QueryMeta, []int, err
 	if head.Keyed {
 		width++
 	}
-	rows := presizeRows(head.Rows, width)
+	rows := max(0, min(head.Rows, maxHintCells/max(width, 1)))
 	b := column.NewBatch(sch, rows)
 	var keys []int
 	if head.Keyed {

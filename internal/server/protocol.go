@@ -48,19 +48,6 @@ import (
 // the allocation attempted.
 const MaxFrame = 64 << 20
 
-// maxHintCells bounds what a schema frame's row-count hint may presize:
-// the client sizes its column planes (and its sequence keys, on a keyed
-// answer) for at most this many cells in all, 16 MiB at the widest plane
-// cell. A hint comes from a peer, so a lying one costs at most that; rows
-// past it grow the planes as they arrive.
-const maxHintCells = 1 << 20
-
-// presizeRows clamps a schema frame's row hint to what the client may
-// presize for an answer of width planes: [0, maxHintCells/width].
-func presizeRows(hint, width int) int {
-	return max(0, min(hint, maxHintCells/max(width, 1)))
-}
-
 // Request operations.
 const (
 	// OpQuery optimizes and executes a statement (or applies a SET

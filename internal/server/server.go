@@ -471,10 +471,10 @@ func (s *Server) runQuery(sql string, sess *session, w io.Writer) error {
 }
 
 // StreamResult writes a materialized result as protocol frames — one
-// schema frame, rows frames of batchRows rows (ResultBatchRows when
-// batchRows ≤ 0), the terminal done frame — the server's answer to a
-// query. Exported so the coordinator's frontend streams its gathered
-// results with the exact same encoding.
+// schema frame carrying the row count, rows frames of batchRows rows
+// (ResultBatchRows when batchRows ≤ 0), the terminal done frame — the
+// server's answer to a query. Exported so the coordinator's frontend
+// streams its gathered results with the exact same encoding.
 func StreamResult(w io.Writer, result *relation.Relation, batchRows int, done *Done) error {
 	if batchRows <= 0 {
 		batchRows = ResultBatchRows
