@@ -57,7 +57,7 @@ func main() {
 		engine      = flag.String("engine", "exec", "engine for planning and the coordinator-side remainder: 'reference', 'exec' or 'parallel'")
 		parallel    = flag.Int("parallel", 0, "worker count for the morsel-parallel engine")
 		mem         = flag.String("mem", "", "memory budget for the exec engine's blocking operators, e.g. 64K, 16MB")
-		mode        = flag.String("mode", "auto", "partitioning strategy: 'auto', 'hash' or 'range' (must match the shard servers' -shard-mode)")
+		mode        = flag.String("mode", "auto", "partitioning strategy: 'auto' (hash every relation holding the shared key on it alone, so a grouped region — up to the paper statement's whole \\ᵀ — runs below the gather), 'hash' or 'range' (must match the shard servers' -shard-mode)")
 		seed        = flag.Int64("seed", 1, "simulated DBMS order-nondeterminism seed (must match the shard servers)")
 		query       = flag.String("q", "", "run one statement and exit (default: read statements from stdin)")
 		addr        = flag.String("addr", "", "serve the coordinator over the wire protocol on this address instead of running statements (connect with tqshell -connect)")

@@ -69,7 +69,7 @@ func main() {
 		seed         = flag.Int64("seed", 1, "simulated DBMS order-nondeterminism seed")
 		drain        = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown drain deadline")
 		shardSpec    = flag.String("shard", "", "serve slice i of an n-way partitioning, as 'i/n' with 0 <= i < n (empty = whole database)")
-		shardMode    = flag.String("shard-mode", "auto", "partitioning strategy with -shard: 'auto', 'hash' or 'range'")
+		shardMode    = flag.String("shard-mode", "auto", "partitioning strategy with -shard: 'auto' (hash every relation holding the shared key on it alone, co-partitioning them), 'hash' or 'range'")
 		metricsAddr  = flag.String("metrics-addr", "", "HTTP listen address for /metrics (Prometheus text) and /debug/pprof (empty = disabled)")
 		queryLog     = flag.String("query-log", "", "structured query log destination: a file path, or '-' for stderr (empty = disabled)")
 		slowMS       = flag.Float64("slow-query-ms", 0, "with -query-log, log only queries at least this slow; errors always log (0 = every query)")

@@ -219,7 +219,7 @@ func (c *Coordinator) prepare(sql string) (*cacheEntry, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	split, err := core.SplitForShards(prep.Plan, core.SplitPolicy{Colocated: c.m.Colocated})
+	split, err := core.SplitForShards(prep.Plan, core.SplitPolicy{Colocated: c.m.Colocated, CoPartitioned: c.m.CoPartitioned})
 	if err != nil {
 		return nil, false, err
 	}

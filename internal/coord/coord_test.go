@@ -63,8 +63,8 @@ func startShards(t *testing.T, cat *catalog.Catalog, n int, mode shard.Mode) []s
 }
 
 // TestCoordinatorDifferential is the reference-vs-sharded leg over the real
-// wire protocol: for both databases, both forced partitioning strategies
-// and 1/2/4 shards, every query's coordinated result must be bit-identical
+// wire protocol: for both databases, the Auto derivation (co-partitioned on
+// the shared key), both forced partitioning strategies and 1/2/4 shards, every query's coordinated result must be bit-identical
 // to a single node's. The fragment counters guard against a vacuously
 // green run.
 func TestCoordinatorDifferential(t *testing.T) {
@@ -76,7 +76,7 @@ func TestCoordinatorDifferential(t *testing.T) {
 		name string
 		cat  *catalog.Catalog
 	}{{"paper", paper}, {"synth", synth}} {
-		for _, mode := range []shard.Mode{shard.ForceHash, shard.ForceRange} {
+		for _, mode := range []shard.Mode{shard.Auto, shard.ForceHash, shard.ForceRange} {
 			for _, n := range []int{1, 2, 4} {
 				t.Run(fmt.Sprintf("%s/%v/%d", db.name, mode, n), func(t *testing.T) {
 					// The oracle plans exactly the way the coordinator does

@@ -13,16 +13,15 @@ import (
 )
 
 // This file splits a chosen physical plan for sharded execution: it
-// extracts the maximal per-shard fragments — subtrees of the plan, chains
-// over one base relation that every shard can run independently over its
-// slice — and rewrites the plan so each extracted subtree reads a placeholder
-// relation instead. The coordinator ships each subtree as it stands, runs it
-// on the shards (exec.RunFragment), merges their outputs
-// deterministically (exec.MergeParts), registers the merged
-// results as the placeholder relations of a synthetic catalog, and
-// executes the remainder plan through the ordinary stratum executor. The
-// rewrite is engineered so the remainder replays the single-node
-// execution bit-identically:
+// extracts the maximal per-shard fragments — subtrees of the plan that
+// every shard can run independently over its slices — and rewrites the
+// plan so each extracted subtree reads a placeholder relation instead. The
+// coordinator ships each subtree, runs it on the shards
+// (exec.RunFragment), merges their outputs deterministically
+// (exec.MergeParts), registers the merged results as the placeholder
+// relations of a synthetic catalog, and executes the remainder plan
+// through the ordinary stratum executor. The rewrite is engineered so the
+// remainder replays the single-node execution bit-identically:
 //
 //   - A chain fragment (σ/π nodes over a scan, no sort) merges by sequence key
 //     back into the exact stored-order list the single-node DBMS would
@@ -36,24 +35,38 @@ import (
 //     sorted placeholder is a stable identity, and a sort-topped DBMS
 //     subplan is exactly the case the simulated DBMS does not permute —
 //     matching the single-node run.
-//   - A grouped fragment additionally pushes one group operation
-//     (temporal coalescing, temporal duplicate elimination, or a
-//     conventional aggregate) from directly above the transfer, valid
-//     only when the partitioning keeps every group on one shard and the
-//     pushed sort's covering prefix lines up the groups contiguously.
-//     Group outputs merge block-wise on that prefix; the replacement
-//     TS(sort_prefix(placeholder)) keeps the site contract and the
-//     no-permute gating intact while the sort is again a stable identity.
+//   - A grouped fragment pushes a grouped region: a tree of temporal
+//     duplicate elimination, temporal coalescing and temporal difference
+//     (rdupᵀ, coalᵀ, \ᵀ) — or one conventional aggregate — over transfers
+//     of chains, the transfers dropped. \ᵀ gives it two leaves. Each
+//     operation is local to a value group, so a shard computes the
+//     restriction of the global output to its groups — valid only when the
+//     partitioning keeps every group on one shard, in every leaf alike, and
+//     the left-most leaf's pushed sort's covering prefix lines the groups
+//     up contiguously; \ᵀ reads its right argument only up to ≡SM, so a
+//     right leaf need not be sorted and the DBMS's permutation of it does
+//     not matter. Group outputs merge block-wise on that prefix; the
+//     replacement TS(sort_prefix(placeholder)) keeps the site contract and
+//     the no-permute gating intact while the sort is again a stable
+//     identity. On the paper's plan sort(\ᵀ(coalᵀ(rdupᵀ(TS(sort(π(EMPLOYEE))))),
+//     TS(π(PROJECT)))) the whole \ᵀ is one grouped fragment over a
+//     co-partitioned catalog, and the remainder is sort(TS(sort(@part0))).
 //
-// Everything else — joins, set operations, projections, stratum-side
+// Everything else — joins, unions, products, projections, stratum-side
 // operators, transfers — stays in the remainder and runs once,
-// coordinator-side, exactly as a single node would run it.
+// coordinator-side, exactly as a single node would run it. ∪ᵀ, ⋈ and ×ᵀ
+// outputs are not grouped on a prefix, so they could not merge block-wise.
 
 // SplitPolicy tells the splitter what the partitioning guarantees.
 type SplitPolicy struct {
 	// Colocated reports whether every group of rel's rows agreeing on
 	// attrs lives wholly on one shard. nil disables group push-down.
 	Colocated func(rel string, attrs []string) bool
+	// CoPartitioned reports whether rows of the relations rels agreeing
+	// position-wise on their attrs live on one shard (attrs[i] belongs to
+	// rels[i]). nil keeps a grouped fragment to one group operation over
+	// one leaf.
+	CoPartitioned func(rels []string, attrs [][]string) bool
 }
 
 // FragmentKind classifies how a fragment's shard outputs merge.
@@ -89,7 +102,9 @@ type Fragment struct {
 	Name string
 	Kind FragmentKind
 	// Plan is the subtree every shard runs (see exec.RunFragment): a chain
-	// of unary operators over one base relation.
+	// of σ, π and sort over one base relation, or a grouped region — rdupᵀ,
+	// coalᵀ and \ᵀ, or one aggregate, over such chains — whose \ᵀ nodes
+	// give it two leaves.
 	Plan algebra.Node
 	// Schema is the fragment's output schema.
 	Schema *schema.Schema
@@ -287,61 +302,122 @@ func (s *splitter) push(f Fragment) algebra.Node {
 	return algebra.NewRel(f.Name, f.Schema, algebra.BaseInfo{Order: f.Order})
 }
 
-// tryGrouped extracts a grouped fragment: one group operation directly
-// above TS(sort((σ|π)*(Rel))), pushed only when the partitioning colocates
-// the groups and the pushed sort lines them up contiguously.
-func (s *splitter) tryGrouped(n algebra.Node) (algebra.Node, bool) {
-	if s.policy.Colocated == nil {
-		return nil, false
-	}
+// region is a matched grouped region: a tree of rdupᵀ, coalᵀ and \ᵀ — or
+// one conventional aggregate — over TS(sort?((σ|π)*(Rel))) leaves. plan is
+// the tree with the leaves' transfers dropped, what every shard runs; leaves
+// are the leaves' chains, left to right; ops counts the group operations.
+type region struct {
+	plan   algebra.Node
+	leaves []*chainMatch
+	ops    int
+}
+
+// matchRegion matches n against the grouped-region grammar. A conventional
+// aggregate with a GROUP BY list is a region only at the top and directly
+// above its leaf.
+func matchRegion(n algebra.Node, top bool) (*region, bool) {
 	switch n.Op() {
-	case algebra.OpCoal, algebra.OpTRdup:
+	case algebra.OpTransferS:
+		m, ok := matchChain(n.Children()[0])
+		if !ok {
+			return nil, false
+		}
+		return &region{plan: n.Children()[0], leaves: []*chainMatch{m}}, true
+	case algebra.OpTRdup, algebra.OpCoal, algebra.OpTDiff:
 	case algebra.OpAggregate:
-		if len(n.(*algebra.Aggregate).GroupBy) == 0 {
+		if !top || len(n.(*algebra.Aggregate).GroupBy) == 0 || n.Children()[0].Op() != algebra.OpTransferS {
 			return nil, false
 		}
 	default:
 		return nil, false
 	}
-	ts := n.Children()[0]
-	if ts.Op() != algebra.OpTransferS {
-		return nil, false
-	}
-	m, ok := matchChain(ts.Children()[0])
-	if !ok || m.srt == nil {
-		return nil, false
-	}
-	// The grouping attributes, in the chain's output schema: the value
-	// attributes for the temporal group operations, the GROUP BY list for
-	// the aggregate (time attributes excluded — the conventional aggregate
-	// renames them).
-	sch := m.sch
-	var gidx []int
-	if agg, ok := n.(*algebra.Aggregate); ok {
-		t1, t2 := sch.TimeIndices()
-		for _, a := range agg.GroupBy {
-			j := sch.Index(a)
-			if j < 0 || j == t1 || j == t2 {
-				return nil, false
-			}
-			gidx = append(gidx, j)
+	r := &region{ops: 1}
+	ch := n.Children()
+	in := make([]algebra.Node, len(ch))
+	for i, c := range ch {
+		sub, ok := matchRegion(c, false)
+		if !ok {
+			return nil, false
 		}
-	} else {
-		gidx = physical.ValueIdx(sch)
+		in[i] = sub.plan
+		r.leaves = append(r.leaves, sub.leaves...)
+		r.ops += sub.ops
+	}
+	r.plan = n.WithChildren(in...)
+	return r, true
+}
+
+// groupIdx is the grouping attributes of a region rooted at n, as positions
+// of a leaf chain's output schema: the GROUP BY list for the conventional
+// aggregate (time attributes excluded — it renames them), the value
+// attributes for the temporal operations, whose groups \ᵀ pairs up
+// position by position across its union-compatible arguments.
+func groupIdx(n algebra.Node, sch *schema.Schema) ([]int, bool) {
+	agg, ok := n.(*algebra.Aggregate)
+	if !ok {
+		return physical.ValueIdx(sch), true
+	}
+	t1, t2 := sch.TimeIndices()
+	gidx := make([]int, 0, len(agg.GroupBy))
+	for _, a := range agg.GroupBy {
+		j := sch.Index(a)
+		if j < 0 || j == t1 || j == t2 {
+			return nil, false
+		}
+		gidx = append(gidx, j)
+	}
+	return gidx, true
+}
+
+// tryGrouped extracts a grouped fragment: a grouped region rooted at n,
+// pushed only when the partitioning keeps every group of every leaf on one
+// shard — and, across leaves, equal groups on the same shard — and the
+// left-most leaf's pushed sort lines the groups up contiguously. Every
+// operation of a region keeps its left argument's time-free order, so the
+// region's output is ordered by that sort's covering prefix, which the
+// merge orders by; \ᵀ reads its right argument only up to ≡SM, so the
+// other leaves need no sort. Without SplitPolicy.CoPartitioned a region is
+// one group operation over one leaf.
+func (s *splitter) tryGrouped(n algebra.Node) (algebra.Node, bool) {
+	if s.policy.Colocated == nil {
+		return nil, false
+	}
+	r, ok := matchRegion(n, true)
+	if !ok || r.ops == 0 || (s.policy.CoPartitioned == nil && (r.ops > 1 || len(r.leaves) > 1)) {
+		return nil, false
+	}
+	left := r.leaves[0]
+	if left.srt == nil {
+		return nil, false
 	}
 	// Colocation is a property of the base relation's storage, so map each
 	// grouping attribute back through the chain's projections to its base
 	// attribute; a computed column has none, which forbids the push.
-	attrs := make([]string, len(gidx))
-	for i, j := range gidx {
-		src, ok := m.base[sch.At(j).Name]
+	var gidx []int
+	rels, attrs := make([]string, len(r.leaves)), make([][]string, len(r.leaves))
+	for i, m := range r.leaves {
+		idx, ok := groupIdx(n, m.sch)
 		if !ok {
 			return nil, false
 		}
-		attrs[i] = src
+		if i == 0 {
+			gidx = idx
+		}
+		rels[i], attrs[i] = m.rel.Name, make([]string, len(idx))
+		for k, j := range idx {
+			if attrs[i][k], ok = m.base[m.sch.At(j).Name]; !ok {
+				return nil, false
+			}
+		}
+		if !s.policy.Colocated(m.rel.Name, attrs[i]) {
+			return nil, false
+		}
 	}
-	prefix, ok := physical.CoveringPrefix(m.srt.Spec, sch, gidx)
-	if !ok || !s.policy.Colocated(m.rel.Name, attrs) {
+	if len(rels) > 1 && !s.policy.CoPartitioned(rels, attrs) {
+		return nil, false
+	}
+	prefix, ok := physical.CoveringPrefix(left.srt.Spec, left.sch, gidx)
+	if !ok {
 		return nil, false
 	}
 	outSch, err := n.Schema()
@@ -349,7 +425,7 @@ func (s *splitter) tryGrouped(n algebra.Node) (algebra.Node, bool) {
 		s.fail(err)
 		return nil, false
 	}
-	placeholder := s.push(Fragment{Kind: FragmentGrouped, Plan: n.WithChildren(ts.Children()[0]), Schema: outSch, Order: prefix})
+	placeholder := s.push(Fragment{Kind: FragmentGrouped, Plan: r.plan, Schema: outSch, Order: prefix})
 	// TS(sort_prefix(placeholder)): site-valid, permute-gated, identity.
 	return algebra.NewTransferS(algebra.NewSort(prefix, placeholder)), true
 }

@@ -188,7 +188,7 @@ func shardedRun(t *testing.T, cat *catalog.Catalog, plan algebra.Node, mode shar
 	if err != nil {
 		t.Fatal(err)
 	}
-	split, err := core.SplitForShards(plan, core.SplitPolicy{Colocated: m.Colocated})
+	split, err := core.SplitForShards(plan, core.SplitPolicy{Colocated: m.Colocated, CoPartitioned: m.CoPartitioned})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,4 +226,51 @@ func shardedRun(t *testing.T, cat *catalog.Catalog, plan algebra.Node, mode shar
 		t.Fatal(err)
 	}
 	return got
+}
+
+// TestSplitRegionPush pins the grouped-region push on the paper's plan: over
+// a co-partitioning policy the whole \ᵀ — with its coalᵀ, its rdupᵀ and
+// both leaves — is one grouped fragment ordered by EmpName, and the
+// remainder only re-sorts its placeholder; when the leaves are not
+// co-partitioned the \ᵀ stays behind, its left argument's group operations
+// push as one region and the right leaf as a chain; and without the
+// co-partitioning test a region is one operation, as before.
+func TestSplitRegionPush(t *testing.T) {
+	o := core.New(catalog.Paper())
+	prep, err := o.Prepare(paperSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	always := func(string, []string) bool { return true }
+	for _, tc := range []struct {
+		name      string
+		policy    core.SplitPolicy
+		fragments string
+		remainder string
+	}{
+		{"co-partitioned", core.SplitPolicy{Colocated: always, CoPartitioned: func([]string, [][]string) bool { return true }},
+			"grouped diffT(coalT(rdupT(sort{EmpName ASC}(project{EmpName,T1,T2}(EMPLOYEE)))),project{EmpName,T1,T2}(PROJECT))",
+			"sort{EmpName ASC}(TS(sort{EmpName ASC}(@part0)))"},
+		{"not co-partitioned", core.SplitPolicy{Colocated: always, CoPartitioned: func([]string, [][]string) bool { return false }},
+			"grouped coalT(rdupT(sort{EmpName ASC}(project{EmpName,T1,T2}(EMPLOYEE)))); chain project{EmpName,T1,T2}(PROJECT)",
+			"sort{EmpName ASC}(diffT(TS(sort{EmpName ASC}(@part0)),TS(@part1)))"},
+		{"one operation", core.SplitPolicy{Colocated: always},
+			"grouped rdupT(sort{EmpName ASC}(project{EmpName,T1,T2}(EMPLOYEE))); chain project{EmpName,T1,T2}(PROJECT)",
+			"sort{EmpName ASC}(diffT(coalT(TS(sort{EmpName ASC}(@part0))),TS(@part1)))"},
+	} {
+		split, err := core.SplitForShards(prep.Plan, tc.policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var frags []string
+		for _, f := range split.Fragments {
+			frags = append(frags, f.Kind.String()+" "+algebra.Canonical(f.Plan))
+		}
+		if got := strings.Join(frags, "; "); got != tc.fragments {
+			t.Errorf("%s: fragments\n got %s\nwant %s", tc.name, got, tc.fragments)
+		}
+		if got := algebra.Canonical(split.Remainder); got != tc.remainder {
+			t.Errorf("%s: remainder\n got %s\nwant %s", tc.name, got, tc.remainder)
+		}
+	}
 }

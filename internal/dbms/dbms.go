@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 
 	"tqp/internal/algebra"
 	"tqp/internal/eval"
@@ -195,16 +196,34 @@ func (e *Engine) rewrite(n algebra.Node, budget *int) algebra.Node {
 	return n
 }
 
+// shuffler is the generator permutation reseeds: a math/rand source is a
+// 607-word state, too large to build for every answer, and reseeding one
+// restores exactly the state a fresh source of that seed starts in. It is
+// one shared generator, not a sync.Pool, because every collection empties a
+// pool and its refill allocates again; a caller that finds it busy builds
+// its own.
+var shuffler = struct {
+	sync.Mutex
+	rng *rand.Rand
+}{rng: rand.New(rand.NewSource(0))}
+
 // permutation returns the engine's deterministic seeded permutation of n
 // rows — the "whatever order the DBMS happens to produce" of Section 4.5 —
 // as the index vector the permuted list gathers: its k-th row is the
-// result's idx[k]-th.
+// result's idx[k]-th. It is the shuffle of rand.New(rand.NewSource(seed+n)).
 func (e *Engine) permutation(n int) []int {
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
-	rng := rand.New(rand.NewSource(e.seed + int64(n)))
-	rng.Shuffle(n, func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
+	swap := func(i, j int) { idx[i], idx[j] = idx[j], idx[i] }
+	seed := e.seed + int64(n)
+	if !shuffler.TryLock() {
+		rand.New(rand.NewSource(seed)).Shuffle(n, swap)
+		return idx
+	}
+	defer shuffler.Unlock()
+	shuffler.rng.Seed(seed)
+	shuffler.rng.Shuffle(n, swap)
 	return idx
 }

@@ -46,10 +46,6 @@ type Engine struct {
 	shape physical.Shape
 	stats Stats
 
-	// leaf, when set, is what a Rel of the plan compiles to instead of a
-	// resolution through src: RunFragment's shard slice, already columnar.
-	leaf *source
-
 	// Per-run memory-bounded execution state, set up by Eval when
 	// Config.MemoryBudget > 0 and torn down when the run ends.
 	mem      *arbiter
@@ -140,7 +136,7 @@ func (e *Engine) eval(n algebra.Node) (*relation.Relation, error) {
 			e.mem = nil
 		}()
 	}
-	if rel, ok := n.(*algebra.Rel); ok && e.leaf == nil {
+	if rel, ok := n.(*algebra.Rel); ok {
 		return e.scanList(rel)
 	}
 	s, err := e.build(n)
@@ -239,17 +235,13 @@ func (e *Engine) build(n algebra.Node) (*source, error) {
 }
 
 // compile builds a node's physical operator. A base relation compiles to
-// its scan, or to RunFragment's shard slice. Any other node builds its
-// children through build, derives its schema, takes its variant from
-// physical.Decide over the children's delivered orders and the engine's
-// shape — the one place the engine chooses one — hands all three to its
-// operator's builder and sets the built stage's Table 1 order — the one
-// place the engine orders a stage.
+// its scan. Any other node builds its children through build, derives its
+// schema, takes its variant from physical.Decide over the children's
+// delivered orders and the engine's shape — the one place the engine
+// chooses one — hands all three to its operator's builder and sets the
+// built stage's Table 1 order — the one place the engine orders a stage.
 func (e *Engine) compile(n algebra.Node) (*source, physical.Decision, error) {
 	if rel, ok := n.(*algebra.Rel); ok {
-		if e.leaf != nil {
-			return e.leaf, physical.Decision{}, nil
-		}
 		s, err := e.buildRel(rel)
 		return s, physical.Decision{}, err
 	}

@@ -17,81 +17,79 @@ import (
 // uses to reassemble per-shard results into exactly the list a single-node
 // run would produce.
 //
-// A fragment is a plan subtree over one base relation: a chain of unary
-// operators above one leaf. Each shard runs it over its slice of the relation
-// with the rows' global sequence keys — their positions in the unsharded
-// stored order — riding along as one more column through the σ, π and sort
-// nodes at the chain's bottom, so the coordinator can merge deterministically:
-// by sequence key alone for unsorted chains, by (sort keys, sequence key) for
-// sorted ones. Any other operator (a group operation, say) consumes
-// provenance — its outputs are groups, not stored rows — so the keys are
-// projected away below it, the fragment returns nil keys, and the coordinator
-// merges block-wise on the grouping prefix instead.
+// A fragment is a plan subtree over base relations: a chain of σ, π and
+// sort nodes above one leaf, or a grouped region whose \ᵀ nodes give it two
+// leaves. Each shard runs it over its slices of the relations. A chain's
+// rows keep their provenance: their global sequence keys — their positions
+// in the unsharded stored order — ride along as one more column, so the
+// coordinator can merge deterministically: by sequence key alone for
+// unsorted chains, by (sort keys, sequence key) for sorted ones. Any other
+// operator (a group operation, say) consumes provenance — its outputs are
+// groups, not stored rows — so its fragment runs over the plain slices,
+// returns nil keys, and the coordinator merges block-wise on the grouping
+// prefix instead.
 
-// seqAttr names the column the sequence keys travel in. It is appended to the
-// shard slice, carried by every σ, π and sort above the leaf as data — a
-// filter drops keys with their rows, a stable sort permutes them with their
-// rows — and projected away below the first other operator and off the
-// result.
+// seqAttr names the column the sequence keys travel in. It is appended to a
+// chain's shard slice and carried by every σ, π and sort above it as data —
+// a filter drops keys with their rows, a stable sort permutes them with
+// their rows — and projected off the result.
 const seqAttr = "@seq"
 
-// RunFragment executes a fragment over one shard's slice of its base
-// relation on the sequential engine. src resolves the fragment's leaf to the
-// slice, and positions maps the relation's name to the slice rows' global
-// sequence keys (no entry means the identity — an unsharded run). It returns
-// the result plus the output rows' sequence keys, or nil keys when an
-// operator other than σ, π and sort consumed them.
+// RunFragment executes a fragment over one shard's slices of its base
+// relations on the sequential engine. src resolves the fragment's leaves to
+// the slices, and positions maps a relation's name to its slice rows'
+// global sequence keys (no entry means the identity — an unsharded run). It
+// returns the result plus the output rows' sequence keys, or nil keys when
+// an operator other than σ, π and sort consumed them.
 func RunFragment(plan algebra.Node, src eval.Source, positions map[string][]int) (*relation.Relation, []int, error) {
-	leaf := plan
-	for len(leaf.Children()) == 1 {
-		leaf = leaf.Children()[0]
-	}
-	base, ok := leaf.(*algebra.Rel)
-	if !ok {
-		return nil, nil, fmt.Errorf("exec: fragment %s is not a chain of unary operators over one relation", leaf.Label())
-	}
-	rel, err := src.Resolve(base.Name)
-	if err != nil {
-		return nil, nil, fmt.Errorf("exec: fragment: %w", err)
-	}
-	n, seqs := rel.Len(), positions[base.Name]
-	if seqs == nil {
-		seqs = identityIdx(n)
-	} else if len(seqs) != n {
-		return nil, nil, fmt.Errorf("exec: %d sequence keys for a %d-row shard slice", len(seqs), n)
-	}
-	if plan == leaf {
+	if base, ok := plan.(*algebra.Rel); ok {
+		rel, seqs, err := fragmentLeaf(base, src, positions)
+		if err != nil {
+			return nil, nil, fmt.Errorf("exec: fragment: %w", err)
+		}
 		return rel, seqs, nil
 	}
-	w := rel.Schema().Len()
-	sch, err := schema.New(append(rel.Schema().Attributes(), schema.Attr(seqAttr, value.KindInt))...)
+	// Each leaf is bound, under a name of its own, to its slice — with the
+	// keys as one more plane in a chain — and scanned like any relation.
+	keyed := isChain(plan)
+	leaves := eval.MapSource{}
+	bound, err := rebind(plan, keyed, func(base *algebra.Rel) (algebra.Node, error) {
+		rel, seqs, err := fragmentLeaf(base, src, positions)
+		if err != nil {
+			return nil, err
+		}
+		if keyed {
+			n, w := rel.Len(), rel.Schema().Len()
+			sch, err := schema.New(append(rel.Schema().Attributes(), schema.Attr(seqAttr, value.KindInt))...)
+			if err != nil {
+				return nil, err
+			}
+			// The keys plane is dense, so a selection view (a FOR PERIOD
+			// scan) is compacted to the rows it presents.
+			dense := rel.Columns().Compact()
+			keys := column.Vec{Kind: value.KindInt, Ints: make([]int64, n)}
+			for i, s := range seqs {
+				keys.Ints[i] = int64(s)
+			}
+			order := rel.Order()
+			rel = relation.FromColumnar(sch, &column.Batch{Schema: sch, Cols: append(dense.Cols[:w:w], keys), N: n})
+			rel.SetOrder(order)
+		}
+		name := fmt.Sprintf("@frag%d", len(leaves))
+		leaves[name] = rel
+		return algebra.NewRel(name, rel.Schema(), algebra.BaseInfo{}), nil
+	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("exec: fragment: %w", err)
 	}
-	// The leaf is the slice's batch with the keys as one more plane. The
-	// keys plane is dense, so a selection view (a FOR PERIOD scan) is
-	// compacted to the rows it presents.
-	eng := &Engine{}
-	dense := rel.Columns().Compact()
-	keys := column.Vec{Kind: value.KindInt, Ints: make([]int64, n)}
-	for i, s := range seqs {
-		keys.Ints[i] = int64(s)
-	}
-	slice := &column.Batch{Schema: sch, Cols: append(dense.Cols[:w:w], keys), N: n}
-	eng.leaf = &source{vec: &rangeBatchIter{b: slice, hi: n}, schema: sch, order: rel.Order()}
-
-	keyed, carried, err := withSeq(plan, algebra.NewRel("@frag", sch, algebra.BaseInfo{}))
+	out, err := New(leaves).Eval(bound)
 	if err != nil {
 		return nil, nil, fmt.Errorf("exec: fragment: %w", err)
 	}
-	out, err := eng.Eval(keyed)
-	if err != nil {
-		return nil, nil, fmt.Errorf("exec: fragment: %w", err)
-	}
-	if !carried {
+	if !keyed {
 		return out, nil, nil
 	}
-	w = out.Schema().Len() - 1
+	w := out.Schema().Len() - 1
 	outSch, err := schema.New(out.Schema().Attributes()[:w]...)
 	if err != nil {
 		return nil, nil, fmt.Errorf("exec: fragment: %w", err)
@@ -108,33 +106,62 @@ func RunFragment(plan algebra.Node, src eval.Source, positions map[string][]int)
 	return stripped, outSeqs, nil
 }
 
-// withSeq rebuilds the chain n over leaf, the shard slice with its sequence
-// key column. σ and sort pass the column through and π gains it as one more
-// item; below any other operator it is projected away. carried reports
-// whether the column reaches n's output.
-func withSeq(n, leaf algebra.Node) (_ algebra.Node, carried bool, err error) {
+// fragmentLeaf resolves a fragment leaf to the shard's slice of its
+// relation and the slice rows' sequence keys.
+func fragmentLeaf(base *algebra.Rel, src eval.Source, positions map[string][]int) (*relation.Relation, []int, error) {
+	rel, err := src.Resolve(base.Name)
+	if err != nil {
+		return nil, nil, err
+	}
+	n, seqs := rel.Len(), positions[base.Name]
+	if seqs == nil {
+		seqs = identityIdx(n)
+	} else if len(seqs) != n {
+		return nil, nil, fmt.Errorf("%d sequence keys for a %d-row shard slice of %s", len(seqs), n, base.Name)
+	}
+	return rel, seqs, nil
+}
+
+// isChain reports whether n is σ, π and sort nodes over one leaf: the
+// fragments whose rows keep their provenance.
+func isChain(n algebra.Node) bool {
+	for {
+		switch n.(type) {
+		case *algebra.Select, *algebra.Project, *algebra.Sort:
+			n = n.Children()[0]
+		default:
+			return len(n.Children()) == 0
+		}
+	}
+}
+
+// rebind rebuilds the fragment n over its leaves as bind binds them. In a
+// keyed chain every π gains the sequence key column as one more item. Only
+// a grouped region's \ᵀ, which merges block-wise like its arguments, may
+// take two inputs.
+func rebind(n algebra.Node, keyed bool, bind func(*algebra.Rel) (algebra.Node, error)) (algebra.Node, error) {
 	ch := n.Children()
 	if len(ch) == 0 {
-		return leaf, true, nil
+		base, ok := n.(*algebra.Rel)
+		if !ok {
+			return nil, fmt.Errorf("leaf %s is not a base relation", n.Label())
+		}
+		return bind(base)
 	}
-	in, carried, err := withSeq(ch[0], leaf)
-	if err != nil {
-		return nil, false, err
+	if len(ch) > 1 && n.Op() != algebra.OpTDiff {
+		return nil, fmt.Errorf("%s is not a fragment operator over %d inputs", n.Op(), len(ch))
 	}
-	if !carried {
-		return n.WithChildren(in), false, nil
+	in := make([]algebra.Node, len(ch))
+	for i, c := range ch {
+		var err error
+		if in[i], err = rebind(c, keyed, bind); err != nil {
+			return nil, err
+		}
 	}
-	switch v := n.(type) {
-	case *algebra.Select, *algebra.Sort:
-		return n.WithChildren(in), true, nil
-	case *algebra.Project:
-		return algebra.NewProject(append(v.Items[:len(v.Items):len(v.Items)], algebra.ColItem(seqAttr)), in), true, nil
+	if p, ok := n.(*algebra.Project); ok && keyed {
+		return algebra.NewProject(append(p.Items[:len(p.Items):len(p.Items)], algebra.ColItem(seqAttr)), in[0]), nil
 	}
-	sch, err := in.Schema()
-	if err != nil {
-		return nil, false, err
-	}
-	return n.WithChildren(algebra.NewProjectCols(in, sch.Names()[:sch.Len()-1]...)), false, nil
+	return n.WithChildren(in...), nil
 }
 
 // TaggedRows is one shard's fragment output: its batch, plus the presented

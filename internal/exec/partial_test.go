@@ -24,22 +24,24 @@ type fragChain struct {
 	// body builds the σ/π/sort prefix over leaf; a projection also passes
 	// the column named carry through, when one is named.
 	body func(leaf algebra.Node, carry string) algebra.Node
-	tail func(in algebra.Node) algebra.Node // nil for an ungrouped chain
-	keys relation.OrderSpec                 // the sort's keys, nil if none
+	tail func(in, leaf algebra.Node) algebra.Node // nil for an ungrouped chain
+	keys relation.OrderSpec                       // the sort's keys, nil if none
 }
 
 // plan is the chain as the fragment RunFragment receives, over leaf.
 func (c fragChain) plan(leaf algebra.Node) algebra.Node {
 	n := c.body(leaf, "")
 	if c.tail != nil {
-		n = c.tail(n)
+		n = c.tail(n, leaf)
 	}
 	return n
 }
 
 // randomFragChain draws select / project / sort (/ coalᵀ | rdupᵀ | 𝒢) over
-// the datagen temporal schema. Grouped tails sort on their grouping columns
-// first, as the push-down contract requires.
+// the datagen temporal schema, and wraps half the coalᵀ and rdupᵀ tails in
+// a \ᵀ whose right argument is an unsorted filter of a second leaf over the
+// same relation — a two-leaf grouped region. Grouped tails sort on their
+// grouping columns first, as the push-down contract requires.
 func randomFragChain(rng *rand.Rand) fragChain {
 	var c fragChain
 	var mk []func(n algebra.Node, carry string) algebra.Node
@@ -93,12 +95,23 @@ func randomFragChain(rng *rand.Rand) fragChain {
 	}
 	switch tail {
 	case 1:
-		c.tail = algebra.NewCoal
+		c.tail = func(n, _ algebra.Node) algebra.Node { return algebra.NewCoal(n) }
 	case 2:
-		c.tail = algebra.NewTRdup
+		c.tail = func(n, _ algebra.Node) algebra.Node { return algebra.NewTRdup(n) }
 	case 3:
 		aggs := []expr.Aggregate{{Func: expr.CountAll, As: "C"}, {Func: expr.Max, Arg: "Grp", As: "M"}}
-		c.tail = func(n algebra.Node) algebra.Node { return algebra.NewAggregate([]string{"Name"}, aggs, n) }
+		c.tail = func(n, _ algebra.Node) algebra.Node { return algebra.NewAggregate([]string{"Name"}, aggs, n) }
+	}
+	if (tail == 1 || tail == 2) && rng.Intn(2) == 0 {
+		group, cut := c.tail, int64(5+rng.Intn(20))
+		c.tail = func(n, leaf algebra.Node) algebra.Node {
+			sch, err := n.Schema()
+			if err != nil {
+				panic(err)
+			}
+			right := algebra.NewProjectCols(algebra.NewSelect(expr.Compare(expr.Lt, expr.Column("Grp"), expr.Literal(value.Int(cut))), leaf), sch.Names()...)
+			return algebra.NewTDiff(group(n, leaf), right)
+		}
 	}
 	return c
 }
@@ -113,6 +126,7 @@ func randomFragChain(rng *rand.Rand) fragChain {
 // the unsharded relation at 1, 2 and 4 slices. Slices are cut by a hash of
 // Name, so sequence keys are non-identity and every group is slice-local.
 func TestRunFragmentMatchesEngine(t *testing.T) {
+	diffs := 0 // two-leaf \ᵀ fragments with a non-empty result
 	for seed := int64(0); seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		base := sizedTemporal(200+rng.Intn(400), 500+seed)
@@ -193,6 +207,12 @@ func TestRunFragmentMatchesEngine(t *testing.T) {
 				t.Fatalf("%s: %d slices merge to %d rows, the reference on the unsharded relation has %d", what, n, merged.Len(), want.Len())
 			}
 		}
+		if frag.Op() == algebra.OpTDiff && want.Len() > 0 {
+			diffs++
+		}
+	}
+	if diffs < 5 {
+		t.Fatalf("vacuous: %d non-empty two-leaf \\ᵀ fragments", diffs)
 	}
 }
 

@@ -31,9 +31,10 @@ type WirePlan struct {
 }
 
 // fragmentOps are the operators a fragment may contain: what core's
-// splitter pushes below the gather.
+// splitter pushes below the gather. \ᵀ, a grouped region's binary node,
+// carries its two inputs in order.
 var fragmentOps = []algebra.Op{algebra.OpRel, algebra.OpSelect, algebra.OpProject, algebra.OpSort,
-	algebra.OpAggregate, algebra.OpCoal, algebra.OpTRdup}
+	algebra.OpAggregate, algebra.OpCoal, algebra.OpTRdup, algebra.OpTDiff}
 
 // WireItem is one output column of a "project" node.
 type WireItem struct {
@@ -136,10 +137,13 @@ func DecodePlan(w *WirePlan) (algebra.Node, error) {
 		}
 		return algebra.NewRel(w.Rel, nil, algebra.BaseInfo{}), nil
 	}
-	in, err := DecodePlan(w.In[0])
-	if err != nil {
-		return nil, err
+	ins := make([]algebra.Node, len(w.In))
+	for i, wi := range w.In {
+		if ins[i], err = DecodePlan(wi); err != nil {
+			return nil, err
+		}
 	}
+	in := ins[0]
 	switch op {
 	case algebra.OpSelect:
 		p, err := decodePred(w.Pred)
@@ -177,6 +181,8 @@ func DecodePlan(w *WirePlan) (algebra.Node, error) {
 		return algebra.NewAggregate(w.GroupBy, aggs, in), nil
 	case algebra.OpCoal:
 		return algebra.NewCoal(in), nil
+	case algebra.OpTDiff:
+		return algebra.NewTDiff(in, ins[1]), nil
 	default:
 		return algebra.NewTRdup(in), nil
 	}

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -39,6 +40,7 @@ func TestPartialPlanRoundTrip(t *testing.T) {
 	plan = algebra.NewSort(relation.OrderSpec{relation.Key("EmpName"), relation.KeyDesc("Til")}, plan)
 	plan = algebra.NewCoal(plan)
 	plan = algebra.NewTRdup(plan)
+	plan = algebra.NewTDiff(plan, algebra.NewCoal(algebra.NewRel("PROJECT", nil, algebra.BaseInfo{})))
 	plan = algebra.NewAggregate([]string{"Dept"}, []expr.Aggregate{
 		{Func: expr.CountAll, As: "n"},
 		{Func: expr.Sum, Arg: "T1", As: "total"},
@@ -152,5 +154,51 @@ func TestPartialKeysOnlyWithProvenance(t *testing.T) {
 				t.Fatalf("%d keys for %d rows", len(keys), rel.Len())
 			}
 		})
+	}
+}
+
+// TestBinaryFragmentErrorsAreTyped pins the wire shape of a grouped
+// region's \ᵀ node on a shard: a \ᵀ with other than two inputs is a
+// CodeProto error, a two-leaf fragment over a relation the shard does not
+// hold a CodeExec one — each an error frame that leaves the connection
+// usable — and a valid two-leaf fragment answers its rows without keys.
+func TestBinaryFragmentErrorsAreTyped(t *testing.T) {
+	srv := startServer(t, Config{Catalog: catalog.Paper()})
+	cl, err := Dial(context.Background(), srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	leaf := func(rel string) *WirePlan {
+		return &WirePlan{Op: "project", Items: []WireItem{
+			{Expr: &WireExpr{Node: "col", Name: "EmpName"}, As: "EmpName"},
+			{Expr: &WireExpr{Node: "col", Name: "T1"}, As: "T1"},
+			{Expr: &WireExpr{Node: "col", Name: "T2"}, As: "T2"},
+		}, In: []*WirePlan{{Op: "rel", Rel: rel}}}
+	}
+	diff := func(in ...*WirePlan) *WirePlan { return &WirePlan{Op: "diffT", In: in} }
+	for _, tc := range []struct {
+		name string
+		plan *WirePlan
+		code string
+	}{
+		{"one input", diff(leaf("EMPLOYEE")), CodeProto},
+		{"three inputs", diff(leaf("EMPLOYEE"), leaf("PROJECT"), leaf("PROJECT")), CodeProto},
+		{"relation not held", diff(leaf("EMPLOYEE"), leaf("NOPE")), CodeExec},
+		{"valid", diff(leaf("EMPLOYEE"), leaf("PROJECT")), ""},
+	} {
+		rel, keys, err := cl.Partial(context.Background(), tc.plan)
+		var se *ServerError
+		switch {
+		case tc.code == "" && err != nil:
+			t.Fatalf("%s: %v", tc.name, err)
+		case tc.code == "" && (rel.Len() == 0 || keys != nil):
+			t.Fatalf("%s: %d rows, keys %v: want rows without keys", tc.name, rel.Len(), keys)
+		case tc.code != "" && (!errors.As(err, &se) || se.Code != tc.code):
+			t.Fatalf("%s: got %v, want a %s server error", tc.name, err, tc.code)
+		}
+	}
+	if err := cl.Ping(context.Background()); err != nil {
+		t.Fatalf("connection unusable after the error frames: %v", err)
 	}
 }

@@ -250,7 +250,7 @@ func TestRowsHintPresizesOnce(t *testing.T) {
 
 	c = fakePeer(t, func(br *bufio.Reader, bw *bufio.Writer) {
 		readRequest(t, br)
-		if err := streamResult(bw, rel, keys, ResultBatchRows, &Done{Tuples: rel.Len()}); err != nil {
+		if err := streamResult(bw, rel, keys, ResultBatchRows, &Done{Tuples: rel.Len()}, nil); err != nil {
 			t.Error(err)
 		}
 	})

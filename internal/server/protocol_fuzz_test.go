@@ -156,6 +156,13 @@ func FuzzDecodePlan(f *testing.F) {
 	f.Add(`{"op":"aggr","group_by":["Dept"],"aggs":[{"func":"COUNT(*)","as":"n"},{"func":"SUM","arg":"T1","as":"s"}],"in":[{"op":"rel","rel":"EMPLOYEE"}]}`)
 	f.Add(`{"op":"rdupT","in":[{"op":"select","pred":{"node":"period","op":"OVERLAPS","args":[{"node":"col","name":"T1"},{"node":"col","name":"T2"},{"node":"lit","kind":"int","val":"3"},{"node":"arith","op":"+","l":{"node":"col","name":"T1"},"r":{"node":"lit","kind":"int","val":"1"}}]},"in":[{"op":"rel","rel":"PROJECT"}]}]}`)
 	f.Add(`{"op":"select","in":[{"op":"rel","rel":"NOPE"}]}`)
+	// A grouped region's \ᵀ: one input, a relation the shard does not hold,
+	// and the paper statement's valid two-leaf fragment.
+	empT := `{"op":"project","items":[{"expr":{"node":"col","name":"EmpName"},"as":"EmpName"},{"expr":{"node":"col","name":"T1"},"as":"T1"},{"expr":{"node":"col","name":"T2"},"as":"T2"}],"in":[{"op":"rel","rel":"EMPLOYEE"}]}`
+	f.Add(`{"op":"diffT","in":[` + empT + `]}`)
+	f.Add(`{"op":"diffT","in":[` + empT + `,{"op":"rel","rel":"NOPE"}]}`)
+	f.Add(`{"op":"diffT","in":[{"op":"coalT","in":[{"op":"rdupT","in":[{"op":"sort","keys":[{"attr":"EmpName"}],"in":[` + empT + `]}]}]},` +
+		`{"op":"project","items":[{"expr":{"node":"col","name":"EmpName"},"as":"EmpName"},{"expr":{"node":"col","name":"T1"},"as":"T1"},{"expr":{"node":"col","name":"T2"},"as":"T2"}],"in":[{"op":"rel","rel":"PROJECT"}]}]}`)
 	cat := catalog.Paper()
 	f.Fuzz(func(t *testing.T, payload string) {
 		var w WirePlan

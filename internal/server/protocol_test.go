@@ -178,7 +178,7 @@ func TestColumnarRowsCodec(t *testing.T) {
 	})
 	for _, keys := range [][]int{nil, {40, 7, 1 << 40}} {
 		var buf bytes.Buffer
-		if err := streamResult(&buf, rel, keys, 2, &Done{Tuples: rel.Len()}); err != nil {
+		if err := streamResult(&buf, rel, keys, 2, &Done{Tuples: rel.Len()}, nil); err != nil {
 			t.Fatal(err)
 		}
 		var frames []Response
@@ -317,5 +317,57 @@ func TestParseSet(t *testing.T) {
 		if isSet && (name != c.name || val != c.val) {
 			t.Errorf("ParseSet(%q) = %q,%q want %q,%q", c.in, name, val, c.name, c.val)
 		}
+	}
+}
+
+// TestReusedEncodeBufferKeepsFrames pins the connection's encode buffer:
+// answers streamed one after another through one reused buffer — a large
+// one, a small one over the large one's stale bytes, the large one again,
+// keyed and keyless — are byte-identical to the same answers streamed on
+// fresh buffers, and the buffer stops growing once it holds the largest
+// block.
+func TestReusedEncodeBufferKeepsFrames(t *testing.T) {
+	sch := schema.MustNew(
+		schema.Attr("Name", value.KindString),
+		schema.Attr("N", value.KindInt),
+		schema.Attr(schema.T1, value.KindTime),
+		schema.Attr(schema.T2, value.KindTime),
+	)
+	relOf := func(n int) *relation.Relation {
+		rows := make([][]any, n)
+		for i := range rows {
+			rows[i] = []any{strings.Repeat("x", i%13), i * 7, i, i + 3}
+		}
+		return relation.MustFromRows(sch, rows)
+	}
+	large, small := relOf(3*ResultBatchRows+17), relOf(5)
+	keysOf := func(rel *relation.Relation) []int {
+		keys := make([]int, rel.Len())
+		for i := range keys {
+			keys[i] = 3 * i
+		}
+		return keys
+	}
+	encode := func(rel *relation.Relation, keys []int, block *[]byte) []byte {
+		var out bytes.Buffer
+		if err := streamResult(&out, rel, keys, ResultBatchRows, &Done{Tuples: rel.Len()}, block); err != nil {
+			t.Fatal(err)
+		}
+		return out.Bytes()
+	}
+	var block []byte
+	var grown int
+	for i, rel := range []*relation.Relation{large, small, large, small, large} {
+		for _, keys := range [][]int{nil, keysOf(rel)} {
+			if got, want := encode(rel, keys, &block), encode(rel, keys, nil); !bytes.Equal(got, want) {
+				t.Fatalf("answer %d (%d rows, keyed %v): reused-buffer frames differ from fresh-buffer frames", i, rel.Len(), keys != nil)
+			}
+			if i == 0 {
+				grown = cap(block)
+			}
+		}
+	}
+	if grown == 0 || cap(block) != grown {
+		t.Fatalf("encode buffer capacity %d after the first answer, %d at the end", grown, cap(block))
 	}
 }

@@ -289,7 +289,7 @@ func (s *Server) handleRequest(req *Request, sess *session, w io.Writer) error {
 		}
 		return s.runQuery(req.SQL, sess, w)
 	case OpPartial:
-		return s.runPartial(req.Plan, w)
+		return s.runPartial(req.Plan, sess, w)
 	default:
 		return s.replyError(w, CodeProto, fmt.Errorf("server: unknown op %q", req.Op))
 	}
@@ -464,7 +464,7 @@ func (s *Server) runQuery(sql string, sess *session, w io.Writer) error {
 	if trace != nil {
 		done.TuplesTransferred = trace.TuplesTransferred
 	}
-	err = streamResult(w, result, nil, ResultBatchRows, done)
+	err = streamResult(w, result, nil, ResultBatchRows, done, &sess.block)
 	t.stream = time.Since(streamStart)
 	s.finishQuery(&t, sql, spec, prep, hit, result.Len(), trace, "", started)
 	return err
@@ -479,7 +479,7 @@ func StreamResult(w io.Writer, result *relation.Relation, batchRows int, done *D
 	if batchRows <= 0 {
 		batchRows = ResultBatchRows
 	}
-	return streamResult(w, result, nil, batchRows, done)
+	return streamResult(w, result, nil, batchRows, done, nil)
 }
 
 // zeroKeys are the sequence keys of a keyless answer's rows frame. It is
@@ -490,8 +490,10 @@ var zeroKeys [ResultBatchRows]int
 // a schema frame carrying the row count, one spill block per rows frame, a
 // done frame. keys, when non-nil, are the rows' sequence keys (a
 // pushed-down fragment's provenance) and the schema frame says so;
-// otherwise every block carries zero keys, which the client drops.
-func streamResult(w io.Writer, result *relation.Relation, keys []int, batchRows int, done *Done) error {
+// otherwise every block carries zero keys, which the client drops. Every
+// block is encoded into *block, which keeps its capacity for the
+// connection's next answer (nil: this answer's own buffer).
+func streamResult(w io.Writer, result *relation.Relation, keys []int, batchRows int, done *Done, block *[]byte) error {
 	// The rows are encoded straight off the result's batch: no tuple is
 	// built.
 	b := result.Columns()
@@ -509,7 +511,10 @@ func streamResult(w io.Writer, result *relation.Relation, keys []int, batchRows 
 	if keys == nil && min(batchRows, n) > len(zeros) {
 		zeros = make([]int, min(batchRows, n))
 	}
-	rows := Response{Kind: KindRows}
+	if block == nil {
+		block = new([]byte)
+	}
+	rows := Response{Kind: KindRows, Block: *block}
 	for from := 0; from < n; from += batchRows {
 		to := min(from+batchRows, n)
 		var seqs []int
@@ -523,6 +528,7 @@ func streamResult(w io.Writer, result *relation.Relation, keys []int, batchRows 
 			return err
 		}
 	}
+	*block = rows.Block
 	return WriteFrame(w, &Response{Kind: KindDone, Done: done})
 }
 
@@ -547,7 +553,7 @@ func textRelation(text string) *relation.Relation {
 // takes an admission slot like a query — a fragment is a query's work,
 // just with the planning already done coordinator-side — but skips the
 // plan cache: fragments arrive pre-planned.
-func (s *Server) runPartial(plan *WirePlan, w io.Writer) error {
+func (s *Server) runPartial(plan *WirePlan, sess *session, w io.Writer) error {
 	a, code, err := s.admit(w, false)
 	defer a.done()
 	if err != nil {
@@ -562,7 +568,7 @@ func (s *Server) runPartial(plan *WirePlan, w io.Writer) error {
 		return WriteError(w, CodeExec, err)
 	}
 	a.release()
-	return streamResult(w, result, seqs, ResultBatchRows, &Done{Tuples: result.Len()})
+	return streamResult(w, result, seqs, ResultBatchRows, &Done{Tuples: result.Len()}, &sess.block)
 }
 
 // admitted is one request on the path queries and fragments share: counted

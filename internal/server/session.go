@@ -24,6 +24,11 @@ type session struct {
 	mem      int64  // requested budget bytes (capped at grant.Memory)
 
 	spec eval.EngineSpec // the derived effective spec
+
+	// block is the connection's rows-frame encode buffer: each answer
+	// encodes its blocks into it, and it keeps the largest block's
+	// capacity for the next answer.
+	block []byte
 }
 
 // newSession returns a session at the server's defaults.

@@ -11,17 +11,27 @@
 // relation's value-equivalent rows are stored contiguously — that keeps
 // whole groups on one shard, which is what lets group operations (temporal
 // coalescing, duplicate elimination, aggregation) push down without a
-// cross-shard combine. Hash partitioning assigns each row by a hash of its
-// value attributes, which also colocates value-equivalent rows but spreads
-// groups evenly regardless of storage order. Auto mode picks Range when
-// the data is stored grouped and Hash otherwise. Either way a shard's
-// slice preserves the stored order of its rows, so every local row keeps
-// its global sequence key (its position in the unsharded relation) — the
-// coordinate system the coordinator's deterministic merges work in.
+// cross-shard combine. Hash partitioning assigns each row by a hash of a
+// key of value attributes, which also colocates value-equivalent rows but
+// spreads groups evenly regardless of storage order.
+//
+// Auto mode hashes every relation holding the catalog's shared key — the
+// value attribute held by the most relations (at least two), ties broken by
+// name; EmpName in the paper's database — on that attribute alone. Rows
+// equal on the key then land on one shard in every relation, so the
+// relations are co-partitioned (CoPartitioned): a temporal difference of two
+// of them, or a tree of rdupᵀ, coalᵀ and \ᵀ over them that keeps the key,
+// is local to each shard. A relation without the key is range-partitioned
+// when stored grouped and hashed on all its value attributes otherwise.
+// Either way a shard's slice preserves the stored order of its rows, so
+// every local row keeps its global sequence key (its position in the
+// unsharded relation) — the coordinate system the coordinator's
+// deterministic merges work in.
 package shard
 
 import (
 	"fmt"
+	"slices"
 
 	"tqp/internal/catalog"
 	"tqp/internal/physical"
@@ -32,7 +42,7 @@ import (
 type Strategy uint8
 
 const (
-	// Hash assigns row t to shard HashOn(valueAttrs) % n.
+	// Hash assigns row t to shard HashOn(key) % n.
 	Hash Strategy = iota
 	// Range assigns contiguous slices of the stored order.
 	Range
@@ -50,8 +60,9 @@ func (s Strategy) String() string {
 type Mode uint8
 
 const (
-	// Auto picks Range for relations stored grouped on their value
-	// attributes, Hash otherwise.
+	// Auto hashes the relations holding the catalog's shared key on that
+	// key alone; any other relation is Range when stored grouped on its
+	// value attributes and Hash on all of them otherwise.
 	Auto Mode = iota
 	// ForceHash hashes every relation.
 	ForceHash
@@ -82,7 +93,7 @@ type Map struct {
 
 type relPart struct {
 	strategy Strategy
-	vidx     []int // value-attribute positions (hash input, colocation set)
+	key      []int // Hash: the hashed attribute positions (the colocation set)
 	cuts     []int // Range: N+1 slice boundaries into the stored order
 	assign   []int // Hash: row position -> shard index
 }
@@ -98,32 +109,62 @@ func NewMapMode(cat *catalog.Catalog, n int, mode Mode) (*Map, error) {
 		return nil, fmt.Errorf("shard: want at least 1 shard, got %d", n)
 	}
 	m := &Map{N: n, cat: cat, rels: make(map[string]*relPart)}
+	shared := ""
+	if mode == Auto {
+		shared = sharedKey(cat)
+	}
 	for _, name := range cat.Names() {
 		e, err := cat.Entry(name)
 		if err != nil {
 			return nil, err
 		}
-		vidx := physical.ValueIdx(e.Rel.Schema())
-		grouped, bounds := groupRuns(e.Rel, vidx)
-		p := &relPart{vidx: vidx}
-		useRange := mode == ForceRange || (mode == Auto && grouped)
-		if useRange {
-			p.strategy = Range
-			if !grouped {
-				// Forced range over ungrouped data: cut anywhere.
-				bounds = everyRow(e.Rel.Len())
+		sch := e.Rel.Schema()
+		p := &relPart{strategy: Hash, key: physical.ValueIdx(sch)}
+		if j := sch.Index(shared); shared != "" && j >= 0 {
+			p.key = []int{j}
+		} else if mode != ForceHash {
+			if grouped, bounds := groupRuns(e.Rel, p.key); grouped || mode == ForceRange {
+				p.strategy, p.key = Range, nil
+				if !grouped {
+					// Forced range over ungrouped data: cut anywhere.
+					bounds = everyRow(e.Rel.Len())
+				}
+				p.cuts = cutAt(bounds, e.Rel.Len(), n)
 			}
-			p.cuts = cutAt(bounds, e.Rel.Len(), n)
-		} else {
-			p.strategy = Hash
+		}
+		if p.strategy == Hash {
 			p.assign = make([]int, e.Rel.Len())
 			for i, t := range e.Rel.Tuples() {
-				p.assign[i] = int(t.HashOn(vidx) % uint64(n))
+				p.assign[i] = int(t.HashOn(p.key) % uint64(n))
 			}
 		}
 		m.rels[name] = p
 	}
 	return m, nil
+}
+
+// sharedKey is Auto mode's co-partitioning key: the value attribute name
+// held by the most of cat's relations, ties broken by the smaller name, or
+// "" when no value attribute is held by two relations.
+func sharedKey(cat *catalog.Catalog) string {
+	held := make(map[string]int)
+	for _, name := range cat.Names() {
+		e, err := cat.Entry(name)
+		if err != nil {
+			continue
+		}
+		sch := e.Rel.Schema()
+		for _, j := range physical.ValueIdx(sch) {
+			held[sch.At(j).Name]++
+		}
+	}
+	best, most := "", 1
+	for a, k := range held {
+		if k > most || (k == most && best != "" && a < best) {
+			best, most = a, k
+		}
+	}
+	return best
 }
 
 // StrategyOf reports the strategy chosen for one relation.
@@ -218,8 +259,8 @@ func (m *Map) Colocated(rel string, attrs []string) bool {
 		idx = append(idx, j)
 	}
 	if p.strategy == Hash {
-		// Rows agreeing on attrs ⊇ vidx agree on vidx, so they hash alike.
-		for _, v := range p.vidx {
+		// Rows agreeing on attrs ⊇ key agree on key, so they hash alike.
+		for _, v := range p.key {
 			found := false
 			for _, j := range idx {
 				if j == v {
@@ -245,6 +286,48 @@ func (m *Map) Colocated(rel string, attrs []string) bool {
 		if c != e.Rel.Len() && !isBound[c] {
 			return false
 		}
+	}
+	return true
+}
+
+// CoPartitioned reports whether rows of different relations that agree
+// position-wise on their attributes live on one shard: attrs[i] names
+// attributes of rels[i], and attrs[i][k] pairs with attrs[j][k] — the
+// precondition for pushing a binary group operation (\ᵀ) down to the
+// shards. One shard holds everything. Otherwise every relation must be
+// hashed, and its hashed attributes must sit at the same positions of its
+// attrs in every relation, so agreeing rows hash alike wherever they are
+// stored. Range cuts are per relation and never line up.
+func (m *Map) CoPartitioned(rels []string, attrs [][]string) bool {
+	if len(rels) != len(attrs) {
+		return false
+	}
+	var at []int // the positions in attrs of the first relation's key
+	for i, rel := range rels {
+		p := m.rels[rel]
+		if p == nil {
+			return false
+		}
+		if m.N == 1 {
+			continue
+		}
+		if p.strategy != Hash {
+			return false
+		}
+		e, err := m.cat.Entry(rel)
+		if err != nil {
+			return false
+		}
+		pos := make([]int, len(p.key))
+		for k, j := range p.key {
+			if pos[k] = slices.Index(attrs[i], e.Rel.Schema().At(j).Name); pos[k] < 0 {
+				return false
+			}
+		}
+		if i > 0 && !slices.Equal(pos, at) {
+			return false
+		}
+		at = pos
 	}
 	return true
 }

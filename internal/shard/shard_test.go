@@ -289,3 +289,80 @@ func TestBadArgs(t *testing.T) {
 		t.Fatal("unknown relation must be rejected")
 	}
 }
+
+// TestAutoCoPartitionsSharedKey pins Auto's shared key: EMPLOYEE and
+// PROJECT both hold EmpName, so both are hashed on it alone — every
+// EmpName lives on one shard in both relations — and CoPartitioned holds
+// for groupings that pair EmpName with EmpName, not for other pairings or
+// partitionings. Between relations that share two attributes the smaller
+// name wins.
+func TestAutoCoPartitionsSharedKey(t *testing.T) {
+	cat := datagen.EmployeeDB(datagen.EmployeeSpec{Employees: 60, SpellsPerEmp: 3, AssignmentsPerEmp: 4, Seed: 3})
+	const n = 3
+	m, err := shard.NewMapMode(cat, n, shard.Auto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	home := make(map[string]int)
+	for _, rel := range []string{"EMPLOYEE", "PROJECT"} {
+		if s, _ := m.StrategyOf(rel); s != shard.Hash {
+			t.Fatalf("%s: strategy %v, want hash on the shared key", rel, s)
+		}
+		whole, err := cat.Resolve(rel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			pos, err := m.Positions(rel, i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, g := range pos {
+				name := whole.At(g)[0].AsString()
+				if prev, ok := home[name]; ok && prev != i {
+					t.Fatalf("%s: EmpName %s on shards %d and %d", rel, name, prev, i)
+				}
+				home[name] = i
+			}
+		}
+		if !m.Colocated(rel, []string{"EmpName"}) {
+			t.Fatalf("%s: EmpName groups must be colocated", rel)
+		}
+	}
+	both := []string{"EMPLOYEE", "PROJECT"}
+	for _, tc := range []struct {
+		name  string
+		m     *shard.Map
+		attrs [][]string
+		want  bool
+	}{
+		{"shared key", m, [][]string{{"EmpName"}, {"EmpName"}}, true},
+		{"shared key among others", m, [][]string{{"EmpName", "Dept"}, {"EmpName", "Prj"}}, true},
+		{"misaligned", m, [][]string{{"Dept", "EmpName"}, {"EmpName", "Prj"}}, false},
+		{"key dropped", m, [][]string{{"EmpName"}, {"Prj"}}, false},
+		{"forced hash", mustMap(t, cat, n, shard.ForceHash), [][]string{{"EmpName"}, {"EmpName"}}, false},
+		{"forced range", mustMap(t, cat, n, shard.ForceRange), [][]string{{"EmpName"}, {"EmpName"}}, false},
+		{"one shard", mustMap(t, cat, 1, shard.ForceRange), [][]string{{"EmpName"}, {"EmpName"}}, true},
+	} {
+		if got := tc.m.CoPartitioned(both, tc.attrs); got != tc.want {
+			t.Errorf("%s: CoPartitioned = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+	if m.CoPartitioned([]string{"EMPLOYEE", "NOPE"}, [][]string{{"EmpName"}, {"EmpName"}}) {
+		t.Error("an unknown relation must not claim co-partitioning")
+	}
+	// TA and TB share Name and Grp: the tie goes to Grp.
+	r := mustMap(t, randomDB(t, 60), n, shard.Auto)
+	if !r.CoPartitioned([]string{"TA", "TB"}, [][]string{{"Grp"}, {"Grp"}}) || r.CoPartitioned([]string{"TA", "TB"}, [][]string{{"Name"}, {"Name"}}) {
+		t.Error("a tie between shared attributes must go to the smaller name")
+	}
+}
+
+func mustMap(t *testing.T, cat *catalog.Catalog, n int, mode shard.Mode) *shard.Map {
+	t.Helper()
+	m, err := shard.NewMapMode(cat, n, mode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
