@@ -17,9 +17,10 @@
 //
 //	tqcoord -spawn 4 -db synth -q "..."
 //
-// The -db/-employees/-seed/-mode flags must match the shard servers'
-// flags: both sides derive the shard map from the full catalog, and the
-// bit-identity contract assumes they agree on the data and the seed.
+// The -db/-employees/-seed flags must match the shard servers' flags: both
+// sides derive the one shard map (internal/shard) from the full catalog,
+// and the bit-identity contract assumes they agree on the data and the
+// seed.
 // Without -q the command reads statements from stdin, one per line.
 //
 // With -addr the coordinator instead serves the wire protocol itself, so
@@ -57,30 +58,25 @@ func main() {
 		engine      = flag.String("engine", "exec", "engine for planning and the coordinator-side remainder: 'reference', 'exec' or 'parallel'")
 		parallel    = flag.Int("parallel", 0, "worker count for the morsel-parallel engine")
 		mem         = flag.String("mem", "", "memory budget for the exec engine's blocking operators, e.g. 64K, 16MB")
-		mode        = flag.String("mode", "auto", "partitioning strategy: 'auto' (hash every relation holding the shared key on it alone, so a grouped region — up to the paper statement's whole \\ᵀ — runs below the gather), 'hash' or 'range' (must match the shard servers' -shard-mode)")
 		seed        = flag.Int64("seed", 1, "simulated DBMS order-nondeterminism seed (must match the shard servers)")
 		query       = flag.String("q", "", "run one statement and exit (default: read statements from stdin)")
 		addr        = flag.String("addr", "", "serve the coordinator over the wire protocol on this address instead of running statements (connect with tqshell -connect)")
 		metricsAddr = flag.String("metrics-addr", "", "HTTP listen address for /metrics (Prometheus text) and /debug/pprof (empty = disabled)")
 	)
 	flag.Parse()
-	if err := run(*shards, *spawn, *db, *employees, *engine, *parallel, *mem, *mode, *seed, *query, *addr, *metricsAddr, os.Stdin, os.Stdout); err != nil {
+	if err := run(*shards, *spawn, *db, *employees, *engine, *parallel, *mem, *seed, *query, *addr, *metricsAddr, os.Stdin, os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "tqcoord: %v\n", err)
 		os.Exit(1)
 	}
 }
 
 func run(shards string, spawn int, db string, employees int, engine string, parallel int,
-	mem, modeName string, seed int64, query, addr, metricsAddr string, in io.Reader, out io.Writer) error {
+	mem string, seed int64, query, addr, metricsAddr string, in io.Reader, out io.Writer) error {
 	budget, err := core.ParseBytes(mem)
 	if err != nil {
 		return err
 	}
 	spec, err := core.EngineFor(engine, exec.Config{Parallelism: parallel, MemoryBudget: budget})
-	if err != nil {
-		return err
-	}
-	mode, err := shard.ParseMode(modeName)
 	if err != nil {
 		return err
 	}
@@ -94,7 +90,7 @@ func run(shards string, spawn int, db string, employees int, engine string, para
 	case spawn > 0 && shards != "":
 		return fmt.Errorf("-shards and -spawn are mutually exclusive")
 	case spawn > 0:
-		fleet, fleetAddrs, err := spawnFleet(cat, spawn, mode, seed)
+		fleet, fleetAddrs, err := spawnFleet(cat, spawn, seed)
 		if err != nil {
 			return err
 		}
@@ -113,7 +109,7 @@ func run(shards string, spawn int, db string, employees int, engine string, para
 
 	ctx := context.Background()
 	c, err := coord.New(ctx, coord.Config{
-		Catalog: cat, Addrs: addrs, Mode: mode, Spec: spec, Seed: seed,
+		Catalog: cat, Addrs: addrs, Spec: spec, Seed: seed,
 	})
 	if err != nil {
 		return err
@@ -185,8 +181,8 @@ func runOne(ctx context.Context, c *coord.Coordinator, sql string, out io.Writer
 
 // spawnFleet starts n in-process shard servers on ephemeral ports, each
 // holding its slice of the catalog's n-way partitioning.
-func spawnFleet(cat *tqp.Catalog, n int, mode shard.Mode, seed int64) ([]*server.Server, []string, error) {
-	m, err := shard.NewMapMode(cat, n, mode)
+func spawnFleet(cat *tqp.Catalog, n int, seed int64) ([]*server.Server, []string, error) {
+	m, err := shard.NewMap(cat, n)
 	if err != nil {
 		return nil, nil, err
 	}

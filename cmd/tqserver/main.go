@@ -20,7 +20,7 @@
 // With -shard i/n the server loads only slice i of an n-way partitioning
 // of the database (derived deterministically from the full catalog; see
 // internal/shard) and answers the coordinator's partial-plan requests over
-// it. Start n such servers with the same -db/-seed/-shard-mode flags and
+// it. Start n such servers with the same -db/-employees/-seed flags and
 // point tqcoord at them.
 package main
 
@@ -68,8 +68,7 @@ func main() {
 		spillDir     = flag.String("spill-dir", "", "directory for the budgeted engine's spill files (empty = system temp)")
 		seed         = flag.Int64("seed", 1, "simulated DBMS order-nondeterminism seed")
 		drain        = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown drain deadline")
-		shardSpec    = flag.String("shard", "", "serve slice i of an n-way partitioning, as 'i/n' with 0 <= i < n (empty = whole database)")
-		shardMode    = flag.String("shard-mode", "auto", "partitioning strategy with -shard: 'auto' (hash every relation holding the shared key on it alone, co-partitioning them), 'hash' or 'range'")
+		shardSpec    = flag.String("shard", "", "serve slice i of the n-way hash partitioning, as 'i/n' with 0 <= i < n (empty = whole database)")
 		metricsAddr  = flag.String("metrics-addr", "", "HTTP listen address for /metrics (Prometheus text) and /debug/pprof (empty = disabled)")
 		queryLog     = flag.String("query-log", "", "structured query log destination: a file path, or '-' for stderr (empty = disabled)")
 		slowMS       = flag.Float64("slow-query-ms", 0, "with -query-log, log only queries at least this slow; errors always log (0 = every query)")
@@ -77,7 +76,7 @@ func main() {
 	flag.Parse()
 
 	cfg, err := buildConfig(*addr, *db, *dbDir, *employees, *engine, *maxConc, *queue, *queueTimeout,
-		*workers, *mem, *cacheSize, *spillDir, *seed, *drain, *shardSpec, *shardMode)
+		*workers, *mem, *cacheSize, *spillDir, *seed, *drain, *shardSpec)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tqserver: %v\n", err)
 		os.Exit(2)
@@ -131,7 +130,7 @@ func main() {
 // main for testability.
 func buildConfig(addr, db, dbDir string, employees int, engine string, maxConc, queue int,
 	queueTimeout time.Duration, workers int, mem string, cacheSize int,
-	spillDir string, seed int64, drain time.Duration, shardSpec, shardMode string) (server.Config, error) {
+	spillDir string, seed int64, drain time.Duration, shardSpec string) (server.Config, error) {
 	budget, err := core.ParseBytes(mem)
 	if err != nil {
 		return server.Config{}, err
@@ -150,7 +149,7 @@ func buildConfig(addr, db, dbDir string, employees int, engine string, maxConc, 
 	}
 	var positions map[string][]int
 	if shardSpec != "" {
-		cat, positions, err = shardSlice(cat, shardSpec, shardMode)
+		cat, positions, err = shardSlice(cat, shardSpec)
 		if err != nil {
 			return server.Config{}, err
 		}
@@ -174,7 +173,7 @@ func buildConfig(addr, db, dbDir string, employees int, engine string, maxConc, 
 
 // shardSlice replaces the catalog with slice i of its n-way partitioning,
 // parsed from an 'i/n' flag value.
-func shardSlice(cat *tqp.Catalog, spec, modeName string) (*tqp.Catalog, map[string][]int, error) {
+func shardSlice(cat *tqp.Catalog, spec string) (*tqp.Catalog, map[string][]int, error) {
 	var i, n int
 	if _, err := fmt.Sscanf(spec, "%d/%d", &i, &n); err != nil {
 		return nil, nil, fmt.Errorf("bad -shard %q (want 'i/n', e.g. 0/4)", spec)
@@ -182,11 +181,7 @@ func shardSlice(cat *tqp.Catalog, spec, modeName string) (*tqp.Catalog, map[stri
 	if n < 1 || i < 0 || i >= n {
 		return nil, nil, fmt.Errorf("bad -shard %q (want 0 <= i < n)", spec)
 	}
-	mode, err := shard.ParseMode(modeName)
-	if err != nil {
-		return nil, nil, err
-	}
-	m, err := shard.NewMapMode(cat, n, mode)
+	m, err := shard.NewMap(cat, n)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -12,7 +12,7 @@ import (
 // parse and the -db error path.
 func TestBuildConfig(t *testing.T) {
 	cfg, err := buildConfig("127.0.0.1:0", "paper", "", 0, "exec", 4, 8,
-		time.Second, 4, "64M", 32, "/tmp/spill", 7, 3*time.Second, "", "auto")
+		time.Second, 4, "64M", 32, "/tmp/spill", 7, 3*time.Second, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,15 +22,15 @@ func TestBuildConfig(t *testing.T) {
 	if cfg.Catalog == nil || len(cfg.Catalog.Names()) == 0 {
 		t.Fatal("paper catalog must resolve")
 	}
-	if _, err := buildConfig("x", "mystery", "", 0, "exec", 0, 0, 0, 0, "", 0, "", 1, 0, "", "auto"); err == nil {
+	if _, err := buildConfig("x", "mystery", "", 0, "exec", 0, 0, 0, 0, "", 0, "", 1, 0, ""); err == nil {
 		t.Fatal("unknown database must be rejected")
 	}
-	if _, err := buildConfig("x", "paper", "", 0, "exec", 0, 0, 0, 0, "not-bytes", 0, "", 1, 0, "", "auto"); err == nil {
+	if _, err := buildConfig("x", "paper", "", 0, "exec", 0, 0, 0, 0, "not-bytes", 0, "", 1, 0, ""); err == nil {
 		t.Fatal("bad -mem must be rejected")
 	}
 	// The synth catalog resolves and a server starts over it end to end.
 	cfg, err = buildConfig("127.0.0.1:0", "synth", "", 10, "exec", 2, 0,
-		time.Second, 2, "", 8, "", 1, time.Second, "", "auto")
+		time.Second, 2, "", 8, "", 1, time.Second, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestBuildConfig(t *testing.T) {
 // to one slice, the slice positions ride along, and the two slices of a
 // 2-way split partition every relation.
 func TestBuildConfigShard(t *testing.T) {
-	whole, err := buildConfig("127.0.0.1:0", "synth", "", 10, "exec", 0, 0, 0, 0, "", 0, "", 1, 0, "", "auto")
+	whole, err := buildConfig("127.0.0.1:0", "synth", "", 10, "exec", 0, 0, 0, 0, "", 0, "", 1, 0, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestBuildConfigShard(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		cfg, err := buildConfig("127.0.0.1:0", "synth", "", 10, "exec", 0, 0, 0, 0, "", 0, "", 1, 0,
 			// Both spellings of the same slice must agree.
-			[]string{"0/2", "1/2"}[i], "auto")
+			[]string{"0/2", "1/2"}[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,11 +94,8 @@ func TestBuildConfigShard(t *testing.T) {
 		t.Fatalf("slices hold %d EMPLOYEE rows, whole database has %d", total, rw.Len())
 	}
 	for _, bad := range []string{"2/2", "-1/2", "0/0", "x/y", "1"} {
-		if _, err := buildConfig("x", "paper", "", 0, "exec", 0, 0, 0, 0, "", 0, "", 1, 0, bad, "auto"); err == nil {
+		if _, err := buildConfig("x", "paper", "", 0, "exec", 0, 0, 0, 0, "", 0, "", 1, 0, bad); err == nil {
 			t.Fatalf("bad -shard %q must be rejected", bad)
 		}
-	}
-	if _, err := buildConfig("x", "paper", "", 0, "exec", 0, 0, 0, 0, "", 0, "", 1, 0, "0/2", "zigzag"); err == nil {
-		t.Fatal("bad -shard-mode must be rejected")
 	}
 }

@@ -44,9 +44,6 @@ type Config struct {
 	Catalog *catalog.Catalog
 	// Addrs are the shard servers, index-aligned with the shard map.
 	Addrs []string
-	// Mode picks the partitioning strategy derivation; default Auto. It
-	// must match the shard servers' -shard derivation mode.
-	Mode shard.Mode
 	// Spec is the engine for planning and remainder execution; default
 	// the exec engine.
 	Spec eval.EngineSpec
@@ -149,7 +146,7 @@ func New(ctx context.Context, cfg Config) (*Coordinator, error) {
 		return nil, fmt.Errorf("coord: Config.Addrs is required")
 	}
 	cfg = cfg.withDefaults()
-	m, err := shard.NewMapMode(cfg.Catalog, len(cfg.Addrs), cfg.Mode)
+	m, err := shard.NewMap(cfg.Catalog, len(cfg.Addrs))
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"net"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -26,7 +27,9 @@ const paperSQL = `VALIDTIME SELECT DISTINCT COALESCED EmpName FROM EMPLOYEE
 	EXCEPT SELECT EmpName FROM PROJECT ORDER BY EmpName ASC`
 
 // queries covers every fragment shape: bare scans, filtered chains, pushed
-// sorts, grouped push-downs, joins and set operations in the remainder.
+// sorts, grouped push-downs, joins and set operations in the remainder. The
+// last groups on all of EMPLOYEE's value attributes, so it pushes down
+// under either hash key.
 var queries = []string{
 	"SELECT EmpName, Dept FROM EMPLOYEE",
 	"VALIDTIME SELECT EmpName FROM EMPLOYEE WHERE Dept = 'Ship'",
@@ -34,13 +37,14 @@ var queries = []string{
 	"VALIDTIME SELECT Dept, COUNT(*) AS headcount FROM EMPLOYEE GROUP BY Dept",
 	"VALIDTIME SELECT DISTINCT 1.EmpName FROM EMPLOYEE, PROJECT WHERE 1.EmpName = 2.EmpName",
 	"VALIDTIME SELECT DISTINCT COALESCED EmpName FROM EMPLOYEE ORDER BY EmpName ASC",
+	"VALIDTIME SELECT DISTINCT COALESCED EmpName, Dept FROM EMPLOYEE ORDER BY EmpName ASC, Dept ASC",
 }
 
 // startShards boots n in-process shard servers over cat's n-way
 // partitioning and returns their addresses. Cleanup closes them.
-func startShards(t *testing.T, cat *catalog.Catalog, n int, mode shard.Mode) []string {
+func startShards(t *testing.T, cat *catalog.Catalog, n int) []string {
 	t.Helper()
-	m, err := shard.NewMapMode(cat, n, mode)
+	m, err := shard.NewMap(cat, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,28 +66,51 @@ func startShards(t *testing.T, cat *catalog.Catalog, n int, mode shard.Mode) []s
 	return addrs
 }
 
+// runnable reports whether every relation sql names is in cat.
+func runnable(cat *catalog.Catalog, sql string) bool {
+	return !strings.Contains(sql, "PROJECT") || slices.Contains(cat.Names(), "PROJECT")
+}
+
+// dbmsSeeds are the simulated DBMS's order-nondeterminism seeds the
+// differentials run under; a subtest is named database/seed index/shards.
+var dbmsSeeds = []int64{1, 2, 3}
+
 // TestCoordinatorDifferential is the reference-vs-sharded leg over the real
-// wire protocol: for both databases, the Auto derivation (co-partitioned on
-// the shared key), both forced partitioning strategies and 1/2/4 shards, every query's coordinated result must be bit-identical
-// to a single node's. The fragment counters guard against a vacuously
-// green run.
+// wire protocol: for every database, three DBMS seeds and 1/2/4 shards,
+// every query's coordinated result must be bit-identical to a single
+// node's. The databases are the paper's and a synthetic one, both hashed
+// on the shared key EmpName, and the synthetic EMPLOYEE alone, which shares
+// nothing and is hashed on all its value attributes (EmpName, Dept); the
+// last runs only the statements that name EMPLOYEE alone. The fragment
+// counters guard against a vacuously green run.
 func TestCoordinatorDifferential(t *testing.T) {
-	paper := catalog.Paper()
 	synth := datagen.EmployeeDB(datagen.EmployeeSpec{
 		Employees: 30, SpellsPerEmp: 3, AssignmentsPerEmp: 4, Seed: 42,
 	})
+	employees := catalog.New()
+	e, err := synth.Entry("EMPLOYEE")
+	if err != nil {
+		t.Fatal(err)
+	}
+	employees.MustAdd("EMPLOYEE", e.Rel, e.Info)
 	for _, db := range []struct {
 		name string
 		cat  *catalog.Catalog
-	}{{"paper", paper}, {"synth", synth}} {
-		for _, mode := range []shard.Mode{shard.Auto, shard.ForceHash, shard.ForceRange} {
+	}{{"paper", catalog.Paper()}, {"synth", synth}, {"employee-only", employees}} {
+		var sqls []string
+		for _, sql := range queries {
+			if runnable(db.cat, sql) {
+				sqls = append(sqls, sql)
+			}
+		}
+		for k, seed := range dbmsSeeds {
 			for _, n := range []int{1, 2, 4} {
-				t.Run(fmt.Sprintf("%s/%v/%d", db.name, mode, n), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/%d/%d", db.name, k, n), func(t *testing.T) {
 					// The oracle plans exactly the way the coordinator does
 					// — Prepare with the scale-out cost model — so both
 					// execute the same physical plan; the bit-identity
 					// contract is per plan.
-					oracle := core.New(db.cat, core.WithEngine(exec.NewSpec(exec.Config{})), core.WithDBMSSeed(1),
+					oracle := core.New(db.cat, core.WithEngine(exec.NewSpec(exec.Config{})), core.WithDBMSSeed(seed),
 						core.WithCostParams(core.ShardedCostParams(exec.NewSpec(exec.Config{}), n)))
 					single := func(sql string) *relation.Relation {
 						prep, err := oracle.Prepare(sql)
@@ -96,15 +123,15 @@ func TestCoordinatorDifferential(t *testing.T) {
 						}
 						return want
 					}
-					addrs := startShards(t, db.cat, n, mode)
+					addrs := startShards(t, db.cat, n)
 					c, err := coord.New(context.Background(), coord.Config{
-						Catalog: db.cat, Addrs: addrs, Mode: mode, Spec: exec.NewSpec(exec.Config{}), Seed: 1,
+						Catalog: db.cat, Addrs: addrs, Spec: exec.NewSpec(exec.Config{}), Seed: seed,
 					})
 					if err != nil {
 						t.Fatal(err)
 					}
 					defer c.Close()
-					for _, sql := range queries {
+					for _, sql := range sqls {
 						want := single(sql)
 						got, meta, err := c.Query(context.Background(), sql)
 						if err != nil {
@@ -118,11 +145,15 @@ func TestCoordinatorDifferential(t *testing.T) {
 						}
 					}
 					// Cached replay: bit-identical again, with a cache hit.
-					got, meta, err := c.Query(context.Background(), paperSQL)
+					replay := paperSQL
+					if !runnable(db.cat, replay) {
+						replay = sqls[len(sqls)-1]
+					}
+					got, meta, err := c.Query(context.Background(), replay)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if want := single(paperSQL); !want.EqualAsList(got) {
+					if want := single(replay); !want.EqualAsList(got) {
 						t.Fatal("cached replay diverges")
 					}
 					if !meta.CacheHit {
@@ -132,13 +163,17 @@ func TestCoordinatorDifferential(t *testing.T) {
 					if st.Fragments["chain"] == 0 || st.Fragments["sorted"]+st.Fragments["grouped"] == 0 {
 						t.Fatalf("vacuous differential: fragment kinds %v", st.Fragments)
 					}
-					// A single range shard has no interior cuts, so every
-					// group is trivially colocated and the grouped push
-					// must fire; more shards may legitimately split groups.
-					if mode == shard.ForceRange && n == 1 && st.Fragments["grouped"] == 0 {
-						t.Fatalf("range partitioning colocates whole value groups; expected a grouped push, got %v", st.Fragments)
+					// A single shard colocates every group, so the grouped
+					// push must fire; more shards split groups that drop the
+					// hashed key.
+					if n == 1 && st.Fragments["grouped"] == 0 {
+						t.Fatalf("one shard colocates whole value groups; expected a grouped push, got %v", st.Fragments)
 					}
-					if st.ShardCalls == 0 || st.Queries != int64(len(queries)+1) || st.CacheHits != 1 || st.Shards != n {
+					// The fallback hash must push both kinds on its own.
+					if db.name == "employee-only" && n > 1 && (st.Fragments["chain"] == 0 || st.Fragments["grouped"] == 0) {
+						t.Fatalf("vacuous fallback hash: fragment kinds %v", st.Fragments)
+					}
+					if st.ShardCalls == 0 || st.Queries != int64(len(sqls)+1) || st.CacheHits != 1 || st.Shards != n {
 						t.Fatalf("stats %+v", st)
 					}
 				})
@@ -150,7 +185,7 @@ func TestCoordinatorDifferential(t *testing.T) {
 // TestCoordinatorAutoMode smoke-checks the default derivation end to end.
 func TestCoordinatorAutoMode(t *testing.T) {
 	cat := catalog.Paper()
-	addrs := startShards(t, cat, 2, shard.Auto)
+	addrs := startShards(t, cat, 2)
 	c, err := coord.New(context.Background(), coord.Config{Catalog: cat, Addrs: addrs})
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +213,7 @@ func TestCoordinatorAutoMode(t *testing.T) {
 // falls out, so a statement re-issued between two new ones stays cached.
 func TestCoordinatorCacheIsLRU(t *testing.T) {
 	cat := catalog.Paper()
-	addrs := startShards(t, cat, 2, shard.Auto)
+	addrs := startShards(t, cat, 2)
 	c, err := coord.New(context.Background(), coord.Config{Catalog: cat, Addrs: addrs, CacheSize: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -212,7 +247,7 @@ func TestCoordinatorCacheIsLRU(t *testing.T) {
 func TestCoordinatorShardFailure(t *testing.T) {
 	before := runtime.NumGoroutine()
 	cat := catalog.Paper()
-	m, err := shard.NewMapMode(cat, 2, shard.ForceHash)
+	m, err := shard.NewMap(cat, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +267,7 @@ func TestCoordinatorShardFailure(t *testing.T) {
 		addrs[i] = srvs[i].Addr()
 	}
 	c, err := coord.New(context.Background(), coord.Config{
-		Catalog: cat, Addrs: addrs, Mode: shard.ForceHash,
+		Catalog: cat, Addrs: addrs,
 		DialTimeout: 2 * time.Second, QueryTimeout: 5 * time.Second,
 	})
 	if err != nil {
@@ -313,7 +348,7 @@ func keylessProxy(t *testing.T, shardAddr string) string {
 // in some arbitrary order.
 func TestCoordinatorRefusesKeylessShard(t *testing.T) {
 	cat := catalog.Paper()
-	addrs := startShards(t, cat, 2, shard.Auto)
+	addrs := startShards(t, cat, 2)
 	addrs[1] = keylessProxy(t, addrs[1])
 	for _, tc := range []struct{ kind, sql string }{
 		{"chain", "SELECT EmpName, Dept FROM EMPLOYEE"},
@@ -342,7 +377,7 @@ func TestCoordinatorRefusesKeylessShard(t *testing.T) {
 // made.
 func TestCoordinatorDialFailure(t *testing.T) {
 	cat := catalog.Paper()
-	addrs := startShards(t, cat, 1, shard.Auto)
+	addrs := startShards(t, cat, 1)
 	_, err := coord.New(context.Background(), coord.Config{
 		Catalog: cat, Addrs: []string{addrs[0], "127.0.0.1:1"},
 		DialTimeout: time.Second,
@@ -382,7 +417,7 @@ func TestCoordinatorGatherConvertsNothing(t *testing.T) {
 		t.Run(fmt.Sprint(n), func(t *testing.T) {
 			spec := exec.NewSpec(exec.Config{})
 			c, err := coord.New(context.Background(), coord.Config{
-				Catalog: db, Addrs: startShards(t, db, n, shard.ForceHash), Mode: shard.ForceHash, Spec: spec, Seed: 1,
+				Catalog: db, Addrs: startShards(t, db, n), Spec: spec, Seed: 1,
 			})
 			if err != nil {
 				t.Fatal(err)

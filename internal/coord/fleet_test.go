@@ -37,7 +37,7 @@ func TestPaperStatementBelowTheGather(t *testing.T) {
 					t.Fatal(err)
 				}
 				c, err := coord.New(context.Background(), coord.Config{
-					Catalog: db, Addrs: startShards(t, db, n, shard.Auto), Spec: spec, Seed: 1,
+					Catalog: db, Addrs: startShards(t, db, n), Spec: spec, Seed: 1,
 				})
 				if err != nil {
 					t.Fatal(err)

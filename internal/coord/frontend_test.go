@@ -14,14 +14,13 @@ import (
 	"tqp/internal/coord"
 	"tqp/internal/obs"
 	"tqp/internal/server"
-	"tqp/internal/shard"
 )
 
 // startCoordinator builds a coordinator over an in-process shard fleet.
 func startCoordinator(t *testing.T, shards int) (*coord.Coordinator, *catalog.Catalog) {
 	t.Helper()
 	cat := catalog.Paper()
-	addrs := startShards(t, cat, shards, shard.Auto)
+	addrs := startShards(t, cat, shards)
 	c, err := coord.New(context.Background(), coord.Config{Catalog: cat, Addrs: addrs})
 	if err != nil {
 		t.Fatal(err)

@@ -17,7 +17,8 @@ import (
 
 // splitQueries exercises every fragment shape the splitter knows: bare
 // scans, filtered chains, pushed sorts, and group operations above a
-// sort-topped transfer.
+// sort-topped transfer. The last groups on all of EMPLOYEE's value
+// attributes, so it pushes down under either hash key.
 var splitQueries = []string{
 	"SELECT EmpName, Dept FROM EMPLOYEE",
 	"VALIDTIME SELECT EmpName FROM EMPLOYEE WHERE Dept = 'Ship'",
@@ -25,6 +26,7 @@ var splitQueries = []string{
 	"VALIDTIME SELECT Dept, COUNT(*) AS headcount FROM EMPLOYEE GROUP BY Dept",
 	"VALIDTIME SELECT DISTINCT 1.EmpName FROM EMPLOYEE, PROJECT WHERE 1.EmpName = 2.EmpName",
 	"VALIDTIME SELECT DISTINCT COALESCED EmpName FROM EMPLOYEE ORDER BY EmpName ASC",
+	"VALIDTIME SELECT DISTINCT COALESCED EmpName, Dept FROM EMPLOYEE ORDER BY EmpName ASC, Dept ASC",
 }
 
 // TestSplitCoversEveryScan pins the splitter's core contract: every base
@@ -140,39 +142,63 @@ func TestSplitGroupPush(t *testing.T) {
 }
 
 // TestSplitDifferential is the in-process reference-vs-sharded leg: for
-// every query, shard count and partitioning mode, running the fragments
+// every database, DBMS seed, shard count and query, running the fragments
 // over the shard slices, merging, and executing the remainder over the
 // merged placeholders must reproduce the single-node result bit for bit.
-// The wire-protocol version of the same differential lives in
-// internal/coord; this one isolates the split/merge algebra.
+// A subtest is named database/seed index/shards/query. The databases are
+// the paper's and a synthetic one, hashed on the shared key EmpName, and
+// the synthetic EMPLOYEE alone, hashed on all its value attributes and run
+// on the queries that name EMPLOYEE alone. The wire-protocol version of the
+// same differential lives in internal/coord; this one isolates the
+// split/merge algebra.
 func TestSplitDifferential(t *testing.T) {
-	paper := catalog.Paper()
 	synthDB := datagen.EmployeeDB(datagen.EmployeeSpec{
 		Employees: 30, SpellsPerEmp: 3, AssignmentsPerEmp: 4, Seed: 42,
 	})
+	employees := catalog.New()
+	e, err := synthDB.Entry("EMPLOYEE")
+	if err != nil {
+		t.Fatal(err)
+	}
+	employees.MustAdd("EMPLOYEE", e.Rel, e.Info)
 	for _, tc := range []struct {
 		name string
 		cat  *catalog.Catalog
-	}{{"paper", paper}, {"synth", synthDB}} {
-		spec := exec.NewSpec(exec.Config{})
-		o := core.New(tc.cat, core.WithEngine(spec), core.WithDBMSSeed(1))
-		for _, sql := range splitQueries {
-			prep, err := o.Prepare(sql)
-			if err != nil {
-				t.Fatalf("%s: %v", sql, err)
-			}
-			want, _, err := o.ExecutePlan(prep.Plan, spec)
-			if err != nil {
-				t.Fatalf("%s: single-node: %v", sql, err)
-			}
-			for _, mode := range []shard.Mode{shard.Auto, shard.ForceHash, shard.ForceRange} {
+	}{{"paper", catalog.Paper()}, {"synth", synthDB}, {"employee-only", employees}} {
+		for k, seed := range []int64{1, 2, 3} {
+			spec := exec.NewSpec(exec.Config{})
+			o := core.New(tc.cat, core.WithEngine(spec), core.WithDBMSSeed(seed))
+			kinds := map[int]map[core.FragmentKind]int{2: {}, 4: {}}
+			for _, sql := range splitQueries {
+				if _, err := tc.cat.Resolve("PROJECT"); err != nil && strings.Contains(sql, "PROJECT") {
+					continue
+				}
+				prep, err := o.Prepare(sql)
+				if err != nil {
+					t.Fatalf("%s: %v", sql, err)
+				}
+				want, _, err := o.ExecutePlan(prep.Plan, spec)
+				if err != nil {
+					t.Fatalf("%s: single-node: %v", sql, err)
+				}
 				for _, n := range []int{1, 2, 4} {
-					t.Run(fmt.Sprintf("%s/%v/%d/%s", tc.name, mode, n, sql[:24]), func(t *testing.T) {
-						got := shardedRun(t, tc.cat, prep.Plan, mode, n)
+					t.Run(fmt.Sprintf("%s/%d/%d/%s", tc.name, k, n, sql[:24]), func(t *testing.T) {
+						got, split := shardedRun(t, tc.cat, prep.Plan, seed, n)
 						if !want.EqualAsList(got) {
 							t.Fatalf("sharded result diverges from single node\nwant:\n%s\ngot:\n%s", want, got)
 						}
+						if c := kinds[n]; c != nil {
+							for _, f := range split.Fragments {
+								c[f.Kind]++
+							}
+						}
 					})
+				}
+			}
+			// The fallback hash must push both kinds on its own.
+			for n, got := range kinds {
+				if tc.name == "employee-only" && (got[core.FragmentChain] == 0 || got[core.FragmentGrouped] == 0) {
+					t.Fatalf("%s/%d/%d: vacuous fallback hash: fragment kinds %v", tc.name, k, n, got)
 				}
 			}
 		}
@@ -182,9 +208,9 @@ func TestSplitDifferential(t *testing.T) {
 // shardedRun executes plan the way the coordinator does, but in process:
 // partition the catalog, run each fragment on every slice, merge, and
 // finish the remainder over the merged placeholders.
-func shardedRun(t *testing.T, cat *catalog.Catalog, plan algebra.Node, mode shard.Mode, n int) *relation.Relation {
+func shardedRun(t *testing.T, cat *catalog.Catalog, plan algebra.Node, seed int64, n int) (*relation.Relation, *core.Split) {
 	t.Helper()
-	m, err := shard.NewMapMode(cat, n, mode)
+	m, err := shard.NewMap(cat, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,11 +247,11 @@ func shardedRun(t *testing.T, cat *catalog.Catalog, plan algebra.Node, mode shar
 			t.Fatal(err)
 		}
 	}
-	got, _, err := stratum.NewWithEngine(synth, 1, exec.NewSpec(exec.Config{})).Execute(split.Remainder)
+	got, _, err := stratum.NewWithEngine(synth, seed, exec.NewSpec(exec.Config{})).Execute(split.Remainder)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return got
+	return got, split
 }
 
 // TestSplitRegionPush pins the grouped-region push on the paper's plan: over

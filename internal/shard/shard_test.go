@@ -1,6 +1,7 @@
 package shard_test
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
@@ -9,11 +10,12 @@ import (
 	"tqp/internal/datagen"
 	"tqp/internal/physical"
 	"tqp/internal/relation"
+	"tqp/internal/schema"
 	"tqp/internal/shard"
 )
 
 // randomDB is a catalog whose rows are stored in generation order — value
-// groups scattered, so Auto mode hashes.
+// groups scattered. TA and TB share Name and Grp, so the shared key is Grp.
 func randomDB(t *testing.T, rows int) *catalog.Catalog {
 	t.Helper()
 	c := catalog.New()
@@ -22,8 +24,9 @@ func randomDB(t *testing.T, rows int) *catalog.Catalog {
 	return c
 }
 
-// groupedDB is a catalog whose rows are stored grouped on the value
-// attributes (sorted by Name, Grp), so Auto mode range-partitions.
+// groupedDB is a one-relation catalog whose rows are stored grouped on the
+// value attributes (sorted by Name, Grp). Nothing is shared, so TG is hashed
+// on all its value attributes.
 func groupedDB(t *testing.T, rows int) *catalog.Catalog {
 	t.Helper()
 	base := datagen.Temporal(datagen.TemporalSpec{Rows: rows, Values: 6, DupFrac: 0.2, AdjFrac: 0.2, Seed: 9})
@@ -40,32 +43,24 @@ func groupedDB(t *testing.T, rows int) *catalog.Catalog {
 // TestMapDeterminism pins the no-map-shipping contract: two independent
 // derivations from equal catalogs agree on every row's shard.
 func TestMapDeterminism(t *testing.T) {
-	for _, mode := range []shard.Mode{shard.Auto, shard.ForceHash, shard.ForceRange} {
-		a, err := shard.NewMapMode(randomDB(t, 60), 3, mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := shard.NewMapMode(randomDB(t, 60), 3, mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, rel := range []string{"TA", "TB"} {
-			for i := 0; i < 3; i++ {
-				pa, err := a.Positions(rel, i)
-				if err != nil {
-					t.Fatal(err)
-				}
-				pb, err := b.Positions(rel, i)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(pa) != len(pb) {
-					t.Fatalf("mode %d %s shard %d: %d vs %d positions", mode, rel, i, len(pa), len(pb))
-				}
-				for j := range pa {
-					if pa[j] != pb[j] {
-						t.Fatalf("mode %d %s shard %d: positions diverge at %d", mode, rel, i, j)
-					}
+	a := mustMap(t, randomDB(t, 60), 3)
+	b := mustMap(t, randomDB(t, 60), 3)
+	for _, rel := range []string{"TA", "TB"} {
+		for i := 0; i < 3; i++ {
+			pa, err := a.Positions(rel, i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pb, err := b.Positions(rel, i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(pa) != len(pb) {
+				t.Fatalf("%s shard %d: %d vs %d positions", rel, i, len(pa), len(pb))
+			}
+			for j := range pa {
+				if pa[j] != pb[j] {
+					t.Fatalf("%s shard %d: positions diverge at %d", rel, i, j)
 				}
 			}
 		}
@@ -78,18 +73,13 @@ func TestPartitionRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cat  *catalog.Catalog
-		mode shard.Mode
 	}{
-		{"hash", randomDB(t, 60), shard.Auto},
-		{"range", groupedDB(t, 60), shard.Auto},
-		{"forced-range-ungrouped", randomDB(t, 60), shard.ForceRange},
+		{"hash", randomDB(t, 60)},
+		{"grouped", groupedDB(t, 60)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const n = 4
-			m, err := shard.NewMapMode(tc.cat, n, tc.mode)
-			if err != nil {
-				t.Fatal(err)
-			}
+			m := mustMap(t, tc.cat, n)
 			for _, rel := range tc.cat.Names() {
 				whole, err := tc.cat.Resolve(rel)
 				if err != nil {
@@ -132,35 +122,14 @@ func TestPartitionRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAutoStrategy pins Auto's choice: Range for value-grouped storage,
-// Hash otherwise.
-func TestAutoStrategy(t *testing.T) {
-	m, err := shard.NewMap(randomDB(t, 60), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s, ok := m.StrategyOf("TA"); !ok || s != shard.Hash {
-		t.Fatalf("scattered storage must hash, got %v", s)
-	}
-	m, err = shard.NewMap(groupedDB(t, 60), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s, ok := m.StrategyOf("TG"); !ok || s != shard.Range {
-		t.Fatalf("grouped storage must range-partition, got %v", s)
-	}
-}
-
 // TestColocatedHash pins hash colocation: value-equivalent rows land on one
 // shard, groupings that include the hashed attributes are colocated, and
-// ones that drop a hashed attribute are not.
+// ones that drop a hashed attribute are not — except at one shard, which
+// colocates every grouping.
 func TestColocatedHash(t *testing.T) {
 	cat := randomDB(t, 80)
 	const n = 3
-	m, err := shard.NewMapMode(cat, n, shard.ForceHash)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := mustMap(t, cat, n)
 	rel, _ := cat.Resolve("TA")
 	vidx := physical.ValueIdx(rel.Schema())
 	home := make(map[uint64]int)
@@ -189,6 +158,9 @@ func TestColocatedHash(t *testing.T) {
 	if m.Colocated("NOPE", []string{"Name"}) {
 		t.Fatal("unknown relation must not claim colocation")
 	}
+	if one := mustMap(t, cat, 1); !one.Colocated("TA", []string{"Name"}) || !one.Colocated("TB", nil) {
+		t.Fatal("one shard must colocate every grouping")
+	}
 }
 
 // schema_T1 returns the temporal start attribute's name.
@@ -199,76 +171,68 @@ func schema_T1(t *testing.T) string {
 	return s.At(t1).Name
 }
 
-// TestColocatedRange pins range colocation: with group-aligned cuts the
-// grouping attributes are colocated, finer groupings that stay contiguous
-// are too, and coarser/scattered ones are not.
-func TestColocatedRange(t *testing.T) {
-	cat := groupedDB(t, 60)
-	m, err := shard.NewMapMode(cat, 3, shard.Auto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s, _ := m.StrategyOf("TG"); s != shard.Range {
-		t.Fatalf("grouped storage must range-partition, got %v", s)
-	}
-	if !m.Colocated("TG", []string{"Name", "Grp"}) {
-		t.Fatal("the storage grouping must be colocated")
-	}
-	// (Name) groups are unions of adjacent (Name, Grp) runs in this sorted
-	// storage — still contiguous, and cuts land on (Name, Grp) boundaries
-	// which need not be (Name) boundaries; accept either verdict but pin
-	// that a truthful one is computed from the data (no panic, both calls
-	// agree).
-	a, b := m.Colocated("TG", []string{"Name"}), m.Colocated("TG", []string{"Name"})
-	if a != b {
-		t.Fatal("colocation verdict must be deterministic")
-	}
-	// A forced range split of scattered storage cuts through runs: the
-	// value grouping must not be claimed colocated (unless a degenerate cut
-	// happens to align, which the fixed seed rules out).
-	scattered := randomDB(t, 60)
-	mf, err := shard.NewMapMode(scattered, 3, shard.ForceRange)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mf.Colocated("TA", []string{"Name", "Grp"}) {
-		t.Fatal("cut-through-runs partitioning must not claim colocation")
-	}
-}
-
-// TestRangeBalance pins cutAt's balance on duplicate-free group boundaries:
-// no shard holds more than a whole extra group over the ideal share.
-func TestRangeBalance(t *testing.T) {
-	cat := groupedDB(t, 200)
-	const n = 4
-	m, err := shard.NewMapMode(cat, n, shard.Auto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel, _ := cat.Resolve("TG")
-	for i := 0; i < n; i++ {
-		pos, err := m.Positions("TG", i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(pos) > rel.Len() {
-			t.Fatalf("shard %d: impossible slice size %d", i, len(pos))
-		}
-	}
-}
-
-// TestParseMode pins the flag surface.
-func TestParseMode(t *testing.T) {
-	for in, want := range map[string]shard.Mode{
-		"": shard.Auto, "auto": shard.Auto, "hash": shard.ForceHash, "range": shard.ForceRange,
+// TestOneRule pins the one partitioning: row t of a relation goes to shard
+// HashOn(key) % n, the key being the shared key when the relation holds it
+// and all its value attributes otherwise — on randomDB (shared key Grp)
+// and groupedDB (no shared key), whose grouped storage plays no part.
+func TestOneRule(t *testing.T) {
+	const n = 3
+	for _, tc := range []struct {
+		name string
+		cat  *catalog.Catalog
+		key  func(s *schema.Schema) []int
+	}{
+		{"shared key", randomDB(t, 60), func(s *schema.Schema) []int { return []int{s.Index("Grp")} }},
+		{"no shared key", groupedDB(t, 60), physical.ValueIdx},
 	} {
-		got, err := shard.ParseMode(in)
-		if err != nil || got != want {
-			t.Fatalf("ParseMode(%q) = %v, %v", in, got, err)
+		m := mustMap(t, tc.cat, n)
+		for _, rel := range tc.cat.Names() {
+			whole, _ := tc.cat.Resolve(rel)
+			key := tc.key(whole.Schema())
+			var got []int
+			for i := 0; i < n; i++ {
+				pos, err := m.Positions(rel, i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var want []int
+				for g := 0; g < whole.Len(); g++ {
+					if int(whole.At(g).HashOn(key)%n) == i {
+						want = append(want, g)
+					}
+				}
+				if !slices.Equal(pos, want) {
+					t.Fatalf("%s: %s shard %d holds %v, want %v", tc.name, rel, i, pos, want)
+				}
+				got = append(got, len(pos))
+			}
+			if slices.Contains(got, whole.Len()) {
+				t.Fatalf("%s: %s is not spread (%v): the rule is vacuous here", tc.name, rel, got)
+			}
 		}
 	}
-	if _, err := shard.ParseMode("round-robin"); err == nil {
-		t.Fatal("unknown mode must be rejected")
+}
+
+// TestNewMapModeRejectsOtherModes pins the NewMapMode shim: Auto is
+// NewMap, any other mode is an error.
+func TestNewMapModeRejectsOtherModes(t *testing.T) {
+	cat := randomDB(t, 20)
+	m, err := shard.NewMapMode(cat, 2, shard.Auto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := mustMap(t, cat, 2)
+	for i := 0; i < 2; i++ {
+		a, _ := m.Positions("TA", i)
+		b, _ := want.Positions("TA", i)
+		if !slices.Equal(a, b) {
+			t.Fatalf("shard %d: NewMapMode(Auto) holds %v, NewMap %v", i, a, b)
+		}
+	}
+	for _, mode := range []shard.Mode{1, 2, 255} {
+		if _, err := shard.NewMapMode(cat, 2, mode); err == nil {
+			t.Fatalf("mode %d must be rejected", mode)
+		}
 	}
 }
 
@@ -290,24 +254,17 @@ func TestBadArgs(t *testing.T) {
 	}
 }
 
-// TestAutoCoPartitionsSharedKey pins Auto's shared key: EMPLOYEE and
-// PROJECT both hold EmpName, so both are hashed on it alone — every
-// EmpName lives on one shard in both relations — and CoPartitioned holds
-// for groupings that pair EmpName with EmpName, not for other pairings or
-// partitionings. Between relations that share two attributes the smaller
-// name wins.
+// TestAutoCoPartitionsSharedKey pins the shared key: EMPLOYEE and PROJECT
+// both hold EmpName, so both are hashed on it alone — every EmpName lives
+// on one shard in both relations — and CoPartitioned holds for groupings
+// that pair EmpName with EmpName, not for other pairings. Between
+// relations that share two attributes the smaller name wins.
 func TestAutoCoPartitionsSharedKey(t *testing.T) {
 	cat := datagen.EmployeeDB(datagen.EmployeeSpec{Employees: 60, SpellsPerEmp: 3, AssignmentsPerEmp: 4, Seed: 3})
 	const n = 3
-	m, err := shard.NewMapMode(cat, n, shard.Auto)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := mustMap(t, cat, n)
 	home := make(map[string]int)
 	for _, rel := range []string{"EMPLOYEE", "PROJECT"} {
-		if s, _ := m.StrategyOf(rel); s != shard.Hash {
-			t.Fatalf("%s: strategy %v, want hash on the shared key", rel, s)
-		}
 		whole, err := cat.Resolve(rel)
 		if err != nil {
 			t.Fatal(err)
@@ -340,9 +297,7 @@ func TestAutoCoPartitionsSharedKey(t *testing.T) {
 		{"shared key among others", m, [][]string{{"EmpName", "Dept"}, {"EmpName", "Prj"}}, true},
 		{"misaligned", m, [][]string{{"Dept", "EmpName"}, {"EmpName", "Prj"}}, false},
 		{"key dropped", m, [][]string{{"EmpName"}, {"Prj"}}, false},
-		{"forced hash", mustMap(t, cat, n, shard.ForceHash), [][]string{{"EmpName"}, {"EmpName"}}, false},
-		{"forced range", mustMap(t, cat, n, shard.ForceRange), [][]string{{"EmpName"}, {"EmpName"}}, false},
-		{"one shard", mustMap(t, cat, 1, shard.ForceRange), [][]string{{"EmpName"}, {"EmpName"}}, true},
+		{"one shard", mustMap(t, cat, 1), [][]string{{"EmpName"}, {"EmpName"}}, true},
 	} {
 		if got := tc.m.CoPartitioned(both, tc.attrs); got != tc.want {
 			t.Errorf("%s: CoPartitioned = %v, want %v", tc.name, got, tc.want)
@@ -352,15 +307,15 @@ func TestAutoCoPartitionsSharedKey(t *testing.T) {
 		t.Error("an unknown relation must not claim co-partitioning")
 	}
 	// TA and TB share Name and Grp: the tie goes to Grp.
-	r := mustMap(t, randomDB(t, 60), n, shard.Auto)
+	r := mustMap(t, randomDB(t, 60), n)
 	if !r.CoPartitioned([]string{"TA", "TB"}, [][]string{{"Grp"}, {"Grp"}}) || r.CoPartitioned([]string{"TA", "TB"}, [][]string{{"Name"}, {"Name"}}) {
 		t.Error("a tie between shared attributes must go to the smaller name")
 	}
 }
 
-func mustMap(t *testing.T, cat *catalog.Catalog, n int, mode shard.Mode) *shard.Map {
+func mustMap(t *testing.T, cat *catalog.Catalog, n int) *shard.Map {
 	t.Helper()
-	m, err := shard.NewMapMode(cat, n, mode)
+	m, err := shard.NewMap(cat, n)
 	if err != nil {
 		t.Fatal(err)
 	}
