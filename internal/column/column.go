@@ -216,6 +216,58 @@ func (c *Vec) HashInto(i int, h uint64) uint64 {
 	}
 }
 
+// HashRows writes into out[k] the canonical hash of the idx columns of b's
+// physical row rows[k], bit-identical to relation.Tuple.HashOn — the one
+// key hash, which places a row in its spill bucket, its W-way hash
+// partition and its shard, so it may never drift from the tuple hash.
+// Column at a time: each key column's kind is decided once and its plane
+// folds into every row's running hash.
+func HashRows(b *Batch, rows, idx []int, out []uint64) {
+	if len(rows) == 0 {
+		return // an empty partition may have no batch
+	}
+	out = out[:len(rows)]
+	seed := value.HashSeed()
+	for k := range out {
+		out[k] = seed
+	}
+	for _, c := range idx {
+		col := &b.Cols[c]
+		switch col.Kind {
+		case value.KindInt:
+			plane := col.Ints
+			for k, i := range rows {
+				out[k] = value.HashIntInto(out[k], plane[i])
+			}
+		case value.KindBool:
+			plane := col.Ints
+			for k, i := range rows {
+				out[k] = value.HashBoolInto(out[k], plane[i] != 0)
+			}
+		case value.KindTime:
+			plane := col.Ints
+			for k, i := range rows {
+				out[k] = value.HashTimeInto(out[k], plane[i])
+			}
+		case value.KindFloat:
+			plane := col.Floats
+			for k, i := range rows {
+				out[k] = value.HashFloatInto(out[k], plane[i])
+			}
+		case value.KindString:
+			plane := col.Strs
+			for k, i := range rows {
+				out[k] = value.HashStringInto(out[k], plane[i])
+			}
+		default:
+			plane := col.Vals
+			for k, i := range rows {
+				out[k] = plane[i].HashInto(out[k])
+			}
+		}
+	}
+}
+
 // EqualAt reports value equality between c[i] and o[j] under the canonical
 // Compare order, with typed fast paths for the exact-match kinds. Floats go
 // through the generic path so NaN and cross-kind numeric equality keep the

@@ -2,9 +2,19 @@ package coord
 
 import (
 	"context"
+	"io"
 
 	"tqp/internal/relation"
+	"tqp/internal/server"
 )
+
+// Conn opens a frontend connection answering on w, as the listener does for
+// each accepted socket, and returns its request handler and its encode
+// buffer.
+func (f *Frontend) Conn(w io.Writer) (func(*server.Request) error, *[]byte) {
+	cn := &conn{f: f, w: w}
+	return cn.handle, &cn.block
+}
 
 // QueryAnswers runs a planned statement the way Query does — the same
 // scatter, gather and remainder — and also returns every shard answer the

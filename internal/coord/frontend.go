@@ -32,10 +32,18 @@ func (c *Coordinator) Serve(addr string) (*Frontend, error) {
 		return nil, err
 	}
 	f := &Frontend{c: c, lis: lis, start: time.Now()}
-	lis.Serve(func(w io.Writer) func(*server.Request) error {
-		return func(req *server.Request) error { return f.handleRequest(req, w) }
-	})
+	lis.Serve(func(w io.Writer) func(*server.Request) error { return (&conn{f: f, w: w}).handle })
 	return f, nil
+}
+
+// conn is one frontend connection: its writer and its rows-frame encode
+// buffer, which every answer encodes its blocks into and which keeps the
+// largest block's capacity for the connection's next answer, as a server
+// session's does.
+type conn struct {
+	f     *Frontend
+	w     io.Writer
+	block []byte
 }
 
 // Addr returns the frontend's bound listen address.
@@ -50,14 +58,15 @@ func (f *Frontend) Close() error {
 	return err
 }
 
-func (f *Frontend) handleRequest(req *server.Request, w io.Writer) error {
+func (cn *conn) handle(req *server.Request) error {
+	f, w := cn.f, cn.w
 	switch req.Op {
 	case server.OpPing:
 		return server.WriteFrame(w, &server.Response{Kind: server.KindPong})
 	case server.OpStats:
 		return server.WriteFrame(w, &server.Response{Kind: server.KindStats, Stats: f.statsReply()})
 	case server.OpQuery:
-		return f.runQuery(req.SQL, w)
+		return cn.runQuery(req.SQL)
 	case server.OpSet:
 		return server.WriteError(w, server.CodeSet,
 			errors.New("coord: session settings are fixed per coordinator"))
@@ -86,7 +95,8 @@ func (f *Frontend) statsReply() *server.StatsReply {
 
 // runQuery plans and executes one statement through the coordinator and
 // streams the gathered result back in protocol frames.
-func (f *Frontend) runQuery(sql string, w io.Writer) error {
+func (cn *conn) runQuery(sql string) error {
+	f, w := cn.f, cn.w
 	result, meta, err := f.c.Query(context.Background(), sql)
 	if err != nil {
 		// Classify as the server does; a shard's execution failure is an
@@ -98,11 +108,11 @@ func (f *Frontend) runQuery(sql string, w io.Writer) error {
 		}
 		return server.WriteError(w, code, err)
 	}
-	return server.StreamResult(w, result, server.ResultBatchRows, &server.Done{
+	return server.StreamResultInto(w, result, server.ResultBatchRows, &server.Done{
 		Tuples:   result.Len(),
 		Plans:    meta.Plans,
 		CacheHit: meta.CacheHit,
 		BestCost: meta.BestCost,
 		Engine:   f.c.cfg.Spec.Name,
-	})
+	}, &cn.block)
 }

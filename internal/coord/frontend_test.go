@@ -269,3 +269,30 @@ func TestFrontendSchemaFrameCarriesRowCount(t *testing.T) {
 		}
 	}
 }
+
+// TestFrontendReusesEncodeBuffer pins one rows-frame encode buffer per
+// frontend connection: the first answer grows it, and the second encodes
+// into the same storage instead of growing a fresh one.
+func TestFrontendReusesEncodeBuffer(t *testing.T) {
+	c, _ := startCoordinator(t, 2)
+	f, err := c.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	handle, block := f.Conn(io.Discard)
+	query := &server.Request{Op: server.OpQuery, SQL: paperSQL}
+	if err := handle(query); err != nil {
+		t.Fatal(err)
+	}
+	if cap(*block) == 0 {
+		t.Fatal("the first answer encoded no block into the connection's buffer")
+	}
+	first, size := &(*block)[:1][0], cap(*block)
+	if err := handle(query); err != nil {
+		t.Fatal(err)
+	}
+	if &(*block)[:1][0] != first || cap(*block) != size {
+		t.Fatalf("the second answer grew a new block buffer (capacity %d → %d)", size, cap(*block))
+	}
+}

@@ -78,17 +78,28 @@
 // the exchange driver (grace.go): resident and whole (the sequential engine),
 // W-way on the worker pool, or spilled with recursion, its outputs gathered
 // by sequence key straight into output batches. rdupᵀ, \ᵀ, ∪ᵀ and 𝒢ᵀ are one
-// multiplicity sweep per value group (temporal.go): sorted, distinct
-// endpoints cut the timeline into elementary intervals, a ±1 pass counts
-// each side on them, and a combiner decides what each yields — min(c, 1)
-// for rdupᵀ, max(cₗ − cᵣ, 0) for \ᵀ, max(cᵣ − cₗ, 0) past the left list for
-// ∪ᵀ, the aggregate of the active rows for 𝒢ᵀ; coalᵀ merges adjacent
-// periods (coalTSpans). The sweep's buffers, the group table and the
-// groupings belong to one body call — a grace partition or a groupCutIter
-// slice: the call takes them from a pool on entry, resets them per group and
-// returns them on exit, and nothing it emits points into them. The temporal
-// bodies emit (source row, period) spans and never touch a value column; 𝒢
-// and 𝒢ᵀ fold rows through one scratch tuple.
+// multiplicity sweep per value group (temporal.go): one sort of the group's
+// endpoint events yields the distinct endpoints, which cut the timeline
+// into elementary intervals, and every period's start and end rank among
+// them; a ±1 pass over the ranks counts each side on the intervals, and a
+// combiner decides what each yields — min(c, 1) for rdupᵀ, max(cₗ − cᵣ, 0)
+// for \ᵀ, max(cᵣ − cₗ, 0) past the left list for ∪ᵀ, the aggregate of the
+// active rows for 𝒢ᵀ; coalᵀ merges adjacent periods (coalTSpans). The
+// sweep's buffers, the group table and the groupings belong to one body
+// call — a grace partition or a groupCutIter cut: the call takes them from
+// a pool on entry, resets them per group and returns them on exit, and
+// nothing it emits points into them. The temporal bodies emit (source row,
+// period) spans and never touch a value column: the spans live in a pooled
+// fragment buffer that the gather, which copies them, puts back. 𝒢 and 𝒢ᵀ
+// fold rows through one scratch tuple.
+//
+// No operator copies its input to read it. A one-partition route reads
+// the drained batch where it lies, a selection view through its selection
+// (scratch.present), and the streaming group stage reads each arriving
+// batch's whole groups in place; only a group straddling two batches is
+// copied, once, and only the W-way route compacts a view before splitting
+// it. So each row's value columns are copied at most once per operator,
+// into that operator's output.
 //
 // # Spilling
 //
@@ -132,9 +143,9 @@
 // # Key kernels
 //
 // Grouping, ordering and partitioning run on the typed column planes
-// (keys.go). hashRows hashes a key column at a time, its kind decided once
-// per column, bit-identical to relation.Tuple.HashOn, so spill buckets and
-// shard placement never move. The group table is one open-addressing table
+// (keys.go). column.HashRows hashes a key column at a time, its kind
+// decided once per column, bit-identical to relation.Tuple.HashOn, so spill
+// buckets and shard placement never move. The group table is one open-addressing table
 // of int32 slots over the stored hashes, grown by doubling; it gives every
 // keyed operator — rdup, \, ∪, the temporal bodies, 𝒢, the join's build and
 // probe — first-occurrence ids confirmed by value equality. A comparator
@@ -191,10 +202,12 @@
 //
 //   - Streaming grouping. rdupᵀ, coalᵀ, 𝒢 and 𝒢ᵀ over inputs whose
 //     delivered order keeps their groups contiguous run group-at-a-time
-//     (groupCutIter): cut the batch stream at group boundaries, run the
-//     operator's partition body over each slice of whole groups, emit,
-//     repeat — state bounded by one group, no hash table, no global
-//     materialization, so the budgeted engine prefers it to partitioning.
+//     (groupCutIter): pull one batch ahead, run the operator's partition
+//     body over each arriving batch's whole groups in place — a group that
+//     goes on into the next batch is held and copied once, whole — emit,
+//     repeat: state bounded by one group and two batches, no hash table, no
+//     global materialization, so the budgeted engine prefers it to
+//     partitioning.
 //     Under plain parallelism the driver's range exchange splits the same
 //     contiguous groups across the pool instead, and the bodies still cut
 //     groups without hashing. Contiguity is a property of the delivered
@@ -232,7 +245,7 @@
 // partition: rows of a batch in arrival order plus their sequence keys. It
 // emits rows — of the partition's batch or of one it builds — under
 // non-decreasing sequence keys, replacing periods through emitted.per
-// rather than copying value columns. The build function fills a keyedOp
+// (a fragBuf the gather returns) rather than copying value columns. The build function fills a keyedOp
 // (inputs, key columns per side, whether the delivered order keeps key
 // groups contiguous, output schema) and returns
 // Engine.keyedSource(op); residency, the worker pool, spilling, recursion,

@@ -58,6 +58,8 @@ package exec
 import (
 	"cmp"
 	"math"
+	"slices"
+	"sync"
 	"sync/atomic"
 
 	"tqp/internal/column"
@@ -137,7 +139,8 @@ func spillBucket(h uint64, lvl int) int {
 }
 
 // part is one partition of a keyed operator's input, the currency of the
-// driver: physical rows of a compacted batch in arrival order, plus their
+// driver: physical rows of a batch in arrival order — a selection view's
+// rows are read through its planes, never its selection — plus their
 // sequence keys — the rows' original list positions, which drive the
 // deterministic gather.
 type part struct {
@@ -151,6 +154,14 @@ func (p part) seq(i int) int {
 		return i
 	}
 	return p.seqs[i]
+}
+
+// compacted returns b's presented rows as a dense batch (nil for nil).
+func compacted(b *column.Batch) *column.Batch {
+	if b == nil {
+		return nil
+	}
+	return b.Compact()
 }
 
 // wholeBatch presents every row of a compacted batch as one partition.
@@ -174,6 +185,40 @@ type emitted struct {
 	part
 	off int
 	per []period.Period // by position in rows
+	buf *fragBuf        // the pooled buffer rows and per live in, if any
+}
+
+// fragBuf holds a temporal body's output — its rows and their replaced
+// periods — from the pool until the gather that copies them, which puts it
+// back: a body call allocates no output of its own.
+type fragBuf struct {
+	rows []int
+	per  []period.Period
+}
+
+var fragPool = sync.Pool{New: func() any { return new(fragBuf) }}
+
+// getFragBuf takes an empty fragment buffer with room for n from the pool.
+func getFragBuf(n int) *fragBuf {
+	fb := fragPool.Get().(*fragBuf)
+	fb.rows, fb.per = slices.Grow(fb.rows[:0], n), slices.Grow(fb.per[:0], n)
+	return fb
+}
+
+// over presents the buffer as a stretch of b's rows with sequence keys seqs.
+func (fb *fragBuf) over(b *column.Batch, seqs []int) emitted {
+	return emitted{part: part{b: b, rows: fb.rows, seqs: seqs}, per: fb.per, buf: fb}
+}
+
+// releaseFrags returns the fragment buffers of stretches whose rows have
+// been copied to their pool.
+func releaseFrags(ems []emitted) {
+	for k := range ems {
+		if fb := ems[k].buf; fb != nil {
+			ems[k].buf = nil
+			fragPool.Put(fb)
+		}
+	}
 }
 
 func (m *emitted) seq(k int) int { return m.off + m.part.seq(m.rows[k]) }
@@ -271,7 +316,7 @@ func (f *fanout) route(b *column.Batch, rows, seqs []int) error {
 		return nil
 	}
 	f.hv = resize(f.hv, len(rows))
-	hashRows(b, rows, f.idx, f.hv)
+	column.HashRows(b, rows, f.idx, f.hv)
 	var bounds [spillFanout + 1]int
 	for _, h := range f.hv {
 		bounds[spillBucket(h, f.lvl)+1]++
@@ -477,11 +522,14 @@ func (f *fanout) abort() {
 // accounted nor spilled.
 func (e *Engine) drainGraceVec(in *source, idx []int, share int64) (*vecGraceSide, error) {
 	if share == noShare {
-		b, err := vecDrainOne(in.vec, in.schema)
+		// A lone batch stays as it arrived, a selection view included: the
+		// one-partition route reads it in place (scratch.present), and the
+		// W-way route compacts it first.
+		b, err := vecDrainOneView(in.vec, in.schema)
 		if err != nil {
 			return nil, err
 		}
-		return &vecGraceSide{b: b, count: b.N}, nil
+		return &vecGraceSide{b: b, count: b.Rows()}, nil
 	}
 	side := &vecGraceSide{}
 	v := in.vec
@@ -583,7 +631,7 @@ func hashSplit(p part, idx []int, out []part, bucket func(h uint64) int) {
 		return
 	}
 	hs := make([]uint64, len(p.rows))
-	hashRows(p.b, p.rows, idx, hs)
+	column.HashRows(p.b, p.rows, idx, hs)
 	var countBuf [spillFanout]int
 	counts := countBuf[:]
 	if len(out) > len(counts) {
@@ -826,13 +874,14 @@ func (e *Engine) graceRunFrom(op *keyedOp, ls, rs *vecGraceSide) ([]*column.Batc
 		}
 	case e.parallel() && len(op.lidx) > 0:
 		w := e.exchange()
+		lb, rb := compacted(ls.b), compacted(rs.b)
 		var lparts, rparts []part
 		if op.r == nil && op.contiguous {
-			lparts = rangeParts(ls.b, op.lidx, w)
+			lparts = rangeParts(lb, op.lidx, w)
 			rparts = make([]part, len(lparts))
 		} else {
-			lparts = hashExchange(ls.b, op.lidx, w)
-			rparts = hashExchange(rs.b, op.ridx, w)
+			lparts = hashExchange(lb, op.lidx, w)
+			rparts = hashExchange(rb, op.ridx, w)
 		}
 		outs = make([][]emitted, len(lparts))
 		err = runTasks(w, len(lparts), func(p int) error {
@@ -841,8 +890,12 @@ func (e *Engine) graceRunFrom(op *keyedOp, ls, rs *vecGraceSide) ([]*column.Batc
 			return err
 		})
 	default:
+		// One partition: the body reads the drained batches where they lie,
+		// through row lists the route's scratch holds until the gather.
+		sc := getScratch()
+		defer sc.release()
 		outs = make([][]emitted, 1)
-		outs[0], err = op.body(wholeBatch(ls.b), wholeBatch(rs.b))
+		outs[0], err = op.body(sc.whole(0, ls.b), sc.whole(1, rs.b))
 	}
 	if err != nil {
 		return nil, err
@@ -905,8 +958,11 @@ func copyRows(out *schema.Schema, ems []emitted, segs []seg, replaced bool) *col
 // partition, the range exchange's segments, ∪'s left list ahead of its
 // right survivors — pass as one batch per source, a selection view over its
 // planes where no period is replaced; interleaved outputs of many sources
-// copy row by row into one batch.
+// copy row by row into one batch. Every stretch that replaces periods is
+// copied, so the gather returns the stretches' fragment buffers to their
+// pool: ems is spent.
 func gather(bs []*column.Batch, out *schema.Schema, ems []emitted) []*column.Batch {
+	defer releaseFrags(ems)
 	live, temporal := 0, false
 	for k := range ems {
 		if len(ems[k].rows) > 0 {
@@ -935,15 +991,26 @@ func gather(bs []*column.Batch, out *schema.Schema, ems []emitted) []*column.Bat
 	if runs > live {
 		return append(bs, copyRows(out, ems, segs, temporal))
 	}
-	// Few runs: the outputs do not interleave, and each run becomes a batch
-	// of its own.
-	for lo := 0; lo < len(segs); {
-		src, replaced := ems[segs[lo].m].b, false
-		hi := lo
-		for ; hi < len(segs) && ems[segs[hi].m].b == src; hi++ {
+	// Few runs: the outputs do not interleave. A run that keeps its periods
+	// becomes a view over its source batch; runs that replace periods are
+	// copied, consecutive ones into one batch.
+	run := func(lo int) (hi int, replaced bool) {
+		src := ems[segs[lo].m].b
+		for hi = lo; hi < len(segs) && ems[segs[hi].m].b == src; hi++ {
 			replaced = replaced || ems[segs[hi].m].per != nil
 		}
+		return hi, replaced
+	}
+	for lo := 0; lo < len(segs); {
+		hi, replaced := run(lo)
 		if replaced {
+			for hi < len(segs) {
+				next, more := run(hi)
+				if !more {
+					break
+				}
+				hi = next
+			}
 			bs = append(bs, copyRows(out, ems, segs[lo:hi], true))
 		} else {
 			// One segment's rows serve as the selection as they are; the
@@ -953,7 +1020,7 @@ func gather(bs []*column.Batch, out *schema.Schema, ems []emitted) []*column.Bat
 			for _, sg := range segs[lo+1 : hi] {
 				rows = append(rows, ems[sg.m].rows[sg.lo:sg.hi]...)
 			}
-			bs = append(bs, selView(src, rows))
+			bs = append(bs, selView(ems[segs[lo].m].b, rows))
 		}
 		lo = hi
 	}
@@ -993,7 +1060,9 @@ func detach(out *schema.Schema, m emitted) emitted {
 	for k := range seqs {
 		seqs[k] = m.seq(k)
 	}
-	b := copyRows(out, []emitted{m}, []seg{{0, 0, len(m.rows)}}, m.per != nil)
+	ems := []emitted{m}
+	b := copyRows(out, ems, []seg{{0, 0, len(m.rows)}}, m.per != nil)
+	releaseFrags(ems)
 	return emitted{part: part{b: b, rows: identityIdx(b.N), seqs: seqs}}
 }
 

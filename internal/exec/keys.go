@@ -1,9 +1,10 @@
-// The key kernels: the canonical key hash, the group table and the order
-// comparators every keyed operator runs on, plus the scratch a partition
-// body works in. Each kernel decides a key column's kind once — per column
-// for a hash vector, at compile and bind time for a comparator — and then
-// loops over the typed plane, so no row pays a kind switch; a boxed
-// (demoted) column and floats take the canonical value path.
+// The key kernels: the group table over the canonical key hash
+// (column.HashRows) and the order comparators every keyed operator runs
+// on, plus the scratch a partition body works in. Each kernel decides a key
+// column's kind once — per column for a hash vector, at compile and bind
+// time for a comparator — and then loops over the typed plane, so no row
+// pays a kind switch; a boxed (demoted) column and floats take the
+// canonical value path.
 package exec
 
 import (
@@ -20,57 +21,6 @@ import (
 	"tqp/internal/schema"
 	"tqp/internal/value"
 )
-
-// hashRows writes into out[k] the canonical hash of the idx columns of b's
-// physical row rows[k], bit-identical to Tuple.HashOn — what places a row in
-// its spill bucket and its W-way hash partition, so it may never drift from
-// the tuple hash. Column at a time: each key column's kind is decided once
-// and its plane folds into every row's running hash.
-func hashRows(b *column.Batch, rows, idx []int, out []uint64) {
-	if len(rows) == 0 {
-		return // an empty partition may have no batch
-	}
-	out = out[:len(rows)]
-	seed := value.HashSeed()
-	for k := range out {
-		out[k] = seed
-	}
-	for _, c := range idx {
-		col := &b.Cols[c]
-		switch col.Kind {
-		case value.KindInt:
-			plane := col.Ints
-			for k, i := range rows {
-				out[k] = value.HashIntInto(out[k], plane[i])
-			}
-		case value.KindBool:
-			plane := col.Ints
-			for k, i := range rows {
-				out[k] = value.HashBoolInto(out[k], plane[i] != 0)
-			}
-		case value.KindTime:
-			plane := col.Ints
-			for k, i := range rows {
-				out[k] = value.HashTimeInto(out[k], plane[i])
-			}
-		case value.KindFloat:
-			plane := col.Floats
-			for k, i := range rows {
-				out[k] = value.HashFloatInto(out[k], plane[i])
-			}
-		case value.KindString:
-			plane := col.Strs
-			for k, i := range rows {
-				out[k] = value.HashStringInto(out[k], plane[i])
-			}
-		default:
-			plane := col.Vals
-			for k, i := range rows {
-				out[k] = plane[i].HashInto(out[k])
-			}
-		}
-	}
-}
 
 // identityIdx returns [0, 1, ..., n).
 func identityIdx(n int) []int { return seqRows(nil, 0, n) }
@@ -170,7 +120,7 @@ func (g *groupTable) grow() {
 // for a key not seen before.
 func (g *groupTable) add(b *column.Batch, rows []int, ids []int32) {
 	g.hv = resize(g.hv, len(rows))
-	hashRows(b, rows, g.idx, g.hv)
+	column.HashRows(b, rows, g.idx, g.hv)
 	g.addHashed(b, rows, g.hv, ids)
 }
 
@@ -222,7 +172,7 @@ func (g *groupTable) lookup(b *column.Batch, rows, probeIdx []int, hs []uint64, 
 		}
 		return
 	}
-	hashRows(b, rows, probeIdx, hs)
+	column.HashRows(b, rows, probeIdx, hs)
 	mask := len(g.slots) - 1
 	for k, i := range rows {
 		h := hs[k]
@@ -305,6 +255,10 @@ type scratch struct {
 	spans  []vspan // coalᵀ's group buffer
 	budget []int   // \ and ∪: per group, the multiplicity left to cancel
 
+	// The row lists and sequence keys of up to two partitions a route
+	// presents (present), read by the bodies and the gather.
+	rows, seqs [2][]int
+
 	// A grouping body's input row for eval.FoldAggregates, which takes a
 	// tuple, and 𝒢ᵀ's per-interval accumulators — the body's own aggregate
 	// list, so they are dropped, not kept, on release.
@@ -325,6 +279,35 @@ func (sc *scratch) release() {
 	clear(sc.accs)
 	sc.accs = sc.accs[:0]
 	scratchPool.Put(sc)
+}
+
+// whole presents every row of b (none for nil) as partition k.
+func (sc *scratch) whole(k int, b *column.Batch) part {
+	if b == nil {
+		return part{}
+	}
+	return sc.present(k, b, 0, b.Rows())
+}
+
+// present presents b's presented rows [lo, hi) as partition k (0 or 1)
+// over b's planes, nothing copied: the rows are b's selection or the dense
+// range, filled into the scratch. A selection out of physical order gets
+// sequence keys that are the rows' presented positions, so what a body
+// emits stays under non-decreasing keys.
+func (sc *scratch) present(k int, b *column.Batch, lo, hi int) part {
+	if b.Sel == nil {
+		sc.rows[k] = seqRows(sc.rows[k], lo, hi)
+		return part{b: b, rows: sc.rows[k]}
+	}
+	p := part{b: b, rows: b.Sel[lo:hi]}
+	if !slices.IsSorted(p.rows) {
+		seqs := resize(sc.seqs[k], b.N)
+		for x, i := range p.rows {
+			seqs[i] = lo + x
+		}
+		sc.seqs[k], p.seqs = seqs, seqs
+	}
+	return p
 }
 
 // ids returns the id vector resized to n.

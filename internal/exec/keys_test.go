@@ -77,7 +77,7 @@ func TestHashRowsMatchesHashOn(t *testing.T) {
 	rows := []int{11, 0, 3, 3, 7, 1, 10, 2, 4, 5, 6, 8, 9}
 	out := make([]uint64, len(rows))
 	for _, idx := range keys {
-		hashRows(b, rows, idx, out)
+		column.HashRows(b, rows, idx, out)
 		for k, i := range rows {
 			if want := ts[i].HashOn(idx); out[k] != want {
 				t.Errorf("key %v row %d: hashRows %#x, HashOn %#x", idx, i, out[k], want)
@@ -89,7 +89,7 @@ func TestHashRowsMatchesHashOn(t *testing.T) {
 	}
 	dense := seqRows(nil, 0, b.N)
 	hs := make([]uint64, b.N)
-	hashRows(b, dense, all, hs)
+	column.HashRows(b, dense, all, hs)
 	var lvl0, lvl1 []int
 	for _, h := range hs {
 		lvl0, lvl1 = append(lvl0, spillBucket(h, 0)), append(lvl1, spillBucket(h, 1))

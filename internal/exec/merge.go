@@ -9,32 +9,35 @@ import (
 // groupCutIter runs a one-sided grouping operator over an input whose
 // delivered order keeps its groups contiguous: it cuts the batch stream at
 // group boundaries and runs the operator's partition body — the one the
-// exchange driver runs, told the groups are contiguous — over each slice of
-// whole groups of at least a batch's worth of rows, handing the slice's
-// output on before reading further. Only that slice and the rows of the
-// unfinished last group are held, so the state is bounded by one group plus
-// two batches: no hash table, no global materialization. Groups never span
-// slices and the bodies keep list order, so the concatenated slice outputs
-// are the driver's gathered result exactly.
+// exchange driver runs, told the groups are contiguous — over each arriving
+// batch's whole groups, handing their output on before reading further.
+// It pulls one batch ahead, so it knows whether a batch's last group goes
+// on into the next: only such a group, which straddles a batch boundary, is
+// held, and the state is bounded by one group plus two batches — no hash
+// table, no global materialization. Groups never span body calls and the
+// bodies keep list order, so the concatenated outputs are the driver's
+// gathered result exactly.
 //
-// The iterator owns its scratch, as a body call owns its pooled one: the
-// held group as row ranges of the input batches it arrived in (a batch is
-// immutable once handed on), one dense batch it refills every pull with the
-// slice of whole groups the body reads, and the body's row list over it. No
-// output aliases the scratch — the temporal bodies' spans are copied out by
-// the gather and the grouping bodies build batches of their own — so once a
-// pull's output is gathered the scratch is free again.
+// A batch's whole groups are read in place: the body's rows are the
+// batch's own selection or its dense range, in the pull's pooled scratch,
+// which goes back once the pull's output is gathered. Only a straddling
+// group is copied, once it is whole, into the iterator's work batch. No
+// output aliases the scratch or the work batch — the temporal bodies'
+// spans are copied out by the gather and the grouping bodies build batches
+// of their own.
 type groupCutIter struct {
-	in   vecIterator
-	out  *schema.Schema
-	idx  []int // grouping columns (equality defines a group boundary)
-	body partBody
+	in         vecIterator
+	inSch, out *schema.Schema
+	idx        []int // grouping columns (equality defines a group boundary)
+	body       partBody
 
-	held []span        // the unfinished last group, all equal on idx
-	work *column.Batch // the slice of whole groups the next body call reads
-	rows []int         // work's rows, in order
-	// emit is the last slice's output not yet handed on, a window into
-	// gathered, whose backing array the next slice's output reuses.
+	ahead  *column.Batch // the batch pulled ahead of the one being cut
+	primed bool          // ahead holds the input's next batch (nil: the end)
+	held   []span        // the straddling group's rows so far, all equal on idx
+	work   *column.Batch // the straddling group once whole; built on first use
+	ems    []emitted     // a pull's body outputs, gathered together
+	// emit is the last pull's output not yet handed on, a window into
+	// gathered, whose backing array the next pull's output reuses.
 	emit, gathered []*column.Batch
 	done           bool
 }
@@ -52,19 +55,38 @@ func (e *Engine) groupSource(in *source, d physical.Decision, out *schema.Schema
 	if !d.Merge || d.Exchange {
 		return e.keyedSource(&keyedOp{l: in, lidx: d.Keys, contiguous: d.Contiguous, out: out, body: body})
 	}
-	return vecSource(&groupCutIter{
-		in: in.vec, out: out, idx: d.Keys, body: body,
-		work: column.NewBatch(in.schema, 0),
-	}, out)
+	return vecSource(&groupCutIter{in: in.vec, inSch: in.schema, out: out, idx: d.Keys, body: body}, out)
 }
 
-// continues reports that b's first row belongs to the held group.
-func (g *groupCutIter) continues(b *column.Batch) bool {
-	if len(g.held) == 0 {
-		return false
+// next returns the input's next non-empty batch (nil at the end) and the
+// one after it, which it pulls ahead.
+func (g *groupCutIter) next() (b, ahead *column.Batch, err error) {
+	pull := func() (*column.Batch, error) {
+		for {
+			b, err := g.in.nextBatch()
+			if err != nil || b == nil || b.Rows() > 0 {
+				return b, err
+			}
+		}
 	}
-	h := g.held[len(g.held)-1]
-	return keysEqual(h.b, h.b.RowIndex(h.hi-1), b, b.RowIndex(0), g.idx)
+	if !g.primed {
+		if g.ahead, err = pull(); err != nil {
+			return nil, nil, err
+		}
+		g.primed = true
+	}
+	if b = g.ahead; b != nil {
+		if g.ahead, err = pull(); err != nil {
+			return nil, nil, err
+		}
+	}
+	return b, g.ahead, nil
+}
+
+// sameGroup reports that presented row i of a and presented row j of b are
+// equal on the grouping columns.
+func (g *groupCutIter) sameGroup(a *column.Batch, i int, b *column.Batch, j int) bool {
+	return keysEqual(a, a.RowIndex(i), b, b.RowIndex(j), g.idx)
 }
 
 func (g *groupCutIter) nextBatch() (*column.Batch, error) {
@@ -77,48 +99,80 @@ func (g *groupCutIter) nextBatch() (*column.Batch, error) {
 		if g.done {
 			return nil, nil
 		}
-		b, err := g.in.nextBatch()
+		b, ahead, err := g.next()
 		if err != nil {
 			return nil, err
 		}
-		// k is where b's last group starts; the rows before it finish
-		// every group begun so far.
-		n, k := 0, 0
-		if b != nil {
-			n, k = b.Rows(), b.Rows()-1
-			for k > 0 && keysEqual(b, b.RowIndex(k), b, b.RowIndex(k-1), g.idx) {
-				k--
-			}
-			if k == 0 && g.continues(b) {
-				g.held = append(g.held, span{b, 0, n})
-				continue
-			}
+		if b == nil {
+			g.done = true // a held group always goes on into the batch after it
+			continue
 		}
-		// The held group is whole: it joins the slice, then b's rows up to
-		// its last group, which is held next.
+		sc := getScratch()
+		if err = g.cut(sc, b, ahead); err == nil {
+			g.gathered = gather(g.gathered[:0], g.out, g.ems)
+			g.emit = g.gathered
+		}
+		clear(g.ems)
+		g.ems = g.ems[:0]
+		sc.release()
+		if err != nil {
+			return nil, err
+		}
+	}
+}
+
+// cut runs the body over the groups b completes — the straddling group,
+// once it ends in b, copied whole into the work batch, then b's whole
+// groups in place — collecting the outputs in g.ems, the in-place ones
+// keyed after the straddler's; b's last group is held when it goes on into
+// the batch ahead. The row lists live in sc until the gather.
+func (g *groupCutIter) cut(sc *scratch, b, ahead *column.Batch) error {
+	n, lo, base := b.Rows(), 0, 0
+	if len(g.held) > 0 {
+		// The straddling group takes b's leading rows of its key.
+		h := g.held[0]
+		for lo < n && g.sameGroup(h.b, h.lo, b, lo) {
+			lo++
+		}
+		g.held = append(g.held, span{b, 0, lo})
+		if lo == n && ahead != nil && g.sameGroup(b, n-1, ahead, 0) {
+			return nil // it goes on into the batch ahead
+		}
+		if g.work == nil {
+			g.work = column.NewBatch(g.inSch, 0)
+		}
+		g.work.Reset()
 		for _, h := range g.held {
 			g.work.AppendPresented(h.b, h.lo, h.hi)
 		}
 		clear(g.held)
 		g.held = g.held[:0]
-		if b == nil {
-			g.done = true
-		} else {
-			g.work.AppendPresented(b, 0, k)
-			g.held = append(g.held, span{b, k, n})
+		if err := g.run(sc.present(1, g.work, 0, g.work.N), 0); err != nil {
+			return err
 		}
-		if g.work.N == 0 || (!g.done && g.work.N < vecBatchRows) {
-			continue
-		}
-		g.rows = seqRows(g.rows, 0, g.work.N)
-		ems, err := g.body(part{b: g.work, rows: g.rows}, part{})
-		if err != nil {
-			return nil, err
-		}
-		g.gathered = gather(g.gathered[:0], g.out, ems)
-		g.emit = g.gathered
-		g.work.Reset()
+		base = g.work.N
 	}
+	hi := n
+	if lo < n && ahead != nil && g.sameGroup(b, n-1, ahead, 0) {
+		for hi--; hi > lo && g.sameGroup(b, hi-1, b, n-1); hi-- {
+		}
+		g.held = append(g.held, span{b, hi, n})
+	}
+	if lo < hi {
+		return g.run(sc.present(0, b, lo, hi), base)
+	}
+	return nil
+}
+
+// run runs the body over p, whole groups, and collects its output with
+// the sequence keys shifted by base.
+func (g *groupCutIter) run(p part, base int) error {
+	ems, err := g.body(p, part{})
+	for _, m := range ems {
+		m.off += base
+		g.ems = append(g.ems, m)
+	}
+	return err
 }
 
 func (g *groupCutIter) close() error { return g.in.close() }

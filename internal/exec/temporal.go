@@ -1,7 +1,9 @@
 package exec
 
 import (
+	"cmp"
 	"math"
+	"math/bits"
 	"slices"
 
 	"tqp/internal/algebra"
@@ -18,18 +20,34 @@ import (
 // (Sections 2.4–2.5): each input is a step function from time to
 // multiplicity, constant between consecutive distinct endpoints of the
 // group's non-empty periods (the elementary intervals), and each operator
-// combines those functions pointwise. A body call owns one sweep (its
-// pooled scratch) and resets the buffers per group, so a partition costs
-// the same few buffers however many groups it holds.
+// combines those functions pointwise. timeline sorts the group's endpoint
+// events once, and one pass over the sorted events writes the distinct
+// endpoints and every loaded period's start and end rank among them: the
+// counting sweep, keep and 𝒢ᵀ's fold walk ranks and never search. A body
+// call owns one sweep (its pooled scratch) and resets the buffers per
+// group, so a partition costs the same few buffers however many groups it
+// holds.
 type sweep struct {
 	ps   [2][]period.Period // the group's periods per side, in list order
 	ends []period.Chronon   // the group's distinct endpoints, ascending
-	cnt  [2][]int           // per elementary interval: a side's multiplicity
+	// rank[2r] and rank[2r+1] are the start and end ranks in ends of loaded
+	// period r — side 0's periods first, then side 1's — set for the
+	// non-empty ones.
+	rank []int32
+	keys []uint64 // the timeline's packed sort keys
+	evs  []event  // its events when the group's chronons span too far to pack
+	cnt  [2][]int // per elementary interval: a side's multiplicity
 
 	// The fragments each partition row keeps: row k's are
 	// frag[off[k] : off[k]+n[k]], written group by group, read in list order.
 	frag   []period.Period
 	off, n []int32
+}
+
+// event is one endpoint of a loaded period: its chronon and its rank slot.
+type event struct {
+	t   period.Chronon
+	ref int32
 }
 
 // reset readies the sweep for a body whose rows rows keep fragments.
@@ -50,16 +68,79 @@ func (s *sweep) load(side int, p part, ks []int32, t1, t2 int) []period.Period {
 }
 
 // timeline sets the elementary intervals of the loaded periods — interval x
-// is [ends[x], ends[x+1]) — and returns their count.
+// is [ends[x], ends[x+1]) — and every non-empty period's ranks, and returns
+// the interval count. The events sort once: as (chronon − the group's
+// least, slot) packed into one word when that fits, else as pairs.
 func (s *sweep) timeline() int {
-	s.ends = period.EndpointsInto(s.ends, s.ps[:]...)
-	return max(len(s.ends)-1, 0)
+	slots := 2 * (len(s.ps[0]) + len(s.ps[1]))
+	s.rank = resize(s.rank, slots)
+	s.ends = s.ends[:0]
+	lo, hi, events := period.Chronon(math.MaxInt64), period.Chronon(math.MinInt64), 0
+	for _, ps := range s.ps {
+		for _, p := range ps {
+			if !p.Empty() {
+				lo, hi, events = min(lo, p.Start), max(hi, p.End), events+2
+			}
+		}
+	}
+	if events == 0 {
+		return 0
+	}
+	shift := uint(bits.Len(uint(slots - 1)))
+	if bits.Len64(uint64(hi)-uint64(lo)) > 64-int(shift) {
+		return s.timelineWide()
+	}
+	keys := s.keys[:0]
+	ref := uint64(0)
+	for _, ps := range s.ps {
+		for _, p := range ps {
+			if !p.Empty() {
+				keys = append(keys, (uint64(p.Start)-uint64(lo))<<shift|ref, (uint64(p.End)-uint64(lo))<<shift|(ref+1))
+			}
+			ref += 2
+		}
+	}
+	slices.Sort(keys)
+	mask := uint64(1)<<shift - 1
+	for k, key := range keys {
+		if k == 0 || key>>shift != keys[k-1]>>shift {
+			s.ends = append(s.ends, period.Chronon(uint64(lo)+key>>shift))
+		}
+		s.rank[key&mask] = int32(len(s.ends) - 1)
+	}
+	s.keys = keys
+	return len(s.ends) - 1
 }
 
-// at returns the elementary interval that starts at endpoint t.
-func (s *sweep) at(t period.Chronon) int {
-	x, _ := slices.BinarySearch(s.ends, t)
-	return x
+// timelineWide is timeline for a group whose chronons span too far to
+// pack: the events sort as (chronon, slot) pairs.
+func (s *sweep) timelineWide() int {
+	evs := s.evs[:0]
+	ref := int32(0)
+	for _, ps := range s.ps {
+		for _, p := range ps {
+			if !p.Empty() {
+				evs = append(evs, event{p.Start, ref}, event{p.End, ref + 1})
+			}
+			ref += 2
+		}
+	}
+	slices.SortFunc(evs, func(a, b event) int { return cmp.Compare(a.t, b.t) })
+	for k, ev := range evs {
+		if k == 0 || ev.t != evs[k-1].t {
+			s.ends = append(s.ends, ev.t)
+		}
+		s.rank[ev.ref] = int32(len(s.ends) - 1)
+	}
+	s.evs = evs
+	return len(s.ends) - 1
+}
+
+// span returns the ranks of side's loaded period j, non-empty: it covers
+// the elementary intervals [lo, hi).
+func (s *sweep) span(side, j int) (lo, hi int) {
+	r := 2 * (j + side*len(s.ps[0]))
+	return int(s.rank[r]), int(s.rank[r+1])
 }
 
 // count returns side's multiplicity on every elementary interval, one entry
@@ -68,10 +149,11 @@ func (s *sweep) at(t period.Chronon) int {
 func (s *sweep) count(side int) []int {
 	c := resize(s.cnt[side], len(s.ends))
 	clear(c)
-	for _, p := range s.ps[side] {
+	for j, p := range s.ps[side] {
 		if !p.Empty() {
-			c[s.at(p.Start)]++
-			c[s.at(p.End)]--
+			lo, hi := s.span(side, j)
+			c[lo]++
+			c[hi]--
 		}
 	}
 	for x := 1; x < len(c); x++ {
@@ -81,14 +163,15 @@ func (s *sweep) count(side int) []int {
 	return c
 }
 
-// keep walks the elementary intervals of row k's non-empty period p: one
-// with budget left spends a unit and is lost to the row; any other is kept,
-// and claim then gives it an unlimited budget every later row spends.
-// Consecutive kept intervals fuse into maximal fragments, row k's.
-func (s *sweep) keep(k int, p period.Period, budget []int, claim bool) {
+// keep walks the elementary intervals [lo, hi) of row k's non-empty
+// period: one with budget left spends a unit and is lost to the row; any
+// other is kept, and claim then gives it an unlimited budget every later
+// row spends. Consecutive kept intervals fuse into maximal fragments, row
+// k's.
+func (s *sweep) keep(k, lo, hi int, budget []int, claim bool) {
 	s.off[k] = int32(len(s.frag))
 	var cur period.Period
-	for x := s.at(p.Start); s.ends[x] < p.End; x++ {
+	for x := lo; x < hi; x++ {
 		if budget[x] > 0 {
 			budget[x]--
 			if !cur.Empty() {
@@ -117,16 +200,16 @@ func (s *sweep) record(k int, p period.Period) {
 	s.frag = append(s.frag, p)
 }
 
-// fragments emits the kept fragments of p's rows in list order, copied out
-// of the sweep: the emitted stretch outlives the body's scratch.
+// fragments emits the kept fragments of p's rows in list order, written
+// into a pooled fragment buffer the emitted stretch carries to the gather.
 func (s *sweep) fragments(p part) emitted {
-	rows, per := make([]int, 0, len(s.frag)), make([]period.Period, 0, len(s.frag))
+	fb := getFragBuf(len(s.frag))
 	for k, i := range p.rows {
 		for _, f := range s.frag[s.off[k] : s.off[k]+s.n[k]] {
-			rows, per = append(rows, i), append(per, f)
+			fb.rows, fb.per = append(fb.rows, i), append(fb.per, f)
 		}
 	}
-	return emitted{part: part{b: p.b, rows: rows, seqs: p.seqs}, per: per}
+	return fb.over(p.b, p.seqs)
 }
 
 // buildValueGroup compiles rdupᵀ or coalᵀ from its partition body, grouped
@@ -258,7 +341,8 @@ func keepBody(vidx []int, t1, t2 int, contiguous, rdup bool) partBody {
 			budget := s.count(1)
 			for x, k := range ks {
 				if !lps[x].Empty() {
-					s.keep(int(k), lps[x], budget, rdup)
+					lo, hi := s.span(0, x)
+					s.keep(int(k), lo, hi, budget, rdup)
 				} else if rdup {
 					s.record(int(k), lps[x])
 				}
@@ -285,8 +369,7 @@ func tunionBody(vidx []int, t1, t2 int) partBody {
 		defer sc.release()
 		l, r, rOf := sc.pairGroups(lp, rp, vidx, false)
 		s := &sc.sweep
-		var rows []int
-		var per []period.Period
+		fb := getFragBuf(0)
 		for k, g := range rOf {
 			if ks := r.members(int(g)); int(ks[0]) != k {
 				continue // not the group's first right row
@@ -309,16 +392,15 @@ func tunionBody(vidx []int, t1, t2 int) partBody {
 						}
 						cur.End = s.ends[x+1]
 					} else if !cur.Empty() {
-						rows, per = append(rows, rp.rows[k]), append(per, cur)
+						fb.rows, fb.per = append(fb.rows, rp.rows[k]), append(fb.per, cur)
 						cur = period.Period{}
 					}
 				}
 			}
 		}
-		return []emitted{
-			{part: lp},
-			{part: part{b: rp.b, rows: rows, seqs: rp.seqs}, off: afterLeft, per: per},
-		}, nil
+		extra := fb.over(rp.b, rp.seqs)
+		extra.off = afterLeft
+		return []emitted{{part: lp}, extra}, nil
 	}
 }
 
@@ -363,7 +445,8 @@ func tAggregateBody(n *algebra.Aggregate, in *schema.Schema, gidx []int, contigu
 				continue
 			}
 			p.b.FillRow(sc.row, p.rows[members[j]])
-			for x := s.at(pj.Start); s.ends[x] < pj.End; x++ {
+			lo, hi := s.span(0, j)
+			for x := lo; x < hi; x++ {
 				if err := eval.FoldAggregates(sc.accs[x], n.Aggs, in, sc.row); err != nil {
 					return err
 				}

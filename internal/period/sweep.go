@@ -11,18 +11,10 @@ import (
 // elementary intervals used by snapshot-equivalence checks and by the
 // constant-interval evaluation of temporal aggregation.
 func Endpoints(ps []Period) []Chronon {
-	return EndpointsInto(make([]Chronon, 0, 2*len(ps)), ps)
-}
-
-// EndpointsInto is Endpoints over several period lists, written over buf's
-// storage: a caller sweeping many groups reuses one buffer for all of them.
-func EndpointsInto(buf []Chronon, pss ...[]Period) []Chronon {
-	out := buf[:0]
-	for _, ps := range pss {
-		for _, p := range ps {
-			if !p.Empty() {
-				out = append(out, p.Start, p.End)
-			}
+	out := make([]Chronon, 0, 2*len(ps))
+	for _, p := range ps {
+		if !p.Empty() {
+			out = append(out, p.Start, p.End)
 		}
 	}
 	slices.Sort(out)

@@ -476,10 +476,17 @@ func (s *Server) runQuery(sql string, sess *session, w io.Writer) error {
 // server's answer to a query. Exported so the coordinator's frontend
 // streams its gathered results with the exact same encoding.
 func StreamResult(w io.Writer, result *relation.Relation, batchRows int, done *Done) error {
+	return StreamResultInto(w, result, batchRows, done, nil)
+}
+
+// StreamResultInto is StreamResult encoding every block into *block, which
+// keeps its capacity for the caller's next answer: a connection's one
+// encode buffer (nil: this answer's own).
+func StreamResultInto(w io.Writer, result *relation.Relation, batchRows int, done *Done, block *[]byte) error {
 	if batchRows <= 0 {
 		batchRows = ResultBatchRows
 	}
-	return streamResult(w, result, nil, batchRows, done, nil)
+	return streamResult(w, result, nil, batchRows, done, block)
 }
 
 // zeroKeys are the sequence keys of a keyless answer's rows frame. It is

@@ -6,8 +6,9 @@
 // coordinator plans against the full catalog and knows exactly where every
 // row went.
 //
-// There is one partitioning: every relation is hashed, row t going to
-// shard HashOn(key) % n. The key is the catalog's shared key — the value
+// There is one partitioning: every relation is hashed, a row going to the
+// shard its canonical key hash (column.HashRows, the tuple hash read off
+// the column planes) picks modulo n. The key is the catalog's shared key — the value
 // attribute held by the most relations (at least two), ties broken by
 // name; EmpName in the paper's database — when the relation holds it, and
 // all of the relation's value attributes otherwise. Rows equal on the key
@@ -27,6 +28,7 @@ import (
 	"slices"
 
 	"tqp/internal/catalog"
+	"tqp/internal/column"
 	"tqp/internal/physical"
 	"tqp/internal/relation"
 )
@@ -79,12 +81,27 @@ func NewMap(cat *catalog.Catalog, n int) (*Map, error) {
 		for k, j := range idx {
 			p.key[k] = sch.At(j).Name
 		}
-		for i, t := range e.Rel.Tuples() {
-			p.assign[i] = int(t.HashOn(idx) % uint64(n))
+		b := e.Rel.Columns()
+		hs := make([]uint64, b.Rows())
+		column.HashRows(b, presented(b), idx, hs)
+		for i, h := range hs {
+			p.assign[i] = int(h % uint64(n))
 		}
 		m.rels[name] = p
 	}
 	return m, nil
+}
+
+// presented returns b's presented rows as physical indices.
+func presented(b *column.Batch) []int {
+	if b.Sel != nil {
+		return b.Sel
+	}
+	rows := make([]int, b.N)
+	for i := range rows {
+		rows[i] = i
+	}
+	return rows
 }
 
 // sharedKey is the co-partitioning key: the value attribute name held by

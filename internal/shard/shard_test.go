@@ -321,3 +321,51 @@ func mustMap(t *testing.T, cat *catalog.Catalog, n int) *shard.Map {
 	}
 	return m
 }
+
+// TestMapMatchesTupleHash pins the plane-wise derivation to the tuple rule:
+// on the paper and synth databases (both relations hashed on the shared
+// EmpName) and on synth's EMPLOYEE alone (no shared key: all its value
+// attributes), at 1, 2 and 4 shards, every relation's row g lives on shard
+// Tuple.HashOn(key) % n and nowhere else.
+func TestMapMatchesTupleHash(t *testing.T) {
+	synth := datagen.EmployeeDB(datagen.EmployeeSpec{Employees: 200, SpellsPerEmp: 3, AssignmentsPerEmp: 4, Seed: 1})
+	e, err := synth.Entry("EMPLOYEE")
+	if err != nil {
+		t.Fatal(err)
+	}
+	employees := catalog.New()
+	employees.MustAdd("EMPLOYEE", e.Rel, e.Info)
+	for _, db := range []struct {
+		name   string
+		cat    *catalog.Catalog
+		shared bool
+	}{{"paper", catalog.Paper(), true}, {"synth", synth, true}, {"employee-only", employees, false}} {
+		for _, n := range []int{1, 2, 4} {
+			m := mustMap(t, db.cat, n)
+			for _, rel := range db.cat.Names() {
+				whole, err := db.cat.Resolve(rel)
+				if err != nil {
+					t.Fatal(err)
+				}
+				key := physical.ValueIdx(whole.Schema())
+				if db.shared {
+					key = []int{whole.Schema().Index("EmpName")}
+				}
+				want := make([][]int, n)
+				for g, tu := range whole.Tuples() {
+					i := int(tu.HashOn(key) % uint64(n))
+					want[i] = append(want[i], g)
+				}
+				for i := range n {
+					got, err := m.Positions(rel, i)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(got, want[i]) {
+						t.Fatalf("%s at %d shards: %s shard %d holds %v, the tuple hash puts %v there", db.name, n, rel, i, got, want[i])
+					}
+				}
+			}
+		}
+	}
+}
