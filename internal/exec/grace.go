@@ -1027,10 +1027,10 @@ func gather(bs []*column.Batch, out *schema.Schema, ems []emitted) []*column.Bat
 	return bs
 }
 
-// selView presents the given physical rows of a compacted batch: the batch
+// selView presents the given physical rows of a batch: a dense batch
 // itself when they are all of its rows in order, else a selection view.
 func selView(b *column.Batch, rows []int) *column.Batch {
-	if len(rows) == b.N {
+	if b.Sel == nil && len(rows) == b.N {
 		whole := true
 		for k, i := range rows {
 			if i != k {

@@ -237,3 +237,75 @@ func TestGroupCutMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestPresentedViewKeepsKeysAscending pins the sequence keys of a
+// partition presented in place: over a selection view out of physical
+// order, ∪ and ∪ᵀ — which emit both sides — must still emit every stretch
+// under non-decreasing keys, the order the gather merges by, and the
+// one-partition route must give their lists.
+func TestPresentedViewKeepsKeysAscending(t *testing.T) {
+	s := schema.MustNew(
+		schema.Attr("V", value.KindInt),
+		schema.Attr(schema.T1, value.KindTime),
+		schema.Attr(schema.T2, value.KindTime))
+	rng := rand.New(rand.NewSource(3))
+	var ts []relation.Tuple
+	for range 300 {
+		start := period.Chronon(rng.Intn(20))
+		ts = append(ts, relation.Tuple{value.Int(int64(rng.Intn(9))), value.Time(start), value.Time(start + period.Chronon(1+rng.Intn(6)))})
+	}
+	b := batchOfTuples(s, ts)
+	perm := rng.Perm(len(ts))
+	lv, rv := b.WithSel(perm[:200]), b.WithSel(perm[150:])
+	vidx := physical.ValueIdx(s)
+	t1, t2 := s.TimeIndices()
+	list := func(v *column.Batch) *relation.Relation {
+		var out []relation.Tuple
+		for k := range v.Rows() {
+			out = append(out, rowOf(v, v.RowIndex(k)))
+		}
+		return relation.FromTuplesTrusted(s, out)
+	}
+	src := eval.MapSource{"L": list(lv), "R": list(rv)}
+	l, r := algebra.NewRel("L", s, algebra.BaseInfo{}), algebra.NewRel("R", s, algebra.BaseInfo{})
+	for _, op := range []struct {
+		name string
+		node algebra.Node
+		body partBody
+	}{
+		{"∪", algebra.NewUnion(l, r), unionBody([]int{0, 1, 2})},
+		{"∪ᵀ", algebra.NewTUnion(l, r), tunionBody(vidx, t1, t2)},
+	} {
+		sc := getScratch()
+		ems, err := op.body(sc.whole(0, lv), sc.whole(1, rv))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for x, m := range ems {
+			for k := 1; k < len(m.rows); k++ {
+				if m.seq(k) < m.seq(k-1) {
+					t.Fatalf("%s: stretch %d emits key %d after %d", op.name, x, m.seq(k), m.seq(k-1))
+				}
+			}
+		}
+		want, err := eval.New(src).Eval(op.node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []relation.Tuple
+		for _, ob := range gather(nil, s, ems) {
+			for k := range ob.Rows() {
+				got = append(got, rowOf(ob, ob.RowIndex(k)))
+			}
+		}
+		sc.release()
+		if len(got) != want.Len() {
+			t.Fatalf("%s: %d rows, reference %d", op.name, len(got), want.Len())
+		}
+		for k := range got {
+			if !got[k].Equal(want.At(k)) {
+				t.Fatalf("%s: row %d is %v, reference %v", op.name, k, got[k], want.At(k))
+			}
+		}
+	}
+}
