@@ -341,6 +341,20 @@ func (b *Batch) RowIndex(k int) int {
 	return k
 }
 
+// Presented returns b's presented rows as physical indices: its
+// selection, or the dense range filled into *buf.
+func (b *Batch) Presented(buf *[]int) []int {
+	if b.Sel != nil {
+		return b.Sel
+	}
+	rows := slices.Grow((*buf)[:0], b.N)[:b.N]
+	for i := range rows {
+		rows[i] = i
+	}
+	*buf = rows
+	return rows
+}
+
 // FillRow writes the physical row i into a caller-owned scratch row.
 func (b *Batch) FillRow(t []value.Value, i int) {
 	for c := range b.Cols {

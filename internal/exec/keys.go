@@ -35,16 +35,6 @@ func seqRows(buf []int, lo, hi int) []int {
 	return buf
 }
 
-// presented returns b's presented rows as physical indices: its selection,
-// or the dense range filled into *buf.
-func presented(b *column.Batch, buf *[]int) []int {
-	if b.Sel != nil {
-		return b.Sel
-	}
-	*buf = seqRows(*buf, 0, b.N)
-	return *buf
-}
-
 // resize returns s with length n, reusing its storage when it has room.
 // The contents are unspecified.
 func resize[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }

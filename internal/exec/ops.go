@@ -418,7 +418,7 @@ func (r *vecRdupIter) nextBatch() (*column.Batch, error) {
 		if r.seen == nil {
 			r.seen = &groupTable{idx: identityIdx(len(b.Cols))}
 		}
-		rows := presented(b, &r.rows)
+		rows := b.Presented(&r.rows)
 		r.ids = resize(r.ids, len(rows))
 		fresh := int32(r.seen.size()) // the id the next new key gets
 		r.seen.add(b, rows, r.ids)
@@ -519,7 +519,7 @@ func (j *vecJoinIter) advance() (bool, error) {
 				return false, nil
 			}
 			j.pb, j.pk = b, 0
-			rows := presented(b, &j.prows)
+			rows := b.Presented(&j.prows)
 			j.gids, j.hs = resize(j.gids, len(rows)), resize(j.hs, len(rows))
 			j.table.lookup(b, rows, j.lidx, j.hs, j.gids)
 			continue
@@ -771,7 +771,7 @@ func (e *Engine) vecAggregateSource(in *source, gidx []int, outSchema *schema.Sc
 				if err != nil || b == nil {
 					return err
 				}
-				rows := presented(b, &rowBuf)
+				rows := b.Presented(&rowBuf)
 				ids = resize(ids, len(rows))
 				groups.add(b, rows, ids)
 				for k, gid := range ids {

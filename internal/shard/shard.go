@@ -83,25 +83,14 @@ func NewMap(cat *catalog.Catalog, n int) (*Map, error) {
 		}
 		b := e.Rel.Columns()
 		hs := make([]uint64, b.Rows())
-		column.HashRows(b, presented(b), idx, hs)
+		var rows []int
+		column.HashRows(b, b.Presented(&rows), idx, hs)
 		for i, h := range hs {
 			p.assign[i] = int(h % uint64(n))
 		}
 		m.rels[name] = p
 	}
 	return m, nil
-}
-
-// presented returns b's presented rows as physical indices.
-func presented(b *column.Batch) []int {
-	if b.Sel != nil {
-		return b.Sel
-	}
-	rows := make([]int, b.N)
-	for i := range rows {
-		rows[i] = i
-	}
-	return rows
 }
 
 // sharedKey is the co-partitioning key: the value attribute name held by
