@@ -383,9 +383,9 @@ func (b *Batch) PeriodAt(t1, t2, i int) period.Period {
 }
 
 // Compact resolves the selection vector into dense columns. A batch with no
-// selection is returned as-is.
+// selection, or nil, is returned as-is.
 func (b *Batch) Compact() *Batch {
-	if b.Sel == nil {
+	if b == nil || b.Sel == nil {
 		return b
 	}
 	out := NewBatch(b.Schema, len(b.Sel))

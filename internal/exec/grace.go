@@ -156,14 +156,6 @@ func (p part) seq(i int) int {
 	return p.seqs[i]
 }
 
-// compacted returns b's presented rows as a dense batch (nil for nil).
-func compacted(b *column.Batch) *column.Batch {
-	if b == nil {
-		return nil
-	}
-	return b.Compact()
-}
-
 // wholeBatch presents every row of a compacted batch as one partition.
 func wholeBatch(b *column.Batch) part {
 	if b == nil {
@@ -874,7 +866,7 @@ func (e *Engine) graceRunFrom(op *keyedOp, ls, rs *vecGraceSide) ([]*column.Batc
 		}
 	case e.parallel() && len(op.lidx) > 0:
 		w := e.exchange()
-		lb, rb := compacted(ls.b), compacted(rs.b)
+		lb, rb := ls.b.Compact(), rs.b.Compact()
 		var lparts, rparts []part
 		if op.r == nil && op.contiguous {
 			lparts = rangeParts(lb, op.lidx, w)

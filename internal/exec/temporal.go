@@ -34,8 +34,8 @@ type sweep struct {
 	// period r — side 0's periods first, then side 1's — set for the
 	// non-empty ones.
 	rank []int32
-	keys []uint64 // the timeline's packed sort keys
-	evs  []event  // its events when the group's chronons span too far to pack
+	evs  []event  // the timeline's endpoint events
+	keys []uint64 // the events packed for their sort
 	cnt  [2][]int // per elementary interval: a side's multiplicity
 
 	// The fragments each partition row keeps: row k's are
@@ -69,71 +69,53 @@ func (s *sweep) load(side int, p part, ks []int32, t1, t2 int) []period.Period {
 
 // timeline sets the elementary intervals of the loaded periods — interval x
 // is [ends[x], ends[x+1]) — and every non-empty period's ranks, and returns
-// the interval count. The events sort once: as (chronon − the group's
-// least, slot) packed into one word when that fits, else as pairs.
+// the interval count: the (chronon, rank slot) events sort once, and one
+// pass over them writes both.
 func (s *sweep) timeline() int {
-	slots := 2 * (len(s.ps[0]) + len(s.ps[1]))
-	s.rank = resize(s.rank, slots)
+	s.rank = resize(s.rank, 2*(len(s.ps[0])+len(s.ps[1])))
 	s.ends = s.ends[:0]
-	lo, hi, events := period.Chronon(math.MaxInt64), period.Chronon(math.MinInt64), 0
-	for _, ps := range s.ps {
-		for _, p := range ps {
-			if !p.Empty() {
-				lo, hi, events = min(lo, p.Start), max(hi, p.End), events+2
-			}
-		}
-	}
-	if events == 0 {
-		return 0
-	}
-	shift := uint(bits.Len(uint(slots - 1)))
-	if bits.Len64(uint64(hi)-uint64(lo)) > 64-int(shift) {
-		return s.timelineWide()
-	}
-	keys := s.keys[:0]
-	ref := uint64(0)
-	for _, ps := range s.ps {
-		for _, p := range ps {
-			if !p.Empty() {
-				keys = append(keys, (uint64(p.Start)-uint64(lo))<<shift|ref, (uint64(p.End)-uint64(lo))<<shift|(ref+1))
-			}
-			ref += 2
-		}
-	}
-	slices.Sort(keys)
-	mask := uint64(1)<<shift - 1
-	for k, key := range keys {
-		if k == 0 || key>>shift != keys[k-1]>>shift {
-			s.ends = append(s.ends, period.Chronon(uint64(lo)+key>>shift))
-		}
-		s.rank[key&mask] = int32(len(s.ends) - 1)
-	}
-	s.keys = keys
-	return len(s.ends) - 1
-}
-
-// timelineWide is timeline for a group whose chronons span too far to
-// pack: the events sort as (chronon, slot) pairs.
-func (s *sweep) timelineWide() int {
 	evs := s.evs[:0]
-	ref := int32(0)
+	lo, hi, ref := period.Chronon(math.MaxInt64), period.Chronon(math.MinInt64), int32(0)
 	for _, ps := range s.ps {
 		for _, p := range ps {
 			if !p.Empty() {
 				evs = append(evs, event{p.Start, ref}, event{p.End, ref + 1})
+				lo, hi = min(lo, p.Start), max(hi, p.End)
 			}
 			ref += 2
 		}
 	}
-	slices.SortFunc(evs, func(a, b event) int { return cmp.Compare(a.t, b.t) })
+	s.evs = evs
+	s.sortEvents(lo, hi)
 	for k, ev := range evs {
 		if k == 0 || ev.t != evs[k-1].t {
 			s.ends = append(s.ends, ev.t)
 		}
 		s.rank[ev.ref] = int32(len(s.ends) - 1)
 	}
-	s.evs = evs
-	return len(s.ends) - 1
+	return max(len(s.ends)-1, 0)
+}
+
+// sortEvents sorts the events, whose chronons lie in [lo, hi], by chronon.
+// Packed one to a word — the chronon's offset from lo above the slot —
+// they sort through slices.Sort, whose compares inline; a group spanning
+// too far to leave the slot room (chronons at the time domain's bounds)
+// sorts them as pairs.
+func (s *sweep) sortEvents(lo, hi period.Chronon) {
+	shift := uint(bits.Len(uint(len(s.rank))))
+	if bits.Len64(uint64(hi)-uint64(lo)) > 64-int(shift) {
+		slices.SortFunc(s.evs, func(a, b event) int { return cmp.Compare(a.t, b.t) })
+		return
+	}
+	keys := s.keys[:0]
+	for _, ev := range s.evs {
+		keys = append(keys, uint64(ev.t-lo)<<shift|uint64(ev.ref))
+	}
+	slices.Sort(keys)
+	for k, key := range keys {
+		s.evs[k] = event{lo + period.Chronon(key>>shift), int32(key & (1<<shift - 1))}
+	}
+	s.keys = keys
 }
 
 // span returns the ranks of side's loaded period j, non-empty: it covers
