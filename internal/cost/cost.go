@@ -18,7 +18,6 @@ import (
 	"tqp/internal/eval"
 	"tqp/internal/physical"
 	"tqp/internal/props"
-	"tqp/internal/relation"
 )
 
 // The model's calibration: hand-set weights, one setting each. The paper
@@ -401,8 +400,8 @@ func (m *Model) node(n algebra.Node, site props.Site, states *props.Memo, memo *
 	}
 	ch := n.Children()
 	var ceBuf [2]Estimate
-	var orderBuf [2]relation.OrderSpec
-	ce, orders := ceBuf[:len(ch)], orderBuf[:len(ch)]
+	var stateBuf [2]props.State
+	ce, cst := ceBuf[:len(ch)], stateBuf[:len(ch)]
 	for i, c := range ch {
 		cs := props.ChildSite(site, n.Op())
 		e, err := m.node(c, cs, states, memo)
@@ -410,13 +409,13 @@ func (m *Model) node(n algebra.Node, site props.Site, states *props.Memo, memo *
 			return Estimate{}, err
 		}
 		s, _ := states.State(c, cs) // derived without error by m.node
-		ce[i], orders[i] = e, s.Order
+		ce[i], cst[i] = e, s
 	}
 	// The exec engine's variants only run in the stratum; DBMS subplans
 	// are always priced with the conventional shapes.
 	var dec physical.Variant
 	if m.params.Streaming && site != props.DBMS {
-		dec = physical.Decide(n, orders, m.shape).Variant
+		dec = physical.Decide(n, cst, m.shape).Variant
 	}
 	e := m.estimate(n, site, ce, dec)
 	for _, c := range ce {
@@ -429,7 +428,7 @@ func (m *Model) node(n algebra.Node, site props.Site, states *props.Memo, memo *
 // estimate derives one node's output cardinality (Table 1's cardinality
 // column used as an estimator) and its own processing cost. With the
 // streaming engine the cost is that of dec, the variant physical.Decide
-// picks from the children's statically inferred orders (Table 1
+// picks from the children's statically inferred states (Table 1
 // propagation) and the engine's shape — the decision the engine compiles:
 // the merge/elided variants are priced with mergeTuple/sortVerifyFactor
 // instead of hashTuple and N·log N, a node with an exchange takes the

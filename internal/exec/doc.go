@@ -24,8 +24,9 @@
 // Inside this package each algorithm is implemented once. An operator may
 // have several algorithms — hash, merge, streaming group-at-a-time — and
 // package physical's Decide chooses among them from what the build step
-// observes (delivered orders, and the Config's Parallelism and
-// MemoryBudget); it never has two implementations of the
+// observes (delivered states — orders and Table 1's duplicate claims — and
+// the Config's Parallelism and MemoryBudget); it never has two
+// implementations of the
 // same algorithm with a switch between them, and it is never written once
 // per *route*: how a keyed blocking operator's input is held (resident,
 // partitioned across workers, spilled to disk) is the exchange driver's
@@ -71,7 +72,10 @@
 //	rdupᵀ, coalᵀ, 𝒢, 𝒢ᵀ  one partition body each, run by the exchange driver
 //	                    or — groups contiguous — by the streaming group stage
 //	                    (merge.go); 𝒢 also pipelined hash aggregation
-//	\ᵀ, ∪ᵀ              partition bodies (temporal.go)
+//	\ᵀ, ∪ᵀ              partition bodies: the multiplicity sweep, or for \ᵀ
+//	                    over a snapshot-distinct left each period minus the
+//	                    right's union; a contiguous left is cut into runs,
+//	                    not hashed (temporal.go, keys.go)
 //
 // Every keyed blocking operator — rdup, \, ∪, rdupᵀ, coalᵀ, \ᵀ, ∪ᵀ, 𝒢, 𝒢ᵀ and
 // the spilled keyed join — is one partition body over rows of a batch, run by
@@ -84,7 +88,10 @@
 // them; a ±1 pass over the ranks counts each side on the intervals, and a
 // combiner decides what each yields — min(c, 1) for rdupᵀ, max(cₗ − cᵣ, 0)
 // for \ᵀ, max(cᵣ − cₗ, 0) past the left list for ∪ᵀ, the aggregate of the
-// active rows for 𝒢ᵀ; coalᵀ merges adjacent periods (coalTSpans). The
+// active rows for 𝒢ᵀ; coalᵀ merges adjacent periods (coalTSpans). Where
+// the left of \ᵀ is snapshot-distinct (Decide's minus-union), cₗ ≤ 1 on
+// every interval, so no endpoint sort is needed: each left period loses the
+// union of the group's right periods, folded once per group. The
 // sweep's buffers, the group table and the groupings belong to one body
 // call — a grace partition or a groupCutIter cut: the call takes them from
 // a pool on entry, resets them per group and returns them on exit, and
@@ -173,17 +180,21 @@
 // # The delivered-order contract
 //
 // Every compiled pipeline stage (the internal source struct) carries,
-// besides its batch stream and schema, the order its stream delivers — derived
-// at build time with the same Table 1 propagation rules the reference
+// besides its batch stream and schema, the state its stream delivers
+// (props.State, derived per node by props.StateAt): the order — derived at
+// build time with the same Table 1 propagation rules the reference
 // evaluator applies at run time (and that props.State.Order derives
 // statically; the golden matrix in order_golden_test.go pins all three to
-// each other). Delivered orders are list invariants, and the engine spends
-// them in three ways. compile asks physical.Decide once per node, from the
-// inputs' delivered orders and the engine's shape (its width and whether a
-// budget is set), and the node's builder compiles exactly the decision it
-// gets — no builder tests an order itself — so the cost model, the stratum
-// meter and EXPLAIN ANALYZE, which read the same decision, describe what
-// ran (TestVariantCountersMatchAnnotation):
+// each other) — and Table 1's duplicate and coalescing claims, which a scan
+// takes from its relation's BaseInfo. Delivered orders are list invariants,
+// and the engine spends them in three ways; the claims it spends on \ᵀ,
+// whose snapshot-distinct left subtracts the right's union instead of
+// sweeping. compile asks physical.Decide once per node, from the inputs'
+// delivered states and the engine's shape (its width and whether a budget
+// is set), and the node's builder compiles exactly the decision it gets —
+// no builder tests an order or a claim itself — so the cost model, the
+// stratum meter and EXPLAIN ANALYZE, which read the same decision, describe
+// what ran (TestVariantCountersMatchAnnotation):
 //
 //   - Sort elision. sort_A over an input delivering an order A is a prefix
 //     of is a physical no-op (a stable sort cannot move any tuple); the
@@ -211,7 +222,9 @@
 //     Under plain parallelism the driver's range exchange splits the same
 //     contiguous groups across the pool instead, and the bodies still cut
 //     groups without hashing. Contiguity is a property of the delivered
-//     order, not a separate operator.
+//     order, not a separate operator: over a left that keeps its value
+//     groups contiguous, \ᵀ and ∪ᵀ cut the left into runs and hash one key
+//     per run beside the right's rows (scratch.runGroups).
 //
 // When no order helps, the hash variants run: hash join on extracted
 // equi-keys (on the empty key for a keyless product), hash multiplicity
@@ -241,7 +254,7 @@
 //
 // Adding a keyed blocking operator means writing one partition body and
 // naming its key columns — never a parallelX or graceX source. The body
-// (a partBody, see keepBody or tunionBody) is a pure function over one
+// (a partBody, see keepBody or excessBody) is a pure function over one
 // partition: rows of a batch in arrival order plus their sequence keys. It
 // emits rows — of the partition's batch or of one it builds — under
 // non-decreasing sequence keys, replacing periods through emitted.per
@@ -256,10 +269,10 @@
 // Any other operator adds a case to (*Engine).operator returning a source
 // (batch iterator + schema) that pulls its inputs' source.vec. compile has
 // already built those inputs, derived the node's schema and taken the
-// node's physical.Decision, and it sets the built source's order from
-// props.OrderOf, Table 1's one copy: a builder neither builds its inputs
-// nor orders its output nor reads their orders — it compiles the decision
-// it is handed. A new operator's order rule goes into props.OrderOf. If the
+// node's physical.Decision, and it sets the built source's state from
+// props.StateAt, whose order is props.OrderOf, Table 1's one copy: a builder
+// neither builds its inputs nor orders its output nor reads their states —
+// it compiles the decision it is handed. A new operator's order rule goes into props.OrderOf. If the
 // operator has more than one algorithm, its choice — applicability test,
 // the shapes that rule a variant out, and whatever the builder compiles it
 // from (keys, contiguity) — goes into package physical's Decide, so the

@@ -148,14 +148,16 @@ func (e *Engine) eval(n algebra.Node) (*relation.Relation, error) {
 
 // source is one built pipeline stage: its batch stream plus the static
 // knowledge the parent stages and the root need — the output schema and the
-// order the stage delivers. A scan delivers its declared or stored order;
-// every other stage's order is set once, by compile, from props.OrderOf —
-// the label the reference evaluator gives the same list. The stream has
-// exactly one consumer: the parent operator, or drainVec at the root.
+// state the stage delivers: its order, the label the reference evaluator
+// gives the same list, and Table 1's duplicate and coalescing claims,
+// which physical.Decide reads. A scan delivers its relation's declared
+// claims and its declared or stored order; every other stage's state is set
+// once, by compile, from props.StateAt. The stream has exactly one
+// consumer: the parent operator, or drainVec at the root.
 type source struct {
 	vec    vecIterator
 	schema *schema.Schema
-	order  relation.OrderSpec
+	state  props.State
 }
 
 // stage is the pass-through an observed run puts around every plan node's
@@ -219,7 +221,7 @@ func (st *stage) close() error { return st.in.vec.close() }
 // observed wraps a compiled node in its stage.
 func (e *Engine) observed(n algebra.Node, d physical.Variant, in *source) *source {
 	st := &stage{e: e, node: n, dec: d, in: in}
-	st.out = source{vec: st, schema: in.schema, order: in.order}
+	st.out = source{vec: st, schema: in.schema, state: in.state}
 	e.stages = append(e.stages, st)
 	return &st.out
 }
@@ -237,9 +239,9 @@ func (e *Engine) build(n algebra.Node) (*source, error) {
 // compile builds a node's physical operator. A base relation compiles to
 // its scan. Any other node builds its children through build, derives its
 // schema, takes its variant from physical.Decide over the children's
-// delivered orders and the engine's shape — the one place the engine
+// delivered states and the engine's shape — the one place the engine
 // chooses one — hands all three to its operator's builder and sets the
-// built stage's Table 1 order — the one place the engine orders a stage.
+// built stage's Table 1 state — the one place the engine orders a stage.
 func (e *Engine) compile(n algebra.Node) (*source, physical.Decision, error) {
 	if rel, ok := n.(*algebra.Rel); ok {
 		s, err := e.buildRel(rel)
@@ -247,26 +249,26 @@ func (e *Engine) compile(n algebra.Node) (*source, physical.Decision, error) {
 	}
 	ch := n.Children()
 	var buf [2]*source
-	var orders [2]relation.OrderSpec
-	in := buf[:len(ch)]
+	var stBuf [2]props.State
+	in, states := buf[:len(ch)], stBuf[:len(ch)]
 	for i, c := range ch {
 		s, err := e.build(c)
 		if err != nil {
 			return nil, physical.Decision{}, err
 		}
-		in[i], orders[i] = s, s.order
+		in[i], states[i] = s, s.state
 	}
-	out, err := n.Schema()
+	st, err := props.StateAt(n, props.Stratum, states)
 	if err != nil {
 		return nil, physical.Decision{}, err
 	}
-	d := physical.Decide(n, orders[:len(ch)], e.shape)
+	d := physical.Decide(n, states, e.shape)
 	e.count(d.Variant)
-	s, err := e.operator(n, d, in, out)
+	s, err := e.operator(n, d, in, st.Schema)
 	if err != nil {
 		return nil, physical.Decision{}, err
 	}
-	s.order = props.OrderOf(n, orders[:len(ch)]...)
+	s.state = st
 	return s, d, nil
 }
 
@@ -312,7 +314,7 @@ func (e *Engine) operator(n algebra.Node, d physical.Decision, in []*source, out
 	case algebra.OpUnion:
 		return e.buildUnion(d, in[0], in[1]), nil
 	case algebra.OpTUnion:
-		return e.buildTPair(d, in[0], in[1], tunionBody), nil
+		return e.buildTPair(d, in[0], in[1], excessBody), nil
 	case algebra.OpProduct:
 		return e.buildProduct(d, in[0], in[1], out, false), nil
 	case algebra.OpTProduct:
@@ -320,7 +322,10 @@ func (e *Engine) operator(n algebra.Node, d physical.Decision, in []*source, out
 	case algebra.OpDiff:
 		return e.buildDiff(d, in[0], in[1], out), nil
 	case algebra.OpTDiff:
-		return e.buildTPair(d, in[0], in[1], tdiffBody), nil
+		if d.Algo == physical.AlgoMinusUnion {
+			return e.buildTPair(d, in[0], in[1], minusUnionBody), nil
+		}
+		return e.buildTPair(d, in[0], in[1], sweepDiffBody), nil
 	case algebra.OpRdup:
 		return e.buildRdup(d, in[0], out), nil
 	case algebra.OpTRdup:

@@ -10,6 +10,7 @@ import (
 	"tqp/internal/expr"
 	"tqp/internal/period"
 	"tqp/internal/physical"
+	"tqp/internal/props"
 	"tqp/internal/relation"
 	"tqp/internal/schema"
 	"tqp/internal/value"
@@ -79,7 +80,7 @@ func TestEquiKeys(t *testing.T) {
 // columns (Name, Grp) of s.
 func valueGroupsContiguous(s *schema.Schema, ord relation.OrderSpec) bool {
 	rdupT := algebra.NewTRdup(algebra.NewRel("R", s, algebra.BaseInfo{}))
-	return physical.Decide(rdupT, []relation.OrderSpec{ord}, physical.Shape{}).Contiguous
+	return physical.Decide(rdupT, []props.State{{Order: ord}}, physical.Shape{}).Contiguous
 }
 
 // TestGroupsContiguous pins the OrderSpec reasoning that lets the grouping

@@ -245,6 +245,8 @@ type scratch struct {
 	spans  []vspan // coalᵀ's group buffer
 	budget []int   // \ and ∪: per group, the multiplicity left to cancel
 
+	firsts []int // runGroups: the first row of each run of the left
+
 	// The row lists and sequence keys of up to two partitions a route
 	// presents (present), read by the bodies and the gather.
 	rows, seqs [2][]int
@@ -320,10 +322,8 @@ func (sc *scratch) groupRows(p part, idx []int, contiguous bool) csrGroups {
 	}
 	if len(idx) == 0 || contiguous {
 		off := append(c.off[:0], 0)
-		for k := 1; k < n && len(idx) > 0; k++ {
-			if !keysEqual(p.b, p.rows[k], p.b, p.rows[k-1], idx) {
-				off = append(off, int32(k))
-			}
+		if len(idx) > 0 {
+			off = cutRuns(p, idx, off)
 		}
 		c.off = append(off, int32(n))
 		c.pos = resize(c.pos, n)
@@ -339,10 +339,45 @@ func (sc *scratch) groupRows(p part, idx []int, contiguous bool) csrGroups {
 	return *c
 }
 
+// cutRuns appends to off every position of p whose row differs on idx from
+// the row before it: where p's runs of equal rows start, after the first. A
+// single key column on its typed plane compares straight against it.
+func cutRuns(p part, idx []int, off []int32) []int32 {
+	if len(idx) == 1 {
+		switch col := &p.b.Cols[idx[0]]; col.Kind {
+		case value.KindString:
+			strs := col.Strs
+			for k := 1; k < len(p.rows); k++ {
+				if strs[p.rows[k]] != strs[p.rows[k-1]] {
+					off = append(off, int32(k))
+				}
+			}
+			return off
+		case value.KindInt, value.KindBool, value.KindTime:
+			ints := col.Ints
+			for k := 1; k < len(p.rows); k++ {
+				if ints[p.rows[k]] != ints[p.rows[k-1]] {
+					off = append(off, int32(k))
+				}
+			}
+			return off
+		}
+	}
+	for k := 1; k < len(p.rows); k++ {
+		if !keysEqual(p.b, p.rows[k], p.b, p.rows[k-1], idx) {
+			off = append(off, int32(k))
+		}
+	}
+	return off
+}
+
 // pairGroups groups one partition pair's rows into a shared
 // value-equivalence id space: group g's members are l.members(g) and
-// r.members(g), and rOf[k] is right position k's group. An empty rp groups
-// by groupRows, hash-free when contiguous.
+// r.members(g), and rOf[k] is right position k's group. Ids follow first
+// occurrence, the left's first: the groups holding left rows in left order,
+// then the right-only groups in right order. An empty rp groups by
+// groupRows, hash-free when contiguous; a contiguous left (equal rows
+// adjacent, proved by its delivered order) groups by runGroups.
 func (sc *scratch) pairGroups(lp, rp part, vidx []int, contiguous bool) (l, r csrGroups, rOf []int32) {
 	if len(rp.rows) == 0 {
 		l = sc.groupRows(lp, vidx, contiguous)
@@ -350,6 +385,9 @@ func (sc *scratch) pairGroups(lp, rp part, vidx []int, contiguous bool) (l, r cs
 		c.off = resize(c.off, l.count()+1)
 		clear(c.off)
 		return l, *c, nil
+	}
+	if contiguous {
+		return sc.runGroups(lp, rp, vidx)
 	}
 	sc.groups.reset(vidx)
 	of := sc.ids(len(lp.rows) + len(rp.rows))
@@ -359,6 +397,36 @@ func (sc *scratch) pairGroups(lp, rp part, vidx []int, contiguous bool) (l, r cs
 	sc.csr[0].fill(lOf, sc.groups.size())
 	sc.csr[1].fill(rOf, sc.groups.size())
 	return sc.csr[0], sc.csr[1], rOf
+}
+
+// runGroups is pairGroups over a contiguous left, in the same id space:
+// the left is cut into runs without hashing, the group table takes one key
+// per run — run g's first row opens group g, the runs' keys being distinct
+// — and then the right's rows, which join their run's group or open the
+// right-only groups behind the runs, in right order.
+func (sc *scratch) runGroups(lp, rp part, vidx []int) (l, r csrGroups, rOf []int32) {
+	l = sc.groupRows(lp, vidx, true)
+	runs := l.count()
+	firsts := resize(sc.firsts, runs)
+	for g := range firsts {
+		firsts[g] = lp.rows[l.off[g]]
+	}
+	sc.firsts = firsts
+	sc.groups.reset(vidx)
+	of := sc.ids(runs + len(rp.rows))
+	rOf = of[runs:]
+	sc.groups.add(lp.b, firsts, of[:runs])
+	sc.groups.add(rp.b, rp.rows, rOf)
+	// The right-only groups hold no left row: empty ranges past the runs.
+	c := &sc.csr[0]
+	if len(c.off) == 0 {
+		c.off = append(c.off, 0)
+	}
+	for range sc.groups.size() - runs {
+		c.off = append(c.off, int32(len(lp.rows)))
+	}
+	sc.csr[1].fill(rOf, sc.groups.size())
+	return *c, sc.csr[1], rOf
 }
 
 // vecCmp is an order spec compiled for a pair of schemas: per key its left

@@ -79,6 +79,6 @@ func drainVec(s *source) (*relation.Relation, error) {
 		b = &nb
 	}
 	out := relation.FromColumnar(s.schema, b)
-	out.SetOrder(s.order)
+	out.SetOrder(s.state.Order)
 	return out, nil
 }

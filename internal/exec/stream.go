@@ -7,6 +7,7 @@ import (
 	"tqp/internal/column"
 	"tqp/internal/eval"
 	"tqp/internal/physical"
+	"tqp/internal/props"
 	"tqp/internal/relation"
 	"tqp/internal/schema"
 )
@@ -17,8 +18,13 @@ func (e *Engine) buildRel(n *algebra.Rel) (*source, error) {
 	if err != nil {
 		return nil, err
 	}
+	st, err := props.StateAt(n, props.Stratum, nil)
+	if err != nil {
+		return nil, err
+	}
+	st.Order = order
 	// A scan travels as the relation's one batch.
-	return &source{vec: &onceBatchIter{compute: func() (*column.Batch, error) { return r.Columns(), nil }}, schema: r.Schema(), order: order}, nil
+	return &source{vec: &onceBatchIter{compute: func() (*column.Batch, error) { return r.Columns(), nil }}, schema: r.Schema(), state: st}, nil
 }
 
 // resolve looks up the relation a scan reads and the order it delivers: its

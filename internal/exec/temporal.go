@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sort"
 
 	"tqp/internal/algebra"
 	"tqp/internal/column"
@@ -26,7 +27,9 @@ import (
 // counting sweep, keep and 𝒢ᵀ's fold walk ranks and never search. A body
 // call owns one sweep (its pooled scratch) and resets the buffers per
 // group, so a partition costs the same few buffers however many groups it
-// holds.
+// holds. \ᵀ over a snapshot-distinct left sorts no endpoints: union folds
+// each group's right periods in the right side's buffer, and minus records
+// what each left row keeps of its period.
 type sweep struct {
 	ps   [2][]period.Period // the group's periods per side, in list order
 	ends []period.Chronon   // the group's distinct endpoints, ascending
@@ -176,6 +179,69 @@ func (s *sweep) keep(k, lo, hi int, budget []int, claim bool) {
 	s.n[k] = int32(len(s.frag)) - s.off[k]
 }
 
+// smallGroup is the most periods union sorts by insertion and minus scans
+// linearly for p's start; past it they sort and search.
+const smallGroup = 12
+
+// union folds the non-empty periods of rp's rows at positions ks, sorted
+// by start, into their union: disjoint, non-adjacent periods, ascending.
+// It works in the right side's period buffer.
+func (s *sweep) union(rp part, ks []int32, t1, t2 int) []period.Period {
+	ps := s.ps[1][:0]
+	for _, k := range ks {
+		if p := rp.b.PeriodAt(t1, t2, rp.rows[k]); !p.Empty() {
+			ps = append(ps, p)
+		}
+	}
+	if len(ps) <= smallGroup {
+		// A few periods: an insertion sort, its compares inline.
+		for i := 1; i < len(ps); i++ {
+			for j := i; j > 0 && ps[j].Start < ps[j-1].Start; j-- {
+				ps[j], ps[j-1] = ps[j-1], ps[j]
+			}
+		}
+	} else {
+		slices.SortFunc(ps, func(a, b period.Period) int { return cmp.Compare(a.Start, b.Start) })
+	}
+	out := ps[:0] // writes trail the reads: folding in place is safe
+	for _, p := range ps {
+		if n := len(out); n > 0 && p.Start <= out[n-1].End {
+			out[n-1].End = max(out[n-1].End, p.End)
+			continue
+		}
+		out = append(out, p)
+	}
+	s.ps[1] = ps
+	return out
+}
+
+// minus records row k's fragments: p minus the union cover, ascending (an
+// empty p keeps nothing).
+func (s *sweep) minus(k int, p period.Period, cover []period.Period) {
+	s.off[k] = int32(len(s.frag))
+	// From the first cover period ending after p starts, each one that
+	// starts before p ends cuts p.
+	x := 0
+	if len(cover) <= smallGroup {
+		for x < len(cover) && cover[x].End <= p.Start {
+			x++
+		}
+	} else {
+		x = sort.Search(len(cover), func(x int) bool { return cover[x].End > p.Start })
+	}
+	cur := p.Start
+	for ; x < len(cover) && cover[x].Start < p.End; x++ {
+		if cover[x].Start > cur {
+			s.frag = append(s.frag, period.Period{Start: cur, End: cover[x].Start})
+		}
+		cur = cover[x].End
+	}
+	if cur < p.End {
+		s.frag = append(s.frag, period.Period{Start: cur, End: p.End})
+	}
+	s.n[k] = int32(len(s.frag)) - s.off[k]
+}
+
 // record records p as row k's one fragment.
 func (s *sweep) record(k int, p period.Period) {
 	s.off[k], s.n[k] = int32(len(s.frag)), 1
@@ -186,11 +252,19 @@ func (s *sweep) record(k int, p period.Period) {
 // into a pooled fragment buffer the emitted stretch carries to the gather.
 func (s *sweep) fragments(p part) emitted {
 	fb := getFragBuf(len(s.frag))
+	rows, per := fb.rows, fb.per
 	for k, i := range p.rows {
-		for _, f := range s.frag[s.off[k] : s.off[k]+s.n[k]] {
-			fb.rows, fb.per = append(fb.rows, i), append(fb.per, f)
+		switch off, n := s.off[k], s.n[k]; n {
+		case 0:
+		case 1:
+			rows, per = append(rows, i), append(per, s.frag[off])
+		default:
+			for _, f := range s.frag[off : off+n] {
+				rows, per = append(rows, i), append(per, f)
+			}
 		}
 	}
+	fb.rows, fb.per = rows, per
 	return fb.over(p.b, p.seqs)
 }
 
@@ -300,14 +374,16 @@ func coalTBody(vidx []int, t1, t2 int, contiguous bool) partBody {
 	}
 }
 
-// keepBody is the partition body of \ᵀ and rdupᵀ: per value group the left
+// keepBody is the partition body of rdupᵀ and of \ᵀ over a left not
+// known snapshot-distinct (physical.AlgoHashPart): per value group the left
 // rows, in list order, walk their own elementary intervals and keep what
 // the budget leaves them, re-emitted at their places. For \ᵀ,
 // max(cₗ − cᵣ, 0), the budget is the right multiplicity, the earliest left
 // rows absorb it, and empty periods vanish. For rdupᵀ, min(c, 1), it is what
 // earlier rows claimed — each interval belongs to the earliest row covering
 // it, as the paper's head/subtract iteration leaves it — and a row with an
-// empty period overlaps nothing and keeps it.
+// empty period overlaps nothing and keeps it. contiguous is the left's
+// (pairGroups); a group of right rows alone keeps nothing.
 func keepBody(vidx []int, t1, t2 int, contiguous, rdup bool) partBody {
 	return func(lp, rp part) ([]emitted, error) {
 		sc := getScratch()
@@ -317,6 +393,9 @@ func keepBody(vidx []int, t1, t2 int, contiguous, rdup bool) partBody {
 		s.reset(len(lp.rows))
 		for g := range l.count() {
 			ks := l.members(g)
+			if len(ks) == 0 {
+				continue
+			}
 			lps := s.load(0, lp, ks, t1, t2)
 			s.load(1, rp, r.members(g), t1, t2)
 			s.timeline()
@@ -334,22 +413,58 @@ func keepBody(vidx []int, t1, t2 int, contiguous, rdup bool) partBody {
 	}
 }
 
-// rdupTBody is rdupᵀ's keepBody, tdiffBody \ᵀ's.
+// rdupTBody is rdupᵀ's keepBody, sweepDiffBody \ᵀ's.
 func rdupTBody(vidx []int, t1, t2 int, contiguous bool) partBody {
 	return keepBody(vidx, t1, t2, contiguous, true)
 }
 
-func tdiffBody(vidx []int, t1, t2 int) partBody { return keepBody(vidx, t1, t2, false, false) }
+func sweepDiffBody(vidx []int, t1, t2 int, contiguous bool) partBody {
+	return keepBody(vidx, t1, t2, contiguous, false)
+}
 
-// tunionBody is the partition body of ∪ᵀ: the left rows pass through whole,
-// and behind them follow, per right value group in first-right-occurrence
-// order and on its first right row, the maximal periods of each layer of
-// the excess max(cᵣ − cₗ, 0), layer by layer, then by timeline.
-func tunionBody(vidx []int, t1, t2 int) partBody {
+// tdiffBody and tunionBody are \ᵀ's sweep and ∪ᵀ's body over a left whose
+// value groups are not known to be contiguous.
+func tdiffBody(vidx []int, t1, t2 int) partBody  { return sweepDiffBody(vidx, t1, t2, false) }
+func tunionBody(vidx []int, t1, t2 int) partBody { return excessBody(vidx, t1, t2, false) }
+
+// minusUnionBody is the partition body of \ᵀ over a snapshot-distinct left
+// (physical.AlgoMinusUnion): per value group the right's non-empty periods
+// fold into their union, and each left row keeps its period minus that
+// union, fragments ascending; empty periods vanish. The left's claim puts at
+// most one of its rows on any instant of a group, so no two rows share the
+// right multiplicity keepBody budgets, and this is keepBody's result
+// without the group's endpoint sort.
+func minusUnionBody(vidx []int, t1, t2 int, contiguous bool) partBody {
 	return func(lp, rp part) ([]emitted, error) {
 		sc := getScratch()
 		defer sc.release()
-		l, r, rOf := sc.pairGroups(lp, rp, vidx, false)
+		l, r, _ := sc.pairGroups(lp, rp, vidx, contiguous)
+		s := &sc.sweep
+		s.reset(len(lp.rows))
+		for g := range l.count() {
+			ks := l.members(g)
+			if len(ks) == 0 {
+				continue
+			}
+			cover := s.union(rp, r.members(g), t1, t2)
+			for _, k := range ks {
+				s.minus(int(k), lp.b.PeriodAt(t1, t2, lp.rows[k]), cover)
+			}
+		}
+		return []emitted{s.fragments(lp)}, nil
+	}
+}
+
+// excessBody is the partition body of ∪ᵀ: the left rows pass through whole,
+// and behind them follow, per right value group in first-right-occurrence
+// order and on its first right row, the maximal periods of each layer of
+// the excess max(cᵣ − cₗ, 0), layer by layer, then by timeline. contiguous
+// is the left's (pairGroups).
+func excessBody(vidx []int, t1, t2 int, contiguous bool) partBody {
+	return func(lp, rp part) ([]emitted, error) {
+		sc := getScratch()
+		defer sc.release()
+		l, r, rOf := sc.pairGroups(lp, rp, vidx, contiguous)
 		s := &sc.sweep
 		fb := getFragBuf(0)
 		for k, g := range rOf {
@@ -387,11 +502,12 @@ func tunionBody(vidx []int, t1, t2 int) partBody {
 }
 
 // buildTPair compiles a two-sided temporal operator (\ᵀ, ∪ᵀ) from its
-// partition body: both sides partition by value equivalence — the
-// reference's algorithm with row hashes in place of string keys.
-func (e *Engine) buildTPair(d physical.Decision, l, r *source, body func(vidx []int, t1, t2 int) partBody) *source {
+// partition body, built for the decision's left contiguity: both sides
+// partition by value equivalence — the reference's algorithm with row
+// hashes in place of string keys.
+func (e *Engine) buildTPair(d physical.Decision, l, r *source, body func(vidx []int, t1, t2 int, contiguous bool) partBody) *source {
 	t1, t2 := l.schema.TimeIndices()
-	return e.keyedSource(&keyedOp{l: l, r: r, lidx: d.Keys, ridx: d.RKeys, out: l.schema, body: body(d.Keys, t1, t2)})
+	return e.keyedSource(&keyedOp{l: l, r: r, lidx: d.Keys, ridx: d.RKeys, out: l.schema, body: body(d.Keys, t1, t2, d.Contiguous)})
 }
 
 // buildTAggregate compiles 𝒢ᵀ. A GROUP-BY-less 𝒢ᵀ is one global group

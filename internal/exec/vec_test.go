@@ -277,8 +277,13 @@ type spanGroup struct{ l, r []period.Period }
 // ∪ᵀ must reproduce internal/eval's lists exactly, fragment order included,
 // and so must 𝒢ᵀ by value with COUNT(*) and SUM of a per-row column W —
 // each row's list position, so the sum names the active set. A single
-// group also runs the bodies' hash-free contiguous path.
-func spanKernelsAgainstReference(t *testing.T, groups ...spanGroup) {
+// group also runs the grouping bodies' hash-free contiguous path, and \ᵀ
+// and ∪ᵀ run theirs over a second left, LS, holding the same rows group by
+// group. Where every group's left periods are pairwise disjoint — the shape
+// a snapshot-distinct left guarantees — \ᵀ's union subtraction must give
+// the reference's lists over both lefts too, and the helper reports that it
+// ran.
+func spanKernelsAgainstReference(t *testing.T, groups ...spanGroup) (subtracted bool) {
 	t.Helper()
 	s := schema.MustNew(
 		schema.Attr("V", value.KindInt),
@@ -291,6 +296,14 @@ func spanKernelsAgainstReference(t *testing.T, groups ...spanGroup) {
 		schema.Attr(schema.T2, value.KindTime))
 	rel := func(sch *schema.Schema, side func(spanGroup) []period.Period) *relation.Relation {
 		var ts []relation.Tuple
+		if side == nil { // LS: the left periods, group by group
+			for g, grp := range groups {
+				for _, p := range grp.l {
+					ts = append(ts, relation.Tuple{value.Int(int64(g + 1)), value.Time(p.Start), value.Time(p.End)})
+				}
+			}
+			return relation.FromTuplesTrusted(sch, ts)
+		}
 		for x := 0; ; x++ {
 			more := false
 			for g, grp := range groups {
@@ -312,9 +325,10 @@ func spanKernelsAgainstReference(t *testing.T, groups ...spanGroup) {
 	}
 	left := func(g spanGroup) []period.Period { return g.l }
 	right := func(g spanGroup) []period.Period { return g.r }
-	lrel, rrel, wrel := rel(s, left), rel(s, right), rel(sw, left)
-	src := eval.MapSource{"L": lrel, "R": rrel, "W": wrel}
+	lrel, rrel, wrel, lsrel := rel(s, left), rel(s, right), rel(sw, left), rel(s, nil)
+	src := eval.MapSource{"L": lrel, "R": rrel, "W": wrel, "LS": lsrel}
 	l := algebra.NewRel("L", s, algebra.BaseInfo{})
+	ls := algebra.NewRel("LS", s, algebra.BaseInfo{})
 	r := algebra.NewRel("R", s, algebra.BaseInfo{})
 	w := algebra.NewRel("W", sw, algebra.BaseInfo{})
 	agg := algebra.NewTAggregate([]string{"V"}, []expr.Aggregate{
@@ -324,7 +338,7 @@ func spanKernelsAgainstReference(t *testing.T, groups ...spanGroup) {
 		t.Fatal(err)
 	}
 	partOf := func(r *relation.Relation) part { return wholeBatch(batchOfTuples(r.Schema(), r.Tuples())) }
-	lp, rp, wp := partOf(lrel), partOf(rrel), partOf(wrel)
+	lp, rp, wp, lsp := partOf(lrel), partOf(rrel), partOf(wrel), partOf(lsrel)
 	vidx := physical.ValueIdx(s)
 	t1, t2 := s.TimeIndices()
 	check := func(name string, n algebra.Node, body partBody, lp, rp part) {
@@ -362,14 +376,39 @@ func spanKernelsAgainstReference(t *testing.T, groups ...spanGroup) {
 	}
 	check("diffT", algebra.NewTDiff(l, r), tdiffBody(vidx, t1, t2), lp, rp)
 	check("unionT", algebra.NewTUnion(l, r), tunionBody(vidx, t1, t2), lp, rp)
+	check("diffT over contiguous LS", algebra.NewTDiff(ls, r), sweepDiffBody(vidx, t1, t2, true), lsp, rp)
+	check("unionT over contiguous LS", algebra.NewTUnion(ls, r), excessBody(vidx, t1, t2, true), lsp, rp)
+	for _, g := range groups {
+		if !pairwiseDisjoint(g.l) {
+			return false
+		}
+	}
+	check("diffT minus union", algebra.NewTDiff(l, r), minusUnionBody(vidx, t1, t2, false), lp, rp)
+	check("diffT minus union over contiguous LS", algebra.NewTDiff(ls, r), minusUnionBody(vidx, t1, t2, true), lsp, rp)
+	return true
+}
+
+// pairwiseDisjoint reports that no two non-empty periods of ps overlap: no
+// snapshot holds two of them.
+func pairwiseDisjoint(ps []period.Period) bool {
+	for i, a := range ps {
+		for _, b := range ps[:i] {
+			if a.Overlaps(b) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // TestSpanKernelsMatchReference is the property test tying the temporal
 // partition bodies to the reference evaluator on random period lists —
 // empty, touching, nested, identical, sorted-disjoint and NOW-relative
 // periods all occur — as a single group and as a partition of several
-// groups, one only on the left and one only on the right.
+// groups, one only on the left and one only on the right. A vacuity guard
+// counts the seeds on which \ᵀ's union subtraction ran.
 func TestSpanKernelsMatchReference(t *testing.T) {
+	subtracted := 0
 	for seed := int64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		gen := func(n int) []period.Period {
@@ -393,15 +432,21 @@ func TestSpanKernelsMatchReference(t *testing.T) {
 			return ps
 		}
 		one := spanGroup{gen(rng.Intn(9)), gen(rng.Intn(6))}
-		spanKernelsAgainstReference(t, one)
-		spanKernelsAgainstReference(t, one, spanGroup{gen(rng.Intn(9)), gen(rng.Intn(6))},
+		a := spanKernelsAgainstReference(t, one)
+		b := spanKernelsAgainstReference(t, one, spanGroup{gen(rng.Intn(9)), gen(rng.Intn(6))},
 			spanGroup{r: gen(1 + rng.Intn(5))}, spanGroup{l: gen(1 + rng.Intn(8))})
+		subtracted += boolCount(a || b)
+	}
+	t.Logf("the union subtraction ran on %d of 300 seeds", subtracted)
+	if subtracted < 50 {
+		t.Fatalf("vacuous: the union subtraction ran on %d of 300 seeds, want ≥ 50", subtracted)
 	}
 }
 
 // FuzzSpanKernels is the same property under native fuzzing: the bytes
 // decode to two period lists (one header byte splits them, then a
-// start/length byte pair per period; length 0 is an empty period).
+// start/length byte pair per period; length 0 is an empty period, length 15
+// one ending at NowMarker).
 func FuzzSpanKernels(f *testing.F) {
 	f.Add([]byte{})                             // empty group
 	f.Add([]byte{2, 1, 2, 3, 2})                // touching [1,3) [3,5)
@@ -410,6 +455,12 @@ func FuzzSpanKernels(f *testing.F) {
 	f.Add([]byte{3, 0, 2, 3, 2, 7, 1, 1, 0})    // sorted-disjoint, empty right period
 	f.Add([]byte{1, 5, 0, 5, 3})                // empty left period
 	f.Add([]byte{4, 0, 6, 2, 6, 1, 1, 3, 3, 2}) // overlapping chain
+	// A disjoint left, which \ᵀ's union subtraction also runs on, against
+	// touching, nested and NOW-relative right periods.
+	f.Add([]byte{3, 0, 3, 5, 2, 9, 4, 1, 2, 3, 2, 7, 1}) // right [1,3) [3,5) [7,8) touch and cross
+	f.Add([]byte{2, 2, 6, 10, 3, 1, 9, 3, 2, 11, 1})     // right [3,5) nested in [1,10), [11,12) inside a left
+	f.Add([]byte{3, 0, 4, 6, 0, 8, 3, 5, 15, 2, 1})      // right [5, NOW) over an empty left period
+	f.Add([]byte{2, 4, 15, 0, 2, 1, 15, 3, 2, 20, 15})   // NOW-relative on both sides
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 33 {
 			data = data[:33] // coalᵀ is O(g²) per group by design
@@ -420,6 +471,9 @@ func FuzzSpanKernels(f *testing.F) {
 			for k := 1; k+1 < len(data); k += 2 {
 				start := period.Chronon(data[k] % 32)
 				p := period.Period{Start: start, End: start + period.Chronon(data[k+1]%16)}
+				if data[k+1]%16 == 15 {
+					p.End = period.NowMarker
+				}
 				if len(lps) < nl {
 					lps = append(lps, p)
 				} else {

@@ -1,21 +1,32 @@
 // Package physical is the one place a physical variant of the exec engine
 // is chosen. Decide picks, per logical operator, the variant the engine
-// compiles from the delivered orders of the operator's inputs and from the
+// compiles from the delivered states of the operator's inputs — their
+// orders and Table 1's duplicate claims (props.State) — and from the
 // engine's Shape (width and memory budget): merge vs hash joins, merge vs
 // hash \ and ∪, adjacent-compare vs hash dedup, contiguous vs hashed
-// grouping, group-at-a-time streaming vs the exchange driver, and sort
-// elision. The exec engine compiles exactly the decision it returns (over
-// its run-time orders) and reports it per node to the stratum's meter; the
-// cost model decides over the statically inferred orders of props.State,
-// and EXPLAIN ANALYZE and tqplan render Annotate's decisions for their
-// engine's shape. Where the catalog's BaseInfo is truthful the two sets of
-// orders coincide, so the model prices what the engine runs.
+// grouping, group-at-a-time streaming vs the exchange driver, sort elision,
+// and \ᵀ's union subtraction over a snapshot-distinct left. The exec
+// engine compiles exactly the decision it returns (over the states its
+// stages deliver at run time) and reports it per node to the stratum's
+// meter; the cost model decides over the statically inferred states, and
+// EXPLAIN ANALYZE and tqplan render Annotate's decisions for their engine's
+// shape. Where the catalog's BaseInfo is truthful the two agree on every
+// order, so the model prices what the engine runs. The engine may know
+// fewer claims: a stratum region's leaf (a transferred DBMS result)
+// declares its order only, so a \ᵀ right above one compiles hash-part
+// where Annotate may say minus-union — the two price alike.
 //
 // The soundness of every order decision rests on Table 1's order
 // propagation: an input's OrderSpec is a list invariant, so a prefix of it
 // covering exactly an operator's grouping attributes proves the operator's
 // groups contiguous (CoveringPrefix), and a sort spec that is a prefix of
 // the delivered order proves the sort a no-op (Table 1's special case).
+// The subtraction rests on Table 1's Duplicates column: a snapshot-distinct
+// left argument has at most one row covering any instant of a value group,
+// so \ᵀ's max(cₗ − cᵣ, 0) is each left period minus the union of the
+// right's. Coalesced proves nothing here: coalescing merges adjacent
+// periods only, so a coalesced relation may still hold overlapping
+// value-equivalent periods.
 package physical
 
 import (
@@ -46,6 +57,7 @@ const (
 	AlgoHashGroup  Algo = "hash-group"  // hash value/group partitioning
 	AlgoStream     Algo = "stream"      // order-indifferent tuple-at-a-time op
 	AlgoHashPart   Algo = "hash-part"   // two-sided hash partitioning (\ᵀ, ∪ᵀ)
+	AlgoMinusUnion Algo = "minus-union" // \ᵀ, snapshot-distinct left: each period minus the right's union
 )
 
 // Shape is what the engine's choice depends on besides delivered orders.
@@ -81,9 +93,12 @@ type Variant struct {
 	// SortElided reports that a sort node is a physical no-op because its
 	// input already delivers an order the requested spec is a prefix of.
 	SortElided bool
-	// Contiguous reports that the input's delivered order keeps the Keys
-	// groups of a one-sided keyed operator adjacent (trivially so with no
-	// keys): the driver then splits whole-group ranges across the pool.
+	// Contiguous reports that the (left) input's delivered order keeps the
+	// Keys groups adjacent: those of a one-sided keyed operator (trivially so
+	// with no keys), whose driver then splits whole-group ranges across the
+	// pool, or the left's value groups of \ᵀ and ∪ᵀ, whose bodies then cut
+	// the left into runs and probe the right's groups once per run instead
+	// of hashing every left row.
 	Contiguous bool
 	// Exchange reports that the node's work divides across the worker
 	// pool (the parallel cost shape).
@@ -112,10 +127,11 @@ type Decision struct {
 }
 
 // Decide picks the physical variant the engine of shape sh compiles for n,
-// given the delivered orders of its children. Child schemas are derived from
-// the plan; nodes whose schemas do not validate get the zero decision (the
-// engine will surface the error).
-func Decide(n algebra.Node, childOrders []relation.OrderSpec, sh Shape) Decision {
+// given the delivered states of its children in child order (their orders
+// and duplicate claims are read). Child schemas are derived from the plan;
+// nodes whose schemas do not validate get the zero decision (the engine
+// will surface the error).
+func Decide(n algebra.Node, children []props.State, sh Shape) Decision {
 	ch := n.Children()
 	var buf [2]*schema.Schema
 	cs := buf[:len(ch)]
@@ -127,8 +143,8 @@ func Decide(n algebra.Node, childOrders []relation.OrderSpec, sh Shape) Decision
 		cs[i] = s
 	}
 	ord := func(i int) relation.OrderSpec {
-		if i < len(childOrders) {
-			return childOrders[i]
+		if i < len(children) {
+			return children[i].Order
 		}
 		return nil
 	}
@@ -203,6 +219,10 @@ func Decide(n algebra.Node, childOrders []relation.OrderSpec, sh Shape) Decision
 		vidx := ValueIdx(cs[0])
 		d := keyed(vidx, sh)
 		d.Algo, d.RKeys = AlgoHashPart, vidx
+		_, d.Contiguous = CoveringPrefix(ord(0), cs[0], vidx)
+		if n.Op() == algebra.OpTDiff && len(children) > 0 && children[0].SnapshotDistinct {
+			d.Algo = AlgoMinusUnion
+		}
 		return d
 	case algebra.OpProduct, algebra.OpTProduct:
 		return joined(sh)
@@ -249,11 +269,10 @@ func grouped(idx []int, ord relation.OrderSpec, s *schema.Schema, sh Shape, adja
 }
 
 // Annotate decides the physical variant of every node of a plan for an
-// engine of shape sh from the statically inferred delivered orders
-// (props.State.Order) — the view the cost model prices and EXPLAIN ANALYZE
-// and tqplan render. The engine makes the same decisions at build time from
-// its run-time orders, which coincide whenever the catalog's BaseInfo is
-// truthful.
+// engine of shape sh from the statically inferred delivered states
+// (props.State) — the view the cost model prices and EXPLAIN ANALYZE and
+// tqplan render. The engine makes the same decisions at build time from its
+// run-time states, which agree whenever the catalog's BaseInfo is truthful.
 func Annotate(plan algebra.Node, sh Shape) (map[algebra.Node]Variant, error) {
 	st, err := props.InferStates(plan)
 	if err != nil {
@@ -263,12 +282,12 @@ func Annotate(plan algebra.Node, sh Shape) (map[algebra.Node]Variant, error) {
 	var walk func(n algebra.Node)
 	walk = func(n algebra.Node) {
 		ch := n.Children()
-		orders := make([]relation.OrderSpec, len(ch))
+		states := make([]props.State, len(ch))
 		for i, c := range ch {
 			walk(c)
-			orders[i] = st[c].Order
+			states[i] = st[c]
 		}
-		out[n] = Decide(n, orders, sh).Variant
+		out[n] = Decide(n, states, sh).Variant
 	}
 	walk(plan)
 	return out, nil

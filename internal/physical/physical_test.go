@@ -6,6 +6,7 @@ import (
 	"tqp/internal/algebra"
 	"tqp/internal/expr"
 	"tqp/internal/physical"
+	"tqp/internal/props"
 	"tqp/internal/relation"
 	"tqp/internal/schema"
 	"tqp/internal/value"
@@ -17,6 +18,16 @@ func temporalSchema() *schema.Schema {
 		schema.Attr("Grp", value.KindInt),
 		schema.Attr(schema.T1, value.KindTime),
 		schema.Attr(schema.T2, value.KindTime))
+}
+
+// delivered is the states of inputs that deliver the orders ords and claim
+// nothing else.
+func delivered(ords []relation.OrderSpec) []props.State {
+	out := make([]props.State, len(ords))
+	for i, o := range ords {
+		out[i].Order = o
+	}
+	return out
 }
 
 func leafWithOrder(name string, o relation.OrderSpec) algebra.Node {
@@ -46,7 +57,7 @@ func TestDecideSort(t *testing.T) {
 		{byGrpDesc, byNameGrp, false},
 	}
 	for _, c := range cases {
-		d := physical.Decide(algebra.NewSort(c.spec, l), []relation.OrderSpec{c.in}, physical.Shape{})
+		d := physical.Decide(algebra.NewSort(c.spec, l), delivered([]relation.OrderSpec{c.in}), physical.Shape{})
 		if d.SortElided != c.elided {
 			t.Errorf("sort %s over %s: elided=%v, want %v", c.spec, c.in, d.SortElided, c.elided)
 		}
@@ -59,7 +70,7 @@ func TestDecideJoin(t *testing.T) {
 	eq := expr.Compare(expr.Eq, expr.Column("1.Name"), expr.Column("2.Name"))
 	mk := func(lo, ro relation.OrderSpec) physical.Decision {
 		j := algebra.NewTJoin(eq, leafWithOrder("L", lo), leafWithOrder("R", ro))
-		return physical.Decide(j, []relation.OrderSpec{lo, ro}, physical.Shape{})
+		return physical.Decide(j, delivered([]relation.OrderSpec{lo, ro}), physical.Shape{})
 	}
 	if d := mk(byName, byName); d.Algo != physical.AlgoMergeJoin || !d.Merge {
 		t.Errorf("both sides key-ordered: got %s", d.Algo)
@@ -80,7 +91,7 @@ func TestDecideJoin(t *testing.T) {
 	theta := algebra.NewTJoin(
 		expr.Compare(expr.Lt, expr.Column("1.Grp"), expr.Column("2.Grp")),
 		leafWithOrder("L", byName), leafWithOrder("R", byName))
-	if d := physical.Decide(theta, []relation.OrderSpec{byName, byName}, physical.Shape{}); d.Algo != physical.AlgoNestedLoop {
+	if d := physical.Decide(theta, delivered([]relation.OrderSpec{byName, byName}), physical.Shape{}); d.Algo != physical.AlgoNestedLoop {
 		t.Errorf("theta join: got %s", d.Algo)
 	}
 }
@@ -110,7 +121,7 @@ func TestDecideGroupingAndSets(t *testing.T) {
 		{"diffT always hash-partitions", algebra.NewTDiff(lv, rv), []relation.OrderSpec{byAll, byAll}, physical.AlgoHashPart},
 	}
 	for _, c := range cases {
-		if d := physical.Decide(c.plan, c.orders, physical.Shape{}); d.Algo != c.want {
+		if d := physical.Decide(c.plan, delivered(c.orders), physical.Shape{}); d.Algo != c.want {
 			t.Errorf("%s: got %s, want %s", c.name, d.Algo, c.want)
 		}
 	}
@@ -218,10 +229,51 @@ func TestDecideShapes(t *testing.T) {
 	}
 	for _, c := range cases {
 		for sh, w := range c.shapes {
-			d := physical.Decide(c.plan, c.orders, sh)
+			d := physical.Decide(c.plan, delivered(c.orders), sh)
 			got := want{d.Algo, d.Merge, d.Contiguous, d.Exchange, d.Spills}
 			if got != w {
 				t.Errorf("%s at %+v: got %+v, want %+v", c.name, sh, got, w)
+			}
+		}
+	}
+}
+
+// TestDecideTemporalPairs pins what \ᵀ and ∪ᵀ read of their left input's
+// state: a snapshot-distinct left makes \ᵀ subtract the right's union — on
+// every shape, with the flags hash-part has, so it prices alike — while a
+// left that is only coalesced keeps the sweep (coalescing merges adjacent
+// periods only, so value-equivalent periods may still overlap), ∪ᵀ never
+// subtracts, and a left order covering the value columns makes either pair
+// contiguous.
+func TestDecideTemporalPairs(t *testing.T) {
+	lv, rv := leafWithOrder("L", nil), leafWithOrder("R", nil)
+	diff, union := algebra.NewTDiff(lv, rv), algebra.NewTUnion(lv, rv)
+	type want struct {
+		algo       physical.Algo
+		contiguous bool
+	}
+	cases := []struct {
+		name string
+		plan algebra.Node
+		left props.State
+		want want
+	}{
+		{"diffT over a coalesced left", diff, props.State{Coalesced: true}, want{physical.AlgoHashPart, false}},
+		{"diffT over a snapshot-distinct left", diff, props.State{SnapshotDistinct: true}, want{physical.AlgoMinusUnion, false}},
+		{"diffT over a sorted snapshot-distinct left", diff, props.State{SnapshotDistinct: true, Coalesced: true, Order: byNameGrp}, want{physical.AlgoMinusUnion, true}},
+		{"diffT over a left sorted on a value prefix", diff, props.State{Order: byName}, want{physical.AlgoHashPart, false}},
+		{"diffT over a left sorted on every column", diff, props.State{Order: byAll}, want{physical.AlgoHashPart, true}},
+		{"unionT over a snapshot-distinct left", union, props.State{SnapshotDistinct: true}, want{physical.AlgoHashPart, false}},
+		{"unionT over a sorted left", union, props.State{Order: byNameGrp}, want{physical.AlgoHashPart, true}},
+	}
+	for _, c := range cases {
+		for _, sh := range []physical.Shape{{}, {Parallel: true}, {Budgeted: true}, {Parallel: true, Budgeted: true}} {
+			d := physical.Decide(c.plan, []props.State{c.left, {}}, sh)
+			if got := (want{d.Algo, d.Contiguous}); got != c.want {
+				t.Errorf("%s at %+v: got %+v, want %+v", c.name, sh, got, c.want)
+			}
+			if d.Merge || d.SortElided || d.Exchange != sh.Parallel || d.Spills != sh.Budgeted {
+				t.Errorf("%s at %+v: flags %+v, want hash-part's", c.name, sh, d.Variant)
 			}
 		}
 	}

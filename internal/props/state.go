@@ -108,7 +108,7 @@ func infer(n algebra.Node, site Site, st States) (State, error) {
 			return State{}, err
 		}
 	}
-	s, err := stateAt(n, site, cs)
+	s, err := StateAt(n, site, cs)
 	if err != nil {
 		return State{}, err
 	}
@@ -116,9 +116,12 @@ func infer(n algebra.Node, site Site, st States) (State, error) {
 	return s, nil
 }
 
-// stateAt is the state of n executing at site over its children's states
-// cs.
-func stateAt(n algebra.Node, site Site, cs []State) (State, error) {
+// StateAt is the state of n executing at site over its children's states
+// cs, in child order — the one per-node derivation behind InferStates and
+// Memo, and what the exec engine labels each stage it compiles with (at
+// Stratum, over its inputs' delivered states). A base relation has no
+// children: its state is what its BaseInfo declares.
+func StateAt(n algebra.Node, site Site, cs []State) (State, error) {
 	sch, err := n.Schema()
 	if err != nil {
 		return State{}, err
@@ -256,7 +259,7 @@ func (m *Memo) derive(n algebra.Node, site Site) (int, error) {
 			return 0, err
 		}
 	}
-	s, err := stateAt(n, site, cs)
+	s, err := StateAt(n, site, cs)
 	if err != nil {
 		return 0, err
 	}
