@@ -186,21 +186,23 @@ func render(b *strings.Builder, n Node, path Path, indent string, annotate func(
 // returns for it — visited left to right — and the nodes above are rebuilt
 // over the new leaves. bind receives the cut node and its path, which is
 // also the leaf's path in the result. A leaf is named "@" plus its path and
-// carries the relation's schema and order, so delivered orders derive
-// through the region as they would have from the subtree; the returned map
-// resolves the names.
-func BindLeaves(root Node, cut func(Node) bool, bind func(n Node, path Path) (*relation.Relation, error)) (Node, map[string]*relation.Relation, error) {
+// carries the relation's schema and order and the duplicate claims bind
+// returns beside it (whose Order is ignored), so delivered states derive
+// through the region as they would have from the subtree when those claims
+// are the subtree's; the returned map resolves the names.
+func BindLeaves(root Node, cut func(Node) bool, bind func(n Node, path Path) (*relation.Relation, BaseInfo, error)) (Node, map[string]*relation.Relation, error) {
 	bound := make(map[string]*relation.Relation)
 	var rebuild func(n Node, path Path) (Node, error)
 	rebuild = func(n Node, path Path) (Node, error) {
 		if cut(n) {
-			r, err := bind(n, path)
+			r, info, err := bind(n, path)
 			if err != nil {
 				return nil, err
 			}
 			name := "@" + path.String()
 			bound[name] = r
-			return NewRel(name, r.Schema(), BaseInfo{Order: r.Order()}), nil
+			info.Order = r.Order()
+			return NewRel(name, r.Schema(), info), nil
 		}
 		ch := n.Children()
 		if len(ch) == 0 {

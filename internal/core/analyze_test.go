@@ -17,6 +17,7 @@ import (
 	"tqp/internal/props"
 	"tqp/internal/relation"
 	"tqp/internal/testutil"
+	"tqp/internal/value"
 )
 
 // TestExplainAnalyzePaperQuery pins the rendered analysis on the paper's
@@ -240,6 +241,67 @@ func TestExplainAnalyzeLabelsCompiledVariant(t *testing.T) {
 		root := strings.SplitN(an.Text, "\n", 3)[1]
 		if !strings.Contains(root, "("+string(tc.want)+")") {
 			t.Errorf("%s: ⋈ᵀ labelled %q, want (%s)\n%s", spec.Name, root, tc.want, an.Text)
+		}
+	}
+}
+
+// tdiffRecorder wraps an engine and records the variant it reports
+// compiling for every \ᵀ node it evaluates.
+type tdiffRecorder struct {
+	eval.Engine
+	seen *[]physical.Variant
+}
+
+func (r tdiffRecorder) ObserveNodes(timed bool, fn func(algebra.Node, physical.Variant, obs.RunSample)) {
+	r.Engine.(eval.NodeObserver).ObserveNodes(timed, func(n algebra.Node, v physical.Variant, s obs.RunSample) {
+		if n.Op() == algebra.OpTDiff {
+			*r.seen = append(*r.seen, v)
+		}
+		fn(n, v, s)
+	})
+}
+
+// TestExplainAnalyzeLabelsMinusUnionOverATransfer pins that EXPLAIN ANALYZE
+// prints the variant the engine compiles when \ᵀ's left is a TS over a
+// snapshot-distinct base (the paper catalog's PROJECT): the stratum region
+// binds the transferred result as a leaf, and that leaf must declare the
+// claims the planner proved of the TS, or the engine would compile the
+// sweep under a minus-union label.
+func TestExplainAnalyzeLabelsMinusUnionOverATransfer(t *testing.T) {
+	c := catalog.Paper()
+	prj := c.MustNode("PROJECT")
+	p2 := algebra.NewSelect(expr.Compare(expr.Eq, expr.Column("Prj"), expr.Literal(value.String_("P2"))), prj)
+	plan := algebra.NewTDiff(algebra.NewTransferS(prj), algebra.NewTransferS(p2))
+	st, err := props.InferStates(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st[plan.Children()[0]].SnapshotDistinct {
+		t.Fatal("vacuous: the TS over PROJECT is not statically snapshot-distinct")
+	}
+	opt := core.New(c)
+	want, _, err := opt.ExecutePlan(plan, eval.Reference())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []exec.Config{{}, {Parallelism: 3}, {MemoryBudget: 4 << 10, SpillDir: t.TempDir()}} {
+		spec := exec.NewSpec(cfg)
+		var seen []physical.Variant
+		inner := spec.New
+		spec.New = func(src eval.Source) eval.Engine { return tdiffRecorder{inner(src), &seen} }
+		an, err := opt.ExplainAnalyze(&core.Prepared{Plan: plan}, spec)
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Name, err)
+		}
+		if len(seen) != 1 || seen[0].Algo != physical.AlgoMinusUnion {
+			t.Fatalf("%s: engine compiled \\ᵀ as %+v, want minus-union", spec.Name, seen)
+		}
+		root := strings.Split(an.Text, "\n")[1]
+		if !strings.Contains(root, "("+string(seen[0].Algo)+")") {
+			t.Fatalf("%s: EXPLAIN ANALYZE labels \\ᵀ %q, the engine compiled %s", spec.Name, root, seen[0].Algo)
+		}
+		if !an.Result.EqualAsList(want) {
+			t.Fatalf("%s: result differs from the reference:\n%s\nvs\n%s", spec.Name, an.Result, want)
 		}
 	}
 }

@@ -122,14 +122,17 @@ func (e *Engine) eval(n algebra.Node) (*relation.Relation, obs.RunSample, error)
 	cut := func(n algebra.Node) bool {
 		return n.Op() == algebra.OpTransferD || n.Op() == algebra.OpTransferS
 	}
-	bound, leaves, err := algebra.BindLeaves(n, cut, func(n algebra.Node, _ algebra.Path) (*relation.Relation, error) {
+	bound, leaves, err := algebra.BindLeaves(n, cut, func(n algebra.Node, _ algebra.Path) (*relation.Relation, algebra.BaseInfo, error) {
 		if n.Op() == algebra.OpTransferS {
-			return nil, fmt.Errorf("dbms: nested TS inside a DBMS subplan")
+			return nil, algebra.BaseInfo{}, fmt.Errorf("dbms: nested TS inside a DBMS subplan")
 		}
 		if e.stratum == nil {
-			return nil, fmt.Errorf("dbms: TD encountered but no stratum callback installed")
+			return nil, algebra.BaseInfo{}, fmt.Errorf("dbms: TD encountered but no stratum callback installed")
 		}
-		return e.stratum(n.Children()[0])
+		// A TD result declares its order only: the DBMS runs its subplan
+		// rewritten, and no one reads the variants it compiles.
+		r, err := e.stratum(n.Children()[0])
+		return r, algebra.BaseInfo{}, err
 	})
 	if err != nil {
 		return nil, obs.RunSample{}, err

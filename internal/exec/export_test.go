@@ -15,3 +15,8 @@ const RaceEnabled = raceEnabled
 // SetHeapProbe installs (or, with nil, removes) the function an observed run
 // calls once per batch and once per driver partition.
 func SetHeapProbe(f func()) { heapProbe = f }
+
+// tdiffBody and tunionBody are \ᵀ's sweep and ∪ᵀ's body over a left whose
+// value groups are not known to be contiguous.
+func tdiffBody(vidx []int, t1, t2 int) partBody  { return sweepDiffBody(vidx, t1, t2, false) }
+func tunionBody(vidx []int, t1, t2 int) partBody { return excessBody(vidx, t1, t2, false) }

@@ -322,8 +322,10 @@ func (sc *scratch) groupRows(p part, idx []int, contiguous bool) csrGroups {
 	}
 	if len(idx) == 0 || contiguous {
 		off := append(c.off[:0], 0)
-		if len(idx) > 0 {
-			off = cutRuns(p, idx, off)
+		for k := 1; k < n && len(idx) > 0; k++ {
+			if !keysEqual(p.b, p.rows[k], p.b, p.rows[k-1], idx) {
+				off = append(off, int32(k))
+			}
 		}
 		c.off = append(off, int32(n))
 		c.pos = resize(c.pos, n)
@@ -337,38 +339,6 @@ func (sc *scratch) groupRows(p part, idx []int, contiguous bool) csrGroups {
 	sc.groups.add(p.b, p.rows, of)
 	c.fill(of, sc.groups.size())
 	return *c
-}
-
-// cutRuns appends to off every position of p whose row differs on idx from
-// the row before it: where p's runs of equal rows start, after the first. A
-// single key column on its typed plane compares straight against it.
-func cutRuns(p part, idx []int, off []int32) []int32 {
-	if len(idx) == 1 {
-		switch col := &p.b.Cols[idx[0]]; col.Kind {
-		case value.KindString:
-			strs := col.Strs
-			for k := 1; k < len(p.rows); k++ {
-				if strs[p.rows[k]] != strs[p.rows[k-1]] {
-					off = append(off, int32(k))
-				}
-			}
-			return off
-		case value.KindInt, value.KindBool, value.KindTime:
-			ints := col.Ints
-			for k := 1; k < len(p.rows); k++ {
-				if ints[p.rows[k]] != ints[p.rows[k-1]] {
-					off = append(off, int32(k))
-				}
-			}
-			return off
-		}
-	}
-	for k := 1; k < len(p.rows); k++ {
-		if !keysEqual(p.b, p.rows[k], p.b, p.rows[k-1], idx) {
-			off = append(off, int32(k))
-		}
-	}
-	return off
 }
 
 // pairGroups groups one partition pair's rows into a shared

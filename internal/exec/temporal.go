@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
 
 	"tqp/internal/algebra"
 	"tqp/internal/column"
@@ -179,10 +178,6 @@ func (s *sweep) keep(k, lo, hi int, budget []int, claim bool) {
 	s.n[k] = int32(len(s.frag)) - s.off[k]
 }
 
-// smallGroup is the most periods union sorts by insertion and minus scans
-// linearly for p's start; past it they sort and search.
-const smallGroup = 12
-
 // union folds the non-empty periods of rp's rows at positions ks, sorted
 // by start, into their union: disjoint, non-adjacent periods, ascending.
 // It works in the right side's period buffer.
@@ -193,16 +188,7 @@ func (s *sweep) union(rp part, ks []int32, t1, t2 int) []period.Period {
 			ps = append(ps, p)
 		}
 	}
-	if len(ps) <= smallGroup {
-		// A few periods: an insertion sort, its compares inline.
-		for i := 1; i < len(ps); i++ {
-			for j := i; j > 0 && ps[j].Start < ps[j-1].Start; j-- {
-				ps[j], ps[j-1] = ps[j-1], ps[j]
-			}
-		}
-	} else {
-		slices.SortFunc(ps, func(a, b period.Period) int { return cmp.Compare(a.Start, b.Start) })
-	}
+	slices.SortFunc(ps, func(a, b period.Period) int { return cmp.Compare(a.Start, b.Start) })
 	out := ps[:0] // writes trail the reads: folding in place is safe
 	for _, p := range ps {
 		if n := len(out); n > 0 && p.Start <= out[n-1].End {
@@ -222,12 +208,8 @@ func (s *sweep) minus(k int, p period.Period, cover []period.Period) {
 	// From the first cover period ending after p starts, each one that
 	// starts before p ends cuts p.
 	x := 0
-	if len(cover) <= smallGroup {
-		for x < len(cover) && cover[x].End <= p.Start {
-			x++
-		}
-	} else {
-		x = sort.Search(len(cover), func(x int) bool { return cover[x].End > p.Start })
+	for x < len(cover) && cover[x].End <= p.Start {
+		x++
 	}
 	cur := p.Start
 	for ; x < len(cover) && cover[x].Start < p.End; x++ {
@@ -252,19 +234,11 @@ func (s *sweep) record(k int, p period.Period) {
 // into a pooled fragment buffer the emitted stretch carries to the gather.
 func (s *sweep) fragments(p part) emitted {
 	fb := getFragBuf(len(s.frag))
-	rows, per := fb.rows, fb.per
 	for k, i := range p.rows {
-		switch off, n := s.off[k], s.n[k]; n {
-		case 0:
-		case 1:
-			rows, per = append(rows, i), append(per, s.frag[off])
-		default:
-			for _, f := range s.frag[off : off+n] {
-				rows, per = append(rows, i), append(per, f)
-			}
+		for _, f := range s.frag[s.off[k] : s.off[k]+s.n[k]] {
+			fb.rows, fb.per = append(fb.rows, i), append(fb.per, f)
 		}
 	}
-	fb.rows, fb.per = rows, per
 	return fb.over(p.b, p.seqs)
 }
 
@@ -421,11 +395,6 @@ func rdupTBody(vidx []int, t1, t2 int, contiguous bool) partBody {
 func sweepDiffBody(vidx []int, t1, t2 int, contiguous bool) partBody {
 	return keepBody(vidx, t1, t2, contiguous, false)
 }
-
-// tdiffBody and tunionBody are \ᵀ's sweep and ∪ᵀ's body over a left whose
-// value groups are not known to be contiguous.
-func tdiffBody(vidx []int, t1, t2 int) partBody  { return sweepDiffBody(vidx, t1, t2, false) }
-func tunionBody(vidx []int, t1, t2 int) partBody { return excessBody(vidx, t1, t2, false) }
 
 // minusUnionBody is the partition body of \ᵀ over a snapshot-distinct left
 // (physical.AlgoMinusUnion): per value group the right's non-empty periods

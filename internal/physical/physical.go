@@ -10,11 +10,9 @@
 // stages deliver at run time) and reports it per node to the stratum's
 // meter; the cost model decides over the statically inferred states, and
 // EXPLAIN ANALYZE and tqplan render Annotate's decisions for their engine's
-// shape. Where the catalog's BaseInfo is truthful the two agree on every
-// order, so the model prices what the engine runs. The engine may know
-// fewer claims: a stratum region's leaf (a transferred DBMS result)
-// declares its order only, so a \ᵀ right above one compiles hash-part
-// where Annotate may say minus-union — the two price alike.
+// shape. Where the catalog's BaseInfo is truthful the two states agree —
+// a stratum region's leaf, a transferred DBMS result, declares the static
+// state of its TS — so the model prices what the engine runs.
 //
 // The soundness of every order decision rests on Table 1's order
 // propagation: an input's OrderSpec is a list invariant, so a prefix of it

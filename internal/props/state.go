@@ -96,8 +96,14 @@ func InferStates(root algebra.Node) (States, error) {
 	return st, nil
 }
 
-// infer derives the state of n executing at site, and of its descendants,
-// into st.
+// InferState is the state InferStates derives for root, without keeping
+// its descendants'.
+func InferState(root algebra.Node) (State, error) {
+	return infer(root, Stratum, nil)
+}
+
+// infer derives the state of n executing at site, and of its descendants
+// into st unless st is nil.
 func infer(n algebra.Node, site Site, st States) (State, error) {
 	ch := n.Children()
 	var buf [2]State
@@ -112,7 +118,9 @@ func infer(n algebra.Node, site Site, st States) (State, error) {
 	if err != nil {
 		return State{}, err
 	}
-	st[n] = s
+	if st != nil {
+		st[n] = s
+	}
 	return s, nil
 }
 

@@ -22,6 +22,7 @@ import (
 	"tqp/internal/eval"
 	"tqp/internal/obs"
 	"tqp/internal/physical"
+	"tqp/internal/props"
 	"tqp/internal/relation"
 )
 
@@ -195,7 +196,8 @@ func validateSites(n algebra.Node, inStratum bool) error {
 // shared and immutable, engine state never is, which is what lets the
 // server run many executors over one catalog concurrently). The TS subtrees
 // run on the DBMS first, left to right, each on a fresh engine of its own,
-// and their results are the region's leaves; a region that is a bare TS
+// and their results are the region's leaves, each declaring what the
+// planner proved of its TS (props.InferState); a region that is a bare TS
 // instantiates no stratum engine — it is the DBMS result as it stands. path
 // is root's path in the executed plan; probe is nil for an unprobed region.
 func (x *Executor) exec(root algebra.Node, path algebra.Path, probe func(string, obs.RunSample), tr *Trace) (*relation.Relation, error) {
@@ -222,7 +224,16 @@ func (x *Executor) exec(root algebra.Node, path algebra.Path, probe func(string,
 	if isTS(root) {
 		return transfer(root, nil)
 	}
-	bound, leaves, err := algebra.BindLeaves(root, isTS, transfer)
+	// The leaves' claims make the engine decide over the states
+	// physical.Annotate reads.
+	bound, leaves, err := algebra.BindLeaves(root, isTS, func(ts algebra.Node, p algebra.Path) (*relation.Relation, algebra.BaseInfo, error) {
+		r, err := transfer(ts, p)
+		if err != nil {
+			return nil, algebra.BaseInfo{}, err
+		}
+		st, err := props.InferState(ts)
+		return r, algebra.BaseInfo{Distinct: st.Distinct, SnapshotDistinct: st.SnapshotDistinct, Coalesced: st.Coalesced}, err
+	})
 	if err != nil {
 		return nil, err
 	}
